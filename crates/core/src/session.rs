@@ -502,9 +502,7 @@ impl CollaborationSession {
         cfg: simnet::qdisc::QdiscConfig,
     ) -> simnet::qdisc::StatsHandle {
         let link = self.clients[id].link;
-        let handle = self.net.attach_qdisc(link, cfg);
-        crate::trapwatch::install_qdisc_metrics(&mut self.agents[id].agent, link, &handle);
-        handle
+        mount_qdisc(&mut self.net, &mut self.agents[id], link, cfg)
     }
 
     /// Mount a hierarchical shaping tree (HTB-style borrowing,
@@ -568,9 +566,8 @@ impl CollaborationSession {
         cfg: simnet::qdisc::QdiscConfig,
     ) -> Option<simnet::qdisc::StatsHandle> {
         let link = self.inter_broker_link(a, b)?;
-        let handle = self.net.attach_qdisc(link, cfg);
-        crate::trapwatch::install_qdisc_metrics(&mut self.broker_agents[a].agent, link, &handle);
-        Some(handle)
+        let rt = &mut self.broker_agents[a];
+        Some(mount_qdisc(&mut self.net, rt, link, cfg))
     }
 
     /// Read a row from broker `i`'s extension-agent MIB (the
@@ -1407,6 +1404,20 @@ impl CollaborationSession {
         }
         Ok(modality)
     }
+}
+
+/// Mount a flat traffic-control plane on `link` and expose its live
+/// counters through `rt`'s extension agent — the one mount path behind
+/// client access links and inter-broker links alike.
+fn mount_qdisc(
+    net: &mut Network,
+    rt: &mut AgentRuntime,
+    link: simnet::LinkId,
+    cfg: simnet::qdisc::QdiscConfig,
+) -> simnet::qdisc::StatsHandle {
+    let handle = net.attach_qdisc(link, cfg);
+    crate::trapwatch::install_qdisc_metrics(&mut rt.agent, link, &handle);
+    handle
 }
 
 #[cfg(test)]

@@ -113,10 +113,90 @@ impl Watch {
     }
 }
 
-/// Watches a host's live metrics and emits traps on crossings.
+/// One armed threshold plus the trap it raises: the firing half every
+/// watcher in this module shares. [`EdgeWatcher::observe`] takes the
+/// freshly sampled value, fires at most once per crossing, and sends
+/// an SNMPv2 trap carrying the watched variable (Gauge32, rounded and
+/// clamped to the type's range).
+///
+/// [`EdgeWatcher::loss`] is the §5.1 recovery layer feeding the §5.2
+/// adaptation loop: sustained receiver-report loss the NACK path
+/// cannot hide (`fraction_lost * 100`) becomes a one-way `qosAlert`
+/// that lets the inference engine switch modality.
+/// [`EdgeWatcher::congestion`] is the pre-loss half: a link's AQM
+/// marks ECN-capable packets while it would still be queueing (not
+/// dropping) anything else, the receiver echoes the marks
+/// ([`simnet::rtp::ReceiverReport::fraction_ecn_ce`] `* 100`), and a
+/// sustained mark rate becomes a `qosCongestionAlert` so policy can
+/// shift modality (image → sketch → text) *before* the first packet
+/// is lost.
+pub struct EdgeWatcher {
+    watch: Watch,
+    trap_oid: Oid,
+    /// Traps emitted so far.
+    pub traps_sent: u64,
+}
+
+impl EdgeWatcher {
+    /// Raise `trap_oid` on every fresh crossing of `watch`.
+    pub fn new(watch: Watch, trap_oid: Oid) -> EdgeWatcher {
+        EdgeWatcher {
+            watch,
+            trap_oid,
+            traps_sent: 0,
+        }
+    }
+
+    /// `qosAlert` when measured RTP loss rises to or above
+    /// `threshold_pct` percent; re-arms when it falls back below.
+    pub fn loss(threshold_pct: f64) -> EdgeWatcher {
+        EdgeWatcher::new(
+            Watch::rising("loss_pct", arcs::host_rtp_loss(), threshold_pct),
+            qos_alert_trap_oid(),
+        )
+    }
+
+    /// `qosCongestionAlert` when the echoed CE fraction rises to or
+    /// above `threshold_pct` percent; re-arms when it falls back below.
+    pub fn congestion(threshold_pct: f64) -> EdgeWatcher {
+        EdgeWatcher::new(
+            Watch::rising("congestion_pct", arcs::host_congestion(), threshold_pct),
+            qos_congestion_alert_trap_oid(),
+        )
+    }
+
+    /// Evaluate `value` and emit a trap towards `sink_node` on a fresh
+    /// crossing. Returns true when a trap was sent.
+    pub fn observe(
+        &mut self,
+        net: &mut Network,
+        agent_rt: &mut AgentRuntime,
+        sink_node: simnet::NodeId,
+        value: f64,
+    ) -> bool {
+        if !self.watch.evaluate(value) {
+            return false;
+        }
+        agent_rt.send_trap(
+            net,
+            sink_node,
+            self.trap_oid.clone(),
+            vec![VarBind::bound(
+                self.watch.oid.clone(),
+                // `as` saturates at `u32::MAX`.
+                SnmpValue::Gauge32(value.round().max(0.0) as u32),
+            )],
+        );
+        self.traps_sent += 1;
+        true
+    }
+}
+
+/// Watches a host's live metrics and emits `qosAlert` traps on
+/// crossings.
 pub struct HostWatcher {
     host: SharedHost,
-    watches: Vec<Watch>,
+    watchers: Vec<EdgeWatcher>,
     /// Traps emitted so far.
     pub traps_sent: u64,
 }
@@ -126,7 +206,10 @@ impl HostWatcher {
     pub fn new(host: SharedHost, watches: Vec<Watch>) -> HostWatcher {
         HostWatcher {
             host,
-            watches,
+            watchers: watches
+                .into_iter()
+                .map(|w| EdgeWatcher::new(w, qos_alert_trap_oid()))
+                .collect(),
             traps_sent: 0,
         }
     }
@@ -153,131 +236,19 @@ impl HostWatcher {
     ) -> usize {
         let state = *self.host.lock().unwrap();
         let mut sent = 0;
-        for w in &mut self.watches {
-            let value = match w.metric.as_str() {
+        for w in &mut self.watchers {
+            let value = match w.watch.metric.as_str() {
                 "page_faults" => state.page_faults,
                 "cpu_load" => state.cpu_load,
                 "mem_avail_kb" => state.mem_avail_kb,
                 _ => continue,
             };
-            if w.evaluate(value) {
-                agent_rt.send_trap(
-                    net,
-                    sink_node,
-                    qos_alert_trap_oid(),
-                    vec![VarBind::bound(
-                        w.oid.clone(),
-                        SnmpValue::Gauge32(value.round().max(0.0) as u32),
-                    )],
-                );
-                self.traps_sent += 1;
+            if w.observe(net, agent_rt, sink_node, value) {
                 sent += 1;
             }
         }
+        self.traps_sent += sent as u64;
         sent
-    }
-}
-
-/// Watches a measured RTP stream and emits a QoS-alert trap when the
-/// receiver-report loss fraction crosses a threshold — the §5.1
-/// recovery layer feeding the §5.2 adaptation loop: sustained loss the
-/// NACK path cannot hide becomes a one-way notification that lets the
-/// inference engine switch modality.
-pub struct LossWatcher {
-    watch: Watch,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl LossWatcher {
-    /// Fire when measured loss rises to or above `threshold_pct`
-    /// percent; re-arms when it falls back below.
-    pub fn new(threshold_pct: f64) -> LossWatcher {
-        LossWatcher {
-            watch: Watch::rising("loss_pct", arcs::host_rtp_loss(), threshold_pct),
-            traps_sent: 0,
-        }
-    }
-
-    /// Evaluate `report` and emit a trap towards `sink_node` on a fresh
-    /// crossing. Returns true when a trap was sent.
-    pub fn observe(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-        report: &simnet::rtp::ReceiverReport,
-    ) -> bool {
-        let loss_pct = report.fraction_lost * 100.0;
-        if self.watch.evaluate(loss_pct) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::host_rtp_loss(),
-                    SnmpValue::Gauge32(loss_pct.round().max(0.0) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Watches the ECN-echo congestion fraction of a measured RTP stream
-/// and emits a `qosCongestionAlert` trap when it crosses a threshold.
-///
-/// This is the pre-loss half of the feedback loop: a link's AQM marks
-/// ECN-capable packets while it would still be queueing (not dropping)
-/// anything else, the receiver echoes the marks
-/// ([`simnet::rtp::ReceiverReport::fraction_ecn_ce`]), and this
-/// watcher turns a sustained mark rate into a one-way notification so
-/// policy can shift modality (image → sketch → text) *before* the
-/// first packet is lost.
-pub struct CongestionWatcher {
-    watch: Watch,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl CongestionWatcher {
-    /// Fire when the echoed CE fraction rises to or above
-    /// `threshold_pct` percent; re-arms when it falls back below.
-    pub fn new(threshold_pct: f64) -> CongestionWatcher {
-        CongestionWatcher {
-            watch: Watch::rising("congestion_pct", arcs::host_congestion(), threshold_pct),
-            traps_sent: 0,
-        }
-    }
-
-    /// Evaluate `report` and emit a trap towards `sink_node` on a
-    /// fresh crossing. Returns true when a trap was sent.
-    pub fn observe(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-        report: &simnet::rtp::ReceiverReport,
-    ) -> bool {
-        let congestion_pct = report.fraction_ecn_ce * 100.0;
-        if self.watch.evaluate(congestion_pct) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_congestion_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::host_congestion(),
-                    SnmpValue::Gauge32(congestion_pct.round().max(0.0) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -291,11 +262,8 @@ impl CongestionWatcher {
 /// every other watch: one trap per crossing, re-armed when the store
 /// drains back below the watermark.
 pub struct StoreWatcher {
-    broker: u32,
     stats: dtn::StoreStatsHandle,
-    watch: Watch,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
+    edge: EdgeWatcher,
 }
 
 impl StoreWatcher {
@@ -304,14 +272,15 @@ impl StoreWatcher {
     /// [`dtn::StoreConfig::high_watermark_bytes`]).
     pub fn new(broker: u32, stats: dtn::StoreStatsHandle, threshold_bytes: u64) -> StoreWatcher {
         StoreWatcher {
-            broker,
             stats,
-            watch: Watch::rising(
-                "store_bytes",
-                arcs::store_bytes(broker),
-                threshold_bytes as f64,
+            edge: EdgeWatcher::new(
+                Watch::rising(
+                    "store_bytes",
+                    arcs::store_bytes(broker),
+                    threshold_bytes as f64,
+                ),
+                qos_store_alert_trap_oid(),
             ),
-            traps_sent: 0,
         }
     }
 
@@ -324,21 +293,7 @@ impl StoreWatcher {
         sink_node: simnet::NodeId,
     ) -> bool {
         let bytes = self.stats.stored_bytes();
-        if self.watch.evaluate(bytes as f64) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_store_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::store_bytes(self.broker),
-                    SnmpValue::Gauge32(bytes.min(u32::MAX as u64) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
+        self.edge.observe(net, agent_rt, sink_node, bytes as f64)
     }
 }
 
@@ -355,11 +310,9 @@ impl StoreWatcher {
 pub struct PlanWatcher {
     node: u32,
     stats: htb::TreeStatsHandle,
-    watch: Watch,
+    edge: EdgeWatcher,
     last_bits: u64,
     last_us: u64,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
 }
 
 impl PlanWatcher {
@@ -370,10 +323,12 @@ impl PlanWatcher {
         PlanWatcher {
             node,
             stats,
-            watch: Watch::rising("congestion_pct", arcs::htb_node_util(node), threshold_pct),
+            edge: EdgeWatcher::new(
+                Watch::rising("congestion_pct", arcs::htb_node_util(node), threshold_pct),
+                qos_plan_alert_trap_oid(),
+            ),
             last_bits: 0,
             last_us: 0,
-            traps_sent: 0,
         }
     }
 
@@ -406,21 +361,7 @@ impl PlanWatcher {
         sink_node: simnet::NodeId,
     ) -> bool {
         let pct = self.utilization_pct(net.now().as_micros());
-        if self.watch.evaluate(pct) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_plan_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::htb_node_util(self.node),
-                    SnmpValue::Gauge32(pct.round().clamp(0.0, u32::MAX as f64) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
+        self.edge.observe(net, agent_rt, sink_node, pct)
     }
 }
 
@@ -679,14 +620,14 @@ mod tests {
     fn loss_trap_switches_modality() {
         use simnet::rtp::ReceiverReport;
         let (mut net, mut rt, mut sink, _host, station) = world();
-        let mut watcher = LossWatcher::new(10.0);
+        let mut watcher = EdgeWatcher::loss(10.0);
         let calm = ReceiverReport {
             received: 99,
             lost: 1,
             fraction_lost: 0.01,
             ..Default::default()
         };
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
+        assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_lost * 100.0));
         // Wireless-grade burst loss the NACK budget could not hide.
         let bursty = ReceiverReport {
             received: 80,
@@ -694,9 +635,9 @@ mod tests {
             fraction_lost: 0.2,
             ..Default::default()
         };
-        assert!(watcher.observe(&mut net, &mut rt, station, &bursty));
+        assert!(watcher.observe(&mut net, &mut rt, station, bursty.fraction_lost * 100.0));
         assert!(
-            !watcher.observe(&mut net, &mut rt, station, &bursty),
+            !watcher.observe(&mut net, &mut rt, station, bursty.fraction_lost * 100.0),
             "edge-triggered"
         );
         net.run_for(Ticks::from_millis(5));
@@ -709,8 +650,8 @@ mod tests {
             "20% loss -> loss-heavy band"
         );
         // Recovery re-arms the watch.
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
-        assert!(watcher.observe(&mut net, &mut rt, station, &bursty));
+        assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_lost * 100.0));
+        assert!(watcher.observe(&mut net, &mut rt, station, bursty.fraction_lost * 100.0));
         assert_eq!(watcher.traps_sent, 2);
     }
 
@@ -718,7 +659,7 @@ mod tests {
     fn congestion_trap_downgrades_before_loss() {
         use simnet::rtp::ReceiverReport;
         let (mut net, mut rt, mut sink, _host, station) = world();
-        let mut watcher = CongestionWatcher::new(10.0);
+        let mut watcher = EdgeWatcher::congestion(10.0);
         // Lightly marked stream with ZERO loss: below threshold.
         let calm = ReceiverReport {
             received: 100,
@@ -726,7 +667,7 @@ mod tests {
             fraction_ecn_ce: 0.02,
             ..Default::default()
         };
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
+        assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_ecn_ce * 100.0));
         // AQM marking a quarter of the stream — still zero loss.
         let marked = ReceiverReport {
             received: 100,
@@ -734,9 +675,9 @@ mod tests {
             fraction_ecn_ce: 0.25,
             ..Default::default()
         };
-        assert!(watcher.observe(&mut net, &mut rt, station, &marked));
+        assert!(watcher.observe(&mut net, &mut rt, station, marked.fraction_ecn_ce * 100.0));
         assert!(
-            !watcher.observe(&mut net, &mut rt, station, &marked),
+            !watcher.observe(&mut net, &mut rt, station, marked.fraction_ecn_ce * 100.0),
             "edge-triggered"
         );
         net.run_for(Ticks::from_millis(5));
@@ -749,8 +690,8 @@ mod tests {
             "25% CE -> congestion-heavy band, despite fraction_lost == 0"
         );
         // Recovery re-arms the watch.
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
-        assert!(watcher.observe(&mut net, &mut rt, station, &marked));
+        assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_ecn_ce * 100.0));
+        assert!(watcher.observe(&mut net, &mut rt, station, marked.fraction_ecn_ce * 100.0));
         assert_eq!(watcher.traps_sent, 2);
     }
 
@@ -877,7 +818,7 @@ mod tests {
         assert!(!watcher.service(&mut net, &mut rt, station));
         saturate(&mut net, core, sub, 7101, 100);
         assert!(watcher.service(&mut net, &mut rt, station), "re-armed");
-        assert_eq!(watcher.traps_sent, 2);
+        assert_eq!(watcher.edge.traps_sent, 2);
 
         net.run_for(Ticks::from_millis(5));
         assert_eq!(sink.service(&mut net), 2);
@@ -1018,7 +959,7 @@ mod tests {
             seq += 1;
         }
         assert!(watcher.service(&mut net, &mut rt, station), "re-armed");
-        assert_eq!(watcher.traps_sent, 2);
+        assert_eq!(watcher.edge.traps_sent, 2);
 
         net.run_for(Ticks::from_millis(5));
         assert_eq!(sink.service(&mut net), 2, "sink receives both alerts");

@@ -306,7 +306,7 @@ impl<T> Qdisc<T> {
 
     /// Mirror the aggregate backlog into the shared counters so
     /// external observers (e.g. an SNMP agent) read a live value.
-    pub fn publish_backlog(&self) {
+    fn publish_backlog(&self) {
         self.shared
             .backlog_bytes
             .store(self.stats.backlog_bytes(), Ordering::Relaxed);

@@ -6,10 +6,17 @@
 //! through per-node sorted port tables, multicast groups keep explicit
 //! member lists (sorted by socket index, so fan-out order — and hence
 //! the RNG draw order of per-copy loss rolls — is identical to the
-//! historical all-sockets scan), and per-link qdisc mounts sit in a
+//! historical all-sockets scan), and each link's egress slot sits in a
 //! `Vec` indexed by link id. Nothing on the delivery path iterates a
 //! hash map, so iteration order can never silently reorder RNG draws
 //! between runs or builds.
+//!
+//! A link has one egress slot: empty, it is the plain analytic FIFO;
+//! mounted, it holds the flat class plane of `crates/qdisc` or the
+//! shaping tree of `crates/htb`. Both are driven by the same calls
+//! (arrival → `enqueue` → `next_ready`; service → `dequeue` →
+//! `next_ready`), so one service event and one enqueue / kick / service
+//! path serve whichever discipline the caller mounted.
 
 use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::{Port, WirePacket, MAX_DATAGRAM};
@@ -19,7 +26,7 @@ use crate::topology::{LinkId, LinkSpec, NodeId, Topology};
 use crate::trace::{NetStats, NetStatsHandle};
 use crate::wheel::TimingWheel;
 use htb::{ShapingTree, TreeSpec, TreeStatsHandle};
-use qdisc::{EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, StatsHandle};
+use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, StatsHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -113,9 +120,9 @@ struct Socket {
 }
 
 /// A packet copy travelling a multi-hop path through at least one
-/// qdisc-equipped link. Links without a qdisc are still traversed
-/// analytically (identical arithmetic and RNG draws to the plain
-/// path); a qdisc hop suspends the walk in the link's class queues
+/// link with a mounted egress plane. Links without one are still
+/// traversed analytically (identical arithmetic and RNG draws to the
+/// plain path); a mounted hop suspends the walk in the plane's queues
 /// and resumes it as a [`NetEvent::Hop`] on release.
 #[derive(Debug)]
 struct InFlight {
@@ -147,33 +154,60 @@ enum NetEvent {
     Hop {
         flight: InFlight,
     },
-    /// Serve one packet from the qdisc on `link`. `gen` invalidates
-    /// events superseded by an earlier reschedule.
-    QdiscService {
-        link: u32,
-        gen: u64,
-    },
-    /// Serve one packet from the shaping tree on `link`. `gen`
+    /// Serve one packet from the egress plane on `link`. `gen`
     /// invalidates events superseded by an earlier reschedule.
-    TreeService {
-        link: u32,
+    EgressService {
+        link: LinkId,
         gen: u64,
     },
 }
 
-/// A mounted traffic-control plane plus its service scheduling state.
-struct LinkQdisc {
-    q: Qdisc<InFlight>,
-    /// Instant of the currently scheduled service event, if any.
-    service_at: Option<Ticks>,
-    /// Generation of the live service event; stale events are ignored.
-    gen: u64,
+/// The queueing discipline mounted in a link's egress slot.
+enum Plane {
+    /// Flat class plane: DRR across four port-classified classes.
+    /// Boxed: it keeps its class state inline (~1.2 kB), and every
+    /// slot of the egress table, mounted or not, is as wide as the
+    /// widest variant.
+    Flat(Box<Qdisc<InFlight>>),
+    /// Shaping tree: one leaf per subscriber destination node.
+    Tree(ShapingTree<InFlight>),
 }
 
-/// A mounted hierarchical shaping tree plus its service scheduling
-/// state (the tree-shaped analogue of [`LinkQdisc`]).
-struct LinkTree {
-    tree: ShapingTree<InFlight>,
+impl Plane {
+    /// Offer an arriving copy. The tree picks the leaf by `dst_node`;
+    /// the flat plane classifies by destination port alone.
+    fn enqueue(
+        &mut self,
+        now_us: u64,
+        dst_node: u32,
+        flight: InFlight,
+    ) -> EnqueueOutcome<InFlight> {
+        let (Addr::Unicast(_, Port(port)) | Addr::Multicast(_, Port(port))) = flight.dst;
+        let (bytes, ecn) = (flight.packet.wire_size() as u32, flight.ecn_capable);
+        match self {
+            Plane::Flat(q) => q.enqueue(now_us, q.classify(port), bytes, ecn, flight),
+            Plane::Tree(t) => t.enqueue(now_us, dst_node, port, bytes, ecn, flight),
+        }
+    }
+
+    fn next_ready(&self, after_us: u64) -> Option<u64> {
+        match self {
+            Plane::Flat(q) => q.next_ready(after_us),
+            Plane::Tree(t) => t.next_ready(after_us),
+        }
+    }
+
+    fn dequeue(&mut self, now_us: u64) -> DequeueOutcome<InFlight> {
+        match self {
+            Plane::Flat(q) => q.dequeue(now_us),
+            Plane::Tree(t) => t.dequeue(now_us),
+        }
+    }
+}
+
+/// A link's mounted egress plane plus its service scheduling state.
+struct LinkEgress {
+    plane: Plane,
     /// Instant of the currently scheduled service event, if any.
     service_at: Option<Ticks>,
     /// Generation of the live service event; stale events are ignored.
@@ -207,16 +241,10 @@ pub struct Network {
     /// first not-yet-applied entry.
     plan: FaultPlan,
     plan_next: usize,
-    /// Traffic-control planes indexed by dense link id (`None` where no
-    /// plane is mounted); `qdisc_count` short-circuits the per-path
-    /// scan when nothing is mounted anywhere.
-    qdiscs: Vec<Option<LinkQdisc>>,
-    qdisc_count: usize,
-    /// Hierarchical shaping trees indexed by dense link id (`None`
-    /// where none is mounted); `tree_count` short-circuits the
-    /// per-path scan exactly like `qdisc_count`.
-    trees: Vec<Option<LinkTree>>,
-    tree_count: usize,
+    /// Egress slots indexed by dense link id (`None` where the link
+    /// is the plain FIFO). Grown only by `mount`, so the table is
+    /// empty — and the per-path scan trivial — until something mounts.
+    egress: Vec<Option<LinkEgress>>,
 }
 
 impl Network {
@@ -236,10 +264,7 @@ impl Network {
             fired_timers: VecDeque::new(),
             plan: FaultPlan::new(),
             plan_next: 0,
-            qdiscs: Vec::new(),
-            qdisc_count: 0,
-            trees: Vec::new(),
-            tree_count: 0,
+            egress: Vec::new(),
         }
     }
 
@@ -252,94 +277,78 @@ impl Network {
             .map(|i| table[i].1)
     }
 
-    /// The qdisc mounted on link `id`, if any.
-    fn qdisc_ref(&self, id: u32) -> Option<&LinkQdisc> {
-        self.qdiscs.get(id as usize).and_then(|q| q.as_ref())
+    /// The discipline mounted on `link`, if any.
+    fn plane(&self, link: LinkId) -> Option<&Plane> {
+        Some(&self.egress.get(link.0 as usize)?.as_ref()?.plane)
     }
 
-    fn qdisc_mut(&mut self, id: u32) -> Option<&mut LinkQdisc> {
-        self.qdiscs.get_mut(id as usize).and_then(|q| q.as_mut())
+    fn egress_mut(&mut self, link: LinkId) -> Option<&mut LinkEgress> {
+        self.egress.get_mut(link.0 as usize)?.as_mut()
     }
 
-    /// Mount a traffic-control plane on `link`. All traffic crossing
-    /// the link is then classified, shaped, DRR-scheduled, and subject
-    /// to CoDel AQM; links without a plane keep the plain analytic
-    /// FIFO model bit-for-bit. Returns a handle to the plane's live
-    /// aggregate counters (for SNMP instrumentation).
-    pub fn attach_qdisc(&mut self, link: LinkId, cfg: QdiscConfig) -> StatsHandle {
-        assert!(
-            self.tree_ref(link.0).is_none(),
-            "link already has a shaping tree mounted"
-        );
-        let q: Qdisc<InFlight> = Qdisc::new(cfg);
-        let handle = q.shared_stats();
+    /// Fill `link`'s egress slot. A slot is filled once: replacing a
+    /// plane would discard its queued copies uncounted and restart
+    /// `gen`, letting a stale service event match the newcomer.
+    fn mount(&mut self, link: LinkId, plane: Plane) {
         let idx = link.0 as usize;
-        if idx >= self.qdiscs.len() {
-            self.qdiscs.resize_with(idx + 1, || None);
+        if idx >= self.egress.len() {
+            self.egress.resize_with(idx + 1, || None);
         }
-        if self.qdiscs[idx].is_none() {
-            self.qdisc_count += 1;
-        }
-        self.qdiscs[idx] = Some(LinkQdisc {
-            q,
+        assert!(
+            self.egress[idx].is_none(),
+            "link already has an egress plane"
+        );
+        self.egress[idx] = Some(LinkEgress {
+            plane,
             service_at: None,
             gen: 0,
         });
+    }
+
+    /// Mount a flat traffic-control plane on `link`. All traffic
+    /// crossing the link is then classified, shaped, DRR-scheduled, and
+    /// subject to CoDel AQM; links without a plane keep the plain
+    /// analytic FIFO model bit-for-bit. Panics when the link's egress
+    /// slot is already occupied. Returns a handle to the plane's live
+    /// aggregate counters (for SNMP instrumentation).
+    pub fn attach_qdisc(&mut self, link: LinkId, cfg: QdiscConfig) -> StatsHandle {
+        let q = Qdisc::new(cfg);
+        let handle = q.shared_stats();
+        self.mount(link, Plane::Flat(Box::new(q)));
         handle
     }
 
-    /// Whether `link` has a traffic-control plane mounted.
+    /// Whether `link` has a flat traffic-control plane mounted.
     pub fn qdisc_attached(&self, link: LinkId) -> bool {
-        self.qdisc_ref(link.0).is_some()
+        matches!(self.plane(link), Some(Plane::Flat(_)))
     }
 
-    /// Snapshot of the per-class counters of the plane on `link`.
+    /// Snapshot of the per-class counters of the flat plane on `link`.
     pub fn qdisc_stats(&self, link: LinkId) -> Option<QdiscStats> {
-        self.qdisc_ref(link.0).map(|lq| lq.q.stats().clone())
-    }
-
-    /// The shaping tree mounted on link `id`, if any.
-    fn tree_ref(&self, id: u32) -> Option<&LinkTree> {
-        self.trees.get(id as usize).and_then(|t| t.as_ref())
-    }
-
-    fn tree_mut(&mut self, id: u32) -> Option<&mut LinkTree> {
-        self.trees.get_mut(id as usize).and_then(|t| t.as_mut())
+        match self.plane(link)? {
+            Plane::Flat(q) => Some(q.stats().clone()),
+            Plane::Tree(_) => None,
+        }
     }
 
     /// Mount a hierarchical shaping tree on `link`. All traffic
     /// crossing the link is then routed to the subscriber leaf bound
     /// to its destination node (or the default leaf), shaped by the
     /// HTB borrowing hierarchy, and subject to that leaf's own CoDel
-    /// AQM. Links without a tree keep the plain analytic FIFO model
-    /// bit-for-bit. A link carries either a qdisc or a tree, never
-    /// both. Returns a handle to the tree's live per-node counters
+    /// AQM. Links without a plane keep the plain analytic FIFO model
+    /// bit-for-bit. Panics when the link's egress slot is already
+    /// occupied. Returns a handle to the tree's live per-node counters
     /// (for SNMP instrumentation).
     pub fn attach_tree(&mut self, link: LinkId, spec: TreeSpec) -> TreeStatsHandle {
-        assert!(
-            self.qdisc_ref(link.0).is_none(),
-            "link already has a qdisc mounted"
-        );
-        let tree: ShapingTree<InFlight> = ShapingTree::new(spec);
+        let tree = ShapingTree::new(spec);
         let handle = tree.shared_stats();
-        let idx = link.0 as usize;
-        if idx >= self.trees.len() {
-            self.trees.resize_with(idx + 1, || None);
-        }
-        if self.trees[idx].is_none() {
-            self.tree_count += 1;
-        }
-        self.trees[idx] = Some(LinkTree {
-            tree,
-            service_at: None,
-            gen: 0,
-        });
+        self.mount(link, Plane::Tree(tree));
         handle
     }
 
     /// Whether `link` has a shaping tree mounted.
     pub fn tree_attached(&self, link: LinkId) -> bool {
-        self.tree_ref(link.0).is_some()
+        matches!(self.plane(link), Some(Plane::Tree(_)))
     }
 
     /// Declare traffic sent from socket `s` ECN-capable (or not).
@@ -703,7 +712,7 @@ impl Network {
     /// Schedule one copy of `packet` along a precomputed link path,
     /// applying serialization, FIFO queueing, latency, loss, and any
     /// per-link fault model (burst loss, jitter, reorder, duplication).
-    /// When a link on the path has a qdisc mounted, the copy travels as
+    /// When a link on the path has a plane mounted, the copy travels as
     /// an [`InFlight`] event-driven walk instead; paths without one use
     /// the analytic loop below, which consumes an identical RNG stream.
     ///
@@ -718,11 +727,7 @@ impl Network {
         target: Option<SocketHandle>,
         ecn_capable: bool,
     ) {
-        if (self.qdisc_count > 0 || self.tree_count > 0)
-            && path
-                .iter()
-                .any(|l| self.qdisc_ref(l.0).is_some() || self.tree_ref(l.0).is_some())
-        {
+        if path.iter().any(|&l| self.plane(l).is_some()) {
             let flight = InFlight {
                 packet: packet.clone(),
                 path: path.to_vec(),
@@ -860,24 +865,20 @@ impl Network {
 
     /// Walk an in-flight copy along its remaining path starting at the
     /// current instant. Plain links are traversed analytically; on
-    /// reaching a qdisc link the copy is enqueued there (or handed off
-    /// as a [`NetEvent::Hop`] when its arrival lies in the future).
+    /// reaching a mounted link the copy is enqueued there (or handed
+    /// off as a [`NetEvent::Hop`] when its arrival lies in the future).
     fn advance_flight(&mut self, mut flight: InFlight) {
         let now = self.clock.now();
         let mut t = now;
         while flight.hop < flight.path.len() {
             let link_id = flight.path[flight.hop];
-            let queued_here =
-                self.qdisc_ref(link_id.0).is_some() || self.tree_ref(link_id.0).is_some();
-            if queued_here {
+            if self.plane(link_id).is_some() {
                 if t > now {
                     // The copy only reaches the plane at `t`; classify
                     // and enqueue it then, in arrival order.
                     self.queue.schedule(t, NetEvent::Hop { flight });
-                } else if self.qdisc_ref(link_id.0).is_some() {
-                    self.qdisc_enqueue(link_id, flight);
                 } else {
-                    self.tree_enqueue(link_id, flight);
+                    self.egress_enqueue(link_id, flight);
                 }
                 return;
             }
@@ -903,42 +904,13 @@ impl Network {
         );
     }
 
-    /// Classify an arriving copy into the class queues of the qdisc on
-    /// `link_id` and (re)schedule service.
-    fn qdisc_enqueue(&mut self, link_id: LinkId, flight: InFlight) {
+    /// Offer an arriving copy to the egress plane on `link` and
+    /// (re)schedule service. A tree picks the leaf by the copy's *final
+    /// destination node* — for multicast fan-out, the member socket's
+    /// node — so each subscriber's traffic meets its own plan and AQM
+    /// regardless of addressing.
+    fn egress_enqueue(&mut self, link: LinkId, flight: InFlight) {
         let now = self.clock.now();
-        let port = match flight.dst {
-            Addr::Unicast(_, p) | Addr::Multicast(_, p) => p,
-        };
-        let wire = flight.packet.wire_size() as u32;
-        let ecn = flight.ecn_capable;
-        let Some(lq) = self.qdisc_mut(link_id.0) else {
-            return;
-        };
-        let class = lq.q.classify(port.0);
-        match lq.q.enqueue(now.as_micros(), class, wire, ecn, flight) {
-            EnqueueOutcome::Queued => {
-                lq.q.publish_backlog();
-                self.kick_qdisc(link_id);
-            }
-            EnqueueOutcome::TailDropped(_) => {
-                self.stats.dropped += 1;
-                self.stats.qdisc_dropped += 1;
-                self.shared.add_dropped(1);
-            }
-        }
-    }
-
-    /// Route an arriving copy to its subscriber leaf in the shaping
-    /// tree on `link_id` and (re)schedule service. The leaf is chosen
-    /// by the copy's *final destination node* — for multicast
-    /// fan-out, the member socket's node — so each subscriber's
-    /// traffic meets its own plan and AQM regardless of addressing.
-    fn tree_enqueue(&mut self, link_id: LinkId, flight: InFlight) {
-        let now = self.clock.now();
-        let port = match flight.dst {
-            Addr::Unicast(_, p) | Addr::Multicast(_, p) => p,
-        };
         let dst_node = match flight.target {
             Some(s) => self.sockets[s.0 as usize].node.0,
             None => match flight.dst {
@@ -948,18 +920,11 @@ impl Network {
                 Addr::Multicast(_, _) => u32::MAX,
             },
         };
-        let wire = flight.packet.wire_size() as u32;
-        let ecn = flight.ecn_capable;
-        let Some(lt) = self.tree_mut(link_id.0) else {
+        let Some(slot) = self.egress_mut(link) else {
             return;
         };
-        match lt
-            .tree
-            .enqueue(now.as_micros(), dst_node, port.0, wire, ecn, flight)
-        {
-            EnqueueOutcome::Queued => {
-                self.kick_tree(link_id);
-            }
+        match slot.plane.enqueue(now.as_micros(), dst_node, flight) {
+            EnqueueOutcome::Queued => self.kick_egress(link),
             EnqueueOutcome::TailDropped(_) => {
                 self.stats.dropped += 1;
                 self.stats.qdisc_dropped += 1;
@@ -968,128 +933,43 @@ impl Network {
         }
     }
 
-    /// Ensure a service event is pending for the tree on `link_id` at
-    /// the earliest instant some leaf's head packet is eligible and
-    /// the line is idle (the tree-shaped analogue of `kick_qdisc`).
-    fn kick_tree(&mut self, link_id: LinkId) {
-        let now = self.clock.now();
-        let busy = self.topo.links[link_id.0 as usize].busy_until.max(now);
-        let Some(lt) = self.tree_mut(link_id.0) else {
-            return;
-        };
-        let Some(ready) = lt.tree.next_ready(busy.as_micros()) else {
-            return;
-        };
-        let at = Ticks::from_micros(ready);
-        if lt.service_at.is_none_or(|s| at < s) {
-            lt.gen += 1;
-            lt.service_at = Some(at);
-            let gen = lt.gen;
-            self.queue.schedule(
-                at,
-                NetEvent::TreeService {
-                    link: link_id.0,
-                    gen,
-                },
-            );
-        }
-    }
-
-    /// Serve at most one packet from the shaping tree on `link`,
-    /// putting it on the wire and resuming its path walk, then
-    /// reschedule service for whatever remains queued.
-    fn service_tree(&mut self, link: u32, gen: u64) {
-        let now = self.clock.now();
-        let link_id = LinkId(link);
-        let Some(lt) = self.tree_mut(link) else {
-            return;
-        };
-        if lt.gen != gen {
-            return;
-        }
-        lt.service_at = None;
-        let out = lt.tree.dequeue(now.as_micros());
-        let aqm_drops = out.aqm_dropped.len() as u64;
-        self.stats.dropped += aqm_drops;
-        self.stats.qdisc_dropped += aqm_drops;
-        self.shared.add_dropped(aqm_drops);
-        if let Some(rel) = out.released {
-            let mut flight = rel.payload;
-            if rel.ecn_marked {
-                self.stats.ecn_marked += 1;
-                flight.ce = true;
-            }
-            let link_ref = &mut self.topo.links[link as usize];
-            let ser = link_ref.spec.serialization_time(flight.packet.wire_size());
-            link_ref.busy_until = now + ser;
-            link_ref.busy_accum += ser;
-            let mut t = now + ser + link_ref.spec.latency;
-            if self.roll_link_loss(link_id, &mut t, &mut flight.duplicate) {
-                flight.hop += 1;
-                if flight.hop < flight.path.len() {
-                    self.queue.schedule(t, NetEvent::Hop { flight });
-                } else {
-                    self.deliver(
-                        &flight.packet,
-                        flight.dst,
-                        flight.target,
-                        t,
-                        flight.ce,
-                        flight.duplicate,
-                    );
-                }
-            } else {
-                self.stats.dropped += 1;
-                self.shared.add_dropped(1);
-            }
-        }
-        self.kick_tree(link_id);
-    }
-
-    /// Ensure a service event is pending for the qdisc on `link_id` at
-    /// the earliest instant its head packet both conforms to shaping
+    /// Ensure a service event is pending for the plane on `link` at
+    /// the earliest instant some head packet both conforms to shaping
     /// and finds the line idle. Superseded events are invalidated by
     /// bumping the generation counter.
-    fn kick_qdisc(&mut self, link_id: LinkId) {
+    fn kick_egress(&mut self, link: LinkId) {
         let now = self.clock.now();
-        let busy = self.topo.links[link_id.0 as usize].busy_until.max(now);
-        let Some(lq) = self.qdisc_mut(link_id.0) else {
+        let busy = self.topo.links[link.0 as usize].busy_until.max(now);
+        let Some(slot) = self.egress_mut(link) else {
             return;
         };
-        let Some(ready) = lq.q.next_ready(busy.as_micros()) else {
+        let Some(ready) = slot.plane.next_ready(busy.as_micros()) else {
             return;
         };
         let at = Ticks::from_micros(ready);
-        if lq.service_at.is_none_or(|s| at < s) {
-            lq.gen += 1;
-            lq.service_at = Some(at);
-            let gen = lq.gen;
-            self.queue.schedule(
-                at,
-                NetEvent::QdiscService {
-                    link: link_id.0,
-                    gen,
-                },
-            );
+        if slot.service_at.is_none_or(|s| at < s) {
+            slot.gen += 1;
+            slot.service_at = Some(at);
+            let gen = slot.gen;
+            self.queue
+                .schedule(at, NetEvent::EgressService { link, gen });
         }
     }
 
-    /// Serve at most one packet from the qdisc on `link`, putting it on
+    /// Serve at most one packet from the plane on `link`, putting it on
     /// the wire (busy-time reservation + loss rolls) and resuming its
     /// path walk, then reschedule service for whatever remains queued.
-    fn service_qdisc(&mut self, link: u32, gen: u64) {
+    fn service_egress(&mut self, link: LinkId, gen: u64) {
         let now = self.clock.now();
-        let link_id = LinkId(link);
-        let Some(lq) = self.qdisc_mut(link) else {
+        let Some(slot) = self.egress_mut(link) else {
             return;
         };
-        if lq.gen != gen {
+        if slot.gen != gen {
             return;
         }
-        lq.service_at = None;
-        let out = lq.q.dequeue(now.as_micros());
+        slot.service_at = None;
+        let out = slot.plane.dequeue(now.as_micros());
         let aqm_drops = out.aqm_dropped.len() as u64;
-        lq.q.publish_backlog();
         self.stats.dropped += aqm_drops;
         self.stats.qdisc_dropped += aqm_drops;
         self.shared.add_dropped(aqm_drops);
@@ -1099,12 +979,12 @@ impl Network {
                 self.stats.ecn_marked += 1;
                 flight.ce = true;
             }
-            let link_ref = &mut self.topo.links[link as usize];
+            let link_ref = &mut self.topo.links[link.0 as usize];
             let ser = link_ref.spec.serialization_time(flight.packet.wire_size());
             link_ref.busy_until = now + ser;
             link_ref.busy_accum += ser;
             let mut t = now + ser + link_ref.spec.latency;
-            if self.roll_link_loss(link_id, &mut t, &mut flight.duplicate) {
+            if self.roll_link_loss(link, &mut t, &mut flight.duplicate) {
                 flight.hop += 1;
                 if flight.hop < flight.path.len() {
                     self.queue.schedule(t, NetEvent::Hop { flight });
@@ -1123,7 +1003,7 @@ impl Network {
                 self.shared.add_dropped(1);
             }
         }
-        self.kick_qdisc(link_id);
+        self.kick_egress(link);
     }
 
     /// Schedule an opaque timer key to fire at absolute time `at`.
@@ -1180,8 +1060,7 @@ impl Network {
                     self.fired_timers.push_back((ev.at, key));
                 }
                 NetEvent::Hop { flight } => self.advance_flight(flight),
-                NetEvent::QdiscService { link, gen } => self.service_qdisc(link, gen),
-                NetEvent::TreeService { link, gen } => self.service_tree(link, gen),
+                NetEvent::EgressService { link, gen } => self.service_egress(link, gen),
             }
         }
         self.clock.advance_to(deadline);
@@ -1921,11 +1800,46 @@ mod tests {
         assert_eq!(net.stats().qdisc_dropped, 0);
     }
 
+    /// FNV-1a over every datagram's arrival instant, source, length
+    /// and CE bit, then every [`NetStats`] counter. The constants the
+    /// determinism tests compare it with were captured at the commit
+    /// before the two egress tables were folded into one slot, so they
+    /// pin identity with that datapath, not only run-to-run agreement.
+    fn run_digest(arrivals: &[Datagram], stats: &NetStats) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for d in arrivals {
+            mix(d.arrived_at.as_micros());
+            mix(u64::from(d.src_node.0));
+            mix(u64::from(d.src_port.0));
+            mix(d.payload.len() as u64);
+            mix(u64::from(d.ecn_ce));
+        }
+        for v in [
+            stats.sent,
+            stats.delivered,
+            stats.dropped,
+            stats.bytes_sent,
+            stats.bytes_delivered,
+            stats.duplicated,
+            stats.fifo_dropped,
+            stats.qdisc_dropped,
+            stats.ecn_marked,
+        ] {
+            mix(v);
+        }
+        h
+    }
+
     /// Same seed + same tree spec ⇒ identical arrival trace, loss
-    /// rolls included.
+    /// rolls included — and the trace the parent commit produced.
     #[test]
     fn tree_runs_are_deterministic() {
-        let run = || -> Vec<(u64, Payload, bool)> {
+        let run = || -> (Vec<Datagram>, NetStats) {
             let mut net = Network::new(13);
             let a = net.add_node("a");
             let b = net.add_node("b");
@@ -1943,31 +1857,115 @@ mod tests {
                 net.run_for(Ticks::from_millis(2));
             }
             net.run_to_quiescence();
-            let mut out = Vec::new();
-            while let Some(d) = net.recv(sb) {
-                out.push((d.arrived_at.as_micros(), d.payload, d.ecn_ce));
-            }
-            out
+            let out: Vec<Datagram> = std::iter::from_fn(|| net.recv(sb)).collect();
+            (out, net.stats().clone())
         };
-        assert_eq!(run(), run());
+        let (arrivals, stats) = run();
+        assert_eq!((arrivals.clone(), stats.clone()), run());
+        assert_eq!(run_digest(&arrivals, &stats), 0x9b734bb9be29b1bf);
     }
 
-    /// A link carries a qdisc or a tree, never both.
+    /// A link's egress slot is filled once: a second mount of either
+    /// kind, in either order, panics instead of discarding the queued
+    /// copies of the plane already there.
     #[test]
-    #[should_panic(expected = "already has a qdisc")]
     fn tree_and_qdisc_are_mutually_exclusive() {
-        let mut net = Network::new(14);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        let link = net.connect(a, b, LinkSpec::lan());
-        net.attach_qdisc(link, QdiscConfig::for_rate(1_000_000));
-        net.attach_tree(link, TreeSpec::new(1_000_000));
+        type Mount = fn(&mut Network, LinkId);
+        let flat: Mount = |net, link| {
+            net.attach_qdisc(link, QdiscConfig::for_rate(1_000_000));
+        };
+        let tree: Mount = |net, link| {
+            net.attach_tree(link, TreeSpec::new(1_000_000));
+        };
+        for (first, second) in [(flat, tree), (tree, flat), (flat, flat), (tree, tree)] {
+            let mut net = Network::new(14);
+            let a = net.add_node("a");
+            let b = net.add_node("b");
+            let link = net.connect(a, b, LinkSpec::lan());
+            first(&mut net, link);
+            let second_mount = std::panic::AssertUnwindSafe(|| second(&mut net, link));
+            let panic = std::panic::catch_unwind(second_mount).expect_err("occupied slot");
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"link already has an egress plane")
+            );
+        }
     }
 
-    /// Same seed + same qdisc config ⇒ identical arrival trace.
+    /// A shaping tree on hop 1 and a flat qdisc on hop 2 of one path:
+    /// every copy suspends and resumes in both planes through the same
+    /// slot machinery. Whichever plane is the bottleneck sets CE, and
+    /// the mark survives the other plane to [`Datagram::ecn_ce`]; a
+    /// non-ECT flood beside it is dropped, and every copy is accounted
+    /// for.
+    #[test]
+    fn tree_then_qdisc_on_one_path() {
+        // `(leaf_bps, flat_bps)` → arrivals at `b`, final stats, CE
+        // marks the tree leaf set, CE marks the flat plane set.
+        let run = |leaf_bps: u64, flat_bps: u64| -> (Vec<Datagram>, NetStats, u64, u64) {
+            let mut net = Network::new(15);
+            let a = net.add_node("a");
+            let r = net.add_node("r");
+            let b = net.add_node("b");
+            let hop1 = net.connect(a, r, LinkSpec::lan());
+            let hop2 = net.connect(r, b, LinkSpec::lan());
+            let mut spec = TreeSpec::new(80_000_000);
+            let plan = RatePlan::new("leaf", leaf_bps, leaf_bps);
+            spec.add_subscriber(htb::ROOT, "b", &plan, b.0);
+            let tree_stats = net.attach_tree(hop1, spec.with_codel(5_000, 20_000));
+            let mut cfg = QdiscConfig::for_rate(flat_bps);
+            cfg.codel_target_us = 5_000;
+            cfg.codel_interval_us = 20_000;
+            net.attach_qdisc(hop2, cfg);
+            let ect = net.bind(a, Port(5004)).unwrap();
+            let plain = net.bind(a, Port(9000)).unwrap();
+            let media = net.bind(b, Port(5004)).unwrap();
+            let other = net.bind(b, Port(9000)).unwrap();
+            net.set_ecn(ect, true);
+            for _ in 0..60 {
+                net.send(ect, Addr::unicast(b, Port(5004)), vec![0u8; 500])
+                    .unwrap();
+                net.send(plain, Addr::unicast(b, Port(9000)), vec![0u8; 500])
+                    .unwrap();
+                net.run_for(Ticks::from_millis(2));
+            }
+            net.run_to_quiescence();
+            let mut arrivals: Vec<Datagram> = std::iter::from_fn(|| net.recv(media)).collect();
+            assert_eq!(arrivals.len(), 60, "ECT flow is marked, never dropped");
+            arrivals.extend(std::iter::from_fn(|| net.recv(other)));
+            let flat_marks = net.qdisc_stats(hop2).unwrap().ecn_marks();
+            // Node layout: 0 root, 1 default, 2 the subscriber leaf.
+            (
+                arrivals,
+                net.stats().clone(),
+                tree_stats.ecn_marks(2),
+                flat_marks,
+            )
+        };
+        for (leaf_bps, flat_bps) in [(800_000, 8_000_000), (8_000_000, 800_000)] {
+            let (arrivals, stats, tree_marks, flat_marks) = run(leaf_bps, flat_bps);
+            let ce = arrivals.iter().filter(|d| d.ecn_ce).count() as u64;
+            assert!(ce > 0, "the bottleneck plane must mark");
+            assert_eq!(ce, tree_marks + flat_marks, "no mark lost on the way");
+            if leaf_bps < flat_bps {
+                assert_eq!((tree_marks, flat_marks), (ce, 0), "hop 1 marked");
+            } else {
+                assert_eq!((tree_marks, flat_marks), (0, ce), "hop 2 marked");
+            }
+            assert!(stats.qdisc_dropped > 0, "non-ECT flood is dropped");
+            assert_eq!(stats.sent, 120);
+            assert_eq!(stats.sent, stats.delivered + stats.dropped);
+            assert_eq!(stats.delivered, arrivals.len() as u64);
+            let (again, again_stats, ..) = run(leaf_bps, flat_bps);
+            assert_eq!((arrivals, stats), (again, again_stats));
+        }
+    }
+
+    /// Same seed + same qdisc config ⇒ identical arrival trace — and
+    /// the trace the parent commit produced.
     #[test]
     fn qdisc_runs_are_deterministic() {
-        let run = || -> Vec<(u64, Payload, bool)> {
+        let run = || -> (Vec<Datagram>, NetStats) {
             let mut net = Network::new(11);
             let a = net.add_node("a");
             let b = net.add_node("b");
@@ -1982,12 +1980,11 @@ mod tests {
                 net.run_for(Ticks::from_millis(2));
             }
             net.run_to_quiescence();
-            let mut out = Vec::new();
-            while let Some(d) = net.recv(sb) {
-                out.push((d.arrived_at.as_micros(), d.payload, d.ecn_ce));
-            }
-            out
+            let out: Vec<Datagram> = std::iter::from_fn(|| net.recv(sb)).collect();
+            (out, net.stats().clone())
         };
-        assert_eq!(run(), run());
+        let (arrivals, stats) = run();
+        assert_eq!((arrivals.clone(), stats.clone()), run());
+        assert_eq!(run_digest(&arrivals, &stats), 0x2f64a1310c6d4dea);
     }
 }

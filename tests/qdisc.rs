@@ -8,7 +8,7 @@
 //! the seed and [`QdiscConfig::summary`] so a failure in the log is
 //! reproducible without the artifacts.
 
-use collabqos::core::trapwatch::{decision_from_trap, CongestionWatcher};
+use collabqos::core::trapwatch::{decision_from_trap, EdgeWatcher};
 use collabqos::prelude::*;
 use collabqos::simnet::qdisc::{QdiscConfig, TrafficClass};
 use collabqos::simnet::rtp::{RtpReceiver, RtpSender};
@@ -137,7 +137,7 @@ struct CongestionOutcome {
 
 /// Stream RTP through a shaped, ECN-capable bottleneck at 2.5× the
 /// shaper rate; echo the CE marks through a receiver report; let a
-/// [`CongestionWatcher`] convert the crossing into a
+/// [`EdgeWatcher::congestion`] convert the crossing into a
 /// `qosCongestionAlert` trap and the congestion policy into a
 /// modality decision.
 fn run_congestion_pipeline(seed: u64) -> CongestionOutcome {
@@ -187,8 +187,8 @@ fn run_congestion_pipeline(seed: u64) -> CongestionOutcome {
     let agent = SnmpAgent::new("receiver", "public", None);
     let mut rt = AgentRuntime::bind(&mut net, receiver, agent).unwrap();
     let mut sink = TrapSink::bind(&mut net, station).unwrap();
-    let mut watcher = CongestionWatcher::new(10.0);
-    let trap_fired = watcher.observe(&mut net, &mut rt, station, &report);
+    let mut watcher = EdgeWatcher::congestion(10.0);
+    let trap_fired = watcher.observe(&mut net, &mut rt, station, report.fraction_ecn_ce * 100.0);
     net.run_for(Ticks::from_millis(5));
     sink.service(&mut net);
 
