@@ -88,13 +88,6 @@ impl Advertisement {
         }
     }
 
-    /// Would a message with this selector reach the advertised
-    /// endpoint's first interpretation step? Evaluation errors reject,
-    /// exactly as the endpoint itself treats them.
-    pub fn matches(&self, selector: &Selector) -> bool {
-        self.wildcard || selector.matches(&self.attrs).unwrap_or(false)
-    }
-
     /// The interest as a selector, with "no interest" read as
     /// accept-everything (that is what the endpoint does).
     pub fn interest_selector(&self) -> Selector {
@@ -239,11 +232,12 @@ struct Neighbor {
     link: LinkId,
 }
 
-/// Compiled counterpart of [`Advertisement::matches`], evaluated
-/// through a broker's selector cache: wildcard subscriptions match
-/// everything, an unparseable selector (`parseable == false`) forwards
-/// conservatively, and evaluation errors reject — exactly as the
-/// endpoint itself treats them.
+/// Would a message with this selector reach the advertised endpoint's
+/// first interpretation step? Evaluated through a broker's selector
+/// cache: wildcard subscriptions match everything, an unparseable
+/// selector (`parseable == false`) forwards conservatively, and
+/// evaluation errors reject — exactly as the endpoint itself treats
+/// them.
 fn ad_matches_compiled(
     engine: &mut MatchEngine,
     selector: &str,

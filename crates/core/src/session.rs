@@ -238,9 +238,6 @@ pub struct CollaborationSession {
     /// shaping tree, paired with the client whose extension agent
     /// emits the trap.
     plan_watchers: Vec<(ClientId, crate::trapwatch::PlanWatcher)>,
-    /// Lock-free per-shard delivery/drop counters, one per pump worker
-    /// (sized on first pump). Readable live from any thread.
-    shard_counters: Vec<crate::shard::ShardCounters>,
     /// Encode-once transcode cache: shared image encodes are keyed by
     /// content hash so re-shares and multi-tier degradations reuse one
     /// embedded stream.
@@ -273,9 +270,7 @@ impl CollaborationSession {
                 let b = ov.add_broker(&mut net, &name);
                 if i > 0 {
                     let link = ov.connect(&mut net, i - 1, i, cfg.link);
-                    if let Some(model) = cfg.fault {
-                        net.topology_mut().set_link_fault(link, Some(model));
-                    }
+                    fault_link(&mut net, &cfg, link);
                 }
                 let mut agent = SnmpAgent::new(&name, &cfg.community, None);
                 broker::install_broker_metrics(&mut agent, i as u32, &ov.stats(b));
@@ -293,9 +288,7 @@ impl CollaborationSession {
                 broker_credited.push(0);
             }
             let uplink = net.connect(switch, ov.node(0), cfg.link);
-            if let Some(model) = cfg.fault {
-                net.topology_mut().set_link_fault(uplink, Some(model));
-            }
+            fault_link(&mut net, &cfg, uplink);
             overlay = Some(ov);
         }
         CollaborationSession {
@@ -314,16 +307,8 @@ impl CollaborationSession {
             broker_credited,
             store_watchers,
             plan_watchers: Vec::new(),
-            shard_counters: Vec::new(),
             media_cache: MediaCache::with_capacity(32),
         }
-    }
-
-    /// Per-shard delivery/drop counters for the pump pipeline — one
-    /// entry per worker shard, updated lock-free while pump runs.
-    /// Empty until the first pump. The clones share the live cells.
-    pub fn shard_counters(&self) -> Vec<crate::shard::ShardCounters> {
-        self.shard_counters.clone()
     }
 
     /// Session configuration.
@@ -338,14 +323,11 @@ impl CollaborationSession {
         self.media_cache.stats()
     }
 
-    /// Connect `node` to the session switch with the configured link,
-    /// attaching the configured fault model (if any) to the new link.
+    /// Connect `node` to the session switch with the configured link
+    /// and fault model.
     fn connect_to_switch(&mut self, node: NodeId) -> simnet::LinkId {
         let link = self.net.connect(self.switch, node, self.cfg.link);
-        if let Some(model) = self.cfg.fault {
-            self.net.topology_mut().set_link_fault(link, Some(model));
-        }
-        link
+        fault_link(&mut self.net, &self.cfg, link)
     }
 
     /// Number of wired clients.
@@ -421,9 +403,7 @@ impl CollaborationSession {
                 ));
             }
             let link = self.net.connect(ov.node(domain), node, self.cfg.link);
-            if let Some(model) = self.cfg.fault {
-                self.net.topology_mut().set_link_fault(link, Some(model));
-            }
+            fault_link(&mut self.net, &self.cfg, link);
             ov.register_local(&mut self.net, domain, &profile);
             (link, ov.group(domain))
         } else {
@@ -667,30 +647,46 @@ impl CollaborationSession {
         self.clients[newcomer].repo.install_snapshot(snapshot);
     }
 
-    /// Run one adaptation pass for a client: sample its system state
-    /// over SNMP, run the inference engine, and apply the decision to
-    /// the image viewer. Returns the decision.
-    pub fn adapt(&mut self, id: ClientId) -> AdaptationDecision {
-        let (client, agents, brokers, net) = (
-            &mut self.clients[id],
-            &mut self.agents,
-            &mut self.broker_agents,
-            &mut self.net,
-        );
-        let mut refs: Vec<&mut AgentRuntime> =
-            agents.iter_mut().chain(brokers.iter_mut()).collect();
-        let mut state = client.netstate.sample(net, &mut refs);
+    /// Sample a client's system state over SNMP and fold in the
+    /// figures of its latest RTP receiver report — the state every
+    /// adaptation pass decides on.
+    fn sample_state(&mut self, id: ClientId) -> BTreeMap<String, f64> {
+        let client = &mut self.clients[id];
+        let mut refs: Vec<&mut AgentRuntime> = self
+            .agents
+            .iter_mut()
+            .chain(self.broker_agents.iter_mut())
+            .collect();
+        let mut state = client.netstate.sample(&mut self.net, &mut refs);
         if let Some(loss) = client.rtp_loss {
             state.insert("loss_pct".to_string(), loss * 100.0);
         }
         if let Some(ce) = client.rtp_congestion {
             state.insert("congestion_pct".to_string(), ce * 100.0);
         }
-        let decision = client.engine.decide(&state);
+        state
+    }
+
+    /// Run the client's inference engine on `state` and apply the
+    /// decision to its image viewer. Touches only the client, so the
+    /// sharded engine runs it on worker threads.
+    fn decide_and_apply(
+        client: &mut ClientRuntime,
+        state: &BTreeMap<String, f64>,
+    ) -> AdaptationDecision {
+        let decision = client.engine.decide(state);
         client.viewer.set_packet_budget(decision.max_packets);
         client.viewer.set_resolution(decision.resolution);
         client.last_decision = Some(decision.clone());
         decision
+    }
+
+    /// Run one adaptation pass for a client: sample its system state
+    /// over SNMP, run the inference engine, and apply the decision to
+    /// the image viewer. Returns the decision.
+    pub fn adapt(&mut self, id: ClientId) -> AdaptationDecision {
+        let state = self.sample_state(id);
+        Self::decide_and_apply(&mut self.clients[id], &state)
     }
 
     /// Run one adaptation pass for every client. SNMP sampling walks
@@ -699,36 +695,14 @@ impl CollaborationSession {
     /// threads and returned in client order (identical to calling
     /// [`CollaborationSession::adapt`] for each client in turn).
     pub fn adapt_all(&mut self) -> Vec<AdaptationDecision> {
-        let mut states = Vec::with_capacity(self.clients.len());
-        for id in 0..self.clients.len() {
-            let (client, agents, brokers, net) = (
-                &mut self.clients[id],
-                &mut self.agents,
-                &mut self.broker_agents,
-                &mut self.net,
-            );
-            let mut refs: Vec<&mut AgentRuntime> =
-                agents.iter_mut().chain(brokers.iter_mut()).collect();
-            let mut state = client.netstate.sample(net, &mut refs);
-            if let Some(loss) = client.rtp_loss {
-                state.insert("loss_pct".to_string(), loss * 100.0);
-            }
-            if let Some(ce) = client.rtp_congestion {
-                state.insert("congestion_pct".to_string(), ce * 100.0);
-            }
-            states.push(state);
-        }
+        let states = (0..self.clients.len())
+            .map(|id| self.sample_state(id))
+            .collect();
         crate::shard::map_shards(
             &mut self.clients,
             states,
             self.cfg.workers,
-            |_, client, state| {
-                let decision = client.engine.decide(&state);
-                client.viewer.set_packet_budget(decision.max_packets);
-                client.viewer.set_resolution(decision.resolution);
-                client.last_decision = Some(decision.clone());
-                decision
-            },
+            |_, client, state| Self::decide_and_apply(client, &state),
         )
     }
 
@@ -765,19 +739,8 @@ impl CollaborationSession {
         probe_count: usize,
     ) -> Result<AdaptationDecision, String> {
         self.enable_probing(id)?;
-        // SNMP sample first.
-        let mut state = {
-            let (client, agents, brokers, net) = (
-                &mut self.clients[id],
-                &mut self.agents,
-                &mut self.broker_agents,
-                &mut self.net,
-            );
-            let mut refs: Vec<&mut AgentRuntime> =
-                agents.iter_mut().chain(brokers.iter_mut()).collect();
-            client.netstate.sample(net, &mut refs)
-        };
-        // Then the active probe.
+        // SNMP sample first, then the active probe.
+        let mut state = self.sample_state(id);
         let echo_idx = self
             .echoes
             .iter()
@@ -796,17 +759,7 @@ impl CollaborationSession {
             state.insert("latency_us".to_string(), report.latency_us);
             state.insert("jitter_us".to_string(), report.jitter_us);
         }
-        if let Some(loss) = client.rtp_loss {
-            state.insert("loss_pct".to_string(), loss * 100.0);
-        }
-        if let Some(ce) = client.rtp_congestion {
-            state.insert("congestion_pct".to_string(), ce * 100.0);
-        }
-        let decision = client.engine.decide(&state);
-        client.viewer.set_packet_budget(decision.max_packets);
-        client.viewer.set_resolution(decision.resolution);
-        client.last_decision = Some(decision.clone());
-        Ok(decision)
+        Ok(Self::decide_and_apply(client, &state))
     }
 
     /// Feed a client the figures from an RTP receiver report so the
@@ -884,7 +837,27 @@ impl CollaborationSession {
             None => &full,
         };
         let packets = split_packets(container, self.cfg.packets_per_image);
+        // Metadata + every packet go out as one network batch: group
+        // membership and routes are resolved once for the whole object
+        // instead of per packet (the fan-out cost the paper's
+        // communication module pays per event).
+        let events = Self::image_events(object_id, scene, packets);
         let content = Self::image_content_attrs(scene);
+        self.clients[id]
+            .bus
+            .publish_batch(&mut self.net, selector, content, events)
+            .map_err(|e| e.to_string())?;
+        Ok(object_id)
+    }
+
+    /// The `(kind, body)` events that carry one image: its metadata
+    /// (announcing `packets.len()` packets — none for a caption-only
+    /// relay), then one event per packet.
+    fn image_events(
+        object_id: u64,
+        scene: &Scene,
+        packets: Vec<media::packetize::MediaPacket>,
+    ) -> Vec<(String, Vec<u8>)> {
         let meta = AppEvent::ImageMeta {
             object_id,
             caption: scene.caption.clone(),
@@ -892,32 +865,19 @@ impl CollaborationSession {
             pixels: scene.image.pixels() as u64,
             total_packets: packets.len() as u16,
         };
-        // Metadata + every packet go out as one network batch: group
-        // membership and routes are resolved once for the whole object
-        // instead of per packet (the fan-out cost the paper's
-        // communication module pays per event).
-        let mut events: Vec<(String, Vec<u8>)> = Vec::with_capacity(packets.len() + 1);
-        events.push((meta.kind().to_string(), meta.encode()));
-        for packet in packets {
-            let ev = AppEvent::ImagePacket { object_id, packet };
-            events.push((ev.kind().to_string(), ev.encode()));
-        }
-        let client = &mut self.clients[id];
-        client
-            .bus
-            .publish_batch(&mut self.net, selector, content, events)
-            .map_err(|e| e.to_string())?;
-        Ok(object_id)
+        let packets = packets
+            .into_iter()
+            .map(|packet| AppEvent::ImagePacket { object_id, packet });
+        std::iter::once(meta)
+            .chain(packets)
+            .map(|ev| (ev.kind().to_string(), ev.encode()))
+            .collect()
     }
 
-    /// Send a chat line.
-    pub fn share_chat(&mut self, id: ClientId, text: &str, selector: &str) -> Result<(), String> {
-        let client = &mut self.clients[id];
-        let ev = AppEvent::Chat {
-            author: client.name.clone(),
-            text: text.to_string(),
-        };
-        client
+    /// Multicast one small application event from a wired client with
+    /// an empty content description.
+    fn publish_event(&mut self, id: ClientId, ev: &AppEvent, selector: &str) -> Result<(), String> {
+        self.clients[id]
             .bus
             .publish(
                 &mut self.net,
@@ -926,8 +886,17 @@ impl CollaborationSession {
                 BTreeMap::new(),
                 ev.encode(),
             )
-            .map_err(|e| e.to_string())?;
-        Ok(())
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Send a chat line.
+    pub fn share_chat(&mut self, id: ClientId, text: &str, selector: &str) -> Result<(), String> {
+        let ev = AppEvent::Chat {
+            author: self.clients[id].name.clone(),
+            text: text.to_string(),
+        };
+        self.publish_event(id, &ev, selector)
     }
 
     /// Draw a whiteboard stroke on a shared object.
@@ -950,16 +919,7 @@ impl CollaborationSession {
         // Local echo: the author's own whiteboard applies immediately.
         let name = client.name.clone();
         client.whiteboard.apply(&name, &ev);
-        client
-            .bus
-            .publish(
-                &mut self.net,
-                ev.kind(),
-                selector,
-                BTreeMap::new(),
-                ev.encode(),
-            )
-            .map_err(|e| e.to_string())?;
+        self.publish_event(id, &ev, selector)?;
         Ok(lamport)
     }
 
@@ -983,16 +943,7 @@ impl CollaborationSession {
             lamport,
             op: 0,
         };
-        client
-            .bus
-            .publish(
-                &mut self.net,
-                ev.kind(),
-                selector,
-                BTreeMap::new(),
-                ev.encode(),
-            )
-            .map_err(|e| e.to_string())?;
+        self.publish_event(id, &ev, selector)?;
         Ok(outcome)
     }
 
@@ -1013,17 +964,7 @@ impl CollaborationSession {
             lamport,
             op: 1,
         };
-        client
-            .bus
-            .publish(
-                &mut self.net,
-                ev.kind(),
-                selector,
-                BTreeMap::new(),
-                ev.encode(),
-            )
-            .map_err(|e| e.to_string())?;
-        Ok(())
+        self.publish_event(id, &ev, selector)
     }
 
     /// Apply previously drained payloads to one client: decode each
@@ -1115,25 +1056,12 @@ impl CollaborationSession {
                 .map(|c| c.bus.drain_raw(net))
                 .collect()
         };
-        let n = self.clients.len();
-        let workers = self.cfg.workers;
-        let shards = workers.clamp(1, n.max(1));
-        if self.shard_counters.len() != shards {
-            self.shard_counters
-                .resize_with(shards, crate::shard::ShardCounters::new);
-        }
-        let counters = &self.shard_counters;
-        let per_client =
-            crate::shard::map_shards(&mut self.clients, raw, workers, |i, client, payloads| {
-                let before = client.bus.stats();
-                let total = payloads.len() as u64;
-                let out = Self::apply_payloads(client, payloads);
-                let after = client.bus.stats();
-                let dropped = (after.rejected + after.malformed + after.bad_selector)
-                    - (before.rejected + before.malformed + before.bad_selector);
-                counters[crate::shard::shard_of(i, n, workers)].add(total - dropped, dropped);
-                out
-            });
+        let per_client = crate::shard::map_shards(
+            &mut self.clients,
+            raw,
+            self.cfg.workers,
+            |_, client, payloads| Self::apply_payloads(client, payloads),
+        );
         let completed: Vec<(ClientId, ViewedImage)> = per_client
             .into_iter()
             .enumerate()
@@ -1213,9 +1141,7 @@ impl CollaborationSession {
         // overlay must not suppress anything on its behalf.
         let group = if let Some(ov) = self.overlay.as_mut() {
             let link = self.net.connect(ov.node(0), node, self.cfg.link);
-            if let Some(model) = self.cfg.fault {
-                self.net.topology_mut().set_link_fault(link, Some(model));
-            }
+            fault_link(&mut self.net, &self.cfg, link);
             ov.register_wildcard(&mut self.net, 0, "base-station");
             ov.group(0)
         } else {
@@ -1310,11 +1236,6 @@ impl CollaborationSession {
         scene: &Scene,
         selector: &str,
     ) -> Result<Modality, String> {
-        let object_id = self.new_object_id();
-        let levels = wavelet::max_levels(scene.image.width, scene.image.height).min(5);
-        let wavelet_kind = self.cfg.wavelet;
-        let packets_per_image = self.cfg.packets_per_image;
-        let workers = self.cfg.workers;
         let bs = self
             .base_station
             .as_mut()
@@ -1326,29 +1247,28 @@ impl CollaborationSession {
         let modality = assessment.modality;
         bs.forward_log.push((client_id.to_string(), modality));
 
-        let content = Self::image_content_attrs(scene);
+        let object_id = self.new_object_id();
+        let levels = wavelet::max_levels(scene.image.width, scene.image.height).min(5);
         let encoded = self
             .media_cache
-            .encode_image(&scene.image, levels, wavelet_kind, false, workers)
+            .encode_image(
+                &scene.image,
+                levels,
+                self.cfg.wavelet,
+                false,
+                self.cfg.workers,
+            )
             .map_err(|e| e.to_string())?;
         let bs = self
             .base_station
             .as_mut()
             .expect("checked above when assessing");
-        match modality {
-            Modality::None => { /* nothing usable gets through */ }
-            Modality::TextOnly => {
-                let ev = AppEvent::ImageMeta {
-                    object_id,
-                    caption: scene.caption.clone(),
-                    original_bytes: scene.image.byte_len() as u64,
-                    pixels: scene.image.pixels() as u64,
-                    total_packets: 0,
-                };
-                bs.bus
-                    .publish(&mut self.net, ev.kind(), selector, content, ev.encode())
-                    .map_err(|e| e.to_string())?;
-            }
+        // One publish per event, not one batch: a batch would fan out
+        // member-major on the gateway's access link and move simulated
+        // arrival times.
+        let events = match modality {
+            Modality::None => Vec::new(), // nothing usable gets through
+            Modality::TextOnly => Self::image_events(object_id, scene, Vec::new()),
             Modality::TextAndSketch => {
                 let source = MediaObject::Image {
                     encoded: encoded.to_vec(),
@@ -1366,44 +1286,30 @@ impl CollaborationSession {
                     data: sketch.encode(),
                     caption,
                 };
-                bs.bus
-                    .publish(&mut self.net, ev.kind(), selector, content, ev.encode())
-                    .map_err(|e| e.to_string())?;
+                vec![(ev.kind().to_string(), ev.encode())]
             }
             Modality::FullImage => {
-                let packets = split_packets(&encoded, packets_per_image);
-                let meta = AppEvent::ImageMeta {
-                    object_id,
-                    caption: scene.caption.clone(),
-                    original_bytes: scene.image.byte_len() as u64,
-                    pixels: scene.image.pixels() as u64,
-                    total_packets: packets.len() as u16,
-                };
-                bs.bus
-                    .publish(
-                        &mut self.net,
-                        meta.kind(),
-                        selector,
-                        content.clone(),
-                        meta.encode(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                for packet in packets {
-                    let ev = AppEvent::ImagePacket { object_id, packet };
-                    bs.bus
-                        .publish(
-                            &mut self.net,
-                            ev.kind(),
-                            selector,
-                            content.clone(),
-                            ev.encode(),
-                        )
-                        .map_err(|e| e.to_string())?;
-                }
+                let packets = split_packets(&encoded, self.cfg.packets_per_image);
+                Self::image_events(object_id, scene, packets)
             }
+        };
+        let content = Self::image_content_attrs(scene);
+        for (kind, body) in events {
+            bs.bus
+                .publish(&mut self.net, &kind, selector, content.clone(), body)
+                .map_err(|e| e.to_string())?;
         }
         Ok(modality)
     }
+}
+
+/// Attach the session's configured fault model (if any) to a link the
+/// session just created.
+fn fault_link(net: &mut Network, cfg: &SessionConfig, link: simnet::LinkId) -> simnet::LinkId {
+    if let Some(model) = cfg.fault {
+        net.topology_mut().set_link_fault(link, Some(model));
+    }
+    link
 }
 
 /// Mount a flat traffic-control plane on `link` and expose its live
@@ -1920,9 +1826,11 @@ mod tests {
             .unwrap();
         let scene = synthetic_scene(32, 32, 1, 1, 0);
         assert!(s.wireless_contribute("ghost", &scene, "true").is_err());
+        assert_eq!(s.new_object_id(), 1, "a refused contribution burns no id");
         // And without a base station at all:
         let (mut s2, _p, _v) = two_client_session();
         assert!(s2.wireless_contribute("x", &scene, "true").is_err());
+        assert_eq!(s2.new_object_id(), 1, "a refused contribution burns no id");
     }
 
     #[test]

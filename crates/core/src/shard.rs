@@ -19,63 +19,6 @@
 
 use crate::concurrency::happened_before;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
-
-/// Lock-free per-shard work counters. Each shard worker owns one (by
-/// index) and bumps it with `Relaxed` atomics while processing its
-/// chunk, so the counters can be read live from any thread — a
-/// monitoring loop, a bench harness — without locks and without
-/// perturbing the workers. Clones share the same cells.
-#[derive(Clone, Debug, Default)]
-pub struct ShardCounters {
-    cells: Arc<ShardCells>,
-}
-
-#[derive(Debug, Default)]
-struct ShardCells {
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl ShardCounters {
-    /// Fresh counters at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Payloads this shard has applied to its clients so far.
-    pub fn delivered(&self) -> u64 {
-        self.cells.delivered.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Payloads this shard rejected or failed to decode so far.
-    pub fn dropped(&self) -> u64 {
-        self.cells.dropped.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Record one batch's outcome.
-    pub fn add(&self, delivered: u64, dropped: u64) {
-        self.cells
-            .delivered
-            .fetch_add(delivered, AtomicOrdering::Relaxed);
-        self.cells
-            .dropped
-            .fetch_add(dropped, AtomicOrdering::Relaxed);
-    }
-}
-
-/// The shard (worker index) that [`map_shards`] assigns global item
-/// index `i` under `workers` workers over `n` items. Exposed so callers
-/// can key per-shard state (e.g. [`ShardCounters`]) the same way the
-/// engine partitions work.
-pub fn shard_of(i: usize, n: usize, workers: usize) -> usize {
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return 0;
-    }
-    i / n.div_ceil(workers)
-}
 
 /// Apply `f` to every `(item, input)` pair, sharding the work across
 /// `workers` scoped threads, and return the outputs in item order.
@@ -194,42 +137,6 @@ mod tests {
         let mut one = vec![5u8];
         let out = map_shards(&mut one, vec![2u8], 4, |_, item, input| *item + input);
         assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn shard_counters_are_shared_and_lock_free() {
-        let c = ShardCounters::new();
-        let c2 = c.clone();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || c.add(10, 1));
-            }
-        });
-        assert_eq!(c2.delivered(), 40);
-        assert_eq!(c2.dropped(), 4);
-    }
-
-    #[test]
-    fn shard_of_matches_map_shards_partition() {
-        for n in [1usize, 2, 7, 10, 37] {
-            for workers in [1usize, 2, 3, 4, 8, 64] {
-                let mut items = vec![(); n];
-                let shards = map_shards(&mut items, vec![(); n], workers, |i, _, _| {
-                    (i, std::thread::current().id())
-                });
-                // Same thread id ⇔ same shard_of value.
-                for (i, ti) in &shards {
-                    for (j, tj) in &shards {
-                        assert_eq!(
-                            shard_of(*i, n, workers) == shard_of(*j, n, workers),
-                            ti == tj,
-                            "n={n} workers={workers} i={i} j={j}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -134,7 +134,8 @@ impl BusEndpoint {
         self.stats.suppressed += n;
     }
 
-    /// Publish an event to the session.
+    /// Publish an event to the session: the one-event case of
+    /// [`BusEndpoint::publish_batch`].
     ///
     /// `selector` names the receiving profiles; `content` describes the
     /// payload; `body` is the payload itself.
@@ -146,28 +147,8 @@ impl BusEndpoint {
         content: BTreeMap<String, AttrValue>,
         body: Vec<u8>,
     ) -> Result<u64, SemError> {
-        // Validate the selector locally before it hits the wire; the
-        // compiled program lands in the cache, so a subsequent
-        // interpret of our own (or an identical) selector is a hit.
-        self.engine.compile(selector)?;
-        let seq = self.seq;
-        self.seq += 1;
-        let msg = SemanticMessage {
-            sender: self.profile.name.clone(),
-            kind: kind.to_string(),
-            selector: selector.to_string(),
-            seq,
-            content,
-            body,
-        };
-        net.send(
-            self.socket,
-            Addr::multicast(self.group, self.port),
-            msg.encode(),
-        )
-        .map_err(|e| SemError::Transport(e.to_string()))?;
-        self.stats.published += 1;
-        Ok(seq)
+        let seqs = self.publish_batch(net, selector, content, vec![(kind.to_string(), body)])?;
+        Ok(seqs[0])
     }
 
     /// Drain arrived datagrams *without* semantic interpretation,
@@ -177,8 +158,8 @@ impl BusEndpoint {
     /// its own (§4.2).
     pub fn poll_raw(&mut self, net: &mut Network) -> Vec<SemanticMessage> {
         let mut out = Vec::new();
-        while let Some(dgram) = net.recv(self.socket) {
-            match SemanticMessage::decode(&dgram.payload) {
+        for payload in self.drain_raw(net) {
+            match SemanticMessage::decode(&payload) {
                 Ok(msg) => out.push(msg),
                 Err(_) => self.stats.malformed += 1,
             }
@@ -187,10 +168,14 @@ impl BusEndpoint {
     }
 
     /// Publish several events in one network batch: each body becomes
-    /// its own sequenced [`SemanticMessage`] (exactly as repeated
-    /// [`BusEndpoint::publish`] calls would), but the network computes
-    /// multicast membership and routes once for the whole batch instead
-    /// of per message. Returns the assigned sequence numbers.
+    /// its own sequenced [`SemanticMessage`] frame, and the network
+    /// resolves multicast membership and routes once for the whole
+    /// batch instead of per message. Returns the assigned sequence
+    /// numbers.
+    ///
+    /// A selector that does not parse, or a field too long for the
+    /// frame format ([`SemError::Codec`]), fails the call before
+    /// anything is sent or numbered.
     pub fn publish_batch(
         &mut self,
         net: &mut Network,
@@ -198,45 +183,17 @@ impl BusEndpoint {
         content: BTreeMap<String, AttrValue>,
         events: Vec<(String, Vec<u8>)>,
     ) -> Result<Vec<u64>, SemError> {
+        // Validate the selector locally before it hits the wire; the
+        // compiled program lands in the cache, so a subsequent
+        // interpret of our own (or an identical) selector is a hit.
         self.engine.compile(selector)?;
-        // Encode the fields shared by every frame exactly once instead
-        // of constructing (and cloning `content` into) a full
-        // `SemanticMessage` per event. Frame layout (see
-        // `SemanticMessage::encode`): MAGIC, sender, kind, selector,
-        // seq, content, body — so the shared parts are a prefix up to
-        // `kind` plus two reusable chunks spliced in after it.
-        let mut prefix = Vec::new();
-        prefix.extend_from_slice(message::MAGIC);
-        message::put_str16(&mut prefix, &self.profile.name);
-        let mut selector_bytes = Vec::new();
-        message::put_str16(&mut selector_bytes, selector);
-        let mut content_bytes = Vec::new();
-        content_bytes.extend_from_slice(&(content.len() as u16).to_be_bytes());
-        for (k, v) in &content {
-            message::put_str16(&mut content_bytes, k);
-            message::put_value(&mut content_bytes, v);
-        }
-        let shared = prefix.len() + selector_bytes.len() + content_bytes.len();
-        let mut seqs = Vec::with_capacity(events.len());
-        let mut wires = Vec::with_capacity(events.len());
-        for (kind, body) in events {
-            let seq = self.seq;
-            self.seq += 1;
-            seqs.push(seq);
-            let mut wire = Vec::with_capacity(shared + 2 + kind.len() + 8 + 4 + body.len());
-            wire.extend_from_slice(&prefix);
-            message::put_str16(&mut wire, &kind);
-            wire.extend_from_slice(&selector_bytes);
-            wire.extend_from_slice(&seq.to_be_bytes());
-            wire.extend_from_slice(&content_bytes);
-            wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            wire.extend_from_slice(&body);
-            wires.push(wire);
-        }
+        let first = self.seq;
+        let wires = message::encode_frames(&self.profile.name, selector, &content, first, &events)?;
+        self.seq += events.len() as u64;
         net.send_batch(self.socket, Addr::multicast(self.group, self.port), wires)
             .map_err(|e| SemError::Transport(e.to_string()))?;
-        self.stats.published += seqs.len() as u64;
-        Ok(seqs)
+        self.stats.published += events.len() as u64;
+        Ok((first..self.seq).collect())
     }
 
     /// Drain arrived datagram payloads without decoding them. Paired
@@ -549,6 +506,117 @@ mod tests {
         ]
         .concat();
         assert_eq!(&raw[0][..golden_head.len()], &golden_head[..]);
+
+        // `publish` and a one-event `publish_batch` put the same bytes
+        // on the wire as the codec does for the same fields.
+        let (kind, body) = events[2].clone();
+        let single = publisher
+            .publish(
+                &mut net,
+                &kind,
+                "interested_in contains 'image'",
+                content_image(),
+                body.clone(),
+            )
+            .unwrap();
+        let batched = publisher
+            .publish_batch(
+                &mut net,
+                "interested_in contains 'image'",
+                content_image(),
+                vec![(kind.clone(), body.clone())],
+            )
+            .unwrap();
+        assert_eq!(
+            (single, &batched[..]),
+            (3, &[4][..]),
+            "seqs continue the batch"
+        );
+        net.run_for(Ticks::from_millis(10));
+        let raw = gateway.drain_raw(&mut net);
+        assert_eq!(raw.len(), 2);
+        for (payload, seq) in raw.iter().zip([single, batched[0]]) {
+            let expected = SemanticMessage {
+                sender: "pub".to_string(),
+                kind: kind.clone(),
+                selector: "interested_in contains 'image'".to_string(),
+                seq,
+                content: content_image(),
+                body: body.clone(),
+            }
+            .encode();
+            assert_eq!(payload, &expected, "seq {seq} diverged from codec");
+        }
+        assert_eq!(publisher.stats().published, 5);
+    }
+
+    /// One more byte (or entry) than a `u16` length prefix can carry.
+    const TOO_LONG: usize = u16::MAX as usize + 1;
+
+    /// Publishing with an over-long field — alone and inside a batch —
+    /// must fail as a codec error: nothing sent, nothing numbered,
+    /// nothing counted, and the endpoint still usable afterwards.
+    fn assert_codec_error(
+        sender: &str,
+        kind: &str,
+        selector: &str,
+        content: BTreeMap<String, AttrValue>,
+    ) {
+        let (mut net, group, hosts) = world(1);
+        let mut publisher = BusEndpoint::join(
+            &mut net,
+            hosts[0],
+            SESSION_PORT,
+            group,
+            Profile::new(sender),
+        )
+        .unwrap();
+        let single = publisher.publish(&mut net, kind, selector, content.clone(), vec![1]);
+        assert!(matches!(single, Err(SemError::Codec(_))), "{single:?}");
+        let events = vec![("chat".to_string(), vec![]), (kind.to_string(), vec![1])];
+        let batch = publisher.publish_batch(&mut net, selector, content, events);
+        assert!(matches!(batch, Err(SemError::Codec(_))), "{batch:?}");
+        assert_eq!(net.stats().sent, 0);
+        assert_eq!(publisher.stats().published, 0);
+        publisher.profile.name.truncate(3);
+        let next = publisher.publish(&mut net, "chat", "true", BTreeMap::new(), vec![]);
+        assert_eq!(next, Ok(0), "no sequence number was consumed");
+    }
+
+    #[test]
+    fn oversized_selector_is_a_codec_error() {
+        let selector = format!("topic == '{}'", "x".repeat(TOO_LONG));
+        assert_codec_error("pub", "chat", &selector, BTreeMap::new());
+    }
+
+    #[test]
+    fn oversized_kind_is_a_codec_error() {
+        assert_codec_error("pub", &"k".repeat(TOO_LONG), "true", BTreeMap::new());
+    }
+
+    #[test]
+    fn oversized_sender_name_is_a_codec_error() {
+        assert_codec_error(&"n".repeat(TOO_LONG), "chat", "true", BTreeMap::new());
+    }
+
+    #[test]
+    fn oversized_content_key_is_a_codec_error() {
+        let content = [("k".repeat(TOO_LONG), AttrValue::Int(1))].into();
+        assert_codec_error("pub", "chat", "true", content);
+    }
+
+    #[test]
+    fn too_many_content_entries_is_a_codec_error() {
+        let content = (0..TOO_LONG)
+            .map(|i| (format!("k{i:05}"), AttrValue::Bool(true)))
+            .collect();
+        assert_codec_error("pub", "chat", "true", content);
+    }
+
+    #[test]
+    fn oversized_list_value_is_a_codec_error() {
+        let list = AttrValue::List(vec![AttrValue::Bool(true); TOO_LONG]);
+        assert_codec_error("pub", "chat", "true", [("l".to_string(), list)].into());
     }
 
     #[test]

@@ -6,10 +6,8 @@ use crate::value::AttrValue;
 use crate::SemError;
 use std::collections::BTreeMap;
 
-/// Wire magic for version 1 of the semantic message codec. Shared with
-/// the batch-publish fast path in [`crate::bus`], which assembles
-/// frames field-by-field around a precomputed common prefix.
-pub(crate) const MAGIC: &[u8; 4] = b"SEM1";
+/// Wire magic for version 1 of the semantic message codec.
+const MAGIC: &[u8; 4] = b"SEM1";
 
 /// A state-based multicast message: selector + content description +
 /// opaque body.
@@ -31,22 +29,20 @@ pub struct SemanticMessage {
 }
 
 impl SemanticMessage {
-    /// Encode to wire bytes.
+    /// Encode to wire bytes. Panics when a field is too long for the
+    /// frame format; [`crate::bus::BusEndpoint::publish`] reports the
+    /// same condition as [`SemError::Codec`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.body.len());
-        out.extend_from_slice(MAGIC);
-        put_str16(&mut out, &self.sender);
-        put_str16(&mut out, &self.kind);
-        put_str16(&mut out, &self.selector);
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&(self.content.len() as u16).to_be_bytes());
-        for (k, v) in &self.content {
-            put_str16(&mut out, k);
-            put_value(&mut out, v);
-        }
-        out.extend_from_slice(&(self.body.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.body);
-        out
+        let event = [(self.kind.as_str(), self.body.as_slice())];
+        encode_frames(
+            &self.sender,
+            &self.selector,
+            &self.content,
+            self.seq,
+            &event,
+        )
+        .expect("message fields fit the frame format")
+        .remove(0)
     }
 
     /// Decode wire bytes.
@@ -82,14 +78,61 @@ impl SemanticMessage {
     }
 }
 
-pub(crate) fn put_str16(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    assert!(bytes.len() <= u16::MAX as usize, "string field too long");
-    out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-    out.extend_from_slice(bytes);
+/// The one writer of the `SEM1` field sequence — magic, sender, kind,
+/// selector, seq, content, body — and the one place field lengths are
+/// checked against the widths the frame gives them. Encodes one frame
+/// per `(kind, body)` event, numbered consecutively from `first_seq`;
+/// the fields every frame shares are written once and spliced around
+/// each event's own.
+pub(crate) fn encode_frames<K: AsRef<str>, B: AsRef<[u8]>>(
+    sender: &str,
+    selector: &str,
+    content: &BTreeMap<String, AttrValue>,
+    first_seq: u64,
+    events: &[(K, B)],
+) -> Result<Vec<Vec<u8>>, SemError> {
+    let mut shared = Vec::with_capacity(128);
+    shared.extend_from_slice(MAGIC);
+    put_str16(&mut shared, sender)?;
+    let kind_at = shared.len();
+    put_str16(&mut shared, selector)?;
+    let seq_at = shared.len();
+    put_len16(&mut shared, content.len(), "too many content entries")?;
+    for (k, v) in content {
+        put_str16(&mut shared, k)?;
+        put_value(&mut shared, v)?;
+    }
+    events
+        .iter()
+        .zip(first_seq..)
+        .map(|((kind, body), seq)| {
+            let (kind, body) = (kind.as_ref(), body.as_ref());
+            let mut frame = Vec::with_capacity(shared.len() + 2 + kind.len() + 8 + 4 + body.len());
+            frame.extend_from_slice(&shared[..kind_at]);
+            put_str16(&mut frame, kind)?;
+            frame.extend_from_slice(&shared[kind_at..seq_at]);
+            frame.extend_from_slice(&seq.to_be_bytes());
+            frame.extend_from_slice(&shared[seq_at..]);
+            frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+            frame.extend_from_slice(body);
+            Ok(frame)
+        })
+        .collect()
 }
 
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &AttrValue) {
+fn put_len16(out: &mut Vec<u8>, len: usize, too_long: &'static str) -> Result<(), SemError> {
+    let len = u16::try_from(len).map_err(|_| SemError::Codec(too_long))?;
+    out.extend_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+fn put_str16(out: &mut Vec<u8>, s: &str) -> Result<(), SemError> {
+    put_len16(out, s.len(), "string field too long")?;
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn put_value(out: &mut Vec<u8>, v: &AttrValue) -> Result<(), SemError> {
     match v {
         AttrValue::Int(i) => {
             out.push(0);
@@ -111,12 +154,13 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: &AttrValue) {
         }
         AttrValue::List(items) => {
             out.push(4);
-            out.extend_from_slice(&(items.len() as u16).to_be_bytes());
+            put_len16(out, items.len(), "list value too long")?;
             for item in items {
-                put_value(out, item);
+                put_value(out, item)?;
             }
         }
     }
+    Ok(())
 }
 
 struct Cursor<'a> {

@@ -11,15 +11,19 @@
 //! hash map, so iteration order can never silently reorder RNG draws
 //! between runs or builds.
 //!
-//! A link has one egress slot: empty, it is the plain analytic FIFO;
-//! mounted, it holds the flat class plane of `crates/qdisc` or the
-//! shaping tree of `crates/htb`. Both are driven by the same calls
-//! (arrival → `enqueue` → `next_ready`; service → `dequeue` →
+//! A datagram takes one path: `send` and `send_batch` enter the same
+//! core, which routes once per receiver and launches every copy as an
+//! [`InFlight`] on [`Network::advance_flight`], the only link walk. A
+//! link has one egress slot: empty, the walk crosses it as the plain
+//! analytic FIFO; mounted, it holds the flat class plane of
+//! `crates/qdisc` or the shaping tree of `crates/htb`, and the walk
+//! suspends in its queues. Both disciplines are driven by the same
+//! calls (arrival → `enqueue` → `next_ready`; service → `dequeue` →
 //! `next_ready`), so one service event and one enqueue / kick / service
-//! path serve whichever discipline the caller mounted.
+//! path serve whichever the caller mounted.
 
 use crate::faults::{FaultAction, FaultPlan};
-use crate::packet::{Port, WirePacket, MAX_DATAGRAM};
+use crate::packet::{Port, WirePacket, HEADER_OVERHEAD, MAX_DATAGRAM};
 use crate::payload::Payload;
 use crate::time::{SimClock, Ticks};
 use crate::topology::{LinkId, LinkSpec, NodeId, Topology};
@@ -30,6 +34,7 @@ use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, Stat
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Handle to a bound datagram socket.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -119,15 +124,15 @@ struct Socket {
     ecn: bool,
 }
 
-/// A packet copy travelling a multi-hop path through at least one
-/// link with a mounted egress plane. Links without one are still
-/// traversed analytically (identical arithmetic and RNG draws to the
-/// plain path); a mounted hop suspends the walk in the plane's queues
-/// and resumes it as a [`NetEvent::Hop`] on release.
+/// A packet copy travelling a path. Links with an empty egress slot
+/// are traversed analytically; a mounted hop suspends the walk in the
+/// plane's queues and resumes it as a [`NetEvent::Hop`] on release.
 #[derive(Debug)]
 struct InFlight {
     packet: WirePacket,
-    path: Vec<LinkId>,
+    /// The route memo's own allocation, shared by every copy to the
+    /// same destination.
+    path: Arc<[LinkId]>,
     /// Index of the next link in `path` to traverse.
     hop: usize,
     dst: Addr,
@@ -243,7 +248,8 @@ pub struct Network {
     plan_next: usize,
     /// Egress slots indexed by dense link id (`None` where the link
     /// is the plain FIFO). Grown only by `mount`, so the table is
-    /// empty — and the per-path scan trivial — until something mounts.
+    /// empty — and the walk's per-hop lookup a failed bounds check —
+    /// until something mounts.
     egress: Vec<Option<LinkEgress>>,
 }
 
@@ -553,7 +559,7 @@ impl Network {
         group: GroupId,
         dst_port: Port,
         sender: SocketHandle,
-    ) -> Vec<(SocketHandle, NodeId)> {
+    ) -> Vec<(Option<SocketHandle>, NodeId)> {
         let Some(members) = self.groups.get(group.0 as usize) else {
             return Vec::new();
         };
@@ -563,7 +569,7 @@ impl Network {
                 let sock = &self.sockets[m.0 as usize];
                 sock.open && sock.port == dst_port && m != sender
             })
-            .map(|&m| (m, self.sockets[m.0 as usize].node))
+            .map(|&m| (Some(m), self.sockets[m.0 as usize].node))
             .collect()
     }
 
@@ -592,46 +598,15 @@ impl Network {
         dst: Addr,
         payload: impl Into<Payload>,
     ) -> Result<(), NetError> {
-        let payload = payload.into();
-        if payload.len() > MAX_DATAGRAM {
-            return Err(NetError::PayloadTooLarge(payload.len()));
-        }
-        let (src_node, src_port, ecn) = {
-            let sock = self.sockets.get(s.0 as usize).ok_or(NetError::BadSocket)?;
-            if !sock.open {
-                return Err(NetError::BadSocket);
-            }
-            (sock.node, sock.port, sock.ecn)
-        };
-        let packet = WirePacket {
-            src_node,
-            src_port,
-            payload,
-        };
-        self.stats.sent += 1;
-        self.stats.bytes_sent += packet.wire_size() as u64;
-        match dst {
-            Addr::Unicast(dst_node, dst_port) => {
-                // A datagram to an unbound port is silently discarded,
-                // like real UDP (no ICMP in this simulator).
-                let target = self.socket_at(dst_node, dst_port);
-                self.transmit(&packet, dst_node, dst, target, ecn)?;
-            }
-            Addr::Multicast(group, dst_port) => {
-                for (member, node) in self.group_targets(group, dst_port, s) {
-                    self.transmit(&packet, node, dst, Some(member), ecn)?;
-                }
-            }
-        }
-        Ok(())
+        self.send_payloads(s, dst, &[payload.into()]).map(|_| ())
     }
 
     /// Send a batch of datagrams from socket `s` to the same `dst` in
     /// one call. Semantically identical to calling [`Network::send`]
     /// once per payload, except that multicast fan-out is member-major:
     /// group membership is resolved once and each member's route is
-    /// computed once for the whole batch (instead of per payload), then
-    /// every payload is scheduled along it in order. Per-receiver
+    /// looked up once for the whole batch (instead of per payload),
+    /// then every payload is launched along it in order. Per-receiver
     /// delivery order is unchanged. Returns the number of packet copies
     /// scheduled (payloads × receivers for multicast).
     pub fn send_batch<P: Into<Payload>>(
@@ -641,116 +616,65 @@ impl Network {
         payloads: Vec<P>,
     ) -> Result<usize, NetError> {
         let payloads: Vec<Payload> = payloads.into_iter().map(Into::into).collect();
-        for p in &payloads {
-            if p.len() > MAX_DATAGRAM {
-                return Err(NetError::PayloadTooLarge(p.len()));
-            }
+        self.send_payloads(s, dst, &payloads)
+    }
+
+    /// The one send path: validate, count, resolve the receivers, then
+    /// per receiver look the route up once and launch a copy of every
+    /// payload along it. A receiver without a route fails the call
+    /// after the receivers before it have been served.
+    fn send_payloads(
+        &mut self,
+        s: SocketHandle,
+        dst: Addr,
+        payloads: &[Payload],
+    ) -> Result<usize, NetError> {
+        if let Some(p) = payloads.iter().find(|p| p.len() > MAX_DATAGRAM) {
+            return Err(NetError::PayloadTooLarge(p.len()));
         }
-        let (src_node, src_port, ecn) = {
-            let sock = self.sockets.get(s.0 as usize).ok_or(NetError::BadSocket)?;
-            if !sock.open {
-                return Err(NetError::BadSocket);
-            }
-            (sock.node, sock.port, sock.ecn)
+        let sock = self
+            .sockets
+            .get(s.0 as usize)
+            .filter(|sock| sock.open)
+            .ok_or(NetError::BadSocket)?;
+        let (src_node, src_port, ecn_capable) = (sock.node, sock.port, sock.ecn);
+        self.stats.sent += payloads.len() as u64;
+        self.stats.bytes_sent += payloads
+            .iter()
+            .map(|p| (p.len() + HEADER_OVERHEAD) as u64)
+            .sum::<u64>();
+        let targets = match dst {
+            // A datagram to an unbound port is silently discarded,
+            // like real UDP (no ICMP in this simulator).
+            Addr::Unicast(node, port) => vec![(self.socket_at(node, port), node)],
+            Addr::Multicast(group, port) => self.group_targets(group, port, s),
         };
-        let packets: Vec<WirePacket> = payloads
-            .into_iter()
-            .map(|payload| WirePacket {
-                src_node,
-                src_port,
-                payload,
-            })
-            .collect();
-        self.stats.sent += packets.len() as u64;
-        self.stats.bytes_sent += packets.iter().map(|p| p.wire_size() as u64).sum::<u64>();
-        let mut copies = 0;
-        match dst {
-            Addr::Unicast(dst_node, dst_port) => {
-                let target = self.socket_at(dst_node, dst_port);
-                let path = self
-                    .topo
-                    .route_cached(src_node, dst_node)
-                    .ok_or(NetError::Unreachable(src_node, dst_node))?;
-                for packet in &packets {
-                    self.transmit_on_path(packet, &path, dst, target, ecn);
-                    copies += 1;
-                }
-            }
-            Addr::Multicast(group, dst_port) => {
-                for (member, node) in self.group_targets(group, dst_port, s) {
-                    let path = self
-                        .topo
-                        .route_cached(src_node, node)
-                        .ok_or(NetError::Unreachable(src_node, node))?;
-                    for packet in &packets {
-                        self.transmit_on_path(packet, &path, dst, Some(member), ecn);
-                        copies += 1;
-                    }
-                }
+        for &(target, node) in &targets {
+            let path = self
+                .topo
+                .route_cached(src_node, node)
+                .ok_or(NetError::Unreachable(src_node, node))?;
+            // `repeat_n` moves the looked-up `Arc` into the last copy, so
+            // a one-payload send touches no reference count per copy.
+            let paths = std::iter::repeat_n(path, payloads.len());
+            for (payload, path) in payloads.iter().zip(paths) {
+                self.advance_flight(InFlight {
+                    packet: WirePacket {
+                        src_node,
+                        src_port,
+                        payload: payload.clone(),
+                    },
+                    path,
+                    hop: 0,
+                    dst,
+                    target,
+                    ecn_capable,
+                    ce: false,
+                    duplicate: false,
+                });
             }
         }
-        Ok(copies)
-    }
-
-    /// Route and schedule one copy of `packet` towards `dst_node`.
-    fn transmit(
-        &mut self,
-        packet: &WirePacket,
-        dst_node: NodeId,
-        dst: Addr,
-        target: Option<SocketHandle>,
-        ecn_capable: bool,
-    ) -> Result<(), NetError> {
-        let path = self
-            .topo
-            .route_cached(packet.src_node, dst_node)
-            .ok_or(NetError::Unreachable(packet.src_node, dst_node))?;
-        self.transmit_on_path(packet, &path, dst, target, ecn_capable);
-        Ok(())
-    }
-
-    /// Schedule one copy of `packet` along a precomputed link path,
-    /// applying serialization, FIFO queueing, latency, loss, and any
-    /// per-link fault model (burst loss, jitter, reorder, duplication).
-    /// When a link on the path has a plane mounted, the copy travels as
-    /// an [`InFlight`] event-driven walk instead; paths without one use
-    /// the analytic loop below, which consumes an identical RNG stream.
-    ///
-    /// Every fault draw is gated on its rate being non-zero, so links
-    /// without a model — or with [`crate::faults::FaultModel::none`] —
-    /// consume exactly the same RNG stream as before faults existed.
-    fn transmit_on_path(
-        &mut self,
-        packet: &WirePacket,
-        path: &[LinkId],
-        dst: Addr,
-        target: Option<SocketHandle>,
-        ecn_capable: bool,
-    ) {
-        if path.iter().any(|&l| self.plane(l).is_some()) {
-            let flight = InFlight {
-                packet: packet.clone(),
-                path: path.to_vec(),
-                hop: 0,
-                dst,
-                target,
-                ecn_capable,
-                ce: false,
-                duplicate: false,
-            };
-            self.advance_flight(flight);
-            return;
-        }
-        let mut t = self.clock.now();
-        let mut duplicate = false;
-        for link_id in path {
-            if !self.traverse_link(*link_id, packet.wire_size(), &mut t, &mut duplicate) {
-                self.stats.dropped += 1;
-                self.shared.add_dropped(1);
-                return;
-            }
-        }
-        self.deliver(packet, dst, target, t, false, duplicate);
+        Ok(targets.len() * payloads.len())
     }
 
     /// Traverse one link analytically: bounded-FIFO admission (when the
@@ -786,8 +710,9 @@ impl Network {
     /// Roll the per-link loss and fault-model draws for one copy at its
     /// exit from `link_id`, possibly adding jitter/reorder delay to `t`
     /// or flagging duplication. Returns false when the copy is lost.
-    /// Draw order and gating are identical to the historical analytic
-    /// loop, keeping seeded runs bit-for-bit reproducible.
+    /// Every fault draw is gated on its rate being non-zero, so links
+    /// without a model — or with [`crate::faults::FaultModel::none`] —
+    /// consume exactly the same RNG stream as before faults existed.
     fn roll_link_loss(&mut self, link_id: LinkId, t: &mut Ticks, duplicate: &mut bool) -> bool {
         let link = &mut self.topo.links[link_id.0 as usize];
         if link.spec.loss > 0.0 && self.rng.random::<f64>() < link.spec.loss {
@@ -829,42 +754,31 @@ impl Network {
         true
     }
 
-    /// Schedule delivery of a surviving copy into the target inbox.
-    fn deliver(
-        &mut self,
-        packet: &WirePacket,
-        dst: Addr,
-        target: Option<SocketHandle>,
-        t: Ticks,
-        ecn_ce: bool,
-        duplicate: bool,
-    ) {
-        if let Some(target) = target {
-            let copies = if duplicate { 2 } else { 1 };
-            for _ in 0..copies {
-                self.queue.schedule(
-                    t,
-                    NetEvent::Deliver {
-                        socket: target,
-                        dgram: Datagram {
-                            src_node: packet.src_node,
-                            src_port: packet.src_port,
-                            dst,
-                            payload: packet.payload.clone(),
-                            arrived_at: t,
-                            ecn_ce,
-                        },
-                    },
-                );
-            }
-            if duplicate {
-                self.stats.duplicated += 1;
-            }
+    /// Schedule delivery of a copy that survived its whole path into
+    /// the target inbox at `t` (twice when a fault duplicated it).
+    fn deliver(&mut self, flight: InFlight, t: Ticks) {
+        let Some(socket) = flight.target else {
+            return;
+        };
+        let dgram = Datagram {
+            src_node: flight.packet.src_node,
+            src_port: flight.packet.src_port,
+            dst: flight.dst,
+            payload: flight.packet.payload,
+            arrived_at: t,
+            ecn_ce: flight.ce,
+        };
+        if flight.duplicate {
+            self.stats.duplicated += 1;
+            let dgram = dgram.clone();
+            self.queue.schedule(t, NetEvent::Deliver { socket, dgram });
         }
+        self.queue.schedule(t, NetEvent::Deliver { socket, dgram });
     }
 
     /// Walk an in-flight copy along its remaining path starting at the
-    /// current instant. Plain links are traversed analytically; on
+    /// current instant — the only link walk, for fresh copies and
+    /// resumed ones alike. Plain links are traversed analytically; on
     /// reaching a mounted link the copy is enqueued there (or handed
     /// off as a [`NetEvent::Hop`] when its arrival lies in the future).
     fn advance_flight(&mut self, mut flight: InFlight) {
@@ -894,14 +808,7 @@ impl Network {
             }
             flight.hop += 1;
         }
-        self.deliver(
-            &flight.packet,
-            flight.dst,
-            flight.target,
-            t,
-            flight.ce,
-            flight.duplicate,
-        );
+        self.deliver(flight, t);
     }
 
     /// Offer an arriving copy to the egress plane on `link` and
@@ -989,14 +896,7 @@ impl Network {
                 if flight.hop < flight.path.len() {
                     self.queue.schedule(t, NetEvent::Hop { flight });
                 } else {
-                    self.deliver(
-                        &flight.packet,
-                        flight.dst,
-                        flight.target,
-                        t,
-                        flight.ce,
-                        flight.duplicate,
-                    );
+                    self.deliver(flight, t);
                 }
             } else {
                 self.stats.dropped += 1;
@@ -1986,5 +1886,111 @@ mod tests {
         let (arrivals, stats) = run();
         assert_eq!((arrivals.clone(), stats.clone()), run());
         assert_eq!(run_digest(&arrivals, &stats), 0x2f64a1310c6d4dea);
+    }
+
+    /// A four-host star with nothing mounted: every link has Bernoulli
+    /// loss plus a full fault model (burst loss, jitter, reorder,
+    /// duplication), every host has a socket in one multicast group.
+    /// `cut` isolates that host from the switch.
+    fn faulty_lan(seed: u64, cut: Option<usize>) -> (Network, GroupId, Vec<SocketHandle>) {
+        use crate::faults::{FaultModel, GilbertElliott};
+        let mut net = Network::new(seed);
+        let (_switch, hosts) = net.lan(&["h0", "h1", "h2", "h3"], LinkSpec::lan().with_loss(0.05));
+        let model = FaultModel::none()
+            .with_burst(GilbertElliott::bursty(0.1, 0.3, 0.5))
+            .with_jitter(Ticks::from_micros(300))
+            .with_reorder(0.2, Ticks::from_millis(2))
+            .with_duplicate(0.1);
+        for l in 0..hosts.len() as u32 {
+            net.topology_mut().set_link_fault(LinkId(l), Some(model));
+        }
+        let group = net.new_group();
+        let socks: Vec<SocketHandle> = hosts
+            .iter()
+            .map(|&h| {
+                let s = net.bind(h, Port(7000)).unwrap();
+                net.join(s, group).unwrap();
+                s
+            })
+            .collect();
+        if let Some(i) = cut {
+            net.topology_mut().partition(&[hosts[i]]);
+        }
+        (net, group, socks)
+    }
+
+    fn drain_all(net: &mut Network, socks: &[SocketHandle]) -> Vec<Datagram> {
+        socks
+            .iter()
+            .flat_map(|&s| std::iter::from_fn(|| net.recv(s)).collect::<Vec<_>>())
+            .collect()
+    }
+
+    /// The path no egress plane touches — multi-hop multicast over
+    /// lossy, faulty links — pinned to the trace the analytic hop loop
+    /// produced at the commit before it was folded into the in-flight
+    /// walk.
+    #[test]
+    fn planeless_runs_are_deterministic() {
+        let run = || -> (Vec<Datagram>, NetStats) {
+            let (mut net, group, socks) = faulty_lan(17, None);
+            let dst = Addr::multicast(group, Port(7000));
+            for n in 0..30u8 {
+                net.send(socks[0], dst, vec![n; 100]).unwrap();
+                let batch: Vec<Vec<u8>> = (1..4).map(|k| vec![n; 100 * k]).collect();
+                assert_eq!(net.send_batch(socks[1], dst, batch), Ok(9));
+                net.run_for(Ticks::from_micros(400));
+            }
+            net.run_to_quiescence();
+            (drain_all(&mut net, &socks), net.stats().clone())
+        };
+        let (arrivals, stats) = run();
+        assert!(stats.dropped > 0 && stats.duplicated > 0, "faults fired");
+        assert_eq!((arrivals.clone(), stats.clone()), run());
+        assert_eq!(run_digest(&arrivals, &stats), 0x325dc244409ce5b3);
+    }
+
+    /// `send(p)` is `send_batch(vec![p])`: same copies, same RNG draws,
+    /// same counters, same errors — unicast and multicast, reachable or
+    /// not, oversized or not.
+    #[test]
+    fn send_is_the_one_packet_batch() {
+        type Send1 = fn(&mut Network, SocketHandle, Addr, Vec<u8>) -> Result<(), NetError>;
+        let single: Send1 = |net, s, dst, p| net.send(s, dst, p);
+        let batch: Send1 = |net, s, dst, p| net.send_batch(s, dst, vec![p]).map(|_| ());
+        let run = |send: Send1, cut: Option<usize>, unicast: bool| {
+            let (mut net, group, socks) = faulty_lan(23, cut);
+            let dst = if unicast {
+                Addr::unicast(net.socket_node(socks[2]), Port(7000))
+            } else {
+                Addr::multicast(group, Port(7000))
+            };
+            let mut results = Vec::new();
+            for n in 0..40u8 {
+                results.push(send(&mut net, socks[0], dst, vec![n; 64]));
+                net.run_for(Ticks::from_micros(200));
+            }
+            results.push(send(&mut net, socks[0], dst, vec![0; MAX_DATAGRAM + 1]));
+            net.run_to_quiescence();
+            let arrivals = drain_all(&mut net, &socks);
+            (results, run_digest(&arrivals, net.stats()), arrivals.len())
+        };
+        // Digests of the `send` runs at the commit before the fold.
+        for (unicast, pinned) in [(true, 0xb80ddab524d93dab), (false, 0x2a80cc2c1a872d24)] {
+            let (results, digest, arrived) = run(single, None, unicast);
+            assert_eq!(digest, pinned);
+            assert!(results[..40].iter().all(Result::is_ok));
+            assert_eq!(
+                results[40],
+                Err(NetError::PayloadTooLarge(MAX_DATAGRAM + 1))
+            );
+            assert_eq!((results, digest, arrived), run(batch, None, unicast));
+            // Host 2 cut off: unicast fails outright; multicast reaches
+            // host 1, then fails at host 2 and never tries host 3.
+            let (results, digest, arrived) = run(single, Some(2), unicast);
+            assert!(matches!(results[0], Err(NetError::Unreachable(_, _))));
+            assert_eq!(arrived > 0, !unicast);
+            assert_eq!((results, digest, arrived), run(batch, Some(2), unicast));
+        }
     }
 }

@@ -12,6 +12,7 @@ use crate::faults::{FaultModel, FaultState};
 use crate::time::Ticks;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a simulated node (host, switch, base station...).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -145,7 +146,7 @@ pub struct Topology {
     /// drops its memo whenever the epoch moved, so cached paths can
     /// never outlive the graph they were computed on.
     epoch: u64,
-    route_cache: std::collections::HashMap<(u32, u32), Option<Vec<LinkId>>>,
+    route_cache: std::collections::HashMap<(u32, u32), Option<Arc<[LinkId]>>>,
     cache_epoch: u64,
 }
 
@@ -297,17 +298,19 @@ impl Topology {
     /// Hop-count shortest path from `src` to `dst` as a sequence of
     /// link ids, or `None` if unreachable. Deterministic: BFS visits
     /// links in id order. Links that are down are invisible to routing.
-    /// [`Topology::route`] through a memo keyed by `(src, dst)`.
     ///
-    /// The memo is dropped wholesale whenever the topology epoch moved
-    /// (link added, raised, lowered, partitioned, healed), so a cached
-    /// path is always the path `route` would compute right now. A miss
-    /// runs one *full* BFS from `src` and memoises the path to every
-    /// reachable node, so mass fan-out — thousands of members behind
-    /// the same hub — costs one O(V + E) sweep per source *ever* (until
-    /// the graph changes) instead of one BFS per member per batch.
-    /// That is what makes 100k-client multicast sweeps tractable.
-    pub fn route_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
+    /// Paths are memoised per `(src, dst)` and handed out as a shared
+    /// `Arc`, so a lookup between topology changes is one hash probe
+    /// and a reference-count bump — every in-flight copy to the same
+    /// destination carries the same allocation. The memo is dropped
+    /// wholesale whenever the topology epoch moved (link added, raised,
+    /// lowered, partitioned, healed), so a cached path can never
+    /// outlive the graph it was computed on. A miss runs one *full* BFS
+    /// from `src` and memoises the path to every reachable node: mass
+    /// fan-out — thousands of members behind the same hub — costs one
+    /// O(V + E) sweep per source until the graph changes, not one BFS
+    /// per member per batch.
+    pub fn route_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[LinkId]>> {
         if self.cache_epoch != self.epoch {
             self.route_cache.clear();
             self.cache_epoch = self.epoch;
@@ -334,66 +337,27 @@ impl Topology {
                 }
             }
         }
-        self.route_cache.insert((src.0, src.0), Some(Vec::new()));
+        // Unwound dst → src into one reused scratch; each memoised
+        // path is then a single allocation.
+        let mut hops = Vec::new();
         for v in 0..n as u32 {
-            if v == src.0 || !visited[v as usize] {
+            if !visited[v as usize] {
                 continue;
             }
-            let mut path = Vec::new();
+            hops.clear();
             let mut cur = NodeId(v);
             while cur != src {
-                let (p, pl) = prev[cur.0 as usize].unwrap();
-                path.push(pl);
+                let (p, pl) = prev[cur.0 as usize].expect("visited nodes have a BFS parent");
+                hops.push(pl);
                 cur = p;
             }
-            path.reverse();
+            let path = hops.iter().rev().copied().collect();
             self.route_cache.insert((src.0, v), Some(path));
         }
-        if !visited[dst.0 as usize] {
-            self.route_cache.insert((src.0, dst.0), None);
-        }
         self.route_cache
-            .get(&(src.0, dst.0))
-            .cloned()
-            .unwrap_or(None)
-    }
-
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Vec<LinkId>> {
-        if src == dst {
-            return Some(Vec::new());
-        }
-        let n = self.nodes.len();
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut visited = vec![false; n];
-        visited[src.0 as usize] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &l in &self.nodes[u.0 as usize].links {
-                if !self.links[l.0 as usize].up {
-                    continue;
-                }
-                let v = self.peer(l, u);
-                if !visited[v.0 as usize] {
-                    visited[v.0 as usize] = true;
-                    prev[v.0 as usize] = Some((u, l));
-                    if v == dst {
-                        // unwind
-                        let mut path = Vec::new();
-                        let mut cur = dst;
-                        while cur != src {
-                            let (p, pl) = prev[cur.0 as usize].unwrap();
-                            path.push(pl);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
+            .entry((src.0, dst.0))
+            .or_insert(None)
+            .clone()
     }
 }
 
@@ -416,10 +380,10 @@ mod tests {
 
     #[test]
     fn route_direct_and_via_hub() {
-        let (t, hub, leaves) = star(3);
-        assert_eq!(t.route(hub, leaves[1]).unwrap().len(), 1);
-        assert_eq!(t.route(leaves[0], leaves[2]).unwrap().len(), 2);
-        assert_eq!(t.route(leaves[0], leaves[0]).unwrap().len(), 0);
+        let (mut t, hub, leaves) = star(3);
+        assert_eq!(t.route_cached(hub, leaves[1]).unwrap().len(), 1);
+        assert_eq!(t.route_cached(leaves[0], leaves[2]).unwrap().len(), 2);
+        assert_eq!(t.route_cached(leaves[0], leaves[0]).unwrap().len(), 0);
     }
 
     #[test]
@@ -427,7 +391,8 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
-        assert!(t.route(a, b).is_none());
+        assert!(t.route_cached(a, b).is_none());
+        assert!(t.route_cached(a, b).is_none(), "the miss is memoised too");
     }
 
     #[test]
@@ -440,7 +405,7 @@ mod tests {
         t.connect(a, b, LinkSpec::lan());
         t.connect(b, c, LinkSpec::lan());
         let direct = t.connect(a, c, LinkSpec::wan());
-        assert_eq!(t.route(a, c).unwrap(), vec![direct]);
+        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[direct][..]));
     }
 
     #[test]
@@ -473,21 +438,29 @@ mod tests {
         let bc = t.connect(b, c, LinkSpec::lan());
         let direct = t.connect(a, c, LinkSpec::wan());
         assert!(t.link_up(direct));
+        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[direct][..]));
         t.set_link_up(direct, false);
-        assert_eq!(t.route(a, c).unwrap(), vec![ab, bc]);
+        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[ab, bc][..]));
         t.set_link_up(direct, true);
-        assert_eq!(t.route(a, c).unwrap(), vec![direct]);
+        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[direct][..]));
     }
 
     #[test]
     fn partition_and_heal() {
         let (mut t, hub, leaves) = star(3);
+        assert!(
+            t.route_cached(hub, leaves[0]).is_some(),
+            "memoised before the cut"
+        );
         t.partition(&[leaves[0]]);
-        assert!(t.route(hub, leaves[0]).is_none());
-        assert!(t.route(hub, leaves[1]).is_some(), "others unaffected");
+        assert!(t.route_cached(hub, leaves[0]).is_none());
+        assert!(
+            t.route_cached(hub, leaves[1]).is_some(),
+            "others unaffected"
+        );
         // Links wholly inside the island stay up.
         t.heal();
-        assert!(t.route(hub, leaves[0]).is_some());
+        assert!(t.route_cached(hub, leaves[0]).is_some());
     }
 
     #[test]
@@ -520,20 +493,36 @@ mod tests {
         let c = t.add_node("c");
         let ab = t.connect(a, b, LinkSpec::lan());
         let bc = t.connect(b, c, LinkSpec::lan());
-        assert_eq!(t.route_cached(a, c), Some(vec![ab, bc]));
-        assert_eq!(t.route_cached(a, c), Some(vec![ab, bc]), "memoised hit");
+        let first = t.route_cached(a, c).unwrap();
+        assert_eq!(&first[..], [ab, bc]);
+        let hit = t.route_cached(a, c).unwrap();
+        assert!(Arc::ptr_eq(&first, &hit), "a hit shares the memoised path");
         t.set_link_up(bc, false);
         assert_eq!(t.route_cached(a, c), None, "cache dropped on link down");
+        t.set_link_up(bc, true);
+        let again = t.route_cached(a, c).unwrap();
+        assert_eq!(again, first, "cache dropped on link up");
+        assert!(!Arc::ptr_eq(&first, &again), "recomputed, not resurrected");
         let ac = t.connect(a, c, LinkSpec::lan());
-        assert_eq!(t.route_cached(a, c), Some(vec![ac]), "new link visible");
+        assert_eq!(
+            t.route_cached(a, c).as_deref(),
+            Some(&[ac][..]),
+            "new link visible"
+        );
         t.partition(&[c]);
         assert_eq!(t.route_cached(a, c), None, "partition invalidates");
-        t.heal();
-        assert_eq!(t.route_cached(a, c), Some(vec![ac]), "heal invalidates");
         assert_eq!(
-            t.route_cached(a, c),
-            t.route(a, c),
-            "cached path always matches a fresh BFS"
+            t.route_cached(a, b).as_deref(),
+            Some(&[ab][..]),
+            "same side intact"
         );
+        t.heal();
+        assert_eq!(
+            t.route_cached(a, c).as_deref(),
+            Some(&[ac][..]),
+            "heal invalidates"
+        );
+        // A held path is unaffected by later invalidation.
+        assert_eq!(&first[..], [ab, bc]);
     }
 }

@@ -123,16 +123,16 @@ fn scaling_workload_identical_across_worker_counts() {
     }
 }
 
-// ------------------------------------------------ shard counters
+// ------------------------------------------------ bus statistics
 
-/// The lock-free per-shard counters must account for every applied
-/// payload identically at any worker count: 4 workers split the same
-/// totals across more shards, never changing the sums.
+/// Every applied payload must be accounted for identically at any
+/// worker count: 4 workers split the same clients across more shards,
+/// never changing what each endpoint accepted or rejected.
 #[test]
-fn shard_counter_totals_identical_across_worker_counts() {
+fn bus_stat_totals_identical_across_worker_counts() {
     use collabqos::prelude::*;
 
-    fn run(workers: usize) -> (u64, u64, usize) {
+    fn run(workers: usize) -> (u64, u64) {
         let cfg = SessionConfig {
             seed: 61,
             workers,
@@ -142,9 +142,11 @@ fn shard_counter_totals_identical_across_worker_counts() {
         let mut ids = Vec::new();
         for i in 0..8 {
             let mut p = Profile::new(&format!("client{i}"));
+            // Odd clients reject the image traffic.
+            let topic = if i % 2 == 0 { "image" } else { "text" };
             p.set(
                 "interested_in",
-                AttrValue::List(vec![AttrValue::str("image")]),
+                AttrValue::List(vec![AttrValue::str(topic)]),
             );
             ids.push(
                 session
@@ -163,18 +165,22 @@ fn shard_counter_totals_identical_across_worker_counts() {
                 .unwrap();
             session.pump(Ticks::from_secs(2));
         }
-        let counters = session.shard_counters();
+        let stats: Vec<_> = ids
+            .iter()
+            .map(|&id| session.client(id).bus.stats())
+            .collect();
         (
-            counters.iter().map(|c| c.delivered()).sum(),
-            counters.iter().map(|c| c.dropped()).sum(),
-            counters.len(),
+            stats.iter().map(|s| s.accepted + s.transformed).sum(),
+            stats
+                .iter()
+                .map(|s| s.rejected + s.malformed + s.bad_selector)
+                .sum(),
         )
     }
 
-    let (d1, x1, s1) = run(1);
-    let (d4, x4, s4) = run(4);
+    let (d1, x1) = run(1);
+    let (d4, x4) = run(4);
     assert!(d1 > 0, "the serial run applied payloads");
-    assert_eq!((d1, x1), (d4, x4), "shard totals diverged across workers");
-    assert_eq!(s1, 1, "serial run uses a single shard");
-    assert_eq!(s4, 4, "4 workers over 8 clients fill 4 shards");
+    assert!(x1 > 0, "the serial run rejected payloads");
+    assert_eq!((d1, x1), (d4, x4), "bus totals diverged across workers");
 }
