@@ -1,7 +1,9 @@
 //! ISP-scale hierarchical shaping: one shared uplink compiled into a
-//! root → sites → APs → subscribers tree, ≥1000 subscriber leaves
-//! drawn from an 8-tier rate-plan catalog, every leaf kept backlogged
-//! so aggregate demand exceeds uplink capacity for the whole run.
+//! root → sites → APs → subscribers tree, 1 000 to 100 000 subscriber
+//! leaves drawn from an 8-tier rate-plan catalog, every leaf kept
+//! backlogged so aggregate demand exceeds uplink capacity for the
+//! whole run. The sweep is the scheduler's scaling curve: `ns/pkt`
+//! should not grow with the subscriber count.
 //!
 //! Every scenario *asserts* the tree's four fairness invariants while
 //! it measures, so a shaping bug cannot masquerade as a fast run:
@@ -18,7 +20,9 @@
 //! Output: a human-readable table plus one machine-readable
 //! `BENCH isp_shaping.s<subs> msgs_per_s=...` line per scenario for
 //! CI's bench-regression gate. `--quick` / `BENCH_QUICK=1` runs the
-//! reduced sweep CI gates per PR.
+//! reduced sweep CI gates per PR: one simulated second at 1 000 and at
+//! 16 000 subscribers, so a scheduler that went linear again fails the
+//! second id even where the first still passes.
 
 use bench::{header, quick_mode, row};
 use htb::{EnqueueOutcome, RatePlan, ShapingTree, TreeSpec};
@@ -221,16 +225,21 @@ fn ecn_precedes_drop() -> (u64, u64) {
 fn main() {
     let quick = quick_mode();
     let scenarios: &[(usize, u64)] = if quick {
-        &[(1_000, 200_000)]
+        &[(1_000, 1_000_000), (16_000, 1_000_000)]
     } else {
-        &[(1_000, 1_000_000), (2_000, 500_000)]
+        &[
+            (1_000, 1_000_000),
+            (2_000, 500_000),
+            (10_000, 1_000_000),
+            (100_000, 1_000_000),
+        ]
     };
     println!(
         "ISP-scale shaping — {SITES} sites x {APS_PER_SITE} APs on a {} Mbit/s uplink, \
          8-tier plan catalog, every leaf backlogged\n",
         UPLINK / 1_000_000
     );
-    let widths = [6, 6, 8, 9, 10, 13, 9, 10];
+    let widths = [6, 6, 8, 9, 10, 13, 9, 10, 8];
     header(
         &[
             "subs",
@@ -241,6 +250,7 @@ fn main() {
             "borrowed Mbit",
             "wall ms",
             "pkt/s",
+            "ns/pkt",
         ],
         &widths,
     );
@@ -258,6 +268,7 @@ fn main() {
                 format!("{:.1}", out.borrowed_mbit),
                 format!("{:.1}", out.wall_secs * 1e3),
                 format!("{rate:.0}"),
+                format!("{:.0}", 1e9 / rate),
             ],
             &widths,
         );

@@ -36,6 +36,47 @@
 //! 3. work conservation — when aggregate demand ≥ uplink capacity the
 //!    root is never idle (the root is the payer of last resort);
 //! 4. the first ECN mark precedes the first drop for ECT traffic.
+//!
+//! # Clock contract
+//!
+//! The tree has no clock of its own: every [`ShapingTree::enqueue`],
+//! [`ShapingTree::dequeue`] and [`ShapingTree::next_ready`] call names
+//! its instant, and **no instant may precede the last `dequeue`**
+//! (`simnet` drives all three from its one event clock, so there this
+//! holds by construction). Token buckets only move forward: an earlier
+//! instant would be priced as if no time had passed since the last
+//! send, and the scheduler's index (below) files leaves by instants it
+//! computed under that assumption.
+//!
+//! # Scheduler
+//!
+//! Which packet goes next is defined by a walk — round robin from a
+//! cursor over *all* leaves, skipping (and zeroing the deficit of)
+//! every leaf that is empty or not eligible — and the walk's result is
+//! what the tree reproduces; it does not perform the walk. Between two
+//! sends of a leaf with an unchanged head packet, the leaf's own
+//! ceiling bucket admits that packet from one fixed instant on
+//! ([`TokenBucket::next_conforming`] is `max(at, T)` for a `T` that
+//! does not depend on `at`), so every backlogged leaf is filed in
+//! exactly one of
+//!
+//! * a **waiting** min-heap keyed by that instant — `dequeue` promotes
+//!   the due ones, `next_ready` never looks below a key that is no
+//!   earlier than the best time found; or
+//! * a **ready** bitmap, searched cyclically from the cursor, plus a
+//!   min-heap of the ready leaves' head sizes: every path ends at the
+//!   root, so when the root ceiling refuses the smallest ready head
+//!   nothing is eligible (the **root gate**), and the root's conform
+//!   time for a size bounds every ready leaf of that size or larger.
+//!
+//! The index only ever *narrows the candidates*: a ready leaf still has
+//! its whole path checked before it is served, so the ready set being
+//! a superset of the eligible leaves costs time, never correctness,
+//! and the deficits the walk would have zeroed on the way are zeroed
+//! through a second bitmap of the leaves that hold one. Work per call
+//! is O(log leaves + depth) when leaves are held by their own ceilings
+//! or by the root; a saturated interior node (site, AP) still costs a
+//! path check per ready leaf beneath it.
 
 use qdisc::{
     ClassMap, CoDel, Shaper, TokenBucket, CLASS_COUNT, DEFAULT_INTERVAL_US, DEFAULT_TARGET_US,
@@ -44,8 +85,7 @@ use qdisc::{
 // Re-exported so consumers of the tree can pattern-match enqueue and
 // dequeue outcomes without a direct qdisc dependency.
 pub use qdisc::{DequeueOutcome, EnqueueOutcome, Released, TrafficClass};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,6 +160,8 @@ struct NodeSpec {
 #[derive(Clone, Debug)]
 pub struct TreeSpec {
     nodes: Vec<NodeSpec>,
+    /// Destinations already bound to a subscriber leaf.
+    bound_dsts: BTreeSet<u32>,
     class_map: ClassMap,
     codel_target_us: u64,
     codel_interval_us: u64,
@@ -156,6 +198,7 @@ impl TreeSpec {
                     kind: NodeKind::Leaf(None),
                 },
             ],
+            bound_dsts: BTreeSet::new(),
             class_map: ClassMap::collabqos_default(),
             codel_target_us: DEFAULT_TARGET_US,
             codel_interval_us: DEFAULT_INTERVAL_US,
@@ -256,10 +299,7 @@ impl TreeSpec {
         dst: u32,
     ) -> NodeIdx {
         assert!(
-            !self
-                .nodes
-                .iter()
-                .any(|n| n.kind == NodeKind::Leaf(Some(dst))),
+            self.bound_dsts.insert(dst),
             "destination {dst} already bound to a subscriber leaf"
         );
         self.add_node(
@@ -444,7 +484,8 @@ struct Leaf<T> {
     node: NodeIdx,
     queues: [VecDeque<Entry<T>>; CLASS_COUNT],
     codel: CoDel,
-    /// DRR byte deficit.
+    /// DRR byte deficit; non-zero exactly when the leaf is in
+    /// [`ShapingTree::owed`].
     deficit: u64,
     /// DRR byte quantum, proportional to the assured rate.
     quantum: u64,
@@ -460,10 +501,6 @@ impl<T> Leaf<T> {
     fn head_bytes(&self) -> Option<u32> {
         self.head_class().map(|c| self.queues[c][0].bytes)
     }
-
-    fn backlog_pkts(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
 }
 
 /// DRR byte quantum for a leaf assured `assured_bps`: HTB's `r2q`
@@ -472,6 +509,161 @@ impl<T> Leaf<T> {
 /// plan gets 4× the bytes per round of a 1 Mbit plan.
 fn quantum_for(assured_bps: u64) -> u64 {
     (assured_bps / 8 / 10).max(1_514)
+}
+
+/// A set of leaf table indices: a bitmap under summary levels (bit `i`
+/// of level `k + 1` says word `i` of level `k` is non-zero), so the
+/// next member at or after a position is found by climbing to the
+/// first level that shows one and descending by `trailing_zeros` —
+/// O(log₆₄ leaves) however far away it lies.
+struct LeafSet {
+    levels: Vec<Vec<u64>>,
+}
+
+impl LeafSet {
+    fn new(leaves: usize) -> LeafSet {
+        let mut levels = Vec::new();
+        let mut bits = leaves;
+        loop {
+            let words = bits.div_ceil(64);
+            levels.push(vec![0u64; words]);
+            if words == 1 {
+                return LeafSet { levels };
+            }
+            bits = words;
+        }
+    }
+
+    fn insert(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i >> 6];
+            let was_empty = *word == 0;
+            *word |= 1 << (i & 63);
+            if !was_empty {
+                break;
+            }
+            i >>= 6;
+        }
+    }
+
+    fn remove(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i >> 6];
+            *word &= !(1 << (i & 63));
+            if *word != 0 {
+                break;
+            }
+            i >>= 6;
+        }
+    }
+
+    /// Smallest member in `from..end`.
+    fn next_in(&self, from: usize, end: usize) -> Option<usize> {
+        let mut pos = from;
+        for (k, level) in self.levels.iter().enumerate() {
+            let word = *level.get(pos >> 6)?;
+            let hit = word & (!0u64 << (pos & 63));
+            if hit != 0 {
+                let mut i = (pos & !63) | hit.trailing_zeros() as usize;
+                for lower in self.levels[..k].iter().rev() {
+                    i = (i << 6) | lower[i].trailing_zeros() as usize;
+                }
+                return (i < end).then_some(i);
+            }
+            // Nothing left in this word: look among the later words.
+            pos = (pos >> 6) + 1;
+        }
+        None
+    }
+}
+
+/// Indexed binary min-heap of `(key, leaf)` entries, sized for every
+/// leaf at construction so filing one never allocates; `slot` finds a
+/// leaf's entry for re-keying and removal.
+struct LeafHeap {
+    heap: Vec<(u64, u32)>,
+    /// Heap position of each leaf's entry, [`UNFILED`] when it has none.
+    slot: Vec<u32>,
+}
+
+const UNFILED: u32 = u32::MAX;
+
+impl LeafHeap {
+    fn new(leaves: usize) -> LeafHeap {
+        LeafHeap {
+            heap: Vec::with_capacity(leaves),
+            slot: vec![UNFILED; leaves],
+        }
+    }
+
+    /// The entry with the smallest key, as `(key, leaf)`.
+    fn peek(&self) -> Option<(u64, usize)> {
+        self.heap.first().map(|&(key, leaf)| (key, leaf as usize))
+    }
+
+    /// File `leaf` under `key`, replacing the key it had, if any.
+    fn set(&mut self, leaf: usize, key: u64) {
+        let at = match self.slot[leaf] {
+            UNFILED => {
+                self.heap.push((key, leaf as u32));
+                self.heap.len() - 1
+            }
+            at => at as usize,
+        };
+        self.settle(at, (key, leaf as u32));
+    }
+
+    /// Drop `leaf`'s entry, if it has one.
+    fn remove(&mut self, leaf: usize) {
+        let at = self.slot[leaf];
+        if at == UNFILED {
+            return;
+        }
+        self.slot[leaf] = UNFILED;
+        let last = self.heap.pop().expect("a filed leaf has an entry");
+        if (at as usize) < self.heap.len() {
+            self.settle(at as usize, last);
+        }
+    }
+
+    /// Store `entry` starting from position `at`, whose content is
+    /// dead, moving it up or down until heap order holds again.
+    fn settle(&mut self, mut at: usize, entry: (u64, u32)) {
+        while at > 0 && entry < self.heap[(at - 1) / 2] {
+            self.place(at, self.heap[(at - 1) / 2]);
+            at = (at - 1) / 2;
+        }
+        loop {
+            let mut child = 2 * at + 1;
+            if child + 1 < self.heap.len() && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if child >= self.heap.len() || entry <= self.heap[child] {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
+        }
+        self.place(at, entry);
+    }
+
+    fn place(&mut self, at: usize, entry: (u64, u32)) {
+        self.heap[at] = entry;
+        self.slot[entry.1 as usize] = at as u32;
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Leaf → root path evaluations made on this thread.
+    static PATH_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Count one leaf → root path evaluation; the work-bound test reads
+/// the total, other builds compile this to nothing.
+fn count_path_eval() {
+    #[cfg(test)]
+    PATH_EVALS.with(|n| n.set(n.get() + 1));
 }
 
 /// The compiled shaping tree. See the crate docs for the model; the
@@ -492,6 +684,16 @@ pub struct ShapingTree<T> {
     /// Whether the cursor's leaf already received its quantum this
     /// visit.
     granted: bool,
+    /// Backlogged leaves whose own ceiling admitted their head packet
+    /// when they were last filed: a superset of the eligible leaves.
+    ready: LeafSet,
+    /// The `ready` leaves keyed by head packet size.
+    ready_heads: LeafHeap,
+    /// Every other backlogged leaf, keyed by the instant its own
+    /// ceiling will admit its head packet.
+    waiting: LeafHeap,
+    /// Leaves holding a non-zero DRR deficit.
+    owed: LeafSet,
     shared: TreeStatsHandle,
 }
 
@@ -543,11 +745,15 @@ impl<T> ShapingTree<T> {
         ShapingTree {
             spec,
             nodes,
-            leaves,
             dst_map,
             default_leaf: default_leaf.expect("spec always carries the default leaf"),
             cursor: 0,
             granted: false,
+            ready: LeafSet::new(leaves.len()),
+            ready_heads: LeafHeap::new(leaves.len()),
+            waiting: LeafHeap::new(leaves.len()),
+            owed: LeafSet::new(leaves.len()),
+            leaves,
             shared,
         }
     }
@@ -576,7 +782,7 @@ impl<T> ShapingTree<T> {
 
     /// Total packets currently queued across all leaves.
     pub fn backlog_pkts(&self) -> usize {
-        self.leaves.iter().map(|l| l.backlog_pkts()).sum()
+        self.shared.nodes[ROOT].backlog_pkts.load(Ordering::Relaxed) as usize
     }
 
     /// Walk `idx` → root applying `f` to every node on the path
@@ -613,12 +819,16 @@ impl<T> ShapingTree<T> {
             });
             return EnqueueOutcome::TailDropped(payload);
         }
+        let becomes_head = self.leaves[li].head_class().is_none_or(|head| class < head);
         self.leaves[li].queues[class].push_back(Entry {
             payload,
             bytes,
             ecn_capable,
             enqueued_at: now_us,
         });
+        if becomes_head {
+            self.refile(li, now_us);
+        }
         self.for_path(node, |s| {
             s.backlog_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             s.backlog_pkts.fetch_add(1, Ordering::Relaxed);
@@ -626,77 +836,169 @@ impl<T> ShapingTree<T> {
         EnqueueOutcome::Queued
     }
 
-    /// The node that will pay assured-rate tokens for the head packet
-    /// of leaf `li` at `now`: the first node on the leaf → root path
-    /// whose rate bucket conforms (self first — borrow only when own
-    /// tokens are spent). `None` when every ancestor is also dry.
-    fn payer_for(&self, li: usize, now: u64, bytes: u32) -> Option<NodeIdx> {
+    /// File leaf `li` after its head packet or its own ceiling bucket
+    /// changed at `now`: under `ready` when that ceiling admits the
+    /// head, else under `waiting` by the instant it will. The instant
+    /// stands until the next such change (crate docs), and every one
+    /// of them comes through here.
+    fn refile(&mut self, li: usize, now: u64) {
+        let leaf = &self.leaves[li];
+        let Some(bytes) = leaf.head_bytes() else {
+            self.ready.remove(li);
+            self.ready_heads.remove(li);
+            self.waiting.remove(li);
+            return;
+        };
+        let due = self.nodes[leaf.node].ceil.next_conforming(now, bytes);
+        if due <= now {
+            self.waiting.remove(li);
+            self.ready.insert(li);
+            self.ready_heads.set(li, bytes as u64);
+        } else {
+            self.ready.remove(li);
+            self.ready_heads.remove(li);
+            self.waiting.set(li, due);
+        }
+    }
+
+    /// Move every waiting leaf whose instant has come to `ready`.
+    fn promote(&mut self, now: u64) {
+        while let Some((due, li)) = self.waiting.peek() {
+            if due > now {
+                break;
+            }
+            self.refile(li, now);
+        }
+    }
+
+    /// The node that would pay assured-rate tokens for leaf `li`'s
+    /// head packet if it were released at `now`: the first node on the
+    /// leaf → root path whose rate bucket conforms (self first —
+    /// borrow only when own tokens are spent). `None` when the packet
+    /// cannot go: some ceiling on the path refuses it, or every
+    /// ancestor is dry too.
+    fn payer_if_eligible(&self, li: usize, now: u64) -> Option<NodeIdx> {
+        count_path_eval();
+        let bytes = self.leaves[li].head_bytes()?;
+        let mut payer = None;
         let mut at = self.leaves[li].node;
         loop {
-            if self.nodes[at].rate.conforms(now, bytes) {
-                return Some(at);
-            }
-            if at == ROOT {
+            let node = &self.nodes[at];
+            if !node.ceil.conforms(now, bytes) {
                 return None;
             }
-            at = self.nodes[at].parent;
-        }
-    }
-
-    /// Whether every ceiling bucket on leaf `li`'s path conforms.
-    fn path_ceils_conform(&self, li: usize, now: u64, bytes: u32) -> bool {
-        let mut at = self.leaves[li].node;
-        loop {
-            if !self.nodes[at].ceil.conforms(now, bytes) {
-                return false;
+            if payer.is_none() && node.rate.conforms(now, bytes) {
+                payer = Some(at);
             }
             if at == ROOT {
-                return true;
+                return payer;
             }
-            at = self.nodes[at].parent;
+            at = node.parent;
         }
     }
 
-    /// Whether leaf `li`'s head packet could be released at `now`.
-    fn leaf_eligible(&self, li: usize, now: u64) -> bool {
-        let Some(bytes) = self.leaves[li].head_bytes() else {
-            return false;
+    /// Earliest instant `>= after` at which backlogged leaf `li`'s
+    /// head packet becomes eligible. Exact: ceiling conformance needs
+    /// *all* path buckets (latest of their thresholds), a payer needs
+    /// *any* rate bucket (earliest), and both thresholds are sharp
+    /// because tokens only grow until the next consume.
+    fn ready_time(&self, li: usize, after: u64) -> u64 {
+        count_path_eval();
+        let bytes = self.leaves[li]
+            .head_bytes()
+            .expect("filed leaves are backlogged");
+        let mut ceil_at = after;
+        let mut payer_at = u64::MAX;
+        let mut at = self.leaves[li].node;
+        loop {
+            let node = &self.nodes[at];
+            ceil_at = ceil_at.max(node.ceil.next_conforming(after, bytes));
+            payer_at = payer_at.min(node.rate.next_conforming(after, bytes));
+            if at == ROOT {
+                return ceil_at.max(payer_at);
+            }
+            at = node.parent;
+        }
+    }
+
+    /// Lower `best` to the earliest [`ready_time`](Self::ready_time)
+    /// among the leaves filed in `heap` at or below position `at`,
+    /// where `floor(key)` bounds a leaf's ready time from below and
+    /// does not fall as the key grows: heap order then lets a whole
+    /// branch go unvisited once its top cannot beat `best`.
+    fn earliest_in(
+        &self,
+        heap: &LeafHeap,
+        at: usize,
+        after: u64,
+        floor: &impl Fn(u64) -> u64,
+        best: &mut u64,
+    ) {
+        let Some(&(key, li)) = heap.heap.get(at) else {
+            return;
         };
-        self.path_ceils_conform(li, now, bytes) && self.payer_for(li, now, bytes).is_some()
+        if floor(key) >= *best {
+            return;
+        }
+        *best = (*best).min(self.ready_time(li as usize, after));
+        self.earliest_in(heap, 2 * at + 1, after, floor, best);
+        self.earliest_in(heap, 2 * at + 2, after, floor, best);
     }
 
     /// Earliest instant `>= after_us` at which some leaf's head packet
-    /// becomes eligible, or `None` when every queue is empty. Exact:
-    /// ceiling conformance needs *all* path buckets (latest of their
-    /// thresholds), a payer needs *any* rate bucket (earliest), and
-    /// both thresholds are sharp because tokens only grow until the
-    /// next consume.
+    /// becomes eligible, or `None` when every queue is empty; `after_us`
+    /// must not precede the last `dequeue` (crate docs). Exact, yet it
+    /// looks only at leaves that could be the answer: a waiting leaf
+    /// cannot go before its key, a ready one not before the root
+    /// ceiling admits a packet of its head's size.
     pub fn next_ready(&self, after_us: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for leaf in &self.leaves {
-            let Some(bytes) = leaf.head_bytes() else {
-                continue;
-            };
-            let mut ceil_at = after_us;
-            let mut payer_at = u64::MAX;
-            let mut at = leaf.node;
-            loop {
-                ceil_at = ceil_at.max(self.nodes[at].ceil.next_conforming(after_us, bytes));
-                payer_at = payer_at.min(self.nodes[at].rate.next_conforming(after_us, bytes));
-                if at == ROOT {
-                    break;
-                }
-                at = self.nodes[at].parent;
-            }
-            let t = ceil_at.max(payer_at);
-            if t <= after_us {
-                // Every candidate is >= after_us, so an eligible-now
-                // leaf is already the minimum: stop scanning.
-                return Some(t);
-            }
-            best = Some(best.map_or(t, |b: u64| b.min(t)));
+        let mut best = u64::MAX;
+        let root = &self.nodes[ROOT].ceil;
+        let root_admits = |bytes: u64| root.next_conforming(after_us, bytes as u32);
+        let own_admits = |due: u64| due.max(after_us);
+        self.earliest_in(&self.ready_heads, 0, after_us, &root_admits, &mut best);
+        self.earliest_in(&self.waiting, 0, after_us, &own_admits, &mut best);
+        (best != u64::MAX).then_some(best)
+    }
+
+    /// The leaf table as one or two index ranges: `from`, cyclically,
+    /// up to but excluding `to` (the whole table when they coincide).
+    fn cyclic(&self, from: usize, to: usize) -> [(usize, usize); 2] {
+        if from < to {
+            [(from, to), (0, 0)]
+        } else {
+            [(from, self.leaves.len()), (0, to)]
         }
-        best
+    }
+
+    /// The first leaf, cyclically from the cursor, whose head packet
+    /// can be released at `now`, with the node that pays for it.
+    fn first_eligible(&self, now: u64) -> Option<(usize, NodeIdx)> {
+        // Root gate: every path ends at the root ceiling, and a bucket
+        // that refuses a size refuses every larger one.
+        let (smallest, _) = self.ready_heads.peek()?;
+        if !self.nodes[ROOT].ceil.conforms(now, smallest as u32) {
+            return None;
+        }
+        for (lo, hi) in self.cyclic(self.cursor, self.cursor) {
+            let mut at = lo;
+            while let Some(li) = self.ready.next_in(at, hi) {
+                if let Some(payer) = self.payer_if_eligible(li, now) {
+                    return Some((li, payer));
+                }
+                at = li + 1;
+            }
+        }
+        None
+    }
+
+    fn set_deficit(&mut self, li: usize, deficit: u64) {
+        self.leaves[li].deficit = deficit;
+        if deficit > 0 {
+            self.owed.insert(li);
+        } else {
+            self.owed.remove(li);
+        }
     }
 
     fn advance_cursor(&mut self) {
@@ -710,34 +1012,31 @@ impl<T> ShapingTree<T> {
     /// outcome carries `next_at` so the caller can reschedule.
     pub fn dequeue(&mut self, now_us: u64) -> DequeueOutcome<T> {
         let mut aqm_dropped = Vec::new();
+        self.promote(now_us);
         loop {
-            // `next_ready` is exact, so one scan both decides whether
-            // any leaf is eligible *now* and prices the reschedule.
-            match self.next_ready(now_us) {
-                Some(at) if at <= now_us => {}
-                next_at => {
-                    return DequeueOutcome {
-                        released: None,
-                        aqm_dropped,
-                        next_at,
-                    };
+            let Some((li, payer)) = self.first_eligible(now_us) else {
+                return DequeueOutcome {
+                    released: None,
+                    aqm_dropped,
+                    next_at: self.next_ready(now_us),
+                };
+            };
+            if li != self.cursor {
+                // Every leaf the cursor passes on its way to `li` is
+                // empty, ceiling-blocked or on a path out of assured
+                // tokens: it forfeits its deficit and the others run.
+                for (lo, hi) in self.cyclic(self.cursor, li) {
+                    let mut at = lo;
+                    while let Some(passed) = self.owed.next_in(at, hi) {
+                        self.set_deficit(passed, 0);
+                        at = passed + 1;
+                    }
                 }
-            }
-            let li = self.cursor;
-            if self.leaves[li].head_class().is_none() {
-                self.leaves[li].deficit = 0;
-                self.advance_cursor();
-                continue;
-            }
-            if !self.leaf_eligible(li, now_us) {
-                // Ceiling-blocked (or the whole path is out of assured
-                // tokens): forfeit the deficit and let the others run.
-                self.leaves[li].deficit = 0;
-                self.advance_cursor();
-                continue;
+                self.cursor = li;
+                self.granted = false;
             }
             if !self.granted {
-                self.leaves[li].deficit += self.leaves[li].quantum;
+                self.set_deficit(li, self.leaves[li].deficit + self.leaves[li].quantum);
                 self.granted = true;
             }
             let class = self.leaves[li].head_class().expect("non-empty");
@@ -750,53 +1049,51 @@ impl<T> ShapingTree<T> {
             let entry = self.leaves[li].queues[class]
                 .pop_front()
                 .expect("non-empty");
-            self.leaves[li].deficit -= head_bytes;
+            self.set_deficit(li, self.leaves[li].deficit - head_bytes);
+            let sojourn = now_us.saturating_sub(entry.enqueued_at);
+            let signal = self.leaves[li].codel.on_dequeue(now_us, sojourn);
+            let dropped = signal && !entry.ecn_capable;
+            // One walk up the path settles the packet: it leaves the
+            // backlog, and unless CoDel drops it, it is charged to
+            // every ceiling and counted as sent.
+            let bits = entry.bytes as u64 * 8;
             let node = self.leaves[li].node;
-            self.for_path(node, |s| {
+            let mut at = node;
+            loop {
+                let s = &self.shared.nodes[at];
                 s.backlog_bytes
                     .fetch_sub(entry.bytes as u64, Ordering::Relaxed);
                 s.backlog_pkts.fetch_sub(1, Ordering::Relaxed);
-            });
-            let sojourn = now_us.saturating_sub(entry.enqueued_at);
-            let signal = self.leaves[li].codel.on_dequeue(now_us, sojourn);
-            if signal && !entry.ecn_capable {
-                self.for_path(node, |s| {
+                if dropped {
                     s.drops.fetch_add(1, Ordering::Relaxed);
-                });
-                aqm_dropped.push((TrafficClass::ALL[class], entry.payload));
-                continue;
-            }
-            if signal {
-                self.for_path(node, |s| {
-                    s.ecn_marks.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            // Charge the send: every ceiling on the path, plus the
-            // payer's assured-rate bucket. A payer above the leaf means
-            // the leaf ran on borrowed tokens.
-            let bits = entry.bytes as u64 * 8;
-            let payer = self
-                .payer_for(li, now_us, entry.bytes)
-                .expect("eligibility checked");
-            let mut at = node;
-            loop {
-                self.nodes[at].ceil.consume(now_us, entry.bytes);
+                } else {
+                    if signal {
+                        s.ecn_marks.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.nodes[at].ceil.consume(now_us, entry.bytes);
+                    s.bits_sent.fetch_add(bits, Ordering::Relaxed);
+                }
                 if at == ROOT {
                     break;
                 }
                 at = self.nodes[at].parent;
             }
+            if dropped {
+                self.refile(li, now_us);
+                aqm_dropped.push((TrafficClass::ALL[class], entry.payload));
+                continue;
+            }
+            // The payer's assured-rate bucket funds the send; a payer
+            // above the leaf means the leaf ran on borrowed tokens.
             self.nodes[payer].rate.consume(now_us, entry.bytes);
             if payer != node {
                 self.shared.nodes[node]
                     .borrowed_bits
                     .fetch_add(bits, Ordering::Relaxed);
             }
-            self.for_path(node, |s| {
-                s.bits_sent.fetch_add(bits, Ordering::Relaxed);
-            });
+            self.refile(li, now_us);
             if self.leaves[li].head_class().is_none() {
-                self.leaves[li].deficit = 0;
+                self.set_deficit(li, 0);
                 self.advance_cursor();
             }
             return DequeueOutcome {
@@ -1065,6 +1362,115 @@ mod tests {
             trace
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn leaf_set_finds_the_next_member_across_levels() {
+        // 300 000 leaves need four levels; members sit words, summary
+        // words and summary-of-summary words apart.
+        let members = [
+            0usize, 1, 63, 64, 4_095, 4_096, 70_000, 262_143, 262_144, 299_999,
+        ];
+        let mut set = LeafSet::new(300_000);
+        for &m in &members {
+            set.insert(m);
+        }
+        for (k, &m) in members.iter().enumerate() {
+            assert_eq!(set.next_in(m, 300_000), Some(m));
+            let next = members.get(k + 1).copied();
+            assert_eq!(set.next_in(m + 1, 300_000), next, "after {m}");
+            assert_eq!(
+                set.next_in(m + 1, next.unwrap_or(0)),
+                None,
+                "end is exclusive"
+            );
+        }
+        for &m in &members[..9] {
+            set.remove(m);
+        }
+        assert_eq!(set.next_in(0, 300_000), Some(299_999));
+        set.remove(299_999);
+        assert_eq!(set.next_in(0, 300_000), None);
+    }
+
+    #[test]
+    fn leaf_heap_rekeys_and_removes_in_place() {
+        let mut heap = LeafHeap::new(8);
+        for (leaf, key) in [(0, 50), (1, 20), (2, 40), (3, 20), (4, 70)] {
+            heap.set(leaf, key);
+        }
+        assert_eq!(heap.peek(), Some((20, 1)), "ties break by leaf index");
+        heap.set(1, 90);
+        assert_eq!(heap.peek(), Some((20, 3)));
+        heap.remove(3);
+        heap.remove(3);
+        heap.set(4, 10);
+        let mut order = Vec::new();
+        while let Some((key, leaf)) = heap.peek() {
+            order.push((key, leaf));
+            heap.remove(leaf);
+        }
+        assert_eq!(order, vec![(10, 4), (40, 2), (50, 0), (90, 1)]);
+        assert!(heap.slot.iter().all(|&s| s == UNFILED));
+    }
+
+    /// `leaves` subscribers on one AP, all on a 100 kbit/s assured,
+    /// 1 Mbit/s ceiling plan, each with a standing backlog; the uplink
+    /// carries `uplink_per_leaf` bits per second for each of them.
+    fn backlogged_tree(leaves: usize, uplink_per_leaf: u64) -> ShapingTree<u32> {
+        let uplink = leaves as u64 * uplink_per_leaf;
+        let mut spec = TreeSpec::new(uplink);
+        let ap = spec.add_ap(ROOT, "ap", uplink, uplink);
+        let plan = RatePlan::new("plan", 100_000, 1_000_000);
+        for i in 0..leaves {
+            spec.add_subscriber(ap, "sub", &plan, i as u32);
+        }
+        let mut tree = ShapingTree::new(spec);
+        for n in 0..16 {
+            for i in 0..leaves {
+                tree.enqueue(0, i as u32, 5004, 1_000, true, n);
+            }
+        }
+        tree
+    }
+
+    /// Mean leaf → root path evaluations per `dequeue` while a link
+    /// drains `tree`: serve what is eligible, sleep until `next_at`.
+    fn path_evals_per_dequeue(mut tree: ShapingTree<u32>, dequeues: u64) -> f64 {
+        let before = PATH_EVALS.get();
+        let mut t = 0;
+        let mut released = 0;
+        for _ in 0..dequeues {
+            let out = tree.dequeue(t);
+            match out.released {
+                Some(_) => released += 1,
+                None => t = out.next_at.expect("backlogged"),
+            }
+        }
+        assert!(released * 3 >= dequeues, "the drain mostly releases");
+        (PATH_EVALS.get() - before) as f64 / dequeues as f64
+    }
+
+    /// "Flat in the number of leaves", free of host noise: the work a
+    /// `dequeue` does is counted in path evaluations, and sixty-four
+    /// times the leaves may not double it, in either regime the index
+    /// is built for.
+    #[test]
+    fn work_per_dequeue_does_not_grow_with_leaves() {
+        // Every leaf held by its own ceiling: the uplink has ten times
+        // the sum of the ceilings. Then every leaf held by the root:
+        // the uplink has a tenth of that sum.
+        for (regime, uplink_per_leaf) in
+            [("ceiling-bound", 10_000_000), ("root-saturated", 100_000)]
+        {
+            let few = path_evals_per_dequeue(backlogged_tree(64, uplink_per_leaf), 64 * 12);
+            let many = path_evals_per_dequeue(backlogged_tree(4_096, uplink_per_leaf), 4_096 * 12);
+            assert!(many <= 2.0 * few, "{regime}: {few:.2} -> {many:.2}");
+            assert!(
+                many <= 4.0,
+                "{regime}: {many:.2} path evaluations per dequeue"
+            );
+        }
     }
 
     #[test]

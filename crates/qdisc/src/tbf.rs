@@ -87,6 +87,11 @@ impl TokenBucket {
     }
 
     /// Earliest instant `>= at` at which a packet of `bytes` conforms.
+    ///
+    /// For `at` no earlier than the last [`consume`](Self::consume) this
+    /// is `max(at, T)` with `T` fixed until the next consume: tokens
+    /// only grow in between, so the packet conforms from `T` on. The
+    /// shaping tree files queues by `T` on the strength of that.
     pub fn next_conforming(&self, at: u64, bytes: u32) -> u64 {
         let need = self.need_bits(bytes);
         let (tokens, carry) = self.project(at);
@@ -111,6 +116,7 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bucket(rate_bps: u64, burst_bytes: u64) -> TokenBucket {
         TokenBucket::new(Shaper {
@@ -161,6 +167,38 @@ mod tests {
         // 200 bytes > 100-byte burst: conforms whenever the bucket is full.
         assert!(tb.conforms(0, 200));
         assert_eq!(tb.next_conforming(0, 200), 0);
+    }
+
+    proptest::proptest! {
+        /// Between consumes a bucket admits a given size from one fixed
+        /// instant on, wherever it is asked from: exact at rates up to
+        /// 100 Gbit/s, for any burst, drain history and sub-bit carry.
+        #[test]
+        fn conforms_from_one_fixed_instant_between_consumes(
+            rate in (1u64..=1_000, 0u32..=8),
+            burst_bytes in 1u64..100_000,
+            drains in proptest::collection::vec((any::<u64>(), 1u32..20_000), 0..12),
+            gaps in (any::<u64>(), any::<u64>(), any::<u64>()),
+            bytes in 1u32..20_000,
+        ) {
+            let rate_bps = rate.0 * 10u64.pow(rate.1);
+            let mut tb = bucket(rate_bps, burst_bytes);
+            // Gaps up to twice the time an empty bucket takes to fill,
+            // so about half the instants asked about fall short of it.
+            let span = 2 * (burst_bytes * 8 * 1_000_000).div_ceil(rate_bps) + 2;
+            let mut last = 0u64;
+            for (gap, size) in drains {
+                last += gap % span;
+                tb.consume(last, size);
+            }
+            let a0 = last + gaps.0 % span;
+            let a = a0 + gaps.1 % span;
+            let from = tb.next_conforming(a0, bytes);
+            prop_assert_eq!(tb.next_conforming(a, bytes), a.max(from));
+            for t in [a0, a, a0 + gaps.2 % span, from, from.saturating_sub(1).max(a0)] {
+                prop_assert_eq!(tb.conforms(t, bytes), t >= from, "t = {}", t);
+            }
+        }
     }
 
     #[test]

@@ -170,12 +170,13 @@ enum NetEvent {
 /// The queueing discipline mounted in a link's egress slot.
 enum Plane {
     /// Flat class plane: DRR across four port-classified classes.
-    /// Boxed: it keeps its class state inline (~1.2 kB), and every
+    /// Both planes are boxed: they keep their state inline (~1.2 kB of
+    /// class state here, the tree's scheduler index there), and every
     /// slot of the egress table, mounted or not, is as wide as the
     /// widest variant.
     Flat(Box<Qdisc<InFlight>>),
     /// Shaping tree: one leaf per subscriber destination node.
-    Tree(ShapingTree<InFlight>),
+    Tree(Box<ShapingTree<InFlight>>),
 }
 
 impl Plane {
@@ -348,7 +349,7 @@ impl Network {
     pub fn attach_tree(&mut self, link: LinkId, spec: TreeSpec) -> TreeStatsHandle {
         let tree = ShapingTree::new(spec);
         let handle = tree.shared_stats();
-        self.mount(link, Plane::Tree(tree));
+        self.mount(link, Plane::Tree(Box::new(tree)));
         handle
     }
 

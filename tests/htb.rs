@@ -1,6 +1,7 @@
 //! E2E + property acceptance for the hierarchical shaping tree (CI
 //! job `htb`): borrow-ledger accounting under arbitrary plan
-//! catalogs, work conservation under saturation, custody surviving
+//! catalogs, work conservation under saturation, the indexed scheduler
+//! against a linear-scan transcription of its definition, custody surviving
 //! uplink flaps with a shaped inter-broker link, the `qosPlanAlert`
 //! trap driving the congestion adaptation path at session level, and
 //! worker-count bit-identity with a tree mounted.
@@ -12,15 +13,18 @@
 use collabqos::broker::Overlay;
 use collabqos::core::trapwatch::{decision_from_trap, qos_plan_alert_trap_oid};
 use collabqos::dtn::StoreConfig;
-use collabqos::htb::{RatePlan, ShapingTree, TreeSpec};
+use collabqos::htb::{EnqueueOutcome, RatePlan, ShapingTree, TreeSpec, DEFAULT_LEAF, ROOT};
 use collabqos::prelude::*;
 use collabqos::sempubsub::BusEndpoint;
 use collabqos::simnet::packet::well_known;
+use collabqos::simnet::qdisc::{ClassMap, CoDel, Shaper, TokenBucket, TrafficClass, CLASS_COUNT};
 use collabqos::simnet::{Network, NodeId};
 use collabqos::snmp::transport::TrapSink;
 use collabqos::snmp::SnmpValue;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, VecDeque};
 
 const PKT_BITS: u64 = 1_500 * 8;
 /// Token-bucket depth (3000 B) plus one packet, as bit-budget slack.
@@ -150,6 +154,444 @@ proptest! {
             moved * 10 >= capacity * 9,
             "root moved {moved} of {capacity} bits with every leaf backlogged"
         );
+    }
+}
+
+// ------------------------------------- scheduler vs. its definition
+
+/// What one `dequeue` did, in a form both schedulers can produce:
+/// the release as `(payload, bytes, CE mark, sojourn µs)`, the
+/// payloads CoDel dropped on the way, and the reschedule instant.
+#[derive(Debug, PartialEq, Eq)]
+struct Served {
+    released: Option<(u32, u32, bool, u64)>,
+    aqm_dropped: Vec<u32>,
+    next_at: Option<u64>,
+}
+
+/// Per-node counters, as `TreeStatsHandle` reports them.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Counters {
+    bits_sent: u64,
+    borrowed_bits: u64,
+    drops: u64,
+    ecn_marks: u64,
+    backlog_bytes: u64,
+}
+
+struct ScanNode {
+    rate: TokenBucket,
+    ceil: TokenBucket,
+    parent: usize,
+}
+
+struct ScanEntry {
+    payload: u32,
+    bytes: u32,
+    ecn_capable: bool,
+    enqueued_at: u64,
+}
+
+struct ScanLeaf {
+    node: usize,
+    queues: [VecDeque<ScanEntry>; CLASS_COUNT],
+    codel: CoDel,
+    deficit: u64,
+    quantum: u64,
+}
+
+impl ScanLeaf {
+    fn head_class(&self) -> Option<usize> {
+        (0..CLASS_COUNT).find(|&c| !self.queues[c].is_empty())
+    }
+
+    fn head_bytes(&self) -> Option<u32> {
+        self.head_class().map(|c| self.queues[c][0].bytes)
+    }
+}
+
+/// The tree scheduler as it is *defined*: the linear-scan `ShapingTree`
+/// core that preceded the indexed one, transcribed over the public
+/// `qdisc` primitives. Every `next_ready` looks at every leaf and the
+/// DRR cursor steps one leaf at a time, so nothing here can share a
+/// bookkeeping bug with the ready/waiting index it is compared against.
+struct ScanTree {
+    nodes: Vec<ScanNode>,
+    counters: Vec<Counters>,
+    leaves: Vec<ScanLeaf>,
+    dst_map: BTreeMap<u32, usize>,
+    class_map: ClassMap,
+    queue_cap: usize,
+    cursor: usize,
+    granted: bool,
+}
+
+impl ScanTree {
+    /// Mirror of `ShapingTree::new` for a spec built with `knobs`
+    /// (the spec keeps those private, so the caller passes them again).
+    fn new(spec: &TreeSpec, knobs: &Knobs) -> ScanTree {
+        let bucket = |rate_bps| {
+            TokenBucket::new(Shaper {
+                rate_bps,
+                burst_bytes: knobs.burst_bytes,
+            })
+        };
+        let nodes = (0..spec.node_count())
+            .map(|n| ScanNode {
+                rate: bucket(spec.node_assured_bps(n)),
+                ceil: bucket(spec.node_ceil_bps(n)),
+                parent: spec.node_parent(n),
+            })
+            .collect();
+        // Leaf table order is node order: the default leaf, then the
+        // subscribers as added. The default leaf catches unbound
+        // destinations, so it needs no map entry.
+        let mut leaf_nodes = vec![DEFAULT_LEAF];
+        let mut dst_map = BTreeMap::new();
+        for (node, dst) in spec.subscriber_nodes() {
+            dst_map.insert(dst, leaf_nodes.len());
+            leaf_nodes.push(node);
+        }
+        let leaves = leaf_nodes
+            .into_iter()
+            .map(|node| ScanLeaf {
+                node,
+                queues: std::array::from_fn(|_| VecDeque::new()),
+                codel: CoDel::new(knobs.codel.0, knobs.codel.1),
+                deficit: 0,
+                quantum: (spec.node_assured_bps(node) / 8 / 10).max(1_514),
+            })
+            .collect();
+        ScanTree {
+            nodes,
+            counters: vec![Counters::default(); spec.node_count()],
+            leaves,
+            dst_map,
+            class_map: spec.class_map().clone(),
+            queue_cap: knobs.queue_cap,
+            cursor: 0,
+            granted: false,
+        }
+    }
+
+    fn for_path(&mut self, idx: usize, mut f: impl FnMut(&mut Counters)) {
+        let mut at = idx;
+        loop {
+            f(&mut self.counters[at]);
+            if at == ROOT {
+                break;
+            }
+            at = self.nodes[at].parent;
+        }
+    }
+
+    /// `true` when queued, `false` when tail-dropped.
+    fn enqueue(
+        &mut self,
+        now: u64,
+        dst: u32,
+        port: u16,
+        bytes: u32,
+        ect: bool,
+        payload: u32,
+    ) -> bool {
+        let li = self.dst_map.get(&dst).copied().unwrap_or(0);
+        let class = self.class_map.classify(port).index();
+        let node = self.leaves[li].node;
+        if self.leaves[li].queues[class].len() >= self.queue_cap {
+            self.for_path(node, |c| c.drops += 1);
+            return false;
+        }
+        self.leaves[li].queues[class].push_back(ScanEntry {
+            payload,
+            bytes,
+            ecn_capable: ect,
+            enqueued_at: now,
+        });
+        self.for_path(node, |c| c.backlog_bytes += bytes as u64);
+        true
+    }
+
+    fn payer_for(&self, li: usize, now: u64, bytes: u32) -> Option<usize> {
+        let mut at = self.leaves[li].node;
+        loop {
+            if self.nodes[at].rate.conforms(now, bytes) {
+                return Some(at);
+            }
+            if at == ROOT {
+                return None;
+            }
+            at = self.nodes[at].parent;
+        }
+    }
+
+    fn path_ceils_conform(&self, li: usize, now: u64, bytes: u32) -> bool {
+        let mut at = self.leaves[li].node;
+        loop {
+            if !self.nodes[at].ceil.conforms(now, bytes) {
+                return false;
+            }
+            if at == ROOT {
+                return true;
+            }
+            at = self.nodes[at].parent;
+        }
+    }
+
+    fn leaf_eligible(&self, li: usize, now: u64) -> bool {
+        let Some(bytes) = self.leaves[li].head_bytes() else {
+            return false;
+        };
+        self.path_ceils_conform(li, now, bytes) && self.payer_for(li, now, bytes).is_some()
+    }
+
+    fn next_ready(&self, after: u64) -> Option<u64> {
+        let mut best: Option<u64> = None;
+        for leaf in &self.leaves {
+            let Some(bytes) = leaf.head_bytes() else {
+                continue;
+            };
+            let mut ceil_at = after;
+            let mut payer_at = u64::MAX;
+            let mut at = leaf.node;
+            loop {
+                ceil_at = ceil_at.max(self.nodes[at].ceil.next_conforming(after, bytes));
+                payer_at = payer_at.min(self.nodes[at].rate.next_conforming(after, bytes));
+                if at == ROOT {
+                    break;
+                }
+                at = self.nodes[at].parent;
+            }
+            let t = ceil_at.max(payer_at);
+            best = Some(best.map_or(t, |b| b.min(t)));
+        }
+        best
+    }
+
+    fn advance_cursor(&mut self) {
+        self.cursor = (self.cursor + 1) % self.leaves.len();
+        self.granted = false;
+    }
+
+    fn dequeue(&mut self, now: u64) -> Served {
+        let mut aqm_dropped = Vec::new();
+        loop {
+            match self.next_ready(now) {
+                Some(at) if at <= now => {}
+                next_at => {
+                    return Served {
+                        released: None,
+                        aqm_dropped,
+                        next_at,
+                    };
+                }
+            }
+            let li = self.cursor;
+            if !self.leaf_eligible(li, now) {
+                // Empty, ceiling-blocked, or the whole path is out of
+                // assured tokens: forfeit the deficit.
+                self.leaves[li].deficit = 0;
+                self.advance_cursor();
+                continue;
+            }
+            if !self.granted {
+                self.leaves[li].deficit += self.leaves[li].quantum;
+                self.granted = true;
+            }
+            let class = self.leaves[li]
+                .head_class()
+                .expect("eligible leaves are backlogged");
+            let head_bytes = self.leaves[li].queues[class][0].bytes as u64;
+            if self.leaves[li].deficit < head_bytes {
+                self.advance_cursor();
+                continue;
+            }
+            let entry = self.leaves[li].queues[class]
+                .pop_front()
+                .expect("non-empty");
+            self.leaves[li].deficit -= head_bytes;
+            let node = self.leaves[li].node;
+            self.for_path(node, |c| c.backlog_bytes -= entry.bytes as u64);
+            let sojourn = now.saturating_sub(entry.enqueued_at);
+            let signal = self.leaves[li].codel.on_dequeue(now, sojourn);
+            if signal && !entry.ecn_capable {
+                self.for_path(node, |c| c.drops += 1);
+                aqm_dropped.push(entry.payload);
+                continue;
+            }
+            if signal {
+                self.for_path(node, |c| c.ecn_marks += 1);
+            }
+            let bits = entry.bytes as u64 * 8;
+            let payer = self
+                .payer_for(li, now, entry.bytes)
+                .expect("eligibility checked");
+            let mut at = node;
+            loop {
+                self.nodes[at].ceil.consume(now, entry.bytes);
+                if at == ROOT {
+                    break;
+                }
+                at = self.nodes[at].parent;
+            }
+            self.nodes[payer].rate.consume(now, entry.bytes);
+            if payer != node {
+                self.counters[node].borrowed_bits += bits;
+            }
+            self.for_path(node, |c| c.bits_sent += bits);
+            if self.leaves[li].head_class().is_none() {
+                self.leaves[li].deficit = 0;
+                self.advance_cursor();
+            }
+            return Served {
+                released: Some((entry.payload, entry.bytes, signal, sojourn)),
+                aqm_dropped,
+                next_at: None,
+            };
+        }
+    }
+}
+
+/// The spec settings `TreeSpec` does not read back.
+struct Knobs {
+    burst_bytes: u64,
+    queue_cap: usize,
+    codel: (u64, u64),
+}
+
+/// A random tree: 1–3 sites × 1–3 APs × 1–11 subscribers, random
+/// plans, on an uplink that may or may not cover their ceilings — so
+/// cases land in the ceiling-bound regime, the root-saturated one and
+/// between. Returns the spec, its knobs and the destinations to draw
+/// from (the last one is bound to no leaf and rides the default leaf).
+fn random_tree(rng: &mut StdRng) -> (TreeSpec, Knobs, Vec<u32>) {
+    let knobs = Knobs {
+        burst_bytes: [1_514, 3_000, 10_000][rng.random_range(0..3usize)],
+        queue_cap: [4, 16, 64][rng.random_range(0..3usize)],
+        codel: if rng.random() {
+            (1_000, 2_000)
+        } else {
+            (5_000, 100_000)
+        },
+    };
+    let uplink = rng.random_range(500_000u64..40_000_000);
+    let classes = ClassMap::builder(TrafficClass::Background)
+        .route(161, TrafficClass::Control)
+        .route(5004, TrafficClass::InteractiveMedia)
+        .route(9000, TrafficClass::BulkMedia)
+        .build();
+    let mut spec = TreeSpec::new(uplink)
+        .with_class_map(classes)
+        .with_burst_bytes(knobs.burst_bytes)
+        .with_leaf_queue_cap(knobs.queue_cap)
+        .with_codel(knobs.codel.0, knobs.codel.1);
+    let mut dsts = Vec::new();
+    for s in 0..rng.random_range(1..=3) {
+        let site_ceil = rng.random_range(uplink / 4..=uplink);
+        let site = spec.add_site(
+            &format!("s{s}"),
+            rng.random_range(site_ceil / 4..=site_ceil),
+            site_ceil,
+        );
+        for a in 0..rng.random_range(1..=3) {
+            let ap_ceil = rng.random_range(site_ceil / 4..=site_ceil);
+            let ap = spec.add_ap(
+                site,
+                &format!("a{s}.{a}"),
+                rng.random_range(ap_ceil / 4..=ap_ceil),
+                ap_ceil,
+            );
+            for _ in 0..rng.random_range(1..=11) {
+                let assured = rng.random_range(64_000u64..4_000_000);
+                let plan = RatePlan::new("p", assured, assured * rng.random_range(1u64..=4));
+                let dst = 100 + dsts.len() as u32;
+                spec.add_subscriber(ap, &format!("d{dst}"), &plan, dst);
+                dsts.push(dst);
+            }
+        }
+    }
+    dsts.push(9_999);
+    (spec, knobs, dsts)
+}
+
+fn counters_of(tree: &ShapingTree<u32>) -> Vec<Counters> {
+    let stats = tree.shared_stats();
+    (0..stats.node_count())
+        .map(|n| Counters {
+            bits_sent: stats.bits_sent(n),
+            borrowed_bits: stats.borrowed_bits(n),
+            drops: stats.drops(n),
+            ecn_marks: stats.ecn_marks(n),
+            backlog_bytes: stats.backlog_bytes(n),
+        })
+        .collect()
+}
+
+proptest! {
+    /// The indexed scheduler releases exactly what its definition
+    /// releases: on random trees and random traffic, every enqueue
+    /// verdict, every released payload / size / CE mark / sojourn,
+    /// every AQM drop, every `next_at`, every `next_ready` probe and
+    /// the final counters of every node match the linear scan.
+    #[test]
+    fn indexed_scheduler_matches_linear_scan(case_seed in any::<u64>()) {
+        let seed = chaos_seed(case_seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (spec, knobs, dsts) = random_tree(&mut rng);
+        let line_bps = rng.random_range(1_000_000u64..100_000_000);
+        let mut scan = ScanTree::new(&spec, &knobs);
+        let mut tree: ShapingTree<u32> = ShapingTree::new(spec);
+        let mut now = 0u64;
+        let mut payload = 0u32;
+        for _ in 0..rng.random_range(40..200) {
+            match rng.random_range(0..10) {
+                // A burst of mixed packets, all four classes, ECT or not.
+                0..=3 => {
+                    for _ in 0..rng.random_range(1..60) {
+                        let dst = dsts[rng.random_range(0..dsts.len())];
+                        let port = [161, 5004, 9000, 7_777][rng.random_range(0..4usize)];
+                        // One packet in sixteen outweighs the smallest
+                        // DRR quantum, so deficits carry across rounds.
+                        let jumbo = rng.random_range(0..16) == 0;
+                        let bytes = rng.random_range(40u32..=if jumbo { 9_000 } else { 1_514 });
+                        let ect: bool = rng.random();
+                        payload += 1;
+                        let queued = matches!(
+                            tree.enqueue(now, dst, port, bytes, ect, payload),
+                            EnqueueOutcome::Queued
+                        );
+                        prop_assert_eq!(queued, scan.enqueue(now, dst, port, bytes, ect, payload), "seed {seed}");
+                    }
+                }
+                // Drain as a link does: serialise each release, sleep
+                // until `next_at` when nothing conforms.
+                4..=7 => {
+                    for _ in 0..rng.random_range(1..300) {
+                        let out = tree.dequeue(now);
+                        let got = Served {
+                            released: out.released.map(|r| (r.payload, r.bytes, r.ecn_marked, r.sojourn_us)),
+                            aqm_dropped: out.aqm_dropped.into_iter().map(|(_, p)| p).collect(),
+                            next_at: out.next_at,
+                        };
+                        let want = scan.dequeue(now);
+                        prop_assert_eq!(&got, &want, "dequeue at {now}; seed {seed}");
+                        match (got.released, got.next_at) {
+                            (Some((_, bytes, _, _)), _) => now += bytes as u64 * 8_000_000 / line_bps,
+                            (None, Some(at)) => now = at,
+                            (None, None) => break,
+                        }
+                    }
+                }
+                8 => now += rng.random_range(0u64..50_000),
+                // Price a reschedule ahead of the clock, as simnet
+                // does when the line is busy past `now`.
+                _ => {
+                    let after = now + rng.random_range(0u64..20_000);
+                    prop_assert_eq!(tree.next_ready(after), scan.next_ready(after), "probe at {after}; seed {seed}");
+                }
+            }
+        }
+        prop_assert_eq!(counters_of(&tree), scan.counters, "seed {seed}");
     }
 }
 
