@@ -8,12 +8,19 @@
 //! path's encoded bytes must equal the reference coder's on the same
 //! plane, and the decoded coefficients must round-trip — so a wire
 //! regression cannot masquerade as a fast run. The headline scenario
-//! (512×512, 4-level CDF 5/3) additionally asserts the ≥3× encode
-//! speedup this optimization is accountable for.
+//! (512×512, 4-level CDF 5/3) additionally asserts the ≥3× encode and
+//! ≥2× decode speedups the fast path is accountable for.
+//!
+//! Viewers do not decode full lossless planes: they decode a *prefix*
+//! of the colour container a share sends (6 bpp, the benchmark's
+//! `full_stream_bpp`), as long as their packet budget. The prefix rows
+//! time exactly that — 1/2, 1/4 and 1/8 of the 6-bpp container through
+//! `decode_image`, inverse wavelet and colour transform included.
 //!
 //! Output: a human-readable table plus machine-readable
 //! `BENCH media_codec.<op><size> msgs_per_s=...` lines (pixels/s) for
-//! CI's bench-regression gate. `--quick` / `BENCH_QUICK=1` trims the
+//! CI's bench-regression gate; `decode_prefix<size>` is the pixels of
+//! the three prefix views over their summed time. `--quick` / `BENCH_QUICK=1` trims the
 //! repetition count, not the scenarios — the identity and speedup
 //! asserts always run.
 
@@ -27,6 +34,12 @@ use media::wavelet::{WaveletKind, WaveletScratch};
 const SCENARIOS: &[(usize, usize, usize)] = &[(256, 256, 4), (512, 512, 4)];
 /// Minimum encode speedup the 512×512 CDF 5/3 scenario must show.
 const REQUIRED_SPEEDUP: f64 = 3.0;
+/// Minimum decode speedup over `reference::decode_plane`, same plane.
+const REQUIRED_DECODE_SPEEDUP: f64 = 2.0;
+/// Rate of the colour container the prefix rows cut, in bits per pixel.
+const PREFIX_BPP: usize = 6;
+/// Prefix lengths, as divisors of the 6-bpp container.
+const PREFIX_CUTS: [usize; 3] = [2, 4, 8];
 
 struct Measured {
     encode_mpix: f64,
@@ -35,6 +48,24 @@ struct Measured {
     ref_decode_mpix: f64,
     truncate_mb_s: f64,
     stream_bytes: usize,
+    /// `decode_image` seconds per prefix of [`PREFIX_CUTS`].
+    prefix_secs: [f64; 3],
+}
+
+impl Measured {
+    fn encode_speedup(&self) -> f64 {
+        self.encode_mpix / self.ref_encode_mpix
+    }
+
+    fn decode_speedup(&self) -> f64 {
+        self.decode_mpix / self.ref_decode_mpix
+    }
+
+    /// Both asserted bars met.
+    fn clears_bars(&self) -> bool {
+        self.encode_speedup() >= REQUIRED_SPEEDUP
+            && self.decode_speedup() >= REQUIRED_DECODE_SPEEDUP
+    }
 }
 
 /// Bench one plane geometry: fast vs reference encode/decode plus
@@ -91,6 +122,17 @@ fn run(w: usize, h: usize, levels: usize, reps: usize) -> Measured {
         "truncated container decodes"
     );
 
+    // What a viewer decodes: a prefix of the 6-bpp colour container.
+    let color = synthetic_scene(w, h, 3, 4, 42).image;
+    let shared = ezw::encode_image_opts(&color, levels, kind, true).expect("container encodes");
+    let shared = ezw::truncate_container(&shared, w * h * PREFIX_BPP / 8).expect("cut is valid");
+    let prefix_secs = PREFIX_CUTS.map(|div| {
+        let prefix = ezw::truncate_container(&shared, shared.len() / div).expect("cut is valid");
+        let (view, secs) = time_best(reps, || ezw::decode_image(&prefix).expect("prefix decodes"));
+        assert_eq!((view.width, view.height, view.channels), (w, h, 3));
+        secs
+    });
+
     Measured {
         encode_mpix: pixels / fast_secs / 1e6,
         ref_encode_mpix: pixels / ref_secs / 1e6,
@@ -98,6 +140,7 @@ fn run(w: usize, h: usize, levels: usize, reps: usize) -> Measured {
         ref_decode_mpix: pixels / ref_dec_secs / 1e6,
         truncate_mb_s: budget as f64 / trunc_secs / 1e6,
         stream_bytes: stream.len(),
+        prefix_secs,
     }
 }
 
@@ -121,10 +164,10 @@ fn main() {
         &widths,
     );
     let mut checked_headline = false;
+    let mut prefixes = Vec::new();
     for &(w, h, levels) in SCENARIOS {
         let mut m = run(w, h, levels, reps);
-        let mut speedup = m.encode_mpix / m.ref_encode_mpix;
-        // The speedup bar is asserted on the best of several full
+        // The speedup bars are asserted on the best of several full
         // measurements: best-of-reps absorbs per-call jitter, but a
         // throttled or contended host can depress a whole attempt
         // (and compresses the ratio, since the fast path loses more
@@ -134,18 +177,17 @@ fn main() {
         // any attempt; identity is asserted on every run.
         if (w, h) == (512, 512) {
             for _ in 0..4 {
-                if speedup >= REQUIRED_SPEEDUP {
+                if m.clears_bars() {
                     break;
                 }
                 std::thread::sleep(std::time::Duration::from_millis(400));
                 let retry = run(w, h, levels, reps * 2);
-                let s = retry.encode_mpix / retry.ref_encode_mpix;
-                if s > speedup {
+                if retry.clears_bars() || retry.encode_speedup() > m.encode_speedup() {
                     m = retry;
-                    speedup = s;
                 }
             }
         }
+        let speedup = m.encode_speedup();
         row(
             &[
                 format!("{w}x{h}"),
@@ -166,6 +208,12 @@ fn main() {
                 speedup >= REQUIRED_SPEEDUP,
                 "512x512 encode speedup {speedup:.2}x below the required {REQUIRED_SPEEDUP}x"
             );
+            let decode_speedup = m.decode_speedup();
+            assert!(
+                decode_speedup >= REQUIRED_DECODE_SPEEDUP,
+                "512x512 decode speedup {decode_speedup:.2}x below the required \
+                 {REQUIRED_DECODE_SPEEDUP}x"
+            );
         }
         // Gate metric is pixels/s under the standard msgs_per_s key.
         println!(
@@ -179,6 +227,32 @@ fn main() {
         println!(
             "BENCH media_codec.truncate{w} msgs_per_s={:.0}",
             m.truncate_mb_s * 1e6
+        );
+        prefixes.push((w, h, m.prefix_secs));
+    }
+    println!();
+    println!(
+        "prefix decode: {PREFIX_BPP}-bpp colour container through decode_image (YCoCg-R + CDF 5/3)"
+    );
+    println!();
+    let widths = [9usize, 8, 10, 10];
+    header(&["image", "prefix", "ms", "Mpix/s"], &widths);
+    for (w, h, secs) in prefixes {
+        let pixels = (w * h) as f64;
+        for (div, s) in PREFIX_CUTS.iter().zip(secs) {
+            row(
+                &[
+                    format!("{w}x{h}"),
+                    format!("1/{div}"),
+                    format!("{:.3}", s * 1e3),
+                    fmt(pixels / s / 1e6),
+                ],
+                &widths,
+            );
+        }
+        println!(
+            "BENCH media_codec.decode_prefix{w} msgs_per_s={:.0}",
+            pixels * secs.len() as f64 / secs.iter().sum::<f64>()
         );
     }
     assert!(checked_headline, "headline scenario must run");

@@ -318,28 +318,27 @@ impl ImageViewer {
         let entry = self.pending.get(&object_id)?;
         let meta = entry.meta.as_ref()?;
         let want = (self.budget).min(meta.total_packets as u32) as usize;
-        if want == 0 || entry.packets.len() < want {
+        if want == 0 {
             return None;
         }
-        let mut have: Vec<bool> = vec![false; want];
-        for p in &entry.packets {
-            if (p.index as usize) < want {
-                have[p.index as usize] = true;
-            }
-        }
-        if !have.iter().all(|&h| h) {
+        // Stored indices are distinct (`apply` refuses duplicates), so
+        // `want` of them below `want` are the whole prefix;
+        // `reassemble_prefix` orders and verifies it.
+        let in_prefix = |p: &MediaPacket| (p.index as usize) < want;
+        if entry.packets.iter().filter(|p| in_prefix(p)).count() < want {
             return None;
         }
         let entry = self.pending.remove(&object_id)?;
         let meta = entry.meta.expect("checked above");
-        let mut prefix: Vec<MediaPacket> = entry
-            .packets
-            .into_iter()
-            .filter(|p| (p.index as usize) < want)
-            .collect();
-        prefix.sort_by_key(|p| p.index);
+        let prefix: Vec<MediaPacket> = entry.packets.into_iter().filter(in_prefix).collect();
         let received_bytes: usize = prefix.iter().map(|p| p.payload.len()).sum();
         let container = reassemble_prefix(&prefix).ok()?;
+        // The stream's own header sizes what decoding allocates: drop
+        // an object that is not the size its announcement promised.
+        let (w, h) = ezw::container_dimensions(&container).ok()?;
+        if (w * h) as u64 != meta.pixels {
+            return None;
+        }
         // Apply the inference engine's resolution scale (§5.2: "the
         // resolution of an incoming image may be reduced to match the
         // client's resources"). Power-of-two scales use the wavelet
@@ -423,6 +422,26 @@ mod tests {
             });
         }
         (scene.image, events)
+    }
+
+    #[test]
+    fn viewer_drops_an_object_of_another_size_than_announced() {
+        // The announcement promises 64x64; the packets carry 32x32.
+        let (_, mut events) = share_events(5, 4);
+        let small = synthetic_scene(32, 32, 1, 3, 7);
+        let container = ezw::encode_image(&small.image, 3, WaveletKind::Cdf53).unwrap();
+        for (ev, packet) in events[1..].iter_mut().zip(split_packets(&container, 4)) {
+            *ev = AppEvent::ImagePacket {
+                object_id: 5,
+                packet,
+            };
+        }
+        let mut viewer = ImageViewer::new(4);
+        for ev in &events {
+            assert!(viewer.apply(ev).is_none());
+        }
+        assert!(viewer.viewed.is_empty());
+        assert!(viewer.pending.is_empty(), "the object is dropped, not kept");
     }
 
     #[test]

@@ -18,13 +18,15 @@ pub fn forward_pixel(r: i32, g: i32, b: i32) -> (i32, i32, i32) {
     (y, co, cg)
 }
 
-/// Inverse YCoCg-R on one pixel: `(y, co, cg) -> (r, g, b)`.
+/// Inverse YCoCg-R on one pixel: `(y, co, cg) -> (r, g, b)`. The
+/// inputs are decoded from received bytes; sums that leave `i32` wrap
+/// (see `wavelet::inverse_1d`).
 #[inline]
 pub fn inverse_pixel(y: i32, co: i32, cg: i32) -> (i32, i32, i32) {
-    let t = y - (cg >> 1);
-    let g = cg + t;
-    let b = t - (co >> 1);
-    let r = b + co;
+    let t = y.wrapping_sub(cg >> 1);
+    let g = cg.wrapping_add(t);
+    let b = t.wrapping_sub(co >> 1);
+    let r = b.wrapping_add(co);
     (r, g, b)
 }
 

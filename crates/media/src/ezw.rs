@@ -20,22 +20,34 @@
 //!
 //! The wire format is pinned bit-identical to the pre-refactor coder
 //! (`crate::reference`, differential suite in `tests/media_codec.rs`),
-//! but the hot path is list-driven in the SPIHT style:
+//! but neither side re-scans the full subband order and branch-skips
+//! the already-significant majority every bit-plane:
 //!
-//! * the dominant pass walks an explicit **candidate list** of
-//!   still-insignificant coefficients (with magnitude, subtree max,
-//!   sign, and child flags cached per entry) instead of re-scanning
-//!   the full subband order and branch-skipping the already-significant
-//!   majority every bit-plane; coefficients leave the list the moment
-//!   they become significant,
-//! * zerotree descendants are stamped through a reusable work stack —
-//!   no per-root allocation,
+//! * the **encoder**'s dominant pass walks an explicit candidate list
+//!   of still-insignificant coefficients (magnitude, subtree max, sign
+//!   and child flag packed per entry), merged each pass with that
+//!   pass's statically known activation bucket; coefficients leave the
+//!   list the moment they become significant,
+//! * the **decoder**'s live set is a bitmap over *scan rank* — set
+//!   while a coefficient is activated and not yet significant — and
+//!   its dominant pass is a `trailing_zeros` walk over the set bits.
+//!   A parent's first non-zerotree symbol sets its children's bits;
+//!   since parents precede children in scan order the same walk meets
+//!   them later in the pass, in order, with no list to merge or copy.
+//!   Significant coefficients go, in significance order, into one
+//!   packed list that the subordinate pass refines sequentially, and
+//!   are scattered into the plane once, at the end,
 //! * [`BitWriter`]/[`BitReader`] move whole symbols through a 64-bit
-//!   accumulator (`push_bits`) instead of one bounds-checked byte poke
-//!   per bit,
-//! * all per-plane state (lists, stamps, the scan-order geometry)
-//!   lives in a caller-owned [`EzwScratch`], so a session encoding a
-//!   stream of planes allocates nothing after warm-up.
+//!   accumulator (`push_bits`, `peek`/`consume`) instead of one
+//!   bounds-checked byte poke per bit,
+//! * all per-plane state (lists, bitmaps, the decoder's rank-space
+//!   geometry) lives in a caller-owned [`EzwScratch`], so a session
+//!   encoding a stream of planes allocates nothing after warm-up.
+//!
+//! Every size the decoder allocates comes from a plane header, which
+//! is received bytes: headers are checked — against a fixed sample
+//! cap, and against each other within a container — before anything
+//! is sized from them.
 
 use crate::image::Image;
 use crate::wavelet::{self, WaveletKind, WaveletScratch};
@@ -122,14 +134,20 @@ impl BitWriter {
     }
 }
 
-/// MSB-first bit reader; `None` when exhausted. Refills a 64-bit
-/// accumulator eight bytes at a time.
+/// MSB-first bit reader over a left-aligned 64-bit accumulator: the
+/// next unread bit is bit 63, so a whole symbol is one shift away
+/// ([`BitReader::peek`]) and is dropped with another
+/// ([`BitReader::consume`]). [`BitReader::next`] is the one-bit wrapper.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
     /// Next byte to load into the accumulator.
     byte_pos: usize,
+    /// Unread bits, left-aligned. Whatever sits below the `nacc`
+    /// counted bits is either zero or a copy of the stream bits that
+    /// the next refill loads again, so refilling is a plain OR.
     acc: u64,
+    /// Counted bits in `acc`, at most 63.
     nacc: u32,
 }
 
@@ -144,47 +162,94 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top up the accumulator: afterwards at least 56 bits are
+    /// buffered, or every remaining bit of the data is.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(chunk) = self.bytes.get(self.byte_pos..self.byte_pos + 8) {
+            let word = u64::from_be_bytes(chunk.try_into().expect("8 bytes"));
+            self.acc |= word >> self.nacc;
+            // Count whole bytes only; the partial byte below them is
+            // loaded again by the next refill.
+            let take = (63 - self.nacc) >> 3;
+            self.byte_pos += take as usize;
+            self.nacc += take * 8;
+        } else {
+            while self.nacc < 56 && self.byte_pos < self.bytes.len() {
+                self.acc |= (self.bytes[self.byte_pos] as u64) << (56 - self.nacc);
+                self.byte_pos += 1;
+                self.nacc += 8;
+            }
+        }
+    }
+
+    /// The next `n` bits (`1..=56`) right-aligned, without consuming
+    /// them. Bits past the end of the data read as zero; compare `n`
+    /// with [`BitReader::buffered`] to tell.
+    #[inline]
+    pub fn peek(&mut self, n: u32) -> u64 {
+        debug_assert!((1..=56).contains(&n));
+        if self.nacc < n {
+            self.refill();
+        }
+        self.acc >> (64 - n)
+    }
+
+    /// Unread bits currently in the accumulator. After `peek(n)` this
+    /// is below `n` only when the data ends inside those `n` bits.
+    #[inline]
+    pub fn buffered(&self) -> u32 {
+        self.nacc
+    }
+
+    /// Drop `n <= buffered()` bits.
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.nacc);
+        self.acc <<= n;
+        self.nacc -= n;
+    }
+
     /// Next bit, or `None` at end of data.
     #[allow(clippy::should_implement_trait)] // not an Iterator: no fused/size semantics
     #[inline]
     pub fn next(&mut self) -> Option<bool> {
+        let bit = self.peek(1) != 0;
         if self.nacc == 0 {
-            let rem = self.bytes.len() - self.byte_pos;
-            if rem >= 8 {
-                self.acc = u64::from_be_bytes(
-                    self.bytes[self.byte_pos..self.byte_pos + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                );
-                self.nacc = 64;
-                self.byte_pos += 8;
-            } else if rem > 0 {
-                self.acc = 0;
-                for &b in &self.bytes[self.byte_pos..] {
-                    self.acc = (self.acc << 8) | b as u64;
-                }
-                self.nacc = rem as u32 * 8;
-                self.byte_pos = self.bytes.len();
-            } else {
-                return None;
-            }
+            return None;
         }
-        self.nacc -= 1;
-        Some((self.acc >> self.nacc) & 1 != 0)
+        self.consume(1);
+        Some(bit)
     }
 }
 
 // ------------------------------------------------------------ geometry
 
-/// Scan/tree geometry shared by encoder and decoder.
+/// Most samples a plane header may declare. The header is received
+/// bytes and the decoder allocates from it, so it is bounded before
+/// anything is sized by it; 2048x2048 is well past any shared image.
+const MAX_PLANE_SAMPLES: usize = 1 << 22;
+
+/// Scan/tree geometry of one plane shape, addressed by **scan rank**
+/// (the position in the subband-ordered scan, coarse to fine). Decoder
+/// only — the encoder regenerates the scan from its band loops.
+///
+/// In rank space the zerotree is simple: the `roots()` coarsest-LL
+/// nodes come first and root `r` parents `r + roots`, `r + 2·roots`,
+/// `r + 3·roots` (the co-located HL/LH/HH coefficients); every other
+/// node below `parents()` has a 2x2 block of children in the same
+/// orientation one level finer; the finest level — everything from
+/// `parents()` on — has none. A parent always precedes its children.
 struct Geometry {
     w: usize,
     h: usize,
     levels: usize,
-    /// Subband-ordered scan (coarse to fine), as linear indices.
+    /// Rank to linear index.
     scan: Vec<u32>,
-    /// Inverse of `scan`: the scan position of each linear index.
-    rank: Vec<u32>,
+    /// For the detail parent of rank `r`, at `r - roots()`: the ranks
+    /// of its top-left and bottom-left children (the other two follow
+    /// each at `+ 1`).
+    child_rows: Vec<[u32; 2]>,
 }
 
 impl Geometry {
@@ -197,89 +262,67 @@ impl Geometry {
                 scan.push((y * w + x) as u32);
             }
         }
+        let mut child_rows = Vec::with_capacity((w / 2) * (h / 2) - wl * hl);
         for l in (1..=levels).rev() {
             let (wb, hb) = (w >> l, h >> l);
             // HL (top-right), LH (bottom-left), HH (bottom-right).
-            for y in 0..hb {
-                for x in wb..2 * wb {
-                    scan.push((y * w + x) as u32);
+            for (band, (x0, y0)) in [(wb, 0), (0, hb), (wb, hb)].into_iter().enumerate() {
+                for y in y0..y0 + hb {
+                    for x in x0..x0 + wb {
+                        scan.push((y * w + x) as u32);
+                    }
                 }
-            }
-            for y in hb..2 * hb {
-                for x in 0..wb {
-                    scan.push((y * w + x) as u32);
-                }
-            }
-            for y in hb..2 * hb {
-                for x in wb..2 * wb {
-                    scan.push((y * w + x) as u32);
+                if l > 1 {
+                    // The same band one level finer starts after
+                    // everything coarser (4·wb·hb ranks) and holds
+                    // 2wb x 2hb coefficients.
+                    let child_band = (4 + 4 * band) * wb * hb;
+                    for y in 0..hb {
+                        for x in 0..wb {
+                            let top = child_band + 4 * y * wb + 2 * x;
+                            child_rows.push([top as u32, (top + 2 * wb) as u32]);
+                        }
+                    }
                 }
             }
         }
         debug_assert_eq!(scan.len(), w * h);
-        let mut rank = vec![0u32; w * h];
-        for (r, &idx) in scan.iter().enumerate() {
-            rank[idx as usize] = r as u32;
-        }
         Geometry {
             w,
             h,
             levels,
             scan,
-            rank,
+            child_rows,
         }
     }
 
-    /// Children of the coefficient at linear index `idx` (0 to 4).
-    fn children(&self, idx: usize, out: &mut [usize; 4]) -> usize {
-        let (x, y) = (idx % self.w, idx / self.w);
-        let (wl, hl) = (self.w >> self.levels, self.h >> self.levels);
-        if x < wl && y < hl {
-            // Coarsest LL: parents the co-located HL/LH/HH coefficients.
-            out[0] = y * self.w + (x + wl);
-            out[1] = (y + hl) * self.w + x;
-            out[2] = (y + hl) * self.w + (x + wl);
+    /// Number of coarsest-LL (parentless) nodes; they hold ranks
+    /// `0..roots()`.
+    fn roots(&self) -> usize {
+        (self.w >> self.levels) * (self.h >> self.levels)
+    }
+
+    /// Ranks below this have children; the finest level does not.
+    fn parents(&self) -> usize {
+        (self.w / 2) * (self.h / 2)
+    }
+
+    /// Child ranks of the parent at `rank` (3 for a root, else 4).
+    #[inline]
+    fn children(&self, rank: usize, out: &mut [usize; 4]) -> usize {
+        let roots = self.roots();
+        if rank < roots {
+            *out = [rank + roots, rank + 2 * roots, rank + 3 * roots, 0];
             3
-        } else if 2 * x < self.w && 2 * y < self.h {
-            out[0] = 2 * y * self.w + 2 * x;
-            out[1] = 2 * y * self.w + 2 * x + 1;
-            out[2] = (2 * y + 1) * self.w + 2 * x;
-            out[3] = (2 * y + 1) * self.w + 2 * x + 1;
-            4
         } else {
-            0
-        }
-    }
-
-    fn has_children(&self, idx: usize) -> bool {
-        let mut buf = [0usize; 4];
-        self.children(idx, &mut buf) > 0
-    }
-
-    /// Mark every descendant of `idx` with `stamp`, using the caller's
-    /// `work` stack (cleared here) instead of a per-root allocation.
-    ///
-    /// The production passes no longer stamp at all — they exploit the
-    /// fact that subtree maxima are monotone down the tree, so "inside
-    /// a zerotree at threshold t" reduces to the static test
-    /// `subtree_max[parent] < t` (encoder) or to spawn-on-first-
-    /// non-ZTR (decoder). This method survives as the executable
-    /// definition of zerotree cover the equivalence tests pin the fast
-    /// rules against.
-    #[cfg(test)]
-    fn stamp_descendants(&self, idx: usize, stamp: u32, stamps: &mut [u32], work: &mut Vec<u32>) {
-        work.clear();
-        let mut kids = [0usize; 4];
-        let n = self.children(idx, &mut kids);
-        work.extend(kids[..n].iter().map(|&k| k as u32));
-        while let Some(i) = work.pop() {
-            let i = i as usize;
-            if stamps[i] == stamp {
-                continue;
-            }
-            stamps[i] = stamp;
-            let n = self.children(i, &mut kids);
-            work.extend(kids[..n].iter().map(|&k| k as u32));
+            let [top, bottom] = self.child_rows[rank - roots];
+            *out = [
+                top as usize,
+                top as usize + 1,
+                bottom as usize,
+                bottom as usize + 1,
+            ];
+            4
         }
     }
 }
@@ -318,27 +361,16 @@ fn bitpos_field(v: u32, shift: u32) -> u64 {
     (biased & nonzero_mask) << shift
 }
 
-const FLAG_KIDS: u8 = 2;
-/// Decoder-side: this entry has already spawned its children.
-const FLAG_SPAWNED: u8 = 4;
-
-/// One decoder candidate: scan rank, index, and child/spawned flags
-/// (magnitudes are unknown until the bits say so).
-#[derive(Clone, Copy)]
-struct DecCand {
-    rank: u32,
-    idx: u32,
-    flags: u8,
-}
-
-/// Reusable per-plane coder state: candidate lists, activation
-/// buckets, the subordinate list, and a cached [`Geometry`] (rebuilt
-/// only when the plane shape changes). Shared by
+/// Reusable per-plane coder state: the encoder's candidate lists and
+/// activation buckets, the decoder's live bitmap and significance
+/// list, and the decoder's cached `Geometry` (rebuilt only when the
+/// plane shape changes). Shared by
 /// [`EzwEncoder::encode_plane_with`] and
 /// [`EzwDecoder::decode_plane_with`]; a default-constructed scratch is
 /// used transparently by the plain entry points.
 #[derive(Default)]
 pub struct EzwScratch {
+    /// Decoder: tree geometry of the last plane shape decoded.
     geo: Option<Geometry>,
     /// Encoder: max `|coeff|` over each subtree.
     subtree_max: Vec<u32>,
@@ -346,8 +378,6 @@ pub struct EzwScratch {
     /// subtree max first meets the threshold; 0 for parentless nodes,
     /// 255 for never-coded all-zero subtrees).
     act: Vec<u8>,
-    /// Decoder: indices significant in an earlier pass, in order.
-    sub_list: Vec<u32>,
     /// Encoder: magnitudes of significant coefficients, in
     /// significance order — the subordinate pass reads it sequentially
     /// (the refinement bit never needs the index, only the magnitude).
@@ -365,15 +395,20 @@ pub struct EzwScratch {
     buckets: Vec<u64>,
     bucket_off: Vec<usize>,
     bucket_cur: Vec<usize>,
-    /// Decoder: live candidates, sorted by scan rank (double-buffered).
-    lip: Vec<DecCand>,
-    lip_next: Vec<DecCand>,
-    /// Decoder: children activated mid-pass, merged in by scan rank.
-    spawn_heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-    /// Decoder magnitudes.
-    mags: Vec<u32>,
-    /// Decoder signs.
-    negs: Vec<bool>,
+    /// Decoder: the live set, one bit per scan rank — set while a
+    /// coefficient is activated (a root, or its parent has coded a
+    /// non-zerotree symbol) and not yet significant. A dominant pass
+    /// is a walk over the set bits in rank order.
+    live: Vec<u64>,
+    /// Decoder: one bit per parent rank, set once its children have
+    /// been activated (a significant child leaves `live`, so `live`
+    /// alone cannot say whether activation already happened).
+    spawned: Vec<u64>,
+    /// Decoder: significant coefficients in significance order, one
+    /// word each — sign in bit 63, scan rank in bits 32..63, magnitude
+    /// in the low half — so the subordinate pass refines magnitudes in
+    /// one sequential sweep and nothing is scattered until the end.
+    sub_list: Vec<u64>,
 }
 
 impl EzwScratch {
@@ -699,6 +734,215 @@ pub struct DecodedPlane {
     pub coeffs: Vec<i32>,
 }
 
+/// The checked fields of a plane header.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct PlaneHeader {
+    w: usize,
+    h: usize,
+    levels: usize,
+    /// Top bit-plane, or `None` for an all-zero plane.
+    top_plane: Option<u32>,
+}
+
+impl PlaneHeader {
+    /// Parse and bound the header at the front of a plane stream.
+    /// Everything the decoder allocates is sized from these fields, so
+    /// nothing may be sized before this returns `Ok`.
+    fn parse(bytes: &[u8]) -> Result<PlaneHeader, MediaError> {
+        if bytes.len() < PLANE_HEADER_LEN || &bytes[..4] != PLANE_MAGIC {
+            return Err(MediaError::Malformed("bad plane header"));
+        }
+        let w = u16::from_be_bytes([bytes[4], bytes[5]]) as usize;
+        let h = u16::from_be_bytes([bytes[6], bytes[7]]) as usize;
+        let levels = bytes[8] as usize;
+        if w == 0 || h == 0 || levels == 0 || levels > wavelet::max_levels(w, h) {
+            return Err(MediaError::Malformed("bad plane geometry"));
+        }
+        if w * h > MAX_PLANE_SAMPLES {
+            return Err(MediaError::Malformed("plane too large"));
+        }
+        let top_plane = match bytes[9] {
+            EMPTY_PLANE => None,
+            top if top > 31 => return Err(MediaError::Malformed("bad top plane")),
+            top => Some(top as u32),
+        };
+        Ok(PlaneHeader {
+            w,
+            h,
+            levels,
+            top_plane,
+        })
+    }
+
+    fn same_shape(&self, other: &PlaneHeader) -> bool {
+        (self.w, self.h, self.levels) == (other.w, other.h, other.levels)
+    }
+}
+
+/// The state one plane decode threads through its passes.
+struct PlaneDecode<'a, 'b> {
+    geo: &'a Geometry,
+    bits: BitReader<'b>,
+    live: &'a mut [u64],
+    spawned: &'a mut [u64],
+    sub_list: &'a mut [u64],
+    /// Entries of `sub_list` in use.
+    nsub: usize,
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The three kinds of node a dominant pass meets, in scan order.
+const ROOTS: u8 = 0;
+const QUADS: u8 = 1;
+const LEAVES: u8 = 2;
+
+impl PlaneDecode<'_, '_> {
+    /// Dominant pass over the live ranks in `lo..hi` at threshold `t`,
+    /// all of one `KIND`: parents (`ROOTS`, `QUADS`) read the alphabet
+    /// `0` zerotree root / `10` isolated zero / `11s` significant, the
+    /// childless `LEAVES` read `0` zero / `1s` significant. Returns
+    /// `false` when the stream ends inside a symbol; that symbol then
+    /// has no effect.
+    ///
+    /// Apart from the handful of roots the body is branch-free in the
+    /// data: symbol length, significance and sign are arithmetic on
+    /// the peeked bits, a significant coefficient is appended by an
+    /// unconditional store and a conditional bump, and a quad parent
+    /// ORs its children in — as nothing, unless this is its first
+    /// non-zerotree symbol. (A fifth to a third of all symbols of a
+    /// 6 bpp stream activate children; as a branch, taken or not at
+    /// the data's whim, that was the pass's main cost.)
+    #[inline(always)]
+    fn dominant<const KIND: u8>(&mut self, lo: usize, hi: usize, t: u64) -> bool {
+        if lo >= hi {
+            return true;
+        }
+        let roots = self.geo.roots();
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        let mut nsub = self.nsub;
+        for wi in first..=last {
+            // Bits of this word still to visit: those in range, above
+            // the last one visited.
+            let mut todo = !0u64;
+            if wi == first {
+                todo &= !0u64 << (lo % 64);
+            }
+            if wi == last {
+                todo &= !0u64 >> (63 - (hi - 1) % 64);
+            }
+            let mut word = self.live[wi];
+            let mut spawned = if KIND == LEAVES { 0 } else { self.spawned[wi] };
+            let mut cut = false;
+            loop {
+                let pending = word & todo;
+                if pending == 0 {
+                    break;
+                }
+                let bit = pending.trailing_zeros();
+                todo &= !1u64 << bit;
+                let rank = wi * 64 + bit as usize;
+                let (len, sig, neg);
+                if KIND == LEAVES {
+                    let sym = self.bits.peek(2);
+                    sig = sym >> 1;
+                    neg = sym & 1;
+                    len = 1 + sig as u32;
+                    if len > self.bits.buffered() {
+                        cut = true;
+                        break;
+                    }
+                } else {
+                    let sym = self.bits.peek(3);
+                    let coded = sym >> 2; // anything but a zerotree root
+                    sig = coded & (sym >> 1);
+                    neg = sym & 1;
+                    len = 1 + (coded + sig) as u32;
+                    if len > self.bits.buffered() {
+                        cut = true;
+                        break;
+                    }
+                    // Children rank above their parent, so they are
+                    // still ahead of the walk — possibly in this very
+                    // word, which is then written back and re-read
+                    // around the activation.
+                    let fresh = coded & !(spawned >> bit) & 1;
+                    spawned |= fresh << bit;
+                    if KIND == ROOTS {
+                        if fresh != 0 {
+                            self.live[wi] = word;
+                            let mut kids = [0usize; 4];
+                            let n = self.geo.children(rank, &mut kids);
+                            for &k in &kids[..n] {
+                                set_bit(self.live, k);
+                            }
+                            word = self.live[wi];
+                        }
+                    } else {
+                        // Both rows start on an even rank, so neither
+                        // pair straddles a word.
+                        let [top, bottom] = self.geo.child_rows[rank - roots];
+                        let (top, bottom) = (top as usize, bottom as usize);
+                        let pair = fresh * 3;
+                        let in_this_word = top / 64 == wi;
+                        if in_this_word {
+                            self.live[wi] = word;
+                        }
+                        self.live[top / 64] |= pair << (top % 64);
+                        self.live[bottom / 64] |= pair << (bottom % 64);
+                        if in_this_word {
+                            word = self.live[wi];
+                        }
+                    }
+                }
+                self.bits.consume(len);
+                self.sub_list[nsub] = neg << 63 | (rank as u64) << 32 | t;
+                nsub += sig as usize;
+                word &= !(sig << bit);
+            }
+            self.live[wi] = word;
+            if KIND != LEAVES {
+                self.spawned[wi] = spawned;
+            }
+            if cut {
+                self.nsub = nsub;
+                return false;
+            }
+        }
+        self.nsub = nsub;
+        true
+    }
+
+    /// Subordinate pass: one refinement bit at plane `b` for each of
+    /// the first `count` significant coefficients, a sequential sweep
+    /// taking up to 56 bits per refill. Returns `false` when the
+    /// stream ends first; the bits that were there still count.
+    #[inline(always)]
+    fn subordinate(&mut self, count: usize, b: u32) -> bool {
+        let mut done = 0;
+        while done < count {
+            let want = (count - done).min(56) as u32;
+            let chunk = self.bits.peek(want);
+            let have = want.min(self.bits.buffered());
+            for (j, entry) in self.sub_list[done..done + have as usize]
+                .iter_mut()
+                .enumerate()
+            {
+                *entry |= ((chunk >> (want - 1 - j as u32)) & 1) << b;
+            }
+            self.bits.consume(have);
+            if have < want {
+                return false;
+            }
+            done += have as usize;
+        }
+        true
+    }
+}
+
 impl EzwDecoder {
     /// Decode as much of `bytes` as is present.
     pub fn decode_plane(bytes: &[u8]) -> Result<DecodedPlane, MediaError> {
@@ -710,186 +954,98 @@ impl EzwDecoder {
         bytes: &[u8],
         scratch: &mut EzwScratch,
     ) -> Result<DecodedPlane, MediaError> {
-        if bytes.len() < PLANE_HEADER_LEN || &bytes[..4] != PLANE_MAGIC {
-            return Err(MediaError::Malformed("bad plane header"));
-        }
-        let w = u16::from_be_bytes([bytes[4], bytes[5]]) as usize;
-        let h = u16::from_be_bytes([bytes[6], bytes[7]]) as usize;
-        let levels = bytes[8] as usize;
-        let top = bytes[9];
-        if w == 0 || h == 0 || levels == 0 || levels > wavelet::max_levels(w, h) {
-            return Err(MediaError::Malformed("bad plane geometry"));
-        }
+        let header = PlaneHeader::parse(bytes)?;
+        Ok(Self::decode_body(header, bytes, scratch))
+    }
+
+    /// Decode the bitstream behind an already-checked `header`.
+    fn decode_body(header: PlaneHeader, bytes: &[u8], scratch: &mut EzwScratch) -> DecodedPlane {
+        let PlaneHeader {
+            w,
+            h,
+            levels,
+            top_plane,
+        } = header;
         let n = w * h;
         let mut coeffs = vec![0i32; n];
-        if top == EMPTY_PLANE {
-            return Ok(DecodedPlane {
+        let Some(top_plane) = top_plane else {
+            return DecodedPlane {
                 w,
                 h,
                 levels,
                 coeffs,
-            });
-        }
-        let top_plane = top as u32;
-        if top_plane > 31 {
-            return Err(MediaError::Malformed("bad top plane"));
-        }
+            };
+        };
         scratch.geometry(w, h, levels);
         let geo = scratch.geo.as_ref().expect("geometry cached");
-        let mut bits = BitReader::new(&bytes[PLANE_HEADER_LEN..]);
+        let body = &bytes[PLANE_HEADER_LEN..];
 
-        let mags = &mut scratch.mags;
-        mags.clear();
-        mags.resize(n, 0);
-        let negs = &mut scratch.negs;
-        negs.clear();
-        negs.resize(n, false);
+        // The live set starts at the parentless coarsest-LL nodes and
+        // grows by activation: the first time a parent codes a
+        // non-zerotree symbol, its children's bits are set. A parent
+        // precedes its children in scan order, so a walk over the set
+        // bits in rank order meets each child later in the same pass —
+        // exactly when the encoder's activation buckets admit it.
+        // Everything under a zerotree root stays dormant, so no skip
+        // stamps are needed.
+        let live = &mut scratch.live;
+        live.clear();
+        live.resize(n.div_ceil(64), 0);
+        for r in 0..geo.roots() {
+            set_bit(live, r);
+        }
+        let spawned = &mut scratch.spawned;
+        spawned.clear();
+        spawned.resize(geo.parents().div_ceil(64), 0);
+        // A significant symbol costs at least two bits, which bounds
+        // the list by the stream as well as by the plane; one spare
+        // slot takes the store of a symbol that is not significant.
         let sub_list = &mut scratch.sub_list;
         sub_list.clear();
+        sub_list.resize(n.min(body.len() * 4) + 1, 0);
 
-        // The live list starts at the parentless coarsest-LL nodes and
-        // grows by *spawning*: the first time a parent codes a non-ZTR
-        // symbol its children join the list. Spawned children are held
-        // in a min-heap of (scan rank, index) and merged into the same
-        // pass — a parent always precedes its children in scan order,
-        // which is exactly when the encoder's activation buckets admit
-        // them. Everything under a zerotree root stays untouched, so no
-        // skip stamps are needed.
-        let (wl, hl) = (w >> levels, h >> levels);
-        let lip = &mut scratch.lip;
-        lip.clear();
-        for (r, &idx) in geo.scan[..wl * hl].iter().enumerate() {
-            let mut flags = 0u8;
-            if geo.has_children(idx as usize) {
-                flags |= FLAG_KIDS;
-            }
-            lip.push(DecCand {
-                rank: r as u32,
-                idx,
-                flags,
-            });
-        }
-        let next = &mut scratch.lip_next;
-        let heap = &mut scratch.spawn_heap;
-        heap.clear();
-        let mut kids = [0usize; 4];
-
-        // Offset plane used to centre the uncertainty interval if the
-        // stream is truncated at plane `b`: [mag, mag + 2^b).
-        let mut current_plane = top_plane;
-        let mut finished = true;
-
-        'outer: for b in (0..=top_plane).rev() {
-            current_plane = b;
-            let t = 1u32 << b;
-            let refine_count = sub_list.len();
-            next.clear();
-            let mut ai = 0usize;
-            loop {
-                // Take whichever of the live list and the spawn heap
-                // holds the lowest scan rank next.
-                let heap_rank = heap.peek().map(|r| (r.0 >> 32) as u32);
-                let take_heap = match (ai < lip.len(), heap_rank) {
-                    (true, Some(hr)) => hr < lip[ai].rank,
-                    (true, None) => false,
-                    (false, Some(_)) => true,
-                    (false, None) => break,
-                };
-                let mut cand = if take_heap {
-                    let packed = heap.pop().expect("peeked").0;
-                    let idx = packed as u32;
-                    // A fresh child has not spawned its *own* children
-                    // yet — FLAG_SPAWNED is only set once it does.
-                    let mut flags = 0u8;
-                    if geo.has_children(idx as usize) {
-                        flags |= FLAG_KIDS;
-                    }
-                    DecCand {
-                        rank: (packed >> 32) as u32,
-                        idx,
-                        flags,
-                    }
-                } else {
-                    ai += 1;
-                    lip[ai - 1]
-                };
-                let idx = cand.idx as usize;
-                let Some(first) = bits.next() else {
-                    finished = false;
-                    break 'outer;
-                };
-                if cand.flags & FLAG_KIDS != 0 {
-                    if !first {
-                        // Zerotree root: children stay dormant.
-                        next.push(cand);
-                        continue;
-                    }
-                    // Non-ZTR parent: its children activate this pass.
-                    if cand.flags & FLAG_SPAWNED == 0 {
-                        cand.flags |= FLAG_SPAWNED;
-                        let nk = geo.children(idx, &mut kids);
-                        for &k in &kids[..nk] {
-                            heap.push(std::cmp::Reverse((geo.rank[k] as u64) << 32 | k as u64));
-                        }
-                    }
-                    let Some(second) = bits.next() else {
-                        finished = false;
-                        break 'outer;
-                    };
-                    if !second {
-                        next.push(cand);
-                        continue; // isolated zero
-                    }
-                    let Some(sign) = bits.next() else {
-                        finished = false;
-                        break 'outer;
-                    };
-                    mags[idx] = t;
-                    negs[idx] = sign;
-                    sub_list.push(cand.idx);
-                } else {
-                    if !first {
-                        next.push(cand);
-                        continue;
-                    }
-                    let Some(sign) = bits.next() else {
-                        finished = false;
-                        break 'outer;
-                    };
-                    mags[idx] = t;
-                    negs[idx] = sign;
-                    sub_list.push(cand.idx);
-                }
-            }
-            std::mem::swap(lip, next);
-            for &idx in &sub_list[..refine_count] {
-                let Some(bit) = bits.next() else {
-                    finished = false;
-                    break 'outer;
-                };
-                if bit {
-                    mags[idx as usize] |= t;
-                }
-            }
-        }
-
-        let offset = if finished {
-            0
-        } else {
-            (1u32 << current_plane) >> 1
+        let mut dec = PlaneDecode {
+            geo,
+            bits: BitReader::new(body),
+            live,
+            spawned,
+            sub_list,
+            nsub: 0,
         };
-        for idx in 0..coeffs.len() {
-            if mags[idx] != 0 {
-                let v = (mags[idx] + offset) as i32;
-                coeffs[idx] = if negs[idx] { -v } else { v };
+        // Plane the stream stopped in, if it did: the uncertainty
+        // interval of a coefficient cut there is [mag, mag + 2^b).
+        let mut cut_plane = None;
+        for b in (0..=top_plane).rev() {
+            let refine_count = dec.nsub;
+            let t = 1u64 << b;
+            let complete = dec.dominant::<ROOTS>(0, geo.roots(), t)
+                && dec.dominant::<QUADS>(geo.roots(), geo.parents(), t)
+                && dec.dominant::<LEAVES>(geo.parents(), n, t)
+                && dec.subordinate(refine_count, b);
+            if !complete {
+                cut_plane = Some(b);
+                break;
             }
         }
-        Ok(DecodedPlane {
+
+        // Centre the interval, then scatter — the only pass over the
+        // plane that is not in scan order.
+        let offset = cut_plane.map_or(0, |b| (1u32 << b) >> 1);
+        for &entry in &dec.sub_list[..dec.nsub] {
+            let rank = (entry >> 32) as u32 & 0x7FFF_FFFF;
+            let v = (entry as u32).wrapping_add(offset) as i32;
+            coeffs[geo.scan[rank as usize] as usize] = if entry >> 63 != 0 {
+                v.wrapping_neg()
+            } else {
+                v
+            };
+        }
+        DecodedPlane {
             w,
             h,
             levels,
             coeffs,
-        })
+        }
     }
 }
 
@@ -926,6 +1082,13 @@ pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>
         return Err(MediaError::BadDimensions(
             "color transform requires 3 channels".to_string(),
         ));
+    }
+    // Nothing is encoded that the decoder would refuse.
+    if img.pixels() > MAX_PLANE_SAMPLES {
+        return Err(MediaError::BadDimensions(format!(
+            "{}x{} is over the {MAX_PLANE_SAMPLES}-sample plane cap",
+            img.width, img.height
+        )));
     }
     let mut planes: Vec<Vec<i32>> = (0..img.channels).map(|c| img.plane(c)).collect();
     if color_transform {
@@ -1030,6 +1193,42 @@ pub fn encode_image_opts(
     ))
 }
 
+/// Split a container into its header fields and channel streams,
+/// checking every length against the bytes present.
+pub(crate) fn container_streams(bytes: &[u8]) -> Result<(usize, u8, Vec<&[u8]>), MediaError> {
+    if bytes.len() < CONTAINER_HEADER_LEN || &bytes[..4] != CONTAINER_MAGIC {
+        return Err(MediaError::Malformed("bad container header"));
+    }
+    let channels = bytes[4] as usize;
+    let mut rest = &bytes[CONTAINER_HEADER_LEN..];
+    let mut streams = Vec::with_capacity(channels);
+    for _ in 0..channels {
+        let Some((len, tail)) = rest.split_first_chunk::<4>() else {
+            return Err(MediaError::Malformed("truncated container"));
+        };
+        let len = u32::from_be_bytes(*len) as usize;
+        if tail.len() < len {
+            return Err(MediaError::Malformed("truncated channel stream"));
+        }
+        let (stream, tail) = tail.split_at(len);
+        streams.push(stream);
+        rest = tail;
+    }
+    Ok((channels, bytes[5], streams))
+}
+
+/// Width and height the first plane of a container declares, checked
+/// the way the decoder checks them but without decoding anything — for
+/// a receiver that knows what size it was promised.
+pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> {
+    let (_, _, streams) = container_streams(bytes)?;
+    let first = streams
+        .first()
+        .ok_or(MediaError::Malformed("bad channel count"))?;
+    let header = PlaneHeader::parse(first)?;
+    Ok((header.w, header.h))
+}
+
 /// Decode a container (channel streams may be internally truncated by
 /// [`truncate_container`]; the container structure itself must be
 /// intact).
@@ -1044,78 +1243,65 @@ pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
 /// resolutions". The skipped detail subbands also never need to be
 /// reconstructed, so thin clients save decode work too.
 pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, MediaError> {
-    if bytes.len() < CONTAINER_HEADER_LEN || &bytes[..4] != CONTAINER_MAGIC {
-        return Err(MediaError::Malformed("bad container header"));
-    }
-    let channels = bytes[4] as usize;
+    let (channels, kind, streams) = container_streams(bytes)?;
     if channels != 1 && channels != 3 {
         return Err(MediaError::Malformed("bad channel count"));
     }
-    let (kind, color) = kind_from_byte(bytes[5])?;
+    let (kind, color) = kind_from_byte(kind)?;
     if color && channels != 3 {
         return Err(MediaError::Malformed("color transform on non-RGB"));
     }
+    // Every header is checked, and the planes held to one shape,
+    // before any plane is decoded: a plane's header sizes what its
+    // decode allocates.
+    let headers = streams
+        .iter()
+        .map(|s| PlaneHeader::parse(s))
+        .collect::<Result<Vec<_>, _>>()?;
+    let first = headers[0];
+    if headers.iter().any(|p| !p.same_shape(&first)) {
+        return Err(MediaError::Malformed("channel geometry mismatch"));
+    }
+    let (w, h, levels) = (first.w, first.h, first.levels);
+    if drop_levels > levels {
+        return Err(MediaError::BadDimensions(format!(
+            "cannot drop {drop_levels} of {levels} levels"
+        )));
+    }
     let mut ws = WaveletScratch::new();
     let mut es = EzwScratch::new();
-    let mut pos = CONTAINER_HEADER_LEN;
     let mut planes = Vec::with_capacity(channels);
-    for i in 0..channels {
-        if bytes.len() < pos + 4 {
-            return Err(MediaError::Malformed("truncated container"));
-        }
-        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if bytes.len() < pos + len {
-            return Err(MediaError::Malformed("truncated channel stream"));
-        }
-        let mut decoded = EzwDecoder::decode_plane_with(&bytes[pos..pos + len], &mut es)?;
-        pos += len;
-        if drop_levels > decoded.levels {
-            return Err(MediaError::BadDimensions(format!(
-                "cannot drop {drop_levels} of {} levels",
-                decoded.levels
-            )));
-        }
-        wavelet::inverse_2d_partial_with(
-            &mut decoded.coeffs,
-            decoded.w,
-            decoded.h,
-            decoded.levels,
-            drop_levels,
-            kind,
-            &mut ws,
-        );
-        let shift = if color { i == 0 } else { true };
-        if shift {
-            for v in decoded.coeffs.iter_mut() {
-                *v += 128;
+    for (i, (&header, stream)) in headers.iter().zip(&streams).enumerate() {
+        let mut coeffs = EzwDecoder::decode_body(header, stream, &mut es).coeffs;
+        wavelet::inverse_2d_partial_with(&mut coeffs, w, h, levels, drop_levels, kind, &mut ws);
+        // Undo the level shift (luma only once decorrelated).
+        if !color || i == 0 {
+            for v in coeffs.iter_mut() {
+                *v = v.wrapping_add(128);
             }
         }
-        planes.push(decoded);
-    }
-    let (w, h) = (planes[0].w, planes[0].h);
-    if planes.iter().any(|p| p.w != w || p.h != h) {
-        return Err(MediaError::Malformed("channel geometry mismatch"));
+        planes.push(coeffs);
     }
     if color {
         let (y, rest) = planes.split_at_mut(1);
         let (co, cg) = rest.split_at_mut(1);
-        crate::color::inverse_planes(&mut y[0].coeffs, &mut co[0].coeffs, &mut cg[0].coeffs);
+        crate::color::inverse_planes(&mut y[0], &mut co[0], &mut cg[0]);
     }
     if drop_levels == 0 {
         let mut img = Image::new(w, h, channels);
         for (c, plane) in planes.iter().enumerate() {
-            img.set_plane(c, &plane.coeffs);
+            img.set_plane(c, plane);
         }
         return Ok(img);
     }
+    // The reduced image is the top-left corner of each plane.
     let (rw, rh) = (w >> drop_levels, h >> drop_levels);
     let mut img = Image::new(rw, rh, channels);
     for (c, plane) in planes.iter().enumerate() {
-        for y in 0..rh {
-            for x in 0..rw {
-                let v = plane.coeffs[y * w + x].clamp(0, 255) as u8;
-                img.set(x, y, c, v);
+        let rows = img.data.chunks_exact_mut(rw * channels);
+        for (out, row) in rows.zip(plane.chunks_exact(w)) {
+            for (px, &v) in out.chunks_exact_mut(channels).zip(&row[..rw]) {
+                px[c] = v.clamp(0, 255) as u8;
             }
         }
     }
@@ -1128,25 +1314,7 @@ pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, M
 /// quality degrades gracefully across all channels instead of dropping
 /// whole channels.
 pub fn truncate_container(bytes: &[u8], budget: usize) -> Result<Vec<u8>, MediaError> {
-    if bytes.len() < CONTAINER_HEADER_LEN || &bytes[..4] != CONTAINER_MAGIC {
-        return Err(MediaError::Malformed("bad container header"));
-    }
-    let channels = bytes[4] as usize;
-    // Parse channel extents.
-    let mut pos = CONTAINER_HEADER_LEN;
-    let mut streams: Vec<&[u8]> = Vec::with_capacity(channels);
-    for _ in 0..channels {
-        if bytes.len() < pos + 4 {
-            return Err(MediaError::Malformed("truncated container"));
-        }
-        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if bytes.len() < pos + len {
-            return Err(MediaError::Malformed("truncated channel stream"));
-        }
-        streams.push(&bytes[pos..pos + len]);
-        pos += len;
-    }
+    let (channels, _, streams) = container_streams(bytes)?;
     let total: usize = streams.iter().map(|s| s.len()).sum();
     let overhead = CONTAINER_HEADER_LEN + 4 * channels;
     let payload_budget = budget.saturating_sub(overhead);
@@ -1220,6 +1388,33 @@ mod tests {
     }
 
     #[test]
+    fn bit_reader_peeks_symbols_across_refills_and_pads_the_tail() {
+        // 19 bytes: two whole-word refills, then the byte-wise tail.
+        let bytes: Vec<u8> = (0..19u32).map(|i| (i * 37 + 11) as u8).collect();
+        let bit_at = |i: usize| (bytes[i / 8] >> (7 - i % 8)) & 1;
+        let total = bytes.len() * 8;
+        for width in [1u32, 2, 3, 7, 31, 56] {
+            let mut r = BitReader::new(&bytes);
+            let mut pos = 0usize;
+            while pos < total {
+                let got = r.peek(width);
+                let mut want = 0u64;
+                for i in 0..width as usize {
+                    let bit = if pos + i < total { bit_at(pos + i) } else { 0 };
+                    want = want << 1 | bit as u64;
+                }
+                assert_eq!(got, want, "width {width} at bit {pos}");
+                let left = (total - pos).min(width as usize) as u32;
+                assert!(r.buffered() >= left, "width {width} at bit {pos}");
+                r.consume(left);
+                pos += left as usize;
+            }
+            assert_eq!(r.buffered(), 0);
+            assert_eq!(r.next(), None);
+        }
+    }
+
+    #[test]
     fn geometry_scan_covers_everything_once() {
         let geo = Geometry::new(16, 16, 3);
         let mut seen = vec![false; 256];
@@ -1230,46 +1425,54 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
-    #[test]
-    fn geometry_parents_scanned_before_children() {
-        let geo = Geometry::new(32, 32, 3);
-        let mut order = vec![0usize; 32 * 32];
-        for (rank, &i) in geo.scan.iter().enumerate() {
-            order[i as usize] = rank;
-        }
-        let mut kids = [0usize; 4];
-        for idx in 0..32 * 32 {
-            let n = geo.children(idx, &mut kids);
-            for &k in &kids[..n] {
-                assert!(order[idx] < order[k], "parent {idx} after child {k}");
-            }
+    /// Shapiro's parent-child relation in plane coordinates — the
+    /// definition the rank-space tables are derived from.
+    fn children_by_coords(w: usize, h: usize, levels: usize, idx: usize) -> Vec<usize> {
+        let (x, y) = (idx % w, idx / w);
+        let (wl, hl) = (w >> levels, h >> levels);
+        if x < wl && y < hl {
+            vec![y * w + (x + wl), (y + hl) * w + x, (y + hl) * w + (x + wl)]
+        } else if 2 * x < w && 2 * y < h {
+            vec![
+                2 * y * w + 2 * x,
+                2 * y * w + 2 * x + 1,
+                (2 * y + 1) * w + 2 * x,
+                (2 * y + 1) * w + 2 * x + 1,
+            ]
+        } else {
+            Vec::new()
         }
     }
 
     #[test]
-    fn stamp_descendants_matches_recursive_definition() {
-        // The scratch-stack stamp must mark exactly the transitive
-        // children of the root — the same set the recursive definition
-        // (and the pre-refactor per-root `Vec` version) produces.
-        fn collect(geo: &Geometry, idx: usize, out: &mut Vec<usize>) {
+    fn geometry_children_match_the_coordinate_definition() {
+        for (w, h, levels) in [
+            (32, 32, 3),
+            (96, 32, 2),
+            (24, 48, 1),
+            (24, 48, 3),
+            (8, 8, 3),
+        ] {
+            let geo = Geometry::new(w, h, levels);
             let mut kids = [0usize; 4];
-            let n = geo.children(idx, &mut kids);
-            for &k in &kids[..n] {
-                out.push(k);
-                collect(geo, k, out);
+            for (rank, &idx) in geo.scan.iter().enumerate() {
+                let expected = children_by_coords(w, h, levels, idx as usize);
+                assert_eq!(
+                    rank < geo.parents(),
+                    !expected.is_empty(),
+                    "{w}x{h} L{levels} rank {rank}: parents come first"
+                );
+                if rank >= geo.parents() {
+                    continue;
+                }
+                let n = geo.children(rank, &mut kids);
+                let got: Vec<usize> = kids[..n].iter().map(|&k| geo.scan[k] as usize).collect();
+                assert_eq!(got, expected, "{w}x{h} L{levels} rank {rank}");
+                assert!(
+                    kids[..n].iter().all(|&k| k > rank),
+                    "a parent is scanned before its children"
+                );
             }
-        }
-        let geo = Geometry::new(32, 16, 2);
-        let mut work = Vec::new();
-        for root in 0..32 * 16 {
-            let mut stamps = vec![u32::MAX; 32 * 16];
-            geo.stamp_descendants(root, 7, &mut stamps, &mut work);
-            let mut expected = Vec::new();
-            collect(&geo, root, &mut expected);
-            expected.sort_unstable();
-            let mut got: Vec<usize> = (0..stamps.len()).filter(|&i| stamps[i] == 7).collect();
-            got.sort_unstable();
-            assert_eq!(got, expected, "root {root}");
         }
     }
 

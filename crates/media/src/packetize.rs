@@ -11,7 +11,7 @@
 //! packets received on grayscale and colour images alike (a contiguous
 //! byte split would starve the later channels entirely).
 
-use crate::ezw::PLANE_HEADER_LEN;
+use crate::ezw::{container_streams, PLANE_HEADER_LEN};
 use crate::MediaError;
 
 /// One stripe of an encoded image.
@@ -63,29 +63,6 @@ impl MediaPacket {
 /// Container header length: magic + channels + kind.
 const CONTAINER_HEADER: usize = 6;
 
-fn parse_container(container: &[u8]) -> Result<(&[u8], Vec<&[u8]>), MediaError> {
-    if container.len() < CONTAINER_HEADER || &container[..4] != b"EZC1" {
-        return Err(MediaError::Malformed("bad container header"));
-    }
-    let channels = container[4] as usize;
-    let header = &container[..CONTAINER_HEADER];
-    let mut pos = CONTAINER_HEADER;
-    let mut streams = Vec::with_capacity(channels);
-    for _ in 0..channels {
-        if container.len() < pos + 4 {
-            return Err(MediaError::Malformed("truncated container"));
-        }
-        let len = u32::from_be_bytes(container[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if container.len() < pos + len {
-            return Err(MediaError::Malformed("truncated channel stream"));
-        }
-        streams.push(&container[pos..pos + len]);
-        pos += len;
-    }
-    Ok((header, streams))
-}
-
 /// Chunk boundaries for splitting `len` bytes into `n` near-equal
 /// chunks, front-loading the remainder (and guaranteeing chunk 0 covers
 /// at least the plane header whenever the stream has one).
@@ -120,7 +97,8 @@ pub fn split_packets(container: &[u8], n: usize) -> Vec<MediaPacket> {
         n >= 1 && n <= u16::MAX as usize,
         "packet count out of range"
     );
-    let (header, streams) = parse_container(container).expect("valid container");
+    let (_, _, streams) = container_streams(container).expect("valid container");
+    let header = &container[..CONTAINER_HEADER];
     let bounds: Vec<Vec<(usize, usize)>> =
         streams.iter().map(|s| chunk_bounds(s.len(), n)).collect();
     (0..n)

@@ -113,6 +113,12 @@ fn forward_1d(buf: &mut [i32], kind: WaveletKind, scratch: &mut [i32]) {
 }
 
 /// Inverse of [`forward_1d`].
+///
+/// The coefficients come off the wire, so a hostile stream can hold
+/// values whose lifting sums leave `i32`. Those wrap — what a release
+/// build always did, garbage in a garbage image — instead of panicking
+/// a debug build; on any plane a forward transform produced the
+/// results are unchanged.
 fn inverse_1d(buf: &mut [i32], kind: WaveletKind, scratch: &mut [i32]) {
     let n = buf.len();
     debug_assert!(n.is_multiple_of(2) && n >= 2);
@@ -122,8 +128,8 @@ fn inverse_1d(buf: &mut [i32], kind: WaveletKind, scratch: &mut [i32]) {
     match kind {
         WaveletKind::Haar => {
             for i in 0..half {
-                let a = s[i] - (d[i] >> 1);
-                let b = d[i] + a;
+                let a = s[i].wrapping_sub(d[i] >> 1);
+                let b = d[i].wrapping_add(a);
                 scratch[2 * i] = a;
                 scratch[2 * i + 1] = b;
             }
@@ -132,7 +138,7 @@ fn inverse_1d(buf: &mut [i32], kind: WaveletKind, scratch: &mut [i32]) {
             // Undo update: x[2i] = s[i] - floor((d[i-1] + d[i] + 2)/4)
             for i in 0..half {
                 let dm1 = if i > 0 { d[i - 1] } else { d[0] };
-                scratch[2 * i] = s[i] - ((dm1 + d[i] + 2) >> 2);
+                scratch[2 * i] = s[i].wrapping_sub(dm1.wrapping_add(d[i]).wrapping_add(2) >> 2);
             }
             // Undo predict: x[2i+1] = d[i] + floor((x[2i] + x[2i+2])/2)
             for i in 0..half {
@@ -142,7 +148,7 @@ fn inverse_1d(buf: &mut [i32], kind: WaveletKind, scratch: &mut [i32]) {
                 } else {
                     scratch[n - 2]
                 };
-                scratch[2 * i + 1] = d[i] + ((left + right) >> 1);
+                scratch[2 * i + 1] = d[i].wrapping_add(left.wrapping_add(right) >> 1);
             }
         }
     }

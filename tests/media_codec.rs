@@ -154,6 +154,118 @@ fn image_pipeline_matches_reference_per_plane() {
     }
 }
 
+/// The plane streams of a container, as `decode_image` sees them.
+fn plane_streams(container: &[u8]) -> Vec<&[u8]> {
+    let mut rest = &container[ezw::CONTAINER_HEADER_LEN..];
+    let mut streams = Vec::new();
+    for _ in 0..container[4] {
+        let len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
+        streams.push(&rest[4..4 + len]);
+        rest = &rest[4 + len..];
+    }
+    streams
+}
+
+/// Decode every byte-length prefix of `stream` through the live
+/// decoder (one warm scratch across all cuts) and the reference one.
+fn assert_every_cut_matches(stream: &[u8], es: &mut EzwScratch, what: &str) {
+    for keep in ezw::PLANE_HEADER_LEN..=stream.len() {
+        let live = EzwDecoder::decode_plane_with(&stream[..keep], es).unwrap();
+        let frozen = reference::decode_plane(&stream[..keep]).unwrap();
+        // Not `assert_eq!`: a mismatch would print both planes.
+        assert!(
+            live == frozen,
+            "{what}: keep {keep} of {}: first difference at {:?}",
+            stream.len(),
+            live.coeffs
+                .iter()
+                .zip(&frozen.coeffs)
+                .position(|(a, b)| a != b)
+        );
+    }
+}
+
+/// Exhaustive, not sampled: a cut lands mid-symbol, mid-refill or on
+/// the last byte of a pass at only a handful of lengths per stream,
+/// and a reader or walker bug may show at exactly one of them.
+#[test]
+fn every_byte_cut_matches_reference() {
+    let mut es = EzwScratch::new();
+    // ~20k cuts; the frozen decoder's full-scan passes set the cost,
+    // so the extra seeds run at 32x32.
+    for (side, levels, seed) in [(64, 4, 3u64), (32, 3, 19), (32, 3, 20)] {
+        let scene = synthetic_scene(side, side, 3, 4, seed);
+        for color in [false, true] {
+            let c =
+                ezw::encode_image_opts(&scene.image, levels, WaveletKind::Cdf53, color).unwrap();
+            for (i, stream) in plane_streams(&c).into_iter().enumerate() {
+                let what = format!("{side}x{side} seed {seed} color {color} plane {i}");
+                assert_every_cut_matches(stream, &mut es, &what);
+            }
+        }
+    }
+    // Non-square planes whose band sizes are not multiples of 64, so
+    // bands straddle bitmap words; one with a single level, where the
+    // roots' children are the leaves.
+    for (w, h, levels, kind, seed) in [
+        (96, 32, 3, WaveletKind::Haar, 5u64),
+        (24, 48, 1, WaveletKind::Cdf53, 6),
+    ] {
+        // The top-left w x h corner of a square scene (the generator
+        // wants room for its discs in both directions).
+        let side = w.max(h);
+        let scene = synthetic_scene(side, side, 1, 3, seed);
+        let mut plane: Vec<i32> = (0..w * h)
+            .map(|i| scene.image.get(i % w, i / w, 0) as i32 - 128)
+            .collect();
+        wavelet::forward_2d(&mut plane, w, h, levels, kind);
+        let stream = EzwEncoder::encode_plane(&plane, w, h, levels);
+        assert_every_cut_matches(&stream, &mut es, &format!("{w}x{h} L{levels}"));
+    }
+}
+
+/// The viewer's path: the 256x256 colour scene cut at every k/16
+/// packets decodes, through a scratch warmed by the previous cut and
+/// through a fresh one per plane, to what the frozen decoder yields.
+#[test]
+fn packet_cuts_of_colour_scene_match_reference() {
+    use collabqos::media::packetize::{reassemble_prefix, split_packets};
+    let scene = synthetic_scene(256, 256, 3, 5, 11);
+    let full = ezw::encode_image_opts(&scene.image, 5, WaveletKind::Cdf53, true).unwrap();
+    let packets = split_packets(&full, 16);
+    let mut warm = EzwScratch::new();
+    for k in 1..=16 {
+        let container = reassemble_prefix(&packets[..k]).unwrap();
+        let mut planes = Vec::new();
+        for stream in plane_streams(&container) {
+            let frozen = reference::decode_plane(stream).unwrap();
+            assert_eq!(
+                EzwDecoder::decode_plane_with(stream, &mut warm).unwrap(),
+                frozen
+            );
+            assert_eq!(EzwDecoder::decode_plane(stream).unwrap(), frozen, "k={k}");
+            planes.push(frozen);
+        }
+        // And `decode_image` is those planes, inverse-transformed.
+        for (i, p) in planes.iter_mut().enumerate() {
+            reference::inverse_2d(&mut p.coeffs, 256, 256, 5, WaveletKind::Cdf53);
+            if i == 0 {
+                p.coeffs.iter_mut().for_each(|v| *v += 128);
+            }
+        }
+        let [y, co, cg] = &mut planes[..] else {
+            panic!("three planes")
+        };
+        collabqos::media::color::inverse_planes(&mut y.coeffs, &mut co.coeffs, &mut cg.coeffs);
+        let mut expected = Image::new(256, 256, 3);
+        for (c, p) in planes.iter().enumerate() {
+            expected.set_plane(c, &p.coeffs);
+        }
+        assert_eq!(ezw::decode_image(&container).unwrap(), expected, "k={k}");
+    }
+    assert_eq!(ezw::decode_image(&full).unwrap(), scene.image);
+}
+
 /// Golden fixture: one full encoded color image (YCoCg-R + CDF 5/3,
 /// 64x64x3, 4 levels) pinned byte-for-byte. Catches a simultaneous
 /// drift of the live coder and the reference copy.

@@ -9,7 +9,7 @@ use collabqos::core::concurrency::LwwRegister;
 use collabqos::core::state_repo::{ObjectState, StateRepository};
 use collabqos::media::ezw::{self, BitReader, BitWriter};
 use collabqos::media::image::Image;
-use collabqos::media::packetize::{reassemble_prefix, split_packets};
+use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
 use collabqos::media::psnr;
 use collabqos::media::wavelet::{self, WaveletKind};
 use collabqos::sempubsub::ast::{CmpOp, Expr};
@@ -157,6 +157,159 @@ fn arb_cover_attrs() -> impl Strategy<Value = BTreeMap<String, AttrValue>> {
 /// `Ok(true)` — type errors reject, exactly as the bus endpoint does.
 fn accepts(e: &Expr, attrs: &BTreeMap<String, AttrValue>) -> bool {
     collabqos::sempubsub::eval::eval_bool(e, attrs).unwrap_or(false)
+}
+
+// ------------------------------------------------------ allocation guard
+
+/// Records, per thread, the largest single allocation asked for — so a
+/// decoder fed hostile bytes can be held to "never sizes anything from
+/// an unchecked header", not just "returns `Err`" (the 22-byte
+/// container of `ezw_header_bomb_is_refused_before_allocating` used to
+/// ask for 17 GB before failing).
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only
+// addition is a `Cell` store in const-initialised thread-local storage,
+// which neither allocates nor unwinds.
+unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        PEAK.with(|p| p.set(p.get().max(layout.size())));
+        std::alloc::System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        PEAK.with(|p| p.set(p.get().max(layout.size())));
+        std::alloc::System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        PEAK.with(|p| p.set(p.get().max(new_size)));
+        std::alloc::System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// The largest single allocation `f` asks for on this thread.
+fn peak_alloc_of(f: impl FnOnce()) -> usize {
+    PEAK.with(|p| p.set(0));
+    f();
+    PEAK.with(|p| p.get())
+}
+
+/// What the decoder's plane cap (2^22 samples) lets one allocation
+/// reach: a plane of `i32` coefficients, or the scan table beside it.
+const MAX_DECODE_ALLOC: usize = 4 << 22;
+
+/// Drive every container entry point over `bytes`; none may panic or
+/// size an allocation past the plane cap.
+fn exercise_container(
+    bytes: &[u8],
+    drop_levels: usize,
+    budget: usize,
+) -> Result<(), TestCaseError> {
+    let peak = peak_alloc_of(|| {
+        let _ = ezw::container_dimensions(bytes);
+        let _ = ezw::decode_image(bytes);
+        let _ = ezw::decode_image_reduced(bytes, drop_levels);
+        if let Ok(cut) = ezw::truncate_container(bytes, budget) {
+            let _ = ezw::decode_image(&cut);
+        }
+    });
+    prop_assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {} bytes", peak);
+    Ok(())
+}
+
+/// The header-driven allocation bomb: a 22-byte container — `EZC1`,
+/// one channel, CDF 5/3, a 12-byte plane stream declaring 65534 x
+/// 65534 samples at one level, two bytes of bit data — made
+/// `decode_image` ask for three 17 GB vectors. It is refused from the
+/// header alone.
+#[test]
+fn ezw_header_bomb_is_refused_before_allocating() {
+    let mut bomb = b"EZC1\x01\x01".to_vec();
+    bomb.extend_from_slice(&12u32.to_be_bytes());
+    bomb.extend_from_slice(b"EZP1\xFF\xFE\xFF\xFE\x01\x07\xFF\xFF");
+    assert_eq!(bomb.len(), 22);
+    let peak = peak_alloc_of(|| {
+        assert!(ezw::decode_image(&bomb).is_err());
+        assert!(ezw::decode_image_reduced(&bomb, 1).is_err());
+        assert!(ezw::container_dimensions(&bomb).is_err());
+        assert!(ezw::EzwDecoder::decode_plane(&bomb[10..]).is_err());
+    });
+    assert!(peak < 4096, "refusing took an allocation of {peak} bytes");
+    // The largest plane the cap admits still decodes.
+    bomb[14..18].copy_from_slice(&[0x08, 0x00, 0x08, 0x00]);
+    let peak = peak_alloc_of(|| {
+        let img = ezw::decode_image(&bomb).expect("2048x2048 is inside the cap");
+        assert_eq!((img.width, img.height), (2048, 2048));
+    });
+    assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {peak} bytes");
+}
+
+/// A container the header checks mostly let through, so the decoders
+/// behind them see arbitrary bit data under arbitrary (small, huge,
+/// mismatched, zero) geometry, level counts, top planes and channel
+/// lengths. Wrong magics are left to the raw and mutated inputs.
+fn arb_container_bytes() -> impl Strategy<Value = Vec<u8>> {
+    /// `Some` in about one draw of twelve: a field that departs from
+    /// its plausible value only now and then, so that most containers
+    /// get past most checks.
+    fn rarely<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+        (0u32..12, s).prop_map(|(k, v)| (k == 0).then_some(v))
+    }
+    fn arb_dim() -> impl Strategy<Value = u16> {
+        (0usize..7, rarely(any::<u16>()))
+            .prop_map(|(i, wild)| wild.unwrap_or([8u16, 16, 24, 32, 48, 64, 2048][i]))
+    }
+    let plane = (
+        // This plane's own geometry, where it departs from the rest.
+        rarely((arb_dim(), arb_dim())),
+        (
+            prop_oneof![0u8..14, 0u8..14, 24u8..32, Just(0xFF)],
+            rarely(any::<u8>()),
+        )
+            .prop_map(|(top, wild)| wild.unwrap_or(top)),
+        proptest::collection::vec(any::<u8>(), 0..48),
+        // Its length field, where that lies.
+        rarely(any::<u32>()),
+    );
+    (
+        (prop_oneof![Just(1u8), Just(3)], rarely(any::<u8>())),
+        (0usize..4, rarely(any::<u8>())),
+        (arb_dim(), arb_dim()),
+        (1u8..4, rarely(any::<u8>())),
+        proptest::collection::vec(plane, 3..4),
+    )
+        .prop_map(|(channels, kind, dims, levels, planes)| {
+            let mut out = b"EZC1".to_vec();
+            out.push(channels.1.unwrap_or(channels.0));
+            out.push(kind.1.unwrap_or([0u8, 1, 0x80, 0x81][kind.0]));
+            for (own_dims, top, body, len) in planes {
+                let (w, h) = own_dims.unwrap_or(dims);
+                let len = len.unwrap_or(10 + body.len() as u32);
+                out.extend_from_slice(&len.to_be_bytes());
+                out.extend_from_slice(b"EZP1");
+                out.extend_from_slice(&w.to_be_bytes());
+                out.extend_from_slice(&h.to_be_bytes());
+                out.extend_from_slice(&[levels.1.unwrap_or(levels.0), top]);
+                out.extend_from_slice(&body);
+            }
+            out
+        })
+}
+
+/// A small valid container, colour-transformed or grayscale.
+fn small_container(seed: u64, color: bool) -> Vec<u8> {
+    let scene =
+        collabqos::media::image::synthetic_scene(16, 16, if color { 3 } else { 1 }, 2, seed);
+    ezw::encode_image_opts(&scene.image, 2, WaveletKind::Cdf53, color).unwrap()
 }
 
 proptest! {
@@ -739,5 +892,89 @@ proptest! {
             repo2.update(*id, *l, c, ObjectState { kind: "t".into(), data: data.clone() });
         }
         prop_assert_eq!(repo1.snapshot(), repo2.snapshot());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// ROADMAP robustness item, EZW containers: whatever the bytes,
+    /// every entry point answers `Ok` or `Err` — no panic, and nothing
+    /// allocated on the say-so of an unchecked header.
+    #[test]
+    fn ezw_entry_points_survive_arbitrary_bytes(
+        shaped in arb_container_bytes(),
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+        drop_levels in 0usize..4,
+        budget in 0usize..256,
+    ) {
+        exercise_container(&shaped, drop_levels, budget)?;
+        exercise_container(&raw, drop_levels, budget)?;
+    }
+
+    /// The same for valid containers damaged in a few bytes, and cut
+    /// at *every* offset — mid-magic, mid-length, mid-plane-header —
+    /// before being handed to `truncate_container` and the decoders.
+    #[test]
+    fn ezw_entry_points_survive_mutation_and_every_cut(
+        seed in 0u64..4,
+        color in any::<bool>(),
+        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..6),
+        drop_levels in 0usize..4,
+        budget in 0usize..700,
+    ) {
+        let mut container = small_container(seed, color);
+        for (pos, val) in flips {
+            let i = pos as usize % container.len();
+            container[i] ^= val;
+        }
+        for cut in 0..=container.len() {
+            exercise_container(&container[..cut], drop_levels, budget)?;
+        }
+    }
+
+    /// `reassemble_prefix` over packets whose fields and payloads were
+    /// tampered with, or made up outright; what it accepts must still
+    /// decode or be refused without panicking.
+    #[test]
+    fn reassemble_prefix_survives_hostile_packets(
+        seed in 0u64..4,
+        color in any::<bool>(),
+        n in 1usize..6,
+        edits in proptest::collection::vec(
+            (any::<u8>(), 0u8..5, any::<u16>(), any::<u8>()),
+            0..6,
+        ),
+        made_up in proptest::collection::vec(
+            (0u16..4, 0u16..6, any::<u32>(), proptest::collection::vec(any::<u8>(), 0..32)),
+            0..3,
+        ),
+    ) {
+        let mut packets = split_packets(&small_container(seed, color), n);
+        for (which, field, pos, val) in edits {
+            let p = &mut packets[which as usize % n];
+            match field {
+                0 => p.index ^= val as u16,
+                1 => p.total ^= val as u16,
+                2 => p.full_len ^= val as u32,
+                3 if !p.payload.is_empty() => {
+                    let i = pos as usize % p.payload.len();
+                    p.payload[i] ^= val;
+                }
+                _ => p.payload.truncate(pos as usize % (p.payload.len() + 1)),
+            }
+        }
+        packets.extend(made_up.into_iter().map(|(index, total, full_len, payload)| MediaPacket {
+            index,
+            total,
+            full_len,
+            payload,
+        }));
+        let peak = peak_alloc_of(|| {
+            if let Ok(container) = reassemble_prefix(&packets) {
+                let _ = ezw::decode_image(&container);
+            }
+        });
+        prop_assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {} bytes", peak);
     }
 }
