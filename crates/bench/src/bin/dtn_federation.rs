@@ -8,10 +8,8 @@
 //! exactly once — so a custody bug cannot masquerade as a fast run.
 //!
 //! Output: a human-readable table (stored-bytes high-watermark, drain
-//! rate, delivered ratio) plus one machine-readable
-//! `BENCH dtn_federation.<scenario> msgs_per_s=...` line per scenario
-//! for CI's bench-regression gate. `--quick` / `BENCH_QUICK=1` runs
-//! the reduced sweep CI gates per PR.
+//! rate, delivered ratio). `--quick` runs the reduced sweep CI runs as
+//! smoke.
 
 use bench::{header, quick_mode, row};
 use broker::Overlay;
@@ -30,7 +28,6 @@ struct Outcome {
     expected: u64,
     stored_bytes_hwm: u64,
     drain_secs: f64,
-    wall_secs: f64,
     transfers: u64,
 }
 
@@ -94,7 +91,6 @@ fn run(cycles: usize, burst: usize) -> Outcome {
     let mut delivered_live = 0u64;
     let mut delivered_drained = 0u64;
     let mut drain_secs = 0.0f64;
-    let wall = Instant::now();
     for cycle in 0..cycles {
         // Cut a rotating inter-broker link, publish into the outage.
         let cut = links[cycle % links.len()];
@@ -120,7 +116,6 @@ fn run(cycles: usize, burst: usize) -> Outcome {
         drain_secs += t.elapsed().as_secs_f64();
         delivered_drained += drain_count(&mut net, &mut subs);
     }
-    let wall_secs = wall.elapsed().as_secs_f64();
 
     let (mut hwm, mut transfers) = (0u64, 0u64);
     for i in 0..DOMAINS {
@@ -135,7 +130,6 @@ fn run(cycles: usize, burst: usize) -> Outcome {
         expected: (cycles * burst * (DOMAINS - 1)) as u64,
         stored_bytes_hwm: hwm,
         drain_secs,
-        wall_secs,
         transfers,
     }
 }
@@ -164,7 +158,6 @@ fn main() {
         ],
         &widths,
     );
-    let mut bench_lines = Vec::new();
     for &(cycles, burst) in scenarios {
         let out = run(cycles, burst);
         let total = out.delivered_live + out.delivered_drained;
@@ -174,7 +167,6 @@ fn main() {
         );
         assert!(out.transfers > 0, "custody transfers must occur");
         let ratio = total as f64 / out.expected as f64;
-        let rate = total as f64 / out.wall_secs.max(1e-9);
         let drain_rate = out.delivered_drained as f64 / out.drain_secs.max(1e-9);
         row(
             &[
@@ -188,17 +180,9 @@ fn main() {
             ],
             &widths,
         );
-        bench_lines.push(format!(
-            "BENCH dtn_federation.c{cycles}.b{burst} msgs_per_s={rate:.0} \
-             drain_msgs_per_s={drain_rate:.0} stored_bytes_hwm={} delivered_ratio={ratio:.3}",
-            out.stored_bytes_hwm
-        ));
     }
     println!(
         "\nlive = delivered while partitioned (near side); drained = delivered by the\n\
-         custody store after each heal; counts asserted against the lossless expectation\n"
+         custody store after each heal; counts asserted against the lossless expectation"
     );
-    for line in &bench_lines {
-        println!("{line}");
-    }
 }

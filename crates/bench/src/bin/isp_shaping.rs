@@ -17,12 +17,8 @@
 //! 4. ECN before loss — for ECT traffic the first CoDel mark lands
 //!    strictly before the first (tail) drop.
 //!
-//! Output: a human-readable table plus one machine-readable
-//! `BENCH isp_shaping.s<subs> msgs_per_s=...` line per scenario for
-//! CI's bench-regression gate. `--quick` / `BENCH_QUICK=1` runs the
-//! reduced sweep CI gates per PR: one simulated second at 1 000 and at
-//! 16 000 subscribers, so a scheduler that went linear again fails the
-//! second id even where the first still passes.
+//! `--quick` runs the reduced sweep CI runs as smoke: one simulated
+//! second at 1 000 and at 16 000 subscribers.
 
 use bench::{header, quick_mode, row};
 use htb::{EnqueueOutcome, RatePlan, ShapingTree, TreeSpec};
@@ -254,7 +250,6 @@ fn main() {
         ],
         &widths,
     );
-    let mut bench_lines = Vec::new();
     for &(subs, sim_us) in scenarios {
         let out = run(subs, sim_us);
         let rate = out.pkts as f64 / out.wall_secs.max(1e-9);
@@ -272,17 +267,10 @@ fn main() {
             ],
             &widths,
         );
-        bench_lines.push(format!(
-            "BENCH isp_shaping.s{subs} msgs_per_s={rate:.0} root_util={:.3} borrowed_mbit={:.1}",
-            out.root_util, out.borrowed_mbit
-        ));
     }
     let (mark, drop) = ecn_precedes_drop();
     println!(
         "\ninvariants 1-3 asserted inline per scenario; invariant 4: first ECN mark at \
-         {mark} µs precedes first drop at {drop} µs\n"
+         {mark} µs precedes first drop at {drop} µs"
     );
-    for line in &bench_lines {
-        println!("{line}");
-    }
 }

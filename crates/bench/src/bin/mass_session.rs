@@ -22,11 +22,9 @@
 //! lossless), so a scheduling bug cannot masquerade as a fast run.
 //!
 //! Output: a human-readable table (peak and sustained delivered
-//! msgs/s, delivered bytes per client per tick, sim time per tick)
-//! plus one machine-readable `BENCH <id> msgs_per_s=...` line per
-//! scenario for CI's bench-regression gate. `--quick` / `BENCH_QUICK=1`
-//! selects the reduced sweep CI runs per PR; the default sweep climbs
-//! 1k -> 10k -> 100k clients.
+//! msgs/s, delivered bytes per client per tick, sim time per tick).
+//! `--quick` selects the reduced sweep CI runs as smoke; the default
+//! sweep climbs 1k -> 10k -> 100k clients.
 
 use bench::{header, quick_mode, row};
 use simnet::{Addr, GroupId, LinkSpec, Network, NodeId, Payload, Port, SocketHandle};
@@ -228,7 +226,6 @@ fn main() {
         ],
         &widths,
     );
-    let mut bench_lines = Vec::new();
     for &n in scales {
         for (mode, out) in [("flat", run_flat(n)), ("brokered", run_brokered(n))] {
             row(
@@ -242,17 +239,10 @@ fn main() {
                 ],
                 &widths,
             );
-            bench_lines.push(format!(
-                "BENCH mass_session.{mode}.{n} msgs_per_s={:.0} bytes_per_client_tick={:.1}",
-                out.peak, out.bytes_per_client_tick
-            ));
         }
     }
     println!(
         "\npeak = best single-tick delivered rate (wall clock); sustained = whole-run rate;\n\
-         delivery counts asserted against the closed-form lossless expectation per scenario\n"
+         delivery counts asserted against the closed-form lossless expectation per scenario"
     );
-    for line in &bench_lines {
-        println!("{line}");
-    }
 }

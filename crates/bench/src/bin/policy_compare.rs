@@ -8,12 +8,9 @@
 //! * the delivered-utility table EXPERIMENTS.md reproduces — one row
 //!   per scenario × engine, scored by
 //!   [`cqos_core::experiments::score_engine`]'s utility model;
-//! * one machine-readable `BENCH policy_compare.<engine>` line per
-//!   engine carrying `decisions_per_s` plus the per-scenario utility
-//!   (`bench_gate` only regresses on `msgs_per_s`, so these lines are
-//!   informational).
+//! * raw `decide` throughput per engine over one shared state batch.
 //!
-//! `--quick` / `BENCH_QUICK=1` shrinks the throughput sweep for CI.
+//! `--quick` shrinks the throughput sweep for CI.
 
 use bench::{fmt, header, quick_mode, row, time_best};
 use cqos_core::experiments::{default_comparison_policies, run_policy_comparison};
@@ -71,6 +68,8 @@ fn main() {
 
     let reps = if quick_mode() { 3 } else { 10 };
     let batch = state_batch();
+    let widths = [10, 13];
+    header(&["engine", "decisions/s"], &widths);
     for choice in EngineChoice::all() {
         let engine = choice.build(default_comparison_policies(), QosContract::default());
         let (decisions, secs) = time_best(reps, || {
@@ -81,16 +80,12 @@ fn main() {
             }
             n
         });
-        let rate = decisions as f64 / secs;
-        let utilities: Vec<String> = scores
-            .iter()
-            .filter(|s| s.engine == engine.name())
-            .map(|s| format!("utility_{}={:.2}", s.scenario, s.utility))
-            .collect();
-        println!(
-            "BENCH policy_compare.{} decisions_per_s={rate:.0} {}",
-            engine.name(),
-            utilities.join(" ")
+        row(
+            &[
+                engine.name().to_string(),
+                format!("{:.0}", decisions as f64 / secs),
+            ],
+            &widths,
         );
     }
 }

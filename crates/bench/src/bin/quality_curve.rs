@@ -25,12 +25,7 @@
 //! * it spans ≥ 4 tiers and ≥ 2 distinct packet budgets, so the sweep
 //!   actually exercised adaptation rather than idling at full quality.
 //!
-//! Output: a human-readable table plus one machine-readable
-//! `BENCH quality_curve.<engine> msgs_per_s=...` line per engine
-//! (top-tier delivered bits/s — simulator-deterministic, so the
-//! bench-regression gate catches behavioural drift, not noise).
-//! `--quick` / `BENCH_QUICK=1` trims measurement rounds, never tiers
-//! or asserts.
+//! `--quick` trims measurement rounds, never tiers or asserts.
 
 use bench::{fmt, header, quick_mode, row};
 use cqos_core::policy::AdaptationAction;
@@ -288,16 +283,6 @@ fn main() {
             top.delivered_kbit > sorted[0].delivered_kbit,
             "{}: curve is flat — every tier delivered the same rate",
             choice.name()
-        );
-
-        // Simulator-deterministic, so the regression gate catches
-        // behavioural drift rather than machine noise.
-        println!(
-            "BENCH quality_curve.{} msgs_per_s={:.0} psnr_top={:.2} tiers={}",
-            choice.name(),
-            top.delivered_kbit * 1_000.0,
-            top.psnr_db,
-            points.len()
         );
     }
     println!();

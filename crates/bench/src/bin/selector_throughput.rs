@@ -10,11 +10,8 @@
 //! working set amortizes compilation across many messages, a working
 //! set above capacity shows the recompile floor.
 //!
-//! Besides the human-readable table, every cell is also emitted as a
-//! machine-readable line `BENCH <id> msgs_per_s=<rate>` so CI's
-//! bench-regression gate (`bench_gate`) can compare runs. Pass
-//! `--quick` (or set `BENCH_QUICK=1`) for the reduced-scale sweep CI
-//! uses per PR.
+//! The three paths' accept counts are asserted equal per row. Pass
+//! `--quick` for the reduced-scale sweep CI runs as smoke.
 
 use bench::{header, quick_mode, row, time_best};
 use sempubsub::matching;
@@ -118,7 +115,6 @@ fn main() {
         ],
         &widths,
     );
-    let mut bench_lines = Vec::new();
     for n in [8usize, 64, 256] {
         let selectors = make_selectors(n);
 
@@ -156,18 +152,9 @@ fn main() {
             ],
             &widths,
         );
-        for (path, secs) in [("tree", tree_s), ("cold", cold_s), ("warm", warm_s)] {
-            bench_lines.push(format!(
-                "BENCH selector_throughput.{path}.{n} msgs_per_s={}",
-                rate(secs)
-            ));
-        }
     }
     println!(
         "\noutcomes identical across all three paths (accept counts asserted per row);\n\
-         warm gain = tree-walk time / compiled-warm time\n"
+         warm gain = tree-walk time / compiled-warm time"
     );
-    for line in &bench_lines {
-        println!("{line}");
-    }
 }

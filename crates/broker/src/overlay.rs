@@ -31,7 +31,7 @@ use crate::algebra::covers;
 use dtn::{Bundle, CustodyStore, Frame, StoreConfig, StoreStatsHandle};
 use sempubsub::{AttrValue, CacheStatsHandle, MatchEngine, Profile, Selector, SemanticMessage};
 use simnet::packet::well_known;
-use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, SocketHandle, Ticks};
+use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -278,7 +278,96 @@ pub struct BrokerNode {
     store: Option<CustodyStore>,
 }
 
+/// Where one message goes from a broker: the outcome of the single
+/// forwarding decision both arrival paths (data datagram, custody
+/// bundle) share.
+#[derive(Default)]
+struct ForwardPlan {
+    /// Send now: the local group when a copy from the mesh matches a
+    /// local advertisement, then every reachable matching neighbor.
+    sends: Vec<Addr>,
+    /// Matching neighbors (broker index) the reachability probe found
+    /// cut off: the custody targets.
+    unreachable: Vec<usize>,
+    /// Destinations skipped because no advertisement behind them
+    /// matched, the local domain included.
+    suppressed: u64,
+    /// Whether the local domain is among the skipped ones.
+    local_suppressed: bool,
+}
+
 impl BrokerNode {
+    /// Decide where a message with `selector` goes from here. `from`
+    /// is the neighbor broker the copy arrived from; `None` means it
+    /// was published in the local domain, where multicast already
+    /// reached every group member, so it is not delivered locally
+    /// again. `reach` is neighbor reachability in neighbor order;
+    /// `None` means nothing was probed and every neighbor counts as
+    /// reachable.
+    fn plan_forward(
+        &mut self,
+        selector: &str,
+        from: Option<usize>,
+        reach: Option<&[bool]>,
+    ) -> ForwardPlan {
+        // Compile the selector once per message — a cache hit for
+        // every stream whose selector the broker has seen before. An
+        // unparseable selector cannot be reasoned about; forward
+        // conservatively (the endpoint will count it).
+        let parseable = self.engine.compile(selector).is_ok();
+        let engine = &mut self.engine;
+        let mut matches = |ads: &[Advertisement]| {
+            ads.iter()
+                .any(|ad| ad_matches_compiled(engine, selector, parseable, ad))
+        };
+        let mut plan = ForwardPlan::default();
+        if from.is_some() {
+            if matches(&self.local_ads) {
+                plan.sends
+                    .push(Addr::multicast(self.group, well_known::SESSION_DATA));
+            } else {
+                plan.suppressed += 1;
+                plan.local_suppressed = true;
+            }
+        }
+        for (k, n) in self.neighbors.iter().enumerate() {
+            if Some(n.broker) == from {
+                continue;
+            }
+            if !self
+                .remote_ads
+                .get(&n.broker)
+                .is_some_and(|ads| matches(ads))
+            {
+                plan.suppressed += 1;
+            } else if reach.is_none_or(|r| r[k]) {
+                plan.sends
+                    .push(Addr::unicast(n.node, well_known::SESSION_DATA));
+            } else {
+                plan.unreachable.push(n.broker);
+            }
+        }
+        plan
+    }
+
+    /// Count a plan the caller committed to and put its copies on the
+    /// wire.
+    fn forward(&self, net: &mut Network, plan: ForwardPlan, payload: Payload) {
+        let counters = &self.stats.inner;
+        counters
+            .forwarded
+            .fetch_add(plan.sends.len() as u64, Ordering::Relaxed);
+        counters
+            .suppressed
+            .fetch_add(plan.suppressed, Ordering::Relaxed);
+        counters
+            .local_suppressed
+            .fetch_add(u64::from(plan.local_suppressed), Ordering::Relaxed);
+        for addr in plan.sends {
+            let _ = net.send(self.data, addr, payload.clone());
+        }
+    }
+
     fn update_table_gauge(&self) {
         let size = self.local_ads.len() as u64
             + self
@@ -739,51 +828,19 @@ impl Overlay {
             signal(net, Frame::encode_accept(&b.source, b.seq));
             return;
         };
-        // Forward targets, exactly as process_data computes them.
-        let reach: Vec<bool> = {
-            let node = self.brokers[i].node;
-            let neigh: Vec<NodeId> = self.brokers[i].neighbors.iter().map(|n| n.node).collect();
-            neigh
-                .into_iter()
-                .map(|nn| net.reachable(node, nn))
-                .collect()
-        };
+        let reach = self.probe_neighbors(net, i);
         let broker = &mut self.brokers[i];
-        let parseable = broker.engine.compile(&msg.selector).is_ok();
-        let deliver_local = broker
-            .local_ads
+        let plan = broker.plan_forward(&msg.selector, Some(from), reach.as_deref());
+        // Still partitioned further downstream: custody continues
+        // hop-by-hop from here.
+        let onward = plan
+            .unreachable
             .iter()
-            .any(|ad| ad_matches_compiled(&mut broker.engine, &msg.selector, parseable, ad));
-        let mut sends: Vec<Addr> = Vec::new();
-        let mut suppressed = 0u64;
-        let mut onward: Vec<Bundle> = Vec::new();
-        if deliver_local {
-            sends.push(Addr::multicast(broker.group, well_known::SESSION_DATA));
-        } else {
-            suppressed += 1;
-        }
-        for (k, n) in broker.neighbors.iter().enumerate() {
-            if n.broker == from {
-                continue;
-            }
-            let behind = broker.remote_ads.get(&n.broker);
-            let matches = behind.is_some_and(|ads| {
-                ads.iter()
-                    .any(|ad| ad_matches_compiled(&mut broker.engine, &msg.selector, parseable, ad))
-            });
-            if !matches {
-                suppressed += 1;
-            } else if reach[k] {
-                sends.push(Addr::unicast(n.node, well_known::SESSION_DATA));
-            } else {
-                // Still partitioned further downstream: custody must
-                // continue hop-by-hop from here.
-                onward.push(Bundle {
-                    dst_domain: n.broker as u32,
-                    ..b.clone()
-                });
-            }
-        }
+            .map(|&nb| Bundle {
+                dst_domain: nb as u32,
+                ..b.clone()
+            })
+            .collect();
         let store = broker.store.as_mut().expect("checked above");
         if !store.try_insert_all(onward, now) {
             // Quota would be exceeded: the upstream broker keeps
@@ -792,28 +849,24 @@ impl Overlay {
             return;
         }
         broker.seen.insert(key);
-        broker
-            .stats
-            .inner
-            .forwarded
-            .fetch_add(sends.len() as u64, Ordering::Relaxed);
-        broker
-            .stats
-            .inner
-            .suppressed
-            .fetch_add(suppressed, Ordering::Relaxed);
-        if !deliver_local {
-            broker
-                .stats
-                .inner
-                .local_suppressed
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let data = broker.data;
         signal(net, Frame::encode_accept(&b.source, b.seq));
-        for addr in sends {
-            let _ = net.send(data, addr, b.payload.clone());
-        }
+        broker.forward(net, plan, b.payload.into());
+    }
+
+    /// Reachability of broker `i`'s neighbors, in neighbor order.
+    /// `None` without a custody store: nothing is probed, so overlays
+    /// with custody disabled stay bit-identical to ones built before
+    /// the store existed.
+    fn probe_neighbors(&self, net: &mut Network, i: usize) -> Option<Vec<bool>> {
+        let broker = &self.brokers[i];
+        broker.store.as_ref()?;
+        Some(
+            broker
+                .neighbors
+                .iter()
+                .map(|n| net.reachable(broker.node, n.node))
+                .collect(),
+        )
     }
 
     fn process_data(&mut self, net: &mut Network, i: usize) -> usize {
@@ -828,21 +881,14 @@ impl Overlay {
                 continue;
             };
             let key = (msg.sender.clone(), msg.seq);
-            let from = self.node_to_broker.get(&d.src_node).copied();
-            // With custody enabled, probe neighbor reachability up
-            // front (route_cached needs the network mutably); disabled
-            // overlays skip this entirely and stay bit-identical.
-            let custody_on = self.brokers[i].store.is_some();
-            let reach: Vec<bool> = if custody_on {
-                let node = self.brokers[i].node;
-                let neigh: Vec<NodeId> = self.brokers[i].neighbors.iter().map(|n| n.node).collect();
-                neigh
-                    .into_iter()
-                    .map(|nn| net.reachable(node, nn))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            // A copy from this broker's own domain has no arrival
+            // neighbor.
+            let from = self
+                .node_to_broker
+                .get(&d.src_node)
+                .copied()
+                .filter(|&j| j != i);
+            let reach = self.probe_neighbors(net, i);
             let now = net.now();
             let broker = &mut self.brokers[i];
             if !broker.seen.insert(key) {
@@ -853,85 +899,25 @@ impl Overlay {
                     .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            // Compile the selector once per message — a cache hit for
-            // every stream whose selector the broker has seen before.
-            // An unparseable selector cannot be reasoned about;
-            // forward conservatively (the endpoint will count it).
-            let parseable = broker.engine.compile(&msg.selector).is_ok();
-            let mut sends: Vec<Addr> = Vec::new();
-            let mut suppressed = 0u64;
-            let mut local_suppressed = 0u64;
-            // Deliver into the local domain only for copies arriving
-            // over the mesh: a locally-published message already
-            // reached every group member by multicast.
-            if from.is_some_and(|j| j != i) {
-                if broker
-                    .local_ads
-                    .iter()
-                    .any(|ad| ad_matches_compiled(&mut broker.engine, &msg.selector, parseable, ad))
-                {
-                    sends.push(Addr::multicast(broker.group, well_known::SESSION_DATA));
-                } else {
-                    suppressed += 1;
-                    local_suppressed += 1;
-                }
-            }
-            let mut stored: Vec<Bundle> = Vec::new();
-            for (k, n) in broker.neighbors.iter().enumerate() {
-                if Some(n.broker) == from {
-                    continue;
-                }
-                let behind = broker.remote_ads.get(&n.broker);
-                let matches = behind.is_some_and(|ads| {
-                    ads.iter().any(|ad| {
-                        ad_matches_compiled(&mut broker.engine, &msg.selector, parseable, ad)
-                    })
-                });
-                if !matches {
-                    suppressed += 1;
-                } else if !custody_on || reach[k] {
-                    sends.push(Addr::unicast(n.node, well_known::SESSION_DATA));
-                } else {
-                    // The matching neighbor is unreachable: take the
-                    // message into custody instead of black-holing it.
-                    let lifetime = broker.store.as_ref().expect("custody_on").config().lifetime;
-                    stored.push(Bundle {
+            let plan = broker.plan_forward(&msg.selector, from, reach.as_deref());
+            // A matching neighbor is unreachable: take the message
+            // into custody instead of black-holing it.
+            if let Some(store) = broker.store.as_mut() {
+                for &nb in &plan.unreachable {
+                    let bundle = Bundle {
                         source: msg.sender.clone(),
                         seq: msg.seq,
                         src_domain: i as u32,
-                        dst_domain: n.broker as u32,
+                        dst_domain: nb as u32,
                         created_at: now,
-                        lifetime,
+                        lifetime: store.config().lifetime,
                         custody: true,
                         payload: d.payload.to_vec(),
-                    });
-                }
-            }
-            if !stored.is_empty() {
-                let store = broker.store.as_mut().expect("custody_on");
-                for bundle in stored {
+                    };
                     store.insert(bundle, now);
                 }
             }
-            broker
-                .stats
-                .inner
-                .forwarded
-                .fetch_add(sends.len() as u64, Ordering::Relaxed);
-            broker
-                .stats
-                .inner
-                .suppressed
-                .fetch_add(suppressed, Ordering::Relaxed);
-            broker
-                .stats
-                .inner
-                .local_suppressed
-                .fetch_add(local_suppressed, Ordering::Relaxed);
-            let data = broker.data;
-            for addr in sends {
-                let _ = net.send(data, addr, d.payload.clone());
-            }
+            broker.forward(net, plan, d.payload);
         }
         handled
     }
@@ -1330,6 +1316,108 @@ mod tests {
         ov.pump(&mut net, Ticks::from_millis(100));
         assert_eq!(eps[1].poll(&mut net).len(), 1);
         assert_eq!(stats.stored_bundles(), 0);
+    }
+
+    /// One forwarding decision: a message reaching a broker as a data
+    /// datagram and as a custody bundle, from the same neighbor, goes
+    /// to the same places and moves the same counters.
+    #[test]
+    fn datagram_and_bundle_arrivals_forward_identically() {
+        // Star around broker 1: neighbor 0 is the arrival side, 2
+        // wants images, 3 wants text, 4 wants images but is cut off.
+        let observe = |as_bundle: bool| {
+            let mut net = Network::new(21);
+            let mut ov = Overlay::new();
+            ov.enable_custody(dtn::StoreConfig::default());
+            let topics = ["none", "image", "image", "text", "image"];
+            for i in 0..topics.len() {
+                ov.add_broker(&mut net, &format!("broker-{i}"));
+            }
+            for k in [0, 2, 3, 4] {
+                ov.connect(&mut net, 1, k, LinkSpec::lan());
+            }
+            for (i, topic) in topics.iter().enumerate() {
+                let profile = interested_profile(&format!("client-{i}"), topic);
+                ov.register_local(&mut net, i, &profile);
+            }
+            let host = net.add_node("host-1");
+            net.connect(host, ov.node(1), LinkSpec::lan());
+            let mut local = BusEndpoint::join(
+                &mut net,
+                host,
+                well_known::SESSION_DATA,
+                ov.group(1),
+                interested_profile("client-1", "image"),
+            )
+            .unwrap();
+            ov.settle(&mut net);
+            let cut = ov.link_between(1, 4).unwrap();
+            net.topology_mut().set_link_up(cut, false);
+
+            for (seq, topic) in [(1, "image"), (2, "text")] {
+                let payload = SemanticMessage {
+                    sender: "client-0".to_string(),
+                    kind: "image-share".to_string(),
+                    selector: format!("interested_in contains '{topic}'"),
+                    seq,
+                    content: image_content(),
+                    body: vec![seq as u8],
+                }
+                .encode();
+                let (socket, port, wire) = if as_bundle {
+                    let bundle = Bundle {
+                        source: "client-0".to_string(),
+                        seq,
+                        src_domain: 0,
+                        dst_domain: 1,
+                        created_at: net.now(),
+                        lifetime: Ticks::from_millis(60_000),
+                        custody: true,
+                        payload,
+                    };
+                    (
+                        ov.brokers[0].ctrl,
+                        well_known::SESSION_CTRL,
+                        bundle.encode(),
+                    )
+                } else {
+                    (ov.brokers[0].data, well_known::SESSION_DATA, payload)
+                };
+                net.send(socket, Addr::unicast(ov.node(1), port), wire)
+                    .unwrap();
+            }
+            net.run_for(Ticks::from_millis(10));
+            ov.process(&mut net, 1);
+            net.run_for(Ticks::from_millis(10));
+
+            let mut arrived = Vec::new();
+            for k in [2, 3, 4] {
+                while let Some(d) = net.recv(ov.brokers[k].data) {
+                    arrived.push((k, d.payload.to_vec()));
+                }
+            }
+            let local: Vec<u64> = local.poll(&mut net).iter().map(|a| a.message.seq).collect();
+            let stats = ov.stats(1);
+            (
+                arrived,
+                local,
+                stats.forwarded(),
+                stats.suppressed(),
+                stats.local_suppressed(),
+                ov.store_stats(1).unwrap().stored_bundles(),
+            )
+        };
+        let datagram = observe(false);
+        assert_eq!(datagram, observe(true));
+        // Image: local group + broker 2 now, broker 4 into custody,
+        // broker 3 suppressed. Text: broker 3 only.
+        let (arrived, local, forwarded, suppressed, local_suppressed, stored) = datagram;
+        assert_eq!(arrived.iter().map(|(k, _)| *k).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(local, [1]);
+        assert_eq!(
+            (forwarded, suppressed, local_suppressed, stored),
+            (3, 4, 1, 1)
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Closed-loop drivers regenerating the paper's evaluation (§6):
 //! Figures 6–10 plus the §5.4 sketch-reduction headline. Used by the
-//! repro binaries, the criterion benches, and the integration tests so
-//! that all three report identical series.
+//! repro binaries and the integration tests so that both report
+//! identical series.
 
 use crate::contract::QosContract;
 use crate::inference::InferenceEngine;
@@ -631,8 +631,7 @@ pub struct ComparePhase {
 
 /// A named phase sequence for the engine head-to-head.
 pub struct CompareScenario {
-    /// Scenario name (appears in the EXPERIMENTS.md table and BENCH
-    /// lines).
+    /// Scenario name (appears in the EXPERIMENTS.md table).
     pub name: &'static str,
     /// The phase sequence.
     pub phases: Vec<ComparePhase>,

@@ -10,8 +10,8 @@
 //! **upgrade only after the engine has proposed a better level for
 //! `upgrade_patience` consecutive decisions**.
 //!
-//! The `ablation_hysteresis` bench and unit tests quantify the
-//! flip-flop suppression on a noisy load trace.
+//! The unit tests quantify the flip-flop suppression on a noisy load
+//! trace; `bench`'s `ablations` program times the filter.
 
 use crate::inference::AdaptationDecision;
 

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// counts.
 pub trait AdaptationPolicy: Send + Sync {
     /// Short stable identifier (`"threshold"`, `"fuzzy"`, `"bayes"`)
-    /// used in logs, BENCH lines, and chaos failure messages.
+    /// used in logs, bench tables, and chaos failure messages.
     fn name(&self) -> &'static str;
 
     /// Decide adaptations for the observed numeric state.

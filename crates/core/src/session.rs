@@ -908,24 +908,27 @@ impl CollaborationSession {
         color: u8,
         selector: &str,
     ) -> Result<u64, String> {
-        let client = &mut self.clients[id];
-        let lamport = client.clock.tick();
+        let lamport = self.clients[id].clock.tick();
         let ev = AppEvent::WhiteboardStroke {
             object_id,
             lamport,
             points,
             color,
         };
-        // Local echo: the author's own whiteboard applies immediately.
+        self.publish_event(id, &ev, selector)?;
+        // Local echo, only once the stroke is on the wire: a failed
+        // publish must not leave the author with a stroke no other
+        // replica ever hears of.
+        let client = &mut self.clients[id];
         let name = client.name.clone();
         client.whiteboard.apply(&name, &ev);
-        self.publish_event(id, &ev, selector)?;
         Ok(lamport)
     }
 
-    /// Request the distributed lock on a shared object: applies the
-    /// request to the local lock manager and multicasts it so every
-    /// replica arbitrates identically (same Lamport total order).
+    /// Request the distributed lock on a shared object: multicasts the
+    /// request so every replica arbitrates identically (same Lamport
+    /// total order), then applies it to the local lock manager — only
+    /// if the publish succeeded, so an `Err` leaves no replica changed.
     /// Returns the local outcome.
     pub fn request_lock(
         &mut self,
@@ -933,18 +936,16 @@ impl CollaborationSession {
         object_id: u64,
         selector: &str,
     ) -> Result<crate::concurrency::LockOutcome, String> {
-        let client = &mut self.clients[id];
-        let lamport = client.clock.tick();
-        let name = client.name.clone();
-        let outcome = client.locks.request(object_id, &name, lamport);
+        let lamport = self.clients[id].clock.tick();
+        let name = self.clients[id].name.clone();
         let ev = AppEvent::Lock {
             object_id,
-            client: name,
+            client: name.clone(),
             lamport,
             op: 0,
         };
         self.publish_event(id, &ev, selector)?;
-        Ok(outcome)
+        Ok(self.clients[id].locks.request(object_id, &name, lamport))
     }
 
     /// Release the distributed lock on a shared object.
@@ -954,17 +955,17 @@ impl CollaborationSession {
         object_id: u64,
         selector: &str,
     ) -> Result<(), String> {
-        let client = &mut self.clients[id];
-        let lamport = client.clock.tick();
-        let name = client.name.clone();
-        let _ = client.locks.release(object_id, &name);
+        let lamport = self.clients[id].clock.tick();
+        let name = self.clients[id].name.clone();
         let ev = AppEvent::Lock {
             object_id,
-            client: name,
+            client: name.clone(),
             lamport,
             op: 1,
         };
-        self.publish_event(id, &ev, selector)
+        self.publish_event(id, &ev, selector)?;
+        let _ = self.clients[id].locks.release(object_id, &name);
+        Ok(())
     }
 
     /// Apply previously drained payloads to one client: decode each
@@ -1691,6 +1692,58 @@ mod tests {
         s.pump(Ticks::from_millis(50));
         assert_eq!(s.client(a).locks.holder(oid), Some("viewer"));
         assert_eq!(s.client(b).locks.holder(oid), Some("viewer"));
+    }
+
+    #[test]
+    fn failed_publish_leaves_every_replica_unchanged() {
+        fn observe(s: &CollaborationSession, ids: [ClientId; 2], oid: u64) -> Vec<String> {
+            ids.iter()
+                .map(|&id| {
+                    let c = s.client(id);
+                    format!(
+                        "{:?} {:?} {:?} {}",
+                        c.whiteboard.strokes(oid),
+                        c.locks.holder(oid),
+                        c.repo.snapshot(),
+                        c.bus.stats().published
+                    )
+                })
+                .collect()
+        }
+        let (mut s, a, b) = two_client_session();
+        let oid = s.new_object_id();
+        s.share_stroke(a, oid, vec![(1, 2)], 1, "true").unwrap();
+        s.request_lock(a, oid, "true").unwrap();
+        s.pump(Ticks::from_millis(50));
+        let before = observe(&s, [a, b], oid);
+
+        // Unparsable selector on each call; a stroke too large for one
+        // datagram (4 bytes a point against the 65 507-byte limit).
+        assert!(s.share_stroke(a, oid, vec![(5, 6)], 1, "((").is_err());
+        assert!(s
+            .share_stroke(a, oid, vec![(0, 0); 20_000], 1, "true")
+            .is_err());
+        assert!(s.release_lock(a, oid, "((").is_err());
+        let other = s.new_object_id();
+        assert!(s.request_lock(a, other, "((").is_err());
+        s.pump(Ticks::from_millis(50));
+        assert_eq!(observe(&s, [a, b], oid), before);
+        for id in [a, b] {
+            assert_eq!(s.client(id).locks.holder(other), None);
+        }
+        // `b` is granted what `a` never got, on both replicas.
+        let got = s.request_lock(b, other, "true").unwrap();
+        assert_eq!(got, crate::concurrency::LockOutcome::Granted);
+
+        // Valid calls still replicate after the failures.
+        s.share_stroke(a, oid, vec![(7, 8)], 2, "true").unwrap();
+        s.release_lock(a, oid, "true").unwrap();
+        s.pump(Ticks::from_millis(50));
+        for id in [a, b] {
+            assert_eq!(s.client(id).whiteboard.strokes(oid).len(), 2);
+            assert_eq!(s.client(id).locks.holder(oid), None);
+            assert_eq!(s.client(id).locks.holder(other), Some("viewer"));
+        }
     }
 
     #[test]
