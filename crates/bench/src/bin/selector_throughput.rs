@@ -10,12 +10,22 @@
 //! working set amortizes compilation across many messages, a working
 //! set above capacity shows the recompile floor.
 //!
-//! The three paths' accept counts are asserted equal per row. Pass
-//! `--quick` for the reduced-scale sweep CI runs as smoke.
+//! A second table measures fan-out, the session's actual shape: the
+//! same frames received by E endpoints, each decoding privately against
+//! a selector store of its own (E decodes and E × S programs) versus
+//! one decoded frame per buffer and one store for all (one decode and S
+//! programs), the decision per endpoint either way.
+//!
+//! Every path's accept count is asserted equal to the tree walk's per
+//! row. Pass `--quick` for the reduced-scale sweep CI runs as smoke.
 
 use bench::{header, quick_mode, row, time_best};
 use sempubsub::matching;
-use sempubsub::{AttrValue, MatchEngine, Profile, Selector};
+use sempubsub::{
+    AttrValue, BusEndpoint, Frame, FrameMemo, MatchEngine, Profile, Selector, SelectorStore,
+    SemanticMessage,
+};
+use simnet::{LinkSpec, Network, Payload, Port};
 use std::collections::BTreeMap;
 
 /// One profile shaped like a real session client: attributes the
@@ -96,6 +106,163 @@ fn run_compiled(
     accepted
 }
 
+/// Endpoint `i`'s profile: [`make_profile`] with its own `size`, so
+/// endpoints accept different subsets of the selectors.
+fn fan_out_profile(i: usize) -> Profile {
+    let mut p = make_profile();
+    p.name = format!("bench-client-{i}");
+    p.set("size", AttrValue::Int((i % 8) as i64));
+    p
+}
+
+/// Receive `wires` at every endpoint the way a standalone endpoint
+/// does: decode each copy privately, compile through a private store.
+fn run_private(endpoints: &mut [BusEndpoint], wires: &[Vec<u8>]) -> u64 {
+    endpoints
+        .iter_mut()
+        .map(|ep| {
+            let payloads: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
+            ep.interpret_batch(payloads).len() as u64
+        })
+        .sum()
+}
+
+/// Receive `wires` at every endpoint the way the session's pump does:
+/// each endpoint is handed a clone of the publisher's buffer, the memo
+/// decodes a buffer on first sight, the endpoint decides.
+fn run_shared(endpoints: &mut [BusEndpoint], memo: &mut FrameMemo, wires: &[Vec<u8>]) -> u64 {
+    let buffers: Vec<Payload> = wires.iter().map(|w| Payload::from(w.clone())).collect();
+    let accepted = endpoints
+        .iter_mut()
+        .map(|ep| {
+            let frames: Vec<Frame> = buffers.iter().map(|b| memo.resolve(b.clone())).collect();
+            ep.interpret_frames(&frames).len() as u64
+        })
+        .sum();
+    drop(buffers);
+    memo.sweep();
+    assert!(memo.is_empty(), "every copy was drained");
+    accepted
+}
+
+/// The fan-out table: E endpoints × M messages per selector count.
+fn fan_out(quick: bool) {
+    let (endpoints, messages, reps) = if quick {
+        (16, 1_000, 2)
+    } else {
+        (64, 4_000, 3)
+    };
+    println!(
+        "\nfan-out — {messages} messages received by each of {endpoints} endpoints, \
+         best of {reps} (receptions/s)\n"
+    );
+    let widths = [10, 14, 14, 10, 16, 15];
+    header(
+        &[
+            "selectors",
+            "private",
+            "shared",
+            "gain",
+            "programs (priv)",
+            "programs (shr)",
+        ],
+        &widths,
+    );
+    let content = make_content();
+    let profiles: Vec<Profile> = (0..endpoints).map(fan_out_profile).collect();
+    for n in [8usize, 64, 256] {
+        let selectors = make_selectors(n);
+        let wires: Vec<Vec<u8>> = (0..messages)
+            .map(|i| {
+                SemanticMessage {
+                    sender: "bench-publisher".to_string(),
+                    kind: "chat".to_string(),
+                    selector: selectors[i % n].clone(),
+                    seq: i as u64,
+                    content: content.clone(),
+                    body: b"a line of chat".to_vec(),
+                }
+                .encode()
+            })
+            .collect();
+
+        let parsed: Vec<Selector> = selectors
+            .iter()
+            .map(|s| Selector::parse(s).expect("valid selector"))
+            .collect();
+        let tree_accepted: u64 = profiles
+            .iter()
+            .map(|p| {
+                (0..messages)
+                    .filter(|i| {
+                        matching::interpret(p, &parsed[i % n], &content)
+                            .is_ok_and(|o| o.is_accepted())
+                    })
+                    .count() as u64
+            })
+            .sum();
+
+        let mut net = Network::new(1);
+        let names: Vec<String> = (0..endpoints).map(|i| format!("h{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (_switch, hosts) = net.lan(&names, LinkSpec::lan());
+        let (private_group, shared_group) = (net.new_group(), net.new_group());
+        let mut private: Vec<BusEndpoint> = (0..endpoints)
+            .map(|i| {
+                let p = profiles[i].clone();
+                BusEndpoint::join(&mut net, hosts[i], Port(5004), private_group, p)
+                    .expect("fresh port")
+            })
+            .collect();
+        let store = SelectorStore::with_capacity(4096);
+        let mut memo = FrameMemo::new(store.clone());
+        let mut shared: Vec<BusEndpoint> = (0..endpoints)
+            .map(|i| {
+                let p = profiles[i].clone();
+                BusEndpoint::join_with_store(
+                    &mut net,
+                    hosts[i],
+                    Port(5005),
+                    shared_group,
+                    p,
+                    store.clone(),
+                )
+                .expect("fresh port")
+            })
+            .collect();
+
+        let (private_accepted, private_s) = time_best(reps, || run_private(&mut private, &wires));
+        let (shared_accepted, shared_s) =
+            time_best(reps, || run_shared(&mut shared, &mut memo, &wires));
+        assert_eq!(tree_accepted, private_accepted, "private path at n={n}");
+        assert_eq!(tree_accepted, shared_accepted, "shared path at n={n}");
+
+        let private_programs: u64 = private
+            .iter()
+            .map(|ep| ep.cache_stats().misses() - ep.cache_stats().evictions())
+            .sum();
+        assert_eq!(private_programs, (endpoints * n) as u64, "E x S programs");
+        assert_eq!(store.len(), n, "S programs");
+
+        let rate = |s: f64| format!("{:.0}", (endpoints * messages) as f64 / s);
+        row(
+            &[
+                n.to_string(),
+                rate(private_s),
+                rate(shared_s),
+                format!("{:.2}x", private_s / shared_s),
+                private_programs.to_string(),
+                store.len().to_string(),
+            ],
+            &widths,
+        );
+    }
+    println!(
+        "\naccept counts equal the tree walk on both paths (asserted per row); programs held:\n\
+         endpoints x selectors with a store per endpoint, selectors with one store for all"
+    );
+}
+
 fn main() {
     let quick = quick_mode();
     let (messages, reps) = if quick { (8_000, 2) } else { (40_000, 5) };
@@ -157,4 +324,5 @@ fn main() {
         "\noutcomes identical across all three paths (accept counts asserted per row);\n\
          warm gain = tree-walk time / compiled-warm time"
     );
+    fan_out(quick);
 }

@@ -27,7 +27,7 @@ use media::image::Scene;
 use media::packetize::split_packets;
 use media::wavelet::{self, WaveletKind};
 use media::Sketch;
-use sempubsub::{AttrValue, BusEndpoint, Profile};
+use sempubsub::{AttrValue, BusEndpoint, Frame, FrameMemo, Profile, SelectorStore};
 use simnet::packet::well_known;
 use simnet::{GroupId, LinkSpec, Network, NodeId, Port, Ticks};
 use snmp::transport::AgentRuntime;
@@ -117,6 +117,17 @@ impl Default for SessionConfig {
 /// Index of a wired client within the session.
 pub type ClientId = usize;
 
+/// Capacity of the session's one selector store, in compiled programs.
+/// Every endpoint, the base station and every publisher of the session
+/// compile through it, so it must hold the *session's* working set of
+/// distinct selector strings, not one endpoint's: a few hundred topic
+/// selectors cycled through a reshuffled deck would evict each other
+/// out of a per-endpoint-sized 256 on every round. 4 096 programs at
+/// ≈1.1 KiB each is ≈4.5 MiB worst case — against clients × 256 when
+/// every endpoint kept its own — and still bounds a hostile stream of
+/// never-repeating selectors (eviction is O(1)).
+const SESSION_SELECTOR_CAPACITY: usize = 4096;
+
 /// One wired client's full runtime (§4.1).
 pub struct ClientRuntime {
     /// Client name (profile identity; never used for addressing).
@@ -202,8 +213,9 @@ pub struct BsPeer {
     pub downlink_log: Vec<DownlinkDelivery>,
     /// Compiled matcher for downlink interpretation: the BS evaluates
     /// every session event against *each* wireless profile, so one
-    /// engine (selector cached once, one snapshot per profile) replaces
-    /// a parse per message and a tree walk per profile.
+    /// engine (programs from the session's selector store, one
+    /// snapshot per attached profile) replaces a parse per message and
+    /// a tree walk per profile.
     pub matcher: sempubsub::MatchEngine,
 }
 
@@ -242,6 +254,13 @@ pub struct CollaborationSession {
     /// content hash so re-shares and multi-tier degradations reuse one
     /// embedded stream.
     media_cache: MediaCache,
+    /// The session's one selector store: every endpoint and the base
+    /// station's matcher compile through it, so a selector string is
+    /// compiled once per session and its program shared.
+    selectors: SelectorStore,
+    /// One decoded frame per message buffer, shared by every endpoint
+    /// the buffer reaches, across pumps; empty at quiescence.
+    frames: FrameMemo,
 }
 
 impl CollaborationSession {
@@ -291,7 +310,10 @@ impl CollaborationSession {
             fault_link(&mut net, &cfg, uplink);
             overlay = Some(ov);
         }
+        let selectors = SelectorStore::with_capacity(SESSION_SELECTOR_CAPACITY);
         CollaborationSession {
+            frames: FrameMemo::new(selectors.clone()),
+            selectors,
             net,
             group,
             switch,
@@ -321,6 +343,19 @@ impl CollaborationSession {
     /// shares images.
     pub fn media_cache_stats(&self) -> MediaCacheStatsHandle {
         self.media_cache.stats()
+    }
+
+    /// The session's selector store (programs held, live hit / miss /
+    /// eviction counters).
+    pub fn selector_store(&self) -> &SelectorStore {
+        &self.selectors
+    }
+
+    /// Message buffers whose decoded frame the session still remembers
+    /// because copies are in flight, queued or in custody; 0 at
+    /// quiescence.
+    pub fn frames_in_memo(&self) -> usize {
+        self.frames.len()
     }
 
     /// Connect `node` to the session switch with the configured link
@@ -429,20 +464,21 @@ impl CollaborationSession {
         .map_err(|e| e.to_string())?;
         netstate.add_host_metrics(node);
 
-        let bus = BusEndpoint::join(
+        let bus = BusEndpoint::join_with_store(
             &mut self.net,
             node,
             well_known::SESSION_DATA,
             group,
             profile,
+            self.selectors.clone(),
         )
         .map_err(|e| e.to_string())?;
         if let Some(ov) = self.overlay.as_mut() {
             ov.settle(&mut self.net);
         }
-        // The session agent serves the endpoint's compiled-selector
-        // cache counters (tassl.22.*) alongside the host metrics.
-        crate::trapwatch::install_cache_metrics(&mut agent_rt.agent, &bus.cache_stats());
+        // The session agent serves the session selector store's
+        // counters (tassl.22.*) alongside the host metrics.
+        crate::trapwatch::install_cache_metrics(&mut agent_rt.agent, &self.selectors.stats());
 
         self.agents.push(agent_rt);
         self.clients.push(ClientRuntime {
@@ -968,32 +1004,30 @@ impl CollaborationSession {
         Ok(())
     }
 
-    /// Apply previously drained payloads to one client: decode each
-    /// semantic message, interpret it against the client's profile, and
-    /// dispatch accepted events to the client's application entities.
-    /// Pure per-client CPU work (EZW decoding dominates) — touches no
-    /// shared state, so the sharded engine runs it on worker threads.
-    fn apply_payloads(
-        client: &mut ClientRuntime,
-        payloads: Vec<simnet::Payload>,
-    ) -> Vec<ViewedImage> {
+    /// Apply received frames to one client: interpret each against the
+    /// client's profile and dispatch accepted events to the client's
+    /// application entities. Pure per-client CPU work (EZW decoding
+    /// dominates) — the frames are immutable and everything mutated is
+    /// the client's own, so the sharded engine runs it on worker
+    /// threads without a lock.
+    fn apply_frames(client: &mut ClientRuntime, frames: Vec<Frame>) -> Vec<ViewedImage> {
         let mut completed = Vec::new();
-        for delivery in client.bus.interpret_batch(payloads) {
+        for delivery in client.bus.interpret_frames(&frames) {
             let Some(ev) = AppEvent::decode(&delivery.message.body) else {
                 continue;
             };
-            let sender = delivery.message.sender.clone();
+            let sender = &delivery.message.sender;
             match &ev {
                 AppEvent::Chat { .. } => client.chat.apply(&ev),
                 AppEvent::WhiteboardStroke {
                     object_id, lamport, ..
                 } => {
-                    client.whiteboard.apply(&sender, &ev);
+                    client.whiteboard.apply(sender, &ev);
                     client.clock.observe(*lamport);
                     client.repo.update(
                         *object_id,
                         *lamport,
-                        &sender,
+                        sender,
                         ObjectState {
                             kind: "whiteboard".to_string(),
                             data: ev.encode(),
@@ -1036,11 +1070,14 @@ impl CollaborationSession {
     /// Returns images completed during this step, tagged by client.
     ///
     /// Reception is a three-phase pipeline: (1) the shared network is
-    /// drained serially (one inbox per client), (2) decoding +
-    /// interpretation + application run per client, sharded across
-    /// `SessionConfig::workers` threads, (3) results merge back in
-    /// client order — the same order the serial loop produces, so any
-    /// worker count is bit-identical to `workers: 1`.
+    /// drained serially (one inbox per client) and each drained buffer
+    /// resolved to its shared [`Frame`] — decoded and compiled once per
+    /// session, not once per receiver, (2) interpretation against the
+    /// client's own profile + application run per client, sharded
+    /// across `SessionConfig::workers` threads, (3) results merge back
+    /// in client order — the same order the serial loop produces, so
+    /// any worker count is bit-identical to `workers: 1`, the selector
+    /// store's counters included (only phase 1 touches the store).
     pub fn pump(&mut self, d: Ticks) -> Vec<(ClientId, ViewedImage)> {
         if let Some(ov) = self.overlay.as_mut() {
             // Interleave time slices with broker forwarding, then
@@ -1050,18 +1087,18 @@ impl CollaborationSession {
         } else {
             self.net.run_for(d);
         }
-        let raw: Vec<Vec<simnet::Payload>> = {
-            let net = &mut self.net;
+        let received: Vec<Vec<Frame>> = {
+            let (net, frames) = (&mut self.net, &mut self.frames);
             self.clients
                 .iter_mut()
-                .map(|c| c.bus.drain_raw(net))
+                .map(|c| c.bus.receive(net, frames))
                 .collect()
         };
         let per_client = crate::shard::map_shards(
             &mut self.clients,
-            raw,
+            received,
             self.cfg.workers,
-            |_, client, payloads| Self::apply_payloads(client, payloads),
+            |_, client, frames| Self::apply_frames(client, frames),
         );
         let completed: Vec<(ClientId, ViewedImage)> = per_client
             .into_iter()
@@ -1121,6 +1158,9 @@ impl CollaborationSession {
                 }
             }
         }
+        // Every inbox is drained; forget the buffers no copy of which
+        // is still in flight, queued or in custody.
+        self.frames.sweep();
         completed
     }
 
@@ -1151,12 +1191,13 @@ impl CollaborationSession {
         };
         let mut profile = Profile::new("base-station");
         profile.set("role", AttrValue::str("gateway"));
-        let bus = BusEndpoint::join(
+        let bus = BusEndpoint::join_with_store(
             &mut self.net,
             node,
             well_known::SESSION_DATA,
             group,
             profile,
+            self.selectors.clone(),
         )
         .map_err(|e| e.to_string())?;
         if let Some(ov) = self.overlay.as_mut() {
@@ -1170,7 +1211,7 @@ impl CollaborationSession {
             forward_log: Vec::new(),
             wireless_profiles: std::collections::BTreeMap::new(),
             downlink_log: Vec::new(),
-            matcher: sempubsub::MatchEngine::new(),
+            matcher: sempubsub::MatchEngine::with_store(self.selectors.clone()),
         });
         Ok(())
     }
@@ -1215,7 +1256,8 @@ impl CollaborationSession {
         Ok(assessment)
     }
 
-    /// A wireless client leaves: radio registry and profile both drop.
+    /// A wireless client leaves: radio registry, profile and the
+    /// matcher's compiled snapshot of it all drop.
     pub fn wireless_leave(&mut self, id: &str) -> Result<(), String> {
         let bs = self
             .base_station
@@ -1223,6 +1265,7 @@ impl CollaborationSession {
             .ok_or("no base station attached")?;
         bs.station.leave(id).map_err(|e| e.to_string())?;
         bs.wireless_profiles.remove(id);
+        bs.matcher.forget(id);
         Ok(())
     }
 
@@ -1870,6 +1913,62 @@ mod tests {
             .unwrap()
             .wireless_profiles
             .is_empty());
+    }
+
+    #[test]
+    fn wireless_leave_drops_the_compiled_snapshot_too() {
+        // Roaming thin clients: 1 000 distinct ids join, are matched
+        // against one event, and leave. The matcher must hold compiled
+        // snapshots for attached profiles only, not for every id that
+        // ever joined.
+        let (mut s, publisher, _viewer) = two_client_session();
+        s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
+            .unwrap();
+        let selector = "interested_in contains 'image'";
+        s.wireless_join("resident", 20.0, 100.0).unwrap();
+        for i in 0..1_000 {
+            let id = format!("roamer-{i}");
+            s.wireless_join(&id, 30.0, 100.0).unwrap();
+            s.share_chat(publisher, "ping", selector).unwrap();
+            s.pump(Ticks::from_millis(10));
+            s.wireless_leave(&id).unwrap();
+        }
+        let bs = s.base_station.as_mut().unwrap();
+        assert_eq!(bs.downlink_log.len(), 2 * 1_000, "everyone was matched");
+        assert_eq!(bs.wireless_profiles.len(), 1);
+        assert_eq!(
+            bs.matcher.snapshots(),
+            1,
+            "snapshots for live profiles only"
+        );
+
+        // A recycled id with a different profile is matched by the new
+        // profile, not by anything left over from the old one.
+        bs.downlink_log.clear();
+        let mut texter = Profile::new("roamer-7");
+        texter.set(
+            "interested_in",
+            AttrValue::List(vec![AttrValue::str("text")]),
+        );
+        s.wireless_join_with_profile(texter, 30.0, 100.0).unwrap();
+        s.share_chat(publisher, "for images", selector).unwrap();
+        s.share_chat(publisher, "for text", "interested_in contains 'text'")
+            .unwrap();
+        s.pump(Ticks::from_millis(10));
+        let bs = s.base_station.as_ref().unwrap();
+        let to_roamer = bs
+            .downlink_log
+            .iter()
+            .filter(|d| d.client == "roamer-7")
+            .count();
+        assert_eq!(to_roamer, 1, "only the text line matches the new profile");
+        assert_eq!(
+            bs.downlink_log.len(),
+            2,
+            "plus the image line to the resident"
+        );
+        assert_eq!(bs.matcher.snapshots(), 2);
+        assert_eq!(s.frames_in_memo(), 0);
     }
 
     #[test]

@@ -9,22 +9,125 @@
 //! the interest), so "the group of interacting clients is determined
 //! only at run-time" with no roster synchronization (§3).
 
-use crate::compile::{CacheStatsHandle, MatchEngine};
+use crate::compile::{
+    self, CacheStatsHandle, CompiledSelector, EvalStack, ProfileSnap, SelectorStore,
+    DEFAULT_CACHE_CAPACITY,
+};
 use crate::matching::MatchOutcome;
 use crate::message::{self, SemanticMessage};
 use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::SemError;
 use simnet::{Addr, GroupId, Network, NodeId, Payload, Port, SocketHandle};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// A message that passed local semantic interpretation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
-    /// The decoded message.
-    pub message: SemanticMessage,
+    /// The decoded message, shared with every other endpoint that
+    /// accepted the same frame.
+    pub message: Arc<SemanticMessage>,
     /// How it was accepted (directly or via transforms).
     pub outcome: MatchOutcome,
+}
+
+/// What one message buffer resolves to before any profile is
+/// consulted: the two immutable things a message carries — its decoded
+/// form and its compiled selector — or the reason there is neither.
+/// Cloning shares both; nothing in a frame depends on who receives it,
+/// so one frame serves every endpoint a buffer reaches.
+#[derive(Debug, Clone)]
+pub enum Frame {
+    /// Decoded, selector compiled.
+    Message {
+        /// The decoded message.
+        message: Arc<SemanticMessage>,
+        /// Its selector's program, from the resolving store.
+        program: Arc<CompiledSelector>,
+    },
+    /// The bytes are not a semantic message.
+    Malformed,
+    /// The message decoded, but its selector does not parse.
+    BadSelector,
+}
+
+impl Frame {
+    /// Decode `bytes` and compile the selector through `store`.
+    pub fn resolve(bytes: &[u8], store: &SelectorStore) -> Frame {
+        let Ok(message) = SemanticMessage::decode(bytes) else {
+            return Frame::Malformed;
+        };
+        match store.compile(&message.selector) {
+            Ok(program) => Frame::Message {
+                message: Arc::new(message),
+                program,
+            },
+            Err(_) => Frame::BadSelector,
+        }
+    }
+}
+
+/// Resolves each message *buffer* to its [`Frame`] once, however many
+/// endpoints receive a copy and however many pumps the copies are
+/// spread over. Owned by whoever drains several endpoints' sockets (the
+/// collaboration session); a standalone endpoint resolves privately.
+///
+/// The key is buffer identity, which is exact: multicast fan-out and
+/// broker forwarding hand every receiver in every domain a clone of the
+/// publisher's one `Arc<[u8]>`, and equal identity means equal bytes.
+/// `(sender, seq)` would be neither exact — two senders may share a
+/// name, a hostile one may reuse a sequence number with other bytes —
+/// nor free, since reading it *is* the decode being saved. Each entry
+/// keeps a [`Payload`] clone, so the address cannot be reused while the
+/// entry lives, and [`FrameMemo::sweep`] drops an entry once nothing
+/// else references its buffer: no copy is left in flight, queued or in
+/// custody, so no endpoint can ask for it again.
+pub struct FrameMemo {
+    store: SelectorStore,
+    /// Buffer address -> (the clone that pins it, its frame).
+    frames: HashMap<usize, (Payload, Frame)>,
+}
+
+impl FrameMemo {
+    /// An empty memo compiling selectors through `store`.
+    pub fn new(store: SelectorStore) -> FrameMemo {
+        FrameMemo {
+            store,
+            frames: HashMap::new(),
+        }
+    }
+
+    /// The frame of `payload`'s buffer, decoding it if this is the
+    /// first copy seen.
+    pub fn resolve(&mut self, payload: Payload) -> Frame {
+        let store = &self.store;
+        self.frames
+            .entry(payload.as_ptr() as usize)
+            .or_insert_with(|| {
+                let frame = Frame::resolve(&payload, store);
+                (payload, frame)
+            })
+            .1
+            .clone()
+    }
+
+    /// Drop every entry whose buffer nothing else references. Call
+    /// after the drained copies have been resolved (and so released).
+    pub fn sweep(&mut self) {
+        self.frames
+            .retain(|_, (payload, _)| payload.ref_count() > 1);
+    }
+
+    /// Buffers currently remembered.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// True when no buffer is remembered — the state at quiescence.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
 }
 
 /// Statistics of one endpoint's interpretation history.
@@ -55,12 +158,17 @@ pub struct BusStats {
 
 /// One client's attachment to the semantic bus.
 ///
-/// Each endpoint owns a [`MatchEngine`]: a bounded LRU of compiled
-/// selectors plus a generation-stamped snapshot of the local profile,
-/// so the per-message hot path ([`BusEndpoint::interpret_batch`]) never
-/// re-parses a selector string it has seen before and never walks the
-/// profile's `BTreeMap`. The publish path validates selectors through
-/// the same cache, warming it for loopback traffic.
+/// An endpoint holds only what the paper says is local: the client's
+/// [`Profile`], one generation-stamped snapshot of it, an evaluation
+/// stack and its [`BusStats`]. The immutable things a message carries —
+/// decoded form, compiled selector — arrive as a [`Frame`] and are
+/// shared with every other receiver; programs come from a
+/// [`SelectorStore`] the endpoint holds a handle to (the session's, or
+/// one of its own when it joined alone). The per-message hot path
+/// ([`BusEndpoint::interpret_frames`]) therefore never parses, never
+/// walks the profile's `BTreeMap`, and allocates only to return an
+/// accepted delivery. The publish path validates selectors through the
+/// same store, warming it for loopback traffic.
 pub struct BusEndpoint {
     socket: SocketHandle,
     group: GroupId,
@@ -69,17 +177,34 @@ pub struct BusEndpoint {
     pub profile: Profile,
     seq: u64,
     stats: BusStats,
-    engine: MatchEngine,
+    store: SelectorStore,
+    snap: ProfileSnap,
+    stack: EvalStack,
 }
 
 impl BusEndpoint {
-    /// Join the session: bind `node:port` and join `group`.
+    /// Join the session: bind `node:port` and join `group`. The
+    /// endpoint compiles through a selector store of its own.
     pub fn join(
         net: &mut Network,
         node: NodeId,
         port: Port,
         group: GroupId,
         profile: Profile,
+    ) -> Result<Self, SemError> {
+        let store = SelectorStore::with_capacity(DEFAULT_CACHE_CAPACITY);
+        BusEndpoint::join_with_store(net, node, port, group, profile, store)
+    }
+
+    /// [`BusEndpoint::join`], compiling through `store` — shared with
+    /// whoever else holds a handle to it.
+    pub fn join_with_store(
+        net: &mut Network,
+        node: NodeId,
+        port: Port,
+        group: GroupId,
+        profile: Profile,
+        store: SelectorStore,
     ) -> Result<Self, SemError> {
         let socket = net
             .bind(node, port)
@@ -90,10 +215,12 @@ impl BusEndpoint {
             socket,
             group,
             port,
+            snap: store.snapshot(&profile),
             profile,
             seq: 0,
             stats: BusStats::default(),
-            engine: MatchEngine::new(),
+            store,
+            stack: EvalStack::default(),
         })
     }
 
@@ -113,16 +240,11 @@ impl BusEndpoint {
         self.stats
     }
 
-    /// Live selector-cache counters (hits / misses / evictions),
-    /// shareable with an SNMP extension agent.
+    /// Live counters (hits / misses / evictions) of the selector store
+    /// this endpoint compiles through, shareable with an SNMP extension
+    /// agent. Endpoints sharing a store share the counters.
     pub fn cache_stats(&self) -> CacheStatsHandle {
-        self.engine.cache_stats()
-    }
-
-    /// The endpoint's compiled matching engine (tests inspect cache
-    /// state through this).
-    pub fn engine(&self) -> &MatchEngine {
-        &self.engine
+        self.store.stats()
     }
 
     /// Credit `n` messages as suppressed: present in the session but
@@ -184,9 +306,9 @@ impl BusEndpoint {
         events: Vec<(String, Vec<u8>)>,
     ) -> Result<Vec<u64>, SemError> {
         // Validate the selector locally before it hits the wire; the
-        // compiled program lands in the cache, so a subsequent
+        // compiled program lands in the store, so a subsequent
         // interpret of our own (or an identical) selector is a hit.
-        self.engine.compile(selector)?;
+        self.store.compile(selector)?;
         let first = self.seq;
         let wires = message::encode_frames(&self.profile.name, selector, &content, first, &events)?;
         self.seq += events.len() as u64;
@@ -196,11 +318,7 @@ impl BusEndpoint {
         Ok((first..self.seq).collect())
     }
 
-    /// Drain arrived datagram payloads without decoding them. Paired
-    /// with [`BusEndpoint::interpret_batch`], this splits reception into
-    /// a network phase (needs `&mut Network`, inherently serial) and a
-    /// pure-CPU interpretation phase that a sharded session engine can
-    /// run on worker threads.
+    /// Drain arrived datagram payloads without decoding them.
     pub fn drain_raw(&mut self, net: &mut Network) -> Vec<Payload> {
         let mut out = Vec::new();
         while let Some(dgram) = net.recv(self.socket) {
@@ -209,48 +327,92 @@ impl BusEndpoint {
         out
     }
 
-    /// Decode and interpret previously drained payloads against the
-    /// local profile; returns only accepted messages. Pure CPU — needs
-    /// no network access, so it is safe to call from a worker thread
-    /// that owns this endpoint.
-    ///
-    /// This is the hot path: interpretation runs the compiled
-    /// [`MatchEngine`], so a selector string seen before costs one
-    /// cache lookup and one postfix-program evaluation against the
-    /// profile's slot-table snapshot — no parsing, no `BTreeMap`
-    /// walks, no per-message allocation. Outcomes and stats are
+    /// Re-snapshot the profile if it changed since the last snapshot
+    /// (the `pub profile` field is self-managed, so the bus finds out
+    /// by comparing versions — O(1) when nothing changed, O(profile)
+    /// and zero recompiles when something did).
+    fn sync_profile(&mut self) {
+        if !self.snap.is_fresh(&self.profile) {
+            self.snap = self.store.snapshot(&self.profile);
+        }
+    }
+
+    /// The serial half of reception, for a caller that drains many
+    /// endpoints and interprets them on worker threads: drain the
+    /// socket, resolve each buffer to its shared [`Frame`] through
+    /// `memo`, and bring the profile snapshot up to date. Everything
+    /// that touches the network or the selector store happens here, so
+    /// the other half — [`BusEndpoint::interpret_frames`] — takes no
+    /// lock and shares no mutable state.
+    pub fn receive(&mut self, net: &mut Network, memo: &mut FrameMemo) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while let Some(dgram) = net.recv(self.socket) {
+            frames.push(memo.resolve(dgram.payload));
+        }
+        self.sync_profile();
+        frames
+    }
+
+    /// Interpret resolved frames against the local profile; returns
+    /// only accepted messages, each sharing its frame's decoded
+    /// message. This is the one decision path: every reception is
+    /// counted in this endpoint's [`BusStats`], outcomes are
     /// bit-identical to the tree-walk interpreter (pinned by the
-    /// differential suite in `tests/matching.rs`).
-    pub fn interpret_batch<P: AsRef<[u8]>>(&mut self, payloads: Vec<P>) -> Vec<Delivery> {
+    /// differential suite in `tests/matching.rs`), and a rejected frame
+    /// costs one program evaluation against the snapshot — no parsing,
+    /// no `BTreeMap` walk, no allocation. Pure CPU: safe on a worker
+    /// thread that owns this endpoint.
+    pub fn interpret_frames(&mut self, frames: &[Frame]) -> Vec<Delivery> {
+        self.sync_profile();
         let mut out = Vec::new();
-        for payload in payloads {
-            let Ok(msg) = SemanticMessage::decode(payload.as_ref()) else {
-                self.stats.malformed += 1;
-                continue;
-            };
-            let Ok(result) = self
-                .engine
-                .interpret(&self.profile, &msg.selector, &msg.content)
-            else {
-                self.stats.bad_selector += 1;
-                continue;
-            };
-            match result {
-                Ok(MatchOutcome::Reject) | Err(_) => self.stats.rejected += 1,
-                Ok(outcome) => {
-                    match outcome {
-                        MatchOutcome::Accept => self.stats.accepted += 1,
-                        MatchOutcome::AcceptWithTransform(_) => self.stats.transformed += 1,
-                        MatchOutcome::Reject => unreachable!(),
-                    }
-                    out.push(Delivery {
-                        message: msg,
-                        outcome,
-                    });
+        for frame in frames {
+            let (message, program) = match frame {
+                Frame::Message { message, program } => (message, program),
+                Frame::Malformed => {
+                    self.stats.malformed += 1;
+                    continue;
                 }
+                Frame::BadSelector => {
+                    self.stats.bad_selector += 1;
+                    continue;
+                }
+            };
+            let outcome = match compile::interpret_compiled(
+                &self.profile,
+                &self.snap,
+                program,
+                &message.content,
+                &mut self.stack,
+            ) {
+                Ok(MatchOutcome::Reject) | Err(_) => {
+                    self.stats.rejected += 1;
+                    continue;
+                }
+                Ok(outcome) => outcome,
+            };
+            match outcome {
+                MatchOutcome::AcceptWithTransform(_) => self.stats.transformed += 1,
+                _ => self.stats.accepted += 1,
             }
+            out.push(Delivery {
+                message: Arc::clone(message),
+                outcome,
+            });
         }
         out
+    }
+
+    /// Decode and interpret previously drained payloads against the
+    /// local profile; returns only accepted messages. The standalone
+    /// face of [`BusEndpoint::interpret_frames`]: each payload is
+    /// resolved privately (no memo — the caller's bytes carry no
+    /// identity), then decided by the same function.
+    pub fn interpret_batch<P: AsRef<[u8]>>(&mut self, payloads: Vec<P>) -> Vec<Delivery> {
+        let frames: Vec<Frame> = payloads
+            .iter()
+            .map(|p| Frame::resolve(p.as_ref(), &self.store))
+            .collect();
+        self.interpret_frames(&frames)
     }
 
     /// Drain arrived datagrams, interpreting each against the local

@@ -3,16 +3,19 @@
 //! The tree-walk evaluator in [`crate::eval`] re-lexes, re-parses, and
 //! re-walks a `Box`-heavy AST for every received message, cloning
 //! every literal and attribute value it touches. On the datapath —
-//! [`crate::bus::BusEndpoint::interpret_batch`] per endpoint and the
+//! [`crate::bus::BusEndpoint::interpret_frames`] per endpoint and the
 //! broker overlay's forwarding decision per hop — that work dominates
 //! per-message CPU, even though senders reuse a handful of identical
 //! selector strings per stream.
 //!
 //! This module compiles a selector into a flat postfix program over
 //! interned attribute [`Symbol`]s ([`CompiledSelector`]), snapshots a
-//! profile into a symbol-indexed slot table ([`CompiledProfile`]), and
+//! profile into a symbol-keyed slot table ([`CompiledProfile`]), and
 //! caches compiled programs in a bounded LRU keyed by selector source
-//! ([`SelectorCache`]). Evaluation is a loop over `Copy` instructions
+//! ([`SelectorCache`]) behind a shareable handle ([`SelectorStore`]):
+//! a program is immutable, so a session compiles each selector string
+//! once and every receiver evaluates the same `Arc`ed program against
+//! its own snapshot. Evaluation is a loop over `Copy` instructions
 //! against a reusable operand stack: no recursion, no `String` hashing,
 //! no value clones, and — after the stack's high-water mark is reached
 //! — no allocation at all.
@@ -35,7 +38,7 @@ use crate::value::AttrValue;
 use crate::{Selector, SemError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One instruction of a compiled selector program. Indices are into
 /// the owning [`CompiledSelector`]'s constant pool (`Const`) or
@@ -332,32 +335,35 @@ enum ResolvedRef<'a> {
     Bool(bool),
 }
 
-/// A generation-stamped, symbol-indexed snapshot of a profile's
-/// attribute map. Evaluation indexes the slot table by [`Symbol`]
-/// instead of walking a `BTreeMap<String, _>`; the snapshot is rebuilt
-/// whenever [`Profile::version`] moves (every profile mutation bumps
-/// it from a process-wide generation counter, so a wholesale profile
-/// replacement can never alias a stale snapshot).
+/// A generation-stamped snapshot of a profile's attribute map, keyed
+/// by [`Symbol`] and sorted by it. Evaluation finds an attribute by
+/// comparing integers instead of walking a `BTreeMap<String, _>`; the
+/// snapshot is rebuilt whenever [`Profile::version`] moves (every
+/// profile mutation bumps it from a process-wide generation counter, so
+/// a wholesale profile replacement can never alias a stale snapshot).
+///
+/// The table holds the profile's own attributes and nothing else, so
+/// its size is O(profile) however large the interner it was taken
+/// against has grown: with one interner per session, a stream minting
+/// fresh attribute names must not inflate every client's snapshot.
 #[derive(Debug, Clone)]
 pub struct CompiledProfile {
     generation: u64,
-    slots: Vec<Option<AttrValue>>,
+    slots: Vec<(Symbol, AttrValue)>,
 }
 
 impl CompiledProfile {
     /// Snapshot `profile` against `interner`, interning every
     /// attribute key so symbols minted later by selector compilation
-    /// resolve against this table (an unknown symbol is simply beyond
+    /// resolve against this table (an unknown symbol is simply not in
     /// the table and reads as missing).
     pub fn snapshot(profile: &Profile, interner: &mut Interner) -> CompiledProfile {
-        let mut slots = vec![None; interner.len()];
-        for (k, v) in profile.attrs() {
-            let sym = interner.intern(k);
-            if sym.index() >= slots.len() {
-                slots.resize(sym.index() + 1, None);
-            }
-            slots[sym.index()] = Some(v.clone());
-        }
+        let mut slots: Vec<(Symbol, AttrValue)> = profile
+            .attrs()
+            .iter()
+            .map(|(k, v)| (interner.intern(k), v.clone()))
+            .collect();
+        slots.sort_unstable_by_key(|(sym, _)| *sym);
         CompiledProfile {
             generation: profile.version,
             slots,
@@ -370,7 +376,10 @@ impl CompiledProfile {
     }
 
     fn slot(&self, sym: Symbol) -> Option<&AttrValue> {
-        self.slots.get(sym.index()).and_then(|s| s.as_ref())
+        self.slots
+            .binary_search_by_key(&sym, |(s, _)| *s)
+            .ok()
+            .map(|i| &self.slots[i].1)
     }
 }
 
@@ -406,20 +415,37 @@ impl CacheStatsHandle {
     }
 }
 
+/// "No entry" in the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One cached program, threaded on the recency list (`prev` is toward
+/// the most recently used end).
 struct CacheEntry {
-    compiled: CompiledSelector,
-    last_used: u64,
+    compiled: Arc<CompiledSelector>,
+    prev: u32,
+    next: u32,
 }
 
-/// A bounded LRU of compiled selectors keyed by source text, sharing
-/// one [`Interner`] across every program it compiles. Eviction never
-/// invalidates symbols (the interner only grows), so a re-inserted
-/// selector recompiles to an identical program.
+/// A bounded, strict-LRU cache of compiled selectors keyed by source
+/// text, sharing one [`Interner`] across every program it compiles.
+/// Programs are handed out as `Arc`s, so every party evaluating one
+/// selector shares one program, and an evicted program stays valid for
+/// whoever still holds it. Eviction never invalidates symbols (the
+/// interner only grows), so a re-inserted selector recompiles to an
+/// identical program.
+///
+/// A hit is one map probe and a relink; a miss on a full cache evicts
+/// the list's tail — O(1), so a never-repeating selector stream pays
+/// for its compilations, not for the capacity it is bounded by.
 pub struct SelectorCache {
     interner: Interner,
-    entries: HashMap<String, CacheEntry>,
+    /// Source text -> index into `entries`.
+    index: HashMap<String, u32>,
+    entries: Vec<CacheEntry>,
+    /// Most / least recently used entry.
+    head: u32,
+    tail: u32,
     cap: usize,
-    tick: u64,
     stats: CacheStatsHandle,
 }
 
@@ -427,44 +453,77 @@ impl SelectorCache {
     /// A cache bounded at `cap` compiled selectors (`cap >= 1`).
     pub fn with_capacity(cap: usize) -> SelectorCache {
         assert!(cap >= 1, "selector cache needs room for one entry");
+        assert!(cap < NIL as usize, "selector cache capacity out of range");
         SelectorCache {
             interner: Interner::new(),
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            entries: Vec::new(),
+            head: NIL,
+            tail: NIL,
             cap,
-            tick: 0,
             stats: CacheStatsHandle::default(),
         }
     }
 
+    fn unlink(&mut self, i: u32) {
+        let CacheEntry { prev, next, .. } = self.entries[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: u32) {
+        let old = self.head;
+        let e = &mut self.entries[i as usize];
+        e.prev = NIL;
+        e.next = old;
+        match old {
+            NIL => self.tail = i,
+            h => self.entries[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
     /// Compile `src`, reusing the cached program when present. Parse
     /// errors propagate (and count as misses — the work was done).
-    pub fn compile(&mut self, src: &str) -> Result<&CompiledSelector, SemError> {
-        self.tick += 1;
-        if self.entries.contains_key(src) {
+    pub fn compile(&mut self, src: &str) -> Result<Arc<CompiledSelector>, SemError> {
+        if let Some(&i) = self.index.get(src) {
             self.stats.inner.hits.fetch_add(1, Ordering::Relaxed);
-            let e = self.entries.get_mut(src).expect("checked above");
-            e.last_used = self.tick;
-            return Ok(&e.compiled);
+            if self.head != i {
+                self.unlink(i);
+                self.push_front(i);
+            }
+            return Ok(Arc::clone(&self.entries[i as usize].compiled));
         }
         self.stats.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let compiled = CompiledSelector::compile(src, &mut self.interner)?;
-        if self.entries.len() >= self.cap {
-            // Evict the least recently used entry; ticks are unique so
-            // the victim (and thus behavior) is deterministic.
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("cap >= 1 and cache full");
-            self.entries.remove(&victim);
+        let compiled = Arc::new(CompiledSelector::compile(src, &mut self.interner)?);
+        let i = if self.entries.len() >= self.cap {
+            // Evict the least recently used entry and reuse its slot.
+            let victim = self.tail;
+            self.unlink(victim);
+            let old = std::mem::replace(
+                &mut self.entries[victim as usize].compiled,
+                Arc::clone(&compiled),
+            );
+            self.index.remove(old.source());
             self.stats.inner.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry = self.entries.entry(src.to_string()).or_insert(CacheEntry {
-            compiled,
-            last_used: self.tick,
-        });
-        Ok(&entry.compiled)
+            victim
+        } else {
+            self.entries.push(CacheEntry {
+                compiled: Arc::clone(&compiled),
+                prev: NIL,
+                next: NIL,
+            });
+            (self.entries.len() - 1) as u32
+        };
+        self.push_front(i);
+        self.index.insert(src.to_string(), i);
+        Ok(compiled)
     }
 
     /// The shared interner (snapshots must intern against it).
@@ -474,7 +533,9 @@ impl SelectorCache {
 
     /// Peek at a cached program without touching LRU state or stats.
     pub fn peek(&self, src: &str) -> Option<&CompiledSelector> {
-        self.entries.get(src).map(|e| &e.compiled)
+        self.index
+            .get(src)
+            .map(|&i| &*self.entries[i as usize].compiled)
     }
 
     /// Number of cached programs.
@@ -493,25 +554,142 @@ impl SelectorCache {
     }
 }
 
-struct ProfileSnap {
-    generation: u64,
+/// A cloneable, `Send + Sync` handle to one [`SelectorCache`]: the
+/// *selector store* every party of a session compiles through, so a
+/// selector string is compiled once per session and its program shared,
+/// not once per endpoint that receives it. A party on its own (a
+/// standalone endpoint, a broker) holds a store nobody else has a
+/// handle to — same code, private contents.
+///
+/// The lock guards the LRU and the interner only; evaluation runs on
+/// the `Arc`ed program after the lock is released.
+#[derive(Clone)]
+pub struct SelectorStore {
+    cache: Arc<Mutex<SelectorCache>>,
+}
+
+impl SelectorStore {
+    /// A store bounded at `cap` compiled selectors (`cap >= 1`).
+    pub fn with_capacity(cap: usize) -> SelectorStore {
+        SelectorStore {
+            cache: Arc::new(Mutex::new(SelectorCache::with_capacity(cap))),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, SelectorCache> {
+        self.cache
+            .lock()
+            .expect("selector store poisoned: a holder panicked mid-compile")
+    }
+
+    /// Compile `src` through the shared cache. Parse errors propagate
+    /// (and count as misses).
+    pub fn compile(&self, src: &str) -> Result<Arc<CompiledSelector>, SemError> {
+        self.lock().compile(src)
+    }
+
+    /// Snapshot `profile` (attributes and compiled interest) against
+    /// the store's interner.
+    pub(crate) fn snapshot(&self, profile: &Profile) -> ProfileSnap {
+        let mut cache = self.lock();
+        let interner = cache.interner_mut();
+        ProfileSnap {
+            slots: CompiledProfile::snapshot(profile, interner),
+            interest: profile
+                .interest()
+                .map(|sel| CompiledSelector::from_expr(sel.source(), sel.expr(), interner)),
+        }
+    }
+
+    /// Number of compiled programs the store holds.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// True when the store holds no program.
+    pub fn is_empty(&self) -> bool {
+        self.lock().is_empty()
+    }
+
+    /// Live counters handle (hits / misses / evictions).
+    pub fn stats(&self) -> CacheStatsHandle {
+        self.lock().stats()
+    }
+}
+
+/// What an interpreting party keeps of one profile: the attribute
+/// snapshot and the compiled interest, both stamped with the profile
+/// version they were taken at.
+pub(crate) struct ProfileSnap {
     slots: CompiledProfile,
     interest: Option<CompiledSelector>,
 }
 
-/// The compiled matching pipeline one party (endpoint, broker, base
-/// station) runs: a bounded selector cache, per-profile snapshots
-/// (keyed by profile name, invalidated by [`Profile::version`]), and a
-/// reusable evaluation stack.
+impl ProfileSnap {
+    /// Whether the snapshot still describes `profile`.
+    pub(crate) fn is_fresh(&self, profile: &Profile) -> bool {
+        self.slots.generation == profile.version
+    }
+}
+
+/// The compiled counterpart of [`crate::matching::interpret`], and the
+/// one decision function behind [`MatchEngine::interpret`] and
+/// [`crate::bus::BusEndpoint`]: selector program against the profile
+/// snapshot, then the compiled interest against the content
+/// description, then (rarely) the shared transform-chain search.
+/// Returns what the tree-walk `interpret` returns — bit-identical
+/// outcomes and errors. `snap` must be a fresh snapshot of `profile`.
+pub(crate) fn interpret_compiled(
+    profile: &Profile,
+    snap: &ProfileSnap,
+    selector: &CompiledSelector,
+    content: &BTreeMap<String, AttrValue>,
+    stack: &mut EvalStack,
+) -> Result<MatchOutcome, SemError> {
+    debug_assert!(snap.is_fresh(profile), "stale profile snapshot");
+    // Step 1: are we addressed at all?
+    if !selector.eval_profile(&snap.slots, stack)? {
+        return Ok(MatchOutcome::Reject);
+    }
+    // No interest declared: everything addressed to us is accepted.
+    let Some(interest) = &snap.interest else {
+        return Ok(MatchOutcome::Accept);
+    };
+    // Step 2: direct interest match.
+    if interest.eval_map(content, stack)? {
+        return Ok(MatchOutcome::Accept);
+    }
+    // Step 3: cheapest transform chain — the cold path; shared
+    // verbatim with the tree-walk interpreter.
+    if profile.transforms().is_empty() {
+        return Ok(MatchOutcome::Reject);
+    }
+    let interest = profile.interest().expect("snapshot interest implies one");
+    Ok(
+        match crate::matching::search_chain(profile, content, interest)? {
+            Some(steps) => MatchOutcome::AcceptWithTransform(steps),
+            None => MatchOutcome::Reject,
+        },
+    )
+}
+
+/// The compiled matching pipeline of a party that interprets on behalf
+/// of *several* profiles (the base station for its wireless clients, a
+/// broker for its advertisements): a selector store, per-profile
+/// snapshots (keyed by profile name, invalidated by
+/// [`Profile::version`]), and a reusable evaluation stack. A
+/// [`crate::bus::BusEndpoint`] serves exactly one profile and keeps its
+/// one snapshot itself.
 pub struct MatchEngine {
-    cache: SelectorCache,
+    store: SelectorStore,
     profiles: HashMap<String, ProfileSnap>,
     stack: EvalStack,
 }
 
-/// Default bound on cached selectors per engine; sessions use a
-/// handful of distinct selector strings per sender, so this is
-/// generous while still bounding a hostile selector stream.
+/// Default bound on cached selectors for a party with a store of its
+/// own; one party sees a handful of distinct selector strings per
+/// sender, so this is generous while still bounding a hostile selector
+/// stream.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 impl Default for MatchEngine {
@@ -521,25 +699,31 @@ impl Default for MatchEngine {
 }
 
 impl MatchEngine {
-    /// An engine with the default cache capacity.
+    /// An engine with a store of its own at the default capacity.
     pub fn new() -> MatchEngine {
         MatchEngine::with_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// An engine bounded at `cap` cached selectors.
+    /// An engine with a store of its own bounded at `cap` selectors.
     pub fn with_capacity(cap: usize) -> MatchEngine {
+        MatchEngine::with_store(SelectorStore::with_capacity(cap))
+    }
+
+    /// An engine compiling through `store`, shared with whoever else
+    /// holds a handle to it.
+    pub fn with_store(store: SelectorStore) -> MatchEngine {
         MatchEngine {
-            cache: SelectorCache::with_capacity(cap),
+            store,
             profiles: HashMap::new(),
             stack: EvalStack::default(),
         }
     }
 
-    /// Compile (or re-touch) a selector, warming the cache. The
+    /// Compile (or re-touch) a selector, warming the store. The
     /// publish path calls this for validation so the interpret path
     /// hits a warm entry.
     pub fn compile(&mut self, selector: &str) -> Result<(), SemError> {
-        self.cache.compile(selector).map(|_| ())
+        self.store.compile(selector).map(|_| ())
     }
 
     /// Evaluate `selector` against an attribute map. The outer `Err`
@@ -550,90 +734,56 @@ impl MatchEngine {
         selector: &str,
         attrs: &BTreeMap<String, AttrValue>,
     ) -> Result<Result<bool, SemError>, SemError> {
-        let compiled = self.cache.compile(selector)?;
+        let compiled = self.store.compile(selector)?;
         Ok(compiled.eval_map(attrs, &mut self.stack))
     }
 
-    fn refresh_profile(&mut self, profile: &Profile) {
-        let fresh = self
-            .profiles
-            .get(&profile.name)
-            .is_some_and(|s| s.generation == profile.version);
-        if fresh {
-            return;
-        }
-        let slots = CompiledProfile::snapshot(profile, self.cache.interner_mut());
-        let interest = profile.interest().map(|sel| {
-            CompiledSelector::from_expr(sel.source(), sel.expr(), self.cache.interner_mut())
-        });
-        self.profiles.insert(
-            profile.name.clone(),
-            ProfileSnap {
-                generation: profile.version,
-                slots,
-                interest,
-            },
-        );
-    }
-
-    /// The compiled counterpart of [`crate::matching::interpret`]:
-    /// selector against the profile snapshot, then the compiled
-    /// interest against the content description, then (rarely) the
-    /// shared transform-chain search. The outer `Err` is a selector
-    /// parse failure; the inner result is what the tree-walk
-    /// `interpret` returns — bit-identical outcomes and errors.
+    /// Interpret a message (selector + content description) at
+    /// `profile`, snapshotting the profile first if it is new or has
+    /// changed. The outer `Err` is a selector parse failure; the inner
+    /// result is what the tree-walk `interpret` returns.
     pub fn interpret(
         &mut self,
         profile: &Profile,
         selector: &str,
         content: &BTreeMap<String, AttrValue>,
     ) -> Result<Result<MatchOutcome, SemError>, SemError> {
-        self.refresh_profile(profile);
-        let compiled = self.cache.compile(selector)?;
+        if !self
+            .profiles
+            .get(&profile.name)
+            .is_some_and(|s| s.is_fresh(profile))
+        {
+            self.profiles
+                .insert(profile.name.clone(), self.store.snapshot(profile));
+        }
+        let compiled = self.store.compile(selector)?;
         let snap = self.profiles.get(&profile.name).expect("refreshed above");
-        // Step 1: are we addressed at all?
-        let addressed = match compiled.eval_profile(&snap.slots, &mut self.stack) {
-            Ok(b) => b,
-            Err(e) => return Ok(Err(e)),
-        };
-        if !addressed {
-            return Ok(Ok(MatchOutcome::Reject));
-        }
-        // No interest declared: everything addressed to us is accepted.
-        let Some(interest) = &snap.interest else {
-            return Ok(Ok(MatchOutcome::Accept));
-        };
-        // Step 2: direct interest match.
-        match interest.eval_map(content, &mut self.stack) {
-            Ok(true) => return Ok(Ok(MatchOutcome::Accept)),
-            Ok(false) => {}
-            Err(e) => return Ok(Err(e)),
-        }
-        // Step 3: cheapest transform chain — the cold path; shared
-        // verbatim with the tree-walk interpreter.
-        if profile.transforms().is_empty() {
-            return Ok(Ok(MatchOutcome::Reject));
-        }
-        let interest = profile.interest().expect("snapshot interest implies one");
-        Ok(
-            match crate::matching::search_chain(profile, content, interest) {
-                Ok(Some(steps)) => Ok(MatchOutcome::AcceptWithTransform(steps)),
-                Ok(None) => Ok(MatchOutcome::Reject),
-                Err(e) => Err(e),
-            },
-        )
+        Ok(interpret_compiled(
+            profile,
+            snap,
+            &compiled,
+            content,
+            &mut self.stack,
+        ))
     }
 
-    /// Live cache counters (hits / misses / evictions), shareable with
+    /// Drop the snapshot held for the profile named `name` — for a
+    /// party whose profiles come and go (the base station when a
+    /// wireless client leaves), so snapshots are held for live profiles
+    /// only.
+    pub fn forget(&mut self, name: &str) {
+        self.profiles.remove(name);
+    }
+
+    /// Number of profiles a snapshot is currently held for.
+    pub fn snapshots(&self) -> usize {
+        self.profiles.len()
+    }
+
+    /// Live store counters (hits / misses / evictions), shareable with
     /// an SNMP extension agent.
     pub fn cache_stats(&self) -> CacheStatsHandle {
-        self.cache.stats()
-    }
-
-    /// The underlying selector cache (tests inspect programs and LRU
-    /// state through this).
-    pub fn cache(&self) -> &SelectorCache {
-        &self.cache
+        self.store.stats()
     }
 }
 

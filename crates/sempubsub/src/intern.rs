@@ -4,10 +4,11 @@
 //! [`Symbol`] — a dense `u32` handed out by an [`Interner`] — so the
 //! per-message evaluation loop compares integers and indexes slot
 //! tables instead of hashing and comparing `String` keys. One interner
-//! is shared per bus endpoint (and per broker node): every compiled
-//! artifact produced by that party speaks the same symbol space, so a
-//! symbol minted while compiling a selector is directly usable as an
-//! index into any profile snapshot taken with the same interner.
+//! lives in each selector store (one per session, or per party that
+//! stands alone): every compiled artifact produced through that store
+//! speaks the same symbol space, so a symbol minted while compiling a
+//! selector is directly comparable with the keys of any profile
+//! snapshot taken with the same interner.
 //!
 //! Symbols are never recycled: the table only grows (attribute
 //! vocabularies in a session are small and stable), which is what makes

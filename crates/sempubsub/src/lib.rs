@@ -25,9 +25,16 @@
 //!   content into a form it wants, e.g. MPEG2→JPEG), or **Reject**,
 //! * [`message`] — the wire form of a semantic message (selector +
 //!   content description + body) with a self-contained binary codec,
+//! * [`compile`] / [`intern`] — the compiled fast path: selectors as
+//!   flat programs over interned attributes, cached once per session in
+//!   a shareable selector store, evaluated against per-profile
+//!   snapshots,
 //! * [`bus`] — a semantic event bus over a `simnet` multicast group:
 //!   publish with a selector, and each subscriber's profile decides
-//!   locally whether the message is delivered.
+//!   locally whether the message is delivered. What a message carries
+//!   immutably — its decoded frame, its compiled selector — is shared
+//!   by every receiver; the profile, the decision and its statistics
+//!   are each endpoint's own.
 //!
 //! ```
 //! use sempubsub::{Profile, Selector, value::AttrValue};
@@ -55,9 +62,10 @@ pub mod profile;
 pub mod value;
 
 pub use ast::Expr;
-pub use bus::{BusEndpoint, Delivery};
+pub use bus::{BusEndpoint, Delivery, Frame, FrameMemo};
 pub use compile::{
     CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, MatchEngine, SelectorCache,
+    SelectorStore,
 };
 pub use intern::{Interner, Symbol};
 pub use matching::{MatchOutcome, TransformStep};

@@ -674,11 +674,19 @@ fn uplink_flaps_with_custody_lose_nothing_through_the_tree() {
         net.topology_mut().set_link_up(l01, true);
         ov.pump(&mut net, Ticks::from_millis(400));
         let raw = sub.drain_raw(&mut net);
-        got.extend(sub.interpret_batch(raw).into_iter().map(|d| d.message.body));
+        got.extend(
+            sub.interpret_batch(raw)
+                .into_iter()
+                .map(|d| d.message.body.clone()),
+        );
     }
     ov.pump(&mut net, Ticks::from_millis(400));
     let raw = sub.drain_raw(&mut net);
-    got.extend(sub.interpret_batch(raw).into_iter().map(|d| d.message.body));
+    got.extend(
+        sub.interpret_batch(raw)
+            .into_iter()
+            .map(|d| d.message.body.clone()),
+    );
 
     let expected: Vec<Vec<u8>> = (0..sent).map(|k| format!("msg {k}").into_bytes()).collect();
     assert_eq!(

@@ -3,20 +3,26 @@
 //! to the tree-walk evaluator on arbitrary expression/profile pairs —
 //! same booleans, same outcomes, and the same `Err`s — plus LRU cache
 //! behavior (a re-inserted selector recompiles to an identical
-//! program) and the malformed/bad-selector stats split.
+//! program; strict-LRU victim order against a reference model) and the
+//! malformed/bad-selector stats split. The shared reception path —
+//! one decoded frame per buffer through a `FrameMemo`, one selector
+//! store for every endpoint — is pinned against standalone endpoints
+//! and against the tree walk on arbitrary, partly hostile batches.
 //!
 //! Failure messages print the offending selector and profile, so a CI
 //! failure in the `matching` job is reproducible from the log alone.
 
 use collabqos::sempubsub::ast::{CmpOp, Expr};
+use collabqos::sempubsub::bus::BusStats;
 use collabqos::sempubsub::compile::SelectorCache;
 use collabqos::sempubsub::eval::eval_bool;
 use collabqos::sempubsub::intern::Interner;
 use collabqos::sempubsub::matching;
 use collabqos::sempubsub::{
-    AttrValue, CompiledProfile, CompiledSelector, EvalStack, MatchEngine, Profile, Selector,
-    TransformCap,
+    AttrValue, BusEndpoint, CompiledProfile, CompiledSelector, EvalStack, FrameMemo, MatchEngine,
+    MatchOutcome, Profile, Selector, SelectorStore, SemanticMessage, TransformCap,
 };
+use collabqos::simnet::{Addr, LinkSpec, Network, Port, Ticks};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -217,6 +223,205 @@ proptest! {
     }
 }
 
+// ------------------------------- differential: shared vs standalone
+
+/// An arbitrary profile: attributes, maybe an interest, a transform
+/// chain. One profile in three is Figure 3's Client 3 in miniature —
+/// it wants `enc == 'a'` and can get there from `'b'` in one step and
+/// from `'c'` in two — so the transform search is reached for real;
+/// arbitrary transforms almost never apply.
+fn arb_profile() -> impl Strategy<Value = Profile> {
+    (
+        arb_attrs(),
+        arb_expr(),
+        0u8..3,
+        proptest::collection::vec(arb_transform(), 0..3),
+    )
+        .prop_map(|(attrs, interest, shape, transforms)| {
+            let mut p = Profile::new("client");
+            for (k, v) in &attrs {
+                p.set(k, v.clone());
+            }
+            match shape {
+                0 => {}
+                1 => {
+                    // The rare rendering that does not parse back is
+                    // no interest at all.
+                    let _ = p.set_interest(&interest.to_string());
+                }
+                _ => {
+                    p.set_interest("enc == 'a'").unwrap();
+                    p.add_transform(TransformCap::new("enc", "b", "a"));
+                    p.add_transform(TransformCap::new("enc", "c", "b").with_cost(2));
+                }
+            }
+            for t in transforms {
+                p.add_transform(t);
+            }
+            p
+        })
+}
+
+fn frame(selector: &str, seq: u64, content: BTreeMap<String, AttrValue>) -> Vec<u8> {
+    SemanticMessage {
+        sender: "pub".to_string(),
+        kind: "chat".to_string(),
+        selector: selector.to_string(),
+        seq,
+        content,
+        body: vec![seq as u8; (seq % 5) as usize],
+    }
+    .encode()
+}
+
+/// An arbitrary batch of wire payloads: valid frames under arbitrary
+/// selectors (type-error shapes included), one frame at every cut,
+/// garbage, an unparsable selector and a selector that is a type error
+/// at every profile.
+fn arb_batch() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    (
+        proptest::collection::vec((arb_expr(), arb_attrs()), 1..6),
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 0..3),
+    )
+        .prop_map(|(valid, garbage)| {
+            let mut batch: Vec<Vec<u8>> = valid
+                .iter()
+                .zip(0u64..)
+                .map(|((sel, content), seq)| frame(&sel.to_string(), seq, content.clone()))
+                .collect();
+            let whole = batch[0].clone();
+            batch.extend((0..whole.len()).map(|cut| whole[..cut].to_vec()));
+            batch.extend(garbage);
+            batch.push(frame("media ==", 90, BTreeMap::new()));
+            batch.push(frame("3", 91, BTreeMap::new()));
+            // Addressed to everyone, zero to two transform steps away
+            // from what the chain-capable profiles want.
+            for (enc, seq) in ["a", "b", "c"].into_iter().zip(92u64..) {
+                let content = [("enc".to_string(), AttrValue::str(enc))].into();
+                batch.push(frame("true", seq, content));
+            }
+            // The same valid frames again: warm-path answers.
+            batch.extend(
+                valid.iter().zip(0u64..).map(|((sel, content), seq)| {
+                    frame(&sel.to_string(), 100 + seq, content.clone())
+                }),
+            );
+            batch
+        })
+}
+
+/// What the tree walk makes of `batch` at `profile`: the accepted
+/// messages with their outcomes, each reception counted into `stats`
+/// the way an endpoint must count it.
+fn reference(
+    profile: &Profile,
+    batch: &[Vec<u8>],
+    stats: &mut BusStats,
+) -> Vec<(SemanticMessage, MatchOutcome)> {
+    let mut accepted = Vec::new();
+    for bytes in batch {
+        let Ok(msg) = SemanticMessage::decode(bytes) else {
+            stats.malformed += 1;
+            continue;
+        };
+        let Ok(sel) = Selector::parse(&msg.selector) else {
+            stats.bad_selector += 1;
+            continue;
+        };
+        match matching::interpret(profile, &sel, &msg.content) {
+            Ok(MatchOutcome::Reject) | Err(_) => stats.rejected += 1,
+            Ok(outcome) => {
+                match outcome {
+                    MatchOutcome::AcceptWithTransform(_) => stats.transformed += 1,
+                    _ => stats.accepted += 1,
+                }
+                accepted.push((msg, outcome));
+            }
+        }
+    }
+    accepted
+}
+
+const SHARED_PORT: Port = Port(5004);
+const ALONE_PORT: Port = Port(5005);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The shared reception path — every endpoint of a group handed
+    /// the same buffers, one `FrameMemo`, one `SelectorStore` — yields,
+    /// per endpoint, exactly the deliveries and `BusStats` of a
+    /// standalone endpoint fed the same bytes through
+    /// `interpret_batch`, and both equal the tree walk; across a
+    /// profile mutation too. Afterwards the memo remembers nothing.
+    #[test]
+    fn shared_frames_equal_standalone_endpoints_and_tree_walk(
+        profiles in proptest::collection::vec(arb_profile(), 1..4),
+        first in arb_batch(),
+        second in arb_batch(),
+    ) {
+        let mut net = Network::new(5);
+        let names: Vec<String> = (0..=profiles.len()).map(|i| format!("h{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (_sw, hosts) = net.lan(&names, LinkSpec::lan());
+        let (group, nobody) = (net.new_group(), net.new_group());
+        let injector = net.bind(hosts[0], Port(9)).unwrap();
+        let store = SelectorStore::with_capacity(64);
+        let mut memo = FrameMemo::new(store.clone());
+        let mut shared = Vec::new();
+        let mut alone = Vec::new();
+        for (profile, &host) in profiles.iter().zip(&hosts[1..]) {
+            shared.push(
+                BusEndpoint::join_with_store(
+                    &mut net, host, SHARED_PORT, group, profile.clone(), store.clone(),
+                )
+                .unwrap(),
+            );
+            alone.push(
+                BusEndpoint::join(&mut net, host, ALONE_PORT, nobody, profile.clone()).unwrap(),
+            );
+        }
+        let mut expected_stats = vec![BusStats::default(); profiles.len()];
+        for (round, batch) in [first, second].into_iter().enumerate() {
+            if round == 1 {
+                // The paper's whole point: state changes mid-session,
+                // locally, with nobody told.
+                for ep in shared.iter_mut().chain(alone.iter_mut()) {
+                    ep.profile.set("media", AttrValue::str("video"));
+                    ep.profile.unset("flag");
+                }
+            }
+            net.send_batch(injector, Addr::multicast(group, SHARED_PORT), batch.clone())
+                .unwrap();
+            net.run_for(Ticks::from_millis(50));
+            // Serial half for every endpoint first, as the session's
+            // pump does, then the decisions.
+            let received: Vec<_> = shared
+                .iter_mut()
+                .map(|ep| ep.receive(&mut net, &mut memo))
+                .collect();
+            for (i, frames) in received.iter().enumerate() {
+                prop_assert_eq!(frames.len(), batch.len(), "endpoint {} missed datagrams", i);
+                let via_frames = shared[i].interpret_frames(frames);
+                let via_bytes = alone[i].interpret_batch(batch.clone());
+                prop_assert_eq!(&via_frames, &via_bytes, "endpoint {} round {}", i, round);
+                let e = &mut expected_stats[i];
+                let accepted = reference(&shared[i].profile, &batch, e);
+                let got: Vec<(SemanticMessage, MatchOutcome)> = via_frames
+                    .iter()
+                    .map(|d| ((*d.message).clone(), d.outcome.clone()))
+                    .collect();
+                prop_assert_eq!(&got, &accepted, "endpoint {} round {} vs tree walk", i, round);
+                prop_assert_eq!(shared[i].stats(), *e, "shared endpoint {} stats", i);
+                prop_assert_eq!(alone[i].stats(), *e, "standalone endpoint {} stats", i);
+            }
+            drop(received);
+            memo.sweep();
+            prop_assert!(memo.is_empty(), "memo holds {} buffers at quiescence", memo.len());
+        }
+    }
+}
+
 // ------------------------------------------------------- cache behavior
 
 #[test]
@@ -280,4 +485,70 @@ fn engine_counts_hits_misses_and_parse_failures() {
     assert_eq!(stats.hits(), 2);
     // The unparsable selector cost real work: it counts as a miss.
     assert_eq!(stats.misses(), 2);
+}
+
+/// Strict LRU against a reference model: whatever mix of fresh
+/// selectors and re-touches arrives, the cache holds exactly the `cap`
+/// most recently used — so every eviction took the least recently used
+/// entry, the order the linear oldest-tick scan used to produce — and a
+/// pure stream of `3 × cap` distinct selectors evicts `2 × cap`.
+#[test]
+fn eviction_is_strict_lru_in_tick_order() {
+    const CAP: usize = 16;
+    let mut cache = SelectorCache::with_capacity(CAP);
+    for i in 0..3 * CAP {
+        cache.compile(&format!("x == {i}")).unwrap();
+    }
+    assert_eq!(cache.stats().evictions(), 2 * CAP as u64);
+    assert_eq!(cache.stats().misses(), 3 * CAP as u64);
+    assert_eq!(cache.len(), CAP);
+    for i in 0..3 * CAP {
+        assert_eq!(
+            cache.peek(&format!("x == {i}")).is_some(),
+            i >= 2 * CAP,
+            "x == {i}: the survivors are the last {CAP} compiled"
+        );
+    }
+
+    // Mixed stream against a model kept most-recent-first.
+    let mut cache = SelectorCache::with_capacity(CAP);
+    let mut model: Vec<usize> = Vec::new();
+    let mut x = 0x2545_f491u32;
+    let (mut hits, mut evictions) = (0u64, 0u64);
+    for step in 0..4_000 {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        // Two draws in three re-touch something recent-ish; the rest
+        // reach further back or mint a new selector.
+        let span = [96, 24, 24][x as usize % 3];
+        let id = (x >> 8) as usize % span;
+        cache.compile(&format!("x == {id}")).unwrap();
+        match model.iter().position(|&m| m == id) {
+            Some(at) => {
+                hits += 1;
+                model.remove(at);
+            }
+            None if model.len() == CAP => {
+                evictions += 1;
+                let victim = model.pop().expect("full model");
+                assert!(
+                    cache.peek(&format!("x == {victim}")).is_none(),
+                    "step {step}: LRU victim x == {victim} survived"
+                );
+            }
+            None => {}
+        }
+        model.insert(0, id);
+        for &m in &model {
+            assert!(
+                cache.peek(&format!("x == {m}")).is_some(),
+                "step {step}: x == {m} is among the {CAP} most recent but was evicted"
+            );
+        }
+        assert_eq!(cache.len(), model.len());
+    }
+    assert!(evictions > 100 && hits > 100, "the stream exercised both");
+    assert_eq!(cache.stats().hits(), hits);
+    assert_eq!(cache.stats().evictions(), evictions);
 }

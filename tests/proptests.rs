@@ -165,27 +165,35 @@ fn accepts(e: &Expr, attrs: &BTreeMap<String, AttrValue>) -> bool {
 /// decoder fed hostile bytes can be held to "never sizes anything from
 /// an unchecked header", not just "returns `Err`" (the 22-byte
 /// container of `ezw_header_bomb_is_refused_before_allocating` used to
-/// ask for 17 GB before failing).
+/// ask for 17 GB before failing) — and how many allocations were made,
+/// so a hot path can be held to "allocates nothing per message" as a
+/// count rather than a time.
 struct PeakAlloc;
 
 thread_local! {
     static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    PEAK.with(|p| p.set(p.get().max(size)));
+    COUNT.with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only
-// addition is a `Cell` store in const-initialised thread-local storage,
-// which neither allocates nor unwinds.
+// addition is two `Cell` stores in const-initialised thread-local
+// storage, which neither allocate nor unwind.
 unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        PEAK.with(|p| p.set(p.get().max(layout.size())));
+        note_alloc(layout.size());
         std::alloc::System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        PEAK.with(|p| p.set(p.get().max(layout.size())));
+        note_alloc(layout.size());
         std::alloc::System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        PEAK.with(|p| p.set(p.get().max(new_size)));
+        note_alloc(new_size);
         std::alloc::System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
@@ -201,6 +209,14 @@ fn peak_alloc_of(f: impl FnOnce()) -> usize {
     PEAK.with(|p| p.set(0));
     f();
     PEAK.with(|p| p.get())
+}
+
+/// How many allocations (reallocations included) `f` makes on this
+/// thread.
+fn allocs_of(f: impl FnOnce()) -> usize {
+    let before = COUNT.with(|c| c.get());
+    f();
+    COUNT.with(|c| c.get()) - before
 }
 
 /// What the decoder's plane cap (2^22 samples) lets one allocation
@@ -251,6 +267,114 @@ fn ezw_header_bomb_is_refused_before_allocating() {
         assert_eq!((img.width, img.height), (2048, 2048));
     });
     assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {peak} bytes");
+}
+
+/// A chat frame under `selector`, as `event_storm` publishes them.
+fn chat_frame(selector: &str, seq: u64) -> Vec<u8> {
+    SemanticMessage {
+        sender: "publisher".to_string(),
+        kind: "chat".to_string(),
+        selector: selector.to_string(),
+        seq,
+        content: BTreeMap::new(),
+        body: b"a line of chat".to_vec(),
+    }
+    .encode()
+}
+
+/// The property the session's throughput rests on, pinned as a count:
+/// once a buffer has been resolved to its shared frame, an endpoint
+/// that rejects it allocates nothing, and one that accepts it shares
+/// the frame's message — the only allocation left is the amortised
+/// growth of the returned `Vec`. (Byte-level reception decodes every
+/// copy afresh: four allocations per chat before anything is decided.)
+#[test]
+fn interpreting_shared_frames_allocates_nothing_per_reception() {
+    use collabqos::sempubsub::{BusEndpoint, Frame, Profile, SelectorStore};
+    use collabqos::simnet::{LinkSpec, Network, Port};
+
+    const FRAMES: usize = 1_000;
+    let mut net = Network::new(1);
+    let (_sw, hosts) = net.lan(&["a", "b"], LinkSpec::lan());
+    let group = net.new_group();
+    let store = SelectorStore::with_capacity(64);
+    let mut join = |host, topic: &str| {
+        let mut p = Profile::new(topic);
+        p.set("topics", AttrValue::List(vec![AttrValue::str(topic)]));
+        BusEndpoint::join_with_store(&mut net, host, Port(5004), group, p, store.clone()).unwrap()
+    };
+    let mut rejects = join(hosts[0], "t9");
+    let mut accepts = join(hosts[1], "t1");
+    let frames: Vec<Frame> = (0..FRAMES)
+        .map(|i| {
+            let selector = format!("topics contains 't1' or topics contains 't{}'", 2 + i % 7);
+            Frame::resolve(&chat_frame(&selector, i as u64), &store)
+        })
+        .collect();
+
+    // Warm-up: evaluation stacks reach their high-water mark.
+    assert!(rejects.interpret_frames(&frames).is_empty());
+    assert_eq!(accepts.interpret_frames(&frames).len(), FRAMES);
+
+    let at_rejecter = allocs_of(|| {
+        assert!(rejects.interpret_frames(&frames).is_empty());
+    });
+    assert_eq!(at_rejecter, 0, "{FRAMES} rejected receptions");
+    let mut delivered = Vec::new();
+    let at_accepter = allocs_of(|| delivered = accepts.interpret_frames(&frames));
+    assert_eq!(delivered.len(), FRAMES);
+    // Doubling from the first push to 1 024 slots.
+    assert!(
+        at_accepter <= FRAMES.ilog2() as usize + 2,
+        "{at_accepter} allocations for {FRAMES} accepted receptions"
+    );
+    assert_eq!(rejects.stats().rejected, 2 * FRAMES as u64);
+    assert_eq!(accepts.stats().accepted, 2 * FRAMES as u64);
+
+    // The standalone face pays the private decode, and only that.
+    let payloads: Vec<Vec<u8>> = (0..FRAMES)
+        .map(|i| chat_frame("topics contains 't1'", i as u64))
+        .collect();
+    let standalone = allocs_of(|| {
+        assert!(rejects.interpret_batch(payloads).is_empty());
+    });
+    assert!(
+        (4 * FRAMES..=6 * FRAMES).contains(&standalone),
+        "{standalone} allocations for {FRAMES} byte-level receptions"
+    );
+}
+
+/// A profile snapshot is sized by the profile, not by the interner it
+/// is taken against: with one grow-only interner per session, a stream
+/// minting fresh attribute names must not inflate every client's
+/// snapshot.
+#[test]
+fn profile_snapshot_is_sized_by_the_profile_not_the_interner() {
+    use collabqos::sempubsub::intern::Interner;
+    use collabqos::sempubsub::{CompiledProfile, Profile};
+
+    let mut p = Profile::new("client");
+    p.set("media", AttrValue::str("video"));
+    p.set("size", AttrValue::Int(4));
+    p.set("topics", AttrValue::List(vec![AttrValue::str("t1")]));
+    let mut interner = Interner::new();
+    let measure = |interner: &mut Interner| {
+        let mut snap = None;
+        let peak = peak_alloc_of(|| snap = Some(CompiledProfile::snapshot(&p, interner)));
+        let count = allocs_of(|| snap = Some(CompiledProfile::snapshot(&p, interner)));
+        (peak, count)
+    };
+    // Once to intern the profile's own names, then the baseline.
+    measure(&mut interner);
+    let before = measure(&mut interner);
+    for i in 0..10_000 {
+        interner.intern(&format!("foreign-{i}"));
+    }
+    let after = measure(&mut interner);
+    assert!(
+        after.0 <= before.0 && after.1 <= before.1,
+        "snapshot grew with the interner: (largest allocation, allocations) {before:?} -> {after:?}"
+    );
 }
 
 /// A container the header checks mostly let through, so the decoders
