@@ -26,9 +26,25 @@
 //! Messages carry their `(sender, seq)` pair as a dedup id; a broker
 //! never processes the same id twice, so cyclic topologies deliver
 //! exactly once.
+//!
+//! The advertisement protocol has two message kinds on one wire
+//! format. An origin a broker has not held before — a join, or a fresh
+//! entry learnt from a neighbor — travels as a *delta*: that one entry,
+//! to each neighbor whose merged export it would be part of. Anything
+//! that *replaces* an entry (re-registration, newer generation, fewer
+//! hops) and every [`Overlay::readvertise`] sends the *sync*: the whole
+//! merged export. A replacement cannot be a delta, because the entry it
+//! replaces may have covered others that were therefore never sent;
+//! narrowing it un-covers them, and only the full export carries them.
+//! Receivers treat both alike (insert, or improve an entry they hold),
+//! so a delta leaves every table exactly as the sync would have. What a
+//! delta does not do is resend: an advertisement lost on a lossy
+//! inter-broker link stays lost until the next sync, and
+//! `readvertise` is the only repair path.
 
-use crate::algebra::covers;
+use crate::algebra::covers_expr;
 use dtn::{Bundle, CustodyStore, Frame, StoreConfig, StoreStatsHandle};
+use sempubsub::ast::Expr;
 use sempubsub::{AttrValue, CacheStatsHandle, MatchEngine, Profile, Selector, SemanticMessage};
 use simnet::packet::well_known;
 use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks};
@@ -94,10 +110,18 @@ impl Advertisement {
         self.interest.clone().unwrap_or_else(Selector::all)
     }
 
+    /// The interest as a borrowed expression, "no interest" being the
+    /// `true` that [`Selector::all`] parses to.
+    fn interest_expr(&self) -> &Expr {
+        static ALL: Expr = Expr::Literal(AttrValue::Bool(true));
+        self.interest.as_ref().map_or(&ALL, Selector::expr)
+    }
+
     /// Does `self` make `other` redundant for routing? A wildcard
     /// subsumes everything; otherwise the profiles must be identical
     /// (routing matches selectors against attributes) and the interest
-    /// must cover.
+    /// must cover. Compares borrowed expressions: nothing is cloned,
+    /// parsed or allocated.
     pub fn subsumes(&self, other: &Advertisement) -> bool {
         if self.wildcard {
             return true;
@@ -105,7 +129,7 @@ impl Advertisement {
         if other.wildcard {
             return false;
         }
-        self.attrs == other.attrs && covers(&self.interest_selector(), &other.interest_selector())
+        self.attrs == other.attrs && covers_expr(self.interest_expr(), other.interest_expr())
     }
 
     /// Encode as a control-plane [`SemanticMessage`] (reusing the
@@ -208,8 +232,11 @@ impl BrokerStatsHandle {
         self.inner.suppressed.load(Ordering::Relaxed)
     }
 
-    /// Advertisements dropped by covering-based merge before
-    /// re-advertisement.
+    /// Advertisements covering kept off the wire: one per (entry,
+    /// neighbor) pair a flood left out because another entry of that
+    /// neighbor's export subsumes it. A delta flood decides once per
+    /// fresh entry; a sync (replacement, `readvertise`) decides again
+    /// for every entry it merges away.
     pub fn adverts_merged(&self) -> u64 {
         self.inner.adverts_merged.load(Ordering::Relaxed)
     }
@@ -378,19 +405,45 @@ impl BrokerNode {
         self.stats.inner.table_size.store(size, Ordering::Relaxed);
     }
 
-    /// The advertisement set to export toward neighbor `k`:
-    /// split-horizon (everything except what `k` itself advertised),
-    /// merged via covering and bounded by the hop budget.
+    /// The advertisements eligible for export toward neighbor `k`, in
+    /// merge order: split-horizon (everything except what `k` itself
+    /// advertised), bounded by the hop budget.
+    fn export_set(&self, k: usize) -> impl Iterator<Item = &Advertisement> {
+        let learnt = self
+            .remote_ads
+            .iter()
+            .filter(move |(j, _)| **j != k)
+            .flat_map(|(_, set)| set.iter().filter(|a| a.hops < MAX_HOPS));
+        self.local_ads.iter().chain(learnt)
+    }
+
+    /// The sync message for neighbor `k`: its export set merged via
+    /// covering, and the number of entries merged away.
     fn export_for(&self, k: usize) -> (Vec<Advertisement>, u64) {
-        let mut ads: Vec<Advertisement> = self.local_ads.clone();
-        for (j, set) in &self.remote_ads {
-            if *j != k {
-                ads.extend(set.iter().filter(|a| a.hops < MAX_HOPS).cloned());
+        merge_advertisements(self.export_set(k).cloned().collect())
+    }
+
+    /// Would [`BrokerNode::export_for`]`(k)` contain `ad`, an entry of
+    /// `k`'s export set? Decided against the set as it stands, without
+    /// merging it: an entry survives [`merge_advertisements`] unless an
+    /// earlier one subsumes it, or a later one does that it does not
+    /// subsume back (of mutually subsuming entries the first wins).
+    fn exported_to(&self, k: usize, ad: &Advertisement) -> bool {
+        let mut earlier = true;
+        self.export_set(k).all(|other| {
+            if std::ptr::eq(other, ad) {
+                earlier = false;
+                return true;
             }
-        }
-        merge_advertisements(ads)
+            !other.subsumes(ad) || (!earlier && ad.subsumes(other))
+        })
     }
 }
+
+/// Where a broker holds an advertisement: a local registration
+/// (`None`) or the table learnt from a neighbor broker, and the
+/// position in it.
+type Held = (Option<usize>, usize);
 
 /// The broker overlay: brokers, their mesh links, and the
 /// advertisement generation counter.
@@ -496,6 +549,17 @@ impl Overlay {
         self.brokers[i].stats.clone()
     }
 
+    /// The advertisements broker `i` holds, in arrival order: its local
+    /// registrations (`from` = `None`) or the table learnt from
+    /// neighbor broker `from`.
+    pub fn advertisements(&self, i: usize, from: Option<usize>) -> &[Advertisement] {
+        let broker = &self.brokers[i];
+        match from {
+            None => &broker.local_ads,
+            Some(j) => broker.remote_ads.get(&j).map_or(&[], Vec::as_slice),
+        }
+    }
+
     /// Live selector-cache counters of broker `i`.
     pub fn cache_stats(&self, i: usize) -> CacheStatsHandle {
         self.brokers[i].engine.cache_stats()
@@ -553,17 +617,30 @@ impl Overlay {
         self.install_local(net, i, ad);
     }
 
+    /// Enter a local registration and tell the neighbors. A fresh
+    /// origin is appended and flooded as a delta. A re-registration
+    /// replaces the old entry, which may have covered entries the
+    /// neighbors were therefore never sent, so it re-exports the whole
+    /// table.
     fn install_local(&mut self, net: &mut Network, i: usize, ad: Advertisement) {
         let broker = &mut self.brokers[i];
+        let held = broker.local_ads.len();
         broker.local_ads.retain(|a| a.origin != ad.origin);
+        let fresh = broker.local_ads.len() == held;
         broker.local_ads.push(ad);
         broker.update_table_gauge();
-        self.flood_export(net, i);
+        if fresh {
+            self.flood_appended(net, i, &[(None, held)]);
+        } else {
+            self.flood_export(net, i);
+        }
     }
 
     /// Re-flood every broker's export toward all neighbors — the
     /// periodic refresh a long-lived deployment would run on a timer,
-    /// and the recovery path after an inter-broker link heals.
+    /// and the recovery path after an inter-broker link heals. It is
+    /// the *only* recovery path: a join floods its own entry once, so
+    /// nothing else ever resends an advertisement a lossy link dropped.
     ///
     /// Before flooding, each broker drops advertisements whose
     /// generation is older than the latest it holds for the same
@@ -608,10 +685,39 @@ impl Overlay {
         }
     }
 
-    /// Send broker `i`'s merged advertisement export to every
-    /// neighbor. Receivers ignore entries that are not an improvement
-    /// (older generation, or equal generation with no better hop
-    /// count), so repeated floods terminate.
+    /// The delta flood: send each neighbor of broker `i` those of the
+    /// just-appended entries `fresh` (in export order) that a sync to
+    /// it would contain now — not learnt from that neighbor, within
+    /// the hop budget, not subsumed within its export set. Everything
+    /// else a sync would carry the neighbor was sent when *it* was
+    /// appended, or is still covered by what was.
+    fn flood_appended(&self, net: &mut Network, i: usize, fresh: &[Held]) {
+        let broker = &self.brokers[i];
+        let mut merged = 0u64;
+        for n in &broker.neighbors {
+            for &(from, at) in fresh {
+                let ad = &self.advertisements(i, from)[at];
+                if from == Some(n.broker) || ad.hops >= MAX_HOPS {
+                    continue;
+                }
+                if broker.exported_to(n.broker, ad) {
+                    let dst = Addr::unicast(n.node, well_known::SESSION_CTRL);
+                    let _ = net.send(broker.ctrl, dst, ad.encode());
+                } else {
+                    merged += 1;
+                }
+            }
+        }
+        let counters = &broker.stats.inner;
+        counters.adverts_merged.fetch_add(merged, Ordering::Relaxed);
+    }
+
+    /// The sync flood: send broker `i`'s merged advertisement export
+    /// to every neighbor. Reached only where a delta cannot do — an
+    /// entry was replaced, or [`Overlay::readvertise`] asked. Receivers
+    /// ignore entries that are not an improvement (older generation,
+    /// or equal generation with no better hop count), so repeated
+    /// floods terminate.
     fn flood_export(&mut self, net: &mut Network, i: usize) {
         let mut sends: Vec<(NodeId, Vec<Vec<u8>>)> = Vec::new();
         let mut merged_total = 0u64;
@@ -712,7 +818,8 @@ impl Overlay {
             arrivals.push(d);
         }
         let handled = arrivals.len();
-        let mut changed = false;
+        let mut fresh: Vec<Held> = Vec::new();
+        let mut replaced = false;
         for d in arrivals {
             // Custody frames share the control port with
             // advertisements; they open with their own magic, so
@@ -742,18 +849,25 @@ impl Overlay {
                         || (ad.generation == e.generation && ad.hops < e.hops);
                     if better {
                         *e = ad;
-                        changed = true;
+                        replaced = true;
                     }
                 }
                 None => {
+                    fresh.push((Some(from), table.len()));
                     table.push(ad);
-                    changed = true;
                 }
             }
         }
-        if changed {
+        if replaced || !fresh.is_empty() {
             self.brokers[i].update_table_gauge();
+        }
+        if replaced {
+            // An improved entry may cover less than the one it
+            // replaced: only the whole export says what now shows.
             self.flood_export(net, i);
+        } else {
+            fresh.sort_unstable();
+            self.flood_appended(net, i, &fresh);
         }
         handled
     }
@@ -1040,6 +1154,15 @@ mod tests {
         let mut data = SemanticMessage::decode(&promiscuous.encode()).unwrap();
         data.kind = "image-share".to_string();
         assert_eq!(Advertisement::decode(&data), None);
+    }
+
+    /// `subsumes` reads "no interest" as a borrowed constant; it must
+    /// be the expression `Selector::all()` parses to.
+    #[test]
+    fn absent_interest_reads_as_selector_all() {
+        let ad = Advertisement::from_profile(&Profile::new("plain"), 0);
+        assert_eq!(ad.interest_expr(), Selector::all().expr());
+        assert_eq!(ad.interest_expr(), ad.interest_selector().expr());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::{Port, WirePacket, HEADER_OVERHEAD, MAX_DATAGRAM};
 use crate::payload::Payload;
 use crate::time::{SimClock, Ticks};
-use crate::topology::{LinkId, LinkSpec, NodeId, Topology};
+use crate::topology::{LinkId, LinkSpec, NodeId, Route, Topology};
 use crate::trace::{NetStats, NetStatsHandle};
 use crate::wheel::TimingWheel;
 use htb::{ShapingTree, TreeSpec, TreeStatsHandle};
@@ -34,7 +34,6 @@ use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, Stat
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Handle to a bound datagram socket.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -130,11 +129,10 @@ struct Socket {
 #[derive(Debug)]
 struct InFlight {
     packet: WirePacket,
-    /// The route memo's own allocation, shared by every copy to the
-    /// same destination.
-    path: Arc<[LinkId]>,
-    /// Index of the next link in `path` to traverse.
-    hop: usize,
+    /// The route this copy was launched on, owned by the copy together
+    /// with its cursor on the next link to traverse: it keeps that
+    /// route to the end whatever the topology does meanwhile.
+    route: Route,
     dst: Addr,
     target: Option<SocketHandle>,
     /// Sender socket was ECN-capable.
@@ -144,6 +142,10 @@ struct InFlight {
     /// A fault model chose to duplicate this copy on delivery.
     duplicate: bool,
 }
+
+// Every queued `NetEvent` is as wide as its widest variant, this one:
+// a fatter copy is paid for by every event the wheel ever holds.
+const _: () = assert!(std::mem::size_of::<InFlight>() <= 72);
 
 #[derive(Debug)]
 enum NetEvent {
@@ -413,9 +415,10 @@ impl Network {
 
     /// Whether a route currently exists from `a` to `b`. A `send`
     /// between the pair would not fail with
-    /// [`NetError::Unreachable`] right now; it goes through the same
-    /// [`Topology::route_cached`] memo the data path uses, so probing
-    /// is cheap between topology changes.
+    /// [`NetError::Unreachable`] right now; it walks the same
+    /// [`Topology::route_cached`] tree memo the data path uses without
+    /// building a route, so probing between topology changes allocates
+    /// nothing and sweeps nothing.
     pub fn reachable(&mut self, a: NodeId, b: NodeId) -> bool {
         self.topo.reachable(a, b)
     }
@@ -651,22 +654,21 @@ impl Network {
             Addr::Multicast(group, port) => self.group_targets(group, port, s),
         };
         for &(target, node) in &targets {
-            let path = self
+            let route = self
                 .topo
                 .route_cached(src_node, node)
                 .ok_or(NetError::Unreachable(src_node, node))?;
-            // `repeat_n` moves the looked-up `Arc` into the last copy, so
-            // a one-payload send touches no reference count per copy.
-            let paths = std::iter::repeat_n(path, payloads.len());
-            for (payload, path) in payloads.iter().zip(paths) {
+            // `repeat_n` moves the looked-up route into the last copy,
+            // so only a spilled route in a multi-payload batch clones.
+            let routes = std::iter::repeat_n(route, payloads.len());
+            for (payload, route) in payloads.iter().zip(routes) {
                 self.advance_flight(InFlight {
                     packet: WirePacket {
                         src_node,
                         src_port,
                         payload: payload.clone(),
                     },
-                    path,
-                    hop: 0,
+                    route,
                     dst,
                     target,
                     ecn_capable,
@@ -785,8 +787,7 @@ impl Network {
     fn advance_flight(&mut self, mut flight: InFlight) {
         let now = self.clock.now();
         let mut t = now;
-        while flight.hop < flight.path.len() {
-            let link_id = flight.path[flight.hop];
+        while let Some(link_id) = flight.route.next_link() {
             if self.plane(link_id).is_some() {
                 if t > now {
                     // The copy only reaches the plane at `t`; classify
@@ -807,7 +808,7 @@ impl Network {
                 self.shared.add_dropped(1);
                 return;
             }
-            flight.hop += 1;
+            flight.route.advance();
         }
         self.deliver(flight, t);
     }
@@ -893,8 +894,8 @@ impl Network {
             link_ref.busy_accum += ser;
             let mut t = now + ser + link_ref.spec.latency;
             if self.roll_link_loss(link, &mut t, &mut flight.duplicate) {
-                flight.hop += 1;
-                if flight.hop < flight.path.len() {
+                flight.route.advance();
+                if flight.route.next_link().is_some() {
                     self.queue.schedule(t, NetEvent::Hop { flight });
                 } else {
                     self.deliver(flight, t);

@@ -12,7 +12,6 @@ use crate::faults::{FaultModel, FaultState};
 use crate::time::Ticks;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a simulated node (host, switch, base station...).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -112,6 +111,87 @@ impl LinkSpec {
     }
 }
 
+/// Links a [`Route`] carries inline. Five links, a length and a cursor
+/// fill exactly the 24 bytes the shared path pointer and hop index they
+/// replace took, so an in-flight copy is no bigger than before; every
+/// route of the paper's topologies (client, switch or broker chain,
+/// client) fits.
+const INLINE_LINKS: usize = 5;
+
+/// Marks a node no BFS sweep reached in a tree's `via` array.
+const UNREACHED: LinkId = LinkId(u32::MAX);
+
+/// The links from a source to a destination, in travel order, with a
+/// cursor on the next one to cross. Handed out by value: a short route
+/// lives inline, so launching a packet copy allocates nothing and
+/// touches no reference count; a longer one owns a single heap slice.
+#[derive(Clone, Debug)]
+pub struct Route(RouteRepr);
+
+#[derive(Clone, Debug)]
+enum RouteRepr {
+    Inline {
+        hop: u8,
+        len: u8,
+        links: [LinkId; INLINE_LINKS],
+    },
+    Heap {
+        hop: u32,
+        links: Box<[LinkId]>,
+    },
+}
+
+impl Route {
+    /// A route of `len` links, all to be filled in by the caller.
+    fn with_len(len: usize) -> Route {
+        Route(if len <= INLINE_LINKS {
+            RouteRepr::Inline {
+                hop: 0,
+                len: len as u8,
+                links: [UNREACHED; INLINE_LINKS],
+            }
+        } else {
+            RouteRepr::Heap {
+                hop: 0,
+                links: vec![UNREACHED; len].into_boxed_slice(),
+            }
+        })
+    }
+
+    fn links_mut(&mut self) -> &mut [LinkId] {
+        match &mut self.0 {
+            RouteRepr::Inline { len, links, .. } => &mut links[..*len as usize],
+            RouteRepr::Heap { links, .. } => links,
+        }
+    }
+
+    /// Every link of the route, crossed or not.
+    pub fn links(&self) -> &[LinkId] {
+        match &self.0 {
+            RouteRepr::Inline { len, links, .. } => &links[..*len as usize],
+            RouteRepr::Heap { links, .. } => links,
+        }
+    }
+
+    /// The next link to cross; `None` once the destination is reached.
+    pub fn next_link(&self) -> Option<LinkId> {
+        match &self.0 {
+            RouteRepr::Inline { hop, len, links } => (hop < len).then(|| links[*hop as usize]),
+            RouteRepr::Heap { hop, links } => links.get(*hop as usize).copied(),
+        }
+    }
+
+    /// Move the cursor past the link [`Route::next_link`] returned.
+    pub fn advance(&mut self) {
+        match &mut self.0 {
+            RouteRepr::Inline { hop, .. } => *hop += 1,
+            RouteRepr::Heap { hop, .. } => *hop += 1,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Route>() == 24);
+
 #[derive(Clone, Debug)]
 pub(crate) struct Link {
     pub spec: LinkSpec,
@@ -143,11 +223,16 @@ pub struct Topology {
     pub(crate) links: Vec<Link>,
     /// Bumped by every mutation that can change which routes exist
     /// (new links, link up/down, partitions). [`Topology::route_cached`]
-    /// drops its memo whenever the epoch moved, so cached paths can
-    /// never outlive the graph they were computed on.
+    /// drops its memo whenever the epoch moved, so a cached tree can
+    /// never outlive the graph it was computed on.
     epoch: u64,
-    route_cache: std::collections::HashMap<(u32, u32), Option<Arc<[LinkId]>>>,
-    cache_epoch: u64,
+    /// The route memo: one BFS tree per root asked for, indexed by the
+    /// root's node id. `trees[r][v]` is the link node `v` was first
+    /// reached over in the sweep from `r` ([`UNREACHED`] for `r` itself
+    /// and for nodes the sweep never saw).
+    trees: Vec<Option<Box<[LinkId]>>>,
+    trees_epoch: u64,
+    sweeps: u64,
 }
 
 impl Topology {
@@ -203,10 +288,10 @@ impl Topology {
     }
 
     /// Whether a path currently exists from `src` to `dst`. Shares the
-    /// [`Topology::route_cached`] memo, so repeated probes between
-    /// topology mutations cost one lookup each.
+    /// [`Topology::route_cached`] tree memo and builds no route, so a
+    /// probe between topology mutations is one walk up a memoised tree.
     pub fn reachable(&mut self, src: NodeId, dst: NodeId) -> bool {
-        self.route_cached(src, dst).is_some()
+        self.locate(src, dst).is_some()
     }
 
     /// Number of links.
@@ -295,69 +380,109 @@ impl Topology {
         }
     }
 
-    /// Hop-count shortest path from `src` to `dst` as a sequence of
-    /// link ids, or `None` if unreachable. Deterministic: BFS visits
-    /// links in id order. Links that are down are invisible to routing.
+    /// Hop-count shortest path from `src` to `dst`, or `None` if
+    /// unreachable. Deterministic: BFS visits links in id order. Links
+    /// that are down are invisible to routing.
     ///
-    /// Paths are memoised per `(src, dst)` and handed out as a shared
-    /// `Arc`, so a lookup between topology changes is one hash probe
-    /// and a reference-count bump — every in-flight copy to the same
-    /// destination carries the same allocation. The memo is dropped
-    /// wholesale whenever the topology epoch moved (link added, raised,
-    /// lowered, partitioned, healed), so a cached path can never
-    /// outlive the graph it was computed on. A miss runs one *full* BFS
-    /// from `src` and memoises the path to every reachable node: mass
-    /// fan-out — thousands of members behind the same hub — costs one
-    /// O(V + E) sweep per source until the graph changes, not one BFS
-    /// per member per batch.
-    pub fn route_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[LinkId]>> {
-        if self.cache_epoch != self.epoch {
-            self.route_cache.clear();
-            self.cache_epoch = self.epoch;
+    /// What is memoised is one BFS *tree* per root — a dense array of
+    /// the link each node was first reached over — never a path per
+    /// pair: a lookup walks the tree back from `dst` and returns the
+    /// [`Route`] by value. A source with exactly one link borrows its
+    /// neighbor's tree (its route is that link followed by the
+    /// neighbor's route): a leaf lies on nobody else's path, so this
+    /// is the very path its own sweep would find, and a star of
+    /// thousands of access links shares the hub's one tree. The memo
+    /// is dropped wholesale whenever the topology epoch moved (link
+    /// added, raised, lowered, partitioned, healed), so a route can
+    /// never be read off a graph that no longer exists; a route
+    /// already handed out is the caller's and stays as computed.
+    pub fn route_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
+        let (first, root, depth) = self.locate(src, dst)?;
+        let mut route = Route::with_len(depth + usize::from(first.is_some()));
+        if depth > 0 {
+            let via = self.trees[root.0 as usize]
+                .as_deref()
+                .expect("locate walked the root's tree");
+            let mut cur = dst;
+            for slot in route.links_mut().iter_mut().rev().take(depth) {
+                *slot = via[cur.0 as usize];
+                cur = self.peer(*slot, cur);
+            }
         }
-        if let Some(path) = self.route_cache.get(&(src.0, dst.0)) {
-            return path.clone();
+        if let Some(first) = first {
+            route.links_mut()[0] = first;
+        }
+        Some(route)
+    }
+
+    /// Where the route from `src` to `dst` lives in the memo: the
+    /// access link a single-homed `src` crosses first (if it borrows
+    /// its neighbor's tree), the root of the tree to walk, and how
+    /// many links below that root `dst` hangs. `None` if unreachable.
+    fn locate(&mut self, src: NodeId, dst: NodeId) -> Option<(Option<LinkId>, NodeId, usize)> {
+        if src == dst {
+            return Some((None, src, 0));
+        }
+        let (first, root) = match self.nodes[src.0 as usize].links[..] {
+            [only] if self.links[only.0 as usize].up => (Some(only), self.peer(only, src)),
+            [_] => return None,
+            _ => (None, src),
+        };
+        self.ensure_tree(root);
+        let via = self.trees[root.0 as usize]
+            .as_deref()
+            .expect("just memoised");
+        let mut depth = 0;
+        let mut cur = dst;
+        while cur != root {
+            let link = *via.get(cur.0 as usize)?;
+            if link == UNREACHED {
+                return None;
+            }
+            depth += 1;
+            cur = self.peer(link, cur);
+        }
+        Some((first, root, depth))
+    }
+
+    /// Memoise the BFS tree rooted at `root` unless the current epoch
+    /// already has it.
+    fn ensure_tree(&mut self, root: NodeId) {
+        if self.trees_epoch != self.epoch {
+            self.trees.clear();
+            self.trees_epoch = self.epoch;
         }
         let n = self.nodes.len();
-        let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-        let mut visited = vec![false; n];
-        visited[src.0 as usize] = true;
+        if self.trees.len() < n {
+            self.trees.resize_with(n, || None);
+        }
+        if self.trees[root.0 as usize].is_some() {
+            return;
+        }
+        self.sweeps += 1;
+        let mut via = vec![UNREACHED; n].into_boxed_slice();
         let mut queue = VecDeque::new();
-        queue.push_back(src);
+        queue.push_back(root);
         while let Some(u) = queue.pop_front() {
             for &l in &self.nodes[u.0 as usize].links {
                 if !self.links[l.0 as usize].up {
                     continue;
                 }
                 let v = self.peer(l, u);
-                if !visited[v.0 as usize] {
-                    visited[v.0 as usize] = true;
-                    prev[v.0 as usize] = Some((u, l));
+                if v != root && via[v.0 as usize] == UNREACHED {
+                    via[v.0 as usize] = l;
                     queue.push_back(v);
                 }
             }
         }
-        // Unwound dst → src into one reused scratch; each memoised
-        // path is then a single allocation.
-        let mut hops = Vec::new();
-        for v in 0..n as u32 {
-            if !visited[v as usize] {
-                continue;
-            }
-            hops.clear();
-            let mut cur = NodeId(v);
-            while cur != src {
-                let (p, pl) = prev[cur.0 as usize].expect("visited nodes have a BFS parent");
-                hops.push(pl);
-                cur = p;
-            }
-            let path = hops.iter().rev().copied().collect();
-            self.route_cache.insert((src.0, v), Some(path));
-        }
-        self.route_cache
-            .entry((src.0, dst.0))
-            .or_insert(None)
-            .clone()
+        self.trees[root.0 as usize] = Some(via);
+    }
+
+    /// BFS sweeps run since construction: one per memoised tree. A
+    /// lookup that finds its tree runs none, so the counter pins how
+    /// much routing work a scenario costs without timing anything.
+    pub fn bfs_sweeps(&self) -> u64 {
+        self.sweeps
     }
 }
 
@@ -378,12 +503,20 @@ mod tests {
         (t, hub, leaves)
     }
 
+    /// The links of the route from `a` to `b`.
+    fn links(t: &mut Topology, a: NodeId, b: NodeId) -> Option<Vec<LinkId>> {
+        t.route_cached(a, b).map(|r| r.links().to_vec())
+    }
+
     #[test]
     fn route_direct_and_via_hub() {
         let (mut t, hub, leaves) = star(3);
-        assert_eq!(t.route_cached(hub, leaves[1]).unwrap().len(), 1);
-        assert_eq!(t.route_cached(leaves[0], leaves[2]).unwrap().len(), 2);
-        assert_eq!(t.route_cached(leaves[0], leaves[0]).unwrap().len(), 0);
+        assert_eq!(links(&mut t, hub, leaves[1]), Some(vec![LinkId(1)]));
+        assert_eq!(
+            links(&mut t, leaves[0], leaves[2]),
+            Some(vec![LinkId(0), LinkId(2)])
+        );
+        assert_eq!(links(&mut t, leaves[0], leaves[0]), Some(vec![]));
     }
 
     #[test]
@@ -392,7 +525,8 @@ mod tests {
         let a = t.add_node("a");
         let b = t.add_node("b");
         assert!(t.route_cached(a, b).is_none());
-        assert!(t.route_cached(a, b).is_none(), "the miss is memoised too");
+        assert!(t.route_cached(a, b).is_none());
+        assert_eq!(t.bfs_sweeps(), 1, "the miss is memoised too");
     }
 
     #[test]
@@ -405,7 +539,7 @@ mod tests {
         t.connect(a, b, LinkSpec::lan());
         t.connect(b, c, LinkSpec::lan());
         let direct = t.connect(a, c, LinkSpec::wan());
-        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[direct][..]));
+        assert_eq!(links(&mut t, a, c), Some(vec![direct]));
     }
 
     #[test]
@@ -438,11 +572,11 @@ mod tests {
         let bc = t.connect(b, c, LinkSpec::lan());
         let direct = t.connect(a, c, LinkSpec::wan());
         assert!(t.link_up(direct));
-        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[direct][..]));
+        assert_eq!(links(&mut t, a, c), Some(vec![direct]));
         t.set_link_up(direct, false);
-        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[ab, bc][..]));
+        assert_eq!(links(&mut t, a, c), Some(vec![ab, bc]));
         t.set_link_up(direct, true);
-        assert_eq!(t.route_cached(a, c).as_deref(), Some(&[direct][..]));
+        assert_eq!(links(&mut t, a, c), Some(vec![direct]));
     }
 
     #[test]
@@ -487,42 +621,103 @@ mod tests {
 
     #[test]
     fn route_cache_tracks_link_state() {
+        // a and c are multi-homed (the spur links), so each roots its
+        // own tree and the sweep counts below are theirs alone.
         let mut t = Topology::new();
         let a = t.add_node("a");
         let b = t.add_node("b");
         let c = t.add_node("c");
+        let (a2, c2) = (t.add_node("a2"), t.add_node("c2"));
         let ab = t.connect(a, b, LinkSpec::lan());
         let bc = t.connect(b, c, LinkSpec::lan());
+        t.connect(a, a2, LinkSpec::lan());
+        t.connect(c, c2, LinkSpec::lan());
         let first = t.route_cached(a, c).unwrap();
-        assert_eq!(&first[..], [ab, bc]);
-        let hit = t.route_cached(a, c).unwrap();
-        assert!(Arc::ptr_eq(&first, &hit), "a hit shares the memoised path");
+        assert_eq!(first.links(), [ab, bc]);
+        assert_eq!(t.bfs_sweeps(), 1);
+        assert_eq!(links(&mut t, a, c), Some(vec![ab, bc]));
+        assert_eq!(links(&mut t, a, b), Some(vec![ab]));
+        assert!(t.reachable(a, c2));
+        assert_eq!(t.bfs_sweeps(), 1, "a repeated lookup runs no BFS");
         t.set_link_up(bc, false);
-        assert_eq!(t.route_cached(a, c), None, "cache dropped on link down");
+        assert_eq!(links(&mut t, a, c), None, "memo dropped on link down");
+        assert_eq!(t.bfs_sweeps(), 2);
         t.set_link_up(bc, true);
-        let again = t.route_cached(a, c).unwrap();
-        assert_eq!(again, first, "cache dropped on link up");
-        assert!(!Arc::ptr_eq(&first, &again), "recomputed, not resurrected");
+        assert_eq!(links(&mut t, a, c), Some(vec![ab, bc]), "and on link up");
+        assert_eq!(links(&mut t, c, a), Some(vec![bc, ab]));
+        assert_eq!(links(&mut t, a, c), Some(vec![ab, bc]));
+        assert_eq!(t.bfs_sweeps(), 4, "an epoch bump: one sweep per root asked");
         let ac = t.connect(a, c, LinkSpec::lan());
-        assert_eq!(
-            t.route_cached(a, c).as_deref(),
-            Some(&[ac][..]),
-            "new link visible"
-        );
-        t.partition(&[c]);
-        assert_eq!(t.route_cached(a, c), None, "partition invalidates");
-        assert_eq!(
-            t.route_cached(a, b).as_deref(),
-            Some(&[ab][..]),
-            "same side intact"
-        );
+        assert_eq!(links(&mut t, a, c), Some(vec![ac]), "new link visible");
+        t.partition(&[c, c2]);
+        assert_eq!(links(&mut t, a, c), None, "partition invalidates");
+        assert_eq!(links(&mut t, a, b), Some(vec![ab]), "same side intact");
         t.heal();
-        assert_eq!(
-            t.route_cached(a, c).as_deref(),
-            Some(&[ac][..]),
-            "heal invalidates"
-        );
-        // A held path is unaffected by later invalidation.
-        assert_eq!(&first[..], [ab, bc]);
+        assert_eq!(links(&mut t, a, c), Some(vec![ac]), "heal invalidates");
+        // A route handed out is unaffected by later invalidation.
+        assert_eq!(first.links(), [ab, bc]);
+    }
+
+    /// A single-homed source borrows its neighbor's tree: a star
+    /// queried all-pairs costs one sweep, not one per leaf.
+    #[test]
+    fn star_of_leaves_shares_the_hub_tree() {
+        let (mut t, hub, leaves) = star(1_000);
+        for (i, &src) in leaves.iter().enumerate() {
+            for (j, &dst) in leaves.iter().enumerate() {
+                let route = t.route_cached(src, dst).unwrap();
+                let expect: &[LinkId] = if i == j {
+                    &[]
+                } else {
+                    &[LinkId(i as u32), LinkId(j as u32)]
+                };
+                assert_eq!(route.links(), expect);
+            }
+            assert_eq!(links(&mut t, src, hub), Some(vec![LinkId(i as u32)]));
+        }
+        assert_eq!(t.bfs_sweeps(), 1);
+        // A leaf whose only link is down reaches nothing but itself,
+        // and asks for no sweep to find that out.
+        t.set_link_up(LinkId(7), false);
+        assert_eq!(links(&mut t, leaves[7], hub), None);
+        assert_eq!(links(&mut t, leaves[7], leaves[7]), Some(vec![]));
+        assert_eq!(t.bfs_sweeps(), 1);
+        assert_eq!(links(&mut t, leaves[8], leaves[7]), None);
+        assert_eq!(t.bfs_sweeps(), 2);
+    }
+
+    /// Two single-homed nodes joined to each other: each borrows the
+    /// other's tree, one level deep.
+    #[test]
+    fn two_leaves_facing_each_other_route() {
+        let mut t = Topology::new();
+        let a = t.add_node("a");
+        let b = t.add_node("b");
+        let ab = t.connect(a, b, LinkSpec::lan());
+        assert_eq!(links(&mut t, a, b), Some(vec![ab]));
+        assert_eq!(links(&mut t, b, a), Some(vec![ab]));
+    }
+
+    /// Routes past the inline capacity spill to the heap and walk the
+    /// same way.
+    #[test]
+    fn long_routes_spill_and_advance() {
+        let mut t = Topology::new();
+        let nodes: Vec<_> = (0..12).map(|i| t.add_node(&format!("n{i}"))).collect();
+        let chain: Vec<_> = nodes
+            .windows(2)
+            .map(|w| t.connect(w[0], w[1], LinkSpec::lan()))
+            .collect();
+        for end in 0..nodes.len() {
+            let mut route = t.route_cached(nodes[0], nodes[end]).unwrap();
+            assert_eq!(route.links(), &chain[..end]);
+            let mut walked = Vec::new();
+            while let Some(l) = route.next_link() {
+                walked.push(l);
+                route.advance();
+            }
+            assert_eq!(walked, &chain[..end]);
+            assert_eq!(route.links(), &chain[..end], "the cursor eats nothing");
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Broker-overlay integration suite (CI job `broker`): content-based
 //! routing over multi-broker topologies, covering-based suppression,
-//! figure bit-identity between flat and brokered sessions, and
-//! robustness of the advertisement protocol under link faults.
+//! figure bit-identity between flat and brokered sessions, robustness
+//! of the advertisement protocol under link faults, the two hazards of
+//! flooding deltas (un-covering by replacement, loss without resend),
+//! and what a join costs, as counts of datagrams and BFS sweeps.
 
 use collabqos::broker::Overlay;
 use collabqos::core::experiments::{
@@ -38,6 +40,13 @@ fn join_domain(net: &mut Network, ov: &mut Overlay, d: usize, profile: Profile) 
         .expect("endpoint joins");
     ov.settle(net);
     bus
+}
+
+/// Origins broker `i` has learnt from neighbor broker `from`, in
+/// arrival order.
+fn learnt_origins(ov: &Overlay, i: usize, from: usize) -> Vec<&str> {
+    let table = ov.advertisements(i, Some(from));
+    table.iter().map(|a| a.origin.as_str()).collect()
 }
 
 fn accepted_bodies(net: &mut Network, bus: &mut BusEndpoint) -> Vec<Vec<u8>> {
@@ -316,6 +325,178 @@ fn link_flap_readvertisement_restores_delivery_without_duplicates() {
         "re-advertisement restores exactly-once, in-order delivery\n{ctx}"
     );
     assert_eq!(ov.stats(1).dedup_dropped(), 0, "{ctx}");
+}
+
+/// The un-cover hazard of flooding deltas. `wide` covers `narrow`
+/// (same attributes, no interest against a narrower one), so broker 0
+/// is only ever told about `wide`. When `wide` re-registers with other
+/// attributes it stops covering — and a flood carrying just the
+/// replaced entry would leave broker 0 with no advertisement an image
+/// message matches. A replacement therefore re-exports the table:
+/// the message `narrow` alone matches still crosses the link.
+#[test]
+fn replacing_a_covering_advertisement_uncovers_what_it_hid() {
+    let mut net = Network::new(606);
+    let mut ov = Overlay::new();
+    ov.add_broker(&mut net, "b0");
+    ov.add_broker(&mut net, "b1");
+    ov.connect(&mut net, 0, 1, LinkSpec::lan());
+
+    let mut publisher = join_domain(&mut net, &mut ov, 0, topic_profile("pub", &["none"]));
+    let _wide = join_domain(&mut net, &mut ov, 1, topic_profile("wide", &["image"]));
+    let mut narrow_profile = topic_profile("narrow", &["image"]);
+    narrow_profile.set_interest("encoding == 'jpeg'").unwrap();
+    let mut narrow = join_domain(&mut net, &mut ov, 1, narrow_profile);
+    assert_eq!(learnt_origins(&ov, 0, 1), ["wide"], "covered: never sent");
+    assert_eq!(ov.stats(1).adverts_merged(), 1, "one (entry, neighbor)");
+
+    ov.register_local(&mut net, 1, &topic_profile("wide", &["text"]));
+    ov.settle(&mut net);
+
+    let jpeg: BTreeMap<String, AttrValue> =
+        [("encoding".to_string(), AttrValue::str("jpeg"))].into();
+    publisher
+        .publish(
+            &mut net,
+            "chat",
+            "interested_in contains 'image'",
+            jpeg,
+            b"only narrow matches".to_vec(),
+        )
+        .unwrap();
+    ov.pump(&mut net, Ticks::from_millis(100));
+    assert_eq!(
+        accepted_bodies(&mut net, &mut narrow),
+        [b"only narrow matches".to_vec()]
+    );
+    assert_eq!(ov.stats(0).suppressed(), 0);
+    assert_eq!(learnt_origins(&ov, 0, 1), ["wide", "narrow"]);
+}
+
+/// The contract that replaces the old flood's accidental anti-entropy:
+/// an advertisement dropped on a lossy inter-broker link is *not*
+/// repaired by later joins — not even by one with the same profile,
+/// which the lost entry covers at its home broker — and *is* repaired
+/// by `readvertise()`, after which delivery is exactly-once and in
+/// order.
+#[test]
+fn a_lost_advertisement_is_repaired_by_readvertise_and_by_nothing_else() {
+    let mut net = Network::new(707);
+    let mut ov = Overlay::new();
+    ov.add_broker(&mut net, "b0");
+    ov.add_broker(&mut net, "b1");
+    let link = ov.connect(&mut net, 0, 1, LinkSpec::lan());
+    let mut publisher = join_domain(&mut net, &mut ov, 0, topic_profile("pub", &["none"]));
+
+    // The subscriber joins while the link loses everything.
+    let spec = net.topology().link_spec(link);
+    net.topology_mut().set_link_spec(link, spec.with_loss(1.0));
+    let mut sub = join_domain(&mut net, &mut ov, 1, topic_profile("sub", &["image"]));
+    net.topology_mut().set_link_spec(link, spec);
+
+    // Later joins cross the healthy link with their own entry only.
+    let mut twin = join_domain(&mut net, &mut ov, 1, topic_profile("twin", &["image"]));
+    let _other = join_domain(&mut net, &mut ov, 1, topic_profile("other", &["text"]));
+    assert_eq!(learnt_origins(&ov, 0, 1), ["other"], "nothing was resent");
+    let mut publish = |net: &mut Network, body: String| {
+        publisher
+            .publish(
+                net,
+                "chat",
+                "interested_in contains 'image'",
+                BTreeMap::new(),
+                body.into_bytes(),
+            )
+            .unwrap();
+    };
+    publish(&mut net, "into the stale table".to_string());
+    ov.pump(&mut net, Ticks::from_millis(100));
+    assert!(accepted_bodies(&mut net, &mut sub).is_empty());
+    assert!(accepted_bodies(&mut net, &mut twin).is_empty());
+    assert_eq!(ov.stats(0).suppressed(), 1);
+
+    ov.readvertise(&mut net);
+    ov.settle(&mut net);
+    for n in 0..3 {
+        publish(&mut net, format!("after the sync {n}"));
+    }
+    ov.pump(&mut net, Ticks::from_millis(100));
+    let expected: Vec<Vec<u8>> = (0..3)
+        .map(|n| format!("after the sync {n}").into_bytes())
+        .collect();
+    assert_eq!(accepted_bodies(&mut net, &mut sub), expected);
+    assert_eq!(accepted_bodies(&mut net, &mut twin), expected);
+    assert_eq!(ov.stats(1).dedup_dropped(), 0);
+}
+
+// ------------------------------------------------------ cost of a join
+
+/// A brokered session on `event_storm`'s topic mix (24 topics, each
+/// domain's clients on two slots of its own 12-topic window): the
+/// control datagrams each join sent, and the session.
+fn storm_session(clients: usize) -> (CollaborationSession, Vec<u64>) {
+    const DOMAINS: usize = 3;
+    let mut s = CollaborationSession::new(SessionConfig {
+        seed: 11,
+        domains: Some(DOMAINS),
+        ..SessionConfig::default()
+    });
+    let mut per_join = Vec::new();
+    for i in 0..clients {
+        let (d, j) = (i % DOMAINS, i / DOMAINS);
+        let a = j % 12;
+        let b = (a + 1 + (j / 12) % 11) % 12;
+        let name = format!("c{i}");
+        let topics = [format!("t{:02}", 6 * d + a), format!("t{:02}", 6 * d + b)];
+        let profile = topic_profile(&name, &[&topics[0], &topics[1]]);
+        let before = s.net.stats().sent;
+        s.add_wired_client(profile, engine(), SimHost::idle(&name))
+            .expect("client joins");
+        per_join.push(s.net.stats().sent - before);
+    }
+    (s, per_join)
+}
+
+/// Joining is pinned as counts, not times. A join sends a bounded
+/// number of control datagrams whatever the size of its domain (at
+/// most one per broker that is not its home), so set-up traffic grows
+/// with the session, not with its square; and however many clients
+/// publish, routing keeps one tree per broker plus the switch — never
+/// one per source.
+#[test]
+fn a_join_costs_a_constant_and_routing_one_tree_per_broker() {
+    const DOMAINS: u64 = 3;
+    let (mut small, small_joins) = storm_session(60);
+    let (_, large_joins) = storm_session(600);
+    for joins in [&small_joins, &large_joins] {
+        let worst = joins.iter().max().unwrap();
+        assert!(*worst < DOMAINS, "a join sent {worst} control datagrams");
+    }
+    let (small_total, large_total): (u64, u64) =
+        (small_joins.iter().sum(), large_joins.iter().sum());
+    assert!(small_total > 0);
+    assert!(
+        large_total <= 12 * small_total,
+        "set-up datagrams: {small_total} at 60 clients, {large_total} at 600"
+    );
+
+    let swept = small.net.topology().bfs_sweeps();
+    for round in 0..50 {
+        for k in 0..16 {
+            let publisher = (16 * round + k) % 60;
+            let selector = format!(
+                "interested_in contains 't{:02}' or interested_in contains 't{:02}'",
+                (round + k) % 24,
+                (round + 2 * k + 1) % 24
+            );
+            small.share_chat(publisher, "a line", &selector).unwrap();
+        }
+        small.pump(Ticks::from_millis(80));
+    }
+    let logged: usize = (0..60).map(|c| small.client(c).chat.log.len()).sum();
+    assert!(logged > 0, "the chats were delivered");
+    let trees = small.net.topology().bfs_sweeps() - swept;
+    assert!(trees <= DOMAINS + 1, "{trees} BFS trees for 60 publishers");
 }
 
 // ------------------------------------------------- control-plane qdisc

@@ -1102,3 +1102,346 @@ proptest! {
         prop_assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {} bytes", peak);
     }
 }
+
+// ------------------------------------------- advertisement protocol
+
+/// `subsumes` sits inside the delta flood's membership check, called
+/// once per entry of a neighbor's export set per join: between two ads
+/// without an interest it must compare what is there, not parse `true`
+/// twice to have something to compare.
+#[test]
+fn subsumes_between_interestless_ads_allocates_nothing() {
+    use collabqos::broker::Advertisement;
+    use collabqos::sempubsub::Profile;
+
+    let ad = |name: &str, topic: &str| {
+        let mut p = Profile::new(name);
+        p.set(
+            "interested_in",
+            AttrValue::List(vec![AttrValue::str(topic)]),
+        );
+        Advertisement::from_profile(&p, 0)
+    };
+    let (a, b, c) = (ad("a", "t1"), ad("b", "t1"), ad("c", "t2"));
+    let mut narrow = ad("n", "t1");
+    narrow.interest = Some(Selector::parse("size > 3").unwrap());
+    let mut outcomes = Vec::with_capacity(4);
+    let allocs = allocs_of(|| {
+        outcomes.push(a.subsumes(&b));
+        outcomes.push(a.subsumes(&c));
+        outcomes.push(a.subsumes(&narrow));
+        outcomes.push(narrow.subsumes(&a));
+    });
+    assert_eq!(outcomes, [true, false, true, false]);
+    assert_eq!(allocs, 0, "four comparisons");
+}
+
+/// One step of an advertisement-protocol scenario. Registering a name
+/// a domain already holds is a re-registration (changed interest or
+/// attributes); registering it elsewhere moves the client; a name can
+/// turn from wildcard to profile and back.
+#[derive(Clone, Debug)]
+enum AdOp {
+    Register {
+        client: usize,
+        domain: usize,
+        attrs: usize,
+        interest: usize,
+    },
+    Wildcard {
+        client: usize,
+        domain: usize,
+    },
+}
+
+/// Three registrations to one wildcard.
+fn arb_ad_op() -> impl Strategy<Value = AdOp> {
+    (0u8..4, 0usize..7, 0usize..3, 0usize..3, 0usize..5).prop_map(
+        |(kind, client, domain, attrs, interest)| match kind {
+            0 => AdOp::Wildcard { client, domain },
+            _ => AdOp::Register {
+                client,
+                domain,
+                attrs,
+                interest,
+            },
+        },
+    )
+}
+
+/// Three brokers, chained or in a triangle, driven by [`AdOp`]s.
+struct AdWorld {
+    net: collabqos::simnet::Network,
+    ov: collabqos::broker::Overlay,
+}
+
+impl AdWorld {
+    fn new(triangle: bool) -> AdWorld {
+        use collabqos::simnet::LinkSpec;
+        let mut net = collabqos::simnet::Network::new(5);
+        let mut ov = collabqos::broker::Overlay::new();
+        for i in 0..3 {
+            ov.add_broker(&mut net, &format!("b{i}"));
+        }
+        ov.connect(&mut net, 0, 1, LinkSpec::lan());
+        ov.connect(&mut net, 1, 2, LinkSpec::lan());
+        if triangle {
+            ov.connect(&mut net, 0, 2, LinkSpec::lan());
+        }
+        AdWorld { net, ov }
+    }
+
+    fn apply(&mut self, op: &AdOp) {
+        const ATTRS: [&[&str]; 3] = [&["image"], &["text"], &["image", "text"]];
+        const INTERESTS: [Option<&str>; 5] = [
+            None,
+            Some("encoding == 'jpeg'"),
+            Some("size > 2"),
+            Some("size > 5"),
+            Some("encoding == 'jpeg' and size > 5"),
+        ];
+        match *op {
+            AdOp::Register {
+                client,
+                domain,
+                attrs,
+                interest,
+            } => {
+                let mut p = collabqos::sempubsub::Profile::new(&format!("c{client}"));
+                let topics = ATTRS[attrs].iter().map(|t| AttrValue::str(t)).collect();
+                p.set("interested_in", AttrValue::List(topics));
+                if let Some(sel) = INTERESTS[interest] {
+                    p.set_interest(sel).unwrap();
+                }
+                self.ov.register_local(&mut self.net, domain, &p);
+            }
+            AdOp::Wildcard { client, domain } => {
+                self.ov
+                    .register_wildcard(&mut self.net, domain, &format!("c{client}"));
+            }
+        }
+    }
+
+    /// Every table of every broker — local registrations first, then
+    /// per neighbor — as (origin, generation, hops) in table order.
+    fn tables(&self, generation_of: impl Fn(u64) -> u64) -> Vec<Vec<(String, u64, u8)>> {
+        let interfaces = [None, Some(0), Some(1), Some(2)];
+        (0..3)
+            .flat_map(|i| interfaces.map(|from| (i, from)))
+            .map(|(i, from)| {
+                self.ov
+                    .advertisements(i, from)
+                    .iter()
+                    .map(|a| (a.origin.clone(), generation_of(a.generation), a.hops))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// What a sync from broker `i` to neighbor `k` would carry now,
+    /// rebuilt from the tables alone.
+    fn merged_export(&self, i: usize, k: usize) -> Vec<collabqos::broker::Advertisement> {
+        use collabqos::broker::{merge_advertisements, MAX_HOPS};
+        let mut set = self.ov.advertisements(i, None).to_vec();
+        for j in (0..3).filter(|&j| j != k) {
+            let learnt = self.ov.advertisements(i, Some(j)).iter();
+            set.extend(learnt.filter(|a| a.hops < MAX_HOPS).cloned());
+        }
+        merge_advertisements(set).0
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The delta flood against the protocol's own sync message. The
+    /// twin registers everything twice: the second registration is a
+    /// replacement, so every change travels as the whole merged export
+    /// (and burns a second generation, hence the halving). After every
+    /// step both overlays hold the same tables entry for entry, the
+    /// step's advertisement crossed exactly the links whose merged
+    /// export it is part of, and no neighbor lacks anything a sync
+    /// would tell it now.
+    #[test]
+    fn delta_floods_leave_the_tables_a_full_export_would(
+        triangle in any::<bool>(),
+        ops in proptest::collection::vec(arb_ad_op(), 1..14),
+    ) {
+        let mut delta = AdWorld::new(triangle);
+        let mut sync = AdWorld::new(triangle);
+        for (step, op) in ops.iter().enumerate() {
+            delta.apply(op);
+            delta.ov.settle(&mut delta.net);
+            sync.apply(op);
+            sync.apply(op);
+            sync.ov.settle(&mut sync.net);
+            prop_assert_eq!(
+                delta.tables(|g| g),
+                sync.tables(|g| g / 2),
+                "tables after step {} of {:?}", step, ops
+            );
+
+            let (AdOp::Register { client, .. } | AdOp::Wildcard { client, .. }) = *op;
+            let origin = format!("c{client}");
+            let is_step = |a: &collabqos::broker::Advertisement| {
+                a.origin == origin && a.generation == step as u64
+            };
+            for i in 0..3 {
+                for k in (0..3).filter(|&k| k != i && delta.ov.link_between(i, k).is_some()) {
+                    let export = delta.merged_export(i, k);
+                    let held = delta.ov.advertisements(k, Some(i));
+                    prop_assert_eq!(
+                        held.iter().any(is_step),
+                        export.iter().any(is_step),
+                        "step {} of {:?}: sent {} -> {} vs member of the merged export",
+                        step, ops, i, k
+                    );
+                    for ad in &export {
+                        let known = held.iter().any(|h| {
+                            h.origin == ad.origin
+                                && (h.generation, ad.hops + 1) >= (ad.generation, h.hops)
+                        });
+                        prop_assert!(
+                            known,
+                            "step {} of {:?}: {} never told {} about {:?}",
+                            step, ops, i, k, ad
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------ route memo
+
+/// One step of a routing scenario on a random graph.
+#[derive(Clone, Debug)]
+enum TopoOp {
+    Connect(usize, usize),
+    SetUp(usize, bool),
+    Partition(Vec<usize>),
+    Heal,
+    Query(usize, usize),
+}
+
+/// Half the steps ask for a route, the rest change the graph.
+fn arb_topo_op(nodes: usize) -> impl Strategy<Value = TopoOp> {
+    let island = proptest::collection::vec(0..nodes, 1..4);
+    (0u8..8, 0..nodes, 0..nodes, any::<bool>(), island).prop_map(move |(kind, a, b, up, island)| {
+        match kind {
+            0 => TopoOp::Connect(a, b),
+            1 => TopoOp::SetUp(a * nodes + b, up),
+            2 => TopoOp::Partition(island),
+            3 => TopoOp::Heal,
+            _ => TopoOp::Query(a, b),
+        }
+    })
+}
+
+/// The reference: a plain BFS from `src` over the links that are up,
+/// each node's links visited in id order, the path read back from
+/// `dst`. `links` is (a, b, up) by link id.
+fn reference_route(
+    nodes: usize,
+    links: &[(usize, usize, bool)],
+    src: usize,
+    dst: usize,
+) -> Option<Vec<u32>> {
+    let mut prev: Vec<Option<(usize, u32)>> = vec![None; nodes];
+    let mut seen = vec![false; nodes];
+    seen[src] = true;
+    let mut queue = std::collections::VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for (id, &(a, b, up)) in links.iter().enumerate() {
+            if !up || (a != u && b != u) {
+                continue;
+            }
+            let v = if a == u { b } else { a };
+            if !seen[v] {
+                seen[v] = true;
+                prev[v] = Some((u, id as u32));
+                queue.push_back(v);
+            }
+        }
+    }
+    if !seen[dst] {
+        return None;
+    }
+    let mut path = Vec::new();
+    let mut cur = dst;
+    while let Some((p, l)) = prev[cur] {
+        path.push(l);
+        cur = p;
+    }
+    path.reverse();
+    Some(path)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The tree memo against a from-scratch BFS per query, on graphs
+    /// with cycles, parallel links, leaves, multi-homed nodes and a
+    /// long tail (so some routes spill past the inline capacity),
+    /// while links go down and up and partitions come and go between
+    /// queries. Whatever is asked — unreachable pairs, `src == dst`, a
+    /// leaf whose only link is down — the memo answers as the sweep
+    /// from `src` would, and `reachable` agrees.
+    #[test]
+    fn route_memo_equals_a_fresh_bfs_from_the_source(
+        ops in proptest::collection::vec(arb_topo_op(14), 1..60),
+    ) {
+        use collabqos::simnet::topology::Topology;
+        use collabqos::simnet::{LinkId, LinkSpec, NodeId};
+        const NODES: usize = 14;
+        let mut topo = Topology::new();
+        for i in 0..NODES {
+            topo.add_node(&format!("n{i}"));
+        }
+        let mut links: Vec<(usize, usize, bool)> = Vec::new();
+        let connect = |topo: &mut Topology, links: &mut Vec<_>, a: usize, b: usize| {
+            topo.connect(NodeId(a as u32), NodeId(b as u32), LinkSpec::lan());
+            links.push((a, b, true));
+        };
+        // A tail of eight nodes: routes along it outgrow five links.
+        for i in 6..NODES - 1 {
+            connect(&mut topo, &mut links, i, i + 1);
+        }
+        // Then every pair once more on the final graph, from a warm memo.
+        let all_pairs = (0..NODES).flat_map(|a| (0..NODES).map(move |b| TopoOp::Query(a, b)));
+        for op in ops.iter().cloned().chain(all_pairs) {
+            match op {
+                TopoOp::Connect(a, b) if a != b => connect(&mut topo, &mut links, a, b),
+                TopoOp::Connect(..) => {}
+                TopoOp::SetUp(l, up) => {
+                    let l = l % links.len();
+                    topo.set_link_up(LinkId(l as u32), up);
+                    links[l].2 = up;
+                }
+                TopoOp::Partition(island) => {
+                    let ids: Vec<NodeId> = island.iter().map(|&n| NodeId(n as u32)).collect();
+                    topo.partition(&ids);
+                    for link in &mut links {
+                        if island.contains(&link.0) != island.contains(&link.1) {
+                            link.2 = false;
+                        }
+                    }
+                }
+                TopoOp::Heal => {
+                    topo.heal();
+                    links.iter_mut().for_each(|l| l.2 = true);
+                }
+                TopoOp::Query(a, b) => {
+                    let want = reference_route(NODES, &links, a, b);
+                    let (src, dst) = (NodeId(a as u32), NodeId(b as u32));
+                    let got = topo
+                        .route_cached(src, dst)
+                        .map(|r| r.links().iter().map(|l| l.0).collect::<Vec<_>>());
+                    prop_assert_eq!(&got, &want, "{} -> {} in {:?}", a, b, ops);
+                    prop_assert_eq!(topo.reachable(src, dst), want.is_some());
+                }
+            }
+        }
+    }
+}
