@@ -22,8 +22,7 @@
 use bench::{header, quick_mode, row, time_best};
 use sempubsub::matching;
 use sempubsub::{
-    AttrValue, BusEndpoint, Frame, FrameMemo, MatchEngine, Profile, Selector, SelectorStore,
-    SemanticMessage,
+    AttrValue, BusEndpoint, Frame, MatchEngine, Profile, Selector, SelectorStore, SemanticMessage,
 };
 use simnet::{LinkSpec, Network, Payload, Port};
 use std::collections::BTreeMap;
@@ -128,21 +127,17 @@ fn run_private(endpoints: &mut [BusEndpoint], wires: &[Vec<u8>]) -> u64 {
 }
 
 /// Receive `wires` at every endpoint the way the session's pump does:
-/// each endpoint is handed a clone of the publisher's buffer, the memo
-/// decodes a buffer on first sight, the endpoint decides.
-fn run_shared(endpoints: &mut [BusEndpoint], memo: &mut FrameMemo, wires: &[Vec<u8>]) -> u64 {
+/// each endpoint looks at the publisher's one buffer, the first look
+/// decodes it and leaves the frame on the buffer, the endpoint decides.
+fn run_shared(endpoints: &mut [BusEndpoint], store: &SelectorStore, wires: &[Vec<u8>]) -> u64 {
     let buffers: Vec<Payload> = wires.iter().map(|w| Payload::from(w.clone())).collect();
-    let accepted = endpoints
+    endpoints
         .iter_mut()
         .map(|ep| {
-            let frames: Vec<Frame> = buffers.iter().map(|b| memo.resolve(b.clone())).collect();
+            let frames: Vec<Frame> = buffers.iter().map(|b| Frame::of(b, store)).collect();
             ep.interpret_frames(&frames).len() as u64
         })
-        .sum();
-    drop(buffers);
-    memo.sweep();
-    assert!(memo.is_empty(), "every copy was drained");
-    accepted
+        .sum()
 }
 
 /// The fan-out table: E endpoints × M messages per selector count.
@@ -215,7 +210,6 @@ fn fan_out(quick: bool) {
             })
             .collect();
         let store = SelectorStore::with_capacity(4096);
-        let mut memo = FrameMemo::new(store.clone());
         let mut shared: Vec<BusEndpoint> = (0..endpoints)
             .map(|i| {
                 let p = profiles[i].clone();
@@ -233,7 +227,7 @@ fn fan_out(quick: bool) {
 
         let (private_accepted, private_s) = time_best(reps, || run_private(&mut private, &wires));
         let (shared_accepted, shared_s) =
-            time_best(reps, || run_shared(&mut shared, &mut memo, &wires));
+            time_best(reps, || run_shared(&mut shared, &store, &wires));
         assert_eq!(tree_accepted, private_accepted, "private path at n={n}");
         assert_eq!(tree_accepted, shared_accepted, "shared path at n={n}");
 

@@ -5,43 +5,29 @@
 
 use crate::overlay::BrokerStatsHandle;
 use snmp::oid::arcs;
-use snmp::SnmpValue;
 
 /// Register broker `index`'s live counters on an agent:
 /// `brokerTableSize.{index}` (Gauge32), `brokerForwarded.{index}`,
 /// `brokerSuppressed.{index}` and `brokerAdvertsMerged.{index}`
 /// (Counter32) — mirroring the qdisc metric rows.
 pub fn install_broker_metrics(agent: &mut snmp::SnmpAgent, index: u32, stats: &BrokerStatsHandle) {
+    let mib = agent.mib_mut();
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::broker_table_size(index), move || {
-            SnmpValue::Gauge32(s.table_size().min(u32::MAX as u64) as u32)
-        });
+    mib.register_gauge32(arcs::broker_table_size(index), move || s.table_size());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::broker_forwarded(index), move || {
-            SnmpValue::Counter32(s.forwarded() as u32)
-        });
+    mib.register_counter32(arcs::broker_forwarded(index), move || s.forwarded());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::broker_suppressed(index), move || {
-            SnmpValue::Counter32(s.suppressed() as u32)
-        });
+    mib.register_counter32(arcs::broker_suppressed(index), move || s.suppressed());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::broker_adverts_merged(index), move || {
-            SnmpValue::Counter32(s.adverts_merged() as u32)
-        });
+    mib.register_counter32(arcs::broker_adverts_merged(index), move || {
+        s.adverts_merged()
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snmp::SnmpAgent;
+    use snmp::{SnmpAgent, SnmpValue};
 
     #[test]
     fn rows_serve_live_counters() {

@@ -45,7 +45,11 @@
 use crate::algebra::covers_expr;
 use dtn::{Bundle, CustodyStore, Frame, StoreConfig, StoreStatsHandle};
 use sempubsub::ast::Expr;
-use sempubsub::{AttrValue, CacheStatsHandle, MatchEngine, Profile, Selector, SemanticMessage};
+use sempubsub::compile::DEFAULT_CACHE_CAPACITY;
+use sempubsub::{
+    AttrValue, CacheStatsHandle, CompiledSelector, EvalStack, Profile, Selector, SelectorStore,
+    SemanticMessage,
+};
 use simnet::packet::well_known;
 use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks};
 use std::collections::{BTreeMap, BTreeSet};
@@ -259,25 +263,28 @@ struct Neighbor {
     link: LinkId,
 }
 
-/// Would a message with this selector reach the advertised endpoint's
-/// first interpretation step? Evaluated through a broker's selector
-/// cache: wildcard subscriptions match everything, an unparseable
-/// selector (`parseable == false`) forwards conservatively, and
-/// evaluation errors reject — exactly as the endpoint itself treats
-/// them.
-fn ad_matches_compiled(
-    engine: &mut MatchEngine,
-    selector: &str,
-    parseable: bool,
+/// Would a message whose selector compiled to `program` reach the
+/// advertised endpoint's first interpretation step? Wildcard
+/// subscriptions match everything, an unparseable selector (no
+/// program) forwards conservatively, and evaluation errors reject —
+/// exactly as the endpoint itself treats them.
+fn ad_matches(
+    program: Option<&CompiledSelector>,
     ad: &Advertisement,
+    stack: &mut EvalStack,
 ) -> bool {
-    if ad.wildcard || !parseable {
-        return true;
-    }
-    match engine.check(selector, &ad.attrs) {
-        Ok(result) => result.unwrap_or(false),
-        // Unreachable in practice: `parseable` was just established.
-        Err(_) => true,
+    ad.wildcard || program.is_none_or(|p| p.eval_map(&ad.attrs, stack).unwrap_or(false))
+}
+
+/// What a broker routes by: the decoded message (for its dedup id) and
+/// its selector's program, absent when the selector does not parse.
+/// `None` for bytes that are not a semantic message.
+fn routed(frame: &sempubsub::Frame) -> Option<(&SemanticMessage, Option<&CompiledSelector>)> {
+    use sempubsub::Frame::{BadSelector, Malformed, Message};
+    match frame {
+        Message { message, program } => Some((message, Some(program))),
+        BadSelector { message } => Some((message, None)),
+        Malformed => None,
     }
 }
 
@@ -294,11 +301,14 @@ pub struct BrokerNode {
     remote_ads: BTreeMap<usize, Vec<Advertisement>>,
     seen: BTreeSet<(String, u64)>,
     stats: BrokerStatsHandle,
-    /// Compiled-selector cache for forwarding decisions: senders reuse
-    /// identical selector strings per stream, so each data message
-    /// costs one cache lookup instead of a parse, and each
-    /// advertisement check is a compiled evaluation.
-    engine: MatchEngine,
+    /// The store arriving buffers' frames are read through
+    /// ([`sempubsub::Frame::of`]): the session's when the overlay was
+    /// built [`Overlay::with_store`], so a buffer an endpoint or
+    /// another broker has already looked at costs no decode and no
+    /// lookup here; otherwise one of this broker's own.
+    selectors: SelectorStore,
+    /// Operand stack for the per-advertisement evaluations.
+    stack: EvalStack,
     /// Disruption-tolerant custody store, when the overlay runs with
     /// custody enabled. `None` keeps every code path bit-identical to
     /// an overlay built before the store existed.
@@ -324,8 +334,10 @@ struct ForwardPlan {
 }
 
 impl BrokerNode {
-    /// Decide where a message with `selector` goes from here. `from`
-    /// is the neighbor broker the copy arrived from; `None` means it
+    /// Decide where a message whose selector compiled to `program`
+    /// (`None`: it does not parse — forward conservatively, the
+    /// endpoint will count it) goes from here. `from` is the
+    /// neighbor broker the copy arrived from; `None` means it
     /// was published in the local domain, where multicast already
     /// reached every group member, so it is not delivered locally
     /// again. `reach` is neighbor reachability in neighbor order;
@@ -333,20 +345,13 @@ impl BrokerNode {
     /// reachable.
     fn plan_forward(
         &mut self,
-        selector: &str,
+        program: Option<&CompiledSelector>,
         from: Option<usize>,
         reach: Option<&[bool]>,
     ) -> ForwardPlan {
-        // Compile the selector once per message — a cache hit for
-        // every stream whose selector the broker has seen before. An
-        // unparseable selector cannot be reasoned about; forward
-        // conservatively (the endpoint will count it).
-        let parseable = self.engine.compile(selector).is_ok();
-        let engine = &mut self.engine;
-        let mut matches = |ads: &[Advertisement]| {
-            ads.iter()
-                .any(|ad| ad_matches_compiled(engine, selector, parseable, ad))
-        };
+        let stack = &mut self.stack;
+        let mut matches =
+            |ads: &[Advertisement]| ads.iter().any(|ad| ad_matches(program, ad, stack));
         let mut plan = ForwardPlan::default();
         if from.is_some() {
             if matches(&self.local_ads) {
@@ -454,12 +459,26 @@ pub struct Overlay {
     next_generation: u64,
     /// Store policy applied to brokers when custody is enabled.
     custody: Option<StoreConfig>,
+    /// The selector store every broker reads frames through, when the
+    /// overlay was given one.
+    selectors: Option<SelectorStore>,
 }
 
 impl Overlay {
-    /// An overlay with no brokers.
+    /// An overlay with no brokers, each future broker compiling through
+    /// a selector store of its own.
     pub fn new() -> Overlay {
         Overlay::default()
+    }
+
+    /// An overlay with no brokers, every future broker compiling
+    /// through `store` — the session's, so brokers, endpoints and the
+    /// gateway share one decode and one store lookup per buffer.
+    pub fn with_store(store: SelectorStore) -> Overlay {
+        Overlay {
+            selectors: Some(store),
+            ..Overlay::default()
+        }
     }
 
     /// Add a broker node with its own domain multicast group. The
@@ -489,7 +508,11 @@ impl Overlay {
             remote_ads: BTreeMap::new(),
             seen: BTreeSet::new(),
             stats: BrokerStatsHandle::default(),
-            engine: MatchEngine::new(),
+            selectors: self
+                .selectors
+                .clone()
+                .unwrap_or_else(|| SelectorStore::with_capacity(DEFAULT_CACHE_CAPACITY)),
+            stack: EvalStack::default(),
             store: self.custody.map(CustodyStore::new),
         });
         self.node_to_broker.insert(node, idx);
@@ -560,9 +583,11 @@ impl Overlay {
         }
     }
 
-    /// Live selector-cache counters of broker `i`.
+    /// Live counters of the selector store broker `i` compiles
+    /// through — the shared store's for an overlay built
+    /// [`Overlay::with_store`].
     pub fn cache_stats(&self, i: usize) -> CacheStatsHandle {
-        self.brokers[i].engine.cache_stats()
+        self.brokers[i].selectors.stats()
     }
 
     /// Attach a disruption-tolerant custody store to every broker
@@ -944,7 +969,8 @@ impl Overlay {
         };
         let reach = self.probe_neighbors(net, i);
         let broker = &mut self.brokers[i];
-        let plan = broker.plan_forward(&msg.selector, Some(from), reach.as_deref());
+        let program = broker.selectors.compile(&msg.selector).ok();
+        let plan = broker.plan_forward(program.as_deref(), Some(from), reach.as_deref());
         // Still partitioned further downstream: custody continues
         // hop-by-hop from here.
         let onward = plan
@@ -991,7 +1017,8 @@ impl Overlay {
         }
         let handled = arrivals.len();
         for d in arrivals {
-            let Ok(msg) = SemanticMessage::decode(&d.payload) else {
+            let frame = sempubsub::Frame::of(&d.payload, &self.brokers[i].selectors);
+            let Some((msg, program)) = routed(&frame) else {
                 continue;
             };
             let key = (msg.sender.clone(), msg.seq);
@@ -1013,7 +1040,7 @@ impl Overlay {
                     .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let plan = broker.plan_forward(&msg.selector, from, reach.as_deref());
+            let plan = broker.plan_forward(program, from, reach.as_deref());
             // A matching neighbor is unreachable: take the message
             // into custody instead of black-holing it.
             if let Some(store) = broker.store.as_mut() {
@@ -1222,9 +1249,10 @@ mod tests {
             )
             .unwrap();
         overlay.pump(&mut net, Ticks::from_millis(200));
-        let raw = gw.poll_raw(&mut net);
+        let raw = gw.drain_raw(&mut net);
         assert_eq!(raw.len(), 1, "wildcard domain receives unmatched selector");
-        assert_eq!(raw[0].body, vec![9]);
+        let msg = SemanticMessage::decode(&raw[0]).unwrap();
+        assert_eq!(msg.body, vec![9]);
         let _ = eps; // publisher keeps its endpoint alive to the end
     }
 

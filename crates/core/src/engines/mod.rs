@@ -1,5 +1,5 @@
 //! Alternative adaptation engines behind
-//! [`AdaptationPolicy`](crate::policy::AdaptationPolicy).
+//! [`AdaptationPolicy`].
 //!
 //! The paper's §5.2 inference engine is a threshold controller: hard
 //! bands in the policy database map each observation to a discrete
@@ -49,7 +49,7 @@ pub enum EngineChoice {
 
 impl EngineChoice {
     /// The engine's stable name, matching
-    /// [`AdaptationPolicy::name`](crate::policy::AdaptationPolicy::name).
+    /// [`AdaptationPolicy::name`].
     pub fn name(&self) -> &'static str {
         match self {
             EngineChoice::Threshold => "threshold",

@@ -26,7 +26,7 @@
 //!   modality, resolution),
 //! * [`engines`] — alternative adaptation engines (fuzzy controller,
 //!   discrete Bayesian network) behind the
-//!   [`AdaptationPolicy`](policy::AdaptationPolicy) trait,
+//!   [`AdaptationPolicy`] trait,
 //! * [`netstate`] — the network state interface: SNMP-backed sampling
 //!   of CPU load, page faults, memory, bandwidth,
 //! * [`transformer`] — the information transformer registry

@@ -27,7 +27,7 @@ use media::image::Scene;
 use media::packetize::split_packets;
 use media::wavelet::{self, WaveletKind};
 use media::Sketch;
-use sempubsub::{AttrValue, BusEndpoint, Frame, FrameMemo, Profile, SelectorStore};
+use sempubsub::{AttrValue, BusEndpoint, Frame, Profile, SelectorStore};
 use simnet::packet::well_known;
 use simnet::{GroupId, LinkSpec, Network, NodeId, Port, Ticks};
 use snmp::transport::AgentRuntime;
@@ -213,9 +213,9 @@ pub struct BsPeer {
     pub downlink_log: Vec<DownlinkDelivery>,
     /// Compiled matcher for downlink interpretation: the BS evaluates
     /// every session event against *each* wireless profile, so one
-    /// engine (programs from the session's selector store, one
-    /// snapshot per attached profile) replaces a parse per message and
-    /// a tree walk per profile.
+    /// engine (the arriving frame's program, one snapshot per attached
+    /// profile) replaces a parse per message and a tree walk per
+    /// profile.
     pub matcher: sempubsub::MatchEngine,
 }
 
@@ -254,13 +254,11 @@ pub struct CollaborationSession {
     /// content hash so re-shares and multi-tier degradations reuse one
     /// embedded stream.
     media_cache: MediaCache,
-    /// The session's one selector store: every endpoint and the base
-    /// station's matcher compile through it, so a selector string is
-    /// compiled once per session and its program shared.
+    /// The session's one selector store: every endpoint, every broker
+    /// and the base station compile through it, so a selector string
+    /// is compiled once per session, and the frame the first of them
+    /// leaves on a message buffer serves all the others.
     selectors: SelectorStore,
-    /// One decoded frame per message buffer, shared by every endpoint
-    /// the buffer reaches, across pumps; empty at quiescence.
-    frames: FrameMemo,
 }
 
 impl CollaborationSession {
@@ -278,9 +276,10 @@ impl CollaborationSession {
         let mut broker_agents = Vec::new();
         let mut broker_credited = Vec::new();
         let mut store_watchers = Vec::new();
+        let selectors = SelectorStore::with_capacity(SESSION_SELECTOR_CAPACITY);
         if let Some(n) = cfg.domains {
             assert!(n > 0, "brokered session needs at least one domain");
-            let mut ov = broker::Overlay::new();
+            let mut ov = broker::Overlay::with_store(selectors.clone());
             if let Some(store_cfg) = cfg.custody {
                 ov.enable_custody(store_cfg);
             }
@@ -310,9 +309,7 @@ impl CollaborationSession {
             fault_link(&mut net, &cfg, uplink);
             overlay = Some(ov);
         }
-        let selectors = SelectorStore::with_capacity(SESSION_SELECTOR_CAPACITY);
         CollaborationSession {
-            frames: FrameMemo::new(selectors.clone()),
             selectors,
             net,
             group,
@@ -349,13 +346,6 @@ impl CollaborationSession {
     /// eviction counters).
     pub fn selector_store(&self) -> &SelectorStore {
         &self.selectors
-    }
-
-    /// Message buffers whose decoded frame the session still remembers
-    /// because copies are in flight, queued or in custody; 0 at
-    /// quiescence.
-    pub fn frames_in_memo(&self) -> usize {
-        self.frames.len()
     }
 
     /// Connect `node` to the session switch with the configured link
@@ -647,8 +637,8 @@ impl CollaborationSession {
         let s = speed.clone();
         agent
             .mib_mut()
-            .register_computed(snmp::oid::arcs::if_speed(1), move || {
-                snmp::SnmpValue::Gauge32(s.load(Ordering::Relaxed).min(u32::MAX as u64) as u32)
+            .register_gauge32(snmp::oid::arcs::if_speed(1), move || {
+                s.load(Ordering::Relaxed)
             });
         let rt = AgentRuntime::bind(&mut self.net, node, agent).map_err(|e| e.to_string())?;
         self.agents.push(rt);
@@ -1087,13 +1077,11 @@ impl CollaborationSession {
         } else {
             self.net.run_for(d);
         }
-        let received: Vec<Vec<Frame>> = {
-            let (net, frames) = (&mut self.net, &mut self.frames);
-            self.clients
-                .iter_mut()
-                .map(|c| c.bus.receive(net, frames))
-                .collect()
-        };
+        let received: Vec<Vec<Frame>> = self
+            .clients
+            .iter_mut()
+            .map(|c| c.bus.receive(&mut self.net))
+            .collect();
         let per_client = crate::shard::map_shards(
             &mut self.clients,
             received,
@@ -1129,17 +1117,19 @@ impl CollaborationSession {
         // behalf"; full radio-frame simulation is abstracted to the
         // delivery record).
         if let Some(bs) = &mut self.base_station {
-            for message in bs.bus.poll_raw(&mut self.net) {
-                if bs.matcher.compile(&message.selector).is_err() {
+            for frame in bs.bus.receive(&mut self.net) {
+                let Frame::Message { message, program } = &frame else {
+                    // Nothing to relay. The endpoint's one counting
+                    // path books it as malformed or bad-selector; a
+                    // frame without a program evaluates nothing.
+                    bs.bus.interpret_frames(std::slice::from_ref(&frame));
                     continue;
-                }
+                };
                 for (id, profile) in &bs.wireless_profiles {
                     let matched = bs
                         .matcher
-                        .interpret(profile, &message.selector, &message.content)
-                        .ok()
-                        .and_then(|r| r.ok())
-                        .is_some_and(|o| o.is_accepted());
+                        .interpret_program(profile, program, &message.content)
+                        .is_ok_and(|o| o.is_accepted());
                     if !matched {
                         continue;
                     }
@@ -1158,9 +1148,6 @@ impl CollaborationSession {
                 }
             }
         }
-        // Every inbox is drained; forget the buffers no copy of which
-        // is still in flight, queued or in custody.
-        self.frames.sweep();
         completed
     }
 
@@ -1968,7 +1955,47 @@ mod tests {
             "plus the image line to the resident"
         );
         assert_eq!(bs.matcher.snapshots(), 2);
-        assert_eq!(s.frames_in_memo(), 0);
+    }
+
+    /// The gateway sees traffic no publish path would let through. It
+    /// relays neither a datagram that is not a message nor a message
+    /// whose selector does not parse, and books each under the counter
+    /// every wired endpoint books it under.
+    #[test]
+    fn gateway_counts_the_traffic_it_cannot_relay() {
+        let (mut s, publisher, viewer) = two_client_session();
+        s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
+            .unwrap();
+        s.wireless_join("thin", 20.0, 100.0).unwrap();
+        let intruder = s.net.add_node("intruder");
+        s.connect_to_switch(intruder);
+        let socket = s.net.bind(intruder, simnet::Port(9)).unwrap();
+        let unparseable = sempubsub::SemanticMessage {
+            sender: "intruder".to_string(),
+            kind: "chat".to_string(),
+            selector: "interested_in ==".to_string(),
+            seq: 0,
+            content: Default::default(),
+            body: vec![],
+        };
+        for wire in [b"not a semantic message".to_vec(), unparseable.encode()] {
+            let everyone = simnet::Addr::multicast(s.group, well_known::SESSION_DATA);
+            s.net.send(socket, everyone, wire).unwrap();
+        }
+        s.share_chat(publisher, "hello", "interested_in contains 'chat'")
+            .unwrap();
+        s.pump(Ticks::from_millis(50));
+
+        let bs = s.base_station.as_ref().unwrap();
+        assert_eq!(bs.downlink_log.len(), 1, "the chat line is relayed");
+        let (gateway, wired) = (bs.bus.stats(), s.client(viewer).bus.stats());
+        assert_eq!((gateway.malformed, gateway.bad_selector), (1, 1));
+        assert_eq!((wired.malformed, wired.bad_selector), (1, 1));
+        assert_eq!(
+            gateway.rejected + gateway.accepted,
+            0,
+            "no decision is the gateway's own"
+        );
     }
 
     #[test]

@@ -376,26 +376,18 @@ pub fn install_qdisc_metrics(
     link: simnet::LinkId,
     stats: &simnet::qdisc::StatsHandle,
 ) {
-    use std::sync::atomic::Ordering;
-    let clamp = |v: u64| SnmpValue::Gauge32(v.min(u32::MAX as u64) as u32);
+    use std::sync::atomic::Ordering::Relaxed;
+    let mib = agent.mib_mut();
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::qdisc_backlog(link.0), move || {
-            clamp(s.backlog_bytes.load(Ordering::Relaxed))
-        });
+    mib.register_gauge32(arcs::qdisc_backlog(link.0), move || {
+        s.backlog_bytes.load(Relaxed)
+    });
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::qdisc_drops(link.0), move || {
-            SnmpValue::Counter32(s.drops.load(Ordering::Relaxed) as u32)
-        });
+    mib.register_counter32(arcs::qdisc_drops(link.0), move || s.drops.load(Relaxed));
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::qdisc_ecn_marks(link.0), move || {
-            SnmpValue::Counter32(s.ecn_marks.load(Ordering::Relaxed) as u32)
-        });
+    mib.register_counter32(arcs::qdisc_ecn_marks(link.0), move || {
+        s.ecn_marks.load(Relaxed)
+    });
 }
 
 /// Expose a mounted shaping tree's per-node counters as MIB table rows
@@ -407,45 +399,23 @@ pub fn install_qdisc_metrics(
 /// [`simnet::Network::attach_tree`]; the agent samples it at query
 /// time, so GETs always see the current values.
 pub fn install_tree_metrics(agent: &mut snmp::SnmpAgent, stats: &htb::TreeStatsHandle) {
-    let gauge = |v: u64| SnmpValue::Gauge32(v.min(u32::MAX as u64) as u32);
+    let mib = agent.mib_mut();
     for node in 0..stats.node_count() {
         let n = node as u32;
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_rate(n), move || {
-                gauge(s.rate_bps(node) / 1_000)
-            });
+        mib.register_gauge32(arcs::htb_node_rate(n), move || s.rate_bps(node) / 1_000);
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_ceil(n), move || {
-                gauge(s.ceil_bps(node) / 1_000)
-            });
+        mib.register_gauge32(arcs::htb_node_ceil(n), move || s.ceil_bps(node) / 1_000);
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_backlog(n), move || {
-                gauge(s.backlog_bytes(node))
-            });
+        mib.register_gauge32(arcs::htb_node_backlog(n), move || s.backlog_bytes(node));
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_drops(n), move || {
-                SnmpValue::Counter32(s.drops(node) as u32)
-            });
+        mib.register_counter32(arcs::htb_node_drops(n), move || s.drops(node));
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_ecn_marks(n), move || {
-                SnmpValue::Counter32(s.ecn_marks(node) as u32)
-            });
+        mib.register_counter32(arcs::htb_node_ecn_marks(n), move || s.ecn_marks(node));
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_borrowed_bits(n), move || {
-                SnmpValue::Counter32(s.borrowed_bits(node) as u32)
-            });
+        mib.register_counter32(arcs::htb_node_borrowed_bits(n), move || {
+            s.borrowed_bits(node)
+        });
     }
 }
 
@@ -455,24 +425,13 @@ pub fn install_tree_metrics(agent: &mut snmp::SnmpAgent, stats: &htb::TreeStatsH
 /// from [`sempubsub::BusEndpoint::cache_stats`]; the agent samples it
 /// at query time, so GETs always see the current values.
 pub fn install_cache_metrics(agent: &mut snmp::SnmpAgent, stats: &sempubsub::CacheStatsHandle) {
+    let mib = agent.mib_mut();
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::cache_hits(), move || {
-            SnmpValue::Counter32(s.hits() as u32)
-        });
+    mib.register_counter32(arcs::cache_hits(), move || s.hits());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::cache_misses(), move || {
-            SnmpValue::Counter32(s.misses() as u32)
-        });
+    mib.register_counter32(arcs::cache_misses(), move || s.misses());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::cache_evictions(), move || {
-            SnmpValue::Counter32(s.evictions() as u32)
-        });
+    mib.register_counter32(arcs::cache_evictions(), move || s.evictions());
 }
 
 /// Interpret a received QoS-alert or congestion-alert trap: extract

@@ -4,7 +4,6 @@
 
 use crate::store::StoreStatsHandle;
 use snmp::oid::arcs;
-use snmp::SnmpValue;
 
 /// Register broker `index`'s live store counters on an agent:
 /// `storedBundles.{index}` and `storedBytes.{index}` (Gauge32),
@@ -12,42 +11,25 @@ use snmp::SnmpValue;
 /// `storeEvicted.{index}` (Counter32) — mirroring the broker overlay
 /// metric rows.
 pub fn install_store_metrics(agent: &mut snmp::SnmpAgent, index: u32, stats: &StoreStatsHandle) {
+    let mib = agent.mib_mut();
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::store_bundles(index), move || {
-            SnmpValue::Gauge32(s.stored_bundles().min(u32::MAX as u64) as u32)
-        });
+    mib.register_gauge32(arcs::store_bundles(index), move || s.stored_bundles());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::store_bytes(index), move || {
-            SnmpValue::Gauge32(s.stored_bytes().min(u32::MAX as u64) as u32)
-        });
+    mib.register_gauge32(arcs::store_bytes(index), move || s.stored_bytes());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::store_custody_transfers(index), move || {
-            SnmpValue::Counter32(s.custody_transfers() as u32)
-        });
+    mib.register_counter32(arcs::store_custody_transfers(index), move || {
+        s.custody_transfers()
+    });
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::store_expired(index), move || {
-            SnmpValue::Counter32(s.expired() as u32)
-        });
+    mib.register_counter32(arcs::store_expired(index), move || s.expired());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::store_evicted(index), move || {
-            SnmpValue::Counter32(s.evicted() as u32)
-        });
+    mib.register_counter32(arcs::store_evicted(index), move || s.evicted());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snmp::SnmpAgent;
+    use snmp::{SnmpAgent, SnmpValue};
 
     #[test]
     fn rows_serve_live_counters() {

@@ -11,7 +11,7 @@
 //! (LL top-left, HL top-right, LH bottom-left, HH bottom-right).
 //!
 //! Hot path: rows are lifted in place on their contiguous subslices,
-//! and the column pass works on tiles of [`TILE_COLS`] columns gathered
+//! and the column pass works on tiles of `TILE_COLS` columns gathered
 //! into a contiguous buffer (one sequential read per image row instead
 //! of a `width`-strided walk per column), lifted as rows, and scattered
 //! back. All scratch lives in a caller-owned [`WaveletScratch`] so a

@@ -19,7 +19,7 @@ use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::SemError;
 use simnet::{Addr, GroupId, Network, NodeId, Payload, Port, SocketHandle};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A message that passed local semantic interpretation.
@@ -36,7 +36,8 @@ pub struct Delivery {
 /// consulted: the two immutable things a message carries — its decoded
 /// form and its compiled selector — or the reason there is neither.
 /// Cloning shares both; nothing in a frame depends on who receives it,
-/// so one frame serves every endpoint a buffer reaches.
+/// so one frame serves every party a buffer reaches — endpoints,
+/// brokers and the gateway alike.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// Decoded, selector compiled.
@@ -49,7 +50,18 @@ pub enum Frame {
     /// The bytes are not a semantic message.
     Malformed,
     /// The message decoded, but its selector does not parse.
-    BadSelector,
+    BadSelector {
+        /// The decoded message: a broker still needs its `(sender,
+        /// seq)` to forward it conservatively, exactly once.
+        message: Arc<SemanticMessage>,
+    },
+}
+
+/// What rides a buffer's memo slot: the frame, and the store whose
+/// interner its program was compiled against.
+struct Resolved {
+    store: SelectorStore,
+    frame: Frame,
 }
 
 impl Frame {
@@ -58,75 +70,31 @@ impl Frame {
         let Ok(message) = SemanticMessage::decode(bytes) else {
             return Frame::Malformed;
         };
+        let message = Arc::new(message);
         match store.compile(&message.selector) {
-            Ok(program) => Frame::Message {
-                message: Arc::new(message),
-                program,
-            },
-            Err(_) => Frame::BadSelector,
-        }
-    }
-}
-
-/// Resolves each message *buffer* to its [`Frame`] once, however many
-/// endpoints receive a copy and however many pumps the copies are
-/// spread over. Owned by whoever drains several endpoints' sockets (the
-/// collaboration session); a standalone endpoint resolves privately.
-///
-/// The key is buffer identity, which is exact: multicast fan-out and
-/// broker forwarding hand every receiver in every domain a clone of the
-/// publisher's one `Arc<[u8]>`, and equal identity means equal bytes.
-/// `(sender, seq)` would be neither exact — two senders may share a
-/// name, a hostile one may reuse a sequence number with other bytes —
-/// nor free, since reading it *is* the decode being saved. Each entry
-/// keeps a [`Payload`] clone, so the address cannot be reused while the
-/// entry lives, and [`FrameMemo::sweep`] drops an entry once nothing
-/// else references its buffer: no copy is left in flight, queued or in
-/// custody, so no endpoint can ask for it again.
-pub struct FrameMemo {
-    store: SelectorStore,
-    /// Buffer address -> (the clone that pins it, its frame).
-    frames: HashMap<usize, (Payload, Frame)>,
-}
-
-impl FrameMemo {
-    /// An empty memo compiling selectors through `store`.
-    pub fn new(store: SelectorStore) -> FrameMemo {
-        FrameMemo {
-            store,
-            frames: HashMap::new(),
+            Ok(program) => Frame::Message { message, program },
+            Err(_) => Frame::BadSelector { message },
         }
     }
 
-    /// The frame of `payload`'s buffer, decoding it if this is the
-    /// first copy seen.
-    pub fn resolve(&mut self, payload: Payload) -> Frame {
-        let store = &self.store;
-        self.frames
-            .entry(payload.as_ptr() as usize)
-            .or_insert_with(|| {
-                let frame = Frame::resolve(&payload, store);
-                (payload, frame)
-            })
-            .1
-            .clone()
-    }
-
-    /// Drop every entry whose buffer nothing else references. Call
-    /// after the drained copies have been resolved (and so released).
-    pub fn sweep(&mut self) {
-        self.frames
-            .retain(|_, (payload, _)| payload.ref_count() > 1);
-    }
-
-    /// Buffers currently remembered.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// True when no buffer is remembered — the state at quiescence.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+    /// The frame of `payload`'s buffer for a receiver compiling through
+    /// `store`. The first look resolves it and leaves it on the buffer;
+    /// every later receiver holding the *same* store gets a clone —
+    /// one decode and one store lookup per buffer, however many parties
+    /// and pumps its copies are spread over, and nothing to sweep: the
+    /// frame dies with the buffer's last copy. A program's symbols mean
+    /// something only against the interner of the store that compiled
+    /// it, so a receiver holding another store (or finding the slot
+    /// taken by something that is not a frame) resolves privately.
+    pub fn of(payload: &Payload, store: &SelectorStore) -> Frame {
+        let resolved = payload.memo_or_init(|| Resolved {
+            store: store.clone(),
+            frame: Frame::resolve(payload, store),
+        });
+        match resolved {
+            Some(r) if r.store.ptr_eq(store) => r.frame.clone(),
+            _ => Frame::resolve(payload, store),
+        }
     }
 }
 
@@ -273,22 +241,6 @@ impl BusEndpoint {
         Ok(seqs[0])
     }
 
-    /// Drain arrived datagrams *without* semantic interpretation,
-    /// returning every decodable message. This is the gateway path: a
-    /// base station relaying on behalf of thin clients must see all
-    /// session traffic and interpret it against *their* profiles, not
-    /// its own (§4.2).
-    pub fn poll_raw(&mut self, net: &mut Network) -> Vec<SemanticMessage> {
-        let mut out = Vec::new();
-        for payload in self.drain_raw(net) {
-            match SemanticMessage::decode(&payload) {
-                Ok(msg) => out.push(msg),
-                Err(_) => self.stats.malformed += 1,
-            }
-        }
-        out
-    }
-
     /// Publish several events in one network batch: each body becomes
     /// its own sequenced [`SemanticMessage`] frame, and the network
     /// resolves multicast membership and routes once for the whole
@@ -339,15 +291,16 @@ impl BusEndpoint {
 
     /// The serial half of reception, for a caller that drains many
     /// endpoints and interprets them on worker threads: drain the
-    /// socket, resolve each buffer to its shared [`Frame`] through
-    /// `memo`, and bring the profile snapshot up to date. Everything
-    /// that touches the network or the selector store happens here, so
-    /// the other half — [`BusEndpoint::interpret_frames`] — takes no
-    /// lock and shares no mutable state.
-    pub fn receive(&mut self, net: &mut Network, memo: &mut FrameMemo) -> Vec<Frame> {
+    /// socket, read each buffer's shared [`Frame`] ([`Frame::of`]), and
+    /// bring the profile snapshot up to date. Everything that touches
+    /// the network or the selector store happens here, so the other
+    /// half — [`BusEndpoint::interpret_frames`] — takes no lock and
+    /// shares no mutable state. A gateway stops here: it reads the
+    /// frames on behalf of profiles that are not its own (§4.2).
+    pub fn receive(&mut self, net: &mut Network) -> Vec<Frame> {
         let mut frames = Vec::new();
         while let Some(dgram) = net.recv(self.socket) {
-            frames.push(memo.resolve(dgram.payload));
+            frames.push(Frame::of(&dgram.payload, &self.store));
         }
         self.sync_profile();
         frames
@@ -372,7 +325,7 @@ impl BusEndpoint {
                     self.stats.malformed += 1;
                     continue;
                 }
-                Frame::BadSelector => {
+                Frame::BadSelector { .. } => {
                     self.stats.bad_selector += 1;
                     continue;
                 }
@@ -403,10 +356,10 @@ impl BusEndpoint {
     }
 
     /// Decode and interpret previously drained payloads against the
-    /// local profile; returns only accepted messages. The standalone
+    /// local profile; returns only accepted messages. The raw-bytes
     /// face of [`BusEndpoint::interpret_frames`]: each payload is
-    /// resolved privately (no memo — the caller's bytes carry no
-    /// identity), then decided by the same function.
+    /// resolved privately (plain bytes have no buffer to carry a
+    /// frame), then decided by the same function.
     pub fn interpret_batch<P: AsRef<[u8]>>(&mut self, payloads: Vec<P>) -> Vec<Delivery> {
         let frames: Vec<Frame> = payloads
             .iter()
@@ -418,8 +371,8 @@ impl BusEndpoint {
     /// Drain arrived datagrams, interpreting each against the local
     /// profile; returns only accepted messages.
     pub fn poll(&mut self, net: &mut Network) -> Vec<Delivery> {
-        let payloads = self.drain_raw(net);
-        self.interpret_batch(payloads)
+        let frames = self.receive(net);
+        self.interpret_frames(&frames)
     }
 }
 
@@ -582,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_raw_bypasses_interpretation() {
+    fn receive_bypasses_interpretation() {
         let (mut net, group, hosts) = world(2);
         let mut publisher =
             BusEndpoint::join(&mut net, hosts[0], SESSION_PORT, group, Profile::new("pub"))
@@ -600,9 +553,13 @@ mod tests {
             )
             .unwrap();
         net.run_for(Ticks::from_millis(10));
-        let raw = gateway.poll_raw(&mut net);
-        assert_eq!(raw.len(), 1, "gateway sees everything");
-        assert_eq!(raw[0].body, vec![7]);
+        let frames = gateway.receive(&mut net);
+        assert_eq!(frames.len(), 1, "gateway sees everything");
+        let Frame::Message { message, .. } = &frames[0] else {
+            panic!("a valid message resolves to {:?}", frames[0]);
+        };
+        assert_eq!(message.body, vec![7]);
+        assert_eq!(gateway.stats(), BusStats::default(), "nothing decided");
     }
 
     #[test]

@@ -601,6 +601,13 @@ impl SelectorStore {
         }
     }
 
+    /// Whether `other` is a handle to this very store. A program is
+    /// valid only against the interner of the store that compiled it,
+    /// so shared programs are handed to holders of the same store only.
+    pub fn ptr_eq(&self, other: &SelectorStore) -> bool {
+        Arc::ptr_eq(&self.cache, &other.cache)
+    }
+
     /// Number of compiled programs the store holds.
     pub fn len(&self) -> usize {
         self.lock().len()
@@ -674,12 +681,11 @@ pub(crate) fn interpret_compiled(
 }
 
 /// The compiled matching pipeline of a party that interprets on behalf
-/// of *several* profiles (the base station for its wireless clients, a
-/// broker for its advertisements): a selector store, per-profile
-/// snapshots (keyed by profile name, invalidated by
-/// [`Profile::version`]), and a reusable evaluation stack. A
-/// [`crate::bus::BusEndpoint`] serves exactly one profile and keeps its
-/// one snapshot itself.
+/// of *several* profiles (the base station for its wireless clients): a
+/// selector store, per-profile snapshots (keyed by profile name,
+/// invalidated by [`Profile::version`]), and a reusable evaluation
+/// stack. A [`crate::bus::BusEndpoint`] serves exactly one profile and
+/// keeps its one snapshot itself.
 pub struct MatchEngine {
     store: SelectorStore,
     profiles: HashMap<String, ProfileSnap>,
@@ -726,28 +732,29 @@ impl MatchEngine {
         self.store.compile(selector).map(|_| ())
     }
 
-    /// Evaluate `selector` against an attribute map. The outer `Err`
-    /// is a selector parse failure; the inner result is the
-    /// evaluation outcome (exactly what `Selector::matches` returns).
-    pub fn check(
-        &mut self,
-        selector: &str,
-        attrs: &BTreeMap<String, AttrValue>,
-    ) -> Result<Result<bool, SemError>, SemError> {
-        let compiled = self.store.compile(selector)?;
-        Ok(compiled.eval_map(attrs, &mut self.stack))
-    }
-
     /// Interpret a message (selector + content description) at
-    /// `profile`, snapshotting the profile first if it is new or has
-    /// changed. The outer `Err` is a selector parse failure; the inner
-    /// result is what the tree-walk `interpret` returns.
+    /// `profile`. The outer `Err` is a selector parse failure; the
+    /// inner result is what the tree-walk `interpret` returns.
     pub fn interpret(
         &mut self,
         profile: &Profile,
         selector: &str,
         content: &BTreeMap<String, AttrValue>,
     ) -> Result<Result<MatchOutcome, SemError>, SemError> {
+        let program = self.store.compile(selector)?;
+        Ok(self.interpret_program(profile, &program, content))
+    }
+
+    /// [`MatchEngine::interpret`] for a selector already compiled —
+    /// *through this engine's store* (a shared [`crate::bus::Frame`]'s
+    /// program, say) — snapshotting the profile first if it is new or
+    /// has changed.
+    pub fn interpret_program(
+        &mut self,
+        profile: &Profile,
+        program: &CompiledSelector,
+        content: &BTreeMap<String, AttrValue>,
+    ) -> Result<MatchOutcome, SemError> {
         if !self
             .profiles
             .get(&profile.name)
@@ -756,15 +763,8 @@ impl MatchEngine {
             self.profiles
                 .insert(profile.name.clone(), self.store.snapshot(profile));
         }
-        let compiled = self.store.compile(selector)?;
         let snap = self.profiles.get(&profile.name).expect("refreshed above");
-        Ok(interpret_compiled(
-            profile,
-            snap,
-            &compiled,
-            content,
-            &mut self.stack,
-        ))
+        interpret_compiled(profile, snap, program, content, &mut self.stack)
     }
 
     /// Drop the snapshot held for the profile named `name` — for a

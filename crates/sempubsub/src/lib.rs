@@ -62,7 +62,7 @@ pub mod profile;
 pub mod value;
 
 pub use ast::Expr;
-pub use bus::{BusEndpoint, Delivery, Frame, FrameMemo};
+pub use bus::{BusEndpoint, Delivery, Frame};
 pub use compile::{
     CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, MatchEngine, SelectorCache,
     SelectorStore,

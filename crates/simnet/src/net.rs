@@ -13,7 +13,7 @@
 //!
 //! A datagram takes one path: `send` and `send_batch` enter the same
 //! core, which routes once per receiver and launches every copy as an
-//! [`InFlight`] on [`Network::advance_flight`], the only link walk. A
+//! `InFlight` on `Network::advance_flight`, the only link walk. A
 //! link has one egress slot: empty, the walk crosses it as the plain
 //! analytic FIFO; mounted, it holds the flat class plane of
 //! `crates/qdisc` or the shaping tree of `crates/htb`, and the walk

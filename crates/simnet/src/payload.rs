@@ -2,58 +2,79 @@
 //!
 //! Multicast fan-out used to clone the payload `Vec<u8>` once per
 //! receiver copy — O(members × bytes) allocation per published event.
-//! [`Payload`] wraps the bytes in an `Arc<[u8]>` so a message is
+//! [`Payload`] keeps the bytes behind one `Arc`, so a message is
 //! encoded into one buffer exactly once and every scheduled copy,
 //! in-flight hop, and delivered [`crate::Datagram`] shares it; cloning
 //! is a reference-count bump. Payloads are immutable after creation,
 //! which is what makes the sharing sound.
 //!
+//! Beside the bytes a buffer carries one write-once slot
+//! ([`Payload::memo_or_init`]): whatever the first receiver derives
+//! from the immutable bytes — a decoded frame, say — rides the buffer
+//! to every later receiver and dies with its last copy.
+//!
 //! The type dereferences to `[u8]` and compares against vectors,
 //! slices, and byte arrays, so application code reads payload bytes
 //! exactly as it did when they were plain `Vec<u8>`s.
 
+use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Immutable shared bytes carried by a datagram.
 #[derive(Clone)]
 pub struct Payload {
-    bytes: Arc<[u8]>,
+    buf: Arc<Buffer>,
+}
+
+struct Buffer {
+    bytes: Box<[u8]>,
+    memo: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 impl Payload {
     /// An empty payload.
     pub fn empty() -> Payload {
-        Payload {
-            bytes: Arc::from(&[][..]),
-        }
+        Payload::from(Vec::new())
     }
 
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.buf.bytes.len()
     }
 
     /// Whether the payload has no bytes.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.buf.bytes.is_empty()
     }
 
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
+        &self.buf.bytes
     }
 
     /// Copy the bytes out into an owned vector.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.bytes.to_vec()
+        self.buf.bytes.to_vec()
     }
 
     /// Number of live references sharing this buffer (diagnostic; used
     /// by tests to assert fan-out really shares rather than copies).
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.bytes)
+        Arc::strong_count(&self.buf)
+    }
+
+    /// The value memoised on this buffer, running `init` to produce it
+    /// if the slot is still empty. The slot is written once and shared
+    /// by every clone; it lives exactly as long as the buffer does.
+    /// `None` when the slot already holds a value of another type — the
+    /// caller then works without the memo.
+    pub fn memo_or_init<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Option<&T> {
+        self.buf
+            .memo
+            .get_or_init(|| Box::new(init()))
+            .downcast_ref()
     }
 }
 
@@ -66,94 +87,91 @@ impl Default for Payload {
 impl Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.bytes
+        &self.buf.bytes
     }
 }
 
 impl AsRef<[u8]> for Payload {
     fn as_ref(&self) -> &[u8] {
-        &self.bytes
+        &self.buf.bytes
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Payload {
         Payload {
-            bytes: Arc::from(v),
+            buf: Arc::new(Buffer {
+                bytes: v.into_boxed_slice(),
+                memo: OnceLock::new(),
+            }),
         }
     }
 }
 
 impl From<&[u8]> for Payload {
     fn from(v: &[u8]) -> Payload {
-        Payload {
-            bytes: Arc::from(v),
-        }
+        Payload::from(v.to_vec())
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Payload {
     fn from(v: [u8; N]) -> Payload {
-        Payload {
-            bytes: Arc::from(&v[..]),
-        }
+        Payload::from(v.to_vec())
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for Payload {
     fn from(v: &[u8; N]) -> Payload {
-        Payload {
-            bytes: Arc::from(&v[..]),
-        }
+        Payload::from(v.to_vec())
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Payload({} bytes: {:?})", self.len(), &self.bytes)
+        write!(f, "Payload({} bytes: {:?})", self.len(), &self.buf.bytes)
     }
 }
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
-        self.bytes == other.bytes
+        self.buf.bytes == other.buf.bytes
     }
 }
 impl Eq for Payload {}
 
 impl PartialEq<[u8]> for Payload {
     fn eq(&self, other: &[u8]) -> bool {
-        &self.bytes[..] == other
+        &self.buf.bytes[..] == other
     }
 }
 
 impl PartialEq<&[u8]> for Payload {
     fn eq(&self, other: &&[u8]) -> bool {
-        &self.bytes[..] == *other
+        &self.buf.bytes[..] == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Payload {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        &self.bytes[..] == other.as_slice()
+        &self.buf.bytes[..] == other.as_slice()
     }
 }
 
 impl PartialEq<Payload> for Vec<u8> {
     fn eq(&self, other: &Payload) -> bool {
-        self.as_slice() == &other.bytes[..]
+        self.as_slice() == &other.buf.bytes[..]
     }
 }
 
 impl<const N: usize> PartialEq<[u8; N]> for Payload {
     fn eq(&self, other: &[u8; N]) -> bool {
-        self.bytes[..] == other[..]
+        self.buf.bytes[..] == other[..]
     }
 }
 
 impl<const N: usize> PartialEq<&[u8; N]> for Payload {
     fn eq(&self, other: &&[u8; N]) -> bool {
-        self.bytes[..] == other[..]
+        self.buf.bytes[..] == other[..]
     }
 }
 
@@ -190,6 +208,35 @@ mod tests {
         let copies: Vec<Payload> = (0..10).map(|_| p.clone()).collect();
         assert_eq!(p.ref_count(), 11, "clones bump the count, not the heap");
         assert!(copies.iter().all(|c| c.as_slice().as_ptr() == p.as_ptr()));
+    }
+
+    #[test]
+    fn memo_is_written_once_and_shared_by_clones() {
+        let p = Payload::from(vec![7u8; 4]);
+        let copy = p.clone();
+        let runs = std::cell::Cell::new(0);
+        let sum = |p: &Payload| {
+            p.memo_or_init(|| {
+                runs.set(runs.get() + 1);
+                p.iter().map(|&b| u32::from(b)).sum::<u32>()
+            })
+            .copied()
+        };
+        assert_eq!(sum(&p), Some(28));
+        assert_eq!(sum(&copy), Some(28), "the clone reads the same slot");
+        assert_eq!(runs.get(), 1, "derived once per buffer");
+        assert_eq!(
+            copy.memo_or_init(|| "another type"),
+            None,
+            "a slot holding another type is never overwritten or misread"
+        );
+        assert_eq!(sum(&p), Some(28));
+        let fresh = Payload::from(vec![7u8; 4]);
+        assert_eq!(
+            fresh.memo_or_init(|| 1u32),
+            Some(&1),
+            "equal bytes in another buffer have a slot of their own"
+        );
     }
 
     #[test]

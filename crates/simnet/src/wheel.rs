@@ -2,7 +2,7 @@
 //!
 //! A drop-in replacement for the binary-heap [`crate::event::EventQueue`]
 //! on the simulator hot path. Scheduling is O(1): an event lands in a
-//! slot of one of [`LEVELS`] wheels of [`SLOTS`] slots each, picked by
+//! slot of one of `LEVELS` wheels of `SLOTS` slots each, picked by
 //! the coarsest bit-group in which its firing time differs from the
 //! drain cursor (level `k` covers the cursor's current `64^(k+1)`-µs
 //! window, so six levels cover ~19 hours; the rare event outside the
@@ -17,10 +17,20 @@
 //! order breaking same-tick ties. Level-0 slots are exact-microsecond
 //! buckets, so every event in a slot shares its `at`; sorting a slot by
 //! `seq` once when the cursor reaches it restores FIFO ties no matter
-//! how cascades from coarser levels interleaved the slot's vector. The
+//! how cascades from coarser levels interleaved the slot's chain. The
 //! differential property test at the bottom pins this equivalence
 //! against [`crate::event::EventQueue`] for arbitrary (delay,
 //! insertion-order) sequences, same-tick ties included.
+//!
+//! **Storage** — one slab for all slots. A slot is a chain of slab
+//! cells, a cascade relinks them, and a drained cell goes on a free
+//! chain for the next `schedule`. The slab grows to the most events
+//! that were ever in the wheels at once and stays there, so a session
+//! in steady state schedules and pops without allocating. A vector per
+//! slot would be regrown from empty — to hundreds of KiB when a
+//! multicast burst shares a slot — and freed at every level of every
+//! cascade; buffers of that size coming and going at the top of the
+//! heap also make a process's peak memory differ from run to run.
 //!
 //! Scheduling an event in the past (before the last popped instant) is
 //! clamped: it fires at the current drain point, keeping its original
@@ -42,24 +52,31 @@ const LEVELS: usize = 6;
 /// Microsecond horizon the wheels cover; farther events overflow.
 const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
-struct Level<E> {
-    /// Bit `i` set ⇔ `slots[i]` is non-empty.
+/// End of a chain of [`Entry`]s.
+const NIL: u32 = u32::MAX;
+
+struct Level {
+    /// Bit `i` set ⇔ `heads[i]` is not [`NIL`].
     occupied: u64,
-    slots: Vec<Vec<Scheduled<E>>>,
+    /// First slab entry of each slot's chain.
+    heads: [u32; SLOTS],
 }
 
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
+/// One slab cell: an event filed in a slot, or a vacancy.
+struct Entry<E> {
+    /// `None` while the cell is on the free chain.
+    event: Option<Scheduled<E>>,
+    /// Next cell of the same slot, or of the free chain.
+    next: u32,
 }
 
 /// A deterministic min-queue of future events with O(1) scheduling.
 pub struct TimingWheel<E> {
-    levels: Vec<Level<E>>,
+    levels: [Level; LEVELS],
+    /// Every event filed in a wheel slot (see *Storage* above).
+    slab: Vec<Entry<E>>,
+    /// First vacant cell of `slab`.
+    free: u32,
     /// Events ≥ [`HORIZON`] µs past the cursor, ordered `(at, seq)`.
     overflow: BinaryHeap<Scheduled<E>>,
     /// Events due at the current drain point, in pop order.
@@ -80,7 +97,12 @@ impl<E> TimingWheel<E> {
     /// An empty wheel with its cursor at the epoch.
     pub fn new() -> Self {
         TimingWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: std::array::from_fn(|_| Level {
+                occupied: 0,
+                heads: [NIL; SLOTS],
+            }),
+            slab: Vec::new(),
+            free: NIL,
             overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
             cursor: 0,
@@ -171,8 +193,50 @@ impl<E> TimingWheel<E> {
             return;
         }
         let idx = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level].slots[idx].push(s);
-        self.levels[level].occupied |= 1 << idx;
+        let level = &mut self.levels[level];
+        let entry = Entry {
+            event: Some(s),
+            next: level.heads[idx],
+        };
+        level.heads[idx] = if self.free == NIL {
+            let cell = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+            self.slab.push(entry);
+            cell
+        } else {
+            let cell = self.free;
+            self.free = std::mem::replace(&mut self.slab[cell as usize], entry).next;
+            cell
+        };
+        level.occupied |= 1 << idx;
+    }
+
+    /// Empty slot `idx` of `level` and return the head of its chain.
+    fn take_slot(&mut self, level: usize, idx: usize) -> u32 {
+        let level = &mut self.levels[level];
+        level.occupied &= !(1u64 << idx);
+        std::mem::replace(&mut level.heads[idx], NIL)
+    }
+
+    /// Take the event out of `cell`, put the cell on the free chain,
+    /// and return the event with the cell that followed it.
+    fn vacate(&mut self, cell: u32) -> (Scheduled<E>, u32) {
+        let entry = &mut self.slab[cell as usize];
+        let s = entry.event.take().expect("a chained cell holds an event");
+        let after = std::mem::replace(&mut entry.next, self.free);
+        self.free = cell;
+        (s, after)
+    }
+
+    /// Re-file every event of slot `idx` of `level` (≥ 1). Each lands
+    /// at a finer level: its `at ^ cursor` shrank below this one's
+    /// reach when the cursor entered the slot's window.
+    fn cascade(&mut self, level: usize, idx: usize) {
+        let mut cell = self.take_slot(level, idx);
+        while cell != NIL {
+            let (s, after) = self.vacate(cell);
+            self.place(s);
+            cell = after;
+        }
     }
 
     /// Advance the cursor to the next occupied tick, cascading coarser
@@ -205,11 +269,7 @@ impl<E> TimingWheel<E> {
             for k in (1..LEVELS).rev() {
                 let pos = ((self.cursor >> (SLOT_BITS * k as u32)) & (SLOTS as u64 - 1)) as usize;
                 if self.levels[k].occupied & (1u64 << pos) != 0 {
-                    let due = std::mem::take(&mut self.levels[k].slots[pos]);
-                    self.levels[k].occupied &= !(1u64 << pos);
-                    for s in due {
-                        self.place(s); // lands at level < k
-                    }
+                    self.cascade(k, pos); // lands at level < k
                 }
             }
             // Level 0: exact-tick slots of the current 64-µs window,
@@ -219,13 +279,17 @@ impl<E> TimingWheel<E> {
             let mask = self.levels[0].occupied & (!0u64 << start);
             if mask != 0 {
                 let slot = mask.trailing_zeros() as usize;
-                let mut due = std::mem::take(&mut self.levels[0].slots[slot]);
-                self.levels[0].occupied &= !(1u64 << slot);
+                let first = self.ready.len();
+                let mut cell = self.take_slot(0, slot);
+                while cell != NIL {
+                    let (s, after) = self.vacate(cell);
+                    self.ready.push_back(s);
+                    cell = after;
+                }
                 // Entries in a level-0 slot share one `at`; seq order
                 // restores FIFO ties regardless of cascade history.
-                due.sort_unstable_by_key(|s| s.seq);
+                self.ready.make_contiguous()[first..].sort_unstable_by_key(|s| s.seq);
                 self.cursor = base + slot as u64 + 1;
-                self.ready.extend(due);
                 return true;
             }
             // Level-0 window exhausted: jump to the next occupied slot
@@ -251,11 +315,7 @@ impl<E> TimingWheel<E> {
                 let window_mask = (1u64 << (shift + SLOT_BITS)) - 1;
                 let window = (self.cursor & !window_mask) | (slot << shift);
                 self.cursor = window;
-                let due = std::mem::take(&mut self.levels[k].slots[slot as usize]);
-                self.levels[k].occupied &= !(1u64 << slot);
-                for s in due {
-                    self.place(s); // lands at level ≤ k-1
-                }
+                self.cascade(k, slot as usize); // lands at level ≤ k-1
                 cascaded = true;
                 break;
             }
@@ -419,6 +479,28 @@ mod tests {
         w.schedule(Ticks::from_micros(70), "mid");
         assert_eq!(w.pop().unwrap().event, "mid");
         assert_eq!(w.pop().unwrap().event, "late");
+    }
+
+    #[test]
+    fn drained_cells_are_reused_not_regrown() {
+        // A burst sharing one far slot cascades through every level on
+        // its way out; the second, identical burst must fit in the
+        // cells the first one left behind.
+        let mut w = TimingWheel::new();
+        let mut clock = 0;
+        let mut cells = 0;
+        for burst in 0..3 {
+            for i in 0..1_000u64 {
+                w.schedule(Ticks::from_micros(clock + 300_000 + i % 7), i);
+            }
+            let popped = std::iter::from_fn(|| w.pop()).inspect(|s| clock = s.at.as_micros());
+            assert_eq!(popped.count(), 1_000);
+            if burst == 0 {
+                cells = w.slab.len();
+                assert!((1..=1_000).contains(&cells));
+            }
+            assert_eq!(w.slab.len(), cells, "burst {burst}");
+        }
     }
 
     #[test]

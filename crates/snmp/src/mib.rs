@@ -102,6 +102,22 @@ impl MibTree {
         );
     }
 
+    /// Register a read-only Counter32 row sampling `f` on each GET. A
+    /// Counter32 wraps at 2³² (RFC 2578 §7.1.6), so the sample's low 32
+    /// bits are served.
+    pub fn register_counter32(&mut self, oid: Oid, mut f: impl FnMut() -> u64 + Send + 'static) {
+        self.register_computed(oid, move || SnmpValue::Counter32(f() as u32));
+    }
+
+    /// Register a read-only Gauge32 row sampling `f` on each GET. A
+    /// Gauge32 latches at its maximum (RFC 2578 §7.1.7), so the sample
+    /// saturates at `u32::MAX`.
+    pub fn register_gauge32(&mut self, oid: Oid, mut f: impl FnMut() -> u64 + Send + 'static) {
+        self.register_computed(oid, move || {
+            SnmpValue::Gauge32(u32::try_from(f()).unwrap_or(u32::MAX))
+        });
+    }
+
     /// Remove a variable; returns whether it existed.
     pub fn unregister(&mut self, oid: &Oid) -> bool {
         self.entries.remove(oid).is_some()
@@ -183,6 +199,27 @@ mod tests {
         assert_eq!(
             mib.get(&arcs::host_cpu_load()),
             Some(SnmpValue::Gauge32(10))
+        );
+    }
+
+    #[test]
+    fn counter_rows_wrap_and_gauge_rows_saturate() {
+        let mut mib = MibTree::new();
+        let over = u64::from(u32::MAX) + 6;
+        mib.register_counter32(arcs::host_page_faults(), move || over);
+        mib.register_gauge32(arcs::host_cpu_load(), move || over);
+        mib.register_gauge32(arcs::host_mem_avail(), || 7);
+        assert_eq!(
+            mib.get(&arcs::host_page_faults()),
+            Some(SnmpValue::Counter32(5))
+        );
+        assert_eq!(
+            mib.get(&arcs::host_cpu_load()),
+            Some(SnmpValue::Gauge32(u32::MAX))
+        );
+        assert_eq!(
+            mib.get(&arcs::host_mem_avail()),
+            Some(SnmpValue::Gauge32(7))
         );
     }
 

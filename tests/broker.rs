@@ -3,7 +3,9 @@
 //! figure bit-identity between flat and brokered sessions, robustness
 //! of the advertisement protocol under link faults, the two hazards of
 //! flooding deltas (un-covering by replacement, loss without resend),
-//! and what a join costs, as counts of datagrams and BFS sweeps.
+//! what a join costs, as counts of datagrams and BFS sweeps, and what a
+//! message costs the session's selector store: one lookup per buffer,
+//! brokers and the gateway included.
 
 use collabqos::broker::Overlay;
 use collabqos::core::experiments::{
@@ -427,6 +429,87 @@ fn a_lost_advertisement_is_repaired_by_readvertise_and_by_nothing_else() {
     assert_eq!(accepted_bodies(&mut net, &mut sub), expected);
     assert_eq!(accepted_bodies(&mut net, &mut twin), expected);
     assert_eq!(ov.stats(1).dedup_dropped(), 0);
+}
+
+// ---------------------------------------------- one lookup per buffer
+
+/// A message buffer costs the session one selector-store lookup, made
+/// by whichever party looks at it first — a broker, an endpoint or the
+/// gateway — on top of the publisher's validation. Every broker hop and
+/// every wireless profile at the base station reads the frame that
+/// first look left on the buffer; the brokers hold no store but the
+/// session's. Sharding cannot be seen in the counts.
+#[test]
+fn one_store_lookup_per_buffer_brokers_and_gateway_included() {
+    const PUBLISHES: u64 = 90;
+    let run = |workers: usize| {
+        let mut s = CollaborationSession::new(SessionConfig {
+            seed: 19,
+            workers,
+            domains: Some(3),
+            ..SessionConfig::default()
+        });
+        let clients: Vec<usize> = (0..9)
+            .map(|i| {
+                let name = format!("c{i}");
+                let topics = [format!("t{}", i % 4), format!("t{}", (i + 1) % 4)];
+                let profile = topic_profile(&name, &[&topics[0], &topics[1]]);
+                s.add_wired_client(profile, engine(), SimHost::idle(&name))
+                    .expect("client joins")
+            })
+            .collect();
+        s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
+            .expect("gateway attaches");
+        for (w, topic) in ["t0", "t2", "t3"].into_iter().enumerate() {
+            let profile = topic_profile(&format!("w{w}"), &[topic]);
+            s.wireless_join_with_profile(profile, 40.0 + 10.0 * w as f64, 100.0)
+                .expect("wireless client joins");
+        }
+        let store = s.selector_store().stats();
+        let lookups = || store.hits() + store.misses();
+
+        let at_start = lookups();
+        let mut validations = 0;
+        for n in 0..PUBLISHES as usize {
+            let selector = format!("interested_in contains 't{}'", n % 5);
+            let before = lookups();
+            s.share_chat(clients[n % clients.len()], "line", &selector)
+                .expect("publishes");
+            validations += lookups() - before;
+            if n % 6 == 5 {
+                s.pump(Ticks::from_millis(80));
+            }
+        }
+        s.pump(Ticks::from_millis(200));
+        assert_eq!(validations, PUBLISHES, "a publish validates once");
+        assert_eq!(
+            lookups() - at_start,
+            validations + PUBLISHES,
+            "workers = {workers}: one lookup per buffer on top of the publishers'"
+        );
+
+        let ov = s.overlay().expect("brokered session");
+        let forwarded: u64 = (0..3).map(|i| ov.stats(i).forwarded()).sum();
+        assert!(forwarded >= PUBLISHES, "only {forwarded} copies forwarded");
+        for i in 0..3 {
+            let broker = ov.cache_stats(i);
+            assert_eq!(
+                (broker.hits(), broker.misses()),
+                (store.hits(), store.misses()),
+                "broker {i} compiles through the session's store"
+            );
+        }
+        let relayed = s
+            .base_station
+            .as_ref()
+            .expect("attached")
+            .downlink_log
+            .len();
+        assert!(relayed > 0, "the gateway relayed nothing");
+        let received: Vec<_> = clients.iter().map(|&c| s.client(c).bus.stats()).collect();
+        (received, relayed, store.hits(), store.misses())
+    };
+    assert_eq!(run(1), run(4));
 }
 
 // ------------------------------------------------------ cost of a join

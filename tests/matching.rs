@@ -5,9 +5,11 @@
 //! behavior (a re-inserted selector recompiles to an identical
 //! program; strict-LRU victim order against a reference model) and the
 //! malformed/bad-selector stats split. The shared reception path —
-//! one decoded frame per buffer through a `FrameMemo`, one selector
-//! store for every endpoint — is pinned against standalone endpoints
-//! and against the tree walk on arbitrary, partly hostile batches.
+//! one decoded frame riding each buffer, one selector store for every
+//! endpoint — is pinned against standalone endpoints and against the
+//! tree walk on arbitrary, partly hostile batches, and so is its
+//! same-store rule: a receiver compiling through another store never
+//! evaluates the program a buffer carries.
 //!
 //! Failure messages print the offending selector and profile, so a CI
 //! failure in the `matching` job is reproducible from the log alone.
@@ -19,10 +21,10 @@ use collabqos::sempubsub::eval::eval_bool;
 use collabqos::sempubsub::intern::Interner;
 use collabqos::sempubsub::matching;
 use collabqos::sempubsub::{
-    AttrValue, BusEndpoint, CompiledProfile, CompiledSelector, EvalStack, FrameMemo, MatchEngine,
+    AttrValue, BusEndpoint, CompiledProfile, CompiledSelector, EvalStack, Frame, MatchEngine,
     MatchOutcome, Profile, Selector, SelectorStore, SemanticMessage, TransformCap,
 };
-use collabqos::simnet::{Addr, LinkSpec, Network, Port, Ticks};
+use collabqos::simnet::{Addr, LinkSpec, Network, Payload, Port, Ticks};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -345,15 +347,29 @@ fn reference(
 const SHARED_PORT: Port = Port(5004);
 const ALONE_PORT: Port = Port(5005);
 
+/// Lookups `store` has served so far.
+fn lookups(store: &SelectorStore) -> u64 {
+    store.stats().hits() + store.stats().misses()
+}
+
+/// How many payloads of `batch` decode as a semantic message: the ones
+/// whose selector a receiver has to look up.
+fn decodable(batch: &[Vec<u8>]) -> u64 {
+    batch
+        .iter()
+        .filter(|bytes| SemanticMessage::decode(bytes).is_ok())
+        .count() as u64
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The shared reception path — every endpoint of a group handed
-    /// the same buffers, one `FrameMemo`, one `SelectorStore` — yields,
-    /// per endpoint, exactly the deliveries and `BusStats` of a
-    /// standalone endpoint fed the same bytes through
-    /// `interpret_batch`, and both equal the tree walk; across a
-    /// profile mutation too. Afterwards the memo remembers nothing.
+    /// the same buffers, one `SelectorStore` — yields, per endpoint,
+    /// exactly the deliveries and `BusStats` of a standalone endpoint
+    /// fed the same bytes through `interpret_batch`, and both equal
+    /// the tree walk; across a profile mutation too. However many
+    /// endpoints receive a buffer, the store is asked once.
     #[test]
     fn shared_frames_equal_standalone_endpoints_and_tree_walk(
         profiles in proptest::collection::vec(arb_profile(), 1..4),
@@ -367,7 +383,6 @@ proptest! {
         let (group, nobody) = (net.new_group(), net.new_group());
         let injector = net.bind(hosts[0], Port(9)).unwrap();
         let store = SelectorStore::with_capacity(64);
-        let mut memo = FrameMemo::new(store.clone());
         let mut shared = Vec::new();
         let mut alone = Vec::new();
         for (profile, &host) in profiles.iter().zip(&hosts[1..]) {
@@ -396,10 +411,16 @@ proptest! {
             net.run_for(Ticks::from_millis(50));
             // Serial half for every endpoint first, as the session's
             // pump does, then the decisions.
+            let lookups_before = lookups(&store);
             let received: Vec<_> = shared
                 .iter_mut()
-                .map(|ep| ep.receive(&mut net, &mut memo))
+                .map(|ep| ep.receive(&mut net))
                 .collect();
+            prop_assert_eq!(
+                lookups(&store) - lookups_before,
+                decodable(&batch),
+                "one store lookup per message buffer, {} receivers", shared.len()
+            );
             for (i, frames) in received.iter().enumerate() {
                 prop_assert_eq!(frames.len(), batch.len(), "endpoint {} missed datagrams", i);
                 let via_frames = shared[i].interpret_frames(frames);
@@ -415,9 +436,85 @@ proptest! {
                 prop_assert_eq!(shared[i].stats(), *e, "shared endpoint {} stats", i);
                 prop_assert_eq!(alone[i].stats(), *e, "standalone endpoint {} stats", i);
             }
-            drop(received);
-            memo.sweep();
-            prop_assert!(memo.is_empty(), "memo holds {} buffers at quiescence", memo.len());
+        }
+    }
+
+    /// The same-store rule. Two endpoints with the same profile, each
+    /// compiling through a store of its own whose interner met the
+    /// attribute names in the opposite order — so every symbol id
+    /// differs — receive the same multicast buffers. The first leaves
+    /// its frames on them; the second must not evaluate those programs
+    /// (their symbols would read the wrong slots of its snapshot), so
+    /// it resolves each buffer privately, and both decide exactly as
+    /// the tree walk. Buffers whose slot something else already took
+    /// resolve all the same.
+    #[test]
+    fn a_receiver_with_another_store_resolves_privately(
+        profile in arb_profile(),
+        batch in arb_batch(),
+    ) {
+        let mut net = Network::new(6);
+        let (_sw, hosts) = net.lan(&["h0", "h1", "h2"], LinkSpec::lan());
+        let group = net.new_group();
+        let injector = net.bind(hosts[0], Port(9)).unwrap();
+        let names = ["media", "color", "size", "flag", "enc", "x"];
+        let warmed = |order: &[&str]| {
+            let store = SelectorStore::with_capacity(64);
+            for name in order {
+                store.compile(&format!("exists({name})")).unwrap();
+            }
+            store
+        };
+        let reversed: Vec<&str> = names.iter().rev().copied().collect();
+        let stores = [warmed(&names), warmed(&reversed)];
+        let mut endpoints: Vec<BusEndpoint> = stores
+            .iter()
+            .zip(&hosts[1..])
+            .map(|(store, &host)| {
+                BusEndpoint::join_with_store(
+                    &mut net, host, SHARED_PORT, group, profile.clone(), store.clone(),
+                )
+                .unwrap()
+            })
+            .collect();
+
+        // Every third buffer's slot is taken before anyone looks.
+        let buffers: Vec<Payload> = batch.iter().cloned().map(Payload::from).collect();
+        for taken in buffers.iter().step_by(3) {
+            prop_assert_eq!(taken.memo_or_init(|| 7u32), Some(&7));
+        }
+        net.send_batch(injector, Addr::multicast(group, SHARED_PORT), buffers)
+            .unwrap();
+        net.run_for(Ticks::from_millis(50));
+
+        let before: Vec<u64> = stores.iter().map(lookups).collect();
+        let received: Vec<Vec<Frame>> =
+            endpoints.iter_mut().map(|ep| ep.receive(&mut net)).collect();
+        for (store, before) in stores.iter().zip(before) {
+            prop_assert_eq!(
+                lookups(store) - before,
+                decodable(&batch),
+                "each store compiled every buffer's selector itself"
+            );
+        }
+        prop_assert_eq!(received[0].len(), batch.len());
+        for (first, second) in received[0].iter().zip(&received[1]) {
+            if let (Frame::Message { program: a, .. }, Frame::Message { program: b, .. }) =
+                (first, second)
+            {
+                prop_assert!(!std::sync::Arc::ptr_eq(a, b), "a program crossed stores");
+            }
+        }
+        let mut expected = BusStats::default();
+        let accepted = reference(&profile, &batch, &mut expected);
+        for (i, frames) in received.iter().enumerate() {
+            let got: Vec<(SemanticMessage, MatchOutcome)> = endpoints[i]
+                .interpret_frames(frames)
+                .iter()
+                .map(|d| ((*d.message).clone(), d.outcome.clone()))
+                .collect();
+            prop_assert_eq!(&got, &accepted, "endpoint {} vs tree walk", i);
+            prop_assert_eq!(endpoints[i].stats(), expected, "endpoint {} stats", i);
         }
     }
 }
@@ -472,16 +569,12 @@ fn eviction_preserves_evaluation_results() {
 
 #[test]
 fn engine_counts_hits_misses_and_parse_failures() {
-    let mut engine = MatchEngine::new();
-    let attrs = BTreeMap::new();
-    engine.check("x == 1", &attrs).unwrap().unwrap();
-    engine.check("x == 1", &attrs).unwrap().unwrap();
-    engine.check("x == 1", &attrs).unwrap().unwrap();
-    assert!(
-        engine.check("x ==", &attrs).is_err(),
-        "parse error surfaces"
-    );
-    let stats = engine.cache_stats();
+    let store = SelectorStore::with_capacity(8);
+    store.compile("x == 1").unwrap();
+    store.compile("x == 1").unwrap();
+    store.compile("x == 1").unwrap();
+    assert!(store.compile("x ==").is_err(), "parse error surfaces");
+    let stats = store.stats();
     assert_eq!(stats.hits(), 2);
     // The unparsable selector cost real work: it counts as a miss.
     assert_eq!(stats.misses(), 2);

@@ -195,10 +195,10 @@ fn bus_stat_totals_identical_across_worker_counts() {
 //
 // The session decodes each message buffer once and compiles each
 // selector string once, whoever receives them; every decision stays
-// with the receiving client. These tests pin the lifetime of the
-// shared things (the frame memo is empty at quiescence, the store holds
-// one program per distinct selector) and that sharding cannot be seen
-// in them (`workers` 1 / 2 / 4 equal, the store's counters included).
+// with the receiving client. These tests pin what the shared things
+// cost (one store lookup per buffer however its copies arrive, one
+// program per distinct selector) and that sharding cannot be seen in
+// them (`workers` 1 / 2 / 4 equal, the store's counters included).
 
 /// A chat-only session of `clients` clients, each subscribed to two of
 /// `topics` topics — `event_storm`'s shape, scaled down.
@@ -261,7 +261,6 @@ fn run_topic_rounds(
                 .unwrap();
         }
         s.pump(Ticks::from_millis(80));
-        assert_eq!(s.frames_in_memo(), 0, "round {round}: memo at quiescence");
     }
     let logs = ids.iter().map(|&c| s.client(c).chat.log.clone()).collect();
     let stats = ids.iter().map(|&c| s.client(c).bus.stats()).collect();
@@ -293,11 +292,12 @@ fn brokered_chat_and_store_counters_identical_across_worker_counts() {
 }
 
 /// One buffer whose copies reach their receivers in different pumps
-/// (fan-out serialised on a slow access link) is decoded once: the
-/// memo outlives the pump, then forgets the buffer when its last copy
-/// has been drained.
+/// (fan-out serialised on a slow access link) costs one store lookup:
+/// the frame rides the buffer, so it outlives the pump that resolved
+/// it. (A per-pump frame table raised `image_fanout`'s allocations by
+/// two thirds, PR 17.)
 #[test]
-fn buffer_spread_over_pumps_is_decoded_once_then_forgotten() {
+fn buffer_spread_over_pumps_costs_one_store_lookup() {
     let cfg = SessionConfig {
         seed: 5,
         link: LinkSpec {
@@ -315,35 +315,27 @@ fn buffer_spread_over_pumps_is_decoded_once_then_forgotten() {
 
     s.share_chat(ids[0], "hello", selector).unwrap();
     assert_eq!((store.hits(), store.misses()), (0, 1), "publish compiles");
-    let (mut pumps_with_arrivals, mut held_between_pumps) = (0, false);
+    let mut pumps_with_arrivals = 0;
     for _ in 0..40 {
         let before = lines(&s);
         s.pump(Ticks::from_micros(600));
         pumps_with_arrivals += usize::from(lines(&s) > before);
-        held_between_pumps |= s.frames_in_memo() == 1;
     }
     assert_eq!(lines(&s), 5, "every other client got the line");
     assert!(
         pumps_with_arrivals >= 2,
         "copies must arrive in different pumps for this test to mean anything"
     );
-    assert!(held_between_pumps, "the frame outlived a pump");
     assert_eq!(
         (store.hits(), store.misses()),
         (1, 1),
         "five receptions in {pumps_with_arrivals} pumps, one store lookup"
-    );
-    assert_eq!(
-        s.frames_in_memo(),
-        0,
-        "forgotten once the last copy drained"
     );
 
     for round in 0..1_000 {
         s.share_chat(ids[round % ids.len()], "again", selector)
             .unwrap();
         s.pump(Ticks::from_millis(20));
-        assert_eq!(s.frames_in_memo(), 0, "round {round}");
     }
     assert_eq!(lines(&s), 5 + 5 * 1_000);
     assert_eq!(
@@ -371,7 +363,6 @@ fn profile_set_mid_session_reroutes_with_zero_store_misses() {
         s.share_chat(publisher, &format!("{tag} text"), "mode == 'text'")
             .unwrap();
         s.pump(Ticks::from_millis(20));
-        assert_eq!(s.frames_in_memo(), 0);
     };
     round(&mut s, "first");
     let store = s.selector_store().stats();
@@ -414,7 +405,6 @@ fn session_holds_one_program_per_distinct_selector() {
                 .unwrap();
         }
         s.pump(Ticks::from_millis(80));
-        assert_eq!(s.frames_in_memo(), 0, "round {round}");
     }
     let store = s.selector_store();
     assert_eq!(store.len(), 276, "programs held == distinct selectors");

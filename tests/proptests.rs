@@ -13,12 +13,13 @@ use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket}
 use collabqos::media::psnr;
 use collabqos::media::wavelet::{self, WaveletKind};
 use collabqos::sempubsub::ast::{CmpOp, Expr};
+use collabqos::sempubsub::bus::BusStats;
 use collabqos::sempubsub::{AttrValue, Selector, SemanticMessage};
 use collabqos::simnet::qdisc::{
     Qdisc, QdiscConfig, Shaper, TokenBucket, TrafficClass, CLASS_COUNT,
 };
 use collabqos::simnet::rtp::{Nack, RtpHeader, RtpReceiver, RtpSender};
-use collabqos::simnet::Ticks;
+use collabqos::simnet::{NetStats, Ticks};
 use collabqos::snmp::ber::{Reader, Writer};
 use collabqos::snmp::{Message, Oid, Pdu, PduKind, SnmpValue, VarBind};
 use proptest::prelude::*;
@@ -1177,9 +1178,13 @@ struct AdWorld {
 
 impl AdWorld {
     fn new(triangle: bool) -> AdWorld {
+        AdWorld::over(collabqos::broker::Overlay::new(), triangle)
+    }
+
+    /// Three brokers added to the empty overlay `ov`.
+    fn over(mut ov: collabqos::broker::Overlay, triangle: bool) -> AdWorld {
         use collabqos::simnet::LinkSpec;
         let mut net = collabqos::simnet::Network::new(5);
-        let mut ov = collabqos::broker::Overlay::new();
         for i in 0..3 {
             ov.add_broker(&mut net, &format!("b{i}"));
         }
@@ -1310,6 +1315,194 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ------------------------------------- overlay on the session's store
+
+/// One datagram multicast into a domain of a [`StoreWorld`].
+#[derive(Clone, Debug)]
+enum PubOp {
+    /// A chat line under the `k`-th selector of [`StoreWorld::SELECTORS`].
+    Valid { domain: usize, selector: usize },
+    /// A message whose selector does not parse.
+    Unparseable { domain: usize },
+    /// Bytes that are not a semantic message.
+    Malformed { domain: usize, bytes: Vec<u8> },
+    /// The previous datagram again, as a fresh buffer (same dedup id).
+    Repeat { domain: usize },
+}
+
+fn arb_pub_op() -> impl Strategy<Value = PubOp> {
+    let bytes = proptest::collection::vec(any::<u8>(), 0..24);
+    (0u8..8, 0usize..3, 0usize..5, bytes).prop_map(|(kind, domain, selector, bytes)| match kind {
+        0 => PubOp::Unparseable { domain },
+        1 => PubOp::Malformed { domain, bytes },
+        2 => PubOp::Repeat { domain },
+        _ => PubOp::Valid { domain, selector },
+    })
+}
+
+/// An [`AdWorld`] with a subscriber and a raw injector in every domain
+/// (domain 2 also holds a wildcard gateway).
+struct StoreWorld {
+    world: AdWorld,
+    subscribers: Vec<collabqos::sempubsub::BusEndpoint>,
+    injectors: Vec<collabqos::simnet::SocketHandle>,
+    last: Vec<u8>,
+}
+
+impl StoreWorld {
+    /// The last is a type error at every profile.
+    const SELECTORS: [&str; 5] = [
+        "interested_in contains 'image'",
+        "interested_in contains 'text'",
+        "interested_in contains 'audio'",
+        "true",
+        "interested_in == 3 and interested_in",
+    ];
+
+    /// `store`: the one store brokers and subscribers all compile
+    /// through, as in a session; `None`: a private one each.
+    fn new(store: Option<&collabqos::sempubsub::SelectorStore>, triangle: bool) -> StoreWorld {
+        use collabqos::broker::Overlay;
+        use collabqos::sempubsub::{BusEndpoint, Profile};
+        use collabqos::simnet::packet::well_known::SESSION_DATA;
+        use collabqos::simnet::{LinkSpec, Port};
+        let ov = store.map_or_else(Overlay::new, |s| Overlay::with_store(s.clone()));
+        let mut world = AdWorld::over(ov, triangle);
+        let (mut subscribers, mut injectors) = (Vec::new(), Vec::new());
+        for (d, topics) in [&["image"][..], &["text"], &["image", "text"]]
+            .into_iter()
+            .enumerate()
+        {
+            let (net, ov) = (&mut world.net, &mut world.ov);
+            let host = net.add_node(&format!("host{d}"));
+            net.connect(ov.node(d), host, LinkSpec::lan());
+            let mut p = Profile::new(&format!("sub{d}"));
+            let topics = topics.iter().map(|t| AttrValue::str(t)).collect();
+            p.set("interested_in", AttrValue::List(topics));
+            ov.register_local(net, d, &p);
+            subscribers.push(
+                match store {
+                    Some(s) => BusEndpoint::join_with_store(
+                        net,
+                        host,
+                        SESSION_DATA,
+                        ov.group(d),
+                        p,
+                        s.clone(),
+                    ),
+                    None => BusEndpoint::join(net, host, SESSION_DATA, ov.group(d), p),
+                }
+                .unwrap(),
+            );
+            injectors.push(net.bind(host, Port(9)).unwrap());
+        }
+        world.ov.register_wildcard(&mut world.net, 2, "gateway");
+        world.ov.settle(&mut world.net);
+        StoreWorld {
+            world,
+            subscribers,
+            injectors,
+            last: b"nothing yet".to_vec(),
+        }
+    }
+
+    /// Inject `op` as datagram number `seq`, pump, and report who
+    /// accepted what.
+    fn apply(&mut self, op: &PubOp, seq: u64) -> Vec<Vec<(String, u64)>> {
+        use collabqos::simnet::packet::well_known::SESSION_DATA;
+        use collabqos::simnet::Addr;
+        let message = |selector: &str| {
+            SemanticMessage {
+                sender: "injector".to_string(),
+                kind: "chat".to_string(),
+                selector: selector.to_string(),
+                seq,
+                content: BTreeMap::new(),
+                body: vec![seq as u8],
+            }
+            .encode()
+        };
+        let (domain, wire) = match op {
+            PubOp::Valid { domain, selector } => (*domain, message(Self::SELECTORS[*selector])),
+            PubOp::Unparseable { domain } => (*domain, message("interested_in ==")),
+            PubOp::Malformed { domain, bytes } => (*domain, bytes.clone()),
+            PubOp::Repeat { domain } => (*domain, self.last.clone()),
+        };
+        self.last = wire.clone();
+        let AdWorld { net, ov } = &mut self.world;
+        let group = Addr::multicast(ov.group(domain), SESSION_DATA);
+        net.send(self.injectors[domain], group, wire).unwrap();
+        ov.pump(net, Ticks::from_millis(40));
+        self.subscribers
+            .iter_mut()
+            .map(|sub| {
+                let accepted = sub.poll(net);
+                accepted
+                    .iter()
+                    .map(|d| (d.message.sender.clone(), d.message.seq))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every broker's counters, every subscriber's, and the network's.
+    fn counters(&self) -> (Vec<[u64; 6]>, Vec<BusStats>, NetStats) {
+        let brokers = (0..3)
+            .map(|i| {
+                let s = self.world.ov.stats(i);
+                [
+                    s.table_size(),
+                    s.forwarded(),
+                    s.suppressed(),
+                    s.adverts_merged(),
+                    s.dedup_dropped(),
+                    s.local_suppressed(),
+                ]
+            })
+            .collect();
+        let subscribers = self.subscribers.iter().map(|s| s.stats()).collect();
+        (brokers, subscribers, self.world.net.stats().clone())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Where the frame comes from cannot be seen in what the overlay
+    /// does. An overlay whose brokers and subscribers share one store
+    /// (so a buffer is decoded by whoever sees it first and read off
+    /// the buffer by the rest) and one built `Overlay::new()` with
+    /// standalone subscribers (every party decoding for itself) hand
+    /// every datagram — parseable, unparseable, malformed, repeated —
+    /// to the same recipients and move the same broker, endpoint and
+    /// network counters; the shared store is asked once per message
+    /// buffer.
+    #[test]
+    fn overlay_with_store_routes_as_overlay_new(
+        triangle in any::<bool>(),
+        ops in proptest::collection::vec(arb_pub_op(), 1..12),
+    ) {
+        let store = collabqos::sempubsub::SelectorStore::with_capacity(64);
+        let mut shared = StoreWorld::new(Some(&store), triangle);
+        let mut private = StoreWorld::new(None, triangle);
+        let mut buffers = 0;
+        for (seq, op) in ops.iter().enumerate() {
+            let got = shared.apply(op, seq as u64);
+            let want = private.apply(op, seq as u64);
+            buffers += u64::from(SemanticMessage::decode(&shared.last).is_ok());
+            prop_assert_eq!(got, want, "recipients of step {} of {:?}", seq, ops);
+            prop_assert_eq!(
+                shared.counters(), private.counters(),
+                "counters after step {} of {:?}", seq, ops
+            );
+        }
+        prop_assert_eq!(
+            store.stats().hits() + store.stats().misses(), buffers,
+            "one lookup per message buffer of {:?}", ops
+        );
     }
 }
 
