@@ -18,12 +18,23 @@
 //! time exactly that — 1/2, 1/4 and 1/8 of the 6-bpp container through
 //! `decode_image`, inverse wavelet and colour transform included.
 //!
+//! And they do not each decode alone: viewers on one packet budget
+//! hold one prefix, and a session's `ViewStore` decodes it once. The
+//! fan-out row runs the benchmark's eight viewers on four budgets, a
+//! new share each round, through one shared store and through a store
+//! each, and asserts that the shared store decoded exactly the
+//! distinct prefixes and that every view is the frozen decoder's image
+//! of its prefix.
+//!
 //! `--quick` trims the repetition count, not the scenarios — the
 //! identity asserts always run.
 
 use bench::{fmt, header, quick_mode, row, time_best};
+use cqos_core::apps::{ImageViewer, ViewStore};
+use cqos_core::events::AppEvent;
 use media::ezw::{self, EzwDecoder, EzwScratch};
-use media::image::synthetic_scene;
+use media::image::{synthetic_scene, Image};
+use media::packetize::{reassemble_prefix, split_packets};
 use media::reference;
 use media::wavelet::{WaveletKind, WaveletScratch};
 
@@ -121,6 +132,87 @@ fn run(w: usize, h: usize, levels: usize, reps: usize) -> Measured {
     }
 }
 
+/// Packet budgets of the repo benchmark's `image_fanout` viewers at
+/// seed 11: eight viewers, four distinct prefixes.
+const FANOUT_BUDGETS: [u32; 8] = [16, 8, 4, 2, 16, 8, 4, 16];
+const FANOUT_SIDE: usize = 256;
+const FANOUT_LEVELS: usize = 5;
+
+/// One share of the fan-out row: its events, and per distinct budget
+/// the image the frozen decoder makes of that prefix.
+struct FanoutShare {
+    events: Vec<AppEvent>,
+    expected: Vec<(u32, Image)>,
+}
+
+fn fanout_share(object_id: u64, seed: u64) -> FanoutShare {
+    let scene = synthetic_scene(FANOUT_SIDE, FANOUT_SIDE, 3, 5, seed);
+    let full = ezw::encode_image_opts(&scene.image, FANOUT_LEVELS, WaveletKind::Cdf53, true)
+        .expect("container encodes");
+    let sent = ezw::truncate_container(&full, scene.image.pixels() * PREFIX_BPP / 8)
+        .expect("cut is valid");
+    let packets = split_packets(&sent, 16);
+    let mut budgets = FANOUT_BUDGETS.to_vec();
+    budgets.sort_unstable();
+    budgets.dedup();
+    let expected = budgets
+        .into_iter()
+        .map(|b| {
+            let prefix = reassemble_prefix(&packets[..b as usize]).expect("prefix verifies");
+            let view = reference::decode_image(&prefix).expect("prefix decodes");
+            (b, view)
+        })
+        .collect();
+    let meta = AppEvent::ImageMeta {
+        object_id,
+        caption: scene.caption.clone(),
+        original_bytes: scene.image.byte_len() as u64,
+        pixels: scene.image.pixels() as u64,
+        total_packets: packets.len() as u16,
+    };
+    let packets = packets
+        .into_iter()
+        .map(|packet| AppEvent::ImagePacket { object_id, packet });
+    FanoutShare {
+        events: std::iter::once(meta).chain(packets).collect(),
+        expected,
+    }
+}
+
+/// Deliver a round's share to the eight viewers, round after round,
+/// viewer `i` decoding through `stores[i % stores.len()]` (one store:
+/// shared; eight: one each); returns the decodes the last round ran
+/// and the best round's seconds. Every round has a share of its own,
+/// as every round of the benchmark shares a new object, so no store
+/// holds anything of the round before the round's first viewer asks.
+fn fanout_rounds(shares: &[FanoutShare], stores: &[ViewStore]) -> (u64, f64) {
+    let decodes = || stores.iter().map(ViewStore::misses).sum::<u64>();
+    let mut rounds = shares.iter();
+    let (per_round, secs) = time_best(shares.len(), || {
+        let share = rounds.next().expect("a share per round");
+        let before = decodes();
+        for (&budget, store) in FANOUT_BUDGETS.iter().zip(stores.iter().cycle()) {
+            let mut viewer = ImageViewer::with_store(budget, store.clone());
+            let view = share
+                .events
+                .iter()
+                .find_map(|ev| viewer.apply(ev))
+                .expect("viewer completes");
+            let (_, expected) = share
+                .expected
+                .iter()
+                .find(|(b, _)| *b == budget)
+                .expect("budget listed");
+            assert!(
+                *view.image == *expected,
+                "budget {budget}: view differs from the reference decode"
+            );
+        }
+        decodes() - before
+    });
+    (per_round, secs)
+}
+
 fn main() {
     let reps = if quick_mode() { 10 } else { 20 };
     println!("media codec fast path vs frozen reference (CDF 5/3, grayscale)");
@@ -182,7 +274,23 @@ fn main() {
         }
     }
     println!();
+    let shares: Vec<FanoutShare> = (1..=reps as u64).map(|i| fanout_share(i, 41 + i)).collect();
+    let distinct = shares[0].expected.len() as u64;
+    let (shared_decodes, shared_secs) = fanout_rounds(&shares, &[ViewStore::new()]);
+    let own: [ViewStore; 8] = std::array::from_fn(|_| ViewStore::new());
+    let (own_decodes, own_secs) = fanout_rounds(&shares, &own);
+    assert_eq!(shared_decodes, distinct, "decodes == distinct prefixes");
+    assert_eq!(own_decodes, FANOUT_BUDGETS.len() as u64);
     println!(
-        "identity: encoded bytes and decoded coefficients matched the reference in every scenario"
+        "{} viewers / {distinct} budgets: {shared_decodes} decodes, {:.3} ms per round through one \
+         shared store; {own_decodes} decodes, {:.3} ms with a store each",
+        FANOUT_BUDGETS.len(),
+        shared_secs * 1e3,
+        own_secs * 1e3,
+    );
+    println!();
+    println!(
+        "identity: encoded bytes, decoded coefficients and every viewer's image matched the \
+         reference in every scenario"
     );
 }

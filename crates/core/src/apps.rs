@@ -4,10 +4,11 @@
 
 use crate::concurrency::LamportClock;
 use crate::events::AppEvent;
-use media::ezw;
+use media::ezw::{self, decode_image_reduced_with, DecodeScratch};
 use media::packetize::{reassemble_prefix, MediaPacket};
-use media::{bits_per_pixel, compression_ratio, Image};
-use std::collections::HashMap;
+use media::{bits_per_pixel, compression_ratio, Image, MediaError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock};
 
 // --------------------------------------------------------------- chat
 
@@ -166,8 +167,10 @@ pub struct ImageMeta {
 pub struct ViewedImage {
     /// Shared object id.
     pub object_id: u64,
-    /// The reconstructed image.
-    pub image: Image,
+    /// The reconstructed image — one pixel buffer shared by every
+    /// viewer of the session that holds the same prefix of the object,
+    /// by this viewer's log and by the value `pump` returns.
+    pub image: Arc<Image>,
     /// Packets actually accepted.
     pub packets_accepted: u32,
     /// Packets the sender emitted.
@@ -181,6 +184,157 @@ pub struct ViewedImage {
     /// The caption (available even at low quality).
     pub caption: String,
 }
+
+/// Views a [`ViewStore`] keeps. Each entry holds its container and
+/// pins one decoded image; the viewers that asked share that image, so
+/// a handful costs less memory than the per-viewer copies they replace,
+/// where a long tail of entries nobody asks for again would cost more.
+const VIEW_STORE_CAPACITY: usize = 4;
+
+/// What a container decodes to: the shared image, or why there is none.
+type Decoded = Result<Arc<Image>, MediaError>;
+
+struct StoredView {
+    container: Arc<Vec<u8>>,
+    drop_levels: usize,
+    /// Filled by whichever asker gets to it first, outside the store's
+    /// lock; askers of the same bytes meanwhile wait on the cell, and
+    /// askers of other bytes do not wait at all.
+    decoded: Arc<OnceLock<Decoded>>,
+}
+
+#[derive(Default)]
+struct ViewStoreInner {
+    /// Least recently asked-for first.
+    views: VecDeque<StoredView>,
+    /// Decode scratch not in use now: as many as decodes have ever run
+    /// at once, which is one on a serial session.
+    scratch: Vec<DecodeScratch>,
+    hits: u64,
+    misses: u64,
+}
+
+/// Decode-once view store, the receiving twin of
+/// [`MediaCache`](crate::transformer::MediaCache): the image viewer
+/// adapts by taking a prefix of one embedded stream (§5.4), so every
+/// viewer on the same packet budget holds byte-identical container
+/// bytes and is owed bit-identical pixels. The store decodes each
+/// distinct `(container bytes, drop_levels)` once, on decode scratch it
+/// keeps between decodes, and hands every asker the same `Arc<Image>`.
+///
+/// The key is the verified container itself, compared byte for byte —
+/// never an object id or a hash — so two different streams cannot
+/// alias whatever their ids, lengths or senders. Clones share the
+/// store. Its lock covers the lookup and the insert, never a decode:
+/// the first asker of some bytes leaves an empty cell for them and
+/// decodes into it unlocked, so concurrent askers of one prefix decode
+/// it once (the others wait on that cell), askers of different
+/// prefixes decode side by side, and while the prefixes in use fit the
+/// store the hit and miss counts do not depend on who asked first.
+#[derive(Clone, Default)]
+pub struct ViewStore {
+    inner: Arc<Mutex<ViewStoreInner>>,
+}
+
+impl std::fmt::Debug for ViewStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.lock();
+        f.debug_struct("ViewStore")
+            .field("views", &inner.views.len())
+            .field("hits", &inner.hits)
+            .field("misses", &inner.misses)
+            .finish()
+    }
+}
+
+impl ViewStore {
+    /// An empty store.
+    pub fn new() -> ViewStore {
+        ViewStore::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, ViewStoreInner> {
+        self.inner
+            .lock()
+            .expect("no decode, and so no panic, under the view store's lock")
+    }
+
+    /// The image `container` decodes to with `drop_levels` finest
+    /// wavelet levels left out — what [`decode_image_reduced_with`]
+    /// returns for it, decoded now or shared from an earlier ask for
+    /// the same bytes. A container that does not decode is the same
+    /// error to everyone who asks, held like a view.
+    ///
+    /// The store keeps `container` itself as the view's key — a clone
+    /// of the `Arc`, not of the bytes. A copy taken here, ahead of the
+    /// decode's large allocations, cost the benchmark's image workload
+    /// 4 % through the heap layout it left behind (EXPERIMENTS.md).
+    pub fn view(
+        &self,
+        container: &Arc<Vec<u8>>,
+        drop_levels: usize,
+    ) -> Result<Arc<Image>, MediaError> {
+        let decoded = {
+            let mut inner = self.lock();
+            let held = inner
+                .views
+                .iter()
+                .position(|v| v.drop_levels == drop_levels && v.container == *container);
+            let view = if let Some(i) = held {
+                inner.hits += 1;
+                inner.views.remove(i).expect("position is in range")
+            } else {
+                inner.misses += 1;
+                if inner.views.len() == VIEW_STORE_CAPACITY {
+                    inner.views.pop_front();
+                }
+                StoredView {
+                    container: Arc::clone(container),
+                    drop_levels,
+                    decoded: Arc::default(),
+                }
+            };
+            let decoded = Arc::clone(&view.decoded);
+            inner.views.push_back(view);
+            decoded
+        };
+        decoded
+            .get_or_init(|| {
+                let mut scratch = self.lock().scratch.pop().unwrap_or_default();
+                let image = decode_image_reduced_with(container, drop_levels, &mut scratch);
+                self.lock().scratch.push(scratch);
+                image.map(Arc::new)
+            })
+            .clone()
+    }
+
+    /// Views held now (never more than a small fixed number).
+    pub fn len(&self) -> usize {
+        self.lock().views.len()
+    }
+
+    /// True when no view is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Asks that found their bytes already asked for, and share that
+    /// decode (waiting for it, if it is still running).
+    pub fn hits(&self) -> u64 {
+        self.lock().hits
+    }
+
+    /// Asks that found no view of their bytes; the decoder runs once
+    /// for each, so once per distinct `(container, drop_levels)` while
+    /// its view stays held.
+    pub fn misses(&self) -> u64 {
+        self.lock().misses
+    }
+}
+
+/// Finished objects an [`ImageViewer`] remembers, newest last, so that
+/// a late copy of one of their packets is not taken for a new object.
+const FINISHED_WINDOW: usize = 64;
 
 #[derive(Debug, Default)]
 struct PendingImage {
@@ -200,33 +354,46 @@ pub struct ImageViewer {
     budget: u32,
     resolution: f64,
     pending: HashMap<u64, PendingImage>,
+    /// Ids of the last [`FINISHED_WINDOW`] objects that left `pending`
+    /// (viewed, shown as a caption, or dropped as invalid).
+    finished: VecDeque<u64>,
+    store: ViewStore,
     /// Successfully decoded images, in completion order.
     pub viewed: Vec<ViewedImage>,
     /// Captions shown instead of images when the budget was zero.
     pub text_fallbacks: Vec<(u64, String)>,
-    /// Packets discarded because they exceeded the budget.
+    /// Packets discarded because they exceeded the budget or belonged
+    /// to an object already finished.
     pub packets_discarded: u64,
 }
 
 impl Default for ImageViewer {
     fn default() -> Self {
-        ImageViewer {
-            budget: 0,
-            resolution: 1.0,
-            pending: HashMap::new(),
-            viewed: Vec::new(),
-            text_fallbacks: Vec::new(),
-            packets_discarded: 0,
-        }
+        ImageViewer::with_store(0, ViewStore::new())
     }
 }
 
 impl ImageViewer {
-    /// A viewer with the given initial packet budget.
+    /// A viewer with the given initial packet budget and a view store
+    /// of its own.
     pub fn new(budget: u32) -> ImageViewer {
+        ImageViewer::with_store(budget, ViewStore::new())
+    }
+
+    /// A viewer that decodes through `store`, sharing each view with
+    /// the other viewers handed a clone of it.
+    pub fn with_store(budget: u32, store: ViewStore) -> ImageViewer {
         ImageViewer {
             budget,
-            ..ImageViewer::default()
+            resolution: 1.0,
+            pending: HashMap::new(),
+            // Not pre-sized: a client that never sees an image (most
+            // of a chat-only session's) should not carry the window.
+            finished: VecDeque::new(),
+            store,
+            viewed: Vec::new(),
+            text_fallbacks: Vec::new(),
+            packets_discarded: 0,
         }
     }
 
@@ -266,8 +433,34 @@ impl ImageViewer {
         self.budget = budget;
     }
 
+    /// Objects announced or partly received and not yet finished.
+    pub fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Take `object_id` out of `pending` for good: whatever arrives for
+    /// it from now on is a late copy.
+    fn finish(&mut self, object_id: u64) -> Option<PendingImage> {
+        if self.finished.len() == FINISHED_WINDOW {
+            self.finished.pop_front();
+        }
+        self.finished.push_back(object_id);
+        self.pending.remove(&object_id)
+    }
+
     /// Apply an image-related event; returns a decoded image when one
     /// completes.
+    ///
+    /// An object id is single-use per viewer: once an object has been
+    /// viewed, shown as its caption or dropped as invalid, a later
+    /// `ImageMeta` or `ImagePacket` carrying its id is taken for a late
+    /// copy and ignored (packets count as `packets_discarded`) — so
+    /// replaying an object to the same viewer, say after
+    /// [`set_packet_budget`](Self::set_packet_budget), yields nothing;
+    /// share it again under a new id. The viewer remembers the last 64
+    /// finished ids (`FINISHED_WINDOW`); a copy that arrives after that
+    /// many newer objects have finished is not recognised and opens a
+    /// pending entry as a new object would.
     pub fn apply(&mut self, ev: &AppEvent) -> Option<ViewedImage> {
         match ev {
             AppEvent::ImageMeta {
@@ -277,6 +470,9 @@ impl ImageViewer {
                 pixels,
                 total_packets,
             } => {
+                if self.finished.contains(object_id) {
+                    return None;
+                }
                 let entry = self.pending.entry(*object_id).or_default();
                 entry.meta = Some(ImageMeta {
                     caption: caption.clone(),
@@ -289,17 +485,18 @@ impl ImageViewer {
                 // Either way the caption is the delivered modality.
                 if self.budget == 0 || *total_packets == 0 {
                     self.text_fallbacks.push((*object_id, caption.clone()));
-                    self.pending.remove(object_id);
+                    self.finish(*object_id);
                     return None;
                 }
                 self.try_complete(*object_id)
             }
             AppEvent::ImagePacket { object_id, packet } => {
-                if !self.pending.contains_key(object_id) && self.budget == 0 {
-                    self.packets_discarded += 1;
-                    return None;
-                }
-                if packet.index as u32 >= self.budget {
+                // A duplicated or re-sent packet of a finished object
+                // would otherwise open an entry nothing ever closes.
+                if self.finished.contains(object_id)
+                    || (!self.pending.contains_key(object_id) && self.budget == 0)
+                    || packet.index as u32 >= self.budget
+                {
                     self.packets_discarded += 1;
                     return None;
                 }
@@ -328,11 +525,11 @@ impl ImageViewer {
         if entry.packets.iter().filter(|p| in_prefix(p)).count() < want {
             return None;
         }
-        let entry = self.pending.remove(&object_id)?;
+        let entry = self.finish(object_id)?;
         let meta = entry.meta.expect("checked above");
         let prefix: Vec<MediaPacket> = entry.packets.into_iter().filter(in_prefix).collect();
         let received_bytes: usize = prefix.iter().map(|p| p.payload.len()).sum();
-        let container = reassemble_prefix(&prefix).ok()?;
+        let container = Arc::new(reassemble_prefix(&prefix).ok()?);
         // The stream's own header sizes what decoding allocates: drop
         // an object that is not the size its announcement promised.
         let (w, h) = ezw::container_dimensions(&container).ok()?;
@@ -346,40 +543,22 @@ impl ImageViewer {
         // reconstructed, so a thin client also saves decode work.
         let scale_factor = (1.0 / self.resolution).floor().max(1.0) as usize;
         let drop_levels = scale_factor.ilog2() as usize;
-        let image = if drop_levels > 0 {
-            match ezw::decode_image_reduced(&container, drop_levels) {
-                Ok(img) => {
-                    // Any residual non-power-of-two factor is handled by
-                    // pixel downsampling.
-                    let residual = self
-                        .resolution_factor(img.width, img.height)
-                        .min(scale_factor >> drop_levels);
-                    if residual > 1 {
-                        img.downsample(residual)
-                    } else {
-                        img
-                    }
-                }
-                // Streams too small for the requested drop fall back to
-                // a full decode + downsample.
-                Err(_) => {
-                    let img = ezw::decode_image(&container).ok()?;
-                    let factor = self.resolution_factor(img.width, img.height);
-                    if factor > 1 {
-                        img.downsample(factor)
-                    } else {
-                        img
-                    }
-                }
-            }
+        let (image, dropped) = match self.store.view(&container, drop_levels) {
+            Ok(image) => (image, drop_levels),
+            // Streams too small for the requested drop fall back to a
+            // full decode + downsample.
+            Err(_) if drop_levels > 0 => (self.store.view(&container, 0).ok()?, 0),
+            Err(_) => return None,
+        };
+        // Any residual non-power-of-two factor is handled by pixel
+        // downsampling, on this viewer's own copy.
+        let residual = self
+            .resolution_factor(image.width, image.height)
+            .min(scale_factor >> dropped);
+        let image = if residual > 1 {
+            Arc::new(image.downsample(residual))
         } else {
-            let img = ezw::decode_image(&container).ok()?;
-            let factor = self.resolution_factor(img.width, img.height);
-            if factor > 1 {
-                img.downsample(factor)
-            } else {
-                img
-            }
+            image
         };
         let viewed = ViewedImage {
             object_id,
@@ -601,6 +780,110 @@ mod tests {
         }
         let v = done.expect("completed despite reordering");
         assert_eq!(v.image.data, original.data);
+    }
+
+    #[test]
+    fn late_copies_of_a_finished_object_are_discarded() {
+        let (_, events) = share_events(1, 8);
+        let mut viewer = ImageViewer::new(8);
+        let views = events.iter().filter_map(|ev| viewer.apply(ev)).count();
+        assert_eq!((views, viewer.pending_len()), (1, 0));
+        // A duplicating link re-delivers two packets and the
+        // announcement after the object completed.
+        for ev in [&events[3], &events[8], &events[0]] {
+            assert!(viewer.apply(ev).is_none());
+        }
+        assert_eq!(viewer.pending_len(), 0, "nothing reopened");
+        assert_eq!(viewer.viewed.len(), 1, "no second view");
+        assert_eq!(viewer.packets_discarded, 2);
+
+        // The same holds for an object that finished as a caption.
+        let (_, events) = share_events(2, 8);
+        viewer.set_packet_budget(0);
+        viewer.apply(&events[0]);
+        viewer.set_packet_budget(8);
+        assert!(viewer.apply(&events[1]).is_none());
+        assert!(viewer.apply(&events[0]).is_none());
+        assert_eq!(viewer.pending_len(), 0);
+        assert_eq!(viewer.text_fallbacks.len(), 1, "no second caption");
+    }
+
+    #[test]
+    fn finished_window_is_bounded() {
+        let mut viewer = ImageViewer::new(0);
+        for object_id in 0..3 * FINISHED_WINDOW as u64 {
+            viewer.apply(&AppEvent::ImageMeta {
+                object_id,
+                caption: String::new(),
+                original_bytes: 0,
+                pixels: 0,
+                total_packets: 0,
+            });
+        }
+        assert_eq!(viewer.finished.len(), FINISHED_WINDOW);
+        assert_eq!(
+            viewer.finished.back(),
+            Some(&(3 * FINISHED_WINDOW as u64 - 1))
+        );
+    }
+
+    #[test]
+    fn viewers_on_one_store_share_one_decode() {
+        let (original, events) = share_events(1, 8);
+        let store = ViewStore::new();
+        let mut views = Vec::new();
+        for _ in 0..3 {
+            let mut viewer = ImageViewer::with_store(8, store.clone());
+            views.extend(events.iter().filter_map(|ev| viewer.apply(ev)));
+        }
+        assert_eq!((store.misses(), store.hits()), (1, 2));
+        assert_eq!(views[0].image.data, original.data);
+        assert!(views.iter().all(|v| Arc::ptr_eq(&v.image, &views[0].image)));
+        // A scale past the stream's four levels falls back to the full
+        // view — already in the store — and downsamples a copy of it.
+        let mut thin = ImageViewer::with_store(8, store.clone());
+        thin.set_resolution(1.0 / 32.0);
+        let small = events.iter().find_map(|ev| thin.apply(ev)).unwrap();
+        assert_eq!((small.image.width, small.image.height), (2, 2));
+        assert_eq!((store.misses(), store.hits()), (2, 3));
+        assert_eq!(views[0].image.data, original.data, "shared view untouched");
+        // "Cannot drop five levels" is held like a view: the next thin
+        // viewer is told so, and shown the full view, without a decode.
+        let mut thin = ImageViewer::with_store(8, store.clone());
+        thin.set_resolution(1.0 / 32.0);
+        let again = events.iter().find_map(|ev| thin.apply(ev)).unwrap();
+        assert_eq!(again.image, small.image);
+        assert_eq!((store.misses(), store.hits()), (2, 5));
+    }
+
+    /// Threads that ask one store at once: equal bytes are decoded by
+    /// one of them while the rest wait for that image, and different
+    /// bytes do not wait for each other — whoever gets there first, the
+    /// counts and the pixels are the same.
+    #[test]
+    fn concurrent_askers_of_one_prefix_decode_it_once() {
+        let containers: Vec<Arc<Vec<u8>>> = (0..3)
+            .map(|seed| {
+                let image = synthetic_scene(64, 64, 1, 3, seed).image;
+                Arc::new(ezw::encode_image(&image, 4, WaveletKind::Cdf53).unwrap())
+            })
+            .collect();
+        let store = ViewStore::new();
+        let views: Vec<Arc<Image>> = std::thread::scope(|scope| {
+            let askers: Vec<_> = (0..4 * containers.len())
+                .map(|i| {
+                    let (store, container) = (store.clone(), &containers[i % containers.len()]);
+                    scope.spawn(move || store.view(container, 0).unwrap())
+                })
+                .collect();
+            askers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!((store.misses(), store.hits()), (3, 9));
+        for (i, view) in views.iter().enumerate() {
+            let container = &containers[i % containers.len()];
+            assert_eq!(**view, ezw::decode_image(container).unwrap());
+            assert!(Arc::ptr_eq(view, &views[i % containers.len()]));
+        }
     }
 
     #[test]

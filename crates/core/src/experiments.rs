@@ -547,19 +547,32 @@ pub struct ScalingRow {
     pub compression_ratio: f64,
 }
 
+/// What [`run_parallel_scaling`] observed; equal for any `workers`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScalingRun {
+    /// Every completed delivery, in `(round, client)` order.
+    pub rows: Vec<ScalingRow>,
+    /// Asks the session's view store answered from a decode another
+    /// viewer ran, when the last round was done.
+    pub view_hits: u64,
+    /// Decodes the view store ran.
+    pub view_misses: u64,
+}
+
 /// The session-engine scaling workload: one publisher multicasts
 /// `images` synthetic scenes to `viewers` subscribed clients, each of
-/// which EZW-decodes every delivery (the per-client pipeline the
-/// sharded engine parallelises). Returns every completed delivery in
-/// deterministic `(round, client)` order — byte-identical for any
-/// `workers` value, faster wall-clock for `workers > 1` once enough
-/// viewers are attached.
+/// which interprets and reassembles every delivery on the sharded
+/// engine (the per-client pipeline it parallelises). Every viewer is
+/// on the full budget, so all hold one prefix and the session's view
+/// store decodes each image once whatever the viewer count. Returns
+/// every completed delivery in deterministic `(round, client)` order
+/// and the view store's counts — identical for any `workers` value.
 pub fn run_parallel_scaling(
     viewers: usize,
     images: usize,
     workers: usize,
     seed: u64,
-) -> Vec<ScalingRow> {
+) -> ScalingRun {
     let cfg = SessionConfig {
         seed,
         workers,
@@ -598,7 +611,12 @@ pub fn run_parallel_scaling(
             });
         }
     }
-    rows
+    let store = session.view_store();
+    ScalingRun {
+        view_hits: store.hits(),
+        view_misses: store.misses(),
+        rows,
+    }
 }
 
 // ------------------------------------------------------- §5.4 headline

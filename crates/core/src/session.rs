@@ -9,7 +9,7 @@
 //! radio profiles, computes SIRs, and forwards their contributions in
 //! the SIR-appropriate modality.
 
-use crate::apps::{ChatArea, ImageViewer, ViewedImage, Whiteboard};
+use crate::apps::{ChatArea, ImageViewer, ViewStore, ViewedImage, Whiteboard};
 use crate::concurrency::{LamportClock, LockManager};
 use crate::contract::QosContract;
 use crate::engines::EngineChoice;
@@ -259,6 +259,10 @@ pub struct CollaborationSession {
     /// is compiled once per session, and the frame the first of them
     /// leaves on a message buffer serves all the others.
     selectors: SelectorStore,
+    /// The session's one view store: every client's image viewer
+    /// decodes through it, so a prefix of a shared object is decoded
+    /// once per session, not once per viewer holding it.
+    views: ViewStore,
 }
 
 impl CollaborationSession {
@@ -327,6 +331,7 @@ impl CollaborationSession {
             store_watchers,
             plan_watchers: Vec::new(),
             media_cache: MediaCache::with_capacity(32),
+            views: ViewStore::new(),
         }
     }
 
@@ -346,6 +351,11 @@ impl CollaborationSession {
     /// eviction counters).
     pub fn selector_store(&self) -> &SelectorStore {
         &self.selectors
+    }
+
+    /// The session's view store (views held, live hit / miss counts).
+    pub fn view_store(&self) -> &ViewStore {
+        &self.views
     }
 
     /// Connect `node` to the session switch with the configured link
@@ -478,7 +488,7 @@ impl CollaborationSession {
             host,
             netstate,
             engine: Box::new(engine),
-            viewer: ImageViewer::new(16),
+            viewer: ImageViewer::with_store(16, self.views.clone()),
             chat: ChatArea::default(),
             whiteboard: Whiteboard::default(),
             repo: StateRepository::new(),
@@ -996,10 +1006,12 @@ impl CollaborationSession {
 
     /// Apply received frames to one client: interpret each against the
     /// client's profile and dispatch accepted events to the client's
-    /// application entities. Pure per-client CPU work (EZW decoding
-    /// dominates) — the frames are immutable and everything mutated is
-    /// the client's own, so the sharded engine runs it on worker
-    /// threads without a lock.
+    /// application entities. Per-client CPU work — the frames are
+    /// immutable and everything mutated is the client's own, so the
+    /// sharded engine runs it on worker threads; the one thing shared
+    /// is the session's [`ViewStore`], which a completing viewer asks
+    /// for its image: the store's lock covers the lookup, the decode
+    /// runs outside it.
     fn apply_frames(client: &mut ClientRuntime, frames: Vec<Frame>) -> Vec<ViewedImage> {
         let mut completed = Vec::new();
         for delivery in client.bus.interpret_frames(&frames) {
@@ -1067,7 +1079,10 @@ impl CollaborationSession {
     /// across `SessionConfig::workers` threads, (3) results merge back
     /// in client order — the same order the serial loop produces, so
     /// any worker count is bit-identical to `workers: 1`, the selector
-    /// store's counters included (only phase 1 touches the store).
+    /// store's counters included (only phase 1 touches that store) and
+    /// the view store's too (in phase 2 the first viewer to ask for a
+    /// prefix decodes it and the rest share that image, whoever is
+    /// first).
     pub fn pump(&mut self, d: Ticks) -> Vec<(ClientId, ViewedImage)> {
         if let Some(ov) = self.overlay.as_mut() {
             // Interleave time slices with broker forwarding, then
@@ -1478,6 +1493,41 @@ mod tests {
         assert_eq!(*cid, viewer);
         assert_eq!(viewed.packets_accepted, 16);
         assert_eq!(viewed.image.data, scene.image.data, "lossless at 16/16");
+    }
+
+    #[test]
+    fn duplicating_links_leave_no_viewer_holding_a_finished_object() {
+        let mut s = CollaborationSession::new(SessionConfig {
+            fault: Some(simnet::FaultModel::none().with_duplicate(0.5)),
+            ..SessionConfig::default()
+        });
+        let ids: Vec<ClientId> = ["publisher", "full", "half", "caption"]
+            .into_iter()
+            .map(|name| {
+                s.add_wired_client(
+                    viewer_profile(name),
+                    InferenceEngine::new(PolicyDb::new(), QosContract::default()),
+                    SimHost::idle(name),
+                )
+                .unwrap()
+            })
+            .collect();
+        s.client_mut(ids[2]).viewer.set_packet_budget(8);
+        s.client_mut(ids[3]).viewer.set_packet_budget(0);
+        let mut views = 0;
+        for seed in 0..3 {
+            let scene = synthetic_scene(64, 64, 1, 3, seed);
+            s.share_image(ids[0], &scene, "interested_in contains 'image'")
+                .unwrap();
+            views += s.pump(Ticks::from_millis(400)).len();
+        }
+        assert!(s.net.stats().duplicated > 0, "the fault model fired");
+        assert_eq!(views, 3 * 2, "one view per object and pixel viewer");
+        for &id in &ids[1..] {
+            let viewer = &s.client(id).viewer;
+            assert_eq!(viewer.pending_len(), 0, "client {id} at quiescence");
+        }
+        assert_eq!(s.client(ids[3]).viewer.text_fallbacks.len(), 3);
     }
 
     #[test]

@@ -168,13 +168,20 @@ impl MediaCache {
         }
     }
 
-    /// FNV-1a over the coding parameters and pixel data: deterministic
-    /// and cheap relative to an encode.
+    /// FNV-1a-style fold over the coding parameters, then the pixel
+    /// data eight bytes a step (one multiply per word, not per byte —
+    /// the multiply chain is serial, and this runs on every share,
+    /// hits included), then the tail bytes one by one. A multiply only
+    /// carries a difference upward, so each step also folds the high
+    /// half of the state back down: without that, differences in the
+    /// top bits of two words (pixels at offsets 7 mod 8) stay in the
+    /// top bits of the state and cancel. Deterministic; the key never
+    /// leaves the process.
     fn content_key(img: &Image, levels: usize, kind: WaveletKind, color_transform: bool) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+        let mut mix = |word: u64| {
+            h = (h ^ word).wrapping_mul(0x100000001b3);
+            h ^= h >> 29;
         };
         for v in [
             img.width as u64,
@@ -184,12 +191,15 @@ impl MediaCache {
             kind as u64,
             color_transform as u64,
         ] {
-            for b in v.to_le_bytes() {
-                mix(b);
-            }
+            mix(v);
         }
-        for &b in &img.data {
-            mix(b);
+        let words = img.data.chunks_exact(8);
+        let tail = words.remainder();
+        for word in words {
+            mix(u64::from_le_bytes(word.try_into().expect("chunks of 8")));
+        }
+        for &b in tail {
+            mix(b as u64);
         }
         h
     }
@@ -547,6 +557,66 @@ mod tests {
         // And the bytes match the plain encoder exactly.
         let expected = ezw::encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, true).unwrap();
         assert_eq!(a.as_ref(), expected.as_slice());
+    }
+
+    #[test]
+    fn content_key_sees_every_pixel_and_parameter() {
+        // 7 x 5 x 3 = 105 bytes: thirteen whole words and a one-byte tail.
+        let img = synthetic_scene(7, 5, 3, 1, 3).image;
+        let key = |img: &Image| MediaCache::content_key(img, 1, WaveletKind::Cdf53, true);
+        let base = key(&img);
+        assert_eq!(base, key(&img.clone()), "same content, same key");
+        for i in 0..img.data.len() {
+            let mut other = img.clone();
+            other.data[i] ^= 1;
+            assert_ne!(key(&other), base, "byte {i}");
+        }
+        assert_ne!(
+            MediaCache::content_key(&img, 2, WaveletKind::Cdf53, true),
+            base
+        );
+        assert_ne!(
+            MediaCache::content_key(&img, 1, WaveletKind::Haar, true),
+            base
+        );
+        assert_ne!(
+            MediaCache::content_key(&img, 1, WaveletKind::Cdf53, false),
+            base
+        );
+        // The same bytes under another shape are another image.
+        let mut reshaped = img.clone();
+        (reshaped.width, reshaped.height) = (5, 7);
+        assert_ne!(key(&reshaped), base);
+    }
+
+    /// Differences that sit in the top byte of two or more words at
+    /// once: a fold that only multiplies keeps each in the top bits of
+    /// the state, where an even number of them cancel.
+    #[test]
+    fn content_key_separates_differences_in_the_high_bytes_of_words() {
+        let key = |img: &Image| MediaCache::content_key(img, 1, WaveletKind::Cdf53, true);
+        let img = synthetic_scene(7, 5, 3, 1, 3).image;
+        let base = key(&img);
+        let words = img.data.len() / 8;
+        for i in 0..words {
+            for j in i + 1..words {
+                for (flip_i, flip_j) in [(0x80, 0x80), (0x55, 0xaa), (0xff, 0x01)] {
+                    let mut other = img.clone();
+                    other.data[8 * i + 7] ^= flip_i;
+                    other.data[8 * j + 7] ^= flip_j;
+                    assert_ne!(key(&other), base, "words {i} and {j}");
+                }
+            }
+        }
+        // A line drawn down a flat plane, at a column that is byte 7 of
+        // a word in every row: 64 top-bit flips.
+        let mut flat = Image::new(64, 64, 1);
+        flat.data.fill(128);
+        let mut lined = flat.clone();
+        for row in 0..64 {
+            lined.data[row * 64 + 7] = 0;
+        }
+        assert_ne!(key(&lined), key(&flat));
     }
 
     #[test]

@@ -42,7 +42,9 @@
 //!   bounds-checked byte poke per bit,
 //! * all per-plane state (lists, bitmaps, the decoder's rank-space
 //!   geometry) lives in a caller-owned [`EzwScratch`], so a session
-//!   encoding a stream of planes allocates nothing after warm-up.
+//!   encoding a stream of planes allocates nothing after warm-up; a
+//!   receiver keeps it, with the wavelet buffers, in a
+//!   [`DecodeScratch`] behind [`decode_image_reduced_with`].
 //!
 //! Every size the decoder allocates comes from a plane header, which
 //! is received bytes: headers are checked — against a fixed sample
@@ -1062,7 +1064,7 @@ fn kind_to_byte(k: WaveletKind) -> u8 {
     }
 }
 
-fn kind_from_byte(b: u8) -> Result<(WaveletKind, bool), MediaError> {
+pub(crate) fn kind_from_byte(b: u8) -> Result<(WaveletKind, bool), MediaError> {
     let color = b & COLOR_TRANSFORM_FLAG != 0;
     match b & !COLOR_TRANSFORM_FLAG {
         0 => Ok((WaveletKind::Haar, color)),
@@ -1229,6 +1231,26 @@ pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> 
     Ok((header.w, header.h))
 }
 
+/// Everything a container decode reuses from one call to the next: the
+/// EZW coder state (scan geometry, live bitmap, significance list) and
+/// the wavelet line and tile buffers. A receiver that keeps one and
+/// decodes through [`decode_image_reduced_with`] allocates only the
+/// coefficient planes and the image it returns. The buffers stay the
+/// size of the largest plane decoded, which the plane-sample cap
+/// bounds.
+#[derive(Default)]
+pub struct DecodeScratch {
+    ezw: EzwScratch,
+    wavelet: WaveletScratch,
+}
+
+impl DecodeScratch {
+    /// Empty scratch; buffers grow on first use.
+    pub fn new() -> DecodeScratch {
+        DecodeScratch::default()
+    }
+}
+
 /// Decode a container (channel streams may be internally truncated by
 /// [`truncate_container`]; the container structure itself must be
 /// intact).
@@ -1243,6 +1265,16 @@ pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
 /// resolutions". The skipped detail subbands also never need to be
 /// reconstructed, so thin clients save decode work too.
 pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, MediaError> {
+    decode_image_reduced_with(bytes, drop_levels, &mut DecodeScratch::new())
+}
+
+/// [`decode_image_reduced`] with caller-owned scratch: the same image,
+/// bit for bit, whatever the scratch decoded before.
+pub fn decode_image_reduced_with(
+    bytes: &[u8],
+    drop_levels: usize,
+    scratch: &mut DecodeScratch,
+) -> Result<Image, MediaError> {
     let (channels, kind, streams) = container_streams(bytes)?;
     if channels != 1 && channels != 3 {
         return Err(MediaError::Malformed("bad channel count"));
@@ -1268,12 +1300,14 @@ pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, M
             "cannot drop {drop_levels} of {levels} levels"
         )));
     }
-    let mut ws = WaveletScratch::new();
-    let mut es = EzwScratch::new();
+    let DecodeScratch {
+        ezw: es,
+        wavelet: ws,
+    } = scratch;
     let mut planes = Vec::with_capacity(channels);
     for (i, (&header, stream)) in headers.iter().zip(&streams).enumerate() {
-        let mut coeffs = EzwDecoder::decode_body(header, stream, &mut es).coeffs;
-        wavelet::inverse_2d_partial_with(&mut coeffs, w, h, levels, drop_levels, kind, &mut ws);
+        let mut coeffs = EzwDecoder::decode_body(header, stream, es).coeffs;
+        wavelet::inverse_2d_partial_with(&mut coeffs, w, h, levels, drop_levels, kind, ws);
         // Undo the level shift (luma only once decorrelated).
         if !color || i == 0 {
             for v in coeffs.iter_mut() {

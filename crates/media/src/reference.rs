@@ -15,8 +15,9 @@
 //!   against this code, so the 3× floor in CI is relative to a fixed
 //!   anchor rather than to whatever the fast path was last week.
 
+use crate::ezw::{container_streams, kind_from_byte};
 use crate::wavelet::{max_levels, WaveletKind};
-use crate::MediaError;
+use crate::{Image, MediaError};
 
 // ------------------------------------------------------------- wavelet
 
@@ -482,4 +483,45 @@ pub fn decode_plane(bytes: &[u8]) -> Result<DecodedPlane, MediaError> {
         levels,
         coeffs,
     })
+}
+
+// --------------------------------------------------------- containers
+
+/// A whole container through the frozen pieces: every channel stream
+/// through [`decode_plane`] and [`inverse_2d`], then the level shift
+/// and inverse colour transform the image format prescribes. This
+/// function is not part of the frozen copy — it only composes it — and
+/// is here so the differential suite and the `media_codec` bin say
+/// "the image the pre-refactor coder makes of these bytes" one way.
+pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
+    let (channels, kind, streams) = container_streams(bytes)?;
+    let (kind, color) = kind_from_byte(kind)?;
+    let mut planes = streams
+        .iter()
+        .map(|stream| decode_plane(stream))
+        .collect::<Result<Vec<_>, _>>()?;
+    let Some((w, h)) = planes.first().map(|p| (p.w, p.h)) else {
+        return Err(MediaError::Malformed("bad channel count"));
+    };
+    if planes.iter().any(|p| (p.w, p.h) != (w, h)) {
+        return Err(MediaError::Malformed("channel geometry mismatch"));
+    }
+    for (i, plane) in planes.iter_mut().enumerate() {
+        inverse_2d(&mut plane.coeffs, w, h, plane.levels, kind);
+        // Luma only, once the planes are decorrelated.
+        if !color || i == 0 {
+            plane.coeffs.iter_mut().for_each(|v| *v += 128);
+        }
+    }
+    if color {
+        let [y, co, cg] = &mut planes[..] else {
+            return Err(MediaError::Malformed("color transform on non-RGB"));
+        };
+        crate::color::inverse_planes(&mut y.coeffs, &mut co.coeffs, &mut cg.coeffs);
+    }
+    let mut img = Image::new(w, h, channels);
+    for (c, plane) in planes.iter().enumerate() {
+        img.set_plane(c, &plane.coeffs);
+    }
+    Ok(img)
 }

@@ -69,7 +69,7 @@ pub use wireless;
 /// The most commonly used types, one `use` away.
 pub mod prelude {
     pub use broker::{Advertisement, BrokerStatsHandle, Overlay};
-    pub use cqos_core::apps::{ImageViewer, ViewedImage};
+    pub use cqos_core::apps::{ImageViewer, ViewStore, ViewedImage};
     pub use cqos_core::contract::{Constraint, QosContract};
     pub use cqos_core::engines::{BayesEngine, EngineChoice, FuzzyEngine};
     pub use cqos_core::experiments;

@@ -9,14 +9,25 @@
 //! fixture pins one full encoded color image so a regression in both
 //! paths at once cannot hide behind the differential.
 //!
+//! The receiving side's sharing is pinned here too: a session's
+//! `ViewStore` hands every viewer exactly what the plain decoder makes
+//! of the viewer's own prefix, decoding each distinct prefix once, and
+//! decode scratch kept warm across differently shaped images changes
+//! no pixel.
+//!
 //! Regenerate the fixture (only after an *intentional* format change)
 //! with: `REGEN_MEDIA_FIXTURES=1 cargo test --test media_codec`.
 
-use collabqos::media::ezw::{self, EzwDecoder, EzwEncoder, EzwScratch};
-use collabqos::media::image::{synthetic_scene, Image};
+use collabqos::core::apps::{ImageViewer, ViewStore};
+use collabqos::core::events::AppEvent;
+use collabqos::core::session::{CollaborationSession, SessionConfig};
+use collabqos::media::ezw::{self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch};
+use collabqos::media::image::{synthetic_scene, Image, Scene};
+use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
 use collabqos::media::reference;
 use collabqos::media::wavelet::{self, WaveletKind, WaveletScratch};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const FIXTURE_PATH: &str = "tests/fixtures/ezw_color_64x64.bin";
 
@@ -229,14 +240,12 @@ fn every_byte_cut_matches_reference() {
 /// through a fresh one per plane, to what the frozen decoder yields.
 #[test]
 fn packet_cuts_of_colour_scene_match_reference() {
-    use collabqos::media::packetize::{reassemble_prefix, split_packets};
     let scene = synthetic_scene(256, 256, 3, 5, 11);
     let full = ezw::encode_image_opts(&scene.image, 5, WaveletKind::Cdf53, true).unwrap();
     let packets = split_packets(&full, 16);
     let mut warm = EzwScratch::new();
     for k in 1..=16 {
         let container = reassemble_prefix(&packets[..k]).unwrap();
-        let mut planes = Vec::new();
         for stream in plane_streams(&container) {
             let frozen = reference::decode_plane(stream).unwrap();
             assert_eq!(
@@ -244,23 +253,9 @@ fn packet_cuts_of_colour_scene_match_reference() {
                 frozen
             );
             assert_eq!(EzwDecoder::decode_plane(stream).unwrap(), frozen, "k={k}");
-            planes.push(frozen);
         }
         // And `decode_image` is those planes, inverse-transformed.
-        for (i, p) in planes.iter_mut().enumerate() {
-            reference::inverse_2d(&mut p.coeffs, 256, 256, 5, WaveletKind::Cdf53);
-            if i == 0 {
-                p.coeffs.iter_mut().for_each(|v| *v += 128);
-            }
-        }
-        let [y, co, cg] = &mut planes[..] else {
-            panic!("three planes")
-        };
-        collabqos::media::color::inverse_planes(&mut y.coeffs, &mut co.coeffs, &mut cg.coeffs);
-        let mut expected = Image::new(256, 256, 3);
-        for (c, p) in planes.iter().enumerate() {
-            expected.set_plane(c, &p.coeffs);
-        }
+        let expected = reference::decode_image(&container).unwrap();
         assert_eq!(ezw::decode_image(&container).unwrap(), expected, "k={k}");
     }
     assert_eq!(ezw::decode_image(&full).unwrap(), scene.image);
@@ -304,4 +299,246 @@ fn fixture_scene_is_stable() {
     assert_eq!(a.image.channels, 3);
     let img: &Image = &a.image;
     assert_eq!((img.width, img.height), (64, 64));
+}
+
+// ------------------------------------------------- shared view store
+
+const IMAGE_SELECTOR: &str = "interested_in contains 'image'";
+
+/// Add a wired client that subscribes to images.
+fn join_image_client(s: &mut CollaborationSession, name: &str) -> usize {
+    use collabqos::prelude::*;
+    let mut profile = Profile::new(name);
+    profile.set(
+        "interested_in",
+        AttrValue::List(vec![AttrValue::str("image")]),
+    );
+    let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
+    s.add_wired_client(profile, engine, SimHost::idle(name))
+        .unwrap()
+}
+
+/// The packets `share_image` sends for a 64x64 `scene` under `cfg`.
+fn shared_packets(cfg: &SessionConfig, scene: &Scene) -> Vec<MediaPacket> {
+    let levels = wavelet::max_levels(64, 64).min(5);
+    let color = cfg.color_transform && scene.image.channels == 3;
+    let full = ezw::encode_image_opts(&scene.image, levels, cfg.wavelet, color).unwrap();
+    split_packets(&full, cfg.packets_per_image)
+}
+
+/// The store against the plain decoder, through a whole session: two
+/// viewers on every (budget, resolution) pair each get exactly
+/// `decode_image_reduced` of their own prefix, and the session decoded
+/// each distinct (prefix, drop) once — the second viewer of a pair
+/// shares the first one's pixels.
+#[test]
+fn session_views_equal_plain_decodes_and_decode_once_per_prefix() {
+    use collabqos::prelude::*;
+    use std::collections::HashSet;
+    const PER_PAIR: usize = 2;
+    for channels in [3, 1] {
+        let cfg = SessionConfig {
+            color_transform: true,
+            ..SessionConfig::default()
+        };
+        let mut s = CollaborationSession::new(cfg.clone());
+        let publisher = join_image_client(&mut s, "publisher");
+        // Client id -> (budget, drop_levels), pairs side by side.
+        let mut asks = vec![(0u32, 0usize); publisher + 1];
+        for budget in 1..=16u32 {
+            for drop in 0..=2usize {
+                for i in 0..PER_PAIR {
+                    let id = join_image_client(&mut s, &format!("b{budget}-d{drop}-{i}"));
+                    let viewer = &mut s.client_mut(id).viewer;
+                    viewer.set_packet_budget(budget);
+                    viewer.set_resolution(1.0 / (1 << drop) as f64);
+                    asks.push((budget, drop));
+                    assert_eq!(asks.len(), id + 1);
+                }
+            }
+        }
+
+        let scene = synthetic_scene(64, 64, channels, 4, 23);
+        let packets = shared_packets(&cfg, &scene);
+        s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+        let views = s.pump(Ticks::from_secs(2));
+        assert_eq!(views.len(), asks.len() - 1, "every viewer completes");
+
+        let mut distinct = HashSet::new();
+        for (id, view) in &views {
+            let (budget, drop) = asks[*id];
+            let prefix = reassemble_prefix(&packets[..budget as usize]).unwrap();
+            let plain = ezw::decode_image_reduced(&prefix, drop).unwrap();
+            // Not `assert_eq!`: a mismatch would print both images.
+            assert!(
+                *view.image == plain,
+                "{channels} ch, budget {budget}, drop {drop}"
+            );
+            assert_eq!((plain.width, plain.height), (64 >> drop, 64 >> drop));
+            distinct.insert((prefix, drop));
+        }
+        assert_eq!(distinct.len(), 16 * 3);
+        let store = s.view_store();
+        assert_eq!(store.misses(), distinct.len() as u64, "{channels} ch");
+        assert_eq!(store.hits(), (views.len() - distinct.len()) as u64);
+        for pair in views.chunks(PER_PAIR) {
+            assert!(Arc::ptr_eq(&pair[0].1.image, &pair[1].1.image));
+        }
+    }
+}
+
+/// Where the store gives nothing: more distinct prefixes in a round
+/// than it holds views, asked for in the same order round after round,
+/// so each is evicted just before its second asker arrives. Every ask
+/// decodes, as it did before there was a store — on the sharded engine
+/// side by side, since no decode runs under the store's lock — and
+/// every view is still the plain decoder's.
+#[test]
+fn more_prefixes_than_the_store_holds_decode_per_viewer() {
+    use collabqos::prelude::*;
+    const BUDGETS: [u32; 5] = [16, 12, 8, 4, 2];
+    const VIEWERS: usize = 2 * BUDGETS.len();
+    for workers in [1, 4] {
+        let cfg = SessionConfig {
+            workers,
+            ..SessionConfig::default()
+        };
+        let mut s = CollaborationSession::new(cfg.clone());
+        let publisher = join_image_client(&mut s, "publisher");
+        let mut budget_of = vec![0u32; publisher + 1];
+        for (i, &budget) in BUDGETS.iter().cycle().take(VIEWERS).enumerate() {
+            let id = join_image_client(&mut s, &format!("viewer{i}"));
+            s.client_mut(id).viewer.set_packet_budget(budget);
+            budget_of.push(budget);
+        }
+        let scene = synthetic_scene(64, 64, 1, 4, 29);
+        let packets = shared_packets(&cfg, &scene);
+        s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+        let views = s.pump(Ticks::from_secs(2));
+        assert_eq!(views.len(), VIEWERS);
+        for (id, view) in &views {
+            let prefix = reassemble_prefix(&packets[..budget_of[*id] as usize]).unwrap();
+            assert!(*view.image == ezw::decode_image(&prefix).unwrap());
+        }
+        let store = s.view_store();
+        assert!(store.len() < BUDGETS.len(), "the round does not fit");
+        assert_eq!(store.hits() + store.misses(), VIEWERS as u64);
+        if workers == 1 {
+            // In client order the cycle evicts every view before its
+            // second asker; across threads a late first asker can let
+            // one through, so only the serial count is fixed.
+            assert_eq!((store.hits(), store.misses()), (0, VIEWERS as u64));
+        }
+    }
+}
+
+/// The events that carry `container` as object `object_id`.
+fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<AppEvent> {
+    let packets = split_packets(container, 4);
+    let meta = AppEvent::ImageMeta {
+        object_id,
+        caption: String::new(),
+        original_bytes: image.byte_len() as u64,
+        pixels: image.pixels() as u64,
+        total_packets: packets.len() as u16,
+    };
+    let packets = packets
+        .into_iter()
+        .map(|packet| AppEvent::ImagePacket { object_id, packet });
+    std::iter::once(meta).chain(packets).collect()
+}
+
+/// The key is the bytes: two streams of one length under one object id
+/// share nothing a weaker key would compare, and still never alias.
+#[test]
+fn equal_length_containers_under_one_object_id_never_alias() {
+    let store = ViewStore::new();
+    let containers: Vec<(Vec<u8>, Image)> = [31u64, 32]
+        .into_iter()
+        .map(|seed| {
+            let image = synthetic_scene(64, 64, 1, 4, seed).image;
+            let full = ezw::encode_image(&image, 4, WaveletKind::Cdf53).unwrap();
+            (ezw::truncate_container(&full, 1500).unwrap(), image)
+        })
+        .collect();
+    assert_eq!(containers[0].0.len(), containers[1].0.len());
+    assert_ne!(containers[0].0, containers[1].0);
+    let mut shown = Vec::new();
+    // Twice over, so the second pass is answered from the store.
+    for (container, image) in containers.iter().chain(&containers) {
+        let mut viewer = ImageViewer::with_store(4, store.clone());
+        let view = image_events(7, container, image)
+            .iter()
+            .find_map(|ev| viewer.apply(ev))
+            .expect("completes");
+        assert!(*view.image == ezw::decode_image(container).unwrap());
+        shown.push(view.image);
+    }
+    assert!(shown[0] != shown[1]);
+    assert_eq!((store.misses(), store.hits()), (2, 2));
+}
+
+/// The store is a small fixed size whatever passes through it.
+#[test]
+fn a_hundred_objects_leave_a_handful_of_views() {
+    let store = ViewStore::new();
+    let mut held = Vec::new();
+    for seed in 0..100 {
+        let image = synthetic_scene(16, 16, 1, 2, seed).image;
+        let container = ezw::encode_image(&image, 2, WaveletKind::Haar).unwrap();
+        assert_eq!(*store.view(&Arc::new(container), 0).unwrap(), image);
+        held.push(store.len());
+    }
+    assert_eq!(store.misses(), 100, "the scenes are distinct");
+    let cap = held[99];
+    assert!(cap <= 8, "{cap} views held");
+    assert!(held.iter().all(|&n| n <= cap), "never more than at the end");
+    assert_eq!(held[50], cap, "full long before the hundredth");
+}
+
+/// One `DecodeScratch` across images of alternating shape, channel
+/// count, prefix length and resolution decodes each exactly as a fresh
+/// scratch does: no geometry, bitmap, list or tile survives a call.
+#[test]
+fn warm_decode_scratch_is_equivalent_to_fresh_scratch() {
+    let wide = {
+        // The top-left 64x32 of a square scene.
+        let square = synthetic_scene(64, 64, 1, 3, 53).image;
+        let mut img = Image::new(64, 32, 1);
+        img.data.copy_from_slice(&square.data[..64 * 32]);
+        img
+    };
+    let images = [
+        (synthetic_scene(256, 256, 3, 5, 51).image, 5, true),
+        (synthetic_scene(64, 64, 1, 4, 52).image, 4, false),
+        (wide, 3, false),
+    ];
+    let containers: Vec<Vec<u8>> = images
+        .iter()
+        .map(|(img, levels, color)| {
+            ezw::encode_image_opts(img, *levels, WaveletKind::Cdf53, *color).unwrap()
+        })
+        .collect();
+    let mut warm = DecodeScratch::new();
+    for round in 0..3 {
+        for (full, (image, ..)) in containers.iter().zip(&images) {
+            // A different cut and resolution each time round.
+            let cut = ezw::truncate_container(full, full.len() >> round).unwrap();
+            for drop in 0..=2 {
+                let fresh = ezw::decode_image_reduced(&cut, drop).unwrap();
+                let kept = ezw::decode_image_reduced_with(&cut, drop, &mut warm).unwrap();
+                assert!(
+                    kept == fresh,
+                    "{}x{} round {round} drop {drop}",
+                    image.width,
+                    image.height
+                );
+            }
+        }
+    }
+    let whole = ezw::decode_image_reduced_with(&containers[0], 0, &mut warm).unwrap();
+    assert!(
+        whole == images[0].0,
+        "and the full stream is still lossless"
+    );
 }

@@ -3,8 +3,9 @@
 //! Lamport lock arbitration must grant in `happened_before` total order
 //! no matter how contending requests interleave across threads. The
 //! things a session shares across clients — one decoded frame per
-//! message buffer, one compiled program per selector — are pinned here
-//! too: their lifetime, and that sharding cannot be seen in them.
+//! message buffer, one compiled program per selector, one decoded view
+//! per image prefix — are pinned here too: their lifetime, and that
+//! sharding cannot be seen in them.
 
 use collabqos::core::concurrency::LockManager;
 use collabqos::core::experiments::{
@@ -115,12 +116,17 @@ fn capacity_curve_identical_across_worker_counts() {
     }
 }
 
+/// The rows, and the view store's counts with them: viewers on worker
+/// threads ask the session's one store, the first to ask for a prefix
+/// decodes it and the rest share that image, whichever thread it was.
 #[test]
 fn scaling_workload_identical_across_worker_counts() {
     let serial = run_parallel_scaling(8, 2, 1, 11);
     // Every viewer completes every image.
-    assert_eq!(serial.len(), 8 * 2, "all deliveries complete");
-    for workers in [2, 4] {
+    assert_eq!(serial.rows.len(), 8 * 2, "all deliveries complete");
+    // Two images, one prefix each; the other seven viewers share it.
+    assert_eq!((serial.view_hits, serial.view_misses), (2 * 7, 2));
+    for workers in [2, 4, 8] {
         assert_eq!(
             run_parallel_scaling(8, 2, workers, 11),
             serial,
