@@ -25,10 +25,58 @@
 //! msgs/s, delivered bytes per client per tick, sim time per tick).
 //! `--quick` selects the reduced sweep CI runs as smoke; the default
 //! sweep climbs 1k -> 10k -> 100k clients.
+//!
+//! A second table prices one **adaptation pass**
+//! (`CollaborationSession::adapt_all`: one SNMP GET round trip and one
+//! engine decision per client) at 96 and 768 clients: µs, allocations
+//! and allocated bytes per client per pass, and the simulated time a
+//! pass advances. A client polls the agent on its own node, so what a
+//! pass costs a client must not depend on the session's size: the
+//! allocation and byte counts are asserted equal at both sizes (the µs
+//! column is printed, never asserted).
 
 use bench::{header, quick_mode, row};
+use cqos_core::{CollaborationSession, PolicyDb, QosContract, SessionConfig};
 use simnet::{Addr, GroupId, LinkSpec, Network, NodeId, Payload, Port, SocketHandle};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
+
+/// Counts allocations (reallocations included) and the bytes they ask
+/// for, so the adaptation-pass row can state a cost as a count.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn note_alloc(size: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    ALLOC_BYTES.fetch_add(size as u64, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only
+// addition is two relaxed atomic adds, which neither allocate nor
+// unwind.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const PORT: Port = Port(5004);
 const RELAY_PORT: Port = Port(9100);
@@ -203,6 +251,91 @@ fn run_brokered(n: usize) -> Outcome {
     }
 }
 
+/// What one adaptation pass costs per client in a flat session.
+struct PassCost {
+    us: f64,
+    allocs: u64,
+    bytes: u64,
+    sim_ms_per_pass: u64,
+}
+
+/// `adapt_all` over `n` adaptive clients on idle hosts: one warm-up
+/// pass sizes every retained buffer, then `PASSES` passes are measured.
+fn run_adapt_pass(n: usize) -> PassCost {
+    const PASSES: u64 = 5;
+    let mut s = CollaborationSession::new(SessionConfig::default());
+    for i in 0..n {
+        let name = format!("c{i}");
+        s.add_adaptive_client(
+            sempubsub::Profile::new(&name),
+            PolicyDb::paper_cpu_load_policy(),
+            QosContract::default(),
+            sysmon::SimHost::idle(&name),
+        )
+        .expect("client joins");
+    }
+    assert_eq!(s.adapt_all().len(), n);
+    let before = (ALLOCS.load(Relaxed), ALLOC_BYTES.load(Relaxed));
+    let (t0, sim0) = (Instant::now(), s.net.now());
+    for _ in 0..PASSES {
+        assert_eq!(s.adapt_all().len(), n);
+    }
+    let wall = t0.elapsed().as_secs_f64();
+    // The pass's own two result vectors (a state map and a decision per
+    // client) are one allocation each whatever the size; every other
+    // allocation, and every byte, is some client's.
+    let allocs = ALLOCS.load(Relaxed) - before.0 - 2 * PASSES;
+    let bytes = ALLOC_BYTES.load(Relaxed) - before.1;
+    let per = n as u64 * PASSES;
+    assert_eq!(allocs % per, 0, "n={n}: {allocs} allocations");
+    assert_eq!(bytes % per, 0, "n={n}: {bytes} bytes");
+    PassCost {
+        us: wall * 1e6 / per as f64,
+        allocs: allocs / per,
+        bytes: bytes / per,
+        sim_ms_per_pass: (s.net.now() - sim0).as_millis() / PASSES,
+    }
+}
+
+fn adapt_pass_table() {
+    println!("\nadaptation pass — adapt_all, one GET round trip + one decision per client\n");
+    let widths = [8, 10, 14, 13, 12];
+    header(
+        &[
+            "clients",
+            "us/client",
+            "allocs/client",
+            "bytes/client",
+            "sim ms/pass",
+        ],
+        &widths,
+    );
+    let costs = [96, 768].map(|n| (n, run_adapt_pass(n)));
+    for (n, c) in &costs {
+        row(
+            &[
+                n.to_string(),
+                format!("{:.2}", c.us),
+                c.allocs.to_string(),
+                c.bytes.to_string(),
+                c.sim_ms_per_pass.to_string(),
+            ],
+            &widths,
+        );
+        // Two 1 ms poll steps per GET, one GET per client.
+        assert_eq!(c.sim_ms_per_pass, 2 * *n as u64, "n={n}: sim time a pass");
+    }
+    let [(_, small), (_, large)] = &costs;
+    assert_eq!(
+        (small.allocs, small.bytes),
+        (large.allocs, large.bytes),
+        "(allocations, bytes) per client per pass depend on the session size"
+    );
+    println!(
+        "\nallocations and bytes per client asserted equal at both sizes; us/client is wall clock"
+    );
+}
+
 fn main() {
     let quick = quick_mode();
     let scales: &[usize] = if quick {
@@ -245,4 +378,5 @@ fn main() {
         "\npeak = best single-tick delivered rate (wall clock); sustained = whole-run rate;\n\
          delivery counts asserted against the closed-form lossless expectation per scenario"
     );
+    adapt_pass_table();
 }

@@ -15,7 +15,7 @@ use crate::contract::QosContract;
 use crate::engines::EngineChoice;
 use crate::events::AppEvent;
 use crate::inference::AdaptationDecision;
-use crate::netstate::NetworkStateInterface;
+use crate::netstate::{AgentDirectory, NetworkStateInterface};
 use crate::policy::{AdaptationPolicy, PolicyDb};
 use crate::probe::{EchoResponder, LatencyProbe};
 use crate::state_repo::{ObjectState, StateRepository};
@@ -178,6 +178,19 @@ pub struct ClientRuntime {
     pub last_decision: Option<AdaptationDecision>,
 }
 
+impl ClientRuntime {
+    /// Add the figures of the latest ingested RTP receiver report to a
+    /// sampled `state`.
+    fn fold_rtp_report(&self, state: &mut BTreeMap<String, f64>) {
+        if let Some(loss) = self.rtp_loss {
+            state.insert("loss_pct".to_string(), loss * 100.0);
+        }
+        if let Some(ce) = self.rtp_congestion {
+            state.insert("congestion_pct".to_string(), ce * 100.0);
+        }
+    }
+}
+
 /// A downlink delivery record: what the base station relayed to one
 /// wireless client for one session event.
 #[derive(Debug, Clone, PartialEq)]
@@ -227,7 +240,9 @@ pub struct CollaborationSession {
     switch: NodeId,
     cfg: SessionConfig,
     clients: Vec<ClientRuntime>,
-    agents: Vec<AgentRuntime>,
+    /// Every SNMP agent of the session — client hosts, routers, brokers
+    /// — under the node it is bound on.
+    agents: AgentDirectory,
     next_object_id: u64,
     /// Router speed knobs, keyed by router node.
     routers: Vec<(NodeId, Arc<AtomicU64>)>,
@@ -237,19 +252,16 @@ pub struct CollaborationSession {
     pub base_station: Option<BsPeer>,
     /// The broker overlay, when `SessionConfig::domains` is set.
     overlay: Option<broker::Overlay>,
-    /// Per-broker SNMP agents (separate from `agents`, which
-    /// `attach_qdisc`/netstate index by client id).
-    broker_agents: Vec<AgentRuntime>,
     /// Per-broker `local_suppressed` totals already credited to client
     /// `BusStats` via `note_suppressed` (so pump credits only deltas).
     broker_credited: Vec<u64>,
     /// One custody-store high-watermark watcher per broker, when
-    /// `SessionConfig::custody` is set.
-    store_watchers: Vec<crate::trapwatch::StoreWatcher>,
+    /// `SessionConfig::custody` is set, paired with the broker's node.
+    store_watchers: Vec<(NodeId, crate::trapwatch::StoreWatcher)>,
     /// One plan-ceiling watcher per subscriber leaf of each mounted
-    /// shaping tree, paired with the client whose extension agent
-    /// emits the trap.
-    plan_watchers: Vec<(ClientId, crate::trapwatch::PlanWatcher)>,
+    /// shaping tree, paired with the node of the client whose
+    /// extension agent emits the trap.
+    plan_watchers: Vec<(NodeId, crate::trapwatch::PlanWatcher)>,
     /// Encode-once transcode cache: shared image encodes are keyed by
     /// content hash so re-shares and multi-tier degradations reuse one
     /// embedded stream.
@@ -277,7 +289,7 @@ impl CollaborationSession {
         let switch = net.add_node("switch");
         let group = net.new_group();
         let mut overlay = None;
-        let mut broker_agents = Vec::new();
+        let mut agents = AgentDirectory::new();
         let mut broker_credited = Vec::new();
         let mut store_watchers = Vec::new();
         let selectors = SelectorStore::with_capacity(SESSION_SELECTOR_CAPACITY);
@@ -298,15 +310,18 @@ impl CollaborationSession {
                 broker::install_broker_metrics(&mut agent, i as u32, &ov.stats(b));
                 if let (Some(store_cfg), Some(stats)) = (cfg.custody, ov.store_stats(b)) {
                     dtn::install_store_metrics(&mut agent, i as u32, &stats);
-                    store_watchers.push(crate::trapwatch::StoreWatcher::new(
-                        i as u32,
-                        stats,
-                        store_cfg.high_watermark_bytes(),
+                    store_watchers.push((
+                        ov.node(b),
+                        crate::trapwatch::StoreWatcher::new(
+                            i as u32,
+                            stats,
+                            store_cfg.high_watermark_bytes(),
+                        ),
                     ));
                 }
                 let rt = AgentRuntime::bind(&mut net, ov.node(b), agent)
                     .expect("fresh broker node binds its agent port");
-                broker_agents.push(rt);
+                agents.insert(rt);
                 broker_credited.push(0);
             }
             let uplink = net.connect(switch, ov.node(0), cfg.link);
@@ -320,13 +335,12 @@ impl CollaborationSession {
             switch,
             cfg,
             clients: Vec::new(),
-            agents: Vec::new(),
+            agents,
             next_object_id: 1,
             routers: Vec::new(),
             echoes: Vec::new(),
             base_station: None,
             overlay,
-            broker_agents,
             broker_credited,
             store_watchers,
             plan_watchers: Vec::new(),
@@ -480,7 +494,7 @@ impl CollaborationSession {
         // counters (tassl.22.*) alongside the host metrics.
         crate::trapwatch::install_cache_metrics(&mut agent_rt.agent, &self.selectors.stats());
 
-        self.agents.push(agent_rt);
+        self.agents.insert(agent_rt);
         self.clients.push(ClientRuntime {
             name,
             node,
@@ -517,8 +531,12 @@ impl CollaborationSession {
         id: ClientId,
         cfg: simnet::qdisc::QdiscConfig,
     ) -> simnet::qdisc::StatsHandle {
-        let link = self.clients[id].link;
-        mount_qdisc(&mut self.net, &mut self.agents[id], link, cfg)
+        let client = &self.clients[id];
+        let rt = self
+            .agents
+            .get_mut(client.node)
+            .expect("a client joins with its agent");
+        mount_qdisc(&mut self.net, rt, client.link, cfg)
     }
 
     /// Mount a hierarchical shaping tree (HTB-style borrowing,
@@ -534,13 +552,17 @@ impl CollaborationSession {
     /// behave bit-identically to before the tree existed.
     pub fn attach_tree(&mut self, id: ClientId, spec: htb::TreeSpec) -> htb::TreeStatsHandle {
         let subscribers = spec.subscriber_nodes();
-        let link = self.clients[id].link;
-        let handle = self.net.attach_tree(link, spec);
-        crate::trapwatch::install_tree_metrics(&mut self.agents[id].agent, &handle);
-        for (node, _dst) in subscribers {
+        let client = &self.clients[id];
+        let handle = self.net.attach_tree(client.link, spec);
+        let rt = self
+            .agents
+            .get_mut(client.node)
+            .expect("a client joins with its agent");
+        crate::trapwatch::install_tree_metrics(&mut rt.agent, &handle);
+        for (leaf, _dst) in subscribers {
             self.plan_watchers.push((
-                id,
-                crate::trapwatch::PlanWatcher::new(node as u32, handle.clone(), 95.0),
+                client.node,
+                crate::trapwatch::PlanWatcher::new(leaf as u32, handle.clone(), 95.0),
             ));
         }
         handle
@@ -582,16 +604,15 @@ impl CollaborationSession {
         cfg: simnet::qdisc::QdiscConfig,
     ) -> Option<simnet::qdisc::StatsHandle> {
         let link = self.inter_broker_link(a, b)?;
-        let rt = &mut self.broker_agents[a];
+        let rt = self.agents.get_mut(self.overlay.as_ref()?.node(a))?;
         Some(mount_qdisc(&mut self.net, rt, link, cfg))
     }
 
     /// Read a row from broker `i`'s extension-agent MIB (the
     /// `tassl.21.*` subtree) without going over the network.
     pub fn broker_mib_get(&mut self, i: usize, oid: &snmp::oid::Oid) -> Option<snmp::SnmpValue> {
-        self.broker_agents
-            .get_mut(i)
-            .and_then(|rt| rt.agent.mib_mut().get(oid))
+        let ov = self.overlay.as_ref().filter(|ov| i < ov.broker_count())?;
+        self.agents.get_mut(ov.node(i))?.agent.mib_mut().get(oid)
     }
 
     /// Live custody-store counters of broker `i`, when
@@ -607,11 +628,8 @@ impl CollaborationSession {
     /// after its store drains back below the watermark.
     pub fn service_store_alerts(&mut self, sink_node: simnet::NodeId) -> usize {
         let mut sent = 0;
-        for (w, rt) in self
-            .store_watchers
-            .iter_mut()
-            .zip(self.broker_agents.iter_mut())
-        {
+        for (node, w) in self.store_watchers.iter_mut() {
+            let rt = self.agents.get_mut(*node).expect("a broker has its agent");
             if w.service(&mut self.net, rt, sink_node) {
                 sent += 1;
             }
@@ -626,8 +644,12 @@ impl CollaborationSession {
     /// re-alerts only after a window back below the threshold.
     pub fn service_plan_alerts(&mut self, sink_node: simnet::NodeId) -> usize {
         let mut sent = 0;
-        for (id, w) in self.plan_watchers.iter_mut() {
-            if w.service(&mut self.net, &mut self.agents[*id], sink_node) {
+        for (node, w) in self.plan_watchers.iter_mut() {
+            let rt = self
+                .agents
+                .get_mut(*node)
+                .expect("a client joins with its agent");
+            if w.service(&mut self.net, rt, sink_node) {
                 sent += 1;
             }
         }
@@ -651,7 +673,7 @@ impl CollaborationSession {
                 s.load(Ordering::Relaxed)
             });
         let rt = AgentRuntime::bind(&mut self.net, node, agent).map_err(|e| e.to_string())?;
-        self.agents.push(rt);
+        self.agents.insert(rt);
         self.routers.push((node, speed));
         Ok(node)
     }
@@ -688,18 +710,8 @@ impl CollaborationSession {
     /// adaptation pass decides on.
     fn sample_state(&mut self, id: ClientId) -> BTreeMap<String, f64> {
         let client = &mut self.clients[id];
-        let mut refs: Vec<&mut AgentRuntime> = self
-            .agents
-            .iter_mut()
-            .chain(self.broker_agents.iter_mut())
-            .collect();
-        let mut state = client.netstate.sample(&mut self.net, &mut refs);
-        if let Some(loss) = client.rtp_loss {
-            state.insert("loss_pct".to_string(), loss * 100.0);
-        }
-        if let Some(ce) = client.rtp_congestion {
-            state.insert("congestion_pct".to_string(), ce * 100.0);
-        }
+        let mut state = client.netstate.sample(&mut self.net, &mut self.agents);
+        client.fold_rtp_report(&mut state);
         state
     }
 
@@ -1750,6 +1762,157 @@ mod tests {
         s.set_router_speed(router, 256_000).unwrap(); // sketch band
         let d = s.adapt(viewer);
         assert_eq!(d.modality, crate::inference::ModalityChoice::Sketch);
+    }
+
+    /// One GET of `oid` from the agent on `node`, over the wire.
+    fn mib_row(
+        s: &mut CollaborationSession,
+        mgr: &mut snmp::SnmpManager,
+        node: NodeId,
+        oid: snmp::Oid,
+    ) -> snmp::SnmpValue {
+        let mut rt = s.agents.get_mut(node).expect("agent on the node");
+        let binds = mgr
+            .get(&mut s.net, std::slice::from_mut(&mut rt), node, &[oid])
+            .expect("the agent answers");
+        binds[0].value.clone()
+    }
+
+    #[test]
+    fn a_router_added_between_joins_does_not_shift_later_clients_agents() {
+        use snmp::oid::arcs;
+        use snmp::SnmpValue;
+
+        let mut s = CollaborationSession::new(SessionConfig::default());
+        let join = |s: &mut CollaborationSession, name: &str| {
+            s.add_wired_client(viewer_profile(name), engine_pf(), SimHost::idle(name))
+                .unwrap()
+        };
+        let first = join(&mut s, "first");
+        // The router's agent lands between the clients' agents.
+        let router = s.add_router("edge-router", 10_000_000).unwrap();
+        let (shaped, planned) = (join(&mut s, "shaped"), join(&mut s, "planned"));
+        let nodes = [first, shaped, planned].map(|id| s.client(id).node);
+
+        // A link carries one egress plane: the flat one goes on one
+        // later client's access link, the tree on the other's.
+        let link = s.client(shaped).link;
+        s.attach_qdisc(shaped, simnet::qdisc::QdiscConfig::for_rate(8_000_000));
+        let mut spec = htb::TreeSpec::new(8_000_000);
+        let site = spec.add_site("site", 8_000_000, 8_000_000);
+        let plan = htb::RatePlan::new("starter", 32_000, 64_000);
+        spec.add_subscriber(site, "first", &plan, nodes[0].0);
+        s.attach_tree(planned, spec);
+
+        let mut mgr =
+            snmp::SnmpManager::bind(&mut s.net, nodes[0], Port(30_000), "public").unwrap();
+        for (oid, owner) in [
+            (arcs::qdisc_drops(link.0), nodes[1]),
+            (arcs::htb_node_ceil(0), nodes[2]),
+        ] {
+            for node in nodes.into_iter().chain([router]) {
+                let row = mib_row(&mut s, &mut mgr, node, oid.clone());
+                if node == owner {
+                    assert!(row.as_u32().is_some(), "{oid} on its client: {row}");
+                } else {
+                    assert_eq!(row, SnmpValue::NoSuchObject, "{oid} on {node}");
+                }
+            }
+        }
+        // The leaf's plan-alert watcher traps from the same agent.
+        assert_eq!(s.plan_watchers.len(), 1);
+        assert_eq!(s.plan_watchers[0].0, nodes[2]);
+    }
+
+    /// One adaptation pass the way it ran before the agent directory:
+    /// every client's GETs pumped with every agent of the session.
+    fn adapt_all_sweeping(s: &mut CollaborationSession) -> Vec<AdaptationDecision> {
+        (0..s.clients.len())
+            .map(|id| {
+                let mut all: Vec<&mut AgentRuntime> = s.agents.iter_mut().collect();
+                let client = &mut s.clients[id];
+                let mut state = client.netstate.sample_sweeping(&mut s.net, &mut all);
+                client.fold_rtp_report(&mut state);
+                CollaborationSession::decide_and_apply(client, &state)
+            })
+            .collect()
+    }
+
+    /// Build the same session twice; adapt one through the directory
+    /// and one by sweeping, with host loads stepped between passes, and
+    /// require the same decisions, clock and network counters.
+    fn directory_matches_sweep(build: impl Fn() -> CollaborationSession) {
+        let (mut direct, mut swept) = (build(), build());
+        assert!(direct.client_count() >= 3);
+        for pass in 0..3u32 {
+            for s in [&mut direct, &mut swept] {
+                for id in 0..s.client_count() {
+                    s.client_mut(id).host.force(sysmon::HostState {
+                        cpu_load: f64::from((id as u32 * 37 + pass * 23) % 101),
+                        page_faults: f64::from((id as u32 * 11 + pass * 41) % 101),
+                        mem_avail_kb: 4096.0,
+                    });
+                }
+            }
+            let decided = direct.adapt_all();
+            assert_eq!(decided, adapt_all_sweeping(&mut swept), "pass {pass}");
+            assert!(
+                decided.windows(2).any(|w| w[0] != w[1]),
+                "pass {pass} exercises more than one decision"
+            );
+            assert_eq!(direct.net.now(), swept.net.now(), "pass {pass}");
+            assert_eq!(direct.net.stats(), swept.net.stats(), "pass {pass}");
+        }
+    }
+
+    fn adaptive_session(cfg: SessionConfig, clients: usize) -> CollaborationSession {
+        let mut s = CollaborationSession::new(cfg);
+        for i in 0..clients {
+            let name = format!("c{i}");
+            let mut db = PolicyDb::paper_cpu_load_policy();
+            db.merge(PolicyDb::bandwidth_modality_policy());
+            s.add_adaptive_client(
+                viewer_profile(&name),
+                db,
+                QosContract::default(),
+                SimHost::idle(&name),
+            )
+            .unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn directory_sampling_matches_the_all_agents_sweep_flat() {
+        directory_matches_sweep(|| adaptive_session(SessionConfig::default(), 5));
+    }
+
+    #[test]
+    fn directory_sampling_matches_the_all_agents_sweep_brokered() {
+        directory_matches_sweep(|| {
+            let cfg = SessionConfig {
+                domains: Some(3),
+                ..SessionConfig::default()
+            };
+            adaptive_session(cfg, 7)
+        });
+    }
+
+    #[test]
+    fn directory_sampling_matches_the_all_agents_sweep_with_two_targets() {
+        directory_matches_sweep(|| {
+            let mut s = adaptive_session(SessionConfig::default(), 4);
+            let router = s.add_router("edge-router", 256_000).unwrap();
+            s.monitor_bandwidth(2, router);
+            s.ingest_rtp_report(
+                1,
+                &simnet::rtp::ReceiverReport {
+                    fraction_lost: 0.25,
+                    ..Default::default()
+                },
+            );
+            s
+        });
     }
 
     #[test]

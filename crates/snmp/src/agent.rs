@@ -61,85 +61,84 @@ impl SnmpAgent {
     /// or `None` when the message is undecodable or fails community
     /// authentication (silently dropped, like real agents).
     pub fn handle(&mut self, raw: &[u8]) -> Option<Vec<u8>> {
-        let msg = Message::decode(raw).ok()?;
+        let mut msg = Message::decode(raw).ok()?;
         if !self.authorized(&msg) {
             self.auth_failures += 1;
             return None;
         }
-        let response = self.dispatch(&msg.pdu)?;
-        Some(Message::new(&msg.community, response).encode())
+        // The response echoes the request's community and, for GET and
+        // SET, its names: the decoded request becomes the response.
+        self.dispatch(&mut msg.pdu)?;
+        Some(msg.encode())
     }
 
-    fn dispatch(&mut self, pdu: &Pdu) -> Option<Pdu> {
+    /// Turn the request `pdu` into its response, in place; `None` for
+    /// the kinds an agent does not answer.
+    fn dispatch(&mut self, pdu: &mut Pdu) -> Option<()> {
         match pdu.kind {
             PduKind::GetRequest => {
-                let binds = pdu
-                    .varbinds
-                    .iter()
-                    .map(|vb| {
-                        let value = self.mib.get(&vb.name).unwrap_or(SnmpValue::NoSuchObject);
-                        VarBind::bound(vb.name.clone(), value)
-                    })
-                    .collect();
-                Some(pdu.response(binds))
+                for vb in &mut pdu.varbinds {
+                    vb.value = self.mib.get(&vb.name).unwrap_or(SnmpValue::NoSuchObject);
+                }
             }
             PduKind::GetNextRequest => {
-                let binds = pdu
-                    .varbinds
-                    .iter()
-                    .map(|vb| match self.mib.get_next(&vb.name) {
-                        Some((oid, value)) => VarBind::bound(oid, value),
-                        None => VarBind::bound(vb.name.clone(), SnmpValue::EndOfMibView),
-                    })
-                    .collect();
-                Some(pdu.response(binds))
+                for vb in &mut pdu.varbinds {
+                    self.step(vb);
+                }
             }
             PduKind::SetRequest => {
                 for (i, vb) in pdu.varbinds.iter().enumerate() {
-                    match self.mib.set(&vb.name, vb.value.clone()) {
-                        SetOutcome::Ok => {}
-                        SetOutcome::NoSuchName => {
-                            return Some(pdu.error_response(ErrorStatus::NoSuchName, i as u32 + 1))
-                        }
-                        SetOutcome::NotWritable => {
-                            return Some(pdu.error_response(ErrorStatus::NotWritable, i as u32 + 1))
-                        }
-                    }
+                    let status = match self.mib.set(&vb.name, vb.value.clone()) {
+                        SetOutcome::Ok => continue,
+                        SetOutcome::NoSuchName => ErrorStatus::NoSuchName,
+                        SetOutcome::NotWritable => ErrorStatus::NotWritable,
+                    };
+                    *pdu = pdu.error_response(status, i as u32 + 1);
+                    return Some(());
                 }
-                Some(pdu.response(pdu.varbinds.clone()))
             }
             PduKind::GetBulkRequest => {
                 let (non_repeaters, max_repetitions) = pdu.bulk.unwrap_or((0, 10));
                 // Cap repetitions so a hostile request cannot explode
                 // the response.
                 let max_repetitions = max_repetitions.min(128);
-                let nr = (non_repeaters as usize).min(pdu.varbinds.len());
-                let mut binds = Vec::new();
-                for vb in &pdu.varbinds[..nr] {
-                    binds.push(match self.mib.get_next(&vb.name) {
-                        Some((oid, value)) => VarBind::bound(oid, value),
-                        None => VarBind::bound(vb.name.clone(), SnmpValue::EndOfMibView),
-                    });
+                let mut repeaters = std::mem::take(&mut pdu.varbinds);
+                let nr = (non_repeaters as usize).min(repeaters.len());
+                pdu.varbinds = repeaters.drain(..nr).collect();
+                for vb in &mut pdu.varbinds {
+                    self.step(vb);
                 }
-                for vb in &pdu.varbinds[nr..] {
-                    let mut cursor = vb.name.clone();
+                for mut vb in repeaters {
                     for _ in 0..max_repetitions {
-                        match self.mib.get_next(&cursor) {
-                            Some((oid, value)) => {
-                                cursor = oid.clone();
-                                binds.push(VarBind::bound(oid, value));
-                            }
-                            None => {
-                                binds.push(VarBind::bound(cursor.clone(), SnmpValue::EndOfMibView));
-                                break;
-                            }
+                        let more = self.step(&mut vb);
+                        pdu.varbinds.push(vb.clone());
+                        if !more {
+                            break;
                         }
                     }
                 }
-                Some(pdu.response(binds))
             }
             // Agents do not answer responses or traps.
-            PduKind::Response | PduKind::TrapV2 => None,
+            PduKind::Response | PduKind::TrapV2 => return None,
+        }
+        let binds = std::mem::take(&mut pdu.varbinds);
+        *pdu = pdu.response(binds);
+        Some(())
+    }
+
+    /// GETNEXT in place: `vb` becomes the first variable after its
+    /// name, or keeps its name under `endOfMibView` (and reports
+    /// `false`) past the last one.
+    fn step(&mut self, vb: &mut VarBind) -> bool {
+        match self.mib.get_next(&vb.name) {
+            Some((oid, value)) => {
+                *vb = VarBind::bound(oid, value);
+                true
+            }
+            None => {
+                vb.value = SnmpValue::EndOfMibView;
+                false
+            }
         }
     }
 

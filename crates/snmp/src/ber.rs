@@ -31,15 +31,40 @@ pub mod tag {
 }
 
 /// Incremental BER writer.
+///
+/// One buffer for the whole message: a constructed TLV's content is
+/// written in place and its length patched in once it is known, so
+/// encoding allocates nothing beyond the buffer itself.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// Reference mode: every constructed TLV through a nested writer,
+    /// the way this type worked before it wrote in place.
+    #[cfg(test)]
+    nested: bool,
 }
 
 impl Writer {
     /// A fresh writer.
     pub fn new() -> Self {
-        Writer { buf: Vec::new() }
+        Writer::default()
+    }
+
+    /// A fresh writer whose buffer already holds `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let mut w = Writer::default();
+        w.buf.reserve(capacity);
+        w
+    }
+
+    /// The nested-writer reference the in-place writer is tested
+    /// against, byte for byte.
+    #[cfg(test)]
+    pub(crate) fn nested() -> Self {
+        Writer {
+            buf: Vec::new(),
+            nested: true,
+        }
     }
 
     /// Consume and return the bytes.
@@ -117,12 +142,12 @@ impl Writer {
     pub fn oid(&mut self, oid: &Oid) {
         assert!(oid.is_encodable(), "OID not encodable: {oid}");
         let arcs = oid.arcs();
-        let mut content = Vec::with_capacity(arcs.len() + 4);
-        push_base128(&mut content, arcs[0] * 40 + arcs[1]);
-        for &arc in &arcs[2..] {
-            push_base128(&mut content, arc);
-        }
-        self.tlv(tag::OID, &content);
+        self.constructed(tag::OID, |w| {
+            push_base128(&mut w.buf, arcs[0] * 40 + arcs[1]);
+            for &arc in &arcs[2..] {
+                push_base128(&mut w.buf, arc);
+            }
+        });
     }
 
     /// Write an IpAddress (4 octets, application tag 0).
@@ -130,11 +155,25 @@ impl Writer {
         self.tlv(tag::IP_ADDRESS, &addr);
     }
 
-    /// Write a constructed TLV whose content is produced by `f`.
+    /// Write a TLV under tag `t` whose content is whatever `f` writes.
+    ///
+    /// The content goes straight into this writer's buffer behind the
+    /// tag; its length, known only then, is appended and rotated into
+    /// place in front of it.
     pub fn constructed(&mut self, t: u8, f: impl FnOnce(&mut Writer)) {
-        let mut inner = Writer::new();
-        f(&mut inner);
-        self.tlv(t, &inner.buf);
+        #[cfg(test)]
+        if self.nested {
+            let mut inner = Writer::nested();
+            f(&mut inner);
+            return self.tlv(t, &inner.buf);
+        }
+        self.buf.push(t);
+        let at = self.buf.len();
+        f(self);
+        let len = self.buf.len() - at;
+        self.push_len(len);
+        let length_octets = self.buf.len() - at - len;
+        self.buf[at..].rotate_right(length_octets);
     }
 
     /// Write a SEQUENCE whose content is produced by `f`.
@@ -327,7 +366,7 @@ pub fn decode_oid(content: &[u8]) -> Result<Oid, SnmpError> {
         }
         arcs.push(read_arc(&mut iter)?);
     }
-    Ok(Oid::new(&arcs))
+    Ok(Oid::from(arcs))
 }
 
 #[cfg(test)]
@@ -487,6 +526,29 @@ mod tests {
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
             assert_eq!(r.oid().unwrap(), oid);
+        }
+    }
+
+    #[test]
+    fn in_place_writer_matches_nested_writer_at_each_length_form_boundary() {
+        for len in [0, 1, 126, 127, 128, 129, 254, 255, 256, 257, 65_535, 65_536] {
+            let body = vec![0x5a; len];
+            let write = |w: &mut Writer| {
+                w.sequence(|w| {
+                    w.integer(7);
+                    w.constructed(tag::RESPONSE, |w| w.buf.extend_from_slice(&body));
+                    w.null();
+                });
+            };
+            let (mut in_place, mut reference) = (Writer::new(), Writer::nested());
+            write(&mut in_place);
+            write(&mut reference);
+            let bytes = in_place.into_bytes();
+            assert_eq!(bytes, reference.into_bytes(), "content of {len} bytes");
+            let mut r = Reader::new(&bytes);
+            let mut seq = r.sequence().unwrap();
+            assert_eq!(seq.integer().unwrap(), 7);
+            assert_eq!(seq.expect(tag::RESPONSE).unwrap(), &body[..]);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! agents over the simulated network.
 
 use crate::oid::Oid;
-use crate::pdu::{ErrorStatus, Message, Pdu, PduKind, VarBind};
+use crate::pdu::{encode_request, ErrorStatus, Message, Pdu, PduKind, VarBind};
 use crate::transport::{pump_until, AgentRuntime};
 use crate::value::SnmpValue;
 use crate::SnmpError;
@@ -48,42 +48,25 @@ impl SnmpManager {
         })
     }
 
-    fn transact(
-        &mut self,
-        net: &mut Network,
-        agents: &mut [&mut AgentRuntime],
-        target: NodeId,
-        kind: PduKind,
-        varbinds: Vec<VarBind>,
-    ) -> Result<Pdu, SnmpError> {
-        self.transact_full(net, agents, target, kind, None, varbinds)
-    }
-
-    fn transact_full(
+    /// One request / response exchange: send `binds` under `kind`, then
+    /// drive the simulation until the response with this request's id
+    /// arrives or the timeout elapses.
+    fn transact<'a>(
         &mut self,
         net: &mut Network,
         agents: &mut [&mut AgentRuntime],
         target: NodeId,
         kind: PduKind,
         bulk: Option<(u32, u32)>,
-        varbinds: Vec<VarBind>,
-    ) -> Result<Pdu, SnmpError> {
+        binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
+    ) -> Result<Vec<VarBind>, SnmpError> {
         let request_id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);
         self.requests_sent += 1;
-        let pdu = Pdu {
-            kind,
-            request_id,
-            error_status: ErrorStatus::NoError,
-            error_index: 0,
-            bulk,
-            varbinds,
-        };
-        let msg = Message::new(&self.community, pdu);
         net.send(
             self.socket,
             Addr::unicast(target, well_known::SNMP_AGENT),
-            msg.encode(),
+            encode_request(&self.community, kind, request_id, bulk, binds),
         )
         .map_err(|e| SnmpError::Transport(e.to_string()))?;
 
@@ -104,7 +87,7 @@ impl SnmpManager {
         if pdu.error_status != ErrorStatus::NoError {
             return Err(SnmpError::ErrorStatus(pdu.error_status, pdu.error_index));
         }
-        Ok(pdu)
+        Ok(pdu.varbinds)
     }
 
     /// GET one or more exact OIDs.
@@ -115,10 +98,8 @@ impl SnmpManager {
         target: NodeId,
         oids: &[Oid],
     ) -> Result<Vec<VarBind>, SnmpError> {
-        let binds = oids.iter().cloned().map(VarBind::request).collect();
-        Ok(self
-            .transact(net, agents, target, PduKind::GetRequest, binds)?
-            .varbinds)
+        let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
+        self.transact(net, agents, target, PduKind::GetRequest, None, binds)
     }
 
     /// GET a single OID and coerce it to `f64` (the form the inference
@@ -145,10 +126,8 @@ impl SnmpManager {
         target: NodeId,
         oids: &[Oid],
     ) -> Result<Vec<VarBind>, SnmpError> {
-        let binds = oids.iter().cloned().map(VarBind::request).collect();
-        Ok(self
-            .transact(net, agents, target, PduKind::GetNextRequest, binds)?
-            .varbinds)
+        let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
+        self.transact(net, agents, target, PduKind::GetNextRequest, None, binds)
     }
 
     /// SET one variable.
@@ -160,13 +139,8 @@ impl SnmpManager {
         oid: Oid,
         value: SnmpValue,
     ) -> Result<(), SnmpError> {
-        self.transact(
-            net,
-            agents,
-            target,
-            PduKind::SetRequest,
-            vec![VarBind::bound(oid, value)],
-        )?;
+        let binds = std::iter::once((&oid, &value));
+        self.transact(net, agents, target, PduKind::SetRequest, None, binds)?;
         Ok(())
     }
 
@@ -180,15 +154,14 @@ impl SnmpManager {
         oid: &Oid,
         max_repetitions: u32,
     ) -> Result<Vec<VarBind>, SnmpError> {
-        let pdu = self.transact_full(
+        self.transact(
             net,
             agents,
             target,
             PduKind::GetBulkRequest,
             Some((0, max_repetitions)),
-            vec![VarBind::request(oid.clone())],
-        )?;
-        Ok(pdu.varbinds)
+            std::iter::once((oid, &SnmpValue::Null)),
+        )
     }
 
     /// Walk an entire subtree with GETBULK batches — the round-trip

@@ -101,6 +101,12 @@ impl fmt::Debug for Oid {
     }
 }
 
+impl From<Vec<u32>> for Oid {
+    fn from(arcs: Vec<u32>) -> Self {
+        Oid(arcs)
+    }
+}
+
 impl From<&[u32]> for Oid {
     fn from(arcs: &[u32]) -> Self {
         Oid::new(arcs)

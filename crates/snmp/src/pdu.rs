@@ -209,6 +209,57 @@ impl Pdu {
     }
 }
 
+/// Bytes an encode buffer starts with: a GET of the three host metrics
+/// and its response (≈90 bytes each) fit without regrowth.
+const ENCODE_RESERVE: usize = 128;
+
+/// Write one message. `fields` are the two integers after the request
+/// id: error status and index, or a GETBULK's non-repeaters and
+/// max-repetitions.
+fn encode_message<'a>(
+    w: &mut Writer,
+    community: &str,
+    kind: PduKind,
+    request_id: i32,
+    fields: (i64, i64),
+    binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
+) {
+    w.sequence(|w| {
+        w.integer(VERSION_2C);
+        w.octet_string(community.as_bytes());
+        w.constructed(kind.to_tag(), |w| {
+            w.integer(request_id as i64);
+            w.integer(fields.0);
+            w.integer(fields.1);
+            w.sequence(|w| {
+                for (name, value) in binds {
+                    w.sequence(|w| {
+                        w.oid(name);
+                        value.encode(w);
+                    });
+                }
+            });
+        });
+    });
+}
+
+/// The wire bytes of a manager's request over borrowed bindings — what
+/// [`Message::encode`] gives for a request [`Pdu`] owning clones of
+/// them, without building one.
+pub(crate) fn encode_request<'a>(
+    community: &str,
+    kind: PduKind,
+    request_id: i32,
+    bulk: Option<(u32, u32)>,
+    binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
+) -> Vec<u8> {
+    let (non_repeaters, max_repetitions) = bulk.unwrap_or((0, 0));
+    let fields = (non_repeaters as i64, max_repetitions as i64);
+    let mut w = Writer::with_capacity(ENCODE_RESERVE);
+    encode_message(&mut w, community, kind, request_id, fields, binds);
+    w.into_bytes()
+}
+
 /// A complete community-authenticated message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Message {
@@ -229,30 +280,20 @@ impl Message {
 
     /// BER-encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.sequence(|w| {
-            w.integer(VERSION_2C);
-            w.octet_string(self.community.as_bytes());
-            w.constructed(self.pdu.kind.to_tag(), |w| {
-                w.integer(self.pdu.request_id as i64);
-                let (f1, f2) = match (self.pdu.kind, self.pdu.bulk) {
-                    (PduKind::GetBulkRequest, Some((nr, mr))) => (nr as i64, mr as i64),
-                    (PduKind::GetBulkRequest, None) => (0, 10),
-                    _ => (self.pdu.error_status.to_i64(), self.pdu.error_index as i64),
-                };
-                w.integer(f1);
-                w.integer(f2);
-                w.sequence(|w| {
-                    for vb in &self.pdu.varbinds {
-                        w.sequence(|w| {
-                            w.oid(&vb.name);
-                            vb.value.encode(w);
-                        });
-                    }
-                });
-            });
-        });
+        let mut w = Writer::with_capacity(ENCODE_RESERVE);
+        self.encode_into(&mut w);
         w.into_bytes()
+    }
+
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        let pdu = &self.pdu;
+        let fields = match (pdu.kind, pdu.bulk) {
+            (PduKind::GetBulkRequest, Some((nr, mr))) => (nr as i64, mr as i64),
+            (PduKind::GetBulkRequest, None) => (0, 10),
+            _ => (pdu.error_status.to_i64(), pdu.error_index as i64),
+        };
+        let binds = pdu.varbinds.iter().map(|vb| (&vb.name, &vb.value));
+        encode_message(w, &self.community, pdu.kind, pdu.request_id, fields, binds);
     }
 
     /// Decode wire bytes.
@@ -416,5 +457,66 @@ mod tests {
         let err = req.error_response(ErrorStatus::GenErr, 1);
         assert_eq!(err.error_status, ErrorStatus::GenErr);
         assert_eq!(err.varbinds.len(), 1);
+    }
+
+    use proptest::prelude::*;
+
+    /// Values whose encodings straddle the length-form boundaries: an
+    /// octet string of 0..300 bytes takes a one-, two- or three-octet
+    /// length itself and pushes every enclosing SEQUENCE across 127
+    /// and 255 content bytes.
+    fn arb_value() -> impl Strategy<Value = SnmpValue> {
+        prop_oneof![
+            any::<i64>().prop_map(SnmpValue::Integer),
+            proptest::collection::vec(any::<u8>(), 0..300).prop_map(SnmpValue::OctetString),
+            proptest::collection::vec(any::<u32>(), 0..40)
+                .prop_map(|rest| SnmpValue::Oid(Oid::new(&[1, 3]).extend(&rest))),
+            any::<u32>().prop_map(SnmpValue::Gauge32),
+            any::<u32>().prop_map(SnmpValue::Counter32),
+            Just(SnmpValue::Null),
+            Just(SnmpValue::NoSuchObject),
+        ]
+    }
+
+    proptest! {
+        /// The in-place writer against the nested-writer reference,
+        /// byte for byte, over whole messages.
+        #[test]
+        fn in_place_writer_matches_nested_writer(
+            community_len in 0usize..160,
+            request_id in any::<i32>(),
+            binds in proptest::collection::vec(
+                (proptest::collection::vec(any::<u32>(), 0..12), arb_value()),
+                0..6,
+            ),
+        ) {
+            let varbinds = binds
+                .into_iter()
+                .map(|(rest, value)| VarBind::bound(Oid::new(&[1, 3]).extend(&rest), value))
+                .collect();
+            let mut pdu = Pdu::request(PduKind::Response, request_id, Vec::new());
+            pdu.varbinds = varbinds;
+            let msg = Message::new(&"c".repeat(community_len), pdu);
+            let mut reference = Writer::nested();
+            msg.encode_into(&mut reference);
+            let wire = msg.encode();
+            prop_assert_eq!(&wire, &reference.into_bytes());
+            prop_assert_eq!(Message::decode(&wire).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn borrowed_request_encoding_matches_the_owned_pdu() {
+        let names = [arcs::host_cpu_load(), arcs::host_page_faults()];
+        let binds = || names.iter().map(|n| (n, &SnmpValue::Null));
+        assert_eq!(
+            encode_request("public", PduKind::GetRequest, 0x0102_0304, None, binds()),
+            sample().encode()
+        );
+        let bulk = Pdu::bulk_request(9, 1, 20, names.to_vec());
+        assert_eq!(
+            encode_request("public", PduKind::GetBulkRequest, 9, Some((1, 20)), binds()),
+            Message::new("public", bulk).encode()
+        );
     }
 }

@@ -98,8 +98,13 @@ impl TrapSink {
 }
 
 /// Advance the network in `step`-sized increments up to `budget`,
-/// servicing every agent after each step, until `done` reports true.
-/// Returns whether `done` was satisfied within the budget.
+/// servicing every agent in `agents` after each step, until `done`
+/// reports true. Returns whether `done` was satisfied within the budget.
+///
+/// Only the agents passed are serviced: a request addressed to any
+/// other agent waits in its socket until a later call that includes it.
+/// A zero `step` advances one tick at a time, so the budget always runs
+/// out.
 pub fn pump_until(
     net: &mut Network,
     agents: &mut [&mut AgentRuntime],
@@ -107,6 +112,7 @@ pub fn pump_until(
     budget: simnet::Ticks,
     mut done: impl FnMut(&mut Network) -> bool,
 ) -> bool {
+    let step = step.max(simnet::Ticks(1));
     let deadline = net.now() + budget;
     loop {
         for a in agents.iter_mut() {
@@ -185,5 +191,21 @@ mod tests {
         net.run_for(Ticks::from_millis(5));
         assert_eq!(sink.service(&mut net), 1);
         assert_eq!(sink.traps[0].pdu.kind, PduKind::TrapV2);
+    }
+
+    #[test]
+    fn a_zero_poll_step_still_times_out_in_simulated_time() {
+        let mut net = Network::new(5);
+        let (_sw, hosts) = net.lan(&["mgr", "ghost"], LinkSpec::lan());
+        // Nobody answers on `ghost`, and the manager's step is zero.
+        let mut mgr = crate::SnmpManager::bind(&mut net, hosts[0], Port(20000), "public").unwrap();
+        mgr.poll_step = Ticks::ZERO;
+        mgr.timeout = Ticks::from_micros(250);
+        let start = net.now();
+        let err = mgr
+            .get(&mut net, &mut [], hosts[1], &[arcs::sys_descr()])
+            .unwrap_err();
+        assert_eq!(err, crate::SnmpError::Timeout);
+        assert_eq!(net.now() - start, Ticks::from_micros(250));
     }
 }

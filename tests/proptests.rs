@@ -168,21 +168,24 @@ fn accepts(e: &Expr, attrs: &BTreeMap<String, AttrValue>) -> bool {
 /// container of `ezw_header_bomb_is_refused_before_allocating` used to
 /// ask for 17 GB before failing) — and how many allocations were made,
 /// so a hot path can be held to "allocates nothing per message" as a
-/// count rather than a time.
+/// count rather than a time — and how many bytes they asked for in
+/// all, so "the same cost whatever the session size" can be exact.
 struct PeakAlloc;
 
 thread_local! {
     static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 fn note_alloc(size: usize) {
     PEAK.with(|p| p.set(p.get().max(size)));
     COUNT.with(|c| c.set(c.get() + 1));
+    BYTES.with(|b| b.set(b.get() + size));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only
-// addition is two `Cell` stores in const-initialised thread-local
+// addition is three `Cell` stores in const-initialised thread-local
 // storage, which neither allocate nor unwind.
 unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
@@ -215,9 +218,18 @@ fn peak_alloc_of(f: impl FnOnce()) -> usize {
 /// How many allocations (reallocations included) `f` makes on this
 /// thread.
 fn allocs_of(f: impl FnOnce()) -> usize {
-    let before = COUNT.with(|c| c.get());
+    allocs_and_bytes_of(f).0
+}
+
+/// Allocations (reallocations included) `f` makes on this thread, and
+/// the bytes they ask for.
+fn allocs_and_bytes_of(f: impl FnOnce()) -> (usize, usize) {
+    let before = (COUNT.with(|c| c.get()), BYTES.with(|b| b.get()));
     f();
-    COUNT.with(|c| c.get()) - before
+    (
+        COUNT.with(|c| c.get()) - before.0,
+        BYTES.with(|b| b.get()) - before.1,
+    )
 }
 
 /// What the decoder's plane cap (2^22 samples) lets one allocation
@@ -1102,6 +1114,52 @@ proptest! {
         });
         prop_assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {} bytes", peak);
     }
+}
+
+// ------------------------------------------------- adaptation pass
+
+/// What one `adapt_all` pass allocates per client in a flat session of
+/// `clients` adaptive clients, after a warm-up pass has sized every
+/// retained buffer. The pass's own two result vectors (one state map
+/// and one decision per client, allocated once each whatever the size)
+/// are counted out of the allocations; their bytes are per client
+/// already.
+fn adapt_pass_cost_per_client(clients: usize) -> (usize, usize) {
+    use collabqos::prelude::*;
+
+    let mut s = CollaborationSession::new(SessionConfig::default());
+    for i in 0..clients {
+        let name = format!("c{i}");
+        s.add_adaptive_client(
+            Profile::new(&name),
+            PolicyDb::paper_cpu_load_policy(),
+            QosContract::default(),
+            SimHost::idle(&name),
+        )
+        .expect("client joins");
+    }
+    assert_eq!(s.adapt_all().len(), clients);
+    let mut decided = 0;
+    let (allocs, bytes) = allocs_and_bytes_of(|| decided = s.adapt_all().len());
+    assert_eq!(decided, clients);
+    let per_client = allocs - 2;
+    assert_eq!(per_client % clients, 0, "{allocs} allocations a pass");
+    assert_eq!(bytes % clients, 0, "{bytes} bytes a pass");
+    (per_client / clients, bytes / clients)
+}
+
+/// A client's state sample is answered by the agent on its own node:
+/// what an adaptation pass costs a client must not depend on how many
+/// other clients (and agents) the session holds. It used to — every
+/// sample collected a reference to every agent and serviced them all
+/// on every poll step (5 465 bytes a client at 96 clients, 10 841 at
+/// 768, 102 allocations at either).
+#[test]
+fn an_adaptation_pass_costs_each_client_the_same_in_any_session_size() {
+    let small = adapt_pass_cost_per_client(96);
+    let large = adapt_pass_cost_per_client(768);
+    assert_eq!(small, large, "(allocations, bytes) per client per pass");
+    assert!(small.0 <= 50, "{} allocations per client", small.0);
 }
 
 // ------------------------------------------- advertisement protocol
