@@ -26,13 +26,23 @@
 //! distinct prefixes and that every view is the frozen decoder's image
 //! of its prefix.
 //!
+//! Two rows show what a share and its views no longer do. The sender
+//! codes to the session's rate cap and stops: "capped encode" beside
+//! "full encode + truncate", the same bytes asserted. A receiver reads
+//! the symbols of a shared object once: the four packet prefixes of one
+//! share through one `DecodeScratch`, longest first (one symbol decode,
+//! three replays of its record) beside shortest first (four symbol
+//! decodes — nothing read so far is a prefix of what is asked next, the
+//! regime where the record gives nothing), every view asserted equal to
+//! the frozen decoder's.
+//!
 //! `--quick` trims the repetition count, not the scenarios — the
 //! identity asserts always run.
 
 use bench::{fmt, header, quick_mode, row, time_best};
 use cqos_core::apps::{ImageViewer, ViewStore};
 use cqos_core::events::AppEvent;
-use media::ezw::{self, EzwDecoder, EzwScratch};
+use media::ezw::{self, DecodeScratch, EzwDecoder, EzwScratch};
 use media::image::{synthetic_scene, Image};
 use media::packetize::{reassemble_prefix, split_packets};
 use media::reference;
@@ -213,6 +223,56 @@ fn fanout_rounds(shares: &[FanoutShare], stores: &[ViewStore]) -> (u64, f64) {
     (per_round, secs)
 }
 
+/// The fan-out scene `seed`, and the byte cap of a 6-bpp share of it.
+fn capped_scene(seed: u64) -> (Image, usize) {
+    let image = synthetic_scene(FANOUT_SIDE, FANOUT_SIDE, 3, 5, seed).image;
+    let cap = image.pixels() * PREFIX_BPP / 8;
+    (image, cap)
+}
+
+/// Encode the fan-out scene to its 6-bpp cap, and to the end with a
+/// cut afterwards: `(capped secs, full + truncate secs, bytes)`, the
+/// two containers asserted equal.
+fn capped_encode_row(reps: usize) -> (f64, f64, usize) {
+    let kind = WaveletKind::Cdf53;
+    let (image, cap) = capped_scene(42);
+    let (capped, capped_secs) = time_best(reps, || {
+        ezw::encode_image_capped(&image, FANOUT_LEVELS, kind, true, Some(cap)).expect("encodes")
+    });
+    let (cut, cut_secs) = time_best(reps, || {
+        let full = ezw::encode_image_opts(&image, FANOUT_LEVELS, kind, true).expect("encodes");
+        ezw::truncate_container(&full, cap).expect("cut is valid")
+    });
+    assert!(
+        capped == cut,
+        "the capped encode is the cut of the full one"
+    );
+    (capped_secs, cut_secs, capped.len())
+}
+
+/// Packet counts of the fan-out viewers' four prefixes, longest first.
+const NESTED_PACKETS: [usize; 4] = [16, 8, 4, 2];
+
+/// Decode the four nested prefixes of a share through one scratch, a
+/// new share each round (so nothing of the round before is a prefix of
+/// anything asked), in `order`: best seconds per round and the replays
+/// of the last round. Every view is asserted to be the frozen
+/// decoder's image of its prefix.
+fn nested_prefix_rounds(shares: &[Vec<(Vec<u8>, Image)>], order: &[usize]) -> (u64, f64) {
+    let mut scratch = DecodeScratch::new();
+    let mut rounds = shares.iter();
+    time_best(shares.len(), || {
+        let prefixes = rounds.next().expect("a share per round");
+        let before = scratch.replays();
+        for &i in order {
+            let (prefix, expected) = &prefixes[i];
+            let view = ezw::decode_image_reduced_with(prefix, 0, &mut scratch).expect("decodes");
+            assert!(view == *expected, "{} packets", NESTED_PACKETS[i]);
+        }
+        scratch.replays() - before
+    })
+}
+
 fn main() {
     let reps = if quick_mode() { 10 } else { 20 };
     println!("media codec fast path vs frozen reference (CDF 5/3, grayscale)");
@@ -287,6 +347,47 @@ fn main() {
         FANOUT_BUDGETS.len(),
         shared_secs * 1e3,
         own_secs * 1e3,
+    );
+    println!();
+    let (capped_secs, cut_secs, bytes) = capped_encode_row(reps);
+    println!(
+        "{FANOUT_SIDE}x{FANOUT_SIDE} colour share at {PREFIX_BPP} bpp ({bytes} bytes): capped encode \
+         {:.3} ms; full encode + truncate {:.3} ms",
+        capped_secs * 1e3,
+        cut_secs * 1e3,
+    );
+    let nested: Vec<Vec<(Vec<u8>, Image)>> = (1..=reps as u64)
+        .map(|i| {
+            let (image, cap) = capped_scene(60 + i);
+            let sent = ezw::encode_image_capped(
+                &image,
+                FANOUT_LEVELS,
+                WaveletKind::Cdf53,
+                true,
+                Some(cap),
+            )
+            .expect("encodes");
+            let packets = split_packets(&sent, 16);
+            NESTED_PACKETS
+                .iter()
+                .map(|&k| {
+                    let prefix = reassemble_prefix(&packets[..k]).expect("prefix verifies");
+                    let view = reference::decode_image(&prefix).expect("prefix decodes");
+                    (prefix, view)
+                })
+                .collect()
+        })
+        .collect();
+    let (longest_replays, longest_secs) = nested_prefix_rounds(&nested, &[0, 1, 2, 3]);
+    let (shortest_replays, shortest_secs) = nested_prefix_rounds(&nested, &[3, 2, 1, 0]);
+    assert_eq!((longest_replays, shortest_replays), (3, 0));
+    println!(
+        "4 nested prefixes through one scratch: longest first {} symbol decode + {longest_replays} \
+         replays, {:.3} ms; shortest first {} symbol decodes, {:.3} ms",
+        4 - longest_replays,
+        longest_secs * 1e3,
+        4 - shortest_replays,
+        shortest_secs * 1e3,
     );
     println!();
     println!(

@@ -212,6 +212,7 @@ struct ViewStoreInner {
     scratch: Vec<DecodeScratch>,
     hits: u64,
     misses: u64,
+    replays: u64,
 }
 
 /// Decode-once view store, the receiving twin of
@@ -221,6 +222,10 @@ struct ViewStoreInner {
 /// bytes and is owed bit-identical pixels. The store decodes each
 /// distinct `(container bytes, drop_levels)` once, on decode scratch it
 /// keeps between decodes, and hands every asker the same `Arc<Image>`.
+/// The scratch remembers the last stream it read, so the distinct
+/// prefixes of one object — prefixes of each other — cost one reading
+/// of its symbols when the longest is asked for first
+/// ([`ViewStore::replays`]).
 ///
 /// The key is the verified container itself, compared byte for byte —
 /// never an object id or a hash — so two different streams cannot
@@ -243,6 +248,7 @@ impl std::fmt::Debug for ViewStore {
             .field("views", &inner.views.len())
             .field("hits", &inner.hits)
             .field("misses", &inner.misses)
+            .field("replays", &inner.replays)
             .finish()
     }
 }
@@ -301,8 +307,11 @@ impl ViewStore {
         decoded
             .get_or_init(|| {
                 let mut scratch = self.lock().scratch.pop().unwrap_or_default();
+                let replayed = scratch.replays();
                 let image = decode_image_reduced_with(container, drop_levels, &mut scratch);
-                self.lock().scratch.push(scratch);
+                let mut inner = self.lock();
+                inner.replays += scratch.replays() - replayed;
+                inner.scratch.push(scratch);
                 image.map(Arc::new)
             })
             .clone()
@@ -329,6 +338,17 @@ impl ViewStore {
     /// its view stays held.
     pub fn misses(&self) -> u64 {
         self.lock().misses
+    }
+
+    /// Misses decoded without reading a symbol
+    /// ([`DecodeScratch::replays`]): the container was, channel by
+    /// channel, a prefix of the one the scratch had read last — a
+    /// smaller packet budget's view of the same object, asked for after
+    /// a larger one's. Unlike hits and misses this depends on the order
+    /// of the asks (shortest first replays nothing), and with more than
+    /// one worker on which decode met which scratch.
+    pub fn replays(&self) -> u64 {
+        self.lock().replays
     }
 }
 

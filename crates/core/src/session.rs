@@ -22,7 +22,6 @@ use crate::state_repo::{ObjectState, StateRepository};
 use crate::transformer::{
     MediaCache, MediaCacheStatsHandle, MediaKind, MediaObject, TransformerRegistry,
 };
-use media::ezw;
 use media::image::Scene;
 use media::packetize::split_packets;
 use media::wavelet::{self, WaveletKind};
@@ -857,34 +856,26 @@ impl CollaborationSession {
         let object_id = self.new_object_id();
         let levels = wavelet::max_levels(scene.image.width, scene.image.height).min(5);
         let use_color = self.cfg.color_transform && scene.image.channels == 3;
-        // Encode-once: re-shares of the same content hit the cache and
-        // reuse the shared stream; per-session rate limits are then a
-        // prefix cut of it, never a re-encode.
-        let full = self
+        // Encode-once, and only to the session's rate limit: re-shares
+        // of the same content under the same limit hit the cache and
+        // reuse the shared stream, and the bits past the limit are
+        // never coded.
+        let byte_cap = self
+            .cfg
+            .full_stream_bpp
+            .map(|bpp| (scene.image.pixels() as f64 * bpp / 8.0) as usize);
+        let container = self
             .media_cache
             .encode_image(
                 &scene.image,
                 levels,
                 self.cfg.wavelet,
                 use_color,
+                byte_cap,
                 self.cfg.workers,
             )
             .map_err(|e| e.to_string())?;
-        let truncated;
-        let container: &[u8] = match self.cfg.full_stream_bpp {
-            Some(bpp) => {
-                let budget = (scene.image.pixels() as f64 * bpp / 8.0) as usize;
-                if budget < full.len() {
-                    truncated =
-                        ezw::truncate_container(&full, budget).map_err(|e| e.to_string())?;
-                    &truncated
-                } else {
-                    &full
-                }
-            }
-            None => &full,
-        };
-        let packets = split_packets(container, self.cfg.packets_per_image);
+        let packets = split_packets(&container, self.cfg.packets_per_image);
         // Metadata + every packet go out as one network batch: group
         // membership and routes are resolved once for the whole object
         // instead of per packet (the fan-out cost the paper's
@@ -1314,6 +1305,7 @@ impl CollaborationSession {
                 levels,
                 self.cfg.wavelet,
                 false,
+                None,
                 self.cfg.workers,
             )
             .map_err(|e| e.to_string())?;

@@ -8,10 +8,10 @@
 //! runs image→text→speech).
 
 use media::describe::TextDescription;
-use media::ezw::{self, EzwScratch};
+use media::ezw::{self, EzwEncoder, EzwScratch, PlaneAnalysis};
 use media::image::Image;
 use media::speech::{speech_to_text, text_to_speech, SpeechStream};
-use media::wavelet::{self, WaveletKind, WaveletScratch};
+use media::wavelet::{WaveletKind, WaveletScratch};
 use media::{MediaError, Sketch};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,23 +133,29 @@ struct MediaEntry {
     last_used: u64,
 }
 
-/// Encode-once transcode cache: a bounded LRU of fully-encoded EZW
-/// containers keyed by content hash + coding parameters.
+/// Encode-once transcode cache: a bounded LRU of encoded EZW
+/// containers keyed by content hash + coding parameters, the rate cap
+/// among them.
 ///
 /// The embedded stream makes per-client degradation nearly free: N
 /// clients at different modality tiers share *one* encode (an
-/// `Arc<[u8]>` clone per consumer) and each degradation is a cheap
-/// prefix cut ([`ezw::truncate_container`]) instead of a
+/// `Arc<[u8]>` clone per consumer), made to the session's rate cap and
+/// no further — the bits past the cap are never coded — and each
+/// client's tier is a prefix of it by packet count, never a
 /// decode→re-encode round trip. Encodes that miss run the image's
 /// channel planes in parallel on [`crate::shard::map_shards`] when
-/// `workers > 1` — planes are independent streams, so the container
-/// bytes are bit-identical at any worker count.
+/// `workers > 1` — planes are independent streams once the cap is
+/// split between them, so the container bytes are bit-identical at any
+/// worker count.
 pub struct MediaCache {
     entries: HashMap<u64, MediaEntry>,
     cap: usize,
     tick: u64,
     stats: MediaCacheStatsHandle,
-    // Serial-path scratch, reused across misses.
+    // Reused across misses: one analysis per channel (a channel's is
+    // held while the others are sized up), and the serial path's
+    // scratch.
+    analyses: Vec<PlaneAnalysis>,
     wavelet_scratch: WaveletScratch,
     ezw_scratch: EzwScratch,
 }
@@ -163,6 +169,7 @@ impl MediaCache {
             cap,
             tick: 0,
             stats: MediaCacheStatsHandle::default(),
+            analyses: Vec::new(),
             wavelet_scratch: WaveletScratch::new(),
             ezw_scratch: EzwScratch::new(),
         }
@@ -177,7 +184,13 @@ impl MediaCache {
     /// top bits of two words (pixels at offsets 7 mod 8) stay in the
     /// top bits of the state and cancel. Deterministic; the key never
     /// leaves the process.
-    fn content_key(img: &Image, levels: usize, kind: WaveletKind, color_transform: bool) -> u64 {
+    fn content_key(
+        img: &Image,
+        levels: usize,
+        kind: WaveletKind,
+        color_transform: bool,
+        byte_cap: Option<usize>,
+    ) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let mut mix = |word: u64| {
             h = (h ^ word).wrapping_mul(0x100000001b3);
@@ -190,6 +203,7 @@ impl MediaCache {
             levels as u64,
             kind as u64,
             color_transform as u64,
+            byte_cap.map_or(u64::MAX, |cap| cap as u64),
         ] {
             mix(v);
         }
@@ -204,60 +218,66 @@ impl MediaCache {
         h
     }
 
-    /// Encode `img` (or return the cached container), sharding the
-    /// per-channel plane encodes across `workers` threads on a miss.
-    /// The returned stream is shared, not copied; degrade it per client
-    /// with [`ezw::truncate_container`].
+    /// Encode `img` to at most `byte_cap` bytes (or return the cached
+    /// container), sharding the per-channel work across `workers`
+    /// threads on a miss. The container is
+    /// [`ezw::encode_image_capped`]'s — the prefix
+    /// [`ezw::truncate_container`] would cut of the full encode, made
+    /// without coding the rest — and is shared, not copied.
     pub fn encode_image(
         &mut self,
         img: &Image,
         levels: usize,
         kind: WaveletKind,
         color_transform: bool,
+        byte_cap: Option<usize>,
         workers: usize,
     ) -> Result<Arc<[u8]>, MediaError> {
-        if levels == 0 || levels > wavelet::max_levels(img.width, img.height) {
-            return Err(MediaError::BadDimensions(format!(
-                "{}x{} does not support {} wavelet levels",
-                img.width, img.height, levels
-            )));
-        }
+        ezw::check_levels(img, levels)?;
         self.tick += 1;
-        let key = Self::content_key(img, levels, kind, color_transform);
+        let key = Self::content_key(img, levels, kind, color_transform, byte_cap);
         if let Some(e) = self.entries.get_mut(&key) {
             self.stats.inner.hits.fetch_add(1, Ordering::Relaxed);
             e.last_used = self.tick;
             return Ok(Arc::clone(&e.stream));
         }
         self.stats.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let mut planes = ezw::prepare_planes(img, color_transform)?;
+        let planes = ezw::prepare_planes(img, color_transform)?;
         let n = planes.len();
-        let streams: Vec<Vec<u8>> = if n > 1 && workers > 1 {
-            // Channel planes are independent streams: shard them. Each
-            // worker brings its own scratch, and outputs merge back in
-            // channel order, so the container is bit-identical to the
-            // serial path at any worker count.
-            crate::shard::map_shards(&mut planes, vec![(); n], workers, |_, plane, ()| {
+        if self.analyses.len() < n {
+            self.analyses.resize_with(n, PlaneAnalysis::new);
+        }
+        let mut jobs: Vec<(Vec<i32>, &mut PlaneAnalysis)> =
+            planes.into_iter().zip(&mut self.analyses).collect();
+        let (w, h) = (img.width, img.height);
+        // Two rounds with the cap's split between them: how much of a
+        // channel the cap keeps depends on every channel's length.
+        // Channels are independent within a round, so each round
+        // shards — every worker on scratch of its own — and outputs
+        // merge back in channel order: the container is bit-identical
+        // to the serial path at any worker count.
+        let sharded = n > 1 && workers > 1;
+        let lens: Vec<usize> = if sharded {
+            crate::shard::map_shards(&mut jobs, vec![(); n], workers, |_, (plane, a), ()| {
                 let mut ws = WaveletScratch::new();
-                let mut es = EzwScratch::new();
-                ezw::encode_prepared_plane(
-                    plane, img.width, img.height, levels, kind, &mut ws, &mut es,
-                )
+                ezw::measure_prepared_plane(plane, w, h, levels, kind, &mut ws, a)
             })
         } else {
-            planes
-                .iter_mut()
-                .map(|plane| {
-                    ezw::encode_prepared_plane(
-                        plane,
-                        img.width,
-                        img.height,
-                        levels,
-                        kind,
-                        &mut self.wavelet_scratch,
-                        &mut self.ezw_scratch,
-                    )
-                })
+            let ws = &mut self.wavelet_scratch;
+            jobs.iter_mut()
+                .map(|(plane, a)| ezw::measure_prepared_plane(plane, w, h, levels, kind, ws, a))
+                .collect()
+        };
+        let keeps = ezw::channel_keeps(&lens, byte_cap);
+        let streams: Vec<Vec<u8>> = if sharded {
+            crate::shard::map_shards(&mut jobs, keeps, workers, |_, (plane, a), keep| {
+                EzwEncoder::emit_plane(plane, a, keep, &mut EzwScratch::new())
+            })
+        } else {
+            let es = &mut self.ezw_scratch;
+            jobs.iter()
+                .zip(keeps)
+                .map(|((plane, a), keep)| EzwEncoder::emit_plane(plane, a, keep, es))
                 .collect()
         };
         let stream: Arc<[u8]> =
@@ -541,16 +561,16 @@ mod tests {
         let mut cache = MediaCache::with_capacity(4);
         let scene = synthetic_scene(32, 32, 3, 3, 9);
         let a = cache
-            .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, 1)
+            .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, None, 1)
             .unwrap();
         let b = cache
-            .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, 1)
+            .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, None, 1)
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared stream");
         assert_eq!((cache.stats().hits(), cache.stats().misses()), (1, 1));
         // Different parameters are a different entry.
         cache
-            .encode_image(&scene.image, 3, WaveletKind::Cdf53, false, 1)
+            .encode_image(&scene.image, 3, WaveletKind::Cdf53, false, None, 1)
             .unwrap();
         assert_eq!(cache.stats().misses(), 2);
         assert_eq!(cache.len(), 2);
@@ -560,10 +580,34 @@ mod tests {
     }
 
     #[test]
+    fn media_cache_holds_the_capped_container_under_its_cap() {
+        let mut cache = MediaCache::with_capacity(4);
+        let scene = synthetic_scene(32, 32, 3, 3, 9);
+        let mut encode = |cap| {
+            cache
+                .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, cap, 1)
+                .unwrap()
+        };
+        let full = encode(None);
+        let capped = encode(Some(600));
+        assert_eq!(
+            capped.as_ref(),
+            ezw::truncate_container(&full, 600).unwrap().as_slice(),
+            "the cut of the full stream, made without coding the rest"
+        );
+        // A re-share under the same cap is a hit on the capped bytes;
+        // another cap is another container.
+        assert!(Arc::ptr_eq(&capped, &encode(Some(600))));
+        assert!(encode(Some(700)).len() > capped.len());
+        assert!(Arc::ptr_eq(&full, &encode(None)));
+        assert_eq!((cache.stats().hits(), cache.stats().misses()), (2, 3));
+    }
+
+    #[test]
     fn content_key_sees_every_pixel_and_parameter() {
         // 7 x 5 x 3 = 105 bytes: thirteen whole words and a one-byte tail.
         let img = synthetic_scene(7, 5, 3, 1, 3).image;
-        let key = |img: &Image| MediaCache::content_key(img, 1, WaveletKind::Cdf53, true);
+        let key = |img: &Image| MediaCache::content_key(img, 1, WaveletKind::Cdf53, true, None);
         let base = key(&img);
         assert_eq!(base, key(&img.clone()), "same content, same key");
         for i in 0..img.data.len() {
@@ -572,16 +616,22 @@ mod tests {
             assert_ne!(key(&other), base, "byte {i}");
         }
         assert_ne!(
-            MediaCache::content_key(&img, 2, WaveletKind::Cdf53, true),
+            MediaCache::content_key(&img, 2, WaveletKind::Cdf53, true, None),
             base
         );
         assert_ne!(
-            MediaCache::content_key(&img, 1, WaveletKind::Haar, true),
+            MediaCache::content_key(&img, 1, WaveletKind::Haar, true, None),
             base
         );
         assert_ne!(
-            MediaCache::content_key(&img, 1, WaveletKind::Cdf53, false),
+            MediaCache::content_key(&img, 1, WaveletKind::Cdf53, false, None),
             base
+        );
+        let capped = MediaCache::content_key(&img, 1, WaveletKind::Cdf53, true, Some(49_152));
+        assert_ne!(capped, base);
+        assert_ne!(
+            MediaCache::content_key(&img, 1, WaveletKind::Cdf53, true, Some(49_153)),
+            capped
         );
         // The same bytes under another shape are another image.
         let mut reshaped = img.clone();
@@ -594,7 +644,7 @@ mod tests {
     /// the state, where an even number of them cancel.
     #[test]
     fn content_key_separates_differences_in_the_high_bytes_of_words() {
-        let key = |img: &Image| MediaCache::content_key(img, 1, WaveletKind::Cdf53, true);
+        let key = |img: &Image| MediaCache::content_key(img, 1, WaveletKind::Cdf53, true, None);
         let img = synthetic_scene(7, 5, 3, 1, 3).image;
         let base = key(&img);
         let words = img.data.len() / 8;
@@ -623,12 +673,26 @@ mod tests {
     fn media_cache_parallel_encode_is_bit_identical() {
         let scene = synthetic_scene(64, 64, 3, 4, 12);
         let expected = ezw::encode_image_opts(&scene.image, 4, WaveletKind::Cdf53, true).unwrap();
+        let cut = ezw::truncate_container(&expected, 2_000).unwrap();
         for workers in [1usize, 2, 3, 4, 8] {
             let mut cache = MediaCache::with_capacity(2);
             let got = cache
-                .encode_image(&scene.image, 4, WaveletKind::Cdf53, true, workers)
+                .encode_image(&scene.image, 4, WaveletKind::Cdf53, true, None, workers)
                 .unwrap();
             assert_eq!(got.as_ref(), expected.as_slice(), "workers = {workers}");
+            // The cap is split between the channels before any is
+            // written, so it is the same split on any number of threads.
+            let capped = cache
+                .encode_image(
+                    &scene.image,
+                    4,
+                    WaveletKind::Cdf53,
+                    true,
+                    Some(2_000),
+                    workers,
+                )
+                .unwrap();
+            assert_eq!(capped.as_ref(), cut.as_slice(), "workers = {workers}");
         }
     }
 
@@ -638,19 +702,19 @@ mod tests {
         let scenes: Vec<_> = (0..3).map(|s| synthetic_scene(16, 16, 1, 2, s)).collect();
         for scene in &scenes {
             cache
-                .encode_image(&scene.image, 2, WaveletKind::Haar, false, 1)
+                .encode_image(&scene.image, 2, WaveletKind::Haar, false, None, 1)
                 .unwrap();
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions(), 1);
         // Scene 0 was least recently used: re-encoding it misses again.
         cache
-            .encode_image(&scenes[0].image, 2, WaveletKind::Haar, false, 1)
+            .encode_image(&scenes[0].image, 2, WaveletKind::Haar, false, None, 1)
             .unwrap();
         assert_eq!(cache.stats().misses(), 4);
         // Scene 2 stayed resident.
         cache
-            .encode_image(&scenes[2].image, 2, WaveletKind::Haar, false, 1)
+            .encode_image(&scenes[2].image, 2, WaveletKind::Haar, false, None, 1)
             .unwrap();
         assert_eq!(cache.stats().hits(), 1);
     }
@@ -660,7 +724,7 @@ mod tests {
         let mut cache = MediaCache::with_capacity(2);
         let scene = synthetic_scene(64, 64, 1, 4, 3);
         let full = cache
-            .encode_image(&scene.image, 4, WaveletKind::Cdf53, false, 1)
+            .encode_image(&scene.image, 4, WaveletKind::Cdf53, false, None, 1)
             .unwrap();
         // Per-client tiers share the one encode; each tier is a cut.
         for budget in [full.len() / 8, full.len() / 4, full.len() / 2] {
@@ -676,10 +740,10 @@ mod tests {
         let mut cache = MediaCache::with_capacity(1);
         let scene = synthetic_scene(16, 16, 1, 1, 0);
         assert!(cache
-            .encode_image(&scene.image, 0, WaveletKind::Haar, false, 1)
+            .encode_image(&scene.image, 0, WaveletKind::Haar, false, None, 1)
             .is_err());
         assert!(cache
-            .encode_image(&scene.image, 9, WaveletKind::Haar, false, 1)
+            .encode_image(&scene.image, 9, WaveletKind::Haar, false, None, 1)
             .is_err());
         assert_eq!(cache.stats().misses(), 0, "param errors are not misses");
     }

@@ -43,13 +43,52 @@
 //! * all per-plane state (lists, bitmaps, the decoder's rank-space
 //!   geometry) lives in a caller-owned [`EzwScratch`], so a session
 //!   encoding a stream of planes allocates nothing after warm-up; a
-//!   receiver keeps it, with the wavelet buffers, in a
-//!   [`DecodeScratch`] behind [`decode_image_reduced_with`].
+//!   receiver keeps it, with the wavelet buffers and the coefficient
+//!   planes, in a [`DecodeScratch`] behind
+//!   [`decode_image_reduced_with`].
+//!
+//! And every embedded bit is coded once and read once:
+//!
+//! * **The encoder stops at the cap.** A session that sends `k` bits
+//!   per pixel wants the container [`truncate_container`] would cut of
+//!   the full encode, without coding the rest. The cut splits the
+//!   budget over the channels in proportion to their *full* lengths,
+//!   so those must be known before a bit is written — and they are a
+//!   closed form over what the encoder's analysis computes anyway
+//!   ([`EzwEncoder::measure_plane`]: only the *bit positions* of each
+//!   `|coeff|`, of its subtree's maximum and of its parent's are ever
+//!   compared, a byte each). So an encode is two halves with the split
+//!   ([`channel_keeps`]) between them: size up every channel, then
+//!   write each to its share ([`EzwEncoder::emit_plane`]), the passes
+//!   stopping at the cap and the coefficients that would first be
+//!   coded below it never bucketed. No cap is the same loop run to the
+//!   end; [`encode_image_capped`] is byte for byte
+//!   `truncate_container(encode_image_opts(..), cap)`.
+//! * **A receiver reads the symbols of a stream once.** The viewers of
+//!   one shared object hold prefixes of one stream, of 2, 4, 8 … of
+//!   its packets — prefixes *of each other*. Reading a stream leaves a
+//!   record (`PlaneRecord`: the significance list with every refined
+//!   bit, the bit offset at which each entry's symbol ended, and where
+//!   each plane's passes began) from which the coefficients of any
+//!   prefix follow without reading a bit: the decoder is deterministic
+//!   and strictly forward, so on a prefix it does what it did on the
+//!   whole stream up to the cut and stops — the entries whose symbols
+//!   end before the cut, their magnitudes masked below the plane the
+//!   cut falls in. A [`DecodeScratch`] keeps the record of the last
+//!   stream read per channel, with the stream's bytes; a container
+//!   whose channel streams are — compared byte for byte — prefixes of
+//!   those is replayed, anything else is read and replaces the record.
+//!   Reading *is* building the record and coefficients only ever come
+//!   out of a record, so there is one decode path, and what a scratch
+//!   decoded before changes the cost of a decode, never its result.
+//!   Asked longest first (how a session's packets arrive) the four
+//!   prefixes cost one reading; shortest first they cost four.
 //!
 //! Every size the decoder allocates comes from a plane header, which
 //! is received bytes: headers are checked — against a fixed sample
 //! cap, and against each other within a container — before anything
-//! is sized from them.
+//! is sized from them. The encoder refuses what a header cannot say
+//! (a dimension over 16 bits) or a decoder would refuse.
 
 use crate::image::Image;
 use crate::wavelet::{self, WaveletKind, WaveletScratch};
@@ -115,6 +154,15 @@ impl BitWriter {
             }
         }
         self.nbits += n as usize;
+    }
+
+    /// A writer that appends to `bytes` (whole bytes: a header, say);
+    /// [`BitWriter::len_bits`] counts only what is pushed from here on.
+    fn after(bytes: Vec<u8>) -> Self {
+        BitWriter {
+            bytes,
+            ..Self::default()
+        }
     }
 
     /// Total bits written.
@@ -210,6 +258,12 @@ impl<'a> BitReader<'a> {
         debug_assert!(n <= self.nacc);
         self.acc <<= n;
         self.nacc -= n;
+    }
+
+    /// Bits consumed so far.
+    #[inline]
+    fn position(&self) -> u64 {
+        self.byte_pos as u64 * 8 - self.nacc as u64
     }
 
     /// Next bit, or `None` at end of data.
@@ -337,35 +391,76 @@ impl Geometry {
 //
 // ```text
 // 63..32: scan rank (merge key: plain u64 `<` orders by scan position)
-// 23..16: 32 + msb(|coeff|), or 0 when the coefficient is zero
-// 15..8:  32 + msb(subtree max), or 0 when the subtree is all zero
+// 23..16: bit position of |coeff|: 1 + msb, or 0 when it is zero
+// 15..8:  bit position of the subtree max, likewise
 // bit 1:  has children
 // bit 0:  sign (negative)
 // ```
 //
-// `|coeff| >= 1 << b` becomes `magbit >= 32 + b`, a masked compare;
-// the +32 bias keeps the zero encoding unambiguous. Halving the entry
-// to 8 bytes halves the per-pass survivor-copy traffic, the encoder's
-// main memory cost.
-const CAND_MAG_MASK: u64 = 0xFF << 16;
-const CAND_SMAX_MASK: u64 = 0xFF << 8;
+// `|coeff| >= 1 << b` becomes `position >= b + 1`, a masked compare.
+// Halving the entry to 8 bytes halves the per-pass survivor-copy
+// traffic, the encoder's main memory cost.
+const CAND_MAG_SHIFT: u32 = 16;
+const CAND_SMAX_SHIFT: u32 = 8;
+const CAND_MAG_MASK: u64 = 0xFF << CAND_MAG_SHIFT;
+const CAND_SMAX_MASK: u64 = 0xFF << CAND_SMAX_SHIFT;
 const CAND_KIDS: u64 = 1 << 1;
 const CAND_NEG: u64 = 1;
 
-/// `32 + msb(v)` biased bit position (0 for `v == 0`), shifted into
-/// the field at `shift`. Branchless — half the coefficients of a
-/// transformed plane are zero, which would make an `if` here a
-/// steady stream of mispredictions during bucket fill.
+/// Bit positions a coefficient can have: 0 for zero, else `1 + msb`.
+const BIT_POSITIONS: usize = 33;
+
+/// Bit position of `|c|`: 0 for zero, else `1 + msb` — all the
+/// analysis ever compares, so it keeps a byte per coefficient.
 #[inline]
-fn bitpos_field(v: u32, shift: u32) -> u64 {
-    let biased = (63 - v.leading_zeros()) as u64; // 31 for v == 0
-    let nonzero_mask = ((v != 0) as u64).wrapping_neg();
-    (biased & nonzero_mask) << shift
+fn bit_position(c: i32) -> u8 {
+    (32 - c.unsigned_abs().leading_zeros()) as u8
+}
+
+/// Symbols the dominant pass emits between two looks at the cap.
+const CAP_CHECK_SYMBOLS: usize = 512;
+
+/// What [`EzwEncoder::measure_plane`] works out about a plane without
+/// writing a bit of its stream, and all [`EzwEncoder::emit_plane`]
+/// needs beside the coefficients to write any prefix of it: a byte per
+/// coefficient for each of three bit positions, and the stream's
+/// length plane by plane. Reusable from plane to plane; an image's
+/// channels each keep one while the rate cap is split between them.
+#[derive(Default)]
+pub struct PlaneAnalysis {
+    /// `(w, h, levels)` of the plane measured.
+    shape: (usize, usize, usize),
+    /// Bit position of the largest `|coeff|` of that plane (its top
+    /// bit-plane plus one; 0 for an all-zero plane).
+    top_pos: u8,
+    /// Length of that plane's whole stream, header included.
+    full_len: usize,
+    /// Bits the stream spends on each bit-plane, dominant and
+    /// subordinate pass together, indexed by plane.
+    plane_bits: [u64; 32],
+    /// Coefficients first coded in each bit-plane — the sizes of the
+    /// activation buckets, known before one is filled.
+    activated: [u32; 32],
+    /// Bit position of each `|coeff|`.
+    bitpos: Vec<u8>,
+    /// Bit position of the max `|coeff|` over each subtree.
+    subtree_pos: Vec<u8>,
+    /// Bit position at which each node is first coded — that of its
+    /// parent's subtree max (the top position for parentless nodes, 0
+    /// for never-coded all-zero subtrees).
+    act: Vec<u8>,
+}
+
+impl PlaneAnalysis {
+    /// Empty analysis; buffers grow on first use.
+    pub fn new() -> PlaneAnalysis {
+        PlaneAnalysis::default()
+    }
 }
 
 /// Reusable per-plane coder state: the encoder's candidate lists and
 /// activation buckets, the decoder's live bitmap and significance
-/// list, and the decoder's cached `Geometry` (rebuilt only when the
+/// record, and the decoder's cached `Geometry` (rebuilt only when the
 /// plane shape changes). Shared by
 /// [`EzwEncoder::encode_plane_with`] and
 /// [`EzwDecoder::decode_plane_with`]; a default-constructed scratch is
@@ -374,12 +469,9 @@ fn bitpos_field(v: u32, shift: u32) -> u64 {
 pub struct EzwScratch {
     /// Decoder: tree geometry of the last plane shape decoded.
     geo: Option<Geometry>,
-    /// Encoder: max `|coeff|` over each subtree.
-    subtree_max: Vec<u32>,
-    /// Encoder: each node's activation pass (the pass its parent's
-    /// subtree max first meets the threshold; 0 for parentless nodes,
-    /// 255 for never-coded all-zero subtrees).
-    act: Vec<u8>,
+    /// Encoder: what [`EzwEncoder::encode_plane_with`] sizes a plane
+    /// up into (a container encode keeps one per channel instead).
+    analysis: PlaneAnalysis,
     /// Encoder: magnitudes of significant coefficients, in
     /// significance order — the subordinate pass reads it sequentially
     /// (the refinement bit never needs the index, only the magnitude).
@@ -406,11 +498,10 @@ pub struct EzwScratch {
     /// been activated (a significant child leaves `live`, so `live`
     /// alone cannot say whether activation already happened).
     spawned: Vec<u64>,
-    /// Decoder: significant coefficients in significance order, one
-    /// word each — sign in bit 63, scan rank in bits 32..63, magnitude
-    /// in the low half — so the subordinate pass refines magnitudes in
-    /// one sequential sweep and nothing is scattered until the end.
-    sub_list: Vec<u64>,
+    /// Decoder: what [`EzwDecoder::decode_plane_with`] reads a stream
+    /// into (a container decode keeps one per channel instead, in its
+    /// [`DecodeScratch`]).
+    record: PlaneRecord,
 }
 
 impl EzwScratch {
@@ -426,6 +517,14 @@ impl EzwScratch {
             self.geo = Some(Geometry::new(w, h, levels));
         }
         self.geo.as_ref().expect("just built")
+    }
+}
+
+/// Make `v` at least `len` long. What it holds is overwritten before
+/// it is read, so nothing is cleared.
+fn at_least<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
     }
 }
 
@@ -452,24 +551,54 @@ impl EzwEncoder {
         levels: usize,
         scratch: &mut EzwScratch,
     ) -> Vec<u8> {
+        let mut analysis = std::mem::take(&mut scratch.analysis);
+        let full = Self::measure_plane(coeffs, w, h, levels, &mut analysis);
+        let stream = Self::emit_plane(coeffs, &analysis, full, scratch);
+        scratch.analysis = analysis;
+        stream
+    }
+
+    /// The analysis half of an encode: size up the stream of `coeffs`
+    /// without writing a bit of it, and leave in `analysis` what
+    /// [`EzwEncoder::emit_plane`] writes it from. Returns the length of
+    /// the whole stream, header included — what a rate cap split over
+    /// several planes ([`channel_keeps`]) is split by.
+    ///
+    /// The length is a closed form over the bit positions the analysis
+    /// computes anyway. A coefficient first coded at position `a` (its
+    /// parent's subtree max) and significant at `m` costs one bit in
+    /// each plane in between; a parent one more in those where its own
+    /// subtree max `s` already reaches the threshold (isolated zero,
+    /// not zerotree root) — `min(s, a) - m` of them; the significant
+    /// symbol costs 2 bits, 3 for a parent, and every plane below it
+    /// one refinement bit. Two small histograms over `(a, m)` and
+    /// `(min(s, a), m)` turn that into bits per plane.
+    pub fn measure_plane(
+        coeffs: &[i32],
+        w: usize,
+        h: usize,
+        levels: usize,
+        analysis: &mut PlaneAnalysis,
+    ) -> usize {
         assert_eq!(coeffs.len(), w * h);
+        assert!(
+            w <= u16::MAX as usize && h <= u16::MAX as usize,
+            "the plane header holds 16-bit dimensions"
+        );
         let n = coeffs.len();
-        let max_mag = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
-
-        let mut out = Vec::new();
-        out.extend_from_slice(PLANE_MAGIC);
-        out.extend_from_slice(&(w as u16).to_be_bytes());
-        out.extend_from_slice(&(h as u16).to_be_bytes());
-        out.push(levels as u8);
-        if max_mag == 0 {
-            out.push(EMPTY_PLANE);
-            return out;
+        let bitpos = &mut analysis.bitpos;
+        bitpos.clear();
+        bitpos.extend(coeffs.iter().map(|&c| bit_position(c)));
+        let top_pos = bitpos.iter().copied().max().unwrap_or(0);
+        analysis.shape = (w, h, levels);
+        analysis.top_pos = top_pos;
+        analysis.full_len = PLANE_HEADER_LEN;
+        if top_pos == 0 {
+            return PLANE_HEADER_LEN;
         }
-        let top_plane = 31 - max_mag.leading_zeros();
-        out.push(top_plane as u8);
 
-        // The encoder never touches the explicit tree: the band loops
-        // below regenerate the scan, and the packed candidates carry
+        // The encoder never touches the explicit tree: band loops
+        // regenerate the scan, and the packed candidates carry
         // everything the passes need. (Only the decoder builds a
         // `Geometry`.)
         let (wl, hl) = (w >> levels, h >> levels);
@@ -478,13 +607,13 @@ impl EzwEncoder {
         // co-located coarsest bands instead).
         let (wp, hp) = (w.div_ceil(2), h.div_ceil(2));
 
-        // Static max |coeff| over self + descendants. A descending
-        // sweep over the parent quadrant visits every child block
-        // before its parent row — no per-node child enumeration, no
-        // scan indirection, no divisions.
-        let smax = &mut scratch.subtree_max;
+        // Static max |coeff| over self + descendants, as a bit
+        // position. A descending sweep over the parent quadrant visits
+        // every child block before its parent row — no per-node child
+        // enumeration, no scan indirection, no divisions.
+        let smax = &mut analysis.subtree_pos;
         smax.clear();
-        smax.extend(coeffs.iter().map(|c| c.unsigned_abs()));
+        smax.extend_from_slice(bitpos);
         for y in (0..hp).rev() {
             let row = y * w;
             let crow = 2 * y * w;
@@ -518,70 +647,153 @@ impl EzwEncoder {
         // threshold t" collapses to `subtree_max[parent] < t`. That
         // makes each coefficient's first coded pass *static* — the
         // pass where t first drops to its parent's subtree max.
-        // Parentless nodes (coarsest LL) are live from pass 0; an
-        // all-zero parent subtree means never coded (sentinel 255).
-        let top_pass = |sm: u32| top_plane - (31 - sm.leading_zeros()).min(top_plane);
-        let act = &mut scratch.act;
+        // Parentless nodes (coarsest LL) are live from the top; an
+        // all-zero parent subtree means never coded (position 0).
+        // Ascending, so a parent's own activation is set (by its
+        // parent, earlier in the sweep) when the sweep reaches it.
+        let act = &mut analysis.act;
         act.clear();
         act.resize(n, 0u8);
+        // By `[min(subtree position, activation)][position]`, parents only.
+        let mut parents = [[0u32; BIT_POSITIONS]; BIT_POSITIONS];
+        for y in 0..hl {
+            let row = y * w;
+            let brow = (y + hl) * w;
+            for x in 0..wl {
+                let sm = smax[row + x];
+                act[row + x] = top_pos;
+                parents[sm as usize][bitpos[row + x] as usize] += 1;
+                act[row + x + wl] = sm;
+                act[brow + x] = sm;
+                act[brow + x + wl] = sm;
+            }
+        }
         for y in 0..hp {
             let row = y * w;
             let crow = 2 * y * w;
             let x0 = if y < hl { wl } else { 0 };
             for x in x0..wp {
                 let sm = smax[row + x];
-                let p = if sm == 0 { 255 } else { top_pass(sm) as u8 };
+                let first = sm.min(act[row + x]);
+                parents[first as usize][bitpos[row + x] as usize] += 1;
                 let c0 = crow + 2 * x;
-                act[c0] = p;
-                act[c0 + 1] = p;
-                act[c0 + w] = p;
-                act[c0 + w + 1] = p;
+                act[c0] = sm;
+                act[c0 + 1] = sm;
+                act[c0 + w] = sm;
+                act[c0 + w + 1] = sm;
             }
         }
-        for y in 0..hl {
-            let row = y * w;
-            let brow = (y + hl) * w;
-            for x in 0..wl {
-                let sm = smax[row + x];
-                let p = if sm == 0 { 255 } else { top_pass(sm) as u8 };
-                act[row + x + wl] = p;
-                act[brow + x] = p;
-                act[brow + x + wl] = p;
+        // By `[activation][position]`, every coefficient.
+        let mut coded = [[0u32; BIT_POSITIONS]; BIT_POSITIONS];
+        for (&a, &m) in act.iter().zip(bitpos.iter()) {
+            coded[a as usize][m as usize] += 1;
+        }
+
+        // Row 0 of either table is what is never coded.
+        let top = top_pos as usize;
+        let sum = |cells: &[u32]| cells.iter().map(|&c| c as u64).sum::<u64>();
+        let mut total_bits = 0u64;
+        for pos in 1..=top {
+            let mut bits = 0u64;
+            for a in 1..=top {
+                // Significant here: two bits, a third from a parent.
+                // Significant higher up: one refinement bit.
+                bits += 2 * coded[a][pos] as u64 + parents[a][pos] as u64;
+                bits += sum(&coded[a][pos + 1..=top]);
+            }
+            for a in pos..=top {
+                // Coded and still insignificant: one bit, a second
+                // from a parent whose subtree holds something that is.
+                bits += sum(&coded[a][..pos]) + sum(&parents[a][..pos]);
+            }
+            analysis.plane_bits[pos - 1] = bits;
+            analysis.activated[pos - 1] = sum(&coded[pos][..=top]) as u32;
+            total_bits += bits;
+        }
+        analysis.full_len = PLANE_HEADER_LEN + total_bits.div_ceil(8) as usize;
+        analysis.full_len
+    }
+
+    /// The emission half: the first `keep` bytes (clamped to the
+    /// header at least, the whole stream at most) of the stream
+    /// `analysis` is [`EzwEncoder::measure_plane`]'s sizing-up of, for
+    /// these same `coeffs` — byte for byte the prefix of the full
+    /// stream, with the passes stopping where `keep` does instead of
+    /// running to bit-plane 0 and being cut afterwards. Coefficients
+    /// first coded below the plane `keep` ends in are never even
+    /// bucketed.
+    pub fn emit_plane(
+        coeffs: &[i32],
+        analysis: &PlaneAnalysis,
+        keep: usize,
+        scratch: &mut EzwScratch,
+    ) -> Vec<u8> {
+        let (w, h, levels) = analysis.shape;
+        assert_eq!(coeffs.len(), w * h, "the plane `measure_plane` sized up");
+        let n = coeffs.len();
+        let keep = keep.clamp(PLANE_HEADER_LEN, analysis.full_len);
+        let top_pos = analysis.top_pos;
+
+        // The passes overshoot the cap by less than one look's worth
+        // of symbols and the writer's word.
+        let mut out = Vec::with_capacity(keep + 3 * CAP_CHECK_SYMBOLS / 8 + 16);
+        out.extend_from_slice(PLANE_MAGIC);
+        out.extend_from_slice(&(w as u16).to_be_bytes());
+        out.extend_from_slice(&(h as u16).to_be_bytes());
+        out.push(levels as u8);
+        if top_pos == 0 {
+            out.push(EMPTY_PLANE);
+            return out;
+        }
+        out.push(top_pos - 1);
+        // Bits to write. Short of the whole stream this is a whole
+        // number of bytes; for the whole stream it is the stream's bits
+        // rounded up, which the passes end before reaching.
+        let limit = (keep - PLANE_HEADER_LEN) * 8;
+        if limit == 0 {
+            return out;
+        }
+        // The lowest position whose passes are needed at all.
+        let mut last_pos = top_pos;
+        let mut upto = 0u64;
+        for pos in (1..=top_pos).rev() {
+            last_pos = pos;
+            upto += analysis.plane_bits[pos as usize - 1];
+            if upto >= limit as u64 {
+                break;
             }
         }
 
-        // Bucket every coded coefficient by activation pass: a counting
-        // sort in scan order, so each bucket is rank-sorted. The scan
-        // is regenerated band-by-band here (same order as
-        // `Geometry::new`) to get coordinates — and thus the
+        let (wl, hl) = (w >> levels, h >> levels);
+        let (bitpos, smax, act) = (&analysis.bitpos, &analysis.subtree_pos, &analysis.act);
+
+        // Bucket every coefficient coded in those passes by activation
+        // pass: a counting sort in scan order, so each bucket is
+        // rank-sorted. The scan is regenerated band-by-band here (same
+        // order as `Geometry::new`) to get coordinates — and thus the
         // has-children test — without divisions. Each bucket keeps a
         // trailing `u64::MAX` sentinel slot so the dominant pass can
         // merge without bounds branches.
-        let nb = top_plane as usize + 1;
+        let nb = (top_pos - last_pos) as usize + 1;
         let bucket_off = &mut scratch.bucket_off;
         bucket_off.clear();
-        bucket_off.resize(nb + 1, 0usize);
-        for &a in act.iter() {
-            if (a as usize) < nb {
-                bucket_off[a as usize] += 1;
-            }
-        }
         let mut total = 0usize;
-        for (p, off) in bucket_off.iter_mut().enumerate() {
-            let c = *off;
+        for p in 0..nb {
             // Shift pass p's span by p: one sentinel slot per bucket.
-            *off = total + p;
-            total += c;
+            bucket_off.push(total + p);
+            total += analysis.activated[top_pos as usize - p - 1] as usize;
         }
+        bucket_off.push(total + nb);
         let buckets = &mut scratch.buckets;
-        buckets.clear();
-        buckets.resize(total + nb, u64::MAX);
+        at_least(buckets, total + nb);
+        for p in 0..nb {
+            buckets[bucket_off[p + 1] - 1] = u64::MAX;
+        }
         let cursor = &mut scratch.bucket_cur;
         cursor.clear();
         cursor.extend_from_slice(bucket_off);
         let mag_rank = &mut scratch.mag_rank;
-        mag_rank.clear();
-        mag_rank.resize(n, 0);
+        at_least(mag_rank, n);
         let mut r: u32 = 0;
         let place = |idx: usize,
                      has_kids: bool,
@@ -589,17 +801,18 @@ impl EzwEncoder {
                      buckets: &mut [u64],
                      cursor: &mut [usize],
                      mag_rank: &mut [u32]| {
-            let c = coeffs[idx];
-            mag_rank[r as usize] = c.unsigned_abs();
-            let a = act[idx] as usize;
-            if a < nb {
+            let a = act[idx];
+            if a >= last_pos {
+                let c = coeffs[idx];
+                mag_rank[r as usize] = c.unsigned_abs();
                 let packed = ((r as u64) << 32)
-                    | bitpos_field(c.unsigned_abs(), 16)
-                    | bitpos_field(smax[idx], 8)
+                    | (bitpos[idx] as u64) << CAND_MAG_SHIFT
+                    | (smax[idx] as u64) << CAND_SMAX_SHIFT
                     | ((has_kids as u64) << 1)
                     | ((c < 0) as u64);
-                buckets[cursor[a]] = packed;
-                cursor[a] += 1;
+                let p = (top_pos - a) as usize;
+                buckets[cursor[p]] = packed;
+                cursor[p] += 1;
             }
         };
         for y in 0..hl {
@@ -653,21 +866,19 @@ impl EzwEncoder {
         debug_assert_eq!(r as usize, n);
 
         let sub = &mut scratch.sub_mags;
-        sub.clear();
-        sub.resize(n + 1, 0);
+        at_least(sub, total + 1);
         let mut nsub = 0usize;
         let cands = &mut scratch.cands;
-        cands.clear();
-        cands.resize(n + 1, 0);
+        at_least(cands, total + 1);
         let next = &mut scratch.cands_next;
-        next.clear();
-        next.resize(n + 1, 0);
+        at_least(next, total + 1);
         let mut nlive = 0usize;
 
-        let mut bits = BitWriter::new();
-        for b in (0..=top_plane).rev() {
-            let tb_mag = ((32 + b) as u64) << 16;
-            let tb_smax = ((32 + b) as u64) << 8;
+        let mut bits = BitWriter::after(out);
+        'planes: for pos in (last_pos..=top_pos).rev() {
+            let b = pos as u32 - 1;
+            let tb_mag = (pos as u64) << CAND_MAG_SHIFT;
+            let tb_smax = (pos as u64) << CAND_SMAX_SHIFT;
             let refine_count = nsub;
             // Dominant pass: merge the live list with this plane's
             // newly-activated bucket (both rank-sorted), emitting in
@@ -679,42 +890,59 @@ impl EzwEncoder {
             // `pattern = (1 << len) - 2 + sign` (0; 10; 10|s; 110|s),
             // because significance is ~50/50 in the busy passes and a
             // data-dependent branch would stall on every other entry.
-            let p = (top_plane - b) as usize;
+            let p = (top_pos - pos) as usize;
             let fresh = &buckets[bucket_off[p]..bucket_off[p + 1]];
             let nfresh = fresh.len() - 1;
             cands[nlive] = u64::MAX;
             let (mut ai, mut fi, mut wi) = (0usize, 0usize, 0usize);
-            for _ in 0..nlive + nfresh {
-                // Rank sits in the high bits, so a plain u64 compare
-                // merges by scan position (cmov, not a branch).
-                let a = cands[ai];
-                let f = fresh[fi];
-                let from_live = a < f;
-                let cand = if from_live { a } else { f };
-                ai += from_live as usize;
-                fi += !from_live as usize;
+            let mut left = nlive + nfresh;
+            while left > 0 {
+                let run = left.min(CAP_CHECK_SYMBOLS);
+                for _ in 0..run {
+                    // Rank sits in the high bits, so a plain u64 compare
+                    // merges by scan position (cmov, not a branch).
+                    let a = cands[ai];
+                    let f = fresh[fi];
+                    let from_live = a < f;
+                    let cand = if from_live { a } else { f };
+                    ai += from_live as usize;
+                    fi += !from_live as usize;
 
-                let sig = cand & CAND_MAG_MASK >= tb_mag;
-                let kids = cand & CAND_KIDS != 0;
-                let iz_or_sig = sig | (kids & (cand & CAND_SMAX_MASK >= tb_smax));
-                let len = 1 + iz_or_sig as u32 + (sig & kids) as u32;
-                let neg = (cand & CAND_NEG) as u32 & sig as u32;
-                bits.push_bits((1u32 << len) - 2 + neg, len);
+                    let sig = cand & CAND_MAG_MASK >= tb_mag;
+                    let kids = cand & CAND_KIDS != 0;
+                    let iz_or_sig = sig | (kids & (cand & CAND_SMAX_MASK >= tb_smax));
+                    let len = 1 + iz_or_sig as u32 + (sig & kids) as u32;
+                    let neg = (cand & CAND_NEG) as u32 & sig as u32;
+                    bits.push_bits((1u32 << len) - 2 + neg, len);
 
-                next[wi] = cand;
-                wi += !sig as usize;
-                sub[nsub] = mag_rank[(cand >> 32) as usize];
-                nsub += sig as usize;
+                    next[wi] = cand;
+                    wi += !sig as usize;
+                    sub[nsub] = mag_rank[(cand >> 32) as usize];
+                    nsub += sig as usize;
+                }
+                left -= run;
+                if bits.len_bits() >= limit {
+                    break 'planes;
+                }
             }
             std::mem::swap(cands, next);
             nlive = wi;
             // Subordinate pass: one refinement bit for coefficients
-            // significant before this plane, magnitudes read inline.
-            for &mag in &sub[..refine_count] {
-                bits.push_bits((mag >> b) & 1, 1);
+            // significant before this plane, magnitudes read inline,
+            // and no more of them than the cap has room for.
+            let room = limit - bits.len_bits();
+            for mags in sub[..refine_count.min(room)].chunks(32) {
+                let word = mags
+                    .iter()
+                    .fold(0u32, |acc, &mag| acc << 1 | (mag >> b) & 1);
+                bits.push_bits(word, mags.len() as u32);
+            }
+            if bits.len_bits() >= limit {
+                break;
             }
         }
-        out.extend_from_slice(&bits.into_bytes());
+        let mut out = bits.into_bytes();
+        out.truncate(keep);
         out
     }
 }
@@ -737,7 +965,7 @@ pub struct DecodedPlane {
 }
 
 /// The checked fields of a plane header.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 struct PlaneHeader {
     w: usize,
     h: usize,
@@ -781,15 +1009,139 @@ impl PlaneHeader {
     }
 }
 
+/// Where one bit-plane's passes lie in a recorded stream, in bits from
+/// the start of the body. `u64::MAX` stands for "the stream ended
+/// first".
+#[derive(Clone, Copy)]
+struct PlaneMark {
+    /// Entries significant before this plane — the ones its
+    /// subordinate pass refines, one bit each, in list order.
+    refine_count: usize,
+    /// Where the subordinate pass starts.
+    sub_start: u64,
+    /// Where the plane ends: a prefix at least this long holds all of
+    /// it.
+    end: u64,
+}
+
+/// What symbol-decoding one plane stream leaves behind, and all that
+/// is needed to give the coefficients of any *prefix* of that stream
+/// without reading a bit of it.
+///
+/// The decoder is deterministic and reads strictly forward, so on a
+/// prefix cut at bit `x` it does exactly what it did on the whole
+/// stream up to `x` and then stops: the symbols that end at or before
+/// `x` take effect, the one `x` falls inside does not (a symbol's
+/// length is decided by its own leading bits, and the zeros read past
+/// the end never make it look shorter than what is left), and the
+/// refinement bits before `x` count one by one. The list is in
+/// significance order, which is stream order, so the prefix's
+/// significant coefficients are a prefix of the list; their magnitudes
+/// are the recorded ones without the bits read after `x`.
+#[derive(Default)]
+struct PlaneRecord {
+    /// The stream that was read, header and all — compared byte for
+    /// byte with whatever claims to be a prefix of it. Empty when
+    /// nothing is held.
+    stream: Vec<u8>,
+    /// Significant coefficients in significance order, one word each —
+    /// sign in bit 63, scan rank in bits 32..63, magnitude in the low
+    /// half — so the subordinate pass refines magnitudes in one
+    /// sequential sweep and nothing is scattered until the end. Longer
+    /// than `nsub`: grown by need, never cleared.
+    entries: Vec<u64>,
+    /// Per entry, the bit offset just past its dominant symbol;
+    /// ascending. (A plane is capped at 2^22 samples and 32 bit-planes,
+    /// so a decode never gets as far as bit 2^32.)
+    ends: Vec<u32>,
+    /// Entries in use.
+    nsub: usize,
+    /// Top bit-plane of the stream.
+    top_plane: u32,
+    /// One mark per plane reached, top plane first.
+    marks: Vec<PlaneMark>,
+}
+
+impl PlaneRecord {
+    /// Whether `stream` is a prefix of the stream recorded — header
+    /// included, so also of the same shape and top plane.
+    fn covers(&self, stream: &[u8]) -> bool {
+        self.stream.starts_with(stream)
+    }
+
+    /// Room for the entries of one more word of the live set: its 64
+    /// symbols append at most 64, and one spare slot takes the store
+    /// of a symbol that is not significant.
+    #[inline]
+    fn reserve_word(&mut self) {
+        let need = self.nsub + 65;
+        if self.entries.len() < need {
+            self.grow(need + need / 4);
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        self.entries.resize(len, 0);
+        self.ends.resize(len, 0);
+    }
+
+    /// Write into the zeroed `coeffs` what the first `stream_len` bytes
+    /// of the recorded stream — all of it, or a prefix — decode to.
+    /// `geo` is the geometry of its shape.
+    fn scatter(&self, stream_len: usize, geo: &Geometry, coeffs: &mut [i32]) {
+        debug_assert!(stream_len <= self.stream.len());
+        let body_bits = (stream_len - PLANE_HEADER_LEN) as u64 * 8;
+        let count = self.ends[..self.nsub].partition_point(|&end| end as u64 <= body_bits);
+        // The first plane the prefix does not hold all of: the
+        // uncertainty interval of a coefficient cut there is
+        // [mag, mag + 2^b), and of its bit b only what came before the
+        // cut was read.
+        let cut = self
+            .marks
+            .iter()
+            .position(|mark| mark.end > body_bits)
+            .map(|p| (self.top_plane - p as u32, self.marks[p]));
+        let Some((b, mark)) = cut else {
+            return scatter_entries(&self.entries[..count], !0, 0, geo, coeffs);
+        };
+        let offset = (1u32 << b) >> 1;
+        let from_plane = !0u32 << b;
+        let above_plane = (!0u64 << (b + 1)) as u32;
+        // Bit b is a refinement bit for the entries significant before
+        // this plane, read for the first of them only; for the entries
+        // significant *in* this plane it is the significance itself.
+        let before = mark.refine_count.min(count);
+        let read = body_bits.saturating_sub(mark.sub_start);
+        let refined = usize::try_from(read).map_or(before, |read| read.min(before));
+        let entries = &self.entries[..count];
+        scatter_entries(&entries[..refined], from_plane, offset, geo, coeffs);
+        scatter_entries(&entries[refined..before], above_plane, offset, geo, coeffs);
+        scatter_entries(&entries[before..], from_plane, offset, geo, coeffs);
+    }
+}
+
+/// Centre each entry's interval and write it to its place — the only
+/// pass over the plane that is not in scan order.
+fn scatter_entries(entries: &[u64], keep: u32, offset: u32, geo: &Geometry, coeffs: &mut [i32]) {
+    for &entry in entries {
+        let rank = (entry >> 32) as u32 & 0x7FFF_FFFF;
+        let v = (entry as u32 & keep).wrapping_add(offset) as i32;
+        coeffs[geo.scan[rank as usize] as usize] = if entry >> 63 != 0 {
+            v.wrapping_neg()
+        } else {
+            v
+        };
+    }
+}
+
 /// The state one plane decode threads through its passes.
 struct PlaneDecode<'a, 'b> {
     geo: &'a Geometry,
     bits: BitReader<'b>,
     live: &'a mut [u64],
     spawned: &'a mut [u64],
-    sub_list: &'a mut [u64],
-    /// Entries of `sub_list` in use.
-    nsub: usize,
+    record: &'a mut PlaneRecord,
 }
 
 #[inline]
@@ -825,8 +1177,11 @@ impl PlaneDecode<'_, '_> {
         }
         let roots = self.geo.roots();
         let (first, last) = (lo / 64, (hi - 1) / 64);
-        let mut nsub = self.nsub;
         for wi in first..=last {
+            self.record.reserve_word();
+            let entries = &mut self.record.entries[..];
+            let ends = &mut self.record.ends[..];
+            let mut nsub = self.record.nsub;
             // Bits of this word still to visit: those in range, above
             // the last one visited.
             let mut todo = !0u64;
@@ -901,7 +1256,8 @@ impl PlaneDecode<'_, '_> {
                     }
                 }
                 self.bits.consume(len);
-                self.sub_list[nsub] = neg << 63 | (rank as u64) << 32 | t;
+                entries[nsub] = neg << 63 | (rank as u64) << 32 | t;
+                ends[nsub] = self.bits.position() as u32;
                 nsub += sig as usize;
                 word &= !(sig << bit);
             }
@@ -909,12 +1265,11 @@ impl PlaneDecode<'_, '_> {
             if KIND != LEAVES {
                 self.spawned[wi] = spawned;
             }
+            self.record.nsub = nsub;
             if cut {
-                self.nsub = nsub;
                 return false;
             }
         }
-        self.nsub = nsub;
         true
     }
 
@@ -929,7 +1284,7 @@ impl PlaneDecode<'_, '_> {
             let want = (count - done).min(56) as u32;
             let chunk = self.bits.peek(want);
             let have = want.min(self.bits.buffered());
-            for (j, entry) in self.sub_list[done..done + have as usize]
+            for (j, entry) in self.record.entries[done..done + have as usize]
                 .iter_mut()
                 .enumerate()
             {
@@ -957,30 +1312,50 @@ impl EzwDecoder {
         scratch: &mut EzwScratch,
     ) -> Result<DecodedPlane, MediaError> {
         let header = PlaneHeader::parse(bytes)?;
-        Ok(Self::decode_body(header, bytes, scratch))
+        let mut coeffs = vec![0i32; header.w * header.h];
+        let mut record = std::mem::take(&mut scratch.record);
+        Self::read_symbols(header, bytes, scratch, &mut record);
+        let geo = scratch.geometry(header.w, header.h, header.levels);
+        record.scatter(bytes.len(), geo, &mut coeffs);
+        scratch.record = record;
+        Ok(DecodedPlane {
+            w: header.w,
+            h: header.h,
+            levels: header.levels,
+            coeffs,
+        })
     }
 
-    /// Decode the bitstream behind an already-checked `header`.
-    fn decode_body(header: PlaneHeader, bytes: &[u8], scratch: &mut EzwScratch) -> DecodedPlane {
-        let PlaneHeader {
-            w,
-            h,
-            levels,
-            top_plane,
-        } = header;
-        let n = w * h;
-        let mut coeffs = vec![0i32; n];
-        let Some(top_plane) = top_plane else {
-            return DecodedPlane {
-                w,
-                h,
-                levels,
-                coeffs,
-            };
+    /// Symbol-decode the bitstream behind an already-checked `header`
+    /// into `record`, replacing what it held. This is the only reader
+    /// of stream bits; coefficients come out of the record
+    /// (`PlaneRecord::scatter`), for this stream and for its prefixes
+    /// alike.
+    fn read_symbols(
+        header: PlaneHeader,
+        stream: &[u8],
+        scratch: &mut EzwScratch,
+        record: &mut PlaneRecord,
+    ) {
+        record.stream.clear();
+        record.stream.extend_from_slice(stream);
+        record.nsub = 0;
+        record.marks.clear();
+        let Some(top_plane) = header.top_plane else {
+            return;
         };
+        record.top_plane = top_plane;
+        let PlaneHeader { w, h, levels, .. } = header;
+        let n = w * h;
+        // A first guess at the list, so that it seldom grows: streams
+        // cut at a few bits per pixel spend about six bits on each
+        // significant coefficient, symbol and refinements together.
+        let guess = n.min((stream.len() - PLANE_HEADER_LEN) * 8 / 6) + 65;
+        if record.entries.len() < guess {
+            record.grow(guess);
+        }
         scratch.geometry(w, h, levels);
         let geo = scratch.geo.as_ref().expect("geometry cached");
-        let body = &bytes[PLANE_HEADER_LEN..];
 
         // The live set starts at the parentless coarsest-LL nodes and
         // grows by activation: the first time a parent codes a
@@ -999,54 +1374,35 @@ impl EzwDecoder {
         let spawned = &mut scratch.spawned;
         spawned.clear();
         spawned.resize(geo.parents().div_ceil(64), 0);
-        // A significant symbol costs at least two bits, which bounds
-        // the list by the stream as well as by the plane; one spare
-        // slot takes the store of a symbol that is not significant.
-        let sub_list = &mut scratch.sub_list;
-        sub_list.clear();
-        sub_list.resize(n.min(body.len() * 4) + 1, 0);
 
         let mut dec = PlaneDecode {
             geo,
-            bits: BitReader::new(body),
+            bits: BitReader::new(&stream[PLANE_HEADER_LEN..]),
             live,
             spawned,
-            sub_list,
-            nsub: 0,
+            record,
         };
-        // Plane the stream stopped in, if it did: the uncertainty
-        // interval of a coefficient cut there is [mag, mag + 2^b).
-        let mut cut_plane = None;
         for b in (0..=top_plane).rev() {
-            let refine_count = dec.nsub;
+            let refine_count = dec.record.nsub;
             let t = 1u64 << b;
-            let complete = dec.dominant::<ROOTS>(0, geo.roots(), t)
+            let mut mark = PlaneMark {
+                refine_count,
+                sub_start: u64::MAX,
+                end: u64::MAX,
+            };
+            let dominant = dec.dominant::<ROOTS>(0, geo.roots(), t)
                 && dec.dominant::<QUADS>(geo.roots(), geo.parents(), t)
-                && dec.dominant::<LEAVES>(geo.parents(), n, t)
-                && dec.subordinate(refine_count, b);
-            if !complete {
-                cut_plane = Some(b);
+                && dec.dominant::<LEAVES>(geo.parents(), n, t);
+            if dominant {
+                mark.sub_start = dec.bits.position();
+                if dec.subordinate(refine_count, b) {
+                    mark.end = dec.bits.position();
+                }
+            }
+            dec.record.marks.push(mark);
+            if mark.end == u64::MAX {
                 break;
             }
-        }
-
-        // Centre the interval, then scatter — the only pass over the
-        // plane that is not in scan order.
-        let offset = cut_plane.map_or(0, |b| (1u32 << b) >> 1);
-        for &entry in &dec.sub_list[..dec.nsub] {
-            let rank = (entry >> 32) as u32 & 0x7FFF_FFFF;
-            let v = (entry as u32).wrapping_add(offset) as i32;
-            coeffs[geo.scan[rank as usize] as usize] = if entry >> 63 != 0 {
-                v.wrapping_neg()
-            } else {
-                v
-            };
-        }
-        DecodedPlane {
-            w,
-            h,
-            levels,
-            coeffs,
         }
     }
 }
@@ -1085,7 +1441,14 @@ pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>
             "color transform requires 3 channels".to_string(),
         ));
     }
-    // Nothing is encoded that the decoder would refuse.
+    // Nothing is encoded that the header cannot say (two 16-bit
+    // dimensions) or that the decoder would refuse.
+    if img.width > u16::MAX as usize || img.height > u16::MAX as usize {
+        return Err(MediaError::BadDimensions(format!(
+            "{}x{} does not fit the plane header's 16-bit dimensions",
+            img.width, img.height
+        )));
+    }
     if img.pixels() > MAX_PLANE_SAMPLES {
         return Err(MediaError::BadDimensions(format!(
             "{}x{} is over the {MAX_PLANE_SAMPLES}-sample plane cap",
@@ -1126,6 +1489,47 @@ pub fn encode_prepared_plane(
 ) -> Vec<u8> {
     wavelet::forward_2d_with(plane, width, height, levels, kind, wavelet_scratch);
     EzwEncoder::encode_plane_with(plane, width, height, levels, ezw_scratch)
+}
+
+/// The first half of [`encode_prepared_plane`] on its own:
+/// wavelet-transform the plane in place and size up its stream
+/// ([`EzwEncoder::measure_plane`]), returning the stream's full length.
+/// With every channel's length in hand [`channel_keeps`] says how much
+/// of each a rate cap keeps, and [`EzwEncoder::emit_plane`] — on the
+/// same plane and the same `analysis` — writes just that.
+pub fn measure_prepared_plane(
+    plane: &mut [i32],
+    width: usize,
+    height: usize,
+    levels: usize,
+    kind: WaveletKind,
+    wavelet_scratch: &mut WaveletScratch,
+    analysis: &mut PlaneAnalysis,
+) -> usize {
+    wavelet::forward_2d_with(plane, width, height, levels, kind, wavelet_scratch);
+    EzwEncoder::measure_plane(plane, width, height, levels, analysis)
+}
+
+/// How many bytes of each channel stream a container of at most
+/// `budget` bytes keeps, given the streams' full lengths: the budget
+/// left after the container's framing, split in proportion to the
+/// lengths and never below a plane header. The one statement of the
+/// split — [`truncate_container`] cuts by it and a capped encode
+/// ([`encode_image_capped`]) stops at it — so the two agree to the
+/// byte. `None` keeps everything.
+pub fn channel_keeps(lens: &[usize], budget: Option<usize>) -> Vec<usize> {
+    let Some(budget) = budget else {
+        return lens.to_vec();
+    };
+    let total: usize = lens.iter().sum();
+    let overhead = CONTAINER_HEADER_LEN + 4 * lens.len();
+    let payload_budget = budget.saturating_sub(overhead);
+    lens.iter()
+        .map(|&len| {
+            let share = (payload_budget * len).checked_div(total).unwrap_or(0);
+            share.clamp(PLANE_HEADER_LEN.min(len), len)
+        })
+        .collect()
 }
 
 /// Pack per-channel plane streams into a container:
@@ -1172,20 +1576,41 @@ pub fn encode_image_opts(
     kind: WaveletKind,
     color_transform: bool,
 ) -> Result<Vec<u8>, MediaError> {
-    if levels == 0 || levels > wavelet::max_levels(img.width, img.height) {
-        return Err(MediaError::BadDimensions(format!(
-            "{}x{} does not support {} wavelet levels",
-            img.width, img.height, levels
-        )));
-    }
+    encode_image_capped(img, levels, kind, color_transform, None)
+}
+
+/// [`encode_image_opts`] under a rate cap: with `cap = Some(budget)`
+/// the container is `truncate_container(&full, budget)` of the full
+/// encode, byte for byte, but no bit past the cut is ever coded — every
+/// channel is sized up first, the budget is split ([`channel_keeps`]),
+/// and each channel's passes stop at its share. `None` runs the same
+/// loop to the end.
+pub fn encode_image_capped(
+    img: &Image,
+    levels: usize,
+    kind: WaveletKind,
+    color_transform: bool,
+    cap: Option<usize>,
+) -> Result<Vec<u8>, MediaError> {
+    check_levels(img, levels)?;
     let mut planes = prepare_planes(img, color_transform)?;
     let mut ws = WaveletScratch::new();
+    let mut analyses: Vec<PlaneAnalysis> = planes.iter().map(|_| PlaneAnalysis::new()).collect();
+    let lens: Vec<usize> = planes
+        .iter_mut()
+        .zip(&mut analyses)
+        .map(|(plane, analysis)| {
+            measure_prepared_plane(
+                plane, img.width, img.height, levels, kind, &mut ws, analysis,
+            )
+        })
+        .collect();
     let mut es = EzwScratch::new();
     let streams: Vec<Vec<u8>> = planes
-        .iter_mut()
-        .map(|plane| {
-            encode_prepared_plane(plane, img.width, img.height, levels, kind, &mut ws, &mut es)
-        })
+        .iter()
+        .zip(&analyses)
+        .zip(channel_keeps(&lens, cap))
+        .map(|((plane, analysis), keep)| EzwEncoder::emit_plane(plane, analysis, keep, &mut es))
         .collect();
     Ok(assemble_container(
         img.channels,
@@ -1195,26 +1620,66 @@ pub fn encode_image_opts(
     ))
 }
 
+/// Refuse a level count the image's dimensions do not support.
+pub fn check_levels(img: &Image, levels: usize) -> Result<(), MediaError> {
+    if levels == 0 || levels > wavelet::max_levels(img.width, img.height) {
+        return Err(MediaError::BadDimensions(format!(
+            "{}x{} does not support {} wavelet levels",
+            img.width, img.height, levels
+        )));
+    }
+    Ok(())
+}
+
+/// The channel streams of a container whose framing
+/// [`container_streams`] has checked, in order.
+#[derive(Clone)]
+pub(crate) struct ChannelStreams<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> ChannelStreams<'a> {
+    /// Length and bytes of the next stream, if both are all there.
+    fn split(&self) -> Option<(&'a [u8], &'a [u8])> {
+        let (len, tail) = self.rest.split_first_chunk::<4>()?;
+        tail.split_at_checked(u32::from_be_bytes(*len) as usize)
+    }
+}
+
+impl<'a> Iterator for ChannelStreams<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.left = self.left.checked_sub(1)?;
+        let (stream, rest) = self.split().expect("framing checked when opened");
+        self.rest = rest;
+        Some(stream)
+    }
+}
+
 /// Split a container into its header fields and channel streams,
 /// checking every length against the bytes present.
-pub(crate) fn container_streams(bytes: &[u8]) -> Result<(usize, u8, Vec<&[u8]>), MediaError> {
+pub(crate) fn container_streams(
+    bytes: &[u8],
+) -> Result<(usize, u8, ChannelStreams<'_>), MediaError> {
     if bytes.len() < CONTAINER_HEADER_LEN || &bytes[..4] != CONTAINER_MAGIC {
         return Err(MediaError::Malformed("bad container header"));
     }
     let channels = bytes[4] as usize;
-    let mut rest = &bytes[CONTAINER_HEADER_LEN..];
-    let mut streams = Vec::with_capacity(channels);
+    let streams = ChannelStreams {
+        rest: &bytes[CONTAINER_HEADER_LEN..],
+        left: channels,
+    };
+    let mut walk = streams.clone();
     for _ in 0..channels {
-        let Some((len, tail)) = rest.split_first_chunk::<4>() else {
+        if walk.rest.len() < 4 {
             return Err(MediaError::Malformed("truncated container"));
-        };
-        let len = u32::from_be_bytes(*len) as usize;
-        if tail.len() < len {
-            return Err(MediaError::Malformed("truncated channel stream"));
         }
-        let (stream, tail) = tail.split_at(len);
-        streams.push(stream);
-        rest = tail;
+        let Some((_, rest)) = walk.split() else {
+            return Err(MediaError::Malformed("truncated channel stream"));
+        };
+        walk.rest = rest;
     }
     Ok((channels, bytes[5], streams))
 }
@@ -1223,31 +1688,47 @@ pub(crate) fn container_streams(bytes: &[u8]) -> Result<(usize, u8, Vec<&[u8]>),
 /// the way the decoder checks them but without decoding anything — for
 /// a receiver that knows what size it was promised.
 pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> {
-    let (_, _, streams) = container_streams(bytes)?;
+    let (_, _, mut streams) = container_streams(bytes)?;
     let first = streams
-        .first()
+        .next()
         .ok_or(MediaError::Malformed("bad channel count"))?;
     let header = PlaneHeader::parse(first)?;
     Ok((header.w, header.h))
 }
 
 /// Everything a container decode reuses from one call to the next: the
-/// EZW coder state (scan geometry, live bitmap, significance list) and
-/// the wavelet line and tile buffers. A receiver that keeps one and
+/// EZW coder state (scan geometry, live bitmap), the wavelet line and
+/// tile buffers, the coefficient planes, and per channel the record of
+/// the last stream symbol-decoded there. A receiver that keeps one and
 /// decodes through [`decode_image_reduced_with`] allocates only the
-/// coefficient planes and the image it returns. The buffers stay the
-/// size of the largest plane decoded, which the plane-sample cap
-/// bounds.
+/// image it returns, and pays for reading symbols once per stream: a
+/// container whose channel streams are prefixes of the recorded ones —
+/// a smaller packet budget's view of the same shared object — is
+/// replayed from the records. The buffers stay the size of the largest
+/// plane decoded, which the plane-sample cap bounds.
 #[derive(Default)]
 pub struct DecodeScratch {
     ezw: EzwScratch,
     wavelet: WaveletScratch,
+    records: [PlaneRecord; 3],
+    planes: [Vec<i32>; 3],
+    replays: u64,
 }
 
 impl DecodeScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> DecodeScratch {
         DecodeScratch::default()
+    }
+
+    /// Containers decoded without reading a symbol: every channel
+    /// stream was a prefix of the one recorded for its channel. It
+    /// counts what this scratch was asked in the order it was asked —
+    /// the same containers shortest first replay nothing — so where
+    /// several scratches serve one session (more than one worker) it
+    /// depends on which asks met which scratch.
+    pub fn replays(&self) -> u64 {
+        self.replays
     }
 }
 
@@ -1269,7 +1750,11 @@ pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, M
 }
 
 /// [`decode_image_reduced`] with caller-owned scratch: the same image,
-/// bit for bit, whatever the scratch decoded before.
+/// bit for bit, whatever the scratch decoded before. What it decoded
+/// before only decides the cost: a container that is a prefix, channel
+/// by channel, of the last one read is replayed from the scratch's
+/// records; anything else — longer, different, or the first — has its
+/// symbols read, which replaces the records.
 pub fn decode_image_reduced_with(
     bytes: &[u8],
     drop_levels: usize,
@@ -1286,12 +1771,13 @@ pub fn decode_image_reduced_with(
     // Every header is checked, and the planes held to one shape,
     // before any plane is decoded: a plane's header sizes what its
     // decode allocates.
-    let headers = streams
-        .iter()
-        .map(|s| PlaneHeader::parse(s))
-        .collect::<Result<Vec<_>, _>>()?;
-    let first = headers[0];
-    if headers.iter().any(|p| !p.same_shape(&first)) {
+    let mut parts = [(PlaneHeader::default(), &bytes[..0]); 3];
+    for (part, stream) in parts.iter_mut().zip(streams) {
+        *part = (PlaneHeader::parse(stream)?, stream);
+    }
+    let parts = &parts[..channels];
+    let first = parts[0].0;
+    if parts.iter().any(|(p, _)| !p.same_shape(&first)) {
         return Err(MediaError::Malformed("channel geometry mismatch"));
     }
     let (w, h, levels) = (first.w, first.h, first.levels);
@@ -1303,19 +1789,34 @@ pub fn decode_image_reduced_with(
     let DecodeScratch {
         ezw: es,
         wavelet: ws,
+        records,
+        planes,
+        replays,
     } = scratch;
-    let mut planes = Vec::with_capacity(channels);
-    for (i, (&header, stream)) in headers.iter().zip(&streams).enumerate() {
-        let mut coeffs = EzwDecoder::decode_body(header, stream, es).coeffs;
-        wavelet::inverse_2d_partial_with(&mut coeffs, w, h, levels, drop_levels, kind, ws);
+    let planes = &mut planes[..channels];
+    let mut read_symbols = false;
+    for (i, &(header, stream)) in parts.iter().enumerate() {
+        // A stream is read once: what is a prefix of the stream last
+        // read for this channel — verified byte for byte, header and
+        // all — comes out of that reading's record.
+        let record = &mut records[i];
+        if !record.covers(stream) {
+            EzwDecoder::read_symbols(header, stream, es, record);
+            read_symbols = true;
+        }
+        let coeffs = &mut planes[i];
+        coeffs.clear();
+        coeffs.resize(w * h, 0);
+        record.scatter(stream.len(), es.geometry(w, h, levels), coeffs);
+        wavelet::inverse_2d_partial_with(coeffs, w, h, levels, drop_levels, kind, ws);
         // Undo the level shift (luma only once decorrelated).
         if !color || i == 0 {
             for v in coeffs.iter_mut() {
                 *v = v.wrapping_add(128);
             }
         }
-        planes.push(coeffs);
     }
+    *replays += !read_symbols as u64;
     if color {
         let (y, rest) = planes.split_at_mut(1);
         let (co, cg) = rest.split_at_mut(1);
@@ -1348,15 +1849,11 @@ pub fn decode_image_reduced_with(
 /// quality degrades gracefully across all channels instead of dropping
 /// whole channels.
 pub fn truncate_container(bytes: &[u8], budget: usize) -> Result<Vec<u8>, MediaError> {
-    let (channels, _, streams) = container_streams(bytes)?;
-    let total: usize = streams.iter().map(|s| s.len()).sum();
-    let overhead = CONTAINER_HEADER_LEN + 4 * channels;
-    let payload_budget = budget.saturating_sub(overhead);
+    let (_, _, streams) = container_streams(bytes)?;
+    let lens: Vec<usize> = streams.clone().map(<[u8]>::len).collect();
     let mut out = Vec::with_capacity(budget.min(bytes.len()));
     out.extend_from_slice(&bytes[..CONTAINER_HEADER_LEN]);
-    for s in &streams {
-        let share = (payload_budget * s.len()).checked_div(total).unwrap_or(0);
-        let keep = share.clamp(PLANE_HEADER_LEN.min(s.len()), s.len());
+    for (s, keep) in streams.zip(channel_keeps(&lens, Some(budget))) {
         out.extend_from_slice(&(keep as u32).to_be_bytes());
         out.extend_from_slice(&s[..keep]);
     }
@@ -1368,6 +1865,7 @@ mod tests {
     use super::*;
     use crate::image::synthetic_scene;
     use crate::metrics::psnr;
+    use proptest::prelude::*;
 
     #[test]
     fn bit_writer_reader_round_trip() {
@@ -1722,10 +2220,129 @@ mod tests {
         assert!(decode_image(&container).is_err());
     }
 
+    /// The plane header says each dimension in 16 bits; 65 538 x 2 is
+    /// inside the sample cap and used to encode "successfully" as 2 x 2.
+    #[test]
+    fn an_image_wider_than_the_header_can_say_is_refused() {
+        for (w, h) in [(65_538, 2), (2, 65_538)] {
+            let img = Image::new(w, h, 1);
+            assert!(img.pixels() <= MAX_PLANE_SAMPLES);
+            for refused in [
+                prepare_planes(&img, false).map(drop),
+                encode_image_opts(&img, 1, WaveletKind::Haar, false).map(drop),
+                encode_image_capped(&img, 1, WaveletKind::Haar, false, Some(64)).map(drop),
+            ] {
+                assert!(
+                    matches!(refused, Err(MediaError::BadDimensions(_))),
+                    "{w}x{h}: {refused:?}"
+                );
+            }
+        }
+        // The widest the header can say still goes through.
+        let img = Image::new(65_534, 2, 1);
+        let c = encode_image_opts(&img, 1, WaveletKind::Haar, false).unwrap();
+        assert_eq!(container_dimensions(&c).unwrap(), (65_534, 2));
+    }
+
+    /// One plane, every keep: stopping the passes at `keep` writes the
+    /// first `keep` bytes of the full stream, and the length sized up
+    /// beforehand is the length written.
+    #[test]
+    fn emitting_to_a_keep_is_a_prefix_of_the_full_stream() {
+        let mut analysis = PlaneAnalysis::new();
+        let mut es = EzwScratch::new();
+        for (side, levels, seed) in [(32, 3, 11u64), (16, 2, 12), (64, 1, 13)] {
+            let scene = synthetic_scene(side, side, 1, 3, seed);
+            let mut plane = scene.image.plane(0);
+            for v in plane.iter_mut() {
+                *v -= 128;
+            }
+            wavelet::forward_2d(&mut plane, side, side, levels, WaveletKind::Cdf53);
+            let full = EzwEncoder::encode_plane(&plane, side, side, levels);
+            let len = EzwEncoder::measure_plane(&plane, side, side, levels, &mut analysis);
+            assert_eq!(len, full.len(), "{side}x{side} L{levels}");
+            for keep in 0..=full.len() + 3 {
+                let got = EzwEncoder::emit_plane(&plane, &analysis, keep, &mut es);
+                let want = &full[..keep.clamp(PLANE_HEADER_LEN, full.len())];
+                assert!(got == want, "{side}x{side} L{levels} keep {keep}");
+            }
+        }
+    }
+
+    #[test]
+    fn channel_keeps_never_cut_into_a_header_or_past_a_stream() {
+        let lens = [500usize, PLANE_HEADER_LEN, 90];
+        assert_eq!(channel_keeps(&lens, None), lens);
+        for budget in 0..700 {
+            let keeps = channel_keeps(&lens, Some(budget));
+            for (&keep, &len) in keeps.iter().zip(&lens) {
+                assert!((PLANE_HEADER_LEN..=len).contains(&keep), "budget {budget}");
+            }
+            // Within the budget, but for the framing and the headers
+            // it may not cut.
+            let framing = CONTAINER_HEADER_LEN + 4 * lens.len();
+            let framed = framing + keeps.iter().sum::<usize>();
+            assert!(
+                framed <= budget.max(framing) + lens.len() * PLANE_HEADER_LEN,
+                "budget {budget}: {framed} bytes"
+            );
+        }
+        assert_eq!(channel_keeps(&lens, Some(10_000)), lens);
+    }
+
     #[test]
     fn encoder_rejects_bad_levels() {
         let scene = synthetic_scene(16, 16, 1, 1, 0);
         assert!(encode_image(&scene.image, 0, WaveletKind::Haar).is_err());
         assert!(encode_image(&scene.image, 9, WaveletKind::Haar).is_err());
+    }
+
+    /// A random coefficient plane: sparse or dense, small magnitudes or
+    /// spanning twenty bit-planes, so zerotrees, isolated zeros and
+    /// long refinement tails all occur.
+    fn arb_plane() -> impl Strategy<Value = (usize, usize, usize, Vec<i32>)> {
+        (0usize..4, 0usize..4, 0u32..=20, 1u32..=8).prop_flat_map(|(wi, hi, bits, sparsity)| {
+            let dims = [8usize, 16, 24, 32];
+            let (w, h) = (dims[wi], dims[hi]);
+            let coeff =
+                (any::<i32>(), 0..sparsity).prop_map(
+                    move |(v, keep)| {
+                        if keep == 0 {
+                            v >> (31 - bits)
+                        } else {
+                            0
+                        }
+                    },
+                );
+            (
+                Just(w),
+                Just(h),
+                1usize..=wavelet::max_levels(w, h),
+                proptest::collection::vec(coeff, w * h..w * h + 1),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The closed form against the emitted stream: the length
+        /// sized up from the bit positions alone is the length the
+        /// passes write, and any keep below it is that stream's prefix.
+        #[test]
+        fn measured_length_is_emitted_length(
+            (w, h, levels, coeffs) in arb_plane(),
+            keep_ppm in 0usize..=1_000_000,
+        ) {
+            let mut analysis = PlaneAnalysis::new();
+            let mut es = EzwScratch::new();
+            let len = EzwEncoder::measure_plane(&coeffs, w, h, levels, &mut analysis);
+            let full = EzwEncoder::emit_plane(&coeffs, &analysis, len, &mut es);
+            prop_assert_eq!(full.len(), len, "{}x{} L{}", w, h, levels);
+            prop_assert_eq!(&full, &crate::reference::encode_plane(&coeffs, w, h, levels));
+            let keep = len * keep_ppm / 1_000_000;
+            let cut = EzwEncoder::emit_plane(&coeffs, &analysis, keep, &mut es);
+            prop_assert_eq!(&cut[..], &full[..keep.max(PLANE_HEADER_LEN)], "keep {}", keep);
+        }
     }
 }

@@ -100,12 +100,12 @@ pub fn split_packets(container: &[u8], n: usize) -> Vec<MediaPacket> {
     let (_, _, streams) = container_streams(container).expect("valid container");
     let header = &container[..CONTAINER_HEADER];
     let bounds: Vec<Vec<(usize, usize)>> =
-        streams.iter().map(|s| chunk_bounds(s.len(), n)).collect();
+        streams.clone().map(|s| chunk_bounds(s.len(), n)).collect();
     (0..n)
         .map(|i| {
             let mut payload = Vec::with_capacity(CONTAINER_HEADER + container.len() / n + 8);
             payload.extend_from_slice(header);
-            for (stream, b) in streams.iter().zip(&bounds) {
+            for (stream, b) in streams.clone().zip(&bounds) {
                 let (start, end) = b[i];
                 payload.extend_from_slice(&((end - start) as u32).to_be_bytes());
                 payload.extend_from_slice(&stream[start..end]);

@@ -496,10 +496,7 @@ pub fn decode_plane(bytes: &[u8]) -> Result<DecodedPlane, MediaError> {
 pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
     let (channels, kind, streams) = container_streams(bytes)?;
     let (kind, color) = kind_from_byte(kind)?;
-    let mut planes = streams
-        .iter()
-        .map(|stream| decode_plane(stream))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut planes = streams.map(decode_plane).collect::<Result<Vec<_>, _>>()?;
     let Some((w, h)) = planes.first().map(|p| (p.w, p.h)) else {
         return Err(MediaError::Malformed("bad channel count"));
     };

@@ -288,6 +288,266 @@ fn golden_color_container_fixture() {
     assert!(collabqos::media::psnr_color(&scene.image, &coarse) > 15.0);
 }
 
+// ------------------------------------------------------ capped encode
+
+/// The top-left `w x h` corner of a square scene (the generator wants
+/// room for its discs in both directions).
+fn corner_image(w: usize, h: usize, channels: usize, seed: u64) -> Image {
+    let side = w.max(h);
+    let square = synthetic_scene(side, side, channels, 3, seed).image;
+    let mut img = Image::new(w, h, channels);
+    for y in 0..h {
+        for x in 0..w {
+            for c in 0..channels {
+                img.set(x, y, c, square.get(x, y, c));
+            }
+        }
+    }
+    img
+}
+
+/// The encoder stops where `truncate_container` would cut: for every
+/// budget from nothing to past the whole stream the capped encode is
+/// the cut of the full encode, byte for byte — one and three channels,
+/// with and without the colour transform, planes whose bands straddle
+/// bitmap words, and a grey image whose chroma planes are all zero
+/// (streams that are a header and nothing else, which no cut may
+/// shorten).
+#[test]
+fn capped_encode_equals_the_cut_of_the_full_encode_at_every_budget() {
+    let mut grey = Image::new(32, 32, 3);
+    for (i, px) in grey.data.chunks_exact_mut(3).enumerate() {
+        px.fill((i * 7 % 251) as u8);
+    }
+    let cases = [
+        (synthetic_scene(32, 32, 1, 3, 61).image, 3, false),
+        (synthetic_scene(32, 32, 3, 3, 62).image, 3, true),
+        (synthetic_scene(32, 32, 3, 3, 63).image, 2, false),
+        (corner_image(96, 32, 1, 64), 3, false),
+        (corner_image(24, 48, 3, 65), 1, true),
+        (grey, 3, true),
+    ];
+    for (img, levels, color) in &cases {
+        for kind in [WaveletKind::Cdf53, WaveletKind::Haar] {
+            let full = ezw::encode_image_opts(img, *levels, kind, *color).unwrap();
+            let uncapped = ezw::encode_image_capped(img, *levels, kind, *color, None).unwrap();
+            assert!(uncapped == full, "no cap is the whole stream");
+            for budget in 0..=full.len() + 16 {
+                let capped =
+                    ezw::encode_image_capped(img, *levels, kind, *color, Some(budget)).unwrap();
+                let cut = ezw::truncate_container(&full, budget).unwrap();
+                // Not `assert_eq!`: a mismatch would print both streams.
+                assert!(
+                    capped == cut,
+                    "{}x{}x{} L{levels} {kind:?} color {color}: budget {budget} of {}",
+                    img.width,
+                    img.height,
+                    img.channels,
+                    full.len()
+                );
+            }
+        }
+    }
+    // The grey image's chroma streams really are bare headers.
+    let (grey, levels, color) = &cases[5];
+    let full = ezw::encode_image_opts(grey, *levels, WaveletKind::Cdf53, *color).unwrap();
+    let streams = plane_streams(&full);
+    assert_eq!(streams[1].len(), ezw::PLANE_HEADER_LEN);
+    assert_eq!(streams[2].len(), ezw::PLANE_HEADER_LEN);
+}
+
+/// What the session sends under a rate limit is what it sent when it
+/// encoded everything and cut afterwards — at any worker count — and a
+/// re-share of the same scene under the same limit is still one encode.
+#[test]
+fn a_rate_limited_share_sends_the_cut_of_the_full_stream() {
+    use collabqos::prelude::*;
+    let scene = synthetic_scene(64, 64, 3, 4, 67);
+    let levels = wavelet::max_levels(64, 64).min(5);
+    for workers in [1, 4] {
+        let cfg = SessionConfig {
+            color_transform: true,
+            full_stream_bpp: Some(3.0),
+            workers,
+            ..SessionConfig::default()
+        };
+        let full = ezw::encode_image_opts(&scene.image, levels, cfg.wavelet, true).unwrap();
+        let budget = 64 * 64 * 3 / 8;
+        assert!(budget < full.len(), "the limit bites");
+        let sent = ezw::truncate_container(&full, budget).unwrap();
+
+        let mut s = CollaborationSession::new(cfg.clone());
+        let publisher = join_image_client(&mut s, "publisher");
+        let viewer = join_image_client(&mut s, "viewer");
+        s.client_mut(viewer).viewer.set_packet_budget(16);
+        for share in 1..=2u64 {
+            s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+            let views = s.pump(Ticks::from_secs(2));
+            assert_eq!(views.len(), 1);
+            let (_, view) = &views[0];
+            let payload: usize = split_packets(&sent, cfg.packets_per_image)
+                .iter()
+                .map(|p| p.payload.len())
+                .sum();
+            assert_eq!(view.received_bytes, payload, "workers {workers}");
+            assert!(*view.image == reference::decode_image(&sent).unwrap());
+            let stats = s.media_cache_stats();
+            assert_eq!((stats.misses(), stats.hits()), (1, share - 1));
+        }
+    }
+}
+
+// ------------------------------------------------- replayed prefixes
+
+/// `container` through `warm` at each of `drops`, held to what a
+/// scratch that has seen nothing makes of it — and, if an encoder wrote
+/// it (`frozen`: the reference is pinned on nothing else), at full
+/// resolution to the frozen decoder. Returns how many of the decodes
+/// were replays.
+fn replays_of_warm_decodes(
+    container: &[u8],
+    drops: std::ops::RangeInclusive<usize>,
+    warm: &mut DecodeScratch,
+    frozen: bool,
+    what: &str,
+) -> u64 {
+    let before = warm.replays();
+    for drop in drops {
+        let kept = ezw::decode_image_reduced_with(container, drop, warm).unwrap();
+        let fresh = ezw::decode_image_reduced(container, drop).unwrap();
+        // Not `assert_eq!`: a mismatch would print both images.
+        assert!(kept == fresh, "{what}, drop {drop}");
+        if drop == 0 && frozen {
+            assert!(
+                kept == reference::decode_image(container).unwrap(),
+                "{what}"
+            );
+        }
+    }
+    warm.replays() - before
+}
+
+/// Exhaustive, like `every_byte_cut_matches_reference`: a scratch that
+/// has read a stream gives every byte cut of it — at every resolution —
+/// without reading it again, and gives exactly what reading the cut
+/// afresh gives. The stream read is once a whole one and once itself a
+/// cut that ends inside a pass.
+#[test]
+fn every_byte_cut_replays_to_the_fresh_decode() {
+    for (side, channels, levels, color, seed) in [(32, 3, 3, true, 71u64), (64, 1, 4, false, 72)] {
+        let image = synthetic_scene(side, side, channels, 4, seed).image;
+        let full = ezw::encode_image_opts(&image, levels, WaveletKind::Cdf53, color).unwrap();
+        for read in [full.len(), full.len() * 2 / 5] {
+            let read = ezw::truncate_container(&full, read).unwrap();
+            let mut warm = DecodeScratch::new();
+            let what = format!("{side}x{side}x{channels}, {} bytes read", read.len());
+            assert_eq!(
+                replays_of_warm_decodes(&read, 0..=0, &mut warm, true, &what),
+                0
+            );
+            for budget in (0..=read.len()).rev() {
+                let cut = ezw::truncate_container(&read, budget).unwrap();
+                let what = format!("{what}, cut to {budget}");
+                let replays = replays_of_warm_decodes(&cut, 0..=2, &mut warm, true, &what);
+                assert_eq!(replays, 3, "{what}: a prefix was read again");
+            }
+        }
+    }
+}
+
+/// The session's case: the packet prefixes of one shared object, the
+/// longest asked for first, cost one reading of the symbols; asked for
+/// shortest first they cost one each.
+#[test]
+fn nested_packet_prefixes_replay_longest_first_and_not_shortest_first() {
+    let scene = synthetic_scene(256, 256, 3, 5, 73);
+    let sent = ezw::encode_image_capped(
+        &scene.image,
+        5,
+        WaveletKind::Cdf53,
+        true,
+        Some(256 * 256 * 6 / 8),
+    )
+    .unwrap();
+    let packets = split_packets(&sent, 16);
+    let prefix = |k: usize| reassemble_prefix(&packets[..k]).unwrap();
+    let mut warm = DecodeScratch::new();
+    for k in [16, 8, 4, 2, 1] {
+        let replays =
+            replays_of_warm_decodes(&prefix(k), 0..=0, &mut warm, true, &format!("k={k}"));
+        assert_eq!(replays, (k < 16) as u64, "k={k}");
+    }
+    let mut warm = DecodeScratch::new();
+    for k in [1, 2, 4, 8, 16] {
+        replays_of_warm_decodes(&prefix(k), 0..=0, &mut warm, true, &format!("k={k}"));
+    }
+    assert_eq!(warm.replays(), 0);
+}
+
+/// What is not a prefix of the stream last read is read afresh, and
+/// what was read before never shows in it: a longer cut after a
+/// shorter, other bytes of the same length, a prefix with one byte
+/// changed in the middle, and a stream of another shape.
+#[test]
+fn what_is_not_a_prefix_is_read_afresh() {
+    let image = |seed| synthetic_scene(64, 64, 3, 4, seed).image;
+    let encode = |img: &Image, budget| {
+        ezw::encode_image_capped(img, 4, WaveletKind::Cdf53, true, Some(budget)).unwrap()
+    };
+    let held = encode(&image(81), 3000);
+    let mut warm = DecodeScratch::new();
+    let mut read_afresh = |container: &[u8], frozen: bool, what: &str| {
+        // Put the scratch back on `held` first.
+        ezw::decode_image_reduced_with(&held, 0, &mut warm).unwrap();
+        let replays = replays_of_warm_decodes(container, 0..=2, &mut warm, frozen, what);
+        // Read once, at the first resolution asked; by then it is the
+        // stream last read, and a prefix of itself.
+        assert_eq!(replays, 2, "{what}");
+    };
+
+    let longer = encode(&image(81), 4000);
+    assert!(plane_streams(&longer)[0].starts_with(plane_streams(&held)[0]));
+    read_afresh(&longer, true, "longer after shorter");
+
+    // Another image's streams, cut to the very lengths of `held`'s.
+    let other = ezw::encode_image_opts(&image(82), 4, WaveletKind::Cdf53, true).unwrap();
+    let other: Vec<Vec<u8>> = plane_streams(&other)
+        .iter()
+        .zip(plane_streams(&held))
+        .map(|(other, held)| other[..held.len()].to_vec())
+        .collect();
+    let other = ezw::assemble_container(3, WaveletKind::Cdf53, true, &other);
+    assert_eq!(other.len(), held.len());
+    read_afresh(&other, true, "other bytes of the same length");
+
+    let shorter = ezw::truncate_container(&held, 2000).unwrap();
+    for stream in 0..3 {
+        let mut flipped = shorter.clone();
+        let streams = plane_streams(&shorter);
+        let start = streams[stream].as_ptr() as usize - shorter.as_ptr() as usize;
+        flipped[start + streams[stream].len() / 2] ^= 0x10;
+        read_afresh(
+            &flipped,
+            false,
+            &format!("a byte changed in stream {stream}"),
+        );
+    }
+
+    let small = synthetic_scene(32, 32, 3, 3, 83).image;
+    let small = ezw::encode_image_opts(&small, 3, WaveletKind::Cdf53, true).unwrap();
+    read_afresh(&small, true, "another shape");
+    let grey = synthetic_scene(64, 64, 1, 4, 84).image;
+    let grey = ezw::encode_image_opts(&grey, 4, WaveletKind::Cdf53, false).unwrap();
+    read_afresh(&grey, true, "another channel count");
+
+    // And a true prefix still replays afterwards.
+    ezw::decode_image_reduced_with(&held, 0, &mut warm).unwrap();
+    assert_eq!(
+        replays_of_warm_decodes(&shorter, 0..=2, &mut warm, true, "prefix"),
+        3
+    );
+}
+
 /// `Image` geometry sanity for the fixture scene (guards against the
 /// synthetic generator changing under the fixture's feet — if this
 /// fails, the fixture mismatch above is the generator, not the codec).

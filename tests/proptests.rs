@@ -282,6 +282,50 @@ fn ezw_header_bomb_is_refused_before_allocating() {
     assert!(peak <= MAX_DECODE_ALLOC, "one allocation of {peak} bytes");
 }
 
+/// What the receivers of one shared object pay for, pinned as counts:
+/// once a scratch has read the longest prefix, the view of a shorter
+/// one allocates the image it returns and nothing else — no
+/// coefficient planes, no significance list, no lists of channel
+/// streams. (Reading a stream may still grow the scratch's lists to
+/// that stream's size.)
+#[test]
+fn a_replayed_view_allocates_only_the_image_it_returns() {
+    let cap = Some(64 * 64 * 6 / 8);
+    let containers: Vec<Vec<u8>> = [91u64, 92]
+        .into_iter()
+        .map(|seed| {
+            let scene = collabqos::media::image::synthetic_scene(64, 64, 3, 4, seed);
+            ezw::encode_image_capped(&scene.image, 4, WaveletKind::Cdf53, true, cap).unwrap()
+        })
+        .collect();
+    let mut scratch = ezw::DecodeScratch::new();
+    for container in &containers {
+        let packets = split_packets(container, 16);
+        // Read symbols once, then replay.
+        for k in [16usize, 8, 2] {
+            let prefix = reassemble_prefix(&packets[..k]).unwrap();
+            for drop_levels in [0usize, 1] {
+                // The stream last read is a prefix of itself.
+                let replayed = k < 16 || drop_levels > 0;
+                let before = scratch.replays();
+                let mut view = None;
+                let (allocs, bytes) = allocs_and_bytes_of(|| {
+                    view = ezw::decode_image_reduced_with(&prefix, drop_levels, &mut scratch).ok();
+                });
+                let view = view.expect("prefix decodes");
+                if replayed {
+                    assert_eq!(
+                        (allocs, bytes),
+                        (1, view.byte_len()),
+                        "{k} packets, drop {drop_levels}"
+                    );
+                }
+                assert_eq!(scratch.replays() - before, replayed as u64);
+            }
+        }
+    }
+}
+
 /// A chat frame under `selector`, as `event_storm` publishes them.
 fn chat_frame(selector: &str, seq: u64) -> Vec<u8> {
     SemanticMessage {
