@@ -36,6 +36,12 @@
 //! regime where the record gives nothing), every view asserted equal to
 //! the frozen decoder's.
 //!
+//! Under all of it sits the transform, the one media cost no prefix,
+//! cache or replay avoids: the "wavelet" table times the forward and
+//! the inverse alone, per plane, at 64², 256² and 512² for both
+//! filters beside `media::reference`, coefficients asserted equal in
+//! both directions.
+//!
 //! `--quick` trims the repetition count, not the scenarios — the
 //! identity asserts always run.
 
@@ -46,7 +52,7 @@ use media::ezw::{self, DecodeScratch, EzwDecoder, EzwScratch};
 use media::image::{synthetic_scene, Image};
 use media::packetize::{reassemble_prefix, split_packets};
 use media::reference;
-use media::wavelet::{WaveletKind, WaveletScratch};
+use media::wavelet::{self, WaveletKind, WaveletScratch};
 
 /// Plane geometries: width, height, wavelet levels.
 const SCENARIOS: &[(usize, usize, usize)] = &[(256, 256, 4), (512, 512, 4)];
@@ -273,6 +279,51 @@ fn nested_prefix_rounds(shares: &[Vec<(Vec<u8>, Image)>], order: &[usize]) -> (u
     })
 }
 
+/// Sides of the square planes the wavelet table transforms.
+const WAVELET_SIDES: [usize; 3] = [64, 256, 512];
+
+/// Round trips of `plane` through `step(buf, inverse)`: the best
+/// seconds of the forward and of the inverse, and the coefficients in
+/// between; the way back is asserted lossless every time.
+fn round_trips(
+    plane: &[i32],
+    reps: usize,
+    mut step: impl FnMut(&mut [i32], bool),
+) -> (Vec<i32>, [f64; 2]) {
+    let mut buf = plane.to_vec();
+    let mut coeffs = Vec::new();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..reps {
+        best[0] = best[0].min(time_best(1, || step(&mut buf, false)).1);
+        coeffs.clone_from(&buf);
+        best[1] = best[1].min(time_best(1, || step(&mut buf, true)).1);
+        assert_eq!(buf, plane, "the inverse undoes the forward");
+    }
+    (coeffs, best)
+}
+
+/// One `side x side` plane at the session's depth through the live
+/// transform and the frozen one: seconds `[forward, ref forward,
+/// inverse, ref inverse]`, the coefficients asserted equal.
+fn wavelet_row(side: usize, kind: WaveletKind, reps: usize) -> [f64; 4] {
+    let levels = wavelet::max_levels(side, side).min(FANOUT_LEVELS);
+    let mut plane = synthetic_scene(side, side, 1, 4, 42).image.plane(0);
+    for v in plane.iter_mut() {
+        *v -= 128;
+    }
+    let mut ws = WaveletScratch::new();
+    let (live, [fwd, inv]) = round_trips(&plane, reps, |buf, inverse| match inverse {
+        false => wavelet::forward_2d_with(buf, side, side, levels, kind, &mut ws),
+        true => wavelet::inverse_2d_with(buf, side, side, levels, kind, &mut ws),
+    });
+    let (frozen, [ref_fwd, ref_inv]) = round_trips(&plane, reps, |buf, inverse| match inverse {
+        false => reference::forward_2d(buf, side, side, levels, kind),
+        true => reference::inverse_2d(buf, side, side, levels, kind),
+    });
+    assert_eq!(live, frozen, "{kind:?} {side}x{side}: coefficients");
+    [fwd, ref_fwd, inv, ref_inv]
+}
+
 fn main() {
     let reps = if quick_mode() { 10 } else { 20 };
     println!("media codec fast path vs frozen reference (CDF 5/3, grayscale)");
@@ -389,6 +440,24 @@ fn main() {
         4 - shortest_replays,
         shortest_secs * 1e3,
     );
+    println!();
+    println!("wavelet alone, us per plane, {FANOUT_LEVELS} levels: live beside media::reference");
+    println!();
+    let widths = [9usize, 6, 9, 9, 9, 9];
+    header(
+        &[
+            "plane", "filter", "forward", "ref fwd", "inverse", "ref inv",
+        ],
+        &widths,
+    );
+    for kind in [WaveletKind::Cdf53, WaveletKind::Haar] {
+        for side in WAVELET_SIDES {
+            let us = wavelet_row(side, kind, reps * 4).map(|s| format!("{:.1}", s * 1e6));
+            let mut cells = vec![format!("{side}x{side}"), format!("{kind:?}")];
+            cells.extend(us);
+            row(&cells, &widths);
+        }
+    }
     println!();
     println!(
         "identity: encoded bytes, decoded coefficients and every viewer's image matched the \

@@ -20,7 +20,7 @@ pub fn forward_pixel(r: i32, g: i32, b: i32) -> (i32, i32, i32) {
 
 /// Inverse YCoCg-R on one pixel: `(y, co, cg) -> (r, g, b)`. The
 /// inputs are decoded from received bytes; sums that leave `i32` wrap
-/// (see `wavelet::inverse_1d`).
+/// (see the inverse steps of `wavelet`).
 #[inline]
 pub fn inverse_pixel(y: i32, co: i32, cg: i32) -> (i32, i32, i32) {
     let t = y.wrapping_sub(cg >> 1);

@@ -1697,8 +1697,8 @@ pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> 
 }
 
 /// Everything a container decode reuses from one call to the next: the
-/// EZW coder state (scan geometry, live bitmap), the wavelet line and
-/// tile buffers, the coefficient planes, and per channel the record of
+/// EZW coder state (scan geometry, live bitmap), the wavelet's half
+/// band and working lines, the coefficient planes, and per channel the record of
 /// the last stream symbol-decoded there. A receiver that keeps one and
 /// decodes through [`decode_image_reduced_with`] allocates only the
 /// image it returns, and pays for reading symbols once per stream: a

@@ -21,7 +21,7 @@ pub struct Shaper {
 }
 
 /// Scale factor between bit-µs accrual units and token bits.
-const UNITS_PER_BIT: u128 = 1_000_000;
+const UNITS_PER_BIT: u64 = 1_000_000;
 
 /// A deterministic token bucket over a u64 microsecond clock.
 #[derive(Clone, Debug)]
@@ -31,7 +31,7 @@ pub struct TokenBucket {
     /// Whole token bits available.
     tokens_bits: u64,
     /// Sub-bit accrual remainder, in bit-µs units (`< UNITS_PER_BIT`).
-    carry: u128,
+    carry: u64,
     /// Instant of the last materialized refill.
     last_us: u64,
 }
@@ -62,17 +62,27 @@ impl TokenBucket {
     }
 
     /// Tokens and carry projected forward to `at` without mutating.
-    fn project(&self, at: u64) -> (u64, u128) {
+    fn project(&self, at: u64) -> (u64, u64) {
         let dt = at.saturating_sub(self.last_us);
-        let accrued = self.rate_bps as u128 * dt as u128 + self.carry;
-        let tokens = self
-            .tokens_bits
-            .saturating_add((accrued / UNITS_PER_BIT) as u64);
+        // `rate × Δt` fits `u64` for hours at Gbit/s rates; beyond that
+        // the same sum is taken in `u128` (its divisions are library
+        // calls, not instructions), whole bits saturating.
+        let narrow = self.rate_bps.checked_mul(dt);
+        let (bits, carry) = match narrow.and_then(|a| a.checked_add(self.carry)) {
+            Some(accrued) => (accrued / UNITS_PER_BIT, accrued % UNITS_PER_BIT),
+            None => {
+                let accrued = self.rate_bps as u128 * dt as u128 + self.carry as u128;
+                let bits = accrued / UNITS_PER_BIT as u128;
+                let carry = (accrued % UNITS_PER_BIT as u128) as u64;
+                (u64::try_from(bits).unwrap_or(u64::MAX), carry)
+            }
+        };
+        let tokens = self.tokens_bits.saturating_add(bits);
         if tokens >= self.burst_bits {
             // Full bucket: overflow (including the remainder) is lost.
             (self.burst_bits, 0)
         } else {
-            (tokens, accrued % UNITS_PER_BIT)
+            (tokens, carry)
         }
     }
 
@@ -98,8 +108,11 @@ impl TokenBucket {
         if tokens >= need {
             return at;
         }
-        let deficit_units = (need - tokens) as u128 * UNITS_PER_BIT - carry;
-        at + deficit_units.div_ceil(self.rate_bps as u128) as u64
+        // A need is at most `8 × u32::MAX` bits, so the deficit in
+        // bit-µs stays below 2⁵⁵; and it is at least one bit, which
+        // outweighs any carry.
+        let deficit_units = (need - tokens) * UNITS_PER_BIT - carry;
+        at + deficit_units.div_ceil(self.rate_bps)
     }
 
     /// Consume tokens for a packet of `bytes` sent at instant `at`.
@@ -197,6 +210,90 @@ mod tests {
             prop_assert_eq!(tb.next_conforming(a, bytes), a.max(from));
             for t in [a0, a, a0 + gaps.2 % span, from, from.saturating_sub(1).max(a0)] {
                 prop_assert_eq!(tb.conforms(t, bytes), t >= from, "t = {}", t);
+            }
+        }
+    }
+
+    /// The bucket with every sum in `u128`, as it was before the `u64`
+    /// path: `(tokens, carry, last)` stepped and asked the same way.
+    struct WideBucket {
+        rate: u128,
+        burst: u128,
+        tokens: u128,
+        carry: u128,
+        last: u64,
+    }
+
+    impl WideBucket {
+        const UNITS: u128 = 1_000_000;
+
+        fn need(&self, bytes: u32) -> u128 {
+            (bytes as u128 * 8).min(self.burst)
+        }
+
+        fn project(&self, at: u64) -> (u128, u128) {
+            let accrued = self.rate * at.saturating_sub(self.last) as u128 + self.carry;
+            let tokens = self.tokens + accrued / Self::UNITS;
+            if tokens >= self.burst {
+                (self.burst, 0)
+            } else {
+                (tokens, accrued % Self::UNITS)
+            }
+        }
+
+        fn next_conforming(&self, at: u64, bytes: u32) -> u128 {
+            let (tokens, carry) = self.project(at);
+            let deficit = self.need(bytes).saturating_sub(tokens) * Self::UNITS;
+            at as u128 + deficit.saturating_sub(carry).div_ceil(self.rate)
+        }
+
+        fn consume(&mut self, at: u64, bytes: u32) {
+            let (tokens, carry) = self.project(at);
+            self.tokens = tokens.saturating_sub(self.need(bytes));
+            self.carry = carry;
+            self.last = self.last.max(at);
+        }
+    }
+
+    proptest::proptest! {
+        /// The `u64` fast path and its `u128` fallback are one bucket:
+        /// equal to the all-`u128` model at every step of a random
+        /// consume sequence, from 1 kbit/s to 100 Gbit/s, over gaps
+        /// from microseconds to 2⁴⁰ µs (twelve days; `rate × Δt` leaves
+        /// `u64` from about 2²⁷ µs at the top rate).
+        #[test]
+        fn bucket_equals_the_all_u128_model_over_long_horizons(
+            rate in (1u64..=1_000, 3u32..=8),
+            burst_bytes in 1u64..10_000_000,
+            steps in proptest::collection::vec(
+                (any::<u64>(), 0u32..=40, 1u32..100_000, any::<bool>()),
+                1..24,
+            ),
+        ) {
+            let rate_bps = rate.0 * 10u64.pow(rate.1);
+            let mut tb = bucket(rate_bps, burst_bytes);
+            let mut wide = WideBucket {
+                rate: rate_bps as u128,
+                burst: burst_bytes as u128 * 8,
+                tokens: burst_bytes as u128 * 8,
+                carry: 0,
+                last: 0,
+            };
+            let mut now = 0u64;
+            for (gap, log2, bytes, wait) in steps {
+                now += gap & ((1u64 << log2) - 1) | (1u64 << log2) >> 1;
+                let (tokens, carry) = wide.project(now);
+                prop_assert_eq!(tb.available_bits(now) as u128, tokens);
+                prop_assert_eq!(tb.project(now).1 as u128, carry);
+                let from = wide.next_conforming(now, bytes);
+                prop_assert_eq!(tb.next_conforming(now, bytes) as u128, from);
+                prop_assert_eq!(tb.conforms(now, bytes), from == now as u128);
+                // Send when it conforms, or (every other step) early:
+                // the bucket then saturates at zero, the carry kept.
+                let at = if wait { from as u64 } else { now };
+                tb.consume(at, bytes);
+                wide.consume(at, bytes);
+                now = at;
             }
         }
     }

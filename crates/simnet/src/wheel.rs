@@ -182,23 +182,15 @@ impl<E> TimingWheel<E> {
             self.ready.insert(idx, s);
             return;
         }
-        let x = at ^ self.cursor;
-        let level = if x < SLOTS as u64 {
-            0
-        } else {
-            ((63 - x.leading_zeros()) / SLOT_BITS) as usize
-        };
-        if level >= LEVELS {
+        let Some((level, idx)) = self.slot_of(at) else {
             self.overflow.push(s);
             return;
-        }
-        let idx = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let level = &mut self.levels[level];
+        };
         let entry = Entry {
             event: Some(s),
-            next: level.heads[idx],
+            next: NIL,
         };
-        level.heads[idx] = if self.free == NIL {
+        let cell = if self.free == NIL {
             let cell = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
             self.slab.push(entry);
             cell
@@ -207,6 +199,27 @@ impl<E> TimingWheel<E> {
             self.free = std::mem::replace(&mut self.slab[cell as usize], entry).next;
             cell
         };
+        self.link(level, idx, cell);
+    }
+
+    /// The `(level, slot)` an event due at `at` (at or after the
+    /// cursor) is filed in; `None` beyond the wheels' horizon.
+    fn slot_of(&self, at: u64) -> Option<(usize, usize)> {
+        let x = at ^ self.cursor;
+        let level = if x < SLOTS as u64 {
+            0
+        } else {
+            ((63 - x.leading_zeros()) / SLOT_BITS) as usize
+        };
+        let idx = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        (level < LEVELS).then_some((level, idx))
+    }
+
+    /// Put `cell` at the head of the chain of slot `idx` of `level`.
+    fn link(&mut self, level: usize, idx: usize, cell: u32) {
+        let level = &mut self.levels[level];
+        self.slab[cell as usize].next = level.heads[idx];
+        level.heads[idx] = cell;
         level.occupied |= 1 << idx;
     }
 
@@ -227,14 +240,23 @@ impl<E> TimingWheel<E> {
         (s, after)
     }
 
-    /// Re-file every event of slot `idx` of `level` (≥ 1). Each lands
-    /// at a finer level: its `at ^ cursor` shrank below this one's
-    /// reach when the cursor entered the slot's window.
+    /// Re-file every event of slot `idx` of `level` (≥ 1) by relinking
+    /// its cell; the event stays where it is in the slab. Each lands at
+    /// a finer level: its `at ^ cursor` shrank below this one's reach
+    /// when the cursor entered the slot's window, and it is due no
+    /// earlier than that window begins — so never in `ready`, never in
+    /// overflow.
     fn cascade(&mut self, level: usize, idx: usize) {
         let mut cell = self.take_slot(level, idx);
         while cell != NIL {
-            let (s, after) = self.vacate(cell);
-            self.place(s);
+            let entry = &self.slab[cell as usize];
+            let after = entry.next;
+            let event = entry.event.as_ref().expect("a chained cell holds an event");
+            let at = event.at.as_micros();
+            debug_assert!(at >= self.cursor);
+            let (finer, slot) = self.slot_of(at).expect("inside this level's window");
+            debug_assert!(finer < level);
+            self.link(finer, slot, cell);
             cell = after;
         }
     }

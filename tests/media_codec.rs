@@ -1,7 +1,7 @@
 //! Differential suite pinning the optimized media codec to the frozen
 //! pre-refactor implementation (`media::reference`).
 //!
-//! The fast path (reusable wavelet scratch, blocked column pass,
+//! The fast path (reusable wavelet scratch, row-only lifting,
 //! list-driven EZW passes, word-batched bit I/O) is only allowed to be
 //! *faster* — the wire format must stay bit-identical. Every property
 //! here compares the live coder against the verbatim copy of the old
@@ -64,6 +64,137 @@ fn arb_coeffs() -> impl Strategy<Value = (usize, usize, usize, Vec<i32>)> {
             proptest::collection::vec(-5000i32..=5000, w * h..w * h + 1),
         )
     })
+}
+
+/// Even sides from 2 up for the lifting differential: 2-wide and 2-high
+/// bands, widths that are no multiple of 4 or 8 at some level (so the
+/// vector loops run their remainders) and non-powers of two.
+const LIFT_SIDES: [usize; 13] = [2, 4, 6, 8, 10, 12, 20, 24, 36, 40, 48, 72, 96];
+
+/// One shape from [`LIFT_SIDES`] with two planes of it: pixels far from
+/// any overflow, and coefficients as a hostile stream could carry them
+/// — any `i32`, with the two extremes over-represented.
+fn arb_lift_planes() -> impl Strategy<Value = (usize, usize, Vec<i32>, Vec<i32>)> {
+    let side = || (0..LIFT_SIDES.len()).prop_map(|i| LIFT_SIDES[i]);
+    (side(), side()).prop_flat_map(|(w, h)| {
+        let wild = prop_oneof![
+            any::<i32>(),
+            any::<i32>(),
+            -5000i32..=5000,
+            Just(i32::MIN),
+            Just(i32::MAX),
+        ];
+        (
+            Just(w),
+            Just(h),
+            proptest::collection::vec(-(1i32 << 20)..=1 << 20, w * h..w * h + 1),
+            proptest::collection::vec(wild, w * h..w * h + 1),
+        )
+    })
+}
+
+/// `reference`'s 1-D inverse lift with its release-build wrap spelled
+/// out. The frozen code uses the plain operators, which panic in the
+/// debug build the suite runs in as soon as a lifting sum leaves `i32`;
+/// the property below ties this twin to the frozen code wherever that
+/// runs, and holds the live inverse to the twin everywhere.
+fn wrapping_inverse_1d(line: &mut [i32], kind: WaveletKind) {
+    let half = line.len() / 2;
+    let (s, d) = line.split_at(half);
+    let mut x = vec![0i32; line.len()];
+    for i in 0..half {
+        x[2 * i] = match kind {
+            WaveletKind::Haar => s[i].wrapping_sub(d[i] >> 1),
+            WaveletKind::Cdf53 => {
+                let sum = d[i.saturating_sub(1)].wrapping_add(d[i]).wrapping_add(2);
+                s[i].wrapping_sub(sum >> 2)
+            }
+        };
+    }
+    for i in 0..half {
+        let (left, right) = (x[2 * i], x[(2 * i + 2).min(2 * half - 2)]);
+        x[2 * i + 1] = match kind {
+            WaveletKind::Haar => d[i].wrapping_add(left),
+            WaveletKind::Cdf53 => d[i].wrapping_add(left.wrapping_add(right) >> 1),
+        };
+    }
+    line.copy_from_slice(&x);
+}
+
+/// `reference::inverse_2d_partial` over [`wrapping_inverse_1d`]: per
+/// level, every column through a strided gather, then every row.
+fn wrapping_inverse_2d_partial(
+    data: &mut [i32],
+    width: usize,
+    height: usize,
+    levels: usize,
+    drop_levels: usize,
+    kind: WaveletKind,
+) {
+    for level in (drop_levels..levels).rev() {
+        let (w, h) = (width >> level, height >> level);
+        for x in 0..w {
+            let mut column: Vec<i32> = (0..h).map(|y| data[y * width + x]).collect();
+            wrapping_inverse_1d(&mut column, kind);
+            for (y, v) in column.into_iter().enumerate() {
+                data[y * width + x] = v;
+            }
+        }
+        for y in 0..h {
+            wrapping_inverse_1d(&mut data[y * width..y * width + w], kind);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The row-lifted transform equals the frozen strided one at every
+    /// even shape, every depth, every number of dropped levels and both
+    /// filters, through one scratch that sees the shapes shrink and
+    /// grow — and on hostile coefficients its inverse wraps exactly as
+    /// the frozen one does in a release build.
+    #[test]
+    fn lifting_matches_reference_at_every_shape_depth_and_drop(
+        planes in proptest::collection::vec(arb_lift_planes(), 1..4),
+    ) {
+        let mut ws = WaveletScratch::new();
+        for (w, h, pixels, wild) in &planes {
+            let (w, h) = (*w, *h);
+            for kind in [WaveletKind::Haar, WaveletKind::Cdf53] {
+                for levels in 0..=wavelet::max_levels(w, h) {
+                    let what = format!("{kind:?} {w}x{h} L{levels}");
+                    let mut coeffs = pixels.clone();
+                    reference::forward_2d(&mut coeffs, w, h, levels, kind);
+                    let mut live = pixels.clone();
+                    wavelet::forward_2d_with(&mut live, w, h, levels, kind, &mut ws);
+                    prop_assert_eq!(&live, &coeffs, "forward {}", what);
+                    wavelet::inverse_2d_with(&mut live, w, h, levels, kind, &mut ws);
+                    prop_assert_eq!(&live, pixels, "round trip {}", what);
+                    for drop in 0..=levels {
+                        let mut frozen = coeffs.clone();
+                        reference::inverse_2d_partial(&mut frozen, w, h, levels, drop, kind);
+                        for (plane, frozen) in [(&coeffs, Some(&frozen)), (wild, None)] {
+                            let mut twin = plane.clone();
+                            wrapping_inverse_2d_partial(&mut twin, w, h, levels, drop, kind);
+                            let mut live = plane.clone();
+                            wavelet::inverse_2d_partial_with(
+                                &mut live, w, h, levels, drop, kind, &mut ws,
+                            );
+                            prop_assert_eq!(&live, &twin, "inverse {} drop {}", what, drop);
+                            if let Some(frozen) = frozen {
+                                prop_assert_eq!(&twin, frozen, "twin {} drop {}", what, drop);
+                            } else if !cfg!(debug_assertions) {
+                                let mut frozen = plane.clone();
+                                reference::inverse_2d_partial(&mut frozen, w, h, levels, drop, kind);
+                                prop_assert_eq!(&twin, &frozen, "wrap {} drop {}", what, drop);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
