@@ -16,7 +16,6 @@
 //! latency, and server load — the quantities behind the paper's
 //! scalability argument.
 
-use crate::events::AppEvent;
 use sempubsub::matching::interpret;
 use sempubsub::{Profile, Selector, SemanticMessage};
 use simnet::packet::well_known;
@@ -298,15 +297,6 @@ pub fn compare_architectures(
     };
 
     (central, multicast)
-}
-
-/// Event helper kept for symmetry with the session vocabulary (unused
-/// fields silence nothing: baseline clients ship raw chat events).
-pub fn chat_event(author: &str, text: &str) -> AppEvent {
-    AppEvent::Chat {
-        author: author.to_string(),
-        text: text.to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -123,9 +123,10 @@ impl NetworkStateInterface {
     /// Register the standard host metrics (CPU load, page faults,
     /// available memory) of the extension agent on `target`.
     pub fn add_host_metrics(&mut self, target: NodeId) -> &mut Self {
-        self.add_metric("cpu_load", target, arcs::host_cpu_load())
-            .add_metric("page_faults", target, arcs::host_page_faults())
-            .add_metric("mem_avail_kb", target, arcs::host_mem_avail())
+        for (name, oid, ..) in sysmon::HOST_METRICS {
+            self.add_metric(name, target, oid());
+        }
+        self
     }
 
     /// Register an interface-bandwidth metric (`ifSpeed`).

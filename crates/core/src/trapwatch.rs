@@ -17,7 +17,7 @@ use snmp::pdu::{Message, VarBind};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpValue;
 use std::collections::BTreeMap;
-use sysmon::SharedHost;
+use sysmon::{SharedHost, HOST_METRICS};
 
 /// Trap OID for a QoS alert from the host extension agent
 /// (tasslQosAlert = 1.3.6.1.4.1.99999.10).
@@ -237,13 +237,10 @@ impl HostWatcher {
         let state = *self.host.lock().unwrap();
         let mut sent = 0;
         for w in &mut self.watchers {
-            let value = match w.watch.metric.as_str() {
-                "page_faults" => state.page_faults,
-                "cpu_load" => state.cpu_load,
-                "mem_avail_kb" => state.mem_avail_kb,
-                _ => continue,
+            let Some((_, _, read, _)) = HOST_METRICS.iter().find(|m| m.0 == w.watch.metric) else {
+                continue;
             };
-            if w.observe(net, agent_rt, sink_node, value) {
+            if w.observe(net, agent_rt, sink_node, read(&state)) {
                 sent += 1;
             }
         }
@@ -452,12 +449,8 @@ pub fn decision_from_trap(
     }
     let mut state = BTreeMap::new();
     for vb in &trap.pdu.varbinds[2..] {
-        let name = if vb.name == arcs::host_page_faults() {
-            "page_faults"
-        } else if vb.name == arcs::host_cpu_load() {
-            "cpu_load"
-        } else if vb.name == arcs::host_mem_avail() {
-            "mem_avail_kb"
+        let name = if let Some(metric) = HOST_METRICS.iter().find(|m| vb.name == (m.1)()) {
+            metric.0
         } else if vb.name == arcs::host_rtp_loss() {
             "loss_pct"
         } else if vb.name == arcs::host_congestion() {

@@ -43,11 +43,6 @@ impl CoDel {
         }
     }
 
-    /// Controller with [`DEFAULT_TARGET_US`] / [`DEFAULT_INTERVAL_US`].
-    pub fn default_params() -> Self {
-        CoDel::new(DEFAULT_TARGET_US, DEFAULT_INTERVAL_US)
-    }
-
     /// Observe a packet leaving the queue after `sojourn_us`; returns
     /// `true` when the packet should carry a congestion signal
     /// (ECN mark or drop).
@@ -71,11 +66,6 @@ impl CoDel {
         let gap = ((self.interval_us as f64 / (self.count as f64).sqrt()) as u64).max(1);
         self.next_signal_at = now_us + gap;
         true
-    }
-
-    /// Signals emitted in the current dropping episode.
-    pub fn signal_count(&self) -> u32 {
-        self.count
     }
 }
 

@@ -33,14 +33,6 @@ impl AttrValue {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            AttrValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String view.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -1,0 +1,176 @@
+//! Sockets and multicast groups: the slab of bound endpoints, the
+//! per-node port tables, and the per-group member lists (sorted by
+//! socket index, so fan-out order never depends on join order).
+
+use super::{Datagram, GroupId, NetError, Network, SocketHandle};
+use crate::packet::Port;
+use crate::topology::NodeId;
+use std::collections::VecDeque;
+
+#[derive(Debug)]
+pub(super) struct Socket {
+    pub(super) node: NodeId,
+    pub(super) port: Port,
+    pub(super) inbox: VecDeque<Datagram>,
+    /// Groups this socket belongs to (small, sorted; the authoritative
+    /// membership lives in the per-group member lists).
+    groups: Vec<GroupId>,
+    pub(super) open: bool,
+    /// Whether traffic sent from this socket is ECN-capable (ECT):
+    /// AQM on a congested link marks it instead of dropping it.
+    pub(super) ecn: bool,
+}
+
+impl Network {
+    /// Socket bound to `(node, port)`, if any.
+    pub(super) fn socket_at(&self, node: NodeId, port: Port) -> Option<SocketHandle> {
+        let table = self.port_map.get(node.0 as usize)?;
+        table
+            .binary_search_by_key(&port, |&(p, _)| p)
+            .ok()
+            .map(|i| table[i].1)
+    }
+
+    /// Declare traffic sent from socket `s` ECN-capable (or not).
+    /// AQM marks ECN-capable packets where it would drop others.
+    pub fn set_ecn(&mut self, s: SocketHandle, enabled: bool) {
+        if let Some(sock) = self.sockets.get_mut(s.0 as usize) {
+            sock.ecn = enabled;
+        }
+    }
+
+    /// Bind a datagram socket on `(node, port)`.
+    pub fn bind(&mut self, node: NodeId, port: Port) -> Result<SocketHandle, NetError> {
+        let idx = node.0 as usize;
+        if idx >= self.port_map.len() {
+            self.port_map.resize_with(idx + 1, Vec::new);
+        }
+        let table = &mut self.port_map[idx];
+        let slot = match table.binary_search_by_key(&port, |&(p, _)| p) {
+            Ok(_) => return Err(NetError::PortInUse(node, port)),
+            Err(i) => i,
+        };
+        let h = SocketHandle(self.sockets.len() as u32);
+        self.sockets.push(Socket {
+            node,
+            port,
+            inbox: VecDeque::new(),
+            groups: Vec::new(),
+            open: true,
+            ecn: false,
+        });
+        table.insert(slot, (port, h));
+        Ok(h)
+    }
+
+    /// Close a socket, releasing its `(node, port)` binding and its
+    /// group memberships.
+    pub fn close(&mut self, s: SocketHandle) {
+        let Some(sock) = self.sockets.get_mut(s.0 as usize) else {
+            return;
+        };
+        if !sock.open {
+            return;
+        }
+        sock.open = false;
+        sock.inbox.clear();
+        let node = sock.node;
+        let port = sock.port;
+        let groups = std::mem::take(&mut sock.groups);
+        if let Some(table) = self.port_map.get_mut(node.0 as usize) {
+            if let Ok(i) = table.binary_search_by_key(&port, |&(p, _)| p) {
+                if table[i].1 == s {
+                    table.remove(i);
+                }
+            }
+        }
+        for g in groups {
+            self.drop_member(s, g);
+        }
+    }
+
+    /// Take `s` off `g`'s member list, if it is on it.
+    fn drop_member(&mut self, s: SocketHandle, g: GroupId) {
+        if let Some(members) = self.groups.get_mut(g.0 as usize) {
+            if let Ok(i) = members.binary_search_by_key(&s.0, |m| m.0) {
+                members.remove(i);
+            }
+        }
+    }
+
+    /// Allocate a fresh multicast group id.
+    pub fn new_group(&mut self) -> GroupId {
+        let g = GroupId(self.groups.len() as u32);
+        self.groups.push(Vec::new());
+        g
+    }
+
+    /// Join a multicast group on a socket.
+    pub fn join(&mut self, s: SocketHandle, g: GroupId) -> Result<(), NetError> {
+        let sock = self
+            .sockets
+            .get_mut(s.0 as usize)
+            .ok_or(NetError::BadSocket)?;
+        if !sock.groups.contains(&g) {
+            sock.groups.push(g);
+        }
+        let idx = g.0 as usize;
+        if idx >= self.groups.len() {
+            self.groups.resize_with(idx + 1, Vec::new);
+        }
+        let members = &mut self.groups[idx];
+        if let Err(i) = members.binary_search_by_key(&s.0, |m| m.0) {
+            members.insert(i, s);
+        }
+        Ok(())
+    }
+
+    /// Leave a multicast group.
+    pub fn leave(&mut self, s: SocketHandle, g: GroupId) -> Result<(), NetError> {
+        let sock = self
+            .sockets
+            .get_mut(s.0 as usize)
+            .ok_or(NetError::BadSocket)?;
+        sock.groups.retain(|&x| x != g);
+        self.drop_member(s, g);
+        Ok(())
+    }
+
+    /// Current members of `group` bound on `dst_port`, excluding
+    /// `sender`, in ascending socket order — the multicast fan-out set.
+    pub(super) fn group_targets(
+        &self,
+        group: GroupId,
+        dst_port: Port,
+        sender: SocketHandle,
+    ) -> Vec<(Option<SocketHandle>, NodeId)> {
+        let Some(members) = self.groups.get(group.0 as usize) else {
+            return Vec::new();
+        };
+        members
+            .iter()
+            .filter(|&&m| {
+                let sock = &self.sockets[m.0 as usize];
+                sock.open && sock.port == dst_port && m != sender
+            })
+            .map(|&m| (Some(m), self.sockets[m.0 as usize].node))
+            .collect()
+    }
+
+    /// Node a socket is bound on.
+    pub fn socket_node(&self, s: SocketHandle) -> NodeId {
+        self.sockets[s.0 as usize].node
+    }
+
+    /// Pop the oldest pending datagram on socket `s`, if any.
+    pub fn recv(&mut self, s: SocketHandle) -> Option<Datagram> {
+        self.sockets.get_mut(s.0 as usize)?.inbox.pop_front()
+    }
+
+    /// Number of queued datagrams on socket `s`.
+    pub fn pending(&self, s: SocketHandle) -> usize {
+        self.sockets
+            .get(s.0 as usize)
+            .map_or(0, |sock| sock.inbox.len())
+    }
+}

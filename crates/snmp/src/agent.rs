@@ -39,11 +39,6 @@ impl SnmpAgent {
         &mut self.mib
     }
 
-    /// Read-only MIB size (for tests).
-    pub fn mib_len(&self) -> usize {
-        self.mib.len()
-    }
-
     fn authorized(&self, msg: &Message) -> bool {
         match msg.pdu.kind {
             PduKind::SetRequest => match &self.write_community {

@@ -158,16 +158,6 @@ pub mod arcs {
         Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 5, index])
     }
 
-    /// ifInOctets.{index} (Counter32).
-    pub fn if_in_octets(index: u32) -> Oid {
-        Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 10, index])
-    }
-
-    /// ifOutOctets.{index} (Counter32).
-    pub fn if_out_octets(index: u32) -> Oid {
-        Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 16, index])
-    }
-
     /// The TASSL experimental private enterprise subtree used by the
     /// host extension agent: 1.3.6.1.4.1.99999.
     pub fn tassl() -> Oid {
@@ -187,16 +177,6 @@ pub mod arcs {
     /// hostMemAvailKb.0 — available memory in KiB (Gauge32).
     pub fn host_mem_avail() -> Oid {
         tassl().extend(&[3, 0])
-    }
-
-    /// hostNetLatencyUs.0 — measured path latency (Gauge32).
-    pub fn host_net_latency() -> Oid {
-        tassl().extend(&[4, 0])
-    }
-
-    /// hostNetJitterUs.0 — measured jitter (Gauge32).
-    pub fn host_net_jitter() -> Oid {
-        tassl().extend(&[5, 0])
     }
 
     /// hostRtpLossPct.0 — measured RTP stream loss, percent (Gauge32).

@@ -1,9 +1,37 @@
 //! The embedded extension agent: instrumentation routines binding a
 //! host's live metrics into its SNMP MIB.
 
-use crate::host::SharedHost;
-use snmp::oid::arcs;
+use crate::host::{HostState, SharedHost};
+use snmp::oid::{arcs, Oid};
 use snmp::{SnmpAgent, SnmpValue};
+
+/// A row of [`HOST_METRICS`]: state-map name, MIB variable, the
+/// [`HostState`] field, the Gauge32 ceiling.
+type HostMetric = (&'static str, fn() -> Oid, fn(&HostState) -> f64, f64);
+
+/// The host-metric vocabulary, one row per metric: the name the
+/// adaptation state map files it under, the MIB variable that serves
+/// it, the [`HostState`] field behind it, and the top of the range the
+/// agent clamps it to before it goes on the wire as a Gauge32.
+///
+/// [`install_host_agent`] registers the rows; `cqos_core`'s sampler
+/// (`add_host_metrics`), host watcher and trap decoder read the same
+/// table, so a metric is named, numbered and read in one place.
+pub const HOST_METRICS: [HostMetric; 3] = [
+    ("cpu_load", arcs::host_cpu_load, |h| h.cpu_load, 100.0),
+    (
+        "page_faults",
+        arcs::host_page_faults,
+        |h| h.page_faults,
+        u32::MAX as f64,
+    ),
+    (
+        "mem_avail_kb",
+        arcs::host_mem_avail,
+        |h| h.mem_avail_kb,
+        u32::MAX as f64,
+    ),
+];
 
 /// Register the host extension variables (CPU load, page faults,
 /// available memory) on `agent`, backed by the live `host` state.
@@ -13,30 +41,18 @@ use snmp::{SnmpAgent, SnmpValue};
 /// the host's state at that instant, exactly like the paper's
 /// "instrumentation routines".
 pub fn install_host_agent(host: &SharedHost, agent: &mut SnmpAgent) {
-    let h = host.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::host_cpu_load(), move || {
-            SnmpValue::Gauge32(h.lock().unwrap().cpu_load.round().clamp(0.0, 100.0) as u32)
+    for (_, oid, read, max) in HOST_METRICS {
+        let h = host.clone();
+        agent.mib_mut().register_computed(oid(), move || {
+            SnmpValue::Gauge32(read(&h.lock().unwrap()).round().clamp(0.0, max) as u32)
         });
-    let h = host.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::host_page_faults(), move || {
-            SnmpValue::Gauge32(h.lock().unwrap().page_faults.round().max(0.0) as u32)
-        });
-    let h = host.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::host_mem_avail(), move || {
-            SnmpValue::Gauge32(h.lock().unwrap().mem_avail_kb.round().max(0.0) as u32)
-        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::{HostState, LoadProfile, SimHost};
+    use crate::host::{LoadProfile, SimHost};
     use simnet::{LinkSpec, Network, Port};
     use snmp::manager::SnmpManager;
     use snmp::transport::AgentRuntime;

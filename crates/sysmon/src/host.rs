@@ -164,11 +164,6 @@ impl SimHost {
         *self.state.lock().unwrap()
     }
 
-    /// Current step index.
-    pub fn step_index(&self) -> usize {
-        self.step
-    }
-
     fn apply(&mut self, step: usize) {
         let cpu = self
             .cpu_profile

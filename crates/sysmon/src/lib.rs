@@ -15,6 +15,6 @@ pub mod agent;
 pub mod host;
 pub mod workload;
 
-pub use agent::install_host_agent;
+pub use agent::{install_host_agent, HOST_METRICS};
 pub use host::{HostState, LoadProfile, SharedHost, SimHost};
 pub use workload::sweep;

@@ -61,13 +61,6 @@ impl PathLossModel {
         self
     }
 
-    /// Override the noise floor.
-    pub fn with_noise_floor_mw(mut self, n: f64) -> Self {
-        assert!(n > 0.0, "noise floor must be positive");
-        self.noise_floor_mw = n;
-        self
-    }
-
     /// Path gain at distance `d` metres.
     ///
     /// # Panics
