@@ -87,7 +87,7 @@ fn run(per_domain: usize, domains: Option<usize>) -> Outcome {
     let broker_suppression = domains.map(|n| {
         let (mut fwd, mut sup) = (0u64, 0u64);
         for b in 0..n {
-            let h = session.broker_stats(b).expect("broker stats");
+            let h = session.overlay().expect("brokered").stats(b);
             fwd += h.forwarded();
             sup += h.suppressed();
         }

@@ -7,8 +7,8 @@
 //! per-client SIR and modality after each join, plus where admission
 //! control draws the line.
 
-use bench::{fmt, header, host_threads, row, time_best};
-use cqos_core::experiments::{run_capacity_curve, run_capacity_curve_with};
+use bench::{fmt, header, row};
+use cqos_core::experiments::run_capacity_curve;
 
 fn main() {
     println!("§6.3.3 — session capacity limit (identical clients at 60 m, 100 mW)\n");
@@ -39,22 +39,4 @@ fn main() {
         "\nadmission control (text threshold -15 dB) admits {admitted} clients before refusing"
     );
     println!("paper: an upper limit exists, set by inter-client interference");
-
-    // Sharded assessment: per-client SIR evaluation is O(N) per client,
-    // so a large sweep gives the workers enough independent work to
-    // overlap on multi-core hosts. Series must stay byte-identical.
-    let n = 256;
-    let (serial, serial_s) = time_best(3, || run_capacity_curve_with(n, 1));
-    let (sharded, sharded_s) = time_best(3, || run_capacity_curve_with(n, 4));
-    let identical = sharded == serial;
-    assert!(
-        identical,
-        "workers:4 capacity curve diverged from workers:1"
-    );
-    println!(
-        "\nsharded assessment at {n} clients: workers:1 {serial_s:.4}s, workers:4 {sharded_s:.4}s, \
-         speedup {:.2}x, identical: {identical} (host threads: {})",
-        serial_s / sharded_s,
-        host_threads()
-    );
 }

@@ -5,12 +5,12 @@
 //! and when client 3 joined, the SIR of client A further reduced by
 //! 23%. Hence, there exists an upper limit to the number of clients."
 
-use bench::{fmt, header, host_threads, row, time_best};
-use cqos_core::experiments::{run_fig10, run_fig10_with};
+use bench::{fmt, header, row};
+use cqos_core::experiments::run_fig10;
 
 fn main() {
     println!("Figure 10 — performance of 3 wireless clients, varying distance & power\n");
-    let (r, serial_s) = time_best(3, run_fig10);
+    let r = run_fig10();
     println!(
         "A's SIR by client count: 1 client {} dB, 2 clients {} dB, 3 clients {} dB",
         fmt(r.a_sir_by_count[0]),
@@ -45,17 +45,4 @@ fn main() {
             &widths,
         );
     }
-
-    // Sharded engine: the workers:4 series must be byte-identical.
-    let (sharded, sharded_s) = time_best(3, || run_fig10_with(4));
-    let identical = sharded.series == r.series
-        && sharded.a_sir_by_count == r.a_sir_by_count
-        && sharded.drop_on_second_join == r.drop_on_second_join
-        && sharded.drop_on_third_join == r.drop_on_third_join;
-    assert!(identical, "workers:4 series diverged from workers:1");
-    println!(
-        "\nworkers:1 {serial_s:.6}s, workers:4 {sharded_s:.6}s, identical: {identical} \
-         (host threads: {}; 3 clients is below the parallel break-even)",
-        host_threads()
-    );
 }

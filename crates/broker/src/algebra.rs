@@ -28,8 +28,8 @@
 //! branch when the left is provably error-free.
 
 use sempubsub::ast::{CmpOp, Expr};
+use sempubsub::eval::compare;
 use sempubsub::{AttrValue, Selector};
-use std::cmp::Ordering;
 
 /// Does `a` subsume `b` (every map `b` accepts, `a` accepts)?
 ///
@@ -203,25 +203,6 @@ fn as_attr_cmp(e: &Expr) -> Option<AttrCmp<'_>> {
     }
 }
 
-/// Evaluate one attribute comparison on a concrete candidate value —
-/// the exact semantics of `eval::compare`, restated here because that
-/// function is private to `sempubsub`.
-fn cmp_holds(op: CmpOp, value: &AttrValue, lit: &AttrValue) -> bool {
-    match op {
-        CmpOp::Eq => value.sem_eq(lit),
-        CmpOp::Ne => !value.sem_eq(lit),
-        CmpOp::Lt => value.sem_cmp(lit) == Some(Ordering::Less),
-        CmpOp::Le => matches!(value.sem_cmp(lit), Some(Ordering::Less | Ordering::Equal)),
-        CmpOp::Gt => value.sem_cmp(lit) == Some(Ordering::Greater),
-        CmpOp::Ge => matches!(
-            value.sem_cmp(lit),
-            Some(Ordering::Greater | Ordering::Equal)
-        ),
-        CmpOp::In => value.in_list(lit).unwrap_or(false),
-        CmpOp::Contains => value.contains(lit).unwrap_or(false),
-    }
-}
-
 fn as_num(v: &AttrValue) -> Option<f64> {
     match v {
         AttrValue::Int(i) => Some(*i as f64),
@@ -289,7 +270,7 @@ fn covers_atomic(a: &Expr, b: &Expr) -> bool {
     // candidate against a's comparison directly. Sound because two
     // semantically equal values satisfy exactly the same comparisons.
     if let Some(cands) = finite_candidates(&bc) {
-        return !cands.is_empty() && cands.iter().all(|v| cmp_holds(ac.op, v, ac.lit));
+        return !cands.is_empty() && cands.iter().all(|v| compare(ac.op, v, ac.lit));
     }
     // Numeric interval containment for the ordering operators: their
     // accepted maps are exactly {attr present, numeric, in interval},
@@ -314,10 +295,10 @@ fn covers_atomic(a: &Expr, b: &Expr) -> bool {
 
 fn conjunction_empty(x: &AttrCmp<'_>, y: &AttrCmp<'_>) -> bool {
     if let Some(cands) = finite_candidates(x) {
-        return cands.iter().all(|v| !cmp_holds(y.op, v, y.lit));
+        return cands.iter().all(|v| !compare(y.op, v, y.lit));
     }
     if let Some(cands) = finite_candidates(y) {
-        return cands.iter().all(|v| !cmp_holds(x.op, v, x.lit));
+        return cands.iter().all(|v| !compare(x.op, v, x.lit));
     }
     if let (Some(ix), Some(iy)) = (interval(x), interval(y)) {
         return intervals_disjoint(ix, iy);

@@ -12,7 +12,7 @@
 //!   losing requests queue rather than being dropped ("ensures that no
 //!   information is lost").
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A Lamport logical clock.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -191,9 +191,6 @@ impl<T: Clone> LwwRegister<T> {
         }
     }
 }
-
-/// Ordered map of shared-object registers.
-pub type RegisterMap<T> = BTreeMap<u64, LwwRegister<T>>;
 
 #[cfg(test)]
 mod tests {

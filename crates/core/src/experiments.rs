@@ -292,14 +292,8 @@ pub struct Fig10Result {
 
 /// Figure 10: three wireless clients with varying distance and power.
 pub fn run_fig10() -> Fig10Result {
-    run_fig10_with(1)
-}
-
-/// [`run_fig10`] with the SIR assessments sharded across `workers`
-/// threads; any `workers` value produces the identical series.
-pub fn run_fig10_with(workers: usize) -> Fig10Result {
     let mut bs = BaseStation::new(PathLossModel::default(), ModalityThresholds::default());
-    fig10_series(&mut bs, workers)
+    fig10_series(&mut bs)
 }
 
 /// [`run_fig10`] with the base station attached as the gateway of a
@@ -320,10 +314,10 @@ pub fn run_fig10_brokered(workers: usize) -> Fig10Result {
     // radio schedule runs, as a real deployment would.
     session.pump(Ticks::from_millis(50));
     let bs = &mut session.base_station.as_mut().expect("attached").station;
-    fig10_series(bs, workers)
+    fig10_series(bs)
 }
 
-fn fig10_series(bs: &mut BaseStation, workers: usize) -> Fig10Result {
+fn fig10_series(bs: &mut BaseStation) -> Fig10Result {
     let mut a_sir_by_count = Vec::new();
 
     bs.join_unchecked(ClientRadio::new("a", 60.0, 100.0))
@@ -349,7 +343,7 @@ fn fig10_series(bs: &mut BaseStation, workers: usize) -> Fig10Result {
         bs.update_distance("a", a_dist.at(s)).unwrap();
         bs.update_power("b", 100.0 + 30.0 * s).unwrap();
         bs.update_distance("c", c_dist.at(s)).unwrap();
-        let assessments = bs.assess_all_with(workers);
+        let assessments = bs.assess_all();
         series.push(SirRow {
             step: s,
             sirs_db: assessments.iter().map(|a| a.sir_db).collect(),
@@ -407,13 +401,6 @@ pub struct CapacityRow {
 /// after each join; separately report how many clients *admission
 /// control* would have accepted before the text threshold broke.
 pub fn run_capacity_curve(max_clients: usize) -> (Vec<CapacityRow>, usize) {
-    run_capacity_curve_with(max_clients, 1)
-}
-
-/// [`run_capacity_curve`] with each join's O(N²) SIR sweep sharded
-/// across `workers` threads; any `workers` value produces the identical
-/// curve.
-pub fn run_capacity_curve_with(max_clients: usize, workers: usize) -> (Vec<CapacityRow>, usize) {
     let model = PathLossModel::default();
     let thresholds = ModalityThresholds::default();
     let mk = |i: usize| ClientRadio::new(&format!("c{i}"), 60.0, 100.0);
@@ -423,7 +410,7 @@ pub fn run_capacity_curve_with(max_clients: usize, workers: usize) -> (Vec<Capac
     for i in 0..max_clients {
         unchecked.join_unchecked(mk(i)).expect("unique ids");
         let worst = unchecked
-            .assess_all_with(workers)
+            .assess_all()
             .into_iter()
             .min_by(|a, b| a.sir_db.total_cmp(&b.sir_db))
             .expect("non-empty");

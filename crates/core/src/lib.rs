@@ -68,4 +68,4 @@ pub use engines::{BayesEngine, EngineChoice, FuzzyEngine};
 pub use inference::{AdaptationDecision, InferenceEngine, ModalityChoice};
 pub use policy::{AdaptationAction, AdaptationPolicy, PolicyDb, PolicyRule};
 pub use session::{CollaborationSession, SessionConfig};
-pub use transformer::{MediaCache, MediaCacheStatsHandle};
+pub use transformer::MediaCache;

@@ -35,10 +35,10 @@ use crate::netstate::{AgentDirectory, NetworkStateInterface};
 use crate::policy::AdaptationPolicy;
 use crate::probe::{EchoResponder, LatencyProbe};
 use crate::state_repo::StateRepository;
-use crate::transformer::{MediaCache, MediaCacheStatsHandle};
+use crate::transformer::MediaCache;
 use media::wavelet::WaveletKind;
 use media::Sketch;
-use sempubsub::{BusEndpoint, Frame, SelectorStore};
+use sempubsub::{BusEndpoint, CacheStatsHandle, Frame, SelectorStore};
 use simnet::{GroupId, LinkSpec, Network, NodeId, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
@@ -311,7 +311,7 @@ impl CollaborationSession {
     /// Live encode-once media-cache counters (hits/misses/evictions);
     /// the clone shares the cells, so it stays current as the session
     /// shares images.
-    pub fn media_cache_stats(&self) -> MediaCacheStatsHandle {
+    pub fn media_cache_stats(&self) -> CacheStatsHandle {
         self.media_cache.stats()
     }
 

@@ -47,6 +47,7 @@ impl CollaborationSession {
         let subscribers = spec.subscriber_nodes();
         let client = &self.clients[id];
         let handle = self.net.attach_tree(client.link, spec);
+        let now_us = self.net.now().as_micros();
         let rt = self
             .agents
             .get_mut(client.node)
@@ -55,15 +56,10 @@ impl CollaborationSession {
         for (leaf, _dst) in subscribers {
             self.plan_watchers.push((
                 client.node,
-                PlanWatcher::new(leaf as u32, handle.clone(), 95.0),
+                PlanWatcher::new(leaf as u32, handle.clone(), 95.0, now_us),
             ));
         }
         handle
-    }
-
-    /// Live counters of broker `i`, in brokered mode.
-    pub fn broker_stats(&self, i: usize) -> Option<broker::BrokerStatsHandle> {
-        self.overlay.as_ref().map(|ov| ov.stats(i))
     }
 
     /// Mount a traffic-control plane on the inter-broker link `a`–`b`

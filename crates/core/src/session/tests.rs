@@ -94,7 +94,7 @@ fn brokered_session_delivers_across_domains_and_suppresses() {
     assert_eq!(completed[0].1.image.data, scene.image.data);
     // Broker 1 relayed the image toward domain 2 but kept it out
     // of its own group, and the spared texter was credited.
-    let b1 = s.broker_stats(1).unwrap();
+    let b1 = s.overlay().unwrap().stats(1);
     assert!(b1.forwarded() > 0);
     assert!(b1.local_suppressed() > 0, "image kept out of domain 1");
     assert!(s.client(t).bus.stats().suppressed > 0);

@@ -13,8 +13,8 @@ use media::image::Image;
 use media::speech::{speech_to_text, text_to_speech, SpeechStream};
 use media::wavelet::{WaveletKind, WaveletScratch};
 use media::{MediaError, Sketch};
+use sempubsub::CacheStatsHandle;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The modalities content can take.
@@ -97,37 +97,6 @@ impl std::fmt::Display for TransformError {
 
 impl std::error::Error for TransformError {}
 
-/// Live media-cache counters, shareable with instrumentation (same
-/// shape as the selector-cache and qdisc stats handles).
-#[derive(Clone, Default, Debug)]
-pub struct MediaCacheStatsHandle {
-    inner: Arc<MediaCacheCounters>,
-}
-
-#[derive(Default, Debug)]
-struct MediaCacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl MediaCacheStatsHandle {
-    /// Encodes served straight from the cache.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to run the full wavelet + EZW encode.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted to stay within the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions.load(Ordering::Relaxed)
-    }
-}
-
 struct MediaEntry {
     stream: Arc<[u8]>,
     last_used: u64,
@@ -151,7 +120,7 @@ pub struct MediaCache {
     entries: HashMap<u64, MediaEntry>,
     cap: usize,
     tick: u64,
-    stats: MediaCacheStatsHandle,
+    stats: CacheStatsHandle,
     // Reused across misses: one analysis per channel (a channel's is
     // held while the others are sized up), and the serial path's
     // scratch.
@@ -168,7 +137,7 @@ impl MediaCache {
             entries: HashMap::new(),
             cap,
             tick: 0,
-            stats: MediaCacheStatsHandle::default(),
+            stats: CacheStatsHandle::default(),
             analyses: Vec::new(),
             wavelet_scratch: WaveletScratch::new(),
             ezw_scratch: EzwScratch::new(),
@@ -237,11 +206,11 @@ impl MediaCache {
         self.tick += 1;
         let key = Self::content_key(img, levels, kind, color_transform, byte_cap);
         if let Some(e) = self.entries.get_mut(&key) {
-            self.stats.inner.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_hit();
             e.last_used = self.tick;
             return Ok(Arc::clone(&e.stream));
         }
-        self.stats.inner.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_miss();
         let planes = ezw::prepare_planes(img, color_transform)?;
         let n = planes.len();
         if self.analyses.len() < n {
@@ -291,7 +260,7 @@ impl MediaCache {
                 .map(|(&k, _)| k)
                 .expect("cap >= 1 and cache full");
             self.entries.remove(&victim);
-            self.stats.inner.evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_eviction();
         }
         self.entries.insert(
             key,
@@ -314,7 +283,7 @@ impl MediaCache {
     }
 
     /// Live counters handle.
-    pub fn stats(&self) -> MediaCacheStatsHandle {
+    pub fn stats(&self) -> CacheStatsHandle {
         self.stats.clone()
     }
 }

@@ -301,9 +301,9 @@ impl StoreWatcher {
 /// Utilisation is computed from deltas of the leaf's `bits_sent`
 /// counter between consecutive [`PlanWatcher::service`] calls, so the
 /// polling cadence *is* the averaging window: call it once per
-/// reporting interval. Edge-triggered like every other watch — one
-/// trap per crossing, re-armed when utilisation falls back below the
-/// threshold.
+/// reporting interval. The first window starts when the watcher is
+/// armed. Edge-triggered like every other watch — one trap per
+/// crossing, re-armed when utilisation falls back below the threshold.
 pub struct PlanWatcher {
     node: u32,
     stats: htb::TreeStatsHandle,
@@ -315,17 +315,24 @@ pub struct PlanWatcher {
 impl PlanWatcher {
     /// Watch tree node `node` (a subscriber leaf index into `stats`),
     /// firing when its windowed ceiling utilisation rises to or above
-    /// `threshold_pct` percent.
-    pub fn new(node: u32, stats: htb::TreeStatsHandle, threshold_pct: f64) -> PlanWatcher {
+    /// `threshold_pct` percent. `now_us` is the sim time of arming: the
+    /// first window runs from there, over the bits the leaf sends from
+    /// there.
+    pub fn new(
+        node: u32,
+        stats: htb::TreeStatsHandle,
+        threshold_pct: f64,
+        now_us: u64,
+    ) -> PlanWatcher {
         PlanWatcher {
             node,
+            last_bits: stats.bits_sent(node as usize),
             stats,
             edge: EdgeWatcher::new(
                 Watch::rising("congestion_pct", arcs::htb_node_util(node), threshold_pct),
                 qos_plan_alert_trap_oid(),
             ),
-            last_bits: 0,
-            last_us: 0,
+            last_us: now_us,
         }
     }
 
@@ -747,7 +754,7 @@ mod tests {
     #[test]
     fn plan_alert_fires_on_sustained_ceiling_saturation() {
         let (mut net, stats, mut rt, mut sink, station, core, sub) = tree_world();
-        let mut watcher = PlanWatcher::new(3, stats, 95.0);
+        let mut watcher = PlanWatcher::new(3, stats, 95.0, net.now().as_micros());
         assert_eq!(watcher.node(), 3);
 
         // Idle window: utilisation zero, nothing fires.
@@ -788,6 +795,25 @@ mod tests {
             crate::inference::ModalityChoice::Text,
             "~100% ceiling utilisation lands in the heaviest congestion band"
         );
+    }
+
+    /// A watcher armed mid-run measures from its arming: neither the
+    /// bits the leaf sent before it nor the idle time before it count.
+    #[test]
+    fn late_armed_plan_watcher_measures_from_arming() {
+        let (mut net, stats, mut rt, _sink, station, core, sub) = tree_world();
+        saturate(&mut net, core, sub, 7100, 100);
+        net.run_to_quiescence();
+        let mut watcher = PlanWatcher::new(3, stats.clone(), 95.0, net.now().as_micros());
+        net.run_for(Ticks::from_millis(100));
+        assert_eq!(watcher.utilization_pct(net.now().as_micros()), 0.0);
+
+        // Saturated for 100 ms after 10 s idle: the first window is
+        // the 100 ms, not the 10.1 s since the start of the run.
+        net.run_for(Ticks::from_secs(10));
+        let mut late = PlanWatcher::new(3, stats, 95.0, net.now().as_micros());
+        saturate(&mut net, core, sub, 7101, 100);
+        assert!(late.service(&mut net, &mut rt, station));
     }
 
     #[test]

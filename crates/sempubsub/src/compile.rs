@@ -383,8 +383,10 @@ impl CompiledProfile {
     }
 }
 
-/// Live selector-cache counters, shareable with SNMP instrumentation
-/// (same shape as the qdisc and broker stats handles).
+/// Live hit / miss / eviction counters of a bounded cache, shareable
+/// with SNMP instrumentation: the selector cache's, and the session's
+/// media cache's (`cqos_core::MediaCache`), which bumps its own through
+/// the `record_*` methods.
 #[derive(Clone, Default, Debug)]
 pub struct CacheStatsHandle {
     inner: Arc<CacheCounters>,
@@ -398,13 +400,13 @@ struct CacheCounters {
 }
 
 impl CacheStatsHandle {
-    /// Compilations served from the cache.
+    /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
         self.inner.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to lex, parse, and compile (including selector
-    /// strings that failed to parse).
+    /// Lookups that had to do the work — for selectors, lex, parse, and
+    /// compile (including selector strings that failed to parse).
     pub fn misses(&self) -> u64 {
         self.inner.misses.load(Ordering::Relaxed)
     }
@@ -412,6 +414,21 @@ impl CacheStatsHandle {
     /// Entries evicted to stay within the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.inner.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Count one hit.
+    pub fn record_hit(&self) {
+        self.inner.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one miss.
+    pub fn record_miss(&self) {
+        self.inner.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one eviction.
+    pub fn record_eviction(&self) {
+        self.inner.evictions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -493,14 +510,14 @@ impl SelectorCache {
     /// errors propagate (and count as misses — the work was done).
     pub fn compile(&mut self, src: &str) -> Result<Arc<CompiledSelector>, SemError> {
         if let Some(&i) = self.index.get(src) {
-            self.stats.inner.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_hit();
             if self.head != i {
                 self.unlink(i);
                 self.push_front(i);
             }
             return Ok(Arc::clone(&self.entries[i as usize].compiled));
         }
-        self.stats.inner.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_miss();
         let compiled = Arc::new(CompiledSelector::compile(src, &mut self.interner)?);
         let i = if self.entries.len() >= self.cap {
             // Evict the least recently used entry and reuse its slot.
@@ -511,7 +528,7 @@ impl SelectorCache {
                 Arc::clone(&compiled),
             );
             self.index.remove(old.source());
-            self.stats.inner.evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.record_eviction();
             victim
         } else {
             self.entries.push(CacheEntry {

@@ -61,9 +61,10 @@ fn eval(expr: &Expr, attrs: &BTreeMap<String, AttrValue>) -> Result<Operand, Sem
     })
 }
 
-/// Comparison semantics, shared by the tree walk and the compiled
-/// evaluator in [`crate::compile`] so the two can never diverge.
-pub(crate) fn compare(op: CmpOp, l: &AttrValue, r: &AttrValue) -> bool {
+/// Comparison semantics, shared by the tree walk, the compiled
+/// evaluator in [`crate::compile`] and the broker's selector algebra,
+/// so none of them can diverge.
+pub fn compare(op: CmpOp, l: &AttrValue, r: &AttrValue) -> bool {
     match op {
         CmpOp::Eq => l.sem_eq(r),
         CmpOp::Ne => !l.sem_eq(r),

@@ -7,6 +7,7 @@ use crate::packet::{Port, WirePacket, HEADER_OVERHEAD, MAX_DATAGRAM};
 use crate::payload::Payload;
 use crate::time::Ticks;
 use crate::topology::{LinkId, Route};
+use crate::trace::Counter;
 use htb::ShapingTree;
 use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc};
 use rand::Rng;
@@ -175,11 +176,9 @@ impl Network {
             .filter(|sock| sock.open)
             .ok_or(NetError::BadSocket)?;
         let (src_node, src_port, ecn_capable) = (sock.node, sock.port, sock.ecn);
-        self.stats.sent += payloads.len() as u64;
-        self.stats.bytes_sent += payloads
-            .iter()
-            .map(|p| (p.len() + HEADER_OVERHEAD) as u64)
-            .sum::<u64>();
+        self.stats.add(Counter::Sent, payloads.len() as u64);
+        let bytes = payloads.iter().map(|p| (p.len() + HEADER_OVERHEAD) as u64);
+        self.stats.add(Counter::BytesSent, bytes.sum());
         let targets = match dst {
             // A datagram to an unbound port is silently discarded,
             // like real UDP (no ICMP in this simulator).
@@ -231,7 +230,7 @@ impl Network {
             let backlog_us = link.busy_until.saturating_sub(*t).as_micros();
             let backlog_bytes = backlog_us * link.spec.bandwidth_bps / 8_000_000;
             if backlog_bytes + wire_size as u64 > cap {
-                self.stats.fifo_dropped += 1;
+                self.stats.add(Counter::FifoDropped, 1);
                 return false;
             }
         }
@@ -305,7 +304,7 @@ impl Network {
             ecn_ce: flight.ce,
         };
         if flight.duplicate {
-            self.stats.duplicated += 1;
+            self.stats.add(Counter::Duplicated, 1);
             let dgram = dgram.clone();
             self.queue.schedule(t, NetEvent::Deliver { socket, dgram });
         }
@@ -337,8 +336,7 @@ impl Network {
                 &mut t,
                 &mut flight.duplicate,
             ) {
-                self.stats.dropped += 1;
-                self.shared.add_dropped(1);
+                self.stats.add(Counter::Dropped, 1);
                 return;
             }
             flight.route.advance();
@@ -368,9 +366,8 @@ impl Network {
         match slot.plane.enqueue(now.as_micros(), dst_node, flight) {
             EnqueueOutcome::Queued => self.kick_egress(link),
             EnqueueOutcome::TailDropped(_) => {
-                self.stats.dropped += 1;
-                self.stats.qdisc_dropped += 1;
-                self.shared.add_dropped(1);
+                self.stats.add(Counter::Dropped, 1);
+                self.stats.add(Counter::QdiscDropped, 1);
             }
         }
     }
@@ -412,13 +409,12 @@ impl Network {
         slot.service_at = None;
         let out = slot.plane.dequeue(now.as_micros());
         let aqm_drops = out.aqm_dropped.len() as u64;
-        self.stats.dropped += aqm_drops;
-        self.stats.qdisc_dropped += aqm_drops;
-        self.shared.add_dropped(aqm_drops);
+        self.stats.add(Counter::Dropped, aqm_drops);
+        self.stats.add(Counter::QdiscDropped, aqm_drops);
         if let Some(rel) = out.released {
             let mut flight = rel.payload;
             if rel.ecn_marked {
-                self.stats.ecn_marked += 1;
+                self.stats.add(Counter::EcnMarked, 1);
                 flight.ce = true;
             }
             let link_ref = &mut self.topo.links[link.0 as usize];
@@ -434,8 +430,7 @@ impl Network {
                     self.deliver(flight, t);
                 }
             } else {
-                self.stats.dropped += 1;
-                self.shared.add_dropped(1);
+                self.stats.add(Counter::Dropped, 1);
             }
         }
         self.kick_egress(link);
@@ -451,9 +446,8 @@ impl Network {
                     let sock = &mut self.sockets[socket.0 as usize];
                     if sock.open {
                         let wire = (dgram.payload.len() + crate::packet::HEADER_OVERHEAD) as u64;
-                        self.stats.delivered += 1;
-                        self.stats.bytes_delivered += wire;
-                        self.shared.add_delivered(1, wire);
+                        self.stats.add(Counter::Delivered, 1);
+                        self.stats.add(Counter::BytesDelivered, wire);
                         sock.inbox.push_back(dgram);
                     }
                 }

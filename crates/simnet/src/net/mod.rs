@@ -146,9 +146,7 @@ pub struct Network {
     /// exactly the order the historical all-sockets scan did.
     groups: Vec<Vec<SocketHandle>>,
     rng: StdRng,
-    stats: NetStats,
-    /// Lock-free shared view of the delivery/drop counters.
-    shared: NetStatsHandle,
+    stats: NetStatsHandle,
     fired_timers: VecDeque<(Ticks, u64)>,
     /// Scripted fault actions sorted by time; `plan_next` indexes the
     /// first not-yet-applied entry.
@@ -173,8 +171,7 @@ impl Network {
             port_map: Vec::new(),
             groups: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            stats: NetStats::default(),
-            shared: NetStatsHandle::new(),
+            stats: NetStatsHandle::new(),
             fired_timers: VecDeque::new(),
             plan: FaultPlan::new(),
             plan_next: 0,
@@ -237,16 +234,17 @@ impl Network {
         self.topo.reachable(a, b)
     }
 
-    /// Cumulative traffic statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    /// Cumulative traffic statistics, copied out of the cells
+    /// [`Network::stats_handle`] reads.
+    pub fn stats(&self) -> NetStats {
+        self.stats.snapshot()
     }
 
-    /// A lock-free shared view of the delivery/drop counters. The
-    /// handle stays live (and readable from any thread) while the
-    /// simulation runs; clones share the same atomic cells.
+    /// A lock-free shared view of the traffic counters. The handle
+    /// stays live (and readable from any thread) while the simulation
+    /// runs; clones share the same atomic cells.
     pub fn stats_handle(&self) -> NetStatsHandle {
-        self.shared.clone()
+        self.stats.clone()
     }
 
     /// Add a node. See [`Topology::add_node`].

@@ -262,7 +262,7 @@ fn inert_fault_model_changes_nothing() {
         while let Some(d) = net.recv(sb) {
             arrivals.push(d.arrived_at);
         }
-        (net.stats().clone(), arrivals)
+        (net.stats(), arrivals)
     };
     // Attaching the all-zero model must be bit-identical to no model:
     // the RNG stream is untouched because zero-rate draws are skipped.
@@ -749,7 +749,7 @@ fn tree_runs_are_deterministic() {
         }
         net.run_to_quiescence();
         let out: Vec<Datagram> = std::iter::from_fn(|| net.recv(sb)).collect();
-        (out, net.stats().clone())
+        (out, net.stats())
     };
     let (arrivals, stats) = run();
     assert_eq!((arrivals.clone(), stats.clone()), run());
@@ -826,12 +826,7 @@ fn tree_then_qdisc_on_one_path() {
         arrivals.extend(std::iter::from_fn(|| net.recv(other)));
         let flat_marks = net.qdisc_stats(hop2).unwrap().ecn_marks();
         // Node layout: 0 root, 1 default, 2 the subscriber leaf.
-        (
-            arrivals,
-            net.stats().clone(),
-            tree_stats.ecn_marks(2),
-            flat_marks,
-        )
+        (arrivals, net.stats(), tree_stats.ecn_marks(2), flat_marks)
     };
     for (leaf_bps, flat_bps) in [(800_000, 8_000_000), (8_000_000, 800_000)] {
         let (arrivals, stats, tree_marks, flat_marks) = run(leaf_bps, flat_bps);
@@ -872,7 +867,7 @@ fn qdisc_runs_are_deterministic() {
         }
         net.run_to_quiescence();
         let out: Vec<Datagram> = std::iter::from_fn(|| net.recv(sb)).collect();
-        (out, net.stats().clone())
+        (out, net.stats())
     };
     let (arrivals, stats) = run();
     assert_eq!((arrivals.clone(), stats.clone()), run());
@@ -933,7 +928,7 @@ fn planeless_runs_are_deterministic() {
             net.run_for(Ticks::from_micros(400));
         }
         net.run_to_quiescence();
-        (drain_all(&mut net, &socks), net.stats().clone())
+        (drain_all(&mut net, &socks), net.stats())
     };
     let (arrivals, stats) = run();
     assert!(stats.dropped > 0 && stats.duplicated > 0, "faults fired");
@@ -964,7 +959,7 @@ fn send_is_the_one_packet_batch() {
         results.push(send(&mut net, socks[0], dst, vec![0; MAX_DATAGRAM + 1]));
         net.run_to_quiescence();
         let arrivals = drain_all(&mut net, &socks);
-        (results, run_digest(&arrivals, net.stats()), arrivals.len())
+        (results, run_digest(&arrivals, &net.stats()), arrivals.len())
     };
     // Digests of the `send` runs at the commit before the fold.
     for (unicast, pinned) in [(true, 0xb80ddab524d93dab), (false, 0x2a80cc2c1a872d24)] {

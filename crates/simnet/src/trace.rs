@@ -1,11 +1,11 @@
 //! Cumulative network statistics, used by tests and benches to assert
 //! on traffic behaviour without instrumenting application code.
 //!
-//! Two views exist: the plain [`NetStats`] snapshot (cheap to clone and
-//! compare — the bit-identity suites diff whole structs), and the
-//! lock-free [`NetStatsHandle`], a shared atomic view of the
-//! delivery/drop counters that stays readable from other threads (e.g.
-//! shard workers or a monitoring thread) while the simulation runs.
+//! Every quantity is counted once, in the atomic cells behind a
+//! [`NetStatsHandle`]: the network bumps them as it runs, any thread
+//! holding a clone reads them live, and [`crate::Network::stats`]
+//! copies them into a plain [`NetStats`] (cheap to clone and compare —
+//! the bit-identity suites diff whole structs).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,21 +49,28 @@ impl NetStats {
     }
 }
 
-/// The atomic cells behind a [`NetStatsHandle`].
-#[derive(Debug, Default)]
-struct NetStatsCells {
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    bytes_delivered: AtomicU64,
+/// The quantities a [`NetStatsHandle`] counts, one cell each — the
+/// fields of [`NetStats`].
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    Sent,
+    Delivered,
+    Dropped,
+    BytesSent,
+    BytesDelivered,
+    Duplicated,
+    FifoDropped,
+    QdiscDropped,
+    EcnMarked,
 }
 
-/// A lock-free, shareable view of a network's delivery and drop
-/// counters. Clones share the same cells; reads are `Relaxed` loads,
-/// so any thread can poll live throughput while the (single-threaded)
-/// simulation keeps running — no lock, no snapshot copy.
+/// A lock-free, shareable view of a network's counters. Clones share
+/// the same cells; reads are `Relaxed` loads, so any thread can poll
+/// live throughput while the (single-threaded) simulation keeps
+/// running — no lock, no snapshot copy.
 #[derive(Clone, Debug, Default)]
 pub struct NetStatsHandle {
-    cells: Arc<NetStatsCells>,
+    cells: Arc<[AtomicU64; 9]>,
 }
 
 impl NetStatsHandle {
@@ -74,28 +81,40 @@ impl NetStatsHandle {
 
     /// Copies delivered into a socket inbox so far.
     pub fn delivered(&self) -> u64 {
-        self.cells.delivered.load(Ordering::Relaxed)
+        self.get(Counter::Delivered)
     }
 
     /// Copies dropped (loss model, FIFO caps, qdisc) so far.
     pub fn dropped(&self) -> u64 {
-        self.cells.dropped.load(Ordering::Relaxed)
+        self.get(Counter::Dropped)
     }
 
     /// Wire bytes delivered so far.
     pub fn bytes_delivered(&self) -> u64 {
-        self.cells.bytes_delivered.load(Ordering::Relaxed)
+        self.get(Counter::BytesDelivered)
     }
 
-    pub(crate) fn add_delivered(&self, n: u64, bytes: u64) {
-        self.cells.delivered.fetch_add(n, Ordering::Relaxed);
-        self.cells
-            .bytes_delivered
-            .fetch_add(bytes, Ordering::Relaxed);
+    /// Every counter, copied out.
+    pub(crate) fn snapshot(&self) -> NetStats {
+        NetStats {
+            sent: self.get(Counter::Sent),
+            delivered: self.get(Counter::Delivered),
+            dropped: self.get(Counter::Dropped),
+            bytes_sent: self.get(Counter::BytesSent),
+            bytes_delivered: self.get(Counter::BytesDelivered),
+            duplicated: self.get(Counter::Duplicated),
+            fifo_dropped: self.get(Counter::FifoDropped),
+            qdisc_dropped: self.get(Counter::QdiscDropped),
+            ecn_marked: self.get(Counter::EcnMarked),
+        }
     }
 
-    pub(crate) fn add_dropped(&self, n: u64) {
-        self.cells.dropped.fetch_add(n, Ordering::Relaxed);
+    fn get(&self, counter: Counter) -> u64 {
+        self.cells[counter as usize].load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.cells[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -107,11 +126,16 @@ mod tests {
     fn handle_clones_share_cells() {
         let h = NetStatsHandle::new();
         let h2 = h.clone();
-        h.add_delivered(3, 300);
-        h.add_dropped(1);
+        h.add(Counter::Delivered, 3);
+        h.add(Counter::BytesDelivered, 300);
+        h.add(Counter::Dropped, 1);
+        h.add(Counter::EcnMarked, 2);
         assert_eq!(h2.delivered(), 3);
         assert_eq!(h2.bytes_delivered(), 300);
         assert_eq!(h2.dropped(), 1);
+        let snap = h2.snapshot();
+        assert_eq!((snap.delivered, snap.dropped, snap.ecn_marked), (3, 1, 2));
+        assert_eq!(snap.bytes_delivered, 300);
     }
 
     #[test]

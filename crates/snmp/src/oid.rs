@@ -128,11 +128,6 @@ impl<const N: usize> From<[u32; N]> for Oid {
 pub mod arcs {
     use super::Oid;
 
-    /// `iso.org.dod.internet` = 1.3.6.1
-    pub fn internet() -> Oid {
-        Oid::new(&[1, 3, 6, 1])
-    }
-
     /// MIB-2: 1.3.6.1.2.1
     pub fn mib2() -> Oid {
         Oid::new(&[1, 3, 6, 1, 2, 1])

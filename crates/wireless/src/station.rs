@@ -272,41 +272,6 @@ impl BaseStation {
             .map(|c| self.assess(&c.id).expect("attached"))
             .collect()
     }
-
-    /// Assess every attached client, sharding the O(N²) SIR evaluation
-    /// across `workers` threads. Clients are split into contiguous
-    /// index ranges and results are reassembled in client order, so the
-    /// output is identical to [`BaseStation::assess_all`] for any
-    /// worker count; `workers <= 1` runs serially on the caller's
-    /// thread.
-    pub fn assess_all_with(&self, workers: usize) -> Vec<ServiceAssessment> {
-        let n = self.clients.len();
-        let workers = workers.clamp(1, n.max(1));
-        if workers <= 1 {
-            return self.assess_all();
-        }
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<Vec<ServiceAssessment>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-                .take_while(|(lo, hi)| lo < hi)
-                .map(|(lo, hi)| {
-                    scope.spawn(move || {
-                        self.clients[lo..hi]
-                            .iter()
-                            .map(|c| self.assess(&c.id).expect("attached"))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            out = handles
-                .into_iter()
-                .map(|h| h.join().expect("assessment worker panicked"))
-                .collect();
-        });
-        out.into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
@@ -326,25 +291,6 @@ mod tests {
         assert_eq!(t.classify(-10.0), Modality::TextOnly);
         assert_eq!(t.classify(-30.0), Modality::None);
         assert!(Modality::FullImage > Modality::TextOnly);
-    }
-
-    #[test]
-    fn assess_all_with_matches_serial_for_any_worker_count() {
-        let mut s = bs();
-        for i in 0..5 {
-            s.join_unchecked(ClientRadio::new(
-                &format!("c{i}"),
-                40.0 + 10.0 * i as f64,
-                100.0 + 20.0 * i as f64,
-            ))
-            .unwrap();
-        }
-        let serial = s.assess_all();
-        // Worker counts that divide the client count unevenly, exceed
-        // it, or degenerate to serial must all agree exactly.
-        for workers in [0, 1, 2, 3, 4, 5, 16] {
-            assert_eq!(s.assess_all_with(workers), serial, "workers = {workers}");
-        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ fn main() {
     );
 
     for b in 0..3 {
-        let stats = session.broker_stats(b).unwrap();
+        let stats = session.overlay().unwrap().stats(b);
         println!(
             "broker {b}: table={} forwarded={} suppressed={} adverts merged={}",
             stats.table_size(),
@@ -99,7 +99,7 @@ fn main() {
         );
     }
     let (sup, fwd) = (0..3).fold((0, 0), |(s, f), b| {
-        let h = session.broker_stats(b).unwrap();
+        let h = session.overlay().unwrap().stats(b);
         (s + h.suppressed(), f + h.forwarded())
     });
     println!(

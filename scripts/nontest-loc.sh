@@ -1,16 +1,66 @@
 #!/usr/bin/env bash
 # Non-test lines of Rust under crates/*/src, the count every simplicity
-# PR reports (PR 12's rule): per file, the lines before its first
-# `#[cfg(test)]`. A `#[cfg(test)]` on a `mod name;` declaration does
-# not end the count — it ends it for the file it names
+# PR reports (PR 12's rule): per file, the lines before the
+# `#[cfg(test)]` that opens a `mod … {` block. Any other `#[cfg(test)]`
+# — on a field, a fn, a `thread_local!` — ends nothing: the attribute
+# and its item count. A `#[cfg(test)]` on a `mod name;` declaration
+# does not end the count either — it ends it for the file it names
 # (`session/tests.rs`, `net/tests.rs`), which counts zero. Summed per
 # crate, then overall.
 #
 #   scripts/nontest-loc.sh [-v] [tree]
+#   scripts/nontest-loc.sh --self-check
 #
 # `tree` is a checkout root (default: the one this script is in); `-v`
 # also lists every file. Compare two commits by running it on two trees.
+# `--self-check` counts a fixture tree with every case above and fails
+# unless it reads the numbers written down here.
 set -euo pipefail
+
+if [[ "${1:-}" == "--self-check" ]]; then
+  fixture=$(mktemp -d)
+  trap 'rm -rf "$fixture"' EXIT
+  src="$fixture/crates/demo/src"
+  mkdir -p "$src"
+  # lib.rs: 10 lines count — a test-only field, `thread_local!` and
+  # `mod tests;` do not stop it, the attributed `mod unit {` does.
+  cat >"$src/lib.rs" <<'EOF'
+//! Demo crate.
+pub mod early;
+pub struct Probe {
+    #[cfg(test)]
+    seen: u32,
+}
+#[cfg(test)]
+thread_local! {}
+#[cfg(test)]
+mod tests;
+#[cfg(test)]
+#[allow(dead_code)]
+mod unit {
+    fn t() {}
+}
+pub fn after_unit() {}
+EOF
+  # early.rs: an attribute on its first line hides nothing (3 lines).
+  printf '#[cfg(test)]\nfn helper() {}\npub fn g() {}\n' >"$src/early.rs"
+  # tests.rs: declared test-only by lib.rs, so 0.
+  printf 'fn t() {}\n' >"$src/tests.rs"
+  expected=$(printf '%s\n' \
+    '       3  crates/demo/src/early.rs' \
+    '      10  crates/demo/src/lib.rs' \
+    '       0  crates/demo/src/tests.rs' \
+    '     13  demo' \
+    '     13  total')
+  got=$("$0" -v "$fixture")
+  if [[ "$got" != "$expected" ]]; then
+    echo "nontest-loc self-check FAILED" >&2
+    diff <(echo "$expected") <(echo "$got") >&2 || true
+    exit 1
+  fi
+  echo "nontest-loc self-check: ok"
+  exit 0
+fi
 
 verbose=0
 if [[ "${1:-}" == "-v" ]]; then
@@ -41,8 +91,12 @@ for crate in crates/*; do
     if test_only "$file"; then
       n=0
     else
+      # `held` counts the `#[cfg(test)]` line and any attributes after
+      # it until the item they sit on shows whether the count ends.
       n=$(awk '
-        held { held = 0; if ($0 ~ /^[[:space:]]*mod [a-z_0-9]+;/) { n += 2; next } else exit }
+        held && /^[[:space:]]*#\[/ { held++; next }
+        held && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [A-Za-z_0-9]+[[:space:]]*\{/ { exit }
+        held { n += held; held = 0 }
         /#\[cfg\(test\)\]/ { held = 1; next }
         { n++ }
         END { print n + 0 }' "$file")

@@ -9,7 +9,7 @@
 
 use collabqos::broker::Overlay;
 use collabqos::core::experiments::{
-    run_fig10_brokered, run_fig10_with, run_fig6_brokered, run_fig6_with, run_fig7_brokered,
+    run_fig10, run_fig10_brokered, run_fig6_brokered, run_fig6_with, run_fig7_brokered,
     run_fig7_with,
 };
 use collabqos::prelude::*;
@@ -239,7 +239,7 @@ fn brokered_fig7_bit_identical_to_flat() {
 
 #[test]
 fn brokered_fig10_bit_identical_to_flat() {
-    let flat = run_fig10_with(1);
+    let flat = run_fig10();
     for workers in [1usize, 4] {
         let brokered = run_fig10_brokered(workers);
         assert_eq!(brokered.series, flat.series, "workers {workers}");
@@ -672,7 +672,7 @@ fn session_exposes_inter_broker_links_and_mib_rows() {
     for b in 0..3u32 {
         let table = s.broker_mib_get(b as usize, &arcs::broker_table_size(b));
         let fwd = s.broker_mib_get(b as usize, &arcs::broker_forwarded(b));
-        let stats = s.broker_stats(b as usize).unwrap();
+        let stats = s.overlay().unwrap().stats(b as usize);
         assert_eq!(
             table,
             Some(SnmpValue::Gauge32(stats.table_size() as u32)),
@@ -684,7 +684,10 @@ fn session_exposes_inter_broker_links_and_mib_rows() {
             "broker {b} forwarded row"
         );
     }
-    assert!(s.broker_stats(1).unwrap().forwarded() > 0, "transit broker");
+    assert!(
+        s.overlay().unwrap().stats(1).forwarded() > 0,
+        "transit broker"
+    );
     // The advertisement floods crossed the instrumented 0-1 link.
     use std::sync::atomic::Ordering;
     let _ = qdisc_stats.backlog_bytes.load(Ordering::Relaxed);

@@ -6,6 +6,56 @@
 use collabqos::core::experiments::*;
 use collabqos::prelude::Modality;
 
+/// FNV-1a over 64-bit words: the SIR bits, modalities and counts of a
+/// wireless series, so a change that moves one dB in one row shows.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn sir_rows(rows: &[SirRow]) -> impl Iterator<Item = u64> + '_ {
+    rows.iter().flat_map(|r| {
+        let sirs = r.sirs_db.iter().map(|s| s.to_bits());
+        [r.step.to_bits(), r.sirs_db.len() as u64]
+            .into_iter()
+            .chain(sirs)
+            .chain([r.modality as u64])
+    })
+}
+
+fn fig10_digest(r: &Fig10Result) -> u64 {
+    let head = r.a_sir_by_count.iter().map(|s| s.to_bits());
+    let drops = [r.drop_on_second_join, r.drop_on_third_join].map(f64::to_bits);
+    digest(head.chain(drops).chain(sir_rows(&r.series)))
+}
+
+/// The §6.3 series by value: Fig 10 flat and brokered, and the capacity
+/// curve with its admission count.
+#[test]
+fn wireless_series_are_pinned() {
+    const FIG10: u64 = 0x6e72_6372_7c8f_26d3;
+    const CAPACITY_40: u64 = 0x41cd_819a_88da_8b5b;
+    let got = fig10_digest(&run_fig10());
+    assert_eq!(got, FIG10, "fig10 flat: got {got:#018x}");
+    let got = fig10_digest(&run_fig10_brokered(1));
+    assert_eq!(got, FIG10, "fig10 brokered: got {got:#018x}");
+    let (curve, admitted) = run_capacity_curve(40);
+    let rows = curve.iter().flat_map(|r| {
+        [
+            r.clients as u64,
+            r.min_sir_db.to_bits(),
+            r.worst_modality as u64,
+        ]
+    });
+    let got = digest(rows.chain([admitted as u64]));
+    assert_eq!(got, CAPACITY_40, "capacity curve: got {got:#018x}");
+}
+
 #[test]
 fn figure6_page_fault_series() {
     let rows = run_fig6(42);

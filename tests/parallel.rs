@@ -9,8 +9,7 @@
 
 use collabqos::core::concurrency::LockManager;
 use collabqos::core::experiments::{
-    run_capacity_curve, run_capacity_curve_with, run_fig10, run_fig10_with, run_fig6,
-    run_fig6_with, run_fig7, run_fig7_with, run_parallel_scaling,
+    run_fig6, run_fig6_with, run_fig7, run_fig7_with, run_parallel_scaling,
 };
 use collabqos::core::session::ClientId;
 use collabqos::core::shard;
@@ -93,26 +92,6 @@ fn fig7_series_identical_across_worker_counts() {
     let serial = run_fig7(42);
     for workers in [2, 4, 8] {
         assert_eq!(run_fig7_with(42, workers), serial, "workers = {workers}");
-    }
-}
-
-#[test]
-fn fig10_series_identical_across_worker_counts() {
-    let serial = run_fig10();
-    let sharded = run_fig10_with(4);
-    assert_eq!(sharded.a_sir_by_count, serial.a_sir_by_count);
-    assert_eq!(sharded.drop_on_second_join, serial.drop_on_second_join);
-    assert_eq!(sharded.drop_on_third_join, serial.drop_on_third_join);
-    assert_eq!(sharded.series, serial.series);
-}
-
-#[test]
-fn capacity_curve_identical_across_worker_counts() {
-    let (serial_curve, serial_admitted) = run_capacity_curve(24);
-    for workers in [2, 4] {
-        let (curve, admitted) = run_capacity_curve_with(24, workers);
-        assert_eq!(curve, serial_curve, "workers = {workers}");
-        assert_eq!(admitted, serial_admitted, "workers = {workers}");
     }
 }
 

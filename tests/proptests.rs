@@ -1566,7 +1566,7 @@ impl StoreWorld {
             })
             .collect();
         let subscribers = self.subscribers.iter().map(|s| s.stats()).collect();
-        (brokers, subscribers, self.world.net.stats().clone())
+        (brokers, subscribers, self.world.net.stats())
     }
 }
 

@@ -101,7 +101,7 @@ fn digest_session(h: &mut Digest, s: &CollaborationSession, objects: &[u64]) {
         h.debug(&bs.forward_log);
         h.debug(&bs.downlink_log);
     }
-    h.debug(s.net.stats());
+    h.debug(&s.net.stats());
     h.num(s.net.now().as_micros());
     let cache = s.media_cache_stats();
     h.num(cache.hits());
@@ -435,7 +435,7 @@ fn brokered_digest() -> u64 {
     digest_traps(&mut h, &sink);
     digest_broker_rows(&mut h, &mut s, plane_link.0);
     for i in 0..3 {
-        let b = s.broker_stats(i).unwrap();
+        let b = s.overlay().unwrap().stats(i);
         h.num(b.forwarded());
         h.num(b.suppressed());
         h.num(b.local_suppressed());
