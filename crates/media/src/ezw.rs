@@ -23,25 +23,28 @@
 //! but neither side re-scans the full subband order and branch-skips
 //! the already-significant majority every bit-plane:
 //!
-//! * the **encoder**'s dominant pass walks an explicit candidate list
-//!   of still-insignificant coefficients (magnitude, subtree max, sign
-//!   and child flag packed per entry), merged each pass with that
-//!   pass's statically known activation bucket; coefficients leave the
-//!   list the moment they become significant,
-//! * the **decoder**'s live set is a bitmap over *scan rank* — set
-//!   while a coefficient is activated and not yet significant — and
-//!   its dominant pass is a `trailing_zeros` walk over the set bits.
-//!   A parent's first non-zerotree symbol sets its children's bits;
+//! * **one walk codes and reads every dominant symbol.** The live set
+//!   is a bitmap over *scan rank* — set while a coefficient is coded
+//!   and not yet significant — and a dominant pass is a
+//!   `trailing_zeros` walk over its set bits, the same code in both
+//!   directions: the encoder writes the symbol of each rank it visits
+//!   and the decoder reads it, and neither does anything else. A
+//!   parent's first non-zerotree symbol sets its children's bits;
 //!   since parents precede children in scan order the same walk meets
-//!   them later in the pass, in order, with no list to merge or copy.
-//!   Significant coefficients go, in significance order, into one
-//!   packed list that the subordinate pass refines sequentially, and
-//!   are scattered into the plane once, at the end,
+//!   them later in the pass, in order, with no list to sort, merge or
+//!   copy. The walk takes each 64-rank word's ranks once, so the next
+//!   rank never waits on the symbol being coded,
+//! * the encoder reads the plane in scan order, one packed word per
+//!   rank (magnitude, sign, subtree maximum), copied band row by band
+//!   row once a plane; significant coefficients go, in significance
+//!   order, into one list that the subordinate pass refines
+//!   sequentially — on the decoder's side too, which scatters them into
+//!   the plane once, at the end,
 //! * [`BitWriter`]/[`BitReader`] move whole symbols through a 64-bit
 //!   accumulator (`push_bits`, `peek`/`consume`) instead of one
 //!   bounds-checked byte poke per bit,
-//! * all per-plane state (lists, bitmaps, the decoder's rank-space
-//!   geometry) lives in a caller-owned [`EzwScratch`], so a session
+//! * all per-plane state (lists, bitmaps, the rank-space geometry)
+//!   lives in a caller-owned [`EzwScratch`], so a session
 //!   encoding a stream of planes allocates nothing after warm-up; a
 //!   receiver keeps it, with the wavelet buffers and the coefficient
 //!   planes, in a [`DecodeScratch`] behind
@@ -61,7 +64,7 @@
 //!   ([`channel_keeps`]) between them: size up every channel, then
 //!   write each to its share ([`EzwEncoder::emit_plane`]), the passes
 //!   stopping at the cap and the coefficients that would first be
-//!   coded below it never bucketed. No cap is the same loop run to the
+//!   coded below it never visited. No cap is the same loop run to the
 //!   end; [`encode_image_capped`] is byte for byte
 //!   `truncate_container(encode_image_opts(..), cap)`.
 //! * **A receiver reads the symbols of a stream once.** The viewers of
@@ -286,9 +289,24 @@ impl<'a> BitReader<'a> {
 /// anything is sized by it; 2048x2048 is well past any shared image.
 const MAX_PLANE_SAMPLES: usize = 1 << 22;
 
+/// The subbands of a `w x h x levels` plane in scan order, as rows:
+/// `(start, len)` of each band row in the plane's linear layout — the
+/// coarsest LL, then level by level, coarse to fine, HL (top-right), LH
+/// (bottom-left) and HH (bottom-right), each row by row.
+fn band_rows(w: usize, h: usize, levels: usize) -> impl Iterator<Item = (usize, usize)> {
+    let ll = (0, 0, w >> levels, h >> levels);
+    let details = (1..=levels).rev().flat_map(move |l| {
+        let (wb, hb) = (w >> l, h >> l);
+        [(wb, 0, wb, hb), (0, hb, wb, hb), (wb, hb, wb, hb)]
+    });
+    std::iter::once(ll)
+        .chain(details)
+        .flat_map(move |(x0, y0, bw, bh)| (y0..y0 + bh).map(move |y| (y * w + x0, bw)))
+}
+
 /// Scan/tree geometry of one plane shape, addressed by **scan rank**
-/// (the position in the subband-ordered scan, coarse to fine). Decoder
-/// only — the encoder regenerates the scan from its band loops.
+/// (the position in the subband-ordered scan, coarse to fine), which
+/// is the space both walks run in.
 ///
 /// In rank space the zerotree is simple: the `roots()` coarsest-LL
 /// nodes come first and root `r` parents `r + roots`, `r + 2·roots`,
@@ -312,37 +330,29 @@ impl Geometry {
     fn new(w: usize, h: usize, levels: usize) -> Geometry {
         assert!(levels >= 1 && levels <= wavelet::max_levels(w, h));
         let mut scan = Vec::with_capacity(w * h);
-        let (wl, hl) = (w >> levels, h >> levels);
-        for y in 0..hl {
-            for x in 0..wl {
-                scan.push((y * w + x) as u32);
-            }
-        }
-        let mut child_rows = Vec::with_capacity((w / 2) * (h / 2) - wl * hl);
-        for l in (1..=levels).rev() {
-            let (wb, hb) = (w >> l, h >> l);
-            // HL (top-right), LH (bottom-left), HH (bottom-right).
-            for (band, (x0, y0)) in [(wb, 0), (0, hb), (wb, hb)].into_iter().enumerate() {
-                for y in y0..y0 + hb {
-                    for x in x0..x0 + wb {
-                        scan.push((y * w + x) as u32);
-                    }
-                }
-                if l > 1 {
-                    // The same band one level finer starts after
-                    // everything coarser (4·wb·hb ranks) and holds
-                    // 2wb x 2hb coefficients.
-                    let child_band = (4 + 4 * band) * wb * hb;
-                    for y in 0..hb {
-                        for x in 0..wb {
-                            let top = child_band + 4 * y * wb + 2 * x;
-                            child_rows.push([top as u32, (top + 2 * wb) as u32]);
-                        }
-                    }
-                }
-            }
+        for (start, len) in band_rows(w, h, levels) {
+            scan.extend((start..start + len).map(|i| i as u32));
         }
         debug_assert_eq!(scan.len(), w * h);
+        // The detail parents are the bands of every level but the
+        // finest, in scan order.
+        let (wl, hl) = (w >> levels, h >> levels);
+        let mut child_rows = Vec::with_capacity((w / 2) * (h / 2) - wl * hl);
+        for l in (2..=levels).rev() {
+            let (wb, hb) = (w >> l, h >> l);
+            for band in 0..3 {
+                // The same band one level finer starts after everything
+                // coarser (4·wb·hb ranks) and holds 2wb x 2hb
+                // coefficients.
+                let child_band = (4 + 4 * band) * wb * hb;
+                for y in 0..hb {
+                    for x in 0..wb {
+                        let top = child_band + 4 * y * wb + 2 * x;
+                        child_rows.push([top as u32, (top + 2 * wb) as u32]);
+                    }
+                }
+            }
+        }
         Geometry {
             w,
             h,
@@ -385,28 +395,6 @@ impl Geometry {
 
 // ------------------------------------------------------------- scratch
 
-// Encoder candidates are single `u64`s — the dominant pass only ever
-// *compares* magnitudes against the threshold, so the bit positions of
-// |coeff| and the subtree max suffice:
-//
-// ```text
-// 63..32: scan rank (merge key: plain u64 `<` orders by scan position)
-// 23..16: bit position of |coeff|: 1 + msb, or 0 when it is zero
-// 15..8:  bit position of the subtree max, likewise
-// bit 1:  has children
-// bit 0:  sign (negative)
-// ```
-//
-// `|coeff| >= 1 << b` becomes `position >= b + 1`, a masked compare.
-// Halving the entry to 8 bytes halves the per-pass survivor-copy
-// traffic, the encoder's main memory cost.
-const CAND_MAG_SHIFT: u32 = 16;
-const CAND_SMAX_SHIFT: u32 = 8;
-const CAND_MAG_MASK: u64 = 0xFF << CAND_MAG_SHIFT;
-const CAND_SMAX_MASK: u64 = 0xFF << CAND_SMAX_SHIFT;
-const CAND_KIDS: u64 = 1 << 1;
-const CAND_NEG: u64 = 1;
-
 /// Bit positions a coefficient can have: 0 for zero, else `1 + msb`.
 const BIT_POSITIONS: usize = 33;
 
@@ -417,15 +405,12 @@ fn bit_position(c: i32) -> u8 {
     (32 - c.unsigned_abs().leading_zeros()) as u8
 }
 
-/// Symbols the dominant pass emits between two looks at the cap.
-const CAP_CHECK_SYMBOLS: usize = 512;
-
 /// What [`EzwEncoder::measure_plane`] works out about a plane without
 /// writing a bit of its stream, and all [`EzwEncoder::emit_plane`]
 /// needs beside the coefficients to write any prefix of it: a byte per
 /// coefficient for each of three bit positions, and the stream's
-/// length plane by plane. Reusable from plane to plane; an image's
-/// channels each keep one while the rate cap is split between them.
+/// length. Reusable from plane to plane; an image's channels each keep
+/// one while the rate cap is split between them.
 #[derive(Default)]
 pub struct PlaneAnalysis {
     /// `(w, h, levels)` of the plane measured.
@@ -435,12 +420,6 @@ pub struct PlaneAnalysis {
     top_pos: u8,
     /// Length of that plane's whole stream, header included.
     full_len: usize,
-    /// Bits the stream spends on each bit-plane, dominant and
-    /// subordinate pass together, indexed by plane.
-    plane_bits: [u64; 32],
-    /// Coefficients first coded in each bit-plane — the sizes of the
-    /// activation buckets, known before one is filled.
-    activated: [u32; 32],
     /// Bit position of each `|coeff|`.
     bitpos: Vec<u8>,
     /// Bit position of the max `|coeff|` over each subtree.
@@ -458,16 +437,16 @@ impl PlaneAnalysis {
     }
 }
 
-/// Reusable per-plane coder state: the encoder's candidate lists and
-/// activation buckets, the decoder's live bitmap and significance
-/// record, and the decoder's cached `Geometry` (rebuilt only when the
-/// plane shape changes). Shared by
-/// [`EzwEncoder::encode_plane_with`] and
+/// Reusable per-plane coder state: the live set both walks run on, the
+/// cached `Geometry` (rebuilt only when the plane shape changes), the
+/// encoder's per-rank coefficients and significance list, and the
+/// decoder's significance record. Shared by
+/// [`EzwEncoder::encode_plane_with`] / [`EzwEncoder::emit_plane`] and
 /// [`EzwDecoder::decode_plane_with`]; a default-constructed scratch is
 /// used transparently by the plain entry points.
 #[derive(Default)]
 pub struct EzwScratch {
-    /// Decoder: tree geometry of the last plane shape decoded.
+    /// Tree geometry of the last plane shape coded, either way.
     geo: Option<Geometry>,
     /// Encoder: what [`EzwEncoder::encode_plane_with`] sizes a plane
     /// up into (a container encode keeps one per channel instead).
@@ -476,27 +455,19 @@ pub struct EzwScratch {
     /// significance order — the subordinate pass reads it sequentially
     /// (the refinement bit never needs the index, only the magnitude).
     sub_mags: Vec<u32>,
-    /// Encoder: `|coeff|` by scan rank, so the dominant pass recovers
-    /// a magnitude from a packed candidate with one ordered read.
-    mag_rank: Vec<u32>,
-    /// Encoder: live packed candidates, rank-sorted (double-buffered,
-    /// `u64::MAX`-sentinel-terminated for the branchless merge).
-    cands: Vec<u64>,
-    cands_next: Vec<u64>,
-    /// Encoder: packed candidates bucketed by activation pass
-    /// (`bucket_off[p]..bucket_off[p + 1]`, rank-sorted within each,
-    /// each bucket followed by a `u64::MAX` sentinel slot).
-    buckets: Vec<u64>,
-    bucket_off: Vec<usize>,
-    bucket_cur: Vec<usize>,
-    /// Decoder: the live set, one bit per scan rank — set while a
-    /// coefficient is activated (a root, or its parent has coded a
-    /// non-zerotree symbol) and not yet significant. A dominant pass
+    /// Encoder: the plane's coefficients by scan rank, packed as the
+    /// dominant pass reads them (`|coeff|`, sign, and the bit position
+    /// of the subtree maximum at `RANKED_SMAX_SHIFT`), one ordered read
+    /// a symbol.
+    ranked: Vec<u64>,
+    /// The live set, one bit per scan rank — set while a coefficient
+    /// is coded in the dominant pass (a root, or its parent has coded
+    /// a non-zerotree symbol) and not yet significant. A dominant pass
     /// is a walk over the set bits in rank order.
     live: Vec<u64>,
-    /// Decoder: one bit per parent rank, set once its children have
-    /// been activated (a significant child leaves `live`, so `live`
-    /// alone cannot say whether activation already happened).
+    /// One bit per parent rank, set once its children have joined the
+    /// live set (a significant child leaves `live`, so `live` alone
+    /// cannot say whether that already happened).
     spawned: Vec<u64>,
     /// Decoder: what [`EzwDecoder::decode_plane_with`] reads a stream
     /// into (a container decode keeps one per channel instead, in its
@@ -520,11 +491,168 @@ impl EzwScratch {
     }
 }
 
-/// Make `v` at least `len` long. What it holds is overwritten before
-/// it is read, so nothing is cleared.
-fn at_least<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
-    if v.len() < len {
-        v.resize(len, T::default());
+// ------------------------------------------------------------ the walk
+
+/// The three kinds of node a dominant pass meets, in scan order.
+const ROOTS: u8 = 0;
+const QUADS: u8 = 1;
+const LEAVES: u8 = 2;
+
+/// One side of the codec, as the walk over the live set sees it: the
+/// encoder writes the symbol of each rank the walk visits, the decoder
+/// reads it. Which ranks are visited, in what order, and what a symbol
+/// does to the live set is the walk's ([`LiveSet::dominant`]), the same
+/// for both sides, so what one writes the other reads.
+trait Side {
+    /// Before each 64-rank word of the live set: whether the walk goes
+    /// on. The encoder stops at its cap; the decoder makes room for the
+    /// word's entries.
+    fn word(&mut self) -> bool;
+
+    /// Write or read the symbol of `rank`: in the parent alphabet
+    /// (`PARENT`) `0` zerotree root / `10` isolated zero / `11s`
+    /// significant, in the childless one `0` zero / `1s` significant.
+    /// Returns whether it is anything but a zerotree root and whether
+    /// it is significant, 0 or 1 each — or `None` when the stream ends
+    /// inside it, which then has no effect.
+    fn symbol<const PARENT: bool>(&mut self, rank: usize) -> Option<(u64, u64)>;
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The live set of one plane's dominant passes, over its geometry.
+struct LiveSet<'a> {
+    geo: &'a Geometry,
+    live: &'a mut [u64],
+    spawned: &'a mut [u64],
+}
+
+impl<'a> LiveSet<'a> {
+    /// The live set of a plane's first pass: the parentless roots.
+    /// Everything under a zerotree root stays out of it, so no skip
+    /// stamps are needed.
+    fn new(geo: &'a Geometry, live: &'a mut Vec<u64>, spawned: &'a mut Vec<u64>) -> LiveSet<'a> {
+        live.clear();
+        live.resize((geo.w * geo.h).div_ceil(64), 0);
+        for r in 0..geo.roots() {
+            set_bit(live, r);
+        }
+        spawned.clear();
+        spawned.resize(geo.parents().div_ceil(64), 0);
+        LiveSet { geo, live, spawned }
+    }
+
+    /// One dominant pass: every live rank in scan order, its symbol
+    /// coded by `side`. The set grows by activation: the first time a
+    /// parent codes a non-zerotree symbol its children join, and since
+    /// a parent precedes its children in scan order the same pass meets
+    /// them later, in order. A significant rank leaves the set. Returns
+    /// `false` when `side` stopped the pass.
+    fn dominant(&mut self, side: &mut impl Side) -> bool {
+        let (roots, parents, n) = (self.geo.roots(), self.geo.parents(), self.geo.scan.len());
+        self.walk::<ROOTS>(side, 0, roots)
+            && self.walk::<QUADS>(side, roots, parents)
+            && self.walk::<LEAVES>(side, parents, n)
+    }
+
+    /// The live ranks in `lo..hi`, all of one `KIND`, word by word.
+    ///
+    /// A word's ranks are taken once, as a `pending` mask, and nothing
+    /// a symbol says is on the way to the next rank: a significant rank
+    /// is only noted (`gone`) and leaves the set when the word ends.
+    /// Taking the next rank from the live word itself would put the
+    /// symbol — for the encoder a load of the coefficient — on the
+    /// loop-carried chain. The one thing that does join `pending` mid
+    /// word is a quad parent's children in the same word, which rank
+    /// above it and so are still ahead; whether they are in it is
+    /// geometry, a branch the predictor learns, not data.
+    ///
+    /// Apart from the handful of roots the body is branch-free in the
+    /// data: a quad parent ORs its children into the set — as nothing,
+    /// unless this is its first non-zerotree symbol. (A fifth to a third
+    /// of all symbols of a 6 bpp stream activate children; as a branch,
+    /// taken or not at the data's whim, that would be the pass's main
+    /// cost.)
+    #[inline(always)]
+    fn walk<const KIND: u8>(&mut self, side: &mut impl Side, lo: usize, hi: usize) -> bool {
+        if lo >= hi {
+            return true;
+        }
+        let roots = self.geo.roots();
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        for wi in first..=last {
+            if !side.word() {
+                return false;
+            }
+            let mut range = !0u64;
+            if wi == first {
+                range &= !0u64 << (lo % 64);
+            }
+            if wi == last {
+                range &= !0u64 >> (63 - (hi - 1) % 64);
+            }
+            let mut pending = self.live[wi] & range;
+            let mut spawned = if KIND == LEAVES { 0 } else { self.spawned[wi] };
+            let mut gone = 0u64;
+            let mut cut = false;
+            while pending != 0 {
+                let bit = pending.trailing_zeros();
+                pending &= pending - 1;
+                let rank = wi * 64 + bit as usize;
+                let symbol = if KIND == LEAVES {
+                    side.symbol::<false>(rank)
+                } else {
+                    side.symbol::<true>(rank)
+                };
+                let Some((coded, sig)) = symbol else {
+                    cut = true;
+                    break;
+                };
+                gone |= sig << bit;
+                if KIND == LEAVES {
+                    continue;
+                }
+                let fresh = coded & !(spawned >> bit) & 1;
+                spawned |= fresh << bit;
+                if KIND == ROOTS {
+                    // A root's children are quads (leaves at one
+                    // level): never in this walk's range.
+                    if fresh != 0 {
+                        let mut kids = [0usize; 4];
+                        let n = self.geo.children(rank, &mut kids);
+                        for &k in &kids[..n] {
+                            set_bit(self.live, k);
+                        }
+                    }
+                } else {
+                    // Both rows start on an even rank, so neither pair
+                    // straddles a word.
+                    let [top, bottom] = self.geo.child_rows[rank - roots];
+                    let (top, bottom) = (top as usize, bottom as usize);
+                    let pair = fresh * 3;
+                    self.live[top / 64] |= pair << (top % 64);
+                    self.live[bottom / 64] |= pair << (bottom % 64);
+                    if top / 64 == wi {
+                        let mut kids = pair << (top % 64);
+                        if bottom / 64 == wi {
+                            kids |= pair << (bottom % 64);
+                        }
+                        pending |= kids & range;
+                    }
+                }
+            }
+            self.live[wi] &= !gone;
+            if KIND != LEAVES {
+                self.spawned[wi] = spawned;
+            }
+            if cut {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -597,10 +725,8 @@ impl EzwEncoder {
             return PLANE_HEADER_LEN;
         }
 
-        // The encoder never touches the explicit tree: band loops
-        // regenerate the scan, and the packed candidates carry
-        // everything the passes need. (Only the decoder builds a
-        // `Geometry`.)
+        // The analysis works in the plane's own layout: the tree is
+        // implicit in the coordinates, with no scan indirection.
         let (wl, hl) = (w >> levels, h >> levels);
         // Parent region of the (2x, 2y) child map: the top-left
         // quadrant, minus the coarsest LL (which parents the three
@@ -706,8 +832,6 @@ impl EzwEncoder {
                 // from a parent whose subtree holds something that is.
                 bits += sum(&coded[a][..pos]) + sum(&parents[a][..pos]);
             }
-            analysis.plane_bits[pos - 1] = bits;
-            analysis.activated[pos - 1] = sum(&coded[pos][..=top]) as u32;
             total_bits += bits;
         }
         analysis.full_len = PLANE_HEADER_LEN + total_bits.div_ceil(8) as usize;
@@ -719,9 +843,10 @@ impl EzwEncoder {
     /// `analysis` is [`EzwEncoder::measure_plane`]'s sizing-up of, for
     /// these same `coeffs` — byte for byte the prefix of the full
     /// stream, with the passes stopping where `keep` does instead of
-    /// running to bit-plane 0 and being cut afterwards. Coefficients
-    /// first coded below the plane `keep` ends in are never even
-    /// bucketed.
+    /// running to bit-plane 0 and being cut afterwards. The dominant
+    /// pass is the decoder's walk over the live set, writing each
+    /// symbol where the decoder reads it: no coefficient is looked at
+    /// in a pass it is not coded in, and past the cut none is.
     pub fn emit_plane(
         coeffs: &[i32],
         analysis: &PlaneAnalysis,
@@ -730,13 +855,13 @@ impl EzwEncoder {
     ) -> Vec<u8> {
         let (w, h, levels) = analysis.shape;
         assert_eq!(coeffs.len(), w * h, "the plane `measure_plane` sized up");
-        let n = coeffs.len();
         let keep = keep.clamp(PLANE_HEADER_LEN, analysis.full_len);
         let top_pos = analysis.top_pos;
 
-        // The passes overshoot the cap by less than one look's worth
-        // of symbols and the writer's word.
-        let mut out = Vec::with_capacity(keep + 3 * CAP_CHECK_SYMBOLS / 8 + 16);
+        // The walk looks at the cap once a word of the live set, so it
+        // overshoots by at most 64 three-bit symbols and the writer's
+        // word.
+        let mut out = Vec::with_capacity(keep + 64);
         out.extend_from_slice(PLANE_MAGIC);
         out.extend_from_slice(&(w as u16).to_be_bytes());
         out.extend_from_slice(&(h as u16).to_be_bytes());
@@ -753,197 +878,120 @@ impl EzwEncoder {
         if limit == 0 {
             return out;
         }
-        // The lowest position whose passes are needed at all.
-        let mut last_pos = top_pos;
-        let mut upto = 0u64;
+
+        scratch.geometry(w, h, levels);
+        let EzwScratch {
+            geo,
+            ranked,
+            sub_mags,
+            live,
+            spawned,
+            ..
+        } = scratch;
+        // The plane in scan order, band row by band row: the dominant
+        // pass then reads each coefficient it codes with one ordered
+        // load, and nothing else.
+        ranked.clear();
+        for (start, len) in band_rows(w, h, levels) {
+            let row = start..start + len;
+            let smax = &analysis.subtree_pos[row.clone()];
+            ranked.extend(coeffs[row].iter().zip(smax).map(|(&c, &s)| {
+                c.unsigned_abs() as u64 | (s as u64) << RANKED_SMAX_SHIFT | ((c < 0) as u64) << 63
+            }));
+        }
+        // Every coefficient can be significant, and one spare slot
+        // takes the store of a symbol that is not. What the list holds
+        // is overwritten before it is read, so nothing is cleared.
+        if sub_mags.len() <= coeffs.len() {
+            sub_mags.resize(coeffs.len() + 1, 0);
+        }
+        let mut set = LiveSet::new(geo.as_ref().expect("geometry cached"), live, spawned);
+        let mut emit = PlaneEmit {
+            ranked,
+            sub: sub_mags,
+            nsub: 0,
+            bits: BitWriter::after(out),
+            t: 0,
+            pos: 0,
+            limit,
+        };
         for pos in (1..=top_pos).rev() {
-            last_pos = pos;
-            upto += analysis.plane_bits[pos as usize - 1];
-            if upto >= limit as u64 {
+            let b = pos as u32 - 1;
+            (emit.t, emit.pos) = (1 << b, pos as u64);
+            let refine_count = emit.nsub;
+            if !set.dominant(&mut emit) || emit.bits.len_bits() >= limit {
                 break;
             }
-        }
-
-        let (wl, hl) = (w >> levels, h >> levels);
-        let (bitpos, smax, act) = (&analysis.bitpos, &analysis.subtree_pos, &analysis.act);
-
-        // Bucket every coefficient coded in those passes by activation
-        // pass: a counting sort in scan order, so each bucket is
-        // rank-sorted. The scan is regenerated band-by-band here (same
-        // order as `Geometry::new`) to get coordinates — and thus the
-        // has-children test — without divisions. Each bucket keeps a
-        // trailing `u64::MAX` sentinel slot so the dominant pass can
-        // merge without bounds branches.
-        let nb = (top_pos - last_pos) as usize + 1;
-        let bucket_off = &mut scratch.bucket_off;
-        bucket_off.clear();
-        let mut total = 0usize;
-        for p in 0..nb {
-            // Shift pass p's span by p: one sentinel slot per bucket.
-            bucket_off.push(total + p);
-            total += analysis.activated[top_pos as usize - p - 1] as usize;
-        }
-        bucket_off.push(total + nb);
-        let buckets = &mut scratch.buckets;
-        at_least(buckets, total + nb);
-        for p in 0..nb {
-            buckets[bucket_off[p + 1] - 1] = u64::MAX;
-        }
-        let cursor = &mut scratch.bucket_cur;
-        cursor.clear();
-        cursor.extend_from_slice(bucket_off);
-        let mag_rank = &mut scratch.mag_rank;
-        at_least(mag_rank, n);
-        let mut r: u32 = 0;
-        let place = |idx: usize,
-                     has_kids: bool,
-                     r: u32,
-                     buckets: &mut [u64],
-                     cursor: &mut [usize],
-                     mag_rank: &mut [u32]| {
-            let a = act[idx];
-            if a >= last_pos {
-                let c = coeffs[idx];
-                mag_rank[r as usize] = c.unsigned_abs();
-                let packed = ((r as u64) << 32)
-                    | (bitpos[idx] as u64) << CAND_MAG_SHIFT
-                    | (smax[idx] as u64) << CAND_SMAX_SHIFT
-                    | ((has_kids as u64) << 1)
-                    | ((c < 0) as u64);
-                let p = (top_pos - a) as usize;
-                buckets[cursor[p]] = packed;
-                cursor[p] += 1;
-            }
-        };
-        for y in 0..hl {
-            for x in 0..wl {
-                place(y * w + x, true, r, buckets, cursor, mag_rank);
-                r += 1;
-            }
-        }
-        for l in (1..=levels).rev() {
-            let (wb, hb) = (w >> l, h >> l);
-            for y in 0..hb {
-                for x in wb..2 * wb {
-                    place(
-                        y * w + x,
-                        2 * x < w && 2 * y < h,
-                        r,
-                        buckets,
-                        cursor,
-                        mag_rank,
-                    );
-                    r += 1;
-                }
-            }
-            for y in hb..2 * hb {
-                for x in 0..wb {
-                    place(
-                        y * w + x,
-                        2 * x < w && 2 * y < h,
-                        r,
-                        buckets,
-                        cursor,
-                        mag_rank,
-                    );
-                    r += 1;
-                }
-            }
-            for y in hb..2 * hb {
-                for x in wb..2 * wb {
-                    place(
-                        y * w + x,
-                        2 * x < w && 2 * y < h,
-                        r,
-                        buckets,
-                        cursor,
-                        mag_rank,
-                    );
-                    r += 1;
-                }
-            }
-        }
-        debug_assert_eq!(r as usize, n);
-
-        let sub = &mut scratch.sub_mags;
-        at_least(sub, total + 1);
-        let mut nsub = 0usize;
-        let cands = &mut scratch.cands;
-        at_least(cands, total + 1);
-        let next = &mut scratch.cands_next;
-        at_least(next, total + 1);
-        let mut nlive = 0usize;
-
-        let mut bits = BitWriter::after(out);
-        'planes: for pos in (last_pos..=top_pos).rev() {
-            let b = pos as u32 - 1;
-            let tb_mag = (pos as u64) << CAND_MAG_SHIFT;
-            let tb_smax = (pos as u64) << CAND_SMAX_SHIFT;
-            let refine_count = nsub;
-            // Dominant pass: merge the live list with this plane's
-            // newly-activated bucket (both rank-sorted), emitting in
-            // scan order and keeping only still-insignificant entries.
-            // Exactly the coefficients the stamp-based coder would
-            // visit are visited — everything under a zerotree root
-            // stays untouched. The body is branchless: sentinel-
-            // terminated merge, and the four symbols collapse to
-            // `pattern = (1 << len) - 2 + sign` (0; 10; 10|s; 110|s),
-            // because significance is ~50/50 in the busy passes and a
-            // data-dependent branch would stall on every other entry.
-            let p = (top_pos - pos) as usize;
-            let fresh = &buckets[bucket_off[p]..bucket_off[p + 1]];
-            let nfresh = fresh.len() - 1;
-            cands[nlive] = u64::MAX;
-            let (mut ai, mut fi, mut wi) = (0usize, 0usize, 0usize);
-            let mut left = nlive + nfresh;
-            while left > 0 {
-                let run = left.min(CAP_CHECK_SYMBOLS);
-                for _ in 0..run {
-                    // Rank sits in the high bits, so a plain u64 compare
-                    // merges by scan position (cmov, not a branch).
-                    let a = cands[ai];
-                    let f = fresh[fi];
-                    let from_live = a < f;
-                    let cand = if from_live { a } else { f };
-                    ai += from_live as usize;
-                    fi += !from_live as usize;
-
-                    let sig = cand & CAND_MAG_MASK >= tb_mag;
-                    let kids = cand & CAND_KIDS != 0;
-                    let iz_or_sig = sig | (kids & (cand & CAND_SMAX_MASK >= tb_smax));
-                    let len = 1 + iz_or_sig as u32 + (sig & kids) as u32;
-                    let neg = (cand & CAND_NEG) as u32 & sig as u32;
-                    bits.push_bits((1u32 << len) - 2 + neg, len);
-
-                    next[wi] = cand;
-                    wi += !sig as usize;
-                    sub[nsub] = mag_rank[(cand >> 32) as usize];
-                    nsub += sig as usize;
-                }
-                left -= run;
-                if bits.len_bits() >= limit {
-                    break 'planes;
-                }
-            }
-            std::mem::swap(cands, next);
-            nlive = wi;
             // Subordinate pass: one refinement bit for coefficients
             // significant before this plane, magnitudes read inline,
             // and no more of them than the cap has room for.
-            let room = limit - bits.len_bits();
-            for mags in sub[..refine_count.min(room)].chunks(32) {
+            let room = limit - emit.bits.len_bits();
+            for mags in emit.sub[..refine_count.min(room)].chunks(32) {
                 let word = mags
                     .iter()
                     .fold(0u32, |acc, &mag| acc << 1 | (mag >> b) & 1);
-                bits.push_bits(word, mags.len() as u32);
+                emit.bits.push_bits(word, mags.len() as u32);
             }
-            if bits.len_bits() >= limit {
+            if emit.bits.len_bits() >= limit {
                 break;
             }
         }
-        let mut out = bits.into_bytes();
+        let mut out = emit.bits.into_bytes();
         out.truncate(keep);
         out
+    }
+}
+
+/// Where the bit position of a coefficient's subtree maximum sits in
+/// its `EzwScratch::ranked` word; `|coeff|` is the low half, the sign
+/// bit 63.
+const RANKED_SMAX_SHIFT: u32 = 32;
+
+/// The encoder's side of the walk: one plane's stream, written up to
+/// the cap.
+struct PlaneEmit<'a> {
+    /// The plane by scan rank (`EzwScratch::ranked`).
+    ranked: &'a [u64],
+    /// Magnitudes of the significant coefficients, in significance
+    /// order, `nsub` of them.
+    sub: &'a mut [u32],
+    nsub: usize,
+    bits: BitWriter,
+    /// The pass's threshold `1 << b`, and its bit position `b + 1`.
+    t: u32,
+    pos: u64,
+    /// Bits to write.
+    limit: usize,
+}
+
+impl Side for PlaneEmit<'_> {
+    #[inline(always)]
+    fn word(&mut self) -> bool {
+        self.bits.len_bits() < self.limit
+    }
+
+    /// Branch-free: the four symbols collapse to
+    /// `pattern = (1 << len) - 2 + sign` (0; 10; 10|s or 110|s), and
+    /// the magnitude is stored whether significant or not, the count
+    /// bumped only if so — significance is about 50/50 in the busy
+    /// passes.
+    #[inline(always)]
+    fn symbol<const PARENT: bool>(&mut self, rank: usize) -> Option<(u64, u64)> {
+        let entry = self.ranked[rank];
+        let mag = entry as u32;
+        let sig = (mag >= self.t) as u64;
+        let coded = if PARENT {
+            sig | (((entry >> RANKED_SMAX_SHIFT) & 0xFF >= self.pos) as u64)
+        } else {
+            sig
+        };
+        let len = 1 + coded + (PARENT as u64 & sig);
+        let neg = (entry >> 63) & sig;
+        self.bits
+            .push_bits(((1 << len) - 2 + neg) as u32, len as u32);
+        self.sub[self.nsub] = mag;
+        self.nsub += sig as usize;
+        Some((coded, sig))
     }
 }
 
@@ -1135,144 +1183,57 @@ fn scatter_entries(entries: &[u64], keep: u32, offset: u32, geo: &Geometry, coef
     }
 }
 
-/// The state one plane decode threads through its passes.
-struct PlaneDecode<'a, 'b> {
-    geo: &'a Geometry,
+/// The decoder's side of the walk: one plane's stream, read into its
+/// record.
+struct PlaneRead<'b, 'r> {
     bits: BitReader<'b>,
-    live: &'a mut [u64],
-    spawned: &'a mut [u64],
-    record: &'a mut PlaneRecord,
+    record: &'r mut PlaneRecord,
+    /// The pass's threshold, the magnitude a significant entry starts
+    /// at.
+    t: u64,
 }
 
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-/// The three kinds of node a dominant pass meets, in scan order.
-const ROOTS: u8 = 0;
-const QUADS: u8 = 1;
-const LEAVES: u8 = 2;
-
-impl PlaneDecode<'_, '_> {
-    /// Dominant pass over the live ranks in `lo..hi` at threshold `t`,
-    /// all of one `KIND`: parents (`ROOTS`, `QUADS`) read the alphabet
-    /// `0` zerotree root / `10` isolated zero / `11s` significant, the
-    /// childless `LEAVES` read `0` zero / `1s` significant. Returns
-    /// `false` when the stream ends inside a symbol; that symbol then
-    /// has no effect.
-    ///
-    /// Apart from the handful of roots the body is branch-free in the
-    /// data: symbol length, significance and sign are arithmetic on
-    /// the peeked bits, a significant coefficient is appended by an
-    /// unconditional store and a conditional bump, and a quad parent
-    /// ORs its children in — as nothing, unless this is its first
-    /// non-zerotree symbol. (A fifth to a third of all symbols of a
-    /// 6 bpp stream activate children; as a branch, taken or not at
-    /// the data's whim, that was the pass's main cost.)
+impl Side for PlaneRead<'_, '_> {
     #[inline(always)]
-    fn dominant<const KIND: u8>(&mut self, lo: usize, hi: usize, t: u64) -> bool {
-        if lo >= hi {
-            return true;
-        }
-        let roots = self.geo.roots();
-        let (first, last) = (lo / 64, (hi - 1) / 64);
-        for wi in first..=last {
-            self.record.reserve_word();
-            let entries = &mut self.record.entries[..];
-            let ends = &mut self.record.ends[..];
-            let mut nsub = self.record.nsub;
-            // Bits of this word still to visit: those in range, above
-            // the last one visited.
-            let mut todo = !0u64;
-            if wi == first {
-                todo &= !0u64 << (lo % 64);
-            }
-            if wi == last {
-                todo &= !0u64 >> (63 - (hi - 1) % 64);
-            }
-            let mut word = self.live[wi];
-            let mut spawned = if KIND == LEAVES { 0 } else { self.spawned[wi] };
-            let mut cut = false;
-            loop {
-                let pending = word & todo;
-                if pending == 0 {
-                    break;
-                }
-                let bit = pending.trailing_zeros();
-                todo &= !1u64 << bit;
-                let rank = wi * 64 + bit as usize;
-                let (len, sig, neg);
-                if KIND == LEAVES {
-                    let sym = self.bits.peek(2);
-                    sig = sym >> 1;
-                    neg = sym & 1;
-                    len = 1 + sig as u32;
-                    if len > self.bits.buffered() {
-                        cut = true;
-                        break;
-                    }
-                } else {
-                    let sym = self.bits.peek(3);
-                    let coded = sym >> 2; // anything but a zerotree root
-                    sig = coded & (sym >> 1);
-                    neg = sym & 1;
-                    len = 1 + (coded + sig) as u32;
-                    if len > self.bits.buffered() {
-                        cut = true;
-                        break;
-                    }
-                    // Children rank above their parent, so they are
-                    // still ahead of the walk — possibly in this very
-                    // word, which is then written back and re-read
-                    // around the activation.
-                    let fresh = coded & !(spawned >> bit) & 1;
-                    spawned |= fresh << bit;
-                    if KIND == ROOTS {
-                        if fresh != 0 {
-                            self.live[wi] = word;
-                            let mut kids = [0usize; 4];
-                            let n = self.geo.children(rank, &mut kids);
-                            for &k in &kids[..n] {
-                                set_bit(self.live, k);
-                            }
-                            word = self.live[wi];
-                        }
-                    } else {
-                        // Both rows start on an even rank, so neither
-                        // pair straddles a word.
-                        let [top, bottom] = self.geo.child_rows[rank - roots];
-                        let (top, bottom) = (top as usize, bottom as usize);
-                        let pair = fresh * 3;
-                        let in_this_word = top / 64 == wi;
-                        if in_this_word {
-                            self.live[wi] = word;
-                        }
-                        self.live[top / 64] |= pair << (top % 64);
-                        self.live[bottom / 64] |= pair << (bottom % 64);
-                        if in_this_word {
-                            word = self.live[wi];
-                        }
-                    }
-                }
-                self.bits.consume(len);
-                entries[nsub] = neg << 63 | (rank as u64) << 32 | t;
-                ends[nsub] = self.bits.position() as u32;
-                nsub += sig as usize;
-                word &= !(sig << bit);
-            }
-            self.live[wi] = word;
-            if KIND != LEAVES {
-                self.spawned[wi] = spawned;
-            }
-            self.record.nsub = nsub;
-            if cut {
-                return false;
-            }
-        }
+    fn word(&mut self) -> bool {
+        self.record.reserve_word();
         true
     }
 
+    /// Branch-free but for the end of the stream: symbol length,
+    /// significance and sign are arithmetic on the peeked bits, and a
+    /// significant coefficient is appended by an unconditional store
+    /// and a conditional bump.
+    #[inline(always)]
+    fn symbol<const PARENT: bool>(&mut self, rank: usize) -> Option<(u64, u64)> {
+        let (coded, sig, neg, len);
+        if PARENT {
+            let sym = self.bits.peek(3);
+            coded = sym >> 2; // anything but a zerotree root
+            sig = coded & (sym >> 1);
+            neg = sym & 1;
+            len = 1 + (coded + sig) as u32;
+        } else {
+            let sym = self.bits.peek(2);
+            sig = sym >> 1;
+            coded = sig;
+            neg = sym & 1;
+            len = 1 + sig as u32;
+        }
+        if len > self.bits.buffered() {
+            return None;
+        }
+        self.bits.consume(len);
+        let record = &mut *self.record;
+        let nsub = record.nsub;
+        record.entries[nsub] = neg << 63 | (rank as u64) << 32 | self.t;
+        record.ends[nsub] = self.bits.position() as u32;
+        record.nsub = nsub + sig as usize;
+        Some((coded, sig))
+    }
+}
+
+impl PlaneRead<'_, '_> {
     /// Subordinate pass: one refinement bit at plane `b` for each of
     /// the first `count` significant coefficients, a sequential sweep
     /// taking up to 56 bits per refill. Returns `false` when the
@@ -1356,50 +1317,27 @@ impl EzwDecoder {
         }
         scratch.geometry(w, h, levels);
         let geo = scratch.geo.as_ref().expect("geometry cached");
-
-        // The live set starts at the parentless coarsest-LL nodes and
-        // grows by activation: the first time a parent codes a
-        // non-zerotree symbol, its children's bits are set. A parent
-        // precedes its children in scan order, so a walk over the set
-        // bits in rank order meets each child later in the same pass —
-        // exactly when the encoder's activation buckets admit it.
-        // Everything under a zerotree root stays dormant, so no skip
-        // stamps are needed.
-        let live = &mut scratch.live;
-        live.clear();
-        live.resize(n.div_ceil(64), 0);
-        for r in 0..geo.roots() {
-            set_bit(live, r);
-        }
-        let spawned = &mut scratch.spawned;
-        spawned.clear();
-        spawned.resize(geo.parents().div_ceil(64), 0);
-
-        let mut dec = PlaneDecode {
-            geo,
+        let mut set = LiveSet::new(geo, &mut scratch.live, &mut scratch.spawned);
+        let mut read = PlaneRead {
             bits: BitReader::new(&stream[PLANE_HEADER_LEN..]),
-            live,
-            spawned,
             record,
+            t: 0,
         };
         for b in (0..=top_plane).rev() {
-            let refine_count = dec.record.nsub;
-            let t = 1u64 << b;
+            let refine_count = read.record.nsub;
+            read.t = 1 << b;
             let mut mark = PlaneMark {
                 refine_count,
                 sub_start: u64::MAX,
                 end: u64::MAX,
             };
-            let dominant = dec.dominant::<ROOTS>(0, geo.roots(), t)
-                && dec.dominant::<QUADS>(geo.roots(), geo.parents(), t)
-                && dec.dominant::<LEAVES>(geo.parents(), n, t);
-            if dominant {
-                mark.sub_start = dec.bits.position();
-                if dec.subordinate(refine_count, b) {
-                    mark.end = dec.bits.position();
+            if set.dominant(&mut read) {
+                mark.sub_start = read.bits.position();
+                if read.subordinate(refine_count, b) {
+                    mark.end = read.bits.position();
                 }
             }
-            dec.record.marks.push(mark);
+            read.record.marks.push(mark);
             if mark.end == u64::MAX {
                 break;
             }
@@ -2046,6 +1984,28 @@ mod tests {
             let dcold = EzwDecoder::decode_plane(&cold).unwrap();
             assert_eq!(dwarm, dcold);
             assert_eq!(dwarm.coeffs, plane);
+        }
+        // The two directions share the geometry cache and the live set:
+        // encode A, decode B, encode B, decode A, A and B of different
+        // shapes, each step as through fresh scratch.
+        let [a, b] = [(64, 32, 3, 5u64), (32, 64, 2, 6)].map(|(w, h, levels, seed)| {
+            let scene = synthetic_scene(w.max(h), w.max(h), 1, 3, seed);
+            let mut plane: Vec<i32> = scene.image.plane(0)[..w * h]
+                .iter()
+                .map(|v| v - 128)
+                .collect();
+            wavelet::forward_2d(&mut plane, w, h, levels, WaveletKind::Cdf53);
+            let stream = EzwEncoder::encode_plane(&plane, w, h, levels);
+            (w, h, levels, plane, stream)
+        });
+        for (encode, decode) in [(&a, &b), (&b, &a)] {
+            let (w, h, levels, plane, stream) = encode;
+            let warm = EzwEncoder::encode_plane_with(plane, *w, *h, *levels, &mut scratch);
+            assert_eq!(&warm, stream, "encode {w}x{h} L{levels}");
+            let (_, _, _, plane, stream) = decode;
+            let dwarm = EzwDecoder::decode_plane_with(stream, &mut scratch).unwrap();
+            assert_eq!(dwarm, EzwDecoder::decode_plane(stream).unwrap());
+            assert_eq!(&dwarm.coeffs, plane);
         }
     }
 

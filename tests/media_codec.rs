@@ -1,13 +1,16 @@
 //! Differential suite pinning the optimized media codec to the frozen
 //! pre-refactor implementation (`media::reference`).
 //!
-//! The fast path (reusable wavelet scratch, row-only lifting,
-//! list-driven EZW passes, word-batched bit I/O) is only allowed to be
-//! *faster* — the wire format must stay bit-identical. Every property
-//! here compares the live coder against the verbatim copy of the old
-//! one on arbitrary planes, including truncated prefixes, and a golden
-//! fixture pins one full encoded color image so a regression in both
-//! paths at once cannot hide behind the differential.
+//! The fast path (reusable wavelet scratch, row-only lifting, one
+//! live-set walk for both EZW directions, word-batched bit I/O) is only
+//! allowed to be *faster* — the wire format must stay bit-identical.
+//! Every property here compares the live coder against the verbatim
+//! copy of the old one on arbitrary planes, including truncated
+//! prefixes, and a golden fixture pins one full encoded color image so
+//! a regression in both paths at once cannot hide behind the
+//! differential. On damaged streams, which no encoder wrote, the
+//! reference is no oracle: there the live decoder's outcome on every
+//! flipped byte of the fixture is pinned as a digest.
 //!
 //! The receiving side's sharing is pinned here too: a session's
 //! `ViewStore` hands every viewer exactly what the plain decoder makes
@@ -221,22 +224,15 @@ proptest! {
     }
 
     /// Encoded bytes are identical on arbitrary coefficient planes —
-    /// the list-driven dominant pass and batched bit writer change
-    /// nothing on the wire.
+    /// the live-set walk and batched bit writer change nothing on the
+    /// wire.
     #[test]
     fn encode_plane_is_byte_identical((w, h, levels, coeffs) in arb_coeffs()) {
-        let fast = EzwEncoder::encode_plane(&coeffs, w, h, levels);
-        let slow = reference::encode_plane(&coeffs, w, h, levels);
-        prop_assert_eq!(&fast, &slow, "{}x{} L{}", w, h, levels);
-        // And the full stream decodes losslessly through both decoders.
-        let dfast = EzwDecoder::decode_plane(&fast).unwrap();
-        let dslow = reference::decode_plane(&slow).unwrap();
-        prop_assert_eq!(&dfast.coeffs, &coeffs);
-        prop_assert_eq!(&dslow.coeffs, &coeffs);
+        encode_matches_reference(w, h, levels, &coeffs)?;
     }
 
     /// Any prefix decodes to the same coefficients through the
-    /// list-driven decoder and the reference decoder — truncation
+    /// live-set decoder and the reference decoder — truncation
     /// behavior (mid-symbol cuts, uncertainty-interval offset) is
     /// pinned too.
     #[test]
@@ -244,13 +240,7 @@ proptest! {
         (w, h, levels, coeffs) in arb_coeffs(),
         cut_ppm in 0u32..=1_000_000,
     ) {
-        let stream = EzwEncoder::encode_plane(&coeffs, w, h, levels);
-        let body = stream.len() - ezw::PLANE_HEADER_LEN;
-        let keep = ezw::PLANE_HEADER_LEN + (body as u64 * cut_ppm as u64 / 1_000_000) as usize;
-        let prefix = &stream[..keep];
-        let fast = EzwDecoder::decode_plane(prefix).unwrap();
-        let slow = reference::decode_plane(prefix).unwrap();
-        prop_assert_eq!(fast.coeffs, slow.coeffs, "{}x{} L{} keep {}", w, h, levels, keep);
+        truncated_decode_matches(w, h, levels, &coeffs, cut_ppm)?;
     }
 
     /// Scratch reuse across a stream of differently-shaped planes never
@@ -266,6 +256,99 @@ proptest! {
             prop_assert_eq!(&warm, &slow);
             let dwarm = EzwDecoder::decode_plane_with(&warm, &mut es).unwrap();
             prop_assert_eq!(&dwarm.coeffs, coeffs);
+        }
+    }
+}
+
+/// The body of `encode_plane_is_byte_identical`: the live encoder's
+/// bytes are the frozen one's, and decode losslessly through both
+/// decoders.
+fn encode_matches_reference(
+    w: usize,
+    h: usize,
+    levels: usize,
+    coeffs: &[i32],
+) -> Result<(), TestCaseError> {
+    let fast = EzwEncoder::encode_plane(coeffs, w, h, levels);
+    let slow = reference::encode_plane(coeffs, w, h, levels);
+    prop_assert_eq!(&fast, &slow, "{}x{} L{}", w, h, levels);
+    let dfast = EzwDecoder::decode_plane(&fast).unwrap();
+    let dslow = reference::decode_plane(&slow).unwrap();
+    prop_assert!(
+        dfast.coeffs == coeffs,
+        "{}x{} L{}: live decode",
+        w,
+        h,
+        levels
+    );
+    prop_assert!(
+        dslow.coeffs == coeffs,
+        "{}x{} L{}: frozen decode",
+        w,
+        h,
+        levels
+    );
+    Ok(())
+}
+
+/// The body of `truncated_decode_matches_reference`: the stream of
+/// `coeffs` cut `cut_ppm` millionths into its body decodes through the
+/// live decoder to what the frozen one makes of it.
+fn truncated_decode_matches(
+    w: usize,
+    h: usize,
+    levels: usize,
+    coeffs: &[i32],
+    cut_ppm: u32,
+) -> Result<(), TestCaseError> {
+    let stream = EzwEncoder::encode_plane(coeffs, w, h, levels);
+    let body = stream.len() - ezw::PLANE_HEADER_LEN;
+    let keep = ezw::PLANE_HEADER_LEN + (body as u64 * cut_ppm as u64 / 1_000_000) as usize;
+    let prefix = &stream[..keep];
+    let fast = EzwDecoder::decode_plane(prefix).unwrap();
+    let slow = reference::decode_plane(prefix).unwrap();
+    prop_assert!(
+        fast.coeffs == slow.coeffs,
+        "{}x{} L{} keep {}",
+        w,
+        h,
+        levels,
+        keep
+    );
+    Ok(())
+}
+
+/// The two differentials above at the session's shape, past the 64
+/// `arb_geometry` stops at: 128² and 256², whose band rows fill whole
+/// 64-rank words of the live set, and 96 x 192, whose rows straddle
+/// them — at one level, three, and the most the shape takes, on a
+/// transformed scene and on dense coefficients of every magnitude up
+/// to 2^12.
+#[test]
+fn reference_differentials_hold_at_the_sessions_shape() {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for (w, h) in [(128, 128), (256, 256), (96, 192)] {
+        for levels in [1, 3, wavelet::max_levels(w, h)] {
+            let mut scene: Vec<i32> = corner_image(w, h, 1, levels as u64)
+                .plane(0)
+                .iter()
+                .map(|v| v - 128)
+                .collect();
+            wavelet::forward_2d(&mut scene, w, h, levels, WaveletKind::Cdf53);
+            let dense: Vec<i32> = (0..w * h)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 51) as i32 - 4096
+                })
+                .collect();
+            for coeffs in [&scene, &dense] {
+                encode_matches_reference(w, h, levels, coeffs).unwrap();
+                for cut_ppm in [1_000, 250_000, 777_777] {
+                    truncated_decode_matches(w, h, levels, coeffs, cut_ppm).unwrap();
+                }
+            }
         }
     }
 }
@@ -417,6 +500,42 @@ fn golden_color_container_fixture() {
     let cut = ezw::truncate_container(&golden, golden.len() / 4).unwrap();
     let coarse = ezw::decode_image(&cut).unwrap();
     assert!(collabqos::media::psnr_color(&scene.image, &coarse) > 15.0);
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// On streams no encoder wrote, the live decoder is the contract:
+/// `media::reference` is the oracle only for encoder output (on damaged
+/// streams the two part ways about half the time). So what the live
+/// decoder makes of every single-byte flip of the golden fixture — the
+/// image, or the error — is pinned as one digest, which a rewrite of
+/// the decoder must leave as it is.
+#[test]
+fn every_flipped_byte_of_the_fixture_decodes_as_pinned() {
+    let golden = std::fs::read(FIXTURE_PATH).expect("fixture present");
+    let mut damaged = golden.clone();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut decoded = 0;
+    for i in 0..golden.len() {
+        damaged[i] ^= 0xFF;
+        digest = match ezw::decode_image(&damaged) {
+            Ok(img) => {
+                decoded += 1;
+                let dims = [img.width, img.height, img.channels].map(|d| d as u32);
+                let digest = fnv1a(digest, &dims.map(u32::to_be_bytes).concat());
+                fnv1a(digest, &img.data)
+            }
+            Err(e) => fnv1a(digest ^ 1, format!("{e:?}").as_bytes()),
+        };
+        damaged[i] = golden[i];
+    }
+    assert_eq!((golden.len(), decoded), (6874, 6826));
+    assert_eq!(digest, 0xaa7c_2cd6_7973_0a9c, "{digest:#018x}");
 }
 
 // ------------------------------------------------------ capped encode
