@@ -49,8 +49,10 @@
 //! decode that reads the symbols and one that replays them, the inverse
 //! and the finish — with the dominant symbols and refinement bits the
 //! share codes, counted from the coder's rules alone. Every emitted
-//! stream is asserted equal to `encode_image_capped`'s. CI prints this
-//! table for the merge base beside HEAD; nothing compares its times.
+//! stream is asserted equal to `encode_image_capped`'s, and every
+//! length `measure_plane` sized up equal to the rules' count over the
+//! whole plane. CI prints this table for the merge base beside HEAD;
+//! nothing compares its times.
 //!
 //! `--quick` trims the repetition count, not the scenarios — the
 //! identity asserts always run.
@@ -418,7 +420,8 @@ fn count_symbols(coeffs: &[i32], w: usize, h: usize, levels: usize, body_bits: u
 /// receive path (a plane decode, a container decode that reads the
 /// symbols and one that replays them, the inverse, the finish). Best of
 /// `reps`, in ms per share (three planes). The emitted bytes are
-/// asserted equal to `encode_image_capped`'s.
+/// asserted equal to `encode_image_capped`'s, and the measured lengths
+/// to `count_symbols` run over each whole plane.
 fn phase_table(reps: usize) {
     let kind = WaveletKind::Cdf53;
     let (side, levels) = (FANOUT_SIDE, FANOUT_LEVELS);
@@ -484,6 +487,13 @@ fn phase_table(reps: usize) {
             );
             [acc[0] + symbols, acc[1] + refinements, acc[2] + body_bits]
         });
+    for (plane, &len) in planes.iter().zip(&lens) {
+        let [_, _, bits] = count_symbols(plane, side, side, levels, u64::MAX);
+        assert!(
+            ezw::PLANE_HEADER_LEN + bits.div_ceil(8) as usize == len,
+            "measure_plane sizes up what the coder's rules code"
+        );
+    }
 
     let (_, plane_read_secs) = time_best(reps, || {
         for stream in &streams {

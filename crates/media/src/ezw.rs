@@ -57,15 +57,17 @@
 //!   the full encode, without coding the rest. The cut splits the
 //!   budget over the channels in proportion to their *full* lengths,
 //!   so those must be known before a bit is written — and they are a
-//!   closed form over what the encoder's analysis computes anyway
-//!   ([`EzwEncoder::measure_plane`]: only the *bit positions* of each
-//!   `|coeff|`, of its subtree's maximum and of its parent's are ever
-//!   compared, a byte each). So an encode is two halves with the split
-//!   ([`channel_keeps`]) between them: size up every channel, then
-//!   write each to its share ([`EzwEncoder::emit_plane`]), the passes
-//!   stopping at the cap and the coefficients that would first be
-//!   coded below it never visited. No cap is the same loop run to the
-//!   end; [`encode_image_capped`] is byte for byte
+//!   sum of per-coefficient costs in which only *parents* need bit
+//!   positions, their own and their subtree maximum's
+//!   ([`EzwEncoder::measure_plane`]: one OR over the plane, one OR sweep
+//!   up the tree and one pass over the parent quadrant, which leaves
+//!   the subtree positions the emission reads, a byte per parent). So
+//!   an encode is two halves with the split ([`channel_keeps`]) between
+//!   them: size up every channel, then write each to its share
+//!   ([`EzwEncoder::emit_plane`]), the passes stopping at the cap and
+//!   the coefficients that would first be coded below it never
+//!   visited. No cap is the same loop run to the end;
+//!   [`encode_image_capped`] is byte for byte
 //!   `truncate_container(encode_image_opts(..), cap)`.
 //! * **A receiver reads the symbols of a stream once.** The viewers of
 //!   one shared object hold prefixes of one stream, of 2, 4, 8 … of
@@ -328,7 +330,7 @@ struct Geometry {
 
 impl Geometry {
     fn new(w: usize, h: usize, levels: usize) -> Geometry {
-        assert!(levels >= 1 && levels <= wavelet::max_levels(w, h));
+        assert_levels(w, h, levels);
         let mut scan = Vec::with_capacity(w * h);
         for (start, len) in band_rows(w, h, levels) {
             scan.extend((start..start + len).map(|i| i as u32));
@@ -395,22 +397,26 @@ impl Geometry {
 
 // ------------------------------------------------------------- scratch
 
-/// Bit positions a coefficient can have: 0 for zero, else `1 + msb`.
-const BIT_POSITIONS: usize = 33;
-
-/// Bit position of `|c|`: 0 for zero, else `1 + msb` — all the
-/// analysis ever compares, so it keeps a byte per coefficient.
+/// Bit position of a magnitude: 0 for zero, else `1 + msb`. The bit
+/// position of an OR of magnitudes is that of their maximum.
 #[inline]
-fn bit_position(c: i32) -> u8 {
-    (32 - c.unsigned_abs().leading_zeros()) as u8
+fn bit_position(mag: u32) -> u32 {
+    32 - mag.leading_zeros()
+}
+
+/// Panics unless a `w x h` plane can be coded at `levels` levels.
+fn assert_levels(w: usize, h: usize, levels: usize) {
+    let fits = levels >= 1 && levels <= wavelet::max_levels(w, h);
+    assert!(fits, "{w}x{h} does not support {levels} wavelet levels");
 }
 
 /// What [`EzwEncoder::measure_plane`] works out about a plane without
 /// writing a bit of its stream, and all [`EzwEncoder::emit_plane`]
 /// needs beside the coefficients to write any prefix of it: a byte per
-/// coefficient for each of three bit positions, and the stream's
-/// length. Reusable from plane to plane; an image's channels each keep
-/// one while the rate cap is split between them.
+/// parent (the bit position of its subtree's maximum), the top bit
+/// position and the stream's length. Reusable from plane to plane; an
+/// image's channels each keep one while the rate cap is split between
+/// them.
 #[derive(Default)]
 pub struct PlaneAnalysis {
     /// `(w, h, levels)` of the plane measured.
@@ -420,14 +426,12 @@ pub struct PlaneAnalysis {
     top_pos: u8,
     /// Length of that plane's whole stream, header included.
     full_len: usize,
-    /// Bit position of each `|coeff|`.
-    bitpos: Vec<u8>,
-    /// Bit position of the max `|coeff|` over each subtree.
+    /// Bit position of the max `|coeff|` over each parent's subtree, by
+    /// rows of the parent quadrant (the top-left `w/2 x h/2`).
     subtree_pos: Vec<u8>,
-    /// Bit position at which each node is first coded — that of its
-    /// parent's subtree max (the top position for parentless nodes, 0
-    /// for never-coded all-zero subtrees).
-    act: Vec<u8>,
+    /// The sweep's working buffer, laid out as `subtree_pos`: `|coeff|`
+    /// ORed over each parent's subtree.
+    subtree_or: Vec<u32>,
 }
 
 impl PlaneAnalysis {
@@ -456,9 +460,9 @@ pub struct EzwScratch {
     /// (the refinement bit never needs the index, only the magnitude).
     sub_mags: Vec<u32>,
     /// Encoder: the plane's coefficients by scan rank, packed as the
-    /// dominant pass reads them (`|coeff|`, sign, and the bit position
-    /// of the subtree maximum at `RANKED_SMAX_SHIFT`), one ordered read
-    /// a symbol.
+    /// dominant pass reads them (`|coeff|`, sign, and for a parent the
+    /// bit position of its subtree maximum at `RANKED_SMAX_SHIFT`), one
+    /// ordered read a symbol.
     ranked: Vec<u64>,
     /// The live set, one bit per scan rank — set while a coefficient
     /// is coded in the dominant pass (a root, or its parent has coded
@@ -692,15 +696,19 @@ impl EzwEncoder {
     /// the whole stream, header included — what a rate cap split over
     /// several planes ([`channel_keeps`]) is split by.
     ///
-    /// The length is a closed form over the bit positions the analysis
-    /// computes anyway. A coefficient first coded at position `a` (its
-    /// parent's subtree max) and significant at `m` costs one bit in
-    /// each plane in between; a parent one more in those where its own
-    /// subtree max `s` already reaches the threshold (isolated zero,
-    /// not zerotree root) — `min(s, a) - m` of them; the significant
-    /// symbol costs 2 bits, 3 for a parent, and every plane below it
-    /// one refinement bit. Two small histograms over `(a, m)` and
-    /// `(min(s, a), m)` turn that into bits per plane.
+    /// The length is a sum of per-coefficient costs. A coefficient
+    /// first coded at bit position `a` (its parent's subtree max, the
+    /// top position for the parentless coarsest LL) and significant at
+    /// `m` costs a bit in each plane from `a` down to `m + 1`, two in
+    /// plane `m` and a refinement bit in each plane below it:
+    /// `a + [m > 0]` bits. A parent whose subtree max is at `s` costs one
+    /// more in each plane where its subtree holds something significant
+    /// and it does not (isolated zero, not zerotree root), and one more
+    /// for its significant symbol: `s - m + [m > 0]`. Every `a` is the
+    /// top position or a parent's `s`, so only parents need bit
+    /// positions: the body is the nonzero count, plus the top position
+    /// per root, plus `3s` per root and `4s` per other parent (its
+    /// children's `a`), plus each parent's `s - m + [m > 0]`.
     pub fn measure_plane(
         coeffs: &[i32],
         w: usize,
@@ -713,128 +721,100 @@ impl EzwEncoder {
             w <= u16::MAX as usize && h <= u16::MAX as usize,
             "the plane header holds 16-bit dimensions"
         );
-        let n = coeffs.len();
-        let bitpos = &mut analysis.bitpos;
-        bitpos.clear();
-        bitpos.extend(coeffs.iter().map(|&c| bit_position(c)));
-        let top_pos = bitpos.iter().copied().max().unwrap_or(0);
+        assert_levels(w, h, levels);
+        // Both dimensions fit 16 bits, so the nonzero count fits 32.
+        let (or, nnz) = coeffs.iter().fold((0u32, 0u32), |(or, nnz), &c| {
+            (or | c.unsigned_abs(), nnz + (c != 0) as u32)
+        });
+        let top_pos = bit_position(or);
         analysis.shape = (w, h, levels);
-        analysis.top_pos = top_pos;
+        analysis.top_pos = top_pos as u8;
         analysis.full_len = PLANE_HEADER_LEN;
         if top_pos == 0 {
             return PLANE_HEADER_LEN;
         }
 
-        // The analysis works in the plane's own layout: the tree is
-        // implicit in the coordinates, with no scan indirection.
+        // The tree is implicit in the plane's coordinates: every parent
+        // lies in the top-left quadrant, `wp x hp`; the coarsest LL,
+        // `wl x hl`, parents the three co-located coarsest bands, every
+        // other parent the 2x2 block at twice its coordinates.
         let (wl, hl) = (w >> levels, h >> levels);
-        // Parent region of the (2x, 2y) child map: the top-left
-        // quadrant, minus the coarsest LL (which parents the three
-        // co-located coarsest bands instead).
-        let (wp, hp) = (w.div_ceil(2), h.div_ceil(2));
-
-        // Static max |coeff| over self + descendants, as a bit
-        // position. A descending sweep over the parent quadrant visits
-        // every child block before its parent row — no per-node child
-        // enumeration, no scan indirection, no divisions.
-        let smax = &mut analysis.subtree_pos;
-        smax.clear();
-        smax.extend_from_slice(bitpos);
-        for y in (0..hp).rev() {
-            let row = y * w;
-            let crow = 2 * y * w;
+        let (wp, hp) = (w / 2, h / 2);
+        let mag = |x: usize, y: usize| coeffs[y * w + x].unsigned_abs();
+        // A parent's subtree OR is its `|coeff|` ORed with its
+        // children's: a child inside the quadrant gives its subtree OR,
+        // a leaf its `|coeff|`. A descending sweep meets every child
+        // before its parent.
+        let sub = &mut analysis.subtree_or;
+        sub.clear();
+        sub.resize(wp * hp, 0);
+        let kid = |sub: &[u32], x: usize, y: usize| {
+            if x < wp && y < hp {
+                sub[y * wp + x]
+            } else {
+                mag(x, y)
+            }
+        };
+        // Rows from 1 on, whole-row and branch-free: the children of
+        // row `y` are rows `2y` and `2y + 1`, parents left of `mid`,
+        // leaves right of it. Roots, left of `x0`, come last.
+        for y in (1..hp).rev() {
             let x0 = if y < hl { wl } else { 0 };
-            for x in (x0..wp).rev() {
-                let c0 = crow + 2 * x;
-                let m = smax[c0]
-                    .max(smax[c0 + 1])
-                    .max(smax[c0 + w])
-                    .max(smax[c0 + w + 1]);
-                if m > smax[row + x] {
-                    smax[row + x] = m;
+            let mid = if 2 * y < hp { wp / 2 } else { 0 }.max(x0);
+            let own = &coeffs[y * w..][..wp];
+            let (head, tail) = sub.split_at_mut((y + 1) * wp);
+            let row = &mut head[y * wp..];
+            if x0 < mid {
+                let (top, bottom) = tail[(y - 1) * wp..(y + 1) * wp].split_at(wp);
+                let kids = top[2 * x0..]
+                    .chunks_exact(2)
+                    .zip(bottom[2 * x0..].chunks_exact(2));
+                for ((o, &c), (t, b)) in row[x0..mid].iter_mut().zip(&own[x0..mid]).zip(kids) {
+                    *o = c.unsigned_abs() | t[0] | t[1] | b[0] | b[1];
                 }
             }
-        }
-        for y in (0..hl).rev() {
-            let row = y * w;
-            let brow = (y + hl) * w;
-            for x in (0..wl).rev() {
-                let m = smax[row + x + wl]
-                    .max(smax[brow + x])
-                    .max(smax[brow + x + wl]);
-                if m > smax[row + x] {
-                    smax[row + x] = m;
-                }
+            let (top, bottom) = coeffs[2 * y * w..(2 * y + 2) * w].split_at(w);
+            let kids = top[2 * mid..]
+                .chunks_exact(2)
+                .zip(bottom[2 * mid..].chunks_exact(2));
+            for ((o, &c), (t, b)) in row[mid..].iter_mut().zip(&own[mid..]).zip(kids) {
+                *o = c.unsigned_abs()
+                    | t[0].unsigned_abs()
+                    | t[1].unsigned_abs()
+                    | b[0].unsigned_abs()
+                    | b[1].unsigned_abs();
             }
         }
-
-        // The zerotree-cover bound: subtree maxima are monotone down
-        // the tree, so "some strict ancestor is a zerotree root at
-        // threshold t" collapses to `subtree_max[parent] < t`. That
-        // makes each coefficient's first coded pass *static* — the
-        // pass where t first drops to its parent's subtree max.
-        // Parentless nodes (coarsest LL) are live from the top; an
-        // all-zero parent subtree means never coded (position 0).
-        // Ascending, so a parent's own activation is set (by its
-        // parent, earlier in the sweep) when the sweep reaches it.
-        let act = &mut analysis.act;
-        act.clear();
-        act.resize(n, 0u8);
-        // By `[min(subtree position, activation)][position]`, parents only.
-        let mut parents = [[0u32; BIT_POSITIONS]; BIT_POSITIONS];
+        // Row 0, whose parents have children in their own row, right of
+        // them; then the roots.
+        for x in (wl..wp).rev() {
+            let kids = [(2 * x, 0), (2 * x + 1, 0), (2 * x, 1), (2 * x + 1, 1)];
+            sub[x] = kids.iter().fold(mag(x, 0), |v, &(x, y)| v | kid(sub, x, y));
+        }
         for y in 0..hl {
-            let row = y * w;
-            let brow = (y + hl) * w;
             for x in 0..wl {
-                let sm = smax[row + x];
-                act[row + x] = top_pos;
-                parents[sm as usize][bitpos[row + x] as usize] += 1;
-                act[row + x + wl] = sm;
-                act[brow + x] = sm;
-                act[brow + x + wl] = sm;
+                let kids = [(x + wl, y), (x, y + hl), (x + wl, y + hl)];
+                sub[y * wp + x] = kids.iter().fold(mag(x, y), |v, &(x, y)| v | kid(sub, x, y));
             }
-        }
-        for y in 0..hp {
-            let row = y * w;
-            let crow = 2 * y * w;
-            let x0 = if y < hl { wl } else { 0 };
-            for x in x0..wp {
-                let sm = smax[row + x];
-                let first = sm.min(act[row + x]);
-                parents[first as usize][bitpos[row + x] as usize] += 1;
-                let c0 = crow + 2 * x;
-                act[c0] = sm;
-                act[c0 + 1] = sm;
-                act[c0 + w] = sm;
-                act[c0 + w + 1] = sm;
-            }
-        }
-        // By `[activation][position]`, every coefficient.
-        let mut coded = [[0u32; BIT_POSITIONS]; BIT_POSITIONS];
-        for (&a, &m) in act.iter().zip(bitpos.iter()) {
-            coded[a as usize][m as usize] += 1;
         }
 
-        // Row 0 of either table is what is never coded.
-        let top = top_pos as usize;
-        let sum = |cells: &[u32]| cells.iter().map(|&c| c as u64).sum::<u64>();
-        let mut total_bits = 0u64;
-        for pos in 1..=top {
-            let mut bits = 0u64;
-            for a in 1..=top {
-                // Significant here: two bits, a third from a parent.
-                // Significant higher up: one refinement bit.
-                bits += 2 * coded[a][pos] as u64 + parents[a][pos] as u64;
-                bits += sum(&coded[a][pos + 1..=top]);
+        // The sum, over the parents alone, leaving each one's subtree
+        // position for `emit_plane`.
+        let pos = &mut analysis.subtree_pos;
+        pos.clear();
+        pos.resize(wp * hp, 0);
+        let mut bits = nnz as u64 + (wl * hl) as u64 * top_pos as u64;
+        let rows = sub.chunks_exact(wp).zip(coeffs.chunks_exact(w));
+        for (y, ((ors, own), pos)) in rows.zip(pos.chunks_exact_mut(wp)).enumerate() {
+            let roots = if y < hl { wl } else { 0 };
+            for (x, ((&or, &c), p)) in ors.iter().zip(own).zip(pos).enumerate() {
+                let (s, m) = (bit_position(or), bit_position(c.unsigned_abs()));
+                let kids = 4 - (x < roots) as u32;
+                bits += ((kids + 1) * s - m + (m > 0) as u32) as u64;
+                *p = s as u8;
             }
-            for a in pos..=top {
-                // Coded and still insignificant: one bit, a second
-                // from a parent whose subtree holds something that is.
-                bits += sum(&coded[a][..pos]) + sum(&parents[a][..pos]);
-            }
-            total_bits += bits;
         }
-        analysis.full_len = PLANE_HEADER_LEN + total_bits.div_ceil(8) as usize;
+        analysis.full_len = PLANE_HEADER_LEN + bits.div_ceil(8) as usize;
         analysis.full_len
     }
 
@@ -888,16 +868,27 @@ impl EzwEncoder {
             spawned,
             ..
         } = scratch;
+        let geo = geo.as_ref().expect("geometry cached");
         // The plane in scan order, band row by band row: the dominant
         // pass then reads each coefficient it codes with one ordered
-        // load, and nothing else.
+        // load, and nothing else. Parent rows, which rank first and lie
+        // in the parent quadrant, carry their subtree positions; a
+        // leaf's symbol reads none.
+        let packed = |c: i32| c.unsigned_abs() as u64 | ((c < 0) as u64) << 63;
         ranked.clear();
         for (start, len) in band_rows(w, h, levels) {
-            let row = start..start + len;
-            let smax = &analysis.subtree_pos[row.clone()];
-            ranked.extend(coeffs[row].iter().zip(smax).map(|(&c, &s)| {
-                c.unsigned_abs() as u64 | (s as u64) << RANKED_SMAX_SHIFT | ((c < 0) as u64) << 63
-            }));
+            let row = &coeffs[start..start + len];
+            if ranked.len() < geo.parents() {
+                let at = start / w * (w / 2) + start % w;
+                let smax = &analysis.subtree_pos[at..at + len];
+                ranked.extend(
+                    row.iter()
+                        .zip(smax)
+                        .map(|(&c, &s)| packed(c) | (s as u64) << RANKED_SMAX_SHIFT),
+                );
+            } else {
+                ranked.extend(row.iter().map(|&c| packed(c)));
+            }
         }
         // Every coefficient can be significant, and one spare slot
         // takes the store of a symbol that is not. What the list holds
@@ -905,7 +896,7 @@ impl EzwEncoder {
         if sub_mags.len() <= coeffs.len() {
             sub_mags.resize(coeffs.len() + 1, 0);
         }
-        let mut set = LiveSet::new(geo.as_ref().expect("geometry cached"), live, spawned);
+        let mut set = LiveSet::new(geo, live, spawned);
         let mut emit = PlaneEmit {
             ranked,
             sub: sub_mags,
@@ -942,9 +933,9 @@ impl EzwEncoder {
     }
 }
 
-/// Where the bit position of a coefficient's subtree maximum sits in
-/// its `EzwScratch::ranked` word; `|coeff|` is the low half, the sign
-/// bit 63.
+/// Where the bit position of a parent's subtree maximum sits in its
+/// `EzwScratch::ranked` word (a leaf's is zero); `|coeff|` is the low
+/// half, the sign bit 63.
 const RANKED_SMAX_SHIFT: u32 = 32;
 
 /// The encoder's side of the walk: one plane's stream, written up to
@@ -1964,12 +1955,19 @@ mod tests {
         // Encoding planes of different shapes and contents through one
         // scratch must give the same bytes as fresh scratch per call
         // (stale stamps, lists, or geometry must never leak through).
+        // The session's shape, then smaller ones, then it again: the
+        // analysis keeps its buffers at the largest plane's size, and
+        // what a smaller plane leaves past its own end is never read.
         let mut scratch = EzwScratch::new();
         for (w, h, levels, seed) in [
             (32, 32, 3, 1u64),
             (16, 16, 2, 2),
             (32, 32, 3, 3),
             (64, 32, 2, 4),
+            (256, 256, 5, 7),
+            (96, 192, 5, 8),
+            (64, 64, 4, 9),
+            (256, 256, 5, 10),
         ] {
             let scene = synthetic_scene(w, h, 1, 3, seed);
             let mut plane = scene.image.plane(0);
@@ -2255,6 +2253,20 @@ mod tests {
         let scene = synthetic_scene(16, 16, 1, 1, 0);
         assert!(encode_image(&scene.image, 0, WaveletKind::Haar).is_err());
         assert!(encode_image(&scene.image, 9, WaveletKind::Haar).is_err());
+    }
+
+    /// `measure_plane` refuses a level count its shape cannot have, as
+    /// `emit_plane` would, instead of sizing up a stream nothing writes.
+    #[test]
+    #[should_panic(expected = "8x8 does not support 0 wavelet levels")]
+    fn measure_plane_refuses_zero_levels() {
+        EzwEncoder::measure_plane(&[1; 64], 8, 8, 0, &mut PlaneAnalysis::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "8x8 does not support 4 wavelet levels")]
+    fn measure_plane_refuses_more_levels_than_the_shape_has() {
+        EzwEncoder::measure_plane(&[1; 64], 8, 8, 4, &mut PlaneAnalysis::new());
     }
 
     /// A random coefficient plane: sparse or dense, small magnitudes or

@@ -24,7 +24,9 @@
 use collabqos::core::apps::{ImageViewer, ViewStore};
 use collabqos::core::events::AppEvent;
 use collabqos::core::session::{CollaborationSession, SessionConfig};
-use collabqos::media::ezw::{self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch};
+use collabqos::media::ezw::{
+    self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
+};
 use collabqos::media::image::{synthetic_scene, Image, Scene};
 use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
 use collabqos::media::reference;
@@ -318,17 +320,67 @@ fn truncated_decode_matches(
     Ok(())
 }
 
+/// The length `measure_plane` sizes a plane up to is the length
+/// `emit_plane` writes when nothing stops it. `encode_plane` clamps its
+/// keep to the measured length, so an *over*-estimate never shows in
+/// its bytes; it shows here.
+fn assert_measured_is_emitted(w: usize, h: usize, levels: usize, coeffs: &[i32], what: &str) {
+    let mut analysis = PlaneAnalysis::new();
+    let len = EzwEncoder::measure_plane(coeffs, w, h, levels, &mut analysis);
+    let full = EzwEncoder::emit_plane(coeffs, &analysis, usize::MAX, &mut EzwScratch::new());
+    assert_eq!(len, full.len(), "{what} {w}x{h} L{levels}");
+}
+
+/// Planes at the magnitude and sparsity extremes: every coefficient
+/// `i32::MIN`, every one `i32::MAX`, a single nonzero leaf (the last
+/// finest-HH coefficient), a single nonzero root, and nothing but the
+/// coarsest LL.
+fn extreme_planes(w: usize, h: usize, levels: usize) -> [(&'static str, Vec<i32>); 5] {
+    let (wl, hl) = (w >> levels, h >> levels);
+    let mut leaf = vec![0; w * h];
+    leaf[w * h - 1] = -4096;
+    let mut root = vec![0; w * h];
+    root[0] = 4095;
+    let mut ll = vec![0; w * h];
+    for y in 0..hl {
+        for x in 0..wl {
+            ll[y * w + x] = (y * wl + x) as i32 * 37 % 513 - 256;
+        }
+    }
+    [
+        ("i32::MIN", vec![i32::MIN; w * h]),
+        ("i32::MAX", vec![i32::MAX; w * h]),
+        ("one leaf", leaf),
+        ("one root", root),
+        ("LL only", ll),
+    ]
+}
+
 /// The two differentials above at the session's shape, past the 64
 /// `arb_geometry` stops at: 128² and 256², whose band rows fill whole
 /// 64-rank words of the live set, and 96 x 192, whose rows straddle
 /// them — at one level, three, and the most the shape takes, on a
 /// transformed scene and on dense coefficients of every magnitude up
-/// to 2^12.
+/// to 2^12; and at one level and the most, on the extreme planes. On
+/// each, the measured length is the emitted one.
 #[test]
 fn reference_differentials_hold_at_the_sessions_shape() {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     for (w, h) in [(128, 128), (256, 256), (96, 192)] {
-        for levels in [1, 3, wavelet::max_levels(w, h)] {
+        let max = wavelet::max_levels(w, h);
+        for levels in [1, max] {
+            for (what, coeffs) in extreme_planes(w, h, levels) {
+                // Not `encode_matches_reference`: the frozen decoder's
+                // sign flip overflows on `i32::MIN` in a debug build.
+                let live = EzwEncoder::encode_plane(&coeffs, w, h, levels);
+                let frozen = reference::encode_plane(&coeffs, w, h, levels);
+                assert!(live == frozen, "{what} {w}x{h} L{levels}: bytes");
+                let decoded = EzwDecoder::decode_plane(&live).unwrap();
+                assert!(decoded.coeffs == coeffs, "{what} {w}x{h} L{levels}: decode");
+                assert_measured_is_emitted(w, h, levels, &coeffs, what);
+            }
+        }
+        for levels in [1, 3, max] {
             let mut scene: Vec<i32> = corner_image(w, h, 1, levels as u64)
                 .plane(0)
                 .iter()
@@ -343,8 +395,9 @@ fn reference_differentials_hold_at_the_sessions_shape() {
                     (state >> 51) as i32 - 4096
                 })
                 .collect();
-            for coeffs in [&scene, &dense] {
+            for (what, coeffs) in [("scene", &scene), ("dense", &dense)] {
                 encode_matches_reference(w, h, levels, coeffs).unwrap();
+                assert_measured_is_emitted(w, h, levels, coeffs, what);
                 for cut_ppm in [1_000, 250_000, 777_777] {
                     truncated_decode_matches(w, h, levels, coeffs, cut_ppm).unwrap();
                 }
