@@ -6,6 +6,7 @@
 
 use bench::{fmt, header, row};
 use cqos_core::experiments::run_fig6;
+use cqos_core::session::SessionConfig;
 
 fn main() {
     println!("Figure 6 — ImageViewer parameters vs host page faults");
@@ -15,7 +16,7 @@ fn main() {
         &["page_faults", "packets", "compression_ratio", "bpp"],
         &widths,
     );
-    let rows = run_fig6(42);
+    let rows = run_fig6(SessionConfig::default());
     for r in &rows {
         row(
             &[

@@ -3,8 +3,9 @@
 //! Paper (§6.2): packets drop 16→0 as CPU load rises 30→100 %; BPP
 //! 14.3→0.7; compression ratio 1.6→32.7 (24-bit colour source).
 
-use bench::{fmt, header, host_threads, row, time_best};
-use cqos_core::experiments::{run_fig7, run_fig7_with};
+use bench::{fmt, header, row};
+use cqos_core::experiments::run_fig7;
+use cqos_core::session::SessionConfig;
 
 fn main() {
     println!("Figure 7 — ImageViewer parameters vs CPU load");
@@ -14,7 +15,7 @@ fn main() {
         &["cpu_load", "packets", "compression_ratio", "bpp"],
         &widths,
     );
-    let rows = run_fig7(42);
+    let rows = run_fig7(SessionConfig::default());
     for r in &rows {
         row(
             &[
@@ -37,15 +38,4 @@ fn main() {
         fmt(last_nonzero.compression_ratio),
     );
     println!("paper   : packets 16->0  BPP 14.3->0.70  CR 1.60->32.7");
-
-    // Sharded engine: the workers:4 sweep must be byte-identical.
-    let (_, serial_s) = time_best(3, || run_fig7(42));
-    let (sharded, sharded_s) = time_best(3, || run_fig7_with(42, 4));
-    let identical = sharded == rows;
-    assert!(identical, "workers:4 sweep diverged from workers:1");
-    println!(
-        "\nworkers:1 {serial_s:.4}s, workers:4 {sharded_s:.4}s, identical: {identical} \
-         (host threads: {})",
-        host_threads()
-    );
 }

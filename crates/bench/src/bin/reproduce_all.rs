@@ -8,11 +8,12 @@
 
 use bench::fmt;
 use cqos_core::experiments::*;
+use cqos_core::session::SessionConfig;
 
 fn main() {
     println!("collabqos — full reproduction summary (seed 42)\n");
 
-    let rows = run_fig6(42);
+    let rows = run_fig6(SessionConfig::default());
     let (f6a, f6z) = (rows.first().unwrap(), rows.last().unwrap());
     println!(
         "Fig 6  packets {}→{} (paper 16→1) | CR {}→{} (paper 3.6→131) | BPP {}→{} (paper 2.1→0.1)",
@@ -24,7 +25,7 @@ fn main() {
         fmt(f6z.bpp)
     );
 
-    let rows = run_fig7(42);
+    let rows = run_fig7(SessionConfig::default());
     let f7a = rows.first().unwrap();
     let f7last = rows.iter().rev().find(|r| r.packets > 0).unwrap();
     println!(

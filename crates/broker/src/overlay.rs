@@ -108,12 +108,6 @@ impl Advertisement {
         }
     }
 
-    /// The interest as a selector, with "no interest" read as
-    /// accept-everything (that is what the endpoint does).
-    pub fn interest_selector(&self) -> Selector {
-        self.interest.clone().unwrap_or_else(Selector::all)
-    }
-
     /// The interest as a borrowed expression, "no interest" being the
     /// `true` that [`Selector::all`] parses to.
     fn interest_expr(&self) -> &Expr {
@@ -1183,13 +1177,24 @@ mod tests {
         assert_eq!(Advertisement::decode(&data), None);
     }
 
+    /// An advertised interest nested past the selector cap is refused
+    /// like any other selector that does not parse.
+    #[test]
+    fn nesting_bomb_advertisement_is_refused() {
+        let mut p = Profile::new("viewer");
+        p.set_interest("true").unwrap();
+        let mut msg =
+            SemanticMessage::decode(&Advertisement::from_profile(&p, 1).encode()).unwrap();
+        msg.selector = format!("{}true{}", "(".repeat(10_000), ")".repeat(10_000));
+        assert_eq!(Advertisement::decode(&msg), None);
+    }
+
     /// `subsumes` reads "no interest" as a borrowed constant; it must
     /// be the expression `Selector::all()` parses to.
     #[test]
     fn absent_interest_reads_as_selector_all() {
         let ad = Advertisement::from_profile(&Profile::new("plain"), 0);
         assert_eq!(ad.interest_expr(), Selector::all().expr());
-        assert_eq!(ad.interest_expr(), ad.interest_selector().expr());
     }
 
     #[test]

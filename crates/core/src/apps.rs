@@ -86,67 +86,6 @@ impl Whiteboard {
     }
 }
 
-impl Whiteboard {
-    /// Rasterize an object's strokes onto a copy of `base` (annotation
-    /// overlay): each stroke is drawn as a polyline with Bresenham
-    /// lines in a per-color gray level. Out-of-bounds points clamp to
-    /// the canvas edge, so annotations made against a higher-resolution
-    /// rendition still land sensibly on an adapted one.
-    pub fn render_onto(&self, object_id: u64, base: &Image) -> Image {
-        let mut out = base.clone();
-        for stroke in self.strokes(object_id) {
-            // Distinct levels per color index, away from mid-gray.
-            let level = match stroke.color % 4 {
-                0 => 255,
-                1 => 0,
-                2 => 224,
-                _ => 32,
-            };
-            for pair in stroke.points.windows(2) {
-                draw_line(&mut out, pair[0], pair[1], level);
-            }
-            if stroke.points.len() == 1 {
-                draw_line(&mut out, stroke.points[0], stroke.points[0], level);
-            }
-        }
-        out
-    }
-}
-
-/// Clamped Bresenham line on every channel.
-fn draw_line(img: &mut Image, from: (i16, i16), to: (i16, i16), level: u8) {
-    let clamp = |p: (i16, i16)| -> (i64, i64) {
-        (
-            (p.0 as i64).clamp(0, img.width as i64 - 1),
-            (p.1 as i64).clamp(0, img.height as i64 - 1),
-        )
-    };
-    let (mut x0, mut y0) = clamp(from);
-    let (x1, y1) = clamp(to);
-    let dx = (x1 - x0).abs();
-    let dy = -(y1 - y0).abs();
-    let sx = if x0 < x1 { 1 } else { -1 };
-    let sy = if y0 < y1 { 1 } else { -1 };
-    let mut err = dx + dy;
-    loop {
-        for c in 0..img.channels {
-            img.set(x0 as usize, y0 as usize, c, level);
-        }
-        if x0 == x1 && y0 == y1 {
-            break;
-        }
-        let e2 = 2 * err;
-        if e2 >= dy {
-            err += dy;
-            x0 += sx;
-        }
-        if e2 <= dx {
-            err += dx;
-            y0 += sy;
-        }
-    }
-}
-
 // ------------------------------------------------------- image viewer
 
 /// Metadata of an announced image.
@@ -675,51 +614,6 @@ mod tests {
         w2.apply("alice", &s1);
         assert_eq!(w1.strokes(1), w2.strokes(1));
         assert_eq!(w1.strokes(1)[0].lamport, 3, "total order by lamport");
-    }
-
-    #[test]
-    fn whiteboard_renders_strokes_onto_image() {
-        let mut wb = Whiteboard::default();
-        wb.apply(
-            "alice",
-            &AppEvent::WhiteboardStroke {
-                object_id: 1,
-                lamport: 1,
-                points: vec![(2, 2), (12, 2)],
-                color: 0, // level 255
-            },
-        );
-        let base = Image::new(16, 16, 1);
-        let out = wb.render_onto(1, &base);
-        // The horizontal line is drawn...
-        for x in 2..=12 {
-            assert_eq!(out.get(x, 2, 0), 255, "x={x}");
-        }
-        // ...and the base is untouched elsewhere.
-        assert_eq!(out.get(8, 8, 0), 0);
-        assert_eq!(base.get(2, 2, 0), 0, "render does not mutate base");
-    }
-
-    #[test]
-    fn whiteboard_render_clamps_out_of_bounds() {
-        let mut wb = Whiteboard::default();
-        wb.apply(
-            "bob",
-            &AppEvent::WhiteboardStroke {
-                object_id: 7,
-                lamport: 1,
-                points: vec![(-50, -50), (100, 100)],
-                color: 2,
-            },
-        );
-        let base = Image::new(8, 8, 3);
-        let out = wb.render_onto(7, &base);
-        // Diagonal through the whole canvas, all channels.
-        for i in 0..8 {
-            for c in 0..3 {
-                assert_eq!(out.get(i, i, c), 224);
-            }
-        }
     }
 
     #[test]

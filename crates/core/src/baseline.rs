@@ -41,7 +41,7 @@ pub struct CentralServer {
 }
 
 /// The port the central server listens on.
-pub const SERVER_PORT: Port = Port(6000);
+const SERVER_PORT: Port = Port(6000);
 
 impl CentralServer {
     /// Bind the server on `node`.
@@ -62,11 +62,6 @@ impl CentralServer {
             node,
             profile,
         });
-    }
-
-    /// Roster size.
-    pub fn roster_len(&self) -> usize {
-        self.roster.len()
     }
 
     /// Route all pending events: for each, interpret every roster
@@ -105,7 +100,7 @@ impl CentralServer {
 }
 
 /// The port baseline clients listen on.
-pub const CLIENT_PORT: Port = Port(6001);
+const CLIENT_PORT: Port = Port(6001);
 
 /// A baseline client: sends everything to the server, receives
 /// pre-filtered unicasts.
@@ -362,7 +357,6 @@ mod tests {
             p.set("x", sempubsub::AttrValue::Int(1));
             p
         });
-        assert_eq!(server.roster_len(), 1);
         ghost.publish(&mut net, "chat", "true", vec![1]).unwrap();
         a.publish(&mut net, "chat", "true", vec![2]).unwrap();
         net.run_for(Ticks::from_millis(10));

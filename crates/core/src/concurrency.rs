@@ -141,18 +141,6 @@ impl LockManager {
     }
 }
 
-/// Deterministically merge two concurrent update streams into the
-/// Lamport total order — the arbitration used when two clients "select
-/// information for sharing at the same time".
-pub fn merge_updates<T: Clone>(
-    a: &[(u64, String, T)],
-    b: &[(u64, String, T)],
-) -> Vec<(u64, String, T)> {
-    let mut all: Vec<(u64, String, T)> = a.iter().chain(b).cloned().collect();
-    all.sort_by(|x, y| x.0.cmp(&y.0).then_with(|| x.1.cmp(&y.1)));
-    all
-}
-
 /// A versioned register resolving concurrent writes by Lamport order —
 /// the consistency rule used by the state repository.
 #[derive(Debug, Clone)]
@@ -251,17 +239,6 @@ mod tests {
         let mut lm = LockManager::new();
         assert_eq!(lm.request(1, "a", 1), LockOutcome::Granted);
         assert_eq!(lm.request(2, "b", 1), LockOutcome::Granted);
-    }
-
-    #[test]
-    fn merge_is_deterministic_and_complete() {
-        let a = vec![(1, "alice".to_string(), "x"), (3, "alice".to_string(), "y")];
-        let b = vec![(2, "bob".to_string(), "p"), (3, "bob".to_string(), "q")];
-        let m1 = merge_updates(&a, &b);
-        let m2 = merge_updates(&b, &a);
-        assert_eq!(m1, m2, "order of streams irrelevant");
-        assert_eq!(m1.len(), 4, "no information lost");
-        assert_eq!(m1[2].2, "y", "lamport 3: alice before bob");
     }
 
     #[test]

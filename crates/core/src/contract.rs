@@ -49,7 +49,7 @@ impl Constraint {
     }
 
     /// Check one observed value.
-    pub fn satisfied_by(&self, value: f64) -> bool {
+    fn satisfied_by(&self, value: f64) -> bool {
         self.min.is_none_or(|m| value >= m) && self.max.is_none_or(|m| value <= m)
     }
 }
@@ -107,11 +107,6 @@ impl QosContract {
             })
             .collect()
     }
-
-    /// True when every constraint holds.
-    pub fn is_satisfied(&self, state: &BTreeMap<String, f64>) -> bool {
-        self.check(state).is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +139,7 @@ mod tests {
             ("page_faults", 30.0),
             ("bandwidth_bps", 1e7),
         ]);
-        assert!(contract.is_satisfied(&ok));
+        assert!(contract.check(&ok).is_empty());
 
         let bad = state(&[("cpu_load", 95.0), ("page_faults", 30.0)]);
         let violations = contract.check(&bad);
@@ -155,7 +150,7 @@ mod tests {
 
     #[test]
     fn empty_contract_vacuously_satisfied() {
-        assert!(QosContract::new("empty").is_satisfied(&state(&[])));
+        assert!(QosContract::new("empty").check(&state(&[])).is_empty());
     }
 
     #[test]

@@ -2,6 +2,11 @@
 //! Figures 6–10 plus the §5.4 sketch-reduction headline. Used by the
 //! repro binaries and the integration tests so that both report
 //! identical series.
+//!
+//! One runner per figure. [`run_fig6`] and [`run_fig7`] take the whole
+//! [`SessionConfig`] and set only the figure's own stream cap, so the
+//! flat, brokered, faulted and sharded variants the suites compare are
+//! configurations of one function, not functions of their own.
 
 use crate::contract::QosContract;
 use crate::inference::InferenceEngine;
@@ -98,43 +103,13 @@ fn run_viewer_sweep(
 
 /// Figure 6: image-viewer parameters versus host page faults
 /// (grayscale source, stream peak ≈ 2.1 bpp as in the paper).
-pub fn run_fig6(seed: u64) -> Vec<ViewerRow> {
-    run_fig6_with(seed, 1)
-}
-
-/// [`run_fig6`] with the session's worker-pool size exposed; any
-/// `workers` value produces the identical series.
-pub fn run_fig6_with(seed: u64, workers: usize) -> Vec<ViewerRow> {
-    run_fig6_faulted(seed, workers, None)
-}
-
-/// [`run_fig6`] with a per-link [`simnet::FaultModel`] installed on
-/// every LAN link (the chaos-harness variant). `None` and
-/// `Some(FaultModel::none())` both produce the exact `run_fig6`
-/// series: inert models draw nothing from the RNG.
-pub fn run_fig6_faulted(
-    seed: u64,
-    workers: usize,
-    fault: Option<simnet::FaultModel>,
-) -> Vec<ViewerRow> {
-    run_fig6_routed(seed, workers, fault, None)
-}
-
-/// [`run_fig6`] over a brokered session: publisher and viewer land in
-/// different domains of a 3-broker overlay and the image crosses
-/// inter-broker links, routed by selector covering. The series is
-/// bit-identical to the flat-multicast [`run_fig6`].
-pub fn run_fig6_brokered(seed: u64, workers: usize) -> Vec<ViewerRow> {
-    run_fig6_routed(seed, workers, None, Some(3))
-}
-
-fn run_fig6_routed(
-    seed: u64,
-    workers: usize,
-    fault: Option<simnet::FaultModel>,
-    domains: Option<usize>,
-) -> Vec<ViewerRow> {
-    let scene = synthetic_scene(256, 256, 1, 4, seed);
+///
+/// The scene and the session are seeded from `cfg.seed`, and the figure
+/// sets its own `full_stream_bpp`; every other field is the caller's.
+/// Any `workers`, an inert `fault` model and a brokered `domains` layout
+/// all produce the series of `SessionConfig::default()` at that seed.
+pub fn run_fig6(cfg: SessionConfig) -> Vec<ViewerRow> {
+    let scene = synthetic_scene(256, 256, 1, 4, cfg.seed);
     let states = sweep(30.0, 100.0, 8).into_iter().map(|f| {
         (
             f,
@@ -150,50 +125,18 @@ fn run_fig6_routed(
         &scene,
         states,
         SessionConfig {
-            seed,
             full_stream_bpp: Some(2.1),
-            workers,
-            fault,
-            domains,
-            ..SessionConfig::default()
+            ..cfg
         },
     )
 }
 
 /// Figure 7: image-viewer parameters versus CPU load (colour source,
 /// stream peak ≈ 14.3 bpp as in the paper; packets reach 0 at 100%).
-pub fn run_fig7(seed: u64) -> Vec<ViewerRow> {
-    run_fig7_with(seed, 1)
-}
-
-/// [`run_fig7`] with the session's worker-pool size exposed; any
-/// `workers` value produces the identical series.
-pub fn run_fig7_with(seed: u64, workers: usize) -> Vec<ViewerRow> {
-    run_fig7_faulted(seed, workers, None)
-}
-
-/// [`run_fig7`] with a per-link [`simnet::FaultModel`] installed on
-/// every LAN link; see [`run_fig6_faulted`].
-pub fn run_fig7_faulted(
-    seed: u64,
-    workers: usize,
-    fault: Option<simnet::FaultModel>,
-) -> Vec<ViewerRow> {
-    run_fig7_routed(seed, workers, fault, None)
-}
-
-/// [`run_fig7`] over a brokered session; see [`run_fig6_brokered`].
-pub fn run_fig7_brokered(seed: u64, workers: usize) -> Vec<ViewerRow> {
-    run_fig7_routed(seed, workers, None, Some(3))
-}
-
-fn run_fig7_routed(
-    seed: u64,
-    workers: usize,
-    fault: Option<simnet::FaultModel>,
-    domains: Option<usize>,
-) -> Vec<ViewerRow> {
-    let scene = synthetic_scene(256, 256, 3, 4, seed);
+/// Seeded and configured as [`run_fig6`] is, with the figure's own
+/// `full_stream_bpp`.
+pub fn run_fig7(cfg: SessionConfig) -> Vec<ViewerRow> {
+    let scene = synthetic_scene(256, 256, 3, 4, cfg.seed);
     let states = sweep(30.0, 100.0, 8).into_iter().map(|c| {
         (
             c,
@@ -209,12 +152,8 @@ fn run_fig7_routed(
         &scene,
         states,
         SessionConfig {
-            seed,
             full_stream_bpp: Some(14.3),
-            workers,
-            fault,
-            domains,
-            ..SessionConfig::default()
+            ..cfg
         },
     )
 }
@@ -653,7 +592,7 @@ pub struct CompareScenario {
 /// * `noisy_spike` — a clean link with glitchy receiver reports that
 ///   oscillate around the threshold engine's 30% text band while the
 ///   ECN echo stays clean; true loss is ~1%.
-pub fn comparison_scenarios() -> Vec<CompareScenario> {
+fn comparison_scenarios() -> Vec<CompareScenario> {
     let phase = |true_loss: f64, capacity: u32, obs_loss: f64, obs_cong: f64| ComparePhase {
         true_loss_pct: true_loss,
         capacity,
@@ -803,7 +742,7 @@ pub fn score_engine(
 }
 
 /// The full head-to-head: every engine through every scenario.
-/// Scores group by scenario in [`comparison_scenarios`] order, each
+/// Scores group by scenario in `comparison_scenarios` order, each
 /// scenario's rows in [`crate::EngineChoice::all`] order.
 pub fn run_policy_comparison(seed: u64) -> Vec<EngineScore> {
     let mut scores = Vec::new();
@@ -827,6 +766,13 @@ pub fn default_comparison_policies() -> PolicyDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn seeded(seed: u64) -> SessionConfig {
+        SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        }
+    }
 
     #[test]
     fn policy_comparison_is_deterministic() {
@@ -874,7 +820,7 @@ mod tests {
 
     #[test]
     fn fig6_shape_matches_paper() {
-        let rows = run_fig6(7);
+        let rows = run_fig6(seeded(7));
         assert_eq!(rows.len(), 8);
         // Packets fall monotonically 16 -> 1 in powers of two.
         assert_eq!(rows.first().unwrap().packets, 16);
@@ -902,7 +848,7 @@ mod tests {
 
     #[test]
     fn fig7_reaches_zero_packets() {
-        let rows = run_fig7(7);
+        let rows = run_fig7(seeded(7));
         assert_eq!(rows.first().unwrap().packets, 16);
         assert_eq!(rows.last().unwrap().packets, 0, "suspended at 100% CPU");
         assert_eq!(rows.last().unwrap().bpp, 0.0);

@@ -82,12 +82,6 @@ impl HysteresisFilter {
             }
         }
     }
-
-    /// Drop the held state (e.g. on session rejoin).
-    pub fn reset(&mut self) {
-        self.current = None;
-        self.better_streak = 0;
-    }
 }
 
 /// Total quality rank of a decision: packets dominate, modality breaks
@@ -102,15 +96,6 @@ fn rank(d: &AdaptationDecision) -> (u32, u8, u32) {
     (d.max_packets, modality, (d.resolution * 1000.0) as u32)
 }
 
-/// Count quality-level changes over a decision sequence — the
-/// oscillation metric the filter is meant to reduce.
-pub fn count_flips(decisions: &[AdaptationDecision]) -> usize {
-    decisions
-        .windows(2)
-        .filter(|w| rank(&w[0]) != rank(&w[1]))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +106,15 @@ mod tests {
 
     fn d(packets: u32) -> AdaptationDecision {
         AdaptationDecision::unconstrained(packets)
+    }
+
+    /// Quality-level changes over a decision sequence: the oscillation
+    /// the filter is meant to reduce.
+    fn count_flips(decisions: &[AdaptationDecision]) -> usize {
+        decisions
+            .windows(2)
+            .filter(|w| rank(&w[0]) != rank(&w[1]))
+            .count()
     }
 
     #[test]
@@ -203,14 +197,6 @@ mod tests {
         );
         // The held level is the conservative mild-loss budget.
         assert!(filtered.iter().skip(1).all(|d| d.max_packets == 8));
-    }
-
-    #[test]
-    fn reset_forgets_state() {
-        let mut f = HysteresisFilter::new(2);
-        f.filter(d(2));
-        f.reset();
-        assert_eq!(f.filter(d(16)).max_packets, 16, "fresh start adopts");
     }
 
     #[test]

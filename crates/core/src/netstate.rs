@@ -96,7 +96,7 @@ impl NetworkStateInterface {
 
     /// Register a metric: the variable `oid` of the agent on `target`,
     /// reported under `name`.
-    pub fn add_metric(&mut self, name: &str, target: NodeId, oid: Oid) -> &mut Self {
+    fn add_metric(&mut self, name: &str, target: NodeId, oid: Oid) -> &mut Self {
         let at = match self.groups.iter().position(|g| g.target == target) {
             Some(at) => at,
             None => {
@@ -132,11 +132,6 @@ impl NetworkStateInterface {
     /// Register an interface-bandwidth metric (`ifSpeed`).
     pub fn add_bandwidth_metric(&mut self, target: NodeId, if_index: u32) -> &mut Self {
         self.add_metric("bandwidth_bps", target, arcs::if_speed(if_index))
-    }
-
-    /// Registered metric count.
-    pub fn metric_count(&self) -> usize {
-        self.groups.iter().map(|g| g.names.len()).sum()
     }
 
     /// Poll every registered metric; failed metrics are omitted from
@@ -247,9 +242,9 @@ mod tests {
             NetworkStateInterface::bind(&mut net, client, Port(40000), "public").unwrap();
         iface.add_host_metrics(client);
         iface.add_bandwidth_metric(router, 1);
-        assert_eq!(iface.metric_count(), 4);
 
         let state = iface.sample(&mut net, &mut agents);
+        assert_eq!(state.len(), 4);
         assert_eq!(state["cpu_load"], 62.0);
         assert_eq!(state["page_faults"], 48.0);
         assert_eq!(state["mem_avail_kb"], 4096.0);

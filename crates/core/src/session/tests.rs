@@ -916,7 +916,6 @@ fn a_failed_contribution_is_not_logged_as_forwarded() {
     assert!(s.wireless_contribute("mobile", &scene, "((").is_err());
     let dot = media::image::Scene {
         image: media::Image::new(1, 1, 1),
-        objects: Vec::new(),
         caption: "a dot".to_string(),
     };
     assert!(s.wireless_contribute("mobile", &dot, "true").is_err());

@@ -3,11 +3,13 @@
 //! Polling the MIB (the [`crate::netstate`] path) costs a round trip
 //! per sample. SNMP's other half is the asynchronous **trap**: the
 //! paper's embedded extension agent can notify the management station
-//! the moment a parameter crosses a threshold. [`HostWatcher`] turns a
-//! simulated host's metrics into edge-triggered SNMPv2 traps carrying
-//! the offending variable, and [`decision_from_trap`] lets an
-//! inference engine react to the trap payload directly — adaptation
-//! latency becomes one one-way message instead of a poll interval.
+//! the moment a parameter crosses a threshold. [`EdgeWatcher`] turns a
+//! sampled metric into edge-triggered SNMPv2 traps carrying the
+//! offending variable; the session arms one per custody store
+//! ([`StoreWatcher`]) and per shaping tree ([`PlanWatcher`]). And
+//! [`decision_from_trap`] lets an inference engine react to a received
+//! trap's payload directly — adaptation latency becomes one one-way
+//! message instead of a poll interval.
 
 use crate::inference::AdaptationDecision;
 use crate::policy::AdaptationPolicy;
@@ -17,18 +19,18 @@ use snmp::pdu::{Message, VarBind};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpValue;
 use std::collections::BTreeMap;
-use sysmon::{SharedHost, HOST_METRICS};
+use sysmon::HOST_METRICS;
 
 /// Trap OID for a QoS alert from the host extension agent
 /// (tasslQosAlert = 1.3.6.1.4.1.99999.10).
-pub fn qos_alert_trap_oid() -> Oid {
+fn qos_alert_trap_oid() -> Oid {
     arcs::tassl().child(10)
 }
 
 /// Trap OID for a congestion alert from the traffic-control plane
 /// (tasslQosCongestionAlert = 1.3.6.1.4.1.99999.11): ECN marking
 /// crossed a threshold while loss may still be zero.
-pub fn qos_congestion_alert_trap_oid() -> Oid {
+fn qos_congestion_alert_trap_oid() -> Oid {
     arcs::tassl().child(11)
 }
 
@@ -48,59 +50,29 @@ pub fn qos_plan_alert_trap_oid() -> Oid {
     arcs::tassl().child(13)
 }
 
-/// Crossing direction that arms a watch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Fire when the metric rises to or above the threshold.
-    Rising,
-    /// Fire when the metric falls to or below the threshold.
-    Falling,
-}
-
-/// One armed threshold.
+/// One armed threshold, fired when the metric rises to or above it.
 #[derive(Debug, Clone)]
-pub struct Watch {
-    /// Metric name as the inference engine knows it.
-    pub metric: String,
+struct Watch {
     /// Variable OID included in the trap.
-    pub oid: Oid,
-    /// Threshold value.
-    pub threshold: f64,
-    /// Crossing direction.
-    pub direction: Direction,
+    oid: Oid,
+    threshold: f64,
     armed: bool,
 }
 
 impl Watch {
-    /// A rising watch on `metric`.
-    pub fn rising(metric: &str, oid: Oid, threshold: f64) -> Watch {
+    /// A rising watch on the variable `oid`.
+    fn rising(oid: Oid, threshold: f64) -> Watch {
         Watch {
-            metric: metric.to_string(),
             oid,
             threshold,
-            direction: Direction::Rising,
-            armed: true,
-        }
-    }
-
-    /// A falling watch on `metric`.
-    pub fn falling(metric: &str, oid: Oid, threshold: f64) -> Watch {
-        Watch {
-            metric: metric.to_string(),
-            oid,
-            threshold,
-            direction: Direction::Falling,
             armed: true,
         }
     }
 
     /// Edge-triggered evaluation: fires at most once per crossing, and
-    /// re-arms when the metric returns to the other side.
+    /// re-arms when the metric falls back below the threshold.
     fn evaluate(&mut self, value: f64) -> bool {
-        let beyond = match self.direction {
-            Direction::Rising => value >= self.threshold,
-            Direction::Falling => value <= self.threshold,
-        };
+        let beyond = value >= self.threshold;
         if beyond && self.armed {
             self.armed = false;
             true
@@ -139,7 +111,7 @@ pub struct EdgeWatcher {
 
 impl EdgeWatcher {
     /// Raise `trap_oid` on every fresh crossing of `watch`.
-    pub fn new(watch: Watch, trap_oid: Oid) -> EdgeWatcher {
+    fn new(watch: Watch, trap_oid: Oid) -> EdgeWatcher {
         EdgeWatcher {
             watch,
             trap_oid,
@@ -151,7 +123,7 @@ impl EdgeWatcher {
     /// `threshold_pct` percent; re-arms when it falls back below.
     pub fn loss(threshold_pct: f64) -> EdgeWatcher {
         EdgeWatcher::new(
-            Watch::rising("loss_pct", arcs::host_rtp_loss(), threshold_pct),
+            Watch::rising(arcs::host_rtp_loss(), threshold_pct),
             qos_alert_trap_oid(),
         )
     }
@@ -160,7 +132,7 @@ impl EdgeWatcher {
     /// above `threshold_pct` percent; re-arms when it falls back below.
     pub fn congestion(threshold_pct: f64) -> EdgeWatcher {
         EdgeWatcher::new(
-            Watch::rising("congestion_pct", arcs::host_congestion(), threshold_pct),
+            Watch::rising(arcs::host_congestion(), threshold_pct),
             qos_congestion_alert_trap_oid(),
         )
     }
@@ -192,63 +164,6 @@ impl EdgeWatcher {
     }
 }
 
-/// Watches a host's live metrics and emits `qosAlert` traps on
-/// crossings.
-pub struct HostWatcher {
-    host: SharedHost,
-    watchers: Vec<EdgeWatcher>,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl HostWatcher {
-    /// Watch `host` with the given thresholds.
-    pub fn new(host: SharedHost, watches: Vec<Watch>) -> HostWatcher {
-        HostWatcher {
-            host,
-            watchers: watches
-                .into_iter()
-                .map(|w| EdgeWatcher::new(w, qos_alert_trap_oid()))
-                .collect(),
-            traps_sent: 0,
-        }
-    }
-
-    /// The standard pair: page faults rising past 80, CPU rising past 90.
-    pub fn standard(host: SharedHost) -> HostWatcher {
-        HostWatcher::new(
-            host,
-            vec![
-                Watch::rising("page_faults", arcs::host_page_faults(), 80.0),
-                Watch::rising("cpu_load", arcs::host_cpu_load(), 90.0),
-            ],
-        )
-    }
-
-    /// Check every watch against the current host state; emit one trap
-    /// per fresh crossing through `agent_rt` towards `sink_node`.
-    /// Returns the number of traps sent.
-    pub fn service(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-    ) -> usize {
-        let state = *self.host.lock().unwrap();
-        let mut sent = 0;
-        for w in &mut self.watchers {
-            let Some((_, _, read, _)) = HOST_METRICS.iter().find(|m| m.0 == w.watch.metric) else {
-                continue;
-            };
-            if w.observe(net, agent_rt, sink_node, read(&state)) {
-                sent += 1;
-            }
-        }
-        self.traps_sent += sent as u64;
-        sent
-    }
-}
-
 /// Watches a broker's custody store and emits a `qosStoreAlert` trap
 /// when stored bytes rise to the quota high watermark.
 ///
@@ -271,11 +186,7 @@ impl StoreWatcher {
         StoreWatcher {
             stats,
             edge: EdgeWatcher::new(
-                Watch::rising(
-                    "store_bytes",
-                    arcs::store_bytes(broker),
-                    threshold_bytes as f64,
-                ),
+                Watch::rising(arcs::store_bytes(broker), threshold_bytes as f64),
                 qos_store_alert_trap_oid(),
             ),
         }
@@ -329,7 +240,7 @@ impl PlanWatcher {
             last_bits: stats.bits_sent(node as usize),
             stats,
             edge: EdgeWatcher::new(
-                Watch::rising("congestion_pct", arcs::htb_node_util(node), threshold_pct),
+                Watch::rising(arcs::htb_node_util(node), threshold_pct),
                 qos_plan_alert_trap_oid(),
             ),
             last_us: now_us,
@@ -488,9 +399,9 @@ mod tests {
     use simnet::{LinkSpec, Ticks};
     use snmp::transport::TrapSink;
     use snmp::SnmpAgent;
-    use sysmon::{HostState, SimHost};
+    use sysmon::SimHost;
 
-    fn world() -> (Network, AgentRuntime, TrapSink, SimHost, simnet::NodeId) {
+    fn world() -> (Network, AgentRuntime, TrapSink, simnet::NodeId) {
         let mut net = Network::new(3);
         let (_sw, nodes) = net.lan(&["station", "host"], LinkSpec::lan());
         let host = SimHost::idle("host");
@@ -498,25 +409,27 @@ mod tests {
         sysmon::install_host_agent(&host.shared(), &mut agent);
         let rt = AgentRuntime::bind(&mut net, nodes[1], agent).unwrap();
         let sink = TrapSink::bind(&mut net, nodes[0]).unwrap();
-        (net, rt, sink, host, nodes[0])
+        (net, rt, sink, nodes[0])
+    }
+
+    /// A `qosAlert` watch on page faults rising past 80.
+    fn page_fault_watcher() -> EdgeWatcher {
+        EdgeWatcher::new(
+            Watch::rising(arcs::host_page_faults(), 80.0),
+            qos_alert_trap_oid(),
+        )
     }
 
     #[test]
     fn crossing_fires_exactly_once() {
-        let (mut net, mut rt, mut sink, mut host, station) = world();
-        let mut watcher = HostWatcher::standard(host.shared());
+        let (mut net, mut rt, mut sink, station) = world();
+        let mut watcher = page_fault_watcher();
         // Below threshold: nothing.
-        assert_eq!(watcher.service(&mut net, &mut rt, station), 0);
+        assert!(!watcher.observe(&mut net, &mut rt, station, 10.0));
         // Cross: one trap, and only one even if checked repeatedly.
-        host.force(HostState {
-            cpu_load: 20.0,
-            page_faults: 85.0,
-            mem_avail_kb: 1024.0,
-        });
-        assert_eq!(watcher.service(&mut net, &mut rt, station), 1);
-        assert_eq!(
-            watcher.service(&mut net, &mut rt, station),
-            0,
+        assert!(watcher.observe(&mut net, &mut rt, station, 85.0));
+        assert!(
+            !watcher.observe(&mut net, &mut rt, station, 85.0),
             "edge-triggered"
         );
         net.run_for(Ticks::from_millis(5));
@@ -525,24 +438,14 @@ mod tests {
 
     #[test]
     fn rearms_after_recovery() {
-        let (mut net, mut rt, mut sink, mut host, station) = world();
-        let mut watcher = HostWatcher::standard(host.shared());
-        let spike = HostState {
-            cpu_load: 20.0,
-            page_faults: 95.0,
-            mem_avail_kb: 1024.0,
-        };
-        let calm = HostState {
-            cpu_load: 20.0,
-            page_faults: 10.0,
-            mem_avail_kb: 1024.0,
-        };
-        host.force(spike);
-        watcher.service(&mut net, &mut rt, station);
-        host.force(calm);
-        watcher.service(&mut net, &mut rt, station);
-        host.force(spike);
-        assert_eq!(watcher.service(&mut net, &mut rt, station), 1, "re-armed");
+        let (mut net, mut rt, mut sink, station) = world();
+        let mut watcher = page_fault_watcher();
+        watcher.observe(&mut net, &mut rt, station, 95.0);
+        watcher.observe(&mut net, &mut rt, station, 10.0);
+        assert!(
+            watcher.observe(&mut net, &mut rt, station, 95.0),
+            "re-armed"
+        );
         net.run_for(Ticks::from_millis(5));
         assert_eq!(sink.service(&mut net), 2);
         assert_eq!(watcher.traps_sent, 2);
@@ -550,14 +453,8 @@ mod tests {
 
     #[test]
     fn trap_payload_drives_the_engine() {
-        let (mut net, mut rt, mut sink, mut host, station) = world();
-        let mut watcher = HostWatcher::standard(host.shared());
-        host.force(HostState {
-            cpu_load: 20.0,
-            page_faults: 90.0,
-            mem_avail_kb: 1024.0,
-        });
-        watcher.service(&mut net, &mut rt, station);
+        let (mut net, mut rt, mut sink, station) = world();
+        page_fault_watcher().observe(&mut net, &mut rt, station, 90.0);
         net.run_for(Ticks::from_millis(5));
         sink.service(&mut net);
         let engine =
@@ -578,7 +475,7 @@ mod tests {
     #[test]
     fn loss_trap_switches_modality() {
         use simnet::rtp::ReceiverReport;
-        let (mut net, mut rt, mut sink, _host, station) = world();
+        let (mut net, mut rt, mut sink, station) = world();
         let mut watcher = EdgeWatcher::loss(10.0);
         let calm = ReceiverReport {
             received: 99,
@@ -617,7 +514,7 @@ mod tests {
     #[test]
     fn congestion_trap_downgrades_before_loss() {
         use simnet::rtp::ReceiverReport;
-        let (mut net, mut rt, mut sink, _host, station) = world();
+        let (mut net, mut rt, mut sink, station) = world();
         let mut watcher = EdgeWatcher::congestion(10.0);
         // Lightly marked stream with ZERO loss: below threshold.
         let calm = ReceiverReport {
@@ -866,20 +763,10 @@ mod tests {
     }
 
     #[test]
-    fn falling_watch_direction() {
-        let mut w = Watch::falling("mem_avail_kb", arcs::host_mem_avail(), 512.0);
-        assert!(!w.evaluate(1024.0));
-        assert!(w.evaluate(256.0));
-        assert!(!w.evaluate(128.0), "still below: no re-fire");
-        assert!(!w.evaluate(2048.0), "recovery alone does not fire");
-        assert!(w.evaluate(100.0), "re-armed after recovery");
-    }
-
-    #[test]
     fn store_watcher_alerts_on_watermark_and_rearms() {
         use dtn::{Bundle, CustodyStore, StoreConfig};
 
-        let (mut net, mut rt, mut sink, _host, station) = world();
+        let (mut net, mut rt, mut sink, station) = world();
         let cfg = StoreConfig {
             max_bytes: 4096,
             max_bundles: 64,

@@ -8,9 +8,9 @@
 use simnet::Ticks;
 
 /// Magic prefix of an encoded [`Bundle`].
-pub const MAGIC_BUNDLE: &[u8; 4] = b"DTB1";
+const MAGIC_BUNDLE: &[u8; 4] = b"DTB1";
 /// Magic prefix of a custody signal (accept / refuse).
-pub const MAGIC_SIGNAL: &[u8; 4] = b"DTS1";
+const MAGIC_SIGNAL: &[u8; 4] = b"DTS1";
 
 const SIGNAL_ACCEPT: u8 = 0;
 const SIGNAL_REFUSE: u8 = 1;

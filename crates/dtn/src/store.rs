@@ -332,11 +332,6 @@ impl CustodyStore {
         }
     }
 
-    /// Whether stored bytes reached the configured high watermark.
-    pub fn at_high_watermark(&self) -> bool {
-        self.bytes >= self.cfg.high_watermark_bytes()
-    }
-
     fn push(&mut self, bundle: Bundle) {
         self.bytes += bundle.wire_size();
         self.entries.push(Entry {
@@ -502,14 +497,12 @@ mod tests {
     }
 
     #[test]
-    fn gauges_track_contents_and_high_watermark() {
+    fn gauges_track_contents_and_peak() {
         let mut s = small_store();
         let stats = s.stats();
-        assert!(!s.at_high_watermark());
         s.insert(bundle("a", 0, 3100, 0, 10_000), Ticks::ZERO);
         assert_eq!(stats.stored_bundles(), 1);
         assert_eq!(stats.stored_bytes(), s.bytes());
-        assert!(s.at_high_watermark(), "3072 of 4096 is past 75%");
         let peak = stats.peak_bytes();
         assert_eq!(peak, s.bytes());
         s.expire(Ticks::from_secs(60));

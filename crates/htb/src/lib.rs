@@ -276,18 +276,6 @@ impl TreeSpec {
         self.add_node(site, name, assured_bps, ceil_bps, NodeKind::Interior)
     }
 
-    /// Add an aggregation node under an arbitrary interior `parent`
-    /// (for deeper hierarchies than site → AP).
-    pub fn add_child(
-        &mut self,
-        parent: NodeIdx,
-        name: &str,
-        assured_bps: u64,
-        ceil_bps: u64,
-    ) -> NodeIdx {
-        self.add_node(parent, name, assured_bps, ceil_bps, NodeKind::Interior)
-    }
-
     /// Add a subscriber leaf under `parent`, rated by `plan`, carrying
     /// all traffic whose final destination is node `dst` in the
     /// simulated network. Each destination binds at most one leaf.
@@ -1151,7 +1139,7 @@ mod tests {
     #[should_panic(expected = "under a subscriber leaf")]
     fn cannot_nest_under_leaf() {
         let (mut spec, a, _) = two_sub_spec();
-        spec.add_child(a, "bad", 1_000, 1_000);
+        spec.add_ap(a, "bad", 1_000, 1_000);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 /// Forward YCoCg-R on one pixel: `(r, g, b) -> (y, co, cg)`.
 #[inline]
-pub fn forward_pixel(r: i32, g: i32, b: i32) -> (i32, i32, i32) {
+fn forward_pixel(r: i32, g: i32, b: i32) -> (i32, i32, i32) {
     let co = r - b;
     let t = b + (co >> 1);
     let cg = g - t;
@@ -22,7 +22,7 @@ pub fn forward_pixel(r: i32, g: i32, b: i32) -> (i32, i32, i32) {
 /// inputs are decoded from received bytes; sums that leave `i32` wrap
 /// (see the inverse steps of `wavelet`).
 #[inline]
-pub fn inverse_pixel(y: i32, co: i32, cg: i32) -> (i32, i32, i32) {
+fn inverse_pixel(y: i32, co: i32, cg: i32) -> (i32, i32, i32) {
     let t = y.wrapping_sub(cg >> 1);
     let g = cg.wrapping_add(t);
     let b = t.wrapping_sub(co >> 1);

@@ -2,12 +2,9 @@
 //!
 //! "A verbal description can be tagged to this sketch and can be used
 //! to enable clients with minimal capabilities (e.g., a client on a
-//! wireless connection) to be effective participants" (§5.4). For
-//! synthetic scenes the ground-truth object list is known, so the
-//! description is generated deterministically — this is the
-//! image→text modality transform.
-
-use crate::image::{Scene, SceneObject};
+//! wireless connection) to be effective participants" (§5.4). The
+//! image→text modality transform carries the shared object's caption,
+//! one line, plus any detail lines, as plain text.
 
 /// A text description of shared visual content: the smallest modality.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,33 +16,6 @@ pub struct TextDescription {
 }
 
 impl TextDescription {
-    /// Describe a synthetic scene from its ground truth.
-    pub fn from_scene(scene: &Scene) -> TextDescription {
-        let details = scene
-            .objects
-            .iter()
-            .map(|o| match o {
-                SceneObject::Disc {
-                    cx,
-                    cy,
-                    r,
-                    brightness,
-                } => format!("disc of radius {r} at ({cx}, {cy}), brightness {brightness}"),
-                SceneObject::Rect {
-                    x,
-                    y,
-                    w,
-                    h,
-                    brightness,
-                } => format!("rectangle {w}x{h} at ({x}, {y}), brightness {brightness}"),
-            })
-            .collect();
-        TextDescription {
-            caption: scene.caption.clone(),
-            details,
-        }
-    }
-
     /// Total text size in bytes (what travels on the wire in text mode).
     pub fn byte_len(&self) -> usize {
         self.caption.len() + self.details.iter().map(|d| d.len() + 1).sum::<usize>()
@@ -75,34 +45,16 @@ impl TextDescription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::synthetic_scene;
-
-    #[test]
-    fn description_covers_all_objects() {
-        let scene = synthetic_scene(64, 64, 1, 5, 3);
-        let d = TextDescription::from_scene(&scene);
-        assert_eq!(d.details.len(), 5);
-        assert!(d.caption.contains("64x64"));
-    }
 
     #[test]
     fn wire_round_trip() {
-        let scene = synthetic_scene(64, 64, 3, 3, 9);
-        let d = TextDescription::from_scene(&scene);
-        let back = TextDescription::from_text(&d.to_text());
-        assert_eq!(back, d);
-    }
-
-    #[test]
-    fn text_is_drastically_smaller_than_image() {
-        let scene = synthetic_scene(256, 256, 3, 4, 1);
-        let d = TextDescription::from_scene(&scene);
-        assert!(
-            d.byte_len() * 100 < scene.image.byte_len(),
-            "text {} vs image {}",
-            d.byte_len(),
-            scene.image.byte_len()
-        );
+        let d = TextDescription {
+            caption: "3 discs on 64x64".to_string(),
+            details: vec!["disc of radius 4".to_string(), "rectangle".to_string()],
+        };
+        let text = d.to_text();
+        assert_eq!(d.byte_len(), text.len());
+        assert_eq!(TextDescription::from_text(&text), d);
     }
 
     #[test]

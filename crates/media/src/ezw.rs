@@ -138,7 +138,7 @@ impl BitWriter {
     /// significant first — `push_bits(0b110, 3)` is `push(true);
     /// push(true); push(false)`.
     #[inline]
-    pub fn push_bits(&mut self, pattern: u32, n: u32) {
+    fn push_bits(&mut self, pattern: u32, n: u32) {
         debug_assert!(n <= 32);
         debug_assert!(n == 32 || pattern < (1u32 << n));
         let free = 64 - self.nacc;
@@ -171,7 +171,7 @@ impl BitWriter {
     }
 
     /// Total bits written.
-    pub fn len_bits(&self) -> usize {
+    fn len_bits(&self) -> usize {
         self.nbits
     }
 

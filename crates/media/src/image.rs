@@ -1,9 +1,8 @@
 //! Image representation and seeded synthetic scene generation.
 //!
 //! The paper's experiments share real images between Windows NT
-//! workstations; we substitute seeded synthetic scenes whose content is
-//! known (so the text-description transformer can describe them
-//! deterministically) and whose statistics exercise the wavelet coder
+//! workstations; we substitute seeded synthetic scenes whose caption
+//! is known and whose statistics exercise the wavelet coder
 //! realistically (smooth gradients + sharp edges + texture).
 
 use rand::rngs::StdRng;
@@ -43,11 +42,6 @@ impl Image {
     /// Pixel count.
     pub fn pixels(&self) -> usize {
         self.width * self.height
-    }
-
-    /// Native bits per pixel (8 for grayscale, 24 for RGB).
-    pub fn native_bpp(&self) -> usize {
-        self.channels * 8
     }
 
     /// Read a sample.
@@ -116,89 +110,11 @@ impl Image {
     }
 }
 
-impl Image {
-    /// Serialize to binary PGM (P5, grayscale) or PPM (P6, RGB) — the
-    /// simplest portable formats, viewable everywhere. Lets users eyeball
-    /// the adaptive reconstructions the experiments produce.
-    pub fn to_pnm(&self) -> Vec<u8> {
-        let magic = if self.channels == 1 { "P5" } else { "P6" };
-        let mut out = format!("{magic}\n{} {}\n255\n", self.width, self.height).into_bytes();
-        out.extend_from_slice(&self.data);
-        out
-    }
-
-    /// Parse binary PGM/PPM written by [`Image::to_pnm`] (whitespace-
-    /// separated header, maxval 255).
-    pub fn from_pnm(bytes: &[u8]) -> Option<Image> {
-        let mut pos = 0usize;
-        let mut token = || -> Option<String> {
-            while pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
-                pos += 1;
-            }
-            let start = pos;
-            while pos < bytes.len() && !bytes[pos].is_ascii_whitespace() {
-                pos += 1;
-            }
-            if pos > start {
-                Some(String::from_utf8_lossy(&bytes[start..pos]).into_owned())
-            } else {
-                None
-            }
-        };
-        let magic = token()?;
-        let channels = match magic.as_str() {
-            "P5" => 1,
-            "P6" => 3,
-            _ => return None,
-        };
-        let width: usize = token()?.parse().ok()?;
-        let height: usize = token()?.parse().ok()?;
-        let maxval: usize = token()?.parse().ok()?;
-        if maxval != 255 {
-            return None;
-        }
-        let data_start = pos + 1; // single whitespace after maxval
-        let need = width * height * channels;
-        if bytes.len() < data_start + need {
-            return None;
-        }
-        Some(Image {
-            width,
-            height,
-            channels,
-            data: bytes[data_start..data_start + need].to_vec(),
-        })
-    }
-}
-
-/// Shapes placed by the synthetic scene generator, used by the
-/// text-description transformer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SceneObject {
-    /// Filled disc at (cx, cy) with radius r.
-    Disc {
-        cx: usize,
-        cy: usize,
-        r: usize,
-        brightness: u8,
-    },
-    /// Axis-aligned rectangle.
-    Rect {
-        x: usize,
-        y: usize,
-        w: usize,
-        h: usize,
-        brightness: u8,
-    },
-}
-
-/// A synthetic scene: the image plus ground-truth object list.
+/// A synthetic scene: the image plus its caption.
 #[derive(Debug, Clone)]
 pub struct Scene {
     /// The rendered image.
     pub image: Image,
-    /// Objects rendered, in z-order.
-    pub objects: Vec<SceneObject>,
     /// A short human caption (the paper's verbal description).
     pub caption: String,
 }
@@ -229,8 +145,7 @@ pub fn synthetic_scene(
             }
         }
     }
-    // Objects.
-    let mut objects = Vec::with_capacity(n_objects);
+    // Objects: discs at even indices, rectangles at odd ones.
     for i in 0..n_objects {
         let brightness = rng.random_range(120..=255u32) as u8;
         if i % 2 == 0 {
@@ -252,12 +167,6 @@ pub fn synthetic_scene(
                     }
                 }
             }
-            objects.push(SceneObject::Disc {
-                cx,
-                cy,
-                r,
-                brightness,
-            });
         } else {
             let w = rng.random_range(width / 12..=width / 4).max(1);
             let h = rng.random_range(height / 12..=height / 4).max(1);
@@ -270,13 +179,6 @@ pub fn synthetic_scene(
                     }
                 }
             }
-            objects.push(SceneObject::Rect {
-                x: x0,
-                y: y0,
-                w,
-                h,
-                brightness,
-            });
         }
     }
     // Texture noise.
@@ -284,17 +186,13 @@ pub fn synthetic_scene(
         let noise = rng.random_range(-3i16..=3);
         *v = (*v as i16 + noise).clamp(0, 255) as u8;
     }
-    let discs = objects
-        .iter()
-        .filter(|o| matches!(o, SceneObject::Disc { .. }))
-        .count();
     let caption = format!(
-        "synthetic scene {width}x{height}: {discs} discs, {} rectangles on a gradient background",
-        objects.len() - discs
+        "synthetic scene {width}x{height}: {} discs, {} rectangles on a gradient background",
+        n_objects.div_ceil(2),
+        n_objects / 2
     );
     Scene {
         image: img,
-        objects,
         caption,
     }
 }
@@ -307,7 +205,6 @@ mod tests {
     fn construction_and_accessors() {
         let mut img = Image::new(4, 3, 1);
         assert_eq!(img.byte_len(), 12);
-        assert_eq!(img.native_bpp(), 8);
         img.set(2, 1, 0, 77);
         assert_eq!(img.get(2, 1, 0), 77);
     }
@@ -335,8 +232,7 @@ mod tests {
         let c = synthetic_scene(32, 32, 1, 4, 10);
         assert_eq!(a.image, b.image);
         assert_ne!(a.image, c.image);
-        assert_eq!(a.objects.len(), 4);
-        assert!(a.caption.contains("discs"));
+        assert!(a.caption.contains("2 discs, 2 rectangles"));
     }
 
     #[test]
@@ -347,24 +243,6 @@ mod tests {
         assert_eq!(g.byte_len(), 64);
         // Gray of gray is identity.
         assert_eq!(g.to_gray(), g);
-    }
-
-    #[test]
-    fn pnm_round_trips_gray_and_color() {
-        for channels in [1usize, 3] {
-            let scene = synthetic_scene(16, 8, channels, 2, 3);
-            let pnm = scene.image.to_pnm();
-            let back = Image::from_pnm(&pnm).expect("parses");
-            assert_eq!(back, scene.image, "{channels} channel(s)");
-        }
-    }
-
-    #[test]
-    fn pnm_rejects_garbage() {
-        assert!(Image::from_pnm(b"").is_none());
-        assert!(Image::from_pnm(b"P4\n2 2\n255\n aaaa").is_none());
-        assert!(Image::from_pnm(b"P5\n9 9\n255\nshort").is_none());
-        assert!(Image::from_pnm(b"P5\n2 2\n65535\n0123").is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub fn compression_ratio(original_bytes: usize, received_bytes: usize) -> f64 {
 }
 
 /// Mean squared error between two images of identical shape.
-pub fn mse(a: &Image, b: &Image) -> f64 {
+fn mse(a: &Image, b: &Image) -> f64 {
     assert_eq!(
         (a.width, a.height, a.channels),
         (b.width, b.height, b.channels),

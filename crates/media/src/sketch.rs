@@ -138,6 +138,7 @@ impl Sketch {
     }
 
     /// Expand to a binary image (255 = feature, 0 = background).
+    #[cfg(test)]
     pub fn to_image(&self) -> Result<Image, MediaError> {
         let mut img = Image::new(self.width, self.height, 1);
         let mut pos = 0usize;
@@ -161,14 +162,6 @@ impl Sketch {
         }
         Ok(img)
     }
-
-    /// Fraction of sketch cells that are features.
-    pub fn density(&self) -> f64 {
-        match self.to_image() {
-            Ok(img) => img.data.iter().filter(|&&v| v != 0).count() as f64 / img.data.len() as f64,
-            Err(_) => 0.0,
-        }
-    }
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -183,6 +176,7 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+#[cfg(test)]
 fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     for (i, &b) in bytes.iter().enumerate().take(10) {
@@ -198,6 +192,12 @@ fn get_varint(bytes: &[u8]) -> Option<(u64, usize)> {
 mod tests {
     use super::*;
     use crate::image::synthetic_scene;
+
+    /// Fraction of sketch cells that are features.
+    fn density(sk: &Sketch) -> f64 {
+        let img = sk.to_image().unwrap();
+        img.data.iter().filter(|&&v| v != 0).count() as f64 / img.data.len() as f64
+    }
 
     #[test]
     fn varint_round_trip() {
@@ -223,7 +223,7 @@ mod tests {
     fn sketch_finds_object_edges() {
         let scene = synthetic_scene(128, 128, 1, 4, 7);
         let sk = Sketch::extract(&scene.image, 2).unwrap();
-        let density = sk.density();
+        let density = density(&sk);
         assert!(
             density > 0.005 && density < 0.5,
             "edges should be sparse but present, got {density}"
@@ -234,7 +234,7 @@ mod tests {
     fn flat_image_sketch_is_near_empty_and_tiny() {
         let img = Image::new(64, 64, 1);
         let sk = Sketch::extract(&img, 4).unwrap();
-        assert_eq!(sk.density(), 0.0);
+        assert_eq!(density(&sk), 0.0);
         assert!(sk.byte_len() < 20);
     }
 

@@ -125,11 +125,6 @@ impl ClassMap {
     pub fn rules(&self) -> &[(u16, TrafficClass)] {
         &self.rules
     }
-
-    /// The fall-through class for unmatched ports.
-    pub fn default_class(&self) -> TrafficClass {
-        self.default
-    }
 }
 
 /// Chainable constructor for a [`ClassMap`], so deployments can declare
@@ -198,7 +193,7 @@ mod tests {
         assert_eq!(built, assigned);
         assert_eq!(built, ClassMap::collabqos_default(), "defaults unchanged");
         assert_eq!(built.rules().len(), 4);
-        assert_eq!(built.default_class(), TrafficClass::Background);
+        assert_eq!(built.classify(9999), TrafficClass::Background);
     }
 
     #[test]

@@ -87,6 +87,7 @@ impl TokenBucket {
     }
 
     /// Token bits available at instant `at`.
+    #[cfg(test)]
     pub fn available_bits(&self, at: u64) -> u64 {
         self.project(at).0
     }

@@ -60,31 +60,6 @@ pub enum Expr {
     Exists(String),
 }
 
-impl Expr {
-    /// All attribute names referenced by the expression, in first-use order.
-    pub fn referenced_attrs(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_attrs(&mut out);
-        out
-    }
-
-    fn collect_attrs(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Literal(_) => {}
-            Expr::Attr(name) | Expr::Exists(name) => {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
-            }
-            Expr::Not(e) => e.collect_attrs(out),
-            Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) => {
-                a.collect_attrs(out);
-                b.collect_attrs(out);
-            }
-        }
-    }
-}
-
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -102,22 +77,6 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn referenced_attrs_dedup_in_order() {
-        let e = Expr::And(
-            Box::new(Expr::Cmp(
-                CmpOp::Eq,
-                Box::new(Expr::Attr("media".into())),
-                Box::new(Expr::Literal(AttrValue::str("video"))),
-            )),
-            Box::new(Expr::Or(
-                Box::new(Expr::Exists("color".into())),
-                Box::new(Expr::Attr("media".into())),
-            )),
-        );
-        assert_eq!(e.referenced_attrs(), vec!["media", "color"]);
-    }
 
     #[test]
     fn display_is_parenthesised() {

@@ -760,6 +760,59 @@ mod tests {
         assert_eq!(sub.stats().rejected, 0);
     }
 
+    /// A selector of 10 000 nested groups and a content value of 20 000
+    /// nested lists, each one datagram from a hostile peer, on a thread
+    /// with the 2 MB stack every test thread and shard worker gets: each
+    /// is refused and counted once, and the endpoint goes on delivering.
+    #[test]
+    fn hostile_nesting_is_counted_not_fatal() {
+        let run = || {
+            let (mut net, group, hosts) = world(2);
+            let mut publisher =
+                BusEndpoint::join(&mut net, hosts[0], SESSION_PORT, group, Profile::new("pub"))
+                    .unwrap();
+            let mut sub =
+                BusEndpoint::join(&mut net, hosts[1], SESSION_PORT, group, Profile::new("sub"))
+                    .unwrap();
+            let hostile = net.bind(hosts[0], Port(6666)).unwrap();
+            let mut bomb = SemanticMessage {
+                sender: "evil".to_string(),
+                kind: "x".to_string(),
+                selector: format!("{}true{}", "(".repeat(10_000), ")".repeat(10_000)),
+                seq: 0,
+                content: BTreeMap::new(),
+                body: vec![],
+            };
+            let selector_bomb = bomb.encode();
+            // An empty list value, then 20 000 one-item list headers
+            // spliced in front of it: nothing an encoder would write.
+            bomb.selector = "true".to_string();
+            bomb.content
+                .insert("l".to_string(), AttrValue::List(vec![]));
+            let mut list_bomb = bomb.encode();
+            let at = list_bomb.len() - 4 - 3;
+            list_bomb.splice(at..at, [4, 0, 1].repeat(20_000));
+            for wire in [selector_bomb, list_bomb] {
+                net.send(hostile, Addr::unicast(hosts[1], SESSION_PORT), wire)
+                    .unwrap();
+            }
+            net.run_for(Ticks::from_millis(50));
+            assert!(sub.poll(&mut net).is_empty());
+            assert_eq!((sub.stats().bad_selector, sub.stats().malformed), (1, 1));
+            publisher
+                .publish(&mut net, "chat", "true", BTreeMap::new(), vec![1])
+                .unwrap();
+            net.run_for(Ticks::from_millis(10));
+            assert_eq!(sub.poll(&mut net).len(), 1, "still delivering");
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
     fn interpret_hits_selector_cache_on_repeats() {
         let (mut net, group, hosts) = world(2);

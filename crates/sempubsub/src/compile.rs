@@ -544,7 +544,7 @@ impl SelectorCache {
     }
 
     /// The shared interner (snapshots must intern against it).
-    pub fn interner_mut(&mut self) -> &mut Interner {
+    fn interner_mut(&mut self) -> &mut Interner {
         &mut self.interner
     }
 

@@ -52,7 +52,6 @@ pub mod ast;
 pub mod bus;
 pub mod compile;
 pub mod eval;
-pub mod group;
 pub mod intern;
 pub mod lexer;
 pub mod matching;

@@ -2,6 +2,7 @@
 //! (no external serialization formats: the substrate owns its wire
 //! protocol, as the paper's Java prototype did).
 
+use crate::parser::MAX_DEPTH;
 use crate::value::AttrValue;
 use crate::SemError;
 use std::collections::BTreeMap;
@@ -30,8 +31,9 @@ pub struct SemanticMessage {
 
 impl SemanticMessage {
     /// Encode to wire bytes. Panics when a field is too long for the
-    /// frame format; [`crate::bus::BusEndpoint::publish`] reports the
-    /// same condition as [`SemError::Codec`].
+    /// frame format or a value nests deeper than a decoder accepts;
+    /// [`crate::bus::BusEndpoint::publish`] reports the same conditions
+    /// as [`SemError::Codec`].
     pub fn encode(&self) -> Vec<u8> {
         let event = [(self.kind.as_str(), self.body.as_slice())];
         encode_frames(
@@ -59,7 +61,7 @@ impl SemanticMessage {
         let mut content = BTreeMap::new();
         for _ in 0..n {
             let key = c.str16()?;
-            let value = c.value()?;
+            let value = c.value(1)?;
             content.insert(key, value);
         }
         let blen = u32::from_be_bytes(c.take(4)?.try_into().unwrap()) as usize;
@@ -83,7 +85,8 @@ impl SemanticMessage {
 /// checked against the widths the frame gives them. Encodes one frame
 /// per `(kind, body)` event, numbered consecutively from `first_seq`;
 /// the fields every frame shares are written once and spliced around
-/// each event's own.
+/// each event's own. A content value nested deeper than the decoder
+/// accepts is refused here too.
 pub(crate) fn encode_frames<K: AsRef<str>, B: AsRef<[u8]>>(
     sender: &str,
     selector: &str,
@@ -100,7 +103,7 @@ pub(crate) fn encode_frames<K: AsRef<str>, B: AsRef<[u8]>>(
     put_len16(&mut shared, content.len(), "too many content entries")?;
     for (k, v) in content {
         put_str16(&mut shared, k)?;
-        put_value(&mut shared, v)?;
+        put_value(&mut shared, v, 1)?;
     }
     events
         .iter()
@@ -132,7 +135,15 @@ fn put_str16(out: &mut Vec<u8>, s: &str) -> Result<(), SemError> {
     Ok(())
 }
 
-fn put_value(out: &mut Vec<u8>, v: &AttrValue) -> Result<(), SemError> {
+/// A value is one level deep, a list one more than its deepest item;
+/// the codec carries at most [`MAX_DEPTH`] levels either way.
+const TOO_DEEP: SemError = SemError::Codec("value nested too deep");
+
+/// Write `v`, found `depth` levels down its content entry.
+fn put_value(out: &mut Vec<u8>, v: &AttrValue, depth: usize) -> Result<(), SemError> {
+    if depth > MAX_DEPTH {
+        return Err(TOO_DEEP);
+    }
     match v {
         AttrValue::Int(i) => {
             out.push(0);
@@ -156,7 +167,7 @@ fn put_value(out: &mut Vec<u8>, v: &AttrValue) -> Result<(), SemError> {
             out.push(4);
             put_len16(out, items.len(), "list value too long")?;
             for item in items {
-                put_value(out, item)?;
+                put_value(out, item, depth + 1)?;
             }
         }
     }
@@ -183,7 +194,11 @@ impl<'a> Cursor<'a> {
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| SemError::Codec("bad UTF-8"))
     }
 
-    fn value(&mut self) -> Result<AttrValue, SemError> {
+    /// Read a value `depth` levels down its content entry.
+    fn value(&mut self, depth: usize) -> Result<AttrValue, SemError> {
+        if depth > MAX_DEPTH {
+            return Err(TOO_DEEP);
+        }
         let tag = self.take(1)?[0];
         Ok(match tag {
             0 => AttrValue::Int(i64::from_be_bytes(self.take(8)?.try_into().unwrap())),
@@ -202,7 +217,7 @@ impl<'a> Cursor<'a> {
                 let n = u16::from_be_bytes(self.take(2)?.try_into().unwrap()) as usize;
                 let mut items = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 AttrValue::List(items)
             }
@@ -281,6 +296,32 @@ mod tests {
         let mut bytes = sample().encode();
         bytes[0] = b'X';
         assert!(SemanticMessage::decode(&bytes).is_err());
+    }
+
+    /// `levels` of one-item lists around an empty one.
+    fn nested_list(levels: usize) -> AttrValue {
+        (1..levels).fold(AttrValue::List(vec![]), |v, _| AttrValue::List(vec![v]))
+    }
+
+    #[test]
+    fn list_nesting_is_bounded_at_max_depth() {
+        let mut m = sample();
+        m.content.insert("deep".to_string(), nested_list(MAX_DEPTH));
+        assert_eq!(SemanticMessage::decode(&m.encode()).unwrap(), m);
+        let fields = |v: &AttrValue| {
+            let content = [("deep".to_string(), v.clone())].into();
+            encode_frames("s", "true", &content, 0, &[("k", b"")])
+        };
+        let refused = fields(&nested_list(MAX_DEPTH + 1));
+        assert_eq!(refused, Err(SemError::Codec("value nested too deep")));
+        // The same bytes spliced by hand: the decoder refuses them too.
+        let mut wire = fields(&nested_list(MAX_DEPTH)).unwrap().remove(0);
+        let at = wire.len() - 4 - 3;
+        wire.splice(at..at, [4, 0, 1]);
+        assert_eq!(
+            SemanticMessage::decode(&wire),
+            Err(SemError::Codec("value nested too deep"))
+        );
     }
 
     #[test]

@@ -14,21 +14,52 @@
 //!
 //! A bare identifier used where a boolean is expected refers to a
 //! boolean attribute (`color` ≡ `color == true` when evaluated).
+//!
+//! Selectors arrive from any peer, and compile, eval, covering and drop
+//! all recurse over the tree, so its depth is bounded by `MAX_DEPTH`:
+//! deeper input is a parse error, not a stack overflow.
 
 use crate::ast::{CmpOp, Expr};
 use crate::lexer::Token;
 use crate::value::AttrValue;
 use crate::SemError;
 
+/// How many levels a selector's tree may nest. A leaf is one level;
+/// each operator, `not` and parenthesised group adds one, so a flat
+/// `a or a or …` chain is as deep as it has terms. The message codec
+/// bounds `List` values with the same number.
+pub(crate) const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Groups and `not`s open around the current token.
+    open: usize,
+}
+
+/// An expression and the depth of its tree.
+type Parsed = Result<(Expr, usize), SemError>;
+
+fn too_deep() -> SemError {
+    SemError::Parse(format!("selector nests deeper than {MAX_DEPTH} levels"))
+}
+
+/// The depth of a node over children at most `depth` deep.
+fn above(depth: usize) -> Result<usize, SemError> {
+    if depth >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(depth + 1)
 }
 
 /// Parse a token stream into an expression.
 pub fn parse(tokens: &[Token]) -> Result<Expr, SemError> {
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.expr()?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
+    let (expr, _) = p.expr()?;
     if p.pos != tokens.len() {
         return Err(SemError::Parse(format!(
             "trailing tokens starting at {:?}",
@@ -71,39 +102,53 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, SemError> {
+    /// Enter a group or a `not`: everything inside sits one level
+    /// deeper, so refuse before recursing once no leaf could fit.
+    fn enter(&mut self) -> Result<(), SemError> {
+        self.open += 1;
+        if self.open >= MAX_DEPTH {
+            return Err(too_deep());
+        }
+        Ok(())
+    }
+
+    fn expr(&mut self) -> Parsed {
         self.or()
     }
 
-    fn or(&mut self) -> Result<Expr, SemError> {
-        let mut left = self.and()?;
+    fn or(&mut self) -> Parsed {
+        let (mut left, mut depth) = self.and()?;
         while self.eat(&Token::Or) {
-            let right = self.and()?;
+            let (right, d) = self.and()?;
+            depth = above(depth.max(d))?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and(&mut self) -> Result<Expr, SemError> {
-        let mut left = self.unary()?;
+    fn and(&mut self) -> Parsed {
+        let (mut left, mut depth) = self.unary()?;
         while self.eat(&Token::And) {
-            let right = self.unary()?;
+            let (right, d) = self.unary()?;
+            depth = above(depth.max(d))?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn unary(&mut self) -> Result<Expr, SemError> {
+    fn unary(&mut self) -> Parsed {
         if self.eat(&Token::Not) {
-            let inner = self.unary()?;
-            Ok(Expr::Not(Box::new(inner)))
+            self.enter()?;
+            let (inner, d) = self.unary()?;
+            self.open -= 1;
+            Ok((Expr::Not(Box::new(inner)), above(d)?))
         } else {
             self.cmp()
         }
     }
 
-    fn cmp(&mut self) -> Result<Expr, SemError> {
-        let left = self.operand()?;
+    fn cmp(&mut self) -> Parsed {
+        let (left, dl) = self.operand()?;
         let op = match self.peek() {
             Some(Token::Eq) => CmpOp::Eq,
             Some(Token::Ne) => CmpOp::Ne,
@@ -113,21 +158,31 @@ impl<'a> Parser<'a> {
             Some(Token::Ge) => CmpOp::Ge,
             Some(Token::In) => CmpOp::In,
             Some(Token::Contains) => CmpOp::Contains,
-            _ => return Ok(left),
+            _ => return Ok((left, dl)),
         };
         self.pos += 1;
-        let right = self.operand()?;
-        Ok(Expr::Cmp(op, Box::new(left), Box::new(right)))
+        let (right, dr) = self.operand()?;
+        Ok((
+            Expr::Cmp(op, Box::new(left), Box::new(right)),
+            above(dl.max(dr))?,
+        ))
     }
 
-    fn operand(&mut self) -> Result<Expr, SemError> {
-        match self.next().cloned() {
-            Some(Token::Int(v)) => Ok(Expr::Literal(AttrValue::Int(v))),
-            Some(Token::Float(v)) => Ok(Expr::Literal(AttrValue::Float(v))),
-            Some(Token::Str(s)) => Ok(Expr::Literal(AttrValue::Str(s))),
-            Some(Token::True) => Ok(Expr::Literal(AttrValue::Bool(true))),
-            Some(Token::False) => Ok(Expr::Literal(AttrValue::Bool(false))),
-            Some(Token::Ident(name)) => Ok(Expr::Attr(name)),
+    fn operand(&mut self) -> Parsed {
+        if self.eat(&Token::LParen) {
+            self.enter()?;
+            let (inner, d) = self.expr()?;
+            self.open -= 1;
+            self.expect(Token::RParen)?;
+            return Ok((inner, above(d)?));
+        }
+        let leaf = match self.next().cloned() {
+            Some(Token::Int(v)) => Expr::Literal(AttrValue::Int(v)),
+            Some(Token::Float(v)) => Expr::Literal(AttrValue::Float(v)),
+            Some(Token::Str(s)) => Expr::Literal(AttrValue::Str(s)),
+            Some(Token::True) => Expr::Literal(AttrValue::Bool(true)),
+            Some(Token::False) => Expr::Literal(AttrValue::Bool(false)),
+            Some(Token::Ident(name)) => Expr::Attr(name),
             Some(Token::Exists) => {
                 self.expect(Token::LParen)?;
                 let name = match self.next().cloned() {
@@ -139,12 +194,7 @@ impl<'a> Parser<'a> {
                     }
                 };
                 self.expect(Token::RParen)?;
-                Ok(Expr::Exists(name))
-            }
-            Some(Token::LParen) => {
-                let inner = self.expr()?;
-                self.expect(Token::RParen)?;
-                Ok(inner)
+                Expr::Exists(name)
             }
             Some(Token::LBracket) => {
                 let mut items = Vec::new();
@@ -168,10 +218,11 @@ impl<'a> Parser<'a> {
                         self.expect(Token::Comma)?;
                     }
                 }
-                Ok(Expr::Literal(AttrValue::List(items)))
+                Expr::Literal(AttrValue::List(items))
             }
-            other => Err(SemError::Parse(format!("unexpected {other:?}"))),
-        }
+            other => return Err(SemError::Parse(format!("unexpected {other:?}"))),
+        };
+        Ok((leaf, 1))
     }
 }
 
@@ -260,5 +311,33 @@ mod tests {
         );
         assert!(parse(&lex("exists(3)").unwrap()).is_err());
         assert!(parse(&lex("").unwrap()).is_err());
+    }
+
+    /// A tree `levels` deep three ways: groups around a leaf, `not`s
+    /// before one, and a flat `or` chain.
+    fn nestings(levels: usize) -> [String; 3] {
+        let n = levels - 1;
+        [
+            format!("{}true{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}true", "not ".repeat(n)),
+            vec!["true"; levels].join(" or "),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let store = crate::SelectorStore::with_capacity(8);
+        for text in nestings(MAX_DEPTH) {
+            let sel = crate::Selector::parse(&text).expect("at the cap");
+            assert!(sel.matches(&Default::default()).is_ok());
+            assert!(store.compile(&text).is_ok());
+        }
+        for text in nestings(MAX_DEPTH + 1) {
+            assert!(
+                matches!(crate::Selector::parse(&text), Err(SemError::Parse(_))),
+                "one past the cap: {:.40}…",
+                text
+            );
+        }
     }
 }

@@ -131,12 +131,6 @@ impl Profile {
         Ok(self)
     }
 
-    /// Clear the interest (accept everything addressed to us).
-    pub fn clear_interest(&mut self) {
-        self.interest = None;
-        self.version = next_generation();
-    }
-
     /// The current interest selector.
     pub fn interest(&self) -> Option<&Selector> {
         self.interest.as_ref()
@@ -177,8 +171,6 @@ mod tests {
         p.set_interest("media == 'video'").unwrap();
         assert!(p.interest().is_some());
         assert!(p.set_interest("media ==").is_err());
-        p.clear_interest();
-        assert!(p.interest().is_none());
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl AttrValue {
     }
 
     /// Numeric view: Int and Float coerce, everything else is `None`.
-    pub fn as_number(&self) -> Option<f64> {
+    fn as_number(&self) -> Option<f64> {
         match self {
             AttrValue::Int(i) => Some(*i as f64),
             AttrValue::Float(f) => Some(*f),

@@ -62,11 +62,6 @@ impl GilbertElliott {
         }
     }
 
-    /// True when no draw this channel makes can have any effect.
-    pub fn is_inert(&self) -> bool {
-        self.p_enter_bad == 0.0 && self.loss_good == 0.0
-    }
-
     /// Long-run average loss rate of the chain.
     pub fn steady_state_loss(&self) -> f64 {
         let denom = self.p_enter_bad + self.p_exit_bad;
@@ -121,14 +116,6 @@ impl FaultModel {
             duplicate: 0.0,
             jitter: Ticks::ZERO,
         }
-    }
-
-    /// True when the model can neither alter traffic nor consume RNG.
-    pub fn is_inert(&self) -> bool {
-        self.burst.is_inert()
-            && self.reorder == 0.0
-            && self.duplicate == 0.0
-            && self.jitter == Ticks::ZERO
     }
 
     /// Set the burst-loss channel.
@@ -303,24 +290,6 @@ impl fmt::Display for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inert_model_detected() {
-        assert!(FaultModel::none().is_inert());
-        assert!(!FaultModel::none().with_duplicate(0.1).is_inert());
-        assert!(!FaultModel::none()
-            .with_burst(GilbertElliott::bursty(0.05, 0.2, 0.8))
-            .is_inert());
-        // A chain that can never leave the good state and never loses
-        // there is inert regardless of its bad-state parameters.
-        let stuck_good = GilbertElliott {
-            p_enter_bad: 0.0,
-            p_exit_bad: 0.5,
-            loss_good: 0.0,
-            loss_bad: 1.0,
-        };
-        assert!(FaultModel::none().with_burst(stuck_good).is_inert());
-    }
 
     #[test]
     fn steady_state_loss_matches_chain() {

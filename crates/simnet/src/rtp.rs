@@ -12,19 +12,20 @@
 //! * [`RtpReceiver`] — a per-source reorder buffer that releases
 //!   packets in sequence order within a bounded window, skipping
 //!   over gaps once the window is exceeded (limited, not full,
-//!   reliability), and
+//!   reliability),
 //! * [`ReceiverReport`] — RTCP-RR-style statistics (fraction lost,
 //!   cumulative lost, highest sequence seen), and
 //! * [`Nack`] + the sender retransmit buffer — an RFC 4585-style
 //!   feedback loop: the receiver detects sequence gaps, NACKs them
 //!   with exponential backoff under a retransmit budget, and the
-//!   sender replays them from a bounded history, and
-//! * [`EcnEcho`] — an RFC 6679-style ECN feedback report: the
-//!   receiver counts packets that arrived Congestion-Experienced
-//!   (marked by a link's AQM instead of being dropped) via
-//!   [`RtpReceiver::push_marked`] and echoes the counts back, so the
-//!   sender-side adaptation loop can react to congestion *before*
-//!   any packet is lost.
+//!   sender replays them from a bounded history.
+//!
+//! ECN feedback rides the receiver report: the receiver counts packets
+//! that arrived Congestion-Experienced (marked by a link's AQM instead
+//! of being dropped) via [`RtpReceiver::push_marked`], and
+//! [`ReceiverReport::fraction_ecn_ce`] carries the share back, so the
+//! sender-side adaptation loop can react to congestion *before* any
+//! packet is lost.
 //!
 //! NACKs share the RTP version bits, so a NACK datagram *parses* as an
 //! RTP header; feedback must travel on its own port (as RTCP does).
@@ -36,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const RTP_HEADER_LEN: usize = 12;
 
 /// RTP protocol version we stamp (always 2, as in RFC 3550).
-pub const RTP_VERSION: u8 = 2;
+const RTP_VERSION: u8 = 2;
 
 /// Decoded RTP header fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +83,7 @@ impl RtpHeader {
 }
 
 /// RTCP payload type used for NACK feedback (RTPFB, RFC 4585).
-pub const RTCP_NACK_PT: u8 = 205;
+const RTCP_NACK_PT: u8 = 205;
 
 /// Negative acknowledgement: sequence numbers the receiver is missing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,67 +125,6 @@ impl Nack {
             .map(|c| u16::from_be_bytes([c[0], c[1]]))
             .collect();
         Some(Nack { ssrc, seqs })
-    }
-}
-
-/// RTCP payload type used for ECN feedback (after RFC 6679's ECN
-/// feedback format; carried as payload-specific feedback, PT 206).
-pub const RTCP_ECN_PT: u8 = 206;
-
-/// ECN echo: how much of the stream arrived Congestion-Experienced.
-///
-/// A link's AQM marks ECN-capable packets instead of dropping them;
-/// the receiver counts the marks and echoes them to the sender so the
-/// adaptation loop sees congestion while loss is still zero.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EcnEcho {
-    /// Stream the feedback refers to.
-    pub ssrc: u32,
-    /// Extended highest sequence number covered by the counts.
-    pub ext_highest_seq: u32,
-    /// Packets that arrived with the CE mark.
-    pub ce_count: u32,
-    /// Packets that arrived unmarked.
-    pub not_ce_count: u32,
-}
-
-impl EcnEcho {
-    /// Serialize: version byte, [`RTCP_ECN_PT`], then SSRC, extended
-    /// highest sequence, CE count and not-CE count, all big-endian.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(18);
-        out.push(RTP_VERSION << 6);
-        out.push(RTCP_ECN_PT);
-        out.extend_from_slice(&self.ssrc.to_be_bytes());
-        out.extend_from_slice(&self.ext_highest_seq.to_be_bytes());
-        out.extend_from_slice(&self.ce_count.to_be_bytes());
-        out.extend_from_slice(&self.not_ce_count.to_be_bytes());
-        out
-    }
-
-    /// Parse the wire form; `None` on wrong version/type or bad length.
-    pub fn decode(buf: &[u8]) -> Option<EcnEcho> {
-        if buf.len() != 18 || buf[0] >> 6 != RTP_VERSION || buf[1] != RTCP_ECN_PT {
-            return None;
-        }
-        let word = |i: usize| u32::from_be_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]);
-        Some(EcnEcho {
-            ssrc: word(2),
-            ext_highest_seq: word(6),
-            ce_count: word(10),
-            not_ce_count: word(14),
-        })
-    }
-
-    /// Fraction of the counted stream that arrived CE-marked, in
-    /// `[0, 1]`.
-    pub fn fraction_ce(&self) -> f64 {
-        let total = self.ce_count as u64 + self.not_ce_count as u64;
-        if total == 0 {
-            0.0
-        } else {
-            self.ce_count as f64 / total as f64
-        }
     }
 }
 
@@ -489,8 +429,7 @@ impl RtpReceiver {
     /// link's AQM may have set; see `simnet::net::Datagram::ecn_ce`).
     /// Marks are counted per decoded arrival — duplicates included,
     /// since each copy's mark is an independent congestion observation
-    /// — and surface in [`ReceiverReport::fraction_ecn_ce`] and the
-    /// [`EcnEcho`] feedback.
+    /// — and surface in [`ReceiverReport::fraction_ecn_ce`].
     pub fn push_marked(&mut self, raw: &[u8], ecn_ce: bool) -> Vec<RtpPacket> {
         let Some((header, body)) = RtpHeader::decode(raw) else {
             return Vec::new();
@@ -654,11 +593,6 @@ impl RtpReceiver {
         poll
     }
 
-    /// Detected gaps still awaiting repair.
-    pub fn missing_count(&self) -> usize {
-        self.missing.len()
-    }
-
     /// Current receiver-report statistics.
     pub fn report(&self) -> ReceiverReport {
         let total = self.received + self.lost;
@@ -685,18 +619,6 @@ impl RtpReceiver {
                 self.ce_arrivals as f64 / self.arrivals as f64
             },
         }
-    }
-
-    /// ECN feedback for the sender: the CE/not-CE counts observed so
-    /// far. `None` until the first packet arrives (no SSRC yet).
-    pub fn ecn_echo(&self) -> Option<EcnEcho> {
-        let ssrc = self.ssrc?;
-        Some(EcnEcho {
-            ssrc,
-            ext_highest_seq: self.highest_ext,
-            ce_count: self.ce_arrivals.min(u32::MAX as u64) as u32,
-            not_ce_count: (self.arrivals - self.ce_arrivals).min(u32::MAX as u64) as u32,
-        })
     }
 }
 
@@ -886,7 +808,6 @@ mod tests {
         let mut r = RtpReceiver::with_recovery(32, 1, base, 3);
         assert_eq!(r.push(&mk(0)).len(), 1);
         assert!(r.push(&mk(2)).is_empty(), "gap at 1");
-        assert_eq!(r.missing_count(), 1);
 
         let poll = r.poll_nacks(Ticks::from_millis(1));
         let nack = poll.nack.expect("gap is due immediately");
@@ -956,7 +877,10 @@ mod tests {
         let rep = r.report();
         assert_eq!((rep.lost, rep.recovered, rep.nacks_sent), (1, 0, 2));
         assert!((rep.fraction_lost - 0.25).abs() < 1e-9);
-        assert_eq!(r.missing_count(), 0);
+        assert!(
+            r.poll_nacks(Ticks::from_secs(10)).nack.is_none(),
+            "nothing left to repair"
+        );
     }
 
     #[test]
@@ -981,7 +905,6 @@ mod tests {
         r.push(&mk(5));
         let poll = r.poll_nacks(Ticks::from_millis(100));
         assert!(poll.nack.is_none() && poll.released.is_empty());
-        assert_eq!(r.missing_count(), 0, "no gap tracking when disabled");
     }
 
     #[test]
@@ -1006,28 +929,8 @@ mod tests {
     }
 
     #[test]
-    fn ecn_echo_wire_round_trip() {
-        let e = EcnEcho {
-            ssrc: 0xfeedface,
-            ext_highest_seq: 0x0001_0042,
-            ce_count: 7,
-            not_ce_count: 93,
-        };
-        assert_eq!(EcnEcho::decode(&e.encode()), Some(e));
-        assert!((e.fraction_ce() - 0.07).abs() < 1e-12);
-        assert_eq!(EcnEcho::decode(&[0u8; 4]), None, "too short");
-        let mut bad = e.encode();
-        bad[1] = RTCP_NACK_PT;
-        assert_eq!(EcnEcho::decode(&bad), None, "wrong payload type");
-        let mut long = e.encode();
-        long.push(0);
-        assert_eq!(EcnEcho::decode(&long), None, "bad length");
-    }
-
-    #[test]
-    fn ce_marks_counted_and_echoed() {
+    fn ce_marks_counted_in_the_report() {
         let mut r = RtpReceiver::new(8);
-        assert!(r.ecn_echo().is_none(), "no SSRC before first arrival");
         // 1 of 4 arrivals CE-marked; dup counted as its own observation.
         assert_eq!(r.push_marked(&mk(0), false).len(), 1);
         assert_eq!(r.push_marked(&mk(1), true).len(), 1);
@@ -1037,10 +940,6 @@ mod tests {
         assert_eq!(rep.ecn_ce, 1);
         assert!((rep.fraction_ecn_ce - 0.25).abs() < 1e-12);
         assert_eq!(rep.fraction_lost, 0.0, "ECN signals without loss");
-        let echo = r.ecn_echo().expect("stream started");
-        assert_eq!(echo.ssrc, 0xabcd);
-        assert_eq!((echo.ce_count, echo.not_ce_count), (1, 3));
-        assert!((echo.fraction_ce() - 0.25).abs() < 1e-12);
     }
 
     #[test]

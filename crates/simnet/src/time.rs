@@ -32,12 +32,6 @@ impl Ticks {
         Ticks(s * 1_000_000)
     }
 
-    /// Construct from fractional seconds (rounds to microseconds).
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "negative or non-finite time");
-        Ticks((s * 1e6).round() as u64)
-    }
-
     /// Value in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -169,7 +163,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(Ticks::from_millis(3).as_micros(), 3_000);
         assert_eq!(Ticks::from_secs(2).as_millis(), 2_000);
-        assert_eq!(Ticks::from_secs_f64(0.5).as_micros(), 500_000);
         assert!((Ticks::from_micros(1_500_000).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 

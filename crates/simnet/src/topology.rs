@@ -320,20 +320,10 @@ impl Topology {
         self.links[l.0 as usize].fault = model.map(FaultState::new);
     }
 
-    /// The fault model attached to link `l`, if any.
-    pub fn link_fault(&self, l: LinkId) -> Option<FaultModel> {
-        self.links[l.0 as usize].fault.as_ref().map(|s| s.model)
-    }
-
     /// Administratively raise or lower link `l`.
     pub fn set_link_up(&mut self, l: LinkId, up: bool) {
         self.links[l.0 as usize].up = up;
         self.epoch += 1;
-    }
-
-    /// Whether link `l` is up.
-    pub fn link_up(&self, l: LinkId) -> bool {
-        self.links[l.0 as usize].up
     }
 
     /// Take down every link with exactly one endpoint in `island`,
@@ -571,7 +561,6 @@ mod tests {
         let ab = t.connect(a, b, LinkSpec::lan());
         let bc = t.connect(b, c, LinkSpec::lan());
         let direct = t.connect(a, c, LinkSpec::wan());
-        assert!(t.link_up(direct));
         assert_eq!(links(&mut t, a, c), Some(vec![direct]));
         t.set_link_up(direct, false);
         assert_eq!(links(&mut t, a, c), Some(vec![ab, bc]));
@@ -595,18 +584,6 @@ mod tests {
         // Links wholly inside the island stay up.
         t.heal();
         assert!(t.route_cached(hub, leaves[0]).is_some());
-    }
-
-    #[test]
-    fn link_fault_attach_detach() {
-        let (mut t, _hub, _leaves) = star(1);
-        let l = LinkId(0);
-        assert!(t.link_fault(l).is_none());
-        let model = crate::faults::FaultModel::none().with_duplicate(0.25);
-        t.set_link_fault(l, Some(model));
-        assert_eq!(t.link_fault(l), Some(model));
-        t.set_link_fault(l, None);
-        assert!(t.link_fault(l).is_none());
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl Writer {
     }
 
     /// Write an integer under an arbitrary tag (Counter32, Gauge32...).
-    pub fn tagged_integer(&mut self, t: u8, v: i64) {
+    fn tagged_integer(&mut self, t: u8, v: i64) {
         let bytes = v.to_be_bytes();
         // Trim redundant leading bytes while preserving the sign bit.
         let mut start = 0;

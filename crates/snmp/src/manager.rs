@@ -57,7 +57,6 @@ impl SnmpManager {
         agents: &mut [&mut AgentRuntime],
         target: NodeId,
         kind: PduKind,
-        bulk: Option<(u32, u32)>,
         binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
     ) -> Result<Vec<VarBind>, SnmpError> {
         let request_id = self.next_request_id;
@@ -66,7 +65,7 @@ impl SnmpManager {
         net.send(
             self.socket,
             Addr::unicast(target, well_known::SNMP_AGENT),
-            encode_request(&self.community, kind, request_id, bulk, binds),
+            encode_request(&self.community, kind, request_id, binds),
         )
         .map_err(|e| SnmpError::Transport(e.to_string()))?;
 
@@ -99,7 +98,7 @@ impl SnmpManager {
         oids: &[Oid],
     ) -> Result<Vec<VarBind>, SnmpError> {
         let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
-        self.transact(net, agents, target, PduKind::GetRequest, None, binds)
+        self.transact(net, agents, target, PduKind::GetRequest, binds)
     }
 
     /// GET a single OID and coerce it to `f64` (the form the inference
@@ -127,7 +126,7 @@ impl SnmpManager {
         oids: &[Oid],
     ) -> Result<Vec<VarBind>, SnmpError> {
         let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
-        self.transact(net, agents, target, PduKind::GetNextRequest, None, binds)
+        self.transact(net, agents, target, PduKind::GetNextRequest, binds)
     }
 
     /// SET one variable.
@@ -140,57 +139,8 @@ impl SnmpManager {
         value: SnmpValue,
     ) -> Result<(), SnmpError> {
         let binds = std::iter::once((&oid, &value));
-        self.transact(net, agents, target, PduKind::SetRequest, None, binds)?;
+        self.transact(net, agents, target, PduKind::SetRequest, binds)?;
         Ok(())
-    }
-
-    /// GETBULK (RFC 3416): one round trip returning up to
-    /// `max_repetitions` successive variables after `oid`.
-    pub fn get_bulk(
-        &mut self,
-        net: &mut Network,
-        agents: &mut [&mut AgentRuntime],
-        target: NodeId,
-        oid: &Oid,
-        max_repetitions: u32,
-    ) -> Result<Vec<VarBind>, SnmpError> {
-        self.transact(
-            net,
-            agents,
-            target,
-            PduKind::GetBulkRequest,
-            Some((0, max_repetitions)),
-            std::iter::once((oid, &SnmpValue::Null)),
-        )
-    }
-
-    /// Walk an entire subtree with GETBULK batches — the round-trip
-    /// count drops by `max_repetitions` relative to [`Self::walk`].
-    pub fn walk_bulk(
-        &mut self,
-        net: &mut Network,
-        agents: &mut [&mut AgentRuntime],
-        target: NodeId,
-        root: &Oid,
-        max_repetitions: u32,
-    ) -> Result<Vec<VarBind>, SnmpError> {
-        assert!(max_repetitions >= 1);
-        let mut out: Vec<VarBind> = Vec::new();
-        let mut cursor = root.clone();
-        'outer: loop {
-            let batch = self.get_bulk(net, agents, target, &cursor, max_repetitions)?;
-            if batch.is_empty() {
-                break;
-            }
-            for vb in batch {
-                if vb.value == SnmpValue::EndOfMibView || !vb.name.starts_with(root) {
-                    break 'outer;
-                }
-                cursor = vb.name.clone();
-                out.push(vb);
-            }
-        }
-        Ok(out)
     }
 
     /// Walk an entire subtree with repeated GETNEXT, stopping at the
@@ -278,63 +228,6 @@ mod tests {
                 arcs::host_mem_avail()
             ]
         );
-    }
-
-    #[test]
-    fn bulk_walk_matches_getnext_walk() {
-        let (mut net, mut mgr, mut rt, host) = world();
-        let walked = mgr
-            .walk(&mut net, &mut [&mut rt], host, &arcs::tassl())
-            .unwrap();
-        let bulked = mgr
-            .walk_bulk(&mut net, &mut [&mut rt], host, &arcs::tassl(), 2)
-            .unwrap();
-        assert_eq!(walked, bulked, "same subtree either way");
-        let big_batch = mgr
-            .walk_bulk(&mut net, &mut [&mut rt], host, &arcs::tassl(), 50)
-            .unwrap();
-        assert_eq!(walked, big_batch);
-    }
-
-    #[test]
-    fn bulk_walk_uses_far_fewer_round_trips_on_a_table() {
-        // An ifTable-style MIB with 64 rows.
-        let mut net = Network::new(17);
-        let (_sw, hosts) = net.lan(&["station", "bigrouter"], LinkSpec::lan());
-        let mut agent = SnmpAgent::new("bigrouter", "public", None);
-        for i in 1..=64u32 {
-            agent
-                .mib_mut()
-                .register_scalar(arcs::if_speed(i), SnmpValue::Gauge32(i * 1000));
-        }
-        let mut rt = AgentRuntime::bind(&mut net, hosts[1], agent).unwrap();
-        let root = Oid::new(&[1, 3, 6, 1, 2, 1, 2, 2, 1, 5]);
-
-        let mut mgr = SnmpManager::bind(&mut net, hosts[0], Port(31000), "public").unwrap();
-        let walked = mgr.walk(&mut net, &mut [&mut rt], hosts[1], &root).unwrap();
-        let getnext_rtts = mgr.requests_sent;
-        assert_eq!(walked.len(), 64);
-
-        let mut mgr2 = SnmpManager::bind(&mut net, hosts[0], Port(31001), "public").unwrap();
-        let bulked = mgr2
-            .walk_bulk(&mut net, &mut [&mut rt], hosts[1], &root, 32)
-            .unwrap();
-        let bulk_rtts = mgr2.requests_sent;
-        assert_eq!(bulked, walked);
-        assert!(
-            bulk_rtts * 10 <= getnext_rtts,
-            "bulk {bulk_rtts} vs getnext {getnext_rtts} round trips"
-        );
-    }
-
-    #[test]
-    fn get_bulk_single_round_trip() {
-        let (mut net, mut mgr, mut rt, host) = world();
-        let binds = mgr
-            .get_bulk(&mut net, &mut [&mut rt], host, &Oid::new(&[1, 3]), 3)
-            .unwrap();
-        assert_eq!(binds.len(), 3);
-        assert_eq!(binds[0].name, arcs::sys_descr());
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl MibTree {
         });
     }
 
-    /// Remove a variable; returns whether it existed.
-    pub fn unregister(&mut self, oid: &Oid) -> bool {
-        self.entries.remove(oid).is_some()
-    }
-
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -262,14 +257,5 @@ mod tests {
             SetOutcome::Ok
         );
         assert_eq!(mib.get(&arcs::sys_name()), Some(SnmpValue::string("new")));
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut mib = MibTree::new();
-        mib.register_scalar(arcs::sys_descr(), SnmpValue::Null);
-        assert!(mib.unregister(&arcs::sys_descr()));
-        assert!(!mib.unregister(&arcs::sys_descr()));
-        assert!(mib.is_empty());
     }
 }

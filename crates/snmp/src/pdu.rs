@@ -16,7 +16,7 @@ use crate::value::SnmpValue;
 use crate::SnmpError;
 
 /// Protocol version constant for SNMPv2c on the wire.
-pub const VERSION_2C: i64 = 1;
+const VERSION_2C: i64 = 1;
 
 /// PDU operation kinds the framework uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -168,6 +168,7 @@ impl Pdu {
     /// A GETBULK request (RFC 3416): the first `non_repeaters` names
     /// get one GETNEXT each; every further name is stepped
     /// `max_repetitions` times.
+    #[cfg(test)]
     pub fn bulk_request(
         request_id: i32,
         non_repeaters: u32,
@@ -250,13 +251,10 @@ pub(crate) fn encode_request<'a>(
     community: &str,
     kind: PduKind,
     request_id: i32,
-    bulk: Option<(u32, u32)>,
     binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
 ) -> Vec<u8> {
-    let (non_repeaters, max_repetitions) = bulk.unwrap_or((0, 0));
-    let fields = (non_repeaters as i64, max_repetitions as i64);
     let mut w = Writer::with_capacity(ENCODE_RESERVE);
-    encode_message(&mut w, community, kind, request_id, fields, binds);
+    encode_message(&mut w, community, kind, request_id, (0, 0), binds);
     w.into_bytes()
 }
 
@@ -510,13 +508,8 @@ mod tests {
         let names = [arcs::host_cpu_load(), arcs::host_page_faults()];
         let binds = || names.iter().map(|n| (n, &SnmpValue::Null));
         assert_eq!(
-            encode_request("public", PduKind::GetRequest, 0x0102_0304, None, binds()),
+            encode_request("public", PduKind::GetRequest, 0x0102_0304, binds()),
             sample().encode()
-        );
-        let bulk = Pdu::bulk_request(9, 1, 20, names.to_vec());
-        assert_eq!(
-            encode_request("public", PduKind::GetBulkRequest, 9, Some((1, 20)), binds()),
-            Message::new("public", bulk).encode()
         );
     }
 }

@@ -61,14 +61,6 @@ impl SnmpValue {
         }
     }
 
-    /// True for the three v2c exception markers.
-    pub fn is_exception(&self) -> bool {
-        matches!(
-            self,
-            SnmpValue::NoSuchObject | SnmpValue::NoSuchInstance | SnmpValue::EndOfMibView
-        )
-    }
-
     /// BER-encode into `w`.
     pub fn encode(&self, w: &mut Writer) {
         match self {
@@ -173,12 +165,6 @@ mod tests {
         assert_eq!(SnmpValue::Integer(-1).as_u32(), None);
         assert_eq!(SnmpValue::Integer(7).as_u32(), Some(7));
         assert_eq!(SnmpValue::Counter32(9).as_u32(), Some(9));
-    }
-
-    #[test]
-    fn exceptions_flagged() {
-        assert!(SnmpValue::EndOfMibView.is_exception());
-        assert!(!SnmpValue::Null.is_exception());
     }
 
     #[test]

@@ -43,17 +43,6 @@ impl Default for PathLossModel {
 }
 
 impl PathLossModel {
-    /// Free-space-like model (α = 2).
-    pub fn free_space() -> Self {
-        PathLossModel {
-            k: 1.0,
-            alpha: 2.0,
-            shadowing_sigma_db: 0.0,
-            epoch: 0,
-            noise_floor_mw: 1e-8,
-        }
-    }
-
     /// Enable log-normal shadowing with the given σ (dB).
     pub fn with_shadowing(mut self, sigma_db: f64) -> Self {
         assert!(sigma_db >= 0.0);
@@ -73,7 +62,7 @@ impl PathLossModel {
 
 /// Deterministic standard-normal draw keyed by a label and epoch
 /// (splitmix64 hash → Box–Muller). Used for shadowing.
-pub fn keyed_standard_normal(key: &str, epoch: u64) -> f64 {
+fn keyed_standard_normal(key: &str, epoch: u64) -> f64 {
     let mut h: u64 = 0x9e37_79b9_7f4a_7c15 ^ epoch.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     for b in key.bytes() {
         h ^= b as u64;
@@ -125,7 +114,10 @@ mod tests {
 
     #[test]
     fn alpha_controls_slope() {
-        let fs = PathLossModel::free_space();
+        let fs = PathLossModel {
+            alpha: 2.0,
+            ..PathLossModel::default()
+        };
         let urban = PathLossModel::default();
         // Doubling distance: -6 dB at α=2, -12 dB at α=4.
         let fs_drop = to_db(fs.gain(1.0) / fs.gain(2.0));

@@ -25,11 +25,6 @@ impl DistanceSchedule {
         }
     }
 
-    /// A constant distance.
-    pub fn constant(d: f64) -> DistanceSchedule {
-        DistanceSchedule::new(&[(0.0, d)])
-    }
-
     /// Figure 8's client A trajectory: approach from 100 m to 50 m over
     /// x-points 0–3, then back out to 100 m by point 5.
     pub fn figure8_client_a() -> DistanceSchedule {
@@ -88,7 +83,7 @@ mod tests {
 
     #[test]
     fn constant_schedule() {
-        let s = DistanceSchedule::constant(75.0);
+        let s = DistanceSchedule::new(&[(0.0, 75.0)]);
         assert!(s.samples(5).iter().all(|&d| d == 75.0));
     }
 

@@ -74,7 +74,7 @@ pub fn equal_factor_scaling(clients: &[ClientRadio], factor: f64) -> Vec<ClientR
 /// `bits_per_frame` bits — the standard modification used in the
 /// power-control literature (including Goodman–Mandayam) with
 /// `f(0) = 0`, so that utility does not diverge as power goes to zero.
-pub fn frame_success(sir_linear_value: f64, bits_per_frame: u32) -> f64 {
+fn frame_success(sir_linear_value: f64, bits_per_frame: u32) -> f64 {
     assert!(sir_linear_value >= 0.0);
     (1.0 - (-sir_linear_value).exp()).powi(bits_per_frame as i32)
 }

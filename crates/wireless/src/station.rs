@@ -18,7 +18,7 @@ use crate::sir::{sir_db, sir_linear, ClientRadio};
 /// base station's per-client profile (§4.2) — what the radio can
 /// actually carry, which the QoS manager compares against each
 /// modality's payload size.
-pub fn achievable_rate_bps(sir_linear_value: f64, bandwidth_hz: f64) -> f64 {
+fn achievable_rate_bps(sir_linear_value: f64, bandwidth_hz: f64) -> f64 {
     assert!(sir_linear_value >= 0.0 && bandwidth_hz > 0.0);
     bandwidth_hz * (1.0 + sir_linear_value).log2()
 }
@@ -169,7 +169,7 @@ impl BaseStation {
 
     /// Admission check: would adding `candidate` keep every client
     /// (including the candidate) at or above the text threshold?
-    pub fn can_admit(&self, candidate: &ClientRadio) -> Result<(), StationError> {
+    fn can_admit(&self, candidate: &ClientRadio) -> Result<(), StationError> {
         let mut projected = self.clients.clone();
         projected.push(candidate.clone());
         let floor = self.thresholds.text_db;

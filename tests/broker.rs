@@ -8,10 +8,7 @@
 //! brokers and the gateway included.
 
 use collabqos::broker::Overlay;
-use collabqos::core::experiments::{
-    run_fig10, run_fig10_brokered, run_fig6_brokered, run_fig6_with, run_fig7_brokered,
-    run_fig7_with,
-};
+use collabqos::core::experiments::{run_fig10, run_fig10_brokered, run_fig6, run_fig7};
 use collabqos::prelude::*;
 use collabqos::sempubsub::BusEndpoint;
 use collabqos::simnet::packet::well_known;
@@ -223,18 +220,29 @@ fn brokered_rejections_become_suppressions() {
 
 // ------------------------------------------------- figure bit-identity
 
+/// A Fig 6/7 session at `seed` with `workers` threads, flat or over a
+/// 3-broker overlay.
+fn viewer_cfg(seed: u64, workers: usize, domains: Option<usize>) -> SessionConfig {
+    SessionConfig {
+        seed,
+        workers,
+        domains,
+        ..SessionConfig::default()
+    }
+}
+
 #[test]
 fn brokered_fig6_bit_identical_to_flat() {
-    let flat = run_fig6_with(7, 1);
-    assert_eq!(run_fig6_brokered(7, 1), flat, "workers 1");
-    assert_eq!(run_fig6_brokered(7, 4), flat, "workers 4");
+    let flat = run_fig6(viewer_cfg(7, 1, None));
+    assert_eq!(run_fig6(viewer_cfg(7, 1, Some(3))), flat, "workers 1");
+    assert_eq!(run_fig6(viewer_cfg(7, 4, Some(3))), flat, "workers 4");
 }
 
 #[test]
 fn brokered_fig7_bit_identical_to_flat() {
-    let flat = run_fig7_with(42, 1);
-    assert_eq!(run_fig7_brokered(42, 1), flat, "workers 1");
-    assert_eq!(run_fig7_brokered(42, 4), flat, "workers 4");
+    let flat = run_fig7(viewer_cfg(42, 1, None));
+    assert_eq!(run_fig7(viewer_cfg(42, 1, Some(3))), flat, "workers 1");
+    assert_eq!(run_fig7(viewer_cfg(42, 4, Some(3))), flat, "workers 4");
 }
 
 #[test]

@@ -6,9 +6,7 @@
 //! and that inert fault configuration leaves the paper's figure series
 //! bit-identical.
 
-use collabqos::core::experiments::{
-    run_fig10, run_fig6, run_fig6_faulted, run_fig7, run_fig7_faulted,
-};
+use collabqos::core::experiments::{run_fig10, run_fig6, run_fig7};
 use collabqos::prelude::*;
 use collabqos::simnet::rtp::{Nack, ReceiverReport, RtpReceiver, RtpSender};
 use collabqos::simnet::{
@@ -486,15 +484,20 @@ fn ecn_congestion_downgrades_modality_with_zero_loss() {
 /// bit-identical — inert models draw nothing from the seeded RNG.
 #[test]
 fn zero_fault_rates_leave_figures_bit_identical() {
+    let cfg = |seed, fault| SessionConfig {
+        seed,
+        fault,
+        ..SessionConfig::default()
+    };
     let inert = Some(FaultModel::none());
     assert_eq!(
-        run_fig6_faulted(7, 1, inert),
-        run_fig6(7),
+        run_fig6(cfg(7, inert)),
+        run_fig6(cfg(7, None)),
         "fig6 perturbed by an inert fault model"
     );
     assert_eq!(
-        run_fig7_faulted(42, 1, inert),
-        run_fig7(42),
+        run_fig7(cfg(42, inert)),
+        run_fig7(cfg(42, None)),
         "fig7 perturbed by an inert fault model"
     );
     // Fig 10 is network-free; it must simply stay deterministic.
@@ -510,11 +513,17 @@ fn zero_fault_rates_leave_figures_bit_identical() {
 #[test]
 fn faulted_figures_identical_across_worker_counts() {
     let active = Some(FaultModel::none().with_burst(GilbertElliott::bursty(0.02, 0.3, 0.5)));
-    let serial6 = run_fig6_faulted(7, 1, active);
-    assert_eq!(run_fig6_faulted(7, 4, active), serial6, "fig6, workers 4");
-    assert_eq!(run_fig6_faulted(7, 1, active), serial6, "fig6, rerun");
-    let serial7 = run_fig7_faulted(42, 1, active);
-    assert_eq!(run_fig7_faulted(42, 4, active), serial7, "fig7, workers 4");
+    let cfg = |seed, workers| SessionConfig {
+        seed,
+        workers,
+        fault: active,
+        ..SessionConfig::default()
+    };
+    let serial6 = run_fig6(cfg(7, 1));
+    assert_eq!(run_fig6(cfg(7, 4)), serial6, "fig6, workers 4");
+    assert_eq!(run_fig6(cfg(7, 1)), serial6, "fig6, rerun");
+    let serial7 = run_fig7(cfg(42, 1));
+    assert_eq!(run_fig7(cfg(42, 4)), serial7, "fig7, workers 4");
 }
 
 // ------------------------------------------------- session under a plan

@@ -4,7 +4,7 @@
 //! where the crossovers fall — not absolute 2002-testbed numbers.
 
 use collabqos::core::experiments::*;
-use collabqos::prelude::Modality;
+use collabqos::prelude::{Modality, SessionConfig};
 
 /// FNV-1a over 64-bit words: the SIR bits, modalities and counts of a
 /// wireless series, so a change that moves one dB in one row shows.
@@ -56,9 +56,40 @@ fn wireless_series_are_pinned() {
     assert_eq!(got, CAPACITY_40, "capacity curve: got {got:#018x}");
 }
 
+fn viewer_digest(rows: &[ViewerRow]) -> u64 {
+    digest(rows.iter().flat_map(|r| {
+        [
+            r.x.to_bits(),
+            u64::from(r.packets),
+            r.compression_ratio.to_bits(),
+            r.bpp.to_bits(),
+        ]
+    }))
+}
+
+/// The §6.1–6.2 image-viewer series by value: Fig 6 at two seeds and
+/// Fig 7, every row's swept value, packets, CR and bpp. Fig 6's two
+/// seeds read one digest: the packet budget, not the scene, sets how
+/// many bits a viewer keeps.
+#[test]
+fn viewer_series_are_pinned() {
+    const FIG6: u64 = 0x6ee0_e326_4cc1_492c;
+    const FIG7_42: u64 = 0x2ca8_f9b3_db36_96bb;
+    for seed in [42, 7] {
+        let cfg = SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        };
+        let got = viewer_digest(&run_fig6(cfg));
+        assert_eq!(got, FIG6, "fig6 seed {seed}: got {got:#018x}");
+    }
+    let got = viewer_digest(&run_fig7(SessionConfig::default()));
+    assert_eq!(got, FIG7_42, "fig7 seed 42: got {got:#018x}");
+}
+
 #[test]
 fn figure6_page_fault_series() {
-    let rows = run_fig6(42);
+    let rows = run_fig6(SessionConfig::default());
     assert_eq!(rows.len(), 8, "page faults swept 30..100");
     // Graph 1: packets fall 16 -> 1 in powers of two.
     assert_eq!(rows[0].packets, 16);
@@ -84,7 +115,7 @@ fn figure6_page_fault_series() {
 
 #[test]
 fn figure7_cpu_load_series() {
-    let rows = run_fig7(42);
+    let rows = run_fig7(SessionConfig::default());
     assert_eq!(rows[0].packets, 16);
     assert_eq!(rows[7].packets, 0, "suspended at 100% CPU");
     // Colour source: BPP starts in the paper's double-digit regime.

@@ -8,9 +8,7 @@
 //! sharding cannot be seen in them.
 
 use collabqos::core::concurrency::LockManager;
-use collabqos::core::experiments::{
-    run_fig6, run_fig6_with, run_fig7, run_fig7_with, run_parallel_scaling,
-};
+use collabqos::core::experiments::{run_fig6, run_fig7, run_parallel_scaling};
 use collabqos::core::session::ClientId;
 use collabqos::core::shard;
 use collabqos::prelude::*;
@@ -81,17 +79,29 @@ fn lock_manager_grants_in_lamport_order_under_contention() {
 
 // ------------------------------------------------ figure determinism
 
+fn viewer_cfg(seed: u64, workers: usize) -> SessionConfig {
+    SessionConfig {
+        seed,
+        workers,
+        ..SessionConfig::default()
+    }
+}
+
 #[test]
 fn fig6_series_identical_across_worker_counts() {
-    let serial = run_fig6(7);
-    assert_eq!(run_fig6_with(7, 4), serial);
+    let serial = run_fig6(viewer_cfg(7, 1));
+    assert_eq!(run_fig6(viewer_cfg(7, 4)), serial);
 }
 
 #[test]
 fn fig7_series_identical_across_worker_counts() {
-    let serial = run_fig7(42);
+    let serial = run_fig7(viewer_cfg(42, 1));
     for workers in [2, 4, 8] {
-        assert_eq!(run_fig7_with(42, workers), serial, "workers = {workers}");
+        assert_eq!(
+            run_fig7(viewer_cfg(42, workers)),
+            serial,
+            "workers = {workers}"
+        );
     }
 }
 
