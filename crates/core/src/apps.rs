@@ -3,11 +3,12 @@
 //! the experiments measure.
 
 use crate::concurrency::LamportClock;
-use crate::events::AppEvent;
+use crate::events::{AppEvent, EventView};
 use media::ezw::{self, decode_image_reduced_with, DecodeScratch};
-use media::packetize::{reassemble_prefix, MediaPacket};
+use media::packetize::{reassemble_stripes, PacketView};
 use media::{bits_per_pixel, compression_ratio, Image, MediaError};
-use std::collections::{HashMap, VecDeque};
+use sempubsub::SemanticMessage;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 // --------------------------------------------------------------- chat
@@ -20,10 +21,11 @@ pub struct ChatArea {
 }
 
 impl ChatArea {
-    /// Apply a chat event.
-    pub fn apply(&mut self, ev: &AppEvent) {
-        if let AppEvent::Chat { author, text } = ev {
-            self.log.push((author.clone(), text.clone()));
+    /// Apply a chat event, read in place: the log's own copy of its
+    /// author and text is all it allocates.
+    pub fn apply(&mut self, ev: &EventView<'_>) {
+        if let EventView::Chat { author, text } = *ev {
+            self.log.push((author.to_owned(), text.to_owned()));
         }
     }
 }
@@ -298,7 +300,31 @@ const FINISHED_WINDOW: usize = 64;
 #[derive(Debug, Default)]
 struct PendingImage {
     meta: Option<ImageMeta>,
-    packets: Vec<MediaPacket>,
+    /// Accepted stripes, one per index, in index order.
+    stripes: Vec<HeldStripe>,
+}
+
+/// An accepted stripe, held until its prefix completes: its header, and
+/// the message it arrived in — shared, not copied — whose body ends
+/// with its payload from `start` on.
+#[derive(Debug)]
+struct HeldStripe {
+    index: u16,
+    total: u16,
+    full_len: u32,
+    message: Arc<SemanticMessage>,
+    start: usize,
+}
+
+impl HeldStripe {
+    fn view(&self) -> PacketView<'_> {
+        PacketView {
+            index: self.index,
+            total: self.total,
+            full_len: self.full_len,
+            payload: &self.message.body[self.start..],
+        }
+    }
 }
 
 /// The adaptive image viewer.
@@ -308,6 +334,11 @@ struct PendingImage {
 /// as soon as the accepted prefix is complete. With a budget of zero it
 /// falls back to the caption (the text description in the image
 /// metadata).
+///
+/// A delivered packet is held in place
+/// ([`ImageViewer::apply_delivered`]): the viewer keeps a reference to
+/// the message it arrived in, shared with every other receiver, and
+/// copies its payload only once, into the reassembled container.
 #[derive(Debug)]
 pub struct ImageViewer {
     budget: u32,
@@ -421,49 +452,91 @@ impl ImageViewer {
     /// many newer objects have finished is not recognised and opens a
     /// pending entry as a new object would.
     pub fn apply(&mut self, ev: &AppEvent) -> Option<ViewedImage> {
-        match ev {
-            AppEvent::ImageMeta {
+        if !matches!(
+            ev,
+            AppEvent::ImageMeta { .. } | AppEvent::ImagePacket { .. }
+        ) {
+            return None;
+        }
+        // Held as a delivered event is: in a message of its own.
+        let message = Arc::new(SemanticMessage {
+            sender: String::new(),
+            kind: ev.kind().to_string(),
+            selector: String::new(),
+            seq: 0,
+            content: BTreeMap::new(),
+            body: ev.encode(),
+        });
+        let view = EventView::parse(&message.body).expect("an encoded event parses");
+        self.apply_delivered(&view, &message)
+    }
+
+    /// [`ImageViewer::apply`] for an event read in place: `ev` is
+    /// [`EventView::parse`] of `message`'s body. An accepted packet is
+    /// held as a clone of the `Arc` and the payload's offset in the
+    /// body — its bytes are not copied until the prefix reassembles.
+    pub fn apply_delivered(
+        &mut self,
+        ev: &EventView<'_>,
+        message: &Arc<SemanticMessage>,
+    ) -> Option<ViewedImage> {
+        match *ev {
+            EventView::ImageMeta {
                 object_id,
                 caption,
                 original_bytes,
                 pixels,
                 total_packets,
             } => {
-                if self.finished.contains(object_id) {
+                if self.finished.contains(&object_id) {
                     return None;
                 }
-                let entry = self.pending.entry(*object_id).or_default();
-                entry.meta = Some(ImageMeta {
-                    caption: caption.clone(),
-                    original_bytes: *original_bytes,
-                    pixels: *pixels,
-                    total_packets: *total_packets,
-                });
                 // A zero-packet announcement is a text-only share; a
                 // zero budget means this client cannot afford pixels.
                 // Either way the caption is the delivered modality.
-                if self.budget == 0 || *total_packets == 0 {
-                    self.text_fallbacks.push((*object_id, caption.clone()));
-                    self.finish(*object_id);
+                if self.budget == 0 || total_packets == 0 {
+                    self.text_fallbacks.push((object_id, caption.to_owned()));
+                    self.finish(object_id);
                     return None;
                 }
-                self.try_complete(*object_id)
+                let want = self.budget.min(u32::from(total_packets)) as usize;
+                let entry = self.pending.entry(object_id).or_default();
+                entry.meta = Some(ImageMeta {
+                    caption: caption.to_owned(),
+                    original_bytes,
+                    pixels,
+                    total_packets,
+                });
+                let missing = want.saturating_sub(entry.stripes.len());
+                entry.stripes.reserve_exact(missing);
+                self.try_complete(object_id)
             }
-            AppEvent::ImagePacket { object_id, packet } => {
+            EventView::ImagePacket { object_id, packet } => {
                 // A duplicated or re-sent packet of a finished object
                 // would otherwise open an entry nothing ever closes.
-                if self.finished.contains(object_id)
-                    || (!self.pending.contains_key(object_id) && self.budget == 0)
-                    || packet.index as u32 >= self.budget
+                if self.finished.contains(&object_id)
+                    || (!self.pending.contains_key(&object_id) && self.budget == 0)
+                    || u32::from(packet.index) >= self.budget
                 {
                     self.packets_discarded += 1;
                     return None;
                 }
-                let entry = self.pending.entry(*object_id).or_default();
-                if entry.packets.iter().all(|p| p.index != packet.index) {
-                    entry.packets.push(packet.clone());
+                let entry = self.pending.entry(object_id).or_default();
+                if let Err(at) = entry
+                    .stripes
+                    .binary_search_by_key(&packet.index, |s| s.index)
+                {
+                    let stripe = HeldStripe {
+                        index: packet.index,
+                        total: packet.total,
+                        full_len: packet.full_len,
+                        message: Arc::clone(message),
+                        // The payload is the tail of the body.
+                        start: message.body.len() - packet.payload.len(),
+                    };
+                    entry.stripes.insert(at, stripe);
                 }
-                self.try_complete(*object_id)
+                self.try_complete(object_id)
             }
             _ => None,
         }
@@ -477,18 +550,21 @@ impl ImageViewer {
         if want == 0 {
             return None;
         }
-        // Stored indices are distinct (`apply` refuses duplicates), so
-        // `want` of them below `want` are the whole prefix;
-        // `reassemble_prefix` orders and verifies it.
-        let in_prefix = |p: &MediaPacket| (p.index as usize) < want;
-        if entry.packets.iter().filter(|p| in_prefix(p)).count() < want {
+        // Held indices are distinct and in order, so the prefix is
+        // complete when the `want`-th of them is `want - 1`;
+        // `reassemble_stripes` verifies it.
+        if entry
+            .stripes
+            .get(want - 1)
+            .is_none_or(|s| usize::from(s.index) != want - 1)
+        {
             return None;
         }
         let entry = self.finish(object_id)?;
         let meta = entry.meta.expect("checked above");
-        let prefix: Vec<MediaPacket> = entry.packets.into_iter().filter(in_prefix).collect();
-        let received_bytes: usize = prefix.iter().map(|p| p.payload.len()).sum();
-        let container = Arc::new(reassemble_prefix(&prefix).ok()?);
+        let prefix = &entry.stripes[..want];
+        let received_bytes: usize = prefix.iter().map(|s| s.view().payload.len()).sum();
+        let container = Arc::new(reassemble_stripes(prefix.iter().map(HeldStripe::view)).ok()?);
         // The stream's own header sizes what decoding allocates: drop
         // an object that is not the size its announcement promised.
         let (w, h) = ezw::container_dimensions(&container).ok()?;
@@ -585,9 +661,9 @@ mod tests {
     #[test]
     fn chat_appends() {
         let mut chat = ChatArea::default();
-        chat.apply(&AppEvent::Chat {
-            author: "a".into(),
-            text: "hi".into(),
+        chat.apply(&EventView::Chat {
+            author: "a",
+            text: "hi",
         });
         assert_eq!(chat.log, vec![("a".to_string(), "hi".to_string())]);
     }

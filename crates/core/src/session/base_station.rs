@@ -54,6 +54,9 @@ pub struct BsPeer {
     /// profile) replaces a parse per message and a tree walk per
     /// profile.
     pub matcher: sempubsub::MatchEngine,
+    /// The frames one relay drained, kept between relays so a steady
+    /// relay allocates no buffer.
+    inbox: Vec<Frame>,
 }
 
 impl BsPeer {
@@ -63,12 +66,14 @@ impl BsPeer {
     /// the BS "manages QoS on their behalf"; full radio-frame
     /// simulation is abstracted to the delivery record).
     pub(super) fn relay(&mut self, net: &mut Network) {
-        for frame in self.bus.receive(net) {
-            let Frame::Message { message, program } = &frame else {
+        let mut frames = std::mem::take(&mut self.inbox);
+        self.bus.receive(net, &mut frames);
+        for frame in &frames {
+            let Frame::Message { message, program } = frame else {
                 // Nothing to relay. The endpoint's one counting
                 // path books it as malformed or bad-selector; a
                 // frame without a program evaluates nothing.
-                self.bus.interpret_frames(std::slice::from_ref(&frame));
+                self.bus.decide(std::slice::from_ref(frame), |_, _| ());
                 continue;
             };
             for (id, profile) in &self.wireless_profiles {
@@ -79,11 +84,7 @@ impl BsPeer {
                 if !matched {
                     continue;
                 }
-                let modality = self
-                    .station
-                    .assess(id)
-                    .map(|a| a.modality)
-                    .unwrap_or(Modality::None);
+                let modality = self.station.modality(id).unwrap_or(Modality::None);
                 if modality > Modality::None {
                     self.downlink_log.push(DownlinkDelivery {
                         client: id.clone(),
@@ -93,6 +94,8 @@ impl BsPeer {
                 }
             }
         }
+        frames.clear();
+        self.inbox = frames;
     }
 
     /// The uplink: publish `events` into the session on the client's
@@ -167,6 +170,7 @@ impl CollaborationSession {
             wireless_profiles: BTreeMap::new(),
             downlink_log: Vec::new(),
             matcher: sempubsub::MatchEngine::with_store(self.selectors.clone()),
+            inbox: Vec::new(),
         });
         Ok(())
     }

@@ -212,7 +212,7 @@ impl CollaborationSession {
     /// threads and returned in client order (identical to calling
     /// [`CollaborationSession::adapt`] for each client in turn).
     pub fn adapt_all(&mut self) -> Vec<AdaptationDecision> {
-        let states = (0..self.clients.len())
+        let states: Vec<_> = (0..self.clients.len())
             .map(|id| self.sample_state(id))
             .collect();
         crate::shard::map_shards(

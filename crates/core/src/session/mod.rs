@@ -42,6 +42,7 @@ use sempubsub::{BusEndpoint, CacheStatsHandle, Frame, SelectorStore};
 use simnet::{GroupId, LinkSpec, Network, NodeId, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
+use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use sysmon::SimHost;
@@ -229,6 +230,11 @@ pub struct CollaborationSession {
     /// decodes through it, so a prefix of a shared object is decoded
     /// once per session, not once per viewer holding it.
     views: ViewStore,
+    /// What one pump drained from every client's socket, client after
+    /// client, and each client's span of it. Cleared after each pump,
+    /// never freed, so a steady-state pump allocates neither.
+    inbox: Vec<Frame>,
+    spans: Vec<Range<usize>>,
 }
 
 impl CollaborationSession {
@@ -300,6 +306,8 @@ impl CollaborationSession {
             plan_watchers: Vec::new(),
             media_cache: MediaCache::with_capacity(32),
             views: ViewStore::new(),
+            inbox: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -364,12 +372,15 @@ impl CollaborationSession {
     /// Returns images completed during this step, tagged by client.
     ///
     /// Reception is a three-phase pipeline: (1) the shared network is
-    /// drained serially (one inbox per client) and each drained buffer
+    /// drained serially, every client's socket into one session-owned
+    /// buffer of frames (a span per client), each drained buffer
     /// resolved to its shared [`Frame`] — decoded and compiled once per
     /// session, not once per receiver, (2) interpretation against the
     /// client's own profile + application run per client, sharded
-    /// across `SessionConfig::workers` threads, (3) results merge back
-    /// in client order — the same order the serial loop produces, so
+    /// across `SessionConfig::workers` threads: each accepted event is
+    /// read in place over the shared message and its application copies
+    /// out only what it keeps, (3) results merge back in client order —
+    /// the same order the serial loop produces, so
     /// any worker count is bit-identical to `workers: 1`, the selector
     /// store's counters included (only phase 1 touches that store) and
     /// the view store's too (in phase 2 the first viewer to ask for a
@@ -384,17 +395,19 @@ impl CollaborationSession {
         } else {
             self.net.run_for(d);
         }
-        let received: Vec<Vec<Frame>> = self
-            .clients
-            .iter_mut()
-            .map(|c| c.bus.receive(&mut self.net))
-            .collect();
+        for client in &mut self.clients {
+            let start = self.inbox.len();
+            client.bus.receive(&mut self.net, &mut self.inbox);
+            self.spans.push(start..self.inbox.len());
+        }
+        let inbox = &self.inbox;
         let per_client = crate::shard::map_shards(
             &mut self.clients,
-            received,
+            self.spans.drain(..).map(|span| &inbox[span]),
             self.cfg.workers,
             |_, client, frames| Self::apply_frames(client, frames),
         );
+        self.inbox.clear();
         let completed: Vec<(ClientId, ViewedImage)> = per_client
             .into_iter()
             .enumerate()

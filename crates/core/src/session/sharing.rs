@@ -5,7 +5,7 @@
 use super::{ClientId, ClientRuntime, CollaborationSession};
 use crate::apps::ViewedImage;
 use crate::concurrency::LockOutcome;
-use crate::events::AppEvent;
+use crate::events::{AppEvent, EventView};
 use crate::state_repo::ObjectState;
 use media::image::Scene;
 use media::packetize::{split_packets, MediaPacket};
@@ -136,17 +136,14 @@ impl CollaborationSession {
     }
 
     /// Multicast one small application event from a wired client with
-    /// an empty content description.
+    /// an empty content description. An event the codec refuses
+    /// ([`AppEvent::try_encode`]) fails the call before anything is
+    /// sent.
     fn publish_event(&mut self, id: ClientId, ev: &AppEvent, selector: &str) -> Result<(), String> {
+        let body = ev.try_encode()?;
         self.clients[id]
             .bus
-            .publish(
-                &mut self.net,
-                ev.kind(),
-                selector,
-                BTreeMap::new(),
-                ev.encode(),
-            )
+            .publish(&mut self.net, ev.kind(), selector, BTreeMap::new(), body)
             .map(drop)
             .map_err(|e| e.to_string())
     }
@@ -235,66 +232,78 @@ impl CollaborationSession {
     }
 
     /// Apply received frames to one client: interpret each against the
-    /// client's profile and dispatch accepted events to the client's
-    /// application entities. Per-client CPU work — the frames are
-    /// immutable and everything mutated is the client's own, so the
-    /// sharded engine runs it on worker threads; the one thing shared
-    /// is the session's [`ViewStore`], which a completing viewer asks
-    /// for its image: the store's lock covers the lookup, the decode
-    /// runs outside it.
-    pub(super) fn apply_frames(client: &mut ClientRuntime, frames: Vec<Frame>) -> Vec<ViewedImage> {
+    /// client's profile and dispatch accepted events, read in place
+    /// over the shared message, to the client's application entities —
+    /// each copies out only what it keeps. Per-client CPU work — the
+    /// frames are immutable and everything mutated is the client's own,
+    /// so the sharded engine runs it on worker threads; the one thing
+    /// shared is the session's [`ViewStore`](crate::apps::ViewStore),
+    /// which a completing viewer asks for its image: the store's lock
+    /// covers the lookup, the decode runs outside it.
+    pub(super) fn apply_frames(client: &mut ClientRuntime, frames: &[Frame]) -> Vec<ViewedImage> {
         let mut completed = Vec::new();
-        for delivery in client.bus.interpret_frames(&frames) {
-            let Some(ev) = AppEvent::decode(&delivery.message.body) else {
-                continue;
+        let ClientRuntime {
+            bus,
+            viewer,
+            chat,
+            whiteboard,
+            repo,
+            clock,
+            locks,
+            sketches,
+            ..
+        } = client;
+        bus.decide(frames, |message, _| {
+            let Some(ev) = EventView::parse(&message.body) else {
+                return;
             };
-            let sender = &delivery.message.sender;
-            match &ev {
-                AppEvent::Chat { .. } => client.chat.apply(&ev),
-                AppEvent::WhiteboardStroke {
+            let sender = &message.sender;
+            match ev {
+                EventView::Chat { .. } => chat.apply(&ev),
+                EventView::WhiteboardStroke {
                     object_id, lamport, ..
                 } => {
-                    client.whiteboard.apply(sender, &ev);
-                    client.clock.observe(*lamport);
-                    client.repo.update(
-                        *object_id,
-                        *lamport,
+                    whiteboard.apply(sender, &ev.to_event());
+                    clock.observe(lamport);
+                    repo.update(
+                        object_id,
+                        lamport,
                         sender,
                         ObjectState {
                             kind: "whiteboard".to_string(),
-                            data: ev.encode(),
+                            data: message.body.clone(),
                         },
                     );
                 }
-                AppEvent::ImageMeta { .. } | AppEvent::ImagePacket { .. } => {
-                    if let Some(viewed) = client.viewer.apply(&ev) {
+                EventView::ImageMeta { .. } | EventView::ImagePacket { .. } => {
+                    if let Some(viewed) = viewer.apply_delivered(&ev, message) {
                         completed.push(viewed);
                     }
                 }
-                AppEvent::SketchShare {
+                EventView::SketchShare {
                     object_id,
                     data,
                     caption,
                 } => {
                     if let Ok(sketch) = Sketch::decode(data) {
-                        client.sketches.push((*object_id, sketch, caption.clone()));
+                        sketches.push((object_id, sketch, caption.to_owned()));
                     }
                 }
-                AppEvent::Lock {
+                EventView::Lock {
                     object_id,
                     client: requester,
                     lamport,
                     op,
                 } => {
-                    client.clock.observe(*lamport);
-                    if *op == 0 {
-                        client.locks.request(*object_id, requester, *lamport);
+                    clock.observe(lamport);
+                    if op == 0 {
+                        locks.request(object_id, requester, lamport);
                     } else {
-                        let _ = client.locks.release(*object_id, requester);
+                        let _ = locks.release(object_id, requester);
                     }
                 }
             }
-        }
+        });
         completed
     }
 }

@@ -581,6 +581,12 @@ fn failed_publish_leaves_every_replica_unchanged() {
     assert!(s
         .share_stroke(a, oid, vec![(0, 0); 20_000], 1, "true")
         .is_err());
+    // One point past what the stroke format counts: the codec refuses
+    // it before the transport is asked.
+    let err = s
+        .share_stroke(a, oid, vec![(0, 0); 65_536], 1, "true")
+        .unwrap_err();
+    assert!(err.contains("at most 65535"), "{err}");
     assert!(s.release_lock(a, oid, "((").is_err());
     let other = s.new_object_id();
     assert!(s.request_lock(a, other, "((").is_err());

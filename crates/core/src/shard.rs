@@ -30,13 +30,19 @@ use std::cmp::Ordering;
 ///
 /// Panics if `items` and `inputs` have different lengths; propagates
 /// panics from worker threads.
-pub fn map_shards<T, I, O, F>(items: &mut [T], inputs: Vec<I>, workers: usize, f: F) -> Vec<O>
+pub fn map_shards<T, I, O, F>(
+    items: &mut [T],
+    inputs: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator>,
+    workers: usize,
+    f: F,
+) -> Vec<O>
 where
     T: Send,
     I: Send,
     O: Send,
     F: Fn(usize, &mut T, I) -> O + Sync,
 {
+    let mut inputs = inputs.into_iter();
     assert_eq!(
         items.len(),
         inputs.len(),
@@ -55,12 +61,9 @@ where
     let chunk = n.div_ceil(workers);
     // Split the inputs into per-shard vectors up front so each worker
     // takes ownership of its slice of inputs.
-    let mut input_chunks: Vec<Vec<I>> = Vec::with_capacity(workers);
-    let mut inputs = inputs;
-    while !inputs.is_empty() {
-        let rest = inputs.split_off(chunk.min(inputs.len()));
-        input_chunks.push(std::mem::replace(&mut inputs, rest));
-    }
+    let input_chunks: Vec<Vec<I>> = (0..n.div_ceil(chunk))
+        .map(|_| inputs.by_ref().take(chunk).collect())
+        .collect();
     let mut shard_outputs: Vec<Vec<O>> = Vec::with_capacity(input_chunks.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = items

@@ -30,7 +30,7 @@ pub struct MediaPacket {
 impl MediaPacket {
     /// Serialize to wire bytes (for embedding in a semantic message).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.payload.len());
+        let mut out = Vec::with_capacity(PACKET_HEADER + self.payload.len());
         out.extend_from_slice(&self.index.to_be_bytes());
         out.extend_from_slice(&self.total.to_be_bytes());
         out.extend_from_slice(&self.full_len.to_be_bytes());
@@ -39,24 +39,68 @@ impl MediaPacket {
         out
     }
 
-    /// Parse wire bytes.
+    /// Parse wire bytes into an owned packet: [`PacketView::parse`],
+    /// with the payload copied out.
     pub fn decode(bytes: &[u8]) -> Result<MediaPacket, MediaError> {
-        if bytes.len() < 12 {
-            return Err(MediaError::Malformed("short media packet"));
+        PacketView::parse(bytes).map(PacketView::to_packet)
+    }
+
+    /// This packet as a view over its own payload.
+    pub fn view(&self) -> PacketView<'_> {
+        PacketView {
+            index: self.index,
+            total: self.total,
+            full_len: self.full_len,
+            payload: &self.payload,
         }
-        let index = u16::from_be_bytes([bytes[0], bytes[1]]);
-        let total = u16::from_be_bytes([bytes[2], bytes[3]]);
-        let full_len = u32::from_be_bytes(bytes[4..8].try_into().unwrap());
-        let plen = u32::from_be_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        if bytes.len() != 12 + plen {
+    }
+}
+
+/// Wire header of a media packet: index, total, full length, payload
+/// length.
+const PACKET_HEADER: usize = 12;
+
+/// A [`MediaPacket`] read in place: the header fields, and the payload
+/// borrowed from the bytes it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketView<'a> {
+    /// Stripe index, `0..total`.
+    pub index: u16,
+    /// Total stripes in the object.
+    pub total: u16,
+    /// Size of the complete container (consistency check).
+    pub full_len: u32,
+    /// The stripe's bytes: container header + per-channel chunks.
+    pub payload: &'a [u8],
+}
+
+impl<'a> PacketView<'a> {
+    /// Parse wire bytes without copying the payload. The payload is
+    /// always the tail of `bytes`.
+    pub fn parse(bytes: &'a [u8]) -> Result<PacketView<'a>, MediaError> {
+        let Some((header, payload)) = bytes.split_first_chunk::<PACKET_HEADER>() else {
+            return Err(MediaError::Malformed("short media packet"));
+        };
+        let [i0, i1, t0, t1, f0, f1, f2, f3, l0, l1, l2, l3] = *header;
+        if payload.len() != u32::from_be_bytes([l0, l1, l2, l3]) as usize {
             return Err(MediaError::Malformed("media packet length mismatch"));
         }
-        Ok(MediaPacket {
-            index,
-            total,
-            full_len,
-            payload: bytes[12..].to_vec(),
+        Ok(PacketView {
+            index: u16::from_be_bytes([i0, i1]),
+            total: u16::from_be_bytes([t0, t1]),
+            full_len: u32::from_be_bytes([f0, f1, f2, f3]),
+            payload,
         })
+    }
+
+    /// The owned packet: the payload copied out.
+    pub fn to_packet(self) -> MediaPacket {
+        MediaPacket {
+            index: self.index,
+            total: self.total,
+            full_len: self.full_len,
+            payload: self.payload.to_vec(),
+        }
     }
 }
 
@@ -120,63 +164,102 @@ pub fn split_packets(container: &[u8], n: usize) -> Vec<MediaPacket> {
         .collect()
 }
 
-/// Reassemble a *prefix* of stripes (indices `0..k`, any order) into a
-/// valid, possibly-truncated container: every channel holds the first
-/// `k/n` of its embedded stream. Non-prefix subsets are rejected: the
-/// embedded stream only decodes from the front.
+/// Reassemble a *prefix* of stripes (indices `0..k`, any order, later
+/// copies of an index ignored) into a valid, possibly-truncated
+/// container: every channel holds the first `k/n` of its embedded
+/// stream. Non-prefix subsets are rejected: the embedded stream only
+/// decodes from the front. Orders the packets, then
+/// [`reassemble_stripes`].
 pub fn reassemble_prefix(packets: &[MediaPacket]) -> Result<Vec<u8>, MediaError> {
-    if packets.is_empty() {
-        return Err(MediaError::Malformed("no packets"));
+    // `slot[i]`: the first packet carrying index `i`. Indices of a
+    // prefix of at most `n` distinct packets lie below `n`.
+    let mut slot = vec![usize::MAX; packets.len()];
+    for (at, p) in packets.iter().enumerate() {
+        let Some(s) = slot.get_mut(usize::from(p.index)) else {
+            return Err(MediaError::Malformed("packet set is not a prefix"));
+        };
+        if *s == usize::MAX {
+            *s = at;
+        }
     }
-    let total = packets[0].total;
-    let full_len = packets[0].full_len;
-    let mut sorted: Vec<&MediaPacket> = packets.iter().collect();
-    sorted.sort_by_key(|p| p.index);
-    sorted.dedup_by_key(|p| p.index);
-    for (i, p) in sorted.iter().enumerate() {
-        if p.total != total || p.full_len != full_len {
+    let k = slot.iter().take_while(|&&s| s != usize::MAX).count();
+    if slot[k..].iter().any(|&s| s != usize::MAX) {
+        return Err(MediaError::Malformed("packet set is not a prefix"));
+    }
+    reassemble_stripes(slot[..k].iter().map(|&at| packets[at].view()))
+}
+
+/// Reassemble stripes `0..k`, given in index order, into a container —
+/// [`reassemble_prefix`] for stripes already ordered, read in place:
+/// one pass verifies every stripe and sizes the container, a second
+/// writes it into a buffer of exactly that size, channel by channel.
+pub fn reassemble_stripes<'a, I>(stripes: I) -> Result<Vec<u8>, MediaError>
+where
+    I: IntoIterator<Item = PacketView<'a>>,
+    I::IntoIter: Clone,
+{
+    let stripes = stripes.into_iter();
+    let mut first: Option<PacketView<'a>> = None;
+    let mut chunk_bytes = 0usize;
+    for (i, p) in stripes.clone().enumerate() {
+        let head = *first.get_or_insert(p);
+        if p.total != head.total || p.full_len != head.full_len {
             return Err(MediaError::Malformed("packets from different objects"));
         }
-        if p.index as usize != i {
+        if usize::from(p.index) != i {
             return Err(MediaError::Malformed("packet set is not a prefix"));
         }
-    }
-    // Parse each stripe: header + per-channel chunks.
-    let header = &sorted[0].payload[..CONTAINER_HEADER.min(sorted[0].payload.len())];
-    if header.len() < CONTAINER_HEADER || &header[..4] != b"EZC1" {
-        return Err(MediaError::Malformed("bad stripe header"));
-    }
-    let channels = header[4] as usize;
-    let mut streams: Vec<Vec<u8>> = vec![Vec::new(); channels];
-    for p in &sorted {
-        if p.payload.len() < CONTAINER_HEADER || p.payload[..CONTAINER_HEADER] != *header {
+        let header = head.payload.get(..CONTAINER_HEADER);
+        if header.is_none_or(|h| &h[..4] != b"EZC1") {
+            return Err(MediaError::Malformed("bad stripe header"));
+        }
+        if p.payload.get(..CONTAINER_HEADER) != header {
             return Err(MediaError::Malformed("inconsistent stripe headers"));
         }
         let mut pos = CONTAINER_HEADER;
-        for stream in streams.iter_mut() {
-            if p.payload.len() < pos + 4 {
+        for _ in 0..head.payload[4] {
+            let Some(len) = p.payload.get(pos..pos + 4) else {
                 return Err(MediaError::Malformed("truncated stripe"));
-            }
-            let len = u32::from_be_bytes(p.payload[pos..pos + 4].try_into().unwrap()) as usize;
+            };
+            let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
             pos += 4;
-            if p.payload.len() < pos + len {
+            if p.payload.len() - pos < len {
                 return Err(MediaError::Malformed("truncated stripe chunk"));
             }
-            stream.extend_from_slice(&p.payload[pos..pos + len]);
             pos += len;
+            chunk_bytes += len;
         }
         if pos != p.payload.len() {
             return Err(MediaError::Malformed("trailing stripe bytes"));
         }
     }
-    let mut out =
-        Vec::with_capacity(CONTAINER_HEADER + streams.iter().map(|s| s.len() + 4).sum::<usize>());
-    out.extend_from_slice(header);
-    for s in &streams {
-        out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-        out.extend_from_slice(s);
+    let Some(head) = first else {
+        return Err(MediaError::Malformed("no packets"));
+    };
+    let channels = usize::from(head.payload[4]);
+    let mut out = Vec::with_capacity(CONTAINER_HEADER + 4 * channels + chunk_bytes);
+    out.extend_from_slice(&head.payload[..CONTAINER_HEADER]);
+    for channel in 0..channels {
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        for p in stripes.clone() {
+            out.extend_from_slice(stripe_chunk(p.payload, channel));
+        }
+        let len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
     }
+    debug_assert_eq!(out.len(), out.capacity());
     Ok(out)
+}
+
+/// Chunk `channel` of a stripe [`reassemble_stripes`] has verified.
+fn stripe_chunk(payload: &[u8], channel: usize) -> &[u8] {
+    let mut pos = CONTAINER_HEADER;
+    for _ in 0..channel {
+        pos += 4 + u32::from_be_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    let len = u32::from_be_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
+    &payload[pos + 4..pos + 4 + len]
 }
 
 #[cfg(test)]
@@ -209,6 +292,44 @@ mod tests {
         };
         assert_eq!(MediaPacket::decode(&p.encode()).unwrap(), p);
         assert!(MediaPacket::decode(&p.encode()[..5]).is_err());
+    }
+
+    #[test]
+    fn packet_view_borrows_the_payload() {
+        let p = MediaPacket {
+            index: 1,
+            total: 2,
+            full_len: 7,
+            payload: vec![4, 5, 6],
+        };
+        let wire = p.encode();
+        let view = PacketView::parse(&wire).unwrap();
+        assert_eq!(view, p.view());
+        assert!(std::ptr::eq(view.payload, &wire[12..]));
+        assert_eq!(view.to_packet(), p);
+        let mut long = wire.clone();
+        long.push(0);
+        assert!(PacketView::parse(&long).is_err(), "length mismatch");
+    }
+
+    #[test]
+    fn reassembly_sizes_the_container_exactly_and_keeps_first_copies() {
+        for (_, c) in [container(), color_container()] {
+            let packets = split_packets(&c, 8);
+            let ordered = reassemble_stripes(packets[..5].iter().map(MediaPacket::view)).unwrap();
+            assert_eq!(ordered.len(), ordered.capacity());
+            let mut shuffled = vec![packets[3].clone(), packets[0].clone()];
+            shuffled.extend(packets[..5].iter().rev().cloned());
+            // A later copy of index 0 with other bytes is ignored.
+            let mut forged = packets[0].clone();
+            forged.payload[CONTAINER_HEADER + 4] ^= 0xFF;
+            shuffled.push(forged);
+            assert_eq!(reassemble_prefix(&shuffled).unwrap(), ordered);
+            assert!(
+                reassemble_stripes(packets[1..3].iter().map(MediaPacket::view)).is_err(),
+                "stripes must start at index 0"
+            );
+        }
     }
 
     #[test]

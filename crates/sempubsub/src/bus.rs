@@ -37,7 +37,10 @@ pub struct Delivery {
 /// form and its compiled selector — or the reason there is neither.
 /// Cloning shares both; nothing in a frame depends on who receives it,
 /// so one frame serves every party a buffer reaches — endpoints,
-/// brokers and the gateway alike.
+/// brokers and the gateway alike. An endpoint that accepts the message
+/// is handed the frame's own `Arc` ([`BusEndpoint::decide`]), and its
+/// application reads the body in place: nothing of a message is
+/// decoded or copied per receiver.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// Decoded, selector compiled.
@@ -133,10 +136,11 @@ pub struct BusStats {
 /// shared with every other receiver; programs come from a
 /// [`SelectorStore`] the endpoint holds a handle to (the session's, or
 /// one of its own when it joined alone). The per-message hot path
-/// ([`BusEndpoint::interpret_frames`]) therefore never parses, never
-/// walks the profile's `BTreeMap`, and allocates only to return an
-/// accepted delivery. The publish path validates selectors through the
-/// same store, warming it for loopback traffic.
+/// ([`BusEndpoint::receive`] into a buffer the caller keeps, then
+/// [`BusEndpoint::decide`]) therefore never parses, never walks the
+/// profile's `BTreeMap`, and allocates nothing: each accepted message
+/// is handed to the caller in place. The publish path validates
+/// selectors through the same store, warming it for loopback traffic.
 pub struct BusEndpoint {
     socket: SocketHandle,
     group: GroupId,
@@ -291,33 +295,37 @@ impl BusEndpoint {
 
     /// The serial half of reception, for a caller that drains many
     /// endpoints and interprets them on worker threads: drain the
-    /// socket, read each buffer's shared [`Frame`] ([`Frame::of`]), and
-    /// bring the profile snapshot up to date. Everything that touches
-    /// the network or the selector store happens here, so the other
-    /// half — [`BusEndpoint::interpret_frames`] — takes no lock and
-    /// shares no mutable state. A gateway stops here: it reads the
-    /// frames on behalf of profiles that are not its own (§4.2).
-    pub fn receive(&mut self, net: &mut Network) -> Vec<Frame> {
-        let mut frames = Vec::new();
+    /// socket, append each buffer's shared [`Frame`] ([`Frame::of`]) to
+    /// `frames`, and bring the profile snapshot up to date. Everything
+    /// that touches the network or the selector store happens here, so
+    /// the other half — [`BusEndpoint::decide`] — takes no lock and
+    /// shares no mutable state. The caller owns `frames`, so one buffer
+    /// kept across pumps serves every endpoint it drains. A gateway
+    /// stops here: it reads the frames on behalf of profiles that are
+    /// not its own (§4.2).
+    pub fn receive(&mut self, net: &mut Network, frames: &mut Vec<Frame>) {
         while let Some(dgram) = net.recv(self.socket) {
             frames.push(Frame::of(&dgram.payload, &self.store));
         }
         self.sync_profile();
-        frames
     }
 
-    /// Interpret resolved frames against the local profile; returns
-    /// only accepted messages, each sharing its frame's decoded
-    /// message. This is the one decision path: every reception is
-    /// counted in this endpoint's [`BusStats`], outcomes are
-    /// bit-identical to the tree-walk interpreter (pinned by the
-    /// differential suite in `tests/matching.rs`), and a rejected frame
-    /// costs one program evaluation against the snapshot — no parsing,
-    /// no `BTreeMap` walk, no allocation. Pure CPU: safe on a worker
+    /// Interpret resolved frames against the local profile and hand
+    /// each accepted message, with how it was accepted, to `accept` in
+    /// place — the message is the frame's own, shared with every other
+    /// receiver of the buffer. This is the one decision path: every
+    /// reception is counted in this endpoint's [`BusStats`], outcomes
+    /// are bit-identical to the tree-walk interpreter (pinned by the
+    /// differential suite in `tests/matching.rs`), and a frame costs
+    /// one program evaluation against the snapshot — no parsing, no
+    /// `BTreeMap` walk, no allocation. Pure CPU: safe on a worker
     /// thread that owns this endpoint.
-    pub fn interpret_frames(&mut self, frames: &[Frame]) -> Vec<Delivery> {
+    pub fn decide<'f>(
+        &mut self,
+        frames: &'f [Frame],
+        mut accept: impl FnMut(&'f Arc<SemanticMessage>, MatchOutcome),
+    ) {
         self.sync_profile();
-        let mut out = Vec::new();
         for frame in frames {
             let (message, program) = match frame {
                 Frame::Message { message, program } => (message, program),
@@ -347,11 +355,20 @@ impl BusEndpoint {
                 MatchOutcome::AcceptWithTransform(_) => self.stats.transformed += 1,
                 _ => self.stats.accepted += 1,
             }
+            accept(message, outcome);
+        }
+    }
+
+    /// [`BusEndpoint::decide`], collected: the accepted messages, each
+    /// sharing its frame's decoded message.
+    pub fn interpret_frames(&mut self, frames: &[Frame]) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        self.decide(frames, |message, outcome| {
             out.push(Delivery {
                 message: Arc::clone(message),
                 outcome,
-            });
-        }
+            })
+        });
         out
     }
 
@@ -371,7 +388,8 @@ impl BusEndpoint {
     /// Drain arrived datagrams, interpreting each against the local
     /// profile; returns only accepted messages.
     pub fn poll(&mut self, net: &mut Network) -> Vec<Delivery> {
-        let frames = self.receive(net);
+        let mut frames = Vec::new();
+        self.receive(net, &mut frames);
         self.interpret_frames(&frames)
     }
 }
@@ -553,7 +571,8 @@ mod tests {
             )
             .unwrap();
         net.run_for(Ticks::from_millis(10));
-        let frames = gateway.receive(&mut net);
+        let mut frames = Vec::new();
+        gateway.receive(&mut net, &mut frames);
         assert_eq!(frames.len(), 1, "gateway sees everything");
         let Frame::Message { message, .. } = &frames[0] else {
             panic!("a valid message resolves to {:?}", frames[0]);

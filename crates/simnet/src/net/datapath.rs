@@ -179,17 +179,22 @@ impl Network {
         self.stats.add(Counter::Sent, payloads.len() as u64);
         let bytes = payloads.iter().map(|p| (p.len() + HEADER_OVERHEAD) as u64);
         self.stats.add(Counter::BytesSent, bytes.sum());
-        let targets = match dst {
+        let mut targets = std::mem::take(&mut self.fanout);
+        targets.clear();
+        match dst {
             // A datagram to an unbound port is silently discarded,
             // like real UDP (no ICMP in this simulator).
-            Addr::Unicast(node, port) => vec![(self.socket_at(node, port), node)],
-            Addr::Multicast(group, port) => self.group_targets(group, port, s),
-        };
+            Addr::Unicast(node, port) => targets.push((self.socket_at(node, port), node)),
+            Addr::Multicast(group, port) => self.group_targets(group, port, s, &mut targets),
+        }
+        // Not `?` in the loop: the buffer goes back on `self` even when
+        // a receiver has no route.
+        let mut sent = Ok(targets.len() * payloads.len());
         for &(target, node) in &targets {
-            let route = self
-                .topo
-                .route_cached(src_node, node)
-                .ok_or(NetError::Unreachable(src_node, node))?;
+            let Some(route) = self.topo.route_cached(src_node, node) else {
+                sent = Err(NetError::Unreachable(src_node, node));
+                break;
+            };
             // `repeat_n` moves the looked-up route into the last copy,
             // so only a spilled route in a multi-payload batch clones.
             let routes = std::iter::repeat_n(route, payloads.len());
@@ -209,7 +214,8 @@ impl Network {
                 });
             }
         }
-        Ok(targets.len() * payloads.len())
+        self.fanout = targets;
+        sent
     }
 
     /// Traverse one link analytically: bounded-FIFO admission (when the

@@ -157,6 +157,9 @@ pub struct Network {
     /// empty — and the walk's per-hop lookup a failed bounds check —
     /// until something mounts.
     egress: Vec<Option<LinkEgress>>,
+    /// One send's receivers, kept between sends so the fan-out set
+    /// costs no allocation once it has grown to the largest group.
+    fanout: Vec<(Option<SocketHandle>, NodeId)>,
 }
 
 impl Network {
@@ -176,6 +179,7 @@ impl Network {
             plan: FaultPlan::new(),
             plan_next: 0,
             egress: Vec::new(),
+            fanout: Vec::new(),
         }
     }
 

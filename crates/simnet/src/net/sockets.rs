@@ -136,25 +136,23 @@ impl Network {
         Ok(())
     }
 
-    /// Current members of `group` bound on `dst_port`, excluding
-    /// `sender`, in ascending socket order — the multicast fan-out set.
+    /// Append to `targets` the current members of `group` bound on
+    /// `dst_port`, excluding `sender`, in ascending socket order — the
+    /// multicast fan-out set.
     pub(super) fn group_targets(
         &self,
         group: GroupId,
         dst_port: Port,
         sender: SocketHandle,
-    ) -> Vec<(Option<SocketHandle>, NodeId)> {
+        targets: &mut Vec<(Option<SocketHandle>, NodeId)>,
+    ) {
         let Some(members) = self.groups.get(group.0 as usize) else {
-            return Vec::new();
+            return;
         };
-        members
-            .iter()
-            .filter(|&&m| {
-                let sock = &self.sockets[m.0 as usize];
-                sock.open && sock.port == dst_port && m != sender
-            })
-            .map(|&m| (Some(m), self.sockets[m.0 as usize].node))
-            .collect()
+        targets.extend(members.iter().filter_map(|&m| {
+            let sock = &self.sockets[m.0 as usize];
+            (sock.open && sock.port == dst_port && m != sender).then_some((Some(m), sock.node))
+        }));
     }
 
     /// Node a socket is bound on.

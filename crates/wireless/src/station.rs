@@ -265,6 +265,16 @@ impl BaseStation {
         })
     }
 
+    /// The modality `id`'s current SIR allows: [`BaseStation::assess`]'s
+    /// `modality` alone, without the rest of the assessment.
+    pub fn modality(&self, id: &str) -> Option<Modality> {
+        let i = self.index_of(id)?;
+        Some(
+            self.thresholds
+                .classify(sir_db(i, &self.clients, &self.model)),
+        )
+    }
+
     /// Assess every attached client.
     pub fn assess_all(&self) -> Vec<ServiceAssessment> {
         self.clients

@@ -409,19 +409,25 @@ proptest! {
             net.send_batch(injector, Addr::multicast(group, SHARED_PORT), batch.clone())
                 .unwrap();
             net.run_for(Ticks::from_millis(50));
-            // Serial half for every endpoint first, as the session's
-            // pump does, then the decisions.
+            // Serial half for every endpoint first, into one buffer, as
+            // the session's pump does, then the decisions.
             let lookups_before = lookups(&store);
+            let mut inbox = Vec::new();
             let received: Vec<_> = shared
                 .iter_mut()
-                .map(|ep| ep.receive(&mut net))
+                .map(|ep| {
+                    let start = inbox.len();
+                    ep.receive(&mut net, &mut inbox);
+                    start..inbox.len()
+                })
                 .collect();
             prop_assert_eq!(
                 lookups(&store) - lookups_before,
                 decodable(&batch),
                 "one store lookup per message buffer, {} receivers", shared.len()
             );
-            for (i, frames) in received.iter().enumerate() {
+            for (i, span) in received.iter().enumerate() {
+                let frames = &inbox[span.clone()];
                 prop_assert_eq!(frames.len(), batch.len(), "endpoint {} missed datagrams", i);
                 let via_frames = shared[i].interpret_frames(frames);
                 let via_bytes = alone[i].interpret_batch(batch.clone());
@@ -488,8 +494,14 @@ proptest! {
         net.run_for(Ticks::from_millis(50));
 
         let before: Vec<u64> = stores.iter().map(lookups).collect();
-        let received: Vec<Vec<Frame>> =
-            endpoints.iter_mut().map(|ep| ep.receive(&mut net)).collect();
+        let received: Vec<Vec<Frame>> = endpoints
+            .iter_mut()
+            .map(|ep| {
+                let mut frames = Vec::new();
+                ep.receive(&mut net, &mut frames);
+                frames
+            })
+            .collect();
         for (store, before) in stores.iter().zip(before) {
             prop_assert_eq!(
                 lookups(store) - before,

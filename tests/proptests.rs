@@ -6,6 +6,7 @@
 
 use collabqos::broker::{covers_expr, merge_covering};
 use collabqos::core::concurrency::LwwRegister;
+use collabqos::core::events::{AppEvent, EventView};
 use collabqos::core::state_repo::{ObjectState, StateRepository};
 use collabqos::media::ezw::{self, BitReader, BitWriter};
 use collabqos::media::image::Image;
@@ -493,6 +494,102 @@ fn small_container(seed: u64, color: bool) -> Vec<u8> {
     ezw::encode_image_opts(&scene.image, 2, WaveletKind::Cdf53, color).unwrap()
 }
 
+/// Every [`AppEvent`] variant, with short non-ASCII text.
+fn arb_app_event() -> impl Strategy<Value = AppEvent> {
+    let text = || "[a-zA-Z0-9é ]{0,12}";
+    prop_oneof![
+        (text(), text()).prop_map(|(author, text)| AppEvent::Chat { author, text }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            proptest::collection::vec((any::<i16>(), any::<i16>()), 0..8),
+            any::<u8>(),
+        )
+            .prop_map(|(object_id, lamport, points, color)| {
+                AppEvent::WhiteboardStroke {
+                    object_id,
+                    lamport,
+                    points,
+                    color,
+                }
+            }),
+        (
+            any::<u64>(),
+            text(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u16>()
+        )
+            .prop_map(
+                |(object_id, caption, original_bytes, pixels, total_packets)| AppEvent::ImageMeta {
+                    object_id,
+                    caption,
+                    original_bytes,
+                    pixels,
+                    total_packets,
+                }
+            ),
+        (
+            any::<u64>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u32>(),
+            proptest::collection::vec(any::<u8>(), 0..24),
+        )
+            .prop_map(|(object_id, index, total, full_len, payload)| {
+                AppEvent::ImagePacket {
+                    object_id,
+                    packet: MediaPacket {
+                        index,
+                        total,
+                        full_len,
+                        payload,
+                    },
+                }
+            }),
+        (
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..24),
+            text()
+        )
+            .prop_map(|(object_id, data, caption)| AppEvent::SketchShare {
+                object_id,
+                data,
+                caption,
+            }),
+        (any::<u64>(), text(), any::<u64>(), any::<u8>()).prop_map(
+            |(object_id, client, lamport, op)| AppEvent::Lock {
+                object_id,
+                client,
+                lamport,
+                op,
+            }
+        ),
+    ]
+}
+
+/// The event view read in place over `bytes` and the owned decode
+/// agree, and what they accept is canonical: it encodes back to exactly
+/// `bytes`. An image packet's payload is the tail of the body, which is
+/// where a viewer holding the delivered message finds it.
+fn check_event_bytes(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let view = EventView::parse(bytes);
+    let owned = AppEvent::decode(bytes);
+    prop_assert_eq!(view.map(EventView::to_event), owned.clone());
+    if let Some(ev) = owned {
+        prop_assert_eq!(ev.encode(), bytes.to_vec(), "accepted bytes are canonical");
+    }
+    if let Some(EventView::ImagePacket { packet, .. }) = view {
+        prop_assert!(bytes.ends_with(packet.payload));
+        prop_assert_eq!(
+            bytes.len() - packet.payload.len(),
+            21,
+            "tag, object id, packet header"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -777,10 +874,32 @@ proptest! {
         let _ = collabqos::media::packetize::MediaPacket::decode(&bytes);
     }
 
-    /// AppEvent decode must never panic on arbitrary bytes.
+    /// AppEvent decode must never panic on arbitrary bytes, and the
+    /// view read in place agrees with it.
     #[test]
     fn app_event_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = collabqos::core::events::AppEvent::decode(&bytes);
+        check_event_bytes(&bytes)?;
+    }
+
+    /// Every event round-trips through the view; every strict prefix
+    /// of its encoding is refused by both decoders; and the encoding
+    /// damaged in a few bytes is read alike by both.
+    #[test]
+    fn app_event_view_agrees_on_every_cut_and_mutation(
+        ev in arb_app_event(),
+        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+    ) {
+        let mut bytes = ev.encode();
+        prop_assert_eq!(EventView::parse(&bytes).map(EventView::to_event), Some(ev));
+        for cut in 0..bytes.len() {
+            prop_assert!(EventView::parse(&bytes[..cut]).is_none(), "cut at {}", cut);
+            check_event_bytes(&bytes[..cut])?;
+        }
+        for (pos, val) in flips {
+            let i = pos as usize % bytes.len();
+            bytes[i] ^= val;
+        }
+        check_event_bytes(&bytes)?;
     }
 
     /// SemanticMessage decode must never panic on arbitrary bytes.
