@@ -281,10 +281,10 @@ fn run_adapt_pass(n: usize) -> PassCost {
         assert_eq!(s.adapt_all().len(), n);
     }
     let wall = t0.elapsed().as_secs_f64();
-    // The pass's own two result vectors (a state map and a decision per
-    // client) are one allocation each whatever the size; every other
-    // allocation, and every byte, is some client's.
-    let allocs = ALLOCS.load(Relaxed) - before.0 - 2 * PASSES;
+    // The pass's own result vector (a decision per client) is one
+    // allocation whatever the size; every other allocation, and every
+    // byte, is some client's.
+    let allocs = ALLOCS.load(Relaxed) - before.0 - PASSES;
     let bytes = ALLOC_BYTES.load(Relaxed) - before.1;
     let per = n as u64 * PASSES;
     assert_eq!(allocs % per, 0, "n={n}: {allocs} allocations");

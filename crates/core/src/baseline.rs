@@ -16,8 +16,7 @@
 //! latency, and server load — the quantities behind the paper's
 //! scalability argument.
 
-use sempubsub::matching::interpret;
-use sempubsub::{Profile, Selector, SemanticMessage};
+use sempubsub::{MatchEngine, Profile, SemanticMessage};
 use simnet::packet::well_known;
 use simnet::{Addr, LinkSpec, Network, NodeId, Port, SocketHandle, Ticks};
 use std::collections::BTreeMap;
@@ -34,6 +33,9 @@ pub struct CentralServer {
     socket: SocketHandle,
     /// The global roster the paper's design eliminates.
     roster: Vec<Registration>,
+    /// Compiles each selector once and interprets it against every
+    /// roster profile's snapshot.
+    matcher: MatchEngine,
     /// Events routed (server load proxy).
     pub events_routed: u64,
     /// Copies fanned out.
@@ -49,6 +51,7 @@ impl CentralServer {
         Ok(CentralServer {
             socket: net.bind(node, SERVER_PORT)?,
             roster: Vec::new(),
+            matcher: MatchEngine::new(),
             events_routed: 0,
             copies_sent: 0,
         })
@@ -72,9 +75,9 @@ impl CentralServer {
             let Ok(msg) = SemanticMessage::decode(&dgram.payload) else {
                 continue;
             };
-            let Ok(selector) = Selector::parse(&msg.selector) else {
+            if self.matcher.compile(&msg.selector).is_err() {
                 continue;
-            };
+            }
             self.events_routed += 1;
             routed += 1;
             let payload = msg.encode();
@@ -82,9 +85,10 @@ impl CentralServer {
                 if reg.name == msg.sender {
                     continue;
                 }
-                let matched = interpret(&reg.profile, &selector, &msg.content)
-                    .map(|o| o.is_accepted())
-                    .unwrap_or(false);
+                let matched = self
+                    .matcher
+                    .interpret(&reg.profile, &msg.selector, &msg.content)
+                    .is_ok_and(|o| o.is_ok_and(|o| o.is_accepted()));
                 if matched {
                     let _ = net.send(
                         self.socket,

@@ -6,7 +6,7 @@
 //! 'contract' that needs to be satisfied by the inference engine"
 //! (§5.2).
 
-use std::collections::BTreeMap;
+use crate::state::{Metric, StateVector};
 
 /// A bound on one named parameter of the local system state.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +69,9 @@ pub struct QosContract {
     /// Contract name (informational).
     pub name: String,
     constraints: Vec<Constraint>,
+    /// The metric each constraint bounds, resolved when it was added;
+    /// `None` for a parameter outside the vocabulary.
+    metrics: Vec<Option<Metric>>,
 }
 
 impl QosContract {
@@ -77,11 +80,13 @@ impl QosContract {
         QosContract {
             name: name.to_string(),
             constraints: Vec::new(),
+            metrics: Vec::new(),
         }
     }
 
     /// Add a constraint (builder style).
     pub fn with(mut self, c: Constraint) -> QosContract {
+        self.metrics.push(Metric::from_name(&c.param));
         self.constraints.push(c);
         self
     }
@@ -91,12 +96,15 @@ impl QosContract {
         &self.constraints
     }
 
-    /// Evaluate against an observed state; missing parameters violate.
-    pub fn check(&self, state: &BTreeMap<String, f64>) -> Vec<Violation> {
+    /// Evaluate against an observed state; missing parameters violate,
+    /// and so does a parameter that is not a [`Metric`] (no state ever
+    /// observes it).
+    pub fn check(&self, state: &StateVector) -> Vec<Violation> {
         self.constraints
             .iter()
-            .filter_map(|c| {
-                let observed = state.get(&c.param).copied();
+            .zip(&self.metrics)
+            .filter_map(|(c, metric)| {
+                let observed = metric.and_then(|m| state.get(m));
                 match observed {
                     Some(v) if c.satisfied_by(v) => None,
                     _ => Some(Violation {
@@ -113,8 +121,11 @@ impl QosContract {
 mod tests {
     use super::*;
 
-    fn state(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    fn state(pairs: &[(&str, f64)]) -> StateVector {
+        pairs
+            .iter()
+            .map(|(k, v)| (Metric::from_name(k).unwrap(), *v))
+            .collect()
     }
 
     #[test]

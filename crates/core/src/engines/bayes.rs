@@ -25,9 +25,11 @@
 //! and across worker counts.
 
 use crate::contract::QosContract;
-use crate::inference::{AdaptationDecision, ModalityChoice};
+use crate::inference::{AdaptationDecision, FiredRules, ModalityChoice};
 use crate::policy::AdaptationPolicy;
-use std::collections::BTreeMap;
+use crate::state::{Metric, StateVector};
+use sempubsub::EvalStack;
+use std::sync::{Arc, LazyLock};
 
 /// Hidden-quality states, best first. Index into priors and CPT rows.
 const QUALITY_NAMES: [&str; 4] = ["excellent", "fair", "poor", "unusable"];
@@ -53,7 +55,7 @@ const PRIOR: [f64; 4] = [0.55, 0.25, 0.15, 0.05];
 /// conditional probability table `P(bin | quality)`, rows in
 /// [`QUALITY_NAMES`] order. Rows sum to 1.
 struct Evidence {
-    metric: &'static str,
+    metric: Metric,
     /// Three ascending edges splitting the axis into four bins. For
     /// `sir_db` larger is better, so the raw value is negated and the
     /// edges are negated thresholds.
@@ -68,7 +70,7 @@ struct Evidence {
 /// not on where "bad" begins.
 const VARS: [Evidence; 5] = [
     Evidence {
-        metric: "loss_pct",
+        metric: Metric::LossPct,
         edges: [2.0, 10.0, 30.0],
         negate: false,
         cpt: [
@@ -79,7 +81,7 @@ const VARS: [Evidence; 5] = [
         ],
     },
     Evidence {
-        metric: "congestion_pct",
+        metric: Metric::CongestionPct,
         edges: [5.0, 20.0, 60.0],
         negate: false,
         cpt: [
@@ -90,7 +92,7 @@ const VARS: [Evidence; 5] = [
         ],
     },
     Evidence {
-        metric: "cpu_load",
+        metric: Metric::CpuLoad,
         edges: [44.0, 72.0, 97.0],
         negate: false,
         cpt: [
@@ -101,7 +103,7 @@ const VARS: [Evidence; 5] = [
         ],
     },
     Evidence {
-        metric: "page_faults",
+        metric: Metric::PageFaults,
         edges: [44.0, 72.0, 86.0],
         negate: false,
         cpt: [
@@ -114,7 +116,7 @@ const VARS: [Evidence; 5] = [
     Evidence {
         // SIR in dB, larger is better: ≥10 clear, ≥0 mild, ≥−15
         // heavy, below that severe.
-        metric: "sir_db",
+        metric: Metric::SirDb,
         edges: [-10.0, 0.0, 15.0],
         negate: true,
         cpt: [
@@ -128,6 +130,18 @@ const VARS: [Evidence; 5] = [
 
 /// Severity labels for the four bins (used in `fired_rules`).
 const BIN_NAMES: [&str; 4] = ["clear", "mild", "heavy", "severe"];
+
+/// The rule `bayes:<metric>:<bin>` of every evidence variable and bin,
+/// variable by variable — bit `4 * var + bin` of a decision's
+/// [`FiredRules`] — then the MAP verdicts `bayes:map:<quality>` from
+/// bit `4 * VARS.len()` on.
+static RULE_NAMES: LazyLock<Arc<Vec<String>>> = LazyLock::new(|| {
+    let names = VARS
+        .iter()
+        .flat_map(|v| BIN_NAMES.map(|bin| format!("bayes:{}:{bin}", v.metric.name())))
+        .chain(QUALITY_NAMES.map(|q| format!("bayes:map:{q}")));
+    Arc::new(names.collect())
+});
 
 /// The Bayesian adaptation engine.
 #[derive(Debug, Clone, Default)]
@@ -152,10 +166,15 @@ impl BayesEngine {
     /// Discretize one observation. `None` when the metric is outside
     /// the evidence vocabulary or the value is not finite.
     pub fn bin(metric: &str, value: f64) -> Option<usize> {
+        let var = VARS.iter().find(|v| v.metric.name() == metric)?;
+        BayesEngine::bin_of(var, value)
+    }
+
+    /// The bin of `value` on `var`'s axis; `None` when it is not finite.
+    fn bin_of(var: &Evidence, value: f64) -> Option<usize> {
         if !value.is_finite() {
             return None;
         }
-        let var = VARS.iter().find(|v| v.metric == metric)?;
         let x = if var.negate { -value } else { value };
         Some(var.edges.iter().filter(|&&e| x >= e).count())
     }
@@ -167,16 +186,20 @@ impl BayesEngine {
     /// metrics keep the last value, matching map semantics.
     pub fn posterior(evidence: &[(&str, f64)]) -> Option<[f64; 4]> {
         let mut binned: [Option<usize>; VARS.len()] = [None; VARS.len()];
-        let mut any = false;
         for (metric, value) in evidence {
-            if let Some(slot) = VARS.iter().position(|v| v.metric == *metric) {
-                if let Some(b) = BayesEngine::bin(metric, *value) {
+            if let Some(slot) = VARS.iter().position(|v| v.metric.name() == *metric) {
+                if let Some(b) = BayesEngine::bin_of(&VARS[slot], *value) {
                     binned[slot] = Some(b);
-                    any = true;
                 }
             }
         }
-        if !any {
+        BayesEngine::posterior_of(&binned)
+    }
+
+    /// Posterior over quality given each variable's bin, if observed;
+    /// `None` when nothing is.
+    fn posterior_of(binned: &[Option<usize>; VARS.len()]) -> Option<[f64; 4]> {
+        if binned.iter().all(Option::is_none) {
             return None;
         }
         let mut p = PRIOR;
@@ -212,29 +235,29 @@ impl AdaptationPolicy for BayesEngine {
         "bayes"
     }
 
-    fn decide(&self, state: &BTreeMap<String, f64>) -> AdaptationDecision {
+    fn decide_state(&self, state: &StateVector, _stack: &mut EvalStack) -> AdaptationDecision {
         let mut decision = AdaptationDecision::unconstrained(self.default_packets);
         decision.violations = self.contract.check(state);
 
-        let evidence: Vec<(&str, f64)> = state.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let Some(posterior) = BayesEngine::posterior(&evidence) else {
+        let binned = VARS.map(|var| {
+            state
+                .get(var.metric)
+                .and_then(|v| BayesEngine::bin_of(&var, v))
+        });
+        let Some(posterior) = BayesEngine::posterior_of(&binned) else {
             return decision;
         };
         // Fired "rules" record the evidence actually used, in VARS
         // order, plus the MAP verdict.
-        for var in &VARS {
-            if let Some(value) = state.get(var.metric) {
-                if let Some(b) = BayesEngine::bin(var.metric, *value) {
-                    decision
-                        .fired_rules
-                        .push(format!("bayes:{}:{}", var.metric, BIN_NAMES[b]));
-                }
+        let mut fired = 0u64;
+        for (slot, bin) in binned.iter().enumerate() {
+            if let Some(b) = bin {
+                fired |= 1 << (4 * slot + b);
             }
         }
         let map = BayesEngine::map_quality(&posterior);
-        decision
-            .fired_rules
-            .push(format!("bayes:map:{}", QUALITY_NAMES[map]));
+        fired |= 1 << (4 * VARS.len() + map);
+        decision.fired_rules = FiredRules::new(RULE_NAMES.clone(), fired);
 
         decision.modality = QUALITY_MODALITY[map];
         if map == 3 {
@@ -258,6 +281,7 @@ impl AdaptationPolicy for BayesEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn state(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
@@ -276,7 +300,7 @@ mod tests {
             "near-full budget, got {}",
             d.max_packets
         );
-        assert!(d.fired_rules.contains(&"bayes:map:excellent".to_string()));
+        assert!(d.fired_rules.contains("bayes:map:excellent"));
     }
 
     #[test]

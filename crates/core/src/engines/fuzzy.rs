@@ -11,9 +11,9 @@
 //!
 //! # Determinism and monotonicity
 //!
-//! The controller is a pure function of the state map: memberships,
+//! The controller is a pure function of the state: memberships,
 //! clipped areas, and centroids are evaluated in a fixed order
-//! (metrics in `BTreeMap` key order, sets calm → strained → critical)
+//! (metrics in name order, sets calm → strained → critical)
 //! with plain f64 arithmetic, so decisions are bit-identical across
 //! worker counts.
 //!
@@ -28,9 +28,11 @@
 //! this property for `loss_pct` and `congestion_pct`.
 
 use crate::contract::QosContract;
-use crate::inference::{AdaptationDecision, ModalityChoice};
+use crate::inference::{AdaptationDecision, FiredRules, ModalityChoice};
 use crate::policy::AdaptationPolicy;
-use std::collections::BTreeMap;
+use crate::state::{Metric, StateVector};
+use sempubsub::EvalStack;
+use std::sync::{Arc, LazyLock};
 
 /// A trapezoidal membership function over `[a, d]` with plateau
 /// `[b, c]`. Shoulder sets use `a == b` (left) or `c == d` (right);
@@ -91,7 +93,7 @@ const SET_NAMES: [&str; 3] = ["calm", "strained", "critical"];
 /// antecedent sets. For metrics where larger is better (`sir_db`) the
 /// sets are simply arranged in reverse along the axis.
 struct FuzzyInput {
-    metric: &'static str,
+    metric: Metric,
     lo: f64,
     hi: f64,
     sets: [Trapezoid; 3],
@@ -100,13 +102,13 @@ struct FuzzyInput {
 /// Off-universe foot for shoulder sets.
 const FAR: f64 = 1.0e9;
 
-/// The antecedent vocabulary. Knots are aligned with the threshold
+/// The antecedent vocabulary, in metric order. Knots are aligned with the threshold
 /// engine's bands (loss 2/10/30, congestion 5/20/60, the §6 CPU and
 /// page-fault ladders) so the two engines degrade over the same
 /// regions, just smoothly vs. in steps.
 const INPUTS: [FuzzyInput; 5] = [
     FuzzyInput {
-        metric: "congestion_pct",
+        metric: Metric::CongestionPct,
         lo: 0.0,
         hi: 100.0,
         sets: [
@@ -116,7 +118,7 @@ const INPUTS: [FuzzyInput; 5] = [
         ],
     },
     FuzzyInput {
-        metric: "cpu_load",
+        metric: Metric::CpuLoad,
         lo: 0.0,
         hi: 100.0,
         sets: [
@@ -126,7 +128,7 @@ const INPUTS: [FuzzyInput; 5] = [
         ],
     },
     FuzzyInput {
-        metric: "loss_pct",
+        metric: Metric::LossPct,
         lo: 0.0,
         hi: 100.0,
         sets: [
@@ -136,7 +138,7 @@ const INPUTS: [FuzzyInput; 5] = [
         ],
     },
     FuzzyInput {
-        metric: "page_faults",
+        metric: Metric::PageFaults,
         lo: 0.0,
         hi: 100.0,
         sets: [
@@ -148,7 +150,7 @@ const INPUTS: [FuzzyInput; 5] = [
     FuzzyInput {
         // Wireless signal-to-interference ratio: larger is better, so
         // calm sits on the right.
-        metric: "sir_db",
+        metric: Metric::SirDb,
         lo: -30.0,
         hi: 40.0,
         sets: [
@@ -158,6 +160,15 @@ const INPUTS: [FuzzyInput; 5] = [
         ],
     },
 ];
+
+/// The rule `fuzzy:<metric>:<set>` of every input and set, input by
+/// input: bit `3 * input + set` of a decision's [`FiredRules`].
+static RULE_NAMES: LazyLock<Arc<Vec<String>>> = LazyLock::new(|| {
+    let names = INPUTS
+        .iter()
+        .flat_map(|i| SET_NAMES.map(|set| format!("fuzzy:{}:{set}", i.metric.name())));
+    Arc::new(names.collect())
+});
 
 /// Consequent sets over the packet-budget universe `[0, 16]`,
 /// indexed calm → strained → critical. Symmetric by construction so
@@ -201,17 +212,18 @@ impl FuzzyEngine {
     /// for `metric`, or `None` if the metric is not in the antecedent
     /// vocabulary. Exposed for the invariant proptests.
     pub fn memberships(metric: &str, x: f64) -> Option<[f64; 3]> {
-        let input = INPUTS.iter().find(|i| i.metric == metric)?;
+        let input = INPUTS.iter().find(|i| i.metric.name() == metric)?;
+        Some(FuzzyEngine::grades(input, x))
+    }
+
+    /// Membership grades of `x` in `input`'s three sets.
+    fn grades(input: &FuzzyInput, x: f64) -> [f64; 3] {
         let x = if x.is_finite() {
             x.clamp(input.lo, input.hi)
         } else {
             x
         };
-        Some([
-            input.sets[0].grade(x),
-            input.sets[1].grade(x),
-            input.sets[2].grade(x),
-        ])
+        input.sets.map(|set| set.grade(x))
     }
 
     /// Defuzzify one metric's activations onto a consequent family by
@@ -248,23 +260,23 @@ impl AdaptationPolicy for FuzzyEngine {
         "fuzzy"
     }
 
-    fn decide(&self, state: &BTreeMap<String, f64>) -> AdaptationDecision {
+    fn decide_state(&self, state: &StateVector, _stack: &mut EvalStack) -> AdaptationDecision {
         let mut decision = AdaptationDecision::unconstrained(self.default_packets);
         decision.violations = self.contract.check(state);
 
+        let mut fired = 0u64;
         let mut budget: Option<f64> = None;
         let mut modality: Option<f64> = None;
-        // BTreeMap iteration fixes the metric order; sets fire in
-        // calm → strained → critical order within a metric.
-        for (metric, value) in state {
-            let Some(alphas) = FuzzyEngine::memberships(metric, *value) else {
+        // Inputs run in metric order; sets fire in calm → strained →
+        // critical order within a metric.
+        for (at, input) in INPUTS.iter().enumerate() {
+            let Some(value) = state.get(input.metric) else {
                 continue;
             };
-            for (alpha, set_name) in alphas.iter().zip(SET_NAMES) {
+            let alphas = FuzzyEngine::grades(input, value);
+            for (set, alpha) in alphas.iter().enumerate() {
                 if *alpha > 0.0 {
-                    decision
-                        .fired_rules
-                        .push(format!("fuzzy:{metric}:{set_name}"));
+                    fired |= 1 << (3 * at + set);
                 }
             }
             // Conservative cross-metric merge: each metric's complete
@@ -278,6 +290,7 @@ impl AdaptationPolicy for FuzzyEngine {
                 modality = Some(modality.map_or(m, |prev: f64| prev.min(m)));
             }
         }
+        decision.fired_rules = FiredRules::new(RULE_NAMES.clone(), fired);
 
         if let Some(b) = budget {
             decision.max_packets = (b.round().max(0.0) as u32).min(self.default_packets);
@@ -297,6 +310,7 @@ impl AdaptationPolicy for FuzzyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn state(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
@@ -312,8 +326,8 @@ mod tests {
         assert_eq!(d.max_packets, 16);
         assert_eq!(d.modality, ModalityChoice::FullImage);
         assert_eq!(
-            d.fired_rules,
-            vec!["fuzzy:congestion_pct:calm", "fuzzy:loss_pct:calm"]
+            d.fired_rules.iter().collect::<Vec<_>>(),
+            ["fuzzy:congestion_pct:calm", "fuzzy:loss_pct:calm"]
         );
     }
 
@@ -334,7 +348,10 @@ mod tests {
             d.max_packets
         );
         assert_eq!(d.modality, ModalityChoice::Text);
-        assert_eq!(d.fired_rules, vec!["fuzzy:loss_pct:critical"]);
+        assert_eq!(
+            d.fired_rules.iter().collect::<Vec<_>>(),
+            ["fuzzy:loss_pct:critical"]
+        );
     }
 
     #[test]
@@ -387,11 +404,11 @@ mod tests {
         for input in &INPUTS {
             let mut x = input.lo;
             while x <= input.hi {
-                let g = FuzzyEngine::memberships(input.metric, x).unwrap();
+                let g = FuzzyEngine::memberships(input.metric.name(), x).unwrap();
                 assert!(
                     g.iter().any(|&v| v > 0.0),
                     "{} uncovered at {x}",
-                    input.metric
+                    input.metric.name()
                 );
                 assert!(g.iter().all(|&v| (0.0..=1.0).contains(&v)));
                 x += 0.25;

@@ -101,7 +101,7 @@ mod tests {
     use super::*;
     use crate::contract::QosContract;
     use crate::inference::InferenceEngine;
-    use crate::policy::PolicyDb;
+    use crate::policy::{AdaptationPolicy, PolicyDb};
     use std::collections::BTreeMap;
 
     fn d(packets: u32) -> AdaptationDecision {

@@ -13,8 +13,11 @@
 //! modality ceiling applies, and what resolution scale to use.
 
 use crate::contract::{QosContract, Violation};
-use crate::policy::{state_to_attrs, AdaptationAction, AdaptationPolicy, PolicyDb};
-use std::collections::BTreeMap;
+use crate::policy::{AdaptationAction, AdaptationPolicy, PolicyDb};
+use crate::state::StateVector;
+use sempubsub::EvalStack;
+use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 /// Modality ladder, lowest fidelity first. Mirrors
 /// `wireless::Modality` but lives here because wired clients use it
@@ -31,6 +34,92 @@ pub enum ModalityChoice {
     FullImage,
 }
 
+/// A table of rule names by position — what a decision's
+/// [`FiredRules`] indexes. Each engine builds its table once (the
+/// threshold engine's is its policy database's rule list) and shares it
+/// with every decision it makes by `Arc`.
+pub(crate) trait RuleTable: Send + Sync {
+    /// The name of the rule at `at`.
+    fn rule_name(&self, at: usize) -> &str;
+}
+
+impl RuleTable for Vec<String> {
+    fn rule_name(&self, at: usize) -> &str {
+        &self[at]
+    }
+}
+
+/// The rules that fired in one decision: positions in the deciding
+/// engine's rule table, held as a bit set beside a shared handle to the
+/// table.
+///
+/// It reads as the list of names it stands for — [`FiredRules::iter`]
+/// yields them as `&str` in table order, `Debug` prints exactly what a
+/// `Vec<String>` of them prints, and equality compares the names — and
+/// cloning it allocates nothing.
+#[derive(Clone)]
+pub struct FiredRules {
+    table: Arc<dyn RuleTable>,
+    fired: u64,
+}
+
+/// The table of an engine without rules.
+static NO_RULES: LazyLock<Arc<Vec<String>>> = LazyLock::new(Arc::default);
+
+impl FiredRules {
+    /// Rules one table can hold: a policy database refuses the rule
+    /// past this many.
+    pub const MAX_RULES: usize = u64::BITS as usize;
+
+    /// The rules of `table` at the set bits of `fired`.
+    pub(crate) fn new(table: Arc<dyn RuleTable>, fired: u64) -> FiredRules {
+        FiredRules { table, fired }
+    }
+
+    /// The names of the fired rules, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        let mut left = self.fired;
+        std::iter::from_fn(move || {
+            let at = (left != 0).then(|| left.trailing_zeros() as usize)?;
+            left &= left - 1;
+            Some(self.table.rule_name(at))
+        })
+    }
+
+    /// Number of fired rules.
+    pub fn len(&self) -> usize {
+        self.fired.count_ones() as usize
+    }
+
+    /// Whether no rule fired.
+    pub fn is_empty(&self) -> bool {
+        self.fired == 0
+    }
+
+    /// Whether the rule called `name` fired.
+    pub fn contains(&self, name: &str) -> bool {
+        self.iter().any(|n| n == name)
+    }
+}
+
+impl Default for FiredRules {
+    fn default() -> FiredRules {
+        FiredRules::new(Arc::clone(&NO_RULES) as Arc<dyn RuleTable>, 0)
+    }
+}
+
+impl fmt::Debug for FiredRules {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for FiredRules {
+    fn eq(&self, other: &FiredRules) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
 /// The outcome of one inference pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationDecision {
@@ -41,7 +130,7 @@ pub struct AdaptationDecision {
     /// Resolution scale in `(0, 1]`.
     pub resolution: f64,
     /// Names of the rules that fired, in priority order.
-    pub fired_rules: Vec<String>,
+    pub fired_rules: FiredRules,
     /// Contract violations observed in this state.
     pub violations: Vec<Violation>,
 }
@@ -53,7 +142,7 @@ impl AdaptationDecision {
             max_packets,
             modality: ModalityChoice::FullImage,
             resolution: 1.0,
-            fired_rules: Vec::new(),
+            fired_rules: FiredRules::default(),
             violations: Vec::new(),
         }
     }
@@ -79,19 +168,25 @@ impl InferenceEngine {
             default_packets: 16,
         }
     }
+}
 
-    /// Decide adaptations for the observed numeric state.
-    ///
-    /// All matching rules contribute; conflicting demands combine
-    /// conservatively (minimum packets, lowest modality ceiling,
-    /// smallest resolution). `Suspend` forces zero packets and
-    /// [`ModalityChoice::None`].
-    pub fn decide(&self, state: &BTreeMap<String, f64>) -> AdaptationDecision {
-        let attrs = state_to_attrs(state);
+/// The threshold engine is the canonical [`AdaptationPolicy`].
+///
+/// All matching rules contribute; conflicting demands combine
+/// conservatively (minimum packets, lowest modality ceiling, smallest
+/// resolution). `Suspend` forces zero packets and
+/// [`ModalityChoice::None`].
+impl AdaptationPolicy for InferenceEngine {
+    fn name(&self) -> &'static str {
+        "threshold"
+    }
+
+    fn decide_state(&self, state: &StateVector, stack: &mut EvalStack) -> AdaptationDecision {
         let mut decision = AdaptationDecision::unconstrained(self.default_packets);
         decision.violations = self.contract.check(state);
-        for rule in self.policies.matching(&attrs) {
-            decision.fired_rules.push(rule.name.clone());
+        let mut fired = 0u64;
+        for (at, rule) in self.policies.matching(state, stack) {
+            fired |= 1 << at;
             match &rule.action {
                 AdaptationAction::LimitPackets(n) => {
                     decision.max_packets = decision.max_packets.min(*n);
@@ -108,6 +203,7 @@ impl InferenceEngine {
                 }
             }
         }
+        decision.fired_rules = FiredRules::new(self.policies.table(), fired);
         if decision.max_packets == 0 && decision.modality > ModalityChoice::Text {
             // Zero image packets still permits the text description: the
             // §2 scenario where user B reads the image's text metadata.
@@ -117,25 +213,12 @@ impl InferenceEngine {
     }
 }
 
-/// The threshold engine is the canonical [`AdaptationPolicy`]: the
-/// trait method delegates to the inherent [`InferenceEngine::decide`]
-/// unchanged, so trait-boxed decisions are bit-identical to direct
-/// calls (pinned by `tests/policy_engines.rs`).
-impl AdaptationPolicy for InferenceEngine {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-
-    fn decide(&self, state: &BTreeMap<String, f64>) -> AdaptationDecision {
-        InferenceEngine::decide(self, state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contract::Constraint;
     use crate::policy::PolicyDb;
+    use std::collections::BTreeMap;
 
     fn state(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
@@ -172,7 +255,7 @@ mod tests {
         let e = InferenceEngine::new(db, QosContract::default());
         let d = e.decide(&state(&[]));
         assert_eq!(d.max_packets, 4);
-        assert_eq!(d.fired_rules, vec!["a", "b"]);
+        assert_eq!(d.fired_rules.iter().collect::<Vec<_>>(), ["a", "b"]);
     }
 
     #[test]
@@ -270,7 +353,10 @@ mod tests {
         let d = e.decide(&state(&[]));
         assert_eq!(d.modality, ModalityChoice::Text, "lowest cap wins");
         assert_eq!(d.max_packets, 16, "packets untouched by modality caps");
-        assert_eq!(d.fired_rules, vec!["cap-sketch", "cap-text", "cap-full"]);
+        assert_eq!(
+            d.fired_rules.iter().collect::<Vec<_>>(),
+            ["cap-sketch", "cap-text", "cap-full"]
+        );
     }
 
     /// Trait-boxed dispatch goes through the same inherent method.

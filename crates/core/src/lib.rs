@@ -27,6 +27,8 @@
 //! * [`engines`] — alternative adaptation engines (fuzzy controller,
 //!   discrete Bayesian network) behind the
 //!   [`AdaptationPolicy`] trait,
+//! * [`state`] — the metric vocabulary and the typed state vector
+//!   every engine decides on,
 //! * [`netstate`] — the network state interface: SNMP-backed sampling
 //!   of CPU load, page faults, memory, bandwidth,
 //! * [`transformer`] — the information transformer registry
@@ -59,13 +61,15 @@ pub mod policy;
 pub mod probe;
 pub mod session;
 pub mod shard;
+pub mod state;
 pub mod state_repo;
 pub mod transformer;
 pub mod trapwatch;
 
 pub use contract::{Constraint, QosContract, Violation};
 pub use engines::{BayesEngine, EngineChoice, FuzzyEngine};
-pub use inference::{AdaptationDecision, InferenceEngine, ModalityChoice};
-pub use policy::{AdaptationAction, AdaptationPolicy, PolicyDb, PolicyRule};
+pub use inference::{AdaptationDecision, FiredRules, InferenceEngine, ModalityChoice};
+pub use policy::{AdaptationAction, AdaptationPolicy, PolicyDb};
 pub use session::{CollaborationSession, SessionConfig};
+pub use state::{Metric, StateVector};
 pub use transformer::MediaCache;

@@ -1,35 +1,53 @@
 //! The policy database.
 //!
 //! "The inference engine serves as a policy database and encodes
-//! policies for information transformations" (§5.2). A
-//! [`PolicyRule`] pairs a condition — a `sempubsub` selector over the
-//! observed state — with an [`AdaptationAction`]. The database is
+//! policies for information transformations" (§5.2). A rule pairs a
+//! condition — a `sempubsub` selector over the observed [`Metric`]s —
+//! with an [`AdaptationAction`]. The database is
 //! consulted in priority order; all matching rules contribute, and the
 //! inference engine combines them conservatively (minimum packet
 //! budget, lowest modality).
 
-use sempubsub::{AttrValue, Selector, SemError};
+use crate::inference::{AdaptationDecision, FiredRules, RuleTable};
+use crate::state::{Metric, StateVector};
+use sempubsub::{
+    AttrSource, AttrValue, CompiledSelector, EvalStack, SelectorStore, SemError, Symbol,
+};
 use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock};
 
 /// A pluggable adaptation strategy.
 ///
-/// Maps the observed numeric state — `loss_pct`, `congestion_pct`,
-/// `sir_db`, `cpu_load`, `page_faults`, … — to an
-/// [`AdaptationDecision`](crate::inference::AdaptationDecision).
-/// The §5.2 threshold engine
+/// Maps the observed state — `loss_pct`, `congestion_pct`, `sir_db`,
+/// `cpu_load`, `page_faults`, … ([`Metric`]) — to an
+/// [`AdaptationDecision`]. The §5.2 threshold engine
 /// ([`InferenceEngine`](crate::inference::InferenceEngine)) is the
 /// canonical implementor; the [`engines`](crate::engines) module adds
 /// a fuzzy controller and a discrete Bayesian network behind the same
 /// interface. Implementations must be deterministic pure functions of
-/// `state` so sharded sessions stay bit-identical across worker
+/// the state so sharded sessions stay bit-identical across worker
 /// counts.
+///
+/// The one required method reads a [`StateVector`] and evaluates
+/// whatever selectors it runs on an [`EvalStack`] the caller keeps
+/// between calls, so a session's adaptation pass decides without
+/// allocating anything the decision does not carry. [`Self::decide`]
+/// takes the name-keyed map the vector replaces.
 pub trait AdaptationPolicy: Send + Sync {
     /// Short stable identifier (`"threshold"`, `"fuzzy"`, `"bayes"`)
     /// used in logs, bench tables, and chaos failure messages.
     fn name(&self) -> &'static str;
 
-    /// Decide adaptations for the observed numeric state.
-    fn decide(&self, state: &BTreeMap<String, f64>) -> crate::inference::AdaptationDecision;
+    /// Decide adaptations for the observed `state`, evaluating on
+    /// `stack`.
+    fn decide_state(&self, state: &StateVector, stack: &mut EvalStack) -> AdaptationDecision;
+
+    /// Decide adaptations for a name-keyed state map: its metrics as a
+    /// [`StateVector`] (names outside the vocabulary dropped), on a
+    /// fresh stack.
+    fn decide(&self, state: &BTreeMap<String, f64>) -> AdaptationDecision {
+        self.decide_state(&StateVector::from_map(state), &mut EvalStack::default())
+    }
 }
 
 /// Boxed engines are engines too, so `Box<dyn AdaptationPolicy>` can
@@ -39,8 +57,8 @@ impl<P: AdaptationPolicy + ?Sized> AdaptationPolicy for Box<P> {
         (**self).name()
     }
 
-    fn decide(&self, state: &BTreeMap<String, f64>) -> crate::inference::AdaptationDecision {
-        (**self).decide(state)
+    fn decide_state(&self, state: &StateVector, stack: &mut EvalStack) -> AdaptationDecision {
+        (**self).decide_state(state, stack)
     }
 }
 
@@ -59,21 +77,54 @@ pub enum AdaptationAction {
 
 /// A named, prioritized policy rule.
 #[derive(Debug, Clone)]
-pub struct PolicyRule {
+pub(crate) struct PolicyRule {
     /// Rule name (for tracing decisions).
     pub name: String,
     /// Lower runs first; ties keep insertion order.
     pub priority: i32,
-    /// Condition over state attributes.
-    pub condition: Selector,
+    /// Condition over state metrics, compiled once per process (see
+    /// [`PolicyDb::add_rule`]); its attribute symbols are [`Metric`]
+    /// indices.
+    pub condition: Arc<CompiledSelector>,
     /// Action when the condition holds.
     pub action: AdaptationAction,
 }
 
-/// The policy database.
-#[derive(Debug, Clone, Default)]
+/// Conditions a process compiles before the least recently used is
+/// dropped from the store (rules holding it keep it).
+const CONDITION_CAPACITY: usize = 1024;
+
+/// The store every policy condition is compiled through. Its interner
+/// starts as the metric vocabulary, so metric `m` is symbol
+/// `m.index()`, and a condition is compiled once however many
+/// databases — one a client, say — hold it.
+static CONDITIONS: LazyLock<SelectorStore> =
+    LazyLock::new(|| SelectorStore::with_interner(CONDITION_CAPACITY, Metric::interner()));
+
+/// The policy database: rules in priority order, each condition
+/// compiled over the metric vocabulary. The rule list is shared by
+/// `Arc` with every decision, whose [`FiredRules`] index it.
+#[derive(Debug, Clone)]
 pub struct PolicyDb {
-    rules: Vec<PolicyRule>,
+    rules: Arc<Vec<PolicyRule>>,
+}
+
+/// The rule list of every empty database: building one allocates
+/// nothing (a session's plain clients each hold one).
+static NO_RULES: LazyLock<Arc<Vec<PolicyRule>>> = LazyLock::new(Arc::default);
+
+impl Default for PolicyDb {
+    fn default() -> PolicyDb {
+        PolicyDb {
+            rules: Arc::clone(&NO_RULES),
+        }
+    }
+}
+
+impl RuleTable for Vec<PolicyRule> {
+    fn rule_name(&self, at: usize) -> &str {
+        &self[at].name
+    }
 }
 
 impl PolicyDb {
@@ -82,7 +133,11 @@ impl PolicyDb {
         PolicyDb::default()
     }
 
-    /// Add a rule from selector source text.
+    /// Add a rule from selector source text. The condition is compiled
+    /// here — once per process, through a store every database shares;
+    /// one that does not parse, or names an attribute that is not a
+    /// [`Metric`], is refused, as is a rule past the
+    /// [`FiredRules::MAX_RULES`]th.
     pub fn add_rule(
         &mut self,
         name: &str,
@@ -90,13 +145,27 @@ impl PolicyDb {
         condition: &str,
         action: AdaptationAction,
     ) -> Result<(), SemError> {
-        self.rules.push(PolicyRule {
+        let condition = CONDITIONS.compile(condition)?;
+        let stranger = condition
+            .attributes()
+            .find(|(sym, _)| sym.index() >= Metric::COUNT);
+        if let Some((_, name)) = stranger {
+            return Err(SemError::Parse(format!("`{name}` is not a state metric")));
+        }
+        if self.rules.len() == FiredRules::MAX_RULES {
+            return Err(SemError::Parse(format!(
+                "a policy database holds at most {} rules",
+                FiredRules::MAX_RULES
+            )));
+        }
+        let rules = Arc::make_mut(&mut self.rules);
+        rules.push(PolicyRule {
             name: name.to_string(),
             priority,
-            condition: Selector::parse(condition)?,
+            condition,
             action,
         });
-        self.rules.sort_by_key(|r| r.priority);
+        rules.sort_by_key(|r| r.priority);
         Ok(())
     }
 
@@ -110,14 +179,26 @@ impl PolicyDb {
         self.rules.is_empty()
     }
 
-    /// All rules whose condition holds for `state`, in priority order.
-    /// Rules whose condition errors (malformed against this state
-    /// shape) are skipped rather than failing the decision path.
-    pub fn matching(&self, state: &BTreeMap<String, AttrValue>) -> Vec<&PolicyRule> {
+    /// The rules in priority order, as the table a decision's
+    /// [`FiredRules`] indexes.
+    pub(crate) fn table(&self) -> Arc<dyn RuleTable> {
+        Arc::clone(&self.rules) as Arc<dyn RuleTable>
+    }
+
+    /// All rules whose condition holds for `state`, in priority order,
+    /// with their positions. Rules whose condition errors (a type
+    /// error against this state) are skipped rather than failing the
+    /// decision path.
+    pub(crate) fn matching<'a>(
+        &'a self,
+        state: &StateVector,
+        stack: &'a mut EvalStack,
+    ) -> impl Iterator<Item = (usize, &'a PolicyRule)> + 'a {
+        let attrs = StateAttrs::new(state);
         self.rules
             .iter()
-            .filter(|r| r.condition.matches(state).unwrap_or(false))
-            .collect()
+            .enumerate()
+            .filter(move |(_, r)| r.condition.eval_source(&attrs, stack).unwrap_or(false))
     }
 
     /// The paper's page-fault policy (§6.1): the number of image
@@ -285,18 +366,44 @@ impl PolicyDb {
 
     /// Merge another database into this one (rule lists concatenate,
     /// priorities interleave).
+    ///
+    /// # Panics
+    /// Panics if the merged database would hold more than
+    /// [`FiredRules::MAX_RULES`] rules.
     pub fn merge(&mut self, other: PolicyDb) {
-        self.rules.extend(other.rules);
-        self.rules.sort_by_key(|r| r.priority);
+        assert!(
+            self.rules.len() + other.rules.len() <= FiredRules::MAX_RULES,
+            "a policy database holds at most {} rules",
+            FiredRules::MAX_RULES
+        );
+        let rules = Arc::make_mut(&mut self.rules);
+        rules.extend(Arc::unwrap_or_clone(other.rules));
+        rules.sort_by_key(|r| r.priority);
     }
 }
 
-/// Render a numeric state map as selector-evaluable attributes.
-pub fn state_to_attrs(state: &BTreeMap<String, f64>) -> BTreeMap<String, AttrValue> {
-    state
-        .iter()
-        .map(|(k, v)| (k.clone(), AttrValue::Float(*v)))
-        .collect()
+/// A [`StateVector`] as the attributes a compiled condition reads: the
+/// value of metric `m` under symbol `m.index()`, as a float, or missing.
+struct StateAttrs {
+    values: [AttrValue; Metric::COUNT],
+    present: [bool; Metric::COUNT],
+}
+
+impl StateAttrs {
+    fn new(state: &StateVector) -> StateAttrs {
+        let at = |i: usize| state.get(Metric::ALL[i]);
+        StateAttrs {
+            values: std::array::from_fn(|i| AttrValue::Float(at(i).unwrap_or(0.0))),
+            present: std::array::from_fn(|i| at(i).is_some()),
+        }
+    }
+}
+
+impl AttrSource for StateAttrs {
+    fn get(&self, sym: Symbol, _name: &str) -> Option<&AttrValue> {
+        let i = sym.index();
+        self.present[i].then(|| &self.values[i])
+    }
 }
 
 #[cfg(test)]
@@ -304,11 +411,20 @@ mod tests {
     use super::*;
     use crate::inference::ModalityChoice;
 
-    fn attrs(pairs: &[(&str, f64)]) -> BTreeMap<String, AttrValue> {
+    fn attrs(pairs: &[(&str, f64)]) -> StateVector {
         pairs
             .iter()
-            .map(|(k, v)| (k.to_string(), AttrValue::Float(*v)))
+            .map(|(k, v)| (Metric::from_name(k).unwrap(), *v))
             .collect()
+    }
+
+    /// The rules `db` fires on `state`, in priority order.
+    fn matching<'a>(db: &'a PolicyDb, state: &StateVector) -> Vec<&'a PolicyRule> {
+        let fired: Vec<usize> = db
+            .matching(state, &mut EvalStack::default())
+            .map(|(at, _)| at)
+            .collect();
+        fired.into_iter().map(|at| &db.rules[at]).collect()
     }
 
     #[test]
@@ -325,7 +441,7 @@ mod tests {
             (100.0, 1),
         ];
         for (faults, packets) in expect {
-            let m = db.matching(&attrs(&[("page_faults", faults)]));
+            let m = matching(&db, &attrs(&[("page_faults", faults)]));
             assert_eq!(m.len(), 1, "exactly one band at {faults}");
             assert_eq!(
                 m[0].action,
@@ -338,7 +454,7 @@ mod tests {
     #[test]
     fn cpu_policy_reaches_zero_and_suspends() {
         let db = PolicyDb::paper_cpu_load_policy();
-        let m = db.matching(&attrs(&[("cpu_load", 100.0)]));
+        let m = matching(&db, &attrs(&[("cpu_load", 100.0)]));
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].action, AdaptationAction::LimitPackets(0));
         assert_eq!(m[1].action, AdaptationAction::Suspend);
@@ -351,7 +467,7 @@ mod tests {
             .unwrap();
         db.add_rule("early", -5, "true", AdaptationAction::LimitPackets(2))
             .unwrap();
-        let m = db.matching(&attrs(&[]));
+        let m = matching(&db, &attrs(&[]));
         assert_eq!(m[0].name, "early");
         assert_eq!(m[1].name, "late");
     }
@@ -360,7 +476,7 @@ mod tests {
     fn missing_attribute_rule_does_not_match() {
         let db = PolicyDb::paper_page_fault_policy();
         // No page_faults attribute at all: no band matches.
-        assert!(db.matching(&attrs(&[("cpu_load", 50.0)])).is_empty());
+        assert!(matching(&db, &attrs(&[("cpu_load", 50.0)])).is_empty());
     }
 
     #[test]
@@ -375,31 +491,31 @@ mod tests {
     #[test]
     fn bandwidth_policy_caps_modality() {
         let db = PolicyDb::bandwidth_modality_policy();
-        let m = db.matching(&attrs(&[("bandwidth_bps", 32_000.0)]));
+        let m = matching(&db, &attrs(&[("bandwidth_bps", 32_000.0)]));
         assert_eq!(
             m[0].action,
             AdaptationAction::CapModality(ModalityChoice::Text)
         );
-        let m = db.matching(&attrs(&[("bandwidth_bps", 100_000.0)]));
+        let m = matching(&db, &attrs(&[("bandwidth_bps", 100_000.0)]));
         assert_eq!(
             m[0].action,
             AdaptationAction::CapModality(ModalityChoice::Sketch)
         );
-        assert!(db.matching(&attrs(&[("bandwidth_bps", 1e7)])).is_empty());
+        assert!(matching(&db, &attrs(&[("bandwidth_bps", 1e7)])).is_empty());
     }
 
     #[test]
     fn loss_policy_bands() {
         let db = PolicyDb::loss_policy();
-        assert!(db.matching(&attrs(&[("loss_pct", 0.5)])).is_empty());
-        let m = db.matching(&attrs(&[("loss_pct", 5.0)]));
+        assert!(matching(&db, &attrs(&[("loss_pct", 0.5)])).is_empty());
+        let m = matching(&db, &attrs(&[("loss_pct", 5.0)]));
         assert_eq!(m[0].action, AdaptationAction::LimitPackets(8));
-        let m = db.matching(&attrs(&[("loss_pct", 15.0)]));
+        let m = matching(&db, &attrs(&[("loss_pct", 15.0)]));
         assert_eq!(
             m[0].action,
             AdaptationAction::CapModality(ModalityChoice::Sketch)
         );
-        let m = db.matching(&attrs(&[("loss_pct", 45.0)]));
+        let m = matching(&db, &attrs(&[("loss_pct", 45.0)]));
         assert_eq!(
             m[0].action,
             AdaptationAction::CapModality(ModalityChoice::Text)
@@ -409,22 +525,47 @@ mod tests {
     #[test]
     fn congestion_policy_bands() {
         let db = PolicyDb::congestion_policy();
-        assert!(db.matching(&attrs(&[("congestion_pct", 1.0)])).is_empty());
-        let m = db.matching(&attrs(&[("congestion_pct", 8.0)]));
+        assert!(matching(&db, &attrs(&[("congestion_pct", 1.0)])).is_empty());
+        let m = matching(&db, &attrs(&[("congestion_pct", 8.0)]));
         assert_eq!(m[0].action, AdaptationAction::LimitPackets(8));
-        let m = db.matching(&attrs(&[("congestion_pct", 30.0)]));
+        let m = matching(&db, &attrs(&[("congestion_pct", 30.0)]));
         assert_eq!(
             m[0].action,
             AdaptationAction::CapModality(ModalityChoice::Sketch)
         );
-        let m = db.matching(&attrs(&[("congestion_pct", 75.0)]));
+        let m = matching(&db, &attrs(&[("congestion_pct", 75.0)]));
         assert_eq!(
             m[0].action,
             AdaptationAction::CapModality(ModalityChoice::Text)
         );
         // Congestion bands key on the ECN echo only; loss alone is the
         // loss policy's business.
-        assert!(db.matching(&attrs(&[("loss_pct", 50.0)])).is_empty());
+        assert!(matching(&db, &attrs(&[("loss_pct", 50.0)])).is_empty());
+    }
+
+    #[test]
+    fn a_condition_is_compiled_once_however_many_databases_hold_it() {
+        let (a, b) = (PolicyDb::loss_policy(), PolicyDb::loss_policy());
+        for (x, y) in a.rules.iter().zip(b.rules.iter()) {
+            assert!(Arc::ptr_eq(&x.condition, &y.condition), "{}", x.name);
+        }
+    }
+
+    #[test]
+    fn a_database_holds_as_many_rules_as_a_decision_can_name() {
+        use crate::inference::InferenceEngine;
+        use crate::QosContract;
+        let mut db = PolicyDb::new();
+        for i in 0..FiredRules::MAX_RULES {
+            db.add_rule(&format!("r{i}"), 0, "true", AdaptationAction::Suspend)
+                .unwrap();
+        }
+        assert!(db
+            .add_rule("one more", 0, "true", AdaptationAction::Suspend)
+            .is_err());
+        let d = InferenceEngine::new(db, QosContract::default()).decide(&BTreeMap::new());
+        assert_eq!(d.fired_rules.len(), FiredRules::MAX_RULES);
+        assert_eq!(d.fired_rules.iter().last(), Some("r63"));
     }
 
     #[test]

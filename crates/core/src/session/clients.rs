@@ -11,13 +11,13 @@ use crate::inference::AdaptationDecision;
 use crate::netstate::NetworkStateInterface;
 use crate::policy::{AdaptationPolicy, PolicyDb};
 use crate::probe::{EchoResponder, LatencyProbe};
+use crate::state::{Metric, StateVector};
 use crate::state_repo::StateRepository;
-use sempubsub::{BusEndpoint, Profile};
+use sempubsub::{BusEndpoint, EvalStack, Profile};
 use simnet::packet::well_known;
 use simnet::{NodeId, Port, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
-use std::collections::BTreeMap;
 use sysmon::{install_host_agent, SimHost};
 
 /// Port of a client's SNMP manager (its network state interface).
@@ -32,12 +32,12 @@ pub(super) const PROBER_PORT: Port = Port(20_000);
 impl ClientRuntime {
     /// Add the figures of the latest ingested RTP receiver report to a
     /// sampled `state`.
-    pub(super) fn fold_rtp_report(&self, state: &mut BTreeMap<String, f64>) {
+    pub(super) fn fold_rtp_report(&self, state: &mut StateVector) {
         if let Some(loss) = self.rtp_loss {
-            state.insert("loss_pct".to_string(), loss * 100.0);
+            state.set(Metric::LossPct, loss * 100.0);
         }
         if let Some(ce) = self.rtp_congestion {
-            state.insert("congestion_pct".to_string(), ce * 100.0);
+            state.set(Metric::CongestionPct, ce * 100.0);
         }
     }
 }
@@ -174,53 +174,74 @@ impl CollaborationSession {
         self.clients[newcomer].repo.install_snapshot(snapshot);
     }
 
-    /// Sample a client's system state over SNMP and fold in the
-    /// figures of its latest RTP receiver report — the state every
-    /// adaptation pass decides on.
-    fn sample_state(&mut self, id: ClientId) -> BTreeMap<String, f64> {
+    /// Sample a client's system state over SNMP into `state`, from
+    /// empty, and fold in the figures of its latest RTP receiver report
+    /// — the state every adaptation pass decides on.
+    fn sample_state(&mut self, id: ClientId, state: &mut StateVector) {
         let client = &mut self.clients[id];
-        let mut state = client.netstate.sample(&mut self.net, &mut self.agents);
-        client.fold_rtp_report(&mut state);
-        state
+        state.clear();
+        client
+            .netstate
+            .sample(&mut self.net, &mut self.agents, state);
+        client.fold_rtp_report(state);
     }
 
-    /// Run the client's inference engine on `state` and apply the
-    /// decision to its image viewer. Touches only the client, so the
-    /// sharded engine runs it on worker threads.
+    /// Run the client's inference engine on `state`, evaluating on
+    /// `stack`, and apply the decision to its image viewer. Touches only
+    /// the client, so the sharded engine runs it on worker threads.
     pub(super) fn decide_and_apply(
         client: &mut ClientRuntime,
-        state: &BTreeMap<String, f64>,
+        state: &StateVector,
+        stack: &mut EvalStack,
     ) -> AdaptationDecision {
-        let decision = client.engine.decide(state);
+        let decision = client.engine.decide_state(state, stack);
         client.viewer.set_packet_budget(decision.max_packets);
         client.viewer.set_resolution(decision.resolution);
         client.last_decision = Some(decision.clone());
         decision
     }
 
+    /// The kept per-client adaptation buffers, one entry per client —
+    /// taken out of the session while a pass fills them.
+    fn take_adaptation(&mut self) -> Vec<(StateVector, EvalStack)> {
+        let mut kept = std::mem::take(&mut self.adaptation);
+        kept.resize_with(self.clients.len(), Default::default);
+        kept
+    }
+
     /// Run one adaptation pass for a client: sample its system state
     /// over SNMP, run the inference engine, and apply the decision to
     /// the image viewer. Returns the decision.
     pub fn adapt(&mut self, id: ClientId) -> AdaptationDecision {
-        let state = self.sample_state(id);
-        Self::decide_and_apply(&mut self.clients[id], &state)
+        let mut kept = self.take_adaptation();
+        let (state, stack) = &mut kept[id];
+        self.sample_state(id, state);
+        let decision = Self::decide_and_apply(&mut self.clients[id], state, stack);
+        self.adaptation = kept;
+        decision
     }
 
     /// Run one adaptation pass for every client. SNMP sampling walks
-    /// the shared network serially; the inference-engine decisions and
-    /// viewer updates are sharded across `SessionConfig::workers`
-    /// threads and returned in client order (identical to calling
-    /// [`CollaborationSession::adapt`] for each client in turn).
+    /// the shared network serially, into each client's kept state
+    /// vector; the inference-engine decisions and viewer updates are
+    /// sharded across `SessionConfig::workers` threads and returned in
+    /// client order (identical to calling
+    /// [`CollaborationSession::adapt`] for each client in turn). What
+    /// the pass allocates beyond the returned vector is the two
+    /// datagrams of each client's GET.
     pub fn adapt_all(&mut self) -> Vec<AdaptationDecision> {
-        let states: Vec<_> = (0..self.clients.len())
-            .map(|id| self.sample_state(id))
-            .collect();
-        crate::shard::map_shards(
+        let mut kept = self.take_adaptation();
+        for (id, (state, _)) in kept.iter_mut().enumerate() {
+            self.sample_state(id, state);
+        }
+        let decisions = crate::shard::map_shards(
             &mut self.clients,
-            states,
+            kept.iter_mut(),
             self.cfg.workers,
-            |_, client, state| Self::decide_and_apply(client, &state),
-        )
+            |_, client, (state, stack)| Self::decide_and_apply(client, state, stack),
+        );
+        self.adaptation = kept;
+        decisions
     }
 
     /// Attach an RFC 862-style echo reflector on a new LAN node; probes
@@ -256,13 +277,15 @@ impl CollaborationSession {
         probe_count: usize,
     ) -> Result<AdaptationDecision, String> {
         self.enable_probing(id)?;
+        let echo = self.echoes.iter().position(|(n, _)| *n == echo_target);
         // SNMP sample first, then the active probe.
-        let mut state = self.sample_state(id);
-        let echo_idx = self
-            .echoes
-            .iter()
-            .position(|(n, _)| *n == echo_target)
-            .ok_or_else(|| format!("no echo responder on {echo_target}"))?;
+        let mut kept = self.take_adaptation();
+        let (state, stack) = &mut kept[id];
+        self.sample_state(id, state);
+        let Some(echo_idx) = echo else {
+            self.adaptation = kept;
+            return Err(format!("no echo responder on {echo_target}"));
+        };
         let (client, echoes, net) = (&mut self.clients[id], &mut self.echoes, &mut self.net);
         let probe = client.probe.as_mut().expect("enabled above");
         let report = probe.burst(
@@ -273,10 +296,12 @@ impl CollaborationSession {
             Ticks::from_secs(1),
         );
         if report.received > 0 {
-            state.insert("latency_us".to_string(), report.latency_us);
-            state.insert("jitter_us".to_string(), report.jitter_us);
+            state.set(Metric::LatencyUs, report.latency_us);
+            state.set(Metric::JitterUs, report.jitter_us);
         }
-        Ok(Self::decide_and_apply(client, &state))
+        let decision = Self::decide_and_apply(client, state, stack);
+        self.adaptation = kept;
+        Ok(decision)
     }
 
     /// Feed a client the figures from an RTP receiver report so the

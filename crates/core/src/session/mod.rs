@@ -34,11 +34,12 @@ use crate::inference::AdaptationDecision;
 use crate::netstate::{AgentDirectory, NetworkStateInterface};
 use crate::policy::AdaptationPolicy;
 use crate::probe::{EchoResponder, LatencyProbe};
+use crate::state::StateVector;
 use crate::state_repo::StateRepository;
 use crate::transformer::MediaCache;
 use media::wavelet::WaveletKind;
 use media::Sketch;
-use sempubsub::{BusEndpoint, CacheStatsHandle, Frame, SelectorStore};
+use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, Frame, SelectorStore};
 use simnet::{GroupId, LinkSpec, Network, NodeId, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
@@ -235,6 +236,10 @@ pub struct CollaborationSession {
     /// never freed, so a steady-state pump allocates neither.
     inbox: Vec<Frame>,
     spans: Vec<Range<usize>>,
+    /// What each client's adaptation samples into and its engine
+    /// evaluates on, by client: kept between passes (and only by a
+    /// session that adapts), so a steady pass allocates neither.
+    adaptation: Vec<(StateVector, EvalStack)>,
 }
 
 impl CollaborationSession {
@@ -308,6 +313,7 @@ impl CollaborationSession {
             views: ViewStore::new(),
             inbox: Vec::new(),
             spans: Vec::new(),
+            adaptation: Vec::new(),
         }
     }
 

@@ -446,9 +446,12 @@ fn adapt_all_sweeping(s: &mut CollaborationSession) -> Vec<AdaptationDecision> {
         .map(|id| {
             let mut all: Vec<&mut AgentRuntime> = s.agents.iter_mut().collect();
             let client = &mut s.clients[id];
-            let mut state = client.netstate.sample_sweeping(&mut s.net, &mut all);
+            let mut state = StateVector::new();
+            client
+                .netstate
+                .sample_sweeping(&mut s.net, &mut all, &mut state);
             client.fold_rtp_report(&mut state);
-            CollaborationSession::decide_and_apply(client, &state)
+            CollaborationSession::decide_and_apply(client, &state, &mut EvalStack::default())
         })
         .collect()
 }

@@ -13,12 +13,13 @@
 
 use crate::inference::AdaptationDecision;
 use crate::policy::AdaptationPolicy;
+use crate::state::{Metric, StateVector};
+use sempubsub::EvalStack;
 use simnet::Network;
 use snmp::oid::{arcs, Oid};
 use snmp::pdu::{Message, VarBind};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpValue;
-use std::collections::BTreeMap;
 use sysmon::HOST_METRICS;
 
 /// Trap OID for a QoS alert from the host extension agent
@@ -349,10 +350,10 @@ pub fn install_cache_metrics(agent: &mut snmp::SnmpAgent, stats: &sempubsub::Cac
     mib.register_counter32(arcs::cache_evictions(), move || s.evictions());
 }
 
-/// Interpret a received QoS-alert or congestion-alert trap: extract
-/// the known host metrics from its varbinds and run the engine on
-/// them. Returns `None` for traps that are neither alert kind or carry
-/// no known metric.
+/// Interpret a received QoS-alert or congestion-alert trap: read the
+/// known metrics of its varbinds into a [`StateVector`] and run the
+/// engine on it. Returns `None` for traps that are neither alert kind
+/// or carry no known metric.
 pub fn decision_from_trap(
     engine: &dyn AdaptationPolicy,
     trap: &Message,
@@ -365,29 +366,29 @@ pub fn decision_from_trap(
     if !known {
         return None;
     }
-    let mut state = BTreeMap::new();
+    let mut state = StateVector::new();
     for vb in &trap.pdu.varbinds[2..] {
-        let name = if let Some(metric) = HOST_METRICS.iter().find(|m| vb.name == (m.1)()) {
-            metric.0
+        let metric = if let Some(m) = HOST_METRICS.iter().find(|m| vb.name == (m.1)()) {
+            Metric::from_name(m.0).expect("host metrics are state metrics")
         } else if vb.name == arcs::host_rtp_loss() {
-            "loss_pct"
+            Metric::LossPct
         } else if vb.name == arcs::host_congestion() {
-            "congestion_pct"
+            Metric::CongestionPct
         } else if vb.name.starts_with(&arcs::htb().child(7)) {
             // htbNodeUtil.<node>: plan-ceiling saturation feeds the
             // same congestion band as ECN-echo marking.
-            "congestion_pct"
+            Metric::CongestionPct
         } else {
             continue;
         };
         if let Some(v) = vb.value.as_f64() {
-            state.insert(name.to_string(), v);
+            state.set(metric, v);
         }
     }
     if state.is_empty() {
         return None;
     }
-    Some(engine.decide(&state))
+    Some(engine.decide_state(&state, &mut EvalStack::default()))
 }
 
 #[cfg(test)]

@@ -87,8 +87,13 @@ enum Slot {
 #[derive(Debug, Default)]
 pub struct EvalStack(Vec<Slot>);
 
-/// Where attribute references resolve from during one evaluation.
-trait AttrSource {
+/// Where attribute references resolve from during one evaluation: a
+/// profile snapshot (by symbol), a content map (by name), or any table
+/// a caller keys by the symbols of the interner its programs were
+/// compiled against (see [`CompiledSelector::eval_source`]).
+pub trait AttrSource {
+    /// The value of the attribute interned as `sym` and named `name`,
+    /// or `None` when it is missing.
     fn get(&self, sym: Symbol, name: &str) -> Option<&AttrValue>;
 }
 
@@ -143,6 +148,12 @@ impl CompiledSelector {
     /// The original selector text.
     pub fn source(&self) -> &str {
         &self.source
+    }
+
+    /// The attributes the program reads, each with its symbol, in
+    /// order of first reference.
+    pub fn attributes(&self) -> impl Iterator<Item = (Symbol, &str)> + '_ {
+        self.refs.iter().map(|(sym, name)| (*sym, name.as_str()))
     }
 
     /// The compiled program (exposed so tests can assert that a
@@ -230,6 +241,16 @@ impl CompiledSelector {
         stack: &mut EvalStack,
     ) -> Result<bool, SemError> {
         self.eval(attrs, stack)
+    }
+
+    /// Evaluate against any [`AttrSource`] — the same program, stack
+    /// and semantics as [`Self::eval_profile`] and [`Self::eval_map`].
+    pub fn eval_source<S: AttrSource>(
+        &self,
+        src: &S,
+        stack: &mut EvalStack,
+    ) -> Result<bool, SemError> {
+        self.eval(src, stack)
     }
 
     fn resolve<'a, S: AttrSource>(&'a self, src: &'a S, slot: Slot) -> Option<ResolvedRef<'a>> {
@@ -469,10 +490,17 @@ pub struct SelectorCache {
 impl SelectorCache {
     /// A cache bounded at `cap` compiled selectors (`cap >= 1`).
     pub fn with_capacity(cap: usize) -> SelectorCache {
+        SelectorCache::with_interner(cap, Interner::new())
+    }
+
+    /// A cache bounded at `cap` compiled selectors (`cap >= 1`) whose
+    /// programs intern their attributes through `interner`, so names it
+    /// already holds keep the symbols it gave them.
+    pub fn with_interner(cap: usize, interner: Interner) -> SelectorCache {
         assert!(cap >= 1, "selector cache needs room for one entry");
         assert!(cap < NIL as usize, "selector cache capacity out of range");
         SelectorCache {
-            interner: Interner::new(),
+            interner,
             index: HashMap::new(),
             entries: Vec::new(),
             head: NIL,
@@ -593,6 +621,15 @@ impl SelectorStore {
         }
     }
 
+    /// A store bounded at `cap` compiled selectors (`cap >= 1`),
+    /// interning through `interner` (see
+    /// [`SelectorCache::with_interner`]).
+    pub fn with_interner(cap: usize, interner: Interner) -> SelectorStore {
+        SelectorStore {
+            cache: Arc::new(Mutex::new(SelectorCache::with_interner(cap, interner))),
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, SelectorCache> {
         self.cache
             .lock()
@@ -688,9 +725,9 @@ pub(crate) fn interpret_compiled(
     if profile.transforms().is_empty() {
         return Ok(MatchOutcome::Reject);
     }
-    let interest = profile.interest().expect("snapshot interest implies one");
+    let goal = |attrs: &BTreeMap<String, AttrValue>| interest.eval_map(attrs, stack);
     Ok(
-        match crate::matching::search_chain(profile, content, interest)? {
+        match crate::matching::search_chain(profile, content, goal)? {
             Some(steps) => MatchOutcome::AcceptWithTransform(steps),
             None => MatchOutcome::Reject,
         },

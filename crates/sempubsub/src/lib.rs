@@ -63,8 +63,8 @@ pub mod value;
 pub use ast::Expr;
 pub use bus::{BusEndpoint, Delivery, Frame};
 pub use compile::{
-    CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, MatchEngine, SelectorCache,
-    SelectorStore,
+    AttrSource, CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, MatchEngine,
+    SelectorCache, SelectorStore,
 };
 pub use intern::{Interner, Symbol};
 pub use matching::{MatchOutcome, TransformStep};

@@ -76,7 +76,7 @@ pub fn interpret(
     if profile.transforms().is_empty() {
         return Ok(MatchOutcome::Reject);
     }
-    match search_chain(profile, content, interest)? {
+    match search_chain(profile, content, |attrs| interest.matches(attrs))? {
         Some(steps) => Ok(MatchOutcome::AcceptWithTransform(steps)),
         None => Ok(MatchOutcome::Reject),
     }
@@ -117,13 +117,14 @@ impl Ord for SearchNode {
     }
 }
 
-/// Uniform-cost search for the cheapest transform chain. Shared with
-/// the compiled engine in [`crate::compile`]: transform search is the
-/// cold path, so both pipelines run the identical implementation.
+/// Uniform-cost search for the cheapest transform chain to a content
+/// description `interest` accepts. Shared with the compiled engine in
+/// [`crate::compile`], which passes its compiled interest: transform
+/// search is the cold path, so both pipelines run the identical search.
 pub(crate) fn search_chain(
     profile: &Profile,
     content: &BTreeMap<String, AttrValue>,
-    interest: &crate::Selector,
+    mut interest: impl FnMut(&BTreeMap<String, AttrValue>) -> Result<bool, SemError>,
 ) -> Result<Option<Vec<TransformStep>>, SemError> {
     let mut heap = BinaryHeap::new();
     let mut best: HashMap<String, u32> = HashMap::new();
@@ -137,7 +138,7 @@ pub(crate) fn search_chain(
     while let Some(node) = heap.pop() {
         // Goal test at pop time, so the cheapest chain wins even when a
         // costlier chain reaches a matching state first.
-        if !node.steps.is_empty() && interest.matches(&node.attrs)? {
+        if !node.steps.is_empty() && interest(&node.attrs)? {
             return Ok(Some(node.steps));
         }
         explored += 1;

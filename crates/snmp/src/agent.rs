@@ -7,7 +7,9 @@
 
 use crate::mib::{MibTree, SetOutcome};
 use crate::oid::{arcs, Oid};
-use crate::pdu::{ErrorStatus, Message, Pdu, PduKind, VarBind};
+use crate::pdu::{
+    encode_exact, encode_message, ErrorStatus, Message, MessageView, Pdu, PduKind, VarBind,
+};
 use crate::value::SnmpValue;
 
 /// An SNMP agent servicing one MIB.
@@ -39,15 +41,15 @@ impl SnmpAgent {
         &mut self.mib
     }
 
-    fn authorized(&self, msg: &Message) -> bool {
-        match msg.pdu.kind {
+    fn authorized(&self, kind: PduKind, community: &str) -> bool {
+        match kind {
             PduKind::SetRequest => match &self.write_community {
-                Some(wc) => &msg.community == wc,
-                None => msg.community == self.read_community,
+                Some(wc) => community == wc,
+                None => community == self.read_community,
             },
             _ => {
-                msg.community == self.read_community
-                    || self.write_community.as_deref() == Some(&msg.community)
+                community == self.read_community
+                    || self.write_community.as_deref() == Some(community)
             }
         }
     }
@@ -55,27 +57,54 @@ impl SnmpAgent {
     /// Service one raw request datagram; returns the encoded response,
     /// or `None` when the message is undecodable or fails community
     /// authentication (silently dropped, like real agents).
+    ///
+    /// A GET is answered from the request as it lies in `raw`: each
+    /// name is looked up by its arcs and the response is written into
+    /// the thread's kept buffer, then copied out at its exact size.
+    /// Every other kind is decoded into owned values and answered from
+    /// those. The response bytes are the ones an owned decode, dispatch
+    /// and encode of the GET would give.
     pub fn handle(&mut self, raw: &[u8]) -> Option<Vec<u8>> {
-        let mut msg = Message::decode(raw).ok()?;
-        if !self.authorized(&msg) {
+        let view = MessageView::parse(raw).ok()?.whole()?;
+        if !self.authorized(view.kind, view.community) {
             self.auth_failures += 1;
             return None;
         }
-        // The response echoes the request's community and, for GET and
-        // SET, its names: the decoded request becomes the response.
+        if view.kind == PduKind::GetRequest {
+            return Some(self.answer_get(&view));
+        }
+        // The response echoes the request's community and, for SET, its
+        // names: the decoded request becomes the response.
+        let mut msg = view.to_message().ok()?;
         self.dispatch(&mut msg.pdu)?;
         Some(msg.encode())
+    }
+
+    /// The response to the GET `view`, which must read whole: every
+    /// name echoed under the value the MIB holds for it, sampled in
+    /// varbind order as the response is written.
+    fn answer_get(&mut self, view: &MessageView<'_>) -> Vec<u8> {
+        let mib = &mut self.mib;
+        let (community, id) = (view.community, view.request_id);
+        encode_exact(|w| {
+            encode_message(w, community, PduKind::Response, id, (0, 0), |w| {
+                for vb in view.varbinds().flatten() {
+                    vb.name.with_arcs(|arcs| {
+                        let value = mib.get(arcs).unwrap_or(SnmpValue::NoSuchObject);
+                        w.sequence(|w| {
+                            w.oid_arcs(arcs);
+                            value.encode(w);
+                        });
+                    });
+                }
+            })
+        })
     }
 
     /// Turn the request `pdu` into its response, in place; `None` for
     /// the kinds an agent does not answer.
     fn dispatch(&mut self, pdu: &mut Pdu) -> Option<()> {
         match pdu.kind {
-            PduKind::GetRequest => {
-                for vb in &mut pdu.varbinds {
-                    vb.value = self.mib.get(&vb.name).unwrap_or(SnmpValue::NoSuchObject);
-                }
-            }
             PduKind::GetNextRequest => {
                 for vb in &mut pdu.varbinds {
                     self.step(vb);
@@ -113,8 +142,9 @@ impl SnmpAgent {
                     }
                 }
             }
-            // Agents do not answer responses or traps.
-            PduKind::Response | PduKind::TrapV2 => return None,
+            // GETs are answered in place by `answer_get`; agents do not
+            // answer responses or traps.
+            PduKind::GetRequest | PduKind::Response | PduKind::TrapV2 => return None,
         }
         let binds = std::mem::take(&mut pdu.varbinds);
         *pdu = pdu.response(binds);

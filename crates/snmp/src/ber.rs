@@ -72,6 +72,16 @@ impl Writer {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget what was written, keeping the buffer for the next message.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     fn push_len(&mut self, len: usize) {
         if len < 0x80 {
             self.buf.push(len as u8);
@@ -141,7 +151,12 @@ impl Writer {
     /// invalid leading pair) — validate with [`Oid::is_encodable`].
     pub fn oid(&mut self, oid: &Oid) {
         assert!(oid.is_encodable(), "OID not encodable: {oid}");
-        let arcs = oid.arcs();
+        self.oid_arcs(oid.arcs());
+    }
+
+    /// Write an OBJECT IDENTIFIER from its arcs, which must be
+    /// encodable (see [`Oid::is_encodable`]; a decoded OID always is).
+    pub fn oid_arcs(&mut self, arcs: &[u32]) {
         self.constructed(tag::OID, |w| {
             push_base128(&mut w.buf, arcs[0] * 40 + arcs[1]);
             for &arc in &arcs[2..] {
@@ -331,42 +346,47 @@ pub fn decode_u32(content: &[u8]) -> Result<u32, SnmpError> {
 
 /// Decode an OID content body.
 pub fn decode_oid(content: &[u8]) -> Result<Oid, SnmpError> {
+    let mut arcs = Vec::with_capacity(content.len() + 1);
+    decode_oid_arcs(content, |arc| arcs.push(arc))?;
+    Ok(Oid::from(arcs))
+}
+
+/// Decode an OID content body arc by arc, handing each arc to `each`
+/// in order without collecting them. The same arcs and errors as
+/// [`decode_oid`]; on error, `each` has seen the arcs before it.
+pub(crate) fn decode_oid_arcs(content: &[u8], mut each: impl FnMut(u32)) -> Result<(), SnmpError> {
     if content.is_empty() {
         return Err(SnmpError::Malformed("empty OID"));
     }
-    let mut arcs = Vec::with_capacity(content.len() + 1);
     let mut iter = content.iter().copied();
-    let read_arc = |iter: &mut dyn Iterator<Item = u8>| -> Result<u32, SnmpError> {
-        let mut v: u32 = 0;
-        loop {
-            let b = iter
-                .next()
-                .ok_or(SnmpError::Malformed("truncated OID arc"))?;
-            v = v
-                .checked_shl(7)
-                .ok_or(SnmpError::Malformed("OID arc overflow"))?
-                | (b & 0x7f) as u32;
-            if b & 0x80 == 0 {
-                return Ok(v);
+    let read_arc =
+        |iter: &mut std::iter::Copied<std::slice::Iter<'_, u8>>| -> Result<u32, SnmpError> {
+            let mut v: u32 = 0;
+            loop {
+                let b = iter
+                    .next()
+                    .ok_or(SnmpError::Malformed("truncated OID arc"))?;
+                v = v
+                    .checked_shl(7)
+                    .ok_or(SnmpError::Malformed("OID arc overflow"))?
+                    | (b & 0x7f) as u32;
+                if b & 0x80 == 0 {
+                    return Ok(v);
+                }
             }
-        }
-    };
+        };
     let first = read_arc(&mut iter)?;
     if first < 80 {
-        arcs.push(first / 40);
-        arcs.push(first % 40);
+        each(first / 40);
+        each(first % 40);
     } else {
-        arcs.push(2);
-        arcs.push(first - 80);
+        each(2);
+        each(first - 80);
     }
-    loop {
-        let mut peek = iter.clone();
-        if peek.next().is_none() {
-            break;
-        }
-        arcs.push(read_arc(&mut iter)?);
+    while iter.len() > 0 {
+        each(read_arc(&mut iter)?);
     }
-    Ok(Oid::from(arcs))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub use agent::SnmpAgent;
 pub use manager::SnmpManager;
 pub use mib::{Access, MibTree};
 pub use oid::Oid;
-pub use pdu::{ErrorStatus, Message, Pdu, PduKind, VarBind};
+pub use pdu::{ErrorStatus, Message, MessageView, OidView, Pdu, PduKind, VarBind, VarBindView};
 pub use value::SnmpValue;
 
 /// Errors produced while encoding, decoding, or servicing SNMP.

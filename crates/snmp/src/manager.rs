@@ -3,18 +3,27 @@
 //! agents over the simulated network.
 
 use crate::oid::Oid;
-use crate::pdu::{encode_request, ErrorStatus, Message, Pdu, PduKind, VarBind};
+use crate::pdu::{
+    encode_exact, encode_message, write_varbinds, ErrorStatus, MessageView, PduKind, VarBind,
+};
 use crate::transport::{pump_until, AgentRuntime};
 use crate::value::SnmpValue;
 use crate::SnmpError;
 use simnet::packet::well_known;
-use simnet::{Addr, Network, NodeId, Port, SocketHandle, Ticks};
+use simnet::{Addr, Network, NodeId, Payload, Port, SocketHandle, Ticks};
 
 /// A synchronous SNMP manager bound to one socket.
 ///
 /// All query methods drive the simulation forward (servicing the
 /// provided agents) until the matching response arrives or the timeout
 /// elapses, mirroring a blocking management-station API.
+///
+/// [`SnmpManager::get_each`] is the GET a poller runs every pass: the
+/// request is written into a buffer the thread keeps and sent at its
+/// exact size, and the response is read where it landed and checked
+/// against the request — same count, same names, in order — before
+/// each value is handed over. [`SnmpManager::get`] collects the same
+/// values into owned varbinds.
 pub struct SnmpManager {
     socket: SocketHandle,
     community: String,
@@ -49,47 +58,92 @@ impl SnmpManager {
     }
 
     /// One request / response exchange: send `binds` under `kind`, then
-    /// drive the simulation until the response with this request's id
-    /// arrives or the timeout elapses.
-    fn transact<'a>(
+    /// drive the simulation until a response with this request's id
+    /// that reads whole arrives, or the timeout elapses, and hand the
+    /// response, error status checked, to `read`.
+    fn transact<'a, R>(
         &mut self,
         net: &mut Network,
         agents: &mut [&mut AgentRuntime],
         target: NodeId,
         kind: PduKind,
         binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
-    ) -> Result<Vec<VarBind>, SnmpError> {
+        read: impl FnOnce(MessageView<'_>) -> Result<R, SnmpError>,
+    ) -> Result<R, SnmpError> {
         let request_id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);
         self.requests_sent += 1;
+        let request = encode_exact(|w| {
+            encode_message(w, &self.community, kind, request_id, (0, 0), |w| {
+                write_varbinds(w, binds)
+            })
+        });
         net.send(
             self.socket,
             Addr::unicast(target, well_known::SNMP_AGENT),
-            encode_request(&self.community, kind, request_id, binds),
+            request,
         )
         .map_err(|e| SnmpError::Transport(e.to_string()))?;
 
         let socket = self.socket;
-        let mut response: Option<Pdu> = None;
+        let mut response: Option<Payload> = None;
         pump_until(net, agents, self.poll_step, self.timeout, |net| {
             while let Some(dgram) = net.recv(socket) {
-                if let Ok(m) = Message::decode(&dgram.payload) {
-                    if m.pdu.kind == PduKind::Response && m.pdu.request_id == request_id {
-                        response = Some(m.pdu);
-                        return true;
-                    }
+                let answers = MessageView::parse(&dgram.payload).is_ok_and(|m| {
+                    m.kind == PduKind::Response && m.request_id == request_id && m.whole().is_some()
+                });
+                if answers {
+                    response = Some(dgram.payload);
+                    return true;
                 }
             }
             false
         });
-        let pdu = response.ok_or(SnmpError::Timeout)?;
-        if pdu.error_status != ErrorStatus::NoError {
-            return Err(SnmpError::ErrorStatus(pdu.error_status, pdu.error_index));
+        let bytes = response.ok_or(SnmpError::Timeout)?;
+        let view = MessageView::parse(&bytes).expect("read when it arrived");
+        if view.error_status != ErrorStatus::NoError {
+            return Err(SnmpError::ErrorStatus(view.error_status, view.error_index));
         }
-        Ok(pdu.varbinds)
+        read(view.known_whole())
     }
 
-    /// GET one or more exact OIDs.
+    /// GET `oids`, handing `each` the position and value of every one
+    /// in request order, read in place over the response. A response
+    /// whose varbind count differs from the request's answers none of
+    /// them: the whole GET fails `Malformed`. A varbind whose name is
+    /// not the requested one at its position is handed over as
+    /// `Err(Malformed)` and the others as their values.
+    pub fn get_each(
+        &mut self,
+        net: &mut Network,
+        agents: &mut [&mut AgentRuntime],
+        target: NodeId,
+        oids: &[Oid],
+        mut each: impl FnMut(usize, Result<&SnmpValue, SnmpError>),
+    ) -> Result<(), SnmpError> {
+        let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
+        self.transact(net, agents, target, PduKind::GetRequest, binds, |view| {
+            if view.varbinds().count() != oids.len() {
+                return Err(SnmpError::Malformed(
+                    "response varbinds do not match the request",
+                ));
+            }
+            for (at, (vb, oid)) in view.varbinds().zip(oids).enumerate() {
+                let vb = vb?;
+                if vb.name.is(oid) {
+                    each(at, Ok(&vb.value));
+                } else {
+                    let e = SnmpError::Malformed("response names another variable");
+                    each(at, Err(e));
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// GET one or more exact OIDs: [`Self::get_each`]'s values as owned
+    /// varbinds under the requested names, or the first error any of
+    /// them met.
     pub fn get(
         &mut self,
         net: &mut Network,
@@ -97,8 +151,18 @@ impl SnmpManager {
         target: NodeId,
         oids: &[Oid],
     ) -> Result<Vec<VarBind>, SnmpError> {
-        let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
-        self.transact(net, agents, target, PduKind::GetRequest, binds)
+        let mut binds = Vec::with_capacity(oids.len());
+        let mut failed = None;
+        self.get_each(net, agents, target, oids, |at, value| match value {
+            Ok(value) => binds.push(VarBind::bound(oids[at].clone(), value.clone())),
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
+        })?;
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(binds),
+        }
     }
 
     /// GET a single OID and coerce it to `f64` (the form the inference
@@ -126,7 +190,14 @@ impl SnmpManager {
         oids: &[Oid],
     ) -> Result<Vec<VarBind>, SnmpError> {
         let binds = oids.iter().map(|oid| (oid, &SnmpValue::Null));
-        self.transact(net, agents, target, PduKind::GetNextRequest, binds)
+        self.transact(
+            net,
+            agents,
+            target,
+            PduKind::GetNextRequest,
+            binds,
+            |view| Ok(view.to_message()?.pdu.varbinds),
+        )
     }
 
     /// SET one variable.
@@ -139,8 +210,7 @@ impl SnmpManager {
         value: SnmpValue,
     ) -> Result<(), SnmpError> {
         let binds = std::iter::once((&oid, &value));
-        self.transact(net, agents, target, PduKind::SetRequest, binds)?;
-        Ok(())
+        self.transact(net, agents, target, PduKind::SetRequest, binds, |_| Ok(()))
     }
 
     /// Walk an entire subtree with repeated GETNEXT, stopping at the

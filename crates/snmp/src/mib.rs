@@ -128,8 +128,12 @@ impl MibTree {
         self.entries.is_empty()
     }
 
-    /// GET: sample the exact variable.
-    pub fn get(&mut self, oid: &Oid) -> Option<SnmpValue> {
+    /// GET: sample the exact variable — named by an [`Oid`] or by its
+    /// arc slice.
+    pub fn get<K: Ord + ?Sized>(&mut self, oid: &K) -> Option<SnmpValue>
+    where
+        Oid: std::borrow::Borrow<K>,
+    {
         let entry = self.entries.get_mut(oid)?;
         Some(Self::sample(entry))
     }

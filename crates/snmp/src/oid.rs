@@ -101,6 +101,16 @@ impl fmt::Debug for Oid {
     }
 }
 
+/// An OID is looked up by its arc slice: `Oid`'s derived `Ord`, `Eq`
+/// and `Hash` are its arc vector's, which are the slice's, so a map
+/// keyed by `Oid` answers a query for arcs read off the wire without
+/// building an `Oid` for it.
+impl std::borrow::Borrow<[u32]> for Oid {
+    fn borrow(&self) -> &[u32] {
+        &self.0
+    }
+}
+
 impl From<Vec<u32>> for Oid {
     fn from(arcs: Vec<u32>) -> Self {
         Oid(arcs)

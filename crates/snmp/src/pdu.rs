@@ -10,10 +10,11 @@
 //!               varbinds SEQUENCE OF SEQUENCE { name OID, value ANY } }
 //! ```
 
-use crate::ber::{tag, Reader, Writer};
+use crate::ber::{decode_oid_arcs, tag, Reader, Writer};
 use crate::oid::Oid;
 use crate::value::SnmpValue;
 use crate::SnmpError;
+use std::cell::RefCell;
 
 /// Protocol version constant for SNMPv2c on the wire.
 const VERSION_2C: i64 = 1;
@@ -216,14 +217,14 @@ const ENCODE_RESERVE: usize = 128;
 
 /// Write one message. `fields` are the two integers after the request
 /// id: error status and index, or a GETBULK's non-repeaters and
-/// max-repetitions.
-fn encode_message<'a>(
+/// max-repetitions; `binds` writes the varbind list's content.
+pub(crate) fn encode_message(
     w: &mut Writer,
     community: &str,
     kind: PduKind,
     request_id: i32,
     fields: (i64, i64),
-    binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
+    binds: impl FnOnce(&mut Writer),
 ) {
     w.sequence(|w| {
         w.integer(VERSION_2C);
@@ -232,30 +233,255 @@ fn encode_message<'a>(
             w.integer(request_id as i64);
             w.integer(fields.0);
             w.integer(fields.1);
-            w.sequence(|w| {
-                for (name, value) in binds {
-                    w.sequence(|w| {
-                        w.oid(name);
-                        value.encode(w);
-                    });
-                }
-            });
+            w.sequence(binds);
         });
     });
 }
 
-/// The wire bytes of a manager's request over borrowed bindings — what
-/// [`Message::encode`] gives for a request [`Pdu`] owning clones of
-/// them, without building one.
-pub(crate) fn encode_request<'a>(
-    community: &str,
-    kind: PduKind,
-    request_id: i32,
+thread_local! {
+    /// The buffer this thread writes a GET and its response into, kept
+    /// between messages.
+    static SCRATCH: RefCell<Writer> = RefCell::new(Writer::new());
+}
+
+/// The bytes `write` writes, at their exact size: written into a buffer
+/// the thread keeps, then copied out once.
+pub(crate) fn encode_exact(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut w) => {
+            w.clear();
+            write(&mut w);
+            w.as_bytes().to_vec()
+        }
+        // Written while another message is (an instrumentation routine
+        // that itself talks SNMP): a buffer of its own.
+        Err(_) => {
+            let mut w = Writer::new();
+            write(&mut w);
+            w.as_bytes().to_vec()
+        }
+    })
+}
+
+/// Write the varbinds `(name, value)` as a varbind list's content.
+pub(crate) fn write_varbinds<'a>(
+    w: &mut Writer,
     binds: impl Iterator<Item = (&'a Oid, &'a SnmpValue)>,
-) -> Vec<u8> {
-    let mut w = Writer::with_capacity(ENCODE_RESERVE);
-    encode_message(&mut w, community, kind, request_id, (0, 0), binds);
-    w.into_bytes()
+) {
+    for (name, value) in binds {
+        w.sequence(|w| {
+            w.oid(name);
+            value.encode(w);
+        });
+    }
+}
+
+/// A message read in place over its wire bytes: the header decoded,
+/// the varbinds left where they lie and read one at a time by
+/// [`MessageView::varbinds`]. [`Message::decode`] is this view turned
+/// into owned values, so the two accept and refuse the same bytes with
+/// the same errors.
+#[derive(Clone, Copy, Debug)]
+pub struct MessageView<'a> {
+    /// Community string.
+    pub community: &'a str,
+    /// Operation kind.
+    pub kind: PduKind,
+    /// Request id.
+    pub request_id: i32,
+    /// Error status (`NoError` for a GETBULK).
+    pub error_status: ErrorStatus,
+    /// Error index (0 for a GETBULK).
+    pub error_index: u32,
+    /// GETBULK parameters, for a GETBULK only.
+    pub bulk: Option<(u32, u32)>,
+    /// The varbind list's content.
+    binds: Reader<'a>,
+    /// Whether every varbind is known to read, so reading one need not
+    /// check its name again.
+    whole: bool,
+}
+
+impl<'a> MessageView<'a> {
+    /// Read the header of the message in `bytes`. A varbind is read —
+    /// and a malformed one refused — only when
+    /// [`MessageView::varbinds`] reaches it.
+    pub fn parse(bytes: &'a [u8]) -> Result<MessageView<'a>, SnmpError> {
+        let mut r = Reader::new(bytes);
+        let mut msg = r.sequence()?;
+        let version = msg.integer()?;
+        if version != VERSION_2C {
+            return Err(SnmpError::Malformed("unsupported SNMP version"));
+        }
+        let community = std::str::from_utf8(msg.octet_string()?)
+            .map_err(|_| SnmpError::Malformed("community not UTF-8"))?;
+        let pdu_tag = msg.peek_tag()?;
+        let kind = PduKind::from_tag(pdu_tag).ok_or(SnmpError::Malformed("unknown PDU tag"))?;
+        let mut pdu = msg.constructed(pdu_tag)?;
+        let request_id = pdu.integer()? as i32;
+        let field1 = pdu.integer()?;
+        let field2 = pdu.integer()?;
+        let (error_status, error_index, bulk) = if kind == PduKind::GetBulkRequest {
+            (
+                ErrorStatus::NoError,
+                0,
+                Some((field1.max(0) as u32, field2.max(0) as u32)),
+            )
+        } else {
+            (ErrorStatus::from_i64(field1)?, field2 as u32, None)
+        };
+        Ok(MessageView {
+            community,
+            kind,
+            request_id,
+            error_status,
+            error_index,
+            bulk,
+            binds: pdu.sequence()?,
+            whole: false,
+        })
+    }
+
+    /// The varbinds in wire order. The iteration ends after the first
+    /// malformed varbind, which it yields as an error.
+    pub fn varbinds(&self) -> VarBinds<'a> {
+        VarBinds {
+            binds: self.binds,
+            whole: self.whole,
+        }
+    }
+
+    /// The view, if every varbind reads — what [`Message::decode`] also
+    /// requires of the bytes. Its varbinds are then read without
+    /// checking each name a second time.
+    pub fn whole(self) -> Option<MessageView<'a>> {
+        let whole = self.whole || self.varbinds().all(|vb| vb.is_ok());
+        whole.then_some(MessageView { whole, ..self })
+    }
+
+    /// The view of bytes whose every varbind was seen to read when they
+    /// arrived.
+    pub(crate) fn known_whole(self) -> MessageView<'a> {
+        MessageView {
+            whole: true,
+            ..self
+        }
+    }
+
+    /// The message as owned values, read in one pass with the errors
+    /// [`MessageView::varbinds`] would meet.
+    pub fn to_message(&self) -> Result<Message, SnmpError> {
+        let mut binds = self.binds;
+        let mut varbinds = Vec::new();
+        while !binds.is_empty() {
+            let mut vb = binds.sequence()?;
+            let name = vb.oid()?;
+            let value = SnmpValue::decode(&mut vb)?;
+            varbinds.push(VarBind { name, value });
+        }
+        Ok(Message {
+            community: self.community.to_string(),
+            pdu: Pdu {
+                kind: self.kind,
+                request_id: self.request_id,
+                error_status: self.error_status,
+                error_index: self.error_index,
+                bulk: self.bulk,
+                varbinds,
+            },
+        })
+    }
+}
+
+/// The varbinds of a [`MessageView`], read in place.
+#[derive(Clone, Copy, Debug)]
+pub struct VarBinds<'a> {
+    binds: Reader<'a>,
+    whole: bool,
+}
+
+impl<'a> Iterator for VarBinds<'a> {
+    type Item = Result<VarBindView<'a>, SnmpError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.binds.is_empty() {
+            return None;
+        }
+        let read = VarBindView::read(&mut self.binds, self.whole);
+        if read.is_err() {
+            self.binds = Reader::new(&[]);
+        }
+        Some(read)
+    }
+}
+
+/// One varbind read in place: its name still BER-encoded over the
+/// message bytes, its value decoded (which allocates only for an
+/// OCTET STRING or OBJECT IDENTIFIER value, never for a number).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VarBindView<'a> {
+    /// The variable's name.
+    pub name: OidView<'a>,
+    /// Its value.
+    pub value: SnmpValue,
+}
+
+impl<'a> VarBindView<'a> {
+    /// Read one varbind; a name is checked to decode unless the
+    /// message is known to read whole.
+    fn read(r: &mut Reader<'a>, whole: bool) -> Result<VarBindView<'a>, SnmpError> {
+        let mut vb = r.sequence()?;
+        let name = vb.expect(tag::OID)?;
+        if !whole {
+            decode_oid_arcs(name, |_| ())?;
+        }
+        let value = SnmpValue::decode(&mut vb)?;
+        Ok(VarBindView {
+            name: OidView(name),
+            value,
+        })
+    }
+}
+
+/// An OBJECT IDENTIFIER read in place: the BER content of a name that
+/// decodes (checked when it was read), its arcs decoded on demand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OidView<'a>(&'a [u8]);
+
+impl OidView<'_> {
+    /// Whether this is `oid`, arc for arc.
+    pub fn is(&self, oid: &Oid) -> bool {
+        let want = oid.arcs();
+        let (mut at, mut same) = (0, true);
+        let _ = decode_oid_arcs(self.0, |arc| {
+            same &= want.get(at) == Some(&arc);
+            at += 1;
+        });
+        same && at == want.len()
+    }
+
+    /// Run `f` on the arcs, decoded onto the stack — or, for a name
+    /// longer than any this framework registers, onto the heap.
+    pub fn with_arcs<R>(&self, f: impl FnOnce(&[u32]) -> R) -> R {
+        const ON_STACK: usize = 32;
+        let (mut stack, mut n, mut heap) = ([0u32; ON_STACK], 0, Vec::new());
+        let _ = decode_oid_arcs(self.0, |arc| {
+            if n < ON_STACK {
+                stack[n] = arc;
+            } else {
+                if heap.is_empty() {
+                    heap.extend_from_slice(&stack);
+                }
+                heap.push(arc);
+            }
+            n += 1;
+        });
+        if n <= ON_STACK {
+            f(&stack[..n])
+        } else {
+            f(&heap)
+        }
+    }
 }
 
 /// A complete community-authenticated message.
@@ -291,53 +517,14 @@ impl Message {
             _ => (pdu.error_status.to_i64(), pdu.error_index as i64),
         };
         let binds = pdu.varbinds.iter().map(|vb| (&vb.name, &vb.value));
-        encode_message(w, &self.community, pdu.kind, pdu.request_id, fields, binds);
+        encode_message(w, &self.community, pdu.kind, pdu.request_id, fields, |w| {
+            write_varbinds(w, binds)
+        });
     }
 
-    /// Decode wire bytes.
+    /// Decode wire bytes: [`MessageView::parse`], every varbind read.
     pub fn decode(bytes: &[u8]) -> Result<Message, SnmpError> {
-        let mut r = Reader::new(bytes);
-        let mut msg = r.sequence()?;
-        let version = msg.integer()?;
-        if version != VERSION_2C {
-            return Err(SnmpError::Malformed("unsupported SNMP version"));
-        }
-        let community = String::from_utf8(msg.octet_string()?.to_vec())
-            .map_err(|_| SnmpError::Malformed("community not UTF-8"))?;
-        let pdu_tag = msg.peek_tag()?;
-        let kind = PduKind::from_tag(pdu_tag).ok_or(SnmpError::Malformed("unknown PDU tag"))?;
-        let mut pdu = msg.constructed(pdu_tag)?;
-        let request_id = pdu.integer()? as i32;
-        let field1 = pdu.integer()?;
-        let field2 = pdu.integer()?;
-        let (error_status, error_index, bulk) = if kind == PduKind::GetBulkRequest {
-            (
-                ErrorStatus::NoError,
-                0,
-                Some((field1.max(0) as u32, field2.max(0) as u32)),
-            )
-        } else {
-            (ErrorStatus::from_i64(field1)?, field2 as u32, None)
-        };
-        let mut binds = pdu.sequence()?;
-        let mut varbinds = Vec::new();
-        while !binds.is_empty() {
-            let mut vb = binds.sequence()?;
-            let name = vb.oid()?;
-            let value = SnmpValue::decode(&mut vb)?;
-            varbinds.push(VarBind { name, value });
-        }
-        Ok(Message {
-            community,
-            pdu: Pdu {
-                kind,
-                request_id,
-                error_status,
-                error_index,
-                bulk,
-                varbinds,
-            },
-        })
+        MessageView::parse(bytes)?.to_message()
     }
 }
 
@@ -506,10 +693,16 @@ mod tests {
     #[test]
     fn borrowed_request_encoding_matches_the_owned_pdu() {
         let names = [arcs::host_cpu_load(), arcs::host_page_faults()];
-        let binds = || names.iter().map(|n| (n, &SnmpValue::Null));
-        assert_eq!(
-            encode_request("public", PduKind::GetRequest, 0x0102_0304, binds()),
-            sample().encode()
+        let binds = names.iter().map(|n| (n, &SnmpValue::Null));
+        let mut w = Writer::new();
+        encode_message(
+            &mut w,
+            "public",
+            PduKind::GetRequest,
+            0x0102_0304,
+            (0, 0),
+            |w| write_varbinds(w, binds),
         );
+        assert_eq!(w.into_bytes(), sample().encode());
     }
 }

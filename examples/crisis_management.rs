@@ -89,7 +89,10 @@ fn main() {
             if d.fired_rules.is_empty() {
                 String::new()
             } else {
-                format!("  (rule {})", d.fired_rules.join(","))
+                format!(
+                    "  (rule {})",
+                    d.fired_rules.iter().collect::<Vec<_>>().join(",")
+                )
             },
         );
     }

@@ -137,7 +137,7 @@ fn minimal_session() {
             viewed.packets_accepted,
             viewed.bpp,
             viewed.compression_ratio,
-            decision.fired_rules.join(","),
+            decision.fired_rules.iter().collect::<Vec<_>>().join(","),
         );
     }
 

@@ -46,7 +46,7 @@ fn snmp_round_trip_feeds_inference_and_viewer() {
     });
     let d = session.adapt(viewer);
     assert_eq!(d.max_packets, 4);
-    assert!(d.fired_rules.contains(&"pf-high".to_string()));
+    assert!(d.fired_rules.contains("pf-high"));
 
     let scene = synthetic_scene(128, 128, 1, 4, 11);
     session
