@@ -1,10 +1,14 @@
 //! Hierarchical last-mile shaping tree: HTB-style borrowing with one
-//! CoDel/ECN AQM instance per subscriber.
+//! CoDel/ECN AQM instance per leaf — the one egress scheduler `simnet`
+//! mounts.
 //!
-//! `crates/qdisc` shapes one link with a flat class plane. An ISP's
-//! last mile is not flat: a shared uplink fans out to sites, sites to
-//! access points, access points to subscribers, and every level has
-//! both an **assured rate** (what the plan guarantees) and a
+//! A flat class plane is this tree at depth one: a
+//! [`qdisc::QdiscConfig`] compiles to a root carrying the link shaper
+//! and four leaves, one per traffic class ([`ShapingTree::for_classes`],
+//! with [`Qdisc`] as its class-keyed front end). An ISP's last mile is
+//! deeper: a shared uplink fans out to sites, sites to access points,
+//! access points to subscribers, and every level has both an
+//! **assured rate** (what the plan guarantees) and a
 //! **ceiling** (what the plan may burst to when ancestors have spare
 //! capacity). This crate models that hierarchy the way LibreQoS mounts
 //! HTB + per-customer AQM on real ISP middleboxes:
@@ -24,8 +28,8 @@
 //!   per-class FIFOs, so a congested subscriber is ECN-marked (and
 //!   eventually dropped) without touching its neighbours' queues.
 //!
-//! All accounting is integer bit-µs (the same [`TokenBucket`] the flat
-//! qdisc uses), so the schedule is exactly reproducible: same
+//! All accounting is integer bit-µs ([`TokenBucket`] from `qdisc`), so
+//! the schedule is exactly reproducible: same
 //! enqueue/dequeue call sequence, same marks, drops, and borrow
 //! ledger. The fairness invariants the bench and proptests pin:
 //!
@@ -78,8 +82,12 @@
 //! or by the root; a saturated interior node (site, AP) still costs a
 //! path check per ready leaf beneath it.
 
+mod classes;
+
+pub use classes::Qdisc;
 use qdisc::{
-    ClassMap, CoDel, Shaper, TokenBucket, CLASS_COUNT, DEFAULT_INTERVAL_US, DEFAULT_TARGET_US,
+    ClassMap, CoDel, Shaper, SharedStats, TokenBucket, CLASS_COUNT, DEFAULT_INTERVAL_US,
+    DEFAULT_TARGET_US,
 };
 
 // Re-exported so consumers of the tree can pattern-match enqueue and
@@ -87,6 +95,7 @@ use qdisc::{
 pub use qdisc::{DequeueOutcome, EnqueueOutcome, Released, TrafficClass};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -371,35 +380,15 @@ impl fmt::Display for TreeSpec {
     }
 }
 
-/// Live counters for one tree node, shared with observers (the SNMP
-/// agent reads them through [`TreeStatsHandle`] clones). Backlog,
-/// drops, marks and bits sent aggregate over the node's whole subtree,
-/// so interior rows answer "how is this site doing" directly;
-/// `borrowed_bits` is attributed to the borrowing leaf alone. All
-/// updates happen on the single simulation thread; relaxed ordering is
-/// sufficient.
-#[derive(Debug, Default)]
-pub struct NodeShared {
-    /// Bytes currently queued in the subtree.
-    pub backlog_bytes: AtomicU64,
-    /// Packets currently queued in the subtree.
-    pub backlog_pkts: AtomicU64,
-    /// Cumulative drops (tail + AQM) in the subtree.
-    pub drops: AtomicU64,
-    /// Cumulative ECN marks in the subtree.
-    pub ecn_marks: AtomicU64,
-    /// Bits the leaf sent on borrowed (ancestor) tokens.
-    pub borrowed_bits: AtomicU64,
-    /// Bits released to the wire from the subtree.
-    pub bits_sent: AtomicU64,
-}
-
 /// Shared view of a compiled tree: static per-node rates plus live
-/// counters, indexed by [`NodeIdx`].
+/// counters, indexed by [`NodeIdx`]. The SNMP agent reads them through
+/// [`TreeStatsHandle`] clones, so interior rows answer "how is this
+/// site doing" directly.
 #[derive(Debug)]
 pub struct TreeShared {
-    nodes: Vec<NodeShared>,
-    /// Static `(assured_bps, ceil_bps)` per node.
+    nodes: Vec<SharedStats>,
+    /// Static `(assured_bps, ceil_bps)` per node; 0 where the node has
+    /// no bucket.
     rates: Vec<(u64, u64)>,
 }
 
@@ -410,7 +399,7 @@ impl TreeShared {
     }
 
     /// Live counters for node `idx`.
-    pub fn node(&self, idx: NodeIdx) -> &NodeShared {
+    pub fn node(&self, idx: NodeIdx) -> &SharedStats {
         &self.nodes[idx]
     }
 
@@ -453,11 +442,56 @@ impl TreeShared {
 /// Cloneable handle to a tree's live counters.
 pub type TreeStatsHandle = Arc<TreeShared>;
 
-/// A compiled tree node: dual buckets plus topology.
+/// A tree's own counters are its root's: the whole plane's backlog,
+/// drops and ECN marks.
+impl Deref for TreeShared {
+    type Target = SharedStats;
+
+    fn deref(&self) -> &SharedStats {
+        self.node(ROOT)
+    }
+}
+
+/// A compiled tree node: dual buckets plus topology. A node without a
+/// bucket does not shape: it admits every packet at once.
 struct Node {
-    rate: TokenBucket,
-    ceil: TokenBucket,
+    rate: Option<TokenBucket>,
+    ceil: Option<TokenBucket>,
     parent: NodeIdx,
+}
+
+/// Full bucket for `rate_bps` with a `burst_bytes` depth.
+fn bucket(rate_bps: u64, burst_bytes: u64) -> Option<TokenBucket> {
+    Some(TokenBucket::new(Shaper {
+        rate_bps,
+        burst_bytes,
+    }))
+}
+
+/// Whether `bucket` admits a packet of `bytes` at `now`.
+fn admits(bucket: &Option<TokenBucket>, now: u64, bytes: u32) -> bool {
+    bucket.as_ref().is_none_or(|b| b.conforms(now, bytes))
+}
+
+/// Earliest instant `>= after` at which `bucket` admits `bytes`.
+fn admits_from(bucket: &Option<TokenBucket>, after: u64, bytes: u32) -> u64 {
+    bucket
+        .as_ref()
+        .map_or(after, |b| b.next_conforming(after, bytes))
+}
+
+/// Apply `f` to a live counter. The tree is its counters' only writer —
+/// every update goes through `&mut ShapingTree` — so a load and a store
+/// are exact, without the locked read-modify-write of `fetch_add`.
+fn update(counter: &AtomicU64, f: impl FnOnce(u64) -> u64) {
+    counter.store(f(counter.load(Ordering::Relaxed)), Ordering::Relaxed);
+}
+
+/// Charge `bucket` for a packet of `bytes` sent at `at`.
+fn charge(bucket: &mut Option<TokenBucket>, at: u64, bytes: u32) {
+    if let Some(b) = bucket {
+        b.consume(at, bytes);
+    }
 }
 
 struct Entry<T> {
@@ -467,23 +501,46 @@ struct Entry<T> {
     enqueued_at: u64,
 }
 
-/// A subscriber leaf: per-class FIFOs behind one CoDel instance.
+/// A leaf: per-class FIFOs behind one CoDel instance.
 struct Leaf<T> {
     node: NodeIdx,
     queues: [VecDeque<Entry<T>>; CLASS_COUNT],
+    /// Bit `c` set exactly when `queues[c]` is non-empty.
+    backlogged: u8,
     codel: CoDel,
     /// DRR byte deficit; non-zero exactly when the leaf is in
     /// [`ShapingTree::owed`].
     deficit: u64,
-    /// DRR byte quantum, proportional to the assured rate.
+    /// DRR byte quantum.
     quantum: u64,
+    /// Per-class FIFO depth in packets.
+    cap: usize,
+    /// Packets accepted, and arrivals refused at a full FIFO. Every
+    /// other per-leaf count follows from these two and the node's
+    /// [`SharedStats`] (see [`ShapingTree::class_stats`]).
+    enqueued: u64,
+    tail_dropped: u64,
 }
 
 impl<T> Leaf<T> {
+    fn new(node: NodeIdx, quantum: u64, cap: usize, codel: CoDel) -> Leaf<T> {
+        Leaf {
+            node,
+            queues: std::array::from_fn(|_| VecDeque::new()),
+            backlogged: 0,
+            codel,
+            deficit: 0,
+            quantum,
+            cap,
+            enqueued: 0,
+            tail_dropped: 0,
+        }
+    }
+
     /// Class index of the head-of-line packet: strict priority across
     /// the per-class FIFOs (Control first), FIFO within a class.
     fn head_class(&self) -> Option<usize> {
-        (0..CLASS_COUNT).find(|&c| !self.queues[c].is_empty())
+        (self.backlogged != 0).then(|| self.backlogged.trailing_zeros() as usize)
     }
 
     fn head_bytes(&self) -> Option<u32> {
@@ -654,19 +711,22 @@ fn count_path_eval() {
     PATH_EVALS.with(|n| n.set(n.get() + 1));
 }
 
-/// The compiled shaping tree. See the crate docs for the model; the
-/// driving contract is the same as [`qdisc::Qdisc`] — `enqueue` at
-/// arrival, `dequeue` whenever the wire is free, reschedule at
-/// `next_at` when nothing conforms — so `simnet` mounts either behind
-/// one code path.
+/// The compiled shaping tree. See the crate docs for the model. It is
+/// driven as a link drives its egress queue — `enqueue` at arrival,
+/// `dequeue` whenever the wire is free, reschedule at `next_at` when
+/// nothing conforms.
 pub struct ShapingTree<T> {
-    spec: TreeSpec,
+    class_map: ClassMap,
     nodes: Vec<Node>,
     leaves: Vec<Leaf<T>>,
     /// Destination node id → leaf table index.
     dst_map: BTreeMap<u32, usize>,
-    /// Leaf table index of the default leaf.
-    default_leaf: usize,
+    /// Leaf table index serving each class for destinations no
+    /// subscriber leaf is bound to: a [`TreeSpec`]'s one default leaf
+    /// four times, or a class tree's four class leaves.
+    default_leaves: [usize; CLASS_COUNT],
+    /// Compiled from a [`qdisc::QdiscConfig`]: leaf `i` is class `i`.
+    by_class: bool,
     /// DRR position over the leaf table.
     cursor: usize,
     /// Whether the cursor's leaf already received its quantum this
@@ -702,39 +762,50 @@ impl<T> ShapingTree<T> {
                     }
                     None => default_leaf = Some(leaves.len()),
                 }
-                leaves.push(Leaf {
-                    node: idx,
-                    queues: std::array::from_fn(|_| VecDeque::new()),
-                    codel: CoDel::new(spec.codel_target_us, spec.codel_interval_us),
-                    deficit: 0,
-                    quantum: quantum_for(n.assured_bps),
-                });
+                leaves.push(Leaf::new(
+                    idx,
+                    quantum_for(n.assured_bps),
+                    spec.leaf_queue_cap_pkts,
+                    CoDel::new(spec.codel_target_us, spec.codel_interval_us),
+                ));
             }
             nodes.push(Node {
-                rate: TokenBucket::new(Shaper {
-                    rate_bps: n.assured_bps,
-                    burst_bytes: burst,
-                }),
-                ceil: TokenBucket::new(Shaper {
-                    rate_bps: n.ceil_bps,
-                    burst_bytes: burst,
-                }),
+                rate: bucket(n.assured_bps, burst),
+                ceil: bucket(n.ceil_bps, burst),
                 parent: n.parent,
             });
         }
+        let default_leaf = default_leaf.expect("spec always carries the default leaf");
+        ShapingTree::assemble(
+            spec.class_map,
+            nodes,
+            leaves,
+            dst_map,
+            [default_leaf; CLASS_COUNT],
+        )
+    }
+
+    /// A tree over compiled nodes and leaves, with empty queues and an
+    /// empty scheduler index.
+    fn assemble(
+        class_map: ClassMap,
+        nodes: Vec<Node>,
+        leaves: Vec<Leaf<T>>,
+        dst_map: BTreeMap<u32, usize>,
+        default_leaves: [usize; CLASS_COUNT],
+    ) -> ShapingTree<T> {
+        let bps = |b: &Option<TokenBucket>| b.as_ref().map_or(0, TokenBucket::rate_bps);
         let shared = Arc::new(TreeShared {
-            nodes: spec.nodes.iter().map(|_| NodeShared::default()).collect(),
-            rates: spec
-                .nodes
-                .iter()
-                .map(|n| (n.assured_bps, n.ceil_bps))
-                .collect(),
+            nodes: nodes.iter().map(|_| SharedStats::default()).collect(),
+            rates: nodes.iter().map(|n| (bps(&n.rate), bps(&n.ceil))).collect(),
         });
         ShapingTree {
-            spec,
+            class_map,
             nodes,
             dst_map,
-            default_leaf: default_leaf.expect("spec always carries the default leaf"),
+            // A `TreeSpec`'s one default leaf serves every class.
+            by_class: default_leaves[0] != default_leaves[1],
+            default_leaves,
             cursor: 0,
             granted: false,
             ready: LeafSet::new(leaves.len()),
@@ -746,26 +817,16 @@ impl<T> ShapingTree<T> {
         }
     }
 
-    /// The spec this tree was compiled from.
-    pub fn spec(&self) -> &TreeSpec {
-        &self.spec
-    }
-
     /// Handle to the live per-node counters (for SNMP instrumentation).
     pub fn shared_stats(&self) -> TreeStatsHandle {
         Arc::clone(&self.shared)
     }
 
-    /// Class for a destination port, per the spec's map.
-    pub fn classify(&self, port: u16) -> TrafficClass {
-        self.spec.class_map.classify(port)
-    }
-
     /// The tree node whose leaf carries traffic for destination `dst`
     /// (the default leaf when `dst` is not bound to a subscriber).
     pub fn leaf_for_dst(&self, dst: u32) -> NodeIdx {
-        let li = self.dst_map.get(&dst).copied().unwrap_or(self.default_leaf);
-        self.leaves[li].node
+        let li = self.dst_map.get(&dst).copied();
+        self.leaves[li.unwrap_or(self.default_leaves[0])].node
     }
 
     /// Total packets currently queued across all leaves.
@@ -775,7 +836,7 @@ impl<T> ShapingTree<T> {
 
     /// Walk `idx` → root applying `f` to every node on the path
     /// (including both endpoints).
-    fn for_path(&self, idx: NodeIdx, mut f: impl FnMut(&NodeShared)) {
+    fn for_path(&self, idx: NodeIdx, mut f: impl FnMut(&SharedStats)) {
         let mut at = idx;
         loop {
             f(&self.shared.nodes[at]);
@@ -787,8 +848,10 @@ impl<T> ShapingTree<T> {
     }
 
     /// Offer a packet of `bytes` wire bytes for destination node `dst`
-    /// on destination `port` at instant `now_us`. Bounded per-class
-    /// FIFO at the leaf: overflow hands the payload back.
+    /// on destination `port` at instant `now_us`: the subscriber leaf
+    /// bound to `dst`, else the default leaf for the port's class.
+    /// Bounded per-class FIFO at the leaf: overflow hands the payload
+    /// back.
     pub fn enqueue(
         &mut self,
         now_us: u64,
@@ -798,17 +861,35 @@ impl<T> ShapingTree<T> {
         ecn_capable: bool,
         payload: T,
     ) -> EnqueueOutcome<T> {
-        let li = self.dst_map.get(&dst).copied().unwrap_or(self.default_leaf);
-        let class = self.spec.class_map.classify(port).index();
-        let node = self.leaves[li].node;
-        if self.leaves[li].queues[class].len() >= self.spec.leaf_queue_cap_pkts {
+        let class = self.class_map.classify(port).index();
+        let li = self.dst_map.get(&dst).copied();
+        let li = li.unwrap_or(self.default_leaves[class]);
+        self.push(li, class, now_us, bytes, ecn_capable, payload)
+    }
+
+    /// Queue a packet in leaf `li`'s FIFO for class index `class`.
+    fn push(
+        &mut self,
+        li: usize,
+        class: usize,
+        now_us: u64,
+        bytes: u32,
+        ecn_capable: bool,
+        payload: T,
+    ) -> EnqueueOutcome<T> {
+        let leaf = &mut self.leaves[li];
+        let node = leaf.node;
+        if leaf.queues[class].len() >= leaf.cap {
+            leaf.tail_dropped += 1;
             self.for_path(node, |s| {
-                s.drops.fetch_add(1, Ordering::Relaxed);
+                update(&s.drops, |n| n + 1);
             });
             return EnqueueOutcome::TailDropped(payload);
         }
-        let becomes_head = self.leaves[li].head_class().is_none_or(|head| class < head);
-        self.leaves[li].queues[class].push_back(Entry {
+        leaf.enqueued += 1;
+        let becomes_head = leaf.head_class().is_none_or(|head| class < head);
+        leaf.backlogged |= 1 << class;
+        leaf.queues[class].push_back(Entry {
             payload,
             bytes,
             ecn_capable,
@@ -818,8 +899,8 @@ impl<T> ShapingTree<T> {
             self.refile(li, now_us);
         }
         self.for_path(node, |s| {
-            s.backlog_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            s.backlog_pkts.fetch_add(1, Ordering::Relaxed);
+            update(&s.backlog_bytes, |n| n + bytes as u64);
+            update(&s.backlog_pkts, |n| n + 1);
         });
         EnqueueOutcome::Queued
     }
@@ -837,7 +918,7 @@ impl<T> ShapingTree<T> {
             self.waiting.remove(li);
             return;
         };
-        let due = self.nodes[leaf.node].ceil.next_conforming(now, bytes);
+        let due = admits_from(&self.nodes[leaf.node].ceil, now, bytes);
         if due <= now {
             self.waiting.remove(li);
             self.ready.insert(li);
@@ -872,10 +953,10 @@ impl<T> ShapingTree<T> {
         let mut at = self.leaves[li].node;
         loop {
             let node = &self.nodes[at];
-            if !node.ceil.conforms(now, bytes) {
+            if !admits(&node.ceil, now, bytes) {
                 return None;
             }
-            if payer.is_none() && node.rate.conforms(now, bytes) {
+            if payer.is_none() && admits(&node.rate, now, bytes) {
                 payer = Some(at);
             }
             if at == ROOT {
@@ -900,8 +981,8 @@ impl<T> ShapingTree<T> {
         let mut at = self.leaves[li].node;
         loop {
             let node = &self.nodes[at];
-            ceil_at = ceil_at.max(node.ceil.next_conforming(after, bytes));
-            payer_at = payer_at.min(node.rate.next_conforming(after, bytes));
+            ceil_at = ceil_at.max(admits_from(&node.ceil, after, bytes));
+            payer_at = payer_at.min(admits_from(&node.rate, after, bytes));
             if at == ROOT {
                 return ceil_at.max(payer_at);
             }
@@ -913,7 +994,8 @@ impl<T> ShapingTree<T> {
     /// among the leaves filed in `heap` at or below position `at`,
     /// where `floor(key)` bounds a leaf's ready time from below and
     /// does not fall as the key grows: heap order then lets a whole
-    /// branch go unvisited once its top cannot beat `best`.
+    /// branch go unvisited once its top cannot beat `best`, and a
+    /// branch whose parent's floor cannot, unpriced.
     fn earliest_in(
         &self,
         heap: &LeafHeap,
@@ -925,12 +1007,16 @@ impl<T> ShapingTree<T> {
         let Some(&(key, li)) = heap.heap.get(at) else {
             return;
         };
-        if floor(key) >= *best {
+        let lowest = floor(key);
+        if lowest >= *best {
             return;
         }
         *best = (*best).min(self.ready_time(li as usize, after));
-        self.earliest_in(heap, 2 * at + 1, after, floor, best);
-        self.earliest_in(heap, 2 * at + 2, after, floor, best);
+        for child in [2 * at + 1, 2 * at + 2] {
+            if lowest < *best {
+                self.earliest_in(heap, child, after, floor, best);
+            }
+        }
     }
 
     /// Earliest instant `>= after_us` at which some leaf's head packet
@@ -942,7 +1028,7 @@ impl<T> ShapingTree<T> {
     pub fn next_ready(&self, after_us: u64) -> Option<u64> {
         let mut best = u64::MAX;
         let root = &self.nodes[ROOT].ceil;
-        let root_admits = |bytes: u64| root.next_conforming(after_us, bytes as u32);
+        let root_admits = |bytes: u64| admits_from(root, after_us, bytes as u32);
         let own_admits = |due: u64| due.max(after_us);
         self.earliest_in(&self.ready_heads, 0, after_us, &root_admits, &mut best);
         self.earliest_in(&self.waiting, 0, after_us, &own_admits, &mut best);
@@ -965,7 +1051,7 @@ impl<T> ShapingTree<T> {
         // Root gate: every path ends at the root ceiling, and a bucket
         // that refuses a size refuses every larger one.
         let (smallest, _) = self.ready_heads.peek()?;
-        if !self.nodes[ROOT].ceil.conforms(now, smallest as u32) {
+        if !admits(&self.nodes[ROOT].ceil, now, smallest as u32) {
             return None;
         }
         for (lo, hi) in self.cyclic(self.cursor, self.cursor) {
@@ -1034,9 +1120,11 @@ impl<T> ShapingTree<T> {
                 self.advance_cursor();
                 continue;
             }
-            let entry = self.leaves[li].queues[class]
-                .pop_front()
-                .expect("non-empty");
+            let leaf = &mut self.leaves[li];
+            let entry = leaf.queues[class].pop_front().expect("non-empty");
+            if leaf.queues[class].is_empty() {
+                leaf.backlogged &= !(1 << class);
+            }
             self.set_deficit(li, self.leaves[li].deficit - head_bytes);
             let sojourn = now_us.saturating_sub(entry.enqueued_at);
             let signal = self.leaves[li].codel.on_dequeue(now_us, sojourn);
@@ -1049,17 +1137,16 @@ impl<T> ShapingTree<T> {
             let mut at = node;
             loop {
                 let s = &self.shared.nodes[at];
-                s.backlog_bytes
-                    .fetch_sub(entry.bytes as u64, Ordering::Relaxed);
-                s.backlog_pkts.fetch_sub(1, Ordering::Relaxed);
+                update(&s.backlog_bytes, |n| n - entry.bytes as u64);
+                update(&s.backlog_pkts, |n| n - 1);
                 if dropped {
-                    s.drops.fetch_add(1, Ordering::Relaxed);
+                    update(&s.drops, |n| n + 1);
                 } else {
                     if signal {
-                        s.ecn_marks.fetch_add(1, Ordering::Relaxed);
+                        update(&s.ecn_marks, |n| n + 1);
                     }
-                    self.nodes[at].ceil.consume(now_us, entry.bytes);
-                    s.bits_sent.fetch_add(bits, Ordering::Relaxed);
+                    charge(&mut self.nodes[at].ceil, now_us, entry.bytes);
+                    update(&s.bits_sent, |n| n + bits);
                 }
                 if at == ROOT {
                     break;
@@ -1073,11 +1160,9 @@ impl<T> ShapingTree<T> {
             }
             // The payer's assured-rate bucket funds the send; a payer
             // above the leaf means the leaf ran on borrowed tokens.
-            self.nodes[payer].rate.consume(now_us, entry.bytes);
+            charge(&mut self.nodes[payer].rate, now_us, entry.bytes);
             if payer != node {
-                self.shared.nodes[node]
-                    .borrowed_bits
-                    .fetch_add(bits, Ordering::Relaxed);
+                update(&self.shared.nodes[node].borrowed_bits, |n| n + bits);
             }
             self.refile(li, now_us);
             if self.leaves[li].head_class().is_none() {

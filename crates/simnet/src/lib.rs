@@ -17,9 +17,10 @@
 //!   role of the paper's "thin layer based on the RTP-RTCP scheme"
 //!   (§5.1),
 //! * per-network statistics for tests and benches ([`trace`]),
-//! * an optional per-link traffic-control plane (token-bucket shaping,
-//!   DRR class scheduling, ECN-capable CoDel AQM) mounted with
-//!   [`Network::attach_qdisc`] (re-exported [`qdisc`] crate).
+//! * an optional per-link shaping tree (token-bucket shaping, DRR
+//!   scheduling, ECN-capable CoDel AQM per leaf): the flat class plane
+//!   mounted with [`Network::attach_qdisc`] ([`qdisc`]), or a
+//!   subscriber hierarchy with [`Network::attach_tree`] ([`htb`]).
 //!
 //! The simulator is fully deterministic: all randomness (packet loss)
 //! derives from a seed supplied to [`Network::new`].
@@ -42,7 +43,14 @@
 //! ```
 
 pub use htb;
-pub use qdisc;
+
+/// The `qdisc` crate's parts and configuration, with the class-keyed
+/// front end of the tree a `QdiscConfig` compiles to and that tree's
+/// counter handle, whose own counters are the root's.
+pub mod qdisc {
+    pub use ::qdisc::*;
+    pub use htb::{Qdisc, TreeStatsHandle as StatsHandle};
+}
 
 pub mod event;
 pub mod faults;

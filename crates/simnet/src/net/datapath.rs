@@ -8,8 +8,7 @@ use crate::payload::Payload;
 use crate::time::Ticks;
 use crate::topology::{LinkId, Route};
 use crate::trace::Counter;
-use htb::ShapingTree;
-use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc};
+use htb::{EnqueueOutcome, ShapingTree};
 use rand::Rng;
 
 /// A packet copy travelling a path. Links with an empty egress slot
@@ -58,53 +57,11 @@ pub(super) enum NetEvent {
     },
 }
 
-/// The queueing discipline mounted in a link's egress slot.
-pub(super) enum Plane {
-    /// Flat class plane: DRR across four port-classified classes.
-    /// Both planes are boxed: they keep their state inline (~1.2 kB of
-    /// class state here, the tree's scheduler index there), and every
-    /// slot of the egress table, mounted or not, is as wide as the
-    /// widest variant.
-    Flat(Box<Qdisc<InFlight>>),
-    /// Shaping tree: one leaf per subscriber destination node.
-    Tree(Box<ShapingTree<InFlight>>),
-}
-
-impl Plane {
-    /// Offer an arriving copy. The tree picks the leaf by `dst_node`;
-    /// the flat plane classifies by destination port alone.
-    fn enqueue(
-        &mut self,
-        now_us: u64,
-        dst_node: u32,
-        flight: InFlight,
-    ) -> EnqueueOutcome<InFlight> {
-        let (Addr::Unicast(_, Port(port)) | Addr::Multicast(_, Port(port))) = flight.dst;
-        let (bytes, ecn) = (flight.packet.wire_size() as u32, flight.ecn_capable);
-        match self {
-            Plane::Flat(q) => q.enqueue(now_us, q.classify(port), bytes, ecn, flight),
-            Plane::Tree(t) => t.enqueue(now_us, dst_node, port, bytes, ecn, flight),
-        }
-    }
-
-    fn next_ready(&self, after_us: u64) -> Option<u64> {
-        match self {
-            Plane::Flat(q) => q.next_ready(after_us),
-            Plane::Tree(t) => t.next_ready(after_us),
-        }
-    }
-
-    fn dequeue(&mut self, now_us: u64) -> DequeueOutcome<InFlight> {
-        match self {
-            Plane::Flat(q) => q.dequeue(now_us),
-            Plane::Tree(t) => t.dequeue(now_us),
-        }
-    }
-}
-
 /// A link's mounted egress plane plus its service scheduling state.
 pub(super) struct LinkEgress {
-    pub(super) plane: Plane,
+    /// Boxed: the tree keeps its scheduler index inline, and every slot
+    /// of the egress table, mounted or not, is as wide as a mounted one.
+    pub(super) plane: Box<ShapingTree<InFlight>>,
     /// Instant of the currently scheduled service event, if any.
     pub(super) service_at: Option<Ticks>,
     /// Generation of the live service event; stale events are ignored.
@@ -112,8 +69,8 @@ pub(super) struct LinkEgress {
 }
 
 impl Network {
-    /// The discipline mounted on `link`, if any.
-    pub(super) fn plane(&self, link: LinkId) -> Option<&Plane> {
+    /// The tree mounted on `link`, if any.
+    pub(super) fn plane(&self, link: LinkId) -> Option<&ShapingTree<InFlight>> {
         Some(&self.egress.get(link.0 as usize)?.as_ref()?.plane)
     }
 
@@ -351,10 +308,11 @@ impl Network {
     }
 
     /// Offer an arriving copy to the egress plane on `link` and
-    /// (re)schedule service. A tree picks the leaf by the copy's *final
-    /// destination node* — for multicast fan-out, the member socket's
-    /// node — so each subscriber's traffic meets its own plan and AQM
-    /// regardless of addressing.
+    /// (re)schedule service. The tree picks a subscriber leaf by the
+    /// copy's *final destination node* — for multicast fan-out, the
+    /// member socket's node — so each subscriber's traffic meets its
+    /// own plan and AQM regardless of addressing; any other copy rides
+    /// the default leaf of its destination port's class.
     fn egress_enqueue(&mut self, link: LinkId, flight: InFlight) {
         let now = self.clock.now();
         let dst_node = match flight.target {
@@ -369,7 +327,10 @@ impl Network {
         let Some(slot) = self.egress_mut(link) else {
             return;
         };
-        match slot.plane.enqueue(now.as_micros(), dst_node, flight) {
+        let (Addr::Unicast(_, Port(port)) | Addr::Multicast(_, Port(port))) = flight.dst;
+        let (bytes, ecn) = (flight.packet.wire_size() as u32, flight.ecn_capable);
+        let t = now.as_micros();
+        match slot.plane.enqueue(t, dst_node, port, bytes, ecn, flight) {
             EnqueueOutcome::Queued => self.kick_egress(link),
             EnqueueOutcome::TailDropped(_) => {
                 self.stats.add(Counter::Dropped, 1);

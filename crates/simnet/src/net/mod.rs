@@ -15,18 +15,18 @@
 //! core, which routes once per receiver and launches every copy as an
 //! `InFlight` on `Network::advance_flight`, the only link walk. A
 //! link has one egress slot: empty, the walk crosses it as the plain
-//! analytic FIFO; mounted, it holds the flat class plane of
-//! `crates/qdisc` or the shaping tree of `crates/htb`, and the walk
-//! suspends in its queues. Both disciplines are driven by the same
-//! calls (arrival → `enqueue` → `next_ready`; service → `dequeue` →
-//! `next_ready`), so one service event and one enqueue / kick / service
-//! path serve whichever the caller mounted.
+//! analytic FIFO; mounted, it holds one shaping tree of `crates/htb`
+//! — compiled from a `TreeSpec`, or from a `QdiscConfig` as the flat
+//! class plane's four class leaves — and the walk suspends in its
+//! queues. One service event and one enqueue / kick / service path
+//! drive it (arrival → `enqueue` → `next_ready`; service → `dequeue` →
+//! `next_ready`).
 //!
 //! What lives where: this file — the public vocabulary, the
 //! [`Network`], its clock, topology, counters, timers, the scripted
 //! fault plan and the run loop; `sockets` — bind / close / receive,
-//! groups, `(node, port)` resolution; `egress` — mounting a plane or a
-//! tree in a link's egress slot; `datapath` — everything a packet copy
+//! groups, `(node, port)` resolution; `egress` — mounting a tree in a
+//! link's egress slot; `datapath` — everything a packet copy
 //! touches between `send` and an inbox. The datapath is one module on
 //! purpose: `send_payloads` → `advance_flight` → `traverse_link` →
 //! `roll_link_loss` → `deliver`, suspended and resumed through the

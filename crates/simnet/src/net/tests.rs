@@ -613,7 +613,6 @@ fn tree_enforces_per_subscriber_ceilings() {
     spec.add_subscriber(ap, "gold", &gold, subs[0].0);
     spec.add_subscriber(ap, "bronze", &bronze, subs[1].0);
     let stats = net.attach_tree(uplink, spec);
-    assert!(net.tree_attached(uplink));
     let sa = net.bind(core, Port(1)).unwrap();
     let s0 = net.bind(subs[0], Port(5004)).unwrap();
     let s1 = net.bind(subs[1], Port(5004)).unwrap();

@@ -29,9 +29,8 @@ pub struct NetStats {
     /// Copies tail-dropped by a bounded per-link FIFO (also counted in
     /// `dropped`).
     pub fifo_dropped: u64,
-    /// Copies dropped by a link's egress plane, flat qdisc or shaping
-    /// tree alike — queue tail drops plus CoDel drops of non-ECT
-    /// packets (also counted in `dropped`).
+    /// Copies dropped by a link's shaping tree — queue tail drops plus
+    /// CoDel drops of non-ECT packets (also counted in `dropped`).
     pub qdisc_dropped: u64,
     /// Copies ECN-marked by a link's AQM and still delivered.
     pub ecn_marked: u64,

@@ -3,6 +3,8 @@
 //! AQM signals congestion by ECN *before* anything is dropped, the
 //! echoed marks drive a trap-based modality downgrade with zero RTP
 //! loss, and every run is reproducible from its seed and config.
+//! A differential holds `Qdisc` to the flat DRR walk it replaced,
+//! transcribed here over the public primitives.
 //!
 //! This is the suite the CI `qdisc` job runs; assertion messages carry
 //! the seed and [`QdiscConfig::summary`] so a failure in the log is
@@ -10,11 +12,19 @@
 
 use collabqos::core::trapwatch::{decision_from_trap, EdgeWatcher};
 use collabqos::prelude::*;
+use collabqos::simnet::qdisc::{
+    CoDel, EnqueueOutcome, Qdisc, QdiscStats, TokenBucket, CLASS_COUNT,
+};
 use collabqos::simnet::qdisc::{QdiscConfig, TrafficClass};
 use collabqos::simnet::rtp::{RtpReceiver, RtpSender};
 use collabqos::simnet::{Addr, Port};
 use collabqos::snmp::transport::{AgentRuntime, TrapSink};
 use collabqos::snmp::SnmpAgent;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 
 const RTP_PORT: Port = Port(5004);
 
@@ -313,4 +323,230 @@ fn session_with_qdisc_identical_across_worker_counts() {
         "qdisc-shaped session trace diverged across worker counts; seed {seed}, {}",
         QdiscConfig::for_rate(2_000_000).summary()
     );
+}
+
+// ------------------------------------------- flat walk differential
+
+/// The flat class plane's scheduler, transcribed over the public
+/// `qdisc` primitives: one FIFO, one CoDel and one DRR deficit per
+/// class, the link's token bucket in front of all four, and a cursor
+/// that visits the classes round robin. What it releases, marks and
+/// drops is the definition `Qdisc` is held to.
+struct FlatWalk {
+    cfg: QdiscConfig,
+    queues: [VecDeque<(u32, u32, bool, u64)>; CLASS_COUNT],
+    link: Option<TokenBucket>,
+    codel: [CoDel; CLASS_COUNT],
+    deficit: [u64; CLASS_COUNT],
+    cursor: usize,
+    granted: bool,
+    stats: QdiscStats,
+    drops: u64,
+    ecn_marks: u64,
+}
+
+/// One `dequeue` as both sides report it: the release as (payload,
+/// class, bytes, CE mark, sojourn), the AQM drops, and `next_at`.
+type Release = (u32, TrafficClass, u32, bool, u64);
+type Served = (Option<Release>, Vec<(TrafficClass, u32)>, Option<u64>);
+
+impl FlatWalk {
+    fn new(cfg: QdiscConfig) -> FlatWalk {
+        FlatWalk {
+            queues: std::array::from_fn(|_| VecDeque::new()),
+            link: cfg.link_shaper.map(TokenBucket::new),
+            codel: std::array::from_fn(|_| CoDel::new(cfg.codel_target_us, cfg.codel_interval_us)),
+            deficit: [0; CLASS_COUNT],
+            cursor: 0,
+            granted: false,
+            stats: QdiscStats::default(),
+            drops: 0,
+            ecn_marks: 0,
+            cfg,
+        }
+    }
+
+    fn enqueue(&mut self, now: u64, class: TrafficClass, bytes: u32, ect: bool, p: u32) -> bool {
+        let i = class.index();
+        if self.queues[i].len() >= self.cfg.classes[i].queue_cap_pkts {
+            self.stats.classes[i].tail_dropped += 1;
+            self.drops += 1;
+            return false;
+        }
+        self.queues[i].push_back((p, bytes, ect, now));
+        let c = &mut self.stats.classes[i];
+        c.enqueued += 1;
+        c.backlog_pkts += 1;
+        c.backlog_bytes += bytes as u64;
+        true
+    }
+
+    fn conforms(&self, i: usize, now: u64) -> bool {
+        self.queues[i].front().is_some_and(|&(_, bytes, _, _)| {
+            self.link.as_ref().is_none_or(|tb| tb.conforms(now, bytes))
+        })
+    }
+
+    fn next_ready(&self, after: u64) -> Option<u64> {
+        let heads = self.queues.iter().filter_map(|q| q.front());
+        heads
+            .map(|&(_, bytes, _, _)| {
+                self.link
+                    .as_ref()
+                    .map_or(after, |tb| tb.next_conforming(after, bytes))
+            })
+            .min()
+    }
+
+    fn advance(&mut self) {
+        self.cursor = (self.cursor + 1) % CLASS_COUNT;
+        self.granted = false;
+    }
+
+    fn dequeue(&mut self, now: u64) -> Served {
+        let mut aqm = Vec::new();
+        loop {
+            if !(0..CLASS_COUNT).any(|i| self.conforms(i, now)) {
+                return (None, aqm, self.next_ready(now));
+            }
+            let i = self.cursor;
+            if !self.conforms(i, now) {
+                // Empty or shaper-blocked: the class forfeits its deficit.
+                self.deficit[i] = 0;
+                self.advance();
+                continue;
+            }
+            if !self.granted {
+                self.deficit[i] += self.cfg.classes[i].quantum as u64;
+                self.granted = true;
+            }
+            let head = self.queues[i][0].1 as u64;
+            if self.deficit[i] < head {
+                self.advance();
+                continue;
+            }
+            let (p, bytes, ect, at) = self.queues[i].pop_front().unwrap();
+            self.deficit[i] -= head;
+            let c = &mut self.stats.classes[i];
+            c.backlog_pkts -= 1;
+            c.backlog_bytes -= bytes as u64;
+            let sojourn = now.saturating_sub(at);
+            let signal = self.codel[i].on_dequeue(now, sojourn);
+            let class = TrafficClass::ALL[i];
+            if signal && !ect {
+                c.aqm_dropped += 1;
+                self.drops += 1;
+                aqm.push((class, p));
+                continue;
+            }
+            if signal {
+                c.ecn_marked += 1;
+                self.ecn_marks += 1;
+            }
+            c.dequeued += 1;
+            c.bytes_dequeued += bytes as u64;
+            if let Some(tb) = &mut self.link {
+                tb.consume(now, bytes);
+            }
+            if self.queues[i].is_empty() {
+                self.deficit[i] = 0;
+                self.advance();
+            }
+            return (Some((p, class, bytes, signal, sojourn)), aqm, None);
+        }
+    }
+}
+
+/// A random plane: `for_rate` at a random rate, then — each on a coin
+/// flip — no link shaper, one of the CoDel pairs the suites use,
+/// random quanta and queue caps, and a remapped classifier.
+fn random_plane(rng: &mut StdRng) -> QdiscConfig {
+    let mut cfg = QdiscConfig::for_rate(rng.random_range(500_000u64..40_000_000));
+    if rng.random_range(0..4) == 0 {
+        cfg.link_shaper = None;
+    }
+    (cfg.codel_target_us, cfg.codel_interval_us) = [
+        (2_000, 10_000),
+        (5_000, 20_000),
+        (cfg.codel_target_us, cfg.codel_interval_us),
+    ][rng.random_range(0..3usize)];
+    if rng.random() {
+        for c in cfg.classes.iter_mut() {
+            c.quantum = rng.random_range(200u32..9_000);
+            c.queue_cap_pkts = [2, 8, 64][rng.random_range(0..3usize)];
+        }
+    }
+    if rng.random() {
+        cfg.class_map.assign(5004, TrafficClass::BulkMedia);
+        cfg.class_map.assign(4000, TrafficClass::InteractiveMedia);
+        cfg.class_map.assign(161, TrafficClass::Background);
+    }
+    cfg
+}
+
+proptest! {
+    /// `Qdisc` schedules exactly as the flat walk: on random planes and
+    /// random ECT and non-ECT traffic, every enqueue verdict, every
+    /// release (payload, class, size, CE mark, sojourn), every AQM drop,
+    /// every `next_at` and `next_ready` probe, the final per-class
+    /// counters and the live drop / mark / backlog counters match.
+    #[test]
+    fn qdisc_schedules_as_the_flat_drr_walk(case_seed in any::<u64>()) {
+        let seed = chaos_seed(case_seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = random_plane(&mut rng);
+        let ctx = format!("seed {seed}, {}", cfg.summary());
+        let line_bps = rng.random_range(1_000_000u64..100_000_000);
+        let mut walk = FlatWalk::new(cfg.clone());
+        let mut q: Qdisc<u32> = Qdisc::new(cfg);
+        let live = q.shared_stats();
+        let mut now = 0u64;
+        let mut payload = 0u32;
+        for _ in 0..rng.random_range(40..200) {
+            match rng.random_range(0..10) {
+                0..=3 => {
+                    for _ in 0..rng.random_range(1..60) {
+                        let port = [161, 4000, 5004, 5005, 7_777][rng.random_range(0..5usize)];
+                        // One packet in sixteen outweighs the smallest
+                        // quantum, so deficits carry across rounds.
+                        let jumbo = rng.random_range(0..16) == 0;
+                        let bytes = rng.random_range(40u32..=if jumbo { 9_000 } else { 1_514 });
+                        let ect: bool = rng.random();
+                        payload += 1;
+                        let class = q.config().class_map.classify(port);
+                        let queued = matches!(
+                            q.enqueue(now, class, bytes, ect, payload),
+                            EnqueueOutcome::Queued
+                        );
+                        let want = walk.enqueue(now, walk.cfg.class_map.classify(port), bytes, ect, payload);
+                        prop_assert_eq!(queued, want, "{}", ctx);
+                    }
+                }
+                4..=7 => {
+                    for _ in 0..rng.random_range(1..300) {
+                        let out = q.dequeue(now);
+                        let got: Served = (
+                            out.released.map(|r| (r.payload, r.class, r.bytes, r.ecn_marked, r.sojourn_us)),
+                            out.aqm_dropped,
+                            out.next_at,
+                        );
+                        prop_assert_eq!(&got, &walk.dequeue(now), "dequeue at {}; {}", now, ctx);
+                        match got {
+                            (Some((_, _, bytes, _, _)), _, _) => now += bytes as u64 * 8_000_000 / line_bps,
+                            (None, _, Some(at)) => now = at,
+                            (None, _, None) => break,
+                        }
+                    }
+                }
+                8 => now += rng.random_range(0u64..50_000),
+                _ => {
+                    let after = now + rng.random_range(0u64..20_000);
+                    prop_assert_eq!(q.next_ready(after), walk.next_ready(after), "probe at {}; {}", after, ctx);
+                }
+            }
+        }
+        prop_assert_eq!(q.stats().clone(), walk.stats.clone(), "{}", ctx);
+        let live = [&live.drops, &live.ecn_marks, &live.backlog_bytes].map(|a| a.load(Ordering::Relaxed));
+        prop_assert_eq!(live, [walk.drops, walk.ecn_marks, walk.stats.backlog_bytes()], "{}", ctx);
+    }
 }
