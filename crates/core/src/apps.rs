@@ -144,6 +144,15 @@ struct StoredView {
     decoded: Arc<OnceLock<Decoded>>,
 }
 
+/// Bytes to look a view up by.
+enum Ask {
+    /// A container in a buffer the store keeps: as the key of a new
+    /// view, or for a later reassembly.
+    Buffer(Vec<u8>),
+    /// The key of a view asked for before.
+    Key(Arc<Vec<u8>>),
+}
+
 #[derive(Default)]
 struct ViewStoreInner {
     /// Least recently asked-for first.
@@ -151,9 +160,43 @@ struct ViewStoreInner {
     /// Decode scratch not in use now: as many as decodes have ever run
     /// at once, which is one on a serial session.
     scratch: Vec<DecodeScratch>,
+    /// Reassembly buffers not in use now: those of asks that hit, and
+    /// the containers of evicted views nothing else held.
+    buffers: Vec<Vec<u8>>,
     hits: u64,
     misses: u64,
     replays: u64,
+}
+
+impl ViewStoreInner {
+    /// Drop the least recently asked-for view, keeping what of it
+    /// nobody else holds: its container as a reassembly buffer, and its
+    /// image's pixels as the next decode's output
+    /// ([`DecodeScratch::recycle`], on the scratch the next decode
+    /// takes). Either goes only when the store held the last reference
+    /// to it — a view a caller still holds is never written over.
+    fn evict(&mut self) {
+        let Some(view) = self.views.pop_front() else {
+            return;
+        };
+        let image = Arc::into_inner(view.decoded)
+            .and_then(OnceLock::into_inner)
+            .and_then(Result::ok)
+            .and_then(Arc::into_inner);
+        if let (Some(image), Some(scratch)) = (image, self.scratch.last_mut()) {
+            scratch.recycle(image);
+        }
+        if let Some(buffer) = Arc::into_inner(view.container) {
+            self.keep_buffer(buffer);
+        }
+    }
+
+    /// Keep a reassembly buffer for later, up to one per view held.
+    fn keep_buffer(&mut self, buffer: Vec<u8>) {
+        if self.buffers.len() < VIEW_STORE_CAPACITY {
+            self.buffers.push(buffer);
+        }
+    }
 }
 
 /// Decode-once view store, the receiving twin of
@@ -212,50 +255,103 @@ impl ViewStore {
     /// the same bytes. A container that does not decode is the same
     /// error to everyone who asks, held like a view.
     ///
-    /// The store keeps `container` itself as the view's key — a clone
-    /// of the `Arc`, not of the bytes. A copy taken here, ahead of the
-    /// decode's large allocations, cost the benchmark's image workload
-    /// 4 % through the heap layout it left behind (EXPERIMENTS.md).
-    pub fn view(
+    /// The store keeps `container` either way, without copying it: on
+    /// a miss as the new view's key, on a hit as a buffer for a later
+    /// reassembly. (A copy taken here, ahead of the decode's large
+    /// allocations, cost the benchmark's image workload 4 % through the
+    /// heap layout it left behind — EXPERIMENTS.md.)
+    pub fn view(&self, container: Vec<u8>, drop_levels: usize) -> Result<Arc<Image>, MediaError> {
+        self.ask(Ask::Buffer(container), drop_levels).0
+    }
+
+    /// A buffer to reassemble a container into: one an earlier ask left
+    /// with the store, or a new one. What it holds is of no account.
+    fn buffer(&self) -> Vec<u8> {
+        self.lock().buffers.pop().unwrap_or_default()
+    }
+
+    /// The viewer's ask: [`ViewStore::view`], except that when the view
+    /// with `drop_levels` left out is an error and `drop_levels > 0` (a
+    /// stream with fewer levels than that), the full view of the same
+    /// bytes is asked for instead. Returns the image and the levels it
+    /// dropped.
+    fn view_reassembled(
         &self,
-        container: &Arc<Vec<u8>>,
+        container: Vec<u8>,
         drop_levels: usize,
-    ) -> Result<Arc<Image>, MediaError> {
-        let decoded = {
+    ) -> Result<(Arc<Image>, usize), MediaError> {
+        match self.ask(Ask::Buffer(container), drop_levels) {
+            (Ok(image), _) => Ok((image, drop_levels)),
+            (Err(_), key) if drop_levels > 0 => self.ask(Ask::Key(key), 0).0.map(|i| (i, 0)),
+            (Err(e), _) => Err(e),
+        }
+    }
+
+    /// Look `bytes` up, leaving an empty cell for them on a miss, then
+    /// decode into the cell unless someone already has. Returns the
+    /// view and the key it is held under.
+    fn ask(&self, bytes: Ask, drop_levels: usize) -> (Decoded, Arc<Vec<u8>>) {
+        let (decoded, key) = {
             let mut inner = self.lock();
-            let held = inner
-                .views
-                .iter()
-                .position(|v| v.drop_levels == drop_levels && v.container == *container);
+            let held = {
+                let bytes: &[u8] = match &bytes {
+                    Ask::Buffer(buffer) => buffer,
+                    Ask::Key(key) => key,
+                };
+                inner
+                    .views
+                    .iter()
+                    .position(|v| v.drop_levels == drop_levels && **v.container == *bytes)
+            };
             let view = if let Some(i) = held {
                 inner.hits += 1;
+                if let Ask::Buffer(buffer) = bytes {
+                    inner.keep_buffer(buffer);
+                }
                 inner.views.remove(i).expect("position is in range")
             } else {
                 inner.misses += 1;
                 if inner.views.len() == VIEW_STORE_CAPACITY {
-                    inner.views.pop_front();
+                    inner.evict();
                 }
                 StoredView {
-                    container: Arc::clone(container),
+                    container: match bytes {
+                        Ask::Buffer(buffer) => Arc::new(buffer),
+                        Ask::Key(key) => key,
+                    },
                     drop_levels,
                     decoded: Arc::default(),
                 }
             };
-            let decoded = Arc::clone(&view.decoded);
+            let held = (Arc::clone(&view.decoded), Arc::clone(&view.container));
             inner.views.push_back(view);
-            decoded
+            held
         };
-        decoded
+        let image = decoded
             .get_or_init(|| {
                 let mut scratch = self.lock().scratch.pop().unwrap_or_default();
                 let replayed = scratch.replays();
-                let image = decode_image_reduced_with(container, drop_levels, &mut scratch);
+                let image = decode_image_reduced_with(&key, drop_levels, &mut scratch);
                 let mut inner = self.lock();
                 inner.replays += scratch.replays() - replayed;
                 inner.scratch.push(scratch);
                 image.map(Arc::new)
             })
-            .clone()
+            .clone();
+        (image, key)
+    }
+
+    /// Run `f` on the three coefficient planes of a decode scratch this
+    /// store keeps ([`DecodeScratch::planes_mut`]), while no decode
+    /// holds that scratch. The session's encoder prepares its planes
+    /// here: a share and a decode never overlap, since both run under
+    /// `&mut CollaborationSession`, and a decode overwrites every plane
+    /// before reading it — so one set of planes serves both directions.
+    pub fn with_planes<R>(&self, f: impl FnOnce(&mut [Vec<i32>; 3]) -> R) -> R {
+        let mut scratch = self.lock().scratch.pop().unwrap_or_default();
+        let out = f(scratch.planes_mut());
+        self.lock().scratch.push(scratch);
+        out
     }
 
     /// Views held now (never more than a small fixed number).
@@ -564,7 +660,8 @@ impl ImageViewer {
         let meta = entry.meta.expect("checked above");
         let prefix = &entry.stripes[..want];
         let received_bytes: usize = prefix.iter().map(|s| s.view().payload.len()).sum();
-        let container = Arc::new(reassemble_stripes(prefix.iter().map(HeldStripe::view)).ok()?);
+        let mut container = self.store.buffer();
+        reassemble_stripes(prefix.iter().map(HeldStripe::view), &mut container).ok()?;
         // The stream's own header sizes what decoding allocates: drop
         // an object that is not the size its announcement promised.
         let (w, h) = ezw::container_dimensions(&container).ok()?;
@@ -578,13 +675,9 @@ impl ImageViewer {
         // reconstructed, so a thin client also saves decode work.
         let scale_factor = (1.0 / self.resolution).floor().max(1.0) as usize;
         let drop_levels = scale_factor.ilog2() as usize;
-        let (image, dropped) = match self.store.view(&container, drop_levels) {
-            Ok(image) => (image, drop_levels),
-            // Streams too small for the requested drop fall back to a
-            // full decode + downsample.
-            Err(_) if drop_levels > 0 => (self.store.view(&container, 0).ok()?, 0),
-            Err(_) => return None,
-        };
+        // Streams too small for the requested drop fall back to a full
+        // decode + downsample.
+        let (image, dropped) = self.store.view_reassembled(container, drop_levels).ok()?;
         // Any residual non-power-of-two factor is handled by pixel
         // downsampling, on this viewer's own copy.
         let residual = self
@@ -852,10 +945,10 @@ mod tests {
     /// counts and the pixels are the same.
     #[test]
     fn concurrent_askers_of_one_prefix_decode_it_once() {
-        let containers: Vec<Arc<Vec<u8>>> = (0..3)
+        let containers: Vec<Vec<u8>> = (0..3)
             .map(|seed| {
                 let image = synthetic_scene(64, 64, 1, 3, seed).image;
-                Arc::new(ezw::encode_image(&image, 4, WaveletKind::Cdf53).unwrap())
+                ezw::encode_image(&image, 4, WaveletKind::Cdf53).unwrap()
             })
             .collect();
         let store = ViewStore::new();
@@ -863,7 +956,7 @@ mod tests {
             let askers: Vec<_> = (0..4 * containers.len())
                 .map(|i| {
                     let (store, container) = (store.clone(), &containers[i % containers.len()]);
-                    scope.spawn(move || store.view(container, 0).unwrap())
+                    scope.spawn(move || store.view(container.clone(), 0).unwrap())
                 })
                 .collect();
             askers.into_iter().map(|t| t.join().unwrap()).collect()

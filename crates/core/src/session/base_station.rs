@@ -5,29 +5,37 @@
 //! `wireless_*` methods delegate to it.
 
 use super::{fault_link, CollaborationSession};
-use crate::events::AppEvent;
+use crate::events::{AppEvent, Outgoing};
 use crate::transformer::{MediaKind, MediaObject, TransformerRegistry};
 use media::image::Scene;
-use media::packetize::split_packets;
+use media::packetize::Stripes;
 use sempubsub::{AttrValue, BusEndpoint, Frame, Profile};
 use simnet::packet::well_known;
 use simnet::Network;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use wireless::{
     BaseStation, ClientRadio, Modality, ModalityThresholds, PathLossModel, ServiceAssessment,
 };
 
 /// A downlink delivery record: what the base station relayed to one
-/// wireless client for one session event.
+/// wireless client for one session event. The strings are shared, not
+/// copied: the client id with the gateway's profile table, the kind
+/// with every record of that kind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DownlinkDelivery {
     /// Wireless client id.
-    pub client: String,
+    pub client: Arc<str>,
     /// Event kind relayed.
-    pub kind: String,
+    pub kind: Arc<str>,
     /// Modality the radio conditions allowed for this client.
     pub modality: Modality,
 }
+
+/// Event kinds a gateway keeps one shared copy of. Kinds come from the
+/// session's vocabulary, a handful; a kind past the table still gets a
+/// record, in a copy of its own.
+const INTERNED_KINDS: usize = 16;
 
 /// The base station peer: gateway of the wireless extension (§4.2).
 pub struct BsPeer {
@@ -44,7 +52,7 @@ pub struct BsPeer {
     /// it and manages QoS on their behalf" (§1, §4.2). Ordered map:
     /// the downlink relay iterates it per arriving event, and relay
     /// order must be deterministic (client-id order), not hash order.
-    pub wireless_profiles: BTreeMap<String, Profile>,
+    pub wireless_profiles: BTreeMap<Arc<str>, Profile>,
     /// Downlink relay log: session events delivered to wireless
     /// clients, with the modality their SIR allowed.
     pub downlink_log: Vec<DownlinkDelivery>,
@@ -57,6 +65,8 @@ pub struct BsPeer {
     /// The frames one relay drained, kept between relays so a steady
     /// relay allocates no buffer.
     inbox: Vec<Frame>,
+    /// The kinds relayed so far, one shared copy each.
+    kinds: Vec<Arc<str>>,
 }
 
 impl BsPeer {
@@ -76,6 +86,7 @@ impl BsPeer {
                 self.bus.decide(std::slice::from_ref(frame), |_, _| ());
                 continue;
             };
+            let mut kind = None;
             for (id, profile) in &self.wireless_profiles {
                 let matched = self
                     .matcher
@@ -86,9 +97,10 @@ impl BsPeer {
                 }
                 let modality = self.station.modality(id).unwrap_or(Modality::None);
                 if modality > Modality::None {
+                    let kind = kind.get_or_insert_with(|| intern(&mut self.kinds, &message.kind));
                     self.downlink_log.push(DownlinkDelivery {
-                        client: id.clone(),
-                        kind: message.kind.clone(),
+                        client: Arc::clone(id),
+                        kind: Arc::clone(kind),
                         modality,
                     });
                 }
@@ -102,26 +114,38 @@ impl BsPeer {
     /// behalf and log the forward — once the last publish is on the
     /// wire, so a failed contribution is not on record as forwarded
     /// (`Modality::None` still logs: there is nothing to publish).
-    fn forward(
+    fn forward<'a>(
         &mut self,
         net: &mut Network,
         client_id: &str,
         modality: Modality,
         selector: &str,
-        content: BTreeMap<String, AttrValue>,
-        events: Vec<(String, Vec<u8>)>,
+        content: &BTreeMap<String, AttrValue>,
+        events: impl IntoIterator<Item = Outgoing<'a>>,
     ) -> Result<(), String> {
         // One publish per event, not one batch: a batch would fan out
         // member-major on the gateway's access link and move simulated
         // arrival times.
-        for (kind, body) in events {
+        for event in events {
             self.bus
-                .publish(net, &kind, selector, content.clone(), body)
+                .publish_batch(net, selector, content, [event])
                 .map_err(|e| e.to_string())?;
         }
         self.forward_log.push((client_id.to_string(), modality));
         Ok(())
     }
+}
+
+/// The shared copy of `kind` in `kinds`, added if there is room.
+fn intern(kinds: &mut Vec<Arc<str>>, kind: &str) -> Arc<str> {
+    if let Some(held) = kinds.iter().find(|held| ***held == *kind) {
+        return Arc::clone(held);
+    }
+    let kind: Arc<str> = Arc::from(kind);
+    if kinds.len() < INTERNED_KINDS {
+        kinds.push(Arc::clone(&kind));
+    }
+    kind
 }
 
 impl CollaborationSession {
@@ -171,6 +195,7 @@ impl CollaborationSession {
             downlink_log: Vec::new(),
             matcher: sempubsub::MatchEngine::with_store(self.selectors.clone()),
             inbox: Vec::new(),
+            kinds: Vec::new(),
         });
         Ok(())
     }
@@ -211,7 +236,7 @@ impl CollaborationSession {
         tx_power_mw: f64,
     ) -> Result<ServiceAssessment, String> {
         let bs = self.gateway()?;
-        let id = profile.name.clone();
+        let id: Arc<str> = Arc::from(profile.name.as_str());
         let assessment = bs
             .station
             .join(ClientRadio::new(&id, distance_m, tx_power_mw))
@@ -251,9 +276,10 @@ impl CollaborationSession {
         // transform nor its rate cap.
         let encoded = self.encode_scene(scene, false, None)?;
         let bs = self.base_station.as_mut().expect("assessed above");
-        let events = match modality {
+        let stripes;
+        let events: Vec<Outgoing<'_>> = match modality {
             Modality::None => Vec::new(), // nothing usable gets through
-            Modality::TextOnly => Self::image_events(object_id, scene, Vec::new()),
+            Modality::TextOnly => Self::image_events(object_id, scene, None).collect(),
             Modality::TextAndSketch => {
                 let source = MediaObject::Image {
                     encoded: encoded.to_vec(),
@@ -266,16 +292,15 @@ impl CollaborationSession {
                 let MediaObject::Sketch { sketch, caption } = sketch_obj else {
                     return Err("transform did not yield a sketch".to_string());
                 };
-                let ev = AppEvent::SketchShare {
+                vec![Outgoing::Event(AppEvent::SketchShare {
                     object_id,
                     data: sketch.encode(),
                     caption,
-                };
-                vec![(ev.kind().to_string(), ev.encode())]
+                })]
             }
             Modality::FullImage => {
-                let packets = split_packets(&encoded, packets_per_image);
-                Self::image_events(object_id, scene, packets)
+                stripes = Stripes::new(&encoded, packets_per_image).map_err(|e| e.to_string())?;
+                Self::image_events(object_id, scene, Some(&stripes)).collect()
             }
         };
         let content = Self::image_content_attrs(scene);
@@ -284,7 +309,7 @@ impl CollaborationSession {
             client_id,
             modality,
             selector,
-            content,
+            &content,
             events,
         )?;
         Ok(modality)

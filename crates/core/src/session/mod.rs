@@ -293,6 +293,7 @@ impl CollaborationSession {
             fault_link(&mut net, &cfg, uplink);
             overlay = Some(ov);
         }
+        let media_cache = MediaCache::with_capacity(32, cfg.workers);
         CollaborationSession {
             selectors,
             net,
@@ -309,7 +310,7 @@ impl CollaborationSession {
             broker_credited,
             store_watchers,
             plan_watchers: Vec::new(),
-            media_cache: MediaCache::with_capacity(32),
+            media_cache,
             views: ViewStore::new(),
             inbox: Vec::new(),
             spans: Vec::new(),

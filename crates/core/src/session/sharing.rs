@@ -5,10 +5,10 @@
 use super::{ClientId, ClientRuntime, CollaborationSession};
 use crate::apps::ViewedImage;
 use crate::concurrency::LockOutcome;
-use crate::events::{AppEvent, EventView};
+use crate::events::{AppEvent, EventView, Outgoing};
 use crate::state_repo::ObjectState;
 use media::image::Scene;
-use media::packetize::{split_packets, MediaPacket};
+use media::packetize::Stripes;
 use media::{wavelet, Sketch};
 use sempubsub::{AttrValue, Frame};
 use std::collections::BTreeMap;
@@ -60,16 +60,17 @@ impl CollaborationSession {
             .full_stream_bpp
             .map(|bpp| (scene.image.pixels() as f64 * bpp / 8.0) as usize);
         let container = self.encode_scene(scene, use_color, byte_cap)?;
-        let packets = split_packets(&container, packets_per_image);
+        let stripes = Stripes::new(&container, packets_per_image).map_err(|e| e.to_string())?;
         // Metadata + every packet go out as one network batch: group
         // membership and routes are resolved once for the whole object
         // instead of per packet (the fan-out cost the paper's
-        // communication module pays per event).
-        let events = Self::image_events(object_id, scene, packets);
+        // communication module pays per event). Each packet is framed
+        // straight from the container.
+        let events = Self::image_events(object_id, scene, Some(&stripes));
         let content = Self::image_content_attrs(scene);
         self.clients[id]
             .bus
-            .publish_batch(&mut self.net, selector, content, events)
+            .publish_batch(&mut self.net, selector, &content, events)
             .map_err(|e| e.to_string())?;
         Ok(object_id)
     }
@@ -91,7 +92,10 @@ impl CollaborationSession {
     /// uplink alike: the scene coded with the session's wavelet at up
     /// to five levels, through the encode-once cache — the same
     /// content under the same `use_color` and `byte_cap` reuses the
-    /// shared stream.
+    /// shared stream. A miss prepares its coefficient planes in the
+    /// ones the view store's decode scratch keeps
+    /// ([`ViewStore::with_planes`](crate::apps::ViewStore::with_planes)),
+    /// not in a set of its own.
     pub(super) fn encode_scene(
         &mut self,
         scene: &Scene,
@@ -99,40 +103,36 @@ impl CollaborationSession {
         byte_cap: Option<usize>,
     ) -> Result<Arc<[u8]>, String> {
         let levels = wavelet::max_levels(scene.image.width, scene.image.height).min(5);
-        self.media_cache
-            .encode_image(
-                &scene.image,
-                levels,
-                self.cfg.wavelet,
-                use_color,
-                byte_cap,
-                self.cfg.workers,
-            )
+        let (cache, kind) = (&mut self.media_cache, self.cfg.wavelet);
+        self.views
+            .with_planes(|planes| {
+                cache.encode_image(&scene.image, levels, kind, use_color, byte_cap, planes)
+            })
             .map_err(|e| e.to_string())
     }
 
-    /// The `(kind, body)` events that carry one image: its metadata
-    /// (announcing `packets.len()` packets — none for a caption-only
-    /// relay), then one event per packet.
-    pub(super) fn image_events(
+    /// The events that carry one image: its metadata, announcing as
+    /// many packets as `stripes` cuts (none for a caption-only relay),
+    /// then one event per stripe.
+    pub(super) fn image_events<'a>(
         object_id: u64,
         scene: &Scene,
-        packets: Vec<MediaPacket>,
-    ) -> Vec<(String, Vec<u8>)> {
+        stripes: Option<&'a Stripes<'a>>,
+    ) -> impl Iterator<Item = Outgoing<'a>> {
+        let n = stripes.map_or(0, Stripes::count);
         let meta = AppEvent::ImageMeta {
             object_id,
             caption: scene.caption.clone(),
             original_bytes: scene.image.byte_len() as u64,
             pixels: scene.image.pixels() as u64,
-            total_packets: packets.len() as u16,
+            total_packets: n as u16,
         };
-        let packets = packets
-            .into_iter()
-            .map(|packet| AppEvent::ImagePacket { object_id, packet });
-        std::iter::once(meta)
-            .chain(packets)
-            .map(|ev| (ev.kind().to_string(), ev.encode()))
-            .collect()
+        let packets = (0..n).map(move |index| Outgoing::Stripe {
+            object_id,
+            stripes: stripes.expect("n > 0"),
+            index,
+        });
+        std::iter::once(Outgoing::Event(meta)).chain(packets)
     }
 
     /// Multicast one small application event from a wired client with

@@ -690,12 +690,12 @@ fn downlink_relays_in_sir_appropriate_modality() {
     let near: Vec<_> = bs
         .downlink_log
         .iter()
-        .filter(|d| d.client == "near")
+        .filter(|d| &*d.client == "near")
         .collect();
     let far: Vec<_> = bs
         .downlink_log
         .iter()
-        .filter(|d| d.client == "far")
+        .filter(|d| &*d.client == "far")
         .collect();
     assert!(!near.is_empty(), "near client got the share");
     assert!(!far.is_empty(), "far client got something too");
@@ -783,7 +783,7 @@ fn wireless_leave_drops_the_compiled_snapshot_too() {
     let to_roamer = bs
         .downlink_log
         .iter()
-        .filter(|d| d.client == "roamer-7")
+        .filter(|d| &*d.client == "roamer-7")
         .count();
     assert_eq!(to_roamer, 1, "only the text line matches the new profile");
     assert_eq!(

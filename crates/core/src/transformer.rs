@@ -116,29 +116,44 @@ struct MediaEntry {
 /// `workers > 1` — planes are independent streams once the cap is
 /// split between them, so the container bytes are bit-identical at any
 /// worker count.
+///
+/// A miss writes its large buffers into memory that outlives it: the
+/// coefficient planes are the caller's (a session lends the three its
+/// decode scratch keeps, [`ViewStore::with_planes`](crate::apps::ViewStore::with_planes)),
+/// and the channel streams and the container are assembled in buffers
+/// the cache keeps. What a miss allocates is the shared container
+/// itself, once, at its exact size.
 pub struct MediaCache {
     entries: HashMap<u64, MediaEntry>,
     cap: usize,
+    workers: usize,
     tick: u64,
     stats: CacheStatsHandle,
-    // Reused across misses: one analysis per channel (a channel's is
-    // held while the others are sized up), and the serial path's
-    // scratch.
+    // Reused across misses: one analysis and one emitted stream per
+    // channel (a channel's is held while the others are sized up or
+    // written), the container they are assembled into, and the serial
+    // path's scratch.
     analyses: Vec<PlaneAnalysis>,
+    streams: Vec<Vec<u8>>,
+    container: Vec<u8>,
     wavelet_scratch: WaveletScratch,
     ezw_scratch: EzwScratch,
 }
 
 impl MediaCache {
-    /// A cache bounded at `cap` encoded containers (`cap >= 1`).
-    pub fn with_capacity(cap: usize) -> MediaCache {
+    /// A cache bounded at `cap` encoded containers (`cap >= 1`) whose
+    /// misses shard their per-channel work across `workers` threads.
+    pub fn with_capacity(cap: usize, workers: usize) -> MediaCache {
         assert!(cap >= 1, "media cache needs room for one entry");
         MediaCache {
             entries: HashMap::new(),
             cap,
+            workers,
             tick: 0,
             stats: CacheStatsHandle::default(),
             analyses: Vec::new(),
+            streams: Vec::new(),
+            container: Vec::new(),
             wavelet_scratch: WaveletScratch::new(),
             ezw_scratch: EzwScratch::new(),
         }
@@ -188,11 +203,12 @@ impl MediaCache {
     }
 
     /// Encode `img` to at most `byte_cap` bytes (or return the cached
-    /// container), sharding the per-channel work across `workers`
-    /// threads on a miss. The container is
-    /// [`ezw::encode_image_capped`]'s — the prefix
-    /// [`ezw::truncate_container`] would cut of the full encode, made
-    /// without coding the rest — and is shared, not copied.
+    /// container). The container is [`ezw::encode_image_capped`]'s —
+    /// the prefix [`ezw::truncate_container`] would cut of the full
+    /// encode, made without coding the rest — and is shared, not
+    /// copied. A miss prepares the image's coefficient planes in
+    /// `planes` ([`ezw::prepare_planes_into`]), overwriting whatever
+    /// they held; a hit leaves them alone.
     pub fn encode_image(
         &mut self,
         img: &Image,
@@ -200,7 +216,7 @@ impl MediaCache {
         kind: WaveletKind,
         color_transform: bool,
         byte_cap: Option<usize>,
-        workers: usize,
+        planes: &mut [Vec<i32>],
     ) -> Result<Arc<[u8]>, MediaError> {
         ezw::check_levels(img, levels)?;
         self.tick += 1;
@@ -211,14 +227,19 @@ impl MediaCache {
             return Ok(Arc::clone(&e.stream));
         }
         self.stats.record_miss();
-        let planes = ezw::prepare_planes(img, color_transform)?;
-        let n = planes.len();
+        ezw::prepare_planes_into(img, color_transform, planes)?;
+        let n = img.channels;
         if self.analyses.len() < n {
             self.analyses.resize_with(n, PlaneAnalysis::new);
+            self.streams.resize_with(n, Vec::new);
         }
-        let mut jobs: Vec<(Vec<i32>, &mut PlaneAnalysis)> =
-            planes.into_iter().zip(&mut self.analyses).collect();
-        let (w, h) = (img.width, img.height);
+        let mut jobs: Vec<_> = planes
+            .iter_mut()
+            .zip(&mut self.analyses)
+            .zip(&mut self.streams)
+            .take(n)
+            .collect();
+        let (w, h, workers) = (img.width, img.height, self.workers);
         // Two rounds with the cap's split between them: how much of a
         // channel the cap keeps depends on every channel's length.
         // Channels are independent within a round, so each round
@@ -227,30 +248,37 @@ impl MediaCache {
         // to the serial path at any worker count.
         let sharded = n > 1 && workers > 1;
         let lens: Vec<usize> = if sharded {
-            crate::shard::map_shards(&mut jobs, vec![(); n], workers, |_, (plane, a), ()| {
+            crate::shard::map_shards(&mut jobs, vec![(); n], workers, |_, ((plane, a), _), ()| {
                 let mut ws = WaveletScratch::new();
                 ezw::measure_prepared_plane(plane, w, h, levels, kind, &mut ws, a)
             })
         } else {
             let ws = &mut self.wavelet_scratch;
             jobs.iter_mut()
-                .map(|(plane, a)| ezw::measure_prepared_plane(plane, w, h, levels, kind, ws, a))
+                .map(|((plane, a), _)| {
+                    ezw::measure_prepared_plane(plane, w, h, levels, kind, ws, a)
+                })
                 .collect()
         };
         let keeps = ezw::channel_keeps(&lens, byte_cap);
-        let streams: Vec<Vec<u8>> = if sharded {
-            crate::shard::map_shards(&mut jobs, keeps, workers, |_, (plane, a), keep| {
-                EzwEncoder::emit_plane(plane, a, keep, &mut EzwScratch::new())
-            })
+        if sharded {
+            crate::shard::map_shards(&mut jobs, keeps, workers, |_, ((plane, a), out), keep| {
+                EzwEncoder::emit_plane_into(plane, a, keep, &mut EzwScratch::new(), out)
+            });
         } else {
             let es = &mut self.ezw_scratch;
-            jobs.iter()
-                .zip(keeps)
-                .map(|((plane, a), keep)| EzwEncoder::emit_plane(plane, a, keep, es))
-                .collect()
-        };
-        let stream: Arc<[u8]> =
-            ezw::assemble_container(img.channels, kind, color_transform, &streams).into();
+            for (((plane, a), out), keep) in jobs.iter_mut().zip(keeps) {
+                EzwEncoder::emit_plane_into(plane, a, keep, es, out);
+            }
+        }
+        ezw::assemble_container_into(
+            &mut self.container,
+            n,
+            kind,
+            color_transform,
+            &self.streams[..n],
+        );
+        let stream: Arc<[u8]> = Arc::from(self.container.as_slice());
         if self.entries.len() >= self.cap {
             // Deterministic LRU eviction: ticks are unique.
             let victim = self
@@ -450,6 +478,11 @@ mod tests {
     use media::image::synthetic_scene;
     use media::wavelet::WaveletKind;
 
+    /// Coefficient planes for a cache miss to prepare its image in.
+    fn planes() -> [Vec<i32>; 3] {
+        Default::default()
+    }
+
     fn image_obj() -> MediaObject {
         let scene = synthetic_scene(64, 64, 1, 3, 5);
         let encoded = ezw::encode_image(&scene.image, 4, WaveletKind::Cdf53).unwrap();
@@ -527,34 +560,76 @@ mod tests {
 
     #[test]
     fn media_cache_encodes_once_and_shares() {
-        let mut cache = MediaCache::with_capacity(4);
+        let mut cache = MediaCache::with_capacity(4, 1);
         let scene = synthetic_scene(32, 32, 3, 3, 9);
         let a = cache
-            .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, None, 1)
+            .encode_image(
+                &scene.image,
+                3,
+                WaveletKind::Cdf53,
+                true,
+                None,
+                &mut planes(),
+            )
             .unwrap();
         let b = cache
-            .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, None, 1)
+            .encode_image(
+                &scene.image,
+                3,
+                WaveletKind::Cdf53,
+                true,
+                None,
+                &mut planes(),
+            )
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared stream");
         assert_eq!((cache.stats().hits(), cache.stats().misses()), (1, 1));
         // Different parameters are a different entry.
         cache
-            .encode_image(&scene.image, 3, WaveletKind::Cdf53, false, None, 1)
+            .encode_image(
+                &scene.image,
+                3,
+                WaveletKind::Cdf53,
+                false,
+                None,
+                &mut planes(),
+            )
             .unwrap();
         assert_eq!(cache.stats().misses(), 2);
         assert_eq!(cache.len(), 2);
-        // And the bytes match the plain encoder exactly.
+        // And the bytes match the plain encoder exactly, whatever the
+        // lent planes held before and however large they were.
         let expected = ezw::encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, true).unwrap();
         assert_eq!(a.as_ref(), expected.as_slice());
+        let mut garbage = [vec![-7; 5000], vec![i32::MAX; 3], vec![]];
+        let mut fresh = MediaCache::with_capacity(1, 1);
+        let b = fresh
+            .encode_image(
+                &scene.image,
+                3,
+                WaveletKind::Cdf53,
+                true,
+                None,
+                &mut garbage,
+            )
+            .unwrap();
+        assert_eq!(b.as_ref(), expected.as_slice());
     }
 
     #[test]
     fn media_cache_holds_the_capped_container_under_its_cap() {
-        let mut cache = MediaCache::with_capacity(4);
+        let mut cache = MediaCache::with_capacity(4, 1);
         let scene = synthetic_scene(32, 32, 3, 3, 9);
         let mut encode = |cap| {
             cache
-                .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, cap, 1)
+                .encode_image(
+                    &scene.image,
+                    3,
+                    WaveletKind::Cdf53,
+                    true,
+                    cap,
+                    &mut planes(),
+                )
                 .unwrap()
         };
         let full = encode(None);
@@ -644,9 +719,16 @@ mod tests {
         let expected = ezw::encode_image_opts(&scene.image, 4, WaveletKind::Cdf53, true).unwrap();
         let cut = ezw::truncate_container(&expected, 2_000).unwrap();
         for workers in [1usize, 2, 3, 4, 8] {
-            let mut cache = MediaCache::with_capacity(2);
+            let mut cache = MediaCache::with_capacity(2, workers);
             let got = cache
-                .encode_image(&scene.image, 4, WaveletKind::Cdf53, true, None, workers)
+                .encode_image(
+                    &scene.image,
+                    4,
+                    WaveletKind::Cdf53,
+                    true,
+                    None,
+                    &mut planes(),
+                )
                 .unwrap();
             assert_eq!(got.as_ref(), expected.as_slice(), "workers = {workers}");
             // The cap is split between the channels before any is
@@ -658,7 +740,7 @@ mod tests {
                     WaveletKind::Cdf53,
                     true,
                     Some(2_000),
-                    workers,
+                    &mut planes(),
                 )
                 .unwrap();
             assert_eq!(capped.as_ref(), cut.as_slice(), "workers = {workers}");
@@ -667,33 +749,61 @@ mod tests {
 
     #[test]
     fn media_cache_evicts_lru_deterministically() {
-        let mut cache = MediaCache::with_capacity(2);
+        let mut cache = MediaCache::with_capacity(2, 1);
         let scenes: Vec<_> = (0..3).map(|s| synthetic_scene(16, 16, 1, 2, s)).collect();
         for scene in &scenes {
             cache
-                .encode_image(&scene.image, 2, WaveletKind::Haar, false, None, 1)
+                .encode_image(
+                    &scene.image,
+                    2,
+                    WaveletKind::Haar,
+                    false,
+                    None,
+                    &mut planes(),
+                )
                 .unwrap();
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions(), 1);
         // Scene 0 was least recently used: re-encoding it misses again.
         cache
-            .encode_image(&scenes[0].image, 2, WaveletKind::Haar, false, None, 1)
+            .encode_image(
+                &scenes[0].image,
+                2,
+                WaveletKind::Haar,
+                false,
+                None,
+                &mut planes(),
+            )
             .unwrap();
         assert_eq!(cache.stats().misses(), 4);
         // Scene 2 stayed resident.
         cache
-            .encode_image(&scenes[2].image, 2, WaveletKind::Haar, false, None, 1)
+            .encode_image(
+                &scenes[2].image,
+                2,
+                WaveletKind::Haar,
+                false,
+                None,
+                &mut planes(),
+            )
             .unwrap();
         assert_eq!(cache.stats().hits(), 1);
     }
 
     #[test]
     fn media_cache_degradation_is_prefix_truncation() {
-        let mut cache = MediaCache::with_capacity(2);
+        let mut cache = MediaCache::with_capacity(2, 1);
         let scene = synthetic_scene(64, 64, 1, 4, 3);
         let full = cache
-            .encode_image(&scene.image, 4, WaveletKind::Cdf53, false, None, 1)
+            .encode_image(
+                &scene.image,
+                4,
+                WaveletKind::Cdf53,
+                false,
+                None,
+                &mut planes(),
+            )
             .unwrap();
         // Per-client tiers share the one encode; each tier is a cut.
         for budget in [full.len() / 8, full.len() / 4, full.len() / 2] {
@@ -706,13 +816,27 @@ mod tests {
 
     #[test]
     fn media_cache_rejects_bad_levels() {
-        let mut cache = MediaCache::with_capacity(1);
+        let mut cache = MediaCache::with_capacity(1, 1);
         let scene = synthetic_scene(16, 16, 1, 1, 0);
         assert!(cache
-            .encode_image(&scene.image, 0, WaveletKind::Haar, false, None, 1)
+            .encode_image(
+                &scene.image,
+                0,
+                WaveletKind::Haar,
+                false,
+                None,
+                &mut planes()
+            )
             .is_err());
         assert!(cache
-            .encode_image(&scene.image, 9, WaveletKind::Haar, false, None, 1)
+            .encode_image(
+                &scene.image,
+                9,
+                WaveletKind::Haar,
+                false,
+                None,
+                &mut planes()
+            )
             .is_err());
         assert_eq!(cache.stats().misses(), 0, "param errors are not misses");
     }

@@ -833,6 +833,22 @@ impl EzwEncoder {
         keep: usize,
         scratch: &mut EzwScratch,
     ) -> Vec<u8> {
+        let mut out = Vec::new();
+        Self::emit_plane_into(coeffs, analysis, keep, scratch, &mut out);
+        out
+    }
+
+    /// [`EzwEncoder::emit_plane`] into a buffer the caller keeps: `out`
+    /// is cleared and holds the same bytes afterwards, so an encoder
+    /// that emits plane after plane into one buffer allocates only
+    /// while it grows.
+    pub fn emit_plane_into(
+        coeffs: &[i32],
+        analysis: &PlaneAnalysis,
+        keep: usize,
+        scratch: &mut EzwScratch,
+        out: &mut Vec<u8>,
+    ) {
         let (w, h, levels) = analysis.shape;
         assert_eq!(coeffs.len(), w * h, "the plane `measure_plane` sized up");
         let keep = keep.clamp(PLANE_HEADER_LEN, analysis.full_len);
@@ -841,14 +857,15 @@ impl EzwEncoder {
         // The walk looks at the cap once a word of the live set, so it
         // overshoots by at most 64 three-bit symbols and the writer's
         // word.
-        let mut out = Vec::with_capacity(keep + 64);
+        out.clear();
+        out.reserve(keep + 64);
         out.extend_from_slice(PLANE_MAGIC);
         out.extend_from_slice(&(w as u16).to_be_bytes());
         out.extend_from_slice(&(h as u16).to_be_bytes());
         out.push(levels as u8);
         if top_pos == 0 {
             out.push(EMPTY_PLANE);
-            return out;
+            return;
         }
         out.push(top_pos - 1);
         // Bits to write. Short of the whole stream this is a whole
@@ -856,7 +873,7 @@ impl EzwEncoder {
         // rounded up, which the passes end before reaching.
         let limit = (keep - PLANE_HEADER_LEN) * 8;
         if limit == 0 {
-            return out;
+            return;
         }
 
         scratch.geometry(w, h, levels);
@@ -901,7 +918,7 @@ impl EzwEncoder {
             ranked,
             sub: sub_mags,
             nsub: 0,
-            bits: BitWriter::after(out),
+            bits: BitWriter::after(std::mem::take(out)),
             t: 0,
             pos: 0,
             limit,
@@ -927,9 +944,8 @@ impl EzwEncoder {
                 break;
             }
         }
-        let mut out = emit.bits.into_bytes();
+        *out = emit.bits.into_bytes();
         out.truncate(keep);
-        out
     }
 }
 
@@ -1365,6 +1381,23 @@ pub(crate) fn kind_from_byte(b: u8) -> Result<(WaveletKind, bool), MediaError> {
 /// callers (e.g. the session's media cache) can transform and encode
 /// the planes in parallel.
 pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>>, MediaError> {
+    let mut planes = vec![Vec::new(); img.channels];
+    prepare_planes_into(img, color_transform, &mut planes)?;
+    Ok(planes)
+}
+
+/// [`prepare_planes`] into planes the caller keeps: channel `c` is
+/// written over `planes[c]`, whatever it held, and the buffers grow
+/// only past their capacity. A session borrows the three planes its
+/// decode scratch keeps ([`DecodeScratch::planes_mut`]) for this.
+///
+/// # Panics
+/// Panics when `planes` has fewer entries than `img` has channels.
+pub fn prepare_planes_into(
+    img: &Image,
+    color_transform: bool,
+    planes: &mut [Vec<i32>],
+) -> Result<(), MediaError> {
     if color_transform && img.channels != 3 {
         return Err(MediaError::BadDimensions(
             "color transform requires 3 channels".to_string(),
@@ -1384,7 +1417,16 @@ pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>
             img.width, img.height
         )));
     }
-    let mut planes: Vec<Vec<i32>> = (0..img.channels).map(|c| img.plane(c)).collect();
+    let planes = &mut planes[..img.channels];
+    for (c, plane) in planes.iter_mut().enumerate() {
+        plane.clear();
+        plane.extend(
+            img.data[c..]
+                .iter()
+                .step_by(img.channels)
+                .map(|&v| i32::from(v)),
+        );
+    }
     if color_transform {
         let (r, rest) = planes.split_at_mut(1);
         let (g, b) = rest.split_at_mut(1);
@@ -1401,7 +1443,7 @@ pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>
             }
         }
     }
-    Ok(planes)
+    Ok(())
 }
 
 /// Wavelet-transform one prepared plane in place and EZW-encode it,
@@ -1469,9 +1511,24 @@ pub fn assemble_container(
     color_transform: bool,
     streams: &[Vec<u8>],
 ) -> Vec<u8> {
+    let mut out = Vec::new();
+    assemble_container_into(&mut out, channels, kind, color_transform, streams);
+    out
+}
+
+/// [`assemble_container`] into a buffer the caller keeps: `out` is
+/// cleared, then holds the container; it grows only past its capacity.
+pub fn assemble_container_into(
+    out: &mut Vec<u8>,
+    channels: usize,
+    kind: WaveletKind,
+    color_transform: bool,
+    streams: &[Vec<u8>],
+) {
     assert_eq!(streams.len(), channels, "one stream per channel");
     let body: usize = streams.iter().map(|s| s.len() + 4).sum();
-    let mut out = Vec::with_capacity(CONTAINER_HEADER_LEN + body);
+    out.clear();
+    out.reserve_exact(CONTAINER_HEADER_LEN + body);
     out.extend_from_slice(CONTAINER_MAGIC);
     out.push(channels as u8);
     out.push(
@@ -1486,7 +1543,6 @@ pub fn assemble_container(
         out.extend_from_slice(&(stream.len() as u32).to_be_bytes());
         out.extend_from_slice(stream);
     }
-    out
 }
 
 /// Encode a whole image: wavelet transform + EZW per channel, packed as
@@ -1630,7 +1686,10 @@ pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> 
 /// band and working lines, the coefficient planes, and per channel the record of
 /// the last stream symbol-decoded there. A receiver that keeps one and
 /// decodes through [`decode_image_reduced_with`] allocates only the
-/// image it returns, and pays for reading symbols once per stream: a
+/// image it returns — not even that, when it handed back an image at
+/// least as large that nobody reads any more
+/// ([`DecodeScratch::recycle`]) — and pays for reading
+/// symbols once per stream: a
 /// container whose channel streams are prefixes of the recorded ones —
 /// a smaller packet budget's view of the same shared object — is
 /// replayed from the records. The buffers stay the size of the largest
@@ -1641,6 +1700,9 @@ pub struct DecodeScratch {
     wavelet: WaveletScratch,
     records: [PlaneRecord; 3],
     planes: [Vec<i32>; 3],
+    /// A pixel buffer the next decode returns its image in, instead of
+    /// allocating one ([`DecodeScratch::recycle`]).
+    pixels: Vec<u8>,
     replays: u64,
 }
 
@@ -1648,6 +1710,28 @@ impl DecodeScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> DecodeScratch {
         DecodeScratch::default()
+    }
+
+    /// The three coefficient planes, lent out between decodes. A
+    /// decode clears and refills every plane it uses before reading
+    /// it, so nothing a borrower leaves in them is ever read: an
+    /// encoder that never runs at the same time as a decode on this
+    /// scratch may prepare its planes here
+    /// ([`prepare_planes_into`]) instead of keeping a set of its own.
+    /// What the planes hold between decodes is therefore not part of
+    /// the scratch's state.
+    pub fn planes_mut(&mut self) -> &mut [Vec<i32>; 3] {
+        &mut self.planes
+    }
+
+    /// Hand back an image nobody reads any more: the next decode on
+    /// this scratch returns its image in `image`'s pixel buffer rather
+    /// than a fresh one, and writes every byte of it first. Of two
+    /// buffers recycled before a decode, the larger stays.
+    pub fn recycle(&mut self, image: Image) {
+        if image.data.capacity() > self.pixels.capacity() {
+            self.pixels = image.data;
+        }
     }
 
     /// Containers decoded without reading a symbol: every channel
@@ -1720,6 +1804,7 @@ pub fn decode_image_reduced_with(
         wavelet: ws,
         records,
         planes,
+        pixels,
         replays,
     } = scratch;
     let planes = &mut planes[..channels];
@@ -1751,16 +1836,26 @@ pub fn decode_image_reduced_with(
         let (co, cg) = rest.split_at_mut(1);
         crate::color::inverse_planes(&mut y[0], &mut co[0], &mut cg[0]);
     }
+    // The image goes into a recycled pixel buffer when there is one.
+    // Every byte of it is written below — each channel of each pixel,
+    // whole image or reduced corner — so whatever the buffer held
+    // before cannot show through.
+    let (rw, rh) = (w >> drop_levels, h >> drop_levels);
+    let mut data = std::mem::take(pixels);
+    data.resize(rw * rh * channels, 0);
+    let mut img = Image {
+        width: rw,
+        height: rh,
+        channels,
+        data,
+    };
     if drop_levels == 0 {
-        let mut img = Image::new(w, h, channels);
         for (c, plane) in planes.iter().enumerate() {
             img.set_plane(c, plane);
         }
         return Ok(img);
     }
     // The reduced image is the top-left corner of each plane.
-    let (rw, rh) = (w >> drop_levels, h >> drop_levels);
-    let mut img = Image::new(rw, rh, channels);
     for (c, plane) in planes.iter().enumerate() {
         let rows = img.data.chunks_exact_mut(rw * channels);
         for (out, row) in rows.zip(plane.chunks_exact(w)) {

@@ -11,7 +11,7 @@
 //! packets received on grayscale and colour images alike (a contiguous
 //! byte split would starve the later channels entirely).
 
-use crate::ezw::{container_streams, PLANE_HEADER_LEN};
+use crate::ezw::{container_streams, ChannelStreams, PLANE_HEADER_LEN};
 use crate::MediaError;
 
 /// One stripe of an encoded image.
@@ -30,13 +30,21 @@ pub struct MediaPacket {
 impl MediaPacket {
     /// Serialize to wire bytes (for embedding in a semantic message).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(PACKET_HEADER + self.payload.len());
-        out.extend_from_slice(&self.index.to_be_bytes());
-        out.extend_from_slice(&self.total.to_be_bytes());
-        out.extend_from_slice(&self.full_len.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out);
         out
+    }
+
+    /// Length of the wire form.
+    pub fn wire_len(&self) -> usize {
+        PACKET_HEADER + self.payload.len()
+    }
+
+    /// Append the wire form ([`MediaPacket::encode`]) to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let (index, total) = (usize::from(self.index), usize::from(self.total));
+        write_header(out, index, total, self.full_len, self.payload.len());
+        out.extend_from_slice(&self.payload);
     }
 
     /// Parse wire bytes into an owned packet: [`PacketView::parse`],
@@ -59,6 +67,14 @@ impl MediaPacket {
 /// Wire header of a media packet: index, total, full length, payload
 /// length.
 const PACKET_HEADER: usize = 12;
+
+/// Append a packet's wire header.
+fn write_header(out: &mut Vec<u8>, index: usize, total: usize, full_len: u32, payload_len: usize) {
+    out.extend_from_slice(&(index as u16).to_be_bytes());
+    out.extend_from_slice(&(total as u16).to_be_bytes());
+    out.extend_from_slice(&full_len.to_be_bytes());
+    out.extend_from_slice(&(payload_len as u32).to_be_bytes());
+}
 
 /// A [`MediaPacket`] read in place: the header fields, and the payload
 /// borrowed from the bytes it arrived in.
@@ -107,53 +123,119 @@ impl<'a> PacketView<'a> {
 /// Container header length: magic + channels + kind.
 const CONTAINER_HEADER: usize = 6;
 
-/// Chunk boundaries for splitting `len` bytes into `n` near-equal
-/// chunks, front-loading the remainder (and guaranteeing chunk 0 covers
-/// at least the plane header whenever the stream has one).
-fn chunk_bounds(len: usize, n: usize) -> Vec<(usize, usize)> {
-    let base = len / n;
-    let rem = len % n;
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 0;
-    for i in 0..n {
-        let mut size = base + usize::from(i < rem);
-        if i == 0 && len >= PLANE_HEADER_LEN {
-            size = size.max(PLANE_HEADER_LEN);
+/// Chunk `i` of `len` bytes split into `n` near-equal chunks, as
+/// `(start, end)`: the remainder is front-loaded, chunk 0 covers at
+/// least the plane header whenever the stream has one (the bytes that
+/// takes come off the chunks after it), and the last chunk ends at
+/// `len`. Closed form, so one stripe is cut without the others' bounds.
+fn chunk(len: usize, n: usize, i: usize) -> (usize, usize) {
+    let (base, rem) = (len / n, len % n);
+    let first = base + usize::from(rem > 0);
+    let extra = if len >= PLANE_HEADER_LEN {
+        PLANE_HEADER_LEN.saturating_sub(first)
+    } else {
+        0
+    };
+    // Where chunk `j` ends: chunks `0..=j` at their nominal sizes plus
+    // chunk 0's top-up, never past the stream.
+    let end = |j: usize| {
+        if j + 1 == n {
+            len
+        } else {
+            (extra + (j + 1) * base + (j + 1).min(rem)).min(len)
         }
-        let end = (pos + size).min(len);
-        out.push((pos, end));
-        pos = end;
-    }
-    // Any shortfall from the chunk-0 minimum lands on the final chunk.
-    if let Some(last) = out.last_mut() {
-        last.1 = len;
-    }
-    out
+    };
+    (if i == 0 { 0 } else { end(i - 1) }, end(i))
 }
 
-/// Split an encoded container into `n` channel-aware stripes.
+/// A container cut into `n` channel-aware stripes, read in place:
+/// stripe `i` — the payload [`split_packets`] gives packet `i`, or
+/// that packet's whole wire form — is sized and written on demand,
+/// straight from the container's bytes, so a sender frames each stripe
+/// without a [`MediaPacket`] ever holding it.
+#[derive(Clone)]
+pub struct Stripes<'a> {
+    container: &'a [u8],
+    streams: ChannelStreams<'a>,
+    n: usize,
+}
+
+impl<'a> Stripes<'a> {
+    /// The `n` stripes of `container`. `Err` when `container` is not a
+    /// valid EZW container, or `n` is outside `1..=65535`, what a
+    /// packet header can count.
+    pub fn new(container: &'a [u8], n: usize) -> Result<Stripes<'a>, MediaError> {
+        if !(1..=usize::from(u16::MAX)).contains(&n) {
+            return Err(MediaError::Malformed("packet count out of range"));
+        }
+        let (_, _, streams) = container_streams(container)?;
+        Ok(Stripes {
+            container,
+            streams,
+            n,
+        })
+    }
+
+    /// How many stripes the container is cut into.
+    pub fn count(&self) -> usize {
+        self.n
+    }
+
+    /// Each channel's chunk of stripe `i`, in channel order.
+    fn chunks(&self, i: usize) -> impl Iterator<Item = &'a [u8]> {
+        let n = self.n;
+        self.streams.clone().map(move |stream| {
+            let (start, end) = chunk(stream.len(), n, i);
+            &stream[start..end]
+        })
+    }
+
+    /// Length of stripe `i`'s payload: the container header, then per
+    /// channel a length and that channel's chunk `i`.
+    fn payload_len(&self, i: usize) -> usize {
+        CONTAINER_HEADER + self.chunks(i).map(|c| 4 + c.len()).sum::<usize>()
+    }
+
+    /// Append stripe `i`'s payload to `out`.
+    fn write_payload(&self, i: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.container[..CONTAINER_HEADER]);
+        for chunk in self.chunks(i) {
+            out.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
+            out.extend_from_slice(chunk);
+        }
+    }
+
+    /// Length of stripe `i`'s wire form ([`Stripes::write_packet`]).
+    pub fn packet_len(&self, i: usize) -> usize {
+        PACKET_HEADER + self.payload_len(i)
+    }
+
+    /// Append stripe `i`'s wire form to `out`: the bytes
+    /// `split_packets(container, n)[i].encode()` returns, without the
+    /// packet or its payload being built.
+    ///
+    /// # Panics
+    /// Panics when `i >= n`.
+    pub fn write_packet(&self, i: usize, out: &mut Vec<u8>) {
+        assert!(i < self.n, "stripe {i} of {}", self.n);
+        let full_len = self.container.len() as u32;
+        write_header(out, i, self.n, full_len, self.payload_len(i));
+        self.write_payload(i, out);
+    }
+}
+
+/// Split an encoded container into `n` channel-aware stripes, each
+/// payload in a buffer of exactly its size ([`Stripes`] cuts them).
 ///
 /// # Panics
 /// Panics when `container` is not a valid EZW container or `n` is out
 /// of range — callers split containers they just encoded.
 pub fn split_packets(container: &[u8], n: usize) -> Vec<MediaPacket> {
-    assert!(
-        n >= 1 && n <= u16::MAX as usize,
-        "packet count out of range"
-    );
-    let (_, _, streams) = container_streams(container).expect("valid container");
-    let header = &container[..CONTAINER_HEADER];
-    let bounds: Vec<Vec<(usize, usize)>> =
-        streams.clone().map(|s| chunk_bounds(s.len(), n)).collect();
+    let stripes = Stripes::new(container, n).expect("valid container and packet count");
     (0..n)
         .map(|i| {
-            let mut payload = Vec::with_capacity(CONTAINER_HEADER + container.len() / n + 8);
-            payload.extend_from_slice(header);
-            for (stream, b) in streams.clone().zip(&bounds) {
-                let (start, end) = b[i];
-                payload.extend_from_slice(&((end - start) as u32).to_be_bytes());
-                payload.extend_from_slice(&stream[start..end]);
-            }
+            let mut payload = Vec::with_capacity(stripes.payload_len(i));
+            stripes.write_payload(i, &mut payload);
             MediaPacket {
                 index: i as u16,
                 total: n as u16,
@@ -186,14 +268,19 @@ pub fn reassemble_prefix(packets: &[MediaPacket]) -> Result<Vec<u8>, MediaError>
     if slot[k..].iter().any(|&s| s != usize::MAX) {
         return Err(MediaError::Malformed("packet set is not a prefix"));
     }
-    reassemble_stripes(slot[..k].iter().map(|&at| packets[at].view()))
+    let mut out = Vec::new();
+    reassemble_stripes(slot[..k].iter().map(|&at| packets[at].view()), &mut out)?;
+    Ok(out)
 }
 
 /// Reassemble stripes `0..k`, given in index order, into a container —
 /// [`reassemble_prefix`] for stripes already ordered, read in place:
 /// one pass verifies every stripe and sizes the container, a second
-/// writes it into a buffer of exactly that size, channel by channel.
-pub fn reassemble_stripes<'a, I>(stripes: I) -> Result<Vec<u8>, MediaError>
+/// writes it into `out`, channel by channel. On `Ok`, `out` holds the
+/// container in place of what it held, having grown only if its
+/// capacity was short (and then to exactly the container's size); on
+/// `Err` it is left as it was.
+pub fn reassemble_stripes<'a, I>(stripes: I, out: &mut Vec<u8>) -> Result<(), MediaError>
 where
     I: IntoIterator<Item = PacketView<'a>>,
     I::IntoIter: Clone,
@@ -237,7 +324,8 @@ where
         return Err(MediaError::Malformed("no packets"));
     };
     let channels = usize::from(head.payload[4]);
-    let mut out = Vec::with_capacity(CONTAINER_HEADER + 4 * channels + chunk_bytes);
+    out.clear();
+    out.reserve_exact(CONTAINER_HEADER + 4 * channels + chunk_bytes);
     out.extend_from_slice(&head.payload[..CONTAINER_HEADER]);
     for channel in 0..channels {
         let len_at = out.len();
@@ -248,8 +336,7 @@ where
         let len = (out.len() - len_at - 4) as u32;
         out[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
     }
-    debug_assert_eq!(out.len(), out.capacity());
-    Ok(out)
+    Ok(())
 }
 
 /// Chunk `channel` of a stripe [`reassemble_stripes`] has verified.
@@ -316,7 +403,8 @@ mod tests {
     fn reassembly_sizes_the_container_exactly_and_keeps_first_copies() {
         for (_, c) in [container(), color_container()] {
             let packets = split_packets(&c, 8);
-            let ordered = reassemble_stripes(packets[..5].iter().map(MediaPacket::view)).unwrap();
+            let mut ordered = Vec::new();
+            reassemble_stripes(packets[..5].iter().map(MediaPacket::view), &mut ordered).unwrap();
             assert_eq!(ordered.len(), ordered.capacity());
             let mut shuffled = vec![packets[3].clone(), packets[0].clone()];
             shuffled.extend(packets[..5].iter().rev().cloned());
@@ -325,27 +413,79 @@ mod tests {
             forged.payload[CONTAINER_HEADER + 4] ^= 0xFF;
             shuffled.push(forged);
             assert_eq!(reassemble_prefix(&shuffled).unwrap(), ordered);
+            let mut kept = ordered.clone();
             assert!(
-                reassemble_stripes(packets[1..3].iter().map(MediaPacket::view)).is_err(),
+                reassemble_stripes(packets[1..3].iter().map(MediaPacket::view), &mut kept).is_err(),
                 "stripes must start at index 0"
             );
+            assert_eq!(
+                kept, ordered,
+                "a refused reassembly leaves the buffer alone"
+            );
+            // Into a buffer that held something else, longer or shorter.
+            for mut reused in [vec![0xAB; 3], vec![7; 4 * ordered.len()]] {
+                reassemble_stripes(packets[..5].iter().map(MediaPacket::view), &mut reused)
+                    .unwrap();
+                assert_eq!(reused, ordered);
+            }
         }
     }
 
+    /// The chunk walk `chunk` is the closed form of: each chunk at its
+    /// nominal size, chunk 0 topped up to the plane header, clamped to
+    /// the stream, the last one ending at `len`.
+    fn chunk_walk(len: usize, n: usize) -> Vec<(usize, usize)> {
+        let (base, rem) = (len / n, len % n);
+        let mut out = Vec::with_capacity(n);
+        let mut pos = 0;
+        for i in 0..n {
+            let mut size = base + usize::from(i < rem);
+            if i == 0 && len >= PLANE_HEADER_LEN {
+                size = size.max(PLANE_HEADER_LEN);
+            }
+            let end = (pos + size).min(len);
+            out.push((pos, end));
+            pos = end;
+        }
+        out.last_mut().expect("n >= 1").1 = len;
+        out
+    }
+
     #[test]
-    fn chunk_bounds_cover_exactly() {
-        for (len, n) in [(100usize, 16usize), (5, 16), (1000, 7), (0, 4)] {
-            let b = chunk_bounds(len, n);
-            assert_eq!(b.len(), n);
-            assert_eq!(b[0].0, 0);
-            assert_eq!(b[n - 1].1, len);
-            for w in b.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous");
+    fn chunks_cover_exactly_and_match_the_walk() {
+        for len in (0..40).chain([99, 100, 101, 1000, 4099]) {
+            for n in [1, 2, 3, 7, 9, 10, 11, 16, 64, 255] {
+                let b: Vec<_> = (0..n).map(|i| chunk(len, n, i)).collect();
+                assert_eq!(b, chunk_walk(len, n), "len {len}, n {n}");
+                assert_eq!(b[0].0, 0);
+                assert_eq!(b[n - 1].1, len);
+                for w in b.windows(2) {
+                    assert_eq!(w[0].1, w[1].0, "contiguous");
+                }
             }
         }
         // Chunk 0 always covers the plane header when possible.
-        let b = chunk_bounds(100, 16);
-        assert!(b[0].1 - b[0].0 >= PLANE_HEADER_LEN);
+        let (start, end) = chunk(100, 16, 0);
+        assert!(end - start >= PLANE_HEADER_LEN);
+    }
+
+    #[test]
+    fn stripes_are_sized_exactly_and_frame_as_the_packets_do() {
+        for (_, c) in [container(), color_container()] {
+            for n in [1usize, 3, 16, 255] {
+                let stripes = Stripes::new(&c, n).unwrap();
+                for (i, p) in split_packets(&c, n).iter().enumerate() {
+                    assert_eq!(p.payload.len(), p.payload.capacity(), "n {n}, stripe {i}");
+                    let mut wire = Vec::with_capacity(stripes.packet_len(i));
+                    stripes.write_packet(i, &mut wire);
+                    assert_eq!(wire.len(), wire.capacity());
+                    assert_eq!(wire, p.encode());
+                }
+            }
+        }
+        assert!(Stripes::new(&container().1, 0).is_err());
+        assert!(Stripes::new(&container().1, 65_536).is_err());
+        assert!(Stripes::new(b"EZC1", 4).is_err());
     }
 
     #[test]

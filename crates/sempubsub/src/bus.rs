@@ -14,12 +14,13 @@ use crate::compile::{
     DEFAULT_CACHE_CAPACITY,
 };
 use crate::matching::MatchOutcome;
-use crate::message::{self, SemanticMessage};
+use crate::message::{self, EventBody, SemanticMessage};
 use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::SemError;
 use simnet::{Addr, GroupId, Network, NodeId, Payload, Port, SocketHandle};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A message that passed local semantic interpretation.
@@ -241,12 +242,13 @@ impl BusEndpoint {
         content: BTreeMap<String, AttrValue>,
         body: Vec<u8>,
     ) -> Result<u64, SemError> {
-        let seqs = self.publish_batch(net, selector, content, vec![(kind.to_string(), body)])?;
-        Ok(seqs[0])
+        let seqs = self.publish_batch(net, selector, &content, [(kind, body)])?;
+        Ok(seqs.start)
     }
 
-    /// Publish several events in one network batch: each body becomes
-    /// its own sequenced [`SemanticMessage`] frame, and the network
+    /// Publish several events in one network batch: each event becomes
+    /// its own sequenced [`SemanticMessage`] frame, its body written
+    /// straight into the frame ([`EventBody`]), and the network
     /// resolves multicast membership and routes once for the whole
     /// batch instead of per message. Returns the assigned sequence
     /// numbers.
@@ -254,24 +256,26 @@ impl BusEndpoint {
     /// A selector that does not parse, or a field too long for the
     /// frame format ([`SemError::Codec`]), fails the call before
     /// anything is sent or numbered.
-    pub fn publish_batch(
+    pub fn publish_batch<E: EventBody>(
         &mut self,
         net: &mut Network,
         selector: &str,
-        content: BTreeMap<String, AttrValue>,
-        events: Vec<(String, Vec<u8>)>,
-    ) -> Result<Vec<u64>, SemError> {
+        content: &BTreeMap<String, AttrValue>,
+        events: impl IntoIterator<Item = E>,
+    ) -> Result<Range<u64>, SemError> {
         // Validate the selector locally before it hits the wire; the
         // compiled program lands in the store, so a subsequent
         // interpret of our own (or an identical) selector is a hit.
         self.store.compile(selector)?;
         let first = self.seq;
-        let wires = message::encode_frames(&self.profile.name, selector, &content, first, &events)?;
-        self.seq += events.len() as u64;
+        let wires: Vec<Payload> =
+            message::encode_frames(&self.profile.name, selector, content, first, events)?;
+        let n = wires.len() as u64;
+        self.seq += n;
         net.send_batch(self.socket, Addr::multicast(self.group, self.port), wires)
             .map_err(|e| SemError::Transport(e.to_string()))?;
-        self.stats.published += events.len() as u64;
-        Ok((first..self.seq).collect())
+        self.stats.published += n;
+        Ok(first..self.seq)
     }
 
     /// Drain arrived datagram payloads without decoding them.
@@ -610,7 +614,7 @@ mod tests {
             .publish_batch(
                 &mut net,
                 "interested_in contains 'image'",
-                content_image(),
+                &content_image(),
                 events.clone(),
             )
             .unwrap();
@@ -622,7 +626,7 @@ mod tests {
                 sender: "pub".to_string(),
                 kind: events[i].0.clone(),
                 selector: "interested_in contains 'image'".to_string(),
-                seq: seqs[i],
+                seq: seqs.start + i as u64,
                 content: content_image(),
                 body: events[i].1.clone(),
             }
@@ -661,19 +665,19 @@ mod tests {
             .publish_batch(
                 &mut net,
                 "interested_in contains 'image'",
-                content_image(),
-                vec![(kind.clone(), body.clone())],
+                &content_image(),
+                [(kind.clone(), body.clone())],
             )
             .unwrap();
         assert_eq!(
-            (single, &batched[..]),
-            (3, &[4][..]),
+            (single, batched.clone()),
+            (3, 4..5),
             "seqs continue the batch"
         );
         net.run_for(Ticks::from_millis(10));
         let raw = gateway.drain_raw(&mut net);
         assert_eq!(raw.len(), 2);
-        for (payload, seq) in raw.iter().zip([single, batched[0]]) {
+        for (payload, seq) in raw.iter().zip([single, batched.start]) {
             let expected = SemanticMessage {
                 sender: "pub".to_string(),
                 kind: kind.clone(),
@@ -712,7 +716,7 @@ mod tests {
         let single = publisher.publish(&mut net, kind, selector, content.clone(), vec![1]);
         assert!(matches!(single, Err(SemError::Codec(_))), "{single:?}");
         let events = vec![("chat".to_string(), vec![]), (kind.to_string(), vec![1])];
-        let batch = publisher.publish_batch(&mut net, selector, content, events);
+        let batch = publisher.publish_batch(&mut net, selector, &content, events);
         assert!(matches!(batch, Err(SemError::Codec(_))), "{batch:?}");
         assert_eq!(net.stats().sent, 0);
         assert_eq!(publisher.stats().published, 0);

@@ -68,7 +68,7 @@ pub use compile::{
 };
 pub use intern::{Interner, Symbol};
 pub use matching::{MatchOutcome, TransformStep};
-pub use message::SemanticMessage;
+pub use message::{EventBody, SemanticMessage};
 pub use profile::{Profile, TransformCap};
 pub use value::AttrValue;
 

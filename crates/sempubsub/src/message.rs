@@ -35,13 +35,13 @@ impl SemanticMessage {
     /// [`crate::bus::BusEndpoint::publish`] reports the same conditions
     /// as [`SemError::Codec`].
     pub fn encode(&self) -> Vec<u8> {
-        let event = [(self.kind.as_str(), self.body.as_slice())];
-        encode_frames(
+        let event = (self.kind.as_str(), self.body.as_slice());
+        encode_frames::<Vec<u8>, _>(
             &self.sender,
             &self.selector,
             &self.content,
             self.seq,
-            &event,
+            [event],
         )
         .expect("message fields fit the frame format")
         .remove(0)
@@ -80,20 +80,49 @@ impl SemanticMessage {
     }
 }
 
+/// One event of a published batch, written straight into its frame:
+/// the envelope kind, and a body whose length is known before a byte of
+/// it is written, so the frame is allocated once at its exact size and
+/// the body never exists anywhere else. A `(kind, body)` pair is one,
+/// for a body already in bytes.
+pub trait EventBody {
+    /// The envelope kind.
+    fn kind(&self) -> &str;
+    /// The body's length: exactly what [`EventBody::write_body`]
+    /// appends.
+    fn body_len(&self) -> usize;
+    /// Append the body to `out`.
+    fn write_body(&self, out: &mut Vec<u8>);
+}
+
+impl<K: AsRef<str>, B: AsRef<[u8]>> EventBody for (K, B) {
+    fn kind(&self) -> &str {
+        self.0.as_ref()
+    }
+
+    fn body_len(&self) -> usize {
+        self.1.as_ref().len()
+    }
+
+    fn write_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.1.as_ref());
+    }
+}
+
 /// The one writer of the `SEM1` field sequence — magic, sender, kind,
 /// selector, seq, content, body — and the one place field lengths are
 /// checked against the widths the frame gives them. Encodes one frame
-/// per `(kind, body)` event, numbered consecutively from `first_seq`;
-/// the fields every frame shares are written once and spliced around
-/// each event's own. A content value nested deeper than the decoder
-/// accepts is refused here too.
-pub(crate) fn encode_frames<K: AsRef<str>, B: AsRef<[u8]>>(
+/// per event, numbered consecutively from `first_seq`, each into a
+/// buffer of exactly its size; the fields every frame shares are
+/// written once and spliced around each event's own. A content value
+/// nested deeper than the decoder accepts is refused here too.
+pub(crate) fn encode_frames<F: From<Vec<u8>>, E: EventBody>(
     sender: &str,
     selector: &str,
     content: &BTreeMap<String, AttrValue>,
     first_seq: u64,
-    events: &[(K, B)],
-) -> Result<Vec<Vec<u8>>, SemError> {
+    events: impl IntoIterator<Item = E>,
+) -> Result<Vec<F>, SemError> {
     let mut shared = Vec::with_capacity(128);
     shared.extend_from_slice(MAGIC);
     put_str16(&mut shared, sender)?;
@@ -105,22 +134,23 @@ pub(crate) fn encode_frames<K: AsRef<str>, B: AsRef<[u8]>>(
         put_str16(&mut shared, k)?;
         put_value(&mut shared, v, 1)?;
     }
-    events
-        .iter()
-        .zip(first_seq..)
-        .map(|((kind, body), seq)| {
-            let (kind, body) = (kind.as_ref(), body.as_ref());
-            let mut frame = Vec::with_capacity(shared.len() + 2 + kind.len() + 8 + 4 + body.len());
-            frame.extend_from_slice(&shared[..kind_at]);
-            put_str16(&mut frame, kind)?;
-            frame.extend_from_slice(&shared[kind_at..seq_at]);
-            frame.extend_from_slice(&seq.to_be_bytes());
-            frame.extend_from_slice(&shared[seq_at..]);
-            frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            frame.extend_from_slice(body);
-            Ok(frame)
-        })
-        .collect()
+    let events = events.into_iter();
+    let mut frames = Vec::with_capacity(events.size_hint().0);
+    for (event, seq) in events.zip(first_seq..) {
+        let (kind, body_len) = (event.kind(), event.body_len());
+        let len = shared.len() + 2 + kind.len() + 8 + 4 + body_len;
+        let mut frame = Vec::with_capacity(len);
+        frame.extend_from_slice(&shared[..kind_at]);
+        put_str16(&mut frame, kind)?;
+        frame.extend_from_slice(&shared[kind_at..seq_at]);
+        frame.extend_from_slice(&seq.to_be_bytes());
+        frame.extend_from_slice(&shared[seq_at..]);
+        frame.extend_from_slice(&(body_len as u32).to_be_bytes());
+        event.write_body(&mut frame);
+        debug_assert_eq!(frame.len(), len, "`body_len` is what `write_body` writes");
+        frames.push(F::from(frame));
+    }
+    Ok(frames)
 }
 
 fn put_len16(out: &mut Vec<u8>, len: usize, too_long: &'static str) -> Result<(), SemError> {
@@ -310,7 +340,7 @@ mod tests {
         assert_eq!(SemanticMessage::decode(&m.encode()).unwrap(), m);
         let fields = |v: &AttrValue| {
             let content = [("deep".to_string(), v.clone())].into();
-            encode_frames("s", "true", &content, 0, &[("k", b"")])
+            encode_frames::<Vec<u8>, _>("s", "true", &content, 0, [("k", b"")])
         };
         let refused = fields(&nested_list(MAX_DEPTH + 1));
         assert_eq!(refused, Err(SemError::Codec("value nested too deep")));

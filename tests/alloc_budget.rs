@@ -1,11 +1,16 @@
-//! Allocation budget: what a steady-state reception costs the heap.
+//! Allocation budget: what a steady-state reception, a share and a
+//! gateway relay cost the heap.
 //!
 //! A counting global allocator counts per thread, so the tests of this
 //! binary, which the harness runs on parallel threads, do not see each
 //! other's allocations; every session here runs with `workers: 1`, on
-//! the test's own thread. Each test warms its session up, then counts
-//! the allocations of `pump` alone (publishing and encoding stay
-//! outside the window) and divides by what the pump delivered.
+//! the test's own thread. Each reception test warms its session up,
+//! then counts the allocations of `pump` alone (publishing and encoding
+//! stay outside the window) and divides by what the pump delivered.
+//! The sending side is counted the other way round: `share_image`
+//! alone, per frame it sends, with the largest single request tracked
+//! too. The gateway's relay is counted as a difference: the same
+//! traffic relayed to one thin client and to twelve.
 //!
 //! The bounds are upper bounds — the measured count plus a margin —
 //! because the toolchain floats on `stable` and the standard library's
@@ -16,8 +21,12 @@
 //! decodes, the pending entry, the reassembled container and the
 //! image decode. Measured on this suite's sessions when the bounds were
 //! set: 2.57 and 3.33 allocations per flat and brokered chat delivery,
-//! 27.6 and 38.8 per flat and brokered image view — where the per-client
-//! decode and copies they replace cost 5.14, 6.26, 65.5 and 82.8.
+//! 25.7 and 36.8 per flat and brokered image view — where the per-client
+//! decode and copies they replace cost 5.14, 6.26, 65.5 and 82.8. A
+//! cold colour share made 2.88 allocations per frame (two buffers per
+//! frame, and about a dozen per share for its content description,
+//! caption and encode bookkeeping), none of them near the size of a
+//! coefficient plane; a relayed downlink delivery made none.
 
 use collabqos::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,12 +36,15 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest single request since the last [`largest_since`].
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(size: usize) {
     // A thread being torn down has no counter left; its allocations
     // belong to no test.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|max| max.set(max.get().max(size)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -41,13 +53,13 @@ fn bump() {
 // destructor.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -58,7 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
         // the caller's responsibility under the `GlobalAlloc` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -73,6 +85,11 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// The largest request this thread made since the last call.
+fn largest_since() -> usize {
+    LARGEST.with(|max| max.replace(0))
+}
+
 const CHAT: &str = "interested_in contains 'chat'";
 const IMAGES: &str = "interested_in contains 'image'";
 const CLIENTS: usize = 12;
@@ -82,11 +99,16 @@ const ROUNDS: usize = 20;
 /// A session of `CLIENTS` passive clients interested in chat and
 /// images: flat, or over three broker domains.
 fn session(domains: Option<usize>) -> CollaborationSession {
-    let mut s = CollaborationSession::new(SessionConfig {
+    session_with(SessionConfig {
         seed: 31,
         domains,
         ..SessionConfig::default()
-    });
+    })
+}
+
+/// [`session`] under `cfg`.
+fn session_with(cfg: SessionConfig) -> CollaborationSession {
+    let mut s = CollaborationSession::new(cfg);
     for i in 0..CLIENTS {
         let name = format!("c{i}");
         let mut profile = Profile::new(&name);
@@ -180,11 +202,129 @@ fn a_brokered_chat_delivery_allocates_the_log_line_and_little_else() {
 #[test]
 fn a_flat_image_view_stays_within_its_budget() {
     let per = allocs_per_image_view(None);
-    assert!(per <= 30.0, "{per:.3} allocations per flat image view");
+    assert!(per <= 28.0, "{per:.3} allocations per flat image view");
 }
 
 #[test]
 fn a_brokered_image_view_stays_within_its_budget() {
     let per = allocs_per_image_view(Some(3));
-    assert!(per <= 42.0, "{per:.3} allocations per brokered image view");
+    assert!(per <= 39.5, "{per:.3} allocations per brokered image view");
+}
+
+/// A colour share's cost on the sending side, averaged over `ROUNDS`
+/// shares of scenes the session has not seen (each a cold encode),
+/// after enough shares to fill the media cache and grow every buffer
+/// the encoder keeps: the allocations `share_image` makes per frame
+/// it sends, and the largest single request any share made.
+fn cold_colour_share() -> (f64, usize) {
+    let mut s = session_with(SessionConfig {
+        seed: 31,
+        color_transform: true,
+        full_stream_bpp: Some(6.0),
+        ..SessionConfig::default()
+    });
+    for id in 1..CLIENTS {
+        s.client_mut(id)
+            .viewer
+            .set_packet_budget([16, 8, 4, 2][id % 4]);
+    }
+    let frames = 1 + s.config().packets_per_image as u64;
+    // More than the media cache's 32 entries, so its table is full.
+    const WARM_SHARES: usize = 40;
+    let (mut counted, mut largest) = (0, 0);
+    for round in 0..WARM_SHARES + ROUNDS {
+        let scene = synthetic_scene(64, 64, 3, 3, 900 + round as u64);
+        let before = allocs();
+        largest_since();
+        s.share_image(0, &scene, IMAGES).expect("image shares");
+        let (spent, max) = (allocs() - before, largest_since());
+        s.pump(Ticks::from_millis(200));
+        for id in 0..CLIENTS {
+            s.client_mut(id).viewer.viewed.clear();
+        }
+        if round >= WARM_SHARES {
+            counted += spent;
+            largest = largest.max(max);
+        }
+    }
+    assert_eq!(
+        s.media_cache_stats().hits(),
+        0,
+        "every share is a cold encode"
+    );
+    (counted as f64 / (ROUNDS as u64 * frames) as f64, largest)
+}
+
+#[test]
+fn a_cold_colour_share_allocates_its_frames_and_no_plane() {
+    let (per_frame, largest) = cold_colour_share();
+    // Two buffers a frame (its bytes, and the shared handle the
+    // network carries), plus a handful per share.
+    assert!(
+        per_frame <= 3.1,
+        "{per_frame:.3} allocations per frame sent"
+    );
+    let plane = 64 * 64 * std::mem::size_of::<i32>();
+    assert!(
+        largest < plane,
+        "a {largest}-byte request: the encoder has a {plane}-byte plane of its own"
+    );
+}
+
+/// Allocations `pump` makes over `ROUNDS` rounds of four chat lines
+/// the gateway relays to each of `thin` wireless clients, after
+/// `WARM_ROUNDS` rounds; and the downlink deliveries counted.
+fn relay_allocs(thin: usize) -> (u64, u64) {
+    let mut s = CollaborationSession::new(SessionConfig {
+        seed: 31,
+        ..SessionConfig::default()
+    });
+    let mut profile = Profile::new("publisher");
+    profile.set(
+        "interested_in",
+        AttrValue::List(vec![AttrValue::str("chat")]),
+    );
+    let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
+    let publisher = s
+        .add_wired_client(profile, engine, SimHost::idle("publisher"))
+        .expect("publisher joins");
+    s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
+        .expect("gateway attaches");
+    for i in 0..thin {
+        s.wireless_join(&format!("thin-{i}"), 10.0, 1_000.0)
+            .expect("thin client joins");
+    }
+    let (mut counted, mut delivered) = (0, 0);
+    for round in 0..WARM_ROUNDS + ROUNDS {
+        for k in 0..4 {
+            s.share_chat(publisher, &format!("line {round}.{k}"), CHAT)
+                .expect("chat publishes");
+        }
+        let before = allocs();
+        s.pump(Ticks::from_millis(100));
+        let spent = allocs() - before;
+        let bs = s.base_station.as_mut().expect("attached");
+        let relayed = bs.downlink_log.len() as u64;
+        assert_eq!(
+            relayed,
+            4 * thin as u64,
+            "every thin client hears each line"
+        );
+        bs.downlink_log.clear();
+        if round >= WARM_ROUNDS {
+            counted += spent;
+            delivered += relayed;
+        }
+    }
+    (counted, delivered)
+}
+
+#[test]
+fn a_gateway_relay_allocates_nothing_per_downlink_delivery() {
+    // The same traffic reaches the gateway either way; only the
+    // deliveries it records differ.
+    let (one, one_delivered) = relay_allocs(1);
+    let (many, many_delivered) = relay_allocs(12);
+    let per = many.saturating_sub(one) as f64 / (many_delivered - one_delivered) as f64;
+    assert!(per <= 0.05, "{per:.3} allocations per downlink delivery");
 }

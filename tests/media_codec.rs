@@ -1049,7 +1049,7 @@ fn a_hundred_objects_leave_a_handful_of_views() {
     for seed in 0..100 {
         let image = synthetic_scene(16, 16, 1, 2, seed).image;
         let container = ezw::encode_image(&image, 2, WaveletKind::Haar).unwrap();
-        assert_eq!(*store.view(&Arc::new(container), 0).unwrap(), image);
+        assert_eq!(*store.view(container, 0).unwrap(), image);
         held.push(store.len());
     }
     assert_eq!(store.misses(), 100, "the scenes are distinct");
@@ -1104,4 +1104,123 @@ fn warm_decode_scratch_is_equivalent_to_fresh_scratch() {
         whole == images[0].0,
         "and the full stream is still lossless"
     );
+}
+
+/// A decode into a recycled pixel buffer — shorter, longer or as long
+/// as the image, and full of garbage — returns exactly the image a
+/// fresh decode does: every byte of the buffer is written.
+#[test]
+fn a_decode_into_a_recycled_garbage_buffer_equals_a_fresh_decode() {
+    for (channels, color) in [(1, false), (3, true)] {
+        let image = synthetic_scene(64, 64, channels, 4, 61).image;
+        let full = ezw::encode_image_opts(&image, 4, WaveletKind::Cdf53, color).unwrap();
+        for cut in [full.len(), full.len() / 3] {
+            let container = ezw::truncate_container(&full, cut).unwrap();
+            for drop in 0..=2 {
+                let fresh = ezw::decode_image_reduced(&container, drop).unwrap();
+                for len in [7, fresh.data.len(), 3 * image.data.len() + 5] {
+                    let mut scratch = DecodeScratch::new();
+                    // Warm the scratch on the same stream first, so the
+                    // recycled buffer is the only thing that differs.
+                    ezw::decode_image_reduced_with(&container, drop, &mut scratch).unwrap();
+                    let garbage: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+                    scratch.recycle(Image {
+                        width: 1,
+                        height: len,
+                        channels: 1,
+                        data: garbage,
+                    });
+                    let kept = ezw::decode_image_reduced_with(&container, drop, &mut scratch);
+                    assert!(
+                        kept.unwrap() == fresh,
+                        "{channels} ch, cut {cut}, drop {drop}, {len}-byte spare"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over an image's pixels.
+fn pixel_hash(image: &Image) -> u64 {
+    image.data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The store recycles an evicted view's pixels into the next decode,
+/// but only when it held the last reference: a view a caller still
+/// holds keeps its pixels while many distinct views come and go.
+#[test]
+fn a_view_a_caller_holds_is_never_recycled() {
+    use collabqos::prelude::*;
+    const BUDGETS: [u32; 4] = [16, 8, 4, 2];
+    let mut s = CollaborationSession::new(SessionConfig {
+        color_transform: true,
+        ..SessionConfig::default()
+    });
+    let publisher = join_image_client(&mut s, "publisher");
+    for (i, &budget) in BUDGETS.iter().enumerate() {
+        let id = join_image_client(&mut s, &format!("viewer{i}"));
+        s.client_mut(id).viewer.set_packet_budget(budget);
+    }
+    let mut held = None;
+    for round in 0..8u64 {
+        let scene = synthetic_scene(64, 64, 3, 4, 70 + round);
+        s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+        let views = s.pump(Ticks::from_secs(2));
+        assert_eq!(views.len(), BUDGETS.len());
+        for id in 0..s.client_count() {
+            s.client_mut(id).viewer.viewed.clear();
+        }
+        if round == 0 {
+            let image = Arc::clone(&views[0].1.image);
+            held = Some((pixel_hash(&image), image.as_ref().clone(), image));
+        }
+    }
+    // Every round's four prefixes evicted the round before's four.
+    assert_eq!(s.view_store().misses(), 8 * BUDGETS.len() as u64);
+    let (hash, copy, image) = held.unwrap();
+    assert_eq!(pixel_hash(&image), hash, "a held view was written over");
+    assert!(*image == copy);
+}
+
+/// Recycled pixels and reassembly buffers change nothing the sharded
+/// engine shows: over rounds of shares that evict each other's views,
+/// a `workers: 4` session sees the pixels and the hit / miss counts a
+/// `workers: 1` session does.
+#[test]
+fn recycling_views_is_identical_at_any_worker_count() {
+    use collabqos::prelude::*;
+    const BUDGETS: [u32; 8] = [16, 8, 4, 2, 16, 8, 4, 16];
+    let run = |workers: usize| {
+        let mut s = CollaborationSession::new(SessionConfig {
+            workers,
+            color_transform: true,
+            full_stream_bpp: Some(6.0),
+            ..SessionConfig::default()
+        });
+        let publisher = join_image_client(&mut s, "publisher");
+        for (i, &budget) in BUDGETS.iter().enumerate() {
+            let id = join_image_client(&mut s, &format!("viewer{i}"));
+            s.client_mut(id).viewer.set_packet_budget(budget);
+        }
+        let mut seen = Vec::new();
+        for round in 0..6u64 {
+            let scene = synthetic_scene(64, 64, 3, 4, 80 + round);
+            s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+            for (id, view) in s.pump(Ticks::from_secs(2)) {
+                seen.push((id, view.packets_accepted, pixel_hash(&view.image)));
+            }
+            for id in 0..s.client_count() {
+                s.client_mut(id).viewer.viewed.clear();
+            }
+        }
+        let store = s.view_store();
+        (seen, store.hits(), store.misses())
+    };
+    let serial = run(1);
+    assert_eq!(serial.0.len(), 6 * BUDGETS.len());
+    assert_eq!((serial.1, serial.2), (6 * 4, 6 * 4));
+    assert_eq!(run(4), serial);
 }

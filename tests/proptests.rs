@@ -2388,3 +2388,133 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------ image frames on the wire
+
+/// What the frames of one image were before a stripe was framed
+/// straight from its container: the metadata event, then
+/// `AppEvent::ImagePacket { packet: split_packets(container, n)[i] }`,
+/// each body encoded on its own and framed as a `SemanticMessage` with
+/// the image's content description, numbered from `first_seq`.
+fn composed_image_frames(
+    sender: &str,
+    selector: &str,
+    first_seq: u64,
+    object_id: u64,
+    scene: &collabqos::prelude::Scene,
+    container: &[u8],
+    n: usize,
+) -> Vec<Vec<u8>> {
+    let image = &scene.image;
+    let content: BTreeMap<String, AttrValue> = [
+        ("media", AttrValue::str("image")),
+        ("color", AttrValue::Bool(image.channels == 3)),
+        ("encoding", AttrValue::str("ezw")),
+        ("size_kb", AttrValue::Int((image.byte_len() / 1024) as i64)),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    let meta = AppEvent::ImageMeta {
+        object_id,
+        caption: scene.caption.clone(),
+        original_bytes: image.byte_len() as u64,
+        pixels: image.pixels() as u64,
+        total_packets: n as u16,
+    };
+    let packets = split_packets(container, n)
+        .into_iter()
+        .map(|packet| AppEvent::ImagePacket { object_id, packet });
+    std::iter::once(meta)
+        .chain(packets)
+        .zip(first_seq..)
+        .map(|(ev, seq)| {
+            SemanticMessage {
+                sender: sender.to_string(),
+                kind: ev.kind().to_string(),
+                selector: selector.to_string(),
+                seq,
+                content: content.clone(),
+                body: ev.encode(),
+            }
+            .encode()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `share_image` and the gateway's uplink put on the wire exactly
+    /// the frames the old composition made, byte for byte, whatever the
+    /// scene, channel count, packet count, rate cap and selector.
+    #[test]
+    fn image_frames_are_the_old_composition_byte_for_byte(
+        seed in any::<u64>(),
+        (channels, color_transform) in (prop_oneof![Just(1usize), Just(3)], any::<bool>()),
+        side in prop_oneof![Just(16usize), Just(32), Just(64)],
+        packets_per_image in 1usize..=64,
+        bpp in prop_oneof![Just(None), (0.25f64..8.0).prop_map(Some)],
+        selector in prop_oneof![
+            Just("interested_in contains 'image'"),
+            Just("true"),
+            Just("role == 'viewer' or level > 2"),
+        ],
+    ) {
+        use collabqos::prelude::*;
+        let cfg = SessionConfig {
+            seed,
+            packets_per_image,
+            full_stream_bpp: bpp,
+            color_transform,
+            ..SessionConfig::default()
+        };
+        let mut s = CollaborationSession::new(cfg.clone());
+        let join = |s: &mut CollaborationSession, name: &str| {
+            let mut profile = Profile::new(name);
+            profile.set("interested_in", AttrValue::List(vec![AttrValue::str("image")]));
+            let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
+            s.add_wired_client(profile, engine, SimHost::idle(name)).unwrap()
+        };
+        let publisher = join(&mut s, "pub");
+        let rx = join(&mut s, "rx");
+        s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
+            .unwrap();
+        let radio = s.wireless_join("thin", 10.0, 1_000.0).unwrap();
+        prop_assert_eq!(radio.modality, Modality::FullImage);
+        let scene = synthetic_scene(side, side, channels, 2, seed);
+        let image = &scene.image;
+        let levels = wavelet::max_levels(side, side).min(5);
+        // The raw datagrams at a wired client's socket, undecoded. The
+        // endpoint lives in the session beside the network it drains,
+        // so the network steps out for the call.
+        let received = |s: &mut CollaborationSession| {
+            s.net.run_for(Ticks::from_secs(2));
+            let mut net = std::mem::replace(&mut s.net, Network::new(0));
+            let raw = s.client_mut(rx).bus.drain_raw(&mut net);
+            s.net = net;
+            raw.iter().map(|p| p.to_vec()).collect::<Vec<_>>()
+        };
+
+        let object_id = s.share_image(publisher, &scene, selector).unwrap();
+        let cap = bpp.map(|bpp| (image.pixels() as f64 * bpp / 8.0) as usize);
+        let color = color_transform && channels == 3;
+        let container =
+            ezw::encode_image_capped(image, levels, cfg.wavelet, color, cap).unwrap();
+        let want = composed_image_frames(
+            "pub", selector, 0, object_id, &scene, &container, packets_per_image,
+        );
+        prop_assert_eq!(received(&mut s), want);
+
+        // The uplink: as captured, no colour transform and no cap, one
+        // publish per event, from the gateway's endpoint.
+        let forwarded = s.wireless_contribute("thin", &scene, selector).unwrap();
+        prop_assert_eq!(forwarded, Modality::FullImage);
+        let container =
+            ezw::encode_image_capped(image, levels, cfg.wavelet, false, None).unwrap();
+        let want = composed_image_frames(
+            "base-station", selector, 0, object_id + 1, &scene, &container, packets_per_image,
+        );
+        prop_assert_eq!(received(&mut s), want);
+    }
+}
