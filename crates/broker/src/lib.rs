@@ -22,6 +22,7 @@
 //! Delivery semantics are unchanged: a brokered session produces
 //! bit-identical results to a flat-multicast session; the overlay only
 //! removes interpretations that were guaranteed to reject.
+#![forbid(unsafe_code)]
 
 pub mod algebra;
 pub mod mib;

@@ -46,6 +46,7 @@
 //! * [`experiments`] — closed-loop drivers that regenerate the
 //!   paper's Figures 6–10 series (used by benches, repro binaries and
 //!   integration tests).
+#![forbid(unsafe_code)]
 
 pub mod apps;
 pub mod baseline;

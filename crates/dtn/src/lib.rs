@@ -20,6 +20,7 @@
 //! The store itself is pure data-structure code — the overlay in
 //! `crates/broker` decides *when* to store, transfer, and drain; the
 //! session layer surfaces the counters as `tassl.23` MIB rows.
+#![forbid(unsafe_code)]
 
 pub mod bundle;
 pub mod mib;

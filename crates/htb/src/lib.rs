@@ -81,6 +81,7 @@
 //! is O(log leaves + depth) when leaves are held by their own ceilings
 //! or by the root; a saturated interior node (site, AP) still costs a
 //! path check per ready leaf beneath it.
+#![forbid(unsafe_code)]
 
 mod classes;
 

@@ -23,6 +23,7 @@
 //!   realistic payload-size ratios,
 //! * [`metrics`] — bits-per-pixel, compression ratio, PSNR: the
 //!   quantities plotted in Figures 6 and 7.
+#![forbid(unsafe_code)]
 
 pub mod color;
 pub mod describe;

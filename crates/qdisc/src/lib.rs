@@ -24,6 +24,7 @@
 //!
 //! Everything is integer-deterministic: the same enqueue/dequeue call
 //! sequence always yields the same schedule, marks, and drops.
+#![forbid(unsafe_code)]
 
 mod class;
 mod codel;

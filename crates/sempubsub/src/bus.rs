@@ -248,7 +248,8 @@ impl BusEndpoint {
 
     /// Publish several events in one network batch: each event becomes
     /// its own sequenced [`SemanticMessage`] frame, its body written
-    /// straight into the frame ([`EventBody`]), and the network
+    /// straight into the frame ([`EventBody`]) in a buffer from
+    /// [`Network::buffer`], and the network
     /// resolves multicast membership and routes once for the whole
     /// batch instead of per message. Returns the assigned sequence
     /// numbers.
@@ -268,8 +269,9 @@ impl BusEndpoint {
         // interpret of our own (or an identical) selector is a hit.
         self.store.compile(selector)?;
         let first = self.seq;
-        let wires: Vec<Payload> =
-            message::encode_frames(&self.profile.name, selector, content, first, events)?;
+        let name = &self.profile.name;
+        let wires =
+            message::encode_frames(name, selector, content, first, || net.buffer(), events)?;
         let n = wires.len() as u64;
         self.seq += n;
         net.send_batch(self.socket, Addr::multicast(self.group, self.port), wires)
@@ -300,16 +302,18 @@ impl BusEndpoint {
     /// The serial half of reception, for a caller that drains many
     /// endpoints and interprets them on worker threads: drain the
     /// socket, append each buffer's shared [`Frame`] ([`Frame::of`]) to
-    /// `frames`, and bring the profile snapshot up to date. Everything
-    /// that touches the network or the selector store happens here, so
-    /// the other half — [`BusEndpoint::decide`] — takes no lock and
-    /// shares no mutable state. The caller owns `frames`, so one buffer
-    /// kept across pumps serves every endpoint it drains. A gateway
-    /// stops here: it reads the frames on behalf of profiles that are
-    /// not its own (§4.2).
+    /// `frames`, give each buffer back ([`Network::recycle`]: the frame
+    /// holds all it needs of it), and bring the profile snapshot up to
+    /// date. Everything that touches the network or the selector store
+    /// happens here, so the other half — [`BusEndpoint::decide`] —
+    /// takes no lock and shares no mutable state. The caller owns
+    /// `frames`, so one buffer kept across pumps serves every endpoint
+    /// it drains. A gateway stops here: it reads the frames on behalf of
+    /// profiles that are not its own (§4.2).
     pub fn receive(&mut self, net: &mut Network, frames: &mut Vec<Frame>) {
         while let Some(dgram) = net.recv(self.socket) {
             frames.push(Frame::of(&dgram.payload, &self.store));
+            net.recycle(dgram.payload);
         }
         self.sync_profile();
     }
@@ -583,6 +587,39 @@ mod tests {
         };
         assert_eq!(message.body, vec![7]);
         assert_eq!(gateway.stats(), BusStats::default(), "nothing decided");
+    }
+
+    /// `receive` gives each buffer back, so the next publish writes
+    /// into it: the frame read from the reused buffer is the new
+    /// message's, never the one the buffer's memo held before.
+    #[test]
+    fn a_reused_buffer_resolves_its_new_message() {
+        let (mut net, group, hosts) = world(2);
+        let mut publisher =
+            BusEndpoint::join(&mut net, hosts[0], SESSION_PORT, group, Profile::new("pub"))
+                .unwrap();
+        let mut reader =
+            BusEndpoint::join(&mut net, hosts[1], SESSION_PORT, group, Profile::new("rd")).unwrap();
+        let mut frames = Vec::new();
+        for body in [b"first".to_vec(), b"second".to_vec()] {
+            publisher
+                .publish(&mut net, "chat", "true", BTreeMap::new(), body)
+                .unwrap();
+            net.run_for(Ticks::from_millis(10));
+            reader.receive(&mut net, &mut frames);
+        }
+        let bodies: Vec<&[u8]> = frames
+            .iter()
+            .map(|f| match f {
+                Frame::Message { message, .. } => &message.body[..],
+                other => panic!("a valid message resolves to {other:?}"),
+            })
+            .collect();
+        assert_eq!(bodies, [&b"first"[..], &b"second"[..]]);
+        assert!(
+            net.buffer().as_mut().is_empty(),
+            "the second buffer came back too"
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! let sel = Selector::parse("media == 'video' and color and max_size_kb >= 1024").unwrap();
 //! assert!(sel.matches(profile.attrs()).unwrap());
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod bus;

@@ -36,11 +36,12 @@ impl SemanticMessage {
     /// as [`SemError::Codec`].
     pub fn encode(&self) -> Vec<u8> {
         let event = (self.kind.as_str(), self.body.as_slice());
-        encode_frames::<Vec<u8>, _>(
+        encode_frames(
             &self.sender,
             &self.selector,
             &self.content,
             self.seq,
+            Vec::new,
             [event],
         )
         .expect("message fields fit the frame format")
@@ -82,8 +83,8 @@ impl SemanticMessage {
 
 /// One event of a published batch, written straight into its frame:
 /// the envelope kind, and a body whose length is known before a byte of
-/// it is written, so the frame is allocated once at its exact size and
-/// the body never exists anywhere else. A `(kind, body)` pair is one,
+/// it is written, so the frame is sized once, exactly, and the body
+/// never exists anywhere else. A `(kind, body)` pair is one,
 /// for a body already in bytes.
 pub trait EventBody {
     /// The envelope kind.
@@ -112,15 +113,17 @@ impl<K: AsRef<str>, B: AsRef<[u8]>> EventBody for (K, B) {
 /// The one writer of the `SEM1` field sequence — magic, sender, kind,
 /// selector, seq, content, body — and the one place field lengths are
 /// checked against the widths the frame gives them. Encodes one frame
-/// per event, numbered consecutively from `first_seq`, each into a
-/// buffer of exactly its size; the fields every frame shares are
-/// written once and spliced around each event's own. A content value
-/// nested deeper than the decoder accepts is refused here too.
-pub(crate) fn encode_frames<F: From<Vec<u8>>, E: EventBody>(
+/// per event, numbered consecutively from `first_seq`, each into an
+/// empty buffer from `buffer` grown, if it must, to exactly its size;
+/// the fields every frame shares are written once and spliced around
+/// each event's own. A content value nested deeper than the decoder
+/// accepts is refused here too.
+pub(crate) fn encode_frames<F: AsMut<Vec<u8>>, E: EventBody>(
     sender: &str,
     selector: &str,
     content: &BTreeMap<String, AttrValue>,
     first_seq: u64,
+    mut buffer: impl FnMut() -> F,
     events: impl IntoIterator<Item = E>,
 ) -> Result<Vec<F>, SemError> {
     let mut shared = Vec::with_capacity(128);
@@ -139,16 +142,18 @@ pub(crate) fn encode_frames<F: From<Vec<u8>>, E: EventBody>(
     for (event, seq) in events.zip(first_seq..) {
         let (kind, body_len) = (event.kind(), event.body_len());
         let len = shared.len() + 2 + kind.len() + 8 + 4 + body_len;
-        let mut frame = Vec::with_capacity(len);
+        let mut buf = buffer();
+        let frame = buf.as_mut();
+        frame.reserve_exact(len);
         frame.extend_from_slice(&shared[..kind_at]);
-        put_str16(&mut frame, kind)?;
+        put_str16(frame, kind)?;
         frame.extend_from_slice(&shared[kind_at..seq_at]);
         frame.extend_from_slice(&seq.to_be_bytes());
         frame.extend_from_slice(&shared[seq_at..]);
         frame.extend_from_slice(&(body_len as u32).to_be_bytes());
-        event.write_body(&mut frame);
+        event.write_body(frame);
         debug_assert_eq!(frame.len(), len, "`body_len` is what `write_body` writes");
-        frames.push(F::from(frame));
+        frames.push(buf);
     }
     Ok(frames)
 }
@@ -340,7 +345,7 @@ mod tests {
         assert_eq!(SemanticMessage::decode(&m.encode()).unwrap(), m);
         let fields = |v: &AttrValue| {
             let content = [("deep".to_string(), v.clone())].into();
-            encode_frames::<Vec<u8>, _>("s", "true", &content, 0, [("k", b"")])
+            encode_frames("s", "true", &content, 0, Vec::new, [("k", b"")])
         };
         let refused = fields(&nested_list(MAX_DEPTH + 1));
         assert_eq!(refused, Err(SemError::Codec("value nested too deep")));

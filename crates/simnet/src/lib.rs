@@ -11,7 +11,8 @@
 //! * UDP-style datagram sockets with unicast and IP-multicast-style
 //!   group addressing over slab-allocated endpoint tables ([`net`]),
 //!   carrying reference-counted zero-copy payloads ([`payload`]) so
-//!   multicast fan-out encodes once and shares the buffer,
+//!   multicast fan-out encodes once and shares the buffer (readers give
+//!   spent buffers back for the next sends to write into),
 //! * a thin RTP/RTCP-like sequencing layer providing limited in-order
 //!   delivery for multi-packet media objects ([`rtp`]), exactly the
 //!   role of the paper's "thin layer based on the RTP-RTCP scheme"
@@ -41,6 +42,7 @@
 //! let dgram = net.recv(sb).expect("delivered");
 //! assert_eq!(dgram.payload, b"hello");
 //! ```
+#![forbid(unsafe_code)]
 
 pub use htb;
 
@@ -67,7 +69,7 @@ pub mod wheel;
 pub use faults::{FaultAction, FaultModel, FaultPlan, GilbertElliott};
 pub use net::{Addr, Datagram, GroupId, Network, SocketHandle};
 pub use packet::Port;
-pub use payload::Payload;
+pub use payload::{Payload, PayloadMut};
 pub use time::{SimClock, Ticks};
 pub use topology::{LinkId, LinkSpec, NodeId};
 pub use trace::{NetStats, NetStatsHandle};

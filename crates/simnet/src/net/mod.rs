@@ -42,7 +42,7 @@ mod tests;
 
 use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::Port;
-use crate::payload::Payload;
+use crate::payload::{Payload, PayloadMut};
 use crate::time::{SimClock, Ticks};
 use crate::topology::{LinkSpec, NodeId, Topology};
 use crate::trace::{NetStats, NetStatsHandle};
@@ -52,6 +52,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sockets::Socket;
 use std::collections::VecDeque;
+
+/// The most spare buffers a [`Network`] keeps for [`Network::buffer`].
+const MAX_SPARES: usize = 64;
+/// The largest capacity, in bytes, of a buffer kept as a spare.
+const MAX_SPARE_CAPACITY: usize = 16 << 10;
 
 /// Handle to a bound datagram socket.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -160,6 +165,8 @@ pub struct Network {
     /// One send's receivers, kept between sends so the fan-out set
     /// costs no allocation once it has grown to the largest group.
     fanout: Vec<(Option<SocketHandle>, NodeId)>,
+    /// Buffers given back by their readers, for the next sends.
+    spares: Vec<PayloadMut>,
 }
 
 impl Network {
@@ -180,6 +187,7 @@ impl Network {
             plan_next: 0,
             egress: Vec::new(),
             fanout: Vec::new(),
+            spares: Vec::with_capacity(MAX_SPARES),
         }
     }
 

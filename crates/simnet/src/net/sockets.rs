@@ -2,8 +2,9 @@
 //! per-node port tables, and the per-group member lists (sorted by
 //! socket index, so fan-out order never depends on join order).
 
-use super::{Datagram, GroupId, NetError, Network, SocketHandle};
+use super::{Datagram, GroupId, NetError, Network, SocketHandle, MAX_SPARES, MAX_SPARE_CAPACITY};
 use crate::packet::Port;
+use crate::payload::{Payload, PayloadMut};
 use crate::topology::NodeId;
 use std::collections::VecDeque;
 
@@ -163,6 +164,21 @@ impl Network {
     /// Pop the oldest pending datagram on socket `s`, if any.
     pub fn recv(&mut self, s: SocketHandle) -> Option<Datagram> {
         self.sockets.get_mut(s.0 as usize)?.inbox.pop_front()
+    }
+
+    /// A buffer to write the next datagram into: a spare one that
+    /// [`Network::recycle`] kept, or a fresh one. It is empty.
+    pub fn buffer(&mut self) -> PayloadMut {
+        self.spares.pop().unwrap_or_default()
+    }
+
+    /// Give back a payload its reader is done with. The buffer is kept
+    /// for [`Network::buffer`] only if this was its last handle, and
+    /// only up to 64 spares of at most 16 KiB each.
+    pub fn recycle(&mut self, payload: Payload) {
+        if self.spares.len() < MAX_SPARES {
+            self.spares.extend(payload.reclaim(MAX_SPARE_CAPACITY));
+        }
     }
 
     /// Number of queued datagrams on socket `s`.

@@ -978,3 +978,160 @@ fn send_is_the_one_packet_batch() {
         assert_eq!((results, digest, arrived), run(batch, Some(2), unicast));
     }
 }
+
+// ------------------------------------------------- buffer recycling
+
+/// Send `bytes` from `s` to `dst` in a buffer from [`Network::buffer`].
+fn send_in_buffer(net: &mut Network, s: SocketHandle, dst: Addr, bytes: &[u8]) {
+    let mut buf = net.buffer();
+    buf.as_mut().extend_from_slice(bytes);
+    net.send(s, dst, buf).unwrap();
+}
+
+#[test]
+fn a_recycled_buffer_carries_no_memo_into_its_next_message() {
+    let (mut net, sa, sb, _a, b) = pair();
+    let dst = Addr::unicast(b, Port(1000));
+    let first_byte = |p: &Payload| p.memo_or_init(|| p[0]).copied();
+    send_in_buffer(&mut net, sa, dst, b"old message");
+    net.run_for(Ticks::from_millis(1));
+    let old = net.recv(sb).unwrap().payload;
+    assert_eq!(first_byte(&old), Some(b'o'));
+    let at = old.as_ptr();
+    net.recycle(old);
+    let mut buf = net.buffer();
+    let bytes = buf.as_mut();
+    assert!(bytes.is_empty(), "a spare comes back empty");
+    bytes.extend_from_slice(b"new message");
+    assert_eq!(bytes.as_ptr(), at, "the old message's buffer is reused");
+    net.send(sa, dst, buf).unwrap();
+    net.run_for(Ticks::from_millis(1));
+    let new = net.recv(sb).unwrap().payload;
+    assert_eq!(new, b"new message");
+    assert_eq!(first_byte(&new), Some(b'n'), "derived from the new bytes");
+}
+
+#[test]
+fn a_payload_with_another_handle_is_never_reused() {
+    use crate::faults::FaultModel;
+    let mut net = Network::new(3);
+    let (_switch, hosts) = net.lan(&["a", "b", "c"], LinkSpec::lan());
+    let socks: Vec<SocketHandle> = hosts
+        .iter()
+        .map(|&h| net.bind(h, Port(9)).unwrap())
+        .collect();
+    let to = |i: usize| Addr::unicast(hosts[i], Port(9));
+    // Every copy into b is delivered twice.
+    net.topology_mut()
+        .set_link_fault(LinkId(1), Some(FaultModel::none().with_duplicate(1.0)));
+    send_in_buffer(&mut net, socks[0], to(1), b"duplicated");
+    send_in_buffer(&mut net, socks[0], to(2), b"cloned");
+    net.run_to_quiescence();
+    let first = net.recv(socks[1]).unwrap().payload;
+    net.recycle(first);
+    let cloned = net.recv(socks[2]).unwrap().payload;
+    let kept = cloned.clone();
+    net.recycle(cloned);
+    assert!(net.spares.is_empty(), "neither buffer had one handle left");
+    for n in 0..128u8 {
+        send_in_buffer(&mut net, socks[0], to(2), &[n; 16]);
+        net.run_to_quiescence();
+        let d = net.recv(socks[2]).unwrap().payload;
+        assert_eq!(d, [n; 16]);
+        net.recycle(d);
+    }
+    assert_eq!(net.spares.len(), 1, "the one spare went round");
+    assert_eq!(kept, b"cloned");
+    assert_eq!(net.recv(socks[1]).unwrap().payload, b"duplicated");
+}
+
+#[test]
+fn the_spare_list_keeps_to_both_bounds() {
+    let mut net = Network::new(1);
+    net.recycle(Payload::from(vec![0; MAX_SPARE_CAPACITY + 1]));
+    assert!(net.spares.is_empty(), "too large a buffer is not kept");
+    let mut grown = net.buffer();
+    grown.as_mut().resize(MAX_SPARE_CAPACITY + 1, 0);
+    net.recycle(grown.into());
+    assert!(net.spares.is_empty(), "nor one grown past the bound");
+    for n in 0..2 * MAX_SPARES {
+        net.recycle(Payload::from(vec![0; n]));
+        assert!(net.spares.len() <= MAX_SPARES);
+    }
+    assert_eq!(net.spares.len(), MAX_SPARES);
+    for spare in &mut net.spares {
+        let bytes = spare.as_mut();
+        assert!(bytes.is_empty() && bytes.capacity() <= MAX_SPARE_CAPACITY);
+    }
+}
+
+mod recycling {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Under loss, burst loss, reordering and duplication, with
+        /// buffers recycled as soon as they are read — or while a
+        /// clone is still held — every delivered payload is exactly
+        /// the bytes its sender wrote, and every held clone keeps them.
+        #[test]
+        fn every_delivered_payload_is_the_bytes_sent(
+            seed in 0u64..1_000,
+            steps in proptest::collection::vec((0u8..8, 0usize..4, 0usize..4, 0usize..200), 1..120),
+        ) {
+            let (mut net, group, socks) = faulty_lan(seed, None);
+            let mut sent: Vec<Vec<u8>> = Vec::new();
+            let mut kept: Vec<Payload> = Vec::new();
+            let mut check = |net: &mut Network, sent: &[Vec<u8>], d: Datagram, keep: bool| {
+                let id = u32::from_be_bytes(d.payload[..4].try_into().unwrap());
+                prop_assert_eq!(&d.payload, &sent[id as usize]);
+                if keep {
+                    kept.push(d.payload.clone());
+                }
+                net.recycle(d.payload);
+                Ok(())
+            };
+            // `what` is 0 a unicast send of a plain vector, 1–2 one from
+            // a network buffer, 3 a multicast send, 4–5 a read of socket
+            // `to` that recycles every payload, 6 one that keeps a clone
+            // of each and recycles it, 7 time passing.
+            for &(what, from, to, len) in &steps {
+                match what {
+                    0..=3 => {
+                        let id = sent.len() as u32;
+                        let mut bytes = id.to_be_bytes().to_vec();
+                        bytes.extend((0..len).map(|k| (k as u32 ^ id) as u8));
+                        let dst = if what == 3 {
+                            Addr::multicast(group, Port(7000))
+                        } else {
+                            Addr::unicast(net.socket_node(socks[to]), Port(7000))
+                        };
+                        if what == 0 {
+                            net.send(socks[from], dst, bytes.clone()).unwrap();
+                        } else {
+                            send_in_buffer(&mut net, socks[from], dst, &bytes);
+                        }
+                        sent.push(bytes);
+                    }
+                    4..=6 => {
+                        while let Some(d) = net.recv(socks[to]) {
+                            check(&mut net, &sent, d, what == 6)?;
+                        }
+                    }
+                    _ => net.run_for(Ticks::from_micros(50 * len as u64)),
+                }
+            }
+            net.run_to_quiescence();
+            for d in drain_all(&mut net, &socks) {
+                check(&mut net, &sent, d, false)?;
+            }
+            for p in &kept {
+                let id = u32::from_be_bytes(p[..4].try_into().unwrap());
+                prop_assert_eq!(p, &sent[id as usize]);
+            }
+            prop_assert!(net.spares.len() <= MAX_SPARES);
+        }
+    }
+}

@@ -5,8 +5,9 @@
 //! [`Payload`] keeps the bytes behind one `Arc`, so a message is
 //! encoded into one buffer exactly once and every scheduled copy,
 //! in-flight hop, and delivered [`crate::Datagram`] shares it; cloning
-//! is a reference-count bump. Payloads are immutable after creation,
-//! which is what makes the sharing sound.
+//! is a reference-count bump. Bytes are written only through a
+//! [`PayloadMut`], a buffer's one handle, so a payload that can be
+//! shared never changes: that is what makes the sharing sound.
 //!
 //! Beside the bytes a buffer carries one write-once slot
 //! ([`Payload::memo_or_init`]): whatever the first receiver derives
@@ -28,9 +29,18 @@ pub struct Payload {
     buf: Arc<Buffer>,
 }
 
+#[derive(Default)]
 struct Buffer {
-    bytes: Box<[u8]>,
+    bytes: Vec<u8>,
     memo: OnceLock<Box<dyn Any + Send + Sync>>,
+}
+
+/// A payload being written ([`AsMut`] to its `Vec<u8>`): the only
+/// handle on its buffer. Sent, it is a [`Payload`] that keeps its
+/// capacity for the buffer's next use.
+#[derive(Default)]
+pub struct PayloadMut {
+    buf: Arc<Buffer>,
 }
 
 impl Payload {
@@ -70,6 +80,32 @@ impl Payload {
             .get_or_init(|| Box::new(init()))
             .downcast_ref()
     }
+
+    /// The buffer back as a [`PayloadMut`], emptied and its memo
+    /// dropped, if this was its last handle and it holds no more than
+    /// `max_capacity` bytes.
+    pub(crate) fn reclaim(mut self, max_capacity: usize) -> Option<PayloadMut> {
+        let buf = Arc::get_mut(&mut self.buf)?;
+        if buf.bytes.capacity() > max_capacity {
+            return None;
+        }
+        buf.bytes.clear();
+        buf.memo.take();
+        Some(PayloadMut { buf: self.buf })
+    }
+}
+
+impl AsMut<Vec<u8>> for PayloadMut {
+    fn as_mut(&mut self) -> &mut Vec<u8> {
+        let buf = Arc::get_mut(&mut self.buf).expect("a PayloadMut is its buffer's only handle");
+        &mut buf.bytes
+    }
+}
+
+impl From<PayloadMut> for Payload {
+    fn from(p: PayloadMut) -> Payload {
+        Payload { buf: p.buf }
+    }
 }
 
 impl Default for Payload {
@@ -92,10 +128,11 @@ impl AsRef<[u8]> for Payload {
 }
 
 impl From<Vec<u8>> for Payload {
-    fn from(v: Vec<u8>) -> Payload {
+    fn from(mut bytes: Vec<u8>) -> Payload {
+        bytes.shrink_to_fit();
         Payload {
             buf: Arc::new(Buffer {
-                bytes: v.into_boxed_slice(),
+                bytes,
                 memo: OnceLock::new(),
             }),
         }
@@ -228,6 +265,28 @@ mod tests {
             fresh.memo_or_init(|| 1u32),
             Some(&1),
             "equal bytes in another buffer have a slot of their own"
+        );
+    }
+
+    #[test]
+    fn only_the_last_handle_is_reclaimed() {
+        let mut v = Vec::with_capacity(64);
+        v.extend_from_slice(b"abc");
+        let p = Payload::from(v);
+        let copy = p.clone();
+        assert!(p.reclaim(usize::MAX).is_none(), "a clone is still out");
+        let large = Payload::from(vec![0; 3]);
+        assert!(
+            large.reclaim(2).is_none(),
+            "nor one past the capacity bound"
+        );
+        let mut spare = copy.reclaim(usize::MAX).expect("the last handle");
+        let bytes = spare.as_mut();
+        assert!(bytes.is_empty(), "reclaimed empty");
+        assert_eq!(
+            bytes.capacity(),
+            3,
+            "`Payload::from` shrank the vector to fit"
         );
     }
 

@@ -5,11 +5,10 @@
 //! that runs on each host" are the same [`SnmpAgent`] type with
 //! different MIB contents (see `sysmon` for the host extension agent).
 
+use crate::ber::Writer;
 use crate::mib::{MibTree, SetOutcome};
 use crate::oid::{arcs, Oid};
-use crate::pdu::{
-    encode_exact, encode_message, ErrorStatus, Message, MessageView, Pdu, PduKind, VarBind,
-};
+use crate::pdu::{encode_message, ErrorStatus, Message, MessageView, Pdu, PduKind, VarBind};
 use crate::value::SnmpValue;
 
 /// An SNMP agent servicing one MIB.
@@ -54,39 +53,41 @@ impl SnmpAgent {
         }
     }
 
-    /// Service one raw request datagram; returns the encoded response,
-    /// or `None` when the message is undecodable or fails community
-    /// authentication (silently dropped, like real agents).
+    /// Service one raw request datagram, appending the encoded response
+    /// to `out`. `None`, with nothing written, when the message is
+    /// undecodable or fails community authentication (silently dropped,
+    /// like real agents).
     ///
     /// A GET is answered from the request as it lies in `raw`: each
-    /// name is looked up by its arcs and the response is written into
-    /// the thread's kept buffer, then copied out at its exact size.
-    /// Every other kind is decoded into owned values and answered from
-    /// those. The response bytes are the ones an owned decode, dispatch
-    /// and encode of the GET would give.
-    pub fn handle(&mut self, raw: &[u8]) -> Option<Vec<u8>> {
+    /// name is looked up by its arcs and the response written straight
+    /// into `out`. Every other kind is decoded into owned values and
+    /// answered from those. The response bytes are the ones an owned
+    /// decode, dispatch and encode of the GET would give.
+    pub fn handle(&mut self, raw: &[u8], out: &mut Vec<u8>) -> Option<()> {
         let view = MessageView::parse(raw).ok()?.whole()?;
         if !self.authorized(view.kind, view.community) {
             self.auth_failures += 1;
             return None;
         }
         if view.kind == PduKind::GetRequest {
-            return Some(self.answer_get(&view));
+            self.answer_get(&view, out);
+            return Some(());
         }
         // The response echoes the request's community and, for SET, its
         // names: the decoded request becomes the response.
         let mut msg = view.to_message().ok()?;
         self.dispatch(&mut msg.pdu)?;
-        Some(msg.encode())
+        Writer::append(out, |w| msg.encode_into(w));
+        Some(())
     }
 
-    /// The response to the GET `view`, which must read whole: every
-    /// name echoed under the value the MIB holds for it, sampled in
-    /// varbind order as the response is written.
-    fn answer_get(&mut self, view: &MessageView<'_>) -> Vec<u8> {
+    /// Append the response to the GET `view`, which must read whole:
+    /// every name echoed under the value the MIB holds for it, sampled
+    /// in varbind order as the response is written.
+    fn answer_get(&mut self, view: &MessageView<'_>, out: &mut Vec<u8>) {
         let mib = &mut self.mib;
         let (community, id) = (view.community, view.request_id);
-        encode_exact(|w| {
+        Writer::append(out, |w| {
             encode_message(w, community, PduKind::Response, id, (0, 0), |w| {
                 for vb in view.varbinds().flatten() {
                     vb.name.with_arcs(|arcs| {
@@ -205,7 +206,9 @@ mod tests {
     }
 
     fn ask(a: &mut SnmpAgent, msg: &Message) -> Message {
-        let resp = a.handle(&msg.encode()).expect("response expected");
+        let mut resp = Vec::new();
+        a.handle(&msg.encode(), &mut resp)
+            .expect("response expected");
         Message::decode(&resp).unwrap()
     }
 
@@ -257,7 +260,7 @@ mod tests {
             "wrong",
             Pdu::request(PduKind::GetRequest, 1, vec![arcs::sys_descr()]),
         );
-        assert!(a.handle(&req.encode()).is_none());
+        assert!(a.handle(&req.encode(), &mut Vec::new()).is_none());
         assert_eq!(a.auth_failures, 1);
     }
 
@@ -281,7 +284,7 @@ mod tests {
             )
         };
         // Read community cannot write.
-        assert!(a.handle(&set("public").encode()).is_none());
+        assert!(a.handle(&set("public").encode(), &mut Vec::new()).is_none());
         // Write community can.
         let resp = ask(&mut a, &set("private"));
         assert_eq!(resp.pdu.error_status, ErrorStatus::NoError);
@@ -361,8 +364,8 @@ mod tests {
     #[test]
     fn garbage_ignored() {
         let mut a = agent();
-        assert!(a.handle(b"not ber at all").is_none());
-        assert!(a.handle(&[]).is_none());
+        assert!(a.handle(b"not ber at all", &mut Vec::new()).is_none());
+        assert!(a.handle(&[], &mut Vec::new()).is_none());
     }
 
     #[test]

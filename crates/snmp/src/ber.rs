@@ -50,13 +50,6 @@ impl Writer {
         Writer::default()
     }
 
-    /// A fresh writer whose buffer already holds `capacity` bytes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut w = Writer::default();
-        w.buf.reserve(capacity);
-        w
-    }
-
     /// The nested-writer reference the in-place writer is tested
     /// against, byte for byte.
     #[cfg(test)]
@@ -67,19 +60,17 @@ impl Writer {
         }
     }
 
+    /// Run `write` over a writer whose buffer is `out`, appending to it.
+    pub fn append(out: &mut Vec<u8>, write: impl FnOnce(&mut Writer)) {
+        let mut w = Writer::new();
+        std::mem::swap(&mut w.buf, out);
+        write(&mut w);
+        std::mem::swap(&mut w.buf, out);
+    }
+
     /// Consume and return the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// The bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Forget what was written, keeping the buffer for the next message.
-    pub fn clear(&mut self) {
-        self.buf.clear();
     }
 
     fn push_len(&mut self, len: usize) {

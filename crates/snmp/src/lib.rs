@@ -29,6 +29,7 @@
 //!
 //! Everything round-trips through real BER bytes on the simulated
 //! wire — a manager literally decodes what the agent encoded.
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod ber;

@@ -2,10 +2,9 @@
 //! station" (§5.5), issuing GET / GETNEXT / SET and subtree walks to
 //! agents over the simulated network.
 
+use crate::ber::Writer;
 use crate::oid::Oid;
-use crate::pdu::{
-    encode_exact, encode_message, write_varbinds, ErrorStatus, MessageView, PduKind, VarBind,
-};
+use crate::pdu::{encode_message, write_varbinds, ErrorStatus, MessageView, PduKind, VarBind};
 use crate::transport::{pump_until, AgentRuntime};
 use crate::value::SnmpValue;
 use crate::SnmpError;
@@ -19,10 +18,12 @@ use simnet::{Addr, Network, NodeId, Payload, Port, SocketHandle, Ticks};
 /// elapses, mirroring a blocking management-station API.
 ///
 /// [`SnmpManager::get_each`] is the GET a poller runs every pass: the
-/// request is written into a buffer the thread keeps and sent at its
-/// exact size, and the response is read where it landed and checked
-/// against the request — same count, same names, in order — before
-/// each value is handed over. [`SnmpManager::get`] collects the same
+/// request is written into a buffer the network hands out
+/// ([`Network::buffer`]), the response is read where it landed and
+/// checked against the request — same count, same names, in order —
+/// before each value is handed over, and every datagram read goes back
+/// to the network ([`Network::recycle`]), so a steady poll allocates
+/// nothing. [`SnmpManager::get`] collects the same
 /// values into owned varbinds.
 pub struct SnmpManager {
     socket: SocketHandle,
@@ -32,8 +33,6 @@ pub struct SnmpManager {
     pub timeout: Ticks,
     /// Simulation step used while waiting.
     pub poll_step: Ticks,
-    /// Requests sent over the manager's lifetime (round-trip count).
-    pub requests_sent: u64,
 }
 
 impl SnmpManager {
@@ -53,7 +52,6 @@ impl SnmpManager {
             next_request_id: 1,
             timeout: Ticks::from_secs(2),
             poll_step: Ticks::from_millis(1),
-            requests_sent: 0,
         })
     }
 
@@ -72,8 +70,8 @@ impl SnmpManager {
     ) -> Result<R, SnmpError> {
         let request_id = self.next_request_id;
         self.next_request_id = self.next_request_id.wrapping_add(1);
-        self.requests_sent += 1;
-        let request = encode_exact(|w| {
+        let mut request = net.buffer();
+        Writer::append(request.as_mut(), |w| {
             encode_message(w, &self.community, kind, request_id, (0, 0), |w| {
                 write_varbinds(w, binds)
             })
@@ -96,15 +94,18 @@ impl SnmpManager {
                     response = Some(dgram.payload);
                     return true;
                 }
+                net.recycle(dgram.payload);
             }
             false
         });
         let bytes = response.ok_or(SnmpError::Timeout)?;
         let view = MessageView::parse(&bytes).expect("read when it arrived");
-        if view.error_status != ErrorStatus::NoError {
-            return Err(SnmpError::ErrorStatus(view.error_status, view.error_index));
-        }
-        read(view.known_whole())
+        let answer = match view.error_status {
+            ErrorStatus::NoError => read(view.known_whole()),
+            status => Err(SnmpError::ErrorStatus(status, view.error_index)),
+        };
+        net.recycle(bytes);
+        answer
     }
 
     /// GET `oids`, handing `each` the position and value of every one

@@ -14,7 +14,6 @@ use crate::ber::{decode_oid_arcs, tag, Reader, Writer};
 use crate::oid::Oid;
 use crate::value::SnmpValue;
 use crate::SnmpError;
-use std::cell::RefCell;
 
 /// Protocol version constant for SNMPv2c on the wire.
 const VERSION_2C: i64 = 1;
@@ -236,31 +235,6 @@ pub(crate) fn encode_message(
             w.sequence(binds);
         });
     });
-}
-
-thread_local! {
-    /// The buffer this thread writes a GET and its response into, kept
-    /// between messages.
-    static SCRATCH: RefCell<Writer> = RefCell::new(Writer::new());
-}
-
-/// The bytes `write` writes, at their exact size: written into a buffer
-/// the thread keeps, then copied out once.
-pub(crate) fn encode_exact(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
-    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
-        Ok(mut w) => {
-            w.clear();
-            write(&mut w);
-            w.as_bytes().to_vec()
-        }
-        // Written while another message is (an instrumentation routine
-        // that itself talks SNMP): a buffer of its own.
-        Err(_) => {
-            let mut w = Writer::new();
-            write(&mut w);
-            w.as_bytes().to_vec()
-        }
-    })
 }
 
 /// Write the varbinds `(name, value)` as a varbind list's content.
@@ -504,9 +478,9 @@ impl Message {
 
     /// BER-encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(ENCODE_RESERVE);
-        self.encode_into(&mut w);
-        w.into_bytes()
+        let mut out = Vec::with_capacity(ENCODE_RESERVE);
+        Writer::append(&mut out, |w| self.encode_into(w));
+        out
     }
 
     pub(crate) fn encode_into(&self, w: &mut Writer) {

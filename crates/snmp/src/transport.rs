@@ -34,17 +34,21 @@ impl AgentRuntime {
     }
 
     /// Service all pending requests, sending responses back to the
-    /// requesters. Returns the number of requests handled.
+    /// requesters. Returns the number of requests handled. Each response
+    /// is written into a buffer from [`Network::buffer`], and each
+    /// request's buffer goes back with [`Network::recycle`].
     pub fn service(&mut self, net: &mut Network) -> usize {
         let mut handled = 0;
         while let Some(dgram) = net.recv(self.socket) {
-            if let Some(resp) = self.agent.handle(&dgram.payload) {
+            let mut response = net.buffer();
+            let answered = self.agent.handle(&dgram.payload, response.as_mut());
+            net.recycle(dgram.payload);
+            if answered.is_some() {
                 // Destination port is the requester's source port.
-                let _ = net.send(
-                    self.socket,
-                    Addr::unicast(dgram.src_node, dgram.src_port),
-                    resp,
-                );
+                let to = Addr::unicast(dgram.src_node, dgram.src_port);
+                let _ = net.send(self.socket, to, response);
+            } else {
+                net.recycle(response.into());
             }
             handled += 1;
         }

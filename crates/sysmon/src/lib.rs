@@ -10,6 +10,7 @@
 //! routines for those metrics in an [`snmp::SnmpAgent`] under the
 //! private enterprise arc, so a management station reads them with
 //! ordinary SNMP GETs over the simulated network.
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod host;

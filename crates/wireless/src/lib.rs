@@ -24,6 +24,7 @@
 //!   scaling, and the bits-per-joule utility of ref \[9\],
 //! * [`mobility`] — piecewise-linear distance schedules driving the
 //!   Figure 8–10 experiments.
+#![forbid(unsafe_code)]
 
 pub mod channel;
 pub mod mobility;

@@ -23,9 +23,11 @@
 //! set: 2.57 and 3.33 allocations per flat and brokered chat delivery,
 //! 25.7 and 36.8 per flat and brokered image view — where the per-client
 //! decode and copies they replace cost 5.14, 6.26, 65.5 and 82.8. A
-//! cold colour share made 2.88 allocations per frame (two buffers per
-//! frame, and about a dozen per share for its content description,
-//! caption and encode bookkeeping), none of them near the size of a
+//! cold colour share made 0.89 allocations per frame (its frames are
+//! written into buffers the receivers gave back to the network, so
+//! what is left is about a dozen per share for its content
+//! description, caption and encode bookkeeping; it was 2.88 while each
+//! frame was two fresh buffers), none of them near the size of a
 //! coefficient plane; a relayed downlink delivery made none.
 
 use collabqos::prelude::*;
@@ -258,10 +260,10 @@ fn cold_colour_share() -> (f64, usize) {
 #[test]
 fn a_cold_colour_share_allocates_its_frames_and_no_plane() {
     let (per_frame, largest) = cold_colour_share();
-    // Two buffers a frame (its bytes, and the shared handle the
-    // network carries), plus a handful per share.
+    // No buffer a frame — each reuses one a receiver gave back — and
+    // a handful per share.
     assert!(
-        per_frame <= 3.1,
+        per_frame <= 1.2,
         "{per_frame:.3} allocations per frame sent"
     );
     let plane = 64 * 64 * std::mem::size_of::<i32>();

@@ -1346,19 +1346,21 @@ fn adapt_pass_cost_per_client(clients: usize, rtp: bool) -> (usize, usize) {
 /// on every poll step (5 465 bytes a client at 96 clients, 10 841 at
 /// 768, 102 allocations at either).
 ///
-/// And it is what the pass puts on the wire: a GET and its response,
-/// each an exact-size buffer and the shared handle the network carries
-/// it in — 4 allocations, 329 bytes. The state is read in place and
-/// decided on without allocating however many bands fire (it was 30
-/// allocations and 2 729 bytes a client with the one CPU band firing,
-/// 36 and 2 931 with two RTP-driven bands).
+/// And it allocates nothing: the GET and its response are written into
+/// buffers their readers gave back to the network on the pass before
+/// (it was 4 allocations and 329 bytes a client while each was an
+/// exact-size buffer plus the shared handle the network carries it
+/// in). The state is read in place and decided on without allocating
+/// however many bands fire (it was 30 allocations and 2 729 bytes a
+/// client with the one CPU band firing, 36 and 2 931 with two
+/// RTP-driven bands).
 #[test]
 fn an_adaptation_pass_costs_each_client_the_same_in_any_session_size() {
     for rtp in [false, true] {
         let small = adapt_pass_cost_per_client(96, rtp);
         let large = adapt_pass_cost_per_client(768, rtp);
         assert_eq!(small, large, "(allocations, bytes) per client per pass");
-        assert!(small.0 <= 5, "{} allocations per client", small.0);
+        assert_eq!(small.0, 0, "allocations per client, rtp: {rtp}");
     }
 }
 
@@ -1782,7 +1784,8 @@ fn check_snmp_readers(bytes: &[u8]) -> Result<(), TestCaseError> {
         (Err(e), Ok(_)) => prop_assert!(false, "view refused what decode read: {:?}", e),
     }
 
-    let answer = host_agent().handle(bytes);
+    let mut response = Vec::new();
+    let answer = host_agent().handle(bytes, &mut response).map(|()| response);
     let mut reference = host_agent();
     match owned {
         Ok(msg) if msg.community == "public" && msg.pdu.kind == PduKind::GetRequest => {
