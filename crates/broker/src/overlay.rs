@@ -48,7 +48,7 @@ use sempubsub::ast::Expr;
 use sempubsub::compile::DEFAULT_CACHE_CAPACITY;
 use sempubsub::{
     AttrValue, CacheStatsHandle, CompiledSelector, EvalStack, Profile, Selector, SelectorStore,
-    SemanticMessage,
+    SemanticMessage, WireMessage,
 };
 use simnet::packet::well_known;
 use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks};
@@ -154,22 +154,25 @@ impl Advertisement {
 
     /// Decode from a control-plane message; `None` if it is not a
     /// well-formed advertisement.
-    pub fn decode(msg: &SemanticMessage) -> Option<Advertisement> {
-        if msg.kind != ADV_KIND || msg.body.len() != 3 {
+    pub fn decode(msg: &WireMessage) -> Option<Advertisement> {
+        let &[hops, has_interest, wildcard] = msg.body() else {
+            return None;
+        };
+        if msg.kind() != ADV_KIND {
             return None;
         }
-        let interest = if msg.body[1] != 0 {
-            Some(Selector::parse(&msg.selector).ok()?)
+        let interest = if has_interest != 0 {
+            Some(Selector::parse(msg.selector()).ok()?)
         } else {
             None
         };
         Some(Advertisement {
-            origin: msg.sender.clone(),
-            attrs: msg.content.clone(),
+            origin: msg.sender().to_owned(),
+            attrs: msg.content().clone(),
             interest,
-            generation: msg.seq,
-            hops: msg.body[0],
-            wildcard: msg.body[2] != 0,
+            generation: msg.seq(),
+            hops,
+            wildcard: wildcard != 0,
         })
     }
 }
@@ -270,10 +273,10 @@ fn ad_matches(
     ad.wildcard || program.is_none_or(|p| p.eval_map(&ad.attrs, stack).unwrap_or(false))
 }
 
-/// What a broker routes by: the decoded message (for its dedup id) and
-/// its selector's program, absent when the selector does not parse.
+/// What a broker routes by: the message (for its dedup id) and its
+/// selector's program, absent when the selector does not parse.
 /// `None` for bytes that are not a semantic message.
-fn routed(frame: &sempubsub::Frame) -> Option<(&SemanticMessage, Option<&CompiledSelector>)> {
+fn routed(frame: &sempubsub::Frame) -> Option<(&WireMessage, Option<&CompiledSelector>)> {
     use sempubsub::Frame::{BadSelector, Malformed, Message};
     match frame {
         Message { message, program } => Some((message, Some(program))),
@@ -307,6 +310,10 @@ pub struct BrokerNode {
     /// custody enabled. `None` keeps every code path bit-identical to
     /// an overlay built before the store existed.
     store: Option<CustodyStore>,
+    /// Neighbor reachability, in neighbor order, as the last probe
+    /// found it ([`Overlay::probe_neighbors`]): kept between messages
+    /// so a probe allocates nothing.
+    reach: Vec<bool>,
 }
 
 /// Where one message goes from a broker: the outcome of the single
@@ -334,14 +341,12 @@ impl BrokerNode {
     /// neighbor broker the copy arrived from; `None` means it
     /// was published in the local domain, where multicast already
     /// reached every group member, so it is not delivered locally
-    /// again. `reach` is neighbor reachability in neighbor order;
-    /// `None` means nothing was probed and every neighbor counts as
-    /// reachable.
+    /// again. Neighbor reachability is read from `reach`; a neighbor
+    /// it holds nothing for (nothing was probed) counts as reachable.
     fn plan_forward(
         &mut self,
         program: Option<&CompiledSelector>,
         from: Option<usize>,
-        reach: Option<&[bool]>,
     ) -> ForwardPlan {
         let stack = &mut self.stack;
         let mut matches =
@@ -366,7 +371,7 @@ impl BrokerNode {
                 .is_some_and(|ads| matches(ads))
             {
                 plan.suppressed += 1;
-            } else if reach.is_none_or(|r| r[k]) {
+            } else if self.reach.get(k).copied().unwrap_or(true) {
                 plan.sends
                     .push(Addr::unicast(n.node, well_known::SESSION_DATA));
             } else {
@@ -508,6 +513,7 @@ impl Overlay {
                 .unwrap_or_else(|| SelectorStore::with_capacity(DEFAULT_CACHE_CAPACITY)),
             stack: EvalStack::default(),
             store: self.custody.map(CustodyStore::new),
+            reach: Vec::new(),
         });
         self.node_to_broker.insert(node, idx);
         idx
@@ -847,7 +853,7 @@ impl Overlay {
                 self.handle_custody_frame(net, i, d.src_node, frame);
                 continue;
             }
-            let Ok(msg) = SemanticMessage::decode(&d.payload) else {
+            let Ok(msg) = WireMessage::decode(&d.payload) else {
                 continue;
             };
             let Some(mut ad) = Advertisement::decode(&msg) else {
@@ -956,15 +962,15 @@ impl Overlay {
             signal(net, Frame::encode_accept(&b.source, b.seq));
             return;
         }
-        let Ok(msg) = SemanticMessage::decode(&b.payload) else {
+        let frame = sempubsub::Frame::resolve(&b.payload, &self.brokers[i].selectors);
+        let Some((_, program)) = routed(&frame) else {
             // Poison payload can never be delivered; accept and drop.
             signal(net, Frame::encode_accept(&b.source, b.seq));
             return;
         };
-        let reach = self.probe_neighbors(net, i);
+        self.probe_neighbors(net, i);
         let broker = &mut self.brokers[i];
-        let program = broker.selectors.compile(&msg.selector).ok();
-        let plan = broker.plan_forward(program.as_deref(), Some(from), reach.as_deref());
+        let plan = broker.plan_forward(program, Some(from));
         // Still partitioned further downstream: custody continues
         // hop-by-hop from here.
         let onward = plan
@@ -987,20 +993,19 @@ impl Overlay {
         broker.forward(net, plan, b.payload.into());
     }
 
-    /// Reachability of broker `i`'s neighbors, in neighbor order.
-    /// `None` without a custody store: nothing is probed, so overlays
-    /// with custody disabled stay bit-identical to ones built before
-    /// the store existed.
-    fn probe_neighbors(&self, net: &mut Network, i: usize) -> Option<Vec<bool>> {
-        let broker = &self.brokers[i];
-        broker.store.as_ref()?;
-        Some(
-            broker
-                .neighbors
-                .iter()
-                .map(|n| net.reachable(broker.node, n.node))
-                .collect(),
-        )
+    /// Probe the reachability of broker `i`'s neighbors into its
+    /// `reach`, in neighbor order. Without a custody store nothing is
+    /// probed and `reach` is left empty, so overlays with custody
+    /// disabled stay bit-identical to ones built before the store
+    /// existed.
+    fn probe_neighbors(&mut self, net: &mut Network, i: usize) {
+        let broker = &mut self.brokers[i];
+        broker.reach.clear();
+        if broker.store.is_some() {
+            let node = broker.node;
+            let reach = broker.neighbors.iter().map(|n| net.reachable(node, n.node));
+            broker.reach.extend(reach);
+        }
     }
 
     fn process_data(&mut self, net: &mut Network, i: usize) -> usize {
@@ -1015,7 +1020,7 @@ impl Overlay {
             let Some((msg, program)) = routed(&frame) else {
                 continue;
             };
-            let key = (msg.sender.clone(), msg.seq);
+            let key = (msg.sender().to_owned(), msg.seq());
             // A copy from this broker's own domain has no arrival
             // neighbor.
             let from = self
@@ -1023,7 +1028,7 @@ impl Overlay {
                 .get(&d.src_node)
                 .copied()
                 .filter(|&j| j != i);
-            let reach = self.probe_neighbors(net, i);
+            self.probe_neighbors(net, i);
             let now = net.now();
             let broker = &mut self.brokers[i];
             if !broker.seen.insert(key) {
@@ -1034,14 +1039,14 @@ impl Overlay {
                     .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let plan = broker.plan_forward(program, from, reach.as_deref());
+            let plan = broker.plan_forward(program, from);
             // A matching neighbor is unreachable: take the message
             // into custody instead of black-holing it.
             if let Some(store) = broker.store.as_mut() {
                 for &nb in &plan.unreachable {
                     let bundle = Bundle {
-                        source: msg.sender.clone(),
-                        seq: msg.seq,
+                        source: msg.sender().to_owned(),
+                        seq: msg.seq(),
                         src_domain: i as u32,
                         dst_domain: nb as u32,
                         created_at: now,
@@ -1162,11 +1167,11 @@ mod tests {
         p.set_interest("encoding == 'jpeg'").unwrap();
         let ad = Advertisement::from_profile(&p, 7);
         let wire = ad.encode();
-        let msg = SemanticMessage::decode(&wire).unwrap();
+        let msg = WireMessage::decode(&wire).unwrap();
         assert_eq!(Advertisement::decode(&msg), Some(ad));
 
         let promiscuous = Advertisement::promiscuous("bs", 9);
-        let msg = SemanticMessage::decode(&promiscuous.encode()).unwrap();
+        let msg = WireMessage::decode(&promiscuous.encode()).unwrap();
         let back = Advertisement::decode(&msg).unwrap();
         assert!(back.wildcard);
         assert_eq!(back.generation, 9);
@@ -1174,6 +1179,7 @@ mod tests {
         // Data messages are not advertisements.
         let mut data = SemanticMessage::decode(&promiscuous.encode()).unwrap();
         data.kind = "image-share".to_string();
+        let data = WireMessage::decode(&data.encode()).unwrap();
         assert_eq!(Advertisement::decode(&data), None);
     }
 
@@ -1186,6 +1192,7 @@ mod tests {
         let mut msg =
             SemanticMessage::decode(&Advertisement::from_profile(&p, 1).encode()).unwrap();
         msg.selector = format!("{}true{}", "(".repeat(10_000), ")".repeat(10_000));
+        let msg = WireMessage::decode(&msg.encode()).unwrap();
         assert_eq!(Advertisement::decode(&msg), None);
     }
 
@@ -1256,8 +1263,8 @@ mod tests {
         overlay.pump(&mut net, Ticks::from_millis(200));
         let raw = gw.drain_raw(&mut net);
         assert_eq!(raw.len(), 1, "wildcard domain receives unmatched selector");
-        let msg = SemanticMessage::decode(&raw[0]).unwrap();
-        assert_eq!(msg.body, vec![9]);
+        let msg = WireMessage::decode(&raw[0]).unwrap();
+        assert_eq!(msg.body(), [9]);
         let _ = eps; // publisher keeps its endpoint alive to the end
     }
 
@@ -1454,7 +1461,7 @@ mod tests {
         ov.pump(&mut net, Ticks::from_millis(200));
         let got = eps[1].poll(&mut net);
         assert_eq!(got.len(), 3, "every stored message delivered");
-        let bodies: Vec<u8> = got.iter().map(|a| a.message.body[0]).collect();
+        let bodies: Vec<u8> = got.iter().map(|a| a.message.body()[0]).collect();
         assert_eq!(bodies, vec![0, 1, 2], "source-sequence order");
         assert_eq!(stats.stored_bundles(), 0, "custody released");
         assert_eq!(stats.custody_transfers(), 3);
@@ -1552,7 +1559,11 @@ mod tests {
                     arrived.push((k, d.payload.to_vec()));
                 }
             }
-            let local: Vec<u64> = local.poll(&mut net).iter().map(|a| a.message.seq).collect();
+            let local: Vec<u64> = local
+                .poll(&mut net)
+                .iter()
+                .map(|a| a.message.seq())
+                .collect();
             let stats = ov.stats(1);
             (
                 arrived,
@@ -1609,6 +1620,6 @@ mod tests {
         overlay.pump(&mut net, Ticks::from_millis(200));
         let got = eps[1].poll(&mut net);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].message.body, vec![2]);
+        assert_eq!(got[0].message.body(), [2]);
     }
 }

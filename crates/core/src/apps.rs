@@ -7,7 +7,7 @@ use crate::events::{AppEvent, EventView};
 use media::ezw::{self, decode_image_reduced_with, DecodeScratch};
 use media::packetize::{reassemble_stripes, PacketView};
 use media::{bits_per_pixel, compression_ratio, Image, MediaError};
-use sempubsub::SemanticMessage;
+use sempubsub::{SemanticMessage, WireMessage};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -408,7 +408,7 @@ struct HeldStripe {
     index: u16,
     total: u16,
     full_len: u32,
-    message: Arc<SemanticMessage>,
+    message: Arc<WireMessage>,
     start: usize,
 }
 
@@ -418,7 +418,7 @@ impl HeldStripe {
             index: self.index,
             total: self.total,
             full_len: self.full_len,
-            payload: &self.message.body[self.start..],
+            payload: &self.message.body()[self.start..],
         }
     }
 }
@@ -555,15 +555,17 @@ impl ImageViewer {
             return None;
         }
         // Held as a delivered event is: in a message of its own.
-        let message = Arc::new(SemanticMessage {
+        let wire = SemanticMessage {
             sender: String::new(),
             kind: ev.kind().to_string(),
             selector: String::new(),
             seq: 0,
             content: BTreeMap::new(),
             body: ev.encode(),
-        });
-        let view = EventView::parse(&message.body).expect("an encoded event parses");
+        }
+        .encode();
+        let message = Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"));
+        let view = EventView::parse(message.body()).expect("an encoded event parses");
         self.apply_delivered(&view, &message)
     }
 
@@ -574,7 +576,7 @@ impl ImageViewer {
     pub fn apply_delivered(
         &mut self,
         ev: &EventView<'_>,
-        message: &Arc<SemanticMessage>,
+        message: &Arc<WireMessage>,
     ) -> Option<ViewedImage> {
         match *ev {
             EventView::ImageMeta {
@@ -628,7 +630,7 @@ impl ImageViewer {
                         full_len: packet.full_len,
                         message: Arc::clone(message),
                         // The payload is the tail of the body.
-                        start: message.body.len() - packet.payload.len(),
+                        start: message.body().len() - packet.payload.len(),
                     };
                     entry.stripes.insert(at, stripe);
                 }

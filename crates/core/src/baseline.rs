@@ -16,7 +16,7 @@
 //! latency, and server load — the quantities behind the paper's
 //! scalability argument.
 
-use sempubsub::{MatchEngine, Profile, SemanticMessage};
+use sempubsub::{MatchEngine, Profile, SemanticMessage, WireMessage};
 use simnet::packet::well_known;
 use simnet::{Addr, LinkSpec, Network, NodeId, Port, SocketHandle, Ticks};
 use std::collections::BTreeMap;
@@ -72,28 +72,27 @@ impl CentralServer {
     pub fn route(&mut self, net: &mut Network) -> usize {
         let mut routed = 0;
         while let Some(dgram) = net.recv(self.socket) {
-            let Ok(msg) = SemanticMessage::decode(&dgram.payload) else {
+            let Ok(msg) = WireMessage::decode(&dgram.payload) else {
                 continue;
             };
-            if self.matcher.compile(&msg.selector).is_err() {
+            if self.matcher.compile(msg.selector()).is_err() {
                 continue;
             }
             self.events_routed += 1;
             routed += 1;
-            let payload = msg.encode();
             for reg in &self.roster {
-                if reg.name == msg.sender {
+                if reg.name == msg.sender() {
                     continue;
                 }
                 let matched = self
                     .matcher
-                    .interpret(&reg.profile, &msg.selector, &msg.content)
+                    .interpret(&reg.profile, msg.selector(), msg.content())
                     .is_ok_and(|o| o.is_ok_and(|o| o.is_accepted()));
                 if matched {
                     let _ = net.send(
                         self.socket,
                         Addr::unicast(reg.node, CLIENT_PORT),
-                        payload.clone(),
+                        dgram.payload.clone(),
                     );
                     self.copies_sent += 1;
                 }
@@ -114,7 +113,7 @@ pub struct BaselineClient {
     name: String,
     seq: u64,
     /// Events received.
-    pub received: Vec<SemanticMessage>,
+    pub received: Vec<WireMessage>,
 }
 
 impl BaselineClient {
@@ -161,7 +160,7 @@ impl BaselineClient {
     /// Drain received events.
     pub fn poll(&mut self, net: &mut Network) {
         while let Some(dgram) = net.recv(self.socket) {
-            if let Ok(msg) = SemanticMessage::decode(&dgram.payload) {
+            if let Ok(msg) = WireMessage::decode(&dgram.payload) {
                 self.received.push(msg);
             }
         }

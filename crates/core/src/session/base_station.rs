@@ -90,14 +90,14 @@ impl BsPeer {
             for (id, profile) in &self.wireless_profiles {
                 let matched = self
                     .matcher
-                    .interpret_program(profile, program, &message.content)
+                    .interpret_program(profile, program, message)
                     .is_ok_and(|o| o.is_accepted());
                 if !matched {
                     continue;
                 }
                 let modality = self.station.modality(id).unwrap_or(Modality::None);
                 if modality > Modality::None {
-                    let kind = kind.get_or_insert_with(|| intern(&mut self.kinds, &message.kind));
+                    let kind = kind.get_or_insert_with(|| intern(&mut self.kinds, message.kind()));
                     self.downlink_log.push(DownlinkDelivery {
                         client: Arc::clone(id),
                         kind: Arc::clone(kind),

@@ -254,10 +254,10 @@ impl CollaborationSession {
             ..
         } = client;
         bus.decide(frames, |message, _| {
-            let Some(ev) = EventView::parse(&message.body) else {
+            let Some(ev) = EventView::parse(message.body()) else {
                 return;
             };
-            let sender = &message.sender;
+            let sender = message.sender();
             match ev {
                 EventView::Chat { .. } => chat.apply(&ev),
                 EventView::WhiteboardStroke {
@@ -271,7 +271,7 @@ impl CollaborationSession {
                         sender,
                         ObjectState {
                             kind: "whiteboard".to_string(),
-                            data: message.body.clone(),
+                            data: message.body().to_vec(),
                         },
                     );
                 }

@@ -3,7 +3,7 @@
 //!
 //! Each collaborating client holds a [`BusEndpoint`]: a socket joined
 //! to the session's multicast group plus the client's local
-//! [`Profile`]. Publishing multicasts a [`SemanticMessage`] to the
+//! [`Profile`]. Publishing multicasts a [`SemanticMessage`](crate::SemanticMessage) to the
 //! whole group; *reception is decided locally* by interpreting the
 //! selector against the profile (and the content description against
 //! the interest), so "the group of interacting clients is determined
@@ -14,7 +14,7 @@ use crate::compile::{
     DEFAULT_CACHE_CAPACITY,
 };
 use crate::matching::MatchOutcome;
-use crate::message::{self, EventBody, SemanticMessage};
+use crate::message::{self, EventBody, WireMessage};
 use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::SemError;
@@ -26,38 +26,40 @@ use std::sync::Arc;
 /// A message that passed local semantic interpretation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
-    /// The decoded message, shared with every other endpoint that
+    /// The received message, shared with every other endpoint that
     /// accepted the same frame.
-    pub message: Arc<SemanticMessage>,
+    pub message: Arc<WireMessage>,
     /// How it was accepted (directly or via transforms).
     pub outcome: MatchOutcome,
 }
 
 /// What one message buffer resolves to before any profile is
-/// consulted: the two immutable things a message carries — its decoded
-/// form and its compiled selector — or the reason there is neither.
-/// Cloning shares both; nothing in a frame depends on who receives it,
-/// so one frame serves every party a buffer reaches — endpoints,
-/// brokers and the gateway alike. An endpoint that accepts the message
-/// is handed the frame's own `Arc` ([`BusEndpoint::decide`]), and its
-/// application reads the body in place: nothing of a message is
-/// decoded or copied per receiver.
+/// consulted: the two immutable things a message carries — the message
+/// itself, one checked copy of its wire bytes ([`WireMessage`]), and
+/// its compiled selector — or the reason there is neither. Cloning
+/// shares both; nothing in a frame depends on who receives it, so one
+/// frame serves every party a buffer reaches — endpoints, brokers and
+/// the gateway alike. An endpoint that accepts the message is handed
+/// the frame's own `Arc` ([`BusEndpoint::decide`]), and its application
+/// reads the body in place: nothing of a message is decoded or copied
+/// per receiver, and its content description is built once, by the
+/// first party whose interest reads it.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// Decoded, selector compiled.
+    /// Checked, selector compiled.
     Message {
-        /// The decoded message.
-        message: Arc<SemanticMessage>,
+        /// The message.
+        message: Arc<WireMessage>,
         /// Its selector's program, from the resolving store.
         program: Arc<CompiledSelector>,
     },
     /// The bytes are not a semantic message.
     Malformed,
-    /// The message decoded, but its selector does not parse.
+    /// The message is well formed, but its selector does not parse.
     BadSelector {
-        /// The decoded message: a broker still needs its `(sender,
-        /// seq)` to forward it conservatively, exactly once.
-        message: Arc<SemanticMessage>,
+        /// The message: a broker still needs its `(sender, seq)` to
+        /// forward it conservatively, exactly once.
+        message: Arc<WireMessage>,
     },
 }
 
@@ -69,13 +71,14 @@ struct Resolved {
 }
 
 impl Frame {
-    /// Decode `bytes` and compile the selector through `store`.
+    /// Read `bytes` ([`WireMessage::decode`]) and compile the selector
+    /// through `store`.
     pub fn resolve(bytes: &[u8], store: &SelectorStore) -> Frame {
-        let Ok(message) = SemanticMessage::decode(bytes) else {
+        let Ok(message) = WireMessage::decode(bytes) else {
             return Frame::Malformed;
         };
         let message = Arc::new(message);
-        match store.compile(&message.selector) {
+        match store.compile(message.selector()) {
             Ok(program) => Frame::Message { message, program },
             Err(_) => Frame::BadSelector { message },
         }
@@ -84,7 +87,7 @@ impl Frame {
     /// The frame of `payload`'s buffer for a receiver compiling through
     /// `store`. The first look resolves it and leaves it on the buffer;
     /// every later receiver holding the *same* store gets a clone —
-    /// one decode and one store lookup per buffer, however many parties
+    /// one read and one store lookup per buffer, however many parties
     /// and pumps its copies are spread over, and nothing to sweep: the
     /// frame dies with the buffer's last copy. A program's symbols mean
     /// something only against the interner of the store that compiled
@@ -133,7 +136,7 @@ pub struct BusStats {
 /// An endpoint holds only what the paper says is local: the client's
 /// [`Profile`], one generation-stamped snapshot of it, an evaluation
 /// stack and its [`BusStats`]. The immutable things a message carries —
-/// decoded form, compiled selector — arrive as a [`Frame`] and are
+/// its wire bytes, its compiled selector — arrive as a [`Frame`] and are
 /// shared with every other receiver; programs come from a
 /// [`SelectorStore`] the endpoint holds a handle to (the session's, or
 /// one of its own when it joined alone). The per-message hot path
@@ -247,7 +250,7 @@ impl BusEndpoint {
     }
 
     /// Publish several events in one network batch: each event becomes
-    /// its own sequenced [`SemanticMessage`] frame, its body written
+    /// its own sequenced [`SemanticMessage`](crate::SemanticMessage) frame, its body written
     /// straight into the frame ([`EventBody`]) in a buffer from
     /// [`Network::buffer`], and the network
     /// resolves multicast membership and routes once for the whole
@@ -326,12 +329,14 @@ impl BusEndpoint {
     /// are bit-identical to the tree-walk interpreter (pinned by the
     /// differential suite in `tests/matching.rs`), and a frame costs
     /// one program evaluation against the snapshot — no parsing, no
-    /// `BTreeMap` walk, no allocation. Pure CPU: safe on a worker
+    /// `BTreeMap` walk, no allocation. An interest reads the message's
+    /// content description, which the first reader of the frame builds
+    /// for all ([`WireMessage::content`]). Pure CPU: safe on a worker
     /// thread that owns this endpoint.
     pub fn decide<'f>(
         &mut self,
         frames: &'f [Frame],
-        mut accept: impl FnMut(&'f Arc<SemanticMessage>, MatchOutcome),
+        mut accept: impl FnMut(&'f Arc<WireMessage>, MatchOutcome),
     ) {
         self.sync_profile();
         for frame in frames {
@@ -350,7 +355,7 @@ impl BusEndpoint {
                 &self.profile,
                 &self.snap,
                 program,
-                &message.content,
+                || message.content(),
                 &mut self.stack,
             ) {
                 Ok(MatchOutcome::Reject) | Err(_) => {
@@ -368,7 +373,7 @@ impl BusEndpoint {
     }
 
     /// [`BusEndpoint::decide`], collected: the accepted messages, each
-    /// sharing its frame's decoded message.
+    /// sharing its frame's message.
     pub fn interpret_frames(&mut self, frames: &[Frame]) -> Vec<Delivery> {
         let mut out = Vec::new();
         self.decide(frames, |message, outcome| {
@@ -405,6 +410,7 @@ impl BusEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::SemanticMessage;
     use crate::profile::TransformCap;
     use simnet::{LinkSpec, Ticks};
 
@@ -466,7 +472,7 @@ mod tests {
 
         let v = viewer.poll(&mut net);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].message.kind, "image-share");
+        assert_eq!(v[0].message.kind(), "image-share");
         assert_eq!(v[0].outcome, MatchOutcome::Accept);
         assert!(texter.poll(&mut net).is_empty());
         assert_eq!(texter.stats().rejected, 1);
@@ -557,7 +563,7 @@ mod tests {
         net.run_for(Ticks::from_millis(10));
         let got = user_b.poll(&mut net);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].message.kind, "text-share");
+        assert_eq!(got[0].message.kind(), "text-share");
     }
 
     #[test]
@@ -585,7 +591,7 @@ mod tests {
         let Frame::Message { message, .. } = &frames[0] else {
             panic!("a valid message resolves to {:?}", frames[0]);
         };
-        assert_eq!(message.body, vec![7]);
+        assert_eq!(message.body(), [7]);
         assert_eq!(gateway.stats(), BusStats::default(), "nothing decided");
     }
 
@@ -611,7 +617,7 @@ mod tests {
         let bodies: Vec<&[u8]> = frames
             .iter()
             .map(|f| match f {
-                Frame::Message { message, .. } => &message.body[..],
+                Frame::Message { message, .. } => message.body(),
                 other => panic!("a valid message resolves to {other:?}"),
             })
             .collect();

@@ -33,6 +33,7 @@
 use crate::ast::{CmpOp, Expr};
 use crate::intern::{Interner, Symbol};
 use crate::matching::MatchOutcome;
+use crate::message::WireMessage;
 use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::{Selector, SemError};
@@ -700,11 +701,14 @@ impl ProfileSnap {
 /// description, then (rarely) the shared transform-chain search.
 /// Returns what the tree-walk `interpret` returns — bit-identical
 /// outcomes and errors. `snap` must be a fresh snapshot of `profile`.
-pub(crate) fn interpret_compiled(
+/// The content description is asked for only once the selector has
+/// accepted and an interest needs it, so a received message builds
+/// its map only then ([`WireMessage::content`]).
+pub(crate) fn interpret_compiled<'c>(
     profile: &Profile,
     snap: &ProfileSnap,
     selector: &CompiledSelector,
-    content: &BTreeMap<String, AttrValue>,
+    content: impl FnOnce() -> &'c BTreeMap<String, AttrValue>,
     stack: &mut EvalStack,
 ) -> Result<MatchOutcome, SemError> {
     debug_assert!(snap.is_fresh(profile), "stale profile snapshot");
@@ -717,6 +721,7 @@ pub(crate) fn interpret_compiled(
         return Ok(MatchOutcome::Accept);
     };
     // Step 2: direct interest match.
+    let content = content();
     if interest.eval_map(content, stack)? {
         return Ok(MatchOutcome::Accept);
     }
@@ -796,18 +801,29 @@ impl MatchEngine {
         content: &BTreeMap<String, AttrValue>,
     ) -> Result<Result<MatchOutcome, SemError>, SemError> {
         let program = self.store.compile(selector)?;
-        Ok(self.interpret_program(profile, &program, content))
+        Ok(self.interpret_with(profile, &program, || content))
     }
 
-    /// [`MatchEngine::interpret`] for a selector already compiled —
-    /// *through this engine's store* (a shared [`crate::bus::Frame`]'s
-    /// program, say) — snapshotting the profile first if it is new or
-    /// has changed.
+    /// [`MatchEngine::interpret`] of a received `message` whose selector
+    /// is already compiled — *through this engine's store* (a shared
+    /// [`crate::bus::Frame`]'s program, say). The message's content
+    /// description is read only if an interest needs it.
     pub fn interpret_program(
         &mut self,
         profile: &Profile,
         program: &CompiledSelector,
-        content: &BTreeMap<String, AttrValue>,
+        message: &WireMessage,
+    ) -> Result<MatchOutcome, SemError> {
+        self.interpret_with(profile, program, || message.content())
+    }
+
+    /// The compiled decision for `profile`, snapshotting it first if it
+    /// is new or has changed.
+    fn interpret_with<'c>(
+        &mut self,
+        profile: &Profile,
+        program: &CompiledSelector,
+        content: impl FnOnce() -> &'c BTreeMap<String, AttrValue>,
     ) -> Result<MatchOutcome, SemError> {
         if !self
             .profiles

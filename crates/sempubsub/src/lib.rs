@@ -24,7 +24,8 @@
 //!   **Accept**, **AcceptWithTransform** (the client can transform the
 //!   content into a form it wants, e.g. MPEG2→JPEG), or **Reject**,
 //! * [`message`] — the wire form of a semantic message (selector +
-//!   content description + body) with a self-contained binary codec,
+//!   content description + body) with a self-contained binary codec; a
+//!   received message is its checked wire bytes, read in place,
 //! * [`compile`] / [`intern`] — the compiled fast path: selectors as
 //!   flat programs over interned attributes, cached once per session in
 //!   a shareable selector store, evaluated against per-profile
@@ -32,9 +33,9 @@
 //! * [`bus`] — a semantic event bus over a `simnet` multicast group:
 //!   publish with a selector, and each subscriber's profile decides
 //!   locally whether the message is delivered. What a message carries
-//!   immutably — its decoded frame, its compiled selector — is shared
-//!   by every receiver; the profile, the decision and its statistics
-//!   are each endpoint's own.
+//!   immutably — its wire bytes, its compiled selector — is shared by
+//!   every receiver; the profile, the decision and its statistics are
+//!   each endpoint's own.
 //!
 //! ```
 //! use sempubsub::{Profile, Selector, value::AttrValue};
@@ -69,7 +70,7 @@ pub use compile::{
 };
 pub use intern::{Interner, Symbol};
 pub use matching::{MatchOutcome, TransformStep};
-pub use message::{EventBody, SemanticMessage};
+pub use message::{EventBody, SemanticMessage, WireMessage};
 pub use profile::{Profile, TransformCap};
 pub use value::AttrValue;
 

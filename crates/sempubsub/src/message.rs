@@ -1,11 +1,15 @@
 //! Wire form of a semantic message, with a self-contained binary codec
 //! (no external serialization formats: the substrate owns its wire
-//! protocol, as the paper's Java prototype did).
+//! protocol, as the paper's Java prototype did). A message is built and
+//! sent as a [`SemanticMessage`] and received as a [`WireMessage`]: its
+//! frame, checked once and read in place.
 
 use crate::parser::MAX_DEPTH;
 use crate::value::AttrValue;
 use crate::SemError;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Wire magic for version 1 of the semantic message codec.
 const MAGIC: &[u8; 4] = b"SEM1";
@@ -48,36 +52,124 @@ impl SemanticMessage {
         .remove(0)
     }
 
-    /// Decode wire bytes.
+    /// Decode wire bytes: [`WireMessage::decode`], copied out into
+    /// owned fields.
     pub fn decode(buf: &[u8]) -> Result<SemanticMessage, SemError> {
-        let mut c = Cursor { buf, pos: 0 };
-        if c.take(4)? != MAGIC {
-            return Err(SemError::Codec("bad magic"));
-        }
-        let sender = c.str16()?;
-        let kind = c.str16()?;
-        let selector = c.str16()?;
-        let seq = u64::from_be_bytes(c.take(8)?.try_into().unwrap());
-        let n = u16::from_be_bytes(c.take(2)?.try_into().unwrap()) as usize;
-        let mut content = BTreeMap::new();
-        for _ in 0..n {
-            let key = c.str16()?;
-            let value = c.value(1)?;
-            content.insert(key, value);
-        }
-        let blen = u32::from_be_bytes(c.take(4)?.try_into().unwrap()) as usize;
-        let body = c.take(blen)?.to_vec();
-        if c.pos != buf.len() {
-            return Err(SemError::Codec("trailing bytes"));
-        }
-        Ok(SemanticMessage {
-            sender,
-            kind,
-            selector,
-            seq,
-            content,
-            body,
+        WireMessage::decode(buf).map(|m| m.to_message())
+    }
+}
+
+/// A received semantic message, held as its wire bytes: one copy of
+/// the frame, checked through once when it was read, whose fields are
+/// read in place. The content description is the one field that is not
+/// a slice of the frame: it is built into a map the first time
+/// something reads it ([`WireMessage::content`]) — an interest, the
+/// transform search, an advertisement — and never for a message nobody
+/// asks about.
+pub struct WireMessage {
+    bytes: Box<[u8]>,
+    at: Fields,
+    content: OnceLock<BTreeMap<String, AttrValue>>,
+}
+
+/// Where a checked frame's variable-length fields start: each at its
+/// length prefix. The sender starts at a fixed offset, and the seq, the
+/// content and the body each sit a fixed distance after these.
+#[derive(Clone, Copy)]
+struct Fields {
+    kind: usize,
+    selector: usize,
+    seq: usize,
+    body: usize,
+}
+
+/// The sender's length prefix: right after the magic.
+const SENDER_AT: usize = MAGIC.len();
+
+impl WireMessage {
+    /// Check `buf` is one whole `SEM1` frame — magic, field lengths,
+    /// UTF-8, value tags, nesting depth, no trailing bytes — without
+    /// allocating, then copy it. A frame refused costs nothing.
+    pub fn decode(buf: &[u8]) -> Result<WireMessage, SemError> {
+        let at = Reader { buf, pos: 0 }.fields()?;
+        Ok(WireMessage {
+            bytes: buf.into(),
+            at,
+            content: OnceLock::new(),
         })
+    }
+
+    /// A string field, checked when the frame was read.
+    fn str_at(&self, start: usize, end: usize) -> &str {
+        std::str::from_utf8(&self.bytes[start + 2..end]).expect("checked when the frame was read")
+    }
+
+    /// Informational sender identity (never used for addressing).
+    pub fn sender(&self) -> &str {
+        self.str_at(SENDER_AT, self.at.kind)
+    }
+
+    /// Event kind.
+    pub fn kind(&self) -> &str {
+        self.str_at(self.at.kind, self.at.selector)
+    }
+
+    /// The semantic selector source text.
+    pub fn selector(&self) -> &str {
+        self.str_at(self.at.selector, self.at.seq)
+    }
+
+    /// Per-sender sequence number.
+    pub fn seq(&self) -> u64 {
+        let seq = &self.bytes[self.at.seq..self.at.seq + 8];
+        u64::from_be_bytes(seq.try_into().expect("eight bytes"))
+    }
+
+    /// Opaque payload bytes.
+    pub fn body(&self) -> &[u8] {
+        &self.bytes[self.at.body + 4..]
+    }
+
+    /// Content description — attributes of the payload — built from
+    /// the frame on the first call and kept for the others.
+    pub fn content(&self) -> &BTreeMap<String, AttrValue> {
+        self.content.get_or_init(|| {
+            let mut r = Reader {
+                buf: &self.bytes[..self.at.body],
+                pos: self.at.seq + 8,
+            };
+            r.content(true).expect("checked when the frame was read")
+        })
+    }
+
+    /// The message as owned fields.
+    pub fn to_message(&self) -> SemanticMessage {
+        SemanticMessage {
+            sender: self.sender().to_owned(),
+            kind: self.kind().to_owned(),
+            selector: self.selector().to_owned(),
+            seq: self.seq(),
+            content: self.content().clone(),
+            body: self.body().to_vec(),
+        }
+    }
+}
+
+impl PartialEq for WireMessage {
+    fn eq(&self, other: &WireMessage) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl fmt::Debug for WireMessage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WireMessage")
+            .field("sender", &self.sender())
+            .field("kind", &self.kind())
+            .field("selector", &self.selector())
+            .field("seq", &self.seq())
+            .field("body", &self.body())
+            .finish_non_exhaustive()
     }
 }
 
@@ -209,12 +301,16 @@ fn put_value(out: &mut Vec<u8>, v: &AttrValue, depth: usize) -> Result<(), SemEr
     Ok(())
 }
 
-struct Cursor<'a> {
+/// The one reader of the `SEM1` field sequence. [`Reader::fields`]
+/// walks a whole frame and checks it without allocating;
+/// [`Reader::content`] also builds the content description when asked
+/// to — the same walk, so what one accepts the other can build.
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SemError> {
         if self.buf.len() - self.pos < n {
             return Err(SemError::Codec("truncated message"));
@@ -224,40 +320,96 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn str16(&mut self) -> Result<String, SemError> {
-        let n = u16::from_be_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| SemError::Codec("bad UTF-8"))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SemError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
     }
 
-    /// Read a value `depth` levels down its content entry.
-    fn value(&mut self, depth: usize) -> Result<AttrValue, SemError> {
+    fn utf8(&mut self, n: usize) -> Result<&'a str, SemError> {
+        std::str::from_utf8(self.take(n)?).map_err(|_| SemError::Codec("bad UTF-8"))
+    }
+
+    fn str16(&mut self) -> Result<&'a str, SemError> {
+        let n = u16::from_be_bytes(self.array()?) as usize;
+        self.utf8(n)
+    }
+
+    /// Walk a whole frame: where its fields start.
+    fn fields(mut self) -> Result<Fields, SemError> {
+        if self.take(4)? != MAGIC {
+            return Err(SemError::Codec("bad magic"));
+        }
+        self.str16()?;
+        let kind = self.pos;
+        self.str16()?;
+        let selector = self.pos;
+        self.str16()?;
+        let seq = self.pos;
+        self.take(8)?;
+        self.content(false)?;
+        let body = self.pos;
+        let n = u32::from_be_bytes(self.array()?) as usize;
+        self.take(n)?;
+        if self.pos != self.buf.len() {
+            return Err(SemError::Codec("trailing bytes"));
+        }
+        Ok(Fields {
+            kind,
+            selector,
+            seq,
+            body,
+        })
+    }
+
+    /// Walk the content description; with `build`, also collect it (a
+    /// key repeated in the frame keeps its last value). Without, the
+    /// map comes back empty and nothing is allocated.
+    fn content(&mut self, build: bool) -> Result<BTreeMap<String, AttrValue>, SemError> {
+        let n = u16::from_be_bytes(self.array()?);
+        let mut content = BTreeMap::new();
+        for _ in 0..n {
+            let key = self.str16()?;
+            if let Some(value) = self.value(1, build)? {
+                content.insert(key.to_owned(), value);
+            }
+        }
+        Ok(content)
+    }
+
+    /// Walk a value `depth` levels down its content entry; with
+    /// `build`, also return it.
+    fn value(&mut self, depth: usize, build: bool) -> Result<Option<AttrValue>, SemError> {
         if depth > MAX_DEPTH {
             return Err(TOO_DEEP);
         }
         let tag = self.take(1)?[0];
-        Ok(match tag {
-            0 => AttrValue::Int(i64::from_be_bytes(self.take(8)?.try_into().unwrap())),
-            1 => AttrValue::Float(f64::from_bits(u64::from_be_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
+        let value = match tag {
+            0 => AttrValue::Int(i64::from_be_bytes(self.array()?)),
+            1 => AttrValue::Float(f64::from_bits(u64::from_be_bytes(self.array()?))),
             2 => {
-                let n = u32::from_be_bytes(self.take(4)?.try_into().unwrap()) as usize;
-                AttrValue::Str(
-                    String::from_utf8(self.take(n)?.to_vec())
-                        .map_err(|_| SemError::Codec("bad UTF-8"))?,
-                )
+                let n = u32::from_be_bytes(self.array()?) as usize;
+                let s = self.utf8(n)?;
+                return Ok(build.then(|| AttrValue::Str(s.to_owned())));
             }
             3 => AttrValue::Bool(self.take(1)?[0] != 0),
             4 => {
-                let n = u16::from_be_bytes(self.take(2)?.try_into().unwrap()) as usize;
-                let mut items = Vec::with_capacity(n.min(1024));
+                let n = u16::from_be_bytes(self.array()?) as usize;
+                // Every item takes at least two bytes (a tag and one
+                // more), so what is reserved is bounded by what is
+                // left of the frame, not by a count a peer chose.
+                let room = if build { n.min(self.left() / 2) } else { 0 };
+                let mut items = Vec::with_capacity(room);
                 for _ in 0..n {
-                    items.push(self.value(depth + 1)?);
+                    items.extend(self.value(depth + 1, build)?);
                 }
                 AttrValue::List(items)
             }
             _ => return Err(SemError::Codec("unknown value tag")),
-        })
+        };
+        Ok(build.then_some(value))
+    }
+
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
     }
 }
 
@@ -293,6 +445,46 @@ mod tests {
     fn round_trip() {
         let m = sample();
         assert_eq!(SemanticMessage::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn a_read_message_serves_its_fields_in_place() {
+        let m = sample();
+        let wire = m.encode();
+        let read = WireMessage::decode(&wire).unwrap();
+        assert_eq!(
+            (read.sender(), read.kind(), read.selector(), read.seq()),
+            (
+                "client-a",
+                "image-share",
+                "interested_in contains 'image'",
+                42
+            )
+        );
+        assert_eq!(read.body(), &m.body[..]);
+        assert!(read.content.get().is_none(), "built only when read");
+        assert_eq!(read.content(), &m.content);
+        assert_eq!(read.to_message(), m);
+    }
+
+    /// A frame may carry a key twice (no encoder writes one): the
+    /// content description keeps the last value, as a map insert does.
+    #[test]
+    fn a_repeated_key_keeps_its_last_value() {
+        let mut m = sample();
+        m.content = [
+            ("ka".to_string(), AttrValue::Int(1)),
+            ("kb".to_string(), AttrValue::Int(2)),
+        ]
+        .into();
+        let mut wire = m.encode();
+        let at = wire.windows(2).position(|w| w == b"kb").unwrap();
+        wire[at + 1] = b'a';
+        let read = WireMessage::decode(&wire).unwrap();
+        assert_eq!(
+            read.content(),
+            &[("ka".to_string(), AttrValue::Int(2))].into()
+        );
     }
 
     #[test]

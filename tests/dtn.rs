@@ -48,7 +48,7 @@ fn accepted_bodies(net: &mut Network, bus: &mut BusEndpoint) -> Vec<Vec<u8>> {
     let raw = bus.drain_raw(net);
     bus.interpret_batch(raw)
         .into_iter()
-        .map(|d| d.message.body.clone())
+        .map(|d| d.message.body().to_vec())
         .collect()
 }
 

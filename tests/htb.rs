@@ -677,7 +677,7 @@ fn uplink_flaps_with_custody_lose_nothing_through_the_tree() {
         got.extend(
             sub.interpret_batch(raw)
                 .into_iter()
-                .map(|d| d.message.body.clone()),
+                .map(|d| d.message.body().to_vec()),
         );
     }
     ov.pump(&mut net, Ticks::from_millis(400));
@@ -685,7 +685,7 @@ fn uplink_flaps_with_custody_lose_nothing_through_the_tree() {
     got.extend(
         sub.interpret_batch(raw)
             .into_iter()
-            .map(|d| d.message.body.clone()),
+            .map(|d| d.message.body().to_vec()),
     );
 
     let expected: Vec<Vec<u8>> = (0..sent).map(|k| format!("msg {k}").into_bytes()).collect();

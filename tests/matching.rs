@@ -436,7 +436,7 @@ proptest! {
                 let accepted = reference(&shared[i].profile, &batch, e);
                 let got: Vec<(SemanticMessage, MatchOutcome)> = via_frames
                     .iter()
-                    .map(|d| ((*d.message).clone(), d.outcome.clone()))
+                    .map(|d| (d.message.to_message(), d.outcome.clone()))
                     .collect();
                 prop_assert_eq!(&got, &accepted, "endpoint {} round {} vs tree walk", i, round);
                 prop_assert_eq!(shared[i].stats(), *e, "shared endpoint {} stats", i);
@@ -523,7 +523,7 @@ proptest! {
             let got: Vec<(SemanticMessage, MatchOutcome)> = endpoints[i]
                 .interpret_frames(frames)
                 .iter()
-                .map(|d| ((*d.message).clone(), d.outcome.clone()))
+                .map(|d| (d.message.to_message(), d.outcome.clone()))
                 .collect();
             prop_assert_eq!(&got, &accepted, "endpoint {} vs tree walk", i);
             prop_assert_eq!(endpoints[i].stats(), expected, "endpoint {} stats", i);
