@@ -47,12 +47,13 @@ use dtn::{Bundle, CustodyStore, Frame, StoreConfig, StoreStatsHandle};
 use sempubsub::ast::Expr;
 use sempubsub::compile::DEFAULT_CACHE_CAPACITY;
 use sempubsub::{
-    AttrValue, CacheStatsHandle, CompiledSelector, EvalStack, Profile, Selector, SelectorStore,
-    SemanticMessage, WireMessage,
+    AttrValue, CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, Profile, Selector,
+    SelectorStore, SemanticMessage, WireMessage,
 };
 use simnet::packet::well_known;
 use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -264,13 +265,83 @@ struct Neighbor {
 /// advertised endpoint's first interpretation step? Wildcard
 /// subscriptions match everything, an unparseable selector (no
 /// program) forwards conservatively, and evaluation errors reject —
-/// exactly as the endpoint itself treats them.
+/// exactly as the endpoint itself treats them. The attributes are read
+/// as their profile `class` — the program's remembered verdict, once
+/// the class has been decided — or, unclassed, from the advertisement.
 fn ad_matches(
     program: Option<&CompiledSelector>,
     ad: &Advertisement,
+    class: Option<&CompiledProfile>,
     stack: &mut EvalStack,
 ) -> bool {
-    ad.wildcard || program.is_none_or(|p| p.eval_map(&ad.attrs, stack).unwrap_or(false))
+    ad.wildcard
+        || program.is_none_or(|p| {
+            let verdict = match class {
+                Some(class) => p.eval_profile(class, stack),
+                None => p.eval_map(&ad.attrs, stack),
+            };
+            verdict.unwrap_or(false)
+        })
+}
+
+/// One interface's routing table: the advertisements held for it, in
+/// arrival order, and beside each the profile class its attributes
+/// were interned as in the broker's selector store ([`ad_matches`]).
+/// A wildcard has none (it matches without evaluating), nor do
+/// attributes past the store's class bounds. Reads go through the
+/// advertisements as a slice; writes through the table, which keeps the
+/// two in step.
+#[derive(Default)]
+struct Table {
+    ads: Vec<Advertisement>,
+    classes: Vec<Option<Arc<CompiledProfile>>>,
+}
+
+impl Deref for Table {
+    type Target = [Advertisement];
+
+    fn deref(&self) -> &[Advertisement] {
+        &self.ads
+    }
+}
+
+impl Table {
+    fn class_of(ad: &Advertisement, store: &SelectorStore) -> Option<Arc<CompiledProfile>> {
+        (!ad.wildcard).then(|| store.class_of(&ad.attrs)).flatten()
+    }
+
+    fn push(&mut self, ad: Advertisement, store: &SelectorStore) {
+        self.classes.push(Table::class_of(&ad, store));
+        self.ads.push(ad);
+    }
+
+    fn replace(&mut self, at: usize, ad: Advertisement, store: &SelectorStore) {
+        self.classes[at] = Table::class_of(&ad, store);
+        self.ads[at] = ad;
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&Advertisement) -> bool) {
+        // `Vec::retain` visits each advertisement once, in order: the
+        // class of the `at`-th moves down to the `kept`-th survivor.
+        let (mut at, mut kept) = (0, 0);
+        let classes = &mut self.classes;
+        self.ads.retain(|ad| {
+            let keep = keep(ad);
+            if keep {
+                classes.swap(kept, at);
+                kept += 1;
+            }
+            at += 1;
+            keep
+        });
+        classes.truncate(kept);
+    }
+
+    /// Does any advertisement match `program` ([`ad_matches`])?
+    fn matches(&self, program: Option<&CompiledSelector>, stack: &mut EvalStack) -> bool {
+        let mut held = self.ads.iter().zip(&self.classes);
+        held.any(|(ad, class)| ad_matches(program, ad, class.as_deref(), stack))
+    }
 }
 
 /// What a broker routes by: the message (for its dedup id) and its
@@ -294,15 +365,17 @@ pub struct BrokerNode {
     data: SocketHandle,
     ctrl: SocketHandle,
     neighbors: Vec<Neighbor>,
-    local_ads: Vec<Advertisement>,
-    remote_ads: BTreeMap<usize, Vec<Advertisement>>,
+    local_ads: Table,
+    remote_ads: BTreeMap<usize, Table>,
     seen: BTreeSet<(String, u64)>,
     stats: BrokerStatsHandle,
     /// The store arriving buffers' frames are read through
-    /// ([`sempubsub::Frame::of`]): the session's when the overlay was
-    /// built [`Overlay::with_store`], so a buffer an endpoint or
-    /// another broker has already looked at costs no decode and no
-    /// lookup here; otherwise one of this broker's own.
+    /// ([`sempubsub::Frame::of`]), and the routing tables' profile
+    /// classes interned in: the session's when the overlay was built
+    /// [`Overlay::with_store`], so a buffer an endpoint or another
+    /// broker has already looked at costs no decode and no lookup here,
+    /// and a selector decided for a class anywhere in the session is
+    /// decided here too; otherwise one of this broker's own.
     selectors: SelectorStore,
     /// Operand stack for the per-advertisement evaluations.
     stack: EvalStack,
@@ -314,6 +387,9 @@ pub struct BrokerNode {
     /// found it ([`Overlay::probe_neighbors`]): kept between messages
     /// so a probe allocates nothing.
     reach: Vec<bool>,
+    /// The last forwarding decision ([`BrokerNode::plan_forward`]):
+    /// kept between messages so a plan allocates nothing.
+    plan: ForwardPlan,
 }
 
 /// Where one message goes from a broker: the outcome of the single
@@ -335,25 +411,30 @@ struct ForwardPlan {
 }
 
 impl BrokerNode {
-    /// Decide where a message whose selector compiled to `program`
-    /// (`None`: it does not parse — forward conservatively, the
-    /// endpoint will count it) goes from here. `from` is the
+    /// Decide, into `plan`, where a message whose selector compiled to
+    /// `program` (`None`: it does not parse — forward conservatively,
+    /// the endpoint will count it) goes from here. `from` is the
     /// neighbor broker the copy arrived from; `None` means it
     /// was published in the local domain, where multicast already
     /// reached every group member, so it is not delivered locally
     /// again. Neighbor reachability is read from `reach`; a neighbor
     /// it holds nothing for (nothing was probed) counts as reachable.
-    fn plan_forward(
-        &mut self,
-        program: Option<&CompiledSelector>,
-        from: Option<usize>,
-    ) -> ForwardPlan {
-        let stack = &mut self.stack;
-        let mut matches =
-            |ads: &[Advertisement]| ads.iter().any(|ad| ad_matches(program, ad, stack));
-        let mut plan = ForwardPlan::default();
+    fn plan_forward(&mut self, program: Option<&CompiledSelector>, from: Option<usize>) {
+        let BrokerNode {
+            plan,
+            stack,
+            local_ads,
+            remote_ads,
+            neighbors,
+            reach,
+            ..
+        } = self;
+        plan.sends.clear();
+        plan.unreachable.clear();
+        plan.suppressed = 0;
+        plan.local_suppressed = false;
         if from.is_some() {
-            if matches(&self.local_ads) {
+            if local_ads.matches(program, stack) {
                 plan.sends
                     .push(Addr::multicast(self.group, well_known::SESSION_DATA));
             } else {
@@ -361,30 +442,28 @@ impl BrokerNode {
                 plan.local_suppressed = true;
             }
         }
-        for (k, n) in self.neighbors.iter().enumerate() {
+        for (k, n) in neighbors.iter().enumerate() {
             if Some(n.broker) == from {
                 continue;
             }
-            if !self
-                .remote_ads
+            if !remote_ads
                 .get(&n.broker)
-                .is_some_and(|ads| matches(ads))
+                .is_some_and(|ads| ads.matches(program, stack))
             {
                 plan.suppressed += 1;
-            } else if self.reach.get(k).copied().unwrap_or(true) {
+            } else if reach.get(k).copied().unwrap_or(true) {
                 plan.sends
                     .push(Addr::unicast(n.node, well_known::SESSION_DATA));
             } else {
                 plan.unreachable.push(n.broker);
             }
         }
-        plan
     }
 
-    /// Count a plan the caller committed to and put its copies on the
+    /// Count the plan the caller committed to and put its copies on the
     /// wire.
-    fn forward(&self, net: &mut Network, plan: ForwardPlan, payload: Payload) {
-        let counters = &self.stats.inner;
+    fn forward(&self, net: &mut Network, payload: Payload) {
+        let (plan, counters) = (&self.plan, &self.stats.inner);
         counters
             .forwarded
             .fetch_add(plan.sends.len() as u64, Ordering::Relaxed);
@@ -394,7 +473,7 @@ impl BrokerNode {
         counters
             .local_suppressed
             .fetch_add(u64::from(plan.local_suppressed), Ordering::Relaxed);
-        for addr in plan.sends {
+        for &addr in &plan.sends {
             let _ = net.send(self.data, addr, payload.clone());
         }
     }
@@ -503,7 +582,7 @@ impl Overlay {
             data,
             ctrl,
             neighbors: Vec::new(),
-            local_ads: Vec::new(),
+            local_ads: Table::default(),
             remote_ads: BTreeMap::new(),
             seen: BTreeSet::new(),
             stats: BrokerStatsHandle::default(),
@@ -514,6 +593,7 @@ impl Overlay {
             stack: EvalStack::default(),
             store: self.custody.map(CustodyStore::new),
             reach: Vec::new(),
+            plan: ForwardPlan::default(),
         });
         self.node_to_broker.insert(node, idx);
         idx
@@ -579,7 +659,7 @@ impl Overlay {
         let broker = &self.brokers[i];
         match from {
             None => &broker.local_ads,
-            Some(j) => broker.remote_ads.get(&j).map_or(&[], Vec::as_slice),
+            Some(j) => broker.remote_ads.get(&j).map_or(&[], |t| &t.ads),
         }
     }
 
@@ -652,7 +732,7 @@ impl Overlay {
         let held = broker.local_ads.len();
         broker.local_ads.retain(|a| a.origin != ad.origin);
         let fresh = broker.local_ads.len() == held;
-        broker.local_ads.push(ad);
+        broker.local_ads.push(ad, &broker.selectors);
         broker.update_table_gauge();
         if fresh {
             self.flood_appended(net, i, &[(None, held)]);
@@ -689,7 +769,7 @@ impl Overlay {
         for ad in broker
             .local_ads
             .iter()
-            .chain(broker.remote_ads.values().flatten())
+            .chain(broker.remote_ads.values().flat_map(|t| t.iter()))
         {
             let e = latest.entry(ad.origin.clone()).or_insert(ad.generation);
             if ad.generation > *e {
@@ -698,13 +778,13 @@ impl Overlay {
         }
         let fresh = |ad: &Advertisement| ad.generation >= latest[&ad.origin];
         let before =
-            broker.local_ads.len() + broker.remote_ads.values().map(Vec::len).sum::<usize>();
+            broker.local_ads.len() + broker.remote_ads.values().map(|t| t.len()).sum::<usize>();
         broker.local_ads.retain(|ad| fresh(ad));
         for set in broker.remote_ads.values_mut() {
             set.retain(|ad| fresh(ad));
         }
         let after =
-            broker.local_ads.len() + broker.remote_ads.values().map(Vec::len).sum::<usize>();
+            broker.local_ads.len() + broker.remote_ads.values().map(|t| t.len()).sum::<usize>();
         if after != before {
             broker.update_table_gauge();
         }
@@ -867,19 +947,21 @@ impl Overlay {
             if ad.hops > MAX_HOPS {
                 continue;
             }
-            let table = self.brokers[i].remote_ads.entry(from).or_default();
-            match table.iter_mut().find(|e| e.origin == ad.origin) {
-                Some(e) => {
+            let broker = &mut self.brokers[i];
+            let table = broker.remote_ads.entry(from).or_default();
+            match table.iter().position(|e| e.origin == ad.origin) {
+                Some(at) => {
+                    let e = &table[at];
                     let better = ad.generation > e.generation
                         || (ad.generation == e.generation && ad.hops < e.hops);
                     if better {
-                        *e = ad;
+                        table.replace(at, ad, &broker.selectors);
                         replaced = true;
                     }
                 }
                 None => {
                     fresh.push((Some(from), table.len()));
-                    table.push(ad);
+                    table.push(ad, &broker.selectors);
                 }
             }
         }
@@ -970,10 +1052,11 @@ impl Overlay {
         };
         self.probe_neighbors(net, i);
         let broker = &mut self.brokers[i];
-        let plan = broker.plan_forward(program, Some(from));
+        broker.plan_forward(program, Some(from));
         // Still partitioned further downstream: custody continues
         // hop-by-hop from here.
-        let onward = plan
+        let onward = broker
+            .plan
             .unreachable
             .iter()
             .map(|&nb| Bundle {
@@ -990,7 +1073,7 @@ impl Overlay {
         }
         broker.seen.insert(key);
         signal(net, Frame::encode_accept(&b.source, b.seq));
-        broker.forward(net, plan, b.payload.into());
+        broker.forward(net, b.payload.into());
     }
 
     /// Probe the reachability of broker `i`'s neighbors into its
@@ -1028,22 +1111,22 @@ impl Overlay {
                 .get(&d.src_node)
                 .copied()
                 .filter(|&j| j != i);
-            self.probe_neighbors(net, i);
-            let now = net.now();
-            let broker = &mut self.brokers[i];
-            if !broker.seen.insert(key) {
-                broker
+            if !self.brokers[i].seen.insert(key) {
+                self.brokers[i]
                     .stats
                     .inner
                     .dedup_dropped
                     .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let plan = broker.plan_forward(program, from);
+            self.probe_neighbors(net, i);
+            let now = net.now();
+            let broker = &mut self.brokers[i];
+            broker.plan_forward(program, from);
             // A matching neighbor is unreachable: take the message
             // into custody instead of black-holing it.
             if let Some(store) = broker.store.as_mut() {
-                for &nb in &plan.unreachable {
+                for &nb in &broker.plan.unreachable {
                     let bundle = Bundle {
                         source: msg.sender().to_owned(),
                         seq: msg.seq(),
@@ -1057,7 +1140,7 @@ impl Overlay {
                     store.insert(bundle, now);
                 }
             }
-            broker.forward(net, plan, d.payload);
+            broker.forward(net, d.payload);
         }
         handled
     }
@@ -1181,6 +1264,33 @@ mod tests {
         data.kind = "image-share".to_string();
         let data = WireMessage::decode(&data.encode()).unwrap();
         assert_eq!(Advertisement::decode(&data), None);
+    }
+
+    /// Removing and replacing entries keeps every advertisement beside
+    /// its own class, and a wildcard beside none.
+    #[test]
+    fn a_table_keeps_each_advertisement_beside_its_class() {
+        let store = SelectorStore::with_capacity(8);
+        let mut table = Table::default();
+        for topic in ["a", "b", "c", "d", "e"] {
+            let ad = Advertisement::from_profile(&interested_profile(topic, topic), 0);
+            table.push(ad, &store);
+        }
+        table.push(Advertisement::promiscuous("gw", 0), &store);
+        table.retain(|ad| !["b", "d"].contains(&ad.origin.as_str()));
+        let moved = Advertisement::from_profile(&interested_profile("a", "z"), 1);
+        table.replace(0, moved, &store);
+        let origins: Vec<&str> = table.iter().map(|ad| ad.origin.as_str()).collect();
+        assert_eq!(origins, ["a", "c", "e", "gw"]);
+        for (ad, class) in table.ads.iter().zip(&table.classes) {
+            let own = (!ad.wildcard).then(|| store.class_of(&ad.attrs).unwrap());
+            assert_eq!(
+                class.as_ref().map(Arc::as_ptr),
+                own.as_ref().map(Arc::as_ptr),
+                "{}",
+                ad.origin
+            );
+        }
     }
 
     /// An advertised interest nested past the selector cap is refused

@@ -134,16 +134,20 @@ pub struct BusStats {
 /// One client's attachment to the semantic bus.
 ///
 /// An endpoint holds only what the paper says is local: the client's
-/// [`Profile`], one generation-stamped snapshot of it, an evaluation
-/// stack and its [`BusStats`]. The immutable things a message carries —
-/// its wire bytes, its compiled selector — arrive as a [`Frame`] and are
-/// shared with every other receiver; programs come from a
-/// [`SelectorStore`] the endpoint holds a handle to (the session's, or
-/// one of its own when it joined alone). The per-message hot path
-/// ([`BusEndpoint::receive`] into a buffer the caller keeps, then
-/// [`BusEndpoint::decide`]) therefore never parses, never walks the
-/// profile's `BTreeMap`, and allocates nothing: each accepted message
-/// is handed to the caller in place. The publish path validates
+/// [`Profile`], its compiled interest, an evaluation stack and its
+/// [`BusStats`]. The immutable things a message carries — its wire
+/// bytes, its compiled selector — arrive as a [`Frame`] and are shared
+/// with every other receiver; programs come from a [`SelectorStore`]
+/// the endpoint holds a handle to (the session's, or one of its own
+/// when it joined alone). So does the snapshot of the profile's
+/// attributes: their *class*, shared with every endpoint of the store
+/// holding the same attributes, for which each program remembers its
+/// verdict. The per-message hot path ([`BusEndpoint::receive`] into a
+/// buffer the caller keeps, then [`BusEndpoint::decide`]) therefore
+/// never parses, never walks the profile's `BTreeMap`, evaluates a
+/// selector once per class rather than once per receiver, and
+/// allocates nothing: each accepted message is handed to the caller in
+/// place. The publish path validates
 /// selectors through the same store, warming it for loopback traffic.
 pub struct BusEndpoint {
     socket: SocketHandle,
@@ -328,8 +332,9 @@ impl BusEndpoint {
     /// reception is counted in this endpoint's [`BusStats`], outcomes
     /// are bit-identical to the tree-walk interpreter (pinned by the
     /// differential suite in `tests/matching.rs`), and a frame costs
-    /// one program evaluation against the snapshot — no parsing, no
-    /// `BTreeMap` walk, no allocation. An interest reads the message's
+    /// one read of its program's verdict for this profile's class — the
+    /// program runs for the first receiver of each class only — with no
+    /// parsing, no `BTreeMap` walk and no allocation. An interest reads the message's
     /// content description, which the first reader of the frame builds
     /// for all ([`WireMessage::content`]). Pure CPU: safe on a worker
     /// thread that owns this endpoint.
@@ -907,6 +912,46 @@ mod tests {
         let stats = sub.cache_stats();
         assert_eq!(stats.misses(), 1, "one compilation for five messages");
         assert_eq!(stats.hits(), 4);
+    }
+
+    /// One frame at 400 endpoints whose profiles fall into 66 classes
+    /// runs its program 66 times, and decides as 400 evaluations would.
+    #[test]
+    fn a_frame_is_evaluated_once_per_class_not_per_endpoint() {
+        const ENDPOINTS: usize = 400;
+        const CLASSES: usize = 66;
+        let (mut net, group, hosts) = world(ENDPOINTS);
+        let store = SelectorStore::with_capacity(8);
+        let mut endpoints: Vec<BusEndpoint> = hosts
+            .iter()
+            .enumerate()
+            .map(|(i, &host)| {
+                let mut p = Profile::new(&format!("c{i}"));
+                let topic = AttrValue::str(&format!("t{}", i % CLASSES));
+                p.set("topics", AttrValue::List(vec![topic]));
+                BusEndpoint::join_with_store(&mut net, host, SESSION_PORT, group, p, store.clone())
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(store.classes().0, CLASSES);
+        let msg = SemanticMessage {
+            sender: "pub".to_string(),
+            kind: "chat".to_string(),
+            selector: "topics contains 't1'".to_string(),
+            seq: 0,
+            content: BTreeMap::new(),
+            body: vec![],
+        };
+        let frames = [Frame::resolve(&msg.encode(), &store)];
+        let before = compile::EVALS.with(|n| n.get());
+        let accepted: usize = endpoints
+            .iter_mut()
+            .map(|ep| ep.interpret_frames(&frames).len())
+            .sum();
+        assert_eq!(compile::EVALS.with(|n| n.get()) - before, CLASSES as u64);
+        assert_eq!(accepted, ENDPOINTS.div_ceil(CLASSES));
+        let rejected: u64 = endpoints.iter().map(|ep| ep.stats().rejected).sum();
+        assert_eq!(rejected as usize, ENDPOINTS - accepted);
     }
 
     #[test]

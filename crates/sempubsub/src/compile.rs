@@ -29,6 +29,13 @@
 //! the tree walk would skip it. The differential proptest
 //! `compiled_eval_equals_tree_eval` pins the equivalence over
 //! arbitrary expression/profile pairs, error cases included.
+//!
+//! Most receivers of a session hold the same attributes, so a store
+//! also interns each distinct attribute map it snapshots as a *profile
+//! class*: a dense id and one shared [`CompiledProfile`]. A program
+//! compiled by the store remembers its verdict per class (two bits a
+//! class, [`CompiledSelector::eval_profile`]), so a selector is
+//! evaluated once per class it meets, not once per receiver.
 
 use crate::ast::{CmpOp, Expr};
 use crate::intern::{Interner, Symbol};
@@ -38,8 +45,9 @@ use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::{Selector, SemError};
 use std::collections::{BTreeMap, HashMap};
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One instruction of a compiled selector program. Indices are into
 /// the owning [`CompiledSelector`]'s constant pool (`Const`) or
@@ -110,19 +118,90 @@ impl AttrSource for BTreeMap<String, AttrValue> {
     }
 }
 
+/// The identity of one selector store, recorded by every program it
+/// compiles and every class it mints: a class id and a program's
+/// symbols mean something only against the store that made them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StoreId(NonZeroU64);
+
+impl StoreId {
+    fn fresh() -> StoreId {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        StoreId(NonZeroU64::new(id).expect("store ids do not wrap"))
+    }
+}
+
+/// Most profile classes one store mints. A snapshot past it is
+/// unclassed: evaluated every time, never memoised.
+const MAX_CLASSES: usize = 1024;
+
+/// Most encoded attribute bytes one store's classes may hold between
+/// them, so a flood of large, never-repeating attribute maps (hostile
+/// advertisements, say) cannot pin memory either.
+const MAX_CLASS_BYTES: usize = 256 << 10;
+
+/// Verdict bits per class: unknown, false or true.
+const VERDICT_BITS: usize = 2;
+const VERDICT_FALSE: u64 = 0b01;
+const VERDICT_TRUE: u64 = 0b10;
+
+/// Classes per verdict chunk: four words of bits.
+const CHUNK_CLASSES: usize = 128;
+
+/// A program's memo of its verdict per profile class of its store,
+/// [`VERDICT_BITS`] a class, in a chain of chunks of [`CHUNK_CLASSES`]
+/// classes each. A chunk is allocated when the program first decides
+/// a class in it, so a program that is only ever evaluated some other
+/// way (a policy condition) carries one empty cell, and one deciding
+/// a few dozen classes 48 bytes. Workers deciding the same class at
+/// once compute the same verdict and set the same bits, and the bits
+/// publish no other data, so relaxed atomics suffice. The memo plays no
+/// part in whether two programs are equal.
+#[derive(Debug, Default)]
+struct Verdicts(OnceLock<Box<VerdictChunk>>);
+
+#[derive(Debug, Default)]
+struct VerdictChunk {
+    words: [AtomicU64; CHUNK_CLASSES * VERDICT_BITS / 64],
+    next: Verdicts,
+}
+
+impl Verdicts {
+    /// The word holding class `id`'s verdict, and the bit it starts at.
+    fn word(&self, id: u32) -> (&AtomicU64, usize) {
+        let mut chunk = self.0.get_or_init(Box::default);
+        for _ in 0..id as usize / CHUNK_CLASSES {
+            chunk = chunk.next.0.get_or_init(Box::default);
+        }
+        let at = id as usize % CHUNK_CLASSES * VERDICT_BITS;
+        (&chunk.words[at / 64], at % 64)
+    }
+}
+
+impl PartialEq for Verdicts {
+    fn eq(&self, _: &Verdicts) -> bool {
+        true
+    }
+}
+
 /// A selector compiled to a flat program over interned attributes.
 ///
 /// Constant operands are materialized into the pool once at compile
 /// time (the tree walk clones each literal on every evaluation);
 /// attribute references carry both their [`Symbol`] (for slot-table
 /// evaluation against a [`CompiledProfile`]) and their name (for
-/// evaluation against an arbitrary content map).
-#[derive(Debug, Clone, PartialEq)]
+/// evaluation against an arbitrary content map). A program compiled
+/// by a store also remembers its verdict for each profile class of
+/// that store it has been evaluated against.
+#[derive(Debug, PartialEq)]
 pub struct CompiledSelector {
-    source: String,
+    source: Box<str>,
     consts: Vec<AttrValue>,
     refs: Vec<(Symbol, String)>,
     prog: Vec<Instr>,
+    store: Option<StoreId>,
+    verdicts: Verdicts,
 }
 
 impl CompiledSelector {
@@ -130,10 +209,12 @@ impl CompiledSelector {
     /// interner.
     pub fn from_expr(source: &str, expr: &Expr, interner: &mut Interner) -> CompiledSelector {
         let mut c = CompiledSelector {
-            source: source.to_string(),
+            source: source.into(),
             consts: Vec::new(),
             refs: Vec::new(),
             prog: Vec::new(),
+            store: None,
+            verdicts: Verdicts::default(),
         };
         let mut ref_ids: HashMap<String, u32> = HashMap::new();
         c.emit(expr, &mut ref_ids, interner);
@@ -224,12 +305,28 @@ impl CompiledSelector {
     }
 
     /// Evaluate against a profile snapshot (symbol-indexed lookups).
+    /// Against a class of the store that compiled this program the
+    /// verdict is read from the program's memo; only the first
+    /// evaluation per class runs the program, and only a verdict is
+    /// memoised, never an error. Any other snapshot is evaluated.
     pub fn eval_profile(
         &self,
         profile: &CompiledProfile,
         stack: &mut EvalStack,
     ) -> Result<bool, SemError> {
-        self.eval(profile, stack)
+        let Some(class) = profile.class.filter(|c| Some(c.store) == self.store) else {
+            return self.eval(profile, stack);
+        };
+        let (word, shift) = self.verdicts.word(class.id);
+        match word.load(Ordering::Relaxed) >> shift & 0b11 {
+            VERDICT_FALSE => return Ok(false),
+            VERDICT_TRUE => return Ok(true),
+            _ => {}
+        }
+        let verdict = self.eval(profile, stack)?;
+        let bits = if verdict { VERDICT_TRUE } else { VERDICT_FALSE };
+        word.fetch_or(bits << shift, Ordering::Relaxed);
+        Ok(verdict)
     }
 
     /// Evaluate against an arbitrary attribute map, e.g. a message's
@@ -278,6 +375,8 @@ impl CompiledSelector {
     }
 
     fn eval<S: AttrSource>(&self, src: &S, stack: &mut EvalStack) -> Result<bool, SemError> {
+        #[cfg(test)]
+        EVALS.with(|n| n.set(n.get() + 1));
         let stack = &mut stack.0;
         stack.clear();
         let mut pc = 0usize;
@@ -351,27 +450,41 @@ impl CompiledSelector {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Programs run on this thread: what the verdict memo saves.
+    pub(crate) static EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A resolved operand: a borrowed value or a computed boolean.
 enum ResolvedRef<'a> {
     Val(&'a AttrValue),
     Bool(bool),
 }
 
-/// A generation-stamped snapshot of a profile's attribute map, keyed
-/// by [`Symbol`] and sorted by it. Evaluation finds an attribute by
-/// comparing integers instead of walking a `BTreeMap<String, _>`; the
-/// snapshot is rebuilt whenever [`Profile::version`] moves (every
-/// profile mutation bumps it from a process-wide generation counter, so
-/// a wholesale profile replacement can never alias a stale snapshot).
+/// A snapshot of a profile's attribute map, keyed by [`Symbol`] and
+/// sorted by it. Evaluation finds an attribute by comparing integers
+/// instead of walking a `BTreeMap<String, _>`.
 ///
 /// The table holds the profile's own attributes and nothing else, so
 /// its size is O(profile) however large the interner it was taken
 /// against has grown: with one interner per session, a stream minting
 /// fresh attribute names must not inflate every client's snapshot.
+///
+/// A snapshot a [`SelectorStore`] took is usually a *class*: the one
+/// snapshot the store shares among every holder of exactly these
+/// attributes, carrying the dense id programs index their verdicts by.
 #[derive(Debug, Clone)]
 pub struct CompiledProfile {
-    generation: u64,
     slots: Vec<(Symbol, AttrValue)>,
+    class: Option<ClassId>,
+}
+
+/// A profile class: the store that minted it and its dense id there.
+#[derive(Debug, Clone, Copy)]
+struct ClassId {
+    store: StoreId,
+    id: u32,
 }
 
 impl CompiledProfile {
@@ -380,21 +493,16 @@ impl CompiledProfile {
     /// resolve against this table (an unknown symbol is simply not in
     /// the table and reads as missing).
     pub fn snapshot(profile: &Profile, interner: &mut Interner) -> CompiledProfile {
-        let mut slots: Vec<(Symbol, AttrValue)> = profile
-            .attrs()
+        CompiledProfile::of_attrs(profile.attrs(), interner)
+    }
+
+    fn of_attrs(attrs: &BTreeMap<String, AttrValue>, interner: &mut Interner) -> CompiledProfile {
+        let mut slots: Vec<(Symbol, AttrValue)> = attrs
             .iter()
             .map(|(k, v)| (interner.intern(k), v.clone()))
             .collect();
         slots.sort_unstable_by_key(|(sym, _)| *sym);
-        CompiledProfile {
-            generation: profile.version,
-            slots,
-        }
-    }
-
-    /// The profile version this snapshot was taken at.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        CompiledProfile { slots, class: None }
     }
 
     fn slot(&self, sym: Symbol) -> Option<&AttrValue> {
@@ -471,12 +579,17 @@ struct CacheEntry {
 /// selector shares one program, and an evicted program stays valid for
 /// whoever still holds it. Eviction never invalidates symbols (the
 /// interner only grows), so a re-inserted selector recompiles to an
-/// identical program.
+/// identical program (with an empty verdict memo).
 ///
 /// A hit is one map probe and a relink; a miss on a full cache evicts
 /// the list's tail — O(1), so a never-repeating selector stream pays
 /// for its compilations, not for the capacity it is bounded by.
+///
+/// The cache also holds the profile classes snapshots are interned as
+/// (grow-only like the interner, so a class id, like a symbol, never
+/// changes meaning; bounded in count and in bytes).
 pub struct SelectorCache {
+    id: StoreId,
     interner: Interner,
     /// Source text -> index into `entries`.
     index: HashMap<String, u32>,
@@ -486,6 +599,21 @@ pub struct SelectorCache {
     tail: u32,
     cap: usize,
     stats: CacheStatsHandle,
+    classes: Classes,
+}
+
+/// The profile classes of one store.
+#[derive(Default)]
+struct Classes {
+    /// A class's attribute map in the `SEM1` content encoding (floats
+    /// by their bits), to its id.
+    index: HashMap<Box<[u8]>, u32>,
+    /// Each class's shared snapshot, by id.
+    snaps: Vec<Arc<CompiledProfile>>,
+    /// The keys' bytes between them.
+    bytes: usize,
+    /// Where a lookup encodes its key, kept between lookups.
+    key: Vec<u8>,
 }
 
 impl SelectorCache {
@@ -501,6 +629,7 @@ impl SelectorCache {
         assert!(cap >= 1, "selector cache needs room for one entry");
         assert!(cap < NIL as usize, "selector cache capacity out of range");
         SelectorCache {
+            id: StoreId::fresh(),
             interner,
             index: HashMap::new(),
             entries: Vec::new(),
@@ -508,6 +637,7 @@ impl SelectorCache {
             tail: NIL,
             cap,
             stats: CacheStatsHandle::default(),
+            classes: Classes::default(),
         }
     }
 
@@ -547,7 +677,9 @@ impl SelectorCache {
             return Ok(Arc::clone(&self.entries[i as usize].compiled));
         }
         self.stats.record_miss();
-        let compiled = Arc::new(CompiledSelector::compile(src, &mut self.interner)?);
+        let mut compiled = CompiledSelector::compile(src, &mut self.interner)?;
+        compiled.store = Some(self.id);
+        let compiled = Arc::new(compiled);
         let i = if self.entries.len() >= self.cap {
             // Evict the least recently used entry and reuse its slot.
             let victim = self.tail;
@@ -575,6 +707,32 @@ impl SelectorCache {
     /// The shared interner (snapshots must intern against it).
     fn interner_mut(&mut self) -> &mut Interner {
         &mut self.interner
+    }
+
+    /// The class of `attrs`: the one snapshot this cache shares among
+    /// every holder of exactly these attributes, minted on first sight.
+    /// `None` when they cannot be classed — they do not encode, or a
+    /// new class would take the cache past [`MAX_CLASSES`] or
+    /// [`MAX_CLASS_BYTES`].
+    fn class_of(&mut self, attrs: &BTreeMap<String, AttrValue>) -> Option<Arc<CompiledProfile>> {
+        let classes = &mut self.classes;
+        classes.key.clear();
+        crate::message::encode_content(attrs, &mut classes.key).ok()?;
+        if let Some(&id) = classes.index.get(classes.key.as_slice()) {
+            return Some(Arc::clone(&classes.snaps[id as usize]));
+        }
+        if classes.snaps.len() >= MAX_CLASSES || classes.bytes + classes.key.len() > MAX_CLASS_BYTES
+        {
+            return None;
+        }
+        let id = classes.snaps.len() as u32;
+        let mut snap = CompiledProfile::of_attrs(attrs, &mut self.interner);
+        snap.class = Some(ClassId { store: self.id, id });
+        let snap = Arc::new(snap);
+        classes.bytes += classes.key.len();
+        classes.index.insert(classes.key.as_slice().into(), id);
+        classes.snaps.push(Arc::clone(&snap));
+        Some(snap)
     }
 
     /// Peek at a cached program without touching LRU state or stats.
@@ -644,16 +802,36 @@ impl SelectorStore {
     }
 
     /// Snapshot `profile` (attributes and compiled interest) against
-    /// the store's interner.
+    /// the store's interner: its attributes as their class, or as a
+    /// snapshot of its own past the class bounds.
     pub(crate) fn snapshot(&self, profile: &Profile) -> ProfileSnap {
         let mut cache = self.lock();
+        let slots = cache
+            .class_of(profile.attrs())
+            .unwrap_or_else(|| Arc::new(CompiledProfile::snapshot(profile, cache.interner_mut())));
         let interner = cache.interner_mut();
         ProfileSnap {
-            slots: CompiledProfile::snapshot(profile, interner),
+            version: profile.version,
+            slots,
             interest: profile
                 .interest()
                 .map(|sel| CompiledSelector::from_expr(sel.source(), sel.expr(), interner)),
         }
+    }
+
+    /// The class snapshot of an attribute map — shared with every other
+    /// holder of exactly these attributes, programs compiled by this
+    /// store remembering their verdict for it — or `None` past the
+    /// class bounds, where the caller evaluates the map itself.
+    pub fn class_of(&self, attrs: &BTreeMap<String, AttrValue>) -> Option<Arc<CompiledProfile>> {
+        self.lock().class_of(attrs)
+    }
+
+    /// How many profile classes the store has minted, and their
+    /// encoded bytes between them.
+    pub fn classes(&self) -> (usize, usize) {
+        let cache = self.lock();
+        (cache.classes.snaps.len(), cache.classes.bytes)
     }
 
     /// Whether `other` is a handle to this very store. A program is
@@ -680,25 +858,31 @@ impl SelectorStore {
 }
 
 /// What an interpreting party keeps of one profile: the attribute
-/// snapshot and the compiled interest, both stamped with the profile
-/// version they were taken at.
+/// snapshot (its class, usually, shared with every other holder of the
+/// same attributes) and its own compiled interest, stamped with the
+/// profile version they were taken at. Every profile mutation bumps the
+/// version from a process-wide generation counter, so a wholesale
+/// profile replacement can never alias a stale snapshot.
 pub(crate) struct ProfileSnap {
-    slots: CompiledProfile,
+    version: u64,
+    slots: Arc<CompiledProfile>,
     interest: Option<CompiledSelector>,
 }
 
 impl ProfileSnap {
     /// Whether the snapshot still describes `profile`.
     pub(crate) fn is_fresh(&self, profile: &Profile) -> bool {
-        self.slots.generation == profile.version
+        self.version == profile.version
     }
 }
 
 /// The compiled counterpart of [`crate::matching::interpret`], and the
 /// one decision function behind [`MatchEngine::interpret`] and
 /// [`crate::bus::BusEndpoint`]: selector program against the profile
-/// snapshot, then the compiled interest against the content
-/// description, then (rarely) the shared transform-chain search.
+/// snapshot (a lookup in the program's verdict memo once the snapshot's
+/// class has been decided), then the compiled interest against the
+/// content description, then (rarely) the shared transform-chain
+/// search.
 /// Returns what the tree-walk `interpret` returns — bit-identical
 /// outcomes and errors. `snap` must be a fresh snapshot of `profile`.
 /// The content description is asked for only once the selector has
@@ -951,6 +1135,165 @@ mod tests {
                 "selector {sel}"
             );
         }
+    }
+
+    fn evals_during(f: impl FnOnce()) -> u64 {
+        let before = EVALS.with(|n| n.get());
+        f();
+        EVALS.with(|n| n.get()) - before
+    }
+
+    fn topic_attrs(topic: &str) -> BTreeMap<String, AttrValue> {
+        attrs(&[("topics", AttrValue::List(vec![AttrValue::str(topic)]))])
+    }
+
+    /// Policy conditions are programs too: the memo may cost a program
+    /// no more than 16 bytes inline.
+    #[test]
+    fn the_verdict_memo_costs_a_program_sixteen_bytes_at_most() {
+        assert!(std::mem::size_of::<CompiledSelector>() <= 4 * 24 + 16);
+    }
+
+    #[test]
+    fn a_class_is_decided_once_and_its_verdict_remembered() {
+        let store = SelectorStore::with_capacity(8);
+        let program = store.compile("topics contains 't1'").unwrap();
+        let (yes, no) = (topic_attrs("t1"), topic_attrs("t2"));
+        let class = |a| store.class_of(a).unwrap();
+        assert!(
+            Arc::ptr_eq(&class(&yes), &class(&yes)),
+            "one snapshot per class"
+        );
+        assert_eq!(store.classes().0, 1);
+        let mut stack = EvalStack::default();
+        let runs = evals_during(|| {
+            for _ in 0..5 {
+                assert_eq!(program.eval_profile(&class(&yes), &mut stack), Ok(true));
+                assert_eq!(program.eval_profile(&class(&no), &mut stack), Ok(false));
+            }
+        });
+        assert_eq!(runs, 2, "once per class");
+        // A snapshot no store classed is evaluated every time.
+        let mut p = Profile::new("p");
+        p.set("topics", AttrValue::List(vec![AttrValue::str("t1")]));
+        let own = CompiledProfile::snapshot(&p, store.lock().interner_mut());
+        let runs = evals_during(|| {
+            for _ in 0..3 {
+                assert_eq!(program.eval_profile(&own, &mut stack), Ok(true));
+            }
+        });
+        assert_eq!(runs, 3);
+    }
+
+    /// Classes past the first chunk of verdicts are remembered too,
+    /// each in its own bits.
+    #[test]
+    fn verdicts_chain_past_the_first_chunk() {
+        let store = SelectorStore::with_capacity(8);
+        let program = store.compile("topics contains 't300'").unwrap();
+        let classes: Vec<_> = (0..3 * CHUNK_CLASSES)
+            .map(|i| store.class_of(&topic_attrs(&format!("t{i}"))).unwrap())
+            .collect();
+        let mut stack = EvalStack::default();
+        let runs = evals_during(|| {
+            for _ in 0..2 {
+                for (i, class) in classes.iter().enumerate().rev() {
+                    assert_eq!(
+                        program.eval_profile(class, &mut stack),
+                        Ok(i == 300),
+                        "t{i}"
+                    );
+                }
+            }
+        });
+        assert_eq!(runs, 3 * CHUNK_CLASSES as u64);
+    }
+
+    /// An error is never memoised: the same class raises the same
+    /// error, by running the program, every time.
+    #[test]
+    fn an_evaluation_error_is_not_remembered() {
+        let store = SelectorStore::with_capacity(8);
+        let program = store.compile("name and true").unwrap();
+        let class = store
+            .class_of(&attrs(&[("name", AttrValue::str("x"))]))
+            .unwrap();
+        let mut stack = EvalStack::default();
+        let expected = Err(SemError::Type("expected boolean, got 'x'".to_string()));
+        let runs = evals_during(|| {
+            for _ in 0..3 {
+                assert_eq!(program.eval_profile(&class, &mut stack), expected);
+            }
+        });
+        assert_eq!(runs, 3);
+    }
+
+    /// A class id means something only in the store that minted it: a
+    /// program meeting another store's class evaluates without its memo.
+    #[test]
+    fn another_stores_class_is_evaluated_not_looked_up() {
+        let (a, b) = (
+            SelectorStore::with_capacity(8),
+            SelectorStore::with_capacity(8),
+        );
+        let program = a.compile("topics contains 't1'").unwrap();
+        b.compile("topics contains 't1'").unwrap(); // same symbols
+        let foreign = b.class_of(&topic_attrs("t1")).unwrap();
+        let mut stack = EvalStack::default();
+        let runs = evals_during(|| {
+            for _ in 0..3 {
+                assert_eq!(program.eval_profile(&foreign, &mut stack), Ok(true));
+            }
+        });
+        assert_eq!(runs, 3);
+        assert!(program.verdicts.0.get().is_none(), "no memo was allocated");
+    }
+
+    /// Floats key their class by their bits, so attribute maps that
+    /// compare equal but encode apart are two classes, never one.
+    #[test]
+    fn classes_are_keyed_by_exact_encoding() {
+        let store = SelectorStore::with_capacity(8);
+        let zero = store
+            .class_of(&attrs(&[("x", AttrValue::Float(0.0))]))
+            .unwrap();
+        let neg = store
+            .class_of(&attrs(&[("x", AttrValue::Float(-0.0))]))
+            .unwrap();
+        let int = store.class_of(&attrs(&[("x", AttrValue::Int(0))])).unwrap();
+        assert!(!Arc::ptr_eq(&zero, &neg) && !Arc::ptr_eq(&zero, &int));
+        assert_eq!(store.classes().0, 3);
+    }
+
+    /// Past either bound a map is unclassed, and what is classed stays.
+    #[test]
+    fn the_class_table_stops_at_its_bounds() {
+        let store = SelectorStore::with_capacity(8);
+        let first = store.class_of(&topic_attrs("t-first")).unwrap();
+        for i in 0..MAX_CLASSES + 50 {
+            store.class_of(&topic_attrs(&format!("t{i}")));
+            assert!(store.classes().0 <= MAX_CLASSES);
+        }
+        assert_eq!(store.classes().0, MAX_CLASSES);
+        assert!(store.class_of(&topic_attrs("t-new")).is_none());
+        let again = store.class_of(&topic_attrs("t-first")).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a minted class outlives the bound"
+        );
+
+        let store = SelectorStore::with_capacity(8);
+        let big = |i: usize| topic_attrs(&format!("{i}{}", "x".repeat(10_000)));
+        for i in 0..2 * MAX_CLASS_BYTES / 10_000 {
+            store.class_of(&big(i));
+            assert!(store.classes().1 <= MAX_CLASS_BYTES);
+        }
+        assert!(store.class_of(&big(usize::MAX)).is_none());
+        assert!(store.classes().0 <= MAX_CLASS_BYTES / 10_000);
+        assert!(
+            store.class_of(&topic_attrs("small")).is_some(),
+            "a small map still fits"
+        );
     }
 
     #[test]

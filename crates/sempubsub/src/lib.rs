@@ -28,8 +28,10 @@
 //!   received message is its checked wire bytes, read in place,
 //! * [`compile`] / [`intern`] — the compiled fast path: selectors as
 //!   flat programs over interned attributes, cached once per session in
-//!   a shareable selector store, evaluated against per-profile
-//!   snapshots,
+//!   a shareable selector store, evaluated against profile snapshots
+//!   that the store interns as classes — one per distinct attribute
+//!   map — and run once per class, each program remembering its
+//!   verdicts,
 //! * [`bus`] — a semantic event bus over a `simnet` multicast group:
 //!   publish with a selector, and each subscriber's profile decides
 //!   locally whether the message is delivered. What a message carries

@@ -224,11 +224,7 @@ pub(crate) fn encode_frames<F: AsMut<Vec<u8>>, E: EventBody>(
     let kind_at = shared.len();
     put_str16(&mut shared, selector)?;
     let seq_at = shared.len();
-    put_len16(&mut shared, content.len(), "too many content entries")?;
-    for (k, v) in content {
-        put_str16(&mut shared, k)?;
-        put_value(&mut shared, v, 1)?;
-    }
+    encode_content(content, &mut shared)?;
     let events = events.into_iter();
     let mut frames = Vec::with_capacity(events.size_hint().0);
     for (event, seq) in events.zip(first_seq..) {
@@ -248,6 +244,23 @@ pub(crate) fn encode_frames<F: AsMut<Vec<u8>>, E: EventBody>(
         frames.push(buf);
     }
     Ok(frames)
+}
+
+/// Append the `SEM1` content field for `content`: the entry count,
+/// then each key and value, floats by their bits. Two maps encode
+/// alike exactly when they hold the same keys with bit-identical
+/// values, which is what makes the encoding a profile class's key
+/// ([`crate::compile::SelectorStore`]).
+pub(crate) fn encode_content(
+    content: &BTreeMap<String, AttrValue>,
+    out: &mut Vec<u8>,
+) -> Result<(), SemError> {
+    put_len16(out, content.len(), "too many content entries")?;
+    for (k, v) in content {
+        put_str16(out, k)?;
+        put_value(out, v, 1)?;
+    }
+    Ok(())
 }
 
 fn put_len16(out: &mut Vec<u8>, len: usize, too_long: &'static str) -> Result<(), SemError> {

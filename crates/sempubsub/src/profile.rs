@@ -13,10 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide profile generation counter. Every mutation stamps the
 /// profile with a fresh, globally unique version, so a cached snapshot
-/// (see [`crate::compile::CompiledProfile`]) can never alias a stale
-/// profile — not even when a profile is replaced wholesale by a new
-/// `Profile` value that happens to have seen the same number of
-/// mutations. Version 0 is reserved for pristine (empty) profiles.
+/// (see [`crate::compile`]) can never alias a stale profile — not even
+/// when a profile is replaced wholesale by a new `Profile` value that
+/// happens to have seen the same number of mutations. Version 0 is
+/// reserved for pristine (empty) profiles.
 static PROFILE_GENERATION: AtomicU64 = AtomicU64::new(1);
 
 fn next_generation() -> u64 {

@@ -5,7 +5,10 @@
 //! flooding deltas (un-covering by replacement, loss without resend),
 //! what a join costs, as counts of datagrams and BFS sweeps, and what a
 //! message costs the session's selector store: one lookup per buffer,
-//! brokers and the gateway included.
+//! brokers and the gateway included. A flood of advertisements with
+//! never-repeating attributes cannot grow a store's profile classes
+//! past their bounds, and routing over what it left unclassed is still
+//! the per-advertisement evaluation.
 
 use collabqos::broker::Overlay;
 use collabqos::core::experiments::{run_fig10, run_fig10_brokered, run_fig6, run_fig7};
@@ -13,7 +16,7 @@ use collabqos::prelude::*;
 use collabqos::sempubsub::BusEndpoint;
 use collabqos::simnet::packet::well_known;
 use collabqos::simnet::qdisc::{QdiscConfig, TrafficClass};
-use collabqos::simnet::{FaultAction, FaultPlan, Network};
+use collabqos::simnet::{Addr, FaultAction, FaultPlan, Network, Port};
 use std::collections::BTreeMap;
 
 fn topic_profile(name: &str, topics: &[&str]) -> Profile {
@@ -518,6 +521,108 @@ fn one_store_lookup_per_buffer_brokers_and_gateway_included() {
         (received, relayed, store.hits(), store.misses())
     };
     assert_eq!(run(1), run(4));
+}
+
+// ------------------------------------------------ advertisement floods
+
+/// `count` advertisements, each from a fresh origin with attributes no
+/// other holds (`n`, plus `pad` bytes of filler), sent to broker 0's
+/// control port from a socket on its neighbor broker 1's node — where
+/// the broker accepts advertisements from — and settled.
+fn flood(net: &mut Network, ov: &mut Overlay, from: u64, count: u64, pad: usize) {
+    let hostile = net
+        .bind(ov.node(1), Port(7_777 + from as u16 % 1_000))
+        .expect("spare port on the neighbor's node");
+    for chunk in (from..from + count).collect::<Vec<_>>().chunks(50) {
+        for &n in chunk {
+            let mut p = Profile::new(&format!("flood-{n}"));
+            p.set("n", AttrValue::Int(n as i64));
+            p.set("pad", AttrValue::str(&"x".repeat(pad)));
+            let wire = collabqos::broker::Advertisement::from_profile(&p, n).encode();
+            net.send(
+                hostile,
+                Addr::unicast(ov.node(0), well_known::SESSION_CTRL),
+                wire,
+            )
+            .expect("neighbor reachable");
+        }
+        ov.settle(net);
+    }
+    net.close(hostile);
+}
+
+/// Routing over a flooded table is the per-advertisement evaluation:
+/// a message published in domain 0 goes to broker 1 exactly when some
+/// advertisement broker 0 learnt from it matches under `eval_map`.
+fn assert_routes_as_eval_map(net: &mut Network, ov: &mut Overlay, publisher: &mut BusEndpoint) {
+    use collabqos::sempubsub::{CompiledSelector, EvalStack, Interner};
+    let mut stack = EvalStack::default();
+    for selector in [
+        "n == 3",
+        "n == 1500",
+        "n == 99999",
+        "n and true",
+        "exists(pad)",
+        "false",
+    ] {
+        let program = CompiledSelector::compile(selector, &mut Interner::new()).unwrap();
+        let wanted = ov
+            .advertisements(0, Some(1))
+            .iter()
+            .any(|ad| ad.wildcard || program.eval_map(&ad.attrs, &mut stack) == Ok(true));
+        let (forwarded, suppressed) = (ov.stats(0).forwarded(), ov.stats(0).suppressed());
+        publisher
+            .publish(net, "chat", selector, BTreeMap::new(), vec![])
+            .unwrap();
+        ov.pump(net, Ticks::from_millis(100));
+        let sent = ov.stats(0).forwarded() - forwarded;
+        let held = ov.stats(0).suppressed() - suppressed;
+        assert_eq!(
+            (sent, held),
+            (u64::from(wanted), u64::from(!wanted)),
+            "{selector}"
+        );
+    }
+}
+
+/// A flood of advertisements, each with attributes never seen before,
+/// mints profile classes only until a bound: first of many small ones
+/// (the class count's bound), then of a few large ones (the class
+/// bytes'). Past the bound the store stops growing while the tables
+/// keep every advertisement, and routing is unchanged.
+#[test]
+fn an_advertisement_flood_cannot_grow_the_class_table_past_its_bounds() {
+    for (count, pad) in [(1_400, 0), (120, 4_000)] {
+        let store = collabqos::sempubsub::SelectorStore::with_capacity(64);
+        let mut net = Network::new(23);
+        let mut ov = Overlay::with_store(store.clone());
+        ov.add_broker(&mut net, "b0");
+        ov.add_broker(&mut net, "b1");
+        ov.connect(&mut net, 0, 1, LinkSpec::lan());
+        let mut publisher = join_domain(&mut net, &mut ov, 0, topic_profile("pub", &[]));
+
+        flood(&mut net, &mut ov, 0, count / 2, pad);
+        let half = store.classes();
+        assert!(half.0 < count as usize / 2 + 2, "{half:?}");
+        flood(&mut net, &mut ov, count / 2, count / 2, pad);
+        let full = store.classes();
+        assert_eq!(
+            ov.advertisements(0, Some(1)).len(),
+            count as usize,
+            "every advertisement is held"
+        );
+        assert!(
+            full.0 < count as usize,
+            "{count} fresh attribute maps minted {full:?} classes"
+        );
+        flood(&mut net, &mut ov, count, count / 2, pad);
+        assert_eq!(
+            store.classes(),
+            full,
+            "saturated: another flood mints nothing"
+        );
+        assert_routes_as_eval_map(&mut net, &mut ov, &mut publisher);
+    }
 }
 
 // ------------------------------------------------------ cost of a join

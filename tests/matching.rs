@@ -9,7 +9,13 @@
 //! endpoint — is pinned against standalone endpoints and against the
 //! tree walk on arbitrary, partly hostile batches, and so is its
 //! same-store rule: a receiver compiling through another store never
-//! evaluates the program a buffer carries.
+//! evaluates the program a buffer carries. The verdict differential
+//! pins the per-class memo: receivers drawn from a small pool of
+//! attribute maps, so classes repeat, decide exactly as a fresh
+//! evaluation and the tree walk do — across profile mutations that
+//! move a receiver to a new class and back, across two stores, on one
+//! worker and on four — and the gateway's engine returns the same `Err`
+//! every time it meets a selector that is a type error.
 //!
 //! Failure messages print the offending selector and profile, so a CI
 //! failure in the `matching` job is reproducible from the log alone.
@@ -529,6 +535,284 @@ proptest! {
             prop_assert_eq!(endpoints[i].stats(), expected, "endpoint {} stats", i);
         }
     }
+}
+
+// ------------------------------------- differential: verdict memo
+
+/// Set `profile`'s attributes to exactly `attrs`.
+fn assign(profile: &mut Profile, attrs: &BTreeMap<String, AttrValue>) {
+    let stale: Vec<String> = profile
+        .attrs()
+        .keys()
+        .filter(|k| !attrs.contains_key(*k))
+        .cloned()
+        .collect();
+    for k in stale {
+        profile.unset(&k);
+    }
+    for (k, v) in attrs {
+        profile.set(k, v.clone());
+    }
+}
+
+/// A receiver of the verdict differential: the pool entry its
+/// attributes start as, and what else its profile holds — nothing, an
+/// arbitrary interest, or Figure 3's Client 3 chain (as `arb_profile`).
+fn arb_receiver() -> impl Strategy<Value = (usize, u8, Expr)> {
+    (0usize..3, 0u8..3, arb_expr())
+}
+
+fn receiver_profile(
+    i: usize,
+    attrs: &BTreeMap<String, AttrValue>,
+    shape: u8,
+    interest: &Expr,
+) -> Profile {
+    let mut p = Profile::new(&format!("r{i}"));
+    assign(&mut p, attrs);
+    match shape {
+        0 => {}
+        1 => {
+            let _ = p.set_interest(&interest.to_string());
+        }
+        _ => {
+            p.set_interest("enc == 'a'").unwrap();
+            p.add_transform(TransformCap::new("enc", "b", "a"));
+            p.add_transform(TransformCap::new("enc", "c", "b").with_cost(2));
+        }
+    }
+    p
+}
+
+/// One receiver's accepted messages, in order.
+type Accepted = Vec<(SemanticMessage, MatchOutcome)>;
+
+/// Run the verdict differential's session: `receivers` endpoints split
+/// over two stores (the second's interner met the attribute names in
+/// the opposite order, so every symbol differs), each batch multicast
+/// to all of them and decided on `workers` threads, the profiles moved
+/// between batches by `moves`. Returns every receiver's accepted
+/// messages per batch and its final `BusStats`.
+fn run_receivers(
+    receivers: &[Profile],
+    batches: &[Vec<Vec<u8>>],
+    moves: &dyn Fn(usize, usize, &mut Profile),
+    workers: usize,
+) -> (Vec<Vec<Accepted>>, Vec<BusStats>) {
+    let mut net = Network::new(8);
+    let names: Vec<String> = (0..=receivers.len()).map(|i| format!("h{i}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let (_sw, hosts) = net.lan(&names, LinkSpec::lan());
+    let group = net.new_group();
+    let injector = net.bind(hosts[0], Port(9)).unwrap();
+    let attribute_names = ["media", "color", "size", "flag", "enc", "x"];
+    let stores = [
+        SelectorStore::with_capacity(64),
+        SelectorStore::with_capacity(64),
+    ];
+    for name in attribute_names.iter().rev() {
+        stores[1].compile(&format!("exists({name})")).unwrap();
+    }
+    let mut endpoints: Vec<BusEndpoint> = receivers
+        .iter()
+        .zip(&hosts[1..])
+        .enumerate()
+        .map(|(i, (p, &host))| {
+            let store = stores[i % 2].clone();
+            BusEndpoint::join_with_store(&mut net, host, SHARED_PORT, group, p.clone(), store)
+                .unwrap()
+        })
+        .collect();
+    let mut accepted = vec![Vec::new(); receivers.len()];
+    let mut minted = Vec::new();
+    for (b, batch) in batches.iter().enumerate() {
+        for (i, ep) in endpoints.iter_mut().enumerate() {
+            moves(b, i, &mut ep.profile);
+        }
+        net.send_batch(injector, Addr::multicast(group, SHARED_PORT), batch.clone())
+            .unwrap();
+        net.run_for(Ticks::from_millis(50));
+        let inboxes: Vec<Vec<Frame>> = endpoints
+            .iter_mut()
+            .map(|ep| {
+                let mut frames = Vec::new();
+                ep.receive(&mut net, &mut frames);
+                frames
+            })
+            .collect();
+        minted.push(stores.iter().map(|s| s.classes().0).sum::<usize>());
+        let per = endpoints.len().div_ceil(workers);
+        let decided: Vec<Accepted> = std::thread::scope(|scope| {
+            let shards: Vec<_> = endpoints
+                .chunks_mut(per)
+                .zip(inboxes.chunks(per))
+                .map(|(eps, inboxes)| {
+                    scope.spawn(move || {
+                        eps.iter_mut()
+                            .zip(inboxes)
+                            .map(|(ep, frames)| {
+                                ep.interpret_frames(frames)
+                                    .iter()
+                                    .map(|d| (d.message.to_message(), d.outcome.clone()))
+                                    .collect::<Accepted>()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            shards
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker"))
+                .collect()
+        });
+        for (i, got) in decided.into_iter().enumerate() {
+            accepted[i].push(got);
+        }
+    }
+    assert_eq!(minted[2], minted[1], "moving back mints no class");
+    let stats = endpoints.iter().map(BusEndpoint::stats).collect();
+    (accepted, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The verdict memo changes no decision. Receivers draw their
+    /// attributes from a pool of three maps, so most share a class; the
+    /// second batch moves every other receiver to a map of its own (a
+    /// new class) and the third moves it back (an existing one). At one
+    /// worker and at four, on either of two stores, every receiver
+    /// accepts what the tree walk accepts, with the same outcomes and
+    /// the same `BusStats`, and what a fresh engine — a store that has
+    /// decided nothing yet — makes of each message agrees. The
+    /// gateway's engine, asked twice, gives the same answer — the same
+    /// `Err` for a selector that is a type error — both times.
+    #[test]
+    fn memoised_decisions_equal_fresh_evaluation_and_tree_walk(
+        pool in proptest::collection::vec(arb_attrs(), 3..4),
+        receivers in proptest::collection::vec(arb_receiver(), 2..9),
+        first in arb_batch(),
+        second in arb_batch(),
+    ) {
+        let profiles: Vec<Profile> = receivers
+            .iter()
+            .enumerate()
+            .map(|(i, (pick, shape, interest))| receiver_profile(i, &pool[*pick], *shape, interest))
+            .collect();
+        // Batch 1 moves odd receivers to a map of their own; batch 2
+        // moves them back to where they started.
+        let moved = |i: usize| {
+            let mut attrs = pool[receivers[i].0].clone();
+            attrs.insert("media".to_string(), AttrValue::str(&format!("own-{i}")));
+            attrs
+        };
+        let moves = |batch: usize, i: usize, p: &mut Profile| {
+            if i % 2 == 1 && batch > 0 {
+                let attrs = if batch == 1 { moved(i) } else { pool[receivers[i].0].clone() };
+                assign(p, &attrs);
+            }
+        };
+        let batches = [first.clone(), second, first];
+        let attrs_at = |batch: usize, i: usize| {
+            let mut p = profiles[i].clone();
+            for b in 0..=batch {
+                moves(b, i, &mut p);
+            }
+            p
+        };
+
+        let mut expected_stats = vec![BusStats::default(); profiles.len()];
+        let mut expected = vec![Vec::new(); profiles.len()];
+        for (b, batch) in batches.iter().enumerate() {
+            for i in 0..profiles.len() {
+                let profile = attrs_at(b, i);
+                expected[i].push(reference(&profile, batch, &mut expected_stats[i]));
+                // A fresh engine runs every program it meets once.
+                for bytes in batch {
+                    let Ok(msg) = SemanticMessage::decode(bytes) else { continue };
+                    let Ok(sel) = Selector::parse(&msg.selector) else { continue };
+                    let fresh = MatchEngine::new()
+                        .interpret(&profile, &msg.selector, &msg.content)
+                        .expect("parsed above");
+                    prop_assert_eq!(
+                        &fresh, &matching::interpret(&profile, &sel, &msg.content),
+                        "fresh engine: selector {} / profile {:?}", msg.selector, profile
+                    );
+                }
+            }
+        }
+        for workers in [1, 4] {
+            let (accepted, stats) = run_receivers(&profiles, &batches, &moves, workers);
+            for i in 0..profiles.len() {
+                prop_assert_eq!(
+                    &accepted[i], &expected[i],
+                    "receiver {} at {} workers, profile {:?}", i, workers, profiles[i]
+                );
+                prop_assert_eq!(stats[i], expected_stats[i], "receiver {} stats", i);
+            }
+        }
+
+        // The gateway: one engine, the session's store, every
+        // receiver's profile, each frame asked about twice.
+        let store = SelectorStore::with_capacity(64);
+        let mut gateway = MatchEngine::with_store(store.clone());
+        for bytes in &batches[0] {
+            let Frame::Message { message, program } = Frame::resolve(bytes, &store) else {
+                continue;
+            };
+            let sel = Selector::parse(message.selector()).expect("compiled");
+            for profile in &profiles {
+                let tree = matching::interpret(profile, &sel, message.content());
+                for _ in 0..2 {
+                    let got = gateway.interpret_program(profile, &program, &message);
+                    prop_assert_eq!(
+                        &got, &tree,
+                        "gateway: selector {} / profile {:?}", message.selector(), profile
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A receiver toggled between two attribute values a thousand times
+/// moves between two classes: the store mints two, not a thousand.
+#[test]
+fn a_toggled_profile_mints_two_classes() {
+    let mut net = Network::new(9);
+    let (_sw, hosts) = net.lan(&["pub", "sub"], LinkSpec::lan());
+    let group = net.new_group();
+    let store = SelectorStore::with_capacity(8);
+    let join = |net: &mut Network, host, name: &str| {
+        BusEndpoint::join_with_store(
+            net,
+            host,
+            SHARED_PORT,
+            group,
+            Profile::new(name),
+            store.clone(),
+        )
+        .unwrap()
+    };
+    let mut publisher = join(&mut net, hosts[0], "pub");
+    let mut sub = join(&mut net, hosts[1], "sub");
+    let classes_before = store.classes().0;
+    for round in 0..1_000u32 {
+        let mode = if round % 2 == 0 { "image" } else { "text" };
+        sub.profile.set("mode", AttrValue::str(mode));
+        publisher
+            .publish(&mut net, "chat", "mode == 'image'", BTreeMap::new(), vec![])
+            .unwrap();
+        net.run_for(Ticks::from_millis(10));
+        assert_eq!(
+            sub.poll(&mut net).len(),
+            usize::from(round % 2 == 0),
+            "round {round}"
+        );
+    }
+    assert_eq!(store.classes().0 - classes_before, 2);
+    assert_eq!(sub.stats().accepted, 500);
+    assert_eq!(sub.stats().rejected, 500);
 }
 
 // ------------------------------------------------------- cache behavior
