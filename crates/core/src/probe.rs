@@ -11,6 +11,7 @@
 //! difference of consecutive one-way delays.
 
 use simnet::packet::Port;
+use simnet::wire::Reader;
 use simnet::{Addr, Network, NodeId, SocketHandle, Ticks};
 
 /// Conventional echo port (UDP/7).
@@ -105,11 +106,10 @@ impl LatencyProbe {
             net.run_for(step);
             echo.service(net);
             while let Some(dgram) = net.recv(self.socket) {
-                if dgram.payload.len() < 12 {
+                let mut r = Reader::new(&dgram.payload);
+                let (Ok(seq), Ok(sent_us)) = (r.u32(), r.u64()) else {
                     continue;
-                }
-                let seq = u32::from_be_bytes(dgram.payload[..4].try_into().unwrap());
-                let sent_us = u64::from_be_bytes(dgram.payload[4..12].try_into().unwrap());
+                };
                 let rtt = dgram.arrived_at.as_micros().saturating_sub(sent_us);
                 delays.push((seq, rtt as f64 / 2.0));
             }

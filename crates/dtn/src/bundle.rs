@@ -5,6 +5,7 @@
 //! from the `SEM1` semantic-message magic, so a receiver dispatches on
 //! the prefix and either codec safely rejects the other's frames.
 
+use simnet::wire::Reader;
 use simnet::Ticks;
 
 /// Magic prefix of an encoded [`Bundle`].
@@ -110,49 +111,36 @@ impl Frame {
     /// Decode any custody frame; `None` if the bytes are not a
     /// well-formed DTN frame (e.g. a broker advertisement).
     pub fn decode(bytes: &[u8]) -> Option<Frame> {
-        let magic = bytes.get(..4)?;
-        let mut r = Reader { buf: bytes, pos: 4 };
-        if magic == MAGIC_BUNDLE {
-            let source = r.str16()?;
-            let seq = r.u64()?;
-            let src_domain = r.u32()?;
-            let dst_domain = r.u32()?;
-            let created_at = Ticks::from_micros(r.u64()?);
-            let lifetime = Ticks::from_micros(r.u64()?);
-            let custody = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let payload = r.bytes32()?;
-            if !r.done() {
-                return None;
-            }
-            Some(Frame::Bundle(Bundle {
-                source,
-                seq,
-                src_domain,
-                dst_domain,
-                created_at,
-                lifetime,
-                custody,
-                payload,
-            }))
+        let mut r = Reader::new(bytes);
+        let magic = r.take(4).ok()?;
+        let frame = if magic == MAGIC_BUNDLE {
+            Frame::Bundle(Bundle {
+                source: r.str16().ok()?.to_owned(),
+                seq: r.u64().ok()?,
+                src_domain: r.u32().ok()?,
+                dst_domain: r.u32().ok()?,
+                created_at: Ticks::from_micros(r.u64().ok()?),
+                lifetime: Ticks::from_micros(r.u64().ok()?),
+                custody: match r.u8().ok()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
+                payload: r.bytes32().ok()?.to_vec(),
+            })
         } else if magic == MAGIC_SIGNAL {
-            let kind = r.u8()?;
-            let source = r.str16()?;
-            let seq = r.u64()?;
-            if !r.done() {
-                return None;
-            }
+            let kind = r.u8().ok()?;
+            let source = r.str16().ok()?.to_owned();
+            let seq = r.u64().ok()?;
             match kind {
-                SIGNAL_ACCEPT => Some(Frame::Accept { source, seq }),
-                SIGNAL_REFUSE => Some(Frame::Refuse { source, seq }),
-                _ => None,
+                SIGNAL_ACCEPT => Frame::Accept { source, seq },
+                SIGNAL_REFUSE => Frame::Refuse { source, seq },
+                _ => return None,
             }
         } else {
-            None
-        }
+            return None;
+        };
+        (r.remaining() == 0).then_some(frame)
     }
 }
 
@@ -165,39 +153,6 @@ fn encode_signal(kind: u8, source: &str, seq: u64) -> Vec<u8> {
     out.extend_from_slice(source.as_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
     out
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn str16(&mut self) -> Option<String> {
-        let len = u16::from_be_bytes(self.take(2)?.try_into().ok()?) as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-    fn bytes32(&mut self) -> Option<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Some(self.take(len)?.to_vec())
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 #[cfg(test)]

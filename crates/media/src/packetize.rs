@@ -47,12 +47,6 @@ impl MediaPacket {
         out.extend_from_slice(&self.payload);
     }
 
-    /// Parse wire bytes into an owned packet: [`PacketView::parse`],
-    /// with the payload copied out.
-    pub fn decode(bytes: &[u8]) -> Result<MediaPacket, MediaError> {
-        PacketView::parse(bytes).map(PacketView::to_packet)
-    }
-
     /// This packet as a view over its own payload.
     pub fn view(&self) -> PacketView<'_> {
         PacketView {
@@ -377,8 +371,9 @@ mod tests {
             full_len: 999,
             payload: vec![1, 2, 3],
         };
-        assert_eq!(MediaPacket::decode(&p.encode()).unwrap(), p);
-        assert!(MediaPacket::decode(&p.encode()[..5]).is_err());
+        let wire = p.encode();
+        assert_eq!(PacketView::parse(&wire).map(PacketView::to_packet), Ok(p));
+        assert!(PacketView::parse(&wire[..5]).is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use crate::parser::MAX_DEPTH;
 use crate::value::AttrValue;
 use crate::SemError;
+use simnet::wire::{self, Reader};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
@@ -91,7 +92,7 @@ impl WireMessage {
     /// UTF-8, value tags, nesting depth, no trailing bytes — without
     /// allocating, then copy it. A frame refused costs nothing.
     pub fn decode(buf: &[u8]) -> Result<WireMessage, SemError> {
-        let at = Reader { buf, pos: 0 }.fields()?;
+        let at = fields(buf)?;
         Ok(WireMessage {
             bytes: buf.into(),
             at,
@@ -134,11 +135,8 @@ impl WireMessage {
     /// the frame on the first call and kept for the others.
     pub fn content(&self) -> &BTreeMap<String, AttrValue> {
         self.content.get_or_init(|| {
-            let mut r = Reader {
-                buf: &self.bytes[..self.at.body],
-                pos: self.at.seq + 8,
-            };
-            r.content(true).expect("checked when the frame was read")
+            let mut r = Reader::new(&self.bytes[self.at.seq + 8..self.at.body]);
+            content(&mut r, true).expect("checked when the frame was read")
         })
     }
 
@@ -314,116 +312,91 @@ fn put_value(out: &mut Vec<u8>, v: &AttrValue, depth: usize) -> Result<(), SemEr
     Ok(())
 }
 
-/// The one reader of the `SEM1` field sequence. [`Reader::fields`]
-/// walks a whole frame and checks it without allocating;
-/// [`Reader::content`] also builds the content description when asked
-/// to — the same walk, so what one accepts the other can build.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SemError> {
-        if self.buf.len() - self.pos < n {
-            return Err(SemError::Codec("truncated message"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], SemError> {
-        Ok(self.take(N)?.try_into().expect("took N bytes"))
-    }
-
-    fn utf8(&mut self, n: usize) -> Result<&'a str, SemError> {
-        std::str::from_utf8(self.take(n)?).map_err(|_| SemError::Codec("bad UTF-8"))
-    }
-
-    fn str16(&mut self) -> Result<&'a str, SemError> {
-        let n = u16::from_be_bytes(self.array()?) as usize;
-        self.utf8(n)
-    }
-
-    /// Walk a whole frame: where its fields start.
-    fn fields(mut self) -> Result<Fields, SemError> {
-        if self.take(4)? != MAGIC {
-            return Err(SemError::Codec("bad magic"));
-        }
-        self.str16()?;
-        let kind = self.pos;
-        self.str16()?;
-        let selector = self.pos;
-        self.str16()?;
-        let seq = self.pos;
-        self.take(8)?;
-        self.content(false)?;
-        let body = self.pos;
-        let n = u32::from_be_bytes(self.array()?) as usize;
-        self.take(n)?;
-        if self.pos != self.buf.len() {
-            return Err(SemError::Codec("trailing bytes"));
-        }
-        Ok(Fields {
-            kind,
-            selector,
-            seq,
-            body,
+impl From<wire::Error> for SemError {
+    fn from(e: wire::Error) -> SemError {
+        SemError::Codec(match e {
+            wire::Error::Short => "truncated message",
+            wire::Error::Utf8 => "bad UTF-8",
         })
     }
+}
 
-    /// Walk the content description; with `build`, also collect it (a
-    /// key repeated in the frame keeps its last value). Without, the
-    /// map comes back empty and nothing is allocated.
-    fn content(&mut self, build: bool) -> Result<BTreeMap<String, AttrValue>, SemError> {
-        let n = u16::from_be_bytes(self.array()?);
-        let mut content = BTreeMap::new();
-        for _ in 0..n {
-            let key = self.str16()?;
-            if let Some(value) = self.value(1, build)? {
-                content.insert(key.to_owned(), value);
-            }
+/// The one reader of the `SEM1` field sequence: walk the whole frame
+/// `buf` and check it without allocating, giving back where its fields
+/// start. [`content`] is the same walk over the content description and
+/// also builds it when asked to, so what one accepts the other can
+/// build.
+fn fields(buf: &[u8]) -> Result<Fields, SemError> {
+    let mut r = Reader::new(buf);
+    let at = |r: &Reader| buf.len() - r.remaining();
+    if r.take(4)? != MAGIC {
+        return Err(SemError::Codec("bad magic"));
+    }
+    r.str16()?;
+    let kind = at(&r);
+    r.str16()?;
+    let selector = at(&r);
+    r.str16()?;
+    let seq = at(&r);
+    r.take(8)?;
+    content(&mut r, false)?;
+    let body = at(&r);
+    r.bytes32()?;
+    if r.remaining() != 0 {
+        return Err(SemError::Codec("trailing bytes"));
+    }
+    Ok(Fields {
+        kind,
+        selector,
+        seq,
+        body,
+    })
+}
+
+/// Walk the content description; with `build`, also collect it (a key
+/// repeated in the frame keeps its last value). Without, the map comes
+/// back empty and nothing is allocated.
+fn content(r: &mut Reader, build: bool) -> Result<BTreeMap<String, AttrValue>, SemError> {
+    let n = r.u16()?;
+    let mut content = BTreeMap::new();
+    for _ in 0..n {
+        let key = r.str16()?;
+        if let Some(value) = value(r, 1, build)? {
+            content.insert(key.to_owned(), value);
         }
-        Ok(content)
     }
+    Ok(content)
+}
 
-    /// Walk a value `depth` levels down its content entry; with
-    /// `build`, also return it.
-    fn value(&mut self, depth: usize, build: bool) -> Result<Option<AttrValue>, SemError> {
-        if depth > MAX_DEPTH {
-            return Err(TOO_DEEP);
+/// Walk a value `depth` levels down its content entry; with `build`,
+/// also return it.
+fn value(r: &mut Reader, depth: usize, build: bool) -> Result<Option<AttrValue>, SemError> {
+    if depth > MAX_DEPTH {
+        return Err(TOO_DEEP);
+    }
+    let value = match r.u8()? {
+        0 => AttrValue::Int(i64::from_be_bytes(r.array()?)),
+        1 => AttrValue::Float(f64::from_bits(r.u64()?)),
+        2 => {
+            let s = r.str32()?;
+            return Ok(build.then(|| AttrValue::Str(s.to_owned())));
         }
-        let tag = self.take(1)?[0];
-        let value = match tag {
-            0 => AttrValue::Int(i64::from_be_bytes(self.array()?)),
-            1 => AttrValue::Float(f64::from_bits(u64::from_be_bytes(self.array()?))),
-            2 => {
-                let n = u32::from_be_bytes(self.array()?) as usize;
-                let s = self.utf8(n)?;
-                return Ok(build.then(|| AttrValue::Str(s.to_owned())));
+        3 => AttrValue::Bool(r.u8()? != 0),
+        4 => {
+            let n = usize::from(r.u16()?);
+            // Every item takes at least two bytes (a tag and one more),
+            // so what is reserved is bounded by what is left of the
+            // frame, not by a count a peer chose.
+            let room = if build { n.min(r.remaining() / 2) } else { 0 };
+            let mut items = Vec::with_capacity(room);
+            for _ in 0..n {
+                items.extend(value(r, depth + 1, build)?);
             }
-            3 => AttrValue::Bool(self.take(1)?[0] != 0),
-            4 => {
-                let n = u16::from_be_bytes(self.array()?) as usize;
-                // Every item takes at least two bytes (a tag and one
-                // more), so what is reserved is bounded by what is
-                // left of the frame, not by a count a peer chose.
-                let room = if build { n.min(self.left() / 2) } else { 0 };
-                let mut items = Vec::with_capacity(room);
-                for _ in 0..n {
-                    items.extend(self.value(depth + 1, build)?);
-                }
-                AttrValue::List(items)
-            }
-            _ => return Err(SemError::Codec("unknown value tag")),
-        };
-        Ok(build.then_some(value))
-    }
-
-    fn left(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+            AttrValue::List(items)
+        }
+        _ => return Err(SemError::Codec("unknown value tag")),
+    };
+    Ok(build.then_some(value))
 }
 
 #[cfg(test)]

@@ -18,6 +18,8 @@
 //!   role of the paper's "thin layer based on the RTP-RTCP scheme"
 //!   (§5.1),
 //! * per-network statistics for tests and benches ([`trace`]),
+//! * the one bounded byte reader every wire decoder outside `media`
+//!   reads received bytes through ([`wire`]),
 //! * an optional per-link shaping tree (token-bucket shaping, DRR
 //!   scheduling, ECN-capable CoDel AQM per leaf): the flat class plane
 //!   mounted with [`Network::attach_qdisc`] ([`qdisc`]), or a
@@ -65,6 +67,7 @@ pub mod topology;
 pub mod trace;
 pub mod traffic;
 pub mod wheel;
+pub mod wire;
 
 pub use faults::{FaultAction, FaultModel, FaultPlan, GilbertElliott};
 pub use net::{Addr, Datagram, GroupId, Network, SocketHandle};

@@ -31,6 +31,7 @@
 //! RTP header; feedback must travel on its own port (as RTCP does).
 
 use crate::time::Ticks;
+use crate::wire::Reader;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fixed RTP header size in bytes.
@@ -68,17 +69,19 @@ impl RtpHeader {
 
     /// Parse the wire form; `None` if too short or wrong version.
     pub fn decode(buf: &[u8]) -> Option<(RtpHeader, &[u8])> {
-        if buf.len() < RTP_HEADER_LEN || buf[0] >> 6 != RTP_VERSION {
+        let mut r = Reader::new(buf);
+        let [b0, b1] = r.array().ok()?;
+        if b0 >> 6 != RTP_VERSION {
             return None;
         }
         let header = RtpHeader {
-            marker: buf[1] & 0x80 != 0,
-            payload_type: buf[1] & 0x7f,
-            seq: u16::from_be_bytes([buf[2], buf[3]]),
-            timestamp: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-            ssrc: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
+            marker: b1 & 0x80 != 0,
+            payload_type: b1 & 0x7f,
+            seq: r.u16().ok()?,
+            timestamp: r.u32().ok()?,
+            ssrc: r.u32().ok()?,
         };
-        Some((header, &buf[RTP_HEADER_LEN..]))
+        Some((header, r.rest()))
     }
 }
 
@@ -111,19 +114,14 @@ impl Nack {
 
     /// Parse the wire form; `None` on wrong version/type or bad length.
     pub fn decode(buf: &[u8]) -> Option<Nack> {
-        if buf.len() < 8 || buf[0] >> 6 != RTP_VERSION || buf[1] != RTCP_NACK_PT {
+        let mut r = Reader::new(buf);
+        let [b0, b1] = r.array().ok()?;
+        let count = r.u16().ok()?;
+        let ssrc = r.u32().ok()?;
+        if b0 >> 6 != RTP_VERSION || b1 != RTCP_NACK_PT || r.remaining() != 2 * usize::from(count) {
             return None;
         }
-        let count = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        let ssrc = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        let body = &buf[8..];
-        if body.len() != count * 2 {
-            return None;
-        }
-        let seqs = body
-            .chunks_exact(2)
-            .map(|c| u16::from_be_bytes([c[0], c[1]]))
-            .collect();
+        let seqs = (0..count).map(|_| r.u16()).collect::<Result<_, _>>().ok()?;
         Some(Nack { ssrc, seqs })
     }
 }

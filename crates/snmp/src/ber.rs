@@ -7,6 +7,7 @@
 
 use crate::oid::Oid;
 use crate::SnmpError;
+use simnet::wire;
 
 /// BER tag bytes used by SNMPv2c.
 pub mod tag {
@@ -201,59 +202,35 @@ fn push_base128(out: &mut Vec<u8>, mut v: u32) {
     out.extend_from_slice(&tmp[i..]);
 }
 
-/// Cursor-based BER reader.
+/// BER reader: TLVs read through the one bounded byte reader,
+/// [`simnet::wire::Reader`].
 #[derive(Debug, Clone, Copy)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+pub struct Reader<'a>(wire::Reader<'a>);
+
+/// A tag or length octet the buffer ends before.
+const END: SnmpError = SnmpError::Malformed("unexpected end of buffer");
+/// A TLV whose length runs past the buffer.
+const OVERRUN: SnmpError = SnmpError::Malformed("content overruns buffer");
 
 impl<'a> Reader<'a> {
     /// Read from `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes remaining.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        Reader(wire::Reader::new(buf))
     }
 
     /// True when the cursor is at the end.
     pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn byte(&mut self) -> Result<u8, SnmpError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or(SnmpError::Malformed("unexpected end of buffer"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnmpError> {
-        if self.remaining() < n {
-            return Err(SnmpError::Malformed("content overruns buffer"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        self.0.remaining() == 0
     }
 
     /// Peek the next tag without consuming.
     pub fn peek_tag(&self) -> Result<u8, SnmpError> {
-        self.buf
-            .get(self.pos)
-            .copied()
-            .ok_or(SnmpError::Malformed("unexpected end of buffer"))
+        self.0.peek().map_err(|_| END)
     }
 
     /// Read any TLV, returning `(tag, content)`.
     pub fn tlv(&mut self) -> Result<(u8, &'a [u8]), SnmpError> {
-        let t = self.byte()?;
-        let first = self.byte()?;
+        let [t, first] = self.0.array().map_err(|_| END)?;
         let len = if first & 0x80 == 0 {
             first as usize
         } else {
@@ -261,16 +238,12 @@ impl<'a> Reader<'a> {
             if n == 0 || n > 8 {
                 return Err(SnmpError::Malformed("unsupported length-of-length"));
             }
-            let mut len = 0usize;
-            for _ in 0..n {
-                len = len
-                    .checked_shl(8)
-                    .ok_or(SnmpError::Malformed("length overflow"))?
-                    | self.byte()? as usize;
-            }
-            len
+            let octets = self.0.take(n).map_err(|_| END)?;
+            let len = octets.iter().fold(0u64, |len, &b| len << 8 | u64::from(b));
+            // Past `usize` (a 32-bit target) it cannot fit the buffer.
+            usize::try_from(len).map_err(|_| OVERRUN)?
         };
-        Ok((t, self.take(len)?))
+        Ok((t, self.0.take(len).map_err(|_| OVERRUN)?))
     }
 
     /// Read a TLV, requiring tag `expected`.
@@ -349,24 +322,8 @@ pub(crate) fn decode_oid_arcs(content: &[u8], mut each: impl FnMut(u32)) -> Resu
     if content.is_empty() {
         return Err(SnmpError::Malformed("empty OID"));
     }
-    let mut iter = content.iter().copied();
-    let read_arc =
-        |iter: &mut std::iter::Copied<std::slice::Iter<'_, u8>>| -> Result<u32, SnmpError> {
-            let mut v: u32 = 0;
-            loop {
-                let b = iter
-                    .next()
-                    .ok_or(SnmpError::Malformed("truncated OID arc"))?;
-                v = v
-                    .checked_shl(7)
-                    .ok_or(SnmpError::Malformed("OID arc overflow"))?
-                    | (b & 0x7f) as u32;
-                if b & 0x80 == 0 {
-                    return Ok(v);
-                }
-            }
-        };
-    let first = read_arc(&mut iter)?;
+    let mut r = wire::Reader::new(content);
+    let first = read_base128(&mut r)?;
     if first < 80 {
         each(first / 40);
         each(first % 40);
@@ -374,10 +331,29 @@ pub(crate) fn decode_oid_arcs(content: &[u8], mut each: impl FnMut(u32)) -> Resu
         each(2);
         each(first - 80);
     }
-    while iter.len() > 0 {
-        each(read_arc(&mut iter)?);
+    while r.remaining() > 0 {
+        each(read_base128(&mut r)?);
     }
     Ok(())
+}
+
+/// One OID arc: seven bits a byte, the high bit set on all but the
+/// last. An arc past `u32` is refused before the shift that would drop
+/// its top bits.
+fn read_base128(r: &mut wire::Reader) -> Result<u32, SnmpError> {
+    let mut v: u32 = 0;
+    loop {
+        let b = r
+            .u8()
+            .map_err(|_| SnmpError::Malformed("truncated OID arc"))?;
+        if v >> 25 != 0 {
+            return Err(SnmpError::Malformed("OID arc overflow"));
+        }
+        v = v << 7 | u32::from(b & 0x7f);
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -603,6 +603,40 @@ mod tests {
         }
     }
 
+    /// An arc of 2³² or more is refused, not cut to its low 32 bits:
+    /// `1.3.6.4294967301` once read as `1.3.6.5`.
+    #[test]
+    fn an_oid_arc_past_u32_is_refused() {
+        let get = |name: &[u8]| {
+            let mut w = Writer::new();
+            encode_message(&mut w, "public", PduKind::GetRequest, 1, (0, 0), |w| {
+                w.sequence(|w| {
+                    w.tlv(tag::OID, name);
+                    w.null();
+                })
+            });
+            w.into_bytes()
+        };
+        let overflow = [0x2b, 0x06, 0x90, 0x80, 0x80, 0x80, 0x05];
+        let refused = Err(SnmpError::Malformed("OID arc overflow"));
+        assert_eq!(crate::ber::decode_oid(&overflow).map(|_| ()), refused);
+        let wire = get(&overflow);
+        let view = MessageView::parse(&wire).unwrap();
+        assert_eq!(
+            view.varbinds().next().map(|vb| vb.map(|_| ())),
+            Some(refused.clone())
+        );
+        assert!(view.whole().is_none());
+        assert_eq!(Message::decode(&wire).map(|_| ()), refused);
+
+        let largest = [0x2b, 0x06, 0x8f, 0xff, 0xff, 0xff, 0x7f];
+        let name = Oid::new(&[1, 3, 6, u32::MAX]);
+        assert_eq!(crate::ber::decode_oid(&largest), Ok(name.clone()));
+        let wire = get(&largest);
+        let view = MessageView::parse(&wire).unwrap();
+        assert!(view.varbinds().next().unwrap().unwrap().name.is(&name));
+    }
+
     #[test]
     fn helpers_build_expected_shapes() {
         let req = Pdu::request(PduKind::GetNextRequest, 9, vec![arcs::mib2()]);

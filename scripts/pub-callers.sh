@@ -18,7 +18,10 @@
 # the list can miss an unused item but never names a used one. The run
 # fails when it lists a name the keep-list below does not excuse. It
 # then prints, for information only, the `pub` items that only their
-# own file names (candidates for private; not gated).
+# own file names (candidates for private), and those that outside their
+# own file only tests, bench bins or the benchmark name (tests/ and
+# test-only module files, crates/bench/src/bin/, benchmark/: candidates
+# for a dev-only crate). Neither list is gated.
 set -euo pipefail
 
 # name<TAB>why it stays without a caller
@@ -29,11 +32,11 @@ if [[ "${1:-}" == "--self-check" ]]; then
   fixture=$(mktemp -d)
   trap 'rm -rf "$fixture"' EXIT
   src="$fixture/crates/demo/src"
-  mkdir -p "$src" "$fixture/tests"
-  # `called` has an outside caller, `helper` only its own file, and
-  # `only_tested` only its own test module; `in_a_comment` is named by a
-  # comment elsewhere and `cfg_test_only` is itself test-only, so
-  # neither is listed.
+  mkdir -p "$src" "$fixture/tests" "$fixture/examples"
+  # `called` has an outside caller, `helper` only its own file,
+  # `only_tested` only its own test module and `tests_call` only a test
+  # file; `in_a_comment` is named by a comment elsewhere and
+  # `cfg_test_only` is itself test-only, so neither is listed.
   cat >"$src/lib.rs" <<'EOF'
 //! Demo crate.
 pub fn called() {
@@ -42,6 +45,7 @@ pub fn called() {
 pub fn helper() {}
 pub fn only_tested() {}
 pub fn in_a_comment() {}
+pub fn tests_call() {}
 #[cfg(test)]
 pub fn cfg_test_only() {}
 #[cfg(test)]
@@ -52,10 +56,16 @@ mod tests {
     }
 }
 EOF
-  cat >"$fixture/tests/demo.rs" <<'EOF'
+  cat >"$fixture/examples/demo.rs" <<'EOF'
 // Exercises in_a_comment, in words only.
 fn main() {
     demo::called();
+}
+EOF
+  cat >"$fixture/tests/demo.rs" <<'EOF'
+#[test]
+fn t() {
+    demo::tests_call();
 }
 EOF
   expected=$(printf '%s\n' \
@@ -63,6 +73,8 @@ EOF
     '  crates/demo/src/lib.rs:6  fn only_tested' \
     'pub items only their own file names (not gated):' \
     '  crates/demo/src/lib.rs:5  fn helper' \
+    'pub items only tests, bench bins or the benchmark name elsewhere (not gated):' \
+    '  crates/demo/src/lib.rs:8  fn tests_call' \
     '1 listed, 0 kept')
   status=0
   got=$("$0" "$fixture") || status=$?
@@ -105,13 +117,18 @@ done < <(find crates tests examples src benchmark/src -name '*.rs' 2>/dev/null |
 # `declaring` file is also read for its items and for the words its
 # non-test part holds.
 awk -v keep="$keep" '
-  FNR == 1 { done = 0; held = 0 }
+  FNR == 1 {
+    done = 0; held = 0
+    dev = FILENAME ~ /(^|\/)tests\// || FILENAME ~ /^(crates\/bench\/src\/bin|benchmark)\// ||
+      (!declaring && FILENAME ~ /^crates\//)
+  }
   {
     n = split($0, w, /[^A-Za-z0-9_]+/)
     for (i = 1; i <= n; i++)
       if (w[i] != "" && !((FILENAME, w[i]) in seen)) {
         seen[FILENAME, w[i]] = 1
         files[w[i]]++
+        if (dev) dev_files[w[i]]++
       }
     if (!declaring || done) next
     if (held && /^[[:space:]]*#\[/) next
@@ -125,6 +142,7 @@ awk -v keep="$keep" '
       nd++
       where[nd] = FILENAME ":" FNR
       file[nd] = FILENAME
+      in_dev[nd] = dev
       kind[nd] = part[k - 1]
       name[nd] = part[k]
     }
@@ -149,6 +167,10 @@ awk -v keep="$keep" '
     }
     print "pub items only their own file names (not gated):"
     for (d = 1; d <= nd; d++) if (d in local_only) print "  " where[d] "  " kind[d] " " name[d]
+    print "pub items only tests, bench bins or the benchmark name elsewhere (not gated):"
+    for (d = 1; d <= nd; d++)
+      if (files[name[d]] > 1 && !in_dev[d] && files[name[d]] - dev_files[name[d]] == 1)
+        print "  " where[d] "  " kind[d] " " name[d]
     printf "%d listed, %d kept\n", listed, kept
     exit (listed > kept)
   }' declaring=1 "${declaring[@]}" declaring=0 "${naming[@]}"

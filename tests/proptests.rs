@@ -8,9 +8,10 @@ use collabqos::broker::{covers_expr, merge_covering};
 use collabqos::core::concurrency::LwwRegister;
 use collabqos::core::events::{AppEvent, EventView};
 use collabqos::core::state_repo::{ObjectState, StateRepository};
+use collabqos::dtn::{Bundle, Frame};
 use collabqos::media::ezw::{self, BitReader, BitWriter};
 use collabqos::media::image::Image;
-use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
+use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket, PacketView};
 use collabqos::media::psnr;
 use collabqos::media::wavelet::{self, WaveletKind};
 use collabqos::sempubsub::ast::{CmpOp, Expr};
@@ -19,7 +20,7 @@ use collabqos::sempubsub::{AttrValue, Selector, SemanticMessage, WireMessage};
 use collabqos::simnet::qdisc::{
     Qdisc, QdiscConfig, Shaper, TokenBucket, TrafficClass, CLASS_COUNT,
 };
-use collabqos::simnet::rtp::{Nack, RtpHeader, RtpReceiver, RtpSender};
+use collabqos::simnet::rtp::{Nack, RtpHeader, RtpReceiver, RtpSender, RTP_HEADER_LEN};
 use collabqos::simnet::{NetStats, Ticks};
 use collabqos::snmp::ber::{Reader, Writer};
 use collabqos::snmp::{Message, Oid, Pdu, PduKind, SnmpValue, VarBind};
@@ -569,15 +570,13 @@ fn arb_app_event() -> impl Strategy<Value = AppEvent> {
     ]
 }
 
-/// The event view read in place over `bytes` and the owned decode
-/// agree, and what they accept is canonical: it encodes back to exactly
-/// `bytes`. An image packet's payload is the tail of the body, which is
-/// where a viewer holding the delivered message finds it.
+/// What the event view reads in place over `bytes` is canonical: the
+/// owned event it copies out encodes back to exactly `bytes`. An image
+/// packet's payload is the tail of the body, which is where a viewer
+/// holding the delivered message finds it.
 fn check_event_bytes(bytes: &[u8]) -> Result<(), TestCaseError> {
     let view = EventView::parse(bytes);
-    let owned = AppEvent::decode(bytes);
-    prop_assert_eq!(view.map(EventView::to_event), owned.clone());
-    if let Some(ev) = owned {
+    if let Some(ev) = view.map(EventView::to_event) {
         prop_assert_eq!(ev.encode(), bytes.to_vec(), "accepted bytes are canonical");
     }
     if let Some(EventView::ImagePacket { packet, .. }) = view {
@@ -589,6 +588,120 @@ fn check_event_bytes(bytes: &[u8]) -> Result<(), TestCaseError> {
         );
     }
     Ok(())
+}
+
+// ------------------------------------------- one hostile-input harness
+
+/// How much of its input a decoder reads.
+#[derive(Clone, Copy)]
+enum Reads {
+    /// Exactly one frame: every strict cut and any byte after it are
+    /// refused.
+    Frame,
+    /// A header of this many bytes, then whatever follows as payload.
+    Header(usize),
+}
+
+/// A wire decoder as [`check_hostile`] drives it.
+struct Codec<T> {
+    decode: fn(&[u8]) -> Option<T>,
+    encode: fn(&T) -> Vec<u8>,
+    reads: Reads,
+}
+
+const CUSTODY: Codec<Frame> = Codec {
+    decode: Frame::decode,
+    encode: |frame| match frame {
+        Frame::Bundle(b) => b.encode(),
+        Frame::Accept { source, seq } => Frame::encode_accept(source, *seq),
+        Frame::Refuse { source, seq } => Frame::encode_refuse(source, *seq),
+    },
+    reads: Reads::Frame,
+};
+
+const NACK: Codec<Nack> = Codec {
+    decode: Nack::decode,
+    encode: Nack::encode,
+    reads: Reads::Frame,
+};
+
+const RTP: Codec<(RtpHeader, Vec<u8>)> = Codec {
+    decode: |bytes| RtpHeader::decode(bytes).map(|(h, payload)| (h, payload.to_vec())),
+    encode: |(h, payload)| [&h.encode()[..], payload].concat(),
+    reads: Reads::Header(RTP_HEADER_LEN),
+};
+
+/// A decoder fed a valid encoding `valid`, every cut of it, it with a
+/// byte after it, it with `flips` applied, and arbitrary `noise`, bare
+/// and behind `prefix` (the frames' magic or version bytes): nothing
+/// panics; `valid` is accepted; a cut shorter than what the decoder
+/// must read is refused, and so, for a whole-frame decoder, is the
+/// trailing byte; and whatever is accepted encodes to bytes that decode
+/// to an equal value.
+fn check_hostile<T: PartialEq + std::fmt::Debug>(
+    codec: &Codec<T>,
+    valid: &[u8],
+    prefix: &[u8],
+    noise: &[u8],
+    flips: &[(u16, u8)],
+) -> Result<(), TestCaseError> {
+    let round_trips = |bytes: &[u8]| -> Result<(), TestCaseError> {
+        if let Some(v) = (codec.decode)(bytes) {
+            prop_assert_eq!((codec.decode)(&(codec.encode)(&v)), Some(v));
+        }
+        Ok(())
+    };
+    prop_assert!((codec.decode)(valid).is_some(), "{:?} refused", valid);
+    let (must_read, whole) = match codec.reads {
+        Reads::Frame => (valid.len(), true),
+        Reads::Header(n) => (n, false),
+    };
+    for cut in 0..valid.len() {
+        let refused = (codec.decode)(&valid[..cut]).is_none();
+        prop_assert!(refused || cut >= must_read, "cut at {} accepted", cut);
+        round_trips(&valid[..cut])?;
+    }
+    let trailing = [valid, &[0]].concat();
+    if whole {
+        prop_assert!(
+            (codec.decode)(&trailing).is_none(),
+            "trailing byte accepted"
+        );
+    }
+    round_trips(&trailing)?;
+    let mut flipped = valid.to_vec();
+    for &(pos, val) in flips {
+        flipped[pos as usize % valid.len()] ^= val;
+    }
+    round_trips(&flipped)?;
+    round_trips(noise)?;
+    round_trips(&[prefix, noise].concat())
+}
+
+fn arb_bundle() -> impl Strategy<Value = Bundle> {
+    (
+        (
+            prop_oneof![Just(""), Just("alice"), Just("é")],
+            any::<u64>(),
+        ),
+        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+        any::<bool>(),
+        proptest::collection::vec(any::<u8>(), 0..32),
+    )
+        .prop_map(
+            |((source, seq), (src_domain, dst_domain, created, lifetime), custody, payload)| {
+                Bundle {
+                    source: source.to_string(),
+                    seq,
+                    src_domain,
+                    dst_domain,
+                    created_at: Ticks::from_micros(created),
+                    lifetime: Ticks::from_micros(lifetime),
+                    custody,
+                    payload,
+                }
+            },
+        )
 }
 
 // ------------------------------------------------ SEM1 hostile input
@@ -1072,11 +1185,11 @@ proptest! {
     /// Media packet decode must never panic on arbitrary bytes.
     #[test]
     fn media_packet_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = collabqos::media::packetize::MediaPacket::decode(&bytes);
+        let _ = PacketView::parse(&bytes).map(PacketView::to_packet);
     }
 
-    /// AppEvent decode must never panic on arbitrary bytes, and the
-    /// view read in place agrees with it.
+    /// AppEvent decode must never panic on arbitrary bytes, and what it
+    /// accepts is canonical.
     #[test]
     fn app_event_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         check_event_bytes(&bytes)?;
@@ -1222,6 +1335,32 @@ proptest! {
     ) {
         let nack = Nack { ssrc, seqs };
         prop_assert_eq!(Nack::decode(&nack.encode()).unwrap(), nack);
+    }
+
+    /// Custody bundles and signals, NACKs and RTP headers under hostile
+    /// input ([`check_hostile`]).
+    #[test]
+    fn wire_frames_survive_hostile_input(
+        bundle in arb_bundle(),
+        accept in any::<bool>(),
+        rtp in (any::<bool>(), 0u8..128, any::<u16>(), any::<u32>(), any::<u32>()),
+        (payload, seqs) in (
+            proptest::collection::vec(any::<u8>(), 0..16),
+            proptest::collection::vec(any::<u16>(), 0..8),
+        ),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        flips in proptest::collection::vec((any::<u16>(), 1u8..=255), 1..8),
+    ) {
+        let (marker, payload_type, seq, timestamp, ssrc) = rtp;
+        let signal = if accept { Frame::encode_accept } else { Frame::encode_refuse };
+        let signal = signal(&bundle.source, bundle.seq);
+        check_hostile(&CUSTODY, &bundle.encode(), b"DTB1", &noise, &flips)?;
+        check_hostile(&CUSTODY, &signal, &signal[..5], &noise, &flips)?;
+        let nack = Nack { ssrc, seqs }.encode();
+        check_hostile(&NACK, &nack, &nack[..2], &noise, &flips)?;
+        let header = RtpHeader { marker, payload_type, seq, timestamp, ssrc };
+        let rtp = (RTP.encode)(&(header, payload));
+        check_hostile(&RTP, &rtp, &rtp[..1], &noise, &flips)?;
     }
 
     /// A stream started anywhere in u16 space — including right at the

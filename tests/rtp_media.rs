@@ -6,7 +6,7 @@
 
 use collabqos::media::ezw;
 use collabqos::media::image::synthetic_scene;
-use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
+use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket, PacketView};
 use collabqos::media::psnr;
 use collabqos::media::wavelet::WaveletKind;
 use collabqos::simnet::rtp::{RtpReceiver, RtpSender};
@@ -37,14 +37,14 @@ fn reordered_rtp_stream_reassembles_image() {
     let mut restored: Vec<MediaPacket> = Vec::new();
     for wire in &wires {
         for pkt in receiver.push(wire) {
-            restored.push(MediaPacket::decode(&pkt.payload).unwrap());
+            restored.push(PacketView::parse(&pkt.payload).unwrap().to_packet());
         }
     }
     restored.extend(
         receiver
             .flush()
             .into_iter()
-            .map(|p| MediaPacket::decode(&p.payload).unwrap()),
+            .map(|p| PacketView::parse(&p.payload).unwrap().to_packet()),
     );
 
     // The reorder buffer restored sending order.
@@ -82,14 +82,14 @@ fn lossy_rtp_stream_decodes_surviving_prefix() {
             continue;
         }
         for pkt in receiver.push(wire) {
-            restored.push(MediaPacket::decode(&pkt.payload).unwrap());
+            restored.push(PacketView::parse(&pkt.payload).unwrap().to_packet());
         }
     }
     restored.extend(
         receiver
             .flush()
             .into_iter()
-            .map(|p| MediaPacket::decode(&p.payload).unwrap()),
+            .map(|p| PacketView::parse(&p.payload).unwrap().to_packet()),
     );
     assert_eq!(receiver.report().lost, 2);
 
