@@ -59,13 +59,15 @@
 
 use bench::{fmt, header, quick_mode, row, time_best};
 use cqos_core::apps::{ImageViewer, ViewStore};
-use cqos_core::events::AppEvent;
+use cqos_core::events::{AppEvent, EventView};
 use media::color;
 use media::ezw::{self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis};
 use media::image::{synthetic_scene, Image};
 use media::packetize::{reassemble_prefix, split_packets};
 use media::reference;
 use media::wavelet::{self, WaveletKind, WaveletScratch};
+use sempubsub::{SemanticMessage, WireMessage};
+use std::sync::Arc;
 
 /// Plane geometries: width, height, wavelet levels.
 const SCENARIOS: &[(usize, usize, usize)] = &[(256, 256, 4), (512, 512, 4)];
@@ -167,10 +169,11 @@ const FANOUT_BUDGETS: [u32; 8] = [16, 8, 4, 2, 16, 8, 4, 16];
 const FANOUT_SIDE: usize = 256;
 const FANOUT_LEVELS: usize = 5;
 
-/// One share of the fan-out row: its events, and per distinct budget
-/// the image the frozen decoder makes of that prefix.
+/// One share of the fan-out row: its events, each in a message of its
+/// own as a viewer is handed it, and per distinct budget the image the
+/// frozen decoder makes of that prefix.
 struct FanoutShare {
-    events: Vec<AppEvent>,
+    messages: Vec<Arc<WireMessage>>,
     expected: Vec<(u32, Image)>,
 }
 
@@ -202,10 +205,22 @@ fn fanout_share(object_id: u64, seed: u64) -> FanoutShare {
     let packets = packets
         .into_iter()
         .map(|packet| AppEvent::ImagePacket { object_id, packet });
-    FanoutShare {
-        events: std::iter::once(meta).chain(packets).collect(),
-        expected,
-    }
+    let messages = std::iter::once(meta)
+        .chain(packets)
+        .map(|ev| {
+            let wire = SemanticMessage {
+                sender: String::new(),
+                kind: ev.kind().to_string(),
+                selector: String::new(),
+                seq: 0,
+                content: Default::default(),
+                body: ev.encode(),
+            }
+            .encode();
+            Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"))
+        })
+        .collect();
+    FanoutShare { messages, expected }
 }
 
 /// Deliver a round's share to the eight viewers, round after round,
@@ -223,9 +238,12 @@ fn fanout_rounds(shares: &[FanoutShare], stores: &[ViewStore]) -> (u64, f64) {
         for (&budget, store) in FANOUT_BUDGETS.iter().zip(stores.iter().cycle()) {
             let mut viewer = ImageViewer::with_store(budget, store.clone());
             let view = share
-                .events
+                .messages
                 .iter()
-                .find_map(|ev| viewer.apply(ev))
+                .find_map(|m| {
+                    let ev = EventView::parse(m.body()).expect("an encoded event parses");
+                    viewer.apply_delivered(&ev, m)
+                })
                 .expect("viewer completes");
             let (_, expected) = share
                 .expected

@@ -7,8 +7,8 @@ use crate::events::{AppEvent, EventView};
 use media::ezw::{self, decode_image_reduced_with, DecodeScratch};
 use media::packetize::{reassemble_stripes, PacketView};
 use media::{bits_per_pixel, compression_ratio, Image, MediaError};
-use sempubsub::{SemanticMessage, WireMessage};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use sempubsub::WireMessage;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 // --------------------------------------------------------------- chat
@@ -534,8 +534,11 @@ impl ImageViewer {
         self.pending.remove(&object_id)
     }
 
-    /// Apply an image-related event; returns a decoded image when one
-    /// completes.
+    /// Apply an image-related event read in place — `ev` is
+    /// [`EventView::parse`] of `message`'s body — and return a decoded
+    /// image when one completes. An accepted packet is held as a clone
+    /// of the `Arc` and the payload's offset in the body: its bytes are
+    /// not copied until the prefix reassembles.
     ///
     /// An object id is single-use per viewer: once an object has been
     /// viewed, shown as its caption or dropped as invalid, a later
@@ -547,32 +550,6 @@ impl ImageViewer {
     /// finished ids (`FINISHED_WINDOW`); a copy that arrives after that
     /// many newer objects have finished is not recognised and opens a
     /// pending entry as a new object would.
-    pub fn apply(&mut self, ev: &AppEvent) -> Option<ViewedImage> {
-        if !matches!(
-            ev,
-            AppEvent::ImageMeta { .. } | AppEvent::ImagePacket { .. }
-        ) {
-            return None;
-        }
-        // Held as a delivered event is: in a message of its own.
-        let wire = SemanticMessage {
-            sender: String::new(),
-            kind: ev.kind().to_string(),
-            selector: String::new(),
-            seq: 0,
-            content: BTreeMap::new(),
-            body: ev.encode(),
-        }
-        .encode();
-        let message = Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"));
-        let view = EventView::parse(message.body()).expect("an encoded event parses");
-        self.apply_delivered(&view, &message)
-    }
-
-    /// [`ImageViewer::apply`] for an event read in place: `ev` is
-    /// [`EventView::parse`] of `message`'s body. An accepted packet is
-    /// held as a clone of the `Arc` and the payload's offset in the
-    /// body — its bytes are not copied until the prefix reassembles.
     pub fn apply_delivered(
         &mut self,
         ev: &EventView<'_>,
@@ -712,6 +689,25 @@ mod tests {
     use media::packetize::split_packets;
     use media::psnr;
     use media::wavelet::WaveletKind;
+    use sempubsub::SemanticMessage;
+    use std::collections::BTreeMap;
+
+    /// `ev` as a session delivers it: in a message of its own, read in
+    /// place.
+    fn deliver(viewer: &mut ImageViewer, ev: &AppEvent) -> Option<ViewedImage> {
+        let wire = SemanticMessage {
+            sender: String::new(),
+            kind: ev.kind().to_string(),
+            selector: String::new(),
+            seq: 0,
+            content: BTreeMap::new(),
+            body: ev.encode(),
+        }
+        .encode();
+        let message = Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"));
+        let view = EventView::parse(message.body()).expect("an encoded event parses");
+        viewer.apply_delivered(&view, &message)
+    }
 
     fn share_events(object_id: u64, n_packets: usize) -> (Image, Vec<AppEvent>) {
         let scene = synthetic_scene(64, 64, 1, 3, 7);
@@ -747,7 +743,7 @@ mod tests {
         }
         let mut viewer = ImageViewer::new(4);
         for ev in &events {
-            assert!(viewer.apply(ev).is_none());
+            assert!(deliver(&mut viewer, ev).is_none());
         }
         assert!(viewer.viewed.is_empty());
         assert!(viewer.pending.is_empty(), "the object is dropped, not kept");
@@ -793,7 +789,7 @@ mod tests {
         let mut viewer = ImageViewer::new(16);
         let mut done = None;
         for ev in &events {
-            if let Some(v) = viewer.apply(ev) {
+            if let Some(v) = deliver(&mut viewer, ev) {
                 done = Some(v);
             }
         }
@@ -810,7 +806,7 @@ mod tests {
             let mut viewer = ImageViewer::new(budget);
             let mut out = None;
             for ev in &events {
-                if let Some(v) = viewer.apply(ev) {
+                if let Some(v) = deliver(&mut viewer, ev) {
                     out = Some(v);
                 }
             }
@@ -829,7 +825,7 @@ mod tests {
         let (_, events) = share_events(1, 16);
         let mut viewer = ImageViewer::new(2);
         for ev in &events {
-            viewer.apply(ev);
+            deliver(&mut viewer, ev);
         }
         assert_eq!(viewer.packets_discarded, 14);
         assert_eq!(viewer.viewed.len(), 1);
@@ -840,7 +836,7 @@ mod tests {
         let (_, events) = share_events(9, 8);
         let mut viewer = ImageViewer::new(0);
         for ev in &events {
-            assert!(viewer.apply(ev).is_none());
+            assert!(deliver(&mut viewer, ev).is_none());
         }
         assert!(viewer.viewed.is_empty());
         assert_eq!(viewer.text_fallbacks.len(), 1);
@@ -854,14 +850,14 @@ mod tests {
         let (original, events) = share_events(1, 8);
         let mut viewer = ImageViewer::new(8);
         // Meta first, then packets reversed, with duplicates.
-        viewer.apply(&events[0]);
+        deliver(&mut viewer, &events[0]);
         let mut done = None;
         for ev in events[1..].iter().rev() {
-            if let Some(v) = viewer.apply(ev) {
+            if let Some(v) = deliver(&mut viewer, ev) {
                 done = Some(v);
             }
             // Duplicate delivery must be harmless.
-            assert!(viewer.apply(ev).is_none());
+            assert!(deliver(&mut viewer, ev).is_none());
         }
         let v = done.expect("completed despite reordering");
         assert_eq!(v.image.data, original.data);
@@ -871,12 +867,15 @@ mod tests {
     fn late_copies_of_a_finished_object_are_discarded() {
         let (_, events) = share_events(1, 8);
         let mut viewer = ImageViewer::new(8);
-        let views = events.iter().filter_map(|ev| viewer.apply(ev)).count();
+        let views = events
+            .iter()
+            .filter_map(|ev| deliver(&mut viewer, ev))
+            .count();
         assert_eq!((views, viewer.pending_len()), (1, 0));
         // A duplicating link re-delivers two packets and the
         // announcement after the object completed.
         for ev in [&events[3], &events[8], &events[0]] {
-            assert!(viewer.apply(ev).is_none());
+            assert!(deliver(&mut viewer, ev).is_none());
         }
         assert_eq!(viewer.pending_len(), 0, "nothing reopened");
         assert_eq!(viewer.viewed.len(), 1, "no second view");
@@ -885,10 +884,10 @@ mod tests {
         // The same holds for an object that finished as a caption.
         let (_, events) = share_events(2, 8);
         viewer.set_packet_budget(0);
-        viewer.apply(&events[0]);
+        deliver(&mut viewer, &events[0]);
         viewer.set_packet_budget(8);
-        assert!(viewer.apply(&events[1]).is_none());
-        assert!(viewer.apply(&events[0]).is_none());
+        assert!(deliver(&mut viewer, &events[1]).is_none());
+        assert!(deliver(&mut viewer, &events[0]).is_none());
         assert_eq!(viewer.pending_len(), 0);
         assert_eq!(viewer.text_fallbacks.len(), 1, "no second caption");
     }
@@ -897,13 +896,16 @@ mod tests {
     fn finished_window_is_bounded() {
         let mut viewer = ImageViewer::new(0);
         for object_id in 0..3 * FINISHED_WINDOW as u64 {
-            viewer.apply(&AppEvent::ImageMeta {
-                object_id,
-                caption: String::new(),
-                original_bytes: 0,
-                pixels: 0,
-                total_packets: 0,
-            });
+            deliver(
+                &mut viewer,
+                &AppEvent::ImageMeta {
+                    object_id,
+                    caption: String::new(),
+                    original_bytes: 0,
+                    pixels: 0,
+                    total_packets: 0,
+                },
+            );
         }
         assert_eq!(viewer.finished.len(), FINISHED_WINDOW);
         assert_eq!(
@@ -919,7 +921,7 @@ mod tests {
         let mut views = Vec::new();
         for _ in 0..3 {
             let mut viewer = ImageViewer::with_store(8, store.clone());
-            views.extend(events.iter().filter_map(|ev| viewer.apply(ev)));
+            views.extend(events.iter().filter_map(|ev| deliver(&mut viewer, ev)));
         }
         assert_eq!((store.misses(), store.hits()), (1, 2));
         assert_eq!(views[0].image.data, original.data);
@@ -928,7 +930,7 @@ mod tests {
         // view — already in the store — and downsamples a copy of it.
         let mut thin = ImageViewer::with_store(8, store.clone());
         thin.set_resolution(1.0 / 32.0);
-        let small = events.iter().find_map(|ev| thin.apply(ev)).unwrap();
+        let small = events.iter().find_map(|ev| deliver(&mut thin, ev)).unwrap();
         assert_eq!((small.image.width, small.image.height), (2, 2));
         assert_eq!((store.misses(), store.hits()), (2, 3));
         assert_eq!(views[0].image.data, original.data, "shared view untouched");
@@ -936,7 +938,7 @@ mod tests {
         // viewer is told so, and shown the full view, without a decode.
         let mut thin = ImageViewer::with_store(8, store.clone());
         thin.set_resolution(1.0 / 32.0);
-        let again = events.iter().find_map(|ev| thin.apply(ev)).unwrap();
+        let again = events.iter().find_map(|ev| deliver(&mut thin, ev)).unwrap();
         assert_eq!(again.image, small.image);
         assert_eq!((store.misses(), store.hits()), (2, 5));
     }
@@ -978,7 +980,7 @@ mod tests {
         viewer.set_resolution(0.5);
         let mut done = None;
         for ev in &events {
-            if let Some(v) = viewer.apply(ev) {
+            if let Some(v) = deliver(&mut viewer, ev) {
                 done = Some(v);
             }
         }
@@ -1006,10 +1008,10 @@ mod tests {
         let mut done = None;
         // Packets first...
         for ev in &events[1..] {
-            assert!(viewer.apply(ev).is_none());
+            assert!(deliver(&mut viewer, ev).is_none());
         }
         // ...then the announcement completes it.
-        if let Some(v) = viewer.apply(&events[0]) {
+        if let Some(v) = deliver(&mut viewer, &events[0]) {
             done = Some(v);
         }
         assert_eq!(done.expect("completed").image.data, original.data);

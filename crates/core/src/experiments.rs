@@ -436,15 +436,29 @@ pub struct QualityRow {
 /// 6/7's "wide range of compression ratios and quality of images".
 pub fn run_quality_curve(seed: u64) -> Vec<QualityRow> {
     use media::ezw;
-    use media::packetize::{reassemble_prefix, split_packets};
+    use media::packetize::{reassemble_stripes, PacketView, Stripes};
     use media::wavelet::WaveletKind;
 
     let scene = synthetic_scene(256, 256, 1, 4, seed);
     let container = ezw::encode_image(&scene.image, 5, WaveletKind::Cdf53).expect("encodes");
-    let packets = split_packets(&container, 16);
+    // The packets as a session sends and a viewer reads them: each
+    // stripe's wire form, parsed in place.
+    let stripes = Stripes::new(&container, 16).expect("16 stripes");
+    let wires: Vec<Vec<u8>> = (0..16)
+        .map(|i| {
+            let mut wire = Vec::with_capacity(stripes.packet_len(i));
+            stripes.write_packet(i, &mut wire);
+            wire
+        })
+        .collect();
+    let packets: Vec<PacketView<'_>> = wires
+        .iter()
+        .map(|wire| PacketView::parse(wire).expect("a written stripe parses"))
+        .collect();
     let mut rows = Vec::new();
+    let mut prefix = Vec::new();
     for k in 1..=16usize {
-        let prefix = reassemble_prefix(&packets[..k]).expect("prefix");
+        reassemble_stripes(packets[..k].iter().copied(), &mut prefix).expect("prefix");
         let img = ezw::decode_image(&prefix).expect("decodes");
         let received: usize = packets[..k].iter().map(|p| p.payload.len()).sum();
         rows.push(QualityRow {

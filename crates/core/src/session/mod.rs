@@ -293,7 +293,7 @@ impl CollaborationSession {
             fault_link(&mut net, &cfg, uplink);
             overlay = Some(ov);
         }
-        let media_cache = MediaCache::with_capacity(32, cfg.workers);
+        let media_cache = MediaCache::with_capacity(32);
         CollaborationSession {
             selectors,
             net,

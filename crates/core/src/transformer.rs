@@ -8,10 +8,10 @@
 //! runs image→text→speech).
 
 use media::describe::TextDescription;
-use media::ezw::{self, EzwEncoder, EzwScratch, PlaneAnalysis};
+use media::ezw::{self, EncodeScratch};
 use media::image::Image;
 use media::speech::{speech_to_text, text_to_speech, SpeechStream};
-use media::wavelet::{WaveletKind, WaveletScratch};
+use media::wavelet::WaveletKind;
 use media::{MediaError, Sketch};
 use sempubsub::CacheStatsHandle;
 use std::collections::{HashMap, VecDeque};
@@ -111,51 +111,34 @@ struct MediaEntry {
 /// `Arc<[u8]>` clone per consumer), made to the session's rate cap and
 /// no further — the bits past the cap are never coded — and each
 /// client's tier is a prefix of it by packet count, never a
-/// decode→re-encode round trip. Encodes that miss run the image's
-/// channel planes in parallel on [`crate::shard::map_shards`] when
-/// `workers > 1` — planes are independent streams once the cap is
-/// split between them, so the container bytes are bit-identical at any
-/// worker count.
+/// decode→re-encode round trip. A miss is one
+/// [`ezw::encode_image_capped_with`] on the scratch the cache keeps.
 ///
 /// A miss writes its large buffers into memory that outlives it: the
 /// coefficient planes are the caller's (a session lends the three its
 /// decode scratch keeps, [`ViewStore::with_planes`](crate::apps::ViewStore::with_planes)),
-/// and the channel streams and the container are assembled in buffers
-/// the cache keeps. What a miss allocates is the shared container
-/// itself, once, at its exact size.
+/// and the channel streams and the container are assembled in the
+/// encoder's scratch ([`EncodeScratch`]). What a miss allocates is the
+/// shared container itself, once, at its exact size, and the channel
+/// lengths and their split.
 pub struct MediaCache {
     entries: HashMap<u64, MediaEntry>,
     cap: usize,
-    workers: usize,
     tick: u64,
     stats: CacheStatsHandle,
-    // Reused across misses: one analysis and one emitted stream per
-    // channel (a channel's is held while the others are sized up or
-    // written), the container they are assembled into, and the serial
-    // path's scratch.
-    analyses: Vec<PlaneAnalysis>,
-    streams: Vec<Vec<u8>>,
-    container: Vec<u8>,
-    wavelet_scratch: WaveletScratch,
-    ezw_scratch: EzwScratch,
+    scratch: EncodeScratch,
 }
 
 impl MediaCache {
-    /// A cache bounded at `cap` encoded containers (`cap >= 1`) whose
-    /// misses shard their per-channel work across `workers` threads.
-    pub fn with_capacity(cap: usize, workers: usize) -> MediaCache {
+    /// A cache bounded at `cap` encoded containers (`cap >= 1`).
+    pub fn with_capacity(cap: usize) -> MediaCache {
         assert!(cap >= 1, "media cache needs room for one entry");
         MediaCache {
             entries: HashMap::new(),
             cap,
-            workers,
             tick: 0,
             stats: CacheStatsHandle::default(),
-            analyses: Vec::new(),
-            streams: Vec::new(),
-            container: Vec::new(),
-            wavelet_scratch: WaveletScratch::new(),
-            ezw_scratch: EzwScratch::new(),
+            scratch: EncodeScratch::new(),
         }
     }
 
@@ -207,7 +190,7 @@ impl MediaCache {
     /// the prefix [`ezw::truncate_container`] would cut of the full
     /// encode, made without coding the rest — and is shared, not
     /// copied. A miss prepares the image's coefficient planes in
-    /// `planes` ([`ezw::prepare_planes_into`]), overwriting whatever
+    /// `planes` ([`ezw::encode_image_capped_with`]), overwriting whatever
     /// they held; a hit leaves them alone.
     pub fn encode_image(
         &mut self,
@@ -227,58 +210,16 @@ impl MediaCache {
             return Ok(Arc::clone(&e.stream));
         }
         self.stats.record_miss();
-        ezw::prepare_planes_into(img, color_transform, planes)?;
-        let n = img.channels;
-        if self.analyses.len() < n {
-            self.analyses.resize_with(n, PlaneAnalysis::new);
-            self.streams.resize_with(n, Vec::new);
-        }
-        let mut jobs: Vec<_> = planes
-            .iter_mut()
-            .zip(&mut self.analyses)
-            .zip(&mut self.streams)
-            .take(n)
-            .collect();
-        let (w, h, workers) = (img.width, img.height, self.workers);
-        // Two rounds with the cap's split between them: how much of a
-        // channel the cap keeps depends on every channel's length.
-        // Channels are independent within a round, so each round
-        // shards — every worker on scratch of its own — and outputs
-        // merge back in channel order: the container is bit-identical
-        // to the serial path at any worker count.
-        let sharded = n > 1 && workers > 1;
-        let lens: Vec<usize> = if sharded {
-            crate::shard::map_shards(&mut jobs, vec![(); n], workers, |_, ((plane, a), _), ()| {
-                let mut ws = WaveletScratch::new();
-                ezw::measure_prepared_plane(plane, w, h, levels, kind, &mut ws, a)
-            })
-        } else {
-            let ws = &mut self.wavelet_scratch;
-            jobs.iter_mut()
-                .map(|((plane, a), _)| {
-                    ezw::measure_prepared_plane(plane, w, h, levels, kind, ws, a)
-                })
-                .collect()
-        };
-        let keeps = ezw::channel_keeps(&lens, byte_cap);
-        if sharded {
-            crate::shard::map_shards(&mut jobs, keeps, workers, |_, ((plane, a), out), keep| {
-                EzwEncoder::emit_plane_into(plane, a, keep, &mut EzwScratch::new(), out)
-            });
-        } else {
-            let es = &mut self.ezw_scratch;
-            for (((plane, a), out), keep) in jobs.iter_mut().zip(keeps) {
-                EzwEncoder::emit_plane_into(plane, a, keep, es, out);
-            }
-        }
-        ezw::assemble_container_into(
-            &mut self.container,
-            n,
+        let container = ezw::encode_image_capped_with(
+            img,
+            levels,
             kind,
             color_transform,
-            &self.streams[..n],
-        );
-        let stream: Arc<[u8]> = Arc::from(self.container.as_slice());
+            byte_cap,
+            planes,
+            &mut self.scratch,
+        )?;
+        let stream: Arc<[u8]> = Arc::from(container);
         if self.entries.len() >= self.cap {
             // Deterministic LRU eviction: ticks are unique.
             let victim = self
@@ -560,7 +501,7 @@ mod tests {
 
     #[test]
     fn media_cache_encodes_once_and_shares() {
-        let mut cache = MediaCache::with_capacity(4, 1);
+        let mut cache = MediaCache::with_capacity(4);
         let scene = synthetic_scene(32, 32, 3, 3, 9);
         let a = cache
             .encode_image(
@@ -602,7 +543,7 @@ mod tests {
         let expected = ezw::encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, true).unwrap();
         assert_eq!(a.as_ref(), expected.as_slice());
         let mut garbage = [vec![-7; 5000], vec![i32::MAX; 3], vec![]];
-        let mut fresh = MediaCache::with_capacity(1, 1);
+        let mut fresh = MediaCache::with_capacity(1);
         let b = fresh
             .encode_image(
                 &scene.image,
@@ -618,7 +559,7 @@ mod tests {
 
     #[test]
     fn media_cache_holds_the_capped_container_under_its_cap() {
-        let mut cache = MediaCache::with_capacity(4, 1);
+        let mut cache = MediaCache::with_capacity(4);
         let scene = synthetic_scene(32, 32, 3, 3, 9);
         let mut encode = |cap| {
             cache
@@ -714,42 +655,49 @@ mod tests {
     }
 
     #[test]
-    fn media_cache_parallel_encode_is_bit_identical() {
+    fn media_cache_encode_is_bit_identical() {
         let scene = synthetic_scene(64, 64, 3, 4, 12);
         let expected = ezw::encode_image_opts(&scene.image, 4, WaveletKind::Cdf53, true).unwrap();
         let cut = ezw::truncate_container(&expected, 2_000).unwrap();
-        for workers in [1usize, 2, 3, 4, 8] {
-            let mut cache = MediaCache::with_capacity(2, workers);
-            let got = cache
-                .encode_image(
-                    &scene.image,
-                    4,
-                    WaveletKind::Cdf53,
-                    true,
-                    None,
-                    &mut planes(),
-                )
-                .unwrap();
-            assert_eq!(got.as_ref(), expected.as_slice(), "workers = {workers}");
-            // The cap is split between the channels before any is
-            // written, so it is the same split on any number of threads.
-            let capped = cache
-                .encode_image(
-                    &scene.image,
-                    4,
-                    WaveletKind::Cdf53,
-                    true,
-                    Some(2_000),
-                    &mut planes(),
-                )
-                .unwrap();
-            assert_eq!(capped.as_ref(), cut.as_slice(), "workers = {workers}");
+        let mut cache = MediaCache::with_capacity(2);
+        let mut lent = planes();
+        let mut encode = |img: &Image, levels, kind, color, cap| {
+            cache
+                .encode_image(img, levels, kind, color, cap, &mut lent)
+                .unwrap()
+        };
+        let got = encode(&scene.image, 4, WaveletKind::Cdf53, true, None);
+        assert_eq!(got.as_ref(), expected.as_slice());
+        let capped = encode(&scene.image, 4, WaveletKind::Cdf53, true, Some(2_000));
+        assert_eq!(capped.as_ref(), cut.as_slice());
+        // Misses that change every parameter, on planes that still hold
+        // the last image's coefficients: the cache's kept encoder
+        // scratch carries nothing from one encode into the next.
+        let (below_a_header, headers_and_a_little) = (
+            Some(ezw::PLANE_HEADER_LEN - 1),
+            Some(ezw::CONTAINER_HEADER_LEN + 20),
+        );
+        for (channels, w, h, levels, kind, color, cap) in [
+            (1, 32, 48, 3, WaveletKind::Haar, false, below_a_header),
+            (1, 96, 64, 5, WaveletKind::Cdf53, false, None),
+            (3, 48, 32, 2, WaveletKind::Haar, false, Some(300)),
+            (3, 16, 16, 1, WaveletKind::Cdf53, true, headers_and_a_little),
+            (3, 128, 64, 4, WaveletKind::Cdf53, true, None),
+        ] {
+            let img = synthetic_scene(w, h, channels, 3, (w + h + levels) as u64).image;
+            let fresh = ezw::encode_image_capped(&img, levels, kind, color, cap).unwrap();
+            let got = encode(&img, levels, kind, color, cap);
+            assert!(
+                got.as_ref() == fresh.as_slice(),
+                "{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}"
+            );
         }
+        assert_eq!(cache.stats().misses(), 7);
     }
 
     #[test]
     fn media_cache_evicts_lru_deterministically() {
-        let mut cache = MediaCache::with_capacity(2, 1);
+        let mut cache = MediaCache::with_capacity(2);
         let scenes: Vec<_> = (0..3).map(|s| synthetic_scene(16, 16, 1, 2, s)).collect();
         for scene in &scenes {
             cache
@@ -793,7 +741,7 @@ mod tests {
 
     #[test]
     fn media_cache_degradation_is_prefix_truncation() {
-        let mut cache = MediaCache::with_capacity(2, 1);
+        let mut cache = MediaCache::with_capacity(2);
         let scene = synthetic_scene(64, 64, 1, 4, 3);
         let full = cache
             .encode_image(
@@ -816,7 +764,7 @@ mod tests {
 
     #[test]
     fn media_cache_rejects_bad_levels() {
-        let mut cache = MediaCache::with_capacity(1, 1);
+        let mut cache = MediaCache::with_capacity(1);
         let scene = synthetic_scene(16, 16, 1, 1, 0);
         assert!(cache
             .encode_image(

@@ -46,9 +46,11 @@
 //! * all per-plane state (lists, bitmaps, the rank-space geometry)
 //!   lives in a caller-owned [`EzwScratch`], so a session
 //!   encoding a stream of planes allocates nothing after warm-up; a
-//!   receiver keeps it, with the wavelet buffers and the coefficient
-//!   planes, in a [`DecodeScratch`] behind
-//!   [`decode_image_reduced_with`].
+//!   sender keeps it, with the wavelet buffers, the per-channel
+//!   analyses and streams and the container, in an [`EncodeScratch`]
+//!   behind [`encode_image_capped_with`], and a receiver keeps it, with
+//!   the wavelet buffers and the coefficient planes, in a
+//!   [`DecodeScratch`] behind [`decode_image_reduced_with`].
 //!
 //! And every embedded bit is coded once and read once:
 //!
@@ -102,7 +104,7 @@ use crate::MediaError;
 /// Per-plane stream magic.
 pub(crate) const PLANE_MAGIC: &[u8; 4] = b"EZP1";
 /// Image container magic.
-const CONTAINER_MAGIC: &[u8; 4] = b"EZC1";
+pub(crate) const CONTAINER_MAGIC: &[u8; 4] = b"EZC1";
 /// Sentinel for an all-zero plane (no bit data follows).
 pub(crate) const EMPTY_PLANE: u8 = 0xFF;
 /// Plane header size: magic + w + h + levels + top_plane.
@@ -842,7 +844,7 @@ impl EzwEncoder {
     /// is cleared and holds the same bytes afterwards, so an encoder
     /// that emits plane after plane into one buffer allocates only
     /// while it grows.
-    pub fn emit_plane_into(
+    fn emit_plane_into(
         coeffs: &[i32],
         analysis: &PlaneAnalysis,
         keep: usize,
@@ -1377,9 +1379,7 @@ pub(crate) fn kind_from_byte(b: u8) -> Result<(WaveletKind, bool), MediaError> {
 /// Extract the coder-input planes of `img`: level-shifted to signed
 /// and, when `color_transform` is set (3-channel images only),
 /// YCoCg-R-decorrelated with the luma plane shifted. These are the
-/// per-channel inputs [`encode_prepared_plane`] expects — split out so
-/// callers (e.g. the session's media cache) can transform and encode
-/// the planes in parallel.
+/// per-channel inputs [`encode_prepared_plane`] expects.
 pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>>, MediaError> {
     let mut planes = vec![Vec::new(); img.channels];
     prepare_planes_into(img, color_transform, &mut planes)?;
@@ -1388,12 +1388,11 @@ pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>
 
 /// [`prepare_planes`] into planes the caller keeps: channel `c` is
 /// written over `planes[c]`, whatever it held, and the buffers grow
-/// only past their capacity. A session borrows the three planes its
-/// decode scratch keeps ([`DecodeScratch::planes_mut`]) for this.
+/// only past their capacity.
 ///
 /// # Panics
 /// Panics when `planes` has fewer entries than `img` has channels.
-pub fn prepare_planes_into(
+fn prepare_planes_into(
     img: &Image,
     color_transform: bool,
     planes: &mut [Vec<i32>],
@@ -1462,25 +1461,6 @@ pub fn encode_prepared_plane(
     EzwEncoder::encode_plane_with(plane, width, height, levels, ezw_scratch)
 }
 
-/// The first half of [`encode_prepared_plane`] on its own:
-/// wavelet-transform the plane in place and size up its stream
-/// ([`EzwEncoder::measure_plane`]), returning the stream's full length.
-/// With every channel's length in hand [`channel_keeps`] says how much
-/// of each a rate cap keeps, and [`EzwEncoder::emit_plane`] — on the
-/// same plane and the same `analysis` — writes just that.
-pub fn measure_prepared_plane(
-    plane: &mut [i32],
-    width: usize,
-    height: usize,
-    levels: usize,
-    kind: WaveletKind,
-    wavelet_scratch: &mut WaveletScratch,
-    analysis: &mut PlaneAnalysis,
-) -> usize {
-    wavelet::forward_2d_with(plane, width, height, levels, kind, wavelet_scratch);
-    EzwEncoder::measure_plane(plane, width, height, levels, analysis)
-}
-
 /// How many bytes of each channel stream a container of at most
 /// `budget` bytes keeps, given the streams' full lengths: the budget
 /// left after the container's framing, split in proportion to the
@@ -1518,7 +1498,7 @@ pub fn assemble_container(
 
 /// [`assemble_container`] into a buffer the caller keeps: `out` is
 /// cleared, then holds the container; it grows only past its capacity.
-pub fn assemble_container_into(
+fn assemble_container_into(
     out: &mut Vec<u8>,
     channels: usize,
     kind: WaveletKind,
@@ -1569,7 +1549,7 @@ pub fn encode_image_opts(
 /// encode, byte for byte, but no bit past the cut is ever coded — every
 /// channel is sized up first, the budget is split ([`channel_keeps`]),
 /// and each channel's passes stop at its share. `None` runs the same
-/// loop to the end.
+/// loop to the end. [`encode_image_capped_with`] on fresh scratch.
 pub fn encode_image_capped(
     img: &Image,
     levels: usize,
@@ -1577,32 +1557,94 @@ pub fn encode_image_capped(
     color_transform: bool,
     cap: Option<usize>,
 ) -> Result<Vec<u8>, MediaError> {
-    check_levels(img, levels)?;
-    let mut planes = prepare_planes(img, color_transform)?;
-    let mut ws = WaveletScratch::new();
-    let mut analyses: Vec<PlaneAnalysis> = planes.iter().map(|_| PlaneAnalysis::new()).collect();
-    let lens: Vec<usize> = planes
-        .iter_mut()
-        .zip(&mut analyses)
-        .map(|(plane, analysis)| {
-            measure_prepared_plane(
-                plane, img.width, img.height, levels, kind, &mut ws, analysis,
-            )
-        })
-        .collect();
-    let mut es = EzwScratch::new();
-    let streams: Vec<Vec<u8>> = planes
-        .iter()
-        .zip(&analyses)
-        .zip(channel_keeps(&lens, cap))
-        .map(|((plane, analysis), keep)| EzwEncoder::emit_plane(plane, analysis, keep, &mut es))
-        .collect();
-    Ok(assemble_container(
-        img.channels,
+    let mut scratch = EncodeScratch::new();
+    let mut planes = vec![Vec::new(); img.channels];
+    encode_image_capped_with(
+        img,
+        levels,
         kind,
         color_transform,
-        &streams,
-    ))
+        cap,
+        &mut planes,
+        &mut scratch,
+    )?;
+    Ok(scratch.container)
+}
+
+/// Everything a container encode reuses from one call to the next: per
+/// channel the sizing-up ([`PlaneAnalysis`]) and the emitted stream (a
+/// channel's is held while the others are sized up or written), the
+/// container they are assembled into, and the wavelet and EZW coder
+/// state. The coefficient planes are not in it: the caller lends them
+/// ([`encode_image_capped_with`]). The buffers stay the size of the
+/// largest image encoded.
+#[derive(Default)]
+pub struct EncodeScratch {
+    analyses: Vec<PlaneAnalysis>,
+    streams: Vec<Vec<u8>>,
+    container: Vec<u8>,
+    wavelet: WaveletScratch,
+    ezw: EzwScratch,
+}
+
+impl EncodeScratch {
+    /// Empty scratch; buffers grow on first use.
+    pub fn new() -> EncodeScratch {
+        EncodeScratch::default()
+    }
+}
+
+/// [`encode_image_capped`] with caller-kept scratch and planes: the
+/// same container, byte for byte, whatever either held before. The
+/// image's coefficient planes (what [`prepare_planes`] returns) are
+/// prepared in `planes`, overwriting what they held — a session
+/// lends the ones its decode scratch keeps
+/// ([`DecodeScratch::planes_mut`]) — and the container is assembled in
+/// `scratch`, which the returned bytes borrow. After warm-up an encode
+/// allocates only its channel lengths and their split.
+///
+/// # Panics
+/// Panics when `planes` has fewer entries than `img` has channels.
+pub fn encode_image_capped_with<'s>(
+    img: &Image,
+    levels: usize,
+    kind: WaveletKind,
+    color_transform: bool,
+    cap: Option<usize>,
+    planes: &mut [Vec<i32>],
+    scratch: &'s mut EncodeScratch,
+) -> Result<&'s [u8], MediaError> {
+    check_levels(img, levels)?;
+    prepare_planes_into(img, color_transform, planes)?;
+    let (w, h, n) = (img.width, img.height, img.channels);
+    let EncodeScratch {
+        analyses,
+        streams,
+        container,
+        wavelet: ws,
+        ezw: es,
+    } = scratch;
+    if analyses.len() < n {
+        analyses.resize_with(n, PlaneAnalysis::new);
+        streams.resize_with(n, Vec::new);
+    }
+    let planes = &mut planes[..n];
+    // Two rounds with the cap's split between them: how much of a
+    // channel the cap keeps depends on every channel's length.
+    let lens: Vec<usize> = planes
+        .iter_mut()
+        .zip(analyses.iter_mut())
+        .map(|(plane, analysis)| {
+            wavelet::forward_2d_with(plane, w, h, levels, kind, ws);
+            EzwEncoder::measure_plane(plane, w, h, levels, analysis)
+        })
+        .collect();
+    let jobs = planes.iter().zip(analyses.iter()).zip(streams.iter_mut());
+    for (((plane, analysis), out), keep) in jobs.zip(channel_keeps(&lens, cap)) {
+        EzwEncoder::emit_plane_into(plane, analysis, keep, es, out);
+    }
+    assemble_container_into(container, n, kind, color_transform, &streams[..n]);
+    Ok(container)
 }
 
 /// Refuse a level count the image's dimensions do not support.
@@ -1717,7 +1759,7 @@ impl DecodeScratch {
     /// it, so nothing a borrower leaves in them is ever read: an
     /// encoder that never runs at the same time as a decode on this
     /// scratch may prepare its planes here
-    /// ([`prepare_planes_into`]) instead of keeping a set of its own.
+    /// ([`encode_image_capped_with`]) instead of keeping a set of its own.
     /// What the planes hold between decodes is therefore not part of
     /// the scratch's state.
     pub fn planes_mut(&mut self) -> &mut [Vec<i32>; 3] {
@@ -2229,6 +2271,42 @@ mod tests {
                 .collect();
             let split = assemble_container(channels, WaveletKind::Cdf53, color, &streams);
             assert_eq!(split, whole, "channels={channels} color={color}");
+        }
+        // One kept scratch and one set of planes through encodes that
+        // change, one after another, the channel count (3 → 1 → 3), the
+        // size, the level count, the wavelet, the colour transform and
+        // the cap (none, below a plane header, mid-stream), the planes
+        // still holding the last image's coefficients each time:
+        // nothing left from one encode reaches the next.
+        let mut scratch = EncodeScratch::new();
+        let mut planes = vec![Vec::new(); 3];
+        let (below_a_header, headers_and_a_little) =
+            (Some(PLANE_HEADER_LEN - 1), Some(CONTAINER_HEADER_LEN + 20));
+        for (channels, w, h, levels, kind, color, cap) in [
+            (3, 64, 64, 4, WaveletKind::Cdf53, true, None),
+            (3, 64, 64, 4, WaveletKind::Cdf53, true, Some(2_000)),
+            (1, 32, 48, 3, WaveletKind::Haar, false, below_a_header),
+            (1, 96, 64, 5, WaveletKind::Cdf53, false, None),
+            (3, 48, 32, 2, WaveletKind::Haar, false, Some(300)),
+            (3, 16, 16, 1, WaveletKind::Cdf53, true, headers_and_a_little),
+            (3, 128, 64, 4, WaveletKind::Cdf53, true, None),
+        ] {
+            let scene = synthetic_scene(w, h, channels, 3, (w + h + levels) as u64);
+            let fresh = encode_image_capped(&scene.image, levels, kind, color, cap).unwrap();
+            let kept = encode_image_capped_with(
+                &scene.image,
+                levels,
+                kind,
+                color,
+                cap,
+                &mut planes,
+                &mut scratch,
+            )
+            .unwrap();
+            assert!(
+                kept == fresh,
+                "{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}"
+            );
         }
     }
 

@@ -11,7 +11,9 @@
 //! packets received on grayscale and colour images alike (a contiguous
 //! byte split would starve the later channels entirely).
 
-use crate::ezw::{container_streams, ChannelStreams, PLANE_HEADER_LEN};
+use crate::ezw::{
+    container_streams, ChannelStreams, CONTAINER_HEADER_LEN, CONTAINER_MAGIC, PLANE_HEADER_LEN,
+};
 use crate::MediaError;
 
 /// One stripe of an encoded image.
@@ -114,9 +116,6 @@ impl<'a> PacketView<'a> {
     }
 }
 
-/// Container header length: magic + channels + kind.
-const CONTAINER_HEADER: usize = 6;
-
 /// Chunk `i` of `len` bytes split into `n` near-equal chunks, as
 /// `(start, end)`: the remainder is front-loaded, chunk 0 covers at
 /// least the plane header whenever the stream has one (the bytes that
@@ -187,12 +186,12 @@ impl<'a> Stripes<'a> {
     /// Length of stripe `i`'s payload: the container header, then per
     /// channel a length and that channel's chunk `i`.
     fn payload_len(&self, i: usize) -> usize {
-        CONTAINER_HEADER + self.chunks(i).map(|c| 4 + c.len()).sum::<usize>()
+        CONTAINER_HEADER_LEN + self.chunks(i).map(|c| 4 + c.len()).sum::<usize>()
     }
 
     /// Append stripe `i`'s payload to `out`.
     fn write_payload(&self, i: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.container[..CONTAINER_HEADER]);
+        out.extend_from_slice(&self.container[..CONTAINER_HEADER_LEN]);
         for chunk in self.chunks(i) {
             out.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
             out.extend_from_slice(chunk);
@@ -290,14 +289,14 @@ where
         if usize::from(p.index) != i {
             return Err(MediaError::Malformed("packet set is not a prefix"));
         }
-        let header = head.payload.get(..CONTAINER_HEADER);
-        if header.is_none_or(|h| &h[..4] != b"EZC1") {
+        let header = head.payload.get(..CONTAINER_HEADER_LEN);
+        if header.is_none_or(|h| &h[..4] != CONTAINER_MAGIC) {
             return Err(MediaError::Malformed("bad stripe header"));
         }
-        if p.payload.get(..CONTAINER_HEADER) != header {
+        if p.payload.get(..CONTAINER_HEADER_LEN) != header {
             return Err(MediaError::Malformed("inconsistent stripe headers"));
         }
-        let mut pos = CONTAINER_HEADER;
+        let mut pos = CONTAINER_HEADER_LEN;
         for _ in 0..head.payload[4] {
             let Some(len) = p.payload.get(pos..pos + 4) else {
                 return Err(MediaError::Malformed("truncated stripe"));
@@ -319,8 +318,8 @@ where
     };
     let channels = usize::from(head.payload[4]);
     out.clear();
-    out.reserve_exact(CONTAINER_HEADER + 4 * channels + chunk_bytes);
-    out.extend_from_slice(&head.payload[..CONTAINER_HEADER]);
+    out.reserve_exact(CONTAINER_HEADER_LEN + 4 * channels + chunk_bytes);
+    out.extend_from_slice(&head.payload[..CONTAINER_HEADER_LEN]);
     for channel in 0..channels {
         let len_at = out.len();
         out.extend_from_slice(&[0; 4]);
@@ -335,7 +334,7 @@ where
 
 /// Chunk `channel` of a stripe [`reassemble_stripes`] has verified.
 fn stripe_chunk(payload: &[u8], channel: usize) -> &[u8] {
-    let mut pos = CONTAINER_HEADER;
+    let mut pos = CONTAINER_HEADER_LEN;
     for _ in 0..channel {
         pos += 4 + u32::from_be_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
     }
@@ -405,7 +404,7 @@ mod tests {
             shuffled.extend(packets[..5].iter().rev().cloned());
             // A later copy of index 0 with other bytes is ignored.
             let mut forged = packets[0].clone();
-            forged.payload[CONTAINER_HEADER + 4] ^= 0xFF;
+            forged.payload[CONTAINER_HEADER_LEN + 4] ^= 0xFF;
             shuffled.push(forged);
             assert_eq!(reassemble_prefix(&shuffled).unwrap(), ordered);
             let mut kept = ordered.clone();

@@ -22,7 +22,7 @@
 //! with: `REGEN_MEDIA_FIXTURES=1 cargo test --test media_codec`.
 
 use collabqos::core::apps::{ImageViewer, ViewStore};
-use collabqos::core::events::AppEvent;
+use collabqos::core::events::{AppEvent, EventView};
 use collabqos::core::session::{CollaborationSession, SessionConfig};
 use collabqos::media::ezw::{
     self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
@@ -31,6 +31,7 @@ use collabqos::media::image::{synthetic_scene, Image, Scene};
 use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
 use collabqos::media::reference;
 use collabqos::media::wavelet::{self, WaveletKind, WaveletScratch};
+use collabqos::sempubsub::{SemanticMessage, WireMessage};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -995,8 +996,9 @@ fn more_prefixes_than_the_store_holds_decode_per_viewer() {
     }
 }
 
-/// The events that carry `container` as object `object_id`.
-fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<AppEvent> {
+/// The events that carry `container` as object `object_id`, each in a
+/// message of its own as a viewer is handed it.
+fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<Arc<WireMessage>> {
     let packets = split_packets(container, 4);
     let meta = AppEvent::ImageMeta {
         object_id,
@@ -1008,7 +1010,21 @@ fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<AppEvent
     let packets = packets
         .into_iter()
         .map(|packet| AppEvent::ImagePacket { object_id, packet });
-    std::iter::once(meta).chain(packets).collect()
+    std::iter::once(meta)
+        .chain(packets)
+        .map(|ev| {
+            let wire = SemanticMessage {
+                sender: String::new(),
+                kind: ev.kind().to_string(),
+                selector: String::new(),
+                seq: 0,
+                content: Default::default(),
+                body: ev.encode(),
+            }
+            .encode();
+            Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"))
+        })
+        .collect()
 }
 
 /// The key is the bytes: two streams of one length under one object id
@@ -1032,7 +1048,7 @@ fn equal_length_containers_under_one_object_id_never_alias() {
         let mut viewer = ImageViewer::with_store(4, store.clone());
         let view = image_events(7, container, image)
             .iter()
-            .find_map(|ev| viewer.apply(ev))
+            .find_map(|m| viewer.apply_delivered(&EventView::parse(m.body()).unwrap(), m))
             .expect("completes");
         assert!(*view.image == ezw::decode_image(container).unwrap());
         shown.push(view.image);
