@@ -1,11 +1,13 @@
-//! Paper-reproduction harness.
+//! Paper-reproduction harness: table printing and timing helpers for
+//! its two programs (`src/bin/`).
 //!
-//! One runnable program per paper figure and table (`src/bin/`): each
-//! prints the series the paper plots beside the paper's reported
-//! values and asserts its correctness invariants inline, so CI can run
-//! it at `--quick` as a smoke test. Wall-clock columns are printed for
-//! humans and never asserted on: performance claims and regressions
-//! are judged by the repo benchmark (`BENCHMARK.json`, `benchmark/`).
+//! * `reproduce <name>|all` prints each figure, claim and comparison of
+//!   the paper's evaluation beside the paper's reported values;
+//! * `phases` times one 6-bpp 256² colour share phase by phase.
+//!
+//! Wall-clock columns are printed for humans and never asserted on:
+//! performance claims and regressions are judged by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/`). The invariants are tests.
 
 /// Print a fixed-width table row.
 pub fn row(cells: &[String], widths: &[usize]) {
@@ -43,8 +45,8 @@ pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (result.expect("reps > 0"), best)
 }
 
-/// Whether `--quick` was passed: the reduced-scale sweep CI runs as
-/// smoke. Scale shrinks; every inline invariant still runs.
+/// Whether `--quick` was passed: fewer repetitions, as CI runs
+/// `phases`.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }

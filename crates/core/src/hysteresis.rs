@@ -11,7 +11,7 @@
 //! `upgrade_patience` consecutive decisions**.
 //!
 //! The unit tests quantify the flip-flop suppression on a noisy load
-//! trace; `bench`'s `ablations` program times the filter.
+//! trace; `reproduce ablations` (the `bench` crate) times the filter.
 
 use crate::inference::AdaptationDecision;
 

@@ -1469,18 +1469,21 @@ pub fn encode_prepared_plane(
 /// ([`encode_image_capped`]) stops at it — so the two agree to the
 /// byte. `None` keeps everything.
 pub fn channel_keeps(lens: &[usize], budget: Option<usize>) -> Vec<usize> {
-    let Some(budget) = budget else {
-        return lens.to_vec();
-    };
-    let total: usize = lens.iter().sum();
-    let overhead = CONTAINER_HEADER_LEN + 4 * lens.len();
-    let payload_budget = budget.saturating_sub(overhead);
+    let total = lens.iter().sum();
     lens.iter()
-        .map(|&len| {
-            let share = (payload_budget * len).checked_div(total).unwrap_or(0);
-            share.clamp(PLANE_HEADER_LEN.min(len), len)
-        })
+        .map(|&len| channel_keep(len, total, lens.len(), budget))
         .collect()
+}
+
+/// One channel's entry of [`channel_keeps`]: its stream is `len` bytes
+/// of the `total` that `channels` streams hold.
+fn channel_keep(len: usize, total: usize, channels: usize, budget: Option<usize>) -> usize {
+    let Some(budget) = budget else {
+        return len;
+    };
+    let payload_budget = budget.saturating_sub(CONTAINER_HEADER_LEN + 4 * channels);
+    let share = (payload_budget * len).checked_div(total).unwrap_or(0);
+    share.clamp(PLANE_HEADER_LEN.min(len), len)
 }
 
 /// Pack per-channel plane streams into a container:
@@ -1572,15 +1575,16 @@ pub fn encode_image_capped(
 }
 
 /// Everything a container encode reuses from one call to the next: per
-/// channel the sizing-up ([`PlaneAnalysis`]) and the emitted stream (a
-/// channel's is held while the others are sized up or written), the
-/// container they are assembled into, and the wavelet and EZW coder
-/// state. The coefficient planes are not in it: the caller lends them
+/// channel the sizing-up ([`PlaneAnalysis`]), its length and the
+/// emitted stream (a channel's is held while the others are sized up
+/// or written), the container they are assembled into, and the wavelet
+/// and EZW coder state. The coefficient planes are not in it: the caller lends them
 /// ([`encode_image_capped_with`]). The buffers stay the size of the
 /// largest image encoded.
 #[derive(Default)]
 pub struct EncodeScratch {
     analyses: Vec<PlaneAnalysis>,
+    lens: Vec<usize>,
     streams: Vec<Vec<u8>>,
     container: Vec<u8>,
     wavelet: WaveletScratch,
@@ -1601,7 +1605,7 @@ impl EncodeScratch {
 /// lends the ones its decode scratch keeps
 /// ([`DecodeScratch::planes_mut`]) — and the container is assembled in
 /// `scratch`, which the returned bytes borrow. After warm-up an encode
-/// allocates only its channel lengths and their split.
+/// allocates nothing.
 ///
 /// # Panics
 /// Panics when `planes` has fewer entries than `img` has channels.
@@ -1619,6 +1623,7 @@ pub fn encode_image_capped_with<'s>(
     let (w, h, n) = (img.width, img.height, img.channels);
     let EncodeScratch {
         analyses,
+        lens,
         streams,
         container,
         wavelet: ws,
@@ -1631,16 +1636,20 @@ pub fn encode_image_capped_with<'s>(
     let planes = &mut planes[..n];
     // Two rounds with the cap's split between them: how much of a
     // channel the cap keeps depends on every channel's length.
-    let lens: Vec<usize> = planes
-        .iter_mut()
-        .zip(analyses.iter_mut())
-        .map(|(plane, analysis)| {
-            wavelet::forward_2d_with(plane, w, h, levels, kind, ws);
-            EzwEncoder::measure_plane(plane, w, h, levels, analysis)
-        })
-        .collect();
+    lens.clear();
+    lens.extend(
+        planes
+            .iter_mut()
+            .zip(analyses.iter_mut())
+            .map(|(plane, analysis)| {
+                wavelet::forward_2d_with(plane, w, h, levels, kind, ws);
+                EzwEncoder::measure_plane(plane, w, h, levels, analysis)
+            }),
+    );
+    let total = lens.iter().sum();
     let jobs = planes.iter().zip(analyses.iter()).zip(streams.iter_mut());
-    for (((plane, analysis), out), keep) in jobs.zip(channel_keeps(&lens, cap)) {
+    for (((plane, analysis), out), &len) in jobs.zip(lens.iter()) {
+        let keep = channel_keep(len, total, n, cap);
         EzwEncoder::emit_plane_into(plane, analysis, keep, es, out);
     }
     assemble_container_into(container, n, kind, color_transform, &streams[..n]);
@@ -1915,11 +1924,12 @@ pub fn decode_image_reduced_with(
 /// quality degrades gracefully across all channels instead of dropping
 /// whole channels.
 pub fn truncate_container(bytes: &[u8], budget: usize) -> Result<Vec<u8>, MediaError> {
-    let (_, _, streams) = container_streams(bytes)?;
-    let lens: Vec<usize> = streams.clone().map(<[u8]>::len).collect();
+    let (channels, _, streams) = container_streams(bytes)?;
+    let total = streams.clone().map(<[u8]>::len).sum();
     let mut out = Vec::with_capacity(budget.min(bytes.len()));
     out.extend_from_slice(&bytes[..CONTAINER_HEADER_LEN]);
-    for (s, keep) in streams.zip(channel_keeps(&lens, Some(budget))) {
+    for s in streams {
+        let keep = channel_keep(s.len(), total, channels, Some(budget));
         out.extend_from_slice(&(keep as u32).to_be_bytes());
         out.extend_from_slice(&s[..keep]);
     }

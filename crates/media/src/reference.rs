@@ -11,9 +11,8 @@
 //! * the differential suite (`tests/media_codec.rs`) pins the
 //!   optimized encoder/decoder **bit-identical** to this code on
 //!   arbitrary planes, truncation points, and worker counts;
-//! * `bench --bin media_codec` measures the optimized path's speedup
-//!   against this code, so the 3× floor in CI is relative to a fixed
-//!   anchor rather than to whatever the fast path was last week.
+//! * `bench --bin phases` holds the replayed decode of the share it
+//!   times to this code's image of the same bytes.
 
 use crate::ezw::{container_streams, kind_from_byte};
 use crate::wavelet::{max_levels, WaveletKind};
@@ -491,7 +490,7 @@ pub fn decode_plane(bytes: &[u8]) -> Result<DecodedPlane, MediaError> {
 /// through [`decode_plane`] and [`inverse_2d`], then the level shift
 /// and inverse colour transform the image format prescribes. This
 /// function is not part of the frozen copy — it only composes it — and
-/// is here so the differential suite and the `media_codec` bin say
+/// is here so the differential suite and the `phases` bin say
 /// "the image the pre-refactor coder makes of these bytes" one way.
 pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
     let (channels, kind, streams) = container_streams(bytes)?;

@@ -1135,3 +1135,126 @@ mod recycling {
         }
     }
 }
+
+/// Every scheduled copy of a lossless fan-out is delivered, whatever
+/// the session's size: `ticks` batches of `batch` shared 256-byte
+/// payloads, multicast on one switched star of `n` clients (each batch
+/// reaching the `n - 1` peers) and relayed store-and-forward down a
+/// chain of `domains` hubs, each relay republishing into its domain's
+/// group (every client hears each event once, and each of the
+/// `domains - 1` relay hops is one delivery more).
+#[test]
+fn fan_out_and_relay_chain_deliver_the_closed_form_counts() {
+    const PORT: Port = Port(5004);
+    const RELAY: Port = Port(9100);
+    let (ticks, batch, domains) = (5, 8, 8);
+    let payloads = |tick: usize| -> Vec<Payload> {
+        (0..batch)
+            .map(|m| Payload::from(vec![(tick * batch + m) as u8; 256]))
+            .collect()
+    };
+    let drain = |net: &mut Network, sockets: &[SocketHandle]| {
+        let mut got = 0u64;
+        for &s in sockets {
+            while net.recv(s).is_some() {
+                got += 1;
+            }
+        }
+        got
+    };
+    let edge = || LinkSpec::lan().with_bandwidth_bps(1_000_000_000);
+    for n in [200usize, 1_000] {
+        // Flat: one group of all `n`, member 0 publishes.
+        let mut net = Network::new(42);
+        let hub = net.add_node("hub");
+        let group = net.new_group();
+        let sockets: Vec<SocketHandle> = (0..n)
+            .map(|i| {
+                let node = net.add_node(&format!("c{i}"));
+                net.connect(node, hub, edge());
+                let s = net.bind(node, PORT).unwrap();
+                net.join(s, group).unwrap();
+                s
+            })
+            .collect();
+        let stats = net.stats_handle();
+        let mut received = 0;
+        for tick in 0..ticks {
+            net.send_batch(sockets[0], Addr::multicast(group, PORT), payloads(tick))
+                .unwrap();
+            net.run_to_quiescence();
+            received += drain(&mut net, &sockets);
+        }
+        let expect = (ticks * batch * (n - 1)) as u64;
+        assert_eq!(stats.delivered(), expect, "flat n={n}: lossless fan-out");
+        assert_eq!(received, expect, "flat n={n}: every copy reached an inbox");
+
+        // Brokered: hubs chained by a backbone, one relay and one
+        // group per hub, clients split evenly; relay 0 publishes.
+        let mut net = Network::new(42);
+        let (mut hubs, mut relays, mut groups) = (Vec::new(), Vec::new(), Vec::new());
+        for d in 0..domains {
+            let hub = net.add_node(&format!("hub{d}"));
+            if d > 0 {
+                net.connect(hubs[d - 1], hub, edge());
+            }
+            relays.push(net.bind(hub, RELAY).unwrap());
+            groups.push(net.new_group());
+            hubs.push(hub);
+        }
+        let sockets: Vec<SocketHandle> = (0..n)
+            .map(|i| {
+                let node = net.add_node(&format!("c{i}"));
+                net.connect(node, hubs[i % domains], edge());
+                let s = net.bind(node, PORT).unwrap();
+                net.join(s, groups[i % domains]).unwrap();
+                s
+            })
+            .collect();
+        let stats = net.stats_handle();
+        let mut received = 0;
+        for tick in 0..ticks {
+            let first = payloads(tick);
+            net.send_batch(relays[0], Addr::multicast(groups[0], PORT), first.clone())
+                .unwrap();
+            net.send_batch(relays[0], Addr::unicast(hubs[1], RELAY), first)
+                .unwrap();
+            // Settle, republish whatever arrived, until every relay is quiet.
+            loop {
+                net.run_to_quiescence();
+                let mut moved = false;
+                for d in 1..domains {
+                    let mut arrived: Vec<Payload> = Vec::new();
+                    while let Some(dgram) = net.recv(relays[d]) {
+                        arrived.push(dgram.payload);
+                    }
+                    if arrived.is_empty() {
+                        continue;
+                    }
+                    moved = true;
+                    if d + 1 < domains {
+                        net.send_batch(
+                            relays[d],
+                            Addr::unicast(hubs[d + 1], RELAY),
+                            arrived.clone(),
+                        )
+                        .unwrap();
+                    }
+                    net.send_batch(relays[d], Addr::multicast(groups[d], PORT), arrived)
+                        .unwrap();
+                }
+                if !moved {
+                    break;
+                }
+            }
+            received += drain(&mut net, &sockets);
+        }
+        let expect = (ticks * batch * (n + domains - 1)) as u64;
+        assert_eq!(stats.delivered(), expect, "brokered n={n}: lossless relay");
+        assert_eq!(
+            received,
+            (ticks * batch * n) as u64,
+            "brokered n={n}: every client copy reached an inbox"
+        );
+    }
+}

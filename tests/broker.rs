@@ -219,6 +219,45 @@ fn brokered_rejections_become_suppressions() {
         "flat rejections must reappear as broker suppressions"
     );
     assert!(brk_texter.suppressed >= 17);
+
+    // The delivered set holds at every session size: 1 to 8 clients a
+    // domain, each domain's first client publishing 8 domain-local
+    // chats and one broadcast.
+    for per_domain in [1, 2, 4, 8] {
+        let accepted = |domains: Option<usize>| {
+            let mut s = CollaborationSession::new(SessionConfig {
+                seed: 0x006F_7665_726C_6179,
+                domains,
+                ..SessionConfig::default()
+            });
+            let ids: Vec<usize> = (0..3 * per_domain)
+                .map(|i| {
+                    let name = format!("client-{i}");
+                    let profile = topic_profile(&name, &[&format!("d{}", i % 3), "all"]);
+                    s.add_wired_client(profile, engine(), SimHost::idle(&name))
+                        .unwrap()
+                })
+                .collect();
+            for (d, &publisher) in ids.iter().enumerate().take(3) {
+                for m in 0..8 {
+                    let selector = format!("interested_in contains 'd{d}'");
+                    s.share_chat(publisher, &format!("d{d} update {m}"), &selector)
+                        .unwrap();
+                }
+                s.share_chat(publisher, "hello", "interested_in contains 'all'")
+                    .unwrap();
+            }
+            s.pump(Ticks::from_millis(400));
+            ids.iter()
+                .map(|&id| s.client(id).bus.stats().accepted)
+                .sum::<u64>()
+        };
+        assert_eq!(
+            accepted(None),
+            accepted(Some(3)),
+            "{per_domain} clients a domain: the overlay changed the delivered set"
+        );
+    }
 }
 
 // ------------------------------------------------- figure bit-identity

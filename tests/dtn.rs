@@ -381,3 +381,75 @@ fn custody_enabled_session_is_identical_without_partitions() {
     assert_eq!(enabled.3, disabled.3, "chat log");
     assert_eq!(enabled.4, 0, "no partition: the store never engages");
 }
+
+// ------------------------------------------- federation at scale
+
+/// An 8-broker chain with custody on, through 8 partition / heal
+/// cycles, each cutting the next inter-broker link and publishing a
+/// burst of 128 into the outage: every subscriber of the seven far
+/// domains sees every message exactly once (live on the near side,
+/// drained by the custody store after the heal), custody is
+/// transferred, and every store ends empty.
+#[test]
+fn a_federation_delivers_every_burst_once_across_rotating_partitions() {
+    const DOMAINS: usize = 8;
+    let (cycles, burst) = (8, 128);
+    let mut net = Network::new(0x0DB1);
+    let mut ov = Overlay::new();
+    ov.enable_custody(StoreConfig {
+        max_bytes: 4 << 20,
+        max_bundles: 16_384,
+        lifetime: Ticks::from_secs(60),
+        retry_after: Ticks::from_millis(10),
+        ..StoreConfig::default()
+    });
+    for i in 0..DOMAINS {
+        ov.add_broker(&mut net, &format!("b{i}"));
+    }
+    let links: Vec<_> = (0..DOMAINS - 1)
+        .map(|i| ov.connect(&mut net, i, i + 1, LinkSpec::lan()))
+        .collect();
+    let mut publisher = join_domain(&mut net, &mut ov, 0, topic_profile("pub", &["control"]));
+    let mut subs: Vec<BusEndpoint> = (1..DOMAINS)
+        .map(|d| {
+            join_domain(
+                &mut net,
+                &mut ov,
+                d,
+                topic_profile(&format!("sub{d}"), &["feed"]),
+            )
+        })
+        .collect();
+    let mut delivered = 0;
+    for cycle in 0..cycles {
+        let cut = links[cycle % links.len()];
+        net.topology_mut().set_link_up(cut, false);
+        publish_n(
+            &mut net,
+            &mut publisher,
+            "interested_in contains 'feed'",
+            burst,
+        );
+        ov.pump(&mut net, Ticks::from_millis(100));
+        for sub in &mut subs {
+            delivered += accepted_bodies(&mut net, sub).len();
+        }
+        net.topology_mut().set_link_up(cut, true);
+        ov.pump(&mut net, Ticks::from_millis(200));
+        for sub in &mut subs {
+            delivered += accepted_bodies(&mut net, sub).len();
+        }
+    }
+    assert_eq!(
+        delivered,
+        cycles * burst * (DOMAINS - 1),
+        "every burst message delivered exactly once across the federation"
+    );
+    let mut transfers = 0;
+    for i in 0..DOMAINS {
+        let stats = ov.store_stats(i).expect("custody enabled");
+        assert_eq!(stats.stored_bundles(), 0, "broker {i} fully drained");
+        transfers += stats.custody_transfers();
+    }
+    assert!(transfers > 0, "custody transfers must occur");
+}

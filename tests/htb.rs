@@ -18,6 +18,7 @@ use collabqos::prelude::*;
 use collabqos::sempubsub::BusEndpoint;
 use collabqos::simnet::packet::well_known;
 use collabqos::simnet::qdisc::{ClassMap, CoDel, Shaper, TokenBucket, TrafficClass, CLASS_COUNT};
+use collabqos::simnet::rtp::ReceiverReport;
 use collabqos::simnet::{Network, NodeId};
 use collabqos::snmp::transport::TrapSink;
 use collabqos::snmp::SnmpValue;
@@ -155,6 +156,150 @@ proptest! {
             "root moved {moved} of {capacity} bits with every leaf backlogged"
         );
     }
+}
+
+/// The 8-tier plan catalog (assured / ceiling, bits/s), copper to biz-l.
+const TIERS: [(&str, u64, u64); 8] = [
+    ("copper", 512_000, 1_000_000),
+    ("bronze", 1_000_000, 2_000_000),
+    ("silver", 1_500_000, 3_000_000),
+    ("gold", 2_000_000, 4_000_000),
+    ("platinum", 3_000_000, 6_000_000),
+    ("biz-s", 4_000_000, 8_000_000),
+    ("biz-m", 5_000_000, 10_000_000),
+    ("biz-l", 6_000_000, 12_000_000),
+];
+
+/// An ISP's tree at scale: a 2.5 Gbit/s uplink, 4 sites, 16 APs and
+/// 1 000 or 16 000 subscriber leaves on the 8 tiers, every leaf kept
+/// 24 packets deep for one simulated second. No subscriber exceeds its
+/// ceiling in any 100 ms window, no node's subtree out-spends its own
+/// ceiling, the saturated tree never goes idle and the root moves at
+/// least 93% of the uplink.
+#[test]
+fn an_isp_tree_holds_every_ceiling_and_conserves_work_at_scale() {
+    const UPLINK: u64 = 2_500_000_000;
+    const T: u64 = 1_000_000;
+    const WINDOW: u64 = 100_000;
+    for subs in [1_000usize, 16_000] {
+        let mut spec = TreeSpec::new(UPLINK);
+        let mut aps = Vec::new();
+        for s in 0..4 {
+            let site = spec.add_site(&format!("site{s}"), UPLINK / 4, UPLINK / 2);
+            for a in 0..4 {
+                aps.push(spec.add_ap(site, &format!("ap{s}.{a}"), UPLINK / 16, UPLINK / 4));
+            }
+        }
+        for i in 0..subs {
+            let (name, assured, ceil) = TIERS[i % TIERS.len()];
+            let plan = RatePlan::new(name, assured, ceil);
+            spec.add_subscriber(
+                aps[i % aps.len()],
+                &format!("sub{i}"),
+                &plan,
+                10_000 + i as u32,
+            );
+        }
+        assert_eq!(spec.subscriber_count(), subs);
+        let mut tree: ShapingTree<usize> = ShapingTree::new(spec);
+        let stats = tree.shared_stats();
+        let dst = |i: usize| 10_000 + i as u32;
+        let leaf_of: Vec<usize> = (0..subs).map(|i| tree.leaf_for_dst(dst(i))).collect();
+        for i in 0..subs {
+            for _ in 0..24 {
+                let queued = tree.enqueue(0, dst(i), 0, 1_500, true, i);
+                assert!(
+                    matches!(queued, EnqueueOutcome::Queued),
+                    "prefill overflows leaf queue"
+                );
+            }
+        }
+        let check_window = |win_bits: &[u64]| {
+            for (i, &bits) in win_bits.iter().enumerate() {
+                let budget = stats.ceil_bps(leaf_of[i]) * WINDOW / 1_000_000;
+                assert!(
+                    bits <= budget + SLACK_BITS,
+                    "{subs} subs: sub{i} sent {bits} bits in a window, ceiling budget {budget}"
+                );
+            }
+        };
+        let mut win_bits = vec![0u64; subs];
+        let (mut window_end, mut t) = (WINDOW, 0u64);
+        loop {
+            let out = tree.dequeue(t);
+            // ECT traffic is marked, not dropped; refill whatever CoDel
+            // sheds all the same so the leaf stays saturated.
+            for (_, i) in out.aqm_dropped {
+                let _ = tree.enqueue(t, dst(i), 0, 1_500, true, i);
+            }
+            if let Some(rel) = out.released {
+                let i = rel.payload;
+                win_bits[i] += u64::from(rel.bytes) * 8;
+                let _ = tree.enqueue(t, dst(i), 0, 1_500, true, i);
+                continue;
+            }
+            let next = out.next_at.expect("a saturated tree never goes empty");
+            if next >= T {
+                break;
+            }
+            t = next;
+            while t >= window_end {
+                check_window(&win_bits);
+                win_bits.iter_mut().for_each(|b| *b = 0);
+                window_end += WINDOW;
+            }
+        }
+        check_window(&win_bits);
+        for n in 0..stats.node_count() {
+            let budget = stats.ceil_bps(n) * T / 1_000_000 + SLACK_BITS;
+            assert!(
+                stats.bits_sent(n) <= budget,
+                "{subs} subs: node {n} sent {} bits, ceiling budget {budget}",
+                stats.bits_sent(n)
+            );
+        }
+        let (moved, capacity) = (stats.bits_sent(ROOT), UPLINK * T / 1_000_000);
+        assert!(
+            moved as f64 >= 0.93 * capacity as f64,
+            "{subs} subs: root moved {moved} of {capacity} bits"
+        );
+    }
+}
+
+/// A gold subscriber leaf offered 400 packets a second against a
+/// ceiling that drains about 333 builds its sojourn slowly: CoDel's
+/// first ECT mark lands strictly before the leaf FIFO's first tail
+/// drop.
+#[test]
+fn a_subscriber_leaf_marks_before_it_drops() {
+    let mut spec = TreeSpec::new(100_000_000);
+    let site = spec.add_site("site", 100_000_000, 100_000_000);
+    spec.add_subscriber(site, "sub", &RatePlan::new("gold", 2_000_000, 4_000_000), 1);
+    let mut tree: ShapingTree<()> = ShapingTree::new(spec);
+    let (mut first_mark, mut first_drop) = (None, None);
+    let (mut t, mut t_enq) = (0u64, 0u64);
+    while first_drop.is_none() && t_enq < 60_000_000 {
+        while let Some(at) = tree.next_ready(t) {
+            if at > t_enq {
+                break;
+            }
+            t = at;
+            if tree.dequeue(t).released.is_some_and(|r| r.ecn_marked) && first_mark.is_none() {
+                first_mark = Some(t);
+            }
+        }
+        t = t_enq;
+        if let EnqueueOutcome::TailDropped(()) = tree.enqueue(t, 1, 0, 1_500, true, ()) {
+            first_drop = Some(t);
+        }
+        t_enq += 2_500;
+    }
+    let mark = first_mark.expect("CoDel marked the standing queue");
+    let drop = first_drop.expect("the FIFO eventually tail-dropped");
+    assert!(
+        mark < drop,
+        "first mark at {mark} µs must precede first drop at {drop} µs"
+    );
 }
 
 // ------------------------------------- scheduler vs. its definition
@@ -888,4 +1033,162 @@ fn session_with_tree_identical_across_worker_counts() {
         sharded, serial,
         "tree-shaped session trace diverged across worker counts; seed {seed}"
     );
+}
+
+// ------------------------------------------ quality vs. bandwidth
+
+/// One engine's quality point on one tier: the shared uplink *is* the
+/// tier's ceiling, one subscriber leaf on the tier's plan bound to the
+/// viewer. Each 700 ms round the publisher shares the same 6-bpp colour
+/// scene; the leaf's ceiling utilisation and AQM drops are echoed to
+/// the viewer's engine as an RTP receiver report, which re-decides its
+/// packet budget. After two warm-up rounds and two measured ones:
+/// `(budget, delivered kbit/s, PSNR dB)`, `(budget, 0, 0)` when the
+/// engine fell back to the caption.
+fn quality_point(choice: EngineChoice, tier: (&str, u64, u64), scene: &Scene) -> (u32, f64, f64) {
+    let (name, assured, ceil) = tier;
+    let mut session = CollaborationSession::new(SessionConfig {
+        seed: 11,
+        color_transform: true,
+        // Even the top tier's 16/16 budget is lossy: an infinite PSNR
+        // point says nothing about the curve.
+        full_stream_bpp: Some(6.0),
+        engine: choice,
+        ..SessionConfig::default()
+    });
+    let image_profile = |name: &str| {
+        let mut p = Profile::new(name);
+        p.set(
+            "interested_in",
+            AttrValue::List(vec![AttrValue::str("image")]),
+        );
+        p
+    };
+    // A graded budget ladder: the stock congestion policy jumps from
+    // eight packets straight to modality caps.
+    let mut ladder = PolicyDb::new();
+    let bands = [
+        (
+            "cg-light",
+            "congestion_pct >= 5 and congestion_pct < 15",
+            12,
+        ),
+        ("cg-mild", "congestion_pct >= 15 and congestion_pct < 30", 8),
+        (
+            "cg-heavy",
+            "congestion_pct >= 30 and congestion_pct < 60",
+            4,
+        ),
+        ("cg-saturated", "congestion_pct >= 60", 2),
+        ("loss-mild", "loss_pct >= 2 and loss_pct < 10", 8),
+        ("loss-heavy", "loss_pct >= 10", 2),
+    ];
+    for (i, (rule, cond, packets)) in bands.into_iter().enumerate() {
+        ladder
+            .add_rule(
+                rule,
+                i as i32,
+                cond,
+                AdaptationAction::LimitPackets(packets),
+            )
+            .unwrap();
+    }
+    let publisher = session
+        .add_wired_client(
+            image_profile("publisher"),
+            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
+            SimHost::idle("publisher"),
+        )
+        .unwrap();
+    let viewer = session
+        .add_adaptive_client(
+            image_profile("viewer"),
+            ladder,
+            QosContract::default(),
+            SimHost::idle("viewer"),
+        )
+        .unwrap();
+    // Lenient CoDel and a deep leaf queue: one image burst is never
+    // AQM-dropped mid-prefix, so the tier's rate is what is measured.
+    let mut spec = TreeSpec::new(ceil)
+        .with_codel(400_000, 800_000)
+        .with_leaf_queue_cap(256);
+    let site = spec.add_site("site", ceil, ceil);
+    spec.add_subscriber(
+        site,
+        "viewer",
+        &RatePlan::new(name, assured, ceil),
+        session.client(viewer).node.0,
+    );
+    let leaf = spec.subscriber_nodes()[0].0;
+    let stats = session.attach_tree(publisher, spec);
+    let (warmup, measured, round_s) = (2, 2, 0.7);
+    let (mut budget, mut accepted_bytes, mut last_viewed) = (16, 0, None);
+    for round in 0..warmup + measured {
+        let (bits_before, drops_before) = (stats.bits_sent(leaf), stats.drops(leaf));
+        session
+            .share_image(publisher, scene, "interested_in contains 'image'")
+            .unwrap();
+        for (cid, viewed) in session.pump(Ticks::from_millis(700)) {
+            if cid == viewer && round >= warmup {
+                accepted_bytes += viewed.received_bytes;
+                last_viewed = Some(viewed);
+            }
+        }
+        let sent_bits = (stats.bits_sent(leaf) - bits_before) as f64;
+        let dropped = (stats.drops(leaf) - drops_before) as f64;
+        let pkts = 1.0 + session.config().packets_per_image as f64;
+        let report = ReceiverReport {
+            fraction_ecn_ce: (sent_bits / (ceil as f64 * round_s)).min(1.0),
+            fraction_lost: (dropped / pkts).min(1.0),
+            ..ReceiverReport::default()
+        };
+        session.ingest_rtp_report(viewer, &report);
+        budget = session.adapt(viewer).max_packets;
+    }
+    match last_viewed {
+        Some(v) => (
+            budget,
+            accepted_bytes as f64 * 8.0 / (measured as f64 * round_s) / 1_000.0,
+            collabqos::media::psnr_color(&scene.image, &v.image),
+        ),
+        None => (budget, 0.0, 0.0),
+    }
+}
+
+/// Quality against bandwidth, per engine, across the 8-tier catalog:
+/// sorted by delivered kbit/s, the decoded PSNR never falls (the
+/// embedded stream's prefix property, end to end through the session,
+/// the encode cache, the shaping tree and the viewer), the sweep moves
+/// the packet budget, and the top tier delivers more than the bottom.
+#[test]
+fn psnr_rises_with_delivered_rate_across_the_plan_tiers_for_every_engine() {
+    let scene = synthetic_scene(256, 256, 3, 5, 11);
+    for choice in EngineChoice::all() {
+        let mut points: Vec<(u32, f64, f64)> = TIERS
+            .iter()
+            .map(|&tier| quality_point(choice, tier, &scene))
+            .collect();
+        let budgets: std::collections::BTreeSet<u32> = points.iter().map(|p| p.0).collect();
+        assert!(
+            budgets.len() >= 2,
+            "{}: budget never moved ({budgets:?})",
+            choice.name()
+        );
+        points.sort_by(|a, b| a.1.total_cmp(&b.1));
+        for w in points.windows(2) {
+            assert!(
+                w[1].2 >= w[0].2 - 1e-9,
+                "{}: PSNR not monotone in delivered rate: {:?} then {:?}",
+                choice.name(),
+                w[0],
+                w[1]
+            );
+        }
+        assert!(
+            points[7].1 > points[0].1,
+            "{}: every tier delivered the same rate",
+            choice.name()
+        );
+    }
 }

@@ -941,3 +941,142 @@ fn eviction_is_strict_lru_in_tick_order() {
     assert_eq!(cache.stats().hits(), hits);
     assert_eq!(cache.stats().evictions(), evictions);
 }
+
+// ------------------------------------------------ at session scale
+
+/// The matching paths at scale, counted against the tree walk:
+/// 8 000 messages over 8, 64 and 256 distinct selectors (about half
+/// accept) through a compiled engine whose cache is below the working
+/// set (round-robin access recompiles every message) and one that
+/// holds it all; then 1 000 messages received by each of 16 endpoints
+/// of differing profiles, each decoding privately through a store of
+/// its own (endpoints × selectors programs) and all through one shared
+/// store (one program per selector).
+#[test]
+fn cold_warm_private_and_shared_paths_accept_as_the_tree_walk_at_scale() {
+    let base = {
+        let mut p = Profile::new("client");
+        p.set("media", AttrValue::str("video"));
+        p.set("size", AttrValue::Int(4));
+        p.set("enc", AttrValue::str("h261"));
+        p.set("color", AttrValue::Bool(true));
+        p.set_interest("media == 'video' or media == 'audio'")
+            .unwrap();
+        p
+    };
+    let content: BTreeMap<String, AttrValue> = [
+        ("media".to_string(), AttrValue::str("video")),
+        ("frames".to_string(), AttrValue::Int(30)),
+    ]
+    .into();
+    let accepts = |r: Result<MatchOutcome, _>| r.is_ok_and(|o: MatchOutcome| o.is_accepted());
+    let (messages, endpoints, fan_out_messages) = (8_000, 16, 1_000);
+    let profiles: Vec<Profile> = (0..endpoints)
+        .map(|i| {
+            let mut p = base.clone();
+            p.name = format!("client-{i}");
+            p.set("size", AttrValue::Int((i % 8) as i64));
+            p
+        })
+        .collect();
+    for n in [8usize, 64, 256] {
+        // `x == {i}` keeps the selectors distinct without changing an
+        // outcome: `x` is absent.
+        let selectors: Vec<String> = (0..n)
+            .map(|i| {
+                format!(
+                    "media == 'video' and exists(enc) and (size <= {} or x == {i})",
+                    i % 8
+                )
+            })
+            .collect();
+        let parsed: Vec<Selector> = selectors
+            .iter()
+            .map(|s| Selector::parse(s).unwrap())
+            .collect();
+        let tree = (0..messages)
+            .filter(|i| accepts(matching::interpret(&base, &parsed[i % n], &content)))
+            .count();
+        let mut warm = MatchEngine::with_capacity(n.max(16));
+        for sel in &selectors {
+            warm.compile(sel).unwrap();
+        }
+        for (path, mut engine) in [
+            ("cold", MatchEngine::with_capacity((n / 2).max(1))),
+            ("warm", warm),
+        ] {
+            let got = (0..messages)
+                .filter(|i| {
+                    accepts(
+                        engine
+                            .interpret(&base, &selectors[i % n], &content)
+                            .unwrap(),
+                    )
+                })
+                .count();
+            assert_eq!(got, tree, "{path} path at {n} selectors");
+        }
+
+        let tree: usize = profiles
+            .iter()
+            .map(|p| {
+                (0..fan_out_messages)
+                    .filter(|i| accepts(matching::interpret(p, &parsed[i % n], &content)))
+                    .count()
+            })
+            .sum();
+        let wires: Vec<Vec<u8>> = (0..fan_out_messages)
+            .map(|i| frame(&selectors[i % n], i as u64, content.clone()))
+            .collect();
+        let mut net = Network::new(1);
+        let names: Vec<String> = (0..endpoints).map(|i| format!("h{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (_sw, hosts) = net.lan(&names, LinkSpec::lan());
+        let (private_group, shared_group) = (net.new_group(), net.new_group());
+        let store = SelectorStore::with_capacity(4096);
+        let (mut private, mut shared) = (Vec::new(), Vec::new());
+        for (p, &host) in profiles.iter().zip(&hosts) {
+            private.push(
+                BusEndpoint::join(&mut net, host, ALONE_PORT, private_group, p.clone()).unwrap(),
+            );
+            shared.push(
+                BusEndpoint::join_with_store(
+                    &mut net,
+                    host,
+                    SHARED_PORT,
+                    shared_group,
+                    p.clone(),
+                    store.clone(),
+                )
+                .unwrap(),
+            );
+        }
+        let private_accepted: usize = private
+            .iter_mut()
+            .map(|ep| {
+                ep.interpret_batch(wires.iter().map(Vec::as_slice).collect::<Vec<_>>())
+                    .len()
+            })
+            .sum();
+        let buffers: Vec<Payload> = wires.iter().map(|w| Payload::from(w.clone())).collect();
+        let shared_accepted: usize = shared
+            .iter_mut()
+            .map(|ep| {
+                let frames: Vec<Frame> = buffers.iter().map(|b| Frame::of(b, &store)).collect();
+                ep.interpret_frames(&frames).len()
+            })
+            .sum();
+        assert_eq!(private_accepted, tree, "private path at {n} selectors");
+        assert_eq!(shared_accepted, tree, "shared path at {n} selectors");
+        let private_programs: u64 = private
+            .iter()
+            .map(|ep| ep.cache_stats().misses() - ep.cache_stats().evictions())
+            .sum();
+        assert_eq!(
+            private_programs,
+            (endpoints * n) as u64,
+            "endpoints x selectors programs"
+        );
+        assert_eq!(store.len(), n, "one program per selector");
+    }
+}

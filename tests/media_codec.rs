@@ -409,15 +409,24 @@ fn reference_differentials_hold_at_the_sessions_shape() {
 
 /// End-to-end differential on real image content: transform + encode
 /// through the public pipeline equals reference transform + encode per
-/// plane, for both wavelets.
+/// plane, for both wavelets, up to the 512² plane; both decoders read
+/// the stream back to the coefficients; a quarter of the grey container
+/// decodes; and a colour share capped at 6 bpp is the cut of its full
+/// encode, whose halves, quarters and eighths decode at full size. The
+/// transform alone equals the frozen one both ways at 64², 256² and
+/// 512², for both filters.
 #[test]
 fn image_pipeline_matches_reference_per_plane() {
-    for (w, h, levels, kind, seed) in [
-        (64, 64, 4, WaveletKind::Cdf53, 42u64),
-        (64, 32, 3, WaveletKind::Haar, 43),
-        (48, 48, 2, WaveletKind::Cdf53, 44),
+    for (w, h, levels, kind, objects, seed) in [
+        (64, 64, 4, WaveletKind::Cdf53, 3, 42u64),
+        (64, 32, 3, WaveletKind::Haar, 3, 43),
+        (48, 48, 2, WaveletKind::Cdf53, 3, 44),
+        (256, 256, 4, WaveletKind::Cdf53, 4, 42),
+        (512, 512, 4, WaveletKind::Cdf53, 4, 42),
+        (256, 256, 5, WaveletKind::Cdf53, 5, 42),
     ] {
-        let scene = synthetic_scene(w, h, 1, 3, seed);
+        let what = format!("{kind:?} {w}x{h} L{levels} seed {seed}");
+        let scene = synthetic_scene(w, h, 1, objects, seed);
         let mut plane = scene.image.plane(0);
         for v in plane.iter_mut() {
             *v -= 128;
@@ -429,7 +438,55 @@ fn image_pipeline_matches_reference_per_plane() {
         let mut ws = WaveletScratch::new();
         let mut es = EzwScratch::new();
         let got = ezw::encode_prepared_plane(&mut plane, w, h, levels, kind, &mut ws, &mut es);
-        assert_eq!(got, expected, "{kind:?} {w}x{h} L{levels} seed {seed}");
+        assert_eq!(got, expected, "{what}");
+        let decoded = EzwDecoder::decode_plane_with(&got, &mut es).unwrap();
+        let frozen = reference::decode_plane(&expected).unwrap();
+        assert!(decoded.coeffs == frozen.coeffs, "{what}: decoders agree");
+        assert!(
+            decoded.coeffs == slow,
+            "{what}: the full stream is lossless"
+        );
+
+        let container = ezw::encode_image(&scene.image, levels, kind).unwrap();
+        let cut = ezw::truncate_container(&container, container.len() / 4).unwrap();
+        assert!(ezw::decode_image(&cut).is_ok(), "{what}: a quarter decodes");
+
+        let color = synthetic_scene(w, h, 3, objects, seed).image;
+        let cap = w * h * 6 / 8;
+        let full = ezw::encode_image_opts(&color, levels, kind, true).unwrap();
+        let sent = ezw::truncate_container(&full, cap).unwrap();
+        let capped = ezw::encode_image_capped(&color, levels, kind, true, Some(cap)).unwrap();
+        assert!(capped == sent, "{what}: the capped encode is the cut");
+        for div in [2, 4, 8] {
+            let prefix = ezw::truncate_container(&sent, sent.len() / div).unwrap();
+            let view = ezw::decode_image(&prefix).unwrap();
+            assert_eq!(
+                (view.width, view.height, view.channels),
+                (w, h, 3),
+                "{what} 1/{div}"
+            );
+        }
+    }
+    // The transform alone, at the session's depth, both ways.
+    let mut ws = WaveletScratch::new();
+    for kind in [WaveletKind::Cdf53, WaveletKind::Haar] {
+        for side in [64, 256, 512] {
+            let levels = wavelet::max_levels(side, side).min(5);
+            let mut plane = synthetic_scene(side, side, 1, 4, 42).image.plane(0);
+            for v in plane.iter_mut() {
+                *v -= 128;
+            }
+            let (mut live, mut frozen) = (plane.clone(), plane.clone());
+            wavelet::forward_2d_with(&mut live, side, side, levels, kind, &mut ws);
+            reference::forward_2d(&mut frozen, side, side, levels, kind);
+            assert!(live == frozen, "{kind:?} {side}x{side}: coefficients");
+            wavelet::inverse_2d_with(&mut live, side, side, levels, kind, &mut ws);
+            reference::inverse_2d(&mut frozen, side, side, levels, kind);
+            assert!(
+                live == plane && frozen == plane,
+                "{kind:?} {side}x{side}: round trip"
+            );
+        }
     }
 }
 
@@ -894,13 +951,14 @@ fn shared_packets(cfg: &SessionConfig, scene: &Scene) -> Vec<MediaPacket> {
 /// viewers on every (budget, resolution) pair each get exactly
 /// `decode_image_reduced` of their own prefix, and the session decoded
 /// each distinct (prefix, drop) once — the second viewer of a pair
-/// shares the first one's pixels.
+/// shares the first one's pixels. At 64² and at the benchmark's 256²
+/// colour share; a full-resolution view is also the frozen decoder's.
 #[test]
 fn session_views_equal_plain_decodes_and_decode_once_per_prefix() {
     use collabqos::prelude::*;
     use std::collections::HashSet;
     const PER_PAIR: usize = 2;
-    for channels in [3, 1] {
+    for (channels, side) in [(3, 64), (1, 64), (3, 256)] {
         let cfg = SessionConfig {
             color_transform: true,
             ..SessionConfig::default()
@@ -922,7 +980,7 @@ fn session_views_equal_plain_decodes_and_decode_once_per_prefix() {
             }
         }
 
-        let scene = synthetic_scene(64, 64, channels, 4, 23);
+        let scene = synthetic_scene(side, side, channels, 4, 23);
         let packets = shared_packets(&cfg, &scene);
         s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
         let views = s.pump(Ticks::from_secs(2));
@@ -938,7 +996,14 @@ fn session_views_equal_plain_decodes_and_decode_once_per_prefix() {
                 *view.image == plain,
                 "{channels} ch, budget {budget}, drop {drop}"
             );
-            assert_eq!((plain.width, plain.height), (64 >> drop, 64 >> drop));
+            assert_eq!((plain.width, plain.height), (side >> drop, side >> drop));
+            if drop == 0 {
+                let frozen = reference::decode_image(&prefix).unwrap();
+                assert!(
+                    plain == frozen,
+                    "{channels} ch, budget {budget}: the frozen decode"
+                );
+            }
             distinct.insert((prefix, drop));
         }
         assert_eq!(distinct.len(), 16 * 3);

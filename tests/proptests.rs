@@ -1701,8 +1701,12 @@ fn adapt_pass_cost_per_client(clients: usize, rtp: bool) -> (usize, usize) {
         warm[0]
     );
     let mut decided = 0;
+    let sim0 = s.net.now();
     let (allocs, bytes) = allocs_and_bytes_of(|| decided = s.adapt_all().len());
     assert_eq!(decided, clients);
+    // Two 1 ms poll steps per GET, one GET per client.
+    let sim_ms = (s.net.now() - sim0).as_millis();
+    assert_eq!(sim_ms, 2 * clients as u64, "simulated time a pass");
     let per_client = allocs - 1;
     assert_eq!(per_client % clients, 0, "{allocs} allocations a pass");
     assert_eq!(bytes % clients, 0, "{bytes} bytes a pass");
