@@ -92,10 +92,10 @@ impl Watch {
 /// an SNMPv2 trap carrying the watched variable (Gauge32, rounded and
 /// clamped to the type's range).
 ///
-/// [`EdgeWatcher::loss`] is the §5.1 recovery layer feeding the §5.2
-/// adaptation loop: sustained receiver-report loss the NACK path
-/// cannot hide (`fraction_lost * 100`) becomes a one-way `qosAlert`
-/// that lets the inference engine switch modality.
+/// [`EdgeWatcher::loss`] is the §5.1 RTP layer feeding the §5.2
+/// adaptation loop: sustained receiver-report loss, which the thin
+/// layer counts but does not repair (`fraction_lost * 100`), becomes a
+/// one-way `qosAlert` that lets the inference engine switch modality.
 /// [`EdgeWatcher::congestion`] is the pre-loss half: a link's AQM
 /// marks ECN-capable packets while it would still be queueing (not
 /// dropping) anything else, the receiver echoes the marks
@@ -485,7 +485,7 @@ mod tests {
             ..Default::default()
         };
         assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_lost * 100.0));
-        // Wireless-grade burst loss the NACK budget could not hide.
+        // Wireless-grade burst loss, as the receiver report counts it.
         let bursty = ReceiverReport {
             received: 80,
             lost: 20,

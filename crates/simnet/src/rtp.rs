@@ -3,22 +3,21 @@
 //! The paper (§5.1) notes that UDP multicast alone limits reliability,
 //! so "a thin layer based on the RTP-RTCP scheme is built on top of the
 //! communication substrate to provide limited in-order delivery
-//! assurance". This module provides exactly that:
+//! assurance". This module provides exactly that and no more:
 //!
 //! * [`RtpHeader`] — a 12-byte header wire-compatible in spirit with
 //!   RFC 3550 (version, marker, payload type, sequence, timestamp,
 //!   SSRC),
-//! * [`RtpSender`] — stamps outgoing payloads,
+//! * [`RtpSender`] — stamps outgoing payloads with consecutive
+//!   sequence numbers,
 //! * [`RtpReceiver`] — a per-source reorder buffer that releases
 //!   packets in sequence order within a bounded window, skipping
 //!   over gaps once the window is exceeded (limited, not full,
-//!   reliability),
+//!   reliability: a skipped packet is counted lost, never repaired),
+//!   with optional playout priming so a reordered stream start is
+//!   absorbed, and
 //! * [`ReceiverReport`] — RTCP-RR-style statistics (fraction lost,
-//!   cumulative lost, highest sequence seen), and
-//! * [`Nack`] + the sender retransmit buffer — an RFC 4585-style
-//!   feedback loop: the receiver detects sequence gaps, NACKs them
-//!   with exponential backoff under a retransmit budget, and the
-//!   sender replays them from a bounded history.
+//!   cumulative lost, highest sequence seen).
 //!
 //! ECN feedback rides the receiver report: the receiver counts packets
 //! that arrived Congestion-Experienced (marked by a link's AQM instead
@@ -26,13 +25,9 @@
 //! [`ReceiverReport::fraction_ecn_ce`] carries the share back, so the
 //! sender-side adaptation loop can react to congestion *before* any
 //! packet is lost.
-//!
-//! NACKs share the RTP version bits, so a NACK datagram *parses* as an
-//! RTP header; feedback must travel on its own port (as RTCP does).
 
-use crate::time::Ticks;
 use crate::wire::Reader;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Fixed RTP header size in bytes.
 pub const RTP_HEADER_LEN: usize = 12;
@@ -85,104 +80,28 @@ impl RtpHeader {
     }
 }
 
-/// RTCP payload type used for NACK feedback (RTPFB, RFC 4585).
-const RTCP_NACK_PT: u8 = 205;
-
-/// Negative acknowledgement: sequence numbers the receiver is missing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Nack {
-    /// Stream the feedback refers to.
-    pub ssrc: u32,
-    /// Missing wire sequence numbers.
-    pub seqs: Vec<u16>,
-}
-
-impl Nack {
-    /// Serialize: version byte, `RTCP_NACK_PT`, a 16-bit count, the
-    /// SSRC, then each sequence number big-endian.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.seqs.len() * 2);
-        out.push(RTP_VERSION << 6);
-        out.push(RTCP_NACK_PT);
-        out.extend_from_slice(&(self.seqs.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.ssrc.to_be_bytes());
-        for seq in &self.seqs {
-            out.extend_from_slice(&seq.to_be_bytes());
-        }
-        out
-    }
-
-    /// Parse the wire form; `None` on wrong version/type or bad length.
-    pub fn decode(buf: &[u8]) -> Option<Nack> {
-        let mut r = Reader::new(buf);
-        let [b0, b1] = r.array().ok()?;
-        let count = r.u16().ok()?;
-        let ssrc = r.u32().ok()?;
-        if b0 >> 6 != RTP_VERSION || b1 != RTCP_NACK_PT || r.remaining() != 2 * usize::from(count) {
-            return None;
-        }
-        let seqs = (0..count).map(|_| r.u16()).collect::<Result<_, _>>().ok()?;
-        Some(Nack { ssrc, seqs })
-    }
-}
-
-/// Stamps outgoing payloads with consecutive sequence numbers and,
-/// when built [`RtpSender::with_history`], keeps a bounded buffer of
-/// recent wire packets for NACK-driven retransmission.
+/// Stamps outgoing payloads with consecutive sequence numbers.
 #[derive(Debug)]
 pub struct RtpSender {
     ssrc: u32,
     payload_type: u8,
     next_seq: u16,
-    /// Recent `(seq, wire)` pairs, oldest first, capped at `history_cap`.
-    history: std::collections::VecDeque<(u16, Vec<u8>)>,
-    history_cap: usize,
-    retransmits: u64,
 }
 
 impl RtpSender {
-    /// A sender for stream `ssrc` carrying `payload_type` (no
-    /// retransmit history).
+    /// A sender for stream `ssrc` carrying `payload_type`.
     pub fn new(ssrc: u32, payload_type: u8) -> Self {
-        RtpSender {
-            ssrc,
-            payload_type,
-            next_seq: 0,
-            history: std::collections::VecDeque::new(),
-            history_cap: 0,
-            retransmits: 0,
-        }
-    }
-
-    /// A sender that retains the last `history_cap` wire packets so
-    /// NACKed sequences can be retransmitted.
-    pub fn with_history(ssrc: u32, payload_type: u8, history_cap: usize) -> Self {
-        let mut s = RtpSender::new(ssrc, payload_type);
-        s.history_cap = history_cap;
-        s
+        RtpSender::starting_at(ssrc, payload_type, 0)
     }
 
     /// A sender whose first packet carries sequence `start_seq`
     /// (wraparound testing).
     pub fn starting_at(ssrc: u32, payload_type: u8, start_seq: u16) -> Self {
-        let mut s = RtpSender::new(ssrc, payload_type);
-        s.next_seq = start_seq;
-        s
-    }
-
-    /// Next sequence number that will be assigned.
-    pub fn next_seq(&self) -> u16 {
-        self.next_seq
-    }
-
-    /// Stream identifier.
-    pub fn ssrc(&self) -> u32 {
-        self.ssrc
-    }
-
-    /// Total packets replayed in response to NACKs.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
+        RtpSender {
+            ssrc,
+            payload_type,
+            next_seq: start_seq,
+        }
     }
 
     /// Wrap `payload` into an RTP datagram.
@@ -198,29 +117,6 @@ impl RtpSender {
         let mut out = Vec::with_capacity(RTP_HEADER_LEN + payload.len());
         out.extend_from_slice(&header.encode());
         out.extend_from_slice(payload);
-        if self.history_cap > 0 {
-            self.history.push_back((header.seq, out.clone()));
-            while self.history.len() > self.history_cap {
-                self.history.pop_front();
-            }
-        }
-        out
-    }
-
-    /// Replay the wire packets a NACK asks for, oldest first. Sequences
-    /// that have aged out of the bounded history are silently skipped —
-    /// the receiver's retransmit budget eventually abandons them.
-    pub fn retransmit(&mut self, nack: &Nack) -> Vec<Vec<u8>> {
-        if nack.ssrc != self.ssrc {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (seq, wire) in &self.history {
-            if nack.seqs.contains(seq) {
-                out.push(wire.clone());
-            }
-        }
-        self.retransmits += out.len() as u64;
         out
     }
 }
@@ -241,19 +137,15 @@ pub struct ReceiverReport {
     pub received: u64,
     /// Packets skipped over as lost.
     pub lost: u64,
-    /// Highest extended sequence number observed.
+    /// Highest extended sequence number observed: its low 32 bits, as
+    /// RFC 3550's report carries it.
     pub highest_seq: u32,
-    /// Fraction lost in `[0,1]` over the stream lifetime.
+    /// Fraction lost in `[0,1]` over the stream lifetime:
+    /// `lost / (received + lost)`.
     pub fraction_lost: f64,
-    /// Gaps that were NACKed and subsequently filled by a retransmit.
-    /// Duplicate arrivals never count here: only the first arrival of
-    /// a previously-NACKed sequence is a recovery.
-    pub recovered: u64,
     /// Arrivals discarded as duplicate or stale (already buffered,
     /// already released, or already skipped).
     pub duplicates: u64,
-    /// NACK feedback messages emitted.
-    pub nacks_sent: u64,
     /// Arrivals that carried the ECN Congestion-Experienced mark
     /// (counted by [`RtpReceiver::push_marked`]).
     pub ecn_ce: u64,
@@ -265,26 +157,6 @@ pub struct ReceiverReport {
     pub fraction_ecn_ce: f64,
 }
 
-/// Per-gap NACK bookkeeping.
-#[derive(Clone, Copy, Debug)]
-struct NackState {
-    /// NACKs already sent for this sequence.
-    attempts: u32,
-    /// Earliest instant the next NACK may be sent (exponential backoff).
-    next_at: Ticks,
-}
-
-/// The outcome of [`RtpReceiver::poll_nacks`]: feedback to send to the
-/// sender, plus any packets released because a gap's retransmit budget
-/// was exhausted and the receiver skipped ahead.
-#[derive(Debug, Default)]
-pub struct NackPoll {
-    /// NACK to transmit on the feedback channel, if any gap is due.
-    pub nack: Option<Nack>,
-    /// Packets freed by abandoning over-budget gaps, in order.
-    pub released: Vec<RtpPacket>,
-}
-
 /// Per-source reorder buffer with bounded window.
 ///
 /// In-order packets are released immediately; out-of-order packets are
@@ -292,42 +164,25 @@ pub struct NackPoll {
 /// packets) overflows, at which point the receiver declares the missing
 /// packets lost and skips ahead. Duplicates and stale packets (before
 /// the release point) are discarded.
-///
-/// Built [`RtpReceiver::with_recovery`], the receiver additionally
-/// tracks every sequence gap and, via [`RtpReceiver::poll_nacks`],
-/// emits [`Nack`]s with exponential backoff until a retransmit fills
-/// the gap or the budget is exhausted (the gap is then abandoned and
-/// counted lost).
 #[derive(Debug)]
 pub struct RtpReceiver {
     max_window: usize,
     /// Packets that must be buffered before the first release (playout
     /// priming). 1 = release immediately.
     playout_depth: usize,
-    /// Extended (cycle-corrected) sequence number expected next.
-    next_ext: Option<u32>,
-    highest_ext: u32,
-    buffer: BTreeMap<u32, RtpPacket>,
+    /// Extended (cycle-corrected) sequence number expected next. 64
+    /// bits, so no stream outlives it: a 32-bit count runs out after
+    /// 2¹⁶ wire cycles, which hostile sequence jumps reach quickly.
+    next_ext: Option<u64>,
+    highest_ext: u64,
+    buffer: BTreeMap<u64, RtpPacket>,
     received: u64,
     lost: u64,
     /// Whether any packet has been released yet; until then the stream
     /// start may move backwards (a late-arriving earlier packet defines
     /// a new, earlier playout point instead of being dropped).
     started: bool,
-    // --- recovery state (inactive when nack_budget == 0) ---
-    /// Detected gaps awaiting repair, by extended sequence.
-    missing: BTreeMap<u32, NackState>,
-    /// Gaps whose budget ran out: drain skips them, counting them lost.
-    abandoned: BTreeSet<u32>,
-    /// Backoff base: the first retry waits this long, then doubles.
-    nack_base: Ticks,
-    /// Maximum NACKs per gap; 0 disables recovery entirely.
-    nack_budget: u32,
-    /// Stream id observed from incoming packets (NACKs carry it).
-    ssrc: Option<u32>,
-    recovered: u64,
     duplicates: u64,
-    nacks_sent: u64,
     /// Decoded RTP arrivals (any disposition), the ECN denominator.
     arrivals: u64,
     /// Arrivals that carried the CE mark.
@@ -347,35 +202,10 @@ impl RtpReceiver {
             received: 0,
             lost: 0,
             started: false,
-            missing: BTreeMap::new(),
-            abandoned: BTreeSet::new(),
-            nack_base: Ticks::ZERO,
-            nack_budget: 0,
-            ssrc: None,
-            recovered: 0,
             duplicates: 0,
-            nacks_sent: 0,
             arrivals: 0,
             ce_arrivals: 0,
         }
-    }
-
-    /// A receiver with NACK-driven loss recovery: each detected gap is
-    /// NACKed at most `nack_budget` times, the first retry after
-    /// `nack_base`, each subsequent one after double the previous wait.
-    /// When the budget runs out the gap is abandoned and counted lost.
-    pub fn with_recovery(
-        max_window: usize,
-        playout_depth: usize,
-        nack_base: Ticks,
-        nack_budget: u32,
-    ) -> Self {
-        assert!(nack_base > Ticks::ZERO, "backoff base must be positive");
-        assert!(nack_budget >= 1, "budget of 0 disables recovery");
-        let mut r = RtpReceiver::with_playout_depth(max_window, playout_depth);
-        r.nack_base = nack_base;
-        r.nack_budget = nack_budget;
-        r
     }
 
     /// A receiver that primes: it buffers `playout_depth` packets
@@ -389,30 +219,16 @@ impl RtpReceiver {
         r
     }
 
-    /// Convert a wire sequence number to an extended one near `ref_ext`.
-    fn extend(&self, seq: u16) -> u32 {
-        match self.next_ext {
-            None => seq as u32,
-            Some(ref_ext) => {
-                // Choose the cycle that puts seq closest to ref_ext.
-                let base = ref_ext & !0xffff;
-                let mut best = base | seq as u32;
-                let candidates = [
-                    base.wrapping_sub(0x1_0000) | seq as u32,
-                    base | seq as u32,
-                    base.wrapping_add(0x1_0000) | seq as u32,
-                ];
-                let mut best_dist = u32::MAX;
-                for c in candidates {
-                    let dist = c.abs_diff(ref_ext);
-                    if dist < best_dist {
-                        best_dist = dist;
-                        best = c;
-                    }
-                }
-                best
-            }
-        }
+    /// Convert a wire sequence number to an extended one: the value
+    /// congruent to `seq` mod 2¹⁶ closest to `next_ext`, the lower one
+    /// on a tie, never below zero.
+    fn extend(&self, seq: u16) -> u64 {
+        let Some(next) = self.next_ext else {
+            return u64::from(seq);
+        };
+        let delta = i64::from(seq.wrapping_sub(next as u16) as i16);
+        next.checked_add_signed(delta)
+            .unwrap_or(next + (delta + 0x1_0000) as u64)
     }
 
     /// Offer a raw datagram payload; returns packets now releasable in
@@ -437,23 +253,8 @@ impl RtpReceiver {
             self.ce_arrivals += 1;
         }
         let ext = self.extend(header.seq);
-        self.ssrc = Some(header.ssrc);
-        if self.next_ext.is_none() {
-            self.next_ext = Some(ext);
-            self.highest_ext = ext;
-        }
-        // Register newly-revealed gaps for NACK tracking before moving
-        // the high-water mark.
-        if self.nack_budget > 0 && ext > self.highest_ext + 1 {
-            for gap in self.highest_ext + 1..ext {
-                self.missing.entry(gap).or_insert(NackState {
-                    attempts: 0,
-                    next_at: Ticks::ZERO,
-                });
-            }
-        }
+        let next = *self.next_ext.get_or_insert(ext);
         self.highest_ext = self.highest_ext.max(ext);
-        let next = self.next_ext.unwrap();
         if ext < next {
             if self.started {
                 // Stale, or a duplicate of a released/skipped packet.
@@ -467,15 +268,6 @@ impl RtpReceiver {
             self.duplicates += 1;
             return Vec::new();
         }
-        // A gap fill: recovery only if we actually NACKed it — a
-        // reordered original that arrives before any NACK went out is
-        // not a recovery (and neither is any duplicate, counted above).
-        if let Some(state) = self.missing.remove(&ext) {
-            if state.attempts > 0 {
-                self.recovered += 1;
-            }
-        }
-        self.abandoned.remove(&ext);
         self.buffer.insert(
             ext,
             RtpPacket {
@@ -501,18 +293,13 @@ impl RtpReceiver {
                 self.started = true;
                 self.next_ext = Some(next + 1);
                 out.push(pkt);
-            } else if self.abandoned.remove(&next) {
-                // Retransmit budget exhausted for this gap: skip it.
-                self.lost += 1;
-                self.next_ext = Some(next + 1);
             } else if self.buffer.len() >= self.max_window {
                 // Window overflow: give up on the gap, jump to the
                 // earliest buffered packet, counting the skipped
                 // sequence numbers as lost.
                 let earliest = *self.buffer.keys().next().unwrap();
-                self.lost += (earliest - next) as u64;
+                self.lost += earliest - next;
                 self.next_ext = Some(earliest);
-                self.forget_below(earliest);
             } else {
                 break;
             }
@@ -520,75 +307,18 @@ impl RtpReceiver {
         out
     }
 
-    /// Drop recovery bookkeeping for sequences below `ext` (they have
-    /// been released or written off).
-    fn forget_below(&mut self, ext: u32) {
-        self.missing = self.missing.split_off(&ext);
-        self.abandoned = self.abandoned.split_off(&ext);
-    }
-
     /// Force-flush all buffered packets (end of stream), counting any
-    /// remaining gaps as lost and dropping all recovery bookkeeping.
+    /// remaining gaps as lost.
     pub fn flush(&mut self) -> Vec<RtpPacket> {
         self.started = true; // end priming unconditionally
-        self.missing.clear();
-        self.abandoned.clear();
         let mut out = Vec::new();
-        while let Some((&earliest, _)) = self.buffer.iter().next() {
+        while let Some(&earliest) = self.buffer.keys().next() {
             let next = self.next_ext.unwrap();
-            if earliest > next {
-                self.lost += (earliest - next) as u64;
-            }
+            self.lost += earliest.saturating_sub(next);
             self.next_ext = Some(earliest);
             out.extend(self.drain());
         }
         out
-    }
-
-    /// Drive the recovery schedule at instant `now`: collect every gap
-    /// whose backoff timer is due into one [`Nack`], and abandon gaps
-    /// whose retransmit budget is spent (any packets freed by skipping
-    /// them are returned in order).
-    ///
-    /// A no-op (default `NackPoll`) unless built
-    /// [`RtpReceiver::with_recovery`].
-    pub fn poll_nacks(&mut self, now: Ticks) -> NackPoll {
-        if self.nack_budget == 0 {
-            return NackPoll::default();
-        }
-        let mut due = Vec::new();
-        let mut spent = Vec::new();
-        for (&ext, state) in self.missing.iter_mut() {
-            if now < state.next_at {
-                continue;
-            }
-            if state.attempts >= self.nack_budget {
-                spent.push(ext);
-            } else {
-                state.attempts += 1;
-                // Exponential backoff: base, 2*base, 4*base, ...
-                state.next_at = now + self.nack_base * (1u64 << (state.attempts - 1).min(16));
-                due.push(ext);
-            }
-        }
-        let mut poll = NackPoll::default();
-        if !spent.is_empty() {
-            for ext in spent {
-                self.missing.remove(&ext);
-                self.abandoned.insert(ext);
-            }
-            poll.released = self.drain();
-        }
-        if !due.is_empty() {
-            if let Some(ssrc) = self.ssrc {
-                self.nacks_sent += 1;
-                poll.nack = Some(Nack {
-                    ssrc,
-                    seqs: due.iter().map(|&ext| (ext & 0xffff) as u16).collect(),
-                });
-            }
-        }
-        poll
     }
 
     /// Current receiver-report statistics.
@@ -597,19 +327,14 @@ impl RtpReceiver {
         let fraction_lost = if total == 0 {
             0.0
         } else {
-            // Clamped defensively: `lost` and `received` are disjoint
-            // counters (duplicates are tracked separately, never as
-            // recovered losses), so the ratio is already in [0, 1].
-            (self.lost as f64 / total as f64).clamp(0.0, 1.0)
+            self.lost as f64 / total as f64
         };
         ReceiverReport {
             received: self.received,
             lost: self.lost,
-            highest_seq: self.highest_ext,
+            highest_seq: self.highest_ext as u32,
             fraction_lost,
-            recovered: self.recovered,
             duplicates: self.duplicates,
-            nacks_sent: self.nacks_sent,
             ecn_ce: self.ce_arrivals,
             fraction_ecn_ce: if self.arrivals == 0 {
                 0.0
@@ -720,7 +445,10 @@ mod tests {
         assert_eq!(r.push(&mk(1)).len(), 1);
         assert!(r.push(&mk(0)).is_empty(), "stale");
         assert!(r.push(&mk(1)).is_empty(), "duplicate");
-        assert_eq!(r.report().received, 2);
+        assert!(r.push(&mk(3)).is_empty());
+        assert!(r.push(&mk(3)).is_empty(), "duplicate of a buffered packet");
+        let rep = r.report();
+        assert_eq!((rep.received, rep.duplicates), (2, 3));
     }
 
     #[test]
@@ -765,165 +493,42 @@ mod tests {
     }
 
     #[test]
-    fn nack_wire_round_trip() {
-        let n = Nack {
-            ssrc: 0xfeedface,
-            seqs: vec![3, 65535, 0, 42],
-        };
-        assert_eq!(Nack::decode(&n.encode()), Some(n.clone()));
-        assert_eq!(Nack::decode(&[0u8; 4]), None, "too short");
-        let mut bad = n.encode();
-        bad[1] = 96; // not RTPFB
-        assert_eq!(Nack::decode(&bad), None);
-        let mut truncated = n.encode();
-        truncated.pop();
-        assert_eq!(Nack::decode(&truncated), None, "count/length mismatch");
-    }
-
-    #[test]
-    fn sender_history_retransmits_nacked_seqs() {
-        let mut s = RtpSender::with_history(0x11, 7, 4);
-        let wires: Vec<Vec<u8>> = (0..6).map(|i| s.wrap(i, false, &[i as u8])).collect();
-        // History holds the last 4 (seqs 2..=5); 0 and 1 have aged out.
-        let replay = s.retransmit(&Nack {
-            ssrc: 0x11,
-            seqs: vec![0, 3, 5],
-        });
-        assert_eq!(replay, vec![wires[3].clone(), wires[5].clone()]);
-        assert_eq!(s.retransmits(), 2);
-        // Wrong stream: nothing replayed.
-        assert!(s
-            .retransmit(&Nack {
-                ssrc: 0x22,
-                seqs: vec![3]
-            })
-            .is_empty());
-    }
-
-    #[test]
-    fn receiver_nacks_gap_and_recovers_on_retransmit() {
-        let base = Ticks::from_millis(10);
-        let mut r = RtpReceiver::with_recovery(32, 1, base, 3);
-        assert_eq!(r.push(&mk(0)).len(), 1);
-        assert!(r.push(&mk(2)).is_empty(), "gap at 1");
-
-        let poll = r.poll_nacks(Ticks::from_millis(1));
-        let nack = poll.nack.expect("gap is due immediately");
-        assert_eq!(nack.seqs, vec![1]);
-        assert_eq!(nack.ssrc, 0xabcd);
-        // Backoff: not due again until base elapses.
-        assert!(r.poll_nacks(Ticks::from_millis(5)).nack.is_none());
-
-        // Retransmit arrives: gap fills, counted as recovered.
-        let out = r.push(&mk(1));
-        let seqs: Vec<u16> = out.iter().map(|p| p.header.seq).collect();
-        assert_eq!(seqs, vec![1, 2]);
-        let rep = r.report();
-        assert_eq!((rep.recovered, rep.lost, rep.nacks_sent), (1, 0, 1));
-    }
-
-    #[test]
-    fn reordered_original_is_not_a_recovery() {
-        // The gap fills before any NACK went out: plain reordering.
-        let mut r = RtpReceiver::with_recovery(32, 1, Ticks::from_millis(10), 3);
-        r.push(&mk(0));
-        r.push(&mk(2));
-        let out = r.push(&mk(1));
-        assert_eq!(out.len(), 2);
-        assert_eq!(r.report().recovered, 0);
-        assert_eq!(r.report().nacks_sent, 0);
-    }
-
-    #[test]
-    fn duplicates_counted_never_as_recovered() {
-        let mut r = RtpReceiver::with_recovery(32, 1, Ticks::from_millis(10), 3);
-        r.push(&mk(0));
-        r.push(&mk(2)); // gap at 1
-        r.poll_nacks(Ticks::from_millis(1)); // NACK 1
-        assert_eq!(r.push(&mk(1)).len(), 2, "retransmit fills the gap");
-        // The original of seq 1 straggles in late, plus a dup of 2.
-        assert!(r.push(&mk(1)).is_empty());
-        assert!(r.push(&mk(2)).is_empty());
-        let rep = r.report();
-        assert_eq!(rep.recovered, 1, "one recovery, not three");
-        assert_eq!(rep.duplicates, 2);
-        assert_eq!(rep.received, 3);
-        assert!((0.0..=1.0).contains(&rep.fraction_lost));
-        assert_eq!(rep.fraction_lost, 0.0);
-    }
-
-    #[test]
-    fn nack_backoff_doubles_and_budget_abandons() {
-        let base = Ticks::from_millis(10);
-        let mut r = RtpReceiver::with_recovery(32, 1, base, 2);
-        r.push(&mk(0));
-        r.push(&mk(2)); // gap at 1, never repaired
-        r.push(&mk(3));
-
-        // Attempt 1 at t=0ms; next due at 10ms.
-        assert!(r.poll_nacks(Ticks::ZERO).nack.is_some());
-        assert!(r.poll_nacks(Ticks::from_millis(9)).nack.is_none());
-        // Attempt 2 at 10ms; next due 10 + 20 = 30ms.
-        assert!(r.poll_nacks(Ticks::from_millis(10)).nack.is_some());
-        assert!(r.poll_nacks(Ticks::from_millis(29)).nack.is_none());
-        // Budget (2) spent: at 30ms the gap is abandoned and the
-        // buffered tail releases.
-        let poll = r.poll_nacks(Ticks::from_millis(30));
-        assert!(poll.nack.is_none());
-        let seqs: Vec<u16> = poll.released.iter().map(|p| p.header.seq).collect();
-        assert_eq!(seqs, vec![2, 3]);
-        let rep = r.report();
-        assert_eq!((rep.lost, rep.recovered, rep.nacks_sent), (1, 0, 2));
-        assert!((rep.fraction_lost - 0.25).abs() < 1e-9);
-        assert!(
-            r.poll_nacks(Ticks::from_secs(10)).nack.is_none(),
-            "nothing left to repair"
-        );
-    }
-
-    #[test]
-    fn late_arrival_beats_abandonment() {
-        let base = Ticks::from_millis(10);
-        let mut r = RtpReceiver::with_recovery(32, 1, base, 1);
-        r.push(&mk(0));
-        r.push(&mk(2));
-        assert!(r.poll_nacks(Ticks::ZERO).nack.is_some());
-        // Budget spent but the gap is abandoned only at the *next* due
-        // poll; the retransmit sneaks in first.
-        let out = r.push(&mk(1));
-        assert_eq!(out.len(), 2);
-        assert_eq!(r.report().recovered, 1);
-        assert_eq!(r.report().lost, 0);
-    }
-
-    #[test]
-    fn poll_nacks_inert_without_recovery() {
-        let mut r = RtpReceiver::new(8);
-        r.push(&mk(0));
-        r.push(&mk(5));
-        let poll = r.poll_nacks(Ticks::from_millis(100));
-        assert!(poll.nack.is_none() && poll.released.is_empty());
-    }
-
-    #[test]
-    fn recovery_tracks_gaps_across_wraparound() {
-        let mut r = RtpReceiver::with_recovery(64, 1, Ticks::from_millis(5), 3);
+    fn a_gap_across_the_wraparound_is_counted_lost_once() {
+        let mut r = RtpReceiver::new(64);
         let mut s = RtpSender::starting_at(0xabcd, 7, 65533);
         let wires: Vec<Vec<u8>> = (0..8).map(|i| s.wrap(i, false, &[i as u8])).collect();
         // Drop the packet whose wire seq is 0 (index 3).
         let mut released = Vec::new();
         for (i, w) in wires.iter().enumerate() {
-            if i == 3 {
-                continue;
+            if i != 3 {
+                released.extend(r.push(w));
             }
-            released.extend(r.push(w));
         }
-        let nack = r.poll_nacks(Ticks::ZERO).nack.expect("gap detected");
-        assert_eq!(nack.seqs, vec![0], "wire seq of the wrapped gap");
-        released.extend(r.push(&wires[3]));
-        assert_eq!(released.len(), 8);
-        assert_eq!(r.report().recovered, 1);
-        assert_eq!(r.report().lost, 0);
+        released.extend(r.flush());
+        let seqs: Vec<u16> = released.iter().map(|p| p.header.seq).collect();
+        assert_eq!(seqs, vec![65533, 65534, 65535, 1, 2, 3, 4]);
+        let rep = r.report();
+        assert_eq!((rep.received, rep.lost), (7, 1));
+        assert_eq!(rep.highest_seq, 0x1_0004);
+    }
+
+    #[test]
+    fn releases_continue_past_two_to_the_32_extended_sequences() {
+        // Every step of 32 767 is the nearest cycle forward, so each
+        // arrival advances the extended sequence by 32 767 and skips
+        // 32 766 as lost: 200 000 arrivals reach 6.5·10⁹ > 2³².
+        let mut r = RtpReceiver::new(1);
+        let mut seq = 0u16;
+        let mut released = 0u64;
+        for _ in 0..200_000 {
+            released += r.push(&mk(seq)).len() as u64;
+            seq = seq.wrapping_add(32_767);
+        }
+        let rep = r.report();
+        assert_eq!(released, 200_000, "every arrival is released");
+        assert_eq!(rep.duplicates, 0);
+        assert_eq!(rep.lost, 199_999 * 32_766);
+        assert_eq!(rep.highest_seq, (199_999u64 * 32_767) as u32, "low 32 bits");
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! Chaos suite: scenario-driven fault injection over the deterministic
 //! simulator. Every scenario is reproducible from the seed and
 //! [`FaultPlan`] printed in its assertion messages; the suite asserts
-//! the RTP recovery layer's invariants (in-order, duplicate-free
-//! release, bounded recovery latency, NACK/retransmit effectiveness)
-//! and that inert fault configuration leaves the paper's figure series
-//! bit-identical.
+//! the thin RTP layer's invariants under each fault (in-order,
+//! duplicate-free release; every loss counted exactly, by sequence
+//! number; release resuming in order after a heal) and that inert
+//! fault configuration leaves the paper's figure series bit-identical.
 
 use collabqos::core::experiments::{run_fig10, run_fig6, run_fig7};
 use collabqos::prelude::*;
-use collabqos::simnet::rtp::{Nack, ReceiverReport, RtpReceiver, RtpSender};
+use collabqos::simnet::rtp::{ReceiverReport, RtpReceiver, RtpSender};
 use collabqos::simnet::{
-    Addr, Datagram, FaultAction, FaultModel, FaultPlan, GilbertElliott, LinkId, Network, NodeId,
-    Port, SocketHandle,
+    Addr, FaultAction, FaultModel, FaultPlan, GilbertElliott, LinkId, Network, NodeId, Port,
 };
 
 const MEDIA_PORT: Port = Port(5004);
-const FEEDBACK_PORT: Port = Port(5005);
 
 /// Base seed shifted by the `CHAOS_SEED` environment offset. Unset or
 /// `0` leaves every scenario on its committed default seed, so the
@@ -42,7 +40,7 @@ struct Scenario {
     /// Media packets to stream, one every `send_every`.
     packets: u32,
     send_every: Ticks,
-    /// Extra pump time after the last send (recovery tail).
+    /// Extra pump time after the last send (in-flight tail).
     drain_for: Ticks,
 }
 
@@ -70,19 +68,17 @@ struct Outcome {
     report: ReceiverReport,
     /// Sends refused by the network (link down / partition).
     send_failures: u32,
-    retransmits: u64,
 }
 
-fn drain_socket(net: &mut Network, s: SocketHandle) -> Vec<Datagram> {
-    let mut out = Vec::new();
-    while let Some(d) = net.recv(s) {
-        out.push(d);
+impl Outcome {
+    fn seqs(&self) -> Vec<u16> {
+        self.deliveries.iter().map(|d| d.seq).collect()
     }
-    out
 }
 
-/// Drive a scenario: stream RTP over the faulty link with NACK-driven
-/// recovery (feedback on a separate port, crossing the same link).
+/// Drive a scenario: stream RTP over the faulty link into a plain
+/// reorder-window receiver (no feedback path: a lost packet stays
+/// lost), then flush it.
 fn run_stream(sc: &Scenario) -> Outcome {
     let mut net = Network::new(sc.seed);
     let src = net.add_node("sender");
@@ -92,11 +88,9 @@ fn run_stream(sc: &Scenario) -> Outcome {
 
     let tx_media = net.bind(src, MEDIA_PORT).unwrap();
     let rx_media = net.bind(dst, MEDIA_PORT).unwrap();
-    let tx_fb = net.bind(dst, FEEDBACK_PORT).unwrap();
-    let rx_fb = net.bind(src, FEEDBACK_PORT).unwrap();
 
-    let mut sender = RtpSender::with_history(0xC0FFEE, 96, 4096);
-    let mut receiver = RtpReceiver::with_recovery(2048, 1, Ticks::from_millis(20), 5);
+    let mut sender = RtpSender::new(0xC0FFEE, 96);
+    let mut receiver = RtpReceiver::new(16);
 
     let mut deliveries = Vec::new();
     let mut send_failures = 0u32;
@@ -114,35 +108,13 @@ fn run_stream(sc: &Scenario) -> Outcome {
             }
         }
         net.run_for(sc.send_every);
-        let now = net.now();
-
-        // Receiver side: media in, NACKs out.
-        for dgram in drain_socket(&mut net, rx_media) {
+        let now = net.now().as_micros();
+        while let Some(dgram) = net.recv(rx_media) {
             for pkt in receiver.push(&dgram.payload) {
                 deliveries.push(Delivery {
                     seq: pkt.header.seq,
-                    released_at_us: now.as_micros(),
+                    released_at_us: now,
                 });
-            }
-        }
-        let poll = receiver.poll_nacks(now);
-        for pkt in poll.released {
-            deliveries.push(Delivery {
-                seq: pkt.header.seq,
-                released_at_us: now.as_micros(),
-            });
-        }
-        if let Some(nack) = poll.nack {
-            // Feedback may itself be lost or unroutable; backoff retries.
-            let _ = net.send(tx_fb, Addr::unicast(src, FEEDBACK_PORT), nack.encode());
-        }
-
-        // Sender side: honour NACKs from history.
-        for dgram in drain_socket(&mut net, rx_fb) {
-            if let Some(nack) = Nack::decode(&dgram.payload) {
-                for wire in sender.retransmit(&nack) {
-                    let _ = net.send(tx_media, Addr::unicast(dst, MEDIA_PORT), wire);
-                }
             }
         }
     }
@@ -158,7 +130,6 @@ fn run_stream(sc: &Scenario) -> Outcome {
         deliveries,
         report: receiver.report(),
         send_failures,
-        retransmits: sender.retransmits(),
     }
 }
 
@@ -187,48 +158,52 @@ fn burst_scenario(seed: u64) -> Scenario {
     Scenario {
         name: "wireless-burst-loss",
         seed,
-        // First packet crosses clean (anchors the receiver), then the
-        // link degrades for the rest of the stream.
-        plan: FaultPlan::new().at(
-            Ticks::from_millis(1),
-            FaultAction::SetFault(LinkId(0), heavy_burst()),
-        ),
+        // The first and the last packet cross clean: the first anchors
+        // the receiver, and a loss only shows once a later sequence
+        // number arrives. In between the link is bursty.
+        plan: FaultPlan::new()
+            .at(
+                Ticks::from_millis(1),
+                FaultAction::SetFault(LinkId(0), heavy_burst()),
+            )
+            .at(
+                Ticks::from_millis(2_990),
+                FaultAction::ClearFault(LinkId(0)),
+            ),
         packets: 600,
         send_every: Ticks::from_millis(5),
         drain_for: Ticks::from_secs(2),
     }
 }
 
-// ------------------------------------------------- recovery effectiveness
+// ------------------------------------------------- loss accounting
 
-/// Acceptance: with burst loss ≥10% on the wireless link, NACK-driven
-/// retransmission recovers ≥90% of the lost RTP packets.
+/// With burst loss ≥10% on the wireless link, every packet is either
+/// released or counted lost — none twice, none unaccounted — and the
+/// reported fraction is the counted share.
 #[test]
-fn burst_loss_on_wireless_link_mostly_recovered() {
+fn burst_loss_on_wireless_link_is_counted_exactly() {
     let sc = burst_scenario(chaos_seed(1002));
     let ctx = sc.ctx();
     let out = run_stream(&sc);
     assert_in_order_unique(&out, &ctx);
 
-    let gaps = out.report.recovered + out.report.lost;
+    let rep = out.report;
     assert!(
-        gaps >= 30,
-        "burst model barely bit: only {gaps} gaps detected\n{ctx}"
+        rep.lost >= 30,
+        "burst model barely bit: only {} lost\n{ctx}",
+        rep.lost
     );
-    let recovery = out.report.recovered as f64 / gaps as f64;
-    assert!(
-        recovery >= 0.9,
-        "recovered {}/{gaps} = {recovery:.2} of lost packets, need >= 0.90\n{ctx}",
-        out.report.recovered
+    assert_eq!(
+        rep.received + rep.lost,
+        u64::from(sc.packets),
+        "released + lost covers the stream\n{ctx}"
     );
-    assert!(out.retransmits >= out.report.recovered, "{ctx}");
-    assert!(out.report.nacks_sent > 0, "{ctx}");
-    // Loss accounting stays a fraction even under heavy churn.
-    assert!(
-        (0.0..=1.0).contains(&out.report.fraction_lost),
-        "fraction_lost = {}\n{}",
-        out.report.fraction_lost,
-        ctx
+    assert_eq!(rep.received, out.deliveries.len() as u64, "{ctx}");
+    assert_eq!(
+        rep.fraction_lost,
+        rep.lost as f64 / f64::from(sc.packets),
+        "{ctx}"
     );
 }
 
@@ -257,9 +232,8 @@ fn duplication_and_reorder_never_reach_the_app() {
     let out = run_stream(&sc);
     assert_in_order_unique(&out, &ctx);
     // Nothing was dropped, so every packet must come through exactly once.
-    let seqs: Vec<u16> = out.deliveries.iter().map(|d| d.seq).collect();
     assert_eq!(
-        seqs,
+        out.seqs(),
         (0..sc.packets as u16).collect::<Vec<u16>>(),
         "lossless faulty link still delivers the full stream once\n{ctx}"
     );
@@ -270,14 +244,12 @@ fn duplication_and_reorder_never_reach_the_app() {
     assert_eq!(out.report.lost, 0, "{ctx}");
 }
 
-// ------------------------------------------------- recovery latency
-
-/// A single scripted drop is repaired within a bounded window: gap
-/// reveal + one NACK round-trip, well under 100 ms on this link.
+/// A single scripted drop is skipped and counted: the one packet in
+/// the blackout is lost, and every other one is released in order.
 #[test]
-fn single_drop_recovery_latency_is_bounded() {
+fn single_drop_is_counted_lost_and_skipped() {
     let sc = Scenario {
-        name: "single-drop-latency",
+        name: "single-drop",
         seed: chaos_seed(3003),
         plan: FaultPlan::new()
             .at(Ticks::from_millis(48), FaultAction::SetLoss(LinkId(0), 1.0))
@@ -290,45 +262,34 @@ fn single_drop_recovery_latency_is_bounded() {
     let out = run_stream(&sc);
     assert_in_order_unique(&out, &ctx);
     // Packet 5 (sent at t = 50 ms) fell in the blackout window.
-    assert_eq!(out.report.recovered, 1, "exactly one gap repaired\n{ctx}");
-    assert_eq!(out.report.lost, 0, "{ctx}");
-    let repaired = out
-        .deliveries
-        .iter()
-        .find(|d| d.seq == 5)
-        .unwrap_or_else(|| panic!("packet 5 never released\n{ctx}"));
-    let sent_at_us = 5 * sc.send_every.as_micros();
-    let latency = repaired.released_at_us - sent_at_us;
-    assert!(
-        latency < 100_000,
-        "recovery took {latency} us, expected < 100 ms\n{ctx}"
-    );
+    let expected: Vec<u16> = (0..sc.packets as u16).filter(|&s| s != 5).collect();
+    assert_eq!(out.seqs(), expected, "exactly seq 5 missing\n{ctx}");
+    assert_eq!((out.report.received, out.report.lost), (19, 1), "{ctx}");
 }
 
 // ------------------------------------------------- flaps and partitions
 
-/// Shared checks for the two outage scenarios: ten sends fail while the
-/// receiver is unreachable, and after the heal the NACK path backfills
-/// every one of them from the sender's history.
-fn assert_outage_backfilled(sc: &Scenario, out: &Outcome) {
+/// Shared checks for the two outage scenarios: the ten sends made while
+/// the receiver is unreachable fail and are counted lost, and release
+/// resumes in order after the heal.
+fn assert_outage_counted(sc: &Scenario, out: &Outcome) {
     let ctx = sc.ctx();
     assert_in_order_unique(out, &ctx);
     assert_eq!(out.send_failures, 10, "sends during the outage fail\n{ctx}");
-    let seqs: Vec<u16> = out.deliveries.iter().map(|d| d.seq).collect();
+    // Sends 10..20 (t = 100..190 ms) fall in the 95..195 ms outage.
+    let expected: Vec<u16> = (0..sc.packets as u16)
+        .filter(|s| !(10..20).contains(s))
+        .collect();
     assert_eq!(
-        seqs,
-        (0..sc.packets as u16).collect::<Vec<u16>>(),
-        "full stream restored after heal\n{ctx}"
+        out.seqs(),
+        expected,
+        "every packet outside the outage released in order after heal\n{ctx}"
     );
-    assert_eq!(out.report.lost, 0, "{ctx}");
-    assert_eq!(
-        out.report.recovered, 10,
-        "every outage packet recovered via retransmit\n{ctx}"
-    );
+    assert_eq!(out.report.lost, 10, "{ctx}");
 }
 
 #[test]
-fn link_flap_is_backfilled_from_sender_history() {
+fn link_flap_loses_the_outage_and_resumes_in_order() {
     let sc = Scenario {
         name: "link-flap",
         seed: chaos_seed(4004),
@@ -340,7 +301,7 @@ fn link_flap_is_backfilled_from_sender_history() {
         drain_for: Ticks::from_secs(1),
     };
     let out = run_stream(&sc);
-    assert_outage_backfilled(&sc, &out);
+    assert_outage_counted(&sc, &out);
 }
 
 #[test]
@@ -359,7 +320,7 @@ fn partition_heals_and_stream_recovers() {
         drain_for: Ticks::from_secs(1),
     };
     let out = run_stream(&sc);
-    assert_outage_backfilled(&sc, &out);
+    assert_outage_counted(&sc, &out);
 }
 
 // ------------------------------------------------- reproducibility
@@ -383,7 +344,7 @@ fn scenario_trace_is_reproducible_from_seed() {
 /// media packets instead of dropping anything, the receiver report
 /// echoes the marks, and the congestion watcher's trap downgrades
 /// modality — all while the stream is delivered *complete*, with zero
-/// loss and zero retransmissions.
+/// loss.
 #[test]
 fn ecn_congestion_downgrades_modality_with_zero_loss() {
     use collabqos::core::trapwatch::{decision_from_trap, EdgeWatcher};
@@ -450,7 +411,6 @@ fn ecn_congestion_downgrades_modality_with_zero_loss() {
 
     assert_eq!(report.lost, 0, "AQM marked instead of dropping\n{ctx}");
     assert_eq!(delivered, 600, "full stream delivered\n{ctx}");
-    assert_eq!(report.recovered, 0, "no retransmission was needed\n{ctx}");
     assert!(
         report.fraction_ecn_ce >= 0.05,
         "flood phase must leave a CE footprint, got {:.3}\n{ctx}",
@@ -659,7 +619,7 @@ fn observe_loss_windows(seed: u64, lead: usize, burst: usize, tail: usize) -> Ve
             net.run_for(Ticks::from_micros(2_000));
         }
         net.run_for(Ticks::from_micros(20_000));
-        let got = drain_socket(&mut net, rx).len() as f64;
+        let got = std::iter::from_fn(|| net.recv(rx)).count() as f64;
         windows.push(Window {
             loss_pct: 100.0 * (PER_WINDOW as f64 - got) / PER_WINDOW as f64,
             congestion_pct: 0.0,

@@ -565,27 +565,6 @@ fn rtp_header_matches_rfc3550_layout() {
     );
 }
 
-/// RTCP NACK feedback layout: version byte, PT 205, 16-bit count, SSRC,
-/// then each missing sequence big-endian.
-#[test]
-fn rtcp_nack_wire_layout_is_stable() {
-    use collabqos::simnet::rtp::Nack;
-    let nack = Nack {
-        ssrc: 0xCAFEBABE,
-        seqs: vec![0x0102, 0xFFFF],
-    };
-    let expected: Vec<u8> = vec![
-        0x80, // V=2
-        0xCD, // PT=205 (transport-layer feedback)
-        0x00, 0x02, // count
-        0xCA, 0xFE, 0xBA, 0xBE, // SSRC
-        0x01, 0x02, // seq 258
-        0xFF, 0xFF, // seq 65535
-    ];
-    assert_eq!(nack.encode(), expected);
-    assert_eq!(Nack::decode(&expected).unwrap(), nack);
-}
-
 /// Snapshot of the semantic-message container: changing the wire format
 /// must be a conscious, versioned decision, not a refactoring accident.
 #[test]
