@@ -2,23 +2,27 @@
 //! session sends and views it: `prepare_planes`, the forward,
 //! `measure_plane`, `emit_plane` through warm and through fresh scratch
 //! and at ½, ¼, ⅛ and 1/1000 of the cap, a plane decode, a container
-//! decode that reads the symbols and one that replays them, the inverse
-//! and the finish — with the dominant symbols and refinement bits the
-//! share codes, counted from the coder's rules alone.
+//! decode that reads the symbols, one that replays them and one that
+//! replays the record the encode left, the inverse and the finish —
+//! with the dominant symbols and refinement bits the share codes,
+//! counted from the coder's rules alone. `emit_plane` records what it
+//! writes, as every encode does.
 //!
 //! Every emitted stream is asserted equal to `encode_image_capped`'s,
-//! and every length `measure_plane` sized up equal to the rules' count
-//! over the whole plane. The times are printed for reading, never
-//! compared: the codec's speed is judged by the repo benchmark's
+//! every length `measure_plane` sized up equal to the rules' count
+//! over the whole plane, and every decode equal to the one that reads
+//! the symbols. The times are printed for reading, never compared: the
+//! codec's speed is judged by the repo benchmark's
 //! `media.encode_ms_per_share` / `media.decode_ms_per_view`. It uses
-//! only `media`'s public API, so the same source builds against an
-//! older tree for a side-by-side table.
+//! only `media`'s public API.
 //!
 //! `--quick` takes the best of 10 repetitions instead of 20.
 
 use bench::{header, quick_mode, row, time_best};
 use media::color;
-use media::ezw::{self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis};
+use media::ezw::{
+    self, DecodeScratch, EncodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
+};
 use media::image::{synthetic_scene, Image};
 use media::reference;
 use media::wavelet::{self, WaveletKind, WaveletScratch};
@@ -111,7 +115,8 @@ fn count_symbols(coeffs: &[i32], w: usize, h: usize, levels: usize, body_bits: u
 /// (`prepare_planes`, forward, `measure_plane`, `emit_plane` through
 /// warm and through fresh scratch, and at fractions of the cap) and the
 /// receive path (a plane decode, a container decode that reads the
-/// symbols and one that replays them, the inverse, the finish). Best of
+/// symbols, one that replays them and one that replays the encode's
+/// record, the inverse, the finish). Best of
 /// `reps`, in ms per share (three planes). The emitted bytes are
 /// asserted equal to `encode_image_capped`'s, and the measured lengths
 /// to `count_symbols` run over each whole plane.
@@ -204,6 +209,7 @@ fn phase_table(reps: usize) {
         let container = shares.next().expect("cycles");
         ezw::decode_image_reduced_with(container, 0, &mut ds).expect("decodes")
     });
+    let read = ezw::decode_image_reduced(&sent, 0).expect("decodes");
     let before = ds.replays();
     let (view, replay_secs) = time_best(reps, || {
         ezw::decode_image_reduced_with(&sent, 0, &mut ds).expect("decodes")
@@ -212,7 +218,29 @@ fn phase_table(reps: usize) {
         ds.replays() - before >= reps as u64 - 1,
         "the record is held"
     );
-    assert!(view == reference::decode_image(&sent).expect("decodes"));
+    assert!(view == read && read == reference::decode_image(&sent).expect("decodes"));
+    // The decode after an encode through the same scratch, timed alone:
+    // the encode left the record, so it reads no symbol.
+    let mut enc = EncodeScratch::new();
+    let mut left_secs = f64::INFINITY;
+    for _ in 0..reps {
+        let container =
+            ezw::encode_image_capped_with(&image, levels, kind, true, Some(cap), &mut ds, &mut enc)
+                .expect("encodes");
+        assert!(
+            container == &sent[..],
+            "encode_image_capped_with == encode_image_capped"
+        );
+        let before = ds.replays();
+        let (left, secs) = time_best(1, || {
+            ezw::decode_image_reduced_with(&sent, 0, &mut ds).expect("decodes")
+        });
+        assert!(
+            ds.replays() == before + 1 && left == read,
+            "the encode's record replays to the decode that reads the symbols"
+        );
+        left_secs = left_secs.min(secs);
+    }
     // The inverse and the finish each timed alone, and undone untimed
     // before the next repetition.
     let (mut inverse_secs, mut finish_secs) = (f64::INFINITY, f64::INFINITY);
@@ -276,6 +304,7 @@ fn phase_table(reps: usize) {
         ("decode_plane_with x3".to_string(), plane_read_secs),
         ("decode, symbols read".to_string(), read_secs),
         ("decode, symbols replayed".to_string(), replay_secs),
+        ("decode, record left by the encode".to_string(), left_secs),
         ("inverse x3".to_string(), inverse_secs),
         ("finish (colour + interleave)".to_string(), finish_secs),
     ]);

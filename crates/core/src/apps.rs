@@ -341,15 +341,18 @@ impl ViewStore {
         (image, key)
     }
 
-    /// Run `f` on the three coefficient planes of a decode scratch this
-    /// store keeps ([`DecodeScratch::planes_mut`]), while no decode
-    /// holds that scratch. The session's encoder prepares its planes
-    /// here: a share and a decode never overlap, since both run under
+    /// Run `f` on a decode scratch this store keeps, while no decode
+    /// holds it, and put it back where the next decode takes its
+    /// scratch from. The session's encoder is lent it
+    /// ([`ezw::encode_image_capped_with`]): it prepares its planes
+    /// there and leaves the records of the streams it writes, so the
+    /// views of a fresh share that follow replay them and read no
+    /// symbol. A share and a decode never overlap, since both run under
     /// `&mut CollaborationSession`, and a decode overwrites every plane
     /// before reading it — so one set of planes serves both directions.
-    pub fn with_planes<R>(&self, f: impl FnOnce(&mut [Vec<i32>; 3]) -> R) -> R {
+    pub fn with_scratch<R>(&self, f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
         let mut scratch = self.lock().scratch.pop().unwrap_or_default();
-        let out = f(scratch.planes_mut());
+        let out = f(&mut scratch);
         self.lock().scratch.push(scratch);
         out
     }

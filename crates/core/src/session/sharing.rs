@@ -92,10 +92,12 @@ impl CollaborationSession {
     /// uplink alike: the scene coded with the session's wavelet at up
     /// to five levels, through the encode-once cache — the same
     /// content under the same `use_color` and `byte_cap` reuses the
-    /// shared stream. A miss prepares its coefficient planes in the
-    /// ones the view store's decode scratch keeps
-    /// ([`ViewStore::with_planes`](crate::apps::ViewStore::with_planes)),
-    /// not in a set of its own.
+    /// shared stream. A miss encodes through a decode scratch the view
+    /// store keeps
+    /// ([`ViewStore::with_scratch`](crate::apps::ViewStore::with_scratch)):
+    /// its coefficient planes are prepared there, not in a set of their
+    /// own, and the records it leaves let the share's views replay
+    /// rather than read the symbols it wrote.
     pub(super) fn encode_scene(
         &mut self,
         scene: &Scene,
@@ -105,8 +107,8 @@ impl CollaborationSession {
         let levels = wavelet::max_levels(scene.image.width, scene.image.height).min(5);
         let (cache, kind) = (&mut self.media_cache, self.cfg.wavelet);
         self.views
-            .with_planes(|planes| {
-                cache.encode_image(&scene.image, levels, kind, use_color, byte_cap, planes)
+            .with_scratch(|decode| {
+                cache.encode_image(&scene.image, levels, kind, use_color, byte_cap, decode)
             })
             .map_err(|e| e.to_string())
     }

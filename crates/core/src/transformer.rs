@@ -8,7 +8,7 @@
 //! runs image→text→speech).
 
 use media::describe::TextDescription;
-use media::ezw::{self, EncodeScratch};
+use media::ezw::{self, DecodeScratch, EncodeScratch};
 use media::image::Image;
 use media::speech::{speech_to_text, text_to_speech, SpeechStream};
 use media::wavelet::WaveletKind;
@@ -115,12 +115,13 @@ struct MediaEntry {
 /// [`ezw::encode_image_capped_with`] on the scratch the cache keeps.
 ///
 /// A miss writes its large buffers into memory that outlives it: the
-/// coefficient planes are the caller's (a session lends the three its
-/// decode scratch keeps, [`ViewStore::with_planes`](crate::apps::ViewStore::with_planes)),
-/// and the channel streams and the container are assembled in the
-/// encoder's scratch ([`EncodeScratch`]). What a miss allocates is the
-/// shared container itself, once, at its exact size, and the channel
-/// lengths and their split.
+/// coefficient planes and the channel streams go into the decode
+/// scratch the caller lends (a session's view store's,
+/// [`ViewStore::with_scratch`](crate::apps::ViewStore::with_scratch)),
+/// with the records that spare the share's first view a reading of its
+/// symbols, and the container is assembled in the encoder's scratch
+/// ([`EncodeScratch`]). What a miss allocates is the shared container
+/// itself, once, at its exact size.
 pub struct MediaCache {
     entries: HashMap<u64, MediaEntry>,
     cap: usize,
@@ -189,9 +190,12 @@ impl MediaCache {
     /// container). The container is [`ezw::encode_image_capped`]'s —
     /// the prefix [`ezw::truncate_container`] would cut of the full
     /// encode, made without coding the rest — and is shared, not
-    /// copied. A miss prepares the image's coefficient planes in
-    /// `planes` ([`ezw::encode_image_capped_with`]), overwriting whatever
-    /// they held; a hit leaves them alone.
+    /// copied. A miss encodes through `decode`
+    /// ([`ezw::encode_image_capped_with`]): it prepares the image's
+    /// coefficient planes there, overwriting whatever they held, and
+    /// leaves the records of the streams it wrote, so a decode of the
+    /// container through `decode` next reads no symbol. A hit runs no
+    /// encode and leaves `decode` alone.
     pub fn encode_image(
         &mut self,
         img: &Image,
@@ -199,7 +203,7 @@ impl MediaCache {
         kind: WaveletKind,
         color_transform: bool,
         byte_cap: Option<usize>,
-        planes: &mut [Vec<i32>],
+        decode: &mut DecodeScratch,
     ) -> Result<Arc<[u8]>, MediaError> {
         ezw::check_levels(img, levels)?;
         self.tick += 1;
@@ -216,7 +220,7 @@ impl MediaCache {
             kind,
             color_transform,
             byte_cap,
-            planes,
+            decode,
             &mut self.scratch,
         )?;
         let stream: Arc<[u8]> = Arc::from(container);
@@ -419,11 +423,6 @@ mod tests {
     use media::image::synthetic_scene;
     use media::wavelet::WaveletKind;
 
-    /// Coefficient planes for a cache miss to prepare its image in.
-    fn planes() -> [Vec<i32>; 3] {
-        Default::default()
-    }
-
     fn image_obj() -> MediaObject {
         let scene = synthetic_scene(64, 64, 1, 3, 5);
         let encoded = ezw::encode_image(&scene.image, 4, WaveletKind::Cdf53).unwrap();
@@ -510,7 +509,7 @@ mod tests {
                 WaveletKind::Cdf53,
                 true,
                 None,
-                &mut planes(),
+                &mut DecodeScratch::new(),
             )
             .unwrap();
         let b = cache
@@ -520,7 +519,7 @@ mod tests {
                 WaveletKind::Cdf53,
                 true,
                 None,
-                &mut planes(),
+                &mut DecodeScratch::new(),
             )
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared stream");
@@ -533,16 +532,19 @@ mod tests {
                 WaveletKind::Cdf53,
                 false,
                 None,
-                &mut planes(),
+                &mut DecodeScratch::new(),
             )
             .unwrap();
         assert_eq!(cache.stats().misses(), 2);
         assert_eq!(cache.len(), 2);
         // And the bytes match the plain encoder exactly, whatever the
-        // lent planes held before and however large they were.
+        // lent scratch decoded before and however large it was.
         let expected = ezw::encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, true).unwrap();
         assert_eq!(a.as_ref(), expected.as_slice());
-        let mut garbage = [vec![-7; 5000], vec![i32::MAX; 3], vec![]];
+        let other = synthetic_scene(64, 48, 3, 4, 10).image;
+        let other = ezw::encode_image_opts(&other, 4, WaveletKind::Haar, true).unwrap();
+        let mut garbage = DecodeScratch::new();
+        ezw::decode_image_reduced_with(&other, 0, &mut garbage).unwrap();
         let mut fresh = MediaCache::with_capacity(1);
         let b = fresh
             .encode_image(
@@ -557,6 +559,33 @@ mod tests {
         assert_eq!(b.as_ref(), expected.as_slice());
     }
 
+    /// A miss leaves the lent scratch holding the records of what it
+    /// wrote, so the decode that follows reads no symbol; a hit runs no
+    /// encode and leaves the scratch as it was.
+    #[test]
+    fn a_miss_leaves_its_records_and_a_hit_leaves_the_scratch_alone() {
+        let mut cache = MediaCache::with_capacity(4);
+        let mut lent = DecodeScratch::new();
+        let [a, b] = [9, 10].map(|seed| synthetic_scene(32, 32, 3, 3, seed).image);
+        let mut encode = |img: &Image, lent: &mut DecodeScratch| {
+            cache
+                .encode_image(img, 3, WaveletKind::Cdf53, true, Some(600), lent)
+                .unwrap()
+        };
+        let decode = |container: &[u8], lent: &mut DecodeScratch| {
+            let replays = lent.replays();
+            let view = ezw::decode_image_reduced_with(container, 0, lent).unwrap();
+            assert!(view == ezw::decode_image(container).unwrap());
+            lent.replays() - replays
+        };
+        let sent_a = encode(&a, &mut lent);
+        assert_eq!(decode(&sent_a, &mut lent), 1, "a miss: replayed");
+        let sent_b = encode(&b, &mut lent);
+        assert!(Arc::ptr_eq(&sent_a, &encode(&a, &mut lent)), "a hit");
+        assert_eq!(decode(&sent_b, &mut lent), 1, "the hit left b's records");
+        assert_eq!(decode(&sent_a, &mut lent), 0, "a's are gone: read");
+    }
+
     #[test]
     fn media_cache_holds_the_capped_container_under_its_cap() {
         let mut cache = MediaCache::with_capacity(4);
@@ -569,7 +598,7 @@ mod tests {
                     WaveletKind::Cdf53,
                     true,
                     cap,
-                    &mut planes(),
+                    &mut DecodeScratch::new(),
                 )
                 .unwrap()
         };
@@ -660,7 +689,7 @@ mod tests {
         let expected = ezw::encode_image_opts(&scene.image, 4, WaveletKind::Cdf53, true).unwrap();
         let cut = ezw::truncate_container(&expected, 2_000).unwrap();
         let mut cache = MediaCache::with_capacity(2);
-        let mut lent = planes();
+        let mut lent = DecodeScratch::new();
         let mut encode = |img: &Image, levels, kind, color, cap| {
             cache
                 .encode_image(img, levels, kind, color, cap, &mut lent)
@@ -707,7 +736,7 @@ mod tests {
                     WaveletKind::Haar,
                     false,
                     None,
-                    &mut planes(),
+                    &mut DecodeScratch::new(),
                 )
                 .unwrap();
         }
@@ -721,7 +750,7 @@ mod tests {
                 WaveletKind::Haar,
                 false,
                 None,
-                &mut planes(),
+                &mut DecodeScratch::new(),
             )
             .unwrap();
         assert_eq!(cache.stats().misses(), 4);
@@ -733,7 +762,7 @@ mod tests {
                 WaveletKind::Haar,
                 false,
                 None,
-                &mut planes(),
+                &mut DecodeScratch::new(),
             )
             .unwrap();
         assert_eq!(cache.stats().hits(), 1);
@@ -750,7 +779,7 @@ mod tests {
                 WaveletKind::Cdf53,
                 false,
                 None,
-                &mut planes(),
+                &mut DecodeScratch::new(),
             )
             .unwrap();
         // Per-client tiers share the one encode; each tier is a cut.
@@ -773,7 +802,7 @@ mod tests {
                 WaveletKind::Haar,
                 false,
                 None,
-                &mut planes()
+                &mut DecodeScratch::new()
             )
             .is_err());
         assert!(cache
@@ -783,7 +812,7 @@ mod tests {
                 WaveletKind::Haar,
                 false,
                 None,
-                &mut planes()
+                &mut DecodeScratch::new()
             )
             .is_err());
         assert_eq!(cache.stats().misses(), 0, "param errors are not misses");

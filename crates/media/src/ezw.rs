@@ -47,10 +47,11 @@
 //!   lives in a caller-owned [`EzwScratch`], so a session
 //!   encoding a stream of planes allocates nothing after warm-up; a
 //!   sender keeps it, with the wavelet buffers, the per-channel
-//!   analyses and streams and the container, in an [`EncodeScratch`]
-//!   behind [`encode_image_capped_with`], and a receiver keeps it, with
-//!   the wavelet buffers and the coefficient planes, in a
-//!   [`DecodeScratch`] behind [`decode_image_reduced_with`].
+//!   analyses and the container, in an [`EncodeScratch`] behind
+//!   [`encode_image_capped_with`], and a receiver keeps it, with the
+//!   wavelet buffers, the coefficient planes and the channel records,
+//!   in a [`DecodeScratch`] behind [`decode_image_reduced_with`] — which
+//!   the sender borrows for its planes and streams.
 //!
 //! And every embedded bit is coded once and read once:
 //!
@@ -90,6 +91,15 @@
 //!   decoded before changes the cost of a decode, never its result.
 //!   Asked longest first (how a session's packets arrive) the four
 //!   prefixes cost one reading; shortest first they cost four.
+//! * **The encoder is a stream's first reader.** Writing a symbol
+//!   records it as reading it would — the entry, where its symbol
+//!   ends, where each plane's passes begin and end — and the record
+//!   keeps the bytes written, so an encode into a [`DecodeScratch`]
+//!   leaves it holding what a decode of the whole container would
+//!   have read: every view of a fresh share, the longest too, is a
+//!   replay. The entries hold whole magnitudes (the subordinate pass
+//!   refines from them); a replay keeps of each only the bits its
+//!   prefix holds, so it gives what reading the prefix gives.
 //!
 //! Every size the decoder allocates comes from a plane header, which
 //! is received bytes: headers are checked — against a fixed sample
@@ -445,8 +455,8 @@ impl PlaneAnalysis {
 
 /// Reusable per-plane coder state: the live set both walks run on, the
 /// cached `Geometry` (rebuilt only when the plane shape changes), the
-/// encoder's per-rank coefficients and significance list, and the
-/// decoder's significance record. Shared by
+/// encoder's per-rank coefficients, and the significance record of the
+/// last plane written or read. Shared by
 /// [`EzwEncoder::encode_plane_with`] / [`EzwEncoder::emit_plane`] and
 /// [`EzwDecoder::decode_plane_with`]; a default-constructed scratch is
 /// used transparently by the plain entry points.
@@ -457,10 +467,6 @@ pub struct EzwScratch {
     /// Encoder: what [`EzwEncoder::encode_plane_with`] sizes a plane
     /// up into (a container encode keeps one per channel instead).
     analysis: PlaneAnalysis,
-    /// Encoder: magnitudes of significant coefficients, in
-    /// significance order — the subordinate pass reads it sequentially
-    /// (the refinement bit never needs the index, only the magnitude).
-    sub_mags: Vec<u32>,
     /// Encoder: the plane's coefficients by scan rank, packed as the
     /// dominant pass reads them (`|coeff|`, sign, and for a parent the
     /// bit position of its subtree maximum at `RANKED_SMAX_SHIFT`), one
@@ -475,8 +481,9 @@ pub struct EzwScratch {
     /// live set (a significant child leaves `live`, so `live` alone
     /// cannot say whether that already happened).
     spawned: Vec<u64>,
-    /// Decoder: what [`EzwDecoder::decode_plane_with`] reads a stream
-    /// into (a container decode keeps one per channel instead, in its
+    /// What [`EzwEncoder::emit_plane`] records a stream into and
+    /// [`EzwDecoder::decode_plane_with`] reads one into (a container
+    /// encode or decode keeps one per channel instead, in its
     /// [`DecodeScratch`]).
     record: PlaneRecord,
 }
@@ -511,8 +518,8 @@ const LEAVES: u8 = 2;
 /// for both sides, so what one writes the other reads.
 trait Side {
     /// Before each 64-rank word of the live set: whether the walk goes
-    /// on. The encoder stops at its cap; the decoder makes room for the
-    /// word's entries.
+    /// on, once room is made for the word's entries. The encoder stops
+    /// past its cap; the decoder goes on to the end of its stream.
     fn word(&mut self) -> bool;
 
     /// Write or read the symbol of `rank`: in the parent alphabet
@@ -828,28 +835,34 @@ impl EzwEncoder {
     /// running to bit-plane 0 and being cut afterwards. The dominant
     /// pass is the decoder's walk over the live set, writing each
     /// symbol where the decoder reads it: no coefficient is looked at
-    /// in a pass it is not coded in, and past the cut none is.
+    /// in a pass it is not coded in, and past the cut none is. The
+    /// stream's record is left in `scratch`, as a read of it would.
     pub fn emit_plane(
         coeffs: &[i32],
         analysis: &PlaneAnalysis,
         keep: usize,
         scratch: &mut EzwScratch,
     ) -> Vec<u8> {
-        let mut out = Vec::new();
-        Self::emit_plane_into(coeffs, analysis, keep, scratch, &mut out);
-        out
+        let mut record = std::mem::take(&mut scratch.record);
+        Self::emit_plane_into(coeffs, analysis, keep, scratch, &mut record);
+        let stream = record.stream.clone();
+        scratch.record = record;
+        stream
     }
 
-    /// [`EzwEncoder::emit_plane`] into a buffer the caller keeps: `out`
-    /// is cleared and holds the same bytes afterwards, so an encoder
-    /// that emits plane after plane into one buffer allocates only
-    /// while it grows.
+    /// [`EzwEncoder::emit_plane`] into a record the caller keeps: the
+    /// stream is written into `record.stream`, and the rest of `record`
+    /// becomes what reading those bytes would make it
+    /// ([`EzwDecoder::read_symbols`]) — the encoder is the stream's
+    /// first reader — so a decode of the stream or of any prefix of it
+    /// replays the record without reading a bit. The buffers grow only
+    /// past their capacity.
     fn emit_plane_into(
         coeffs: &[i32],
         analysis: &PlaneAnalysis,
         keep: usize,
         scratch: &mut EzwScratch,
-        out: &mut Vec<u8>,
+        record: &mut PlaneRecord,
     ) {
         let (w, h, levels) = analysis.shape;
         assert_eq!(coeffs.len(), w * h, "the plane `measure_plane` sized up");
@@ -859,22 +872,26 @@ impl EzwEncoder {
         // The walk looks at the cap once a word of the live set, so it
         // overshoots by at most 64 three-bit symbols and the writer's
         // word.
+        let mut out = std::mem::take(&mut record.stream);
         out.clear();
         out.reserve(keep + 64);
         out.extend_from_slice(PLANE_MAGIC);
         out.extend_from_slice(&(w as u16).to_be_bytes());
         out.extend_from_slice(&(h as u16).to_be_bytes());
         out.push(levels as u8);
-        if top_pos == 0 {
-            out.push(EMPTY_PLANE);
-            return;
-        }
-        out.push(top_pos - 1);
+        let top_plane = top_pos.checked_sub(1);
+        out.push(top_plane.unwrap_or(EMPTY_PLANE));
         // Bits to write. Short of the whole stream this is a whole
         // number of bytes; for the whole stream it is the stream's bits
         // rounded up, which the passes end before reaching.
         let limit = (keep - PLANE_HEADER_LEN) * 8;
-        if limit == 0 {
+        record.reset(top_plane.map(u32::from), w * h, limit);
+        if top_plane.is_none() || limit == 0 {
+            if top_plane.is_some() {
+                // A reader's first symbol would not fit.
+                record.marks.push(PlaneMark::begun(0));
+            }
+            record.stream = out;
             return;
         }
 
@@ -882,7 +899,6 @@ impl EzwEncoder {
         let EzwScratch {
             geo,
             ranked,
-            sub_mags,
             live,
             spawned,
             ..
@@ -909,45 +925,46 @@ impl EzwEncoder {
                 ranked.extend(row.iter().map(|&c| packed(c)));
             }
         }
-        // Every coefficient can be significant, and one spare slot
-        // takes the store of a symbol that is not. What the list holds
-        // is overwritten before it is read, so nothing is cleared.
-        if sub_mags.len() <= coeffs.len() {
-            sub_mags.resize(coeffs.len() + 1, 0);
-        }
         let mut set = LiveSet::new(geo, live, spawned);
         let mut emit = PlaneEmit {
             ranked,
-            sub: sub_mags,
-            nsub: 0,
-            bits: BitWriter::after(std::mem::take(out)),
+            record,
+            bits: BitWriter::after(out),
             t: 0,
             pos: 0,
             limit,
         };
+        // The reader's marks: a pass is held when its last bit is.
         for pos in (1..=top_pos).rev() {
             let b = pos as u32 - 1;
             (emit.t, emit.pos) = (1 << b, pos as u64);
-            let refine_count = emit.nsub;
-            if !set.dominant(&mut emit) || emit.bits.len_bits() >= limit {
-                break;
+            let mut mark = PlaneMark::begun(emit.record.nsub);
+            if set.dominant(&mut emit) && emit.bits.len_bits() <= limit {
+                let start = emit.bits.len_bits();
+                mark.sub_start = start as u64;
+                // Subordinate pass: one refinement bit for coefficients
+                // significant before this plane, magnitudes read from
+                // the list, and no more of them than the cap has room
+                // for.
+                let count = mark.refine_count.min(limit - start);
+                for entries in emit.record.entries[..count].chunks(32) {
+                    let word = entries
+                        .iter()
+                        .fold(0u32, |acc, &entry| acc << 1 | (entry as u32 >> b) & 1);
+                    emit.bits.push_bits(word, entries.len() as u32);
+                }
+                if count == mark.refine_count {
+                    mark.end = emit.bits.len_bits() as u64;
+                }
             }
-            // Subordinate pass: one refinement bit for coefficients
-            // significant before this plane, magnitudes read inline,
-            // and no more of them than the cap has room for.
-            let room = limit - emit.bits.len_bits();
-            for mags in emit.sub[..refine_count.min(room)].chunks(32) {
-                let word = mags
-                    .iter()
-                    .fold(0u32, |acc, &mag| acc << 1 | (mag >> b) & 1);
-                emit.bits.push_bits(word, mags.len() as u32);
-            }
-            if emit.bits.len_bits() >= limit {
+            emit.record.marks.push(mark);
+            if mark.end == u64::MAX {
                 break;
             }
         }
-        *out = emit.bits.into_bytes();
+        let mut out = emit.bits.into_bytes();
         out.truncate(keep);
+        record.stream = out;
     }
 }
 
@@ -957,14 +974,15 @@ impl EzwEncoder {
 const RANKED_SMAX_SHIFT: u32 = 32;
 
 /// The encoder's side of the walk: one plane's stream, written up to
-/// the cap.
+/// the cap and recorded as a reader of it would record it.
 struct PlaneEmit<'a> {
     /// The plane by scan rank (`EzwScratch::ranked`).
     ranked: &'a [u64],
-    /// Magnitudes of the significant coefficients, in significance
-    /// order, `nsub` of them.
-    sub: &'a mut [u32],
-    nsub: usize,
+    /// The significant coefficients in significance order, with whole
+    /// magnitudes — what the subordinate pass refines — and where
+    /// each symbol ends. Symbols written past the cap are noted too;
+    /// nothing reads them, as they end past the stream.
+    record: &'a mut PlaneRecord,
     bits: BitWriter,
     /// The pass's threshold `1 << b`, and its bit position `b + 1`.
     t: u32,
@@ -974,14 +992,18 @@ struct PlaneEmit<'a> {
 }
 
 impl Side for PlaneEmit<'_> {
+    /// Goes on while the stream's last bit is not written: a pass is
+    /// then either all written or cut inside a symbol, as a reader
+    /// finds it.
     #[inline(always)]
     fn word(&mut self) -> bool {
-        self.bits.len_bits() < self.limit
+        self.record.reserve_word();
+        self.bits.len_bits() <= self.limit
     }
 
     /// Branch-free: the four symbols collapse to
     /// `pattern = (1 << len) - 2 + sign` (0; 10; 10|s or 110|s), and
-    /// the magnitude is stored whether significant or not, the count
+    /// the entry is stored whether significant or not, the count
     /// bumped only if so — significance is about 50/50 in the busy
     /// passes.
     #[inline(always)]
@@ -998,8 +1020,8 @@ impl Side for PlaneEmit<'_> {
         let neg = (entry >> 63) & sig;
         self.bits
             .push_bits(((1 << len) - 2 + neg) as u32, len as u32);
-        self.sub[self.nsub] = mag;
-        self.nsub += sig as usize;
+        let recorded = entry & (1 << 63 | u32::MAX as u64) | (rank as u64) << 32;
+        self.record.note(recorded, self.bits.len_bits(), sig);
         Some((coded, sig))
     }
 }
@@ -1081,9 +1103,22 @@ struct PlaneMark {
     end: u64,
 }
 
-/// What symbol-decoding one plane stream leaves behind, and all that
-/// is needed to give the coefficients of any *prefix* of that stream
-/// without reading a bit of it.
+impl PlaneMark {
+    /// A plane begun after `refine_count` entries, no pass of it held
+    /// yet.
+    fn begun(refine_count: usize) -> PlaneMark {
+        PlaneMark {
+            refine_count,
+            sub_start: u64::MAX,
+            end: u64::MAX,
+        }
+    }
+}
+
+/// What symbol-decoding one plane stream leaves behind — or writing it:
+/// the encoder records what it writes the way the decoder records what
+/// it reads — and all that is needed to give the coefficients of any
+/// *prefix* of that stream without reading a bit of it.
 ///
 /// The decoder is deterministic and reads strictly forward, so on a
 /// prefix cut at bit `x` it does exactly what it did on the whole
@@ -1104,14 +1139,18 @@ struct PlaneRecord {
     /// Significant coefficients in significance order, one word each —
     /// sign in bit 63, scan rank in bits 32..63, magnitude in the low
     /// half — so the subordinate pass refines magnitudes in one
-    /// sequential sweep and nothing is scattered until the end. Longer
-    /// than `nsub`: grown by need, never cleared.
+    /// sequential sweep and nothing is scattered until the end. A
+    /// reader holds the magnitude bits it has read, the encoder the
+    /// whole magnitude; `scatter` keeps of each only the bits the
+    /// prefix it gives has read, so the two records give the same
+    /// coefficients. Longer than `nsub`: grown by need, never cleared.
     entries: Vec<u64>,
     /// Per entry, the bit offset just past its dominant symbol;
     /// ascending. (A plane is capped at 2^22 samples and 32 bit-planes,
     /// so a decode never gets as far as bit 2^32.)
     ends: Vec<u32>,
-    /// Entries in use.
+    /// Entries in use — for the encoder, with the ones its walk wrote
+    /// past the stream's end, which `scatter` drops by their ends.
     nsub: usize,
     /// Top bit-plane of the stream.
     top_plane: u32,
@@ -1124,6 +1163,33 @@ impl PlaneRecord {
     /// included, so also of the same shape and top plane.
     fn covers(&self, stream: &[u8]) -> bool {
         self.stream.starts_with(stream)
+    }
+
+    /// Start the record of a stream with `top_plane` (`None`: an
+    /// all-zero plane) over planes of `n` samples, whose body holds
+    /// `body_bits`: empty, with a first guess at the list so that it
+    /// seldom grows — streams cut at a few bits per pixel spend about
+    /// six bits on each significant coefficient, symbol and
+    /// refinements together.
+    fn reset(&mut self, top_plane: Option<u32>, n: usize, body_bits: usize) {
+        self.nsub = 0;
+        self.marks.clear();
+        self.top_plane = top_plane.unwrap_or(0);
+        let guess = n.min(body_bits / 6) + 65;
+        if top_plane.is_some() && self.entries.len() < guess {
+            self.grow(guess);
+        }
+    }
+
+    /// Note the symbol that ends at body bit `end`: `entry` joins the
+    /// list if it is significant (`sig` is 1), by an unconditional
+    /// store and a conditional bump.
+    #[inline(always)]
+    fn note(&mut self, entry: u64, end: usize, sig: u64) {
+        let nsub = self.nsub;
+        self.entries[nsub] = entry;
+        self.ends[nsub] = end as u32;
+        self.nsub = nsub + sig as usize;
     }
 
     /// Room for the entries of one more word of the live set: its 64
@@ -1233,11 +1299,8 @@ impl Side for PlaneRead<'_, '_> {
             return None;
         }
         self.bits.consume(len);
-        let record = &mut *self.record;
-        let nsub = record.nsub;
-        record.entries[nsub] = neg << 63 | (rank as u64) << 32 | self.t;
-        record.ends[nsub] = self.bits.position() as u32;
-        record.nsub = nsub + sig as usize;
+        let entry = neg << 63 | (rank as u64) << 32 | self.t;
+        self.record.note(entry, self.bits.position() as usize, sig);
         Some((coded, sig))
     }
 }
@@ -1309,21 +1372,12 @@ impl EzwDecoder {
     ) {
         record.stream.clear();
         record.stream.extend_from_slice(stream);
-        record.nsub = 0;
-        record.marks.clear();
+        let PlaneHeader { w, h, levels, .. } = header;
+        let body_bits = (stream.len() - PLANE_HEADER_LEN) * 8;
+        record.reset(header.top_plane, w * h, body_bits);
         let Some(top_plane) = header.top_plane else {
             return;
         };
-        record.top_plane = top_plane;
-        let PlaneHeader { w, h, levels, .. } = header;
-        let n = w * h;
-        // A first guess at the list, so that it seldom grows: streams
-        // cut at a few bits per pixel spend about six bits on each
-        // significant coefficient, symbol and refinements together.
-        let guess = n.min((stream.len() - PLANE_HEADER_LEN) * 8 / 6) + 65;
-        if record.entries.len() < guess {
-            record.grow(guess);
-        }
         scratch.geometry(w, h, levels);
         let geo = scratch.geo.as_ref().expect("geometry cached");
         let mut set = LiveSet::new(geo, &mut scratch.live, &mut scratch.spawned);
@@ -1333,16 +1387,11 @@ impl EzwDecoder {
             t: 0,
         };
         for b in (0..=top_plane).rev() {
-            let refine_count = read.record.nsub;
             read.t = 1 << b;
-            let mut mark = PlaneMark {
-                refine_count,
-                sub_start: u64::MAX,
-                end: u64::MAX,
-            };
+            let mut mark = PlaneMark::begun(read.record.nsub);
             if set.dominant(&mut read) {
                 mark.sub_start = read.bits.position();
-                if read.subordinate(refine_count, b) {
+                if read.subordinate(mark.refine_count, b) {
                     mark.end = read.bits.position();
                 }
             }
@@ -1494,22 +1543,25 @@ pub fn assemble_container(
     color_transform: bool,
     streams: &[Vec<u8>],
 ) -> Vec<u8> {
+    assert_eq!(streams.len(), channels, "one stream per channel");
     let mut out = Vec::new();
-    assemble_container_into(&mut out, channels, kind, color_transform, streams);
+    let streams = streams.iter().map(Vec::as_slice);
+    assemble_container_into(&mut out, kind, color_transform, streams);
     out
 }
 
-/// [`assemble_container`] into a buffer the caller keeps: `out` is
-/// cleared, then holds the container; it grows only past its capacity.
-fn assemble_container_into(
+/// [`assemble_container`] of the channel `streams`, into a buffer the
+/// caller keeps: `out` is cleared, then holds the container; it grows
+/// only past its capacity.
+fn assemble_container_into<'a>(
     out: &mut Vec<u8>,
-    channels: usize,
     kind: WaveletKind,
     color_transform: bool,
-    streams: &[Vec<u8>],
+    streams: impl Iterator<Item = &'a [u8]> + Clone,
 ) {
-    assert_eq!(streams.len(), channels, "one stream per channel");
-    let body: usize = streams.iter().map(|s| s.len() + 4).sum();
+    let (channels, body) = streams
+        .clone()
+        .fold((0, 0), |(n, body), s| (n + 1, body + s.len() + 4));
     out.clear();
     out.reserve_exact(CONTAINER_HEADER_LEN + body);
     out.extend_from_slice(CONTAINER_MAGIC);
@@ -1561,31 +1613,30 @@ pub fn encode_image_capped(
     cap: Option<usize>,
 ) -> Result<Vec<u8>, MediaError> {
     let mut scratch = EncodeScratch::new();
-    let mut planes = vec![Vec::new(); img.channels];
+    let mut decode = DecodeScratch::new();
     encode_image_capped_with(
         img,
         levels,
         kind,
         color_transform,
         cap,
-        &mut planes,
+        &mut decode,
         &mut scratch,
     )?;
     Ok(scratch.container)
 }
 
 /// Everything a container encode reuses from one call to the next: per
-/// channel the sizing-up ([`PlaneAnalysis`]), its length and the
-/// emitted stream (a channel's is held while the others are sized up
-/// or written), the container they are assembled into, and the wavelet
-/// and EZW coder state. The coefficient planes are not in it: the caller lends them
+/// channel the sizing-up ([`PlaneAnalysis`]) and its length, the
+/// container the streams are assembled into, and the wavelet and EZW
+/// coder state. The coefficient planes and the channel streams are not
+/// in it: they are the [`DecodeScratch`] the caller lends
 /// ([`encode_image_capped_with`]). The buffers stay the size of the
 /// largest image encoded.
 #[derive(Default)]
 pub struct EncodeScratch {
-    analyses: Vec<PlaneAnalysis>,
+    analyses: [PlaneAnalysis; 3],
     lens: Vec<usize>,
-    streams: Vec<Vec<u8>>,
     container: Vec<u8>,
     wavelet: WaveletScratch,
     ezw: EzwScratch,
@@ -1598,41 +1649,44 @@ impl EncodeScratch {
     }
 }
 
-/// [`encode_image_capped`] with caller-kept scratch and planes: the
-/// same container, byte for byte, whatever either held before. The
-/// image's coefficient planes (what [`prepare_planes`] returns) are
-/// prepared in `planes`, overwriting what they held — a session
-/// lends the ones its decode scratch keeps
-/// ([`DecodeScratch::planes_mut`]) — and the container is assembled in
-/// `scratch`, which the returned bytes borrow. After warm-up an encode
-/// allocates nothing.
-///
-/// # Panics
-/// Panics when `planes` has fewer entries than `img` has channels.
+/// [`encode_image_capped`] with caller-kept scratch: the same
+/// container, byte for byte, whatever either scratch held before. The
+/// encoder is the first reader of what it writes: it prepares the
+/// image's coefficient planes (what [`prepare_planes`] returns) in the
+/// ones `decode` keeps, overwriting what they held, and leaves in
+/// `decode`'s records what reading each channel stream would — so a
+/// decode of the container, or of any cut of it, through `decode` next
+/// ([`decode_image_reduced_with`]) reads no symbol. The container is
+/// assembled in `scratch`, which the returned bytes borrow. After
+/// warm-up an encode allocates nothing.
 pub fn encode_image_capped_with<'s>(
     img: &Image,
     levels: usize,
     kind: WaveletKind,
     color_transform: bool,
     cap: Option<usize>,
-    planes: &mut [Vec<i32>],
+    decode: &mut DecodeScratch,
     scratch: &'s mut EncodeScratch,
 ) -> Result<&'s [u8], MediaError> {
     check_levels(img, levels)?;
+    if img.channels != 1 && img.channels != 3 {
+        return Err(MediaError::BadDimensions(format!(
+            "{} channels: a container holds 1 or 3",
+            img.channels
+        )));
+    }
+    let DecodeScratch {
+        planes, records, ..
+    } = decode;
     prepare_planes_into(img, color_transform, planes)?;
     let (w, h, n) = (img.width, img.height, img.channels);
     let EncodeScratch {
         analyses,
         lens,
-        streams,
         container,
         wavelet: ws,
         ezw: es,
     } = scratch;
-    if analyses.len() < n {
-        analyses.resize_with(n, PlaneAnalysis::new);
-        streams.resize_with(n, Vec::new);
-    }
     let planes = &mut planes[..n];
     // Two rounds with the cap's split between them: how much of a
     // channel the cap keeps depends on every channel's length.
@@ -1647,12 +1701,14 @@ pub fn encode_image_capped_with<'s>(
             }),
     );
     let total = lens.iter().sum();
-    let jobs = planes.iter().zip(analyses.iter()).zip(streams.iter_mut());
-    for (((plane, analysis), out), &len) in jobs.zip(lens.iter()) {
+    let records = &mut records[..n];
+    let jobs = planes.iter().zip(analyses.iter()).zip(records.iter_mut());
+    for (((plane, analysis), record), &len) in jobs.zip(lens.iter()) {
         let keep = channel_keep(len, total, n, cap);
-        EzwEncoder::emit_plane_into(plane, analysis, keep, es, out);
+        EzwEncoder::emit_plane_into(plane, analysis, keep, es, record);
     }
-    assemble_container_into(container, n, kind, color_transform, &streams[..n]);
+    let streams = records.iter().map(|record| record.stream.as_slice());
+    assemble_container_into(container, kind, color_transform, streams);
     Ok(container)
 }
 
@@ -1734,17 +1790,22 @@ pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> 
 
 /// Everything a container decode reuses from one call to the next: the
 /// EZW coder state (scan geometry, live bitmap), the wavelet's half
-/// band and working lines, the coefficient planes, and per channel the record of
-/// the last stream symbol-decoded there. A receiver that keeps one and
-/// decodes through [`decode_image_reduced_with`] allocates only the
-/// image it returns — not even that, when it handed back an image at
-/// least as large that nobody reads any more
-/// ([`DecodeScratch::recycle`]) — and pays for reading
-/// symbols once per stream: a
-/// container whose channel streams are prefixes of the recorded ones —
-/// a smaller packet budget's view of the same shared object — is
-/// replayed from the records. The buffers stay the size of the largest
-/// plane decoded, which the plane-sample cap bounds.
+/// band and working lines, the coefficient planes, and per channel the
+/// record of the last stream symbol-decoded there — or encoded: an
+/// encode lent this scratch ([`encode_image_capped_with`]) prepares
+/// its planes in it and leaves the records of the streams it wrote. A
+/// receiver that keeps one and decodes through
+/// [`decode_image_reduced_with`] allocates only the image it returns —
+/// not even that, when it handed back an image at least as large that
+/// nobody reads any more ([`DecodeScratch::recycle`]) — and pays for
+/// reading symbols at most once per stream: a container whose channel
+/// streams are prefixes of the recorded ones — a smaller packet
+/// budget's view of the same shared object, or any view of the one
+/// just encoded — is replayed from the records. What the planes hold
+/// between decodes is not part of the scratch's state: a decode
+/// overwrites every plane it uses before reading it. The buffers stay
+/// the size of the largest plane decoded, which the plane-sample cap
+/// bounds.
 #[derive(Default)]
 pub struct DecodeScratch {
     ezw: EzwScratch,
@@ -1761,18 +1822,6 @@ impl DecodeScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> DecodeScratch {
         DecodeScratch::default()
-    }
-
-    /// The three coefficient planes, lent out between decodes. A
-    /// decode clears and refills every plane it uses before reading
-    /// it, so nothing a borrower leaves in them is ever read: an
-    /// encoder that never runs at the same time as a decode on this
-    /// scratch may prepare its planes here
-    /// ([`encode_image_capped_with`]) instead of keeping a set of its own.
-    /// What the planes hold between decodes is therefore not part of
-    /// the scratch's state.
-    pub fn planes_mut(&mut self) -> &mut [Vec<i32>; 3] {
-        &mut self.planes
     }
 
     /// Hand back an image nobody reads any more: the next decode on
@@ -2282,14 +2331,15 @@ mod tests {
             let split = assemble_container(channels, WaveletKind::Cdf53, color, &streams);
             assert_eq!(split, whole, "channels={channels} color={color}");
         }
-        // One kept scratch and one set of planes through encodes that
+        // One kept scratch and one decode scratch through encodes that
         // change, one after another, the channel count (3 → 1 → 3), the
         // size, the level count, the wavelet, the colour transform and
         // the cap (none, below a plane header, mid-stream), the planes
-        // still holding the last image's coefficients each time:
-        // nothing left from one encode reaches the next.
+        // and records still holding the last image's each time: nothing
+        // left from one encode reaches the next, and a decode through
+        // the lent scratch replays what the encode recorded.
         let mut scratch = EncodeScratch::new();
-        let mut planes = vec![Vec::new(); 3];
+        let mut decode = DecodeScratch::new();
         let (below_a_header, headers_and_a_little) =
             (Some(PLANE_HEADER_LEN - 1), Some(CONTAINER_HEADER_LEN + 20));
         for (channels, w, h, levels, kind, color, cap) in [
@@ -2309,15 +2359,22 @@ mod tests {
                 kind,
                 color,
                 cap,
-                &mut planes,
+                &mut decode,
                 &mut scratch,
             )
             .unwrap();
-            assert!(
-                kept == fresh,
-                "{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}"
-            );
+            let what = format!("{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}");
+            assert!(kept == fresh, "{what}");
+            let replays = decode.replays();
+            let view = decode_image_reduced_with(&fresh, 0, &mut decode).unwrap();
+            assert!(view == decode_image(&fresh).unwrap(), "{what}");
+            assert_eq!(decode.replays(), replays + 1, "{what}: no symbol read");
         }
+        let four = Image {
+            channels: 4,
+            ..Image::new(8, 8, 1)
+        };
+        assert!(encode_image_capped(&four, 1, WaveletKind::Haar, false, None).is_err());
     }
 
     #[test]
@@ -2498,6 +2555,92 @@ mod tests {
             let keep = len * keep_ppm / 1_000_000;
             let cut = EzwEncoder::emit_plane(&coeffs, &analysis, keep, &mut es);
             prop_assert_eq!(&cut[..], &full[..keep.max(PLANE_HEADER_LEN)], "keep {}", keep);
+        }
+    }
+
+    /// A random image: grey or colour, 8 to 32 a side, a base level
+    /// plus noise of `8 - flat` bits — at `flat == 8` a flat image, all
+    /// of whose planes but a colour one's luma are all zero.
+    fn arb_image() -> impl Strategy<Value = Image> {
+        let shape = (0usize..4, 0usize..4, prop_oneof![Just(1usize), Just(3)]);
+        (shape, 0u32..=8, any::<u8>()).prop_flat_map(|((wi, hi, channels), flat, base)| {
+            let dims = [8usize, 16, 24, 32];
+            let (w, h) = (dims[wi], dims[hi]);
+            let n = w * h * channels;
+            proptest::collection::vec(any::<u8>(), n..n + 1).prop_map(move |noise| {
+                let mut img = Image::new(w, h, channels);
+                for (px, v) in img.data.iter_mut().zip(noise) {
+                    *px = base.wrapping_add((u32::from(v) >> flat) as u8);
+                }
+                img
+            })
+        })
+    }
+
+    /// The coefficients `record` gives for the first `len` bytes of its
+    /// stream.
+    fn scattered(record: &PlaneRecord, len: usize, es: &mut EzwScratch) -> Vec<i32> {
+        let header = PlaneHeader::parse(&record.stream).expect("a recorded stream");
+        let mut coeffs = vec![0; header.w * header.h];
+        record.scatter(
+            len,
+            es.geometry(header.w, header.h, header.levels),
+            &mut coeffs,
+        );
+        coeffs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The record an encode leaves is, for every prefix of every
+        /// channel stream, the record reading the stream builds: both
+        /// give the same coefficients. Grey and colour, both wavelets,
+        /// every level count, and caps of none, below a plane header,
+        /// the headers alone, the headers and 20 bytes, and mid-stream.
+        #[test]
+        fn the_encoders_record_replays_as_reading_the_stream_does(
+            img in arb_image(),
+            haar in any::<bool>(),
+            color in any::<bool>(),
+            levels_pct in 0usize..100,
+            cap_pick in 0usize..5,
+            mid_ppm in 0usize..=1_000_000,
+        ) {
+            let kind = if haar { WaveletKind::Haar } else { WaveletKind::Cdf53 };
+            let color = color && img.channels == 3;
+            let levels = 1 + levels_pct * wavelet::max_levels(img.width, img.height) / 100;
+            let headers = CONTAINER_HEADER_LEN + img.channels * (4 + PLANE_HEADER_LEN);
+            let full = encode_image_opts(&img, levels, kind, color).unwrap();
+            let cap = [
+                None,
+                Some(PLANE_HEADER_LEN - 1),
+                Some(headers),
+                Some(headers + 20),
+                Some(full.len() * mid_ppm / 1_000_000),
+            ][cap_pick];
+            let mut decode = DecodeScratch::new();
+            let mut scratch = EncodeScratch::new();
+            let sent = encode_image_capped_with(
+                &img, levels, kind, color, cap, &mut decode, &mut scratch,
+            )
+            .unwrap()
+            .to_vec();
+            let (_, _, streams) = container_streams(&sent).unwrap();
+            let mut es = EzwScratch::new();
+            let mut read = PlaneRecord::default();
+            for (c, stream) in streams.enumerate() {
+                let written = &decode.records[c];
+                prop_assert!(written.covers(stream) && stream.len() == written.stream.len());
+                let header = PlaneHeader::parse(stream).unwrap();
+                EzwDecoder::read_symbols(header, stream, &mut es, &mut read);
+                for len in PLANE_HEADER_LEN..=stream.len() {
+                    prop_assert!(
+                        scattered(written, len, &mut es) == scattered(&read, len, &mut es),
+                        "channel {} cut to {} of {} bytes, cap {:?}", c, len, stream.len(), cap
+                    );
+                }
+            }
         }
     }
 }

@@ -35,6 +35,14 @@ pub const RTP_HEADER_LEN: usize = 12;
 /// RTP protocol version we stamp (always 2, as in RFC 3550).
 const RTP_VERSION: u8 = 2;
 
+/// How far past the highest sequence seen an arrival may lie and still
+/// be taken as in order (a gap of lost packets), and how far behind it
+/// as reordered: RFC 3550 A.1's `MAX_DROPOUT` and `MAX_MISORDER`.
+/// Anything else is a jump, taken only once the next arrival follows
+/// it in sequence.
+const MAX_DROPOUT: u16 = 3000;
+const MAX_MISORDER: u16 = 100;
+
 /// Decoded RTP header fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RtpHeader {
@@ -138,7 +146,8 @@ pub struct ReceiverReport {
     /// Packets skipped over as lost.
     pub lost: u64,
     /// Highest extended sequence number observed: its low 32 bits, as
-    /// RFC 3550's report carries it.
+    /// RFC 3550's report carries it. After a confirmed jump the count
+    /// goes on from the highest before it.
     pub highest_seq: u32,
     /// Fraction lost in `[0,1]` over the stream lifetime:
     /// `lost / (received + lost)`.
@@ -163,7 +172,13 @@ pub struct ReceiverReport {
 /// held until the gap fills or the window (`max_window` buffered
 /// packets) overflows, at which point the receiver declares the missing
 /// packets lost and skips ahead. Duplicates and stale packets (before
-/// the release point) are discarded.
+/// the release point) are discarded. As in RFC 3550 A.1, an arrival
+/// 3 000 or more past the highest sequence seen (`MAX_DROPOUT`), or
+/// 100 or more behind it (`MAX_MISORDER`), is a jump: it is discarded unless the
+/// arrival before it was the packet just below it, in which case the
+/// sender is taken to have restarted and the stream goes on from it,
+/// with no loss booked for the jump. So one corrupted or forged header
+/// moves nothing.
 #[derive(Debug)]
 pub struct RtpReceiver {
     max_window: usize,
@@ -175,6 +190,12 @@ pub struct RtpReceiver {
     /// 2¹⁶ wire cycles, which hostile sequence jumps reach quickly.
     next_ext: Option<u64>,
     highest_ext: u64,
+    /// The sequence that would confirm the last arrival's jump: the
+    /// one after it.
+    bad_seq: Option<u16>,
+    /// Added to a wire sequence before it is extended: zero until a
+    /// confirmed jump re-bases the stream.
+    rebase: u16,
     buffer: BTreeMap<u64, RtpPacket>,
     received: u64,
     lost: u64,
@@ -198,6 +219,8 @@ impl RtpReceiver {
             playout_depth: 1,
             next_ext: None,
             highest_ext: 0,
+            bad_seq: None,
+            rebase: 0,
             buffer: BTreeMap::new(),
             received: 0,
             lost: 0,
@@ -219,16 +242,29 @@ impl RtpReceiver {
         r
     }
 
-    /// Convert a wire sequence number to an extended one: the value
-    /// congruent to `seq` mod 2¹⁶ closest to `next_ext`, the lower one
-    /// on a tie, never below zero.
-    fn extend(&self, seq: u16) -> u64 {
-        let Some(next) = self.next_ext else {
-            return u64::from(seq);
-        };
-        let delta = i64::from(seq.wrapping_sub(next as u16) as i16);
-        next.checked_add_signed(delta)
-            .unwrap_or(next + (delta + 0x1_0000) as u64)
+    /// Convert a wire sequence number to an extended one, relative to
+    /// the highest seen: less than [`MAX_DROPOUT`] ahead of it or less
+    /// than [`MAX_MISORDER`] behind it, never below zero. A jump is `None`,
+    /// unless it confirms the one before, which re-bases the stream
+    /// just past the highest.
+    fn extend(&mut self, seq: u16) -> Option<u64> {
+        let confirms = self.bad_seq.take() == Some(seq);
+        if self.next_ext.is_none() {
+            return Some(u64::from(seq));
+        }
+        let max = self.highest_ext;
+        let ahead = seq.wrapping_add(self.rebase).wrapping_sub(max as u16);
+        if ahead < MAX_DROPOUT {
+            Some(max + u64::from(ahead))
+        } else if ahead.wrapping_neg() < MAX_MISORDER {
+            max.checked_sub(u64::from(ahead.wrapping_neg()))
+        } else if confirms {
+            self.rebase = self.rebase.wrapping_sub(ahead - 1);
+            Some(max + 1)
+        } else {
+            self.bad_seq = Some(seq.wrapping_add(1));
+            None
+        }
     }
 
     /// Offer a raw datagram payload; returns packets now releasable in
@@ -252,7 +288,9 @@ impl RtpReceiver {
         if ecn_ce {
             self.ce_arrivals += 1;
         }
-        let ext = self.extend(header.seq);
+        let Some(ext) = self.extend(header.seq) else {
+            return Vec::new();
+        };
         let next = *self.next_ext.get_or_insert(ext);
         self.highest_ext = self.highest_ext.max(ext);
         if ext < next {
@@ -514,21 +552,76 @@ mod tests {
 
     #[test]
     fn releases_continue_past_two_to_the_32_extended_sequences() {
-        // Every step of 32 767 is the nearest cycle forward, so each
-        // arrival advances the extended sequence by 32 767 and skips
-        // 32 766 as lost: 200 000 arrivals reach 6.5·10⁹ > 2³².
+        // Every step of 2 999 is the longest gap still in order, so
+        // each arrival advances the extended sequence by 2 999 and
+        // skips 2 998 as lost, across wire cycle after wire cycle.
         let mut r = RtpReceiver::new(1);
         let mut seq = 0u16;
         let mut released = 0u64;
-        for _ in 0..200_000 {
+        for _ in 0..100_000 {
             released += r.push(&mk(seq)).len() as u64;
-            seq = seq.wrapping_add(32_767);
+            seq = seq.wrapping_add(MAX_DROPOUT - 1);
         }
         let rep = r.report();
-        assert_eq!(released, 200_000, "every arrival is released");
-        assert_eq!(rep.duplicates, 0);
-        assert_eq!(rep.lost, 199_999 * 32_766);
-        assert_eq!(rep.highest_seq, (199_999u64 * 32_767) as u32, "low 32 bits");
+        assert_eq!(released, 100_000, "every arrival is released");
+        assert_eq!((rep.duplicates, rep.lost), (0, 99_999 * 2_998));
+        assert_eq!(rep.highest_seq, 99_999 * 2_999);
+        // Reaching 2³² that way takes 1.4·10⁶ arrivals: start just
+        // below it instead, and cross it.
+        let start = (1u64 << 32) - 5;
+        (r.next_ext, r.highest_ext) = (Some(start), start);
+        for seq in 0..10 {
+            let seq = (start as u16).wrapping_add(seq);
+            assert_eq!(r.push(&mk(seq)).len(), 1, "seq {seq}");
+        }
+        assert_eq!(r.report().highest_seq, 4, "low 32 bits");
+        assert_eq!(r.highest_ext, (1 << 32) + 4);
+    }
+
+    #[test]
+    fn a_flipped_header_in_mid_stream_books_no_loss() {
+        // A stream at 26 150 meets one header whose sequence was
+        // corrupted to 62 246 — the case that booked 36 095 losses
+        // when any sequence up to 2¹⁵ ahead was taken as new.
+        let mut r = RtpReceiver::new(2);
+        let mut released = Vec::new();
+        for seq in 26_140..26_151u16 {
+            released.extend(r.push(&mk(seq)));
+        }
+        assert!(r.push(&mk(62_246)).is_empty(), "the jump is discarded");
+        for seq in 26_151..26_160u16 {
+            released.extend(r.push(&mk(seq)));
+        }
+        released.extend(r.flush());
+        let seqs: Vec<u16> = released.iter().map(|p| p.header.seq).collect();
+        assert_eq!(seqs, (26_140..26_160).collect::<Vec<u16>>());
+        let rep = r.report();
+        assert_eq!((rep.received, rep.lost, rep.duplicates), (20, 0, 0));
+        assert_eq!(rep.highest_seq, 26_159);
+        // Far behind is a jump too, not a stale packet to count.
+        assert!(r.push(&mk(26_159 - MAX_MISORDER)).is_empty());
+        assert_eq!(r.report().duplicates, 0);
+    }
+
+    #[test]
+    fn a_jump_the_next_arrival_confirms_restarts_the_stream() {
+        // The sender restarted at 40 000: the first packet of the new
+        // numbering is discarded, the second confirms the jump, and the
+        // stream goes on from it with no loss booked for the jump.
+        let mut r = RtpReceiver::new(4);
+        let mut released = Vec::new();
+        for seq in (0..5u16).chain(40_000..40_005) {
+            released.extend(r.push(&mk(seq)));
+        }
+        let seqs: Vec<u16> = released.iter().map(|p| p.header.seq).collect();
+        assert_eq!(seqs, [0, 1, 2, 3, 4, 40_001, 40_002, 40_003, 40_004]);
+        let rep = r.report();
+        assert_eq!((rep.received, rep.lost), (9, 0));
+        // A jump the next arrival does not follow stays discarded.
+        assert!(r.push(&mk(10_000)).is_empty());
+        assert_eq!(r.push(&mk(40_005)).len(), 1);
+        assert!(r.push(&mk(10_001)).is_empty(), "not after 10 000");
+        assert_eq!(r.report().received, 10);
     }
 
     #[test]

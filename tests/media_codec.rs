@@ -25,7 +25,7 @@ use collabqos::core::apps::{ImageViewer, ViewStore};
 use collabqos::core::events::{AppEvent, EventView};
 use collabqos::core::session::{CollaborationSession, SessionConfig};
 use collabqos::media::ezw::{
-    self, DecodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
+    self, DecodeScratch, EncodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
 };
 use collabqos::media::image::{synthetic_scene, Image, Scene};
 use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
@@ -909,6 +909,47 @@ fn what_is_not_a_prefix_is_read_afresh() {
     );
 }
 
+/// The encoder leaves the record of what it wrote, and a container one
+/// byte off it — in any stream, the encoder's own length — is read
+/// afresh, never replayed from that record: it gives what a fresh
+/// decode gives. The container it wrote, and every cut of it, replays.
+#[test]
+fn a_byte_off_the_encoders_stream_is_read_afresh() {
+    let image = synthetic_scene(64, 64, 3, 4, 85).image;
+    let mut scratch = EncodeScratch::new();
+    let mut warm = DecodeScratch::new();
+    let mut encode = |warm: &mut DecodeScratch| {
+        let cap = Some(3000);
+        ezw::encode_image_capped_with(&image, 4, WaveletKind::Cdf53, true, cap, warm, &mut scratch)
+            .unwrap()
+            .to_vec()
+    };
+    let sent = encode(&mut warm);
+    for stream in 0..3 {
+        let mut flipped = sent.clone();
+        let streams = plane_streams(&sent);
+        let start = streams[stream].as_ptr() as usize - sent.as_ptr() as usize;
+        flipped[start + streams[stream].len() / 2] ^= 0x10;
+        encode(&mut warm);
+        let what = format!("a byte changed in stream {stream}");
+        // Read once, at the first resolution asked; then replayed.
+        assert_eq!(
+            replays_of_warm_decodes(&flipped, 0..=2, &mut warm, false, &what),
+            2
+        );
+    }
+    encode(&mut warm);
+    let cut = ezw::truncate_container(&sent, 2000).unwrap();
+    assert_eq!(
+        replays_of_warm_decodes(&cut, 0..=2, &mut warm, true, "a cut"),
+        3
+    );
+    assert_eq!(
+        replays_of_warm_decodes(&sent, 0..=2, &mut warm, true, "the whole"),
+        3
+    );
+}
+
 /// `Image` geometry sanity for the fixture scene (guards against the
 /// synthetic generator changing under the fixture's feet — if this
 /// fails, the fixture mismatch above is the generator, not the codec).
@@ -1014,6 +1055,44 @@ fn session_views_equal_plain_decodes_and_decode_once_per_prefix() {
             assert!(Arc::ptr_eq(&pair[0].1.image, &pair[1].1.image));
         }
     }
+}
+
+/// The encoder is a fresh share's first reader: a cold 6-bpp 256²
+/// colour share viewed at 16, 8, 4 and 2 packets decodes every view
+/// from the records the encode left — each miss a replay, no symbol
+/// read — and each view is what a fresh decode of its container gives.
+#[test]
+fn a_cold_shares_views_read_no_symbol() {
+    use collabqos::prelude::*;
+    const BUDGETS: [u32; 4] = [16, 8, 4, 2];
+    let cfg = SessionConfig {
+        color_transform: true,
+        full_stream_bpp: Some(6.0),
+        ..SessionConfig::default()
+    };
+    let mut s = CollaborationSession::new(cfg.clone());
+    let publisher = join_image_client(&mut s, "publisher");
+    let mut budget_of = vec![0u32; publisher + 1];
+    for budget in BUDGETS {
+        let id = join_image_client(&mut s, &format!("viewer{budget}"));
+        s.client_mut(id).viewer.set_packet_budget(budget);
+        budget_of.push(budget);
+    }
+    let scene = synthetic_scene(256, 256, 3, 5, 11);
+    let cap = Some(256 * 256 * 6 / 8);
+    let sent = ezw::encode_image_capped(&scene.image, 5, cfg.wavelet, true, cap).unwrap();
+    let packets = split_packets(&sent, cfg.packets_per_image);
+    s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+    let views = s.pump(Ticks::from_secs(2));
+    assert_eq!(views.len(), BUDGETS.len());
+    for (id, view) in &views {
+        let prefix = reassemble_prefix(&packets[..budget_of[*id] as usize]).unwrap();
+        let fresh = ezw::decode_image_reduced(&prefix, 0).unwrap();
+        assert!(*view.image == fresh, "budget {}", budget_of[*id]);
+    }
+    let store = s.view_store();
+    assert_eq!(store.misses(), BUDGETS.len() as u64);
+    assert_eq!(store.replays(), store.misses(), "a view read symbols");
 }
 
 /// Where the store gives nothing: more distinct prefixes in a round
