@@ -20,9 +20,7 @@
 
 use bench::{header, quick_mode, row, time_best};
 use media::color;
-use media::ezw::{
-    self, DecodeScratch, EncodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
-};
+use media::ezw::{self, CodecScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis};
 use media::image::{synthetic_scene, Image};
 use media::reference;
 use media::wavelet::{self, WaveletKind, WaveletScratch};
@@ -203,7 +201,9 @@ fn phase_table(reps: usize) {
         let (image, cap) = capped_scene(43);
         ezw::encode_image_capped(&image, levels, kind, true, Some(cap)).expect("encodes")
     };
-    let mut ds = DecodeScratch::new();
+    // One scratch for every encode and decode row below, as the session
+    // keeps it.
+    let mut ds = CodecScratch::new();
     let mut shares = [&other, &sent].into_iter().cycle();
     let (_, read_secs) = time_best(reps, || {
         let container = shares.next().expect("cycles");
@@ -221,11 +221,10 @@ fn phase_table(reps: usize) {
     assert!(view == read && read == reference::decode_image(&sent).expect("decodes"));
     // The decode after an encode through the same scratch, timed alone:
     // the encode left the record, so it reads no symbol.
-    let mut enc = EncodeScratch::new();
     let mut left_secs = f64::INFINITY;
     for _ in 0..reps {
         let container =
-            ezw::encode_image_capped_with(&image, levels, kind, true, Some(cap), &mut ds, &mut enc)
+            ezw::encode_image_capped_with(&image, levels, kind, true, Some(cap), &mut ds)
                 .expect("encodes");
         assert!(
             container == &sent[..],

@@ -501,7 +501,7 @@ fn ablations() {
 
 /// The sharded session engine: one publisher multicasts images to N
 /// viewers, each interpreting and reassembling every delivery (§5's
-/// per-receiver pipeline). The session's view store decodes each image
+/// per-receiver pipeline). The session's media store decodes each image
 /// once for all N, so only interpretation and reassembly are left to
 /// overlap. Every worker count is asserted byte-identical to the
 /// serial run; the speedup column is wall clock.

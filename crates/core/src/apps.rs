@@ -4,12 +4,13 @@
 
 use crate::concurrency::LamportClock;
 use crate::events::{AppEvent, EventView};
-use media::ezw::{self, decode_image_reduced_with, DecodeScratch};
+use media::ezw::{self, decode_image_reduced_with, CodecScratch};
 use media::packetize::{reassemble_stripes, PacketView};
+use media::wavelet::WaveletKind;
 use media::{bits_per_pixel, compression_ratio, Image, MediaError};
-use sempubsub::WireMessage;
+use sempubsub::{CacheStatsHandle, WireMessage};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 // --------------------------------------------------------------- chat
 
@@ -126,22 +127,90 @@ pub struct ViewedImage {
     pub caption: String,
 }
 
-/// Views a [`ViewStore`] keeps. Each entry holds its container and
+/// Containers a [`MediaStore`] keeps encoded, each one share's capped
+/// stream: a re-share of a scene under the same cap is a hit.
+const ENCODE_CAPACITY: usize = 32;
+
+/// Views a [`MediaStore`] keeps. Each entry holds its container and
 /// pins one decoded image; the viewers that asked share that image, so
 /// a handful costs less memory than the per-viewer copies they replace,
 /// where a long tail of entries nobody asks for again would cost more.
-const VIEW_STORE_CAPACITY: usize = 4;
+const VIEW_CAPACITY: usize = 4;
+
+/// What an image encodes to: the shared container, or why there is none.
+type Encoded = Result<Arc<[u8]>, MediaError>;
 
 /// What a container decodes to: the shared image, or why there is none.
 type Decoded = Result<Arc<Image>, MediaError>;
 
-struct StoredView {
-    container: Arc<Vec<u8>>,
-    drop_levels: usize,
-    /// Filled by whichever asker gets to it first, outside the store's
-    /// lock; askers of the same bytes meanwhile wait on the cell, and
-    /// askers of other bytes do not wait at all.
-    decoded: Arc<OnceLock<Decoded>>,
+/// A view: `(container bytes, drop_levels)` → image.
+type View = Filed<(Arc<Vec<u8>>, usize), Decoded>;
+
+/// An entry of one of a [`MediaStore`]'s tables. It is filed under the
+/// store's lock and its cell filled outside it, by whichever asker gets
+/// to it first; askers of the same key meanwhile wait on the cell, and
+/// askers of other keys do not wait at all.
+struct Filed<K, V> {
+    key: K,
+    cell: Arc<OnceLock<V>>,
+}
+
+impl<K, V> Filed<K, V> {
+    fn new(key: K) -> Filed<K, V> {
+        Filed {
+            key,
+            cell: Arc::default(),
+        }
+    }
+}
+
+/// Take the entry whose key `is` picks out of `table` (least recently
+/// asked-for first), for the caller to put back last.
+fn take<K, V>(table: &mut VecDeque<Filed<K, V>>, is: impl Fn(&K) -> bool) -> Option<Filed<K, V>> {
+    let i = table.iter().position(|entry| is(&entry.key))?;
+    table.remove(i)
+}
+
+/// FNV-1a-style fold over the coding parameters, then the pixel data
+/// eight bytes a step (one multiply per word, not per byte — the
+/// multiply chain is serial, and this runs on every share, hits
+/// included), then the tail bytes one by one. A multiply only carries a
+/// difference upward, so each step also folds the high half of the
+/// state back down: without that, differences in the top bits of two
+/// words (pixels at offsets 7 mod 8) stay in the top bits of the state
+/// and cancel. Deterministic; the key never leaves the process.
+fn content_key(
+    img: &Image,
+    levels: usize,
+    kind: WaveletKind,
+    color_transform: bool,
+    byte_cap: Option<usize>,
+) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    let mut mix = |word: u64| {
+        h = (h ^ word).wrapping_mul(0x100000001b3);
+        h ^= h >> 29;
+    };
+    for v in [
+        img.width as u64,
+        img.height as u64,
+        img.channels as u64,
+        levels as u64,
+        kind as u64,
+        color_transform as u64,
+        byte_cap.map_or(u64::MAX, |cap| cap as u64),
+    ] {
+        mix(v);
+    }
+    let words = img.data.chunks_exact(8);
+    let tail = words.remainder();
+    for word in words {
+        mix(u64::from_le_bytes(word.try_into().expect("chunks of 8")));
+    }
+    for &b in tail {
+        mix(b as u64);
+    }
+    h
 }
 
 /// Bytes to look a view up by.
@@ -154,81 +223,102 @@ enum Ask {
 }
 
 #[derive(Default)]
-struct ViewStoreInner {
-    /// Least recently asked-for first.
-    views: VecDeque<StoredView>,
-    /// Decode scratch not in use now: as many as decodes have ever run
-    /// at once, which is one on a serial session.
-    scratch: Vec<DecodeScratch>,
+struct MediaStoreInner {
+    /// Content key ([`content_key`]) → container, and the views; both
+    /// least recently asked-for first.
+    encodes: VecDeque<Filed<u64, Encoded>>,
+    views: VecDeque<View>,
+    /// Codec scratch not in use now: as many as encodes and decodes
+    /// have ever run at once, which is one on a serial session.
+    scratch: Vec<CodecScratch>,
     /// Reassembly buffers not in use now: those of asks that hit, and
     /// the containers of evicted views nothing else held.
     buffers: Vec<Vec<u8>>,
+    encode_stats: CacheStatsHandle,
     hits: u64,
     misses: u64,
     replays: u64,
 }
 
-impl ViewStoreInner {
+impl MediaStoreInner {
     /// Drop the least recently asked-for view, keeping what of it
     /// nobody else holds: its container as a reassembly buffer, and its
     /// image's pixels as the next decode's output
-    /// ([`DecodeScratch::recycle`], on the scratch the next decode
+    /// ([`CodecScratch::recycle`], on the scratch the next decode
     /// takes). Either goes only when the store held the last reference
     /// to it — a view a caller still holds is never written over.
     fn evict(&mut self) {
         let Some(view) = self.views.pop_front() else {
             return;
         };
-        let image = Arc::into_inner(view.decoded)
+        let image = Arc::into_inner(view.cell)
             .and_then(OnceLock::into_inner)
             .and_then(Result::ok)
             .and_then(Arc::into_inner);
         if let (Some(image), Some(scratch)) = (image, self.scratch.last_mut()) {
             scratch.recycle(image);
         }
-        if let Some(buffer) = Arc::into_inner(view.container) {
+        if let Some(buffer) = Arc::into_inner(view.key.0) {
             self.keep_buffer(buffer);
         }
     }
 
     /// Keep a reassembly buffer for later, up to one per view held.
     fn keep_buffer(&mut self, buffer: Vec<u8>) {
-        if self.buffers.len() < VIEW_STORE_CAPACITY {
+        if self.buffers.len() < VIEW_CAPACITY {
             self.buffers.push(buffer);
         }
     }
 }
 
-/// Decode-once view store, the receiving twin of
-/// [`MediaCache`](crate::transformer::MediaCache): the image viewer
-/// adapts by taking a prefix of one embedded stream (§5.4), so every
-/// viewer on the same packet budget holds byte-identical container
-/// bytes and is owed bit-identical pixels. The store decodes each
-/// distinct `(container bytes, drop_levels)` once, on decode scratch it
-/// keeps between decodes, and hands every asker the same `Arc<Image>`.
-/// The scratch remembers the last stream it read, so the distinct
-/// prefixes of one object — prefixes of each other — cost one reading
-/// of its symbols when the longest is asked for first
-/// ([`ViewStore::replays`]).
+/// The session's media path (§5.4): the information transformer codes
+/// an image once as one embedded stream, and each receiver takes a
+/// prefix of it. The store encodes each distinct image under each
+/// coding parameter and rate cap once, and decodes each distinct
+/// `(container bytes, drop_levels)` once, in two small LRU tables — one
+/// from content key to container, one from container to image — on a
+/// pool of [`CodecScratch`] it keeps between calls.
 ///
-/// The key is the verified container itself, compared byte for byte —
-/// never an object id or a hash — so two different streams cannot
-/// alias whatever their ids, lengths or senders. Clones share the
-/// store. Its lock covers the lookup and the insert, never a decode:
-/// the first asker of some bytes leaves an empty cell for them and
-/// decodes into it unlocked, so concurrent askers of one prefix decode
-/// it once (the others wait on that cell), askers of different
-/// prefixes decode side by side, and while the prefixes in use fit the
-/// store the hit and miss counts do not depend on who asked first.
+/// *Encoding.* N clients at different modality tiers share one encode
+/// (an `Arc<[u8]>` clone per consumer), made to the session's rate cap
+/// and no further — the bits past the cap are never coded — and each
+/// client's tier is a prefix of it by packet count, never a
+/// decode→re-encode round trip. The key is a hash of the pixels and the
+/// coding parameters (`content_key`). A miss is one
+/// [`ezw::encode_image_capped_with`] on a scratch of the pool: it
+/// prepares its coefficient planes there and leaves the records of the
+/// streams it wrote, so the views of a fresh share that follow replay
+/// them and read no symbol. What a miss allocates is the shared
+/// container itself, once, at its exact size, and the entry's cell.
+///
+/// *Viewing.* The image viewer adapts by taking a prefix of one
+/// embedded stream, so every viewer on the same packet budget holds
+/// byte-identical container bytes and is owed bit-identical pixels;
+/// every asker is handed the same `Arc<Image>`. A scratch remembers the
+/// last stream it read or wrote, so the distinct prefixes of one object
+/// — prefixes of each other — cost one reading of its symbols when the
+/// longest is asked for first, and none after its encode
+/// ([`MediaStore::replays`]). The key is the verified container itself,
+/// compared byte for byte — never an object id or a hash — so two
+/// different streams cannot alias whatever their ids, lengths or
+/// senders.
+///
+/// Clones share the store. Its lock covers the lookups and the filing,
+/// never an encode or a decode: the first asker of a key leaves an
+/// empty cell for it and fills it unlocked, so concurrent askers of one
+/// key wait on that cell, askers of different keys work side by side,
+/// and while the keys in use fit the store the hit and miss counts do
+/// not depend on who asked first.
 #[derive(Clone, Default)]
-pub struct ViewStore {
-    inner: Arc<Mutex<ViewStoreInner>>,
+pub struct MediaStore {
+    inner: Arc<Mutex<MediaStoreInner>>,
 }
 
-impl std::fmt::Debug for ViewStore {
+impl std::fmt::Debug for MediaStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.lock();
-        f.debug_struct("ViewStore")
+        f.debug_struct("MediaStore")
+            .field("encodes", &inner.encodes.len())
             .field("views", &inner.views.len())
             .field("hits", &inner.hits)
             .field("misses", &inner.misses)
@@ -237,16 +327,90 @@ impl std::fmt::Debug for ViewStore {
     }
 }
 
-impl ViewStore {
+impl MediaStore {
     /// An empty store.
-    pub fn new() -> ViewStore {
-        ViewStore::default()
+    pub fn new() -> MediaStore {
+        MediaStore::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ViewStoreInner> {
+    fn lock(&self) -> MutexGuard<'_, MediaStoreInner> {
         self.inner
             .lock()
-            .expect("no decode, and so no panic, under the view store's lock")
+            .expect("no codec work, and so no panic, under the media store's lock")
+    }
+
+    /// Run `f` on a scratch of the pool, taken under the lock and used
+    /// outside it; put it back where the next encode or decode takes
+    /// its scratch from, and return what `f` gave with the lock held.
+    fn on_scratch<R>(
+        &self,
+        f: impl FnOnce(&mut CodecScratch) -> R,
+    ) -> (R, MutexGuard<'_, MediaStoreInner>) {
+        let mut scratch = self.lock().scratch.pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        let mut inner = self.lock();
+        inner.scratch.push(scratch);
+        (out, inner)
+    }
+
+    /// Encode `img` to at most `byte_cap` bytes, or share the container
+    /// an earlier ask with the same pixels and parameters got. The
+    /// container is [`ezw::encode_image_capped`]'s — the prefix
+    /// [`ezw::truncate_container`] would cut of the full encode, made
+    /// without coding the rest — and is shared, not copied. A hit runs
+    /// no encode and leaves the scratch alone; an encode that fails
+    /// files nothing, and a level count the image does not support
+    /// counts as neither hit nor miss.
+    pub fn encode_image(
+        &self,
+        img: &Image,
+        levels: usize,
+        kind: WaveletKind,
+        color_transform: bool,
+        byte_cap: Option<usize>,
+    ) -> Encoded {
+        ezw::check_levels(img, levels)?;
+        let key = content_key(img, levels, kind, color_transform, byte_cap);
+        let cell = {
+            let mut inner = self.lock();
+            let entry = match take(&mut inner.encodes, |&k| k == key) {
+                Some(entry) => {
+                    inner.encode_stats.record_hit();
+                    entry
+                }
+                None => {
+                    inner.encode_stats.record_miss();
+                    Filed::new(key)
+                }
+            };
+            let cell = Arc::clone(&entry.cell);
+            inner.encodes.push_back(entry);
+            cell
+        };
+        cell.get_or_init(|| {
+            let (encoded, mut inner) = self.on_scratch(|scratch| {
+                ezw::encode_image_capped_with(img, levels, kind, color_transform, byte_cap, scratch)
+                    .map(Arc::from)
+            });
+            if encoded.is_err() {
+                inner
+                    .encodes
+                    .retain(|entry| !Arc::ptr_eq(&entry.cell, &cell));
+            } else if inner.encodes.len() > ENCODE_CAPACITY {
+                // Deterministic LRU eviction, after the encode, so a
+                // failed one evicts nothing either.
+                inner.encodes.pop_front();
+                inner.encode_stats.record_eviction();
+            }
+            encoded
+        })
+        .clone()
+    }
+
+    /// Live encode counters (hits / misses / evictions); the clone
+    /// shares the cells, so it stays current.
+    pub fn encode_stats(&self) -> CacheStatsHandle {
+        self.lock().encode_stats.clone()
     }
 
     /// The image `container` decodes to with `drop_levels` finest
@@ -260,7 +424,7 @@ impl ViewStore {
     /// reassembly. (A copy taken here, ahead of the decode's large
     /// allocations, cost the benchmark's image workload 4 % through the
     /// heap layout it left behind — EXPERIMENTS.md.)
-    pub fn view(&self, container: Vec<u8>, drop_levels: usize) -> Result<Arc<Image>, MediaError> {
+    pub fn view(&self, container: Vec<u8>, drop_levels: usize) -> Decoded {
         self.ask(Ask::Buffer(container), drop_levels).0
     }
 
@@ -270,7 +434,7 @@ impl ViewStore {
         self.lock().buffers.pop().unwrap_or_default()
     }
 
-    /// The viewer's ask: [`ViewStore::view`], except that when the view
+    /// The viewer's ask: [`MediaStore::view`], except that when the view
     /// with `drop_levels` left out is an error and `drop_levels > 0` (a
     /// stream with fewer levels than that), the full view of the same
     /// bytes is asked for instead. Returns the image and the levels it
@@ -291,70 +455,50 @@ impl ViewStore {
     /// decode into the cell unless someone already has. Returns the
     /// view and the key it is held under.
     fn ask(&self, bytes: Ask, drop_levels: usize) -> (Decoded, Arc<Vec<u8>>) {
-        let (decoded, key) = {
+        let (cell, key) = {
             let mut inner = self.lock();
             let held = {
                 let bytes: &[u8] = match &bytes {
                     Ask::Buffer(buffer) => buffer,
                     Ask::Key(key) => key,
                 };
-                inner
-                    .views
-                    .iter()
-                    .position(|v| v.drop_levels == drop_levels && **v.container == *bytes)
+                take(&mut inner.views, |(container, drop)| {
+                    *drop == drop_levels && ***container == *bytes
+                })
             };
-            let view = if let Some(i) = held {
+            let view = if let Some(view) = held {
                 inner.hits += 1;
                 if let Ask::Buffer(buffer) = bytes {
                     inner.keep_buffer(buffer);
                 }
-                inner.views.remove(i).expect("position is in range")
+                view
             } else {
                 inner.misses += 1;
-                if inner.views.len() == VIEW_STORE_CAPACITY {
+                if inner.views.len() == VIEW_CAPACITY {
                     inner.evict();
                 }
-                StoredView {
-                    container: match bytes {
-                        Ask::Buffer(buffer) => Arc::new(buffer),
-                        Ask::Key(key) => key,
-                    },
-                    drop_levels,
-                    decoded: Arc::default(),
-                }
+                let container = match bytes {
+                    Ask::Buffer(buffer) => Arc::new(buffer),
+                    Ask::Key(key) => key,
+                };
+                Filed::new((container, drop_levels))
             };
-            let held = (Arc::clone(&view.decoded), Arc::clone(&view.container));
+            let held = (Arc::clone(&view.cell), Arc::clone(&view.key.0));
             inner.views.push_back(view);
             held
         };
-        let image = decoded
+        let image = cell
             .get_or_init(|| {
-                let mut scratch = self.lock().scratch.pop().unwrap_or_default();
-                let replayed = scratch.replays();
-                let image = decode_image_reduced_with(&key, drop_levels, &mut scratch);
-                let mut inner = self.lock();
-                inner.replays += scratch.replays() - replayed;
-                inner.scratch.push(scratch);
+                let ((image, replayed), mut inner) = self.on_scratch(|scratch| {
+                    let before = scratch.replays();
+                    let image = decode_image_reduced_with(&key, drop_levels, scratch);
+                    (image, scratch.replays() - before)
+                });
+                inner.replays += replayed;
                 image.map(Arc::new)
             })
             .clone();
         (image, key)
-    }
-
-    /// Run `f` on a decode scratch this store keeps, while no decode
-    /// holds it, and put it back where the next decode takes its
-    /// scratch from. The session's encoder is lent it
-    /// ([`ezw::encode_image_capped_with`]): it prepares its planes
-    /// there and leaves the records of the streams it writes, so the
-    /// views of a fresh share that follow replay them and read no
-    /// symbol. A share and a decode never overlap, since both run under
-    /// `&mut CollaborationSession`, and a decode overwrites every plane
-    /// before reading it — so one set of planes serves both directions.
-    pub fn with_scratch<R>(&self, f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
-        let mut scratch = self.lock().scratch.pop().unwrap_or_default();
-        let out = f(&mut scratch);
-        self.lock().scratch.push(scratch);
-        out
     }
 
     /// Views held now (never more than a small fixed number).
@@ -367,26 +511,27 @@ impl ViewStore {
         self.len() == 0
     }
 
-    /// Asks that found their bytes already asked for, and share that
-    /// decode (waiting for it, if it is still running).
+    /// View asks that found their bytes already asked for, and share
+    /// that decode (waiting for it, if it is still running).
     pub fn hits(&self) -> u64 {
         self.lock().hits
     }
 
-    /// Asks that found no view of their bytes; the decoder runs once
-    /// for each, so once per distinct `(container, drop_levels)` while
-    /// its view stays held.
+    /// View asks that found no view of their bytes; the decoder runs
+    /// once for each, so once per distinct `(container, drop_levels)`
+    /// while its view stays held.
     pub fn misses(&self) -> u64 {
         self.lock().misses
     }
 
-    /// Misses decoded without reading a symbol
-    /// ([`DecodeScratch::replays`]): the container was, channel by
-    /// channel, a prefix of the one the scratch had read last — a
-    /// smaller packet budget's view of the same object, asked for after
-    /// a larger one's. Unlike hits and misses this depends on the order
-    /// of the asks (shortest first replays nothing), and with more than
-    /// one worker on which decode met which scratch.
+    /// View misses decoded without reading a symbol
+    /// ([`CodecScratch::replays`]): the container was, channel by
+    /// channel, a prefix of the one the scratch had read or written
+    /// last — a view of the share just encoded, or a smaller packet
+    /// budget's view of the same object asked for after a larger one's.
+    /// Unlike hits and misses this depends on the order of the asks
+    /// (shortest first replays nothing), and with more than one worker
+    /// on which decode met which scratch.
     pub fn replays(&self) -> u64 {
         self.lock().replays
     }
@@ -446,7 +591,7 @@ pub struct ImageViewer {
     /// Ids of the last [`FINISHED_WINDOW`] objects that left `pending`
     /// (viewed, shown as a caption, or dropped as invalid).
     finished: VecDeque<u64>,
-    store: ViewStore,
+    store: MediaStore,
     /// Successfully decoded images, in completion order.
     pub viewed: Vec<ViewedImage>,
     /// Captions shown instead of images when the budget was zero.
@@ -458,20 +603,20 @@ pub struct ImageViewer {
 
 impl Default for ImageViewer {
     fn default() -> Self {
-        ImageViewer::with_store(0, ViewStore::new())
+        ImageViewer::with_store(0, MediaStore::new())
     }
 }
 
 impl ImageViewer {
-    /// A viewer with the given initial packet budget and a view store
+    /// A viewer with the given initial packet budget and a media store
     /// of its own.
     pub fn new(budget: u32) -> ImageViewer {
-        ImageViewer::with_store(budget, ViewStore::new())
+        ImageViewer::with_store(budget, MediaStore::new())
     }
 
     /// A viewer that decodes through `store`, sharing each view with
     /// the other viewers handed a clone of it.
-    pub fn with_store(budget: u32, store: ViewStore) -> ImageViewer {
+    pub fn with_store(budget: u32, store: MediaStore) -> ImageViewer {
         ImageViewer {
             budget,
             resolution: 1.0,
@@ -920,7 +1065,7 @@ mod tests {
     #[test]
     fn viewers_on_one_store_share_one_decode() {
         let (original, events) = share_events(1, 8);
-        let store = ViewStore::new();
+        let store = MediaStore::new();
         let mut views = Vec::new();
         for _ in 0..3 {
             let mut viewer = ImageViewer::with_store(8, store.clone());
@@ -958,7 +1103,7 @@ mod tests {
                 ezw::encode_image(&image, 4, WaveletKind::Cdf53).unwrap()
             })
             .collect();
-        let store = ViewStore::new();
+        let store = MediaStore::new();
         let views: Vec<Arc<Image>> = std::thread::scope(|scope| {
             let askers: Vec<_> = (0..4 * containers.len())
                 .map(|i| {
@@ -974,6 +1119,269 @@ mod tests {
             assert_eq!(**view, ezw::decode_image(container).unwrap());
             assert!(Arc::ptr_eq(view, &views[i % containers.len()]));
         }
+    }
+
+    #[test]
+    fn media_store_encodes_once_and_shares() {
+        let store = MediaStore::new();
+        let scene = synthetic_scene(32, 32, 3, 3, 9);
+        let encode = |store: &MediaStore, color| {
+            store
+                .encode_image(&scene.image, 3, WaveletKind::Cdf53, color, None)
+                .unwrap()
+        };
+        let a = encode(&store, true);
+        let b = encode(&store, true);
+        assert!(Arc::ptr_eq(&a, &b), "hit returns the shared stream");
+        let stats = store.encode_stats();
+        assert_eq!((stats.hits(), stats.misses()), (1, 1));
+        // Different parameters are a different entry.
+        encode(&store, false);
+        assert_eq!(stats.misses(), 2);
+        assert_eq!(store.lock().encodes.len(), 2);
+        // And the bytes match the plain encoder exactly, whatever the
+        // store's scratch decoded before and however large it was.
+        let expected = ezw::encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, true).unwrap();
+        assert_eq!(a.as_ref(), expected.as_slice());
+        let other = synthetic_scene(64, 48, 3, 4, 10).image;
+        let other = ezw::encode_image_opts(&other, 4, WaveletKind::Haar, true).unwrap();
+        let fresh = MediaStore::new();
+        fresh.view(other, 0).unwrap();
+        let b = encode(&fresh, true);
+        assert_eq!(b.as_ref(), expected.as_slice());
+    }
+
+    /// A miss leaves the store's scratch holding the records of what it
+    /// wrote, so the decode that follows reads no symbol; a hit runs no
+    /// encode and leaves the scratch as it was. Encodes and decodes
+    /// share the one scratch.
+    #[test]
+    fn a_miss_leaves_its_records_and_a_hit_leaves_the_scratch_alone() {
+        let store = MediaStore::new();
+        let [a, b] = [9, 10].map(|seed| synthetic_scene(32, 32, 3, 3, seed).image);
+        let encode = |img: &Image| {
+            store
+                .encode_image(img, 3, WaveletKind::Cdf53, true, Some(600))
+                .unwrap()
+        };
+        // A view miss: equal to a fresh decode; replayed or not.
+        let replays = |container: &[u8], drop_levels| {
+            let (misses, replays) = (store.misses(), store.replays());
+            let view = store.view(container.to_vec(), drop_levels).unwrap();
+            assert!(*view == ezw::decode_image_reduced(container, drop_levels).unwrap());
+            assert_eq!(store.misses(), misses + 1);
+            store.replays() - replays
+        };
+        let sent_a = encode(&a);
+        assert_eq!(replays(&sent_a, 0), 1, "a miss: replayed");
+        let sent_b = encode(&b);
+        assert!(Arc::ptr_eq(&sent_a, &encode(&a)), "a hit");
+        assert_eq!(replays(&sent_b, 0), 1, "the hit left b's records");
+        assert_eq!(replays(&sent_a, 1), 0, "a's are gone: read");
+        assert_eq!(store.lock().scratch.len(), 1, "one scratch, both ways");
+    }
+
+    #[test]
+    fn media_store_holds_the_capped_container_under_its_cap() {
+        let store = MediaStore::new();
+        let scene = synthetic_scene(32, 32, 3, 3, 9);
+        let encode = |cap| {
+            store
+                .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, cap)
+                .unwrap()
+        };
+        let full = encode(None);
+        let capped = encode(Some(600));
+        assert_eq!(
+            capped.as_ref(),
+            ezw::truncate_container(&full, 600).unwrap().as_slice(),
+            "the cut of the full stream, made without coding the rest"
+        );
+        // A re-share under the same cap is a hit on the capped bytes;
+        // another cap is another container.
+        assert!(Arc::ptr_eq(&capped, &encode(Some(600))));
+        assert!(encode(Some(700)).len() > capped.len());
+        assert!(Arc::ptr_eq(&full, &encode(None)));
+        let stats = store.encode_stats();
+        assert_eq!((stats.hits(), stats.misses()), (2, 3));
+    }
+
+    #[test]
+    fn content_key_sees_every_pixel_and_parameter() {
+        // 7 x 5 x 3 = 105 bytes: thirteen whole words and a one-byte tail.
+        let img = synthetic_scene(7, 5, 3, 1, 3).image;
+        let key = |img: &Image| content_key(img, 1, WaveletKind::Cdf53, true, None);
+        let base = key(&img);
+        assert_eq!(base, key(&img.clone()), "same content, same key");
+        for i in 0..img.data.len() {
+            let mut other = img.clone();
+            other.data[i] ^= 1;
+            assert_ne!(key(&other), base, "byte {i}");
+        }
+        assert_ne!(content_key(&img, 2, WaveletKind::Cdf53, true, None), base);
+        assert_ne!(content_key(&img, 1, WaveletKind::Haar, true, None), base);
+        assert_ne!(content_key(&img, 1, WaveletKind::Cdf53, false, None), base);
+        let capped = content_key(&img, 1, WaveletKind::Cdf53, true, Some(49_152));
+        assert_ne!(capped, base);
+        assert_ne!(
+            content_key(&img, 1, WaveletKind::Cdf53, true, Some(49_153)),
+            capped
+        );
+        // The same bytes under another shape are another image.
+        let mut reshaped = img.clone();
+        (reshaped.width, reshaped.height) = (5, 7);
+        assert_ne!(key(&reshaped), base);
+    }
+
+    /// Differences that sit in the top byte of two or more words at
+    /// once: a fold that only multiplies keeps each in the top bits of
+    /// the state, where an even number of them cancel.
+    #[test]
+    fn content_key_separates_differences_in_the_high_bytes_of_words() {
+        let key = |img: &Image| content_key(img, 1, WaveletKind::Cdf53, true, None);
+        let img = synthetic_scene(7, 5, 3, 1, 3).image;
+        let base = key(&img);
+        let words = img.data.len() / 8;
+        for i in 0..words {
+            for j in i + 1..words {
+                for (flip_i, flip_j) in [(0x80, 0x80), (0x55, 0xaa), (0xff, 0x01)] {
+                    let mut other = img.clone();
+                    other.data[8 * i + 7] ^= flip_i;
+                    other.data[8 * j + 7] ^= flip_j;
+                    assert_ne!(key(&other), base, "words {i} and {j}");
+                }
+            }
+        }
+        // A line drawn down a flat plane, at a column that is byte 7 of
+        // a word in every row: 64 top-bit flips.
+        let mut flat = Image::new(64, 64, 1);
+        flat.data.fill(128);
+        let mut lined = flat.clone();
+        for row in 0..64 {
+            lined.data[row * 64 + 7] = 0;
+        }
+        assert_ne!(key(&lined), key(&flat));
+    }
+
+    #[test]
+    fn media_store_encode_is_bit_identical() {
+        let scene = synthetic_scene(64, 64, 3, 4, 12);
+        let expected = ezw::encode_image_opts(&scene.image, 4, WaveletKind::Cdf53, true).unwrap();
+        let cut = ezw::truncate_container(&expected, 2_000).unwrap();
+        let store = MediaStore::new();
+        let encode = |img: &Image, levels, kind, color, cap| {
+            store.encode_image(img, levels, kind, color, cap).unwrap()
+        };
+        let got = encode(&scene.image, 4, WaveletKind::Cdf53, true, None);
+        assert_eq!(got.as_ref(), expected.as_slice());
+        let capped = encode(&scene.image, 4, WaveletKind::Cdf53, true, Some(2_000));
+        assert_eq!(capped.as_ref(), cut.as_slice());
+        // Misses that change every parameter, on planes that still hold
+        // the last image's coefficients: the store's scratch carries
+        // nothing from one encode into the next.
+        let (below_a_header, headers_and_a_little) = (
+            Some(ezw::PLANE_HEADER_LEN - 1),
+            Some(ezw::CONTAINER_HEADER_LEN + 20),
+        );
+        for (channels, w, h, levels, kind, color, cap) in [
+            (1, 32, 48, 3, WaveletKind::Haar, false, below_a_header),
+            (1, 96, 64, 5, WaveletKind::Cdf53, false, None),
+            (3, 48, 32, 2, WaveletKind::Haar, false, Some(300)),
+            (3, 16, 16, 1, WaveletKind::Cdf53, true, headers_and_a_little),
+            (3, 128, 64, 4, WaveletKind::Cdf53, true, None),
+        ] {
+            let img = synthetic_scene(w, h, channels, 3, (w + h + levels) as u64).image;
+            let fresh = ezw::encode_image_capped(&img, levels, kind, color, cap).unwrap();
+            let got = encode(&img, levels, kind, color, cap);
+            assert!(
+                got.as_ref() == fresh.as_slice(),
+                "{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}"
+            );
+        }
+        assert_eq!(store.encode_stats().misses(), 7);
+    }
+
+    #[test]
+    fn media_store_evicts_lru_deterministically() {
+        let store = MediaStore::new();
+        let scenes: Vec<_> = (0..=ENCODE_CAPACITY as u64)
+            .map(|s| synthetic_scene(16, 16, 1, 2, s).image)
+            .collect();
+        let encode = |img: &Image| {
+            store
+                .encode_image(img, 2, WaveletKind::Haar, false, None)
+                .unwrap()
+        };
+        for img in &scenes {
+            encode(img);
+        }
+        let stats = store.encode_stats();
+        assert_eq!(store.lock().encodes.len(), ENCODE_CAPACITY);
+        assert_eq!(stats.evictions(), 1);
+        // Scene 0 was least recently used: re-encoding it misses again.
+        encode(&scenes[0]);
+        assert_eq!(stats.misses(), ENCODE_CAPACITY as u64 + 2);
+        // The last scene stayed resident.
+        encode(&scenes[ENCODE_CAPACITY]);
+        assert_eq!(stats.hits(), 1);
+    }
+
+    #[test]
+    fn media_store_degradation_is_prefix_truncation() {
+        let store = MediaStore::new();
+        let scene = synthetic_scene(64, 64, 1, 4, 3);
+        let full = store
+            .encode_image(&scene.image, 4, WaveletKind::Cdf53, false, None)
+            .unwrap();
+        // Per-client tiers share the one encode; each tier is a cut.
+        for budget in [full.len() / 8, full.len() / 4, full.len() / 2] {
+            let cut = ezw::truncate_container(&full, budget).unwrap();
+            assert!(cut.len() <= budget.max(ezw::CONTAINER_HEADER_LEN + 4 + ezw::PLANE_HEADER_LEN));
+            assert!(ezw::decode_image(&cut).is_ok());
+        }
+        let stats = store.encode_stats();
+        assert_eq!(stats.hits() + stats.misses(), 1);
+    }
+
+    #[test]
+    fn media_store_rejects_bad_levels() {
+        let store = MediaStore::new();
+        let scene = synthetic_scene(16, 16, 1, 1, 0);
+        for levels in [0, 9] {
+            assert!(store
+                .encode_image(&scene.image, levels, WaveletKind::Haar, false, None)
+                .is_err());
+        }
+        assert_eq!(
+            store.encode_stats().misses(),
+            0,
+            "param errors are not misses"
+        );
+    }
+
+    /// An encode refused after the lookup is a miss that files nothing
+    /// and, in a full store, evicts nothing.
+    #[test]
+    fn a_failed_encode_files_nothing() {
+        let store = MediaStore::new();
+        let scenes: Vec<_> = (0..ENCODE_CAPACITY as u64)
+            .map(|s| synthetic_scene(16, 16, 1, 2, s).image)
+            .collect();
+        let encode =
+            |img: &Image, color| store.encode_image(img, 2, WaveletKind::Haar, color, None);
+        for img in &scenes {
+            encode(img, false).unwrap();
+        }
+        // A colour transform of a grey image: refused, twice.
+        for _ in 0..2 {
+            assert!(encode(&scenes[0], true).is_err());
+        }
+        let stats = store.encode_stats();
+        let misses = ENCODE_CAPACITY as u64 + 2;
+        assert_eq!((stats.misses(), stats.evictions()), (misses, 0));
+        assert_eq!(store.lock().encodes.len(), ENCODE_CAPACITY);
+        encode(&scenes[0], false).unwrap();
+        assert_eq!(stats.hits(), 1, "the least recently used stayed");
     }
 
     #[test]

@@ -492,10 +492,10 @@ pub struct ScalingRow {
 pub struct ScalingRun {
     /// Every completed delivery, in `(round, client)` order.
     pub rows: Vec<ScalingRow>,
-    /// Asks the session's view store answered from a decode another
+    /// View asks the session's media store answered from a decode another
     /// viewer ran, when the last round was done.
     pub view_hits: u64,
-    /// Decodes the view store ran.
+    /// Decodes the media store ran.
     pub view_misses: u64,
 }
 
@@ -503,10 +503,10 @@ pub struct ScalingRun {
 /// `images` synthetic scenes to `viewers` subscribed clients, each of
 /// which interprets and reassembles every delivery on the sharded
 /// engine (the per-client pipeline it parallelises). Every viewer is
-/// on the full budget, so all hold one prefix and the session's view
+/// on the full budget, so all hold one prefix and the session's media
 /// store decodes each image once whatever the viewer count. Returns
 /// every completed delivery in deterministic `(round, client)` order
-/// and the view store's counts — identical for any `workers` value.
+/// and the media store's view counts — identical for any `workers` value.
 pub fn run_parallel_scaling(
     viewers: usize,
     images: usize,

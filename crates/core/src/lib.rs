@@ -40,7 +40,8 @@
 //! * [`concurrency`] — concurrency control: per-object Lamport
 //!   ordering and lock arbitration,
 //! * [`apps`] — the three application entities (chat area, whiteboard,
-//!   image viewer),
+//!   image viewer) and the media store that encodes each shared image
+//!   once and decodes each prefix of it once,
 //! * [`session`] — the collaboration session: wired clients as peers,
 //!   the base station as the wireless gateway,
 //! * [`experiments`] — closed-loop drivers that regenerate the
@@ -73,4 +74,3 @@ pub use inference::{AdaptationDecision, FiredRules, InferenceEngine, ModalityCho
 pub use policy::{AdaptationAction, AdaptationPolicy, PolicyDb};
 pub use session::{CollaborationSession, SessionConfig};
 pub use state::{Metric, StateVector};
-pub use transformer::MediaCache;

@@ -147,7 +147,7 @@ impl CollaborationSession {
             host,
             netstate,
             engine: Box::new(engine),
-            viewer: ImageViewer::with_store(16, self.views.clone()),
+            viewer: ImageViewer::with_store(16, self.media.clone()),
             chat: ChatArea::default(),
             whiteboard: Whiteboard::default(),
             repo: StateRepository::new(),

@@ -27,7 +27,7 @@ mod tests;
 
 pub use base_station::{BsPeer, DownlinkDelivery};
 
-use crate::apps::{ChatArea, ImageViewer, ViewStore, ViewedImage, Whiteboard};
+use crate::apps::{ChatArea, ImageViewer, MediaStore, ViewedImage, Whiteboard};
 use crate::concurrency::{LamportClock, LockManager};
 use crate::engines::EngineChoice;
 use crate::inference::AdaptationDecision;
@@ -36,7 +36,6 @@ use crate::policy::AdaptationPolicy;
 use crate::probe::{EchoResponder, LatencyProbe};
 use crate::state::StateVector;
 use crate::state_repo::StateRepository;
-use crate::transformer::MediaCache;
 use media::wavelet::WaveletKind;
 use media::Sketch;
 use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, Frame, SelectorStore};
@@ -218,19 +217,17 @@ pub struct CollaborationSession {
     /// shaping tree, paired with the node of the client whose
     /// extension agent emits the trap.
     plan_watchers: Vec<(NodeId, crate::trapwatch::PlanWatcher)>,
-    /// Encode-once transcode cache: shared image encodes are keyed by
-    /// content hash so re-shares and multi-tier degradations reuse one
-    /// embedded stream.
-    media_cache: MediaCache,
     /// The session's one selector store: every endpoint, every broker
     /// and the base station compile through it, so a selector string
     /// is compiled once per session, and the frame the first of them
     /// leaves on a message buffer serves all the others.
     selectors: SelectorStore,
-    /// The session's one view store: every client's image viewer
-    /// decodes through it, so a prefix of a shared object is decoded
-    /// once per session, not once per viewer holding it.
-    views: ViewStore,
+    /// The session's one media store: every share encodes through it,
+    /// so re-shares and multi-tier degradations reuse one embedded
+    /// stream, and every client's image viewer decodes through it, so a
+    /// prefix of a shared object is decoded once per session, not once
+    /// per viewer holding it.
+    media: MediaStore,
     /// What one pump drained from every client's socket, client after
     /// client, and each client's span of it. Cleared after each pump,
     /// never freed, so a steady-state pump allocates neither.
@@ -293,7 +290,6 @@ impl CollaborationSession {
             fault_link(&mut net, &cfg, uplink);
             overlay = Some(ov);
         }
-        let media_cache = MediaCache::with_capacity(32);
         CollaborationSession {
             selectors,
             net,
@@ -310,8 +306,7 @@ impl CollaborationSession {
             broker_credited,
             store_watchers,
             plan_watchers: Vec::new(),
-            media_cache,
-            views: ViewStore::new(),
+            media: MediaStore::new(),
             inbox: Vec::new(),
             spans: Vec::new(),
             adaptation: Vec::new(),
@@ -327,7 +322,7 @@ impl CollaborationSession {
     /// the clone shares the cells, so it stays current as the session
     /// shares images.
     pub fn media_cache_stats(&self) -> CacheStatsHandle {
-        self.media_cache.stats()
+        self.media.encode_stats()
     }
 
     /// The session's selector store (programs held, live hit / miss /
@@ -336,9 +331,11 @@ impl CollaborationSession {
         &self.selectors
     }
 
-    /// The session's view store (views held, live hit / miss counts).
-    pub fn view_store(&self) -> &ViewStore {
-        &self.views
+    /// The session's media store (views held, live view hit / miss /
+    /// replay counts; its encode counters are
+    /// [`media_cache_stats`](Self::media_cache_stats)).
+    pub fn view_store(&self) -> &MediaStore {
+        &self.media
     }
 
     /// Connect `node` to the session switch with the configured link
@@ -390,9 +387,9 @@ impl CollaborationSession {
     /// the same order the serial loop produces, so
     /// any worker count is bit-identical to `workers: 1`, the selector
     /// store's counters included (only phase 1 touches that store) and
-    /// the view store's too (in phase 2 the first viewer to ask for a
-    /// prefix decodes it and the rest share that image, whoever is
-    /// first).
+    /// the media store's view counts too (in phase 2 the first viewer
+    /// to ask for a prefix decodes it and the rest share that image,
+    /// whoever is first).
     pub fn pump(&mut self, d: Ticks) -> Vec<(ClientId, ViewedImage)> {
         if let Some(ov) = self.overlay.as_mut() {
             // Interleave time slices with broker forwarding, then

@@ -90,14 +90,11 @@ impl CollaborationSession {
 
     /// The one encode step, behind wired shares and the gateway's
     /// uplink alike: the scene coded with the session's wavelet at up
-    /// to five levels, through the encode-once cache — the same
-    /// content under the same `use_color` and `byte_cap` reuses the
-    /// shared stream. A miss encodes through a decode scratch the view
-    /// store keeps
-    /// ([`ViewStore::with_scratch`](crate::apps::ViewStore::with_scratch)):
-    /// its coefficient planes are prepared there, not in a set of their
-    /// own, and the records it leaves let the share's views replay
-    /// rather than read the symbols it wrote.
+    /// to five levels, through the session's media store
+    /// ([`MediaStore::encode_image`](crate::apps::MediaStore::encode_image))
+    /// — the same content under the same `use_color` and `byte_cap`
+    /// reuses the shared stream, and a miss leaves the records that let
+    /// the share's views replay rather than read the symbols it wrote.
     pub(super) fn encode_scene(
         &mut self,
         scene: &Scene,
@@ -105,11 +102,8 @@ impl CollaborationSession {
         byte_cap: Option<usize>,
     ) -> Result<Arc<[u8]>, String> {
         let levels = wavelet::max_levels(scene.image.width, scene.image.height).min(5);
-        let (cache, kind) = (&mut self.media_cache, self.cfg.wavelet);
-        self.views
-            .with_scratch(|decode| {
-                cache.encode_image(&scene.image, levels, kind, use_color, byte_cap, decode)
-            })
+        self.media
+            .encode_image(&scene.image, levels, self.cfg.wavelet, use_color, byte_cap)
             .map_err(|e| e.to_string())
     }
 
@@ -239,7 +233,7 @@ impl CollaborationSession {
     /// each copies out only what it keeps. Per-client CPU work — the
     /// frames are immutable and everything mutated is the client's own,
     /// so the sharded engine runs it on worker threads; the one thing
-    /// shared is the session's [`ViewStore`](crate::apps::ViewStore),
+    /// shared is the session's [`MediaStore`](crate::apps::MediaStore),
     /// which a completing viewer asks for its image: the store's lock
     /// covers the lookup, the decode runs outside it.
     pub(super) fn apply_frames(client: &mut ClientRuntime, frames: &[Frame]) -> Vec<ViewedImage> {

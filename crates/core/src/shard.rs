@@ -17,9 +17,6 @@
 //! [`crate::concurrency::happened_before`]. Together these guarantee
 //! that any worker count yields bit-identical results to `workers: 1`.
 
-use crate::concurrency::happened_before;
-use std::cmp::Ordering;
-
 /// Apply `f` to every `(item, input)` pair, sharding the work across
 /// `workers` scoped threads, and return the outputs in item order.
 ///
@@ -91,24 +88,6 @@ where
     shard_outputs.into_iter().flatten().collect()
 }
 
-/// Merge event records produced independently by several shards into
-/// the session-wide `(lamport, client)` total order — the same order
-/// [`crate::concurrency::happened_before`] induces and every replica's
-/// lock manager arbitrates on. The result is independent of how the
-/// records were distributed across shards.
-pub fn merge_causal<T>(mut tagged: Vec<(u64, String, T)>) -> Vec<(u64, String, T)> {
-    tagged.sort_by(|a, b| {
-        if happened_before((a.0, &a.1), (b.0, &b.1)) {
-            Ordering::Less
-        } else if happened_before((b.0, &b.1), (a.0, &a.1)) {
-            Ordering::Greater
-        } else {
-            Ordering::Equal
-        }
-    });
-    tagged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,28 +126,5 @@ mod tests {
         let mut items = vec![(); 10];
         let idx = map_shards(&mut items, vec![(); 10], 3, |i, _, _| i);
         assert_eq!(idx, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn merge_causal_is_partition_independent() {
-        let mk = |l: u64, c: &str| (l, c.to_string(), format!("{l}-{c}"));
-        let a = vec![mk(3, "carol"), mk(1, "bob")];
-        let b = vec![mk(1, "alice"), mk(2, "bob"), mk(3, "alice")];
-        let mut one: Vec<_> = a.iter().cloned().chain(b.iter().cloned()).collect();
-        let mut two: Vec<_> = b.into_iter().chain(a).collect();
-        one = merge_causal(one);
-        two = merge_causal(two);
-        assert_eq!(one, two);
-        let order: Vec<(u64, &str)> = one.iter().map(|(l, c, _)| (*l, c.as_str())).collect();
-        assert_eq!(
-            order,
-            vec![
-                (1, "alice"),
-                (1, "bob"),
-                (2, "bob"),
-                (3, "alice"),
-                (3, "carol")
-            ]
-        );
     }
 }

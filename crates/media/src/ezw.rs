@@ -45,13 +45,12 @@
 //!   bounds-checked byte poke per bit,
 //! * all per-plane state (lists, bitmaps, the rank-space geometry)
 //!   lives in a caller-owned [`EzwScratch`], so a session
-//!   encoding a stream of planes allocates nothing after warm-up; a
-//!   sender keeps it, with the wavelet buffers, the per-channel
-//!   analyses and the container, in an [`EncodeScratch`] behind
-//!   [`encode_image_capped_with`], and a receiver keeps it, with the
-//!   wavelet buffers, the coefficient planes and the channel records,
-//!   in a [`DecodeScratch`] behind [`decode_image_reduced_with`] — which
-//!   the sender borrows for its planes and streams.
+//!   encoding a stream of planes allocates nothing after warm-up; one
+//!   [`CodecScratch`] keeps it, with the wavelet buffers, the
+//!   coefficient planes and the channel records, for both directions:
+//!   behind [`encode_image_capped_with`], which also keeps its
+//!   per-channel analyses and container there, and behind
+//!   [`decode_image_reduced_with`].
 //!
 //! And every embedded bit is coded once and read once:
 //!
@@ -82,7 +81,7 @@
 //!   and strictly forward, so on a prefix it does what it did on the
 //!   whole stream up to the cut and stops — the entries whose symbols
 //!   end before the cut, their magnitudes masked below the plane the
-//!   cut falls in. A [`DecodeScratch`] keeps the record of the last
+//!   cut falls in. A [`CodecScratch`] keeps the record of the last
 //!   stream read per channel, with the stream's bytes; a container
 //!   whose channel streams are — compared byte for byte — prefixes of
 //!   those is replayed, anything else is read and replaces the record.
@@ -94,7 +93,7 @@
 //! * **The encoder is a stream's first reader.** Writing a symbol
 //!   records it as reading it would — the entry, where its symbol
 //!   ends, where each plane's passes begin and end — and the record
-//!   keeps the bytes written, so an encode into a [`DecodeScratch`]
+//!   keeps the bytes written, so an encode through a [`CodecScratch`]
 //!   leaves it holding what a decode of the whole container would
 //!   have read: every view of a fresh share, the longest too, is a
 //!   replay. The entries hold whole magnitudes (the subordinate pass
@@ -483,8 +482,8 @@ pub struct EzwScratch {
     spawned: Vec<u64>,
     /// What [`EzwEncoder::emit_plane`] records a stream into and
     /// [`EzwDecoder::decode_plane_with`] reads one into (a container
-    /// encode or decode keeps one per channel instead, in its
-    /// [`DecodeScratch`]).
+    /// encode or decode keeps one per channel instead, in a
+    /// [`CodecScratch`]).
     record: PlaneRecord,
 }
 
@@ -1427,8 +1426,9 @@ pub(crate) fn kind_from_byte(b: u8) -> Result<(WaveletKind, bool), MediaError> {
 
 /// Extract the coder-input planes of `img`: level-shifted to signed
 /// and, when `color_transform` is set (3-channel images only),
-/// YCoCg-R-decorrelated with the luma plane shifted. These are the
-/// per-channel inputs [`encode_prepared_plane`] expects.
+/// YCoCg-R-decorrelated with the luma plane shifted: per channel, the
+/// plane [`wavelet::forward_2d_with`] transforms for
+/// [`EzwEncoder::encode_plane_with`] to code.
 pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>>, MediaError> {
     let mut planes = vec![Vec::new(); img.channels];
     prepare_planes_into(img, color_transform, &mut planes)?;
@@ -1492,22 +1492,6 @@ fn prepare_planes_into(
         }
     }
     Ok(())
-}
-
-/// Wavelet-transform one prepared plane in place and EZW-encode it,
-/// reusing both scratch spaces. One plane of the container body; wrap
-/// with [`assemble_container`].
-pub fn encode_prepared_plane(
-    plane: &mut [i32],
-    width: usize,
-    height: usize,
-    levels: usize,
-    kind: WaveletKind,
-    wavelet_scratch: &mut WaveletScratch,
-    ezw_scratch: &mut EzwScratch,
-) -> Vec<u8> {
-    wavelet::forward_2d_with(plane, width, height, levels, kind, wavelet_scratch);
-    EzwEncoder::encode_plane_with(plane, width, height, levels, ezw_scratch)
 }
 
 /// How many bytes of each channel stream a container of at most
@@ -1612,52 +1596,20 @@ pub fn encode_image_capped(
     color_transform: bool,
     cap: Option<usize>,
 ) -> Result<Vec<u8>, MediaError> {
-    let mut scratch = EncodeScratch::new();
-    let mut decode = DecodeScratch::new();
-    encode_image_capped_with(
-        img,
-        levels,
-        kind,
-        color_transform,
-        cap,
-        &mut decode,
-        &mut scratch,
-    )?;
+    let mut scratch = CodecScratch::new();
+    encode_image_capped_with(img, levels, kind, color_transform, cap, &mut scratch)?;
     Ok(scratch.container)
 }
 
-/// Everything a container encode reuses from one call to the next: per
-/// channel the sizing-up ([`PlaneAnalysis`]) and its length, the
-/// container the streams are assembled into, and the wavelet and EZW
-/// coder state. The coefficient planes and the channel streams are not
-/// in it: they are the [`DecodeScratch`] the caller lends
-/// ([`encode_image_capped_with`]). The buffers stay the size of the
-/// largest image encoded.
-#[derive(Default)]
-pub struct EncodeScratch {
-    analyses: [PlaneAnalysis; 3],
-    lens: Vec<usize>,
-    container: Vec<u8>,
-    wavelet: WaveletScratch,
-    ezw: EzwScratch,
-}
-
-impl EncodeScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> EncodeScratch {
-        EncodeScratch::default()
-    }
-}
-
 /// [`encode_image_capped`] with caller-kept scratch: the same
-/// container, byte for byte, whatever either scratch held before. The
+/// container, byte for byte, whatever the scratch coded before. The
 /// encoder is the first reader of what it writes: it prepares the
 /// image's coefficient planes (what [`prepare_planes`] returns) in the
-/// ones `decode` keeps, overwriting what they held, and leaves in
-/// `decode`'s records what reading each channel stream would — so a
-/// decode of the container, or of any cut of it, through `decode` next
+/// ones `scratch` keeps, overwriting what they held, and leaves in its
+/// records what reading each channel stream would — so a decode of the
+/// container, or of any cut of it, through `scratch` next
 /// ([`decode_image_reduced_with`]) reads no symbol. The container is
-/// assembled in `scratch`, which the returned bytes borrow. After
+/// assembled in `scratch` too, and the returned bytes borrow it. After
 /// warm-up an encode allocates nothing.
 pub fn encode_image_capped_with<'s>(
     img: &Image,
@@ -1665,8 +1617,7 @@ pub fn encode_image_capped_with<'s>(
     kind: WaveletKind,
     color_transform: bool,
     cap: Option<usize>,
-    decode: &mut DecodeScratch,
-    scratch: &'s mut EncodeScratch,
+    scratch: &'s mut CodecScratch,
 ) -> Result<&'s [u8], MediaError> {
     check_levels(img, levels)?;
     if img.channels != 1 && img.channels != 3 {
@@ -1675,18 +1626,18 @@ pub fn encode_image_capped_with<'s>(
             img.channels
         )));
     }
-    let DecodeScratch {
-        planes, records, ..
-    } = decode;
-    prepare_planes_into(img, color_transform, planes)?;
-    let (w, h, n) = (img.width, img.height, img.channels);
-    let EncodeScratch {
+    let CodecScratch {
+        ezw: es,
+        wavelet: ws,
+        records,
+        planes,
         analyses,
         lens,
         container,
-        wavelet: ws,
-        ezw: es,
+        ..
     } = scratch;
+    prepare_planes_into(img, color_transform, planes)?;
+    let (w, h, n) = (img.width, img.height, img.channels);
     let planes = &mut planes[..n];
     // Two rounds with the cap's split between them: how much of a
     // channel the cap keeps depends on every channel's length.
@@ -1788,40 +1739,46 @@ pub fn container_dimensions(bytes: &[u8]) -> Result<(usize, usize), MediaError> 
     Ok((header.w, header.h))
 }
 
-/// Everything a container decode reuses from one call to the next: the
-/// EZW coder state (scan geometry, live bitmap), the wavelet's half
-/// band and working lines, the coefficient planes, and per channel the
-/// record of the last stream symbol-decoded there — or encoded: an
-/// encode lent this scratch ([`encode_image_capped_with`]) prepares
-/// its planes in it and leaves the records of the streams it wrote. A
-/// receiver that keeps one and decodes through
-/// [`decode_image_reduced_with`] allocates only the image it returns —
-/// not even that, when it handed back an image at least as large that
-/// nobody reads any more ([`DecodeScratch::recycle`]) — and pays for
-/// reading symbols at most once per stream: a container whose channel
-/// streams are prefixes of the recorded ones — a smaller packet
-/// budget's view of the same shared object, or any view of the one
-/// just encoded — is replayed from the records. What the planes hold
-/// between decodes is not part of the scratch's state: a decode
-/// overwrites every plane it uses before reading it. The buffers stay
-/// the size of the largest plane decoded, which the plane-sample cap
-/// bounds.
+/// Everything a container encode or decode reuses from one call to the
+/// next, in either direction: the EZW coder state (scan geometry, live
+/// bitmap), the wavelet's half band and working lines, the coefficient
+/// planes, and per channel the record of the last stream coded there,
+/// read or written. An encode ([`encode_image_capped_with`]) also keeps
+/// per channel its sizing-up ([`PlaneAnalysis`]) and length, and the
+/// container it assembles; it prepares its planes here and leaves the
+/// records of the streams it wrote. A receiver that keeps one and
+/// decodes through [`decode_image_reduced_with`] allocates only the
+/// image it returns — not even that, when it handed back an image at
+/// least as large that nobody reads any more
+/// ([`CodecScratch::recycle`]) — and pays for reading symbols at most
+/// once per stream: a container whose channel streams are prefixes of
+/// the recorded ones — a smaller packet budget's view of the same
+/// shared object, or any view of the one just encoded — is replayed
+/// from the records. What the planes hold between calls is not part of
+/// the scratch's state: an encode or a decode overwrites every plane it
+/// uses before reading it. The buffers stay the size of the largest
+/// plane coded, which the plane-sample cap bounds.
 #[derive(Default)]
-pub struct DecodeScratch {
+pub struct CodecScratch {
     ezw: EzwScratch,
     wavelet: WaveletScratch,
     records: [PlaneRecord; 3],
     planes: [Vec<i32>; 3],
     /// A pixel buffer the next decode returns its image in, instead of
-    /// allocating one ([`DecodeScratch::recycle`]).
+    /// allocating one ([`CodecScratch::recycle`]).
     pixels: Vec<u8>,
     replays: u64,
+    /// An encode's per-channel sizing-up and stream lengths.
+    analyses: [PlaneAnalysis; 3],
+    lens: Vec<usize>,
+    /// The container the last encode assembled.
+    container: Vec<u8>,
 }
 
-impl DecodeScratch {
+impl CodecScratch {
     /// Empty scratch; buffers grow on first use.
-    pub fn new() -> DecodeScratch {
-        DecodeScratch::default()
+    pub fn new() -> CodecScratch {
+        CodecScratch::default()
     }
 
     /// Hand back an image nobody reads any more: the next decode on
@@ -1859,7 +1816,7 @@ pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
 /// resolutions". The skipped detail subbands also never need to be
 /// reconstructed, so thin clients save decode work too.
 pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, MediaError> {
-    decode_image_reduced_with(bytes, drop_levels, &mut DecodeScratch::new())
+    decode_image_reduced_with(bytes, drop_levels, &mut CodecScratch::new())
 }
 
 /// [`decode_image_reduced`] with caller-owned scratch: the same image,
@@ -1871,7 +1828,7 @@ pub fn decode_image_reduced(bytes: &[u8], drop_levels: usize) -> Result<Image, M
 pub fn decode_image_reduced_with(
     bytes: &[u8],
     drop_levels: usize,
-    scratch: &mut DecodeScratch,
+    scratch: &mut CodecScratch,
 ) -> Result<Image, MediaError> {
     let (channels, kind, streams) = container_streams(bytes)?;
     if channels != 1 && channels != 3 {
@@ -1899,13 +1856,14 @@ pub fn decode_image_reduced_with(
             "cannot drop {drop_levels} of {levels} levels"
         )));
     }
-    let DecodeScratch {
+    let CodecScratch {
         ezw: es,
         wavelet: ws,
         records,
         planes,
         pixels,
         replays,
+        ..
     } = scratch;
     let planes = &mut planes[..channels];
     let mut read_symbols = false;
@@ -2315,9 +2273,9 @@ mod tests {
 
     #[test]
     fn split_encode_steps_match_encode_image_opts() {
-        // prepare_planes + encode_prepared_plane + assemble_container
-        // is the parallel-friendly spelling of encode_image_opts; the
-        // bytes must be identical for any channel/transform combo.
+        // prepare_planes, then per plane the forward and the plane
+        // encoder, then assemble_container: the bytes must be
+        // encode_image_opts's for any channel/transform combo.
         for (channels, color) in [(1, false), (3, false), (3, true)] {
             let scene = synthetic_scene(32, 32, channels, 3, 17);
             let whole = encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, color).unwrap();
@@ -2326,20 +2284,30 @@ mod tests {
             let mut es = EzwScratch::new();
             let streams: Vec<Vec<u8>> = planes
                 .iter_mut()
-                .map(|p| encode_prepared_plane(p, 32, 32, 3, WaveletKind::Cdf53, &mut ws, &mut es))
+                .map(|p| {
+                    wavelet::forward_2d_with(p, 32, 32, 3, WaveletKind::Cdf53, &mut ws);
+                    EzwEncoder::encode_plane_with(p, 32, 32, 3, &mut es)
+                })
                 .collect();
             let split = assemble_container(channels, WaveletKind::Cdf53, color, &streams);
             assert_eq!(split, whole, "channels={channels} color={color}");
         }
-        // One kept scratch and one decode scratch through encodes that
+        // One kept scratch, both directions, through encodes that
         // change, one after another, the channel count (3 → 1 → 3), the
         // size, the level count, the wavelet, the colour transform and
-        // the cap (none, below a plane header, mid-stream), the planes
-        // and records still holding the last image's each time: nothing
-        // left from one encode reaches the next, and a decode through
-        // the lent scratch replays what the encode recorded.
-        let mut scratch = EncodeScratch::new();
-        let mut decode = DecodeScratch::new();
+        // the cap (none, below a plane header, mid-stream). Before each
+        // encode the scratch decodes a container of another shape and
+        // channel count, so its coder state, wavelet lines, planes and
+        // records are another image's when the encoder starts: nothing
+        // left from a decode or an earlier encode reaches the next, and
+        // a decode through the scratch replays what the encode recorded.
+        let mut scratch = CodecScratch::new();
+        let dirty = |channels, w, h, levels, kind, color| {
+            let scene = synthetic_scene(w, h, channels, 4, 99);
+            encode_image_opts(&scene.image, levels, kind, color).unwrap()
+        };
+        let grey = dirty(1, 80, 40, 3, WaveletKind::Haar, false);
+        let colour = dirty(3, 40, 24, 2, WaveletKind::Cdf53, true);
         let (below_a_header, headers_and_a_little) =
             (Some(PLANE_HEADER_LEN - 1), Some(CONTAINER_HEADER_LEN + 20));
         for (channels, w, h, levels, kind, color, cap) in [
@@ -2351,24 +2319,20 @@ mod tests {
             (3, 16, 16, 1, WaveletKind::Cdf53, true, headers_and_a_little),
             (3, 128, 64, 4, WaveletKind::Cdf53, true, None),
         ] {
+            let other = if channels == 3 { &grey } else { &colour };
+            let view = decode_image_reduced_with(other, 0, &mut scratch).unwrap();
+            assert!(view == decode_image(other).unwrap());
             let scene = synthetic_scene(w, h, channels, 3, (w + h + levels) as u64);
             let fresh = encode_image_capped(&scene.image, levels, kind, color, cap).unwrap();
-            let kept = encode_image_capped_with(
-                &scene.image,
-                levels,
-                kind,
-                color,
-                cap,
-                &mut decode,
-                &mut scratch,
-            )
-            .unwrap();
+            let kept =
+                encode_image_capped_with(&scene.image, levels, kind, color, cap, &mut scratch)
+                    .unwrap();
             let what = format!("{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}");
             assert!(kept == fresh, "{what}");
-            let replays = decode.replays();
-            let view = decode_image_reduced_with(&fresh, 0, &mut decode).unwrap();
+            let replays = scratch.replays();
+            let view = decode_image_reduced_with(&fresh, 0, &mut scratch).unwrap();
             assert!(view == decode_image(&fresh).unwrap(), "{what}");
-            assert_eq!(decode.replays(), replays + 1, "{what}: no symbol read");
+            assert_eq!(scratch.replays(), replays + 1, "{what}: no symbol read");
         }
         let four = Image {
             channels: 4,
@@ -2619,18 +2583,15 @@ mod tests {
                 Some(headers + 20),
                 Some(full.len() * mid_ppm / 1_000_000),
             ][cap_pick];
-            let mut decode = DecodeScratch::new();
-            let mut scratch = EncodeScratch::new();
-            let sent = encode_image_capped_with(
-                &img, levels, kind, color, cap, &mut decode, &mut scratch,
-            )
-            .unwrap()
-            .to_vec();
+            let mut scratch = CodecScratch::new();
+            let sent = encode_image_capped_with(&img, levels, kind, color, cap, &mut scratch)
+                .unwrap()
+                .to_vec();
             let (_, _, streams) = container_streams(&sent).unwrap();
             let mut es = EzwScratch::new();
             let mut read = PlaneRecord::default();
             for (c, stream) in streams.enumerate() {
-                let written = &decode.records[c];
+                let written = &scratch.records[c];
                 prop_assert!(written.covers(stream) && stream.len() == written.stream.len());
                 let header = PlaneHeader::parse(stream).unwrap();
                 EzwDecoder::read_symbols(header, stream, &mut es, &mut read);

@@ -514,9 +514,9 @@ impl CompiledProfile {
 }
 
 /// Live hit / miss / eviction counters of a bounded cache, shareable
-/// with SNMP instrumentation: the selector cache's, and the session's
-/// media cache's (`cqos_core::MediaCache`), which bumps its own through
-/// the `record_*` methods.
+/// with SNMP instrumentation: the selector cache's, and the encode
+/// table's of the session's media store (`cqos_core::apps::MediaStore`),
+/// which bumps its own through the `record_*` methods.
 #[derive(Clone, Default, Debug)]
 pub struct CacheStatsHandle {
     inner: Arc<CacheCounters>,

@@ -34,7 +34,9 @@
 //! what is left is about a dozen per share for its content
 //! description, caption and encode bookkeeping; it was 2.88 while each
 //! frame was two fresh buffers), none of them near the size of a
-//! coefficient plane; a relayed downlink delivery made none.
+//! coefficient plane; a warm re-share of a scene the media store holds
+//! made 0.65, its largest request a fifth of the container; a relayed
+//! downlink delivery made none.
 
 use collabqos::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -277,7 +279,7 @@ fn a_received_frame_costs_the_same_whatever_its_content() {
 
 /// A colour share's cost on the sending side, averaged over `ROUNDS`
 /// shares of scenes the session has not seen (each a cold encode),
-/// after enough shares to fill the media cache and grow every buffer
+/// after enough shares to fill the media store and grow every buffer
 /// the encoder keeps: the allocations `share_image` makes per frame
 /// it sends, and the largest single request any share made.
 fn cold_colour_share() -> (f64, usize) {
@@ -293,7 +295,7 @@ fn cold_colour_share() -> (f64, usize) {
             .set_packet_budget([16, 8, 4, 2][id % 4]);
     }
     let frames = 1 + s.config().packets_per_image as u64;
-    // More than the media cache's 32 entries, so its table is full.
+    // More than the media store's 32 encodes, so its table is full.
     const WARM_SHARES: usize = 40;
     let (mut counted, mut largest) = (0, 0);
     for round in 0..WARM_SHARES + ROUNDS {
@@ -332,6 +334,65 @@ fn a_cold_colour_share_allocates_its_frames_and_no_plane() {
     assert!(
         largest < plane,
         "a {largest}-byte request: the encoder has a {plane}-byte plane of its own"
+    );
+}
+
+/// A colour session's first share of one scene, then `WARM_ROUNDS`
+/// re-shares and `ROUNDS` counted ones of it — `shaped_lastmile`'s
+/// path: every re-share finds the container in the media store and
+/// runs no encode. Returns the allocations `share_image` makes per
+/// frame it sends and the largest single request a counted share made,
+/// and asserts that each re-share is one media-store hit.
+fn warm_colour_reshare() -> (f64, usize) {
+    let mut s = session_with(SessionConfig {
+        seed: 31,
+        color_transform: true,
+        full_stream_bpp: Some(6.0),
+        ..SessionConfig::default()
+    });
+    for id in 1..CLIENTS {
+        s.client_mut(id)
+            .viewer
+            .set_packet_budget([16, 8, 4, 2][id % 4]);
+    }
+    let frames = 1 + s.config().packets_per_image as u64;
+    let scene = synthetic_scene(64, 64, 3, 3, 900);
+    let media = s.media_cache_stats();
+    let (mut counted, mut largest) = (0, 0);
+    for round in 0..=WARM_ROUNDS + ROUNDS {
+        let hits = media.hits();
+        let before = allocs();
+        largest_since();
+        s.share_image(0, &scene, IMAGES).expect("image shares");
+        let (spent, max) = (allocs() - before, largest_since());
+        assert_eq!(media.hits(), hits + u64::from(round > 0), "share {round}");
+        s.pump(Ticks::from_millis(200));
+        for id in 0..CLIENTS {
+            s.client_mut(id).viewer.viewed.clear();
+        }
+        if round > WARM_ROUNDS {
+            counted += spent;
+            largest = largest.max(max);
+        }
+    }
+    assert_eq!(media.misses(), 1, "one encode in all");
+    (counted as f64 / (ROUNDS as u64 * frames) as f64, largest)
+}
+
+#[test]
+fn a_warm_reshare_allocates_its_frames_and_no_container() {
+    let (per_frame, largest) = warm_colour_reshare();
+    // Within the cold share's bound: a hit adds nothing to it.
+    assert!(
+        per_frame <= 1.2,
+        "{per_frame:.3} allocations per frame sent"
+    );
+    // Nothing the size of a plane, nor of the 6-bpp container the
+    // store already holds.
+    let (plane, container) = (64 * 64 * std::mem::size_of::<i32>(), 64 * 64 * 6 / 8);
+    assert!(
+        largest < container && container < plane,
+        "a {largest}-byte request on a re-share that encodes nothing"
     );
 }
 

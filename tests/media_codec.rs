@@ -13,19 +13,19 @@
 //! flipped byte of the fixture is pinned as a digest.
 //!
 //! The receiving side's sharing is pinned here too: a session's
-//! `ViewStore` hands every viewer exactly what the plain decoder makes
+//! `MediaStore` hands every viewer exactly what the plain decoder makes
 //! of the viewer's own prefix, decoding each distinct prefix once, and
-//! decode scratch kept warm across differently shaped images changes
+//! codec scratch kept warm across differently shaped images changes
 //! no pixel.
 //!
 //! Regenerate the fixture (only after an *intentional* format change)
 //! with: `REGEN_MEDIA_FIXTURES=1 cargo test --test media_codec`.
 
-use collabqos::core::apps::{ImageViewer, ViewStore};
+use collabqos::core::apps::{ImageViewer, MediaStore};
 use collabqos::core::events::{AppEvent, EventView};
 use collabqos::core::session::{CollaborationSession, SessionConfig};
 use collabqos::media::ezw::{
-    self, DecodeScratch, EncodeScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
+    self, CodecScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
 };
 use collabqos::media::image::{synthetic_scene, Image, Scene};
 use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
@@ -437,7 +437,8 @@ fn image_pipeline_matches_reference_per_plane() {
 
         let mut ws = WaveletScratch::new();
         let mut es = EzwScratch::new();
-        let got = ezw::encode_prepared_plane(&mut plane, w, h, levels, kind, &mut ws, &mut es);
+        wavelet::forward_2d_with(&mut plane, w, h, levels, kind, &mut ws);
+        let got = EzwEncoder::encode_plane_with(&plane, w, h, levels, &mut es);
         assert_eq!(got, expected, "{what}");
         let decoded = EzwDecoder::decode_plane_with(&got, &mut es).unwrap();
         let frozen = reference::decode_plane(&expected).unwrap();
@@ -768,7 +769,7 @@ fn a_rate_limited_share_sends_the_cut_of_the_full_stream() {
 fn replays_of_warm_decodes(
     container: &[u8],
     drops: std::ops::RangeInclusive<usize>,
-    warm: &mut DecodeScratch,
+    warm: &mut CodecScratch,
     frozen: bool,
     what: &str,
 ) -> u64 {
@@ -800,7 +801,7 @@ fn every_byte_cut_replays_to_the_fresh_decode() {
         let full = ezw::encode_image_opts(&image, levels, WaveletKind::Cdf53, color).unwrap();
         for read in [full.len(), full.len() * 2 / 5] {
             let read = ezw::truncate_container(&full, read).unwrap();
-            let mut warm = DecodeScratch::new();
+            let mut warm = CodecScratch::new();
             let what = format!("{side}x{side}x{channels}, {} bytes read", read.len());
             assert_eq!(
                 replays_of_warm_decodes(&read, 0..=0, &mut warm, true, &what),
@@ -832,13 +833,13 @@ fn nested_packet_prefixes_replay_longest_first_and_not_shortest_first() {
     .unwrap();
     let packets = split_packets(&sent, 16);
     let prefix = |k: usize| reassemble_prefix(&packets[..k]).unwrap();
-    let mut warm = DecodeScratch::new();
+    let mut warm = CodecScratch::new();
     for k in [16, 8, 4, 2, 1] {
         let replays =
             replays_of_warm_decodes(&prefix(k), 0..=0, &mut warm, true, &format!("k={k}"));
         assert_eq!(replays, (k < 16) as u64, "k={k}");
     }
-    let mut warm = DecodeScratch::new();
+    let mut warm = CodecScratch::new();
     for k in [1, 2, 4, 8, 16] {
         replays_of_warm_decodes(&prefix(k), 0..=0, &mut warm, true, &format!("k={k}"));
     }
@@ -856,7 +857,7 @@ fn what_is_not_a_prefix_is_read_afresh() {
         ezw::encode_image_capped(img, 4, WaveletKind::Cdf53, true, Some(budget)).unwrap()
     };
     let held = encode(&image(81), 3000);
-    let mut warm = DecodeScratch::new();
+    let mut warm = CodecScratch::new();
     let mut read_afresh = |container: &[u8], frozen: bool, what: &str| {
         // Put the scratch back on `held` first.
         ezw::decode_image_reduced_with(&held, 0, &mut warm).unwrap();
@@ -916,11 +917,10 @@ fn what_is_not_a_prefix_is_read_afresh() {
 #[test]
 fn a_byte_off_the_encoders_stream_is_read_afresh() {
     let image = synthetic_scene(64, 64, 3, 4, 85).image;
-    let mut scratch = EncodeScratch::new();
-    let mut warm = DecodeScratch::new();
-    let mut encode = |warm: &mut DecodeScratch| {
+    let mut warm = CodecScratch::new();
+    let encode = |warm: &mut CodecScratch| {
         let cap = Some(3000);
-        ezw::encode_image_capped_with(&image, 4, WaveletKind::Cdf53, true, cap, warm, &mut scratch)
+        ezw::encode_image_capped_with(&image, 4, WaveletKind::Cdf53, true, cap, warm)
             .unwrap()
             .to_vec()
     };
@@ -963,7 +963,7 @@ fn fixture_scene_is_stable() {
     assert_eq!((img.width, img.height), (64, 64));
 }
 
-// ------------------------------------------------- shared view store
+// ------------------------------------------------ shared media store
 
 const IMAGE_SELECTOR: &str = "interested_in contains 'image'";
 
@@ -1175,7 +1175,7 @@ fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<Arc<Wire
 /// share nothing a weaker key would compare, and still never alias.
 #[test]
 fn equal_length_containers_under_one_object_id_never_alias() {
-    let store = ViewStore::new();
+    let store = MediaStore::new();
     let containers: Vec<(Vec<u8>, Image)> = [31u64, 32]
         .into_iter()
         .map(|seed| {
@@ -1204,7 +1204,7 @@ fn equal_length_containers_under_one_object_id_never_alias() {
 /// The store is a small fixed size whatever passes through it.
 #[test]
 fn a_hundred_objects_leave_a_handful_of_views() {
-    let store = ViewStore::new();
+    let store = MediaStore::new();
     let mut held = Vec::new();
     for seed in 0..100 {
         let image = synthetic_scene(16, 16, 1, 2, seed).image;
@@ -1219,7 +1219,7 @@ fn a_hundred_objects_leave_a_handful_of_views() {
     assert_eq!(held[50], cap, "full long before the hundredth");
 }
 
-/// One `DecodeScratch` across images of alternating shape, channel
+/// One `CodecScratch` across images of alternating shape, channel
 /// count, prefix length and resolution decodes each exactly as a fresh
 /// scratch does: no geometry, bitmap, list or tile survives a call.
 #[test]
@@ -1242,7 +1242,7 @@ fn warm_decode_scratch_is_equivalent_to_fresh_scratch() {
             ezw::encode_image_opts(img, *levels, WaveletKind::Cdf53, *color).unwrap()
         })
         .collect();
-    let mut warm = DecodeScratch::new();
+    let mut warm = CodecScratch::new();
     for round in 0..3 {
         for (full, (image, ..)) in containers.iter().zip(&images) {
             // A different cut and resolution each time round.
@@ -1279,7 +1279,7 @@ fn a_decode_into_a_recycled_garbage_buffer_equals_a_fresh_decode() {
             for drop in 0..=2 {
                 let fresh = ezw::decode_image_reduced(&container, drop).unwrap();
                 for len in [7, fresh.data.len(), 3 * image.data.len() + 5] {
-                    let mut scratch = DecodeScratch::new();
+                    let mut scratch = CodecScratch::new();
                     // Warm the scratch on the same stream first, so the
                     // recycled buffer is the only thing that differs.
                     ezw::decode_image_reduced_with(&container, drop, &mut scratch).unwrap();

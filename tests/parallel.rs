@@ -7,12 +7,12 @@
 //! per image prefix — are pinned here too: their lifetime, and that
 //! sharding cannot be seen in them.
 
-use collabqos::core::concurrency::LockManager;
+use collabqos::core::concurrency::{happened_before, LockManager};
 use collabqos::core::experiments::{run_fig6, run_fig7, run_parallel_scaling};
 use collabqos::core::session::ClientId;
-use collabqos::core::shard;
 use collabqos::prelude::*;
 use collabqos::sempubsub::bus::BusStats;
+use std::cmp::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
 
 // ------------------------------------------------ lock-order stress
@@ -51,7 +51,7 @@ fn lock_manager_grants_in_lamport_order_under_contention() {
             });
             for k in 0..PER_THREAD {
                 let lamport = 1 + (k * THREADS + t) as u64;
-                expected.push((lamport, format!("client-{t}-{k}"), ()));
+                expected.push((lamport, format!("client-{t}-{k}")));
             }
         }
     });
@@ -68,12 +68,17 @@ fn lock_manager_grants_in_lamport_order_under_contention() {
         .collect();
     assert_eq!(granted.len(), THREADS * PER_THREAD, "every request granted");
 
-    // The reference order is the shard merge helper's `(lamport,
-    // client)` total order — grants must match it exactly.
-    let expected: Vec<(u64, String)> = shard::merge_causal(expected)
-        .into_iter()
-        .map(|(l, c, _)| (l, c))
-        .collect();
+    // The reference order is `happened_before`'s `(lamport, client)`
+    // total order — grants must match it exactly.
+    expected.sort_by(|a, b| {
+        if happened_before((a.0, &a.1), (b.0, &b.1)) {
+            Ordering::Less
+        } else if happened_before((b.0, &b.1), (a.0, &a.1)) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    });
     assert_eq!(granted, expected, "grants follow happened_before order");
 }
 
@@ -105,9 +110,10 @@ fn fig7_series_identical_across_worker_counts() {
     }
 }
 
-/// The rows, and the view store's counts with them: viewers on worker
-/// threads ask the session's one store, the first to ask for a prefix
-/// decodes it and the rest share that image, whichever thread it was.
+/// The rows, and the media store's view counts with them: viewers on
+/// worker threads ask the session's one store, the first to ask for a
+/// prefix decodes it and the rest share that image, whichever thread it
+/// was.
 #[test]
 fn scaling_workload_identical_across_worker_counts() {
     let serial = run_parallel_scaling(8, 2, 1, 11);

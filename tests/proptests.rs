@@ -302,7 +302,7 @@ fn a_replayed_view_allocates_only_the_image_it_returns() {
             ezw::encode_image_capped(&scene.image, 4, WaveletKind::Cdf53, true, cap).unwrap()
         })
         .collect();
-    let mut scratch = ezw::DecodeScratch::new();
+    let mut scratch = ezw::CodecScratch::new();
     for container in &containers {
         let packets = split_packets(container, 16);
         // Read symbols once, then replay.
