@@ -51,7 +51,9 @@ use sempubsub::{
     SelectorStore, SemanticMessage, WireMessage,
 };
 use simnet::packet::well_known;
-use simnet::{Addr, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks};
+use simnet::{
+    Addr, Datagram, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -370,7 +372,7 @@ pub struct BrokerNode {
     seen: BTreeSet<(String, u64)>,
     stats: BrokerStatsHandle,
     /// The store arriving buffers' frames are read through
-    /// ([`sempubsub::Frame::of`]), and the routing tables' profile
+    /// ([`sempubsub::Frame::read`]), and the routing tables' profile
     /// classes interned in: the session's when the overlay was built
     /// [`Overlay::with_store`], so a buffer an endpoint or another
     /// broker has already looked at costs no decode and no lookup here,
@@ -540,6 +542,9 @@ pub struct Overlay {
     /// The selector store every broker reads frames through, when the
     /// overlay was given one.
     selectors: Option<SelectorStore>,
+    /// What one broker's data socket held when it was processed, kept
+    /// between calls so a steady drain allocates no buffer.
+    arrivals: Vec<Datagram>,
 }
 
 impl Overlay {
@@ -1093,56 +1098,64 @@ impl Overlay {
 
     fn process_data(&mut self, net: &mut Network, i: usize) -> usize {
         let data = self.brokers[i].data;
-        let mut arrivals = Vec::new();
-        while let Some(d) = net.recv(data) {
-            arrivals.push(d);
-        }
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        arrivals.extend(std::iter::from_fn(|| net.recv(data)));
         let handled = arrivals.len();
-        for d in arrivals {
-            let frame = sempubsub::Frame::of(&d.payload, &self.brokers[i].selectors);
-            let Some((msg, program)) = routed(&frame) else {
-                continue;
-            };
-            let key = (msg.sender().to_owned(), msg.seq());
-            // A copy from this broker's own domain has no arrival
-            // neighbor.
-            let from = self
-                .node_to_broker
-                .get(&d.src_node)
-                .copied()
-                .filter(|&j| j != i);
-            if !self.brokers[i].seen.insert(key) {
-                self.brokers[i]
-                    .stats
-                    .inner
-                    .dedup_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
+        for d in arrivals.drain(..) {
+            if self.route_arrival(net, i, &d) {
+                self.brokers[i].forward(net, d.payload);
             }
-            self.probe_neighbors(net, i);
-            let now = net.now();
-            let broker = &mut self.brokers[i];
-            broker.plan_forward(program, from);
-            // A matching neighbor is unreachable: take the message
-            // into custody instead of black-holing it.
-            if let Some(store) = broker.store.as_mut() {
-                for &nb in &broker.plan.unreachable {
-                    let bundle = Bundle {
-                        source: msg.sender().to_owned(),
-                        seq: msg.seq(),
-                        src_domain: i as u32,
-                        dst_domain: nb as u32,
-                        created_at: now,
-                        lifetime: store.config().lifetime,
-                        custody: true,
-                        payload: d.payload.to_vec(),
-                    };
-                    store.insert(bundle, now);
-                }
-            }
-            broker.forward(net, d.payload);
         }
+        self.arrivals = arrivals;
         handled
+    }
+
+    /// Read one arrival's frame off its buffer and plan its forwarding
+    /// (custody for unreachable neighbors included); false when it is
+    /// not a semantic message or a duplicate, and goes nowhere.
+    fn route_arrival(&mut self, net: &mut Network, i: usize, d: &Datagram) -> bool {
+        let frame = sempubsub::Frame::read(&d.payload, &self.brokers[i].selectors);
+        let Some((msg, program)) = routed(&frame) else {
+            return false;
+        };
+        let key = (msg.sender().to_owned(), msg.seq());
+        // A copy from this broker's own domain has no arrival
+        // neighbor.
+        let from = self
+            .node_to_broker
+            .get(&d.src_node)
+            .copied()
+            .filter(|&j| j != i);
+        if !self.brokers[i].seen.insert(key) {
+            self.brokers[i]
+                .stats
+                .inner
+                .dedup_dropped
+                .fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        self.probe_neighbors(net, i);
+        let now = net.now();
+        let broker = &mut self.brokers[i];
+        broker.plan_forward(program, from);
+        // A matching neighbor is unreachable: take the message
+        // into custody instead of black-holing it.
+        if let Some(store) = broker.store.as_mut() {
+            for &nb in &broker.plan.unreachable {
+                let bundle = Bundle {
+                    source: msg.sender().to_owned(),
+                    seq: msg.seq(),
+                    src_domain: i as u32,
+                    dst_domain: nb as u32,
+                    created_at: now,
+                    lifetime: store.config().lifetime,
+                    custody: true,
+                    payload: d.payload.to_vec(),
+                };
+                store.insert(bundle, now);
+            }
+        }
+        true
     }
 
     fn process_all(&mut self, net: &mut Network) -> usize {

@@ -38,8 +38,8 @@ use crate::state::StateVector;
 use crate::state_repo::StateRepository;
 use media::wavelet::WaveletKind;
 use media::Sketch;
-use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, Frame, SelectorStore};
-use simnet::{GroupId, LinkSpec, Network, NodeId, Ticks};
+use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, SelectorStore};
+use simnet::{GroupId, LinkSpec, Network, NodeId, Payload, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
 use std::ops::Range;
@@ -229,9 +229,11 @@ pub struct CollaborationSession {
     /// per viewer holding it.
     media: MediaStore,
     /// What one pump drained from every client's socket, client after
-    /// client, and each client's span of it. Cleared after each pump,
-    /// never freed, so a steady-state pump allocates neither.
-    inbox: Vec<Frame>,
+    /// client — the delivered buffers themselves, each frame read off
+    /// its buffer's memo — and each client's span of it. Emptied after
+    /// each pump (the buffers go back to the network), never freed, so
+    /// a steady-state pump allocates neither.
+    inbox: Vec<Payload>,
     spans: Vec<Range<usize>>,
     /// What each client's adaptation samples into and its engine
     /// evaluates on, by client: kept between passes (and only by a
@@ -377,13 +379,15 @@ impl CollaborationSession {
     ///
     /// Reception is a three-phase pipeline: (1) the shared network is
     /// drained serially, every client's socket into one session-owned
-    /// buffer of frames (a span per client), each drained buffer
-    /// resolved to its shared [`Frame`] — decoded and compiled once per
-    /// session, not once per receiver, (2) interpretation against the
-    /// client's own profile + application run per client, sharded
-    /// across `SessionConfig::workers` threads: each accepted event is
-    /// read in place over the shared message and its application copies
-    /// out only what it keeps, (3) results merge back in client order —
+    /// inbox of delivered buffers (a span per client), each resolved to
+    /// its [`sempubsub::Frame`] on the buffer's memo — decoded and
+    /// compiled once per session, not once per receiver, (2)
+    /// interpretation against the client's own profile + application
+    /// run per client, sharded across `SessionConfig::workers` threads:
+    /// each frame is read by reference off its buffer, each accepted
+    /// event read in place over the shared message, and its application
+    /// copies out only what it keeps; the buffers then go back to the
+    /// network, (3) results merge back in client order —
     /// the same order the serial loop produces, so
     /// any worker count is bit-identical to `workers: 1`, the selector
     /// store's counters included (only phase 1 touches that store) and
@@ -409,9 +413,11 @@ impl CollaborationSession {
             &mut self.clients,
             self.spans.drain(..).map(|span| &inbox[span]),
             self.cfg.workers,
-            |_, client, frames| Self::apply_frames(client, frames),
+            |_, client, received| Self::apply_received(client, received),
         );
-        self.inbox.clear();
+        for payload in self.inbox.drain(..) {
+            self.net.recycle(payload);
+        }
         let completed: Vec<(ClientId, ViewedImage)> = per_client
             .into_iter()
             .enumerate()

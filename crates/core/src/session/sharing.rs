@@ -10,7 +10,8 @@ use crate::state_repo::ObjectState;
 use media::image::Scene;
 use media::packetize::Stripes;
 use media::{wavelet, Sketch};
-use sempubsub::{AttrValue, Frame};
+use sempubsub::AttrValue;
+use simnet::Payload;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -227,16 +228,20 @@ impl CollaborationSession {
         Ok(())
     }
 
-    /// Apply received frames to one client: interpret each against the
-    /// client's profile and dispatch accepted events, read in place
-    /// over the shared message, to the client's application entities —
-    /// each copies out only what it keeps. Per-client CPU work — the
-    /// frames are immutable and everything mutated is the client's own,
+    /// Apply received buffers to one client: interpret each buffer's
+    /// frame against the client's profile and dispatch accepted events,
+    /// read in place over the shared message, to the client's
+    /// application entities — each copies out only what it keeps.
+    /// Per-client CPU work — the buffers and their frames are immutable
+    /// and everything mutated is the client's own,
     /// so the sharded engine runs it on worker threads; the one thing
     /// shared is the session's [`MediaStore`](crate::apps::MediaStore),
     /// which a completing viewer asks for its image: the store's lock
     /// covers the lookup, the decode runs outside it.
-    pub(super) fn apply_frames(client: &mut ClientRuntime, frames: &[Frame]) -> Vec<ViewedImage> {
+    pub(super) fn apply_received(
+        client: &mut ClientRuntime,
+        received: &[Payload],
+    ) -> Vec<ViewedImage> {
         let mut completed = Vec::new();
         let ClientRuntime {
             bus,
@@ -249,7 +254,7 @@ impl CollaborationSession {
             sketches,
             ..
         } = client;
-        bus.decide(frames, |message, _| {
+        bus.decide(received, |message, _| {
             let Some(ev) = EventView::parse(message.body()) else {
                 return;
             };

@@ -2,11 +2,11 @@
 //! kick / service path, one event dispatch. One module because each
 //! calls the next per packet copy (see the parent's header).
 
-use super::{Addr, Datagram, NetError, Network, SocketHandle};
+use super::{Addr, Datagram, GroupId, NetError, Network, SocketHandle};
 use crate::packet::{Port, WirePacket, HEADER_OVERHEAD, MAX_DATAGRAM};
 use crate::payload::Payload;
 use crate::time::Ticks;
-use crate::topology::{LinkId, Route};
+use crate::topology::{LinkId, NodeId, Route};
 use crate::trace::Counter;
 use htb::{EnqueueOutcome, ShapingTree};
 use rand::Rng;
@@ -31,23 +31,25 @@ pub(super) struct InFlight {
     duplicate: bool,
 }
 
-// Every queued `NetEvent` is as wide as its widest variant, this one:
-// a fatter copy is paid for by every event the wheel ever holds.
-const _: () = assert!(std::mem::size_of::<InFlight>() <= 72);
-
 #[derive(Debug)]
 pub(super) enum NetEvent {
+    /// Put a copy into `socket`'s inbox; it arrives at the event's own
+    /// instant.
     Deliver {
         socket: SocketHandle,
-        dgram: Datagram,
+        src_node: NodeId,
+        src_port: Port,
+        dst: Addr,
+        payload: Payload,
+        ecn_ce: bool,
     },
     Timer {
         key: u64,
     },
-    /// Resume an in-flight packet's path walk at its arrival instant
-    /// on the next hop.
+    /// Resume the path walk of the copy parked at `flight` in
+    /// [`Parked`] at its arrival instant on the next hop.
     Hop {
-        flight: InFlight,
+        flight: u32,
     },
     /// Serve one packet from the egress plane on `link`. `gen`
     /// invalidates events superseded by an earlier reschedule.
@@ -55,6 +57,42 @@ pub(super) enum NetEvent {
         link: LinkId,
         gen: u64,
     },
+}
+
+// Every wheel cell is as wide as the widest event: a copy between two
+// hops waits in `Parked`, not in the cell, so what a hop carries (its
+// route, its stamps) never widens the millions of `Deliver` events.
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 32);
+
+/// Copies suspended between two hops while their [`NetEvent::Hop`]
+/// waits in the wheel: a slab of cells, each vacant one on a free list,
+/// grown to the most copies ever suspended at once and kept.
+#[derive(Debug, Default)]
+pub(super) struct Parked {
+    cells: Vec<Option<InFlight>>,
+    vacant: Vec<u32>,
+}
+
+impl Parked {
+    fn park(&mut self, flight: InFlight) -> u32 {
+        match self.vacant.pop() {
+            Some(i) => {
+                self.cells[i as usize] = Some(flight);
+                i
+            }
+            None => {
+                self.cells.push(Some(flight));
+                (self.cells.len() - 1) as u32
+            }
+        }
+    }
+
+    fn unpark(&mut self, i: u32) -> InFlight {
+        self.vacant.push(i);
+        self.cells[i as usize]
+            .take()
+            .expect("a hop event's copy is parked")
+    }
 }
 
 /// A link's mounted egress plane plus its service scheduling state.
@@ -99,9 +137,9 @@ impl Network {
     /// Send a batch of datagrams from socket `s` to the same `dst` in
     /// one call. Semantically identical to calling [`Network::send`]
     /// once per payload, except that multicast fan-out is member-major:
-    /// group membership is resolved once and each member's route is
-    /// looked up once for the whole batch (instead of per payload),
-    /// then every payload is launched along it in order. Per-receiver
+    /// the group's fan-out list is read once for the whole batch
+    /// (instead of per payload), and every payload is launched along
+    /// each member's route in order. Per-receiver
     /// delivery order is unchanged. Returns the number of packet copies
     /// scheduled (payloads × receivers for multicast).
     pub fn send_batch<P: Into<Payload>>(
@@ -114,10 +152,11 @@ impl Network {
         self.send_payloads(s, dst, &payloads)
     }
 
-    /// The one send path: validate, count, resolve the receivers, then
-    /// per receiver look the route up once and launch a copy of every
-    /// payload along it. A receiver without a route fails the call
-    /// after the receivers before it have been served.
+    /// The one send path: validate, count, then launch a copy of every
+    /// payload to each receiver along its route. A unicast receiver's
+    /// route is looked up; a multicast reads the group's fan-out list
+    /// for the sender's tree root. A receiver without a route fails the
+    /// call after the receivers before it have been served.
     fn send_payloads(
         &mut self,
         s: SocketHandle,
@@ -136,43 +175,89 @@ impl Network {
         self.stats.add(Counter::Sent, payloads.len() as u64);
         let bytes = payloads.iter().map(|p| (p.len() + HEADER_OVERHEAD) as u64);
         self.stats.add(Counter::BytesSent, bytes.sum());
-        let mut targets = std::mem::take(&mut self.fanout);
-        targets.clear();
+        let launch = Launch {
+            src_node,
+            src_port,
+            dst,
+            ecn_capable,
+            payloads,
+        };
         match dst {
-            // A datagram to an unbound port is silently discarded,
-            // like real UDP (no ICMP in this simulator).
-            Addr::Unicast(node, port) => targets.push((self.socket_at(node, port), node)),
-            Addr::Multicast(group, port) => self.group_targets(group, port, s, &mut targets),
+            Addr::Unicast(node, port) => {
+                // A datagram to an unbound port is silently discarded,
+                // like real UDP (no ICMP in this simulator).
+                let target = self.socket_at(node, port);
+                let route = self
+                    .topo
+                    .route_cached(src_node, node)
+                    .ok_or(NetError::Unreachable(src_node, node))?;
+                self.launch(&launch, target, route);
+                Ok(payloads.len())
+            }
+            Addr::Multicast(group, port) => self.multicast(s, group, port, &launch),
         }
-        // Not `?` in the loop: the buffer goes back on `self` even when
-        // a receiver has no route.
-        let mut sent = Ok(targets.len() * payloads.len());
-        for &(target, node) in &targets {
-            let Some(route) = self.topo.route_cached(src_node, node) else {
-                sent = Err(NetError::Unreachable(src_node, node));
+    }
+
+    /// Fan `launch` out to every open member of `group` bound on
+    /// `port` but the sender, in socket order. A sender's route to a
+    /// member on its own node is empty; to any other, its access link
+    /// (if single-homed) and the member's route on the fan-out list.
+    fn multicast(
+        &mut self,
+        s: SocketHandle,
+        group: GroupId,
+        port: Port,
+        launch: &Launch<'_>,
+    ) -> Result<usize, NetError> {
+        let src_node = launch.src_node;
+        let (first, root) = self.topo.tree_root(src_node);
+        let access_up = first.is_none_or(|l| self.topo.link_up(l));
+        let Some(list) = self.take_fanout(group, root) else {
+            return Ok(0);
+        };
+        // Not `?` in the loop: the list goes back on `self` even when a
+        // receiver has no route.
+        let mut sent = Ok(0);
+        for r in list.1.iter().filter(|r| r.port == port && r.socket != s) {
+            let route = match (&r.route, first) {
+                _ if r.node == src_node => Some(Route::with_len(0)),
+                _ if !access_up => None,
+                (Some(rest), Some(first)) => Some(Route::after(first, rest)),
+                (rest, _) => rest.clone(),
+            };
+            let Some(route) = route else {
+                sent = Err(NetError::Unreachable(src_node, r.node));
                 break;
             };
-            // `repeat_n` moves the looked-up route into the last copy,
-            // so only a spilled route in a multi-payload batch clones.
-            let routes = std::iter::repeat_n(route, payloads.len());
-            for (payload, route) in payloads.iter().zip(routes) {
-                self.advance_flight(InFlight {
-                    packet: WirePacket {
-                        src_node,
-                        src_port,
-                        payload: payload.clone(),
-                    },
-                    route,
-                    dst,
-                    target,
-                    ecn_capable,
-                    ce: false,
-                    duplicate: false,
-                });
-            }
+            self.launch(launch, Some(r.socket), route);
+            sent = sent.map(|n| n + launch.payloads.len());
         }
-        self.fanout = targets;
+        self.put_fanout(group, list);
         sent
+    }
+
+    /// Launch a copy of every payload of `launch` to `target` along
+    /// `route`. `repeat_n` moves the route into the last copy, so only
+    /// a spilled route in a multi-payload batch clones.
+    fn launch(&mut self, launch: &Launch<'_>, target: Option<SocketHandle>, route: Route) {
+        #[cfg(test)]
+        self.launched.push((target, route.links().to_vec()));
+        let routes = std::iter::repeat_n(route, launch.payloads.len());
+        for (payload, route) in launch.payloads.iter().zip(routes) {
+            self.advance_flight(InFlight {
+                packet: WirePacket {
+                    src_node: launch.src_node,
+                    src_port: launch.src_port,
+                    payload: payload.clone(),
+                },
+                route,
+                dst: launch.dst,
+                target,
+                ecn_capable: launch.ecn_capable,
+                ce: false,
+                duplicate: false,
+            });
+        }
     }
 
     /// Traverse one link analytically: bounded-FIFO admission (when the
@@ -258,20 +343,26 @@ impl Network {
         let Some(socket) = flight.target else {
             return;
         };
-        let dgram = Datagram {
+        let deliver = |payload| NetEvent::Deliver {
+            socket,
             src_node: flight.packet.src_node,
             src_port: flight.packet.src_port,
             dst: flight.dst,
-            payload: flight.packet.payload,
-            arrived_at: t,
+            payload,
             ecn_ce: flight.ce,
         };
         if flight.duplicate {
             self.stats.add(Counter::Duplicated, 1);
-            let dgram = dgram.clone();
-            self.queue.schedule(t, NetEvent::Deliver { socket, dgram });
+            let copy = deliver(flight.packet.payload.clone());
+            self.queue.schedule(t, copy);
         }
-        self.queue.schedule(t, NetEvent::Deliver { socket, dgram });
+        self.queue.schedule(t, deliver(flight.packet.payload));
+    }
+
+    /// Suspend `flight` until `t`, when its walk resumes on its next hop.
+    fn schedule_hop(&mut self, t: Ticks, flight: InFlight) {
+        let flight = self.parked.park(flight);
+        self.queue.schedule(t, NetEvent::Hop { flight });
     }
 
     /// Walk an in-flight copy along its remaining path starting at the
@@ -287,7 +378,7 @@ impl Network {
                 if t > now {
                     // The copy only reaches the plane at `t`; classify
                     // and enqueue it then, in arrival order.
-                    self.queue.schedule(t, NetEvent::Hop { flight });
+                    self.schedule_hop(t, flight);
                 } else {
                     self.egress_enqueue(link_id, flight);
                 }
@@ -392,7 +483,7 @@ impl Network {
             if self.roll_link_loss(link, &mut t, &mut flight.duplicate) {
                 flight.route.advance();
                 if flight.route.next_link().is_some() {
-                    self.queue.schedule(t, NetEvent::Hop { flight });
+                    self.schedule_hop(t, flight);
                 } else {
                     self.deliver(flight, t);
                 }
@@ -404,27 +495,58 @@ impl Network {
     }
 
     /// Process every queued event due at or before `deadline` and
-    /// advance the clock to it (no fault-plan interleaving).
+    /// advance the clock to it (no fault-plan interleaving). Deliveries
+    /// are counted once per drain, not once per copy.
     pub(super) fn drain_until(&mut self, deadline: Ticks) {
+        let (mut delivered, mut bytes_delivered) = (0, 0);
         while let Some(ev) = self.queue.pop_before(deadline) {
             self.clock.advance_to(ev.at);
             match ev.event {
-                NetEvent::Deliver { socket, dgram } => {
+                NetEvent::Deliver {
+                    socket,
+                    src_node,
+                    src_port,
+                    dst,
+                    payload,
+                    ecn_ce,
+                } => {
                     let sock = &mut self.sockets[socket.0 as usize];
                     if sock.open {
-                        let wire = (dgram.payload.len() + crate::packet::HEADER_OVERHEAD) as u64;
-                        self.stats.add(Counter::Delivered, 1);
-                        self.stats.add(Counter::BytesDelivered, wire);
-                        sock.inbox.push_back(dgram);
+                        delivered += 1;
+                        bytes_delivered += (payload.len() + HEADER_OVERHEAD) as u64;
+                        sock.inbox.push_back(Datagram {
+                            src_node,
+                            src_port,
+                            dst,
+                            payload,
+                            arrived_at: ev.at,
+                            ecn_ce,
+                        });
                     }
                 }
                 NetEvent::Timer { key } => {
                     self.fired_timers.push_back((ev.at, key));
                 }
-                NetEvent::Hop { flight } => self.advance_flight(flight),
+                NetEvent::Hop { flight } => {
+                    let flight = self.parked.unpark(flight);
+                    self.advance_flight(flight);
+                }
                 NetEvent::EgressService { link, gen } => self.service_egress(link, gen),
             }
         }
+        if delivered > 0 {
+            self.stats.add(Counter::Delivered, delivered);
+            self.stats.add(Counter::BytesDelivered, bytes_delivered);
+        }
         self.clock.advance_to(deadline);
     }
+}
+
+/// What every copy of one send shares.
+struct Launch<'a> {
+    src_node: NodeId,
+    src_port: Port,
+    dst: Addr,
+    ecn_capable: bool,
+    payloads: &'a [Payload],
 }

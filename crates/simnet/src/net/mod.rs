@@ -12,8 +12,15 @@
 //! between runs or builds.
 //!
 //! A datagram takes one path: `send` and `send_batch` enter the same
-//! core, which routes once per receiver and launches every copy as an
-//! `InFlight` on `Network::advance_flight`, the only link walk. A
+//! core, which launches every copy as an `InFlight` on
+//! `Network::advance_flight`, the only link walk. A unicast looks its
+//! route up; a multicast reads its receivers and their routes off the
+//! group's fan-out list for the sender's tree root (the sender, or a
+//! single-homed sender's one neighbour), rebuilt only when membership
+//! or the topology epoch moved, and puts the sender's access link in
+//! front of each route. A copy suspended between hops waits in a slab
+//! (`Parked`) and its event carries the index, so a wheel cell is
+//! 48 bytes whatever a copy carries. A
 //! link has one egress slot: empty, the walk crosses it as the plain
 //! analytic FIFO; mounted, it holds one shaping tree of `crates/htb`
 //! — compiled from a `TreeSpec`, or from a `QdiscConfig` as the flat
@@ -47,10 +54,10 @@ use crate::time::{SimClock, Ticks};
 use crate::topology::{LinkSpec, NodeId, Topology};
 use crate::trace::{NetStats, NetStatsHandle};
 use crate::wheel::TimingWheel;
-use datapath::{LinkEgress, NetEvent};
+use datapath::{LinkEgress, NetEvent, Parked};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sockets::Socket;
+use sockets::{Group, Socket};
 use std::collections::VecDeque;
 
 /// The most spare buffers a [`Network`] keeps for [`Network::buffer`].
@@ -146,10 +153,11 @@ pub struct Network {
     /// Per-node port tables, indexed by dense node id: each entry is a
     /// short `(port, socket)` list sorted by port for binary search.
     port_map: Vec<Vec<(Port, SocketHandle)>>,
-    /// Per-group member lists, indexed by dense group id; members are
-    /// kept sorted by socket index so multicast fan-out visits them in
-    /// exactly the order the historical all-sockets scan did.
-    groups: Vec<Vec<SocketHandle>>,
+    /// Groups indexed by dense group id: member lists kept sorted by
+    /// socket index, so multicast fan-out visits them in exactly the
+    /// order the historical all-sockets scan did, and their fan-out
+    /// lists.
+    groups: Vec<Group>,
     rng: StdRng,
     stats: NetStatsHandle,
     fired_timers: VecDeque<(Ticks, u64)>,
@@ -162,9 +170,12 @@ pub struct Network {
     /// empty — and the walk's per-hop lookup a failed bounds check —
     /// until something mounts.
     egress: Vec<Option<LinkEgress>>,
-    /// One send's receivers, kept between sends so the fan-out set
-    /// costs no allocation once it has grown to the largest group.
-    fanout: Vec<(Option<SocketHandle>, NodeId)>,
+    /// Copies between two hops, indexed by their `Hop` events.
+    parked: Parked,
+    /// Every launch's target and route links, for the fan-out list's
+    /// differential test.
+    #[cfg(test)]
+    launched: Vec<(Option<SocketHandle>, Vec<crate::topology::LinkId>)>,
     /// Buffers given back by their readers, for the next sends.
     spares: Vec<PayloadMut>,
 }
@@ -186,7 +197,9 @@ impl Network {
             plan: FaultPlan::new(),
             plan_next: 0,
             egress: Vec::new(),
-            fanout: Vec::new(),
+            parked: Parked::default(),
+            #[cfg(test)]
+            launched: Vec::new(),
             spares: Vec::with_capacity(MAX_SPARES),
         }
     }

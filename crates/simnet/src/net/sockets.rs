@@ -1,12 +1,46 @@
 //! Sockets and multicast groups: the slab of bound endpoints, the
 //! per-node port tables, and the per-group member lists (sorted by
-//! socket index, so fan-out order never depends on join order).
+//! socket index, so fan-out order never depends on join order) with
+//! their fan-out lists.
 
 use super::{Datagram, GroupId, NetError, Network, SocketHandle, MAX_SPARES, MAX_SPARE_CAPACITY};
 use crate::packet::Port;
 use crate::payload::{Payload, PayloadMut};
-use crate::topology::NodeId;
+use crate::topology::{NodeId, Route};
 use std::collections::VecDeque;
+
+/// A multicast group: its members and what a send to it reads.
+#[derive(Debug, Default)]
+pub(super) struct Group {
+    /// Member sockets, sorted by socket index: the fan-out order.
+    pub(super) members: Vec<SocketHandle>,
+    /// One fan-out list per tree root a send to the group was made
+    /// from, rebuilt in place when it went stale.
+    lists: Vec<FanoutList>,
+}
+
+/// The group's open members, in fan-out order, each with its route
+/// from one tree root ([`crate::topology::Topology::tree_root`]): every
+/// sender reading routes off that root's tree shares the list, and
+/// prefixes its own access link to each route.
+#[derive(Debug)]
+struct FanoutList {
+    root: NodeId,
+    /// Topology epoch the routes were read at; `None` once the
+    /// group's membership moved.
+    epoch: Option<u64>,
+    receivers: Vec<Receiver>,
+}
+
+/// One member socket on a fan-out list.
+#[derive(Debug)]
+pub(super) struct Receiver {
+    pub(super) socket: SocketHandle,
+    pub(super) node: NodeId,
+    pub(super) port: Port,
+    /// From the list's root; `None` when the root cannot reach `node`.
+    pub(super) route: Option<Route>,
+}
 
 #[derive(Debug)]
 pub(super) struct Socket {
@@ -92,9 +126,10 @@ impl Network {
 
     /// Take `s` off `g`'s member list, if it is on it.
     fn drop_member(&mut self, s: SocketHandle, g: GroupId) {
-        if let Some(members) = self.groups.get_mut(g.0 as usize) {
-            if let Ok(i) = members.binary_search_by_key(&s.0, |m| m.0) {
-                members.remove(i);
+        if let Some(group) = self.groups.get_mut(g.0 as usize) {
+            if let Ok(i) = group.members.binary_search_by_key(&s.0, |m| m.0) {
+                group.members.remove(i);
+                group.membership_moved();
             }
         }
     }
@@ -102,7 +137,7 @@ impl Network {
     /// Allocate a fresh multicast group id.
     pub fn new_group(&mut self) -> GroupId {
         let g = GroupId(self.groups.len() as u32);
-        self.groups.push(Vec::new());
+        self.groups.push(Group::default());
         g
     }
 
@@ -117,11 +152,12 @@ impl Network {
         }
         let idx = g.0 as usize;
         if idx >= self.groups.len() {
-            self.groups.resize_with(idx + 1, Vec::new);
+            self.groups.resize_with(idx + 1, Group::default);
         }
-        let members = &mut self.groups[idx];
-        if let Err(i) = members.binary_search_by_key(&s.0, |m| m.0) {
-            members.insert(i, s);
+        let group = &mut self.groups[idx];
+        if let Err(i) = group.members.binary_search_by_key(&s.0, |m| m.0) {
+            group.members.insert(i, s);
+            group.membership_moved();
         }
         Ok(())
     }
@@ -137,23 +173,52 @@ impl Network {
         Ok(())
     }
 
-    /// Append to `targets` the current members of `group` bound on
-    /// `dst_port`, excluding `sender`, in ascending socket order — the
-    /// multicast fan-out set.
-    pub(super) fn group_targets(
-        &self,
+    /// Take `group`'s fan-out list for `root` out of the table, rebuilt
+    /// first if membership or the topology epoch moved since it was
+    /// read; `None` for a group never allocated. The caller hands it
+    /// back with [`Network::put_fanout`], so a list is read in place
+    /// of the network it launches copies on and its buffer is reused.
+    pub(super) fn take_fanout(
+        &mut self,
         group: GroupId,
-        dst_port: Port,
-        sender: SocketHandle,
-        targets: &mut Vec<(Option<SocketHandle>, NodeId)>,
-    ) {
-        let Some(members) = self.groups.get(group.0 as usize) else {
-            return;
+        root: NodeId,
+    ) -> Option<(usize, Vec<Receiver>)> {
+        let epoch = self.topo.epoch();
+        let g = self.groups.get_mut(group.0 as usize)?;
+        let at = match g.lists.iter().position(|l| l.root == root) {
+            Some(at) => at,
+            None => {
+                g.lists.push(FanoutList {
+                    root,
+                    epoch: None,
+                    receivers: Vec::new(),
+                });
+                g.lists.len() - 1
+            }
         };
-        targets.extend(members.iter().filter_map(|&m| {
-            let sock = &self.sockets[m.0 as usize];
-            (sock.open && sock.port == dst_port && m != sender).then_some((Some(m), sock.node))
-        }));
+        let list = &mut g.lists[at];
+        let mut receivers = std::mem::take(&mut list.receivers);
+        if list.epoch != Some(epoch) {
+            list.epoch = Some(epoch);
+            receivers.clear();
+            for &m in &g.members {
+                let sock = &self.sockets[m.0 as usize];
+                if sock.open {
+                    receivers.push(Receiver {
+                        socket: m,
+                        node: sock.node,
+                        port: sock.port,
+                        route: self.topo.route_from_root(root, sock.node),
+                    });
+                }
+            }
+        }
+        Some((at, receivers))
+    }
+
+    /// Hand back the list [`Network::take_fanout`] took.
+    pub(super) fn put_fanout(&mut self, group: GroupId, (at, receivers): (usize, Vec<Receiver>)) {
+        self.groups[group.0 as usize].lists[at].receivers = receivers;
     }
 
     /// Node a socket is bound on.
@@ -186,5 +251,14 @@ impl Network {
         self.sockets
             .get(s.0 as usize)
             .map_or(0, |sock| sock.inbox.len())
+    }
+}
+
+impl Group {
+    /// Mark every fan-out list stale: the next send rebuilds it.
+    fn membership_moved(&mut self) {
+        for list in &mut self.lists {
+            list.epoch = None;
+        }
     }
 }

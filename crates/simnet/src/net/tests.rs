@@ -1258,3 +1258,205 @@ fn fan_out_and_relay_chain_deliver_the_closed_form_counts() {
         );
     }
 }
+
+mod fanout_lists {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Ports sockets bind on; multicasts go to the first two, so a
+    /// member bound on another port than the one a send names, and a
+    /// member beside the sender on its own node, both occur.
+    const PORTS: [Port; 3] = [Port(7000), Port(7001), Port(7002)];
+
+    /// Three routers in a chain (`r0 - r1 - r2`), five single-homed
+    /// leaves under them and one node with no link at all.
+    fn world() -> (Network, Vec<NodeId>) {
+        let mut net = Network::new(3);
+        let routers: Vec<_> = (0..3).map(|i| net.add_node(&format!("r{i}"))).collect();
+        net.connect(routers[0], routers[1], LinkSpec::lan());
+        net.connect(routers[1], routers[2], LinkSpec::lan());
+        let mut nodes = routers.clone();
+        for (i, r) in [0, 0, 1, 1, 2].into_iter().enumerate() {
+            let leaf = net.add_node(&format!("l{i}"));
+            net.connect(routers[r], leaf, LinkSpec::lan());
+            nodes.push(leaf);
+        }
+        nodes.push(net.add_node("alone"));
+        (net, nodes)
+    }
+
+    type Launches = Vec<(Option<SocketHandle>, Vec<LinkId>)>;
+
+    /// The current members of `group` bound on `port`, excluding
+    /// `sender`, in ascending socket order, with their nodes: the
+    /// fan-out set read off the member list alone.
+    fn group_targets(
+        net: &Network,
+        group: GroupId,
+        port: Port,
+        sender: SocketHandle,
+    ) -> Vec<(SocketHandle, NodeId)> {
+        let Some(g) = net.groups.get(group.0 as usize) else {
+            return Vec::new();
+        };
+        g.members
+            .iter()
+            .filter_map(|&m| {
+                let sock = &net.sockets[m.0 as usize];
+                (sock.open && sock.port == port && m != sender).then_some((m, sock.node))
+            })
+            .collect()
+    }
+
+    /// What a multicast of `copies` payloads from `s` must launch, read
+    /// without a fan-out list: the group's members through
+    /// `group_targets`, then one `route_cached` per member, the first
+    /// without a route failing the call.
+    fn oracle(
+        net: &mut Network,
+        s: SocketHandle,
+        group: GroupId,
+        port: Port,
+        copies: usize,
+    ) -> (Launches, Result<usize, NetError>) {
+        if !net.sockets[s.0 as usize].open {
+            return (Vec::new(), Err(NetError::BadSocket));
+        }
+        let src = net.socket_node(s);
+        let mut launches = Vec::new();
+        for (target, node) in group_targets(net, group, port, s) {
+            let Some(route) = net.topo.route_cached(src, node) else {
+                return (launches, Err(NetError::Unreachable(src, node)));
+            };
+            launches.push((Some(target), route.links().to_vec()));
+        }
+        let sent = launches.len() * copies;
+        (launches, Ok(sent))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Under any interleaving of membership changes (join, leave,
+        /// close, bind) and topology changes (connect, link down / up,
+        /// partition, heal, a new link spec), every multicast launches
+        /// the same (target, route) sequence, and returns the same
+        /// count or fails at the same receiver, as the member list and
+        /// one route lookup per member do.
+        #[test]
+        fn a_multicast_launches_what_a_lookup_per_member_would(
+            steps in proptest::collection::vec((0u8..16, 0usize..64, 0usize..64, 0usize..64), 1..160),
+        ) {
+            let (mut net, nodes) = world();
+            let groups = [net.new_group(), net.new_group()];
+            let mut socks: Vec<SocketHandle> = Vec::new();
+            for (i, &node) in nodes.iter().enumerate() {
+                let s = net.bind(node, PORTS[i % 2]).unwrap();
+                net.join(s, groups[0]).unwrap();
+                socks.push(s);
+            }
+            let mut sends = 0;
+            for &(what, a, b, c) in &steps {
+                let links = net.topology().link_count();
+                let sock = socks[a % socks.len()];
+                match what {
+                    0 => {
+                        if let Ok(s) = net.bind(nodes[a % nodes.len()], PORTS[b % 3]) {
+                            socks.push(s);
+                        }
+                    }
+                    1 | 2 => net.join(sock, groups[b % 2]).unwrap(),
+                    3 => net.leave(sock, groups[b % 2]).unwrap(),
+                    4 => net.close(sock),
+                    5 => {
+                        let (x, y) = (nodes[a % nodes.len()], nodes[b % nodes.len()]);
+                        if x != y && links < 20 {
+                            net.connect(x, y, LinkSpec::lan());
+                        }
+                    }
+                    6 => net.topology_mut().set_link_up(LinkId((a % links) as u32), false),
+                    7 => net.topology_mut().set_link_up(LinkId((a % links) as u32), true),
+                    8 => {
+                        let island: Vec<NodeId> = nodes
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| (a >> (i % 6)) & 1 == 1)
+                            .map(|(_, &n)| n)
+                            .collect();
+                        net.topology_mut().partition(&island);
+                    }
+                    9 => net.topology_mut().heal(),
+                    10 => {
+                        let l = LinkId((a % links) as u32);
+                        let spec = LinkSpec::lan().with_latency(Ticks::from_micros(1 + b as u64));
+                        net.topology_mut().set_link_spec(l, spec);
+                    }
+                    11 => net.run_for(Ticks::from_micros(100 * b as u64)),
+                    _ => {
+                        let (group, port) = (groups[b % 2], PORTS[c % 2]);
+                        let copies = 1 + c % 2;
+                        let (want, want_sent) = oracle(&mut net, sock, group, port, copies);
+                        net.launched.clear();
+                        let payloads: Vec<Vec<u8>> = (0..copies).map(|k| vec![k as u8; 8]).collect();
+                        let sent = net.send_batch(sock, Addr::multicast(group, port), payloads);
+                        prop_assert_eq!(&sent, &want_sent, "step {:?}", (what, a, b, c));
+                        let got: Launches = net.launched.drain(..).collect();
+                        prop_assert_eq!(&got, &want, "step {:?}", (what, a, b, c));
+                        sends += 1;
+                    }
+                }
+            }
+            net.run_to_quiescence();
+            prop_assert!(sends <= steps.len());
+        }
+    }
+
+    /// The cases the generated sequences must reach, pinned: a
+    /// multi-homed and a single-homed sender, a member on the sender's
+    /// own node, one on another port, and a single-homed sender whose
+    /// only link is down — its own node still reached, the first other
+    /// member an `Unreachable` after the members before it launched.
+    #[test]
+    fn a_cut_off_sender_reaches_its_own_node_and_fails_at_the_next() {
+        let (mut net, nodes) = world();
+        let group = net.new_group();
+        let leaf = nodes[3];
+        let sender = net.bind(leaf, PORTS[2]).unwrap();
+        let beside = net.bind(leaf, PORTS[0]).unwrap();
+        let elsewhere = net.bind(nodes[4], PORTS[0]).unwrap();
+        let other_port = net.bind(nodes[5], PORTS[1]).unwrap();
+        for s in [sender, beside, elsewhere, other_port] {
+            net.join(s, group).unwrap();
+        }
+        let dst = Addr::multicast(group, PORTS[0]);
+        assert_eq!(net.send(sender, dst, vec![1]), Ok(()));
+        let access = LinkId(2);
+        assert_eq!(
+            net.launched,
+            [
+                (Some(beside), vec![]),
+                (Some(elsewhere), vec![access, LinkId(3)]),
+            ]
+        );
+        net.launched.clear();
+        net.topology_mut().set_link_up(access, false);
+        assert_eq!(
+            net.send(sender, dst, vec![2]),
+            Err(NetError::Unreachable(leaf, nodes[4]))
+        );
+        assert_eq!(net.launched, [(Some(beside), vec![])]);
+        net.launched.clear();
+        // A multi-homed router roots its own tree: no access link.
+        let router = net.bind(nodes[0], PORTS[2]).unwrap();
+        net.join(router, group).unwrap();
+        net.topology_mut().set_link_up(access, true);
+        assert_eq!(net.send(router, dst, vec![3]), Ok(()));
+        assert_eq!(
+            net.launched,
+            [
+                (Some(beside), vec![access]),
+                (Some(elsewhere), vec![LinkId(3)]),
+            ]
+        );
+    }
+}

@@ -143,7 +143,7 @@ enum RouteRepr {
 
 impl Route {
     /// A route of `len` links, all to be filled in by the caller.
-    fn with_len(len: usize) -> Route {
+    pub(crate) fn with_len(len: usize) -> Route {
         Route(if len <= INLINE_LINKS {
             RouteRepr::Inline {
                 hop: 0,
@@ -156,6 +156,16 @@ impl Route {
                 links: vec![UNREACHED; len].into_boxed_slice(),
             }
         })
+    }
+
+    /// `first`, then every link of `rest`, with the cursor on `first`.
+    pub(crate) fn after(first: LinkId, rest: &Route) -> Route {
+        let rest = rest.links();
+        let mut route = Route::with_len(rest.len() + 1);
+        let links = route.links_mut();
+        links[0] = first;
+        links[1..].copy_from_slice(rest);
+        route
     }
 
     fn links_mut(&mut self) -> &mut [LinkId] {
@@ -388,21 +398,31 @@ impl Topology {
     /// already handed out is the caller's and stays as computed.
     pub fn route_cached(&mut self, src: NodeId, dst: NodeId) -> Option<Route> {
         let (first, root, depth) = self.locate(src, dst)?;
-        let mut route = Route::with_len(depth + usize::from(first.is_some()));
-        if depth > 0 {
-            let via = self.trees[root.0 as usize]
-                .as_deref()
-                .expect("locate walked the root's tree");
-            let mut cur = dst;
-            for slot in route.links_mut().iter_mut().rev().take(depth) {
-                *slot = via[cur.0 as usize];
-                cur = self.peer(*slot, cur);
-            }
+        Some(self.tree_route(first, root, dst, depth))
+    }
+
+    /// The route from `root` to `dst` read off `root`'s own BFS tree,
+    /// or `None` if unreachable: the part of a route a sender whose
+    /// [`Topology::tree_root`] is `root` shares with every other such
+    /// sender, so one read serves them all.
+    pub(crate) fn route_from_root(&mut self, root: NodeId, dst: NodeId) -> Option<Route> {
+        let depth = self.depth_in_tree(root, dst)?;
+        Some(self.tree_route(None, root, dst, depth))
+    }
+
+    /// The root of the BFS tree routes from `src` are read off, and
+    /// the access link a single-homed `src` crosses to reach it (up or
+    /// not): `src` itself otherwise.
+    pub(crate) fn tree_root(&self, src: NodeId) -> (Option<LinkId>, NodeId) {
+        match self.nodes[src.0 as usize].links[..] {
+            [only] => (Some(only), self.peer(only, src)),
+            _ => (None, src),
         }
-        if let Some(first) = first {
-            route.links_mut()[0] = first;
-        }
-        Some(route)
+    }
+
+    /// Whether link `l` is up.
+    pub(crate) fn link_up(&self, l: LinkId) -> bool {
+        self.links[l.0 as usize].up
     }
 
     /// Where the route from `src` to `dst` lives in the memo: the
@@ -413,11 +433,16 @@ impl Topology {
         if src == dst {
             return Some((None, src, 0));
         }
-        let (first, root) = match self.nodes[src.0 as usize].links[..] {
-            [only] if self.links[only.0 as usize].up => (Some(only), self.peer(only, src)),
-            [_] => return None,
-            _ => (None, src),
-        };
+        let (first, root) = self.tree_root(src);
+        if first.is_some_and(|l| !self.link_up(l)) {
+            return None;
+        }
+        Some((first, root, self.depth_in_tree(root, dst)?))
+    }
+
+    /// How many links below `root` `dst` hangs in `root`'s BFS tree
+    /// (memoised first if need be); `None` if the sweep never reached it.
+    fn depth_in_tree(&mut self, root: NodeId, dst: NodeId) -> Option<usize> {
         self.ensure_tree(root);
         let via = self.trees[root.0 as usize]
             .as_deref()
@@ -432,7 +457,27 @@ impl Topology {
             depth += 1;
             cur = self.peer(link, cur);
         }
-        Some((first, root, depth))
+        Some(depth)
+    }
+
+    /// `first` (if any) followed by the `depth` links from `root` down
+    /// to `dst` in `root`'s memoised tree.
+    fn tree_route(&self, first: Option<LinkId>, root: NodeId, dst: NodeId, depth: usize) -> Route {
+        let mut route = Route::with_len(depth + usize::from(first.is_some()));
+        if depth > 0 {
+            let via = self.trees[root.0 as usize]
+                .as_deref()
+                .expect("the root's tree was walked");
+            let mut cur = dst;
+            for slot in route.links_mut().iter_mut().rev().take(depth) {
+                *slot = via[cur.0 as usize];
+                cur = self.peer(*slot, cur);
+            }
+        }
+        if let Some(first) = first {
+            route.links_mut()[0] = first;
+        }
+        route
     }
 
     /// Memoise the BFS tree rooted at `root` unless the current epoch

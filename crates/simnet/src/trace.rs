@@ -2,8 +2,10 @@
 //! on traffic behaviour without instrumenting application code.
 //!
 //! Every quantity is counted once, in the atomic cells behind a
-//! [`NetStatsHandle`]: the network bumps them as it runs, any thread
-//! holding a clone reads them live, and [`crate::Network::stats`]
+//! [`NetStatsHandle`]: the network bumps them as it runs (deliveries
+//! and delivered bytes once per drain of its event queue, not once per
+//! copy), any thread holding a clone reads them live, and
+//! [`crate::Network::stats`]
 //! copies them into a plain [`NetStats`] (cheap to clone and compare —
 //! the bit-identity suites diff whole structs).
 
@@ -66,7 +68,9 @@ pub(crate) enum Counter {
 /// A lock-free, shareable view of a network's counters. Clones share
 /// the same cells; reads are `Relaxed` loads, so any thread can poll
 /// live throughput while the (single-threaded) simulation keeps
-/// running — no lock, no snapshot copy.
+/// running — no lock, no snapshot copy. Delivery counts land when a
+/// run call has drained its events, so a poll from another thread in
+/// the middle of one sees those of the calls before it.
 #[derive(Clone, Debug, Default)]
 pub struct NetStatsHandle {
     cells: Arc<[AtomicU64; 9]>,

@@ -20,8 +20,9 @@
 # then prints, for information only, the `pub` items that only their
 # own file names (candidates for private), and those that outside their
 # own file only tests, bench bins or the benchmark name (tests/ and
-# test-only module files, crates/bench/src/bin/, benchmark/: candidates
-# for a dev-only crate). Neither list is gated.
+# test-only module files, crates/bench/src/bin/, benchmark/, and the
+# test module of every other file: candidates for a dev-only crate).
+# Neither list is gated.
 set -euo pipefail
 
 # name<TAB>why it stays without a caller
@@ -34,9 +35,10 @@ if [[ "${1:-}" == "--self-check" ]]; then
   src="$fixture/crates/demo/src"
   mkdir -p "$src" "$fixture/tests" "$fixture/examples"
   # `called` has an outside caller, `helper` only its own file,
-  # `only_tested` only its own test module and `tests_call` only a test
-  # file; `in_a_comment` is named by a comment elsewhere and
-  # `cfg_test_only` is itself test-only, so neither is listed.
+  # `only_tested` only its own test module, `tests_call` only a test
+  # file and `unit_tests_call` only another file's test module;
+  # `in_a_comment` is named by a comment elsewhere and `cfg_test_only`
+  # is itself test-only, so neither is listed.
   cat >"$src/lib.rs" <<'EOF'
 //! Demo crate.
 pub fn called() {
@@ -46,6 +48,8 @@ pub fn helper() {}
 pub fn only_tested() {}
 pub fn in_a_comment() {}
 pub fn tests_call() {}
+pub fn unit_tests_call() {}
+pub mod other;
 #[cfg(test)]
 pub fn cfg_test_only() {}
 #[cfg(test)]
@@ -53,6 +57,16 @@ mod tests {
     #[test]
     fn t() {
         super::only_tested();
+    }
+}
+EOF
+  cat >"$src/other.rs" <<'EOF'
+//! A module whose only code is its tests.
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        crate::unit_tests_call();
     }
 }
 EOF
@@ -75,6 +89,7 @@ EOF
     '  crates/demo/src/lib.rs:5  fn helper' \
     'pub items only tests, bench bins or the benchmark name elsewhere (not gated):' \
     '  crates/demo/src/lib.rs:8  fn tests_call' \
+    '  crates/demo/src/lib.rs:9  fn unit_tests_call' \
     '1 listed, 0 kept')
   status=0
   got=$("$0" "$fixture") || status=$?
@@ -113,7 +128,9 @@ while IFS= read -r file; do
   fi
 done < <(find crates tests examples src benchmark/src -name '*.rs' 2>/dev/null | sort)
 
-# Every file counts towards the number of files a word is in; a
+# Every file counts towards the number of files a word is in; the
+# non-test part of every file that is not a test, bench bin or
+# benchmark file towards the number of files whose code names it; a
 # `declaring` file is also read for its items and for the words its
 # non-test part holds.
 awk -v keep="$keep" '
@@ -128,14 +145,20 @@ awk -v keep="$keep" '
       if (w[i] != "" && !((FILENAME, w[i]) in seen)) {
         seen[FILENAME, w[i]] = 1
         files[w[i]]++
-        if (dev) dev_files[w[i]]++
       }
-    if (!declaring || done) next
+    if (done) next
     if (held && /^[[:space:]]*#\[/) next
     if (held && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod [A-Za-z_0-9]+[[:space:]]*\{/) { done = 1; next }
     under_test = held
     held = 0
     if (/#\[cfg\(test\)\]/) { held = 1; next }
+    if (!dev && !under_test)
+      for (i = 1; i <= n; i++)
+        if (w[i] != "" && !((FILENAME, w[i]) in coded)) {
+          coded[FILENAME, w[i]] = 1
+          code_files[w[i]]++
+        }
+    if (!declaring) next
     for (i = 1; i <= n; i++) if (w[i] != "") own[FILENAME, w[i]]++
     if (!under_test && match($0, /^[[:space:]]*pub[[:space:]]+((const|unsafe|async)[[:space:]]+)*(fn|struct|enum|const|type|trait)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
       k = split(substr($0, RSTART, RLENGTH), part, /[[:space:]]+/)
@@ -169,7 +192,7 @@ awk -v keep="$keep" '
     for (d = 1; d <= nd; d++) if (d in local_only) print "  " where[d] "  " kind[d] " " name[d]
     print "pub items only tests, bench bins or the benchmark name elsewhere (not gated):"
     for (d = 1; d <= nd; d++)
-      if (files[name[d]] > 1 && !in_dev[d] && files[name[d]] - dev_files[name[d]] == 1)
+      if (files[name[d]] > 1 && !in_dev[d] && code_files[name[d]] == 1)
         print "  " where[d] "  " kind[d] " " name[d]
     printf "%d listed, %d kept\n", listed, kept
     exit (listed > kept)
