@@ -14,7 +14,9 @@
 //!   generation numbers and a hop bound, are merged via covering
 //!   before re-advertisement, and drive per-link forwarding decisions;
 //!   messages carry a `(sender, seq)` dedup id and never revisit a
-//!   broker,
+//!   broker, which remembers each id it has seen as one bit: per
+//!   interned origin a sliding 64-seq window above a watermark, and
+//!   one word per 64-seq block past it (`dedup`),
 //! * [`mib`] — per-broker SNMP instrumentation under `tassl.21.*`
 //!   (routing-table size, forwarded, suppressed, advertisements
 //!   merged) served through the existing agent.
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod algebra;
+mod dedup;
 pub mod mib;
 pub mod overlay;
 

@@ -25,7 +25,13 @@
 //!
 //! Messages carry their `(sender, seq)` pair as a dedup id; a broker
 //! never processes the same id twice, so cyclic topologies deliver
-//! exactly once.
+//! exactly once. The overlay interns each sender once, and a broker
+//! remembers an id as one bit (`dedup.rs`): per origin a 16-byte
+//! slot whose low watermark slides as the seqs below it fill, and past
+//! it one word per 64-seq block it has seen anything of. That is the
+//! set of ids it has seen, exactly, held in what its traffic needs: a
+//! home broker, which sees every seq of its senders, keeps the slot
+//! alone.
 //!
 //! The advertisement protocol has two message kinds on one wire
 //! format. An origin a broker has not held before — a join, or a fresh
@@ -43,18 +49,19 @@
 //! `readvertise` is the only repair path.
 
 use crate::algebra::covers_expr;
+use crate::dedup::Seen;
 use dtn::{Bundle, CustodyStore, Frame, StoreConfig, StoreStatsHandle};
 use sempubsub::ast::Expr;
 use sempubsub::compile::DEFAULT_CACHE_CAPACITY;
 use sempubsub::{
-    AttrValue, CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, Profile, Selector,
-    SelectorStore, SemanticMessage, WireMessage,
+    AttrValue, CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, Interner, Profile,
+    Selector, SelectorStore, SemanticMessage, WireMessage,
 };
 use simnet::packet::well_known;
 use simnet::{
     Addr, Datagram, GroupId, LinkId, LinkSpec, Network, NodeId, Payload, SocketHandle, Ticks,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -369,7 +376,9 @@ pub struct BrokerNode {
     neighbors: Vec<Neighbor>,
     local_ads: Table,
     remote_ads: BTreeMap<usize, Table>,
-    seen: BTreeSet<(String, u64)>,
+    /// The dedup ids this broker has forwarded or taken custody of, by
+    /// the overlay's origin symbols.
+    seen: Seen,
     stats: BrokerStatsHandle,
     /// The store arriving buffers' frames are read through
     /// ([`sempubsub::Frame::read`]), and the routing tables' profile
@@ -545,6 +554,8 @@ pub struct Overlay {
     /// What one broker's data socket held when it was processed, kept
     /// between calls so a steady drain allocates no buffer.
     arrivals: Vec<Datagram>,
+    /// Every dedup id's sender, interned once for all brokers.
+    origins: Interner,
 }
 
 impl Overlay {
@@ -589,7 +600,7 @@ impl Overlay {
             neighbors: Vec::new(),
             local_ads: Table::default(),
             remote_ads: BTreeMap::new(),
-            seen: BTreeSet::new(),
+            seen: Seen::default(),
             stats: BrokerStatsHandle::default(),
             selectors: self
                 .selectors
@@ -867,54 +878,33 @@ impl Overlay {
     /// in-flight until the neighbor's accept signal releases them —
     /// exactly one broker owns each undelivered bundle throughout.
     fn custody_service(&mut self, net: &mut Network, i: usize) -> usize {
-        if self.brokers[i].store.is_none() {
+        let BrokerNode {
+            node,
+            ctrl,
+            neighbors,
+            store,
+            ..
+        } = &mut self.brokers[i];
+        let Some(store) = store else {
+            return 0;
+        };
+        let now = net.now();
+        store.expire(now);
+        if store.is_empty() {
             return 0;
         }
-        let now = net.now();
-        let (node, ctrl) = (self.brokers[i].node, self.brokers[i].ctrl);
-        let neighbors: Vec<(usize, NodeId)> = self.brokers[i]
-            .neighbors
-            .iter()
-            .map(|n| (n.broker, n.node))
-            .collect();
-        {
-            let store = self.brokers[i].store.as_mut().expect("checked above");
-            store.expire(now);
-            if store.is_empty() {
-                return 0;
-            }
-        }
         let mut sent = 0;
-        for (nb, nnode) in neighbors {
-            let waiting = self.brokers[i]
-                .store
-                .as_ref()
-                .is_some_and(|s| s.has_for(nb as u32));
-            if !waiting || !net.reachable(node, nnode) {
+        for n in neighbors.iter() {
+            if !store.has_for(n.broker as u32) || !net.reachable(*node, n.node) {
                 continue;
             }
-            let due = self.brokers[i]
-                .store
-                .as_mut()
-                .expect("checked above")
-                .due_for(nb as u32, now);
-            for b in due {
-                let ok = net
-                    .send(
-                        ctrl,
-                        Addr::unicast(nnode, well_known::SESSION_CTRL),
-                        b.encode(),
-                    )
-                    .is_ok();
-                if ok {
+            for b in store.due_for(n.broker as u32, now) {
+                let dst = Addr::unicast(n.node, well_known::SESSION_CTRL);
+                if net.send(*ctrl, dst, b.encode()).is_ok() {
                     sent += 1;
                 } else {
                     // Raced a topology change: re-offer next round.
-                    self.brokers[i]
-                        .store
-                        .as_mut()
-                        .expect("checked above")
-                        .refuse(&b.source, b.seq);
+                    store.refuse(&b.source, b.seq);
                 }
             }
         }
@@ -1028,8 +1018,8 @@ impl Overlay {
             signal(net, Frame::encode_refuse(&b.source, b.seq));
             return;
         }
-        let key = (b.source.clone(), b.seq);
-        if self.brokers[i].seen.contains(&key) {
+        let seen = self.origins.lookup(&b.source);
+        if seen.is_some_and(|origin| self.brokers[i].seen.contains(origin, b.seq)) {
             // Already forwarded this dedup id (e.g. the message got
             // through on another path before the partition): accept so
             // the upstream custodian releases, deliver nothing.
@@ -1076,7 +1066,7 @@ impl Overlay {
             signal(net, Frame::encode_refuse(&b.source, b.seq));
             return;
         }
-        broker.seen.insert(key);
+        broker.seen.insert(self.origins.intern(&b.source), b.seq);
         signal(net, Frame::encode_accept(&b.source, b.seq));
         broker.forward(net, b.payload.into());
     }
@@ -1118,7 +1108,7 @@ impl Overlay {
         let Some((msg, program)) = routed(&frame) else {
             return false;
         };
-        let key = (msg.sender().to_owned(), msg.seq());
+        let origin = self.origins.intern(msg.sender());
         // A copy from this broker's own domain has no arrival
         // neighbor.
         let from = self
@@ -1126,7 +1116,7 @@ impl Overlay {
             .get(&d.src_node)
             .copied()
             .filter(|&j| j != i);
-        if !self.brokers[i].seen.insert(key) {
+        if !self.brokers[i].seen.insert(origin, msg.seq()) {
             self.brokers[i]
                 .stats
                 .inner

@@ -100,12 +100,6 @@ impl Frame {
         }
     }
 
-    /// [`Frame::read`], owned: for a caller that keeps the frame past
-    /// the buffer, at the price of a clone of the frame's handles.
-    pub fn of(payload: &Payload, store: &SelectorStore) -> Frame {
-        Frame::read(payload, store).into_owned()
-    }
-
     /// The frame `store` left on `payload`'s buffer, left there first if
     /// the slot is empty; `None` when the slot holds something else.
     fn memo<'a>(payload: &'a Payload, store: &SelectorStore) -> Option<&'a Frame> {
@@ -114,44 +108,6 @@ impl Frame {
             frame: Frame::resolve(payload, store),
         })?;
         resolved.store.ptr_eq(store).then_some(&resolved.frame)
-    }
-}
-
-/// What a reception inbox keeps of each drained buffer
-/// ([`BusEndpoint::receive`]) and [`BusEndpoint::decide`] reads a
-/// frame from. A [`Payload`] is the buffer itself, its frame left on
-/// its memo and read there by reference: the session's, the gateway's
-/// and the brokers' inboxes hold these, and give them back
-/// ([`Network::recycle`]) once done. A [`Frame`] is a copy of the
-/// frame's handles, for a caller that keeps frames and not buffers.
-pub trait Received: Sized {
-    /// What to keep of `payload`, drained by a receiver on `store`.
-    fn keep(payload: Payload, store: &SelectorStore, net: &mut Network) -> Self;
-
-    /// The frame, for a receiver on `store`: borrowed where it can be.
-    fn frame(&self, store: &SelectorStore) -> Cow<'_, Frame>;
-}
-
-impl Received for Payload {
-    fn keep(payload: Payload, store: &SelectorStore, _: &mut Network) -> Payload {
-        Frame::memo(&payload, store);
-        payload
-    }
-
-    fn frame(&self, store: &SelectorStore) -> Cow<'_, Frame> {
-        Frame::read(self, store)
-    }
-}
-
-impl Received for Frame {
-    fn keep(payload: Payload, store: &SelectorStore, net: &mut Network) -> Frame {
-        let frame = Frame::of(&payload, store);
-        net.recycle(payload);
-        frame
-    }
-
-    fn frame(&self, _: &SelectorStore) -> Cow<'_, Frame> {
-        Cow::Borrowed(self)
     }
 }
 
@@ -358,34 +314,34 @@ impl BusEndpoint {
 
     /// The serial half of reception, for a caller that drains many
     /// endpoints and interprets them on worker threads: drain the
-    /// socket into `inbox`, each buffer's frame resolved onto it
-    /// ([`Received::keep`]: a [`Payload`] entry is the buffer itself,
-    /// moved, and goes back to [`Network::recycle`] once its caller is
-    /// done), and bring the profile snapshot up to date. Everything
-    /// that touches the network or the selector store happens here, so
-    /// the other half — [`BusEndpoint::decide`] — takes no lock and
-    /// shares no mutable state (except for a buffer a receiver on
-    /// another store looked at first, which `decide` resolves
-    /// privately).
+    /// socket into `inbox`, each buffer's frame resolved onto it (the
+    /// buffer itself is moved in, and goes back to [`Network::recycle`]
+    /// once its caller is done), and bring the profile snapshot up to
+    /// date. Everything that touches the network or the selector store
+    /// happens here, so the other half — [`BusEndpoint::decide`] —
+    /// takes no lock and shares no mutable state (except for a buffer a
+    /// receiver on another store looked at first, which `decide`
+    /// resolves privately).
     /// The caller owns `inbox`, so one buffer kept across pumps serves
     /// every endpoint it drains. A gateway stops here: it reads the
     /// frames ([`BusEndpoint::read`]) on behalf of profiles that are
     /// not its own (§4.2).
-    pub fn receive<R: Received>(&mut self, net: &mut Network, inbox: &mut Vec<R>) {
+    pub fn receive(&mut self, net: &mut Network, inbox: &mut Vec<Payload>) {
         while let Some(dgram) = net.recv(self.socket) {
-            inbox.push(R::keep(dgram.payload, &self.store, net));
+            Frame::memo(&dgram.payload, &self.store);
+            inbox.push(dgram.payload);
         }
         self.sync_profile();
     }
 
-    /// The frame of a received entry, as this endpoint reads it:
+    /// The frame of a received buffer, as this endpoint reads it:
     /// borrowed from the buffer's memo when this endpoint's store left
     /// it there, resolved privately otherwise.
-    pub fn read<'a, R: Received>(&self, entry: &'a R) -> Cow<'a, Frame> {
-        entry.frame(&self.store)
+    pub fn read<'a>(&self, payload: &'a Payload) -> Cow<'a, Frame> {
+        Frame::read(payload, &self.store)
     }
 
-    /// Interpret received entries against the local profile and hand
+    /// Interpret received buffers against the local profile and hand
     /// each accepted message, with how it was accepted, to `accept` in
     /// place — the message is the frame's own, shared with every other
     /// receiver of the buffer and borrowed for the call only. This is
@@ -400,60 +356,63 @@ impl BusEndpoint {
     /// first reader of the frame builds for all
     /// ([`WireMessage::content`]). Pure CPU: safe on a worker thread
     /// that owns this endpoint.
-    pub fn decide<R: Received>(
+    pub fn decide(
         &mut self,
-        inbox: &[R],
+        inbox: &[Payload],
         mut accept: impl FnMut(&Arc<WireMessage>, MatchOutcome),
     ) {
         self.sync_profile();
-        for entry in inbox {
-            let frame = entry.frame(&self.store);
-            let (message, program) = match &*frame {
-                Frame::Message { message, program } => (message, program),
-                Frame::Malformed => {
-                    self.stats.malformed += 1;
-                    continue;
-                }
-                Frame::BadSelector { .. } => {
-                    self.stats.bad_selector += 1;
-                    continue;
-                }
-            };
-            let outcome = match compile::interpret_compiled(
-                &self.profile,
-                &self.snap,
-                program,
-                || message.content(),
-                &mut self.stack,
-            ) {
-                Ok(MatchOutcome::Reject) | Err(_) => {
-                    self.stats.rejected += 1;
-                    continue;
-                }
-                Ok(outcome) => outcome,
-            };
-            match outcome {
-                MatchOutcome::AcceptWithTransform(_) => self.stats.transformed += 1,
-                _ => self.stats.accepted += 1,
-            }
-            accept(message, outcome);
+        for payload in inbox {
+            self.decide_frame(&Frame::read(payload, &self.store), &mut accept);
         }
     }
 
-    /// [`BusEndpoint::decide`], collected: the accepted messages, each
-    /// sharing its frame's message.
-    pub fn interpret_frames(&mut self, frames: &[Frame]) -> Vec<Delivery> {
-        self.deliveries(frames)
+    /// [`BusEndpoint::decide`] for one frame, the profile snapshot
+    /// already up to date.
+    fn decide_frame(
+        &mut self,
+        frame: &Frame,
+        accept: &mut impl FnMut(&Arc<WireMessage>, MatchOutcome),
+    ) {
+        let (message, program) = match frame {
+            Frame::Message { message, program } => (message, program),
+            Frame::Malformed => {
+                self.stats.malformed += 1;
+                return;
+            }
+            Frame::BadSelector { .. } => {
+                self.stats.bad_selector += 1;
+                return;
+            }
+        };
+        let outcome = match compile::interpret_compiled(
+            &self.profile,
+            &self.snap,
+            program,
+            || message.content(),
+            &mut self.stack,
+        ) {
+            Ok(MatchOutcome::Reject) | Err(_) => {
+                self.stats.rejected += 1;
+                return;
+            }
+            Ok(outcome) => outcome,
+        };
+        match outcome {
+            MatchOutcome::AcceptWithTransform(_) => self.stats.transformed += 1,
+            _ => self.stats.accepted += 1,
+        }
+        accept(message, outcome);
     }
 
-    fn deliveries<R: Received>(&mut self, inbox: &[R]) -> Vec<Delivery> {
+    /// [`BusEndpoint::decide`] on frames already read, collected: the
+    /// accepted messages, each sharing its frame's message.
+    pub fn interpret_frames(&mut self, frames: &[Frame]) -> Vec<Delivery> {
+        self.sync_profile();
         let mut out = Vec::new();
-        self.decide(inbox, |message, outcome| {
-            out.push(Delivery {
-                message: Arc::clone(message),
-                outcome,
-            })
-        });
+        for frame in frames {
+            self.decide_frame(frame, &mut collect_into(&mut out));
+        }
         out
     }
 
@@ -475,11 +434,23 @@ impl BusEndpoint {
     pub fn poll(&mut self, net: &mut Network) -> Vec<Delivery> {
         let mut inbox: Vec<Payload> = Vec::new();
         self.receive(net, &mut inbox);
-        let accepted = self.deliveries(&inbox);
+        let mut accepted = Vec::new();
+        self.decide(&inbox, collect_into(&mut accepted));
         for payload in inbox {
             net.recycle(payload);
         }
         accepted
+    }
+}
+
+/// A [`BusEndpoint::decide`] closure collecting each accepted message
+/// into `out`, sharing its frame's message.
+fn collect_into(out: &mut Vec<Delivery>) -> impl FnMut(&Arc<WireMessage>, MatchOutcome) + '_ {
+    |message, outcome| {
+        out.push(Delivery {
+            message: Arc::clone(message),
+            outcome,
+        })
     }
 }
 
@@ -661,11 +632,12 @@ mod tests {
             )
             .unwrap();
         net.run_for(Ticks::from_millis(10));
-        let mut frames = Vec::new();
-        gateway.receive(&mut net, &mut frames);
-        assert_eq!(frames.len(), 1, "gateway sees everything");
-        let Frame::Message { message, .. } = &frames[0] else {
-            panic!("a valid message resolves to {:?}", frames[0]);
+        let mut inbox = Vec::new();
+        gateway.receive(&mut net, &mut inbox);
+        assert_eq!(inbox.len(), 1, "gateway sees everything");
+        let frame = gateway.read(&inbox[0]);
+        let Frame::Message { message, .. } = &*frame else {
+            panic!("a valid message resolves to {frame:?}");
         };
         assert_eq!(message.body(), [7]);
         assert_eq!(gateway.stats(), BusStats::default(), "nothing decided");
@@ -682,21 +654,22 @@ mod tests {
                 .unwrap();
         let mut reader =
             BusEndpoint::join(&mut net, hosts[1], SESSION_PORT, group, Profile::new("rd")).unwrap();
-        let mut frames = Vec::new();
+        let mut bodies = Vec::new();
         for body in [b"first".to_vec(), b"second".to_vec()] {
             publisher
                 .publish(&mut net, "chat", "true", BTreeMap::new(), body)
                 .unwrap();
             net.run_for(Ticks::from_millis(10));
-            reader.receive(&mut net, &mut frames);
+            let mut inbox = Vec::new();
+            reader.receive(&mut net, &mut inbox);
+            for payload in inbox {
+                match &*reader.read(&payload) {
+                    Frame::Message { message, .. } => bodies.push(message.body().to_vec()),
+                    other => panic!("a valid message resolves to {other:?}"),
+                }
+                net.recycle(payload);
+            }
         }
-        let bodies: Vec<&[u8]> = frames
-            .iter()
-            .map(|f| match f {
-                Frame::Message { message, .. } => message.body(),
-                other => panic!("a valid message resolves to {other:?}"),
-            })
-            .collect();
         assert_eq!(bodies, [&b"first"[..], &b"second"[..]]);
         assert!(
             net.buffer().as_mut().is_empty(),

@@ -65,7 +65,7 @@ pub mod profile;
 pub mod value;
 
 pub use ast::Expr;
-pub use bus::{BusEndpoint, Delivery, Frame, Received};
+pub use bus::{BusEndpoint, Delivery, Frame};
 pub use compile::{
     AttrSource, CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, MatchEngine,
     SelectorCache, SelectorStore,

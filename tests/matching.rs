@@ -354,6 +354,18 @@ const SHARED_PORT: Port = Port(5004);
 const ALONE_PORT: Port = Port(5005);
 
 /// Lookups `store` has served so far.
+/// Drain `ep`'s socket and keep the frame it reads off each buffer,
+/// past the buffer, which goes back to the network.
+fn receive_frames(ep: &mut BusEndpoint, net: &mut Network) -> Vec<Frame> {
+    let mut inbox = Vec::new();
+    ep.receive(net, &mut inbox);
+    let frames = inbox.iter().map(|p| ep.read(p).into_owned()).collect();
+    for payload in inbox {
+        net.recycle(payload);
+    }
+    frames
+}
+
 fn lookups(store: &SelectorStore) -> u64 {
     store.stats().hits() + store.stats().misses()
 }
@@ -415,25 +427,19 @@ proptest! {
             net.send_batch(injector, Addr::multicast(group, SHARED_PORT), batch.clone())
                 .unwrap();
             net.run_for(Ticks::from_millis(50));
-            // Serial half for every endpoint first, into one buffer, as
-            // the session's pump does, then the decisions.
+            // Serial half for every endpoint first, as the session's
+            // pump does, then the decisions.
             let lookups_before = lookups(&store);
-            let mut inbox = Vec::new();
-            let received: Vec<_> = shared
+            let received: Vec<Vec<Frame>> = shared
                 .iter_mut()
-                .map(|ep| {
-                    let start = inbox.len();
-                    ep.receive(&mut net, &mut inbox);
-                    start..inbox.len()
-                })
+                .map(|ep| receive_frames(ep, &mut net))
                 .collect();
             prop_assert_eq!(
                 lookups(&store) - lookups_before,
                 decodable(&batch),
                 "one store lookup per message buffer, {} receivers", shared.len()
             );
-            for (i, span) in received.iter().enumerate() {
-                let frames = &inbox[span.clone()];
+            for (i, frames) in received.iter().enumerate() {
                 prop_assert_eq!(frames.len(), batch.len(), "endpoint {} missed datagrams", i);
                 let via_frames = shared[i].interpret_frames(frames);
                 let via_bytes = alone[i].interpret_batch(batch.clone());
@@ -502,11 +508,7 @@ proptest! {
         let before: Vec<u64> = stores.iter().map(lookups).collect();
         let received: Vec<Vec<Frame>> = endpoints
             .iter_mut()
-            .map(|ep| {
-                let mut frames = Vec::new();
-                ep.receive(&mut net, &mut frames);
-                frames
-            })
+            .map(|ep| receive_frames(ep, &mut net))
             .collect();
         for (store, before) in stores.iter().zip(before) {
             prop_assert_eq!(
@@ -634,11 +636,7 @@ fn run_receivers(
         net.run_for(Ticks::from_millis(50));
         let inboxes: Vec<Vec<Frame>> = endpoints
             .iter_mut()
-            .map(|ep| {
-                let mut frames = Vec::new();
-                ep.receive(&mut net, &mut frames);
-                frames
-            })
+            .map(|ep| receive_frames(ep, &mut net))
             .collect();
         minted.push(stores.iter().map(|s| s.classes().0).sum::<usize>());
         let per = endpoints.len().div_ceil(workers);
@@ -1062,7 +1060,10 @@ fn cold_warm_private_and_shared_paths_accept_as_the_tree_walk_at_scale() {
         let shared_accepted: usize = shared
             .iter_mut()
             .map(|ep| {
-                let frames: Vec<Frame> = buffers.iter().map(|b| Frame::of(b, &store)).collect();
+                let frames: Vec<Frame> = buffers
+                    .iter()
+                    .map(|b| Frame::read(b, &store).into_owned())
+                    .collect();
                 ep.interpret_frames(&frames).len()
             })
             .sum();
