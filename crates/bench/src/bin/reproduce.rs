@@ -9,10 +9,10 @@
 //! ```
 //!
 //! Every line is deterministic except the wall-clock columns of
-//! `parallel_scaling`, `policy_compare` and `ablations`, which are
-//! printed for humans and never asserted on.
+//! `policy_compare` and `ablations`, which are printed for humans and
+//! never asserted on.
 
-use bench::{fmt, header, host_threads, row, time_best};
+use bench::{fmt, header, row, time_best};
 use cqos_core::baseline::compare_architectures;
 use cqos_core::experiments::*;
 use cqos_core::hysteresis::HysteresisFilter;
@@ -34,7 +34,7 @@ use wireless::{ClientRadio, PathLossModel};
 type Entry = (&'static str, fn());
 
 /// Every reproduction, in `all`'s order.
-const NAMES: [Entry; 12] = [
+const NAMES: [Entry; 11] = [
     ("fig6", fig6),
     ("fig7", fig7),
     ("fig8", fig8),
@@ -46,7 +46,6 @@ const NAMES: [Entry; 12] = [
     ("architecture_compare", architecture_compare),
     ("policy_compare", policy_compare),
     ("ablations", ablations),
-    ("parallel_scaling", parallel_scaling),
 ];
 
 /// The reproductions `arg` names: one, or all of them for `all`; the
@@ -497,65 +496,6 @@ fn ablations() {
             black_box(filter.filter(black_box(d.clone())));
         }
     });
-}
-
-/// The sharded session engine: one publisher multicasts images to N
-/// viewers, each interpreting and reassembling every delivery (§5's
-/// per-receiver pipeline). The session's media store decodes each image
-/// once for all N, so only interpretation and reassembly are left to
-/// overlap. Every worker count is asserted byte-identical to the
-/// serial run; the speedup column is wall clock.
-fn parallel_scaling() {
-    let threads = host_threads();
-    println!("Sharded session engine — per-client pipeline scaling");
-    println!("host hardware threads: {threads} (speedup requires >1)\n");
-
-    let widths = [8, 8, 12, 12, 10, 10];
-    header(
-        &[
-            "viewers",
-            "workers",
-            "serial (s)",
-            "sharded (s)",
-            "speedup",
-            "identical",
-        ],
-        &widths,
-    );
-    let seed = 11;
-    let images = 2;
-    for &viewers in &[2usize, 8, 16] {
-        let (serial_rows, serial_s) =
-            time_best(3, || run_parallel_scaling(viewers, images, 1, seed));
-        for &workers in &[2usize, 4] {
-            let (rows, sharded_s) =
-                time_best(3, || run_parallel_scaling(viewers, images, workers, seed));
-            let identical = rows == serial_rows;
-            assert!(
-                identical,
-                "workers={workers} diverged from serial at {viewers} viewers"
-            );
-            row(
-                &[
-                    viewers.to_string(),
-                    workers.to_string(),
-                    format!("{serial_s:.3}"),
-                    format!("{sharded_s:.3}"),
-                    fmt(serial_s / sharded_s),
-                    identical.to_string(),
-                ],
-                &widths,
-            );
-        }
-    }
-    println!(
-        "\nall series byte-identical across worker counts; speedup column is\n\
-         wall-clock serial/sharded (each image is decoded once for all viewers,\n\
-         so only interpretation and reassembly are left to overlap: the >=1.5x\n\
-         at 8+ viewers on 4 cores of the per-viewer decode no longer applies and\n\
-         has not been re-measured on a multi-core host; ~1.0x or below on a\n\
-         single-core host where threads cannot overlap)"
-    );
 }
 
 #[cfg(test)]

@@ -51,11 +51,6 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Hardware threads available to this process (1 if unknown).
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Format a float compactly, mapping infinity to `-`.
 pub fn fmt(v: f64) -> String {
     if v.is_infinite() {

@@ -10,7 +10,7 @@ use media::wavelet::WaveletKind;
 use media::{bits_per_pixel, compression_ratio, Image, MediaError};
 use sempubsub::{CacheStatsHandle, WireMessage};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 // --------------------------------------------------------------- chat
 
@@ -143,31 +143,18 @@ type Encoded = Result<Arc<[u8]>, MediaError>;
 /// What a container decodes to: the shared image, or why there is none.
 type Decoded = Result<Arc<Image>, MediaError>;
 
-/// A view: `(container bytes, drop_levels)` → image.
-type View = Filed<(Arc<Vec<u8>>, usize), Decoded>;
-
-/// An entry of one of a [`MediaStore`]'s tables. It is filed under the
-/// store's lock and its cell filled outside it, by whichever asker gets
-/// to it first; askers of the same key meanwhile wait on the cell, and
-/// askers of other keys do not wait at all.
-struct Filed<K, V> {
-    key: K,
-    cell: Arc<OnceLock<V>>,
+/// A view held by a [`MediaStore`]: container bytes and the finest
+/// wavelet levels left out of them, and what they decode to.
+struct View {
+    container: Arc<Vec<u8>>,
+    drop_levels: usize,
+    image: Decoded,
 }
 
-impl<K, V> Filed<K, V> {
-    fn new(key: K) -> Filed<K, V> {
-        Filed {
-            key,
-            cell: Arc::default(),
-        }
-    }
-}
-
-/// Take the entry whose key `is` picks out of `table` (least recently
-/// asked-for first), for the caller to put back last.
-fn take<K, V>(table: &mut VecDeque<Filed<K, V>>, is: impl Fn(&K) -> bool) -> Option<Filed<K, V>> {
-    let i = table.iter().position(|entry| is(&entry.key))?;
+/// Take the entry `is` picks out of `table` (least recently asked-for
+/// first), for the caller to put back last.
+fn take<T>(table: &mut VecDeque<T>, is: impl Fn(&T) -> bool) -> Option<T> {
+    let i = table.iter().position(is)?;
     table.remove(i)
 }
 
@@ -218,19 +205,49 @@ enum Ask {
     /// A container in a buffer the store keeps: as the key of a new
     /// view, or for a later reassembly.
     Buffer(Vec<u8>),
-    /// The key of a view asked for before.
+    /// The container of a view asked for before.
     Key(Arc<Vec<u8>>),
 }
 
+/// The session's media path (§5.4): the information transformer codes
+/// an image once as one embedded stream, and each receiver takes a
+/// prefix of it. The store encodes each distinct image under each
+/// coding parameter and rate cap once, and decodes each distinct
+/// `(container bytes, drop_levels)` once, in two small LRU tables — one
+/// from content key to container, one from container to image — on the
+/// one [`CodecScratch`] it keeps between calls.
+///
+/// *Encoding.* N clients at different modality tiers share one encode
+/// (an `Arc<[u8]>` clone per consumer), made to the session's rate cap
+/// and no further — the bits past the cap are never coded — and each
+/// client's tier is a prefix of it by packet count, never a
+/// decode→re-encode round trip. The key is a hash of the pixels and the
+/// coding parameters (`content_key`). A miss is one
+/// [`ezw::encode_image_capped_with`] on the store's scratch: it
+/// prepares its coefficient planes there and leaves the records of the
+/// streams it wrote, so the views of a fresh share that follow replay
+/// them and read no symbol. What a miss allocates is the shared
+/// container itself, once, at its exact size.
+///
+/// *Viewing.* The image viewer adapts by taking a prefix of one
+/// embedded stream, so every viewer on the same packet budget holds
+/// byte-identical container bytes and is owed bit-identical pixels;
+/// every asker is handed the same `Arc<Image>`. The scratch remembers
+/// the last stream it read or wrote, so the distinct prefixes of one
+/// object — prefixes of each other — cost one reading of its symbols
+/// when the longest is asked for first, and none after its encode
+/// ([`MediaStore::replays`]). The key is the verified container itself,
+/// compared byte for byte — never an object id or a hash — so two
+/// different streams cannot alias whatever their ids, lengths or
+/// senders.
 #[derive(Default)]
-struct MediaStoreInner {
+pub struct MediaStore {
     /// Content key ([`content_key`]) → container, and the views; both
     /// least recently asked-for first.
-    encodes: VecDeque<Filed<u64, Encoded>>,
+    encodes: VecDeque<(u64, Arc<[u8]>)>,
     views: VecDeque<View>,
-    /// Codec scratch not in use now: as many as encodes and decodes
-    /// have ever run at once, which is one on a serial session.
-    scratch: Vec<CodecScratch>,
+    /// The scratch every encode and decode runs on.
+    scratch: CodecScratch,
     /// Reassembly buffers not in use now: those of asks that hit, and
     /// the containers of evicted views nothing else held.
     buffers: Vec<Vec<u8>>,
@@ -240,117 +257,10 @@ struct MediaStoreInner {
     replays: u64,
 }
 
-impl MediaStoreInner {
-    /// Drop the least recently asked-for view, keeping what of it
-    /// nobody else holds: its container as a reassembly buffer, and its
-    /// image's pixels as the next decode's output
-    /// ([`CodecScratch::recycle`], on the scratch the next decode
-    /// takes). Either goes only when the store held the last reference
-    /// to it — a view a caller still holds is never written over.
-    fn evict(&mut self) {
-        let Some(view) = self.views.pop_front() else {
-            return;
-        };
-        let image = Arc::into_inner(view.cell)
-            .and_then(OnceLock::into_inner)
-            .and_then(Result::ok)
-            .and_then(Arc::into_inner);
-        if let (Some(image), Some(scratch)) = (image, self.scratch.last_mut()) {
-            scratch.recycle(image);
-        }
-        if let Some(buffer) = Arc::into_inner(view.key.0) {
-            self.keep_buffer(buffer);
-        }
-    }
-
-    /// Keep a reassembly buffer for later, up to one per view held.
-    fn keep_buffer(&mut self, buffer: Vec<u8>) {
-        if self.buffers.len() < VIEW_CAPACITY {
-            self.buffers.push(buffer);
-        }
-    }
-}
-
-/// The session's media path (§5.4): the information transformer codes
-/// an image once as one embedded stream, and each receiver takes a
-/// prefix of it. The store encodes each distinct image under each
-/// coding parameter and rate cap once, and decodes each distinct
-/// `(container bytes, drop_levels)` once, in two small LRU tables — one
-/// from content key to container, one from container to image — on a
-/// pool of [`CodecScratch`] it keeps between calls.
-///
-/// *Encoding.* N clients at different modality tiers share one encode
-/// (an `Arc<[u8]>` clone per consumer), made to the session's rate cap
-/// and no further — the bits past the cap are never coded — and each
-/// client's tier is a prefix of it by packet count, never a
-/// decode→re-encode round trip. The key is a hash of the pixels and the
-/// coding parameters (`content_key`). A miss is one
-/// [`ezw::encode_image_capped_with`] on a scratch of the pool: it
-/// prepares its coefficient planes there and leaves the records of the
-/// streams it wrote, so the views of a fresh share that follow replay
-/// them and read no symbol. What a miss allocates is the shared
-/// container itself, once, at its exact size, and the entry's cell.
-///
-/// *Viewing.* The image viewer adapts by taking a prefix of one
-/// embedded stream, so every viewer on the same packet budget holds
-/// byte-identical container bytes and is owed bit-identical pixels;
-/// every asker is handed the same `Arc<Image>`. A scratch remembers the
-/// last stream it read or wrote, so the distinct prefixes of one object
-/// — prefixes of each other — cost one reading of its symbols when the
-/// longest is asked for first, and none after its encode
-/// ([`MediaStore::replays`]). The key is the verified container itself,
-/// compared byte for byte — never an object id or a hash — so two
-/// different streams cannot alias whatever their ids, lengths or
-/// senders.
-///
-/// Clones share the store. Its lock covers the lookups and the filing,
-/// never an encode or a decode: the first asker of a key leaves an
-/// empty cell for it and fills it unlocked, so concurrent askers of one
-/// key wait on that cell, askers of different keys work side by side,
-/// and while the keys in use fit the store the hit and miss counts do
-/// not depend on who asked first.
-#[derive(Clone, Default)]
-pub struct MediaStore {
-    inner: Arc<Mutex<MediaStoreInner>>,
-}
-
-impl std::fmt::Debug for MediaStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
-        f.debug_struct("MediaStore")
-            .field("encodes", &inner.encodes.len())
-            .field("views", &inner.views.len())
-            .field("hits", &inner.hits)
-            .field("misses", &inner.misses)
-            .field("replays", &inner.replays)
-            .finish()
-    }
-}
-
 impl MediaStore {
     /// An empty store.
     pub fn new() -> MediaStore {
         MediaStore::default()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, MediaStoreInner> {
-        self.inner
-            .lock()
-            .expect("no codec work, and so no panic, under the media store's lock")
-    }
-
-    /// Run `f` on a scratch of the pool, taken under the lock and used
-    /// outside it; put it back where the next encode or decode takes
-    /// its scratch from, and return what `f` gave with the lock held.
-    fn on_scratch<R>(
-        &self,
-        f: impl FnOnce(&mut CodecScratch) -> R,
-    ) -> (R, MutexGuard<'_, MediaStoreInner>) {
-        let mut scratch = self.lock().scratch.pop().unwrap_or_default();
-        let out = f(&mut scratch);
-        let mut inner = self.lock();
-        inner.scratch.push(scratch);
-        (out, inner)
     }
 
     /// Encode `img` to at most `byte_cap` bytes, or share the container
@@ -362,7 +272,7 @@ impl MediaStore {
     /// files nothing, and a level count the image does not support
     /// counts as neither hit nor miss.
     pub fn encode_image(
-        &self,
+        &mut self,
         img: &Image,
         levels: usize,
         kind: WaveletKind,
@@ -371,46 +281,36 @@ impl MediaStore {
     ) -> Encoded {
         ezw::check_levels(img, levels)?;
         let key = content_key(img, levels, kind, color_transform, byte_cap);
-        let cell = {
-            let mut inner = self.lock();
-            let entry = match take(&mut inner.encodes, |&k| k == key) {
-                Some(entry) => {
-                    inner.encode_stats.record_hit();
-                    entry
-                }
-                None => {
-                    inner.encode_stats.record_miss();
-                    Filed::new(key)
-                }
-            };
-            let cell = Arc::clone(&entry.cell);
-            inner.encodes.push_back(entry);
-            cell
-        };
-        cell.get_or_init(|| {
-            let (encoded, mut inner) = self.on_scratch(|scratch| {
-                ezw::encode_image_capped_with(img, levels, kind, color_transform, byte_cap, scratch)
-                    .map(Arc::from)
-            });
-            if encoded.is_err() {
-                inner
-                    .encodes
-                    .retain(|entry| !Arc::ptr_eq(&entry.cell, &cell));
-            } else if inner.encodes.len() > ENCODE_CAPACITY {
-                // Deterministic LRU eviction, after the encode, so a
-                // failed one evicts nothing either.
-                inner.encodes.pop_front();
-                inner.encode_stats.record_eviction();
+        let entry = if let Some(entry) = take(&mut self.encodes, |&(k, _)| k == key) {
+            self.encode_stats.record_hit();
+            entry
+        } else {
+            self.encode_stats.record_miss();
+            let encoded = ezw::encode_image_capped_with(
+                img,
+                levels,
+                kind,
+                color_transform,
+                byte_cap,
+                &mut self.scratch,
+            )?;
+            // Deterministic LRU eviction, after the encode, so a
+            // failed one evicts nothing either.
+            if self.encodes.len() == ENCODE_CAPACITY {
+                self.encodes.pop_front();
+                self.encode_stats.record_eviction();
             }
-            encoded
-        })
-        .clone()
+            (key, Arc::from(encoded))
+        };
+        let container = Arc::clone(&entry.1);
+        self.encodes.push_back(entry);
+        Ok(container)
     }
 
     /// Live encode counters (hits / misses / evictions); the clone
     /// shares the cells, so it stays current.
     pub fn encode_stats(&self) -> CacheStatsHandle {
-        self.lock().encode_stats.clone()
+        self.encode_stats.clone()
     }
 
     /// The image `container` decodes to with `drop_levels` finest
@@ -424,14 +324,21 @@ impl MediaStore {
     /// reassembly. (A copy taken here, ahead of the decode's large
     /// allocations, cost the benchmark's image workload 4 % through the
     /// heap layout it left behind — EXPERIMENTS.md.)
-    pub fn view(&self, container: Vec<u8>, drop_levels: usize) -> Decoded {
+    pub fn view(&mut self, container: Vec<u8>, drop_levels: usize) -> Decoded {
         self.ask(Ask::Buffer(container), drop_levels).0
     }
 
     /// A buffer to reassemble a container into: one an earlier ask left
     /// with the store, or a new one. What it holds is of no account.
-    fn buffer(&self) -> Vec<u8> {
-        self.lock().buffers.pop().unwrap_or_default()
+    fn buffer(&mut self) -> Vec<u8> {
+        self.buffers.pop().unwrap_or_default()
+    }
+
+    /// Keep a reassembly buffer for later, up to one per view held.
+    fn keep_buffer(&mut self, buffer: Vec<u8>) {
+        if self.buffers.len() < VIEW_CAPACITY {
+            self.buffers.push(buffer);
+        }
     }
 
     /// The viewer's ask: [`MediaStore::view`], except that when the view
@@ -440,7 +347,7 @@ impl MediaStore {
     /// bytes is asked for instead. Returns the image and the levels it
     /// dropped.
     fn view_reassembled(
-        &self,
+        &mut self,
         container: Vec<u8>,
         drop_levels: usize,
     ) -> Result<(Arc<Image>, usize), MediaError> {
@@ -451,59 +358,68 @@ impl MediaStore {
         }
     }
 
-    /// Look `bytes` up, leaving an empty cell for them on a miss, then
-    /// decode into the cell unless someone already has. Returns the
-    /// view and the key it is held under.
-    fn ask(&self, bytes: Ask, drop_levels: usize) -> (Decoded, Arc<Vec<u8>>) {
-        let (cell, key) = {
-            let mut inner = self.lock();
-            let held = {
-                let bytes: &[u8] = match &bytes {
-                    Ask::Buffer(buffer) => buffer,
-                    Ask::Key(key) => key,
-                };
-                take(&mut inner.views, |(container, drop)| {
-                    *drop == drop_levels && ***container == *bytes
-                })
+    /// Look `bytes` up and decode them on a miss. Returns the view and
+    /// the container it is held under.
+    fn ask(&mut self, bytes: Ask, drop_levels: usize) -> (Decoded, Arc<Vec<u8>>) {
+        let held = {
+            let bytes: &[u8] = match &bytes {
+                Ask::Buffer(buffer) => buffer,
+                Ask::Key(key) => key,
             };
-            let view = if let Some(view) = held {
-                inner.hits += 1;
-                if let Ask::Buffer(buffer) = bytes {
-                    inner.keep_buffer(buffer);
-                }
-                view
-            } else {
-                inner.misses += 1;
-                if inner.views.len() == VIEW_CAPACITY {
-                    inner.evict();
-                }
-                let container = match bytes {
-                    Ask::Buffer(buffer) => Arc::new(buffer),
-                    Ask::Key(key) => key,
-                };
-                Filed::new((container, drop_levels))
-            };
-            let held = (Arc::clone(&view.cell), Arc::clone(&view.key.0));
-            inner.views.push_back(view);
-            held
-        };
-        let image = cell
-            .get_or_init(|| {
-                let ((image, replayed), mut inner) = self.on_scratch(|scratch| {
-                    let before = scratch.replays();
-                    let image = decode_image_reduced_with(&key, drop_levels, scratch);
-                    (image, scratch.replays() - before)
-                });
-                inner.replays += replayed;
-                image.map(Arc::new)
+            take(&mut self.views, |view| {
+                view.drop_levels == drop_levels && **view.container == *bytes
             })
-            .clone();
-        (image, key)
+        };
+        let view = if let Some(view) = held {
+            self.hits += 1;
+            if let Ask::Buffer(buffer) = bytes {
+                self.keep_buffer(buffer);
+            }
+            view
+        } else {
+            self.misses += 1;
+            if self.views.len() == VIEW_CAPACITY {
+                self.evict();
+            }
+            let container = match bytes {
+                Ask::Buffer(buffer) => Arc::new(buffer),
+                Ask::Key(key) => key,
+            };
+            let before = self.scratch.replays();
+            let image = decode_image_reduced_with(&container, drop_levels, &mut self.scratch);
+            self.replays += self.scratch.replays() - before;
+            View {
+                container,
+                drop_levels,
+                image: image.map(Arc::new),
+            }
+        };
+        let held = (view.image.clone(), Arc::clone(&view.container));
+        self.views.push_back(view);
+        held
+    }
+
+    /// Drop the least recently asked-for view, keeping what of it
+    /// nobody else holds: its container as a reassembly buffer, and its
+    /// image's pixels as the next decode's output
+    /// ([`CodecScratch::recycle`]). Either goes only when the store held
+    /// the last reference to it — a view a caller still holds is never
+    /// written over.
+    fn evict(&mut self) {
+        let Some(view) = self.views.pop_front() else {
+            return;
+        };
+        if let Some(image) = view.image.ok().and_then(Arc::into_inner) {
+            self.scratch.recycle(image);
+        }
+        if let Some(buffer) = Arc::into_inner(view.container) {
+            self.keep_buffer(buffer);
+        }
     }
 
     /// Views held now (never more than a small fixed number).
     pub fn len(&self) -> usize {
-        self.lock().views.len()
+        self.views.len()
     }
 
     /// True when no view is held.
@@ -512,16 +428,16 @@ impl MediaStore {
     }
 
     /// View asks that found their bytes already asked for, and share
-    /// that decode (waiting for it, if it is still running).
+    /// that decode.
     pub fn hits(&self) -> u64 {
-        self.lock().hits
+        self.hits
     }
 
     /// View asks that found no view of their bytes; the decoder runs
     /// once for each, so once per distinct `(container, drop_levels)`
     /// while its view stays held.
     pub fn misses(&self) -> u64 {
-        self.lock().misses
+        self.misses
     }
 
     /// View misses decoded without reading a symbol
@@ -530,10 +446,9 @@ impl MediaStore {
     /// last — a view of the share just encoded, or a smaller packet
     /// budget's view of the same object asked for after a larger one's.
     /// Unlike hits and misses this depends on the order of the asks
-    /// (shortest first replays nothing), and with more than one worker
-    /// on which decode met which scratch.
+    /// (shortest first replays nothing).
     pub fn replays(&self) -> u64 {
-        self.lock().replays
+        self.replays
     }
 }
 
@@ -582,8 +497,9 @@ impl HeldStripe {
 /// A delivered packet is held in place
 /// ([`ImageViewer::apply_delivered`]): the viewer keeps a reference to
 /// the message it arrived in, shared with every other receiver, and
-/// copies its payload only once, into the reassembled container.
-#[derive(Debug)]
+/// copies its payload only once, into the reassembled container, which
+/// it decodes through the [`MediaStore`] it is handed.
+#[derive(Debug, Default)]
 pub struct ImageViewer {
     budget: u32,
     resolution: f64,
@@ -591,7 +507,6 @@ pub struct ImageViewer {
     /// Ids of the last [`FINISHED_WINDOW`] objects that left `pending`
     /// (viewed, shown as a caption, or dropped as invalid).
     finished: VecDeque<u64>,
-    store: MediaStore,
     /// Successfully decoded images, in completion order.
     pub viewed: Vec<ViewedImage>,
     /// Captions shown instead of images when the budget was zero.
@@ -601,22 +516,9 @@ pub struct ImageViewer {
     pub packets_discarded: u64,
 }
 
-impl Default for ImageViewer {
-    fn default() -> Self {
-        ImageViewer::with_store(0, MediaStore::new())
-    }
-}
-
 impl ImageViewer {
-    /// A viewer with the given initial packet budget and a media store
-    /// of its own.
+    /// A viewer with the given initial packet budget.
     pub fn new(budget: u32) -> ImageViewer {
-        ImageViewer::with_store(budget, MediaStore::new())
-    }
-
-    /// A viewer that decodes through `store`, sharing each view with
-    /// the other viewers handed a clone of it.
-    pub fn with_store(budget: u32, store: MediaStore) -> ImageViewer {
         ImageViewer {
             budget,
             resolution: 1.0,
@@ -624,7 +526,6 @@ impl ImageViewer {
             // Not pre-sized: a client that never sees an image (most
             // of a chat-only session's) should not carry the window.
             finished: VecDeque::new(),
-            store,
             viewed: Vec::new(),
             text_fallbacks: Vec::new(),
             packets_discarded: 0,
@@ -684,9 +585,10 @@ impl ImageViewer {
 
     /// Apply an image-related event read in place — `ev` is
     /// [`EventView::parse`] of `message`'s body — and return a decoded
-    /// image when one completes. An accepted packet is held as a clone
-    /// of the `Arc` and the payload's offset in the body: its bytes are
-    /// not copied until the prefix reassembles.
+    /// image when one completes, decoded through `store` — so viewers
+    /// handed one store share each view. An accepted packet is held as
+    /// a clone of the `Arc` and the payload's offset in the body: its
+    /// bytes are not copied until the prefix reassembles.
     ///
     /// An object id is single-use per viewer: once an object has been
     /// viewed, shown as its caption or dropped as invalid, a later
@@ -702,6 +604,7 @@ impl ImageViewer {
         &mut self,
         ev: &EventView<'_>,
         message: &Arc<WireMessage>,
+        store: &mut MediaStore,
     ) -> Option<ViewedImage> {
         match *ev {
             EventView::ImageMeta {
@@ -732,7 +635,7 @@ impl ImageViewer {
                 });
                 let missing = want.saturating_sub(entry.stripes.len());
                 entry.stripes.reserve_exact(missing);
-                self.try_complete(object_id)
+                self.try_complete(object_id, store)
             }
             EventView::ImagePacket { object_id, packet } => {
                 // A duplicated or re-sent packet of a finished object
@@ -759,14 +662,14 @@ impl ImageViewer {
                     };
                     entry.stripes.insert(at, stripe);
                 }
-                self.try_complete(object_id)
+                self.try_complete(object_id, store)
             }
             _ => None,
         }
     }
 
     /// Decode when the accepted prefix is complete.
-    fn try_complete(&mut self, object_id: u64) -> Option<ViewedImage> {
+    fn try_complete(&mut self, object_id: u64, store: &mut MediaStore) -> Option<ViewedImage> {
         let entry = self.pending.get(&object_id)?;
         let meta = entry.meta.as_ref()?;
         let want = (self.budget).min(meta.total_packets as u32) as usize;
@@ -787,7 +690,7 @@ impl ImageViewer {
         let meta = entry.meta.expect("checked above");
         let prefix = &entry.stripes[..want];
         let received_bytes: usize = prefix.iter().map(|s| s.view().payload.len()).sum();
-        let mut container = self.store.buffer();
+        let mut container = store.buffer();
         reassemble_stripes(prefix.iter().map(HeldStripe::view), &mut container).ok()?;
         // The stream's own header sizes what decoding allocates: drop
         // an object that is not the size its announcement promised.
@@ -804,7 +707,7 @@ impl ImageViewer {
         let drop_levels = scale_factor.ilog2() as usize;
         // Streams too small for the requested drop fall back to a full
         // decode + downsample.
-        let (image, dropped) = self.store.view_reassembled(container, drop_levels).ok()?;
+        let (image, dropped) = store.view_reassembled(container, drop_levels).ok()?;
         // Any residual non-power-of-two factor is handled by pixel
         // downsampling, on this viewer's own copy.
         let residual = self
@@ -841,8 +744,12 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// `ev` as a session delivers it: in a message of its own, read in
-    /// place.
-    fn deliver(viewer: &mut ImageViewer, ev: &AppEvent) -> Option<ViewedImage> {
+    /// place, decoded through `store`.
+    fn deliver_to(
+        viewer: &mut ImageViewer,
+        store: &mut MediaStore,
+        ev: &AppEvent,
+    ) -> Option<ViewedImage> {
         let wire = SemanticMessage {
             sender: String::new(),
             kind: ev.kind().to_string(),
@@ -854,7 +761,12 @@ mod tests {
         .encode();
         let message = Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"));
         let view = EventView::parse(message.body()).expect("an encoded event parses");
-        viewer.apply_delivered(&view, &message)
+        viewer.apply_delivered(&view, &message, store)
+    }
+
+    /// [`deliver_to`] a viewer that decodes through a store of its own.
+    fn deliver(viewer: &mut ImageViewer, ev: &AppEvent) -> Option<ViewedImage> {
+        deliver_to(viewer, &mut MediaStore::new(), ev)
     }
 
     fn share_events(object_id: u64, n_packets: usize) -> (Image, Vec<AppEvent>) {
@@ -1065,89 +977,98 @@ mod tests {
     #[test]
     fn viewers_on_one_store_share_one_decode() {
         let (original, events) = share_events(1, 8);
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let mut views = Vec::new();
         for _ in 0..3 {
-            let mut viewer = ImageViewer::with_store(8, store.clone());
-            views.extend(events.iter().filter_map(|ev| deliver(&mut viewer, ev)));
+            let mut viewer = ImageViewer::new(8);
+            views.extend(
+                events
+                    .iter()
+                    .filter_map(|ev| deliver_to(&mut viewer, &mut store, ev)),
+            );
         }
         assert_eq!((store.misses(), store.hits()), (1, 2));
         assert_eq!(views[0].image.data, original.data);
         assert!(views.iter().all(|v| Arc::ptr_eq(&v.image, &views[0].image)));
         // A scale past the stream's four levels falls back to the full
         // view — already in the store — and downsamples a copy of it.
-        let mut thin = ImageViewer::with_store(8, store.clone());
+        let mut thin = ImageViewer::new(8);
         thin.set_resolution(1.0 / 32.0);
-        let small = events.iter().find_map(|ev| deliver(&mut thin, ev)).unwrap();
+        let small = events
+            .iter()
+            .find_map(|ev| deliver_to(&mut thin, &mut store, ev))
+            .unwrap();
         assert_eq!((small.image.width, small.image.height), (2, 2));
         assert_eq!((store.misses(), store.hits()), (2, 3));
         assert_eq!(views[0].image.data, original.data, "shared view untouched");
         // "Cannot drop five levels" is held like a view: the next thin
         // viewer is told so, and shown the full view, without a decode.
-        let mut thin = ImageViewer::with_store(8, store.clone());
+        let mut thin = ImageViewer::new(8);
         thin.set_resolution(1.0 / 32.0);
-        let again = events.iter().find_map(|ev| deliver(&mut thin, ev)).unwrap();
+        let again = events
+            .iter()
+            .find_map(|ev| deliver_to(&mut thin, &mut store, ev))
+            .unwrap();
         assert_eq!(again.image, small.image);
         assert_eq!((store.misses(), store.hits()), (2, 5));
     }
 
-    /// Threads that ask one store at once: equal bytes are decoded by
-    /// one of them while the rest wait for that image, and different
-    /// bytes do not wait for each other — whoever gets there first, the
-    /// counts and the pixels are the same.
+    /// Asks of three containers, interleaved four times over: equal
+    /// bytes are decoded once and every asker of them is handed the same
+    /// image; different bytes are decoded separately.
     #[test]
-    fn concurrent_askers_of_one_prefix_decode_it_once() {
+    fn askers_of_one_prefix_decode_it_once() {
         let containers: Vec<Vec<u8>> = (0..3)
             .map(|seed| {
                 let image = synthetic_scene(64, 64, 1, 3, seed).image;
                 ezw::encode_image(&image, 4, WaveletKind::Cdf53).unwrap()
             })
             .collect();
-        let store = MediaStore::new();
-        let views: Vec<Arc<Image>> = std::thread::scope(|scope| {
-            let askers: Vec<_> = (0..4 * containers.len())
-                .map(|i| {
-                    let (store, container) = (store.clone(), &containers[i % containers.len()]);
-                    scope.spawn(move || store.view(container.clone(), 0).unwrap())
-                })
-                .collect();
-            askers.into_iter().map(|t| t.join().unwrap()).collect()
-        });
+        let mut store = MediaStore::new();
+        let views: Vec<Arc<Image>> = (0..4 * containers.len())
+            .map(|i| {
+                store
+                    .view(containers[i % containers.len()].clone(), 0)
+                    .unwrap()
+            })
+            .collect();
         assert_eq!((store.misses(), store.hits()), (3, 9));
         for (i, view) in views.iter().enumerate() {
             let container = &containers[i % containers.len()];
             assert_eq!(**view, ezw::decode_image(container).unwrap());
             assert!(Arc::ptr_eq(view, &views[i % containers.len()]));
         }
+        assert!(!Arc::ptr_eq(&views[0], &views[1]));
+        assert!(!Arc::ptr_eq(&views[1], &views[2]));
     }
 
     #[test]
     fn media_store_encodes_once_and_shares() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let scene = synthetic_scene(32, 32, 3, 3, 9);
-        let encode = |store: &MediaStore, color| {
+        let encode = |store: &mut MediaStore, color| {
             store
                 .encode_image(&scene.image, 3, WaveletKind::Cdf53, color, None)
                 .unwrap()
         };
-        let a = encode(&store, true);
-        let b = encode(&store, true);
+        let a = encode(&mut store, true);
+        let b = encode(&mut store, true);
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared stream");
         let stats = store.encode_stats();
         assert_eq!((stats.hits(), stats.misses()), (1, 1));
         // Different parameters are a different entry.
-        encode(&store, false);
+        encode(&mut store, false);
         assert_eq!(stats.misses(), 2);
-        assert_eq!(store.lock().encodes.len(), 2);
+        assert_eq!(store.encodes.len(), 2);
         // And the bytes match the plain encoder exactly, whatever the
         // store's scratch decoded before and however large it was.
         let expected = ezw::encode_image_opts(&scene.image, 3, WaveletKind::Cdf53, true).unwrap();
         assert_eq!(a.as_ref(), expected.as_slice());
         let other = synthetic_scene(64, 48, 3, 4, 10).image;
         let other = ezw::encode_image_opts(&other, 4, WaveletKind::Haar, true).unwrap();
-        let fresh = MediaStore::new();
+        let mut fresh = MediaStore::new();
         fresh.view(other, 0).unwrap();
-        let b = encode(&fresh, true);
+        let b = encode(&mut fresh, true);
         assert_eq!(b.as_ref(), expected.as_slice());
     }
 
@@ -1157,35 +1078,36 @@ mod tests {
     /// share the one scratch.
     #[test]
     fn a_miss_leaves_its_records_and_a_hit_leaves_the_scratch_alone() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let [a, b] = [9, 10].map(|seed| synthetic_scene(32, 32, 3, 3, seed).image);
-        let encode = |img: &Image| {
+        let encode = |store: &mut MediaStore, img: &Image| {
             store
                 .encode_image(img, 3, WaveletKind::Cdf53, true, Some(600))
                 .unwrap()
         };
         // A view miss: equal to a fresh decode; replayed or not.
-        let replays = |container: &[u8], drop_levels| {
+        let replays = |store: &mut MediaStore, container: &[u8], drop_levels| {
             let (misses, replays) = (store.misses(), store.replays());
             let view = store.view(container.to_vec(), drop_levels).unwrap();
             assert!(*view == ezw::decode_image_reduced(container, drop_levels).unwrap());
             assert_eq!(store.misses(), misses + 1);
             store.replays() - replays
         };
-        let sent_a = encode(&a);
-        assert_eq!(replays(&sent_a, 0), 1, "a miss: replayed");
-        let sent_b = encode(&b);
-        assert!(Arc::ptr_eq(&sent_a, &encode(&a)), "a hit");
-        assert_eq!(replays(&sent_b, 0), 1, "the hit left b's records");
-        assert_eq!(replays(&sent_a, 1), 0, "a's are gone: read");
-        assert_eq!(store.lock().scratch.len(), 1, "one scratch, both ways");
+        let sent_a = encode(&mut store, &a);
+        assert_eq!(replays(&mut store, &sent_a, 0), 1, "a miss: replayed");
+        let sent_b = encode(&mut store, &b);
+        assert!(Arc::ptr_eq(&sent_a, &encode(&mut store, &a)), "a hit");
+        let replayed = replays(&mut store, &sent_b, 0);
+        assert_eq!(replayed, 1, "the hit left b's records");
+        assert_eq!(replays(&mut store, &sent_a, 1), 0, "a's are gone: read");
     }
 
     #[test]
     fn media_store_holds_the_capped_container_under_its_cap() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
+        let stats = store.encode_stats();
         let scene = synthetic_scene(32, 32, 3, 3, 9);
-        let encode = |cap| {
+        let mut encode = |cap| {
             store
                 .encode_image(&scene.image, 3, WaveletKind::Cdf53, true, cap)
                 .unwrap()
@@ -1202,7 +1124,6 @@ mod tests {
         assert!(Arc::ptr_eq(&capped, &encode(Some(600))));
         assert!(encode(Some(700)).len() > capped.len());
         assert!(Arc::ptr_eq(&full, &encode(None)));
-        let stats = store.encode_stats();
         assert_eq!((stats.hits(), stats.misses()), (2, 3));
     }
 
@@ -1268,8 +1189,9 @@ mod tests {
         let scene = synthetic_scene(64, 64, 3, 4, 12);
         let expected = ezw::encode_image_opts(&scene.image, 4, WaveletKind::Cdf53, true).unwrap();
         let cut = ezw::truncate_container(&expected, 2_000).unwrap();
-        let store = MediaStore::new();
-        let encode = |img: &Image, levels, kind, color, cap| {
+        let mut store = MediaStore::new();
+        let stats = store.encode_stats();
+        let mut encode = |img: &Image, levels, kind, color, cap| {
             store.encode_image(img, levels, kind, color, cap).unwrap()
         };
         let got = encode(&scene.image, 4, WaveletKind::Cdf53, true, None);
@@ -1298,37 +1220,37 @@ mod tests {
                 "{channels}ch {w}x{h} L{levels} {kind:?} {color} {cap:?}"
             );
         }
-        assert_eq!(store.encode_stats().misses(), 7);
+        assert_eq!(stats.misses(), 7);
     }
 
     #[test]
     fn media_store_evicts_lru_deterministically() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let scenes: Vec<_> = (0..=ENCODE_CAPACITY as u64)
             .map(|s| synthetic_scene(16, 16, 1, 2, s).image)
             .collect();
-        let encode = |img: &Image| {
+        let encode = |store: &mut MediaStore, img: &Image| {
             store
                 .encode_image(img, 2, WaveletKind::Haar, false, None)
                 .unwrap()
         };
         for img in &scenes {
-            encode(img);
+            encode(&mut store, img);
         }
         let stats = store.encode_stats();
-        assert_eq!(store.lock().encodes.len(), ENCODE_CAPACITY);
+        assert_eq!(store.encodes.len(), ENCODE_CAPACITY);
         assert_eq!(stats.evictions(), 1);
         // Scene 0 was least recently used: re-encoding it misses again.
-        encode(&scenes[0]);
+        encode(&mut store, &scenes[0]);
         assert_eq!(stats.misses(), ENCODE_CAPACITY as u64 + 2);
         // The last scene stayed resident.
-        encode(&scenes[ENCODE_CAPACITY]);
+        encode(&mut store, &scenes[ENCODE_CAPACITY]);
         assert_eq!(stats.hits(), 1);
     }
 
     #[test]
     fn media_store_degradation_is_prefix_truncation() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let scene = synthetic_scene(64, 64, 1, 4, 3);
         let full = store
             .encode_image(&scene.image, 4, WaveletKind::Cdf53, false, None)
@@ -1345,7 +1267,7 @@ mod tests {
 
     #[test]
     fn media_store_rejects_bad_levels() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let scene = synthetic_scene(16, 16, 1, 1, 0);
         for levels in [0, 9] {
             assert!(store
@@ -1363,24 +1285,25 @@ mod tests {
     /// and, in a full store, evicts nothing.
     #[test]
     fn a_failed_encode_files_nothing() {
-        let store = MediaStore::new();
+        let mut store = MediaStore::new();
         let scenes: Vec<_> = (0..ENCODE_CAPACITY as u64)
             .map(|s| synthetic_scene(16, 16, 1, 2, s).image)
             .collect();
-        let encode =
-            |img: &Image, color| store.encode_image(img, 2, WaveletKind::Haar, color, None);
+        let encode = |store: &mut MediaStore, img: &Image, color| {
+            store.encode_image(img, 2, WaveletKind::Haar, color, None)
+        };
         for img in &scenes {
-            encode(img, false).unwrap();
+            encode(&mut store, img, false).unwrap();
         }
         // A colour transform of a grey image: refused, twice.
         for _ in 0..2 {
-            assert!(encode(&scenes[0], true).is_err());
+            assert!(encode(&mut store, &scenes[0], true).is_err());
         }
         let stats = store.encode_stats();
         let misses = ENCODE_CAPACITY as u64 + 2;
         assert_eq!((stats.misses(), stats.evictions()), (misses, 0));
-        assert_eq!(store.lock().encodes.len(), ENCODE_CAPACITY);
-        encode(&scenes[0], false).unwrap();
+        assert_eq!(store.encodes.len(), ENCODE_CAPACITY);
+        encode(&mut store, &scenes[0], false).unwrap();
         assert_eq!(stats.hits(), 1, "the least recently used stayed");
     }
 

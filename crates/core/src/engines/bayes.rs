@@ -21,8 +21,7 @@
 //!
 //! Evidence always multiplies in the fixed `VARS` order no matter
 //! how the caller ordered it, so posteriors are bit-identical under
-//! evidence-order shuffling (pinned by `tests/policy_engines.rs`)
-//! and across worker counts.
+//! evidence-order shuffling (pinned by `tests/policy_engines.rs`).
 
 use crate::contract::QosContract;
 use crate::inference::{AdaptationDecision, FiredRules, ModalityChoice};

@@ -14,8 +14,8 @@
 //! The controller is a pure function of the state: memberships,
 //! clipped areas, and centroids are evaluated in a fixed order
 //! (metrics in name order, sets calm → strained → critical)
-//! with plain f64 arithmetic, so decisions are bit-identical across
-//! worker counts.
+//! with plain f64 arithmetic, so decisions are bit-identical from run
+//! to run.
 //!
 //! Each metric runs a *complete* single-input controller and the
 //! per-metric crisp outputs combine across metrics with the

@@ -18,8 +18,8 @@
 //!   enumeration and decides by maximum a posteriori with a
 //!   conservative tie-break.
 //!
-//! Both are deterministic pure functions of the observed state, so
-//! sharded sessions stay bit-identical across worker counts.
+//! Both are deterministic pure functions of the observed state, so a
+//! seeded session replays bit-identically.
 
 pub mod bayes;
 pub mod fuzzy;

@@ -5,7 +5,7 @@
 //!
 //! One runner per figure. [`run_fig6`] and [`run_fig7`] take the whole
 //! [`SessionConfig`] and set only the figure's own stream cap, so the
-//! flat, brokered, faulted and sharded variants the suites compare are
+//! flat, brokered and faulted variants the suites compare are
 //! configurations of one function, not functions of their own.
 
 use crate::contract::QosContract;
@@ -106,8 +106,8 @@ fn run_viewer_sweep(
 ///
 /// The scene and the session are seeded from `cfg.seed`, and the figure
 /// sets its own `full_stream_bpp`; every other field is the caller's.
-/// Any `workers`, an inert `fault` model and a brokered `domains` layout
-/// all produce the series of `SessionConfig::default()` at that seed.
+/// An inert `fault` model and a brokered `domains` layout both produce
+/// the series of `SessionConfig::default()` at that seed.
 pub fn run_fig6(cfg: SessionConfig) -> Vec<ViewerRow> {
     let scene = synthetic_scene(256, 256, 1, 4, cfg.seed);
     let states = sweep(30.0, 100.0, 8).into_iter().map(|f| {
@@ -239,9 +239,8 @@ pub fn run_fig10() -> Fig10Result {
 /// 3-domain brokered session (promiscuous advertisement in domain 0)
 /// instead of standing alone. The radio-level series is bit-identical
 /// to [`run_fig10`]: the overlay moves session events, not SIR.
-pub fn run_fig10_brokered(workers: usize) -> Fig10Result {
+pub fn run_fig10_brokered() -> Fig10Result {
     let cfg = SessionConfig {
-        workers,
         domains: Some(3),
         ..SessionConfig::default()
     };
@@ -468,95 +467,6 @@ pub fn run_quality_curve(seed: u64) -> Vec<QualityRow> {
         });
     }
     rows
-}
-
-// ------------------------------------------- parallel session scaling
-
-/// One completed image delivery in the scaling workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
-    /// Receiving client index.
-    pub client: usize,
-    /// Shared object id.
-    pub object_id: u64,
-    /// Packets the viewer accepted.
-    pub packets: u32,
-    /// Bits per pixel received.
-    pub bpp: f64,
-    /// Compression ratio vs the original.
-    pub compression_ratio: f64,
-}
-
-/// What [`run_parallel_scaling`] observed; equal for any `workers`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRun {
-    /// Every completed delivery, in `(round, client)` order.
-    pub rows: Vec<ScalingRow>,
-    /// View asks the session's media store answered from a decode another
-    /// viewer ran, when the last round was done.
-    pub view_hits: u64,
-    /// Decodes the media store ran.
-    pub view_misses: u64,
-}
-
-/// The session-engine scaling workload: one publisher multicasts
-/// `images` synthetic scenes to `viewers` subscribed clients, each of
-/// which interprets and reassembles every delivery on the sharded
-/// engine (the per-client pipeline it parallelises). Every viewer is
-/// on the full budget, so all hold one prefix and the session's media
-/// store decodes each image once whatever the viewer count. Returns
-/// every completed delivery in deterministic `(round, client)` order
-/// and the media store's view counts — identical for any `workers` value.
-pub fn run_parallel_scaling(
-    viewers: usize,
-    images: usize,
-    workers: usize,
-    seed: u64,
-) -> ScalingRun {
-    let cfg = SessionConfig {
-        seed,
-        workers,
-        ..SessionConfig::default()
-    };
-    let mut session = CollaborationSession::new(cfg);
-    let publisher = session
-        .add_wired_client(
-            viewer_profile("publisher"),
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-        )
-        .expect("publisher joins");
-    for i in 0..viewers {
-        session
-            .add_wired_client(
-                viewer_profile(&format!("viewer{i}")),
-                InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-                SimHost::idle(&format!("viewer{i}")),
-            )
-            .expect("viewer joins");
-    }
-    let mut rows = Vec::new();
-    for round in 0..images {
-        let scene = synthetic_scene(256, 256, 1, 4, seed.wrapping_add(round as u64));
-        session
-            .share_image(publisher, &scene, "interested_in contains 'image'")
-            .expect("share succeeds");
-        for (client, viewed) in session.pump(Ticks::from_secs(2)) {
-            rows.push(ScalingRow {
-                client,
-                object_id: viewed.object_id,
-                packets: viewed.packets_accepted,
-                bpp: viewed.bpp,
-                compression_ratio: viewed.compression_ratio,
-            });
-        }
-    }
-    let store = session.view_store();
-    ScalingRun {
-        view_hits: store.hits(),
-        view_misses: store.misses(),
-        rows,
-    }
 }
 
 // ------------------------------------------------------- §5.4 headline

@@ -38,7 +38,7 @@ pub enum ModalityChoice {
 /// [`FiredRules`] indexes. Each engine builds its table once (the
 /// threshold engine's is its policy database's rule list) and shares it
 /// with every decision it makes by `Arc`.
-pub(crate) trait RuleTable: Send + Sync {
+pub(crate) trait RuleTable {
     /// The name of the rule at `at`.
     fn rule_name(&self, at: usize) -> &str;
 }

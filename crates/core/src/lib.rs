@@ -62,7 +62,6 @@ pub mod netstate;
 pub mod policy;
 pub mod probe;
 pub mod session;
-pub mod shard;
 pub mod state;
 pub mod state_repo;
 pub mod transformer;

@@ -25,15 +25,14 @@ use std::sync::{Arc, LazyLock};
 /// canonical implementor; the [`engines`](crate::engines) module adds
 /// a fuzzy controller and a discrete Bayesian network behind the same
 /// interface. Implementations must be deterministic pure functions of
-/// the state so sharded sessions stay bit-identical across worker
-/// counts.
+/// the state, so a seeded session replays bit-identically.
 ///
 /// The one required method reads a [`StateVector`] and evaluates
 /// whatever selectors it runs on an [`EvalStack`] the caller keeps
 /// between calls, so a session's adaptation pass decides without
 /// allocating anything the decision does not carry. [`Self::decide`]
 /// takes the name-keyed map the vector replaces.
-pub trait AdaptationPolicy: Send + Sync {
+pub trait AdaptationPolicy {
     /// Short stable identifier (`"threshold"`, `"fuzzy"`, `"bayes"`)
     /// used in logs, bench tables, and chaos failure messages.
     fn name(&self) -> &'static str;

@@ -147,7 +147,7 @@ impl CollaborationSession {
             host,
             netstate,
             engine: Box::new(engine),
-            viewer: ImageViewer::with_store(16, self.media.clone()),
+            viewer: ImageViewer::new(16),
             chat: ChatArea::default(),
             whiteboard: Whiteboard::default(),
             repo: StateRepository::new(),
@@ -187,8 +187,7 @@ impl CollaborationSession {
     }
 
     /// Run the client's inference engine on `state`, evaluating on
-    /// `stack`, and apply the decision to its image viewer. Touches only
-    /// the client, so the sharded engine runs it on worker threads.
+    /// `stack`, and apply the decision to its image viewer.
     pub(super) fn decide_and_apply(
         client: &mut ClientRuntime,
         state: &StateVector,
@@ -221,11 +220,10 @@ impl CollaborationSession {
         decision
     }
 
-    /// Run one adaptation pass for every client. SNMP sampling walks
-    /// the shared network serially, into each client's kept state
-    /// vector; the inference-engine decisions and viewer updates are
-    /// sharded across `SessionConfig::workers` threads and returned in
-    /// client order (identical to calling
+    /// Run one adaptation pass for every client: sample every client's
+    /// state over SNMP into its kept state vector, then decide every
+    /// client and apply each decision to its viewer; the decisions come
+    /// back in client order (identical to calling
     /// [`CollaborationSession::adapt`] for each client in turn). What
     /// the pass allocates beyond the returned vector is the two
     /// datagrams of each client's GET.
@@ -234,12 +232,12 @@ impl CollaborationSession {
         for (id, (state, _)) in kept.iter_mut().enumerate() {
             self.sample_state(id, state);
         }
-        let decisions = crate::shard::map_shards(
-            &mut self.clients,
-            kept.iter_mut(),
-            self.cfg.workers,
-            |_, client, (state, stack)| Self::decide_and_apply(client, state, stack),
-        );
+        let decisions = self
+            .clients
+            .iter_mut()
+            .zip(&mut kept)
+            .map(|(client, (state, stack))| Self::decide_and_apply(client, state, stack))
+            .collect();
         self.adaptation = kept;
         decisions
     }

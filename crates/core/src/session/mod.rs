@@ -42,7 +42,6 @@ use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, SelectorStore};
 use simnet::{GroupId, LinkSpec, Network, NodeId, Payload, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
-use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use sysmon::SimHost;
@@ -71,10 +70,11 @@ pub struct SessionConfig {
     pub fault: Option<simnet::FaultModel>,
     /// SNMP community.
     pub community: String,
-    /// Worker threads for per-client pipeline stages (event
-    /// interpretation, media decoding, inference). `1` runs everything
-    /// serially on the caller's thread; any value produces bit-identical
-    /// results (see [`crate::shard`]).
+    /// Dead: the session runs every client on the caller's thread, and
+    /// [`CollaborationSession::new`] asserts this is `1`. The field
+    /// stays only because the repo benchmark's workload configs name
+    /// it; the next change to `benchmark/` deletes those lines, then
+    /// the field.
     pub workers: usize,
     /// Brokered mode: `Some(n)` replaces the flat multicast session
     /// with an `n`-domain broker overlay (a chain of `broker::Overlay`
@@ -228,13 +228,11 @@ pub struct CollaborationSession {
     /// prefix of a shared object is decoded once per session, not once
     /// per viewer holding it.
     media: MediaStore,
-    /// What one pump drained from every client's socket, client after
-    /// client — the delivered buffers themselves, each frame read off
-    /// its buffer's memo — and each client's span of it. Emptied after
-    /// each pump (the buffers go back to the network), never freed, so
-    /// a steady-state pump allocates neither.
+    /// What one pump drained from one client's socket — the delivered
+    /// buffers themselves, each frame read off its buffer's memo.
+    /// Emptied after each client (the buffers go back to the network),
+    /// never freed, so a steady-state pump allocates nothing for it.
     inbox: Vec<Payload>,
-    spans: Vec<Range<usize>>,
     /// What each client's adaptation samples into and its engine
     /// evaluates on, by client: kept between passes (and only by a
     /// session that adapts), so a steady pass allocates neither.
@@ -248,7 +246,10 @@ impl CollaborationSession {
     /// `link`/`fault`), each with its own SNMP extension agent serving
     /// the `tassl.21.*` rows, plus an uplink from the switch to broker
     /// 0 so routers, echo nodes, and the base station stay reachable.
+    ///
+    /// Panics if `cfg.workers` is not 1.
     pub fn new(cfg: SessionConfig) -> CollaborationSession {
+        assert_eq!(cfg.workers, 1, "the session runs on one thread");
         let mut net = Network::new(cfg.seed);
         let switch = net.add_node("switch");
         let group = net.new_group();
@@ -310,7 +311,6 @@ impl CollaborationSession {
             plan_watchers: Vec::new(),
             media: MediaStore::new(),
             inbox: Vec::new(),
-            spans: Vec::new(),
             adaptation: Vec::new(),
         }
     }
@@ -377,23 +377,16 @@ impl CollaborationSession {
     /// Advance simulated time and dispatch everything that arrived.
     /// Returns images completed during this step, tagged by client.
     ///
-    /// Reception is a three-phase pipeline: (1) the shared network is
-    /// drained serially, every client's socket into one session-owned
-    /// inbox of delivered buffers (a span per client), each resolved to
+    /// Reception runs client after client: the client's socket drains
+    /// into the session-owned inbox, each delivered buffer resolved to
     /// its [`sempubsub::Frame`] on the buffer's memo — decoded and
-    /// compiled once per session, not once per receiver, (2)
-    /// interpretation against the client's own profile + application
-    /// run per client, sharded across `SessionConfig::workers` threads:
-    /// each frame is read by reference off its buffer, each accepted
-    /// event read in place over the shared message, and its application
-    /// copies out only what it keeps; the buffers then go back to the
-    /// network, (3) results merge back in client order —
-    /// the same order the serial loop produces, so
-    /// any worker count is bit-identical to `workers: 1`, the selector
-    /// store's counters included (only phase 1 touches that store) and
-    /// the media store's view counts too (in phase 2 the first viewer
-    /// to ask for a prefix decodes it and the rest share that image,
-    /// whoever is first).
+    /// compiled once per session, not once per receiver; then each
+    /// frame is interpreted against the client's own profile, each
+    /// accepted event read in place over the shared message, and its
+    /// application copies out only what it keeps (a completing viewer
+    /// asks the session's media store, so the first viewer to ask for a
+    /// prefix decodes it and the rest share that image); then the
+    /// buffers go back to the network.
     pub fn pump(&mut self, d: Ticks) -> Vec<(ClientId, ViewedImage)> {
         if let Some(ov) = self.overlay.as_mut() {
             // Interleave time slices with broker forwarding, then
@@ -403,26 +396,14 @@ impl CollaborationSession {
         } else {
             self.net.run_for(d);
         }
-        for client in &mut self.clients {
-            let start = self.inbox.len();
+        let mut completed = Vec::new();
+        for (id, client) in self.clients.iter_mut().enumerate() {
             client.bus.receive(&mut self.net, &mut self.inbox);
-            self.spans.push(start..self.inbox.len());
+            Self::apply_received(id, client, &self.inbox, &mut self.media, &mut completed);
+            for payload in self.inbox.drain(..) {
+                self.net.recycle(payload);
+            }
         }
-        let inbox = &self.inbox;
-        let per_client = crate::shard::map_shards(
-            &mut self.clients,
-            self.spans.drain(..).map(|span| &inbox[span]),
-            self.cfg.workers,
-            |_, client, received| Self::apply_received(client, received),
-        );
-        for payload in self.inbox.drain(..) {
-            self.net.recycle(payload);
-        }
-        let completed: Vec<(ClientId, ViewedImage)> = per_client
-            .into_iter()
-            .enumerate()
-            .flat_map(|(id, viewed)| viewed.into_iter().map(move |v| (id, v)))
-            .collect();
         // Credit broker-side suppression to the clients it spared:
         // messages a domain broker routed away never reached the
         // domain's endpoints, so flat-mode `rejected` shows up here as

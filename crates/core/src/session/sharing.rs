@@ -3,7 +3,7 @@
 //! stroke / lock publishes, and the dispatch of received frames.
 
 use super::{ClientId, ClientRuntime, CollaborationSession};
-use crate::apps::ViewedImage;
+use crate::apps::{MediaStore, ViewedImage};
 use crate::concurrency::LockOutcome;
 use crate::events::{AppEvent, EventView, Outgoing};
 use crate::state_repo::ObjectState;
@@ -228,21 +228,19 @@ impl CollaborationSession {
         Ok(())
     }
 
-    /// Apply received buffers to one client: interpret each buffer's
+    /// Apply received buffers to client `id`: interpret each buffer's
     /// frame against the client's profile and dispatch accepted events,
     /// read in place over the shared message, to the client's
-    /// application entities — each copies out only what it keeps.
-    /// Per-client CPU work — the buffers and their frames are immutable
-    /// and everything mutated is the client's own,
-    /// so the sharded engine runs it on worker threads; the one thing
-    /// shared is the session's [`MediaStore`](crate::apps::MediaStore),
-    /// which a completing viewer asks for its image: the store's lock
-    /// covers the lookup, the decode runs outside it.
+    /// application entities — each copies out only what it keeps. A
+    /// completing viewer asks `media` for its image and pushes it to
+    /// `completed`.
     pub(super) fn apply_received(
+        id: ClientId,
         client: &mut ClientRuntime,
         received: &[Payload],
-    ) -> Vec<ViewedImage> {
-        let mut completed = Vec::new();
+        media: &mut MediaStore,
+        completed: &mut Vec<(ClientId, ViewedImage)>,
+    ) {
         let ClientRuntime {
             bus,
             viewer,
@@ -277,8 +275,8 @@ impl CollaborationSession {
                     );
                 }
                 EventView::ImageMeta { .. } | EventView::ImagePacket { .. } => {
-                    if let Some(viewed) = viewer.apply_delivered(&ev, message) {
-                        completed.push(viewed);
+                    if let Some(viewed) = viewer.apply_delivered(&ev, message, media) {
+                        completed.push((id, viewed));
                     }
                 }
                 EventView::SketchShare {
@@ -305,6 +303,5 @@ impl CollaborationSession {
                 }
             }
         });
-        completed
     }
 }

@@ -93,7 +93,7 @@ impl std::fmt::Display for TransformError {
 
 impl std::error::Error for TransformError {}
 
-type TransformFn = Box<dyn Fn(&MediaObject) -> Result<MediaObject, TransformError> + Send + Sync>;
+type TransformFn = Box<dyn Fn(&MediaObject) -> Result<MediaObject, TransformError>>;
 
 /// The extendible transformer suite.
 pub struct TransformerRegistry {
@@ -119,7 +119,7 @@ impl TransformerRegistry {
         &mut self,
         from: MediaKind,
         to: MediaKind,
-        f: impl Fn(&MediaObject) -> Result<MediaObject, TransformError> + Send + Sync + 'static,
+        f: impl Fn(&MediaObject) -> Result<MediaObject, TransformError> + 'static,
     ) {
         self.transforms.insert((from, to), Box::new(f));
     }

@@ -1793,10 +1793,8 @@ impl CodecScratch {
 
     /// Containers decoded without reading a symbol: every channel
     /// stream was a prefix of the one recorded for its channel. It
-    /// counts what this scratch was asked in the order it was asked —
-    /// the same containers shortest first replay nothing — so where
-    /// several scratches serve one session (more than one worker) it
-    /// depends on which asks met which scratch.
+    /// counts what this scratch was asked in the order it was asked:
+    /// the same containers shortest first replay nothing.
     pub fn replays(&self) -> u64 {
         self.replays
     }

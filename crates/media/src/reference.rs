@@ -10,7 +10,7 @@
 //!
 //! * the differential suite (`tests/media_codec.rs`) pins the
 //!   optimized encoder/decoder **bit-identical** to this code on
-//!   arbitrary planes, truncation points, and worker counts;
+//!   arbitrary planes and truncation points;
 //! * `bench --bin phases` holds the replayed decode of the share it
 //!   times to this code's image of the same bytes.
 

@@ -877,7 +877,7 @@ mod tests {
 
     /// A selector of 10 000 nested groups and a content value of 20 000
     /// nested lists, each one datagram from a hostile peer, on a thread
-    /// with the 2 MB stack every test thread and shard worker gets: each
+    /// with the 2 MB stack every test thread gets: each
     /// is refused and counted once, and the endpoint goes on delivering.
     #[test]
     fn hostile_nesting_is_counted_not_fatal() {

@@ -3,8 +3,8 @@
 //!
 //! A counting global allocator counts per thread, so the tests of this
 //! binary, which the harness runs on parallel threads, do not see each
-//! other's allocations; every session here runs with `workers: 1`, on
-//! the test's own thread. Each reception test warms its session up,
+//! other's allocations; every session here runs on the test's own
+//! thread. Each reception test warms its session up,
 //! then counts the allocations of `pump` alone (publishing and encoding
 //! stay outside the window) and divides by what the pump delivered.
 //! The sending side is counted the other way round: `share_image`

@@ -262,12 +262,10 @@ fn brokered_rejections_become_suppressions() {
 
 // ------------------------------------------------- figure bit-identity
 
-/// A Fig 6/7 session at `seed` with `workers` threads, flat or over a
-/// 3-broker overlay.
-fn viewer_cfg(seed: u64, workers: usize, domains: Option<usize>) -> SessionConfig {
+/// A Fig 6/7 session at `seed`, flat or over a 3-broker overlay.
+fn viewer_cfg(seed: u64, domains: Option<usize>) -> SessionConfig {
     SessionConfig {
         seed,
-        workers,
         domains,
         ..SessionConfig::default()
     }
@@ -275,28 +273,24 @@ fn viewer_cfg(seed: u64, workers: usize, domains: Option<usize>) -> SessionConfi
 
 #[test]
 fn brokered_fig6_bit_identical_to_flat() {
-    let flat = run_fig6(viewer_cfg(7, 1, None));
-    assert_eq!(run_fig6(viewer_cfg(7, 1, Some(3))), flat, "workers 1");
-    assert_eq!(run_fig6(viewer_cfg(7, 4, Some(3))), flat, "workers 4");
+    let flat = run_fig6(viewer_cfg(7, None));
+    assert_eq!(run_fig6(viewer_cfg(7, Some(3))), flat);
 }
 
 #[test]
 fn brokered_fig7_bit_identical_to_flat() {
-    let flat = run_fig7(viewer_cfg(42, 1, None));
-    assert_eq!(run_fig7(viewer_cfg(42, 1, Some(3))), flat, "workers 1");
-    assert_eq!(run_fig7(viewer_cfg(42, 4, Some(3))), flat, "workers 4");
+    let flat = run_fig7(viewer_cfg(42, None));
+    assert_eq!(run_fig7(viewer_cfg(42, Some(3))), flat);
 }
 
 #[test]
 fn brokered_fig10_bit_identical_to_flat() {
     let flat = run_fig10();
-    for workers in [1usize, 4] {
-        let brokered = run_fig10_brokered(workers);
-        assert_eq!(brokered.series, flat.series, "workers {workers}");
-        assert_eq!(brokered.a_sir_by_count, flat.a_sir_by_count);
-        assert_eq!(brokered.drop_on_second_join, flat.drop_on_second_join);
-        assert_eq!(brokered.drop_on_third_join, flat.drop_on_third_join);
-    }
+    let brokered = run_fig10_brokered();
+    assert_eq!(brokered.series, flat.series);
+    assert_eq!(brokered.a_sir_by_count, flat.a_sir_by_count);
+    assert_eq!(brokered.drop_on_second_join, flat.drop_on_second_join);
+    assert_eq!(brokered.drop_on_third_join, flat.drop_on_third_join);
 }
 
 // ---------------------------------------------------------- robustness
@@ -488,78 +482,72 @@ fn a_lost_advertisement_is_repaired_by_readvertise_and_by_nothing_else() {
 /// gateway — on top of the publisher's validation. Every broker hop and
 /// every wireless profile at the base station reads the frame that
 /// first look left on the buffer; the brokers hold no store but the
-/// session's. Sharding cannot be seen in the counts.
+/// session's.
 #[test]
 fn one_store_lookup_per_buffer_brokers_and_gateway_included() {
     const PUBLISHES: u64 = 90;
-    let run = |workers: usize| {
-        let mut s = CollaborationSession::new(SessionConfig {
-            seed: 19,
-            workers,
-            domains: Some(3),
-            ..SessionConfig::default()
-        });
-        let clients: Vec<usize> = (0..9)
-            .map(|i| {
-                let name = format!("c{i}");
-                let topics = [format!("t{}", i % 4), format!("t{}", (i + 1) % 4)];
-                let profile = topic_profile(&name, &[&topics[0], &topics[1]]);
-                s.add_wired_client(profile, engine(), SimHost::idle(&name))
-                    .expect("client joins")
-            })
-            .collect();
-        s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
-            .expect("gateway attaches");
-        for (w, topic) in ["t0", "t2", "t3"].into_iter().enumerate() {
-            let profile = topic_profile(&format!("w{w}"), &[topic]);
-            s.wireless_join_with_profile(profile, 40.0 + 10.0 * w as f64, 100.0)
-                .expect("wireless client joins");
-        }
-        let store = s.selector_store().stats();
-        let lookups = || store.hits() + store.misses();
+    let mut s = CollaborationSession::new(SessionConfig {
+        seed: 19,
+        domains: Some(3),
+        ..SessionConfig::default()
+    });
+    let clients: Vec<usize> = (0..9)
+        .map(|i| {
+            let name = format!("c{i}");
+            let topics = [format!("t{}", i % 4), format!("t{}", (i + 1) % 4)];
+            let profile = topic_profile(&name, &[&topics[0], &topics[1]]);
+            s.add_wired_client(profile, engine(), SimHost::idle(&name))
+                .expect("client joins")
+        })
+        .collect();
+    s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
+        .expect("gateway attaches");
+    for (w, topic) in ["t0", "t2", "t3"].into_iter().enumerate() {
+        let profile = topic_profile(&format!("w{w}"), &[topic]);
+        s.wireless_join_with_profile(profile, 40.0 + 10.0 * w as f64, 100.0)
+            .expect("wireless client joins");
+    }
+    let store = s.selector_store().stats();
+    let lookups = || store.hits() + store.misses();
 
-        let at_start = lookups();
-        let mut validations = 0;
-        for n in 0..PUBLISHES as usize {
-            let selector = format!("interested_in contains 't{}'", n % 5);
-            let before = lookups();
-            s.share_chat(clients[n % clients.len()], "line", &selector)
-                .expect("publishes");
-            validations += lookups() - before;
-            if n % 6 == 5 {
-                s.pump(Ticks::from_millis(80));
-            }
+    let at_start = lookups();
+    let mut validations = 0;
+    for n in 0..PUBLISHES as usize {
+        let selector = format!("interested_in contains 't{}'", n % 5);
+        let before = lookups();
+        s.share_chat(clients[n % clients.len()], "line", &selector)
+            .expect("publishes");
+        validations += lookups() - before;
+        if n % 6 == 5 {
+            s.pump(Ticks::from_millis(80));
         }
-        s.pump(Ticks::from_millis(200));
-        assert_eq!(validations, PUBLISHES, "a publish validates once");
+    }
+    s.pump(Ticks::from_millis(200));
+    assert_eq!(validations, PUBLISHES, "a publish validates once");
+    assert_eq!(
+        lookups() - at_start,
+        validations + PUBLISHES,
+        "one lookup per buffer on top of the publishers'"
+    );
+
+    let ov = s.overlay().expect("brokered session");
+    let forwarded: u64 = (0..3).map(|i| ov.stats(i).forwarded()).sum();
+    assert!(forwarded >= PUBLISHES, "only {forwarded} copies forwarded");
+    for i in 0..3 {
+        let broker = ov.cache_stats(i);
         assert_eq!(
-            lookups() - at_start,
-            validations + PUBLISHES,
-            "workers = {workers}: one lookup per buffer on top of the publishers'"
+            (broker.hits(), broker.misses()),
+            (store.hits(), store.misses()),
+            "broker {i} compiles through the session's store"
         );
-
-        let ov = s.overlay().expect("brokered session");
-        let forwarded: u64 = (0..3).map(|i| ov.stats(i).forwarded()).sum();
-        assert!(forwarded >= PUBLISHES, "only {forwarded} copies forwarded");
-        for i in 0..3 {
-            let broker = ov.cache_stats(i);
-            assert_eq!(
-                (broker.hits(), broker.misses()),
-                (store.hits(), store.misses()),
-                "broker {i} compiles through the session's store"
-            );
-        }
-        let relayed = s
-            .base_station
-            .as_ref()
-            .expect("attached")
-            .downlink_log
-            .len();
-        assert!(relayed > 0, "the gateway relayed nothing");
-        let received: Vec<_> = clients.iter().map(|&c| s.client(c).bus.stats()).collect();
-        (received, relayed, store.hits(), store.misses())
-    };
-    assert_eq!(run(1), run(4));
+    }
+    let relayed = s
+        .base_station
+        .as_ref()
+        .expect("attached")
+        .downlink_log
+        .len();
+    assert!(relayed > 0, "the gateway relayed nothing");
 }
 
 // ------------------------------------------------ advertisement floods

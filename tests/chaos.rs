@@ -468,37 +468,28 @@ fn zero_fault_rates_leave_figures_bit_identical() {
 }
 
 /// An *active* burst model on every LAN link still yields the identical
-/// figure series for any worker count: the network RNG sequence does
-/// not depend on how the engine is sharded.
+/// figure series from run to run: the network RNG sequence is a
+/// function of the seed alone.
 #[test]
-fn faulted_figures_identical_across_worker_counts() {
+fn faulted_figures_replay_identically() {
     let active = Some(FaultModel::none().with_burst(GilbertElliott::bursty(0.02, 0.3, 0.5)));
-    let cfg = |seed, workers| SessionConfig {
+    let cfg = |seed| SessionConfig {
         seed,
-        workers,
         fault: active,
         ..SessionConfig::default()
     };
-    let serial6 = run_fig6(cfg(7, 1));
-    assert_eq!(run_fig6(cfg(7, 4)), serial6, "fig6, workers 4");
-    assert_eq!(run_fig6(cfg(7, 1)), serial6, "fig6, rerun");
-    let serial7 = run_fig7(cfg(42, 1));
-    assert_eq!(run_fig7(cfg(42, 4)), serial7, "fig7, workers 4");
+    assert_eq!(run_fig6(cfg(7)), run_fig6(cfg(7)), "fig6, rerun");
+    assert_eq!(run_fig7(cfg(42)), run_fig7(cfg(42)), "fig7, rerun");
 }
 
 // ------------------------------------------------- session under a plan
 
 /// Full-session chaos: one publisher multicasts scenes to three viewers
 /// while a scripted plan degrades and restores a viewer's link. The
-/// delivery trace must be bit-identical for 1 and 4 workers.
-fn run_session_under_plan(
-    workers: usize,
-    seed: u64,
-    plan: &FaultPlan,
-) -> Vec<(usize, u64, u32, f64)> {
+/// delivery trace must replay bit-identically from the seed and plan.
+fn run_session_under_plan(seed: u64, plan: &FaultPlan) -> Vec<(usize, u64, u32, f64)> {
     let cfg = SessionConfig {
         seed,
-        workers,
         ..SessionConfig::default()
     };
     let mut session = CollaborationSession::new(cfg);
@@ -803,17 +794,15 @@ fn ecn_flood_head_to_head_trims_before_loss() {
 /// Full-session chaos per engine: viewers built through
 /// `SessionConfig::engine` + `add_adaptive_client`, adapted each round
 /// while a scripted plan degrades a viewer link. Decision and delivery
-/// traces must be bit-identical for 1 and 4 workers for every engine —
-/// `adapt_all` shards the engine `decide` calls across workers.
+/// traces must replay bit-identically from the seed and plan for every
+/// engine.
 fn run_adaptive_session_under_plan(
-    workers: usize,
     seed: u64,
     plan: &FaultPlan,
     choice: EngineChoice,
 ) -> Vec<String> {
     let cfg = SessionConfig {
         seed,
-        workers,
         engine: choice,
         ..SessionConfig::default()
     };
@@ -869,7 +858,7 @@ fn run_adaptive_session_under_plan(
 }
 
 #[test]
-fn engine_sessions_identical_across_worker_counts() {
+fn engine_sessions_replay_identically() {
     let plan = FaultPlan::new()
         .at(
             Ticks::from_millis(5),
@@ -878,17 +867,16 @@ fn engine_sessions_identical_across_worker_counts() {
         .at(Ticks::from_millis(400), FaultAction::ClearFault(LinkId(1)));
     let seed = chaos_seed(1111);
     for choice in engines_under_test() {
-        let serial = run_adaptive_session_under_plan(1, seed, &plan, choice);
+        let first = run_adaptive_session_under_plan(seed, &plan, choice);
         assert!(
-            !serial.is_empty(),
+            !first.is_empty(),
             "engine `{}`: no deliveries completed; seed {seed}",
             choice.name()
         );
-        let sharded = run_adaptive_session_under_plan(4, seed, &plan, choice);
         assert_eq!(
-            sharded,
-            serial,
-            "engine `{}` trace diverged across worker counts; seed {seed}, plan:\n{plan}",
+            run_adaptive_session_under_plan(seed, &plan, choice),
+            first,
+            "engine `{}` trace diverged on a rerun; seed {seed}, plan:\n{plan}",
             choice.name()
         );
     }
@@ -901,7 +889,6 @@ fn engine_sessions_identical_across_worker_counts() {
 /// is down, then heal and drain. Returns the texter's chat trace plus
 /// the custody counters that describe what the store did.
 fn run_custody_session_under_plan(
-    workers: usize,
     seed: u64,
     lifetime: Ticks,
     heal_after: Ticks,
@@ -911,7 +898,6 @@ fn run_custody_session_under_plan(
 
     let mut session = CollaborationSession::new(SessionConfig {
         seed,
-        workers,
         domains: Some(2),
         custody: Some(StoreConfig {
             lifetime,
@@ -952,7 +938,7 @@ fn run_custody_session_under_plan(
     let plan = FaultPlan::new()
         .at(t0 + Ticks::from_millis(2), FaultAction::LinkDown(link))
         .at(t0 + heal_after, FaultAction::LinkUp(link));
-    let ctx = format!("seed {seed}, workers {workers}, fault plan:\n{plan}");
+    let ctx = format!("seed {seed}, fault plan:\n{plan}");
     session.net.set_fault_plan(plan);
 
     // Into the outage, then the burst: every line is wrapped as a
@@ -987,15 +973,14 @@ fn run_custody_session_under_plan(
 }
 
 /// Acceptance: partition + publish burst + heal delivers every
-/// non-expired message exactly once, in publish order — and the whole
-/// trace is bit-identical between 1 and 4 workers.
+/// non-expired message exactly once, in publish order.
 #[test]
 fn custody_partition_burst_heal_delivers_exactly_once_in_order() {
     let seed = chaos_seed(1212);
     let lifetime = Ticks::from_secs(30);
     let heal_after = Ticks::from_millis(100);
     let (log, stored, transfers, expired, ctx) =
-        run_custody_session_under_plan(1, seed, lifetime, heal_after, 6);
+        run_custody_session_under_plan(seed, lifetime, heal_after, 6);
     assert_eq!(
         log,
         (0..6).map(|k| format!("line {k}")).collect::<Vec<_>>(),
@@ -1004,13 +989,6 @@ fn custody_partition_burst_heal_delivers_exactly_once_in_order() {
     assert_eq!(stored, 0, "store drained\n{ctx}");
     assert_eq!(transfers, 6, "each bundle released exactly once\n{ctx}");
     assert_eq!(expired, 0, "nothing expired under a 30 s lifetime\n{ctx}");
-
-    let sharded = run_custody_session_under_plan(4, seed, lifetime, heal_after, 6);
-    assert_eq!(
-        (&sharded.0, sharded.1, sharded.2, sharded.3),
-        (&log, stored, transfers, expired),
-        "custody trace diverged across worker counts\n{ctx}"
-    );
 }
 
 /// Lifetime expiry: when the partition outlasts every bundle's
@@ -1023,7 +1001,7 @@ fn custody_lifetime_expiry_drops_the_burst_cleanly() {
     let lifetime = Ticks::from_millis(20);
     let heal_after = Ticks::from_millis(300);
     let (log, stored, transfers, expired, ctx) =
-        run_custody_session_under_plan(1, seed, lifetime, heal_after, 4);
+        run_custody_session_under_plan(seed, lifetime, heal_after, 4);
     assert_eq!(
         log,
         Vec::<String>::new(),
@@ -1035,7 +1013,7 @@ fn custody_lifetime_expiry_drops_the_burst_cleanly() {
 }
 
 #[test]
-fn session_chaos_trace_identical_across_worker_counts() {
+fn session_chaos_trace_replays_identically() {
     // Client links are created in join order: publisher = LinkId(0),
     // viewer0 = LinkId(1). Degrade viewer0's link mid-stream, restore
     // later.
@@ -1046,11 +1024,11 @@ fn session_chaos_trace_identical_across_worker_counts() {
         )
         .at(Ticks::from_millis(400), FaultAction::ClearFault(LinkId(1)));
     let seed = chaos_seed(99);
-    let serial = run_session_under_plan(1, seed, &plan);
-    assert!(!serial.is_empty(), "at least some deliveries complete");
-    let sharded = run_session_under_plan(4, seed, &plan);
+    let first = run_session_under_plan(seed, &plan);
+    assert!(!first.is_empty(), "at least some deliveries complete");
     assert_eq!(
-        sharded, serial,
-        "session delivery trace diverged across worker counts; seed {seed}, plan:\n{plan}"
+        run_session_under_plan(seed, &plan),
+        first,
+        "session delivery trace diverged on a rerun; seed {seed}, plan:\n{plan}"
     );
 }

@@ -719,43 +719,40 @@ fn capped_encode_equals_the_cut_of_the_full_encode_at_every_budget() {
 }
 
 /// What the session sends under a rate limit is what it sent when it
-/// encoded everything and cut afterwards — at any worker count — and a
-/// re-share of the same scene under the same limit is still one encode.
+/// encoded everything and cut afterwards, and a re-share of the same
+/// scene under the same limit is still one encode.
 #[test]
 fn a_rate_limited_share_sends_the_cut_of_the_full_stream() {
     use collabqos::prelude::*;
     let scene = synthetic_scene(64, 64, 3, 4, 67);
     let levels = wavelet::max_levels(64, 64).min(5);
-    for workers in [1, 4] {
-        let cfg = SessionConfig {
-            color_transform: true,
-            full_stream_bpp: Some(3.0),
-            workers,
-            ..SessionConfig::default()
-        };
-        let full = ezw::encode_image_opts(&scene.image, levels, cfg.wavelet, true).unwrap();
-        let budget = 64 * 64 * 3 / 8;
-        assert!(budget < full.len(), "the limit bites");
-        let sent = ezw::truncate_container(&full, budget).unwrap();
+    let cfg = SessionConfig {
+        color_transform: true,
+        full_stream_bpp: Some(3.0),
+        ..SessionConfig::default()
+    };
+    let full = ezw::encode_image_opts(&scene.image, levels, cfg.wavelet, true).unwrap();
+    let budget = 64 * 64 * 3 / 8;
+    assert!(budget < full.len(), "the limit bites");
+    let sent = ezw::truncate_container(&full, budget).unwrap();
 
-        let mut s = CollaborationSession::new(cfg.clone());
-        let publisher = join_image_client(&mut s, "publisher");
-        let viewer = join_image_client(&mut s, "viewer");
-        s.client_mut(viewer).viewer.set_packet_budget(16);
-        for share in 1..=2u64 {
-            s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
-            let views = s.pump(Ticks::from_secs(2));
-            assert_eq!(views.len(), 1);
-            let (_, view) = &views[0];
-            let payload: usize = split_packets(&sent, cfg.packets_per_image)
-                .iter()
-                .map(|p| p.payload.len())
-                .sum();
-            assert_eq!(view.received_bytes, payload, "workers {workers}");
-            assert!(*view.image == reference::decode_image(&sent).unwrap());
-            let stats = s.media_cache_stats();
-            assert_eq!((stats.misses(), stats.hits()), (1, share - 1));
-        }
+    let mut s = CollaborationSession::new(cfg.clone());
+    let publisher = join_image_client(&mut s, "publisher");
+    let viewer = join_image_client(&mut s, "viewer");
+    s.client_mut(viewer).viewer.set_packet_budget(16);
+    for share in 1..=2u64 {
+        s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+        let views = s.pump(Ticks::from_secs(2));
+        assert_eq!(views.len(), 1);
+        let (_, view) = &views[0];
+        let payload: usize = split_packets(&sent, cfg.packets_per_image)
+            .iter()
+            .map(|p| p.payload.len())
+            .sum();
+        assert_eq!(view.received_bytes, payload);
+        assert!(*view.image == reference::decode_image(&sent).unwrap());
+        let stats = s.media_cache_stats();
+        assert_eq!((stats.misses(), stats.hits()), (1, share - 1));
     }
 }
 
@@ -1098,46 +1095,36 @@ fn a_cold_shares_views_read_no_symbol() {
 /// Where the store gives nothing: more distinct prefixes in a round
 /// than it holds views, asked for in the same order round after round,
 /// so each is evicted just before its second asker arrives. Every ask
-/// decodes, as it did before there was a store — on the sharded engine
-/// side by side, since no decode runs under the store's lock — and
-/// every view is still the plain decoder's.
+/// decodes, as it did before there was a store, and every view is still
+/// the plain decoder's.
 #[test]
 fn more_prefixes_than_the_store_holds_decode_per_viewer() {
     use collabqos::prelude::*;
     const BUDGETS: [u32; 5] = [16, 12, 8, 4, 2];
     const VIEWERS: usize = 2 * BUDGETS.len();
-    for workers in [1, 4] {
-        let cfg = SessionConfig {
-            workers,
-            ..SessionConfig::default()
-        };
-        let mut s = CollaborationSession::new(cfg.clone());
-        let publisher = join_image_client(&mut s, "publisher");
-        let mut budget_of = vec![0u32; publisher + 1];
-        for (i, &budget) in BUDGETS.iter().cycle().take(VIEWERS).enumerate() {
-            let id = join_image_client(&mut s, &format!("viewer{i}"));
-            s.client_mut(id).viewer.set_packet_budget(budget);
-            budget_of.push(budget);
-        }
-        let scene = synthetic_scene(64, 64, 1, 4, 29);
-        let packets = shared_packets(&cfg, &scene);
-        s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
-        let views = s.pump(Ticks::from_secs(2));
-        assert_eq!(views.len(), VIEWERS);
-        for (id, view) in &views {
-            let prefix = reassemble_prefix(&packets[..budget_of[*id] as usize]).unwrap();
-            assert!(*view.image == ezw::decode_image(&prefix).unwrap());
-        }
-        let store = s.view_store();
-        assert!(store.len() < BUDGETS.len(), "the round does not fit");
-        assert_eq!(store.hits() + store.misses(), VIEWERS as u64);
-        if workers == 1 {
-            // In client order the cycle evicts every view before its
-            // second asker; across threads a late first asker can let
-            // one through, so only the serial count is fixed.
-            assert_eq!((store.hits(), store.misses()), (0, VIEWERS as u64));
-        }
+    let cfg = SessionConfig::default();
+    let mut s = CollaborationSession::new(cfg.clone());
+    let publisher = join_image_client(&mut s, "publisher");
+    let mut budget_of = vec![0u32; publisher + 1];
+    for (i, &budget) in BUDGETS.iter().cycle().take(VIEWERS).enumerate() {
+        let id = join_image_client(&mut s, &format!("viewer{i}"));
+        s.client_mut(id).viewer.set_packet_budget(budget);
+        budget_of.push(budget);
     }
+    let scene = synthetic_scene(64, 64, 1, 4, 29);
+    let packets = shared_packets(&cfg, &scene);
+    s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+    let views = s.pump(Ticks::from_secs(2));
+    assert_eq!(views.len(), VIEWERS);
+    for (id, view) in &views {
+        let prefix = reassemble_prefix(&packets[..budget_of[*id] as usize]).unwrap();
+        assert!(*view.image == ezw::decode_image(&prefix).unwrap());
+    }
+    let store = s.view_store();
+    assert!(store.len() < BUDGETS.len(), "the round does not fit");
+    // In client order the cycle evicts every view before its second
+    // asker.
+    assert_eq!((store.hits(), store.misses()), (0, VIEWERS as u64));
 }
 
 /// The events that carry `container` as object `object_id`, each in a
@@ -1175,7 +1162,7 @@ fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<Arc<Wire
 /// share nothing a weaker key would compare, and still never alias.
 #[test]
 fn equal_length_containers_under_one_object_id_never_alias() {
-    let store = MediaStore::new();
+    let mut store = MediaStore::new();
     let containers: Vec<(Vec<u8>, Image)> = [31u64, 32]
         .into_iter()
         .map(|seed| {
@@ -1189,10 +1176,12 @@ fn equal_length_containers_under_one_object_id_never_alias() {
     let mut shown = Vec::new();
     // Twice over, so the second pass is answered from the store.
     for (container, image) in containers.iter().chain(&containers) {
-        let mut viewer = ImageViewer::with_store(4, store.clone());
+        let mut viewer = ImageViewer::new(4);
         let view = image_events(7, container, image)
             .iter()
-            .find_map(|m| viewer.apply_delivered(&EventView::parse(m.body()).unwrap(), m))
+            .find_map(|m| {
+                viewer.apply_delivered(&EventView::parse(m.body()).unwrap(), m, &mut store)
+            })
             .expect("completes");
         assert!(*view.image == ezw::decode_image(container).unwrap());
         shown.push(view.image);
@@ -1204,7 +1193,7 @@ fn equal_length_containers_under_one_object_id_never_alias() {
 /// The store is a small fixed size whatever passes through it.
 #[test]
 fn a_hundred_objects_leave_a_handful_of_views() {
-    let store = MediaStore::new();
+    let mut store = MediaStore::new();
     let mut held = Vec::new();
     for seed in 0..100 {
         let image = synthetic_scene(16, 16, 1, 2, seed).image;
@@ -1345,42 +1334,45 @@ fn a_view_a_caller_holds_is_never_recycled() {
     assert!(*image == copy);
 }
 
-/// Recycled pixels and reassembly buffers change nothing the sharded
-/// engine shows: over rounds of shares that evict each other's views,
-/// a `workers: 4` session sees the pixels and the hit / miss counts a
-/// `workers: 1` session does.
+/// Recycled pixels and reassembly buffers change nothing a session
+/// shows: over rounds of shares that evict each other's views, every
+/// viewer gets the plain decoder's pixels of its own prefix, and the
+/// store decodes each of a round's four prefixes once.
 #[test]
-fn recycling_views_is_identical_at_any_worker_count() {
+fn recycling_views_changes_no_pixel_and_no_count() {
     use collabqos::prelude::*;
     const BUDGETS: [u32; 8] = [16, 8, 4, 2, 16, 8, 4, 16];
-    let run = |workers: usize| {
-        let mut s = CollaborationSession::new(SessionConfig {
-            workers,
-            color_transform: true,
-            full_stream_bpp: Some(6.0),
-            ..SessionConfig::default()
-        });
-        let publisher = join_image_client(&mut s, "publisher");
-        for (i, &budget) in BUDGETS.iter().enumerate() {
-            let id = join_image_client(&mut s, &format!("viewer{i}"));
-            s.client_mut(id).viewer.set_packet_budget(budget);
-        }
-        let mut seen = Vec::new();
-        for round in 0..6u64 {
-            let scene = synthetic_scene(64, 64, 3, 4, 80 + round);
-            s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
-            for (id, view) in s.pump(Ticks::from_secs(2)) {
-                seen.push((id, view.packets_accepted, pixel_hash(&view.image)));
-            }
-            for id in 0..s.client_count() {
-                s.client_mut(id).viewer.viewed.clear();
-            }
-        }
-        let store = s.view_store();
-        (seen, store.hits(), store.misses())
+    let cfg = SessionConfig {
+        color_transform: true,
+        full_stream_bpp: Some(6.0),
+        ..SessionConfig::default()
     };
-    let serial = run(1);
-    assert_eq!(serial.0.len(), 6 * BUDGETS.len());
-    assert_eq!((serial.1, serial.2), (6 * 4, 6 * 4));
-    assert_eq!(run(4), serial);
+    let mut s = CollaborationSession::new(cfg.clone());
+    let publisher = join_image_client(&mut s, "publisher");
+    for (i, &budget) in BUDGETS.iter().enumerate() {
+        let id = join_image_client(&mut s, &format!("viewer{i}"));
+        s.client_mut(id).viewer.set_packet_budget(budget);
+    }
+    let levels = wavelet::max_levels(64, 64).min(5);
+    let mut views = 0;
+    for round in 0..6u64 {
+        let scene = synthetic_scene(64, 64, 3, 4, 80 + round);
+        let cap = 64 * 64 * 6 / 8;
+        let sent =
+            ezw::encode_image_capped(&scene.image, levels, cfg.wavelet, true, Some(cap)).unwrap();
+        let packets = split_packets(&sent, cfg.packets_per_image);
+        s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
+        for (id, view) in s.pump(Ticks::from_secs(2)) {
+            let prefix = reassemble_prefix(&packets[..view.packets_accepted as usize]).unwrap();
+            let plain = ezw::decode_image(&prefix).unwrap();
+            assert!(*view.image == plain, "round {round}, client {id}");
+            views += 1;
+        }
+        for id in 0..s.client_count() {
+            s.client_mut(id).viewer.viewed.clear();
+        }
+    }
+    assert_eq!(views, 6 * BUDGETS.len());
+    let store = s.view_store();
+    assert_eq!((store.hits(), store.misses()), (6 * 4, 6 * 4));
 }

@@ -42,7 +42,7 @@ fn wireless_series_are_pinned() {
     const CAPACITY_40: u64 = 0x41cd_819a_88da_8b5b;
     let got = fig10_digest(&run_fig10());
     assert_eq!(got, FIG10, "fig10 flat: got {got:#018x}");
-    let got = fig10_digest(&run_fig10_brokered(1));
+    let got = fig10_digest(&run_fig10_brokered());
     assert_eq!(got, FIG10, "fig10 brokered: got {got:#018x}");
     let (curve, admitted) = run_capacity_curve(40);
     let rows = curve.iter().flat_map(|r| {
