@@ -40,10 +40,14 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
-    /// Byte level at which the high-watermark alert arms.
+    /// Byte level at which the high-watermark alert arms. Past 100 %
+    /// it lies above the quota, so the alert never arms; it saturates
+    /// at `u64::MAX` rather than overflow on a huge quota.
     pub fn high_watermark_bytes(&self) -> u64 {
-        self.max_bytes / 100 * self.high_watermark_pct as u64
-            + self.max_bytes % 100 * self.high_watermark_pct as u64 / 100
+        let pct = self.high_watermark_pct as u64;
+        (self.max_bytes / 100)
+            .saturating_mul(pct)
+            .saturating_add(self.max_bytes % 100 * pct / 100)
     }
 }
 
@@ -526,6 +530,30 @@ mod tests {
             ..StoreConfig::default()
         };
         assert!(huge.high_watermark_bytes() > u64::MAX / 4);
+    }
+
+    /// Every percentage a `u8` holds on quotas up to `u64::MAX`: no
+    /// overflow, never above the quota up to 100 %, and never lower for
+    /// a higher percentage (an alert set past 100 % must not arm early).
+    #[test]
+    fn high_watermark_bytes_saturates_past_one_hundred_percent() {
+        for max_bytes in [0, 1, 99, 100, 256 << 10, u64::MAX / 100, u64::MAX] {
+            let mut last = 0;
+            for pct in 0..=u8::MAX {
+                let cfg = StoreConfig {
+                    max_bytes,
+                    high_watermark_pct: pct,
+                    ..StoreConfig::default()
+                };
+                let level = cfg.high_watermark_bytes();
+                if pct <= 100 {
+                    assert!(level <= max_bytes, "{pct} % of {max_bytes}: {level}");
+                }
+                assert!(level >= last, "{pct} % of {max_bytes}: {level} < {last}");
+                last = level;
+            }
+            assert!(last >= max_bytes, "255 % of {max_bytes}: {last}");
+        }
     }
 }
 

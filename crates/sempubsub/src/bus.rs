@@ -312,16 +312,14 @@ impl BusEndpoint {
         }
     }
 
-    /// The serial half of reception, for a caller that drains many
-    /// endpoints and interprets them on worker threads: drain the
-    /// socket into `inbox`, each buffer's frame resolved onto it (the
-    /// buffer itself is moved in, and goes back to [`Network::recycle`]
-    /// once its caller is done), and bring the profile snapshot up to
-    /// date. Everything that touches the network or the selector store
-    /// happens here, so the other half — [`BusEndpoint::decide`] —
-    /// takes no lock and shares no mutable state (except for a buffer a
-    /// receiver on another store looked at first, which `decide`
-    /// resolves privately).
+    /// The first half of reception: drain the socket into `inbox`, each
+    /// buffer's frame resolved onto it (the buffer itself is moved in,
+    /// and goes back to [`Network::recycle`] once its caller is done),
+    /// and bring the profile snapshot up to date. Everything that
+    /// touches the network or the selector store happens here, so the
+    /// other half — [`BusEndpoint::decide`] — takes no lock (except for
+    /// a buffer a receiver on another store looked at first, which
+    /// `decide` resolves privately).
     /// The caller owns `inbox`, so one buffer kept across pumps serves
     /// every endpoint it drains. A gateway stops here: it reads the
     /// frames ([`BusEndpoint::read`]) on behalf of profiles that are
@@ -354,8 +352,7 @@ impl BusEndpoint {
     /// `BTreeMap` walk, no allocation and no reference count touched.
     /// An interest reads the message's content description, which the
     /// first reader of the frame builds for all
-    /// ([`WireMessage::content`]). Pure CPU: safe on a worker thread
-    /// that owns this endpoint.
+    /// ([`WireMessage::content`]).
     pub fn decide(
         &mut self,
         inbox: &[Payload],

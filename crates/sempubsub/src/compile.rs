@@ -11,14 +11,13 @@
 //! This module compiles a selector into a flat postfix program over
 //! interned attribute [`Symbol`]s ([`CompiledSelector`]), snapshots a
 //! profile into a symbol-keyed slot table ([`CompiledProfile`]), and
-//! caches compiled programs in a bounded LRU keyed by selector source
-//! ([`SelectorCache`]) behind a shareable handle ([`SelectorStore`]):
-//! a program is immutable, so a session compiles each selector string
-//! once and every receiver evaluates the same `Arc`ed program against
-//! its own snapshot. Evaluation is a loop over `Copy` instructions
-//! against a reusable operand stack: no recursion, no `String` hashing,
-//! no value clones, and — after the stack's high-water mark is reached
-//! — no allocation at all.
+//! keeps compiled programs in one bounded LRU keyed by selector source
+//! per [`SelectorStore`]: a program is immutable, so a session compiles
+//! each selector string once and every receiver evaluates the same
+//! `Arc`ed program against its own snapshot. Evaluation is a loop over
+//! `Copy` instructions against a reusable operand stack: no recursion,
+//! no `String` hashing, no value clones, and — after the stack's
+//! high-water mark is reached — no allocation at all.
 //!
 //! Semantics are **bit-identical** to the tree walk, including
 //! short-circuit behavior (`flag and 3 == 'oops'` must not raise a
@@ -154,10 +153,11 @@ const CHUNK_CLASSES: usize = 128;
 /// classes each. A chunk is allocated when the program first decides
 /// a class in it, so a program that is only ever evaluated some other
 /// way (a policy condition) carries one empty cell, and one deciding
-/// a few dozen classes 48 bytes. Workers deciding the same class at
-/// once compute the same verdict and set the same bits, and the bits
-/// publish no other data, so relaxed atomics suffice. The memo plays no
-/// part in whether two programs are equal.
+/// a few dozen classes 48 bytes. The bits are atomics because a
+/// program is shared wherever its store's handle goes: two deciders of
+/// one class compute the same verdict and set the same bits, and the
+/// bits publish no other data, so relaxed ordering suffices. The memo
+/// plays no part in whether two programs are equal.
 #[derive(Debug, Default)]
 struct Verdicts(OnceLock<Box<VerdictChunk>>);
 
@@ -514,7 +514,7 @@ impl CompiledProfile {
 }
 
 /// Live hit / miss / eviction counters of a bounded cache, shareable
-/// with SNMP instrumentation: the selector cache's, and the encode
+/// with SNMP instrumentation: a selector store's, and the encode
 /// table's of the session's media store (`cqos_core::apps::MediaStore`),
 /// which bumps its own through the `record_*` methods.
 #[derive(Clone, Default, Debug)]
@@ -573,22 +573,21 @@ struct CacheEntry {
     next: u32,
 }
 
-/// A bounded, strict-LRU cache of compiled selectors keyed by source
-/// text, sharing one [`Interner`] across every program it compiles.
-/// Programs are handed out as `Arc`s, so every party evaluating one
-/// selector shares one program, and an evicted program stays valid for
-/// whoever still holds it. Eviction never invalidates symbols (the
+/// The table behind a [`SelectorStore`]'s lock: a bounded, strict-LRU
+/// map from selector source to compiled program, the one [`Interner`]
+/// every program and snapshot of the store interns through, and the
+/// store's profile classes. Eviction never invalidates symbols (the
 /// interner only grows), so a re-inserted selector recompiles to an
 /// identical program (with an empty verdict memo).
 ///
-/// A hit is one map probe and a relink; a miss on a full cache evicts
+/// A hit is one map probe and a relink; a miss on a full table evicts
 /// the list's tail — O(1), so a never-repeating selector stream pays
 /// for its compilations, not for the capacity it is bounded by.
 ///
-/// The cache also holds the profile classes snapshots are interned as
-/// (grow-only like the interner, so a class id, like a symbol, never
-/// changes meaning; bounded in count and in bytes).
-pub struct SelectorCache {
+/// The profile classes are grow-only like the interner, so a class id,
+/// like a symbol, never changes meaning; they are bounded in count and
+/// in bytes.
+struct Table {
     id: StoreId,
     interner: Interner,
     /// Source text -> index into `entries`.
@@ -616,31 +615,7 @@ struct Classes {
     key: Vec<u8>,
 }
 
-impl SelectorCache {
-    /// A cache bounded at `cap` compiled selectors (`cap >= 1`).
-    pub fn with_capacity(cap: usize) -> SelectorCache {
-        SelectorCache::with_interner(cap, Interner::new())
-    }
-
-    /// A cache bounded at `cap` compiled selectors (`cap >= 1`) whose
-    /// programs intern their attributes through `interner`, so names it
-    /// already holds keep the symbols it gave them.
-    pub fn with_interner(cap: usize, interner: Interner) -> SelectorCache {
-        assert!(cap >= 1, "selector cache needs room for one entry");
-        assert!(cap < NIL as usize, "selector cache capacity out of range");
-        SelectorCache {
-            id: StoreId::fresh(),
-            interner,
-            index: HashMap::new(),
-            entries: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            cap,
-            stats: CacheStatsHandle::default(),
-            classes: Classes::default(),
-        }
-    }
-
+impl Table {
     fn unlink(&mut self, i: u32) {
         let CacheEntry { prev, next, .. } = self.entries[i as usize];
         match prev {
@@ -665,9 +640,7 @@ impl SelectorCache {
         self.head = i;
     }
 
-    /// Compile `src`, reusing the cached program when present. Parse
-    /// errors propagate (and count as misses — the work was done).
-    pub fn compile(&mut self, src: &str) -> Result<Arc<CompiledSelector>, SemError> {
+    fn compile(&mut self, src: &str) -> Result<Arc<CompiledSelector>, SemError> {
         if let Some(&i) = self.index.get(src) {
             self.stats.record_hit();
             if self.head != i {
@@ -704,15 +677,10 @@ impl SelectorCache {
         Ok(compiled)
     }
 
-    /// The shared interner (snapshots must intern against it).
-    fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
-    }
-
-    /// The class of `attrs`: the one snapshot this cache shares among
+    /// The class of `attrs`: the one snapshot this store shares among
     /// every holder of exactly these attributes, minted on first sight.
     /// `None` when they cannot be classed — they do not encode, or a
-    /// new class would take the cache past [`MAX_CLASSES`] or
+    /// new class would take the store past [`MAX_CLASSES`] or
     /// [`MAX_CLASS_BYTES`].
     fn class_of(&mut self, attrs: &BTreeMap<String, AttrValue>) -> Option<Arc<CompiledProfile>> {
         let classes = &mut self.classes;
@@ -734,82 +702,82 @@ impl SelectorCache {
         classes.snaps.push(Arc::clone(&snap));
         Some(snap)
     }
-
-    /// Peek at a cached program without touching LRU state or stats.
-    pub fn peek(&self, src: &str) -> Option<&CompiledSelector> {
-        self.index
-            .get(src)
-            .map(|&i| &*self.entries[i as usize].compiled)
-    }
-
-    /// Number of cached programs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Live counters handle.
-    pub fn stats(&self) -> CacheStatsHandle {
-        self.stats.clone()
-    }
 }
 
-/// A cloneable, `Send + Sync` handle to one [`SelectorCache`]: the
-/// *selector store* every party of a session compiles through, so a
-/// selector string is compiled once per session and its program shared,
-/// not once per endpoint that receives it. A party on its own (a
-/// standalone endpoint, a broker) holds a store nobody else has a
-/// handle to — same code, private contents.
+/// A cloneable handle to one bounded selector table: the *selector
+/// store* every party of a session compiles through, so a selector
+/// string is compiled once per session and its program shared, not once
+/// per endpoint that receives it. A party on its own (a standalone
+/// endpoint, a broker) holds a store nobody else has a handle to — same
+/// code, private contents. Programs are handed out as `Arc`s, so an
+/// evicted program stays valid for whoever still holds it.
 ///
-/// The lock guards the LRU and the interner only; evaluation runs on
-/// the `Arc`ed program after the lock is released.
+/// The lock guards the LRU, the interner and the profile classes only;
+/// evaluation runs on the `Arc`ed program after it is released. The
+/// store is `Send + Sync` because a message buffer's memo carries its
+/// programs, and a test decides one store's frames from several threads.
 #[derive(Clone)]
 pub struct SelectorStore {
-    cache: Arc<Mutex<SelectorCache>>,
+    table: Arc<Mutex<Table>>,
 }
 
 impl SelectorStore {
     /// A store bounded at `cap` compiled selectors (`cap >= 1`).
     pub fn with_capacity(cap: usize) -> SelectorStore {
-        SelectorStore {
-            cache: Arc::new(Mutex::new(SelectorCache::with_capacity(cap))),
-        }
+        SelectorStore::with_interner(cap, Interner::new())
     }
 
-    /// A store bounded at `cap` compiled selectors (`cap >= 1`),
-    /// interning through `interner` (see
-    /// [`SelectorCache::with_interner`]).
+    /// A store bounded at `cap` compiled selectors (`cap >= 1`) whose
+    /// programs intern their attributes through `interner`, so names it
+    /// already holds keep the symbols it gave them.
     pub fn with_interner(cap: usize, interner: Interner) -> SelectorStore {
+        assert!(cap >= 1, "selector store needs room for one entry");
+        assert!(cap < NIL as usize, "selector store capacity out of range");
+        let table = Table {
+            id: StoreId::fresh(),
+            interner,
+            index: HashMap::new(),
+            entries: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            cap,
+            stats: CacheStatsHandle::default(),
+            classes: Classes::default(),
+        };
         SelectorStore {
-            cache: Arc::new(Mutex::new(SelectorCache::with_interner(cap, interner))),
+            table: Arc::new(Mutex::new(table)),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, SelectorCache> {
-        self.cache
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table
             .lock()
             .expect("selector store poisoned: a holder panicked mid-compile")
     }
 
-    /// Compile `src` through the shared cache. Parse errors propagate
-    /// (and count as misses).
+    /// Compile `src`, reusing the stored program when present. Parse
+    /// errors propagate (and count as misses — the work was done).
     pub fn compile(&self, src: &str) -> Result<Arc<CompiledSelector>, SemError> {
         self.lock().compile(src)
+    }
+
+    /// The stored program of `src`, if any, without touching the LRU
+    /// order or the counters.
+    pub fn peek(&self, src: &str) -> Option<Arc<CompiledSelector>> {
+        let table = self.lock();
+        let &i = table.index.get(src)?;
+        Some(Arc::clone(&table.entries[i as usize].compiled))
     }
 
     /// Snapshot `profile` (attributes and compiled interest) against
     /// the store's interner: its attributes as their class, or as a
     /// snapshot of its own past the class bounds.
     pub(crate) fn snapshot(&self, profile: &Profile) -> ProfileSnap {
-        let mut cache = self.lock();
-        let slots = cache
+        let mut table = self.lock();
+        let slots = table
             .class_of(profile.attrs())
-            .unwrap_or_else(|| Arc::new(CompiledProfile::snapshot(profile, cache.interner_mut())));
-        let interner = cache.interner_mut();
+            .unwrap_or_else(|| Arc::new(CompiledProfile::snapshot(profile, &mut table.interner)));
+        let interner = &mut table.interner;
         ProfileSnap {
             version: profile.version,
             slots,
@@ -830,30 +798,30 @@ impl SelectorStore {
     /// How many profile classes the store has minted, and their
     /// encoded bytes between them.
     pub fn classes(&self) -> (usize, usize) {
-        let cache = self.lock();
-        (cache.classes.snaps.len(), cache.classes.bytes)
+        let table = self.lock();
+        (table.classes.snaps.len(), table.classes.bytes)
     }
 
     /// Whether `other` is a handle to this very store. A program is
     /// valid only against the interner of the store that compiled it,
     /// so shared programs are handed to holders of the same store only.
     pub fn ptr_eq(&self, other: &SelectorStore) -> bool {
-        Arc::ptr_eq(&self.cache, &other.cache)
+        Arc::ptr_eq(&self.table, &other.table)
     }
 
     /// Number of compiled programs the store holds.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().entries.len()
     }
 
     /// True when the store holds no program.
     pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+        self.len() == 0
     }
 
     /// Live counters handle (hits / misses / evictions).
     pub fn stats(&self) -> CacheStatsHandle {
-        self.lock().stats()
+        self.lock().stats.clone()
     }
 }
 
@@ -950,12 +918,7 @@ impl Default for MatchEngine {
 impl MatchEngine {
     /// An engine with a store of its own at the default capacity.
     pub fn new() -> MatchEngine {
-        MatchEngine::with_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// An engine with a store of its own bounded at `cap` selectors.
-    pub fn with_capacity(cap: usize) -> MatchEngine {
-        MatchEngine::with_store(SelectorStore::with_capacity(cap))
+        MatchEngine::with_store(SelectorStore::with_capacity(DEFAULT_CACHE_CAPACITY))
     }
 
     /// An engine compiling through `store`, shared with whoever else
@@ -1120,15 +1083,15 @@ mod tests {
         let mut p = Profile::new("c");
         p.set("media", AttrValue::str("video"));
         p.set("size_mb", AttrValue::Float(1.5));
-        let mut cache = SelectorCache::with_capacity(8);
-        let snap = CompiledProfile::snapshot(&p, cache.interner_mut());
+        let store = SelectorStore::with_capacity(8);
+        let snap = CompiledProfile::snapshot(&p, &mut store.lock().interner);
         let mut stack = EvalStack::default();
         for sel in [
             "media == 'video' and size_mb < 2",
             "exists(color)",
             "missing == 1",
         ] {
-            let compiled = cache.compile(sel).unwrap();
+            let compiled = store.compile(sel).unwrap();
             assert_eq!(
                 compiled.eval_profile(&snap, &mut stack),
                 compiled.eval_map(p.attrs(), &mut stack),
@@ -1176,7 +1139,7 @@ mod tests {
         // A snapshot no store classed is evaluated every time.
         let mut p = Profile::new("p");
         p.set("topics", AttrValue::List(vec![AttrValue::str("t1")]));
-        let own = CompiledProfile::snapshot(&p, store.lock().interner_mut());
+        let own = CompiledProfile::snapshot(&p, &mut store.lock().interner);
         let runs = evals_during(|| {
             for _ in 0..3 {
                 assert_eq!(program.eval_profile(&own, &mut stack), Ok(true));
@@ -1298,17 +1261,17 @@ mod tests {
 
     #[test]
     fn lru_evicts_and_counts() {
-        let mut cache = SelectorCache::with_capacity(2);
-        cache.compile("a == 1").unwrap();
-        cache.compile("b == 2").unwrap();
-        cache.compile("a == 1").unwrap(); // hit, touches recency
-        cache.compile("c == 3").unwrap(); // evicts b == 2
-        let stats = cache.stats();
+        let store = SelectorStore::with_capacity(2);
+        store.compile("a == 1").unwrap();
+        store.compile("b == 2").unwrap();
+        store.compile("a == 1").unwrap(); // hit, touches recency
+        store.compile("c == 3").unwrap(); // evicts b == 2
+        let stats = store.stats();
         assert_eq!(stats.hits(), 1);
         assert_eq!(stats.misses(), 3);
         assert_eq!(stats.evictions(), 1);
-        assert!(cache.peek("b == 2").is_none(), "LRU victim evicted");
-        assert!(cache.peek("a == 1").is_some(), "recently used survives");
+        assert!(store.peek("b == 2").is_none(), "LRU victim evicted");
+        assert!(store.peek("a == 1").is_some(), "recently used survives");
     }
 
     #[test]

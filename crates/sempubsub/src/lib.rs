@@ -68,7 +68,7 @@ pub use ast::Expr;
 pub use bus::{BusEndpoint, Delivery, Frame};
 pub use compile::{
     AttrSource, CacheStatsHandle, CompiledProfile, CompiledSelector, EvalStack, MatchEngine,
-    SelectorCache, SelectorStore,
+    SelectorStore,
 };
 pub use intern::{Interner, Symbol};
 pub use matching::{MatchOutcome, TransformStep};

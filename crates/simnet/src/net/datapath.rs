@@ -43,20 +43,12 @@ pub(super) enum NetEvent {
         payload: Payload,
         ecn_ce: bool,
     },
-    Timer {
-        key: u64,
-    },
     /// Resume the path walk of the copy parked at `flight` in
     /// [`Parked`] at its arrival instant on the next hop.
-    Hop {
-        flight: u32,
-    },
+    Hop { flight: u32 },
     /// Serve one packet from the egress plane on `link`. `gen`
     /// invalidates events superseded by an earlier reschedule.
-    EgressService {
-        link: LinkId,
-        gen: u64,
-    },
+    EgressService { link: LinkId, gen: u64 },
 }
 
 // Every wheel cell is as wide as the widest event: a copy between two
@@ -523,9 +515,6 @@ impl Network {
                             ecn_ce,
                         });
                     }
-                }
-                NetEvent::Timer { key } => {
-                    self.fired_timers.push_back((ev.at, key));
                 }
                 NetEvent::Hop { flight } => {
                     let flight = self.parked.unpark(flight);

@@ -1,5 +1,5 @@
 //! The network simulator core: sockets, datagram transmission,
-//! multicast groups, timers, and the event loop.
+//! multicast groups, and the event loop.
 //!
 //! All hot-path state is slab-allocated and indexed by dense `u32`
 //! ids: sockets live in one `Vec`, `(node, port)` resolution goes
@@ -30,7 +30,7 @@
 //! `next_ready`).
 //!
 //! What lives where: this file — the public vocabulary, the
-//! [`Network`], its clock, topology, counters, timers, the scripted
+//! [`Network`], its clock, topology, counters, the scripted
 //! fault plan and the run loop; `sockets` — bind / close / receive,
 //! groups, `(node, port)` resolution; `egress` — mounting a tree in a
 //! link's egress slot; `datapath` — everything a packet copy
@@ -58,7 +58,6 @@ use datapath::{LinkEgress, NetEvent, Parked};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sockets::{Group, Socket};
-use std::collections::VecDeque;
 
 /// The most spare buffers a [`Network`] keeps for [`Network::buffer`].
 const MAX_SPARES: usize = 64;
@@ -143,7 +142,7 @@ impl std::error::Error for NetError {}
 ///
 /// All operations are synchronous from the caller's point of view:
 /// `send` schedules future deliveries, `run_until`/`run_for` advance
-/// the clock processing deliveries and timers, and `recv` drains a
+/// the clock processing deliveries, and `recv` drains a
 /// socket's inbox.
 pub struct Network {
     topo: Topology,
@@ -160,7 +159,6 @@ pub struct Network {
     groups: Vec<Group>,
     rng: StdRng,
     stats: NetStatsHandle,
-    fired_timers: VecDeque<(Ticks, u64)>,
     /// Scripted fault actions sorted by time; `plan_next` indexes the
     /// first not-yet-applied entry.
     plan: FaultPlan,
@@ -193,7 +191,6 @@ impl Network {
             groups: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             stats: NetStatsHandle::new(),
-            fired_timers: VecDeque::new(),
             plan: FaultPlan::new(),
             plan_next: 0,
             egress: Vec::new(),
@@ -297,18 +294,6 @@ impl Network {
         (switch, hosts)
     }
 
-    /// Schedule an opaque timer key to fire at absolute time `at`.
-    /// Fired timers are collected via [`Network::poll_timers`].
-    pub fn set_timer(&mut self, at: Ticks, key: u64) {
-        let at = at.max(self.clock.now());
-        self.queue.schedule(at, NetEvent::Timer { key });
-    }
-
-    /// Drain timers that have fired since the last poll.
-    pub fn poll_timers(&mut self) -> Vec<(Ticks, u64)> {
-        self.fired_timers.drain(..).collect()
-    }
-
     /// Advance simulated time to `deadline`, processing every event due
     /// at or before it and applying scripted fault-plan actions at
     /// their scheduled instants (after same-instant deliveries).
@@ -338,7 +323,7 @@ impl Network {
     }
 
     /// Run until the event queue is empty and every scripted fault
-    /// action has been applied (all in-flight traffic, timers, and plan
+    /// action has been applied (all in-flight traffic and plan
     /// entries resolved). Returns the final time.
     pub fn run_to_quiescence(&mut self) -> Ticks {
         loop {

@@ -232,17 +232,6 @@ fn link_utilization_accounts_serialization() {
 }
 
 #[test]
-fn timers_fire_in_order() {
-    let mut net = Network::new(0);
-    net.set_timer(Ticks::from_millis(5), 55);
-    net.set_timer(Ticks::from_millis(1), 11);
-    net.run_for(Ticks::from_millis(2));
-    assert_eq!(net.poll_timers(), vec![(Ticks::from_millis(1), 11)]);
-    net.run_for(Ticks::from_millis(10));
-    assert_eq!(net.poll_timers(), vec![(Ticks::from_millis(5), 55)]);
-}
-
-#[test]
 fn inert_fault_model_changes_nothing() {
     use crate::faults::FaultModel;
     let run = |fault: Option<FaultModel>| -> (NetStats, Vec<Ticks>) {

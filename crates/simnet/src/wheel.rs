@@ -34,8 +34,8 @@
 //!
 //! Scheduling an event in the past (before the last popped instant) is
 //! clamped: it fires at the current drain point, keeping its original
-//! `at`. [`crate::Network`] never does this — deliveries and timers are
-//! always scheduled at or after `now` — the clamp just makes the
+//! `at`. [`crate::Network`] never does this — its events are always
+//! scheduled at or after `now` — the clamp just makes the
 //! structure total.
 
 use crate::event::Scheduled;

@@ -22,7 +22,6 @@
 
 use collabqos::sempubsub::ast::{CmpOp, Expr};
 use collabqos::sempubsub::bus::BusStats;
-use collabqos::sempubsub::compile::SelectorCache;
 use collabqos::sempubsub::eval::eval_bool;
 use collabqos::sempubsub::intern::Interner;
 use collabqos::sempubsub::matching;
@@ -817,48 +816,48 @@ fn a_toggled_profile_mints_two_classes() {
 
 #[test]
 fn evicted_selector_recompiles_to_identical_program() {
-    let mut cache = SelectorCache::with_capacity(2);
+    let store = SelectorStore::with_capacity(2);
     let sel = "media == 'video' and (size < 2 or exists(enc)) and not flag";
-    let first = cache.compile(sel).unwrap().clone();
-    // Force `sel` out of the bounded cache.
-    cache.compile("x == 1").unwrap();
-    cache.compile("x == 2").unwrap();
+    let first = store.compile(sel).unwrap().clone();
+    // Force `sel` out of the bounded store.
+    store.compile("x == 1").unwrap();
+    store.compile("x == 2").unwrap();
     assert!(
-        cache.peek(sel).is_none(),
+        store.peek(sel).is_none(),
         "selector should have been evicted"
     );
-    assert!(cache.stats().evictions() >= 1);
+    assert!(store.stats().evictions() >= 1);
     // Recompilation after eviction: the interner kept every symbol, so
     // the program, constant pool, and attribute references are
     // identical — evaluation behavior cannot drift across evictions.
-    let second = cache.compile(sel).unwrap().clone();
+    let second = store.compile(sel).unwrap().clone();
     assert_eq!(first, second, "recompiled program diverged");
     assert_eq!(first.program(), second.program());
 }
 
 #[test]
 fn eviction_preserves_evaluation_results() {
-    let mut cache = SelectorCache::with_capacity(1);
+    let store = SelectorStore::with_capacity(1);
     let mut stack = EvalStack::default();
     let mut attrs = BTreeMap::new();
     attrs.insert("size".to_string(), AttrValue::Int(3));
-    let before = cache
+    let before = store
         .compile("size >= 2")
         .unwrap()
         .eval_map(&attrs, &mut stack)
         .unwrap();
-    // Thrash the single-entry cache, then come back.
+    // Thrash the single-entry store, then come back.
     for i in 0..5 {
-        cache.compile(&format!("size == {i}")).unwrap();
+        store.compile(&format!("size == {i}")).unwrap();
     }
-    let after = cache
+    let after = store
         .compile("size >= 2")
         .unwrap()
         .eval_map(&attrs, &mut stack)
         .unwrap();
     assert_eq!(before, after);
     // Five thrash evictions plus one for the final recompilation.
-    assert_eq!(cache.stats().evictions(), 6);
+    assert_eq!(store.stats().evictions(), 6);
 }
 
 #[test]
@@ -875,30 +874,43 @@ fn engine_counts_hits_misses_and_parse_failures() {
 }
 
 /// Strict LRU against a reference model: whatever mix of fresh
-/// selectors and re-touches arrives, the cache holds exactly the `cap`
+/// selectors and re-touches arrives, the store holds exactly the `cap`
 /// most recently used — so every eviction took the least recently used
 /// entry, the order the linear oldest-tick scan used to produce — and a
 /// pure stream of `3 × cap` distinct selectors evicts `2 × cap`.
 #[test]
 fn eviction_is_strict_lru_in_tick_order() {
     const CAP: usize = 16;
-    let mut cache = SelectorCache::with_capacity(CAP);
+    let store = SelectorStore::with_capacity(CAP);
+    let counts = |s: &SelectorStore| {
+        let st = s.stats();
+        (st.hits(), st.misses(), st.evictions())
+    };
     for i in 0..3 * CAP {
-        cache.compile(&format!("x == {i}")).unwrap();
+        store.compile(&format!("x == {i}")).unwrap();
     }
-    assert_eq!(cache.stats().evictions(), 2 * CAP as u64);
-    assert_eq!(cache.stats().misses(), 3 * CAP as u64);
-    assert_eq!(cache.len(), CAP);
+    assert_eq!(store.stats().evictions(), 2 * CAP as u64);
+    assert_eq!(store.stats().misses(), 3 * CAP as u64);
+    assert_eq!(store.len(), CAP);
+    let before = counts(&store);
     for i in 0..3 * CAP {
         assert_eq!(
-            cache.peek(&format!("x == {i}")).is_some(),
+            store.peek(&format!("x == {i}")).is_some(),
             i >= 2 * CAP,
             "x == {i}: the survivors are the last {CAP} compiled"
         );
     }
+    assert_eq!(counts(&store), before, "a peek counts nothing");
+    // A peek does not touch recency either: the entry next in line for
+    // eviction, peeked, is still the one a fresh selector evicts.
+    let next = format!("x == {}", 2 * CAP);
+    assert!(store.peek(&next).is_some());
+    store.compile(&format!("x == {}", 3 * CAP)).unwrap();
+    assert!(store.peek(&next).is_none(), "{next} was peeked, not used");
+    assert!(store.peek(&format!("x == {}", 2 * CAP + 1)).is_some());
 
     // Mixed stream against a model kept most-recent-first.
-    let mut cache = SelectorCache::with_capacity(CAP);
+    let store = SelectorStore::with_capacity(CAP);
     let mut model: Vec<usize> = Vec::new();
     let mut x = 0x2545_f491u32;
     let (mut hits, mut evictions) = (0u64, 0u64);
@@ -910,7 +922,7 @@ fn eviction_is_strict_lru_in_tick_order() {
         // reach further back or mint a new selector.
         let span = [96, 24, 24][x as usize % 3];
         let id = (x >> 8) as usize % span;
-        cache.compile(&format!("x == {id}")).unwrap();
+        store.compile(&format!("x == {id}")).unwrap();
         match model.iter().position(|&m| m == id) {
             Some(at) => {
                 hits += 1;
@@ -920,7 +932,7 @@ fn eviction_is_strict_lru_in_tick_order() {
                 evictions += 1;
                 let victim = model.pop().expect("full model");
                 assert!(
-                    cache.peek(&format!("x == {victim}")).is_none(),
+                    store.peek(&format!("x == {victim}")).is_none(),
                     "step {step}: LRU victim x == {victim} survived"
                 );
             }
@@ -929,15 +941,15 @@ fn eviction_is_strict_lru_in_tick_order() {
         model.insert(0, id);
         for &m in &model {
             assert!(
-                cache.peek(&format!("x == {m}")).is_some(),
+                store.peek(&format!("x == {m}")).is_some(),
                 "step {step}: x == {m} is among the {CAP} most recent but was evicted"
             );
         }
-        assert_eq!(cache.len(), model.len());
+        assert_eq!(store.len(), model.len());
     }
     assert!(evictions > 100 && hits > 100, "the stream exercised both");
-    assert_eq!(cache.stats().hits(), hits);
-    assert_eq!(cache.stats().evictions(), evictions);
+    assert_eq!(store.stats().hits(), hits);
+    assert_eq!(store.stats().evictions(), evictions);
 }
 
 // ------------------------------------------------ at session scale
@@ -995,12 +1007,15 @@ fn cold_warm_private_and_shared_paths_accept_as_the_tree_walk_at_scale() {
         let tree = (0..messages)
             .filter(|i| accepts(matching::interpret(&base, &parsed[i % n], &content)))
             .count();
-        let mut warm = MatchEngine::with_capacity(n.max(16));
+        let mut warm = MatchEngine::with_store(SelectorStore::with_capacity(n.max(16)));
         for sel in &selectors {
             warm.compile(sel).unwrap();
         }
         for (path, mut engine) in [
-            ("cold", MatchEngine::with_capacity((n / 2).max(1))),
+            (
+                "cold",
+                MatchEngine::with_store(SelectorStore::with_capacity((n / 2).max(1))),
+            ),
             ("warm", warm),
         ] {
             let got = (0..messages)
