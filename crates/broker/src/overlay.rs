@@ -551,9 +551,6 @@ pub struct Overlay {
     /// The selector store every broker reads frames through, when the
     /// overlay was given one.
     selectors: Option<SelectorStore>,
-    /// What one broker's data socket held when it was processed, kept
-    /// between calls so a steady drain allocates no buffer.
-    arrivals: Vec<Datagram>,
     /// Every dedup id's sender, interned once for all brokers.
     origins: Interner,
 }
@@ -913,14 +910,13 @@ impl Overlay {
 
     fn process_ctrl(&mut self, net: &mut Network, i: usize) -> usize {
         let ctrl = self.brokers[i].ctrl;
-        let mut arrivals = Vec::new();
-        while let Some(d) = net.recv(ctrl) {
-            arrivals.push(d);
-        }
-        let handled = arrivals.len();
+        let mut handled = 0;
         let mut fresh: Vec<Held> = Vec::new();
         let mut replaced = false;
-        for d in arrivals {
+        // Each frame is handled as it comes off the socket: what it
+        // sends is only scheduled, so nothing joins the socket meanwhile.
+        while let Some(d) = net.recv(ctrl) {
+            handled += 1;
             // Custody frames share the control port with
             // advertisements; they open with their own magic, so
             // either codec rejects the other's frames.
@@ -1088,15 +1084,15 @@ impl Overlay {
 
     fn process_data(&mut self, net: &mut Network, i: usize) -> usize {
         let data = self.brokers[i].data;
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        arrivals.extend(std::iter::from_fn(|| net.recv(data)));
-        let handled = arrivals.len();
-        for d in arrivals.drain(..) {
+        let mut handled = 0;
+        while let Some(d) = net.recv(data) {
+            handled += 1;
             if self.route_arrival(net, i, &d) {
                 self.brokers[i].forward(net, d.payload);
+            } else {
+                net.recycle(d.payload);
             }
         }
-        self.arrivals = arrivals;
         handled
     }
 

@@ -456,6 +456,12 @@ impl MediaStore {
 /// a late copy of one of their packets is not taken for a new object.
 const FINISHED_WINDOW: usize = 64;
 
+/// Objects an [`ImageViewer`] holds open at once (the repo benchmark's
+/// viewers hold one at most): opening one more finishes the oldest, so
+/// objects that never complete — lost on a lossy link, or never meant
+/// to by a hostile peer — cannot grow the table.
+const MAX_PENDING: usize = 16;
+
 #[derive(Debug, Default)]
 struct PendingImage {
     meta: Option<ImageMeta>,
@@ -503,7 +509,8 @@ impl HeldStripe {
 pub struct ImageViewer {
     budget: u32,
     resolution: f64,
-    pending: HashMap<u64, PendingImage>,
+    /// Open objects by id, oldest first; at most [`MAX_PENDING`].
+    pending: Vec<(u64, PendingImage)>,
     /// Ids of the last [`FINISHED_WINDOW`] objects that left `pending`
     /// (viewed, shown as a caption, or dropped as invalid).
     finished: VecDeque<u64>,
@@ -522,7 +529,7 @@ impl ImageViewer {
         ImageViewer {
             budget,
             resolution: 1.0,
-            pending: HashMap::new(),
+            pending: Vec::new(),
             // Not pre-sized: a client that never sees an image (most
             // of a chat-only session's) should not carry the window.
             finished: VecDeque::new(),
@@ -580,7 +587,26 @@ impl ImageViewer {
             self.finished.pop_front();
         }
         self.finished.push_back(object_id);
-        self.pending.remove(&object_id)
+        let at = self.position(object_id)?;
+        Some(self.pending.remove(at).1)
+    }
+
+    /// Where `object_id` is in `pending`.
+    fn position(&self, object_id: u64) -> Option<usize> {
+        self.pending.iter().position(|(id, _)| *id == object_id)
+    }
+
+    /// The entry of `object_id`, opened if there is none — the oldest
+    /// finished first when [`MAX_PENDING`] are open.
+    fn open(&mut self, object_id: u64) -> &mut PendingImage {
+        let at = self.position(object_id).unwrap_or_else(|| {
+            if self.pending.len() == MAX_PENDING {
+                self.finish(self.pending[0].0);
+            }
+            self.pending.push((object_id, PendingImage::default()));
+            self.pending.len() - 1
+        });
+        &mut self.pending[at].1
     }
 
     /// Apply an image-related event read in place — `ev` is
@@ -599,7 +625,9 @@ impl ImageViewer {
     /// share it again under a new id. The viewer remembers the last 64
     /// finished ids (`FINISHED_WINDOW`); a copy that arrives after that
     /// many newer objects have finished is not recognised and opens a
-    /// pending entry as a new object would.
+    /// pending entry as a new object would. At most `MAX_PENDING` (16)
+    /// objects are open at once; opening another finishes the one
+    /// opened first.
     pub fn apply_delivered(
         &mut self,
         ev: &EventView<'_>,
@@ -626,7 +654,7 @@ impl ImageViewer {
                     return None;
                 }
                 let want = self.budget.min(u32::from(total_packets)) as usize;
-                let entry = self.pending.entry(object_id).or_default();
+                let entry = self.open(object_id);
                 entry.meta = Some(ImageMeta {
                     caption: caption.to_owned(),
                     original_bytes,
@@ -641,13 +669,13 @@ impl ImageViewer {
                 // A duplicated or re-sent packet of a finished object
                 // would otherwise open an entry nothing ever closes.
                 if self.finished.contains(&object_id)
-                    || (!self.pending.contains_key(&object_id) && self.budget == 0)
+                    || (self.position(object_id).is_none() && self.budget == 0)
                     || u32::from(packet.index) >= self.budget
                 {
                     self.packets_discarded += 1;
                     return None;
                 }
-                let entry = self.pending.entry(object_id).or_default();
+                let entry = self.open(object_id);
                 if let Err(at) = entry
                     .stripes
                     .binary_search_by_key(&packet.index, |s| s.index)
@@ -670,7 +698,7 @@ impl ImageViewer {
 
     /// Decode when the accepted prefix is complete.
     fn try_complete(&mut self, object_id: u64, store: &mut MediaStore) -> Option<ViewedImage> {
-        let entry = self.pending.get(&object_id)?;
+        let entry = &self.pending[self.position(object_id)?].1;
         let meta = entry.meta.as_ref()?;
         let want = (self.budget).min(meta.total_packets as u32) as usize;
         if want == 0 {
@@ -950,6 +978,33 @@ mod tests {
         assert!(deliver(&mut viewer, &events[0]).is_none());
         assert_eq!(viewer.pending_len(), 0);
         assert_eq!(viewer.text_fallbacks.len(), 1, "no second caption");
+    }
+
+    #[test]
+    fn orphan_packets_cannot_grow_the_pending_table() {
+        let (_, events) = share_events(0, 8);
+        let AppEvent::ImagePacket { packet, .. } = &events[1] else {
+            panic!("the first packet follows the announcement");
+        };
+        let orphan = |object_id| AppEvent::ImagePacket {
+            object_id,
+            packet: packet.clone(),
+        };
+        // Packets of 10 000 objects whose announcement never comes.
+        const OBJECTS: u64 = 10_000;
+        let mut viewer = ImageViewer::new(8);
+        for object_id in 0..OBJECTS {
+            assert!(deliver(&mut viewer, &orphan(object_id)).is_none());
+        }
+        assert_eq!(viewer.pending_len(), MAX_PENDING);
+        assert_eq!(viewer.packets_discarded, 0);
+        // The newest evicted object's late copy is discarded, and
+        // reopens nothing.
+        let evicted = OBJECTS - MAX_PENDING as u64 - 1;
+        assert!(deliver(&mut viewer, &orphan(evicted)).is_none());
+        assert_eq!(viewer.packets_discarded, 1);
+        assert_eq!(viewer.pending_len(), MAX_PENDING);
+        assert!(viewer.position(evicted).is_none());
     }
 
     #[test]

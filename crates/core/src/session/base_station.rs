@@ -11,7 +11,7 @@ use media::image::Scene;
 use media::packetize::Stripes;
 use sempubsub::{AttrValue, BusEndpoint, Frame, Profile};
 use simnet::packet::well_known;
-use simnet::{Network, Payload};
+use simnet::Network;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wireless::{
@@ -62,9 +62,6 @@ pub struct BsPeer {
     /// profile) replaces a parse per message and a tree walk per
     /// profile.
     pub matcher: sempubsub::MatchEngine,
-    /// The buffers one relay drained (each frame read off its buffer),
-    /// kept between relays so a steady relay allocates no buffer.
-    inbox: Vec<Payload>,
     /// The kinds relayed so far, one shared copy each.
     kinds: Vec<Arc<str>>,
 }
@@ -76,16 +73,14 @@ impl BsPeer {
     /// the BS "manages QoS on their behalf"; full radio-frame
     /// simulation is abstracted to the delivery record).
     pub(super) fn relay(&mut self, net: &mut Network) {
-        let mut received = std::mem::take(&mut self.inbox);
-        self.bus.receive(net, &mut received);
-        for payload in &received {
-            let frame = self.bus.read(payload);
+        self.bus.receive(net, |bus, payload| {
+            let frame = bus.read(payload);
             let Frame::Message { message, program } = &*frame else {
                 // Nothing to relay. The endpoint's one counting
                 // path books it as malformed or bad-selector; a
                 // frame without a program evaluates nothing.
-                self.bus.decide(std::slice::from_ref(payload), |_, _| ());
-                continue;
+                bus.decide(payload, |_, _| ());
+                return;
             };
             let mut kind = None;
             for (id, profile) in &self.wireless_profiles {
@@ -106,11 +101,7 @@ impl BsPeer {
                     });
                 }
             }
-        }
-        for payload in received.drain(..) {
-            net.recycle(payload);
-        }
-        self.inbox = received;
+        });
     }
 
     /// The uplink: publish `events` into the session on the client's
@@ -197,7 +188,6 @@ impl CollaborationSession {
             wireless_profiles: BTreeMap::new(),
             downlink_log: Vec::new(),
             matcher: sempubsub::MatchEngine::with_store(self.selectors.clone()),
-            inbox: Vec::new(),
             kinds: Vec::new(),
         });
         Ok(())

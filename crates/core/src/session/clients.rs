@@ -159,7 +159,6 @@ impl CollaborationSession {
             domain,
             rtp_loss: None,
             rtp_congestion: None,
-            last_decision: None,
         });
         Ok(id)
     }
@@ -174,16 +173,17 @@ impl CollaborationSession {
         self.clients[newcomer].repo.install_snapshot(snapshot);
     }
 
-    /// Sample a client's system state over SNMP into `state`, from
-    /// empty, and fold in the figures of its latest RTP receiver report
-    /// — the state every adaptation pass decides on.
-    fn sample_state(&mut self, id: ClientId, state: &mut StateVector) {
+    /// Sample a client's system state over SNMP and fold in the figures
+    /// of its latest RTP receiver report — the state every adaptation
+    /// pass decides on.
+    fn sample_state(&mut self, id: ClientId) -> StateVector {
         let client = &mut self.clients[id];
-        state.clear();
+        let mut state = StateVector::new();
         client
             .netstate
-            .sample(&mut self.net, &mut self.agents, state);
-        client.fold_rtp_report(state);
+            .sample(&mut self.net, &mut self.agents, &mut state);
+        client.fold_rtp_report(&mut state);
+        state
     }
 
     /// Run the client's inference engine on `state`, evaluating on
@@ -196,50 +196,23 @@ impl CollaborationSession {
         let decision = client.engine.decide_state(state, stack);
         client.viewer.set_packet_budget(decision.max_packets);
         client.viewer.set_resolution(decision.resolution);
-        client.last_decision = Some(decision.clone());
         decision
-    }
-
-    /// The kept per-client adaptation buffers, one entry per client —
-    /// taken out of the session while a pass fills them.
-    fn take_adaptation(&mut self) -> Vec<(StateVector, EvalStack)> {
-        let mut kept = std::mem::take(&mut self.adaptation);
-        kept.resize_with(self.clients.len(), Default::default);
-        kept
     }
 
     /// Run one adaptation pass for a client: sample its system state
     /// over SNMP, run the inference engine, and apply the decision to
     /// the image viewer. Returns the decision.
     pub fn adapt(&mut self, id: ClientId) -> AdaptationDecision {
-        let mut kept = self.take_adaptation();
-        let (state, stack) = &mut kept[id];
-        self.sample_state(id, state);
-        let decision = Self::decide_and_apply(&mut self.clients[id], state, stack);
-        self.adaptation = kept;
-        decision
+        let state = self.sample_state(id);
+        Self::decide_and_apply(&mut self.clients[id], &state, &mut self.stack)
     }
 
-    /// Run one adaptation pass for every client: sample every client's
-    /// state over SNMP into its kept state vector, then decide every
-    /// client and apply each decision to its viewer; the decisions come
-    /// back in client order (identical to calling
-    /// [`CollaborationSession::adapt`] for each client in turn). What
-    /// the pass allocates beyond the returned vector is the two
-    /// datagrams of each client's GET.
+    /// Run [`CollaborationSession::adapt`] for every client in turn; the
+    /// decisions come back in client order. What the pass allocates
+    /// beyond the returned vector is the two datagrams of each client's
+    /// GET.
     pub fn adapt_all(&mut self) -> Vec<AdaptationDecision> {
-        let mut kept = self.take_adaptation();
-        for (id, (state, _)) in kept.iter_mut().enumerate() {
-            self.sample_state(id, state);
-        }
-        let decisions = self
-            .clients
-            .iter_mut()
-            .zip(&mut kept)
-            .map(|(client, (state, stack))| Self::decide_and_apply(client, state, stack))
-            .collect();
-        self.adaptation = kept;
-        decisions
+        (0..self.clients.len()).map(|id| self.adapt(id)).collect()
     }
 
     /// Attach an RFC 862-style echo reflector on a new LAN node; probes
@@ -277,11 +250,8 @@ impl CollaborationSession {
         self.enable_probing(id)?;
         let echo = self.echoes.iter().position(|(n, _)| *n == echo_target);
         // SNMP sample first, then the active probe.
-        let mut kept = self.take_adaptation();
-        let (state, stack) = &mut kept[id];
-        self.sample_state(id, state);
+        let mut state = self.sample_state(id);
         let Some(echo_idx) = echo else {
-            self.adaptation = kept;
             return Err(format!("no echo responder on {echo_target}"));
         };
         let (client, echoes, net) = (&mut self.clients[id], &mut self.echoes, &mut self.net);
@@ -297,9 +267,7 @@ impl CollaborationSession {
             state.set(Metric::LatencyUs, report.latency_us);
             state.set(Metric::JitterUs, report.jitter_us);
         }
-        let decision = Self::decide_and_apply(client, state, stack);
-        self.adaptation = kept;
-        Ok(decision)
+        Ok(Self::decide_and_apply(client, &state, &mut self.stack))
     }
 
     /// Feed a client the figures from an RTP receiver report so the

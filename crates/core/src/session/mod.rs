@@ -30,16 +30,14 @@ pub use base_station::{BsPeer, DownlinkDelivery};
 use crate::apps::{ChatArea, ImageViewer, MediaStore, ViewedImage, Whiteboard};
 use crate::concurrency::{LamportClock, LockManager};
 use crate::engines::EngineChoice;
-use crate::inference::AdaptationDecision;
 use crate::netstate::{AgentDirectory, NetworkStateInterface};
 use crate::policy::AdaptationPolicy;
 use crate::probe::{EchoResponder, LatencyProbe};
-use crate::state::StateVector;
 use crate::state_repo::StateRepository;
 use media::wavelet::WaveletKind;
 use media::Sketch;
 use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, SelectorStore};
-use simnet::{GroupId, LinkSpec, Network, NodeId, Payload, Ticks};
+use simnet::{GroupId, LinkSpec, Network, NodeId, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
 use std::sync::atomic::AtomicU64;
@@ -183,8 +181,6 @@ pub struct ClientRuntime {
     /// AQM marks ECN-capable traffic where it would drop anything
     /// else.
     pub rtp_congestion: Option<f64>,
-    /// The latest adaptation decision.
-    pub last_decision: Option<AdaptationDecision>,
 }
 
 /// The collaboration session.
@@ -228,15 +224,9 @@ pub struct CollaborationSession {
     /// prefix of a shared object is decoded once per session, not once
     /// per viewer holding it.
     media: MediaStore,
-    /// What one pump drained from one client's socket — the delivered
-    /// buffers themselves, each frame read off its buffer's memo.
-    /// Emptied after each client (the buffers go back to the network),
-    /// never freed, so a steady-state pump allocates nothing for it.
-    inbox: Vec<Payload>,
-    /// What each client's adaptation samples into and its engine
-    /// evaluates on, by client: kept between passes (and only by a
-    /// session that adapts), so a steady pass allocates neither.
-    adaptation: Vec<(StateVector, EvalStack)>,
+    /// The stack every client's engine evaluates on, one client after
+    /// another: kept between passes, so a steady pass allocates none.
+    stack: EvalStack,
 }
 
 impl CollaborationSession {
@@ -310,8 +300,7 @@ impl CollaborationSession {
             store_watchers,
             plan_watchers: Vec::new(),
             media: MediaStore::new(),
-            inbox: Vec::new(),
-            adaptation: Vec::new(),
+            stack: EvalStack::default(),
         }
     }
 
@@ -377,16 +366,13 @@ impl CollaborationSession {
     /// Advance simulated time and dispatch everything that arrived.
     /// Returns images completed during this step, tagged by client.
     ///
-    /// Reception runs client after client: the client's socket drains
-    /// into the session-owned inbox, each delivered buffer resolved to
-    /// its [`sempubsub::Frame`] on the buffer's memo — decoded and
-    /// compiled once per session, not once per receiver; then each
-    /// frame is interpreted against the client's own profile, each
-    /// accepted event read in place over the shared message, and its
+    /// Reception runs client after client, each datagram as it comes off
+    /// the client's socket: its buffer's [`sempubsub::Frame`] — decoded
+    /// and compiled once per session — is interpreted against the
+    /// client's profile, an accepted event is read in place, and its
     /// application copies out only what it keeps (a completing viewer
-    /// asks the session's media store, so the first viewer to ask for a
-    /// prefix decodes it and the rest share that image); then the
-    /// buffers go back to the network.
+    /// asks the session's media store, which decodes each prefix once);
+    /// then the buffer goes back to the network.
     pub fn pump(&mut self, d: Ticks) -> Vec<(ClientId, ViewedImage)> {
         if let Some(ov) = self.overlay.as_mut() {
             // Interleave time slices with broker forwarding, then
@@ -398,11 +384,7 @@ impl CollaborationSession {
         }
         let mut completed = Vec::new();
         for (id, client) in self.clients.iter_mut().enumerate() {
-            client.bus.receive(&mut self.net, &mut self.inbox);
-            Self::apply_received(id, client, &self.inbox, &mut self.media, &mut completed);
-            for payload in self.inbox.drain(..) {
-                self.net.recycle(payload);
-            }
+            Self::apply_received(id, client, &mut self.net, &mut self.media, &mut completed);
         }
         // Credit broker-side suppression to the clients it spared:
         // messages a domain broker routed away never reached the

@@ -11,7 +11,7 @@ use media::image::Scene;
 use media::packetize::Stripes;
 use media::{wavelet, Sketch};
 use sempubsub::AttrValue;
-use simnet::Payload;
+use simnet::Network;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -228,80 +228,73 @@ impl CollaborationSession {
         Ok(())
     }
 
-    /// Apply received buffers to client `id`: interpret each buffer's
-    /// frame against the client's profile and dispatch accepted events,
-    /// read in place over the shared message, to the client's
-    /// application entities — each copies out only what it keeps. A
-    /// completing viewer asks `media` for its image and pushes it to
-    /// `completed`.
+    /// Apply what arrived at client `id`, each buffer as it comes off
+    /// the client's socket: decide it against the client's profile and
+    /// dispatch an accepted event, read in place over the shared
+    /// message, to the application entities — each copies out only what
+    /// it keeps. A completing viewer asks `media` for its image and
+    /// pushes it to `completed`.
     pub(super) fn apply_received(
         id: ClientId,
         client: &mut ClientRuntime,
-        received: &[Payload],
+        net: &mut Network,
         media: &mut MediaStore,
         completed: &mut Vec<(ClientId, ViewedImage)>,
     ) {
-        let ClientRuntime {
-            bus,
-            viewer,
-            chat,
-            whiteboard,
-            repo,
-            clock,
-            locks,
-            sketches,
-            ..
-        } = client;
-        bus.decide(received, |message, _| {
-            let Some(ev) = EventView::parse(message.body()) else {
-                return;
-            };
-            let sender = message.sender();
-            match ev {
-                EventView::Chat { .. } => chat.apply(&ev),
-                EventView::WhiteboardStroke {
-                    object_id, lamport, ..
-                } => {
-                    whiteboard.apply(sender, &ev.to_event());
-                    clock.observe(lamport);
-                    repo.update(
+        client.bus.receive(net, |bus, payload| {
+            bus.decide(payload, |message, _| {
+                let Some(ev) = EventView::parse(message.body()) else {
+                    return;
+                };
+                let sender = message.sender();
+                match ev {
+                    EventView::Chat { .. } => client.chat.apply(&ev),
+                    EventView::WhiteboardStroke {
+                        object_id, lamport, ..
+                    } => {
+                        client.whiteboard.apply(sender, &ev.to_event());
+                        client.clock.observe(lamport);
+                        client.repo.update(
+                            object_id,
+                            lamport,
+                            sender,
+                            ObjectState {
+                                kind: "whiteboard".to_string(),
+                                data: message.body().to_vec(),
+                            },
+                        );
+                    }
+                    EventView::ImageMeta { .. } | EventView::ImagePacket { .. } => {
+                        if let Some(viewed) = client.viewer.apply_delivered(&ev, message, media) {
+                            completed.push((id, viewed));
+                        }
+                    }
+                    EventView::SketchShare {
                         object_id,
+                        data,
+                        caption,
+                    } => {
+                        if let Ok(sketch) = Sketch::decode(data) {
+                            client
+                                .sketches
+                                .push((object_id, sketch, caption.to_owned()));
+                        }
+                    }
+                    EventView::Lock {
+                        object_id,
+                        client: requester,
                         lamport,
-                        sender,
-                        ObjectState {
-                            kind: "whiteboard".to_string(),
-                            data: message.body().to_vec(),
-                        },
-                    );
-                }
-                EventView::ImageMeta { .. } | EventView::ImagePacket { .. } => {
-                    if let Some(viewed) = viewer.apply_delivered(&ev, message, media) {
-                        completed.push((id, viewed));
+                        op,
+                    } => {
+                        client.clock.observe(lamport);
+                        if op == 0 {
+                            client.locks.request(object_id, requester, lamport);
+                        } else {
+                            let _ = client.locks.release(object_id, requester);
+                        }
                     }
                 }
-                EventView::SketchShare {
-                    object_id,
-                    data,
-                    caption,
-                } => {
-                    if let Ok(sketch) = Sketch::decode(data) {
-                        sketches.push((object_id, sketch, caption.to_owned()));
-                    }
-                }
-                EventView::Lock {
-                    object_id,
-                    client: requester,
-                    lamport,
-                    op,
-                } => {
-                    clock.observe(lamport);
-                    if op == 0 {
-                        locks.request(object_id, requester, lamport);
-                    } else {
-                        let _ = locks.release(object_id, requester);
-                    }
-                }
-            }
+            })
         });
     }
 }

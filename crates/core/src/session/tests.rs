@@ -1,7 +1,8 @@
 use super::*;
 use crate::contract::QosContract;
-use crate::inference::InferenceEngine;
+use crate::inference::{AdaptationDecision, InferenceEngine};
 use crate::policy::PolicyDb;
+use crate::state::StateVector;
 use media::image::synthetic_scene;
 use sempubsub::{AttrValue, Profile};
 use simnet::packet::well_known;

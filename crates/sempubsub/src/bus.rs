@@ -4,10 +4,11 @@
 //! Each collaborating client holds a [`BusEndpoint`]: a socket joined
 //! to the session's multicast group plus the client's local
 //! [`Profile`]. Publishing multicasts a [`SemanticMessage`](crate::SemanticMessage) to the
-//! whole group; *reception is decided locally* by interpreting the
-//! selector against the profile (and the content description against
-//! the interest), so "the group of interacting clients is determined
-//! only at run-time" with no roster synchronization (§3).
+//! whole group; *reception is decided locally*, each datagram as it
+//! comes off the socket, by interpreting the selector against the
+//! profile (and the content description against the interest), so
+//! "the group of interacting clients is determined only at run-time"
+//! with no roster synchronization (§3).
 
 use crate::compile::{
     self, CacheStatsHandle, CompiledSelector, EvalStack, ProfileSnap, SelectorStore,
@@ -94,20 +95,14 @@ impl Frame {
     /// it, so a receiver holding another store (or finding the slot
     /// taken by something that is not a frame) resolves privately.
     pub fn read<'a>(payload: &'a Payload, store: &SelectorStore) -> Cow<'a, Frame> {
-        match Frame::memo(payload, store) {
-            Some(frame) => Cow::Borrowed(frame),
-            None => Cow::Owned(Frame::resolve(payload, store)),
-        }
-    }
-
-    /// The frame `store` left on `payload`'s buffer, left there first if
-    /// the slot is empty; `None` when the slot holds something else.
-    fn memo<'a>(payload: &'a Payload, store: &SelectorStore) -> Option<&'a Frame> {
-        let resolved = payload.memo_or_init(|| Resolved {
+        let memo = payload.memo_or_init(|| Resolved {
             store: store.clone(),
             frame: Frame::resolve(payload, store),
-        })?;
-        resolved.store.ptr_eq(store).then_some(&resolved.frame)
+        });
+        match memo {
+            Some(memo) if memo.store.ptr_eq(store) => Cow::Borrowed(&memo.frame),
+            _ => Cow::Owned(Frame::resolve(payload, store)),
+        }
     }
 }
 
@@ -148,12 +143,12 @@ pub struct BusStats {
 /// when it joined alone). So does the snapshot of the profile's
 /// attributes: their *class*, shared with every endpoint of the store
 /// holding the same attributes, for which each program remembers its
-/// verdict. The per-message hot path ([`BusEndpoint::receive`] into a
-/// buffer the caller keeps, then [`BusEndpoint::decide`]) therefore
-/// never parses, never walks the profile's `BTreeMap`, evaluates a
-/// selector once per class rather than once per receiver, and
-/// allocates nothing: each accepted message is handed to the caller in
-/// place. The publish path validates
+/// verdict. The per-message hot path ([`BusEndpoint::receive`], which
+/// hands each buffer to [`BusEndpoint::decide`] as it comes off the
+/// socket) therefore never parses, never walks the profile's
+/// `BTreeMap`, evaluates a selector once per class rather than once per
+/// receiver, and allocates nothing: each accepted message is handed to
+/// the caller in place. The publish path validates
 /// selectors through the same store, warming it for loopback traffic.
 pub struct BusEndpoint {
     socket: SocketHandle,
@@ -312,24 +307,17 @@ impl BusEndpoint {
         }
     }
 
-    /// The first half of reception: drain the socket into `inbox`, each
-    /// buffer's frame resolved onto it (the buffer itself is moved in,
-    /// and goes back to [`Network::recycle`] once its caller is done),
-    /// and bring the profile snapshot up to date. Everything that
-    /// touches the network or the selector store happens here, so the
-    /// other half — [`BusEndpoint::decide`] — takes no lock (except for
-    /// a buffer a receiver on another store looked at first, which
-    /// `decide` resolves privately).
-    /// The caller owns `inbox`, so one buffer kept across pumps serves
-    /// every endpoint it drains. A gateway stops here: it reads the
-    /// frames ([`BusEndpoint::read`]) on behalf of profiles that are
-    /// not its own (§4.2).
-    pub fn receive(&mut self, net: &mut Network, inbox: &mut Vec<Payload>) {
-        while let Some(dgram) = net.recv(self.socket) {
-            Frame::memo(&dgram.payload, &self.store);
-            inbox.push(dgram.payload);
-        }
+    /// Reception: bring the profile snapshot up to date, then hand each
+    /// buffer, as it comes off the socket, to `handle` with this
+    /// endpoint — to decide ([`BusEndpoint::decide`]) or, at a gateway,
+    /// to read for profiles not its own (§4.2) — and give it back to the
+    /// network ([`Network::recycle`]) before taking the next.
+    pub fn receive(&mut self, net: &mut Network, mut handle: impl FnMut(&mut Self, &Payload)) {
         self.sync_profile();
+        while let Some(dgram) = net.recv(self.socket) {
+            handle(self, &dgram.payload);
+            net.recycle(dgram.payload);
+        }
     }
 
     /// The frame of a received buffer, as this endpoint reads it:
@@ -339,29 +327,26 @@ impl BusEndpoint {
         Frame::read(payload, &self.store)
     }
 
-    /// Interpret received buffers against the local profile and hand
-    /// each accepted message, with how it was accepted, to `accept` in
-    /// place — the message is the frame's own, shared with every other
-    /// receiver of the buffer and borrowed for the call only. This is
-    /// the one decision path: every reception is counted in this
-    /// endpoint's [`BusStats`], outcomes are bit-identical to the
-    /// tree-walk interpreter (pinned by the differential suite in
-    /// `tests/matching.rs`), and a frame costs one read of its
-    /// program's verdict for this profile's class — the program runs
-    /// for the first receiver of each class only — with no parsing, no
-    /// `BTreeMap` walk, no allocation and no reference count touched.
-    /// An interest reads the message's content description, which the
-    /// first reader of the frame builds for all
+    /// Interpret a received buffer's frame ([`BusEndpoint::read`]: one
+    /// memo lookup) against the local profile and, if it is accepted,
+    /// hand the message, with how it was accepted, to `accept` in place
+    /// — the frame's own, shared with every other receiver and borrowed
+    /// for the call only. This is the one decision path: every reception
+    /// is counted in this endpoint's [`BusStats`], outcomes are
+    /// bit-identical to the tree-walk interpreter (`tests/matching.rs`),
+    /// and a frame costs one read of its program's verdict for this
+    /// profile's class — the program runs for the first receiver of each
+    /// class only — with no parsing, no `BTreeMap` walk, no allocation
+    /// and no reference count touched. An interest reads the message's
+    /// content description, which its first reader builds for all
     /// ([`WireMessage::content`]).
     pub fn decide(
         &mut self,
-        inbox: &[Payload],
+        payload: &Payload,
         mut accept: impl FnMut(&Arc<WireMessage>, MatchOutcome),
     ) {
         self.sync_profile();
-        for payload in inbox {
-            self.decide_frame(&Frame::read(payload, &self.store), &mut accept);
-        }
+        self.decide_frame(&Frame::read(payload, &self.store), &mut accept);
     }
 
     /// [`BusEndpoint::decide`] for one frame, the profile snapshot
@@ -427,15 +412,13 @@ impl BusEndpoint {
     }
 
     /// Drain arrived datagrams, interpreting each against the local
-    /// profile; returns only accepted messages.
+    /// profile as it comes off the socket; returns only accepted
+    /// messages.
     pub fn poll(&mut self, net: &mut Network) -> Vec<Delivery> {
-        let mut inbox: Vec<Payload> = Vec::new();
-        self.receive(net, &mut inbox);
         let mut accepted = Vec::new();
-        self.decide(&inbox, collect_into(&mut accepted));
-        for payload in inbox {
-            net.recycle(payload);
-        }
+        self.receive(net, |ep, payload| {
+            ep.decide(payload, collect_into(&mut accepted))
+        });
         accepted
     }
 }
@@ -629,14 +612,15 @@ mod tests {
             )
             .unwrap();
         net.run_for(Ticks::from_millis(10));
-        let mut inbox = Vec::new();
-        gateway.receive(&mut net, &mut inbox);
-        assert_eq!(inbox.len(), 1, "gateway sees everything");
-        let frame = gateway.read(&inbox[0]);
-        let Frame::Message { message, .. } = &*frame else {
-            panic!("a valid message resolves to {frame:?}");
-        };
-        assert_eq!(message.body(), [7]);
+        let mut bodies = Vec::new();
+        gateway.receive(&mut net, |gateway, payload| {
+            let frame = gateway.read(payload);
+            let Frame::Message { message, .. } = &*frame else {
+                panic!("a valid message resolves to {frame:?}");
+            };
+            bodies.push(message.body().to_vec());
+        });
+        assert_eq!(bodies, [[7]], "gateway sees everything");
         assert_eq!(gateway.stats(), BusStats::default(), "nothing decided");
     }
 
@@ -657,15 +641,10 @@ mod tests {
                 .publish(&mut net, "chat", "true", BTreeMap::new(), body)
                 .unwrap();
             net.run_for(Ticks::from_millis(10));
-            let mut inbox = Vec::new();
-            reader.receive(&mut net, &mut inbox);
-            for payload in inbox {
-                match &*reader.read(&payload) {
-                    Frame::Message { message, .. } => bodies.push(message.body().to_vec()),
-                    other => panic!("a valid message resolves to {other:?}"),
-                }
-                net.recycle(payload);
-            }
+            reader.receive(&mut net, |reader, payload| match &*reader.read(payload) {
+                Frame::Message { message, .. } => bodies.push(message.body().to_vec()),
+                other => panic!("a valid message resolves to {other:?}"),
+            });
         }
         assert_eq!(bodies, [&b"first"[..], &b"second"[..]]);
         assert!(
@@ -1035,11 +1014,13 @@ mod tests {
             )
             .unwrap();
         net.run_for(Ticks::from_millis(10));
-        let mut inbox: Vec<Payload> = Vec::new();
-        let mut spans = Vec::new();
-        endpoints[0].receive(&mut net, &mut inbox);
-        spans.push(0..inbox.len());
-        let probe = inbox[0].clone();
+        let mut probes = Vec::new();
+        endpoints[0].receive(&mut net, |ep, payload| {
+            ep.read(payload);
+            probes.push(payload.clone());
+        });
+        assert_eq!(probes.len(), 1);
+        let probe = probes.pop().unwrap();
         let frame = Frame::read(&probe, &store);
         assert!(
             matches!(frame, Cow::Borrowed(_)),
@@ -1050,24 +1031,26 @@ mod tests {
         };
         let counts = || (Arc::strong_count(message), Arc::strong_count(program));
         let before = counts();
-        for ep in &mut endpoints[1..] {
-            let start = inbox.len();
-            ep.receive(&mut net, &mut inbox);
-            spans.push(start..inbox.len());
-        }
         let mut accepted = 0;
-        for (ep, span) in endpoints.iter_mut().zip(spans) {
-            assert_eq!(span.len(), 1);
-            ep.decide(&inbox[span], |m, _| {
+        let mut decide = |ep: &mut BusEndpoint, payload: &Payload| {
+            ep.decide(payload, |m, _| {
                 assert!(Arc::ptr_eq(m, message), "the frame's own message");
                 accepted += 1;
+            })
+        };
+        decide(&mut endpoints[0], &probe);
+        for ep in &mut endpoints[1..] {
+            let mut received = 0;
+            ep.receive(&mut net, |ep, payload| {
+                received += 1;
+                decide(ep, payload);
             });
+            assert_eq!(received, 1);
         }
         assert_eq!(accepted, RECEIVERS / 2);
         assert_eq!(counts(), before, "(message, program) strong counts");
-        for payload in inbox {
-            net.recycle(payload);
-        }
+        drop(frame);
+        net.recycle(probe);
     }
 
     /// Whichever store left its frame on the buffers, an endpoint on
@@ -1094,12 +1077,12 @@ mod tests {
             );
         }
         type Got = Vec<(Vec<u8>, MatchOutcome)>;
-        let take = |ep: &mut BusEndpoint, net: &mut Network| -> (Got, Vec<Payload>) {
-            let mut inbox: Vec<Payload> = Vec::new();
-            ep.receive(net, &mut inbox);
+        let take = |ep: &mut BusEndpoint, net: &mut Network| -> Got {
             let mut got = Vec::new();
-            ep.decide(&inbox, |m, o| got.push((m.body().to_vec(), o)));
-            (got, inbox)
+            ep.receive(net, |ep, payload| {
+                ep.decide(payload, |m, o| got.push((m.body().to_vec(), o)))
+            });
+            got
         };
         for shared_first in [true, false] {
             for (selector, body) in [("interested_in contains 'image'", 1), ("true", 2)] {
@@ -1109,17 +1092,15 @@ mod tests {
             }
             net.run_for(Ticks::from_millis(10));
             let mut results: Vec<(Got, Got)> = Vec::new();
-            let mut kept = Vec::new();
             for (a, b) in shared.iter_mut().zip(own.iter_mut()) {
                 let (first, second) = if shared_first { (a, b) } else { (b, a) };
-                let (got_first, inbox_first) = take(first, &mut net);
-                let (got_second, inbox_second) = take(second, &mut net);
+                let got_first = take(first, &mut net);
+                let got_second = take(second, &mut net);
                 results.push(if shared_first {
                     (got_first, got_second)
                 } else {
                     (got_second, got_first)
                 });
-                kept.extend(inbox_first.into_iter().chain(inbox_second));
             }
             for (i, (via_store, via_own)) in results.iter().enumerate() {
                 assert_eq!(
@@ -1129,9 +1110,6 @@ mod tests {
             }
             assert_eq!(results[0].0.len(), 2, "the image reader takes both");
             assert_eq!(results[1].0.len(), 1, "the text reader takes `true`");
-            for payload in kept {
-                net.recycle(payload);
-            }
         }
         for (a, b) in shared.iter().zip(&own) {
             assert_eq!(a.stats().accepted, b.stats().accepted);

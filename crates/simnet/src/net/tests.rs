@@ -134,6 +134,46 @@ fn multicast_fanout_excludes_sender() {
     }
 }
 
+/// A send only schedules its copies, even one with no link to cross —
+/// to another socket on the sender's own node, unicast or as a member
+/// of the group — so none is in the target's inbox when the call
+/// returns, and each arrives once the network runs to the send's
+/// instant. Reception that handles each datagram as it comes off its
+/// socket relies on this: nothing a handler sends joins a socket while
+/// the handler runs.
+#[test]
+fn a_send_reaches_no_inbox_before_the_network_runs() {
+    let mut net = Network::new(9);
+    let node = net.add_node("a");
+    let sender = net.bind(node, Port(1)).unwrap();
+    let target = net.bind(node, Port(2)).unwrap();
+    let group = net.new_group();
+    net.join(sender, group).unwrap();
+    net.join(target, group).unwrap();
+    let unicast = Addr::unicast(node, Port(2));
+    let multicast = Addr::multicast(group, Port(2));
+    for (what, dst, batch) in [
+        ("unicast send", unicast, false),
+        ("multicast send", multicast, false),
+        ("multicast send_batch", multicast, true),
+    ] {
+        let at = net.now();
+        if batch {
+            net.send_batch(sender, dst, vec![vec![1u8], vec![2]])
+                .unwrap();
+        } else {
+            net.send(sender, dst, vec![1u8]).unwrap();
+        }
+        assert_eq!(net.pending(target), 0, "{what}: queued by the call");
+        assert!(net.recv(target).is_none(), "{what}: received by the call");
+        net.run_until(at);
+        let arrived: Vec<Ticks> = std::iter::from_fn(|| net.recv(target))
+            .map(|d| d.arrived_at)
+            .collect();
+        assert_eq!(arrived, vec![at; 1 + usize::from(batch)], "{what}");
+    }
+}
+
 #[test]
 fn multicast_respects_membership() {
     let mut net = Network::new(3);

@@ -356,12 +356,10 @@ const ALONE_PORT: Port = Port(5005);
 /// Drain `ep`'s socket and keep the frame it reads off each buffer,
 /// past the buffer, which goes back to the network.
 fn receive_frames(ep: &mut BusEndpoint, net: &mut Network) -> Vec<Frame> {
-    let mut inbox = Vec::new();
-    ep.receive(net, &mut inbox);
-    let frames = inbox.iter().map(|p| ep.read(p).into_owned()).collect();
-    for payload in inbox {
-        net.recycle(payload);
-    }
+    let mut frames = Vec::new();
+    ep.receive(net, |ep, payload| {
+        frames.push(ep.read(payload).into_owned())
+    });
     frames
 }
 
@@ -426,8 +424,8 @@ proptest! {
             net.send_batch(injector, Addr::multicast(group, SHARED_PORT), batch.clone())
                 .unwrap();
             net.run_for(Ticks::from_millis(50));
-            // Serial half for every endpoint first, as the session's
-            // pump does, then the decisions.
+            // Every endpoint reads its frames first, then the
+            // decisions.
             let lookups_before = lookups(&store);
             let received: Vec<Vec<Frame>> = shared
                 .iter_mut()

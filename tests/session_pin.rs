@@ -69,8 +69,30 @@ fn full_policy() -> PolicyDb {
     db
 }
 
+/// Each client's latest adaptation decision, as the script's passes
+/// returned them, for [`digest_session`].
+#[derive(Default)]
+struct Latest(Vec<Option<AdaptationDecision>>);
+
+impl Latest {
+    /// Feed client `id`'s `decision` and keep it as its latest.
+    fn one(&mut self, h: &mut Digest, id: usize, decision: AdaptationDecision) {
+        h.debug(&decision);
+        if self.0.len() <= id {
+            self.0.resize(id + 1, None);
+        }
+        self.0[id] = Some(decision);
+    }
+
+    /// Feed a pass over every client and keep each client's decision.
+    fn all(&mut self, h: &mut Digest, decisions: Vec<AdaptationDecision>) {
+        h.debug(&decisions);
+        self.0 = decisions.into_iter().map(Some).collect();
+    }
+}
+
 /// Everything a session holds at the end of its script.
-fn digest_session(h: &mut Digest, s: &CollaborationSession, objects: &[u64]) {
+fn digest_session(h: &mut Digest, s: &CollaborationSession, objects: &[u64], latest: &Latest) {
     for id in 0..s.client_count() {
         let c = s.client(id);
         h.bytes(c.name.as_bytes());
@@ -94,7 +116,7 @@ fn digest_session(h: &mut Digest, s: &CollaborationSession, objects: &[u64]) {
             h.bytes(&sketch.encode());
             h.bytes(caption.as_bytes());
         }
-        h.debug(&c.last_decision);
+        h.debug(&latest.0.get(id).and_then(Option::as_ref));
     }
     if let Some(bs) = &s.base_station {
         h.debug(&bs.bus.stats());
@@ -203,7 +225,8 @@ fn flat_digest() -> u64 {
         "one wireless client per SIR tier"
     );
 
-    h.debug(&s.adapt_all());
+    let mut latest = Latest::default();
+    latest.all(&mut h, s.adapt_all());
     s.pump(Ticks::from_millis(50));
     assert_eq!(s.service_plan_alerts(station), 0, "quiet window");
     let scene = synthetic_scene(64, 64, 1, 3, 5);
@@ -231,8 +254,8 @@ fn flat_digest() -> u64 {
     s.pump(Ticks::from_millis(50));
 
     s.set_router_speed(router, 256_000).unwrap();
-    h.debug(&s.adapt(viewer));
-    h.debug(&s.adapt_with_probe(loaded, echo, 4).unwrap());
+    latest.one(&mut h, viewer, s.adapt(viewer));
+    latest.one(&mut h, loaded, s.adapt_with_probe(loaded, echo, 4).unwrap());
     s.ingest_rtp_report(
         viewer,
         &ReceiverReport {
@@ -241,10 +264,10 @@ fn flat_digest() -> u64 {
             ..Default::default()
         },
     );
-    h.debug(&s.adapt_all());
+    latest.all(&mut h, s.adapt_all());
     s.set_router_speed(router, 10_000_000).unwrap();
     s.ingest_rtp_report(viewer, &ReceiverReport::default());
-    h.debug(&s.adapt(viewer));
+    latest.one(&mut h, viewer, s.adapt(viewer));
 
     for (k, id) in ["near", "mid", "far"].into_iter().enumerate() {
         let scene = synthetic_scene(64, 64, 1, 3, 40 + k as u64);
@@ -278,7 +301,7 @@ fn flat_digest() -> u64 {
     s.share_chat(texter, "goodbye", CHAT).unwrap();
     h.num(s.pump(Ticks::from_secs(2)).len() as u64);
 
-    digest_session(&mut h, &s, &objects);
+    digest_session(&mut h, &s, &objects, &latest);
     digest_traps(&mut h, &sink);
     for node in 0..tree.node_count() {
         h.num(tree.bits_sent(node));
@@ -380,7 +403,8 @@ fn brokered_digest() -> u64 {
         .unwrap();
     h.debug(&s.wireless_join("mobile", 30.0, 100.0).unwrap().modality);
 
-    h.debug(&s.adapt_all());
+    let mut latest = Latest::default();
+    latest.all(&mut h, s.adapt_all());
     let scene = synthetic_scene(64, 64, 1, 3, 7);
     let mut objects = vec![s.share_image(publisher, &scene, IMAGES).unwrap()];
     h.num(s.pump(Ticks::from_millis(300)).len() as u64);
@@ -429,9 +453,9 @@ fn brokered_digest() -> u64 {
     let scene = synthetic_scene(64, 64, 1, 3, 9);
     h.debug(&s.wireless_contribute("mobile", &scene, IMAGES).unwrap());
     h.num(s.pump(Ticks::from_millis(400)).len() as u64);
-    h.debug(&s.adapt_all());
+    latest.all(&mut h, s.adapt_all());
 
-    digest_session(&mut h, &s, &objects);
+    digest_session(&mut h, &s, &objects, &latest);
     digest_traps(&mut h, &sink);
     digest_broker_rows(&mut h, &mut s, plane_link.0);
     for i in 0..3 {
