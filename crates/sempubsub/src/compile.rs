@@ -3,7 +3,7 @@
 //! The tree-walk evaluator in [`crate::eval`] re-lexes, re-parses, and
 //! re-walks a `Box`-heavy AST for every received message, cloning
 //! every literal and attribute value it touches. On the datapath —
-//! [`crate::bus::BusEndpoint::interpret_frames`] per endpoint and the
+//! [`crate::bus::BusEndpoint::decide`] per endpoint and buffer, and the
 //! broker overlay's forwarding decision per hop — that work dominates
 //! per-message CPU, even though senders reuse a handful of identical
 //! selector strings per stream.
