@@ -9,6 +9,7 @@ use media::packetize::{reassemble_stripes, PacketView};
 use media::wavelet::WaveletKind;
 use media::{bits_per_pixel, compression_ratio, Image, MediaError};
 use sempubsub::{CacheStatsHandle, WireMessage};
+use simnet::rtp::ReceiverReport;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -469,6 +470,15 @@ struct PendingImage {
     stripes: Vec<HeldStripe>,
 }
 
+impl PendingImage {
+    /// Indices below the highest accepted one that have not arrived.
+    fn gaps(&self) -> u64 {
+        self.stripes.last().map_or(0, |last| {
+            u64::from(last.index) + 1 - self.stripes.len() as u64
+        })
+    }
+}
+
 /// An accepted stripe, held until its prefix completes: its header, and
 /// the message it arrived in — shared, not copied — whose body ends
 /// with its payload from `start` on.
@@ -505,6 +515,11 @@ impl HeldStripe {
 /// the message it arrived in, shared with every other receiver, and
 /// copies its payload only once, into the reassembled container, which
 /// it decodes through the [`MediaStore`] it is handed.
+///
+/// Ordering stripes by packet index and decoding the in-order prefix is
+/// §5.1's thin layer of "limited in-order delivery assurance": a lost
+/// stripe is never repaired, only counted. What the viewer saw comes
+/// back as an RTCP-style [`ImageViewer::report`].
 #[derive(Debug, Default)]
 pub struct ImageViewer {
     budget: u32,
@@ -521,6 +536,17 @@ pub struct ImageViewer {
     /// Packets discarded because they exceeded the budget or belonged
     /// to an object already finished.
     pub packets_discarded: u64,
+    /// Distinct packets accepted.
+    received: u64,
+    /// Gaps of the objects that left `pending`, booked as they left.
+    lost: u64,
+    /// Packets under the budget that arrived again, or for an object
+    /// already finished.
+    duplicates: u64,
+    /// Image datagrams handed to the viewer, and how many of them came
+    /// ECN Congestion-Experienced.
+    arrivals: u64,
+    ce_marked: u64,
 }
 
 impl ImageViewer {
@@ -536,7 +562,31 @@ impl ImageViewer {
             viewed: Vec::new(),
             text_fallbacks: Vec::new(),
             packets_discarded: 0,
+            received: 0,
+            lost: 0,
+            duplicates: 0,
+            arrivals: 0,
+            ce_marked: 0,
         }
+    }
+
+    /// What this viewer saw, as an RTCP-style receiver report: the
+    /// distinct packets it accepted; as lost, each object's indices
+    /// below the highest one accepted that never arrived (booked when
+    /// the object finished or was evicted, plus the open objects'
+    /// current gaps); as duplicates, a packet under the budget that was
+    /// already held or whose object had finished; and the share of its
+    /// image datagrams that arrived CE-marked. Packets at or past the
+    /// budget are neither received nor lost.
+    pub fn report(&self) -> ReceiverReport {
+        let open: u64 = self.pending.iter().map(|(_, e)| e.gaps()).sum();
+        ReceiverReport::from_counts(
+            self.received,
+            self.lost + open,
+            self.duplicates,
+            self.arrivals,
+            self.ce_marked,
+        )
     }
 
     /// Current resolution scale in `(0, 1]`.
@@ -588,7 +638,9 @@ impl ImageViewer {
         }
         self.finished.push_back(object_id);
         let at = self.position(object_id)?;
-        Some(self.pending.remove(at).1)
+        let entry = self.pending.remove(at).1;
+        self.lost += entry.gaps();
+        Some(entry)
     }
 
     /// Where `object_id` is in `pending`.
@@ -610,7 +662,8 @@ impl ImageViewer {
     }
 
     /// Apply an image-related event read in place — `ev` is
-    /// [`EventView::parse`] of `message`'s body — and return a decoded
+    /// [`EventView::parse`] of `message`'s body, and `ecn_ce` the
+    /// datagram's Congestion-Experienced mark — and return a decoded
     /// image when one completes, decoded through `store` — so viewers
     /// handed one store share each view. An accepted packet is held as
     /// a clone of the `Arc` and the payload's offset in the body: its
@@ -632,8 +685,13 @@ impl ImageViewer {
         &mut self,
         ev: &EventView<'_>,
         message: &Arc<WireMessage>,
+        ecn_ce: bool,
         store: &mut MediaStore,
     ) -> Option<ViewedImage> {
+        if let EventView::ImageMeta { .. } | EventView::ImagePacket { .. } = ev {
+            self.arrivals += 1;
+            self.ce_marked += u64::from(ecn_ce);
+        }
         match *ev {
             EventView::ImageMeta {
                 object_id,
@@ -666,20 +724,22 @@ impl ImageViewer {
                 self.try_complete(object_id, store)
             }
             EventView::ImagePacket { object_id, packet } => {
-                // A duplicated or re-sent packet of a finished object
-                // would otherwise open an entry nothing ever closes.
-                if self.finished.contains(&object_id)
-                    || (self.position(object_id).is_none() && self.budget == 0)
-                    || u32::from(packet.index) >= self.budget
-                {
+                if u32::from(packet.index) >= self.budget {
                     self.packets_discarded += 1;
                     return None;
                 }
+                // A duplicated or re-sent packet of a finished object
+                // would otherwise open an entry nothing ever closes.
+                if self.finished.contains(&object_id) {
+                    self.packets_discarded += 1;
+                    self.duplicates += 1;
+                    return None;
+                }
                 let entry = self.open(object_id);
-                if let Err(at) = entry
+                let held = entry
                     .stripes
-                    .binary_search_by_key(&packet.index, |s| s.index)
-                {
+                    .binary_search_by_key(&packet.index, |s| s.index);
+                if let Err(at) = held {
                     let stripe = HeldStripe {
                         index: packet.index,
                         total: packet.total,
@@ -689,6 +749,9 @@ impl ImageViewer {
                         start: message.body().len() - packet.payload.len(),
                     };
                     entry.stripes.insert(at, stripe);
+                    self.received += 1;
+                } else {
+                    self.duplicates += 1;
                 }
                 self.try_complete(object_id, store)
             }
@@ -778,6 +841,16 @@ mod tests {
         store: &mut MediaStore,
         ev: &AppEvent,
     ) -> Option<ViewedImage> {
+        deliver_marked(viewer, store, ev, false)
+    }
+
+    /// [`deliver_to`] in a datagram that came CE-marked or not.
+    fn deliver_marked(
+        viewer: &mut ImageViewer,
+        store: &mut MediaStore,
+        ev: &AppEvent,
+        ecn_ce: bool,
+    ) -> Option<ViewedImage> {
         let wire = SemanticMessage {
             sender: String::new(),
             kind: ev.kind().to_string(),
@@ -789,7 +862,7 @@ mod tests {
         .encode();
         let message = Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"));
         let view = EventView::parse(message.body()).expect("an encoded event parses");
-        viewer.apply_delivered(&view, &message, store)
+        viewer.apply_delivered(&view, &message, ecn_ce, store)
     }
 
     /// [`deliver_to`] a viewer that decodes through a store of its own.
@@ -949,6 +1022,80 @@ mod tests {
         }
         let v = done.expect("completed despite reordering");
         assert_eq!(v.image.data, original.data);
+        let report = viewer.report();
+        assert_eq!(
+            (report.received, report.lost, report.duplicates),
+            (8, 0, 8),
+            "seven copies of held packets, one of the finished object"
+        );
+    }
+
+    #[test]
+    fn a_packet_dropped_inside_the_budget_is_lost_until_it_arrives() {
+        let (original, events) = share_events(1, 8);
+        let mut viewer = ImageViewer::new(8);
+        let mut store = MediaStore::new();
+        for (i, ev) in events.iter().enumerate() {
+            if i != 4 {
+                assert!(deliver_to(&mut viewer, &mut store, ev).is_none());
+            }
+        }
+        let report = viewer.report();
+        assert_eq!((report.received, report.lost), (7, 1));
+        assert_eq!(report.fraction_lost, 1.0 / 8.0);
+        // Late, not lost: the gap fills and the object completes.
+        let v = deliver_to(&mut viewer, &mut store, &events[4]).expect("completes");
+        assert_eq!(v.image.data, original.data);
+        assert_eq!(viewer.report().lost, 0);
+
+        // Past the budget a missing packet is not asked for, so not lost.
+        let (_, events) = share_events(2, 8);
+        viewer.set_packet_budget(4);
+        let views = events
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 6)
+            .filter_map(|(_, ev)| deliver_to(&mut viewer, &mut store, ev))
+            .count();
+        assert_eq!(views, 1);
+        let report = viewer.report();
+        assert_eq!((report.received, report.lost), (12, 0));
+
+        // An object evicted with a gap books it for good.
+        let (_, events) = share_events(3, 8);
+        viewer.set_packet_budget(8);
+        for ev in [&events[1], &events[3]] {
+            deliver_to(&mut viewer, &mut store, ev);
+        }
+        assert_eq!(viewer.report().lost, 1);
+        for object_id in 100..100 + MAX_PENDING as u64 {
+            deliver_to(&mut viewer, &mut store, &share_events(object_id, 8).1[1]);
+        }
+        assert!(viewer.position(3).is_none(), "evicted");
+        assert_eq!(viewer.report().lost, 1);
+    }
+
+    #[test]
+    fn ce_marks_are_counted_over_every_image_datagram() {
+        let (_, events) = share_events(1, 8);
+        let mut viewer = ImageViewer::new(8);
+        let mut store = MediaStore::new();
+        // The announcement and every other packet come marked, and a
+        // marked copy of one more packet after the object completed.
+        for (i, ev) in events.iter().enumerate() {
+            deliver_marked(&mut viewer, &mut store, ev, i % 2 == 0);
+        }
+        deliver_marked(&mut viewer, &mut store, &events[3], true);
+        // A chat line is not an image datagram.
+        let chat = AppEvent::Chat {
+            author: "a".to_string(),
+            text: "hi".to_string(),
+        };
+        deliver_marked(&mut viewer, &mut store, &chat, true);
+        let report = viewer.report();
+        assert_eq!((report.received, report.duplicates), (8, 1));
+        assert_eq!(report.ecn_ce, 6);
+        assert_eq!(report.fraction_ecn_ce, 6.0 / 10.0);
     }
 
     #[test]
@@ -968,6 +1115,7 @@ mod tests {
         assert_eq!(viewer.pending_len(), 0, "nothing reopened");
         assert_eq!(viewer.viewed.len(), 1, "no second view");
         assert_eq!(viewer.packets_discarded, 2);
+        assert_eq!(viewer.report().duplicates, 2);
 
         // The same holds for an object that finished as a caption.
         let (_, events) = share_events(2, 8);

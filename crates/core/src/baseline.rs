@@ -7,7 +7,7 @@
 //! and capabilities." §7 names Habanero's "central arbitrator" and
 //! "central router" as the concrete instance.
 //!
-//! [`CentralServer`] implements that design faithfully: clients
+//! The central server here implements that design faithfully: clients
 //! register by name with their profile (the roster the semantic
 //! substrate never needs), every event is **unicast to the server**,
 //! and the server interprets profiles and **unicasts a copy to each
@@ -29,7 +29,7 @@ struct Registration {
 }
 
 /// The Habanero-style central arbitrator + router.
-pub struct CentralServer {
+struct CentralServer {
     socket: SocketHandle,
     /// The global roster the paper's design eliminates.
     roster: Vec<Registration>,
@@ -107,7 +107,7 @@ const CLIENT_PORT: Port = Port(6001);
 
 /// A baseline client: sends everything to the server, receives
 /// pre-filtered unicasts.
-pub struct BaselineClient {
+struct BaselineClient {
     socket: SocketHandle,
     server: NodeId,
     name: String,

@@ -171,6 +171,17 @@ pub struct SirRow {
     pub modality: Modality,
 }
 
+/// The row at `step`: every client's SIR as `bs` assesses it now, and
+/// the modality it forwards to client 0.
+fn sir_row(step: f64, bs: &BaseStation) -> SirRow {
+    let assessments = bs.assess_all();
+    SirRow {
+        step,
+        sirs_db: assessments.iter().map(|a| a.sir_db).collect(),
+        modality: assessments[0].modality,
+    }
+}
+
 /// Figure 8: two wireless clients, client A's distance follows the
 /// 100 m→50 m→100 m trajectory while B holds at 80 m; fixed powers.
 pub fn run_fig8() -> Vec<SirRow> {
@@ -183,12 +194,7 @@ pub fn run_fig8() -> Vec<SirRow> {
     let mut rows = Vec::new();
     for step in 0..=5usize {
         bs.update_distance("a", schedule.at(step as f64)).unwrap();
-        let assessments = bs.assess_all();
-        rows.push(SirRow {
-            step: step as f64,
-            sirs_db: assessments.iter().map(|a| a.sir_db).collect(),
-            modality: assessments[0].modality,
-        });
+        rows.push(sir_row(step as f64, &bs));
     }
     rows
 }
@@ -204,12 +210,7 @@ pub fn run_fig9() -> Vec<SirRow> {
     let mut rows = Vec::new();
     for (step, power) in [50.0, 100.0, 150.0, 200.0, 250.0].into_iter().enumerate() {
         bs.update_power("a", power).unwrap();
-        let assessments = bs.assess_all();
-        rows.push(SirRow {
-            step: step as f64,
-            sirs_db: assessments.iter().map(|a| a.sir_db).collect(),
-            modality: assessments[0].modality,
-        });
+        rows.push(sir_row(step as f64, &bs));
     }
     rows
 }
@@ -281,12 +282,7 @@ fn fig10_series(bs: &mut BaseStation) -> Fig10Result {
         bs.update_distance("a", a_dist.at(s)).unwrap();
         bs.update_power("b", 100.0 + 30.0 * s).unwrap();
         bs.update_distance("c", c_dist.at(s)).unwrap();
-        let assessments = bs.assess_all();
-        series.push(SirRow {
-            step: s,
-            sirs_db: assessments.iter().map(|a| a.sir_db).collect(),
-            modality: assessments[0].modality,
-        });
+        series.push(sir_row(s, bs));
     }
     Fig10Result {
         a_sir_by_count,
@@ -311,12 +307,7 @@ pub fn run_fig8_shadowed(sigma_db: f64) -> Vec<SirRow> {
     for step in 0..=5usize {
         bs.update_distance("a", schedule.at(step as f64)).unwrap();
         bs.advance_shadowing_epoch();
-        let assessments = bs.assess_all();
-        rows.push(SirRow {
-            step: step as f64,
-            sirs_db: assessments.iter().map(|a| a.sir_db).collect(),
-            modality: assessments[0].modality,
-        });
+        rows.push(sir_row(step as f64, &bs));
     }
     rows
 }

@@ -7,8 +7,9 @@
 //!
 //! * `sempubsub` — the semantic publisher–subscriber messaging
 //!   substrate (profiles, selectors, transform-aware matching),
-//! * `simnet` — the multicast communication substrate with the
-//!   RTP-like thin reliability layer,
+//! * `simnet` — the multicast communication substrate and the
+//!   RTCP-style receiver report the image viewer fills (§5.1's thin
+//!   layer),
 //! * `snmp` + `sysmon` — the network/system state interface,
 //! * `media` — the information transformer suite (progressive EZW
 //!   images, sketches, text, speech),

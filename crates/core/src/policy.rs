@@ -200,51 +200,65 @@ impl PolicyDb {
             .filter(move |(_, r)| r.condition.eval_source(&attrs, stack).unwrap_or(false))
     }
 
-    /// The paper's page-fault policy (§6.1): the number of image
-    /// packets falls in powers of two from 16 to 1 as the host's page
-    /// faults rise from 30 to 100.
-    pub fn paper_page_fault_policy() -> PolicyDb {
+    /// A packet-budget ladder over `metric`: band `i` of `bands` (its
+    /// rule name and packet limit), at priority `i`, holds from
+    /// `edges[i - 1]` up to, not including, `edges[i]`; the first band
+    /// is open below and the last above.
+    fn packet_ladder(metric: &str, edges: &[u32], bands: &[(&str, u32)]) -> PolicyDb {
+        debug_assert_eq!(bands.len(), edges.len() + 1);
         let mut db = PolicyDb::new();
-        let rules: &[(&str, &str, u32)] = &[
-            ("pf-low", "page_faults < 44", 16),
-            ("pf-mid", "page_faults >= 44 and page_faults < 58", 8),
-            ("pf-high", "page_faults >= 58 and page_faults < 72", 4),
-            ("pf-higher", "page_faults >= 72 and page_faults < 86", 2),
-            ("pf-extreme", "page_faults >= 86", 1),
-        ];
-        for (i, (name, cond, packets)) in rules.iter().enumerate() {
+        for (i, &(name, packets)) in bands.iter().enumerate() {
+            let above = i
+                .checked_sub(1)
+                .map(|j| format!("{metric} >= {}", edges[j]));
+            let below = edges.get(i).map(|e| format!("{metric} < {e}"));
+            let condition = match (above, below) {
+                (Some(above), Some(below)) => format!("{above} and {below}"),
+                (above, below) => above.or(below).expect("a ladder has an edge"),
+            };
             db.add_rule(
                 name,
                 i as i32,
-                cond,
-                AdaptationAction::LimitPackets(*packets),
+                &condition,
+                AdaptationAction::LimitPackets(packets),
             )
             .expect("static rule parses");
         }
         db
     }
 
+    /// The paper's page-fault policy (§6.1): the number of image
+    /// packets falls in powers of two from 16 to 1 as the host's page
+    /// faults rise from 30 to 100.
+    pub fn paper_page_fault_policy() -> PolicyDb {
+        PolicyDb::packet_ladder(
+            "page_faults",
+            &[44, 58, 72, 86],
+            &[
+                ("pf-low", 16),
+                ("pf-mid", 8),
+                ("pf-high", 4),
+                ("pf-higher", 2),
+                ("pf-extreme", 1),
+            ],
+        )
+    }
+
     /// The paper's CPU-load policy (§6.2): packets fall from 16 to 0 as
     /// CPU load rises from 30 to 100%.
     pub fn paper_cpu_load_policy() -> PolicyDb {
-        let mut db = PolicyDb::new();
-        let rules: &[(&str, &str, u32)] = &[
-            ("cpu-low", "cpu_load < 44", 16),
-            ("cpu-mid", "cpu_load >= 44 and cpu_load < 58", 8),
-            ("cpu-high", "cpu_load >= 58 and cpu_load < 72", 4),
-            ("cpu-higher", "cpu_load >= 72 and cpu_load < 86", 2),
-            ("cpu-extreme", "cpu_load >= 86 and cpu_load < 97", 1),
-            ("cpu-saturated", "cpu_load >= 97", 0),
-        ];
-        for (i, (name, cond, packets)) in rules.iter().enumerate() {
-            db.add_rule(
-                name,
-                i as i32,
-                cond,
-                AdaptationAction::LimitPackets(*packets),
-            )
-            .expect("static rule parses");
-        }
+        let mut db = PolicyDb::packet_ladder(
+            "cpu_load",
+            &[44, 58, 72, 86, 97],
+            &[
+                ("cpu-low", 16),
+                ("cpu-mid", 8),
+                ("cpu-high", 4),
+                ("cpu-higher", 2),
+                ("cpu-extreme", 1),
+                ("cpu-saturated", 0),
+            ],
+        );
         // At saturation the viewer also suspends media.
         db.add_rule(
             "cpu-suspend",

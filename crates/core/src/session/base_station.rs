@@ -73,7 +73,8 @@ impl BsPeer {
     /// the BS "manages QoS on their behalf"; full radio-frame
     /// simulation is abstracted to the delivery record).
     pub(super) fn relay(&mut self, net: &mut Network) {
-        self.bus.receive(net, |bus, payload| {
+        self.bus.receive(net, |bus, dgram| {
+            let payload = &dgram.payload;
             let frame = bus.read(payload);
             let Frame::Message { message, program } = &*frame else {
                 // Nothing to relay. The endpoint's one counting

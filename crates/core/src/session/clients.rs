@@ -270,11 +270,13 @@ impl CollaborationSession {
         Ok(Self::decide_and_apply(client, &state, &mut self.stack))
     }
 
-    /// Feed a client the figures from an RTP receiver report so the
-    /// next adaptation pass sees `loss_pct` (fraction lost × 100) and
-    /// `congestion_pct` (fraction ECN-CE × 100). The measured-loss
-    /// policy reacts to the former; the congestion policy reacts to
-    /// the latter *before* any packet is actually lost.
+    /// Feed a client the figures from a receiver report (an image
+    /// viewer's [`ImageViewer::report`](crate::apps::ImageViewer::report),
+    /// or one the caller builds) so the next adaptation pass sees
+    /// `loss_pct` (fraction lost × 100) and `congestion_pct` (fraction
+    /// ECN-CE × 100). The measured-loss policy reacts to the former;
+    /// the congestion policy reacts to the latter *before* any packet
+    /// is actually lost.
     pub fn ingest_rtp_report(&mut self, id: ClientId, report: &simnet::rtp::ReceiverReport) {
         self.clients[id].rtp_loss = Some(report.fraction_lost);
         self.clients[id].rtp_congestion = Some(report.fraction_ecn_ce);

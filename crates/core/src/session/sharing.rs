@@ -241,8 +241,8 @@ impl CollaborationSession {
         media: &mut MediaStore,
         completed: &mut Vec<(ClientId, ViewedImage)>,
     ) {
-        client.bus.receive(net, |bus, payload| {
-            bus.decide(payload, |message, _| {
+        client.bus.receive(net, |bus, dgram| {
+            bus.decide(&dgram.payload, |message, _| {
                 let Some(ev) = EventView::parse(message.body()) else {
                     return;
                 };
@@ -265,7 +265,9 @@ impl CollaborationSession {
                         );
                     }
                     EventView::ImageMeta { .. } | EventView::ImagePacket { .. } => {
-                        if let Some(viewed) = client.viewer.apply_delivered(&ev, message, media) {
+                        let ce = dgram.ecn_ce;
+                        if let Some(viewed) = client.viewer.apply_delivered(&ev, message, ce, media)
+                        {
                             completed.push((id, viewed));
                         }
                     }

@@ -185,6 +185,29 @@ fn repeated_share_hits_media_cache() {
     }
 }
 
+/// Over clean links a viewer's report holds exactly the packets its
+/// views accepted: nothing lost, nothing copied, nothing marked.
+#[test]
+fn a_lossless_share_reports_its_accepted_packets_and_nothing_else() {
+    let (mut s, publisher, viewer) = two_client_session();
+    let mut accepted = 0;
+    for seed in 5..8 {
+        let scene = synthetic_scene(64, 64, 1, 3, seed);
+        s.share_image(publisher, &scene, "interested_in contains 'image'")
+            .unwrap();
+        for (id, viewed) in s.pump(Ticks::from_millis(200)) {
+            assert_eq!(id, viewer);
+            accepted += u64::from(viewed.packets_accepted);
+        }
+    }
+    assert_eq!(accepted, 3 * 16);
+    let report = s.client(viewer).viewer.report();
+    assert_eq!(
+        report,
+        simnet::rtp::ReceiverReport::from_counts(accepted, 0, 0, 3 * 17, 0)
+    );
+}
+
 #[test]
 fn adaptation_reduces_accepted_packets_under_load() {
     let (mut s, publisher, viewer) = two_client_session();
@@ -221,10 +244,7 @@ fn ingested_rtp_loss_drives_modality_switch() {
     let d = s.adapt(viewer);
     assert_eq!(d.modality, crate::inference::ModalityChoice::FullImage);
     // A receiver report measuring 20% loss caps modality at sketch.
-    let report = simnet::rtp::ReceiverReport {
-        fraction_lost: 0.2,
-        ..Default::default()
-    };
+    let report = simnet::rtp::ReceiverReport::from_counts(80, 20, 0, 80, 0);
     s.ingest_rtp_report(viewer, &report);
     let d = s.adapt(viewer);
     assert_eq!(d.modality, crate::inference::ModalityChoice::Sketch);
@@ -523,13 +543,7 @@ fn directory_sampling_matches_the_all_agents_sweep_with_two_targets() {
         let mut s = adaptive_session(SessionConfig::default(), 4);
         let router = s.add_router("edge-router", 256_000).unwrap();
         s.monitor_bandwidth(2, router);
-        s.ingest_rtp_report(
-            1,
-            &simnet::rtp::ReceiverReport {
-                fraction_lost: 0.25,
-                ..Default::default()
-            },
-        );
+        s.ingest_rtp_report(1, &simnet::rtp::ReceiverReport::from_counts(3, 1, 0, 3, 0));
         s
     });
 }

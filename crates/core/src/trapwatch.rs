@@ -92,13 +92,14 @@ impl Watch {
 /// an SNMPv2 trap carrying the watched variable (Gauge32, rounded and
 /// clamped to the type's range).
 ///
-/// [`EdgeWatcher::loss`] is the §5.1 RTP layer feeding the §5.2
-/// adaptation loop: sustained receiver-report loss, which the thin
-/// layer counts but does not repair (`fraction_lost * 100`), becomes a
-/// one-way `qosAlert` that lets the inference engine switch modality.
+/// [`EdgeWatcher::loss`] is the §5.1 thin layer feeding the §5.2
+/// adaptation loop: sustained receiver-report loss, which the image
+/// viewer counts but does not repair (`fraction_lost * 100`, see
+/// [`ImageViewer::report`](crate::apps::ImageViewer::report)), becomes
+/// a one-way `qosAlert` that lets the inference engine switch modality.
 /// [`EdgeWatcher::congestion`] is the pre-loss half: a link's AQM
 /// marks ECN-capable packets while it would still be queueing (not
-/// dropping) anything else, the receiver echoes the marks
+/// dropping) anything else, the viewer's report echoes the marks
 /// ([`simnet::rtp::ReceiverReport::fraction_ecn_ce`] `* 100`), and a
 /// sustained mark rate becomes a `qosCongestionAlert` so policy can
 /// shift modality (image → sketch → text) *before* the first packet
@@ -478,20 +479,10 @@ mod tests {
         use simnet::rtp::ReceiverReport;
         let (mut net, mut rt, mut sink, station) = world();
         let mut watcher = EdgeWatcher::loss(10.0);
-        let calm = ReceiverReport {
-            received: 99,
-            lost: 1,
-            fraction_lost: 0.01,
-            ..Default::default()
-        };
+        let calm = ReceiverReport::from_counts(99, 1, 0, 99, 0);
         assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_lost * 100.0));
         // Wireless-grade burst loss, as the receiver report counts it.
-        let bursty = ReceiverReport {
-            received: 80,
-            lost: 20,
-            fraction_lost: 0.2,
-            ..Default::default()
-        };
+        let bursty = ReceiverReport::from_counts(80, 20, 0, 80, 0);
         assert!(watcher.observe(&mut net, &mut rt, station, bursty.fraction_lost * 100.0));
         assert!(
             !watcher.observe(&mut net, &mut rt, station, bursty.fraction_lost * 100.0),
@@ -518,20 +509,10 @@ mod tests {
         let (mut net, mut rt, mut sink, station) = world();
         let mut watcher = EdgeWatcher::congestion(10.0);
         // Lightly marked stream with ZERO loss: below threshold.
-        let calm = ReceiverReport {
-            received: 100,
-            ecn_ce: 2,
-            fraction_ecn_ce: 0.02,
-            ..Default::default()
-        };
+        let calm = ReceiverReport::from_counts(100, 0, 0, 100, 2);
         assert!(!watcher.observe(&mut net, &mut rt, station, calm.fraction_ecn_ce * 100.0));
         // AQM marking a quarter of the stream — still zero loss.
-        let marked = ReceiverReport {
-            received: 100,
-            ecn_ce: 25,
-            fraction_ecn_ce: 0.25,
-            ..Default::default()
-        };
+        let marked = ReceiverReport::from_counts(100, 0, 0, 100, 25);
         assert!(watcher.observe(&mut net, &mut rt, station, marked.fraction_ecn_ce * 100.0));
         assert!(
             !watcher.observe(&mut net, &mut rt, station, marked.fraction_ecn_ce * 100.0),

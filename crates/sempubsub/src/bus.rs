@@ -19,7 +19,7 @@ use crate::message::{self, EventBody, WireMessage};
 use crate::profile::Profile;
 use crate::value::AttrValue;
 use crate::SemError;
-use simnet::{Addr, GroupId, Network, NodeId, Payload, Port, SocketHandle};
+use simnet::{Addr, Datagram, GroupId, Network, NodeId, Payload, Port, SocketHandle};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -308,14 +308,16 @@ impl BusEndpoint {
     }
 
     /// Reception: bring the profile snapshot up to date, then hand each
-    /// buffer, as it comes off the socket, to `handle` with this
-    /// endpoint — to decide ([`BusEndpoint::decide`]) or, at a gateway,
-    /// to read for profiles not its own (§4.2) — and give it back to the
-    /// network ([`Network::recycle`]) before taking the next.
-    pub fn receive(&mut self, net: &mut Network, mut handle: impl FnMut(&mut Self, &Payload)) {
+    /// datagram, as it comes off the socket, to `handle` with this
+    /// endpoint — to decide its payload ([`BusEndpoint::decide`]) or,
+    /// at a gateway, to read it for profiles not its own (§4.2); the
+    /// datagram's arrival metadata (its ECN mark) rides along — and
+    /// give the buffer back to the network ([`Network::recycle`])
+    /// before taking the next.
+    pub fn receive(&mut self, net: &mut Network, mut handle: impl FnMut(&mut Self, &Datagram)) {
         self.sync_profile();
         while let Some(dgram) = net.recv(self.socket) {
-            handle(self, &dgram.payload);
+            handle(self, &dgram);
             net.recycle(dgram.payload);
         }
     }
@@ -416,8 +418,8 @@ impl BusEndpoint {
     /// messages.
     pub fn poll(&mut self, net: &mut Network) -> Vec<Delivery> {
         let mut accepted = Vec::new();
-        self.receive(net, |ep, payload| {
-            ep.decide(payload, collect_into(&mut accepted))
+        self.receive(net, |ep, dgram| {
+            ep.decide(&dgram.payload, collect_into(&mut accepted))
         });
         accepted
     }
@@ -613,8 +615,8 @@ mod tests {
             .unwrap();
         net.run_for(Ticks::from_millis(10));
         let mut bodies = Vec::new();
-        gateway.receive(&mut net, |gateway, payload| {
-            let frame = gateway.read(payload);
+        gateway.receive(&mut net, |gateway, dgram| {
+            let frame = gateway.read(&dgram.payload);
             let Frame::Message { message, .. } = &*frame else {
                 panic!("a valid message resolves to {frame:?}");
             };
@@ -641,9 +643,11 @@ mod tests {
                 .publish(&mut net, "chat", "true", BTreeMap::new(), body)
                 .unwrap();
             net.run_for(Ticks::from_millis(10));
-            reader.receive(&mut net, |reader, payload| match &*reader.read(payload) {
-                Frame::Message { message, .. } => bodies.push(message.body().to_vec()),
-                other => panic!("a valid message resolves to {other:?}"),
+            reader.receive(&mut net, |reader, dgram| {
+                match &*reader.read(&dgram.payload) {
+                    Frame::Message { message, .. } => bodies.push(message.body().to_vec()),
+                    other => panic!("a valid message resolves to {other:?}"),
+                }
             });
         }
         assert_eq!(bodies, [&b"first"[..], &b"second"[..]]);
@@ -1015,9 +1019,9 @@ mod tests {
             .unwrap();
         net.run_for(Ticks::from_millis(10));
         let mut probes = Vec::new();
-        endpoints[0].receive(&mut net, |ep, payload| {
-            ep.read(payload);
-            probes.push(payload.clone());
+        endpoints[0].receive(&mut net, |ep, dgram| {
+            ep.read(&dgram.payload);
+            probes.push(dgram.payload.clone());
         });
         assert_eq!(probes.len(), 1);
         let probe = probes.pop().unwrap();
@@ -1041,9 +1045,9 @@ mod tests {
         decide(&mut endpoints[0], &probe);
         for ep in &mut endpoints[1..] {
             let mut received = 0;
-            ep.receive(&mut net, |ep, payload| {
+            ep.receive(&mut net, |ep, dgram| {
                 received += 1;
-                decide(ep, payload);
+                decide(ep, &dgram.payload);
             });
             assert_eq!(received, 1);
         }
@@ -1079,8 +1083,8 @@ mod tests {
         type Got = Vec<(Vec<u8>, MatchOutcome)>;
         let take = |ep: &mut BusEndpoint, net: &mut Network| -> Got {
             let mut got = Vec::new();
-            ep.receive(net, |ep, payload| {
-                ep.decide(payload, |m, o| got.push((m.body().to_vec(), o)))
+            ep.receive(net, |ep, dgram| {
+                ep.decide(&dgram.payload, |m, o| got.push((m.body().to_vec(), o)))
             });
             got
         };

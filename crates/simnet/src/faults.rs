@@ -3,9 +3,9 @@
 //! Real wireless and wide-area paths do not lose packets i.i.d.: loss
 //! arrives in bursts, packets are reordered and duplicated, delay
 //! jitters, and links flap. This module models those failure modes so
-//! the layers that must cope with them (the RTP reorder window and its
-//! loss accounting, the adaptation loop) can be exercised under
-//! repeatable, seed-driven chaos:
+//! the layers that must cope with them (the image viewer's in-order
+//! reassembly and its loss accounting, the adaptation loop) can be
+//! exercised under repeatable, seed-driven chaos:
 //!
 //! * [`FaultModel`] — per-link Gilbert–Elliott burst loss, reorder
 //!   probability with bounded displacement, duplication, and jitter.

@@ -13,10 +13,10 @@
 //!   carrying reference-counted zero-copy payloads ([`payload`]) so
 //!   multicast fan-out encodes once and shares the buffer (readers give
 //!   spent buffers back for the next sends to write into),
-//! * a thin RTP/RTCP-like sequencing layer providing limited in-order
-//!   delivery for multi-packet media objects ([`rtp`]), exactly the
-//!   role of the paper's "thin layer based on the RTP-RTCP scheme"
-//!   (§5.1),
+//! * the receiver report of the paper's "thin layer based on the
+//!   RTP-RTCP scheme" (§5.1): loss, duplicate and ECN-CE counts and
+//!   fractions ([`rtp`]); the receiving application sequences its own
+//!   media packets and fills the report,
 //! * per-network statistics for tests and benches ([`trace`]),
 //! * the one bounded byte reader every wire decoder outside `media`
 //!   reads received bytes through ([`wire`]),

@@ -1,6 +1,6 @@
 //! The one bounded byte reader every wire decoder outside `media` reads
 //! through: BER, the semantic bus's `SEM1` frames, custody bundles,
-//! application events and the RTP/RTCP headers.
+//! application events and the latency probe's echo.
 //!
 //! A [`Reader`] holds the bytes not yet read. Every read checks the
 //! bytes it asks for against what is left before it touches them, so a

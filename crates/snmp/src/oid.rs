@@ -184,13 +184,15 @@ pub mod arcs {
         tassl().extend(&[3, 0])
     }
 
-    /// hostRtpLossPct.0 — measured RTP stream loss, percent (Gauge32).
+    /// hostRtpLossPct.0 — media loss a receiver report measured,
+    /// percent (Gauge32): packets missing below a higher one received,
+    /// as an image viewer counts them (the name keeps RTCP's).
     pub fn host_rtp_loss() -> Oid {
         tassl().extend(&[6, 0])
     }
 
-    /// hostCongestionPct.0 — fraction of the measured RTP stream that
-    /// arrived ECN Congestion-Experienced, percent (Gauge32). The
+    /// hostCongestionPct.0 — fraction of the received media datagrams
+    /// that arrived ECN Congestion-Experienced, percent (Gauge32). The
     /// early-warning counterpart of hostRtpLossPct: it moves while
     /// loss is still zero.
     pub fn host_congestion() -> Oid {
@@ -346,7 +348,7 @@ pub mod arcs {
 
     /// The compiled-selector cache subtree: 99999.22. Scalars, not a
     /// table: each session agent serves its own endpoint's cache.
-    pub fn selector_cache() -> Oid {
+    pub(crate) fn selector_cache() -> Oid {
         tassl().child(22)
     }
 

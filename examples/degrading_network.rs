@@ -1,5 +1,5 @@
 //! Distance-learning under a degrading network (§1's motivating
-//! dynamics + §5.5's network-element monitoring), in two acts:
+//! dynamics + §5.5's network-element monitoring), in three acts:
 //!
 //! 1. **Bandwidth collapse** — a lecturer streams slides to students;
 //!    an edge router's advertised bandwidth collapses mid-session, the
@@ -7,12 +7,14 @@
 //!    filter keeps the level from flapping as the link recovers
 //!    noisily.
 //! 2. **Shaped vs unshaped bottleneck** — the same offered load (an
-//!    interactive RTP stream plus a mid-run bulk flood) crosses a
+//!    interactive media stream plus a mid-run bulk flood) crosses a
 //!    1 Mb/s access link twice: once through the link's plain bounded
 //!    FIFO, once through the traffic-control plane (DRR + ECN-capable
-//!    CoDel). Side-by-side timelines show the unshaped run losing
-//!    media packets and downgrading *after* the damage, while the
-//!    shaped run is warned by ECN marks and downgrades with zero loss.
+//!    CoDel). The student counts loss and ECN marks from its own log
+//!    of numbered arrivals. Side-by-side timelines show the unshaped
+//!    run losing media packets and downgrading *after* the damage,
+//!    while the shaped run is warned by ECN marks and downgrades with
+//!    zero loss.
 //! 3. **One trace, three engines** — the unshaped run's observed
 //!    (loss, CE) phases replayed through every [`AdaptationPolicy`]
 //!    implementation: the paper's threshold bands, the fuzzy
@@ -25,7 +27,6 @@
 use collabqos::core::hysteresis::HysteresisFilter;
 use collabqos::prelude::*;
 use collabqos::simnet::qdisc::{QdiscConfig, TrafficClass};
-use collabqos::simnet::rtp::{RtpReceiver, RtpSender};
 use collabqos::simnet::{Addr, Port};
 use std::collections::BTreeMap;
 
@@ -137,7 +138,7 @@ struct PhaseRow {
 /// Drive the identical offered load over the 1 Mb/s access link —
 /// media at ~0.85 Mb/s throughout, plus a bulk flood during phases
 /// 2..=5 — with or without the traffic-control plane, and adapt from
-/// the receiver reports after every phase.
+/// what the arrival log counted after every phase.
 fn run_bottleneck(shaped: bool) -> Vec<PhaseRow> {
     let mut net = Network::new(4242);
     let src = net.add_node("lecturer");
@@ -166,8 +167,10 @@ fn run_bottleneck(shaped: bool) -> Vec<PhaseRow> {
     net.set_ecn(tx_media, true);
     net.set_ecn(tx_bulk, true);
 
-    let mut sender = RtpSender::new(0xC1A55, 96);
-    let mut receiver = RtpReceiver::new(64);
+    // The arrival log: media packets received, and the highest
+    // sequence number among them — every one below it that never came
+    // is lost (the FIFO and the plane keep order).
+    let (mut received, mut next_seq) = (0u64, 0u64);
     let mut db = PolicyDb::loss_policy();
     db.merge(PolicyDb::congestion_policy());
     let engine = InferenceEngine::new(db, QosContract::default());
@@ -190,33 +193,37 @@ fn run_bottleneck(shaped: bool) -> Vec<PhaseRow> {
                 }
             }
             let seq = sent_at_us.len() as u32;
-            let mut media = vec![0u8; 170];
+            let mut media = vec![0u8; 182];
             media[..4].copy_from_slice(&seq.to_be_bytes());
-            let wire = sender.wrap(seq, false, &media);
             sent_at_us.push(net.now().as_micros());
-            let _ = net.send(tx_media, Addr::unicast(dst, MEDIA_PORT), wire);
+            let _ = net.send(tx_media, Addr::unicast(dst, MEDIA_PORT), media);
             net.run_for(Ticks::from_millis(2));
             while let Some(d) = net.recv(rx_media) {
-                for pkt in receiver.push_marked(&d.payload, d.ecn_ce) {
-                    delivered += 1;
-                    marked += u64::from(d.ecn_ce);
-                    let sent = sent_at_us[pkt.header.seq as usize];
-                    latencies.push((net.now().as_micros() - sent) as f64 / 1_000.0);
-                }
+                let seq = u32::from_be_bytes(d.payload[..4].try_into().unwrap());
+                received += 1;
+                next_seq = next_seq.max(u64::from(seq) + 1);
+                delivered += 1;
+                marked += u64::from(d.ecn_ce);
+                let sent = sent_at_us[seq as usize];
+                latencies.push((net.now().as_micros() - sent) as f64 / 1_000.0);
             }
         }
-        let report = receiver.report();
+        let loss_pct = if next_seq == 0 {
+            0.0
+        } else {
+            (next_seq - received) as f64 * 100.0 / next_seq as f64
+        };
         let congestion_pct = if delivered == 0 {
             0.0
         } else {
             marked as f64 * 100.0 / delivered as f64
         };
         let mut state = BTreeMap::new();
-        state.insert("loss_pct".to_string(), report.fraction_lost * 100.0);
+        state.insert("loss_pct".to_string(), loss_pct);
         state.insert("congestion_pct".to_string(), congestion_pct);
         rows.push(PhaseRow {
             delivered,
-            loss_pct: report.fraction_lost * 100.0,
+            loss_pct,
             congestion_pct,
             avg_latency_ms: if latencies.is_empty() {
                 0.0

@@ -1,14 +1,15 @@
 //! Chaos suite: scenario-driven fault injection over the deterministic
 //! simulator. Every scenario is reproducible from the seed and
 //! [`FaultPlan`] printed in its assertion messages; the suite asserts
-//! the thin RTP layer's invariants under each fault (in-order,
-//! duplicate-free release; every loss counted exactly, by sequence
-//! number; release resuming in order after a heal) and that inert
-//! fault configuration leaves the paper's figure series bit-identical.
+//! what each fault lets through (every loss counted exactly, by
+//! sequence number; arrivals resuming after a heal), that the image
+//! viewer — the paper's thin in-order layer — shows nothing of
+//! duplication and reordering but its report, and that inert fault
+//! configuration leaves the paper's figure series bit-identical.
 
 use collabqos::core::experiments::{run_fig10, run_fig6, run_fig7};
 use collabqos::prelude::*;
-use collabqos::simnet::rtp::{ReceiverReport, RtpReceiver, RtpSender};
+use collabqos::simnet::rtp::ReceiverReport;
 use collabqos::simnet::{
     Addr, FaultAction, FaultModel, FaultPlan, GilbertElliott, LinkId, Network, NodeId, Port,
 };
@@ -29,7 +30,7 @@ fn chaos_seed(base: u64) -> u64 {
     base.wrapping_add(offset)
 }
 
-/// A scripted RTP-over-faulty-link scenario. The harness topology is
+/// A scripted stream-over-faulty-link scenario. The harness topology is
 /// fixed — node 0 streams to node 1 over a single wireless-grade link
 /// (`LinkId(0)`, base loss zero) — so plans can name links and nodes
 /// statically.
@@ -54,31 +55,52 @@ impl Scenario {
     }
 }
 
-/// One packet released to the application.
+/// One datagram off the receiver's socket.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Delivery {
-    seq: u16,
-    released_at_us: u64,
+struct Arrival {
+    seq: u64,
+    at_us: u64,
 }
 
 /// Everything observable from one scenario run.
 #[derive(Debug, Clone, PartialEq)]
 struct Outcome {
-    deliveries: Vec<Delivery>,
-    report: ReceiverReport,
+    /// Every arrival, copies included, in arrival order.
+    arrivals: Vec<Arrival>,
     /// Sends refused by the network (link down / partition).
     send_failures: u32,
 }
 
 impl Outcome {
-    fn seqs(&self) -> Vec<u16> {
-        self.deliveries.iter().map(|d| d.seq).collect()
+    /// The distinct sequence numbers that arrived, ascending.
+    fn seqs(&self) -> Vec<u64> {
+        let mut seqs: Vec<u64> = self.arrivals.iter().map(|a| a.seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        seqs
+    }
+
+    /// The arrival log as a receiver report over `sent` packets: every
+    /// packet that never arrived is lost.
+    fn report(&self, sent: u32) -> ReceiverReport {
+        let distinct = self.seqs().len() as u64;
+        let arrivals = self.arrivals.len() as u64;
+        ReceiverReport::from_counts(
+            distinct,
+            u64::from(sent) - distinct,
+            arrivals - distinct,
+            arrivals,
+            0,
+        )
     }
 }
 
-/// Drive a scenario: stream RTP over the faulty link into a plain
-/// reorder-window receiver (no feedback path: a lost packet stays
-/// lost), then flush it.
+/// Bytes in each of a scenario's datagrams: its sequence number, then
+/// padding.
+const DATAGRAM_LEN: usize = 20;
+
+/// Drive a scenario: stream numbered datagrams over the faulty link
+/// (no feedback path: a lost packet stays lost) and log each arrival.
 fn run_stream(sc: &Scenario) -> Outcome {
     let mut net = Network::new(sc.seed);
     let src = net.add_node("sender");
@@ -89,17 +111,15 @@ fn run_stream(sc: &Scenario) -> Outcome {
     let tx_media = net.bind(src, MEDIA_PORT).unwrap();
     let rx_media = net.bind(dst, MEDIA_PORT).unwrap();
 
-    let mut sender = RtpSender::new(0xC0FFEE, 96);
-    let mut receiver = RtpReceiver::new(16);
-
-    let mut deliveries = Vec::new();
+    let mut arrivals = Vec::new();
     let mut send_failures = 0u32;
     let step_us = sc.send_every.as_micros().max(1);
     let drain_steps = sc.drain_for.as_micros().div_ceil(step_us);
 
     for step in 0..(sc.packets as u64 + drain_steps) {
         if step < sc.packets as u64 {
-            let wire = sender.wrap(step as u32, false, &step.to_be_bytes());
+            let mut wire = vec![0u8; DATAGRAM_LEN];
+            wire[..8].copy_from_slice(&step.to_be_bytes());
             if net
                 .send(tx_media, Addr::unicast(dst, MEDIA_PORT), wire)
                 .is_err()
@@ -110,41 +130,13 @@ fn run_stream(sc: &Scenario) -> Outcome {
         net.run_for(sc.send_every);
         let now = net.now().as_micros();
         while let Some(dgram) = net.recv(rx_media) {
-            for pkt in receiver.push(&dgram.payload) {
-                deliveries.push(Delivery {
-                    seq: pkt.header.seq,
-                    released_at_us: now,
-                });
-            }
+            let seq = u64::from_be_bytes(dgram.payload[..8].try_into().unwrap());
+            arrivals.push(Arrival { seq, at_us: now });
         }
     }
-
-    let end = net.now().as_micros();
-    for pkt in receiver.flush() {
-        deliveries.push(Delivery {
-            seq: pkt.header.seq,
-            released_at_us: end,
-        });
-    }
     Outcome {
-        deliveries,
-        report: receiver.report(),
+        arrivals,
         send_failures,
-    }
-}
-
-/// The application-facing invariant every scenario must uphold: each
-/// sequence number is released at most once, in strictly increasing
-/// order.
-fn assert_in_order_unique(out: &Outcome, ctx: &str) {
-    for w in out.deliveries.windows(2) {
-        assert!(
-            w[1].seq > w[0].seq,
-            "duplicate or out-of-order release: seq {} then {}\n{}",
-            w[0].seq,
-            w[1].seq,
-            ctx
-        );
     }
 }
 
@@ -178,17 +170,16 @@ fn burst_scenario(seed: u64) -> Scenario {
 
 // ------------------------------------------------- loss accounting
 
-/// With burst loss ≥10% on the wireless link, every packet is either
-/// released or counted lost — none twice, none unaccounted — and the
-/// reported fraction is the counted share.
+/// With burst loss ≥10% on the wireless link, every packet either
+/// arrives once or is counted lost — none twice, none unaccounted —
+/// and the reported fraction is the counted share.
 #[test]
 fn burst_loss_on_wireless_link_is_counted_exactly() {
     let sc = burst_scenario(chaos_seed(1002));
     let ctx = sc.ctx();
     let out = run_stream(&sc);
-    assert_in_order_unique(&out, &ctx);
-
-    let rep = out.report;
+    let rep = out.report(sc.packets);
+    assert_eq!(rep.duplicates, 0, "burst loss copies nothing\n{ctx}");
     assert!(
         rep.lost >= 30,
         "burst model barely bit: only {} lost\n{ctx}",
@@ -197,9 +188,9 @@ fn burst_loss_on_wireless_link_is_counted_exactly() {
     assert_eq!(
         rep.received + rep.lost,
         u64::from(sc.packets),
-        "released + lost covers the stream\n{ctx}"
+        "arrived + lost covers the stream\n{ctx}"
     );
-    assert_eq!(rep.received, out.deliveries.len() as u64, "{ctx}");
+    assert_eq!(rep.received, out.arrivals.len() as u64, "{ctx}");
     assert_eq!(
         rep.fraction_lost,
         rep.lost as f64 / f64::from(sc.packets),
@@ -207,45 +198,78 @@ fn burst_loss_on_wireless_link_is_counted_exactly() {
     );
 }
 
-/// Duplication, reordering, and jitter on the link must never surface
-/// as duplicate or out-of-order deliveries to the application.
-#[test]
-fn duplication_and_reorder_never_reach_the_app() {
-    let sc = Scenario {
-        name: "dup-reorder-jitter",
-        seed: chaos_seed(2002),
-        plan: FaultPlan::new().at(
-            Ticks::from_millis(1),
-            FaultAction::SetFault(
-                LinkId(0),
-                FaultModel::none()
-                    .with_duplicate(0.3)
-                    .with_reorder(0.2, Ticks::from_millis(10))
-                    .with_jitter(Ticks::from_millis(3)),
-            ),
-        ),
-        packets: 400,
-        send_every: Ticks::from_millis(5),
-        drain_for: Ticks::from_secs(1),
+/// What one viewer saw of a session's shares, from 1 ms on over an
+/// access link with `fault` on it: each view's object id, packets
+/// accepted and pixels, and the viewer's report.
+fn views_over(seed: u64, fault: FaultModel) -> (Vec<(u64, u32, Vec<u8>)>, ReceiverReport) {
+    let mut s = CollaborationSession::new(SessionConfig {
+        seed,
+        ..SessionConfig::default()
+    });
+    let mut join = |name: &str| {
+        let mut p = Profile::new(name);
+        p.set(
+            "interested_in",
+            AttrValue::List(vec![AttrValue::str("image")]),
+        );
+        s.add_wired_client(
+            p,
+            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
+            SimHost::idle(name),
+        )
+        .unwrap()
     };
-    let ctx = sc.ctx();
-    let out = run_stream(&sc);
-    assert_in_order_unique(&out, &ctx);
-    // Nothing was dropped, so every packet must come through exactly once.
-    assert_eq!(
-        out.seqs(),
-        (0..sc.packets as u16).collect::<Vec<u16>>(),
-        "lossless faulty link still delivers the full stream once\n{ctx}"
+    let publisher = join("publisher");
+    let viewer = join("viewer");
+    let link = s.client(viewer).link;
+    s.net.set_fault_plan(
+        FaultPlan::new().at(Ticks::from_millis(1), FaultAction::SetFault(link, fault)),
     );
-    assert!(
-        out.report.duplicates > 0,
-        "duplication model never fired\n{ctx}"
-    );
-    assert_eq!(out.report.lost, 0, "{ctx}");
+    let mut views = Vec::new();
+    for round in 0..DUP_SHARES {
+        let scene = synthetic_scene(64, 64, 1, 3, seed.wrapping_add(round));
+        s.share_image(publisher, &scene, "interested_in contains 'image'")
+            .unwrap();
+        for (_, v) in s.pump(Ticks::from_millis(500)) {
+            views.push((v.object_id, v.packets_accepted, v.image.data.clone()));
+        }
+    }
+    (views, s.client(viewer).viewer.report())
 }
 
-/// A single scripted drop is skipped and counted: the one packet in
-/// the blackout is lost, and every other one is released in order.
+/// Images shared over the duplicating link.
+const DUP_SHARES: u64 = 4;
+
+/// Duplication, reordering, and jitter on the viewer's access link
+/// must never reach the application: every share is viewed exactly as
+/// over a clean link, and only the viewer's report shows the copies.
+#[test]
+fn duplication_and_reorder_never_reach_the_app() {
+    let seed = chaos_seed(2002);
+    let fault = FaultModel::none()
+        .with_duplicate(0.3)
+        .with_reorder(0.2, Ticks::from_millis(10))
+        .with_jitter(Ticks::from_millis(3));
+    let ctx =
+        format!("scenario `dup-reorder-jitter` is reproducible with seed {seed} and {fault:?}");
+    let (clean, clean_report) = views_over(seed, FaultModel::none());
+    let (views, report) = views_over(seed, fault);
+    assert_eq!(clean.len() as u64, DUP_SHARES, "{ctx}");
+    assert!(views == clean, "the faulty link's views differ\n{ctx}");
+    assert_eq!(clean_report.duplicates, 0, "{ctx}");
+    assert!(
+        report.duplicates > 0,
+        "duplication model never fired\n{ctx}"
+    );
+    assert_eq!(
+        (report.received, report.lost),
+        (clean_report.received, 0),
+        "{ctx}"
+    );
+}
+
+/// A single scripted drop is counted: the one packet in the blackout
+/// is lost, and every other one arrives.
 #[test]
 fn single_drop_is_counted_lost_and_skipped() {
     let sc = Scenario {
@@ -260,32 +284,31 @@ fn single_drop_is_counted_lost_and_skipped() {
     };
     let ctx = sc.ctx();
     let out = run_stream(&sc);
-    assert_in_order_unique(&out, &ctx);
     // Packet 5 (sent at t = 50 ms) fell in the blackout window.
-    let expected: Vec<u16> = (0..sc.packets as u16).filter(|&s| s != 5).collect();
+    let expected: Vec<u64> = (0..u64::from(sc.packets)).filter(|&s| s != 5).collect();
     assert_eq!(out.seqs(), expected, "exactly seq 5 missing\n{ctx}");
-    assert_eq!((out.report.received, out.report.lost), (19, 1), "{ctx}");
+    let rep = out.report(sc.packets);
+    assert_eq!((rep.received, rep.lost), (19, 1), "{ctx}");
 }
 
 // ------------------------------------------------- flaps and partitions
 
 /// Shared checks for the two outage scenarios: the ten sends made while
-/// the receiver is unreachable fail and are counted lost, and release
-/// resumes in order after the heal.
+/// the receiver is unreachable fail and are counted lost, and arrivals
+/// resume after the heal.
 fn assert_outage_counted(sc: &Scenario, out: &Outcome) {
     let ctx = sc.ctx();
-    assert_in_order_unique(out, &ctx);
     assert_eq!(out.send_failures, 10, "sends during the outage fail\n{ctx}");
     // Sends 10..20 (t = 100..190 ms) fall in the 95..195 ms outage.
-    let expected: Vec<u16> = (0..sc.packets as u16)
+    let expected: Vec<u64> = (0..u64::from(sc.packets))
         .filter(|s| !(10..20).contains(s))
         .collect();
     assert_eq!(
         out.seqs(),
         expected,
-        "every packet outside the outage released in order after heal\n{ctx}"
+        "every packet outside the outage arrives after heal\n{ctx}"
     );
-    assert_eq!(out.report.lost, 10, "{ctx}");
+    assert_eq!(out.report(sc.packets).lost, 10, "{ctx}");
 }
 
 #[test]
@@ -326,25 +349,25 @@ fn partition_heals_and_stream_recovers() {
 // ------------------------------------------------- reproducibility
 
 /// The whole point of the harness: same seed + same plan ⇒ the same
-/// delivery trace, timestamps and all.
+/// arrival trace, timestamps and all.
 #[test]
 fn scenario_trace_is_reproducible_from_seed() {
     let sc = burst_scenario(chaos_seed(6006));
     let first = run_stream(&sc);
     let second = run_stream(&sc);
     assert_eq!(first, second, "non-deterministic run!\n{}", sc.ctx());
-    assert!(!first.deliveries.is_empty());
+    assert!(!first.arrivals.is_empty());
 }
 
 // ------------------------------------------------- ECN under congestion
 
-/// Scripted congestion instead of scripted loss: an RTP stream crosses
-/// a qdisc-shaped link comfortably until a mid-run background flood
-/// squeezes it below its offered rate. The AQM ECN-marks the (ECT)
-/// media packets instead of dropping anything, the receiver report
-/// echoes the marks, and the congestion watcher's trap downgrades
-/// modality — all while the stream is delivered *complete*, with zero
-/// loss.
+/// Scripted congestion instead of scripted loss: a stream of numbered
+/// media datagrams crosses a qdisc-shaped link comfortably until a
+/// mid-run background flood squeezes it below its offered rate. The
+/// AQM ECN-marks the (ECT) media packets instead of dropping anything,
+/// the receiver report filled from the arrival log echoes the marks,
+/// and the congestion watcher's trap downgrades modality — all while
+/// the stream is delivered *complete*, with zero loss.
 #[test]
 fn ecn_congestion_downgrades_modality_with_zero_loss() {
     use collabqos::core::trapwatch::{decision_from_trap, EdgeWatcher};
@@ -378,9 +401,14 @@ fn ecn_congestion_downgrades_modality_with_zero_loss() {
     // link tokens and genuinely competes with the media class.
     net.set_ecn(tx_noise, true);
 
-    let mut sender = RtpSender::new(0xFEED, 96);
-    let mut receiver = RtpReceiver::new(64);
-    let mut delivered = 0u32;
+    // Each media arrival's sequence number and CE mark.
+    let mut arrivals: Vec<(u32, bool)> = Vec::new();
+    let mut take = |net: &mut Network| {
+        while let Some(d) = net.recv(rx_media) {
+            let seq = u32::from_be_bytes(d.payload[..4].try_into().unwrap());
+            arrivals.push((seq, d.ecn_ce));
+        }
+    };
 
     // ~0.85 Mb/s of media on a 1 Mb/s shaped link; steps 200..400 add
     // a ~4 Mb/s bulk flood of equal-size packets (a shaper-blocked
@@ -388,10 +416,9 @@ fn ecn_congestion_downgrades_modality_with_zero_loss() {
     // exercises the quanta) that squeezes the media class down to its
     // 2/3 share.
     for step in 0..600u32 {
-        let mut media = vec![0u8; 170];
+        let mut media = vec![0u8; 182];
         media[..4].copy_from_slice(&step.to_be_bytes());
-        let wire = sender.wrap(step, false, &media);
-        net.send(tx_media, Addr::unicast(dst, MEDIA_PORT), wire)
+        net.send(tx_media, Addr::unicast(dst, MEDIA_PORT), media)
             .unwrap();
         if (200..400).contains(&step) {
             for _ in 0..5 {
@@ -399,18 +426,19 @@ fn ecn_congestion_downgrades_modality_with_zero_loss() {
             }
         }
         net.run_for(Ticks::from_millis(2));
-        while let Some(d) = net.recv(rx_media) {
-            delivered += receiver.push_marked(&d.payload, d.ecn_ce).len() as u32;
-        }
+        take(&mut net);
     }
     net.run_to_quiescence();
-    while let Some(d) = net.recv(rx_media) {
-        delivered += receiver.push_marked(&d.payload, d.ecn_ce).len() as u32;
-    }
-    let report = receiver.report();
+    take(&mut net);
+    let mut seqs: Vec<u32> = arrivals.iter().map(|&(seq, _)| seq).collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    let (distinct, all) = (seqs.len() as u64, arrivals.len() as u64);
+    let marked = arrivals.iter().filter(|&&(_, ce)| ce).count() as u64;
+    let report = ReceiverReport::from_counts(distinct, 600 - distinct, all - distinct, all, marked);
 
     assert_eq!(report.lost, 0, "AQM marked instead of dropping\n{ctx}");
-    assert_eq!(delivered, 600, "full stream delivered\n{ctx}");
+    assert_eq!(report.received, 600, "full stream delivered\n{ctx}");
     assert!(
         report.fraction_ecn_ce >= 0.05,
         "flood phase must leave a CE footprint, got {:.3}\n{ctx}",
@@ -696,8 +724,8 @@ fn observe_ecn_windows(seed: u64) -> Vec<Window> {
     let mut got = 0u32;
     let mut marked = 0u32;
     for step in 0..600u32 {
-        // Same 182-byte wire size as the original ECN scenario's
-        // RTP-wrapped media (and as the flood): a shaper-blocked head
+        // Same 182-byte wire size as the ECN scenario's media (and
+        // as the flood): a shaper-blocked head
         // forfeits its DRR visit, so only same-size competition
         // exercises the quanta and backlogs the media class.
         net.send(tx_media, Addr::unicast(dst, MEDIA_PORT), vec![0u8; 182])

@@ -1,6 +1,6 @@
 //! Golden wire-format tests.
 //!
-//! The SNMP and RTP implementations claim wire-level fidelity; these
+//! The SNMP implementation claims wire-level fidelity; these
 //! tests pin exact byte sequences. The SNMP vectors are hand-assembled
 //! from RFC 3416/BER rules and match what standard tooling (net-snmp,
 //! Wireshark) produces for the same operations, so a regression in the
@@ -9,7 +9,6 @@
 //! accidental breaking changes.
 
 use collabqos::sempubsub::{AttrValue, SemanticMessage};
-use collabqos::simnet::rtp::{RtpHeader, RTP_HEADER_LEN};
 use collabqos::snmp::oid::arcs;
 use collabqos::snmp::{ErrorStatus, Message, Oid, Pdu, PduKind, SnmpAgent, SnmpValue, VarBind};
 
@@ -537,31 +536,6 @@ fn snmp_oid_prefix_byte() {
     assert!(
         bytes.windows(oid_content.len()).any(|w| w == oid_content),
         "multi-byte arc encoding: {bytes:02X?}"
-    );
-}
-
-/// RTP fixed header per RFC 3550 §5.1: version 2, no padding, no
-/// extension, marker + PT byte, big-endian seq/timestamp/SSRC.
-#[test]
-fn rtp_header_matches_rfc3550_layout() {
-    let h = RtpHeader {
-        marker: true,
-        payload_type: 96,
-        seq: 0x1234,
-        timestamp: 0xDEADBEEF,
-        ssrc: 0xCAFEBABE,
-    };
-    let wire = h.encode();
-    assert_eq!(wire.len(), RTP_HEADER_LEN);
-    assert_eq!(
-        wire,
-        [
-            0x80, // V=2, P=0, X=0, CC=0
-            0xE0, // M=1, PT=96
-            0x12, 0x34, // sequence
-            0xDE, 0xAD, 0xBE, 0xEF, // timestamp
-            0xCA, 0xFE, 0xBA, 0xBE, // SSRC
-        ]
     );
 }
 

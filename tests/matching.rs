@@ -357,8 +357,8 @@ const ALONE_PORT: Port = Port(5005);
 /// past the buffer, which goes back to the network.
 fn receive_frames(ep: &mut BusEndpoint, net: &mut Network) -> Vec<Frame> {
     let mut frames = Vec::new();
-    ep.receive(net, |ep, payload| {
-        frames.push(ep.read(payload).into_owned())
+    ep.receive(net, |ep, dgram| {
+        frames.push(ep.read(&dgram.payload).into_owned())
     });
     frames
 }

@@ -1180,7 +1180,7 @@ fn equal_length_containers_under_one_object_id_never_alias() {
         let view = image_events(7, container, image)
             .iter()
             .find_map(|m| {
-                viewer.apply_delivered(&EventView::parse(m.body()).unwrap(), m, &mut store)
+                viewer.apply_delivered(&EventView::parse(m.body()).unwrap(), m, false, &mut store)
             })
             .expect("completes");
         assert!(*view.image == ezw::decode_image(container).unwrap());

@@ -1,10 +1,11 @@
 //! Property-based tests over the core data structures and invariants:
 //! wire codecs round-trip, the embedded stream is prefix-decodable with
-//! monotone quality, the reorder buffer releases in order, the
+//! monotone quality, the image viewer accounts for every arrival, the
 //! replicated state machinery converges under permutation, and the
 //! broker overlay's covering relation is sound.
 
 use collabqos::broker::{covers_expr, merge_covering};
+use collabqos::core::apps::{ImageViewer, MediaStore};
 use collabqos::core::concurrency::LwwRegister;
 use collabqos::core::events::{AppEvent, EventView};
 use collabqos::core::state_repo::{ObjectState, StateRepository};
@@ -20,14 +21,13 @@ use collabqos::sempubsub::{AttrValue, Selector, SemanticMessage, WireMessage};
 use collabqos::simnet::qdisc::{
     Qdisc, QdiscConfig, Shaper, TokenBucket, TrafficClass, CLASS_COUNT,
 };
-use collabqos::simnet::rtp::{
-    ReceiverReport, RtpHeader, RtpPacket, RtpReceiver, RtpSender, RTP_HEADER_LEN,
-};
+use collabqos::simnet::rtp::ReceiverReport;
 use collabqos::simnet::{NetStats, Ticks};
 use collabqos::snmp::ber::{Reader, Writer};
 use collabqos::snmp::{Message, Oid, Pdu, PduKind, SnmpValue, VarBind};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 // ------------------------------------------------------------ strategies
 
@@ -594,78 +594,48 @@ fn check_event_bytes(bytes: &[u8]) -> Result<(), TestCaseError> {
 
 // ------------------------------------------- one hostile-input harness
 
-/// How much of its input a decoder reads.
-#[derive(Clone, Copy)]
-enum Reads {
-    /// Exactly one frame: every strict cut and any byte after it are
-    /// refused.
-    Frame,
-    /// A header of this many bytes, then whatever follows as payload.
-    Header(usize),
-}
-
-/// A wire decoder as [`check_hostile`] drives it.
-struct Codec<T> {
-    decode: fn(&[u8]) -> Option<T>,
-    encode: fn(&T) -> Vec<u8>,
-    reads: Reads,
-}
-
-const CUSTODY: Codec<Frame> = Codec {
-    decode: Frame::decode,
-    encode: |frame| match frame {
+/// A custody frame as its encoder writes it.
+fn encode_frame(frame: &Frame) -> Vec<u8> {
+    match frame {
         Frame::Bundle(b) => b.encode(),
         Frame::Accept { source, seq } => Frame::encode_accept(source, *seq),
         Frame::Refuse { source, seq } => Frame::encode_refuse(source, *seq),
-    },
-    reads: Reads::Frame,
-};
+    }
+}
 
-const RTP: Codec<(RtpHeader, Vec<u8>)> = Codec {
-    decode: |bytes| RtpHeader::decode(bytes).map(|(h, payload)| (h, payload.to_vec())),
-    encode: |(h, payload)| [&h.encode()[..], payload].concat(),
-    reads: Reads::Header(RTP_HEADER_LEN),
-};
-
-/// A decoder fed a valid encoding `valid`, every cut of it, it with a
-/// byte after it, it with `flips` applied, and arbitrary `noise`, bare
-/// and behind `prefix` (the frames' magic or version bytes): nothing
-/// panics; `valid` is accepted; a cut shorter than what the decoder
-/// must read is refused, and so, for a whole-frame decoder, is the
-/// trailing byte; and whatever is accepted encodes to bytes that decode
-/// to an equal value.
-fn check_hostile<T: PartialEq + std::fmt::Debug>(
-    codec: &Codec<T>,
+/// The custody decoder fed a valid frame `valid`, every cut of it, it
+/// with a byte after it, it with `flips` applied, and arbitrary
+/// `noise`, bare and behind `prefix` (the frame's magic or signal
+/// bytes): nothing panics; `valid` is accepted; every strict cut and
+/// the trailing byte are refused; and whatever is accepted encodes to
+/// bytes that decode to an equal value.
+fn check_hostile(
     valid: &[u8],
     prefix: &[u8],
     noise: &[u8],
     flips: &[(u16, u8)],
 ) -> Result<(), TestCaseError> {
-    let round_trips = |bytes: &[u8]| -> Result<(), TestCaseError> {
-        if let Some(v) = (codec.decode)(bytes) {
-            prop_assert_eq!((codec.decode)(&(codec.encode)(&v)), Some(v));
-        }
-        Ok(())
-    };
-    prop_assert!((codec.decode)(valid).is_some(), "{:?} refused", valid);
-    let (must_read, whole) = match codec.reads {
-        Reads::Frame => (valid.len(), true),
-        Reads::Header(n) => (n, false),
-    };
+    prop_assert!(Frame::decode(valid).is_some(), "{:?} refused", valid);
     for cut in 0..valid.len() {
-        let refused = (codec.decode)(&valid[..cut]).is_none();
-        prop_assert!(refused || cut >= must_read, "cut at {} accepted", cut);
-    }
-    if whole {
         prop_assert!(
-            (codec.decode)(&[valid, &[0]].concat()).is_none(),
-            "trailing byte accepted"
+            Frame::decode(&valid[..cut]).is_none(),
+            "cut at {} accepted",
+            cut
         );
     }
-    hostile_variants(valid, prefix, noise, flips).try_for_each(|bytes| round_trips(&bytes))
+    prop_assert!(
+        Frame::decode(&[valid, &[0]].concat()).is_none(),
+        "trailing byte accepted"
+    );
+    hostile_variants(valid, prefix, noise, flips).try_for_each(|bytes| {
+        if let Some(frame) = Frame::decode(&bytes) {
+            prop_assert_eq!(Frame::decode(&encode_frame(&frame)), Some(frame));
+        }
+        Ok(())
+    })
 }
 
-/// The inputs [`check_hostile`] feeds a decoder besides `valid`: every
+/// The inputs [`check_hostile`] feeds the decoder besides `valid`: every
 /// cut of it, it with a trailing byte, it with `flips` applied, and
 /// `noise`, bare and behind `prefix`.
 fn hostile_variants<'a>(
@@ -686,50 +656,44 @@ fn hostile_variants<'a>(
     ])
 }
 
-/// The hostile variants of the RTP datagram `rtp` through a receiver:
-/// releases go strictly up in its extended order, and loss is
-/// conserved from the first decoded arrival to the highest. Returns
-/// the receiver's report.
-fn check_rtp_variants(
-    rtp: &[u8],
-    noise: &[u8],
-    flips: &[(u16, u8)],
-) -> Result<ReceiverReport, TestCaseError> {
-    let variants: Vec<Vec<u8>> = hostile_variants(rtp, &rtp[..1], noise, flips).collect();
-    let mut receiver = RtpReceiver::new(2);
-    let mut released: Vec<RtpPacket> = variants
-        .iter()
-        .flat_map(|bytes| receiver.push(bytes))
-        .collect();
-    released.extend(receiver.flush());
-    // In the receiver's extended order each release lies less than
-    // RFC 3550's MAX_DROPOUT (3 000) past the one before — unless it
-    // confirmed a jump, arriving right after the sequence below it.
-    let seqs: Vec<u16> = variants
-        .iter()
-        .filter_map(|v| RtpHeader::decode(v))
-        .map(|(h, _)| h.seq)
-        .collect();
-    let confirmed = |seq: u16| {
-        seqs.windows(2)
-            .any(|w| w[1] == seq && w[0] == seq.wrapping_sub(1))
+/// Packets in [`viewer_share`]'s object.
+const VIEWER_PACKETS: usize = 16;
+
+/// One object as a session shares it: an encoded 32×32 scene, and its
+/// announcement then its [`VIEWER_PACKETS`] packets, each in a message
+/// of its own as a viewer is handed it.
+fn viewer_share() -> (Vec<u8>, Vec<Arc<WireMessage>>) {
+    let image = collabqos::media::image::synthetic_scene(32, 32, 1, 3, 7).image;
+    let container = ezw::encode_image(&image, 3, WaveletKind::Cdf53).unwrap();
+    let meta = AppEvent::ImageMeta {
+        object_id: 1,
+        caption: String::new(),
+        original_bytes: image.byte_len() as u64,
+        pixels: image.pixels() as u64,
+        total_packets: VIEWER_PACKETS as u16,
     };
-    for w in released.windows(2) {
-        let (a, b) = (w[0].header.seq, w[1].header.seq);
-        prop_assert!(
-            (1..3000).contains(&b.wrapping_sub(a)) || confirmed(b),
-            "{} then {}",
-            a,
-            b
-        );
-    }
-    let rep = receiver.report();
-    prop_assert_eq!(rep.received, released.len() as u64);
-    if let Some(&first) = seqs.first() {
-        let span = u64::from(rep.highest_seq) - u64::from(first) + 1;
-        prop_assert_eq!(rep.received + rep.lost, span);
-    }
-    Ok(rep)
+    let packets = split_packets(&container, VIEWER_PACKETS)
+        .into_iter()
+        .map(|packet| AppEvent::ImagePacket {
+            object_id: 1,
+            packet,
+        });
+    let messages = std::iter::once(meta)
+        .chain(packets)
+        .map(|ev| {
+            let wire = SemanticMessage {
+                sender: String::new(),
+                kind: ev.kind().to_string(),
+                selector: String::new(),
+                seq: 0,
+                content: BTreeMap::new(),
+                body: ev.encode(),
+            }
+            .encode();
+            Arc::new(WireMessage::decode(&wire).unwrap())
+        })
+        .collect();
+    (container, messages)
 }
 
 fn arb_bundle() -> impl Strategy<Value = Bundle> {
@@ -1335,146 +1299,69 @@ proptest! {
         }
     }
 
-    // ------------------------------------------------------------- RTP
+    // ------------------------------------------------------------- viewer
 
-    /// Any arrival order, duplicates included, is released in strictly
-    /// increasing order, and the loss accounting is conserved: after a
-    /// flush every sequence number from the first arrival to the
-    /// highest is either released or counted lost, and the reported
-    /// fraction is the lost share of that span.
+    /// Any arrival order of one share's announcement and packets,
+    /// copies included, CE-marked or not: the viewer decodes the whole
+    /// stream once every packet and the announcement are in, and its
+    /// report accounts for every arrival — each packet is received once
+    /// or counted a duplicate, a gap below the highest packet received
+    /// is lost until it fills, and the CE fraction is the marked share
+    /// of the arrivals.
     #[test]
-    fn rtp_receiver_releases_in_order_under_any_arrival(
-        order in proptest::collection::vec(0u16..32, 0..96),
+    fn a_viewers_report_accounts_for_any_arrival_order(
+        order in proptest::collection::vec((0usize..=VIEWER_PACKETS, any::<bool>()), 0..96),
     ) {
-        let mut sender = RtpSender::new(7, 1);
-        let wires: Vec<Vec<u8>> = (0..32u16)
-            .map(|i| sender.wrap(i as u32, false, &[i as u8]))
-            .collect();
-        let mut receiver = RtpReceiver::new(8);
-        let mut released = Vec::new();
-        for &i in &order {
-            released.extend(receiver.push(&wires[i as usize]));
+        let (container, events) = viewer_share();
+        let mut viewer = ImageViewer::new(VIEWER_PACKETS as u32);
+        let mut store = MediaStore::new();
+        let mut held = [false; VIEWER_PACKETS];
+        let (mut meta, mut done, mut packets, mut marked) = (false, false, 0, 0);
+        for &(i, ce) in &order {
+            let m = &events[i];
+            let view = viewer.apply_delivered(&EventView::parse(m.body()).unwrap(), m, ce, &mut store);
+            marked += u64::from(ce);
+            if i == 0 {
+                meta = true;
+            } else {
+                packets += 1;
+                held[i - 1] |= !done;
+            }
+            let complete = meta && held.iter().all(|&h| h);
+            prop_assert_eq!(view.is_some(), complete && !done);
+            if let Some(view) = view {
+                prop_assert!(*view.image == ezw::decode_image(&container).unwrap());
+                done = true;
+            }
         }
-        released.extend(receiver.flush());
-        // Strictly increasing sequence numbers, no duplicates.
-        for w in released.windows(2) {
-            prop_assert!(w[0].header.seq < w[1].header.seq);
-        }
-        let rep = receiver.report();
-        prop_assert_eq!(rep.received, released.len() as u64);
-        if let Some(&first) = order.first() {
-            let span = u64::from(rep.highest_seq) - u64::from(first) + 1;
-            prop_assert_eq!(rep.received + rep.lost, span);
-            prop_assert_eq!(rep.fraction_lost, rep.lost as f64 / span as f64);
+        let received = held.iter().filter(|&&h| h).count() as u64;
+        let lost = if done {
+            0
         } else {
-            prop_assert_eq!(rep, Default::default());
-        }
+            held.iter().rposition(|&h| h).map_or(0, |top| top as u64 + 1 - received)
+        };
+        let rep = viewer.report();
+        prop_assert_eq!((rep.received, rep.lost), (received, lost));
+        prop_assert_eq!(rep.received + rep.duplicates, packets);
+        prop_assert_eq!(
+            rep,
+            ReceiverReport::from_counts(received, lost, rep.duplicates, order.len() as u64, marked)
+        );
     }
 
-    /// The priming receiver (playout depth 3) under any arrival order:
-    /// releases are strictly increasing, and the report read after
-    /// every arrival — not only after the flush — counts exactly what
-    /// was released, with a fraction in [0, 1].
-    #[test]
-    fn rtp_recovery_receiver_releases_in_order_under_any_arrival(
-        order in proptest::collection::vec(0u16..32, 0..96),
-    ) {
-        let mut sender = RtpSender::new(7, 1);
-        let wires: Vec<Vec<u8>> = (0..32u16)
-            .map(|i| sender.wrap(i as u32, false, &[i as u8]))
-            .collect();
-        let mut receiver = RtpReceiver::with_playout_depth(8, 3);
-        let mut released = Vec::new();
-        for &i in &order {
-            released.extend(receiver.push(&wires[i as usize]));
-            let rep = receiver.report();
-            prop_assert_eq!(rep.received, released.len() as u64);
-            prop_assert!((0.0..=1.0).contains(&rep.fraction_lost), "fraction {}", rep.fraction_lost);
-        }
-        released.extend(receiver.flush());
-        for w in released.windows(2) {
-            prop_assert!(
-                w[0].header.seq < w[1].header.seq,
-                "out-of-order or duplicate release: {} then {}",
-                w[0].header.seq,
-                w[1].header.seq
-            );
-        }
-        let rep = receiver.report();
-        prop_assert_eq!(rep.received, released.len() as u64);
-        prop_assert!((0.0..=1.0).contains(&rep.fraction_lost), "fraction {}", rep.fraction_lost);
-    }
-
-    /// The RTP fixed header survives an encode/decode round trip for
-    /// every field value, including sequence numbers at the u16
-    /// wraparound boundary.
-    #[test]
-    fn rtp_header_round_trips(
-        marker in any::<bool>(),
-        payload_type in 0u8..128,
-        seq in any::<u16>(),
-        timestamp in any::<u32>(),
-        ssrc in any::<u32>(),
-        body in proptest::collection::vec(any::<u8>(), 0..32),
-    ) {
-        let h = RtpHeader { marker, payload_type, seq, timestamp, ssrc };
-        let mut wire = h.encode().to_vec();
-        wire.extend_from_slice(&body);
-        let (back, rest) = RtpHeader::decode(&wire).unwrap();
-        prop_assert_eq!(back, h);
-        prop_assert_eq!(rest, &body[..]);
-    }
-
-    /// Custody bundles and signals and RTP headers under hostile input
-    /// ([`check_hostile`]); the RTP variants also go through a
-    /// receiver, which releases only in order.
+    /// Custody bundles and signals under hostile input
+    /// ([`check_hostile`]).
     #[test]
     fn wire_frames_survive_hostile_input(
         bundle in arb_bundle(),
         accept in any::<bool>(),
-        rtp in (any::<bool>(), 0u8..128, any::<u16>(), any::<u32>(), any::<u32>()),
-        payload in proptest::collection::vec(any::<u8>(), 0..16),
         noise in proptest::collection::vec(any::<u8>(), 0..64),
         flips in proptest::collection::vec((any::<u16>(), 1u8..=255), 1..8),
     ) {
-        let (marker, payload_type, seq, timestamp, ssrc) = rtp;
         let signal = if accept { Frame::encode_accept } else { Frame::encode_refuse };
         let signal = signal(&bundle.source, bundle.seq);
-        check_hostile(&CUSTODY, &bundle.encode(), b"DTB1", &noise, &flips)?;
-        check_hostile(&CUSTODY, &signal, &signal[..5], &noise, &flips)?;
-        let header = RtpHeader { marker, payload_type, seq, timestamp, ssrc };
-        let rtp = (RTP.encode)(&(header, payload));
-        check_hostile(&RTP, &rtp, &rtp[..1], &noise, &flips)?;
-        check_rtp_variants(&rtp, &noise, &flips)?;
-        // A header flipped from 26 150 to 62 246 in mid-stream once
-        // booked 36 095 losses; the jump is discarded now.
-        let header = RtpHeader { seq: 26_150, ..header };
-        let rtp = (RTP.encode)(&(header, Vec::new()));
-        let rep = check_rtp_variants(&rtp, &[], &[(2, 0x66 ^ 0xF3)])?;
-        prop_assert_eq!((rep.received, rep.lost, rep.highest_seq), (1, 0, 26_150));
-    }
-
-    /// A stream started anywhere in u16 space — including right at the
-    /// wraparound — is released complete and in order.
-    #[test]
-    fn rtp_stream_survives_seq_wraparound(start_seq in any::<u16>()) {
-        let mut sender = RtpSender::starting_at(7, 96, start_seq);
-        let mut receiver = RtpReceiver::new(8);
-        let mut released = Vec::new();
-        for i in 0..16u16 {
-            let wire = sender.wrap(i as u32, false, &i.to_be_bytes());
-            released.extend(receiver.push(&wire));
-        }
-        released.extend(receiver.flush());
-        let payloads: Vec<u16> = released
-            .iter()
-            .map(|p| u16::from_be_bytes([p.payload[0], p.payload[1]]))
-            .collect();
-        prop_assert_eq!(payloads, (0..16).collect::<Vec<u16>>());
-        let wire_seqs: Vec<u16> = released.iter().map(|p| p.header.seq).collect();
-        let expected: Vec<u16> = (0..16u16).map(|i| start_seq.wrapping_add(i)).collect();
-        prop_assert_eq!(wire_seqs, expected);
-        prop_assert_eq!(receiver.report().lost, 0);
+        check_hostile(&bundle.encode(), b"DTB1", &noise, &flips)?;
+        check_hostile(&signal, &signal[..5], &noise, &flips)?;
     }
 
     // ----------------------------------------------------------- qdisc

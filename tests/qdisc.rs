@@ -1,8 +1,9 @@
 //! E2E acceptance for the per-link traffic-control plane: DRR holds
 //! the interactive class at its configured share under overload, the
 //! AQM signals congestion by ECN *before* anything is dropped, the
-//! echoed marks drive a trap-based modality downgrade with zero RTP
-//! loss, and every run is reproducible from its seed and config.
+//! marks an image viewer reports drive a trap-based modality downgrade
+//! with zero loss, and every run is reproducible from its seed and
+//! config.
 //! A differential holds `Qdisc` to the flat DRR walk it replaced,
 //! transcribed here over the public primitives.
 //!
@@ -16,7 +17,7 @@ use collabqos::simnet::qdisc::{
     CoDel, EnqueueOutcome, Qdisc, QdiscStats, TokenBucket, CLASS_COUNT,
 };
 use collabqos::simnet::qdisc::{QdiscConfig, TrafficClass};
-use collabqos::simnet::rtp::{RtpReceiver, RtpSender};
+use collabqos::simnet::rtp::ReceiverReport;
 use collabqos::simnet::{Addr, Port};
 use collabqos::snmp::transport::{AgentRuntime, TrapSink};
 use collabqos::snmp::SnmpAgent;
@@ -26,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
-const RTP_PORT: Port = Port(5004);
+const MEDIA_PORT: Port = Port(5004);
 
 /// Base seed shifted by the `CHAOS_SEED` environment offset (`0` /
 /// unset = the committed defaults). The nightly chaos-soak workflow
@@ -57,7 +58,7 @@ fn drr_holds_interactive_share_under_overload() {
 
     // One flow per class, each offered 0.5 MB/s: 2 MB/s against 1 MB/s
     // of shaped capacity.
-    let ports = [Port(5005), RTP_PORT, Port(4000), Port(9000)];
+    let ports = [Port(5005), MEDIA_PORT, Port(4000), Port(9000)];
     let socks: Vec<_> = ports
         .iter()
         .map(|&p| (net.bind(a, p).unwrap(), p))
@@ -107,8 +108,8 @@ fn ecn_marks_precede_first_drop() {
     let ctx = format!("seed {seed}, {}", cfg.summary());
     net.attach_qdisc(link, cfg);
 
-    let sa = net.bind(a, RTP_PORT).unwrap();
-    net.bind(b, RTP_PORT).unwrap();
+    let sa = net.bind(a, MEDIA_PORT).unwrap();
+    net.bind(b, MEDIA_PORT).unwrap();
     net.set_ecn(sa, true);
 
     // 2 Mb/s offered against 0.8 Mb/s shaped: the backlog grows without
@@ -117,7 +118,7 @@ fn ecn_marks_precede_first_drop() {
     let mut first_mark_at = None;
     let mut first_drop_at = None;
     for step in 0..800u64 {
-        let _ = net.send(sa, Addr::unicast(b, RTP_PORT), vec![0u8; 500]);
+        let _ = net.send(sa, Addr::unicast(b, MEDIA_PORT), vec![0u8; 500]);
         net.run_for(Ticks::from_millis(2));
         let s = net.qdisc_stats(link).unwrap();
         if s.ecn_marks() > 0 && first_mark_at.is_none() {
@@ -138,69 +139,78 @@ fn ecn_marks_precede_first_drop() {
 /// Everything observable from one congestion-pipeline run.
 #[derive(Debug, PartialEq)]
 struct CongestionOutcome {
-    delivered: Vec<(u64, u16, bool)>,
-    lost: u64,
-    fraction_ecn_ce: f64,
+    /// (object id, packets accepted, pixels) of each completed view.
+    views: Vec<(u64, u32, Vec<u8>)>,
+    report: ReceiverReport,
     trap_fired: bool,
     modality: Option<ModalityChoice>,
 }
 
-/// Stream RTP through a shaped, ECN-capable bottleneck at 2.5× the
-/// shaper rate; echo the CE marks through a receiver report; let a
-/// [`EdgeWatcher::congestion`] convert the crossing into a
-/// `qosCongestionAlert` trap and the congestion policy into a
-/// modality decision.
+/// Images shared in one congestion-pipeline run.
+const PIPELINE_SHARES: u64 = 12;
+
+/// Share images from an ECN-capable publisher to a viewer whose access
+/// link is shaped to 800 kb/s, a share every 20 ms — about twice what
+/// the link carries; take the viewer's receiver report, and let a
+/// [`EdgeWatcher::congestion`] convert its CE fraction into a
+/// `qosCongestionAlert` trap and the congestion policy into a modality
+/// decision.
 fn run_congestion_pipeline(seed: u64) -> CongestionOutcome {
-    let mut net = Network::new(seed);
-    let sender = net.add_node("sender");
-    let receiver = net.add_node("receiver");
-    let station = net.add_node("station");
-    let link = net.connect(sender, receiver, LinkSpec::lan());
-    net.connect(receiver, station, LinkSpec::lan());
+    let mut s = CollaborationSession::new(SessionConfig {
+        seed,
+        ..SessionConfig::default()
+    });
+    let mut join = |name: &str| {
+        let mut p = Profile::new(name);
+        p.set(
+            "interested_in",
+            AttrValue::List(vec![AttrValue::str("image")]),
+        );
+        s.add_wired_client(
+            p,
+            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
+            SimHost::idle(name),
+        )
+        .unwrap()
+    };
+    let publisher = join("publisher");
+    let viewer = join("viewer");
     let mut cfg = QdiscConfig::for_rate(800_000);
-    // Aggressive control law so a short test stream accumulates a
-    // meaningful mark fraction.
+    // Aggressive control law so a short run accumulates a meaningful
+    // mark fraction.
     cfg.codel_target_us = 2_000;
     cfg.codel_interval_us = 10_000;
-    net.attach_qdisc(link, cfg);
+    s.attach_qdisc(viewer, cfg);
+    let socket = s.client(publisher).bus.socket();
+    s.net.set_ecn(socket, true);
 
-    let tx = net.bind(sender, RTP_PORT).unwrap();
-    let rx = net.bind(receiver, RTP_PORT).unwrap();
-    net.set_ecn(tx, true);
-
-    let mut rtp_tx = RtpSender::new(0xECECEC, 96);
-    let mut rtp_rx = RtpReceiver::new(64);
-    let mut delivered = Vec::new();
-    for n in 0..300u32 {
-        // 500-byte media payload: 2.5x the shaped rate at 2 ms pacing.
-        let mut media = vec![0u8; 500];
-        media[..4].copy_from_slice(&n.to_be_bytes());
-        let wire = rtp_tx.wrap(n, false, &media);
-        net.send(tx, Addr::unicast(receiver, RTP_PORT), wire)
+    let mut views = Vec::new();
+    for round in 0..PIPELINE_SHARES {
+        let scene = synthetic_scene(64, 64, 1, 3, seed.wrapping_add(round));
+        s.share_image(publisher, &scene, "interested_in contains 'image'")
             .unwrap();
-        net.run_for(Ticks::from_millis(2));
-        while let Some(d) = net.recv(rx) {
-            for pkt in rtp_rx.push_marked(&d.payload, d.ecn_ce) {
-                delivered.push((net.now().as_micros(), pkt.header.seq, d.ecn_ce));
-            }
+        for (_, v) in s.pump(Ticks::from_millis(20)) {
+            views.push((v.object_id, v.packets_accepted, v.image.data.clone()));
         }
     }
-    net.run_to_quiescence();
-    while let Some(d) = net.recv(rx) {
-        for pkt in rtp_rx.push_marked(&d.payload, d.ecn_ce) {
-            delivered.push((net.now().as_micros(), pkt.header.seq, d.ecn_ce));
-        }
+    for (_, v) in s.pump(Ticks::from_secs(2)) {
+        views.push((v.object_id, v.packets_accepted, v.image.data.clone()));
     }
-    let report = rtp_rx.report();
+    let report = s.client(viewer).viewer.report();
 
-    // Receiver-side extension agent + watcher; trap sink on the station.
+    // An extension agent beside the viewer + watcher; trap sink on the
+    // station.
+    let net = &mut s.net;
+    let edge = net.add_node("edge");
+    let station = net.add_node("station");
+    net.connect(edge, station, LinkSpec::lan());
     let agent = SnmpAgent::new("receiver", "public", None);
-    let mut rt = AgentRuntime::bind(&mut net, receiver, agent).unwrap();
-    let mut sink = TrapSink::bind(&mut net, station).unwrap();
+    let mut rt = AgentRuntime::bind(net, edge, agent).unwrap();
+    let mut sink = TrapSink::bind(net, station).unwrap();
     let mut watcher = EdgeWatcher::congestion(10.0);
-    let trap_fired = watcher.observe(&mut net, &mut rt, station, report.fraction_ecn_ce * 100.0);
+    let trap_fired = watcher.observe(net, &mut rt, station, report.fraction_ecn_ce * 100.0);
     net.run_for(Ticks::from_millis(5));
-    sink.service(&mut net);
+    sink.service(net);
 
     let engine = InferenceEngine::new(PolicyDb::congestion_policy(), QosContract::default());
     let modality = sink
@@ -209,30 +219,35 @@ fn run_congestion_pipeline(seed: u64) -> CongestionOutcome {
         .and_then(|t| decision_from_trap(&engine, t))
         .map(|d| d.modality);
     CongestionOutcome {
-        delivered,
-        lost: report.lost,
-        fraction_ecn_ce: report.fraction_ecn_ce,
+        views,
+        report,
         trap_fired,
         modality,
     }
 }
 
-/// The tentpole loop, end to end: sustained ECN marking with ZERO RTP
-/// loss raises a congestion trap and the policy downgrades modality —
-/// adaptation acts strictly before the first packet is lost.
+/// The tentpole loop, end to end: sustained ECN marking with ZERO loss
+/// in the viewer's report raises a congestion trap and the policy
+/// downgrades modality — adaptation acts strictly before the first
+/// packet is lost.
 #[test]
 fn congestion_trap_downgrades_modality_with_zero_rtp_loss() {
     let seed = chaos_seed(33);
     let out = run_congestion_pipeline(seed);
-    let ctx = format!(
-        "seed {seed}, fraction_ecn_ce {:.3}, lost {}",
-        out.fraction_ecn_ce, out.lost
+    let ctx = format!("seed {seed}, report {:?}", out.report);
+    assert_eq!(
+        out.report.lost, 0,
+        "adaptation must fire before loss\n{ctx}"
     );
-    assert_eq!(out.lost, 0, "adaptation must fire before loss\n{ctx}");
-    assert_eq!(out.delivered.len(), 300, "full stream delivered\n{ctx}");
+    assert_eq!(
+        out.views.len() as u64,
+        PIPELINE_SHARES,
+        "every share viewed\n{ctx}"
+    );
+    assert_eq!(out.report.received, 16 * PIPELINE_SHARES, "{ctx}");
     assert!(
-        out.fraction_ecn_ce >= 0.20,
-        "expected heavy CE marking under 2.5x overload\n{ctx}"
+        out.report.fraction_ecn_ce >= 0.20,
+        "expected heavy CE marking under 2x overload\n{ctx}"
     );
     assert!(out.trap_fired, "congestion watcher crossing\n{ctx}");
     // Which band fires depends on how hard the AQM marked; either way
@@ -255,7 +270,7 @@ fn congestion_pipeline_is_deterministic() {
     let a = run_congestion_pipeline(seed);
     let b = run_congestion_pipeline(seed);
     assert_eq!(a, b, "non-deterministic qdisc pipeline at seed {seed}");
-    assert!(!a.delivered.is_empty());
+    assert!(!a.views.is_empty());
 }
 
 /// A full collaboration session with a plane mounted on a viewer's
