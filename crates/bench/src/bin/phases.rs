@@ -3,7 +3,8 @@
 //! `measure_plane`, `emit_plane` through warm and through fresh scratch
 //! and at ½, ¼, ⅛ and 1/1000 of the cap, a plane decode, a container
 //! decode that reads the symbols, one that replays them and one that
-//! replays the record the encode left, the inverse and the finish —
+//! replays the record the encode left, the inverse, and the finish
+//! whole and with one level dropped —
 //! with the dominant symbols and refinement bits the share codes,
 //! counted from the coder's rules alone. `emit_plane` records what it
 //! writes, as every encode does.
@@ -19,7 +20,6 @@
 //! `--quick` takes the best of 10 repetitions instead of 20.
 
 use bench::{header, quick_mode, row, time_best};
-use media::color;
 use media::ezw::{self, CodecScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis};
 use media::image::{synthetic_scene, Image};
 use media::reference;
@@ -114,7 +114,8 @@ fn count_symbols(coeffs: &[i32], w: usize, h: usize, levels: usize, body_bits: u
 /// warm and through fresh scratch, and at fractions of the cap) and the
 /// receive path (a plane decode, a container decode that reads the
 /// symbols, one that replays them and one that replays the encode's
-/// record, the inverse, the finish). Best of
+/// record, the inverse, the finish whole and with one level dropped).
+/// Best of
 /// `reps`, in ms per share (three planes). The emitted bytes are
 /// asserted equal to `encode_image_capped`'s, and the measured lengths
 /// to `count_symbols` run over each whole plane.
@@ -240,10 +241,9 @@ fn phase_table(reps: usize) {
         );
         left_secs = left_secs.min(secs);
     }
-    // The inverse and the finish each timed alone, and undone untimed
-    // before the next repetition.
-    let (mut inverse_secs, mut finish_secs) = (f64::INFINITY, f64::INFINITY);
-    let mut finished = prepared;
+    // The inverse timed alone, and undone untimed before the next
+    // repetition.
+    let mut inverse_secs = f64::INFINITY;
     for _ in 0..reps {
         let (_, secs) = time_best(1, || {
             for plane in planes.iter_mut() {
@@ -254,30 +254,31 @@ fn phase_table(reps: usize) {
         for plane in planes.iter_mut() {
             wavelet::forward_2d_with(plane, side, side, levels, kind, &mut ws);
         }
-        let [y, co, cg] = &mut finished[..] else {
-            unreachable!("three planes")
-        };
-        let (out, secs) = time_best(1, || {
-            for v in y.iter_mut() {
-                *v = v.wrapping_add(128);
-            }
-            color::inverse_planes(y, co, cg);
-            let mut out = Image::new(side, side, 3);
-            for (c, plane) in [&*y, &*co, &*cg].into_iter().enumerate() {
-                out.set_plane(c, plane);
-            }
-            out
-        });
-        assert!(
-            out == image,
-            "the finish of the prepared planes is the image"
-        );
-        finish_secs = finish_secs.min(secs);
-        color::forward_planes(y, co, cg);
-        for v in y.iter_mut() {
-            *v -= 128;
-        }
     }
+    // The finish of the prepared planes into a fresh image, whole and
+    // with one level dropped: the whole image, and its top-left corner.
+    let finish = |drop_levels| {
+        time_best(reps, || {
+            ezw::finish_planes(&prepared, side, side, drop_levels, true, Vec::new())
+        })
+    };
+    let (out, finish_secs) = finish(0);
+    assert!(
+        out == image,
+        "the finish of the prepared planes is the image"
+    );
+    let (corner, corner_secs) = finish(1);
+    let half = side / 2;
+    let rows = image.data.chunks_exact(side * 3);
+    let top_left: Vec<u8> = rows
+        .take(half)
+        .flat_map(|row| &row[..half * 3])
+        .copied()
+        .collect();
+    assert!(
+        (corner.width, corner.height, &corner.data) == (half, half, &top_left),
+        "the finish of one level dropped is the image's top-left corner"
+    );
 
     println!(
         "phases: one {side}x{side} colour share at {BPP} bpp ({} bytes), ms per share, \
@@ -306,6 +307,7 @@ fn phase_table(reps: usize) {
         ("decode, record left by the encode".to_string(), left_secs),
         ("inverse x3".to_string(), inverse_secs),
         ("finish (colour + interleave)".to_string(), finish_secs),
+        ("finish, 1 level dropped".to_string(), corner_secs),
     ]);
     for (phase, secs) in rows {
         row(&[phase, ms(secs)], &widths);

@@ -1428,7 +1428,10 @@ pub(crate) fn kind_from_byte(b: u8) -> Result<(WaveletKind, bool), MediaError> {
 /// and, when `color_transform` is set (3-channel images only),
 /// YCoCg-R-decorrelated with the luma plane shifted: per channel, the
 /// plane [`wavelet::forward_2d_with`] transforms for
-/// [`EzwEncoder::encode_plane_with`] to code.
+/// [`EzwEncoder::encode_plane_with`] to code. A colour image is read in
+/// one pass, each pixel going to its three planes transformed and
+/// shifted; any other is read channel by channel. [`finish_planes`] is
+/// the way back.
 pub fn prepare_planes(img: &Image, color_transform: bool) -> Result<Vec<Vec<i32>>, MediaError> {
     let mut planes = vec![Vec::new(); img.channels];
     prepare_planes_into(img, color_transform, &mut planes)?;
@@ -1465,29 +1468,33 @@ fn prepare_planes_into(
             img.width, img.height
         )));
     }
-    let planes = &mut planes[..img.channels];
-    for (c, plane) in planes.iter_mut().enumerate() {
-        plane.clear();
-        plane.extend(
-            img.data[c..]
-                .iter()
-                .step_by(img.channels)
-                .map(|&v| i32::from(v)),
-        );
-    }
-    if color_transform {
-        let (r, rest) = planes.split_at_mut(1);
-        let (g, b) = rest.split_at_mut(1);
-        crate::color::forward_planes(&mut r[0], &mut g[0], &mut b[0]);
-        // Level-shift luma only; chroma is already near-zero-centred.
-        for v in planes[0].iter_mut() {
-            *v -= 128;
+    match &mut planes[..img.channels] {
+        [y, co, cg] if color_transform => {
+            let pixels = img.data.chunks_exact(3);
+            assert!(pixels.remainder().is_empty(), "whole 3-byte pixels");
+            // Every sample is written below, so a plane that already
+            // has the length is not cleared first.
+            for plane in [&mut *y, &mut *co, &mut *cg] {
+                plane.resize(pixels.len(), 0);
+            }
+            let samples = y.iter_mut().zip(co.iter_mut()).zip(cg.iter_mut());
+            for (((y, co), cg), px) in samples.zip(pixels) {
+                let [r, g, b] = [px[0], px[1], px[2]].map(i32::from);
+                let (luma, chroma_o, chroma_g) = crate::color::forward_pixel(r, g, b);
+                // Level-shift luma only; chroma is already near-zero-centred.
+                (*y, *co, *cg) = (luma - 128, chroma_o, chroma_g);
+            }
         }
-    } else {
-        for plane in planes.iter_mut() {
-            // Level-shift to signed, as standard for wavelet coding.
-            for v in plane.iter_mut() {
-                *v -= 128;
+        planes => {
+            for (c, plane) in planes.iter_mut().enumerate() {
+                plane.clear();
+                // Level-shift to signed, as standard for wavelet coding.
+                plane.extend(
+                    img.data[c..]
+                        .iter()
+                        .step_by(img.channels)
+                        .map(|&v| i32::from(v) - 128),
+                );
             }
         }
     }
@@ -1879,48 +1886,75 @@ pub fn decode_image_reduced_with(
         coeffs.resize(w * h, 0);
         record.scatter(stream.len(), es.geometry(w, h, levels), coeffs);
         wavelet::inverse_2d_partial_with(coeffs, w, h, levels, drop_levels, kind, ws);
-        // Undo the level shift (luma only once decorrelated).
-        if !color || i == 0 {
-            for v in coeffs.iter_mut() {
-                *v = v.wrapping_add(128);
+    }
+    *replays += !read_symbols as u64;
+    // The image goes into a recycled pixel buffer when there is one;
+    // the finish writes every byte of it, so whatever the buffer held
+    // before cannot show through.
+    let data = std::mem::take(pixels);
+    Ok(finish_planes(planes, w, h, drop_levels, color, data))
+}
+
+/// The image that inverse-transformed coefficient planes hold: the way
+/// back from [`prepare_planes`], in one row-major pass over the output
+/// pixels. Each sample is level-shifted back (luma only under
+/// `color_transform`), a colour pixel goes through the inverse YCoCg-R,
+/// and each channel is clamped to `0..=255` and written. The shift and
+/// the colour inverse wrap where a sum leaves `i32`, as the inverse
+/// wavelet does on coefficients no encoder made. Only the top-left
+/// `(width >> drop_levels) x (height >> drop_levels)` corner of each
+/// `width`-wide plane is read: the image a decode that drops
+/// `drop_levels` finest levels shows. The pixels go into `data`,
+/// resized to the image and every byte of it written.
+///
+/// # Panics
+/// Panics when `color_transform` is set on other than three planes, or
+/// a plane is shorter than the corner's last row.
+pub fn finish_planes(
+    planes: &[Vec<i32>],
+    width: usize,
+    height: usize,
+    drop_levels: usize,
+    color_transform: bool,
+    mut data: Vec<u8>,
+) -> Image {
+    assert!(!color_transform || planes.len() == 3, "YCoCg-R is 3 planes");
+    let channels = planes.len();
+    let (rw, rh) = (width >> drop_levels, height >> drop_levels);
+    let row_bytes = rw * channels;
+    data.resize(rh * row_bytes, 0);
+    let rows = (0..rh).map(|r| r * width..r * width + rw);
+    // `chunks_mut` wants a non-zero size; an image of no bytes has no
+    // row to write either way.
+    let out_rows = rows.zip(data.chunks_mut(row_bytes.max(1)));
+    let clamp = |v: i32| v.clamp(0, 255) as u8;
+    match planes {
+        [y, co, cg] if color_transform => {
+            for (at, out) in out_rows {
+                let row = y[at.clone()].iter().zip(&co[at.clone()]).zip(&cg[at]);
+                for (px, ((&y, &co), &cg)) in out.chunks_exact_mut(3).zip(row) {
+                    let (r, g, b) = crate::color::inverse_pixel(y.wrapping_add(128), co, cg);
+                    px.copy_from_slice(&[clamp(r), clamp(g), clamp(b)]);
+                }
+            }
+        }
+        planes => {
+            for (at, out) in out_rows {
+                for (c, plane) in planes.iter().enumerate() {
+                    let samples = out.iter_mut().skip(c).step_by(channels);
+                    for (px, &v) in samples.zip(&plane[at.clone()]) {
+                        *px = clamp(v.wrapping_add(128));
+                    }
+                }
             }
         }
     }
-    *replays += !read_symbols as u64;
-    if color {
-        let (y, rest) = planes.split_at_mut(1);
-        let (co, cg) = rest.split_at_mut(1);
-        crate::color::inverse_planes(&mut y[0], &mut co[0], &mut cg[0]);
-    }
-    // The image goes into a recycled pixel buffer when there is one.
-    // Every byte of it is written below — each channel of each pixel,
-    // whole image or reduced corner — so whatever the buffer held
-    // before cannot show through.
-    let (rw, rh) = (w >> drop_levels, h >> drop_levels);
-    let mut data = std::mem::take(pixels);
-    data.resize(rw * rh * channels, 0);
-    let mut img = Image {
+    Image {
         width: rw,
         height: rh,
         channels,
         data,
-    };
-    if drop_levels == 0 {
-        for (c, plane) in planes.iter().enumerate() {
-            img.set_plane(c, plane);
-        }
-        return Ok(img);
     }
-    // The reduced image is the top-left corner of each plane.
-    for (c, plane) in planes.iter().enumerate() {
-        let rows = img.data.chunks_exact_mut(rw * channels);
-        for (out, row) in rows.zip(plane.chunks_exact(w)) {
-            for (px, &v) in out.chunks_exact_mut(channels).zip(&row[..rw]) {
-                px[c] = v.clamp(0, 255) as u8;
-            }
-        }
-    }
-    Ok(img)
 }
 
 /// Build a valid container whose total size is at most `budget` bytes

@@ -4,7 +4,9 @@
 //! wavelet lift and the EZW plane coder exactly as they shipped before
 //! the list-driven fast path landed: per-call `clear()+resize()`
 //! scratch, strided column gathers, a full-`scan` walk per bit-plane,
-//! a fresh `Vec` per zerotree stamp, and one-bit-at-a-time packing.
+//! a fresh `Vec` per zerotree stamp, and one-bit-at-a-time packing —
+//! and the plane-at-a-time colour transform the container coder ran
+//! before its pixels crossed into and out of the planes in one pass.
 //!
 //! It exists for two reasons and must never be "improved":
 //!
@@ -484,6 +486,32 @@ pub fn decode_plane(bytes: &[u8]) -> Result<DecodedPlane, MediaError> {
     })
 }
 
+// -------------------------------------------------------------- colour
+
+/// Transform three equal-length RGB planes in place to Y/Co/Cg: the
+/// colour pass the encoder ran between its deinterleave and its level
+/// shift before those became one pass.
+pub fn forward_planes(r: &mut [i32], g: &mut [i32], b: &mut [i32]) {
+    assert!(r.len() == g.len() && g.len() == b.len());
+    for i in 0..r.len() {
+        let (y, co, cg) = crate::color::forward_pixel(r[i], g[i], b[i]);
+        r[i] = y;
+        g[i] = co;
+        b[i] = cg;
+    }
+}
+
+/// Invert [`forward_planes`], wrapping as `color`'s pixel inverse does.
+pub fn inverse_planes(y: &mut [i32], co: &mut [i32], cg: &mut [i32]) {
+    assert!(y.len() == co.len() && co.len() == cg.len());
+    for i in 0..y.len() {
+        let (r, g, b) = crate::color::inverse_pixel(y[i], co[i], cg[i]);
+        y[i] = r;
+        co[i] = g;
+        cg[i] = b;
+    }
+}
+
 // --------------------------------------------------------- containers
 
 /// A whole container through the frozen pieces: every channel stream
@@ -513,7 +541,7 @@ pub fn decode_image(bytes: &[u8]) -> Result<Image, MediaError> {
         let [y, co, cg] = &mut planes[..] else {
             return Err(MediaError::Malformed("color transform on non-RGB"));
         };
-        crate::color::inverse_planes(&mut y.coeffs, &mut co.coeffs, &mut cg.coeffs);
+        inverse_planes(&mut y.coeffs, &mut co.coeffs, &mut cg.coeffs);
     }
     let mut img = Image::new(w, h, channels);
     for (c, plane) in planes.iter().enumerate() {

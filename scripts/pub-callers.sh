@@ -14,8 +14,12 @@
 #   scripts/pub-callers.sh --self-check
 #
 # Names are matched as words, nothing more: a name shared with anything
-# elsewhere — a call, an unrelated item, a comment — counts as a use, so
-# the list can miss an unused item but never names a used one. The run
+# elsewhere — a call, an unrelated item — counts as a use, so the list
+# can miss an unused item but never names a used one. In a whole-line
+# `//`, `///` or `//!` comment only the words of intra-doc links
+# (`[…]`, and a `(…)` target right after one) count: prose naming a
+# word is no use, but a link is, since a private item that public docs
+# link to fails `cargo doc -D warnings`. The run
 # fails when it lists a name the keep-list below does not excuse. It
 # then prints, for information only, the `pub` items that only their
 # own file names (candidates for private), and those that outside their
@@ -37,8 +41,9 @@ if [[ "${1:-}" == "--self-check" ]]; then
   # `called` has an outside caller, `helper` only its own file,
   # `only_tested` only its own test module, `tests_call` only a test
   # file and `unit_tests_call` only another file's test module;
-  # `in_a_comment` is named by a comment elsewhere and `cfg_test_only`
-  # is itself test-only, so neither is listed.
+  # `in_prose` is named elsewhere only in a comment's words, so it is
+  # listed too. `in_a_link` is named by a doc link elsewhere and
+  # `cfg_test_only` is itself test-only, so neither is listed.
   cat >"$src/lib.rs" <<'EOF'
 //! Demo crate.
 pub fn called() {
@@ -46,7 +51,8 @@ pub fn called() {
 }
 pub fn helper() {}
 pub fn only_tested() {}
-pub fn in_a_comment() {}
+pub fn in_prose() {}
+pub fn in_a_link() {}
 pub fn tests_call() {}
 pub fn unit_tests_call() {}
 pub mod other;
@@ -71,7 +77,8 @@ mod tests {
 }
 EOF
   cat >"$fixture/examples/demo.rs" <<'EOF'
-// Exercises in_a_comment, in words only.
+// Exercises in_prose, in words only.
+/// Calls nothing [`demo::in_a_link`] does.
 fn main() {
     demo::called();
 }
@@ -85,12 +92,13 @@ EOF
   expected=$(printf '%s\n' \
     'pub items nothing outside their own test module names:' \
     '  crates/demo/src/lib.rs:6  fn only_tested' \
+    '  crates/demo/src/lib.rs:7  fn in_prose' \
     'pub items only their own file names (not gated):' \
     '  crates/demo/src/lib.rs:5  fn helper' \
     'pub items only tests, bench bins or the benchmark name elsewhere (not gated):' \
-    '  crates/demo/src/lib.rs:8  fn tests_call' \
-    '  crates/demo/src/lib.rs:9  fn unit_tests_call' \
-    '1 listed, 0 kept')
+    '  crates/demo/src/lib.rs:9  fn tests_call' \
+    '  crates/demo/src/lib.rs:10  fn unit_tests_call' \
+    '2 listed, 0 kept')
   status=0
   got=$("$0" "$fixture") || status=$?
   if [[ "$got" != "$expected" || $status -ne 1 ]]; then
@@ -140,7 +148,17 @@ awk -v keep="$keep" '
       (!declaring && FILENAME ~ /^crates\//)
   }
   {
-    n = split($0, w, /[^A-Za-z0-9_]+/)
+    # A whole-line comment names only what its intra-doc links name.
+    line = $0
+    if (line ~ /^[[:space:]]*\/\//) {
+      links = ""
+      while (match(line, /\[[^]]*\](\([^)]*\))?/)) {
+        links = links " " substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+      }
+      line = links
+    }
+    n = split(line, w, /[^A-Za-z0-9_]+/)
     for (i = 1; i <= n; i++)
       if (w[i] != "" && !((FILENAME, w[i]) in seen)) {
         seen[FILENAME, w[i]] = 1

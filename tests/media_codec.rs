@@ -31,6 +31,7 @@ use collabqos::media::image::{synthetic_scene, Image, Scene};
 use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket};
 use collabqos::media::reference;
 use collabqos::media::wavelet::{self, WaveletKind, WaveletScratch};
+use collabqos::media::MediaError;
 use collabqos::sempubsub::{SemanticMessage, WireMessage};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -648,6 +649,166 @@ fn every_flipped_byte_of_the_fixture_decodes_as_pinned() {
     }
     assert_eq!((golden.len(), decoded), (6874, 6826));
     assert_eq!(digest, 0xaa7c_2cd6_7973_0a9c, "{digest:#018x}");
+}
+
+// -------------------------------------------------------- pixel passes
+
+/// The decode the live one was before its finish became one pass,
+/// composed here: each channel stream through the live plane decode and
+/// partial inverse; the luma plane (every plane, without the colour
+/// transform) shifted back by a wrapping add over the whole plane;
+/// `reference::inverse_planes` over the whole planes; then each plane's
+/// reduced corner, read at the plane's own stride, clamped into its
+/// channel.
+fn three_pass_decode(container: &[u8], drop_levels: usize) -> Image {
+    let color = container[5] & 0x80 != 0;
+    let kind = [WaveletKind::Haar, WaveletKind::Cdf53][usize::from(container[5] & 0x7f)];
+    let mut ws = WaveletScratch::new();
+    let mut planes = Vec::new();
+    let (mut w, mut h) = (0, 0);
+    for (c, stream) in plane_streams(container).into_iter().enumerate() {
+        let plane = EzwDecoder::decode_plane(stream).unwrap();
+        (w, h) = (plane.w, plane.h);
+        let mut coeffs = plane.coeffs;
+        wavelet::inverse_2d_partial_with(
+            &mut coeffs,
+            w,
+            h,
+            plane.levels,
+            drop_levels,
+            kind,
+            &mut ws,
+        );
+        if !color || c == 0 {
+            coeffs.iter_mut().for_each(|v| *v = v.wrapping_add(128));
+        }
+        planes.push(coeffs);
+    }
+    if let [y, co, cg] = &mut planes[..] {
+        if color {
+            reference::inverse_planes(y, co, cg);
+        }
+    }
+    let (rw, rh) = (w >> drop_levels, h >> drop_levels);
+    let mut img = Image {
+        width: rw,
+        height: rh,
+        channels: planes.len(),
+        data: vec![0; rw * rh * planes.len()],
+    };
+    for (c, plane) in planes.iter().enumerate() {
+        for y in 0..rh {
+            for x in 0..rw {
+                img.set(x, y, c, plane[y * w + x].clamp(0, 255) as u8);
+            }
+        }
+    }
+    img
+}
+
+/// `container` with every plane header's top bit-plane set to 31:
+/// coefficients reach 2^31 in magnitude, so the inverse wavelet, the
+/// level shift and the colour inverse all wrap, and the clamp bites.
+fn with_top_plane_31(container: &[u8]) -> Vec<u8> {
+    let mut out = container.to_vec();
+    let mut at = ezw::CONTAINER_HEADER_LEN;
+    for stream in plane_streams(container) {
+        out[at + 4 + 9] = 31;
+        at += 4 + stream.len();
+    }
+    out
+}
+
+/// The one-pass finish makes the image the three passes made, at every
+/// number of dropped levels, through one warm scratch: grey, colour
+/// without and with the colour transform, both wavelets, on the encoder's
+/// containers, on those with the top bit-plane forced to 31, and on every
+/// single-byte flip of each (which decode to coefficients no encoder
+/// made; a flip the decoder refuses has no finish to compare).
+#[test]
+fn the_one_pass_finish_equals_the_three_pass_one_at_every_drop() {
+    let encode = |channels, kind, color, cap| {
+        let scene = synthetic_scene(32, 32, channels, 3, 60 + channels as u64);
+        ezw::encode_image_capped(&scene.image, 3, kind, color, cap).unwrap()
+    };
+    let containers = [
+        ("grey", encode(1, WaveletKind::Cdf53, false, None)),
+        ("rgb", encode(3, WaveletKind::Haar, false, Some(900))),
+        ("ycocg", encode(3, WaveletKind::Cdf53, true, Some(900))),
+    ];
+    let mut warm = CodecScratch::new();
+    let (mut compared, mut clamped) = (0, 0);
+    for (what, clean) in &containers {
+        for base in [clean.clone(), with_top_plane_31(clean)] {
+            let mut damaged = base.clone();
+            for flip in (0..base.len()).map(Some).chain([None]) {
+                if let Some(i) = flip {
+                    damaged[i] ^= 0xFF;
+                }
+                for drop in 0..=3 {
+                    let Ok(live) = ezw::decode_image_reduced_with(&damaged, drop, &mut warm) else {
+                        continue;
+                    };
+                    assert!(
+                        live == three_pass_decode(&damaged, drop),
+                        "{what}, flip {flip:?}, drop {drop}"
+                    );
+                    compared += 1;
+                    clamped += live.data.iter().any(|&v| v == 0 || v == 255) as usize;
+                }
+                if let Some(i) = flip {
+                    damaged[i] = base[i];
+                }
+            }
+        }
+    }
+    assert!(
+        compared > 15_000 && clamped * 2 > compared,
+        "{compared} {clamped}"
+    );
+}
+
+/// The planes `prepare_planes` made before it was one pass: each
+/// channel deinterleaved, `reference::forward_planes` over the three
+/// under the colour transform, then the level shift (luma only under
+/// it); the colour transform on other than three channels is refused.
+fn three_pass_prepare(img: &Image, color: bool) -> Result<Vec<Vec<i32>>, MediaError> {
+    if color && img.channels != 3 {
+        return Err(MediaError::BadDimensions(
+            "color transform requires 3 channels".to_string(),
+        ));
+    }
+    let mut planes: Vec<Vec<i32>> = (0..img.channels).map(|c| img.plane(c)).collect();
+    if let [r, g, b] = &mut planes[..] {
+        if color {
+            reference::forward_planes(r, g, b);
+        }
+    }
+    for (c, plane) in planes.iter_mut().enumerate() {
+        if !color || c == 0 {
+            plane.iter_mut().for_each(|v| *v -= 128);
+        }
+    }
+    Ok(planes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass `prepare_planes` gives the planes of the three
+    /// passes, or their error, on any bytes: one and three channels
+    /// with the colour transform on and off, and hand-built images of
+    /// two and four channels.
+    #[test]
+    fn the_one_pass_prepare_equals_the_three_pass_one(
+        (width, height, channels, data) in (1usize..24, 1usize..24, 1usize..=4).prop_flat_map(
+            |(w, h, c)| (Just(w), Just(h), Just(c), proptest::collection::vec(any::<u8>(), w * h * c..w * h * c + 1))
+        ),
+        color in any::<bool>(),
+    ) {
+        let img = Image { width, height, channels, data };
+        prop_assert_eq!(ezw::prepare_planes(&img, color), three_pass_prepare(&img, color));
+    }
 }
 
 // ------------------------------------------------------ capped encode
