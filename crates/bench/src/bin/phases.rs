@@ -286,9 +286,13 @@ fn phase_table(reps: usize) {
         sent.len()
     );
     println!();
-    let widths = [34usize, 8];
-    header(&["phase", "ms"], &widths);
+    // The dominant passes' cost in the unit it is judged in, on the
+    // two rows that code or read every symbol of a share.
+    let per_symbol = ["emit_plane x3, warm scratch", "decode, symbols read"];
+    let widths = [34usize, 8, 10];
+    header(&["phase", "ms", "ns/symbol"], &widths);
     let ms = |secs: f64| format!("{:.3}", secs * 1e3);
+    let ns = |secs: f64| format!("{:.2}", secs * 1e9 / counts[0] as f64);
     let mut rows = vec![
         ("prepare_planes".to_string(), prepare_secs),
         ("forward x3".to_string(), forward_secs),
@@ -310,11 +314,16 @@ fn phase_table(reps: usize) {
         ("finish, 1 level dropped".to_string(), corner_secs),
     ]);
     for (phase, secs) in rows {
-        row(&[phase, ms(secs)], &widths);
+        let unit = match per_symbol.contains(&phase.as_str()) {
+            true => ns(secs),
+            false => String::new(),
+        };
+        row(&[phase, ms(secs), unit], &widths);
     }
     println!();
     println!(
-        "the share codes {} dominant symbols and {} refinement bits, {} bits in all",
+        "the share codes {} dominant symbols and {} refinement bits, {} bits in all \
+         (ns/symbol: the row's time over these dominant symbols)",
         counts[0], counts[1], counts[2]
     );
 }

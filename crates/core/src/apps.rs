@@ -159,14 +159,15 @@ fn take<T>(table: &mut VecDeque<T>, is: impl Fn(&T) -> bool) -> Option<T> {
     table.remove(i)
 }
 
-/// FNV-1a-style fold over the coding parameters, then the pixel data
-/// eight bytes a step (one multiply per word, not per byte — the
+/// FNV-1a-style fold of the pixel data eight bytes a step, in four
+/// lanes that fold consecutive words side by side (each lane's
 /// multiply chain is serial, and this runs on every share, hits
-/// included), then the tail bytes one by one. A multiply only carries a
-/// difference upward, so each step also folds the high half of the
-/// state back down: without that, differences in the top bits of two
-/// words (pixels at offsets 7 mod 8) stay in the top bits of the state
-/// and cancel. Deterministic; the key never leaves the process.
+/// included), combined into one state; then the words the lanes left,
+/// the tail bytes one by one and the coding parameters. A multiply only
+/// carries a difference upward, so each step also folds the high half
+/// of the state back down: without that, differences in the top bits of
+/// two words (pixels at offsets 7 mod 8) stay in the top bits of the
+/// state and cancel. Deterministic; the key never leaves the process.
 fn content_key(
     img: &Image,
     levels: usize,
@@ -174,12 +175,30 @@ fn content_key(
     color_transform: bool,
     byte_cap: Option<usize>,
 ) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |word: u64| {
-        h = (h ^ word).wrapping_mul(0x100000001b3);
-        h ^= h >> 29;
-    };
-    for v in [
+    fn mix(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(0x100000001b3);
+        h ^ h >> 29
+    }
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+    let seed = 0xcbf29ce484222325u64;
+    let blocks = img.data.chunks_exact(32);
+    let rest = blocks.remainder();
+    let mut lanes = [seed; 4];
+    for block in blocks {
+        for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(bytes));
+        }
+    }
+    let mut h = lanes.into_iter().fold(seed, mix);
+    let words = rest.chunks_exact(8);
+    let tail = words.remainder();
+    for bytes in words {
+        h = mix(h, word(bytes));
+    }
+    for &b in tail {
+        h = mix(h, b as u64);
+    }
+    [
         img.width as u64,
         img.height as u64,
         img.channels as u64,
@@ -187,18 +206,9 @@ fn content_key(
         kind as u64,
         color_transform as u64,
         byte_cap.map_or(u64::MAX, |cap| cap as u64),
-    ] {
-        mix(v);
-    }
-    let words = img.data.chunks_exact(8);
-    let tail = words.remainder();
-    for word in words {
-        mix(u64::from_le_bytes(word.try_into().expect("chunks of 8")));
-    }
-    for &b in tail {
-        mix(b as u64);
-    }
-    h
+    ]
+    .into_iter()
+    .fold(h, mix)
 }
 
 /// Bytes to look a view up by.
@@ -1385,6 +1395,29 @@ mod tests {
             lined.data[row * 64 + 7] = 0;
         }
         assert_ne!(key(&lined), key(&flat));
+    }
+
+    /// Two top-byte differences in words that different lanes fold:
+    /// each lane's difference reaches the state the lanes combine into.
+    #[test]
+    fn content_key_separates_top_byte_flips_in_different_lanes() {
+        let key = |img: &Image| content_key(img, 1, WaveletKind::Cdf53, true, None);
+        let mut flat = Image::new(64, 64, 1);
+        flat.data.fill(128);
+        let base = key(&flat);
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                // Word `4k + lane` is the lane's k-th word.
+                for (i, j) in [(a, 4 + b), (4 * 9 + a, 4 * 100 + b)] {
+                    for (flip_i, flip_j) in [(0x80, 0x80), (0xff, 0x01)] {
+                        let mut other = flat.clone();
+                        other.data[8 * i + 7] ^= flip_i;
+                        other.data[8 * j + 7] ^= flip_j;
+                        assert_ne!(key(&other), base, "words {i} and {j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

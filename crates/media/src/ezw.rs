@@ -33,7 +33,10 @@
 //!   since parents precede children in scan order the same walk meets
 //!   them later in the pass, in order, with no list to sort, merge or
 //!   copy. The walk takes each 64-rank word's ranks once, so the next
-//!   rank never waits on the symbol being coded,
+//!   rank never waits on the symbol being coded; it holds the side's
+//!   bits and record count in a local for the word, and where no
+//!   parent of a word has a child in it, the children join once the
+//!   word ends,
 //! * the encoder reads the plane in scan order, one packed word per
 //!   rank (magnitude, sign, subtree maximum), copied band row by band
 //!   row once a plane; significant coefficients go, in significance
@@ -123,14 +126,51 @@ pub const CONTAINER_HEADER_LEN: usize = 4 + 1 + 1;
 
 // ---------------------------------------------------------------- bits
 
-/// MSB-first bit writer batching through a 64-bit accumulator.
+/// MSB-first bit writer batching through a 64-bit accumulator, which
+/// is flushed whole into room the buffer already has. The encoder
+/// sizes its buffer before the passes, so it never grows, and the
+/// dominant pass takes the accumulator out for a word of the live set
+/// at a time, pushing to it in a local.
 #[derive(Debug, Default)]
 pub struct BitWriter {
+    /// Whole bytes before the first bit (a header), the flushed words,
+    /// and room past them.
     bytes: Vec<u8>,
-    /// Pending bits, right-aligned; `nacc < 64` between calls.
+    /// Where the first bit goes.
+    start: usize,
+    acc: Acc,
+}
+
+/// A [`BitWriter`]'s state but its buffer: the accumulator, and the
+/// bits pushed, which say how full it is and where it is flushed to.
+#[derive(Clone, Copy, Debug, Default)]
+struct Acc {
+    /// The `nbits % 64` bits not yet flushed, right-aligned.
     acc: u64,
-    nacc: u32,
     nbits: usize,
+}
+
+impl Acc {
+    /// Append the low `n` bits of `pattern` (`n <= 32`), most
+    /// significant first, flushing a full accumulator into `bytes`,
+    /// whose first bit is at `start` and which must have room.
+    #[inline(always)]
+    fn push_bits(&mut self, bytes: &mut [u8], start: usize, pattern: u32, n: u32) {
+        debug_assert!(n <= 32);
+        debug_assert!(n == 32 || pattern < (1u32 << n));
+        let free = 64 - (self.nbits % 64) as u32;
+        if n >= free {
+            // Top up the accumulator, flush it whole, keep the rest.
+            let spill = n - free;
+            let full = (self.acc << free) | (pattern >> spill) as u64;
+            let at = start + self.nbits / 64 * 8;
+            bytes[at..at + 8].copy_from_slice(&full.to_be_bytes());
+            self.acc = pattern as u64 & ((1u64 << spill) - 1);
+        } else {
+            self.acc = (self.acc << n) | pattern as u64;
+        }
+        self.nbits += n as usize;
+    }
 }
 
 impl BitWriter {
@@ -147,56 +187,32 @@ impl BitWriter {
 
     /// Append the low `n` bits of `pattern` (`n <= 32`), most
     /// significant first — `push_bits(0b110, 3)` is `push(true);
-    /// push(true); push(false)`.
+    /// push(true); push(false)` — growing the buffer if a flush would
+    /// find no room.
     #[inline]
     fn push_bits(&mut self, pattern: u32, n: u32) {
-        debug_assert!(n <= 32);
-        debug_assert!(n == 32 || pattern < (1u32 << n));
-        let free = 64 - self.nacc;
-        if n > free {
-            // Top up the accumulator, flush it whole, keep the rest.
-            let spill = n - free;
-            self.acc = (self.acc << free) | (pattern >> spill) as u64;
-            self.bytes.extend_from_slice(&self.acc.to_be_bytes());
-            self.acc = pattern as u64 & ((1u64 << spill) - 1);
-            self.nacc = spill;
-        } else {
-            self.acc = (self.acc << n) | pattern as u64;
-            self.nacc += n;
-            if self.nacc == 64 {
-                self.bytes.extend_from_slice(&self.acc.to_be_bytes());
-                self.acc = 0;
-                self.nacc = 0;
-            }
+        let need = self.start + self.acc.nbits / 64 * 8 + 8;
+        if self.bytes.len() < need {
+            self.bytes.resize(need.max(2 * self.bytes.len()), 0);
         }
-        self.nbits += n as usize;
-    }
-
-    /// A writer that appends to `bytes` (whole bytes: a header, say);
-    /// [`BitWriter::len_bits`] counts only what is pushed from here on.
-    fn after(bytes: Vec<u8>) -> Self {
-        BitWriter {
-            bytes,
-            ..Self::default()
-        }
+        self.acc.push_bits(&mut self.bytes, self.start, pattern, n);
     }
 
     /// Total bits written.
     fn len_bits(&self) -> usize {
-        self.nbits
+        self.acc.nbits
     }
 
     /// Finish, returning the packed bytes (zero-padded to a byte
     /// boundary, exactly like the pre-refactor writer).
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        let pad = (8 - self.nacc % 8) % 8;
-        self.acc <<= pad;
-        self.nacc += pad;
-        while self.nacc >= 8 {
-            self.nacc -= 8;
-            self.bytes.push((self.acc >> self.nacc) as u8);
-        }
-        self.bytes
+    pub fn into_bytes(self) -> Vec<u8> {
+        let Acc { acc, nbits } = self.acc;
+        let mut bytes = self.bytes;
+        bytes.truncate(self.start + nbits / 64 * 8);
+        let (nacc, pad) = (nbits % 64, (8 - nbits % 8) % 8);
+        let tail = (acc << pad).to_be_bytes();
+        bytes.extend_from_slice(&tail[8 - (nacc + pad) / 8..]);
+        bytes
     }
 }
 
@@ -204,7 +220,7 @@ impl BitWriter {
 /// next unread bit is bit 63, so a whole symbol is one shift away
 /// ([`BitReader::peek`]) and is dropped with another
 /// ([`BitReader::consume`]). [`BitReader::next`] is the one-bit wrapper.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
     /// Next byte to load into the accumulator.
@@ -386,6 +402,13 @@ impl Geometry {
         (self.w / 2) * (self.h / 2)
     }
 
+    /// Whether no quad parent of rank word `wi`, from rank `lo` on,
+    /// has a child in that word. Children rank in their parents'
+    /// order, so the first parent's first child is the lowest.
+    fn children_past_word(&self, wi: usize, lo: usize) -> bool {
+        self.child_rows[(wi * 64).max(lo) - self.roots()][0] as usize >= (wi + 1) * 64
+    }
+
     /// Child ranks of the parent at `rank` (3 for a root, else 4).
     #[inline]
     fn children(&self, rank: usize, out: &mut [usize; 4]) -> usize {
@@ -516,10 +539,16 @@ const LEAVES: u8 = 2;
 /// does to the live set is the walk's ([`LiveSet::dominant`]), the same
 /// for both sides, so what one writes the other reads.
 trait Side {
-    /// Before each 64-rank word of the live set: whether the walk goes
-    /// on, once room is made for the word's entries. The encoder stops
-    /// past its cap; the decoder goes on to the end of its stream.
-    fn word(&mut self) -> bool;
+    /// The bits' state: the writer's accumulator, or the reader.
+    type Bits;
+
+    /// Before each 64-rank word of the live set: once room is made for
+    /// its entries, the state its symbols change, or `None` when the
+    /// walk stops — the encoder past its cap, the decoder never.
+    fn open(&mut self) -> Option<Cursor<Self::Bits>>;
+
+    /// After the word: the cursor's state is the side's again.
+    fn close(&mut self, cursor: Cursor<Self::Bits>);
 
     /// Write or read the symbol of `rank`: in the parent alphabet
     /// (`PARENT`) `0` zerotree root / `10` isolated zero / `11s`
@@ -527,7 +556,20 @@ trait Side {
     /// Returns whether it is anything but a zerotree root and whether
     /// it is significant, 0 or 1 each — or `None` when the stream ends
     /// inside it, which then has no effect.
-    fn symbol<const PARENT: bool>(&mut self, rank: usize) -> Option<(u64, u64)>;
+    fn symbol<const PARENT: bool>(
+        &mut self,
+        cursor: &mut Cursor<Self::Bits>,
+        rank: usize,
+    ) -> Option<(u64, u64)>;
+}
+
+/// The state a side's symbols change, which the walk holds in a local
+/// for a word of the live set: a symbol then updates locals, not the
+/// fields of a struct behind a reference.
+struct Cursor<B> {
+    bits: B,
+    /// The record's entries in use (`PlaneRecord::nsub`).
+    nsub: usize,
 }
 
 #[inline]
@@ -570,35 +612,20 @@ impl<'a> LiveSet<'a> {
             && self.walk::<LEAVES>(side, parents, n)
     }
 
-    /// The live ranks in `lo..hi`, all of one `KIND`, word by word.
-    ///
-    /// A word's ranks are taken once, as a `pending` mask, and nothing
-    /// a symbol says is on the way to the next rank: a significant rank
-    /// is only noted (`gone`) and leaves the set when the word ends.
-    /// Taking the next rank from the live word itself would put the
-    /// symbol — for the encoder a load of the coefficient — on the
-    /// loop-carried chain. The one thing that does join `pending` mid
-    /// word is a quad parent's children in the same word, which rank
-    /// above it and so are still ahead; whether they are in it is
-    /// geometry, a branch the predictor learns, not data.
-    ///
-    /// Apart from the handful of roots the body is branch-free in the
-    /// data: a quad parent ORs its children into the set — as nothing,
-    /// unless this is its first non-zerotree symbol. (A fifth to a third
-    /// of all symbols of a 6 bpp stream activate children; as a branch,
-    /// taken or not at the data's whim, that would be the pass's main
-    /// cost.)
+    /// The live ranks in `lo..hi`, all of one `KIND`, word by word. Where
+    /// geometry puts no child of a word's parents in it (`CLEAN`: the
+    /// roots' words, and every quad word but the coarse ones of small
+    /// planes), the children join once the word ends.
     #[inline(always)]
     fn walk<const KIND: u8>(&mut self, side: &mut impl Side, lo: usize, hi: usize) -> bool {
         if lo >= hi {
             return true;
         }
-        let roots = self.geo.roots();
         let (first, last) = (lo / 64, (hi - 1) / 64);
         for wi in first..=last {
-            if !side.word() {
+            let Some(mut cursor) = side.open() else {
                 return false;
-            }
+            };
             let mut range = !0u64;
             if wi == first {
                 range &= !0u64 << (lo % 64);
@@ -606,65 +633,103 @@ impl<'a> LiveSet<'a> {
             if wi == last {
                 range &= !0u64 >> (63 - (hi - 1) % 64);
             }
-            let mut pending = self.live[wi] & range;
-            let mut spawned = if KIND == LEAVES { 0 } else { self.spawned[wi] };
-            let mut gone = 0u64;
-            let mut cut = false;
-            while pending != 0 {
-                let bit = pending.trailing_zeros();
-                pending &= pending - 1;
-                let rank = wi * 64 + bit as usize;
-                let symbol = if KIND == LEAVES {
-                    side.symbol::<false>(rank)
-                } else {
-                    side.symbol::<true>(rank)
-                };
-                let Some((coded, sig)) = symbol else {
-                    cut = true;
-                    break;
-                };
-                gone |= sig << bit;
-                if KIND == LEAVES {
-                    continue;
-                }
-                let fresh = coded & !(spawned >> bit) & 1;
-                spawned |= fresh << bit;
-                if KIND == ROOTS {
-                    // A root's children are quads (leaves at one
-                    // level): never in this walk's range.
-                    if fresh != 0 {
-                        let mut kids = [0usize; 4];
-                        let n = self.geo.children(rank, &mut kids);
-                        for &k in &kids[..n] {
-                            set_bit(self.live, k);
-                        }
-                    }
-                } else {
-                    // Both rows start on an even rank, so neither pair
-                    // straddles a word.
-                    let [top, bottom] = self.geo.child_rows[rank - roots];
-                    let (top, bottom) = (top as usize, bottom as usize);
-                    let pair = fresh * 3;
-                    self.live[top / 64] |= pair << (top % 64);
-                    self.live[bottom / 64] |= pair << (bottom % 64);
-                    if top / 64 == wi {
-                        let mut kids = pair << (top % 64);
-                        if bottom / 64 == wi {
-                            kids |= pair << (bottom % 64);
-                        }
-                        pending |= kids & range;
-                    }
-                }
-            }
-            self.live[wi] &= !gone;
-            if KIND != LEAVES {
-                self.spawned[wi] = spawned;
-            }
+            let cut = if KIND != QUADS || self.geo.children_past_word(wi, lo) {
+                self.word::<KIND, true, _>(side, &mut cursor, wi, range)
+            } else {
+                self.word::<KIND, false, _>(side, &mut cursor, wi, range)
+            };
+            side.close(cursor);
             if cut {
                 return false;
             }
         }
         true
+    }
+
+    /// The live ranks of word `wi` within `range`, the side's state in
+    /// `cursor`; returns whether the stream ended inside one of them.
+    ///
+    /// The word's ranks are taken once, as a `pending` mask, and nothing
+    /// a symbol says is on the way to the next rank: a significant rank
+    /// is only noted (`gone`) and leaves the set when the word ends.
+    /// Taking the next rank from the live word itself would put the
+    /// symbol — for the encoder a load of the coefficient — on the
+    /// loop-carried chain. Only in a quad word that is not `CLEAN` do a
+    /// parent's children in the word, still ahead, join `pending`; there
+    /// every parent ORs its children into the set, branch-free, as
+    /// nothing unless they are fresh (a fifth to a third of a 6 bpp
+    /// stream's symbols activate children: too many to branch on).
+    #[inline(always)]
+    fn word<const KIND: u8, const CLEAN: bool, S: Side>(
+        &mut self,
+        side: &mut S,
+        cursor: &mut Cursor<S::Bits>,
+        wi: usize,
+        range: u64,
+    ) -> bool {
+        let roots = self.geo.roots();
+        let mut pending = self.live[wi] & range;
+        let mut spawned = if KIND == LEAVES { 0 } else { self.spawned[wi] };
+        let (mut gone, mut coded_mask, mut cut) = (0u64, 0u64, false);
+        while pending != 0 {
+            let bit = pending.trailing_zeros();
+            pending &= pending - 1;
+            let rank = wi * 64 + bit as usize;
+            let symbol = if KIND == LEAVES {
+                side.symbol::<false>(cursor, rank)
+            } else {
+                side.symbol::<true>(cursor, rank)
+            };
+            let Some((coded, sig)) = symbol else {
+                cut = true;
+                break;
+            };
+            gone |= sig << bit;
+            if KIND == LEAVES {
+                continue;
+            }
+            if CLEAN {
+                coded_mask |= coded << bit;
+                continue;
+            }
+            let fresh = coded & !(spawned >> bit) & 1;
+            spawned |= fresh << bit;
+            // Both rows start on an even rank, so neither pair
+            // straddles a word.
+            let [top, bottom] = self.geo.child_rows[rank - roots].map(|r| r as usize);
+            let pair = fresh * 3;
+            self.live[top / 64] |= pair << (top % 64);
+            self.live[bottom / 64] |= pair << (bottom % 64);
+            if top / 64 == wi {
+                let mut kids = pair << (top % 64);
+                if bottom / 64 == wi {
+                    kids |= pair << (bottom % 64);
+                }
+                pending |= kids & range;
+            }
+        }
+        let mut fresh = coded_mask & !spawned;
+        spawned |= coded_mask;
+        while fresh != 0 {
+            let rank = wi * 64 + fresh.trailing_zeros() as usize;
+            fresh &= fresh - 1;
+            if KIND == ROOTS {
+                let mut kids = [0usize; 4];
+                let n = self.geo.children(rank, &mut kids);
+                for &k in &kids[..n] {
+                    set_bit(self.live, k);
+                }
+            } else {
+                let [top, bottom] = self.geo.child_rows[rank - roots].map(|r| r as usize);
+                self.live[top / 64] |= 3 << (top % 64);
+                self.live[bottom / 64] |= 3 << (bottom % 64);
+            }
+        }
+        self.live[wi] &= !gone;
+        if KIND != LEAVES {
+            self.spawned[wi] = spawned;
+        }
+        cut
     }
 }
 
@@ -869,11 +934,13 @@ impl EzwEncoder {
         let top_pos = analysis.top_pos;
 
         // The walk looks at the cap once a word of the live set, so it
-        // overshoots by at most 64 three-bit symbols and the writer's
-        // word.
+        // writes at most 64 three-bit symbols past it; the subordinate
+        // pass stops at the cap. With the accumulator's last word, that
+        // is all the room the stream ever needs.
+        let room = keep + 64 * 3 / 8 + 8;
         let mut out = std::mem::take(&mut record.stream);
         out.clear();
-        out.reserve(keep + 64);
+        out.reserve(room);
         out.extend_from_slice(PLANE_MAGIC);
         out.extend_from_slice(&(w as u16).to_be_bytes());
         out.extend_from_slice(&(h as u16).to_be_bytes());
@@ -925,10 +992,15 @@ impl EzwEncoder {
             }
         }
         let mut set = LiveSet::new(geo, live, spawned);
+        out.resize(room, 0);
         let mut emit = PlaneEmit {
             ranked,
             record,
-            bits: BitWriter::after(out),
+            bits: BitWriter {
+                bytes: out,
+                start: PLANE_HEADER_LEN,
+                acc: Acc::default(),
+            },
             t: 0,
             pos: 0,
             limit,
@@ -991,22 +1063,37 @@ struct PlaneEmit<'a> {
 }
 
 impl Side for PlaneEmit<'_> {
+    type Bits = Acc;
+
     /// Goes on while the stream's last bit is not written: a pass is
     /// then either all written or cut inside a symbol, as a reader
     /// finds it.
     #[inline(always)]
-    fn word(&mut self) -> bool {
+    fn open(&mut self) -> Option<Cursor<Acc>> {
         self.record.reserve_word();
-        self.bits.len_bits() <= self.limit
+        (self.bits.len_bits() <= self.limit).then_some(Cursor {
+            bits: self.bits.acc,
+            nsub: self.record.nsub,
+        })
     }
 
-    /// Branch-free: the four symbols collapse to
-    /// `pattern = (1 << len) - 2 + sign` (0; 10; 10|s or 110|s), and
+    #[inline(always)]
+    fn close(&mut self, cursor: Cursor<Acc>) {
+        self.bits.acc = cursor.bits;
+        self.record.nsub = cursor.nsub;
+    }
+
+    /// Branch-free: the four symbols collapse to `pattern = 2·coded +
+    /// 4·(parent and significant) + sign` (0; 10; 10|s or 110|s), and
     /// the entry is stored whether significant or not, the count
     /// bumped only if so — significance is about 50/50 in the busy
     /// passes.
     #[inline(always)]
-    fn symbol<const PARENT: bool>(&mut self, rank: usize) -> Option<(u64, u64)> {
+    fn symbol<const PARENT: bool>(
+        &mut self,
+        cursor: &mut Cursor<Acc>,
+        rank: usize,
+    ) -> Option<(u64, u64)> {
         let entry = self.ranked[rank];
         let mag = entry as u32;
         let sig = (mag >= self.t) as u64;
@@ -1015,12 +1102,15 @@ impl Side for PlaneEmit<'_> {
         } else {
             sig
         };
-        let len = 1 + coded + (PARENT as u64 & sig);
+        let parent_sig = PARENT as u64 & sig;
+        let len = 1 + coded + parent_sig;
         let neg = (entry >> 63) & sig;
-        self.bits
-            .push_bits(((1 << len) - 2 + neg) as u32, len as u32);
+        let pattern = (2 * coded + 4 * parent_sig + neg) as u32;
+        let (bytes, start) = (&mut self.bits.bytes, self.bits.start);
+        cursor.bits.push_bits(bytes, start, pattern, len as u32);
         let recorded = entry & (1 << 63 | u32::MAX as u64) | (rank as u64) << 32;
-        self.record.note(recorded, self.bits.len_bits(), sig);
+        let end = cursor.bits.nbits;
+        self.record.note(&mut cursor.nsub, recorded, end, sig);
         Some((coded, sig))
     }
 }
@@ -1182,13 +1272,13 @@ impl PlaneRecord {
 
     /// Note the symbol that ends at body bit `end`: `entry` joins the
     /// list if it is significant (`sig` is 1), by an unconditional
-    /// store and a conditional bump.
+    /// store and a conditional bump of `nsub`, the count a word's
+    /// [`Cursor`] holds in place of `PlaneRecord::nsub`.
     #[inline(always)]
-    fn note(&mut self, entry: u64, end: usize, sig: u64) {
-        let nsub = self.nsub;
-        self.entries[nsub] = entry;
-        self.ends[nsub] = end as u32;
-        self.nsub = nsub + sig as usize;
+    fn note(&mut self, nsub: &mut usize, entry: u64, end: usize, sig: u64) {
+        self.entries[*nsub] = entry;
+        self.ends[*nsub] = end as u32;
+        *nsub += sig as usize;
     }
 
     /// Room for the entries of one more word of the live set: its 64
@@ -1267,11 +1357,22 @@ struct PlaneRead<'b, 'r> {
     t: u64,
 }
 
-impl Side for PlaneRead<'_, '_> {
+impl<'b> Side for PlaneRead<'b, '_> {
+    type Bits = BitReader<'b>;
+
     #[inline(always)]
-    fn word(&mut self) -> bool {
+    fn open(&mut self) -> Option<Cursor<BitReader<'b>>> {
         self.record.reserve_word();
-        true
+        Some(Cursor {
+            bits: self.bits.clone(),
+            nsub: self.record.nsub,
+        })
+    }
+
+    #[inline(always)]
+    fn close(&mut self, cursor: Cursor<BitReader<'b>>) {
+        self.bits = cursor.bits;
+        self.record.nsub = cursor.nsub;
     }
 
     /// Branch-free but for the end of the stream: symbol length,
@@ -1279,27 +1380,33 @@ impl Side for PlaneRead<'_, '_> {
     /// significant coefficient is appended by an unconditional store
     /// and a conditional bump.
     #[inline(always)]
-    fn symbol<const PARENT: bool>(&mut self, rank: usize) -> Option<(u64, u64)> {
+    fn symbol<const PARENT: bool>(
+        &mut self,
+        cursor: &mut Cursor<BitReader<'b>>,
+        rank: usize,
+    ) -> Option<(u64, u64)> {
+        let bits = &mut cursor.bits;
         let (coded, sig, neg, len);
         if PARENT {
-            let sym = self.bits.peek(3);
+            let sym = bits.peek(3);
             coded = sym >> 2; // anything but a zerotree root
             sig = coded & (sym >> 1);
             neg = sym & 1;
             len = 1 + (coded + sig) as u32;
         } else {
-            let sym = self.bits.peek(2);
+            let sym = bits.peek(2);
             sig = sym >> 1;
             coded = sig;
             neg = sym & 1;
             len = 1 + sig as u32;
         }
-        if len > self.bits.buffered() {
+        if len > bits.buffered() {
             return None;
         }
-        self.bits.consume(len);
+        bits.consume(len);
         let entry = neg << 63 | (rank as u64) << 32 | self.t;
-        self.record.note(entry, self.bits.position() as usize, sig);
+        let end = bits.position() as usize;
+        self.record.note(&mut cursor.nsub, entry, end, sig);
         Some((coded, sig))
     }
 }
@@ -2505,13 +2612,19 @@ mod tests {
         EzwEncoder::measure_plane(&[1; 64], 8, 8, 4, &mut PlaneAnalysis::new());
     }
 
+    /// Plane sides the property tests draw from. At 64 a side and 5
+    /// levels the coarse words hold children of their own parents and
+    /// the words below them do not, so both of the walk's ways of
+    /// activating children run within one plane.
+    const ARB_SIDES: [usize; 6] = [8, 16, 24, 32, 40, 64];
+
     /// A random coefficient plane: sparse or dense, small magnitudes or
     /// spanning twenty bit-planes, so zerotrees, isolated zeros and
     /// long refinement tails all occur.
     fn arb_plane() -> impl Strategy<Value = (usize, usize, usize, Vec<i32>)> {
-        (0usize..4, 0usize..4, 0u32..=20, 1u32..=8).prop_flat_map(|(wi, hi, bits, sparsity)| {
-            let dims = [8usize, 16, 24, 32];
-            let (w, h) = (dims[wi], dims[hi]);
+        let sides = 0..ARB_SIDES.len();
+        (sides.clone(), sides, 0u32..=20, 1u32..=8).prop_flat_map(|(wi, hi, bits, sparsity)| {
+            let (w, h) = (ARB_SIDES[wi], ARB_SIDES[hi]);
             let coeff =
                 (any::<i32>(), 0..sparsity).prop_map(
                     move |(v, keep)| {
@@ -2554,14 +2667,14 @@ mod tests {
         }
     }
 
-    /// A random image: grey or colour, 8 to 32 a side, a base level
+    /// A random image: grey or colour, 8 to 64 a side, a base level
     /// plus noise of `8 - flat` bits — at `flat == 8` a flat image, all
     /// of whose planes but a colour one's luma are all zero.
     fn arb_image() -> impl Strategy<Value = Image> {
-        let shape = (0usize..4, 0usize..4, prop_oneof![Just(1usize), Just(3)]);
+        let sides = 0..ARB_SIDES.len();
+        let shape = (sides.clone(), sides, prop_oneof![Just(1usize), Just(3)]);
         (shape, 0u32..=8, any::<u8>()).prop_flat_map(|((wi, hi, channels), flat, base)| {
-            let dims = [8usize, 16, 24, 32];
-            let (w, h) = (dims[wi], dims[hi]);
+            let (w, h) = (ARB_SIDES[wi], ARB_SIDES[hi]);
             let n = w * h * channels;
             proptest::collection::vec(any::<u8>(), n..n + 1).prop_map(move |noise| {
                 let mut img = Image::new(w, h, channels);
@@ -2584,6 +2697,47 @@ mod tests {
             &mut coeffs,
         );
         coeffs
+    }
+
+    /// A 256² plane at 5 levels, every quad word of which activates
+    /// its children at the word's end (a 64² plane at 5 levels has a
+    /// word that cannot): cut at none, mid-stream and 20 bytes past the
+    /// header, the stream is the reference coder's cut there, and the
+    /// record the encode leaves replays as reading the stream does.
+    #[test]
+    fn a_plane_of_clean_words_codes_and_records_as_the_reference() {
+        let (side, levels) = (256, 5);
+        let geo = Geometry::new(side, side, levels);
+        let (roots, parents) = (geo.roots(), geo.parents());
+        let mut quad_words = roots / 64..=(parents - 1) / 64;
+        assert!(quad_words.all(|wi| geo.children_past_word(wi, roots)));
+        let small = Geometry::new(64, 64, levels);
+        assert!(!small.children_past_word(0, small.roots()));
+
+        let scene = synthetic_scene(side, side, 1, 5, 7);
+        let mut plane = scene.image.plane(0);
+        for v in plane.iter_mut() {
+            *v -= 128;
+        }
+        wavelet::forward_2d(&mut plane, side, side, levels, WaveletKind::Cdf53);
+        let full = crate::reference::encode_plane(&plane, side, side, levels);
+        let mut analysis = PlaneAnalysis::new();
+        let len = EzwEncoder::measure_plane(&plane, side, side, levels, &mut analysis);
+        assert_eq!(len, full.len());
+        let (mut es, mut rs) = (EzwScratch::new(), EzwScratch::new());
+        let mut read = PlaneRecord::default();
+        for keep in [len, len / 2, PLANE_HEADER_LEN + 20] {
+            let stream = EzwEncoder::emit_plane(&plane, &analysis, keep, &mut es);
+            assert!(stream == full[..keep], "cut at {keep} of {len} bytes");
+            let header = PlaneHeader::parse(&stream).unwrap();
+            EzwDecoder::read_symbols(header, &stream, &mut rs, &mut read);
+            for cut in (PLANE_HEADER_LEN..keep).step_by(251).chain([keep]) {
+                assert!(
+                    scattered(&es.record, cut, &mut rs) == scattered(&read, cut, &mut rs),
+                    "cut at {keep}, replayed to {cut} bytes"
+                );
+            }
+        }
     }
 
     proptest! {
