@@ -40,8 +40,8 @@ use sempubsub::{BusEndpoint, CacheStatsHandle, EvalStack, SelectorStore};
 use simnet::{GroupId, LinkSpec, Network, NodeId, Ticks};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 use sysmon::SimHost;
 
 /// Session-wide configuration.
@@ -196,7 +196,7 @@ pub struct CollaborationSession {
     agents: AgentDirectory,
     next_object_id: u64,
     /// Router speed knobs, keyed by router node.
-    routers: Vec<(NodeId, Arc<AtomicU64>)>,
+    routers: Vec<(NodeId, Rc<Cell<u64>>)>,
     /// Echo reflectors for latency probing, keyed by node.
     echoes: Vec<(NodeId, EchoResponder)>,
     /// The wireless gateway, if attached.

@@ -8,8 +8,8 @@ use crate::trapwatch::{PlanWatcher, StoreWatcher};
 use simnet::{Network, NodeId};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpAgent;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 impl CollaborationSession {
     /// Mount a traffic-control plane (token-bucket shaping, DRR class
@@ -128,14 +128,12 @@ impl CollaborationSession {
     pub fn add_router(&mut self, name: &str, if_speed_bps: u64) -> Result<NodeId, String> {
         let node = self.net.add_node(name);
         self.connect_to_switch(node);
-        let speed = Arc::new(AtomicU64::new(if_speed_bps));
+        let speed = Rc::new(Cell::new(if_speed_bps));
         let mut agent = SnmpAgent::new(name, &self.cfg.community, None);
         let s = speed.clone();
         agent
             .mib_mut()
-            .register_gauge32(snmp::oid::arcs::if_speed(1), move || {
-                s.load(Ordering::Relaxed)
-            });
+            .register_gauge32(snmp::oid::arcs::if_speed(1), move || s.get());
         let rt = AgentRuntime::bind(&mut self.net, node, agent).map_err(|e| e.to_string())?;
         self.agents.insert(rt);
         self.routers.push((node, speed));
@@ -149,7 +147,7 @@ impl CollaborationSession {
             .iter()
             .find(|(n, _)| *n == router)
             .ok_or_else(|| format!("unknown router {router}"))?;
-        knob.store(if_speed_bps, Ordering::Relaxed);
+        knob.set(if_speed_bps);
         Ok(())
     }
 

@@ -1,4 +1,5 @@
-//! The SNMP agent: community authentication + PDU dispatch over a MIB.
+//! The SNMP agent: community authentication, then GET and GETNEXT
+//! answered over a MIB.
 //!
 //! Both flavours the paper mentions are covered: the "standard agents"
 //! on routers/switches and the "specialized embedded extension agent
@@ -6,30 +7,34 @@
 //! different MIB contents (see `sysmon` for the host extension agent).
 
 use crate::ber::Writer;
-use crate::mib::{MibTree, SetOutcome};
+use crate::mib::MibTree;
 use crate::oid::{arcs, Oid};
 use crate::pdu::{encode_message, ErrorStatus, Message, MessageView, Pdu, PduKind, VarBind};
 use crate::value::SnmpValue;
 
 /// An SNMP agent servicing one MIB.
 pub struct SnmpAgent {
-    read_community: String,
-    write_community: Option<String>,
+    community: String,
     mib: MibTree,
     /// Requests dropped for bad community (silent per RFC; counted for tests).
     pub auth_failures: u64,
 }
 
 impl SnmpAgent {
-    /// An agent with a read community and optional distinct write
-    /// community; starts with the standard `system` group populated.
-    pub fn new(descr: &str, read_community: &str, write_community: Option<&str>) -> Self {
+    /// An agent answering GET and GETNEXT under `community`; starts
+    /// with the standard `system` group populated.
+    ///
+    /// `write_community` is dead and must be `None`: the agent serves
+    /// no SET. The parameter stays only because the repo benchmark
+    /// names it; the next change to `benchmark/` drops it there, then
+    /// here.
+    pub fn new(descr: &str, community: &str, write_community: Option<&str>) -> Self {
+        assert!(write_community.is_none(), "the agent serves no SET");
         let mut mib = MibTree::new();
         mib.register_scalar(arcs::sys_descr(), SnmpValue::string(descr));
         mib.register_scalar(arcs::sys_name(), SnmpValue::string(descr));
         SnmpAgent {
-            read_community: read_community.to_string(),
-            write_community: write_community.map(str::to_string),
+            community: community.to_string(),
             mib,
             auth_failures: 0,
         }
@@ -40,132 +45,51 @@ impl SnmpAgent {
         &mut self.mib
     }
 
-    fn authorized(&self, kind: PduKind, community: &str) -> bool {
-        match kind {
-            PduKind::SetRequest => match &self.write_community {
-                Some(wc) => community == wc,
-                None => community == self.read_community,
-            },
-            _ => {
-                community == self.read_community
-                    || self.write_community.as_deref() == Some(community)
-            }
-        }
-    }
-
     /// Service one raw request datagram, appending the encoded response
     /// to `out`. `None`, with nothing written, when the message is
-    /// undecodable or fails community authentication (silently dropped,
-    /// like real agents).
+    /// undecodable, fails community authentication (silently dropped,
+    /// like real agents) or is not a GET or GETNEXT.
     ///
-    /// A GET is answered from the request as it lies in `raw`: each
-    /// name is looked up by its arcs and the response written straight
-    /// into `out`. Every other kind is decoded into owned values and
-    /// answered from those. The response bytes are the ones an owned
-    /// decode, dispatch and encode of the GET would give.
+    /// The request is answered as it lies in `raw`: each name is looked
+    /// up by its arcs and its varbind written straight into `out`, in
+    /// varbind order, each variable sampled as it is written. A GET
+    /// echoes the name under its value, or under `noSuchObject`; a
+    /// GETNEXT writes the first variable after the name, or echoes the
+    /// name under `endOfMibView` past the last one.
     pub fn handle(&mut self, raw: &[u8], out: &mut Vec<u8>) -> Option<()> {
         let view = MessageView::parse(raw).ok()?.whole()?;
-        if !self.authorized(view.kind, view.community) {
+        if view.community != self.community {
             self.auth_failures += 1;
             return None;
         }
-        if view.kind == PduKind::GetRequest {
-            self.answer_get(&view, out);
-            return Some(());
-        }
-        // The response echoes the request's community and, for SET, its
-        // names: the decoded request becomes the response.
-        let mut msg = view.to_message().ok()?;
-        self.dispatch(&mut msg.pdu)?;
-        Writer::append(out, |w| msg.encode_into(w));
-        Some(())
-    }
-
-    /// Append the response to the GET `view`, which must read whole:
-    /// every name echoed under the value the MIB holds for it, sampled
-    /// in varbind order as the response is written.
-    fn answer_get(&mut self, view: &MessageView<'_>, out: &mut Vec<u8>) {
+        let next = match view.kind {
+            PduKind::GetRequest => false,
+            PduKind::GetNextRequest => true,
+            PduKind::Response | PduKind::TrapV2 => return None,
+        };
         let mib = &mut self.mib;
-        let (community, id) = (view.community, view.request_id);
         Writer::append(out, |w| {
-            encode_message(w, community, PduKind::Response, id, (0, 0), |w| {
+            let id = view.request_id;
+            encode_message(w, view.community, PduKind::Response, id, (0, 0), |w| {
                 for vb in view.varbinds().flatten() {
                     vb.name.with_arcs(|arcs| {
-                        let value = mib.get(arcs).unwrap_or(SnmpValue::NoSuchObject);
+                        let (name, value) = if next {
+                            match mib.get_next(arcs) {
+                                Some((oid, value)) => (oid.arcs(), value),
+                                None => (arcs, SnmpValue::EndOfMibView),
+                            }
+                        } else {
+                            (arcs, mib.get(arcs).unwrap_or(SnmpValue::NoSuchObject))
+                        };
                         w.sequence(|w| {
-                            w.oid_arcs(arcs);
+                            w.oid_arcs(name);
                             value.encode(w);
                         });
                     });
                 }
             })
-        })
-    }
-
-    /// Turn the request `pdu` into its response, in place; `None` for
-    /// the kinds an agent does not answer.
-    fn dispatch(&mut self, pdu: &mut Pdu) -> Option<()> {
-        match pdu.kind {
-            PduKind::GetNextRequest => {
-                for vb in &mut pdu.varbinds {
-                    self.step(vb);
-                }
-            }
-            PduKind::SetRequest => {
-                for (i, vb) in pdu.varbinds.iter().enumerate() {
-                    let status = match self.mib.set(&vb.name, vb.value.clone()) {
-                        SetOutcome::Ok => continue,
-                        SetOutcome::NoSuchName => ErrorStatus::NoSuchName,
-                        SetOutcome::NotWritable => ErrorStatus::NotWritable,
-                    };
-                    *pdu = pdu.error_response(status, i as u32 + 1);
-                    return Some(());
-                }
-            }
-            PduKind::GetBulkRequest => {
-                let (non_repeaters, max_repetitions) = pdu.bulk.unwrap_or((0, 10));
-                // Cap repetitions so a hostile request cannot explode
-                // the response.
-                let max_repetitions = max_repetitions.min(128);
-                let mut repeaters = std::mem::take(&mut pdu.varbinds);
-                let nr = (non_repeaters as usize).min(repeaters.len());
-                pdu.varbinds = repeaters.drain(..nr).collect();
-                for vb in &mut pdu.varbinds {
-                    self.step(vb);
-                }
-                for mut vb in repeaters {
-                    for _ in 0..max_repetitions {
-                        let more = self.step(&mut vb);
-                        pdu.varbinds.push(vb.clone());
-                        if !more {
-                            break;
-                        }
-                    }
-                }
-            }
-            // GETs are answered in place by `answer_get`; agents do not
-            // answer responses or traps.
-            PduKind::GetRequest | PduKind::Response | PduKind::TrapV2 => return None,
-        }
-        let binds = std::mem::take(&mut pdu.varbinds);
-        *pdu = pdu.response(binds);
+        });
         Some(())
-    }
-
-    /// GETNEXT in place: `vb` becomes the first variable after its
-    /// name, or keeps its name under `endOfMibView` (and reports
-    /// `false`) past the last one.
-    fn step(&mut self, vb: &mut VarBind) -> bool {
-        match self.mib.get_next(&vb.name) {
-            Some((oid, value)) => {
-                *vb = VarBind::bound(oid, value);
-                true
-            }
-            None => {
-                vb.value = SnmpValue::EndOfMibView;
-                false
-            }
-        }
     }
 
     /// Build an SNMPv2-Trap message (uptime + trap OID + payload binds),
@@ -185,10 +109,9 @@ impl SnmpAgent {
             request_id: 0,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds,
         };
-        Message::new(&self.read_community, pdu).encode()
+        Message::new(&self.community, pdu).encode()
     }
 }
 
@@ -197,11 +120,11 @@ mod tests {
     use super::*;
 
     fn agent() -> SnmpAgent {
-        let mut a = SnmpAgent::new("router-1", "public", Some("private"));
+        let mut a = SnmpAgent::new("router-1", "public", None);
         a.mib_mut()
             .register_computed(arcs::host_cpu_load(), || SnmpValue::Gauge32(42));
         a.mib_mut()
-            .register_writable(arcs::host_mem_avail(), SnmpValue::Gauge32(1024));
+            .register_scalar(arcs::host_mem_avail(), SnmpValue::Gauge32(1024));
         a
     }
 
@@ -262,103 +185,6 @@ mod tests {
         );
         assert!(a.handle(&req.encode(), &mut Vec::new()).is_none());
         assert_eq!(a.auth_failures, 1);
-    }
-
-    #[test]
-    fn set_requires_write_community() {
-        let mut a = agent();
-        let set = |community: &str| {
-            Message::new(
-                community,
-                Pdu {
-                    kind: PduKind::SetRequest,
-                    request_id: 5,
-                    error_status: ErrorStatus::NoError,
-                    error_index: 0,
-                    bulk: None,
-                    varbinds: vec![VarBind::bound(
-                        arcs::host_mem_avail(),
-                        SnmpValue::Gauge32(2048),
-                    )],
-                },
-            )
-        };
-        // Read community cannot write.
-        assert!(a.handle(&set("public").encode(), &mut Vec::new()).is_none());
-        // Write community can.
-        let resp = ask(&mut a, &set("private"));
-        assert_eq!(resp.pdu.error_status, ErrorStatus::NoError);
-        let req = Message::new(
-            "public",
-            Pdu::request(PduKind::GetRequest, 6, vec![arcs::host_mem_avail()]),
-        );
-        assert_eq!(
-            ask(&mut a, &req).pdu.varbinds[0].value,
-            SnmpValue::Gauge32(2048)
-        );
-    }
-
-    #[test]
-    fn set_read_only_var_errors() {
-        let mut a = agent();
-        let msg = Message::new(
-            "private",
-            Pdu {
-                kind: PduKind::SetRequest,
-                request_id: 9,
-                error_status: ErrorStatus::NoError,
-                error_index: 0,
-                bulk: None,
-                varbinds: vec![VarBind::bound(arcs::host_cpu_load(), SnmpValue::Gauge32(0))],
-            },
-        );
-        let resp = ask(&mut a, &msg);
-        assert_eq!(resp.pdu.error_status, ErrorStatus::NotWritable);
-        assert_eq!(resp.pdu.error_index, 1);
-    }
-
-    #[test]
-    fn getbulk_walks_in_one_round_trip() {
-        let mut a = agent();
-        // MIB: sysDescr, sysName, cpu, mem (4 vars).
-        let req = Message::new(
-            "public",
-            Pdu::bulk_request(3, 0, 10, vec![Oid::new(&[1, 3])]),
-        );
-        let resp = ask(&mut a, &req);
-        // All 4 variables plus the endOfMibView marker.
-        assert_eq!(resp.pdu.varbinds.len(), 5);
-        assert_eq!(resp.pdu.varbinds[0].name, arcs::sys_descr());
-        assert_eq!(
-            resp.pdu.varbinds.last().unwrap().value,
-            SnmpValue::EndOfMibView
-        );
-    }
-
-    #[test]
-    fn getbulk_respects_max_repetitions() {
-        let mut a = agent();
-        let req = Message::new(
-            "public",
-            Pdu::bulk_request(4, 0, 2, vec![Oid::new(&[1, 3])]),
-        );
-        let resp = ask(&mut a, &req);
-        assert_eq!(resp.pdu.varbinds.len(), 2);
-    }
-
-    #[test]
-    fn getbulk_non_repeaters_mix() {
-        let mut a = agent();
-        // First name: single GETNEXT; second name: repeated.
-        let req = Message::new(
-            "public",
-            Pdu::bulk_request(5, 1, 3, vec![Oid::new(&[1, 3]), arcs::sys_descr()]),
-        );
-        let resp = ask(&mut a, &req);
-        // 1 (non-repeater) + 3 (repetitions) = 4 varbinds.
-        assert_eq!(resp.pdu.varbinds.len(), 4);
-        assert_eq!(resp.pdu.varbinds[0].name, arcs::sys_descr());
-        assert_eq!(resp.pdu.varbinds[1].name, arcs::sys_name());
     }
 
     #[test]

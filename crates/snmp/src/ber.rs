@@ -1,8 +1,8 @@
 //! ASN.1 Basic Encoding Rules — the subset SNMP needs.
 //!
 //! Definite-length TLV encoding of INTEGER, OCTET STRING, NULL, OBJECT
-//! IDENTIFIER, SEQUENCE, the SNMP application types (IpAddress,
-//! Counter32, Gauge32, TimeTicks), the v2c exception tags, and the
+//! IDENTIFIER, SEQUENCE, the SNMP application types the agents serve
+//! (Counter32, Gauge32, TimeTicks), the v2c exception tags, and the
 //! context-class PDU tags.
 
 use crate::oid::Oid;
@@ -16,18 +16,14 @@ pub mod tag {
     pub const NULL: u8 = 0x05;
     pub const OID: u8 = 0x06;
     pub const SEQUENCE: u8 = 0x30;
-    pub const IP_ADDRESS: u8 = 0x40;
     pub const COUNTER32: u8 = 0x41;
     pub const GAUGE32: u8 = 0x42;
     pub const TIMETICKS: u8 = 0x43;
     pub const NO_SUCH_OBJECT: u8 = 0x80;
-    pub const NO_SUCH_INSTANCE: u8 = 0x81;
     pub const END_OF_MIB_VIEW: u8 = 0x82;
     pub const GET_REQUEST: u8 = 0xA0;
     pub const GET_NEXT_REQUEST: u8 = 0xA1;
     pub const RESPONSE: u8 = 0xA2;
-    pub const SET_REQUEST: u8 = 0xA3;
-    pub const GET_BULK_REQUEST: u8 = 0xA5;
     pub const TRAP_V2: u8 = 0xA7;
 }
 
@@ -155,11 +151,6 @@ impl Writer {
                 push_base128(&mut w.buf, arc);
             }
         });
-    }
-
-    /// Write an IpAddress (4 octets, application tag 0).
-    pub fn ip_address(&mut self, addr: [u8; 4]) {
-        self.tlv(tag::IP_ADDRESS, &addr);
     }
 
     /// Write a TLV under tag `t` whose content is whatever `f` writes.

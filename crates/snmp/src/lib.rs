@@ -13,17 +13,19 @@
 //!   standard MIB-2 / private-enterprise arcs used by the framework,
 //! * [`ber`] — ASN.1 Basic Encoding Rules (definite-length TLV) for
 //!   every type SNMP needs,
-//! * [`value`] — the SNMP value universe (INTEGER, OCTET STRING,
-//!   Counter32, Gauge32, TimeTicks, ...),
-//! * [`pdu`] — GetRequest / GetNextRequest / SetRequest / Response /
-//!   Trap messages with community authentication,
+//! * [`value`] — the SNMP values the agents serve (INTEGER, OCTET
+//!   STRING, Counter32, Gauge32, TimeTicks, ...),
+//! * [`pdu`] — GetRequest / GetNextRequest / Response / Trap messages
+//!   with community authentication: the paper only reads MIB
+//!   variables, so SET and GETBULK are not spoken,
 //! * [`mib`] — a management information base: a sorted tree of bound
 //!   variables with instrumentation callbacks (the paper's
 //!   "instrumentation routines"),
 //! * [`agent`] — the embedded extension agent run on each host /
-//!   network element,
+//!   network element, answering GET and GETNEXT from the request's
+//!   bytes where they lie,
 //! * [`manager`] — the manager component run on the management
-//!   station, with `get`, `get_next`, `set` and `walk`,
+//!   station, with `get`, `get_next` and `walk`,
 //! * [`transport`] — glue that binds agents and managers to `simnet`
 //!   UDP sockets on the conventional ports 161/162.
 //!
@@ -42,7 +44,7 @@ pub mod value;
 
 pub use agent::SnmpAgent;
 pub use manager::SnmpManager;
-pub use mib::{Access, MibTree};
+pub use mib::MibTree;
 pub use oid::Oid;
 pub use pdu::{ErrorStatus, Message, MessageView, OidView, Pdu, PduKind, VarBind, VarBindView};
 pub use value::SnmpValue;
@@ -54,8 +56,6 @@ pub enum SnmpError {
     Malformed(&'static str),
     /// An OID string failed to parse.
     BadOid(String),
-    /// The community string did not authorize the operation.
-    BadCommunity,
     /// Manager timed out waiting for a response.
     Timeout,
     /// Agent returned an SNMP error status.
@@ -69,7 +69,6 @@ impl std::fmt::Display for SnmpError {
         match self {
             SnmpError::Malformed(m) => write!(f, "malformed BER: {m}"),
             SnmpError::BadOid(s) => write!(f, "bad OID: {s}"),
-            SnmpError::BadCommunity => write!(f, "community rejected"),
             SnmpError::Timeout => write!(f, "request timed out"),
             SnmpError::ErrorStatus(s, i) => write!(f, "agent error {s:?} at index {i}"),
             SnmpError::Transport(m) => write!(f, "transport: {m}"),

@@ -1,6 +1,6 @@
 //! The SNMP manager: the component "that runs on the management
-//! station" (§5.5), issuing GET / GETNEXT / SET and subtree walks to
-//! agents over the simulated network.
+//! station" (§5.5), issuing GET / GETNEXT and subtree walks to agents
+//! over the simulated network.
 
 use crate::ber::Writer;
 use crate::oid::Oid;
@@ -201,19 +201,6 @@ impl SnmpManager {
         )
     }
 
-    /// SET one variable.
-    pub fn set(
-        &mut self,
-        net: &mut Network,
-        agents: &mut [&mut AgentRuntime],
-        target: NodeId,
-        oid: Oid,
-        value: SnmpValue,
-    ) -> Result<(), SnmpError> {
-        let binds = std::iter::once((&oid, &value));
-        self.transact(net, agents, target, PduKind::SetRequest, binds, |_| Ok(()))
-    }
-
     /// Walk an entire subtree with repeated GETNEXT, stopping at the
     /// first OID outside `root` or at endOfMibView.
     pub fn walk(
@@ -245,12 +232,13 @@ mod tests {
     use super::*;
     use crate::agent::SnmpAgent;
     use crate::oid::arcs;
+    use crate::pdu::{Message, Pdu};
     use simnet::LinkSpec;
 
     fn world() -> (Network, SnmpManager, AgentRuntime, NodeId) {
         let mut net = Network::new(17);
         let (_sw, hosts) = net.lan(&["station", "host"], LinkSpec::lan());
-        let mut agent = SnmpAgent::new("simhost", "public", Some("private"));
+        let mut agent = SnmpAgent::new("simhost", "public", None);
         agent
             .mib_mut()
             .register_computed(arcs::host_cpu_load(), || SnmpValue::Gauge32(37));
@@ -259,7 +247,7 @@ mod tests {
             .register_computed(arcs::host_page_faults(), || SnmpValue::Gauge32(64));
         agent
             .mib_mut()
-            .register_writable(arcs::host_mem_avail(), SnmpValue::Gauge32(4096));
+            .register_scalar(arcs::host_mem_avail(), SnmpValue::Gauge32(4096));
         let rt = AgentRuntime::bind(&mut net, hosts[1], agent).unwrap();
         let mgr = SnmpManager::bind(&mut net, hosts[0], Port(30000), "public").unwrap();
         (net, mgr, rt, hosts[1])
@@ -302,45 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn set_with_wrong_community_times_out() {
-        let (mut net, _mgr, mut rt, host) = world();
-        // Manager with read community tries to SET: agent silently drops.
-        let mut ro_mgr = SnmpManager::bind(&mut net, rt.node(), Port(30001), "public");
-        // bind manager on the agent's own node is fine for the test
-        let ro_mgr = ro_mgr.as_mut().unwrap();
-        ro_mgr.timeout = Ticks::from_millis(50);
-        let err = ro_mgr
-            .set(
-                &mut net,
-                &mut [&mut rt],
-                host,
-                arcs::host_mem_avail(),
-                SnmpValue::Gauge32(1),
-            )
-            .unwrap_err();
-        assert_eq!(err, SnmpError::Timeout);
-    }
-
-    #[test]
-    fn set_with_write_community_succeeds() {
-        let (mut net, _mgr, mut rt, host) = world();
-        let station = rt.node();
-        let mut rw = SnmpManager::bind(&mut net, station, Port(30002), "private").unwrap();
-        rw.set(
-            &mut net,
-            &mut [&mut rt],
-            host,
-            arcs::host_mem_avail(),
-            SnmpValue::Gauge32(8192),
-        )
-        .unwrap();
-        let v = rw
-            .get_f64(&mut net, &mut [&mut rt], host, &arcs::host_mem_avail())
-            .unwrap();
-        assert_eq!(v, 8192.0);
-    }
-
-    #[test]
     fn unreachable_agent_times_out() {
         let mut net = Network::new(1);
         let a = net.add_node("station");
@@ -355,23 +304,26 @@ mod tests {
         assert_eq!(err, SnmpError::Timeout);
     }
 
+    /// A response carrying an error status fails the request with that
+    /// status and index. No agent here answers with one, so a socket on
+    /// the agent's port plays the agent: its response, sent before the
+    /// request, arrives while the manager waits for request id 1.
     #[test]
     fn error_status_surfaces() {
-        let (mut net, _mgr, mut rt, host) = world();
-        let station = rt.node();
-        let mut rw = SnmpManager::bind(&mut net, station, Port(30003), "private").unwrap();
-        let err = rw
-            .set(
-                &mut net,
-                &mut [&mut rt],
-                host,
-                arcs::host_cpu_load(), // computed: not writable
-                SnmpValue::Gauge32(0),
-            )
+        let mut net = Network::new(17);
+        let (_sw, hosts) = net.lan(&["station", "host"], LinkSpec::lan());
+        let (station, host) = (hosts[0], hosts[1]);
+        let mut mgr = SnmpManager::bind(&mut net, station, Port(30000), "public").unwrap();
+        let fake = net.bind(host, well_known::SNMP_AGENT).unwrap();
+        let mut failed = Pdu::request(PduKind::Response, 1, vec![arcs::sys_descr()]);
+        failed.error_status = ErrorStatus::GenErr;
+        failed.error_index = 1;
+        let wire = Message::new("public", failed).encode();
+        net.send(fake, Addr::unicast(station, Port(30000)), wire)
+            .unwrap();
+        let err = mgr
+            .get(&mut net, &mut [], host, &[arcs::sys_descr()])
             .unwrap_err();
-        assert!(matches!(
-            err,
-            SnmpError::ErrorStatus(ErrorStatus::NotWritable, 1)
-        ));
+        assert_eq!(err, SnmpError::ErrorStatus(ErrorStatus::GenErr, 1));
     }
 }

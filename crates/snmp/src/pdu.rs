@@ -27,10 +27,6 @@ pub enum PduKind {
     GetNextRequest,
     /// Agent → manager reply.
     Response,
-    /// SET — write a bound variable.
-    SetRequest,
-    /// GETBULK — batched GETNEXT (RFC 3416 §4.2.3).
-    GetBulkRequest,
     /// Unsolicited notification (SNMPv2-Trap).
     TrapV2,
 }
@@ -41,8 +37,6 @@ impl PduKind {
             PduKind::GetRequest => tag::GET_REQUEST,
             PduKind::GetNextRequest => tag::GET_NEXT_REQUEST,
             PduKind::Response => tag::RESPONSE,
-            PduKind::SetRequest => tag::SET_REQUEST,
-            PduKind::GetBulkRequest => tag::GET_BULK_REQUEST,
             PduKind::TrapV2 => tag::TRAP_V2,
         }
     }
@@ -52,15 +46,14 @@ impl PduKind {
             tag::GET_REQUEST => PduKind::GetRequest,
             tag::GET_NEXT_REQUEST => PduKind::GetNextRequest,
             tag::RESPONSE => PduKind::Response,
-            tag::SET_REQUEST => PduKind::SetRequest,
-            tag::GET_BULK_REQUEST => PduKind::GetBulkRequest,
             tag::TRAP_V2 => PduKind::TrapV2,
             _ => return None,
         })
     }
 }
 
-/// RFC 3416 error-status codes (the subset we generate).
+/// RFC 3416 error-status codes: the subset a response from a peer is
+/// read with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum ErrorStatus {
     /// Success.
@@ -76,7 +69,7 @@ pub enum ErrorStatus {
     ReadOnly,
     /// Any other failure.
     GenErr,
-    /// SET to a non-existent variable.
+    /// Variable cannot be written (v2c `notWritable`).
     NotWritable,
 }
 
@@ -141,13 +134,7 @@ pub struct Pdu {
     /// Error status (responses).
     pub error_status: ErrorStatus,
     /// 1-based index of the failing varbind, 0 if none.
-    ///
-    /// For `GetBulkRequest`, RFC 3416 reuses the two error fields as
-    /// `non-repeaters` (this crate keeps them in [`Pdu::bulk`]).
     pub error_index: u32,
-    /// GETBULK parameters `(non_repeaters, max_repetitions)`; only
-    /// meaningful (and only encoded) when `kind` is `GetBulkRequest`.
-    pub bulk: Option<(u32, u32)>,
     /// The variable bindings.
     pub varbinds: Vec<VarBind>,
 }
@@ -160,27 +147,6 @@ impl Pdu {
             request_id,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
-            varbinds: names.into_iter().map(VarBind::request).collect(),
-        }
-    }
-
-    /// A GETBULK request (RFC 3416): the first `non_repeaters` names
-    /// get one GETNEXT each; every further name is stepped
-    /// `max_repetitions` times.
-    #[cfg(test)]
-    pub fn bulk_request(
-        request_id: i32,
-        non_repeaters: u32,
-        max_repetitions: u32,
-        names: Vec<Oid>,
-    ) -> Pdu {
-        Pdu {
-            kind: PduKind::GetBulkRequest,
-            request_id,
-            error_status: ErrorStatus::NoError,
-            error_index: 0,
-            bulk: Some((non_repeaters, max_repetitions)),
             varbinds: names.into_iter().map(VarBind::request).collect(),
         }
     }
@@ -192,20 +158,7 @@ impl Pdu {
             request_id: self.request_id,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds,
-        }
-    }
-
-    /// An error response echoing this PDU's varbinds.
-    pub fn error_response(&self, status: ErrorStatus, index: u32) -> Pdu {
-        Pdu {
-            kind: PduKind::Response,
-            request_id: self.request_id,
-            error_status: status,
-            error_index: index,
-            bulk: None,
-            varbinds: self.varbinds.clone(),
         }
     }
 }
@@ -214,15 +167,14 @@ impl Pdu {
 /// and its response (≈90 bytes each) fit without regrowth.
 const ENCODE_RESERVE: usize = 128;
 
-/// Write one message. `fields` are the two integers after the request
-/// id: error status and index, or a GETBULK's non-repeaters and
-/// max-repetitions; `binds` writes the varbind list's content.
+/// Write one message. `error` is the error status and index after the
+/// request id; `binds` writes the varbind list's content.
 pub(crate) fn encode_message(
     w: &mut Writer,
     community: &str,
     kind: PduKind,
     request_id: i32,
-    fields: (i64, i64),
+    error: (i64, i64),
     binds: impl FnOnce(&mut Writer),
 ) {
     w.sequence(|w| {
@@ -230,8 +182,8 @@ pub(crate) fn encode_message(
         w.octet_string(community.as_bytes());
         w.constructed(kind.to_tag(), |w| {
             w.integer(request_id as i64);
-            w.integer(fields.0);
-            w.integer(fields.1);
+            w.integer(error.0);
+            w.integer(error.1);
             w.sequence(binds);
         });
     });
@@ -263,12 +215,10 @@ pub struct MessageView<'a> {
     pub kind: PduKind,
     /// Request id.
     pub request_id: i32,
-    /// Error status (`NoError` for a GETBULK).
+    /// Error status.
     pub error_status: ErrorStatus,
-    /// Error index (0 for a GETBULK).
+    /// Error index.
     pub error_index: u32,
-    /// GETBULK parameters, for a GETBULK only.
-    pub bulk: Option<(u32, u32)>,
     /// The varbind list's content.
     binds: Reader<'a>,
     /// Whether every varbind is known to read, so reading one need not
@@ -293,24 +243,14 @@ impl<'a> MessageView<'a> {
         let kind = PduKind::from_tag(pdu_tag).ok_or(SnmpError::Malformed("unknown PDU tag"))?;
         let mut pdu = msg.constructed(pdu_tag)?;
         let request_id = pdu.integer()? as i32;
-        let field1 = pdu.integer()?;
-        let field2 = pdu.integer()?;
-        let (error_status, error_index, bulk) = if kind == PduKind::GetBulkRequest {
-            (
-                ErrorStatus::NoError,
-                0,
-                Some((field1.max(0) as u32, field2.max(0) as u32)),
-            )
-        } else {
-            (ErrorStatus::from_i64(field1)?, field2 as u32, None)
-        };
+        let error_status = ErrorStatus::from_i64(pdu.integer()?)?;
+        let error_index = pdu.integer()? as u32;
         Ok(MessageView {
             community,
             kind,
             request_id,
             error_status,
             error_index,
-            bulk,
             binds: pdu.sequence()?,
             whole: false,
         })
@@ -360,7 +300,6 @@ impl<'a> MessageView<'a> {
                 request_id: self.request_id,
                 error_status: self.error_status,
                 error_index: self.error_index,
-                bulk: self.bulk,
                 varbinds,
             },
         })
@@ -485,13 +424,9 @@ impl Message {
 
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         let pdu = &self.pdu;
-        let fields = match (pdu.kind, pdu.bulk) {
-            (PduKind::GetBulkRequest, Some((nr, mr))) => (nr as i64, mr as i64),
-            (PduKind::GetBulkRequest, None) => (0, 10),
-            _ => (pdu.error_status.to_i64(), pdu.error_index as i64),
-        };
+        let error = (pdu.error_status.to_i64(), pdu.error_index as i64);
         let binds = pdu.varbinds.iter().map(|vb| (&vb.name, &vb.value));
-        encode_message(w, &self.community, pdu.kind, pdu.request_id, fields, |w| {
+        encode_message(w, &self.community, pdu.kind, pdu.request_id, error, |w| {
             write_varbinds(w, binds)
         });
     }
@@ -515,7 +450,6 @@ mod tests {
                 request_id: 0x0102_0304,
                 error_status: ErrorStatus::NoError,
                 error_index: 0,
-                bulk: None,
                 varbinds: vec![
                     VarBind::request(arcs::host_cpu_load()),
                     VarBind::request(arcs::host_page_faults()),
@@ -540,7 +474,6 @@ mod tests {
                 request_id: -7,
                 error_status: ErrorStatus::NotWritable,
                 error_index: 2,
-                bulk: None,
                 varbinds: vec![
                     VarBind::bound(arcs::sys_descr(), SnmpValue::string("simhost")),
                     VarBind::bound(arcs::host_cpu_load(), SnmpValue::Gauge32(73)),
@@ -554,24 +487,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_request_round_trips_with_parameters() {
-        let m = Message::new(
-            "public",
-            Pdu::bulk_request(5, 1, 20, vec![arcs::sys_uptime(), arcs::mib2()]),
-        );
-        let back = Message::decode(&m.encode()).unwrap();
-        assert_eq!(back.pdu.kind, PduKind::GetBulkRequest);
-        assert_eq!(back.pdu.bulk, Some((1, 20)));
-        assert_eq!(back, m);
-    }
-
-    #[test]
     fn all_pdu_kinds_round_trip() {
         for kind in [
             PduKind::GetRequest,
             PduKind::GetNextRequest,
             PduKind::Response,
-            PduKind::SetRequest,
             PduKind::TrapV2,
         ] {
             let m = Message::new("c", Pdu::request(kind, 1, vec![arcs::sys_uptime()]));
@@ -647,9 +567,6 @@ mod tests {
         )]);
         assert_eq!(resp.request_id, 9);
         assert_eq!(resp.kind, PduKind::Response);
-        let err = req.error_response(ErrorStatus::GenErr, 1);
-        assert_eq!(err.error_status, ErrorStatus::GenErr);
-        assert_eq!(err.varbinds.len(), 1);
     }
 
     use proptest::prelude::*;

@@ -16,8 +16,6 @@ pub enum SnmpValue {
     Null,
     /// OBJECT IDENTIFIER value.
     Oid(Oid),
-    /// IpAddress application type.
-    IpAddress([u8; 4]),
     /// Monotonic wrapping counter.
     Counter32(u32),
     /// Non-negative gauge (the paper's CPU load, page faults, ifSpeed).
@@ -26,8 +24,6 @@ pub enum SnmpValue {
     TimeTicks(u32),
     /// v2c exception: no such object.
     NoSuchObject,
-    /// v2c exception: no such instance.
-    NoSuchInstance,
     /// v2c exception: walk ran off the end of the MIB.
     EndOfMibView,
 }
@@ -68,12 +64,10 @@ impl SnmpValue {
             SnmpValue::OctetString(s) => w.octet_string(s),
             SnmpValue::Null => w.null(),
             SnmpValue::Oid(o) => w.oid(o),
-            SnmpValue::IpAddress(a) => w.ip_address(*a),
             SnmpValue::Counter32(v) => w.tagged_u32(tag::COUNTER32, *v),
             SnmpValue::Gauge32(v) => w.tagged_u32(tag::GAUGE32, *v),
             SnmpValue::TimeTicks(v) => w.tagged_u32(tag::TIMETICKS, *v),
             SnmpValue::NoSuchObject => w.exception(tag::NO_SUCH_OBJECT),
-            SnmpValue::NoSuchInstance => w.exception(tag::NO_SUCH_INSTANCE),
             SnmpValue::EndOfMibView => w.exception(tag::END_OF_MIB_VIEW),
         }
     }
@@ -86,17 +80,10 @@ impl SnmpValue {
             tag::OCTET_STRING => SnmpValue::OctetString(content.to_vec()),
             tag::NULL => SnmpValue::Null,
             tag::OID => SnmpValue::Oid(ber::decode_oid(content)?),
-            tag::IP_ADDRESS => {
-                let a: [u8; 4] = content
-                    .try_into()
-                    .map_err(|_| SnmpError::Malformed("IpAddress must be 4 octets"))?;
-                SnmpValue::IpAddress(a)
-            }
             tag::COUNTER32 => SnmpValue::Counter32(ber::decode_u32(content)?),
             tag::GAUGE32 => SnmpValue::Gauge32(ber::decode_u32(content)?),
             tag::TIMETICKS => SnmpValue::TimeTicks(ber::decode_u32(content)?),
             tag::NO_SUCH_OBJECT => SnmpValue::NoSuchObject,
-            tag::NO_SUCH_INSTANCE => SnmpValue::NoSuchInstance,
             tag::END_OF_MIB_VIEW => SnmpValue::EndOfMibView,
             _ => return Err(SnmpError::Malformed("unknown value tag")),
         })
@@ -113,12 +100,10 @@ impl fmt::Display for SnmpValue {
             },
             SnmpValue::Null => write!(f, "NULL"),
             SnmpValue::Oid(o) => write!(f, "OID: {o}"),
-            SnmpValue::IpAddress(a) => write!(f, "IpAddress: {}.{}.{}.{}", a[0], a[1], a[2], a[3]),
             SnmpValue::Counter32(v) => write!(f, "Counter32: {v}"),
             SnmpValue::Gauge32(v) => write!(f, "Gauge32: {v}"),
             SnmpValue::TimeTicks(v) => write!(f, "Timeticks: {v}"),
             SnmpValue::NoSuchObject => write!(f, "noSuchObject"),
-            SnmpValue::NoSuchInstance => write!(f, "noSuchInstance"),
             SnmpValue::EndOfMibView => write!(f, "endOfMibView"),
         }
     }
@@ -143,12 +128,10 @@ mod tests {
         round_trip(SnmpValue::OctetString(b"community".to_vec()));
         round_trip(SnmpValue::Null);
         round_trip(SnmpValue::Oid("1.3.6.1.2.1".parse().unwrap()));
-        round_trip(SnmpValue::IpAddress([192, 168, 1, 7]));
         round_trip(SnmpValue::Counter32(u32::MAX));
         round_trip(SnmpValue::Gauge32(87));
         round_trip(SnmpValue::TimeTicks(123456));
         round_trip(SnmpValue::NoSuchObject);
-        round_trip(SnmpValue::NoSuchInstance);
         round_trip(SnmpValue::EndOfMibView);
     }
 
@@ -165,14 +148,5 @@ mod tests {
         assert_eq!(SnmpValue::Integer(-1).as_u32(), None);
         assert_eq!(SnmpValue::Integer(7).as_u32(), Some(7));
         assert_eq!(SnmpValue::Counter32(9).as_u32(), Some(9));
-    }
-
-    #[test]
-    fn bad_ip_address_rejected() {
-        let mut w = Writer::new();
-        w.tlv(tag::IP_ADDRESS, &[1, 2, 3]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(SnmpValue::decode(&mut r).is_err());
     }
 }

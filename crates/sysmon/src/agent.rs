@@ -44,7 +44,7 @@ pub fn install_host_agent(host: &SharedHost, agent: &mut SnmpAgent) {
     for (_, oid, read, max) in HOST_METRICS {
         let h = host.clone();
         agent.mib_mut().register_computed(oid(), move || {
-            SnmpValue::Gauge32(read(&h.lock().unwrap()).round().clamp(0.0, max) as u32)
+            SnmpValue::Gauge32(read(&h.get()).round().clamp(0.0, max) as u32)
         });
     }
 }

@@ -2,7 +2,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Instantaneous host metrics (what the extension agent samples).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,7 +120,7 @@ pub struct SimHost {
 
 /// Shared handle to a host's current state, read by instrumentation
 /// routines from the SNMP agent.
-pub type SharedHost = Arc<Mutex<HostState>>;
+pub type SharedHost = Rc<Cell<HostState>>;
 
 impl SimHost {
     /// A host with the given generator profiles.
@@ -138,7 +139,7 @@ impl SimHost {
             fault_rng: None,
             mem_rng: None,
             step: 0,
-            state: Arc::new(Mutex::new(HostState::default())),
+            state: Rc::default(),
         };
         host.apply(0);
         host
@@ -161,7 +162,7 @@ impl SimHost {
 
     /// Current metrics snapshot.
     pub fn state(&self) -> HostState {
-        *self.state.lock().unwrap()
+        self.state.get()
     }
 
     fn apply(&mut self, step: usize) {
@@ -174,10 +175,11 @@ impl SimHost {
             .value_at(step, &mut self.fault_rng)
             .max(0.0);
         let mem = self.mem_profile.value_at(step, &mut self.mem_rng).max(0.0);
-        let mut s = self.state.lock().unwrap();
-        s.cpu_load = cpu;
-        s.page_faults = faults;
-        s.mem_avail_kb = mem;
+        self.state.set(HostState {
+            cpu_load: cpu,
+            page_faults: faults,
+            mem_avail_kb: mem,
+        });
     }
 
     /// Advance the generators one tick.
@@ -190,7 +192,7 @@ impl SimHost {
     /// Force specific metrics (used by tests and closed-loop
     /// experiments that drive exact sweep values).
     pub fn force(&mut self, state: HostState) {
-        *self.state.lock().unwrap() = state;
+        self.state.set(state);
     }
 }
 
@@ -304,7 +306,7 @@ mod tests {
         );
         let shared = h.shared();
         h.tick();
-        assert_eq!(shared.lock().unwrap().cpu_load, 10.0);
+        assert_eq!(shared.get().cpu_load, 10.0);
     }
 
     #[test]

@@ -54,7 +54,6 @@ fn snmp_get_response_matches_rfc_encoding() {
             request_id: 1,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds: vec![VarBind::bound(
                 arcs::sys_descr(),
                 SnmpValue::OctetString(b"simhost".to_vec()),
@@ -133,7 +132,6 @@ fn snmp_qdisc_row_response_matches_rfc_encoding() {
             request_id: 7,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds: vec![
                 VarBind::bound(arcs::qdisc_backlog(0), SnmpValue::Gauge32(4500)),
                 VarBind::bound(arcs::qdisc_drops(0), SnmpValue::Counter32(3)),
@@ -177,7 +175,6 @@ fn snmp_broker_row_response_matches_rfc_encoding() {
             request_id: 9,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds: vec![
                 VarBind::bound(arcs::broker_table_size(1), SnmpValue::Gauge32(6)),
                 VarBind::bound(arcs::broker_forwarded(1), SnmpValue::Counter32(57)),
@@ -225,7 +222,6 @@ fn snmp_selector_cache_row_response_matches_rfc_encoding() {
             request_id: 11,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds: vec![
                 VarBind::bound(arcs::cache_hits(), SnmpValue::Counter32(1000)),
                 VarBind::bound(arcs::cache_misses(), SnmpValue::Counter32(64)),
@@ -317,7 +313,6 @@ fn snmp_store_row_response_matches_rfc_encoding() {
             request_id: 13,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds: vec![
                 VarBind::bound(arcs::store_bundles(0), SnmpValue::Gauge32(3)),
                 VarBind::bound(arcs::store_bytes(0), SnmpValue::Gauge32(450)),
@@ -419,7 +414,6 @@ fn snmp_htb_row_response_matches_rfc_encoding() {
             request_id: 15,
             error_status: ErrorStatus::NoError,
             error_index: 0,
-            bulk: None,
             varbinds: vec![
                 VarBind::bound(arcs::htb_node_rate(3), SnmpValue::Gauge32(1_000)),
                 VarBind::bound(arcs::htb_node_ceil(3), SnmpValue::Gauge32(2_000)),
@@ -537,6 +531,67 @@ fn snmp_oid_prefix_byte() {
         bytes.windows(oid_content.len()).any(|w| w == oid_content),
         "multi-byte arc encoding: {bytes:02X?}"
     );
+}
+
+/// What `SnmpAgent::handle` writes for `GetNextRequest(sysDescr.0)`,
+/// community "public", request-id 2: the next variable, sysName.0,
+/// under its value.
+#[test]
+fn snmp_getnext_response_matches_rfc_encoding() {
+    let mut agent = SnmpAgent::new("host", "public", None);
+    let request = Message::new(
+        "public",
+        Pdu::request(PduKind::GetNextRequest, 2, vec![arcs::sys_descr()]),
+    );
+    let mut raw = Vec::new();
+    agent.handle(&request.encode(), &mut raw).expect("answered");
+    let expected: Vec<u8> = vec![
+        0x30, 0x2A, // SEQUENCE, 42 bytes
+        0x02, 0x01, 0x01, // INTEGER version = 1 (v2c)
+        0x04, 0x06, b'p', b'u', b'b', b'l', b'i', b'c', // community
+        0xA2, 0x1D, // Response PDU, 29 bytes
+        0x02, 0x01, 0x02, // request-id = 2
+        0x02, 0x01, 0x00, // error-status = 0
+        0x02, 0x01, 0x00, // error-index = 0
+        0x30, 0x12, // varbind list
+        0x30, 0x10, // varbind
+        0x06, 0x08, 0x2B, 0x06, 0x01, 0x02, 0x01, 0x01, 0x05, 0x00, // sysName.0
+        0x04, 0x04, b'h', b'o', b's', b't', // value
+    ];
+    assert_eq!(raw, expected);
+    let msg = Message::decode(&expected).unwrap();
+    assert_eq!(msg.pdu.varbinds[0].name, arcs::sys_name());
+}
+
+/// What `SnmpAgent::handle` writes for a GETNEXT past the last
+/// variable — `GetNextRequest(sysName.0)` to an agent holding only the
+/// system group, request-id 3: the request's own name under the v2c
+/// exception `endOfMibView` (context tag 2, empty).
+#[test]
+fn snmp_getnext_past_the_end_matches_rfc_encoding() {
+    let mut agent = SnmpAgent::new("host", "public", None);
+    let request = Message::new(
+        "public",
+        Pdu::request(PduKind::GetNextRequest, 3, vec![arcs::sys_name()]),
+    );
+    let mut raw = Vec::new();
+    agent.handle(&request.encode(), &mut raw).expect("answered");
+    let expected: Vec<u8> = vec![
+        0x30, 0x26, // SEQUENCE, 38 bytes
+        0x02, 0x01, 0x01, // INTEGER version = 1 (v2c)
+        0x04, 0x06, b'p', b'u', b'b', b'l', b'i', b'c', // community
+        0xA2, 0x19, // Response PDU, 25 bytes
+        0x02, 0x01, 0x03, // request-id = 3
+        0x02, 0x01, 0x00, // error-status = 0
+        0x02, 0x01, 0x00, // error-index = 0
+        0x30, 0x0E, // varbind list
+        0x30, 0x0C, // varbind
+        0x06, 0x08, 0x2B, 0x06, 0x01, 0x02, 0x01, 0x01, 0x05, 0x00, // sysName.0
+        0x82, 0x00, // endOfMibView
+    ];
+    assert_eq!(raw, expected);
+    let msg = Message::decode(&expected).unwrap();
+    assert_eq!(msg.pdu.varbinds[0].value, SnmpValue::EndOfMibView);
 }
 
 /// Snapshot of the semantic-message container: changing the wire format

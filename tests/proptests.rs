@@ -50,7 +50,6 @@ fn arb_snmp_value() -> impl Strategy<Value = SnmpValue> {
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(SnmpValue::OctetString),
         Just(SnmpValue::Null),
         arb_oid().prop_map(SnmpValue::Oid),
-        any::<[u8; 4]>().prop_map(SnmpValue::IpAddress),
         any::<u32>().prop_map(SnmpValue::Counter32),
         any::<u32>().prop_map(SnmpValue::Gauge32),
         any::<u32>().prop_map(SnmpValue::TimeTicks),
@@ -1083,7 +1082,6 @@ proptest! {
                 request_id,
                 error_status: collabqos::snmp::ErrorStatus::NoError,
                 error_index: 0,
-                bulk: None,
                 varbinds: binds
                     .into_iter()
                     .map(|(o, v)| VarBind::bound(o, v))
@@ -2021,8 +2019,9 @@ fn host_agent() -> collabqos::snmp::SnmpAgent {
 /// Read `bytes` every way there is, and hold the ways to each other:
 /// the in-place view accepts exactly what `Message::decode` accepts,
 /// refuses the rest with decode's error, reads the same header and
-/// varbinds, and the agent's in-place answer to a GET is the owned
-/// decode-answer-encode's byte for byte. Neither reader sizes an
+/// varbinds, and the agent's in-place answer to a GET or GETNEXT is,
+/// byte for byte, an owned response built from the decoded request and
+/// the MIB's own `get` / `get_next`. Neither reader sizes an
 /// allocation from an unchecked header: the view's largest is a
 /// decoded OID value, the owned decode's its varbind vector.
 fn check_snmp_readers(bytes: &[u8]) -> Result<(), TestCaseError> {
@@ -2059,7 +2058,6 @@ fn check_snmp_readers(bytes: &[u8]) -> Result<(), TestCaseError> {
             prop_assert_eq!(view.request_id, msg.pdu.request_id);
             prop_assert_eq!(view.error_status, msg.pdu.error_status);
             prop_assert_eq!(view.error_index, msg.pdu.error_index);
-            prop_assert_eq!(view.bulk, msg.pdu.bulk);
             prop_assert_eq!(view.varbinds().count(), msg.pdu.varbinds.len());
             for (vb, want) in view.varbinds().zip(&msg.pdu.varbinds) {
                 let vb = vb.expect("whole");
@@ -2080,27 +2078,36 @@ fn check_snmp_readers(bytes: &[u8]) -> Result<(), TestCaseError> {
     let answer = host_agent().handle(bytes, &mut response).map(|()| response);
     let mut reference = host_agent();
     match owned {
-        Ok(msg) if msg.community == "public" && msg.pdu.kind == PduKind::GetRequest => {
+        Ok(msg)
+            if msg.community == "public"
+                && matches!(msg.pdu.kind, PduKind::GetRequest | PduKind::GetNextRequest) =>
+        {
+            let mib = reference.mib_mut();
             let binds = msg
                 .pdu
                 .varbinds
                 .iter()
                 .map(|vb| {
-                    let value = reference.mib_mut().get(&vb.name);
-                    VarBind::bound(vb.name.clone(), value.unwrap_or(SnmpValue::NoSuchObject))
+                    if msg.pdu.kind == PduKind::GetRequest {
+                        let value = mib.get(&vb.name).unwrap_or(SnmpValue::NoSuchObject);
+                        return VarBind::bound(vb.name.clone(), value);
+                    }
+                    match mib.get_next(vb.name.arcs()) {
+                        Some((next, value)) => VarBind::bound(next.clone(), value),
+                        None => VarBind::bound(vb.name.clone(), SnmpValue::EndOfMibView),
+                    }
                 })
                 .collect();
             let want = Message::new(&msg.community, msg.pdu.response(binds)).encode();
             prop_assert_eq!(answer, Some(want));
         }
-        Ok(msg) if msg.community == "public" => {} // answered from owned values
         _ => prop_assert_eq!(answer, None),
     }
     Ok(())
 }
 
-/// A GET for host metrics, unknown variables and arbitrary names, under
-/// the agent's community or another.
+/// A GET or GETNEXT for host metrics, unknown variables and arbitrary
+/// names, under the agent's community or another.
 fn arb_get_request() -> impl Strategy<Value = Vec<u8>> {
     let name = prop_oneof![
         Just(collabqos::snmp::oid::arcs::host_cpu_load()),
@@ -2112,12 +2119,48 @@ fn arb_get_request() -> impl Strategy<Value = Vec<u8>> {
     (
         any::<i32>(),
         any::<bool>(),
+        any::<bool>(),
         proptest::collection::vec(name, 0..5),
     )
-        .prop_map(|(id, ours, names)| {
+        .prop_map(|(id, ours, next, names)| {
             let community = if ours { "public" } else { "privat" };
-            Message::new(community, Pdu::request(PduKind::GetRequest, id, names)).encode()
+            let kind = if next {
+                PduKind::GetNextRequest
+            } else {
+                PduKind::GetRequest
+            };
+            Message::new(community, Pdu::request(kind, id, names)).encode()
         })
+}
+
+/// SET (0xA3) and GETBULK (0xA5) are not spoken: both readers refuse
+/// their tags, and the agent answers neither.
+#[test]
+fn snmp_set_and_getbulk_tags_are_refused() {
+    use collabqos::snmp::{MessageView, SnmpError};
+
+    let get = Message::new(
+        "public",
+        Pdu::request(
+            PduKind::GetRequest,
+            1,
+            vec![collabqos::snmp::oid::arcs::host_cpu_load()],
+        ),
+    )
+    .encode();
+    // SEQUENCE header, version, community "public", then the PDU tag.
+    let at = 2 + 3 + 8;
+    assert_eq!(get[at], 0xA0);
+    for tag in [0xA3, 0xA5] {
+        let mut bytes = get.clone();
+        bytes[at] = tag;
+        let refused = SnmpError::Malformed("unknown PDU tag");
+        assert_eq!(MessageView::parse(&bytes).err(), Some(refused.clone()));
+        assert_eq!(Message::decode(&bytes).err(), Some(refused));
+        let mut out = Vec::new();
+        assert_eq!(host_agent().handle(&bytes, &mut out), None);
+        assert!(out.is_empty(), "nothing written for tag {tag:#x}");
+    }
 }
 
 proptest! {
