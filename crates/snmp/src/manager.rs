@@ -202,7 +202,10 @@ impl SnmpManager {
     }
 
     /// Walk an entire subtree with repeated GETNEXT, stopping at the
-    /// first OID outside `root` or at endOfMibView.
+    /// first OID outside `root` or at endOfMibView. An answer whose
+    /// name is not strictly after the cursor in MIB order is
+    /// `Malformed` (RFC 3416 §4.2.2 answers with the successor), so a
+    /// faulty agent cannot keep the walk going forever.
     pub fn walk(
         &mut self,
         net: &mut Network,
@@ -219,6 +222,9 @@ impl SnmpManager {
             };
             if vb.value == SnmpValue::EndOfMibView || !vb.name.starts_with(root) {
                 break;
+            }
+            if vb.name <= cursor {
+                return Err(SnmpError::Malformed("GETNEXT answer does not advance"));
             }
             cursor = vb.name.clone();
             out.push(vb);
@@ -325,5 +331,21 @@ mod tests {
             .get(&mut net, &mut [], host, &[arcs::sys_descr()])
             .unwrap_err();
         assert_eq!(err, SnmpError::ErrorStatus(ErrorStatus::GenErr, 1));
+    }
+
+    #[test]
+    fn walk_refuses_an_answer_that_does_not_advance() {
+        let mut net = Network::new(17);
+        let (_sw, hosts) = net.lan(&["station", "host"], LinkSpec::lan());
+        let (station, host) = (hosts[0], hosts[1]);
+        let mut mgr = SnmpManager::bind(&mut net, station, Port(30000), "public").unwrap();
+        let fake = net.bind(host, well_known::SNMP_AGENT).unwrap();
+        let root = arcs::sys_descr();
+        let stuck = Pdu::request(PduKind::Response, 1, vec![root.clone()]);
+        let wire = Message::new("public", stuck).encode();
+        net.send(fake, Addr::unicast(station, Port(30000)), wire)
+            .unwrap();
+        let err = mgr.walk(&mut net, &mut [], host, &root).unwrap_err();
+        assert_eq!(err, SnmpError::Malformed("GETNEXT answer does not advance"));
     }
 }

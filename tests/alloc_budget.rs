@@ -43,66 +43,11 @@
 //! downlink delivery made none.
 
 use collabqos::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// The largest single request since the last [`largest_since`].
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn bump(size: usize) {
-    // A thread being torn down has no counter left; its allocations
-    // belong to no test.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    let _ = LARGEST.try_with(|max| max.set(max.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a plain `Cell<u64>` with a
-// const initialiser, so bumping it never allocates or runs a
-// destructor.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
-        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
-        // the caller's responsibility under the `GlobalAlloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use testkit::alloc::{allocs, largest_since, CountingAlloc};
+use testkit::{Client, Scenario};
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations this thread has made so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-/// The largest request this thread made since the last call.
-fn largest_since() -> usize {
-    LARGEST.with(|max| max.replace(0))
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const CHAT: &str = "interested_in contains 'chat'";
 const IMAGES: &str = "interested_in contains 'image'";
@@ -122,19 +67,10 @@ fn session(domains: Option<usize>) -> CollaborationSession {
 
 /// [`session`] under `cfg`.
 fn session_with(cfg: SessionConfig) -> CollaborationSession {
-    let mut s = CollaborationSession::new(cfg);
-    for i in 0..CLIENTS {
-        let name = format!("c{i}");
-        let mut profile = Profile::new(&name);
-        profile.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("chat"), AttrValue::str("image")]),
-        );
-        let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
-        s.add_wired_client(profile, engine, SimHost::idle(&name))
-            .expect("client joins");
-    }
-    s
+    let clients = (0..CLIENTS)
+        .map(|i| Client::passive(&format!("c{i}"), &["chat", "image"]))
+        .collect();
+    Scenario { cfg, clients }.build().0
 }
 
 /// Allocations per chat line delivered, over `ROUNDS` rounds of four
@@ -228,7 +164,7 @@ fn a_brokered_image_view_stays_within_its_budget() {
 /// The allocations `Frame::read` makes for the first look at a buffer
 /// holding a message with `content`, its selector already in the store;
 /// and, separately, what reading that content description then costs.
-fn frame_read_costs(content: &[(&str, AttrValue)]) -> (u64, u64) {
+fn frame_read_costs(content: &[(&str, AttrValue)]) -> (usize, usize) {
     use collabqos::sempubsub::{Frame, SelectorStore, SemanticMessage};
     use collabqos::simnet::Payload;
     let store = SelectorStore::with_capacity(4);
@@ -403,20 +339,16 @@ fn a_warm_reshare_allocates_its_frames_and_no_container() {
 /// Allocations `pump` makes over `ROUNDS` rounds of four chat lines
 /// the gateway relays to each of `thin` wireless clients, after
 /// `WARM_ROUNDS` rounds; and the downlink deliveries counted.
-fn relay_allocs(thin: usize) -> (u64, u64) {
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed: 31,
-        ..SessionConfig::default()
-    });
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("chat")]),
-    );
-    let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
-    let publisher = s
-        .add_wired_client(profile, engine, SimHost::idle("publisher"))
-        .expect("publisher joins");
+fn relay_allocs(thin: usize) -> (usize, u64) {
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig {
+            seed: 31,
+            ..SessionConfig::default()
+        },
+        clients: vec![Client::passive("publisher", &["chat"])],
+    }
+    .build();
+    let publisher = ids[0];
     s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
         .expect("gateway attaches");
     for i in 0..thin {

@@ -18,31 +18,7 @@ use collabqos::simnet::packet::well_known;
 use collabqos::simnet::qdisc::{QdiscConfig, TrafficClass};
 use collabqos::simnet::{Addr, FaultAction, FaultPlan, Network, Port};
 use std::collections::BTreeMap;
-
-fn topic_profile(name: &str, topics: &[&str]) -> Profile {
-    let mut p = Profile::new(name);
-    p.set(
-        "interested_in",
-        AttrValue::List(topics.iter().map(|t| AttrValue::str(t)).collect()),
-    );
-    p
-}
-
-fn engine() -> collabqos::prelude::InferenceEngine {
-    InferenceEngine::new(PolicyDb::new(), QosContract::default())
-}
-
-/// Attach one endpoint to domain `d` of a raw overlay: advertise the
-/// profile, join the domain group, and settle the flood.
-fn join_domain(net: &mut Network, ov: &mut Overlay, d: usize, profile: Profile) -> BusEndpoint {
-    let node = net.add_node(&profile.name.clone());
-    net.connect(ov.node(d), node, LinkSpec::lan());
-    ov.register_local(net, d, &profile);
-    let bus = BusEndpoint::join(net, node, well_known::SESSION_DATA, ov.group(d), profile)
-        .expect("endpoint joins");
-    ov.settle(net);
-    bus
-}
+use testkit::{join_domain, topic_profile, Client, Scenario};
 
 /// Origins broker `i` has learnt from neighbor broker `from`, in
 /// arrival order.
@@ -160,34 +136,23 @@ fn three_domain_scenario_suppresses_at_least_half_of_messages() {
 #[test]
 fn brokered_rejections_become_suppressions() {
     let run = |domains: Option<usize>| {
-        let mut s = CollaborationSession::new(SessionConfig {
-            seed: 77,
-            domains,
-            ..SessionConfig::default()
-        });
-        let publisher = s
-            .add_wired_client(
-                topic_profile("publisher", &["image", "text"]),
-                engine(),
-                SimHost::idle("publisher"),
-            )
-            .unwrap();
-        // In brokered mode round-robin places these in domains 1 and 2:
-        // the texter sits on the transit broker of the 0-1-2 chain.
-        let texter = s
-            .add_wired_client(
-                topic_profile("texter", &["text"]),
-                engine(),
-                SimHost::idle("texter"),
-            )
-            .unwrap();
-        let viewer = s
-            .add_wired_client(
-                topic_profile("viewer", &["image"]),
-                engine(),
-                SimHost::idle("viewer"),
-            )
-            .unwrap();
+        let (mut s, ids) = Scenario {
+            cfg: SessionConfig {
+                seed: 77,
+                domains,
+                ..SessionConfig::default()
+            },
+            // In brokered mode round-robin places the texter and the
+            // viewer in domains 1 and 2: the texter sits on the transit
+            // broker of the 0-1-2 chain.
+            clients: vec![
+                Client::passive("publisher", &["image", "text"]),
+                Client::passive("texter", &["text"]),
+                Client::passive("viewer", &["image"]),
+            ],
+        }
+        .build();
+        let [publisher, texter, viewer] = ids.try_into().unwrap();
         let scene = synthetic_scene(64, 64, 1, 3, 5);
         s.share_image(publisher, &scene, "interested_in contains 'image'")
             .unwrap();
@@ -225,19 +190,19 @@ fn brokered_rejections_become_suppressions() {
     // chats and one broadcast.
     for per_domain in [1, 2, 4, 8] {
         let accepted = |domains: Option<usize>| {
-            let mut s = CollaborationSession::new(SessionConfig {
-                seed: 0x006F_7665_726C_6179,
-                domains,
-                ..SessionConfig::default()
-            });
-            let ids: Vec<usize> = (0..3 * per_domain)
-                .map(|i| {
-                    let name = format!("client-{i}");
-                    let profile = topic_profile(&name, &[&format!("d{}", i % 3), "all"]);
-                    s.add_wired_client(profile, engine(), SimHost::idle(&name))
-                        .unwrap()
-                })
-                .collect();
+            let (mut s, ids) = Scenario {
+                cfg: SessionConfig {
+                    seed: 0x006F_7665_726C_6179,
+                    domains,
+                    ..SessionConfig::default()
+                },
+                clients: (0..3 * per_domain)
+                    .map(|i| {
+                        Client::passive(&format!("client-{i}"), &[&format!("d{}", i % 3), "all"])
+                    })
+                    .collect(),
+            }
+            .build();
             for (d, &publisher) in ids.iter().enumerate().take(3) {
                 for m in 0..8 {
                     let selector = format!("interested_in contains 'd{d}'");
@@ -486,20 +451,20 @@ fn a_lost_advertisement_is_repaired_by_readvertise_and_by_nothing_else() {
 #[test]
 fn one_store_lookup_per_buffer_brokers_and_gateway_included() {
     const PUBLISHES: u64 = 90;
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed: 19,
-        domains: Some(3),
-        ..SessionConfig::default()
-    });
-    let clients: Vec<usize> = (0..9)
-        .map(|i| {
-            let name = format!("c{i}");
-            let topics = [format!("t{}", i % 4), format!("t{}", (i + 1) % 4)];
-            let profile = topic_profile(&name, &[&topics[0], &topics[1]]);
-            s.add_wired_client(profile, engine(), SimHost::idle(&name))
-                .expect("client joins")
-        })
-        .collect();
+    let (mut s, clients) = Scenario {
+        cfg: SessionConfig {
+            seed: 19,
+            domains: Some(3),
+            ..SessionConfig::default()
+        },
+        clients: (0..9)
+            .map(|i| {
+                let topics = [format!("t{}", i % 4), format!("t{}", (i + 1) % 4)];
+                Client::passive(&format!("c{i}"), &[&topics[0], &topics[1]])
+            })
+            .collect(),
+    }
+    .build();
     s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
         .expect("gateway attaches");
     for (w, topic) in ["t0", "t2", "t3"].into_iter().enumerate() {
@@ -669,12 +634,10 @@ fn storm_session(clients: usize) -> (CollaborationSession, Vec<u64>) {
         let (d, j) = (i % DOMAINS, i / DOMAINS);
         let a = j % 12;
         let b = (a + 1 + (j / 12) % 11) % 12;
-        let name = format!("c{i}");
         let topics = [format!("t{:02}", 6 * d + a), format!("t{:02}", 6 * d + b)];
-        let profile = topic_profile(&name, &[&topics[0], &topics[1]]);
+        let client = Client::passive(&format!("c{i}"), &[&topics[0], &topics[1]]);
         let before = s.net.stats().sent;
-        s.add_wired_client(profile, engine(), SimHost::idle(&name))
-            .expect("client joins");
+        client.join(&mut s).expect("client joins");
         per_join.push(s.net.stats().sent - before);
     }
     (s, per_join)
@@ -788,21 +751,14 @@ fn session_exposes_inter_broker_links_and_mib_rows() {
     assert!(s.inter_broker_link(1, 2).is_some());
     assert!(s.inter_broker_link(0, 2).is_none(), "chain, not clique");
 
-    let publisher = s
-        .add_wired_client_in_domain(
-            topic_profile("pub", &["image"]),
-            engine(),
-            SimHost::idle("pub"),
-            0,
-        )
+    let publisher = Client::passive("pub", &["image"])
+        .in_domain(0)
+        .join(&mut s)
         .unwrap();
-    s.add_wired_client_in_domain(
-        topic_profile("viewer", &["image"]),
-        engine(),
-        SimHost::idle("viewer"),
-        2,
-    )
-    .unwrap();
+    Client::passive("viewer", &["image"])
+        .in_domain(2)
+        .join(&mut s)
+        .unwrap();
     let scene = synthetic_scene(32, 32, 1, 2, 9);
     s.share_image(publisher, &scene, "interested_in contains 'image'")
         .unwrap();

@@ -13,6 +13,7 @@ use collabqos::simnet::rtp::ReceiverReport;
 use collabqos::simnet::{
     Addr, FaultAction, FaultModel, FaultPlan, GilbertElliott, LinkId, Network, NodeId, Port,
 };
+use testkit::{Client, Scenario};
 
 const MEDIA_PORT: Port = Port(5004);
 
@@ -34,7 +35,7 @@ fn chaos_seed(base: u64) -> u64 {
 /// fixed — node 0 streams to node 1 over a single wireless-grade link
 /// (`LinkId(0)`, base loss zero) — so plans can name links and nodes
 /// statically.
-struct Scenario {
+struct StreamScenario {
     name: &'static str,
     seed: u64,
     plan: FaultPlan,
@@ -45,7 +46,7 @@ struct Scenario {
     drain_for: Ticks,
 }
 
-impl Scenario {
+impl StreamScenario {
     /// Reproduction recipe printed on every assertion failure.
     fn ctx(&self) -> String {
         format!(
@@ -101,7 +102,7 @@ const DATAGRAM_LEN: usize = 20;
 
 /// Drive a scenario: stream numbered datagrams over the faulty link
 /// (no feedback path: a lost packet stays lost) and log each arrival.
-fn run_stream(sc: &Scenario) -> Outcome {
+fn run_stream(sc: &StreamScenario) -> Outcome {
     let mut net = Network::new(sc.seed);
     let src = net.add_node("sender");
     let dst = net.add_node("receiver");
@@ -146,8 +147,8 @@ fn heavy_burst() -> FaultModel {
     FaultModel::none().with_burst(GilbertElliott::bursty(0.05, 0.25, 0.8))
 }
 
-fn burst_scenario(seed: u64) -> Scenario {
-    Scenario {
+fn burst_scenario(seed: u64) -> StreamScenario {
+    StreamScenario {
         name: "wireless-burst-loss",
         seed,
         // The first and the last packet cross clean: the first anchors
@@ -202,25 +203,18 @@ fn burst_loss_on_wireless_link_is_counted_exactly() {
 /// access link with `fault` on it: each view's object id, packets
 /// accepted and pixels, and the viewer's report.
 fn views_over(seed: u64, fault: FaultModel) -> (Vec<(u64, u32, Vec<u8>)>, ReceiverReport) {
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed,
-        ..SessionConfig::default()
-    });
-    let mut join = |name: &str| {
-        let mut p = Profile::new(name);
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        s.add_wired_client(
-            p,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle(name),
-        )
-        .unwrap()
-    };
-    let publisher = join("publisher");
-    let viewer = join("viewer");
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("publisher", &["image"]),
+            Client::passive("viewer", &["image"]),
+        ],
+    }
+    .build();
+    let [publisher, viewer] = ids.try_into().unwrap();
     let link = s.client(viewer).link;
     s.net.set_fault_plan(
         FaultPlan::new().at(Ticks::from_millis(1), FaultAction::SetFault(link, fault)),
@@ -272,7 +266,7 @@ fn duplication_and_reorder_never_reach_the_app() {
 /// is lost, and every other one arrives.
 #[test]
 fn single_drop_is_counted_lost_and_skipped() {
-    let sc = Scenario {
+    let sc = StreamScenario {
         name: "single-drop",
         seed: chaos_seed(3003),
         plan: FaultPlan::new()
@@ -296,7 +290,7 @@ fn single_drop_is_counted_lost_and_skipped() {
 /// Shared checks for the two outage scenarios: the ten sends made while
 /// the receiver is unreachable fail and are counted lost, and arrivals
 /// resume after the heal.
-fn assert_outage_counted(sc: &Scenario, out: &Outcome) {
+fn assert_outage_counted(sc: &StreamScenario, out: &Outcome) {
     let ctx = sc.ctx();
     assert_eq!(out.send_failures, 10, "sends during the outage fail\n{ctx}");
     // Sends 10..20 (t = 100..190 ms) fall in the 95..195 ms outage.
@@ -313,7 +307,7 @@ fn assert_outage_counted(sc: &Scenario, out: &Outcome) {
 
 #[test]
 fn link_flap_loses_the_outage_and_resumes_in_order() {
-    let sc = Scenario {
+    let sc = StreamScenario {
         name: "link-flap",
         seed: chaos_seed(4004),
         plan: FaultPlan::new()
@@ -329,7 +323,7 @@ fn link_flap_loses_the_outage_and_resumes_in_order() {
 
 #[test]
 fn partition_heals_and_stream_recovers() {
-    let sc = Scenario {
+    let sc = StreamScenario {
         name: "partition-heal",
         seed: chaos_seed(5005),
         plan: FaultPlan::new()
@@ -513,49 +507,50 @@ fn faulted_figures_replay_identically() {
 // ------------------------------------------------- session under a plan
 
 /// Full-session chaos: one publisher multicasts scenes to three viewers
-/// while a scripted plan degrades and restores a viewer's link. The
+/// while a scripted plan degrades and restores a viewer's link. With
+/// an engine, every client is built through `SessionConfig::engine` +
+/// `add_adaptive_client` over the head-to-head policy mix and adapts
+/// each round; without one, every client is passive. The decision and
 /// delivery trace must replay bit-identically from the seed and plan.
-fn run_session_under_plan(seed: u64, plan: &FaultPlan) -> Vec<(usize, u64, u32, f64)> {
-    let cfg = SessionConfig {
-        seed,
-        ..SessionConfig::default()
+fn run_session_under_plan(
+    seed: u64,
+    plan: &FaultPlan,
+    engine: Option<EngineChoice>,
+) -> Vec<String> {
+    let client = |name: &str| match engine {
+        Some(_) => Client::adaptive(name, &["image"], head_to_head_policy()),
+        None => Client::passive(name, &["image"]),
     };
-    let mut session = CollaborationSession::new(cfg);
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let publisher = session
-        .add_wired_client(
-            profile.clone(),
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    for i in 0..3 {
-        let mut p = Profile::new(&format!("viewer{i}"));
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        session
-            .add_wired_client(
-                p,
-                InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-                SimHost::idle(&format!("viewer{i}")),
-            )
-            .unwrap();
+    let viewers = (0..3).map(|i| client(&format!("viewer{i}")));
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            engine: engine.unwrap_or_default(),
+            ..SessionConfig::default()
+        },
+        clients: std::iter::once(client("publisher"))
+            .chain(viewers)
+            .collect(),
     }
+    .build();
+    let publisher = ids[0];
     session.net.set_fault_plan(plan.clone());
     let mut rows = Vec::new();
     for round in 0..3u64 {
+        if engine.is_some() {
+            for d in session.adapt_all() {
+                rows.push(format!("{d:?}"));
+            }
+        }
         let scene = synthetic_scene(64, 64, 1, 3, seed.wrapping_add(round));
         session
             .share_image(publisher, &scene, "interested_in contains 'image'")
             .unwrap();
         for (cid, viewed) in session.pump(Ticks::from_secs(2)) {
-            rows.push((cid, viewed.object_id, viewed.packets_accepted, viewed.bpp));
+            rows.push(format!(
+                "{cid} {} {} {:?}",
+                viewed.object_id, viewed.packets_accepted, viewed.bpp
+            ));
         }
     }
     rows
@@ -579,10 +574,14 @@ fn engines_under_test() -> Vec<EngineChoice> {
 
 /// The head-to-head policy mix: loss + ECN congestion bands, the same
 /// databases every engine sees in `experiments::run_policy_comparison`.
-fn head_to_head_engine(choice: EngineChoice) -> Box<dyn AdaptationPolicy> {
+fn head_to_head_policy() -> PolicyDb {
     let mut db = PolicyDb::loss_policy();
     db.merge(PolicyDb::congestion_policy());
-    choice.build(db, QosContract::default())
+    db
+}
+
+fn head_to_head_engine(choice: EngineChoice) -> Box<dyn AdaptationPolicy> {
+    choice.build(head_to_head_policy(), QosContract::default())
 }
 
 /// One observation window of a degrading stream, as an engine input.
@@ -819,72 +818,6 @@ fn ecn_flood_head_to_head_trims_before_loss() {
     }
 }
 
-/// Full-session chaos per engine: viewers built through
-/// `SessionConfig::engine` + `add_adaptive_client`, adapted each round
-/// while a scripted plan degrades a viewer link. Decision and delivery
-/// traces must replay bit-identically from the seed and plan for every
-/// engine.
-fn run_adaptive_session_under_plan(
-    seed: u64,
-    plan: &FaultPlan,
-    choice: EngineChoice,
-) -> Vec<String> {
-    let cfg = SessionConfig {
-        seed,
-        engine: choice,
-        ..SessionConfig::default()
-    };
-    let mut session = CollaborationSession::new(cfg);
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let mut db = PolicyDb::loss_policy();
-    db.merge(PolicyDb::congestion_policy());
-    let publisher = session
-        .add_adaptive_client(
-            profile.clone(),
-            db.clone(),
-            QosContract::default(),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    for i in 0..3 {
-        let mut p = Profile::new(&format!("viewer{i}"));
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        session
-            .add_adaptive_client(
-                p,
-                db.clone(),
-                QosContract::default(),
-                SimHost::idle(&format!("viewer{i}")),
-            )
-            .unwrap();
-    }
-    session.net.set_fault_plan(plan.clone());
-    let mut rows = Vec::new();
-    for round in 0..3u64 {
-        for d in session.adapt_all() {
-            rows.push(format!("{d:?}"));
-        }
-        let scene = synthetic_scene(64, 64, 1, 3, seed.wrapping_add(round));
-        session
-            .share_image(publisher, &scene, "interested_in contains 'image'")
-            .unwrap();
-        for (cid, viewed) in session.pump(Ticks::from_secs(2)) {
-            rows.push(format!(
-                "{cid} {} {} {:.4}",
-                viewed.object_id, viewed.packets_accepted, viewed.bpp
-            ));
-        }
-    }
-    rows
-}
-
 #[test]
 fn engine_sessions_replay_identically() {
     let plan = FaultPlan::new()
@@ -895,14 +828,14 @@ fn engine_sessions_replay_identically() {
         .at(Ticks::from_millis(400), FaultAction::ClearFault(LinkId(1)));
     let seed = chaos_seed(1111);
     for choice in engines_under_test() {
-        let first = run_adaptive_session_under_plan(seed, &plan, choice);
+        let first = run_session_under_plan(seed, &plan, Some(choice));
         assert!(
             !first.is_empty(),
             "engine `{}`: no deliveries completed; seed {seed}",
             choice.name()
         );
         assert_eq!(
-            run_adaptive_session_under_plan(seed, &plan, choice),
+            run_session_under_plan(seed, &plan, Some(choice)),
             first,
             "engine `{}` trace diverged on a rerun; seed {seed}, plan:\n{plan}",
             choice.name()
@@ -924,42 +857,24 @@ fn run_custody_session_under_plan(
 ) -> (Vec<String>, u64, u64, u64, String) {
     use collabqos::dtn::StoreConfig;
 
-    let mut session = CollaborationSession::new(SessionConfig {
-        seed,
-        domains: Some(2),
-        custody: Some(StoreConfig {
-            lifetime,
-            retry_after: Ticks::from_millis(10),
-            ..StoreConfig::default()
-        }),
-        ..SessionConfig::default()
-    });
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let publisher = session
-        .add_wired_client_in_domain(
-            profile,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-            0,
-        )
-        .unwrap();
-    let mut p = Profile::new("texter");
-    p.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("text")]),
-    );
-    let texter = session
-        .add_wired_client_in_domain(
-            p,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("texter"),
-            1,
-        )
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            domains: Some(2),
+            custody: Some(StoreConfig {
+                lifetime,
+                retry_after: Ticks::from_millis(10),
+                ..StoreConfig::default()
+            }),
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("publisher", &["image"]).in_domain(0),
+            Client::passive("texter", &["text"]).in_domain(1),
+        ],
+    }
+    .build();
+    let [publisher, texter] = ids.try_into().unwrap();
 
     let link = session.inter_broker_link(0, 1).unwrap();
     let t0 = session.net.now();
@@ -1052,10 +967,10 @@ fn session_chaos_trace_replays_identically() {
         )
         .at(Ticks::from_millis(400), FaultAction::ClearFault(LinkId(1)));
     let seed = chaos_seed(99);
-    let first = run_session_under_plan(seed, &plan);
+    let first = run_session_under_plan(seed, &plan, None);
     assert!(!first.is_empty(), "at least some deliveries complete");
     assert_eq!(
-        run_session_under_plan(seed, &plan),
+        run_session_under_plan(seed, &plan, None),
         first,
         "session delivery trace diverged on a rerun; seed {seed}, plan:\n{plan}"
     );

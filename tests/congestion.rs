@@ -57,34 +57,20 @@ fn probe_detects_congestion_from_cross_traffic() {
 fn multicast_session_survives_competing_cbr() {
     use collabqos::prelude::*;
 
-    let mut session = CollaborationSession::new(SessionConfig {
-        link: LinkSpec::lan(),
-        ..SessionConfig::default()
-    });
-    let mut p = Profile::new("pub");
-    p.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let publisher = session
-        .add_wired_client(
-            p.clone(),
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("pub"),
-        )
-        .unwrap();
-    let mut v = Profile::new("view");
-    v.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let viewer = session
-        .add_wired_client(
-            v,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("view"),
-        )
-        .unwrap();
+    use testkit::{Client, Scenario};
+
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig {
+            link: LinkSpec::lan(),
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("pub", &["image"]),
+            Client::passive("view", &["image"]),
+        ],
+    }
+    .build();
+    let [publisher, viewer] = ids.try_into().unwrap();
     session.adapt(viewer);
 
     // Competing CBR between two extra nodes on the same switch.

@@ -11,38 +11,12 @@ use collabqos::broker::Overlay;
 use collabqos::dtn::StoreConfig;
 use collabqos::prelude::*;
 use collabqos::sempubsub::BusEndpoint;
-use collabqos::simnet::packet::well_known;
 use collabqos::simnet::Network;
 use collabqos::snmp::oid::arcs;
 use collabqos::snmp::transport::TrapSink;
 use collabqos::snmp::SnmpValue;
 use std::collections::BTreeMap;
-
-fn topic_profile(name: &str, topics: &[&str]) -> Profile {
-    let mut p = Profile::new(name);
-    p.set(
-        "interested_in",
-        AttrValue::List(topics.iter().map(|t| AttrValue::str(t)).collect()),
-    );
-    p
-}
-
-fn engine() -> InferenceEngine {
-    InferenceEngine::new(
-        collabqos::core::policy::PolicyDb::new(),
-        QosContract::default(),
-    )
-}
-
-fn join_domain(net: &mut Network, ov: &mut Overlay, d: usize, profile: Profile) -> BusEndpoint {
-    let node = net.add_node(&profile.name.clone());
-    net.connect(ov.node(d), node, LinkSpec::lan());
-    ov.register_local(net, d, &profile);
-    let bus = BusEndpoint::join(net, node, well_known::SESSION_DATA, ov.group(d), profile)
-        .expect("endpoint joins");
-    ov.settle(net);
-    bus
-}
+use testkit::{join_domain, topic_profile, Client, Scenario};
 
 fn accepted_bodies(net: &mut Network, bus: &mut BusEndpoint) -> Vec<Vec<u8>> {
     let raw = bus.drain_raw(net);
@@ -221,35 +195,27 @@ fn refused_transfer_keeps_custody_upstream_until_the_path_heals() {
 /// delivery.
 #[test]
 fn session_store_rows_alerts_and_drain_across_partition() {
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed: 1803,
-        domains: Some(2),
-        custody: Some(StoreConfig {
-            // Small quota, 1% watermark: 3 chat bundles (~450 bytes)
-            // comfortably cross the ~82-byte alert threshold while
-            // staying far below the 8 KiB eviction quota.
-            max_bytes: 8192,
-            high_watermark_pct: 1,
-            ..StoreConfig::default()
-        }),
-        ..SessionConfig::default()
-    });
-    let publisher = s
-        .add_wired_client_in_domain(
-            topic_profile("pub", &["image"]),
-            engine(),
-            SimHost::idle("pub"),
-            0,
-        )
-        .unwrap();
-    let texter = s
-        .add_wired_client_in_domain(
-            topic_profile("texter", &["text"]),
-            engine(),
-            SimHost::idle("texter"),
-            1,
-        )
-        .unwrap();
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig {
+            seed: 1803,
+            domains: Some(2),
+            custody: Some(StoreConfig {
+                // Small quota, 1% watermark: 3 chat bundles (~450
+                // bytes) comfortably cross the ~82-byte alert threshold
+                // while staying far below the 8 KiB eviction quota.
+                max_bytes: 8192,
+                high_watermark_pct: 1,
+                ..StoreConfig::default()
+            }),
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("pub", &["image"]).in_domain(0),
+            Client::passive("texter", &["text"]).in_domain(1),
+        ],
+    }
+    .build();
+    let [publisher, texter] = ids.try_into().unwrap();
     // A management station peered with broker 0 collects store traps.
     let b0_node = s.overlay().unwrap().node(0);
     let station = s.net.add_node("station");
@@ -327,33 +293,21 @@ fn session_store_rows_alerts_and_drain_across_partition() {
 #[test]
 fn custody_enabled_session_is_identical_without_partitions() {
     let run = |custody: Option<StoreConfig>| {
-        let mut s = CollaborationSession::new(SessionConfig {
-            seed: 1804,
-            domains: Some(3),
-            custody,
-            ..SessionConfig::default()
-        });
-        let publisher = s
-            .add_wired_client(
-                topic_profile("pub", &["image", "text"]),
-                engine(),
-                SimHost::idle("pub"),
-            )
-            .unwrap();
-        let texter = s
-            .add_wired_client(
-                topic_profile("texter", &["text"]),
-                engine(),
-                SimHost::idle("texter"),
-            )
-            .unwrap();
-        let viewer = s
-            .add_wired_client(
-                topic_profile("viewer", &["image"]),
-                engine(),
-                SimHost::idle("viewer"),
-            )
-            .unwrap();
+        let (mut s, ids) = Scenario {
+            cfg: SessionConfig {
+                seed: 1804,
+                domains: Some(3),
+                custody,
+                ..SessionConfig::default()
+            },
+            clients: vec![
+                Client::passive("pub", &["image", "text"]),
+                Client::passive("texter", &["text"]),
+                Client::passive("viewer", &["image"]),
+            ],
+        }
+        .build();
+        let [publisher, texter, viewer] = ids.try_into().unwrap();
         let scene = synthetic_scene(48, 48, 1, 2, 11);
         s.share_image(publisher, &scene, "interested_in contains 'image'")
             .unwrap();

@@ -12,37 +12,21 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cmp::Ordering;
+use testkit::{Client, Engine, Scenario};
 
-fn image_profile(name: &str) -> Profile {
-    let mut p = Profile::new(name);
-    p.set(
-        "interested_in",
-        AttrValue::List(vec![
-            AttrValue::str("image"),
-            AttrValue::str("chat"),
-            AttrValue::str("whiteboard"),
-        ]),
-    );
-    p
-}
-
-fn plain_engine() -> InferenceEngine {
-    InferenceEngine::new(PolicyDb::new(), QosContract::default())
-}
+const TOPICS: &[&str] = &["image", "chat", "whiteboard"];
 
 #[test]
 fn snmp_round_trip_feeds_inference_and_viewer() {
-    let mut session = CollaborationSession::new(SessionConfig::default());
-    let publisher = session
-        .add_wired_client(image_profile("pub"), plain_engine(), SimHost::idle("pub"))
-        .unwrap();
-    let viewer = session
-        .add_wired_client(
-            image_profile("view"),
-            InferenceEngine::new(PolicyDb::paper_page_fault_policy(), QosContract::default()),
-            SimHost::idle("view"),
-        )
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig::default(),
+        clients: vec![
+            Client::passive("pub", TOPICS),
+            Client::threshold("view", TOPICS, PolicyDb::paper_page_fault_policy()),
+        ],
+    }
+    .build();
+    let [publisher, viewer] = ids.try_into().unwrap();
 
     // Degrade the viewer's host; the decision must come via real SNMP.
     session.client_mut(viewer).host.force(HostState {
@@ -74,19 +58,17 @@ fn snmp_round_trip_feeds_inference_and_viewer() {
 fn profile_change_switches_modality_mid_session() {
     // The §2 scenario: user B flips to text mode; the same image-share
     // selector stops reaching B, while text still does.
-    let mut session = CollaborationSession::new(SessionConfig::default());
-    let a = session
-        .add_wired_client(image_profile("user-a"), plain_engine(), SimHost::idle("a"))
-        .unwrap();
-    let mut b_profile = Profile::new("user-b");
+    let mut b_profile = testkit::topic_profile("user-b", &["image"]);
     b_profile.set("mode", AttrValue::str("image"));
-    b_profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let b = session
-        .add_wired_client(b_profile, plain_engine(), SimHost::idle("b"))
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig::default(),
+        clients: vec![
+            Client::passive("user-a", TOPICS),
+            Client::new(b_profile, Engine::Threshold(PolicyDb::new())),
+        ],
+    }
+    .build();
+    let [a, b] = ids.try_into().unwrap();
     session.adapt(b);
 
     let scene = synthetic_scene(64, 64, 1, 2, 3);
@@ -114,15 +96,13 @@ fn profile_change_switches_modality_mid_session() {
 
 #[test]
 fn concurrent_strokes_converge_across_three_clients() {
-    let mut session = CollaborationSession::new(SessionConfig::default());
-    let ids: Vec<_> = ["c0", "c1", "c2"]
-        .iter()
-        .map(|n| {
-            session
-                .add_wired_client(image_profile(n), plain_engine(), SimHost::idle(n))
-                .unwrap()
-        })
-        .collect();
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig::default(),
+        clients: ["c0", "c1", "c2"]
+            .map(|n| Client::passive(n, TOPICS))
+            .into(),
+    }
+    .build();
     let object = session.new_object_id();
     // All three draw "at the same time" (before any pump).
     for (i, &id) in ids.iter().enumerate() {
@@ -144,10 +124,12 @@ fn concurrent_strokes_converge_across_three_clients() {
 
 #[test]
 fn wireless_text_only_under_terrible_sir() {
-    let mut session = CollaborationSession::new(SessionConfig::default());
-    let viewer = session
-        .add_wired_client(image_profile("desk"), plain_engine(), SimHost::idle("desk"))
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig::default(),
+        clients: vec![Client::passive("desk", TOPICS)],
+    }
+    .build();
+    let viewer = ids[0];
     session.adapt(viewer);
     session
         .attach_base_station(PathLossModel::default(), ModalityThresholds::default())
@@ -204,13 +186,12 @@ fn lossy_network_still_converges_with_enough_time() {
         seed: 77,
         ..SessionConfig::default()
     };
-    let mut session = CollaborationSession::new(cfg);
-    let a = session
-        .add_wired_client(image_profile("a"), plain_engine(), SimHost::idle("a"))
-        .unwrap();
-    let b = session
-        .add_wired_client(image_profile("b"), plain_engine(), SimHost::idle("b"))
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg,
+        clients: vec![Client::passive("a", TOPICS), Client::passive("b", TOPICS)],
+    }
+    .build();
+    let [a, b] = ids.try_into().unwrap();
     for i in 0..20 {
         session
             .share_chat(a, &format!("line {i}"), "interested_in contains 'chat'")
@@ -337,23 +318,18 @@ fn topic_session(
     clients: usize,
     topics: usize,
 ) -> (CollaborationSession, Vec<ClientId>) {
-    let mut session = CollaborationSession::new(cfg);
-    let ids = (0..clients)
+    let clients = (0..clients)
         .map(|i| {
-            let name = format!("client{i}");
-            let mut p = Profile::new(&name);
+            let mut p = Profile::new(&format!("client{i}"));
             let subscribed = [i % topics, (i * 7 + 3) % topics].map(|t| format!("t{t}"));
             p.set(
                 "topics",
                 AttrValue::List(subscribed.iter().map(|t| AttrValue::str(t)).collect()),
             );
-            let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
-            session
-                .add_wired_client(p, engine, SimHost::idle(&name))
-                .unwrap()
+            Client::new(p, Engine::Threshold(PolicyDb::new()))
         })
         .collect();
-    (session, ids)
+    Scenario { cfg, clients }.build()
 }
 
 /// The `k`-th of the `topics · (topics − 1) / 2` two-topic selectors.

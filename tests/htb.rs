@@ -15,17 +15,16 @@ use collabqos::core::trapwatch::{decision_from_trap, qos_plan_alert_trap_oid};
 use collabqos::dtn::StoreConfig;
 use collabqos::htb::{EnqueueOutcome, RatePlan, ShapingTree, TreeSpec, DEFAULT_LEAF, ROOT};
 use collabqos::prelude::*;
-use collabqos::sempubsub::BusEndpoint;
-use collabqos::simnet::packet::well_known;
 use collabqos::simnet::qdisc::{ClassMap, CoDel, Shaper, TokenBucket, TrafficClass, CLASS_COUNT};
 use collabqos::simnet::rtp::ReceiverReport;
-use collabqos::simnet::{Network, NodeId};
+use collabqos::simnet::Network;
 use collabqos::snmp::transport::TrapSink;
 use collabqos::snmp::SnmpValue;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+use testkit::{join_domain, topic_profile, Client, Scenario};
 
 const PKT_BITS: u64 = 1_500 * 8;
 /// Token-bucket depth (3000 B) plus one packet, as bit-budget slack.
@@ -742,30 +741,6 @@ proptest! {
 
 // ------------------------------------------------ custody + flaps
 
-fn topic_profile(name: &str, topics: &[&str]) -> Profile {
-    let mut p = Profile::new(name);
-    p.set(
-        "interested_in",
-        AttrValue::List(topics.iter().map(|t| AttrValue::str(t)).collect()),
-    );
-    p
-}
-
-fn join_domain_at(
-    net: &mut Network,
-    ov: &mut Overlay,
-    d: usize,
-    profile: Profile,
-) -> (BusEndpoint, NodeId) {
-    let node = net.add_node(&profile.name.clone());
-    net.connect(ov.node(d), node, LinkSpec::lan());
-    ov.register_local(net, d, &profile);
-    let bus = BusEndpoint::join(net, node, well_known::SESSION_DATA, ov.group(d), profile)
-        .expect("endpoint joins");
-    ov.settle(net);
-    (bus, node)
-}
-
 /// Three uplink flap cycles over a custody-enabled federation whose
 /// inter-broker link is shaped by a tree: every message published
 /// into an outage still arrives exactly once, in order, through the
@@ -784,9 +759,8 @@ fn uplink_flaps_with_custody_lose_nothing_through_the_tree() {
     ov.add_broker(&mut net, "b1");
     let l01 = ov.connect(&mut net, 0, 1, LinkSpec::lan());
 
-    let (mut publisher, _) = join_domain_at(&mut net, &mut ov, 0, topic_profile("pub", &["local"]));
-    let (mut sub, _sub_node) =
-        join_domain_at(&mut net, &mut ov, 1, topic_profile("sub", &["remote"]));
+    let mut publisher = join_domain(&mut net, &mut ov, 0, topic_profile("pub", &["local"]));
+    let mut sub = join_domain(&mut net, &mut ov, 1, topic_profile("sub", &["remote"]));
 
     // Shape the inter-broker uplink. Federation forwards hop by hop,
     // so traffic on this link targets broker 1 itself: bind the plan
@@ -860,35 +834,18 @@ fn uplink_flaps_with_custody_lose_nothing_through_the_tree() {
 #[test]
 fn plan_alert_downgrades_modality_at_session_level() {
     let seed = chaos_seed(1902);
-    let cfg = SessionConfig {
-        seed,
-        ..SessionConfig::default()
-    };
-    let mut session = CollaborationSession::new(cfg);
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let publisher = session
-        .add_wired_client(
-            profile,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    let mut p = Profile::new("viewer");
-    p.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let viewer = session
-        .add_wired_client(
-            p,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("viewer"),
-        )
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("publisher", &["image"]),
+            Client::passive("viewer", &["image"]),
+        ],
+    }
+    .build();
+    let [publisher, viewer] = ids.try_into().unwrap();
 
     let viewer_node = session.client(viewer).node;
     let mut spec = TreeSpec::new(8_000_000);
@@ -961,39 +918,18 @@ fn plan_alert_downgrades_modality_at_session_level() {
 /// deterministic simulator, so nothing outside the seed perturbs
 /// shaping.
 fn run_session_with_tree(seed: u64) -> Vec<(usize, u64, u32, f64)> {
-    let cfg = SessionConfig {
-        seed,
-        ..SessionConfig::default()
-    };
-    let mut session = CollaborationSession::new(cfg);
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let publisher = session
-        .add_wired_client(
-            profile,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    let mut viewers = Vec::new();
-    for i in 0..3 {
-        let mut p = Profile::new(&format!("viewer{i}"));
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        let id = session
-            .add_wired_client(
-                p,
-                InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-                SimHost::idle(&format!("viewer{i}")),
-            )
-            .unwrap();
-        viewers.push(id);
+    let viewers = (0..3).map(|i| Client::passive(&format!("viewer{i}"), &["image"]));
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        },
+        clients: std::iter::once(Client::passive("publisher", &["image"]))
+            .chain(viewers)
+            .collect(),
     }
+    .build();
+    let (publisher, viewers) = (ids[0], &ids[1..]);
     // Tiered plans on the shared uplink, tight enough that borrowing
     // and per-leaf AQM actually shape the deliveries.
     let mut spec = TreeSpec::new(6_000_000);
@@ -1046,7 +982,7 @@ fn session_with_tree_replays_identically() {
 /// engine fell back to the caption.
 fn quality_point(choice: EngineChoice, tier: (&str, u64, u64), scene: &Scene) -> (u32, f64, f64) {
     let (name, assured, ceil) = tier;
-    let mut session = CollaborationSession::new(SessionConfig {
+    let cfg = SessionConfig {
         seed: 11,
         color_transform: true,
         // Even the top tier's 16/16 budget is lossy: an infinite PSNR
@@ -1054,14 +990,6 @@ fn quality_point(choice: EngineChoice, tier: (&str, u64, u64), scene: &Scene) ->
         full_stream_bpp: Some(6.0),
         engine: choice,
         ..SessionConfig::default()
-    });
-    let image_profile = |name: &str| {
-        let mut p = Profile::new(name);
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        p
     };
     // A graded budget ladder: the stock congestion policy jumps from
     // eight packets straight to modality caps.
@@ -1092,21 +1020,15 @@ fn quality_point(choice: EngineChoice, tier: (&str, u64, u64), scene: &Scene) ->
             )
             .unwrap();
     }
-    let publisher = session
-        .add_wired_client(
-            image_profile("publisher"),
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    let viewer = session
-        .add_adaptive_client(
-            image_profile("viewer"),
-            ladder,
-            QosContract::default(),
-            SimHost::idle("viewer"),
-        )
-        .unwrap();
+    let (mut session, ids) = Scenario {
+        cfg,
+        clients: vec![
+            Client::passive("publisher", &["image"]),
+            Client::adaptive("viewer", &["image"], ladder),
+        ],
+    }
+    .build();
+    let [publisher, viewer] = ids.try_into().unwrap();
     // Lenient CoDel and a deep leaf queue: one image burst is never
     // AQM-dropped mid-prefix, so the tier's rate is what is measured.
     let mut spec = TreeSpec::new(ceil)

@@ -23,7 +23,7 @@
 
 use collabqos::core::apps::{ImageViewer, MediaStore};
 use collabqos::core::events::{AppEvent, EventView};
-use collabqos::core::session::{CollaborationSession, SessionConfig};
+use collabqos::core::session::SessionConfig;
 use collabqos::media::ezw::{
     self, CodecScratch, EzwDecoder, EzwEncoder, EzwScratch, PlaneAnalysis,
 };
@@ -32,9 +32,10 @@ use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket}
 use collabqos::media::reference;
 use collabqos::media::wavelet::{self, WaveletKind, WaveletScratch};
 use collabqos::media::MediaError;
-use collabqos::sempubsub::{SemanticMessage, WireMessage};
+use collabqos::sempubsub::WireMessage;
 use proptest::prelude::*;
 use std::sync::Arc;
+use testkit::{event_message, fnv1a, Client, FNV_OFFSET};
 
 const FIXTURE_PATH: &str = "tests/fixtures/ezw_color_64x64.bin";
 
@@ -615,13 +616,6 @@ fn golden_color_container_fixture() {
     assert!(collabqos::media::psnr_color(&scene.image, &coarse) > 15.0);
 }
 
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
-}
-
 /// On streams no encoder wrote, the live decoder is the contract:
 /// `media::reference` is the oracle only for encoder output (on damaged
 /// streams the two part ways about half the time). So what the live
@@ -632,7 +626,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 fn every_flipped_byte_of_the_fixture_decodes_as_pinned() {
     let golden = std::fs::read(FIXTURE_PATH).expect("fixture present");
     let mut damaged = golden.clone();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut decoded = 0;
     for i in 0..golden.len() {
         damaged[i] ^= 0xFF;
@@ -898,8 +892,10 @@ fn a_rate_limited_share_sends_the_cut_of_the_full_stream() {
     let sent = ezw::truncate_container(&full, budget).unwrap();
 
     let mut s = CollaborationSession::new(cfg.clone());
-    let publisher = join_image_client(&mut s, "publisher");
-    let viewer = join_image_client(&mut s, "viewer");
+    let publisher = Client::passive("publisher", &["image"])
+        .join(&mut s)
+        .unwrap();
+    let viewer = Client::passive("viewer", &["image"]).join(&mut s).unwrap();
     s.client_mut(viewer).viewer.set_packet_budget(16);
     for share in 1..=2u64 {
         s.share_image(publisher, &scene, IMAGE_SELECTOR).unwrap();
@@ -1125,19 +1121,6 @@ fn fixture_scene_is_stable() {
 
 const IMAGE_SELECTOR: &str = "interested_in contains 'image'";
 
-/// Add a wired client that subscribes to images.
-fn join_image_client(s: &mut CollaborationSession, name: &str) -> usize {
-    use collabqos::prelude::*;
-    let mut profile = Profile::new(name);
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
-    s.add_wired_client(profile, engine, SimHost::idle(name))
-        .unwrap()
-}
-
 /// The packets `share_image` sends for a 64x64 `scene` under `cfg`.
 fn shared_packets(cfg: &SessionConfig, scene: &Scene) -> Vec<MediaPacket> {
     let levels = wavelet::max_levels(64, 64).min(5);
@@ -1163,13 +1146,17 @@ fn session_views_equal_plain_decodes_and_decode_once_per_prefix() {
             ..SessionConfig::default()
         };
         let mut s = CollaborationSession::new(cfg.clone());
-        let publisher = join_image_client(&mut s, "publisher");
+        let publisher = Client::passive("publisher", &["image"])
+            .join(&mut s)
+            .unwrap();
         // Client id -> (budget, drop_levels), pairs side by side.
         let mut asks = vec![(0u32, 0usize); publisher + 1];
         for budget in 1..=16u32 {
             for drop in 0..=2usize {
                 for i in 0..PER_PAIR {
-                    let id = join_image_client(&mut s, &format!("b{budget}-d{drop}-{i}"));
+                    let id = Client::passive(&format!("b{budget}-d{drop}-{i}"), &["image"])
+                        .join(&mut s)
+                        .unwrap();
                     let viewer = &mut s.client_mut(id).viewer;
                     viewer.set_packet_budget(budget);
                     viewer.set_resolution(1.0 / (1 << drop) as f64);
@@ -1229,10 +1216,14 @@ fn a_cold_shares_views_read_no_symbol() {
         ..SessionConfig::default()
     };
     let mut s = CollaborationSession::new(cfg.clone());
-    let publisher = join_image_client(&mut s, "publisher");
+    let publisher = Client::passive("publisher", &["image"])
+        .join(&mut s)
+        .unwrap();
     let mut budget_of = vec![0u32; publisher + 1];
     for budget in BUDGETS {
-        let id = join_image_client(&mut s, &format!("viewer{budget}"));
+        let id = Client::passive(&format!("viewer{budget}"), &["image"])
+            .join(&mut s)
+            .unwrap();
         s.client_mut(id).viewer.set_packet_budget(budget);
         budget_of.push(budget);
     }
@@ -1265,10 +1256,14 @@ fn more_prefixes_than_the_store_holds_decode_per_viewer() {
     const VIEWERS: usize = 2 * BUDGETS.len();
     let cfg = SessionConfig::default();
     let mut s = CollaborationSession::new(cfg.clone());
-    let publisher = join_image_client(&mut s, "publisher");
+    let publisher = Client::passive("publisher", &["image"])
+        .join(&mut s)
+        .unwrap();
     let mut budget_of = vec![0u32; publisher + 1];
     for (i, &budget) in BUDGETS.iter().cycle().take(VIEWERS).enumerate() {
-        let id = join_image_client(&mut s, &format!("viewer{i}"));
+        let id = Client::passive(&format!("viewer{i}"), &["image"])
+            .join(&mut s)
+            .unwrap();
         s.client_mut(id).viewer.set_packet_budget(budget);
         budget_of.push(budget);
     }
@@ -1304,18 +1299,7 @@ fn image_events(object_id: u64, container: &[u8], image: &Image) -> Vec<Arc<Wire
         .map(|packet| AppEvent::ImagePacket { object_id, packet });
     std::iter::once(meta)
         .chain(packets)
-        .map(|ev| {
-            let wire = SemanticMessage {
-                sender: String::new(),
-                kind: ev.kind().to_string(),
-                selector: String::new(),
-                seq: 0,
-                content: Default::default(),
-                body: ev.encode(),
-            }
-            .encode();
-            Arc::new(WireMessage::decode(&wire).expect("an encoded message reads"))
-        })
+        .map(|ev| event_message(&ev))
         .collect()
 }
 
@@ -1469,9 +1453,13 @@ fn a_view_a_caller_holds_is_never_recycled() {
         color_transform: true,
         ..SessionConfig::default()
     });
-    let publisher = join_image_client(&mut s, "publisher");
+    let publisher = Client::passive("publisher", &["image"])
+        .join(&mut s)
+        .unwrap();
     for (i, &budget) in BUDGETS.iter().enumerate() {
-        let id = join_image_client(&mut s, &format!("viewer{i}"));
+        let id = Client::passive(&format!("viewer{i}"), &["image"])
+            .join(&mut s)
+            .unwrap();
         s.client_mut(id).viewer.set_packet_budget(budget);
     }
     let mut held = None;
@@ -1509,9 +1497,13 @@ fn recycling_views_changes_no_pixel_and_no_count() {
         ..SessionConfig::default()
     };
     let mut s = CollaborationSession::new(cfg.clone());
-    let publisher = join_image_client(&mut s, "publisher");
+    let publisher = Client::passive("publisher", &["image"])
+        .join(&mut s)
+        .unwrap();
     for (i, &budget) in BUDGETS.iter().enumerate() {
-        let id = join_image_client(&mut s, &format!("viewer{i}"));
+        let id = Client::passive(&format!("viewer{i}"), &["image"])
+            .join(&mut s)
+            .unwrap();
         s.client_mut(id).viewer.set_packet_budget(budget);
     }
     let levels = wavelet::max_levels(64, 64).min(5);

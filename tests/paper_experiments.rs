@@ -5,18 +5,7 @@
 
 use collabqos::core::experiments::*;
 use collabqos::prelude::{Modality, SessionConfig};
-
-/// FNV-1a over 64-bit words: the SIR bits, modalities and counts of a
-/// wireless series, so a change that moves one dB in one row shows.
-fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
+use testkit::fnv1a_words;
 
 fn sir_rows(rows: &[SirRow]) -> impl Iterator<Item = u64> + '_ {
     rows.iter().flat_map(|r| {
@@ -31,7 +20,7 @@ fn sir_rows(rows: &[SirRow]) -> impl Iterator<Item = u64> + '_ {
 fn fig10_digest(r: &Fig10Result) -> u64 {
     let head = r.a_sir_by_count.iter().map(|s| s.to_bits());
     let drops = [r.drop_on_second_join, r.drop_on_third_join].map(f64::to_bits);
-    digest(head.chain(drops).chain(sir_rows(&r.series)))
+    fnv1a_words(head.chain(drops).chain(sir_rows(&r.series)))
 }
 
 /// The §6.3 series by value: Fig 10 flat and brokered, and the capacity
@@ -52,12 +41,12 @@ fn wireless_series_are_pinned() {
             r.worst_modality as u64,
         ]
     });
-    let got = digest(rows.chain([admitted as u64]));
+    let got = fnv1a_words(rows.chain([admitted as u64]));
     assert_eq!(got, CAPACITY_40, "capacity curve: got {got:#018x}");
 }
 
 fn viewer_digest(rows: &[ViewerRow]) -> u64 {
-    digest(rows.iter().flat_map(|r| {
+    fnv1a_words(rows.iter().flat_map(|r| {
         [
             r.x.to_bits(),
             u64::from(r.packets),

@@ -28,6 +28,8 @@ use collabqos::snmp::{Message, Oid, Pdu, PduKind, SnmpValue, VarBind};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use testkit::alloc::{allocs_and_bytes_of, allocs_of, peak_alloc_of, CountingAlloc};
+use testkit::{topic_profile, Client, Engine, Scenario};
 
 // ------------------------------------------------------------ strategies
 
@@ -165,75 +167,16 @@ fn accepts(e: &Expr, attrs: &BTreeMap<String, AttrValue>) -> bool {
 
 // ------------------------------------------------------ allocation guard
 
-/// Records, per thread, the largest single allocation asked for — so a
-/// decoder fed hostile bytes can be held to "never sizes anything from
-/// an unchecked header", not just "returns `Err`" (the 22-byte
-/// container of `ezw_header_bomb_is_refused_before_allocating` used to
-/// ask for 17 GB before failing) — and how many allocations were made,
-/// so a hot path can be held to "allocates nothing per message" as a
-/// count rather than a time — and how many bytes they asked for in
-/// all, so "the same cost whatever the session size" can be exact.
-struct PeakAlloc;
-
-thread_local! {
-    static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    static COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    static BYTES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-fn note_alloc(size: usize) {
-    PEAK.with(|p| p.set(p.get().max(size)));
-    COUNT.with(|c| c.set(c.get() + 1));
-    BYTES.with(|b| b.set(b.get() + size));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the only
-// addition is three `Cell` stores in const-initialised thread-local
-// storage, which neither allocate nor unwind.
-unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        std::alloc::System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        std::alloc::System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        note_alloc(new_size);
-        std::alloc::System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        std::alloc::System.dealloc(ptr, layout)
-    }
-}
-
+// Per thread: the largest single allocation asked for — so a decoder
+// fed hostile bytes can be held to "never sizes anything from an
+// unchecked header", not just "returns `Err`" (the 22-byte container of
+// `ezw_header_bomb_is_refused_before_allocating` used to ask for 17 GB
+// before failing) — how many allocations were made, so a hot path can
+// be held to "allocates nothing per message" as a count rather than a
+// time, and how many bytes they asked for in all, so "the same cost
+// whatever the session size" can be exact.
 #[global_allocator]
-static ALLOC: PeakAlloc = PeakAlloc;
-
-/// The largest single allocation `f` asks for on this thread.
-fn peak_alloc_of(f: impl FnOnce()) -> usize {
-    PEAK.with(|p| p.set(0));
-    f();
-    PEAK.with(|p| p.get())
-}
-
-/// How many allocations (reallocations included) `f` makes on this
-/// thread.
-fn allocs_of(f: impl FnOnce()) -> usize {
-    allocs_and_bytes_of(f).0
-}
-
-/// Allocations (reallocations included) `f` makes on this thread, and
-/// the bytes they ask for.
-fn allocs_and_bytes_of(f: impl FnOnce()) -> (usize, usize) {
-    let before = (COUNT.with(|c| c.get()), BYTES.with(|b| b.get()));
-    f();
-    (
-        COUNT.with(|c| c.get()) - before.0,
-        BYTES.with(|b| b.get()) - before.1,
-    )
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// What the decoder's plane cap (2^22 samples) lets one allocation
 /// reach: a plane of `i32` coefficients, or the scan table beside it.
@@ -1581,24 +1524,26 @@ fn adapt_pass_cost_per_client(clients: usize, rtp: bool) -> (usize, usize) {
     use collabqos::prelude::*;
     use collabqos::simnet::rtp::ReceiverReport;
 
-    let mut s = CollaborationSession::new(SessionConfig::default());
-    for i in 0..clients {
-        let name = format!("c{i}");
-        let policies = if rtp {
-            let mut db = PolicyDb::congestion_policy();
-            db.merge(PolicyDb::loss_policy());
-            db
-        } else {
-            PolicyDb::paper_cpu_load_policy()
-        };
-        let id = s
-            .add_adaptive_client(
-                Profile::new(&name),
-                policies,
-                QosContract::default(),
-                SimHost::idle(&name),
-            )
-            .expect("client joins");
+    let policies = if rtp {
+        let mut db = PolicyDb::congestion_policy();
+        db.merge(PolicyDb::loss_policy());
+        db
+    } else {
+        PolicyDb::paper_cpu_load_policy()
+    };
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig::default(),
+        clients: (0..clients)
+            .map(|i| {
+                Client::new(
+                    Profile::new(&format!("c{i}")),
+                    Engine::Adaptive(policies.clone()),
+                )
+            })
+            .collect(),
+    }
+    .build();
+    for id in ids {
         if rtp {
             let report = ReceiverReport {
                 fraction_ecn_ce: 0.3,
@@ -2201,16 +2146,9 @@ proptest! {
 #[test]
 fn subsumes_between_interestless_ads_allocates_nothing() {
     use collabqos::broker::Advertisement;
-    use collabqos::sempubsub::Profile;
 
-    let ad = |name: &str, topic: &str| {
-        let mut p = Profile::new(name);
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str(topic)]),
-        );
-        Advertisement::from_profile(&p, 0)
-    };
+    let ad =
+        |name: &str, topic: &str| Advertisement::from_profile(&topic_profile(name, &[topic]), 0);
     let (a, b, c) = (ad("a", "t1"), ad("b", "t1"), ad("c", "t2"));
     let mut narrow = ad("n", "t1");
     narrow.interest = Some(Selector::parse("size > 3").unwrap());
@@ -2300,9 +2238,7 @@ impl AdWorld {
                 attrs,
                 interest,
             } => {
-                let mut p = collabqos::sempubsub::Profile::new(&format!("c{client}"));
-                let topics = ATTRS[attrs].iter().map(|t| AttrValue::str(t)).collect();
-                p.set("interested_in", AttrValue::List(topics));
+                let mut p = topic_profile(&format!("c{client}"), ATTRS[attrs]);
                 if let Some(sel) = INTERESTS[interest] {
                     p.set_interest(sel).unwrap();
                 }
@@ -2454,7 +2390,7 @@ impl StoreWorld {
     /// through, as in a session; `None`: a private one each.
     fn new(store: Option<&collabqos::sempubsub::SelectorStore>, triangle: bool) -> StoreWorld {
         use collabqos::broker::Overlay;
-        use collabqos::sempubsub::{BusEndpoint, Profile};
+        use collabqos::sempubsub::BusEndpoint;
         use collabqos::simnet::packet::well_known::SESSION_DATA;
         use collabqos::simnet::{LinkSpec, Port};
         let ov = store.map_or_else(Overlay::new, |s| Overlay::with_store(s.clone()));
@@ -2467,9 +2403,7 @@ impl StoreWorld {
             let (net, ov) = (&mut world.net, &mut world.ov);
             let host = net.add_node(&format!("host{d}"));
             net.connect(ov.node(d), host, LinkSpec::lan());
-            let mut p = Profile::new(&format!("sub{d}"));
-            let topics = topics.iter().map(|t| AttrValue::str(t)).collect();
-            p.set("interested_in", AttrValue::List(topics));
+            let p = topic_profile(&format!("sub{d}"), topics);
             ov.register_local(net, d, &p);
             subscribers.push(
                 match store {
@@ -2807,15 +2741,12 @@ proptest! {
             color_transform,
             ..SessionConfig::default()
         };
-        let mut s = CollaborationSession::new(cfg.clone());
-        let join = |s: &mut CollaborationSession, name: &str| {
-            let mut profile = Profile::new(name);
-            profile.set("interested_in", AttrValue::List(vec![AttrValue::str("image")]));
-            let engine = InferenceEngine::new(PolicyDb::new(), QosContract::default());
-            s.add_wired_client(profile, engine, SimHost::idle(name)).unwrap()
-        };
-        let publisher = join(&mut s, "pub");
-        let rx = join(&mut s, "rx");
+        let (mut s, ids) = Scenario {
+            cfg: cfg.clone(),
+            clients: vec![Client::passive("pub", &["image"]), Client::passive("rx", &["image"])],
+        }
+        .build();
+        let [publisher, rx] = ids.try_into().unwrap();
         s.attach_base_station(PathLossModel::default(), ModalityThresholds::default())
             .unwrap();
         let radio = s.wireless_join("thin", 10.0, 1_000.0).unwrap();

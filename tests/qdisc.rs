@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use testkit::{Client, Scenario};
 
 const MEDIA_PORT: Port = Port(5004);
 
@@ -156,25 +157,18 @@ const PIPELINE_SHARES: u64 = 12;
 /// `qosCongestionAlert` trap and the congestion policy into a modality
 /// decision.
 fn run_congestion_pipeline(seed: u64) -> CongestionOutcome {
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed,
-        ..SessionConfig::default()
-    });
-    let mut join = |name: &str| {
-        let mut p = Profile::new(name);
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        s.add_wired_client(
-            p,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle(name),
-        )
-        .unwrap()
-    };
-    let publisher = join("publisher");
-    let viewer = join("viewer");
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("publisher", &["image"]),
+            Client::passive("viewer", &["image"]),
+        ],
+    }
+    .build();
+    let [publisher, viewer] = ids.try_into().unwrap();
     let mut cfg = QdiscConfig::for_rate(800_000);
     // Aggressive control law so a short run accumulates a meaningful
     // mark fraction.
@@ -277,39 +271,18 @@ fn congestion_pipeline_is_deterministic() {
 /// access link must replay a bit-identical delivery trace from its
 /// seed.
 fn run_session_with_qdisc(seed: u64) -> Vec<(usize, u64, u32, f64)> {
-    let cfg = SessionConfig {
-        seed,
-        ..SessionConfig::default()
-    };
-    let mut session = CollaborationSession::new(cfg);
-    let mut profile = Profile::new("publisher");
-    profile.set(
-        "interested_in",
-        AttrValue::List(vec![AttrValue::str("image")]),
-    );
-    let publisher = session
-        .add_wired_client(
-            profile,
-            InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    let mut viewers = Vec::new();
-    for i in 0..3 {
-        let mut p = Profile::new(&format!("viewer{i}"));
-        p.set(
-            "interested_in",
-            AttrValue::List(vec![AttrValue::str("image")]),
-        );
-        let id = session
-            .add_wired_client(
-                p,
-                InferenceEngine::new(PolicyDb::new(), QosContract::default()),
-                SimHost::idle(&format!("viewer{i}")),
-            )
-            .unwrap();
-        viewers.push(id);
+    let viewers = (0..3).map(|i| Client::passive(&format!("viewer{i}"), &["image"]));
+    let (mut session, ids) = Scenario {
+        cfg: SessionConfig {
+            seed,
+            ..SessionConfig::default()
+        },
+        clients: std::iter::once(Client::passive("publisher", &["image"]))
+            .chain(viewers)
+            .collect(),
     }
+    .build();
+    let (publisher, viewers) = (ids[0], &ids[1..]);
     // Shape viewer0's access link hard enough that scheduling matters.
     session.attach_qdisc(viewers[0], QdiscConfig::for_rate(2_000_000));
     let mut rows = Vec::new();

@@ -13,10 +13,11 @@ use collabqos::media::packetize::{reassemble_prefix, split_packets, MediaPacket}
 use collabqos::media::psnr;
 use collabqos::media::wavelet::WaveletKind;
 use collabqos::media::Image;
-use collabqos::sempubsub::{SemanticMessage, WireMessage};
+use collabqos::sempubsub::WireMessage;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
+use testkit::event_message;
 
 /// An image's announcement and its 16 packets, each in a message of
 /// its own as a session delivers them.
@@ -27,24 +28,11 @@ struct Share {
     stripes: Vec<Arc<WireMessage>>,
 }
 
-fn message(ev: &AppEvent) -> Arc<WireMessage> {
-    let wire = SemanticMessage {
-        sender: "sharer".to_string(),
-        kind: ev.kind().to_string(),
-        selector: "true".to_string(),
-        seq: 0,
-        content: Default::default(),
-        body: ev.encode(),
-    }
-    .encode();
-    Arc::new(WireMessage::decode(&wire).unwrap())
-}
-
 fn share(seed: u64) -> Share {
     let scene = synthetic_scene(64, 64, 1, 3, seed);
     let container = ezw::encode_image(&scene.image, 4, WaveletKind::Cdf53).unwrap();
     let packets = split_packets(&container, 16);
-    let meta = message(&AppEvent::ImageMeta {
+    let meta = event_message(&AppEvent::ImageMeta {
         object_id: 1,
         caption: scene.caption,
         original_bytes: scene.image.byte_len() as u64,
@@ -54,7 +42,7 @@ fn share(seed: u64) -> Share {
     let stripes = packets
         .iter()
         .map(|p| {
-            message(&AppEvent::ImagePacket {
+            event_message(&AppEvent::ImagePacket {
                 object_id: 1,
                 packet: p.clone(),
             })

@@ -9,13 +9,13 @@
 //! `session.rs` was cut into `session/`; a refactor of the session
 //! that moves one delivery, one counter or one trap byte changes them.
 
-use collabqos::core::policy::PolicyDb;
 use collabqos::dtn::StoreConfig;
 use collabqos::prelude::*;
 use collabqos::simnet::qdisc::QdiscConfig;
 use collabqos::simnet::rtp::ReceiverReport;
 use collabqos::snmp::oid::arcs;
 use collabqos::snmp::transport::TrapSink;
+use testkit::{Client, Digest, Scenario};
 
 const FLAT_DIGEST: u64 = 0x5d1e_543e_3d10_7387;
 const BROKERED_DIGEST: u64 = 0x8cc1_b93d_37e2_f3f9;
@@ -23,43 +23,6 @@ const BROKERED_DIGEST: u64 = 0x8cc1_b93d_37e2_f3f9;
 const IMAGES: &str = "interested_in contains 'image'";
 const CHAT: &str = "interested_in contains 'chat'";
 const TEXT: &str = "interested_in contains 'text'";
-
-/// FNV-1a over everything fed, with a separator after each feed so
-/// adjacent fields cannot run into each other.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes.iter().chain(&[0xff]) {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn num(&mut self, n: u64) {
-        self.bytes(&n.to_le_bytes());
-    }
-
-    fn debug(&mut self, what: &impl std::fmt::Debug) {
-        self.bytes(format!("{what:?}").as_bytes());
-    }
-}
-
-fn topic_profile(name: &str, topics: &[&str]) -> Profile {
-    let mut p = Profile::new(name);
-    p.set(
-        "interested_in",
-        AttrValue::List(topics.iter().map(|t| AttrValue::str(t)).collect()),
-    );
-    p
-}
-
-fn passive() -> InferenceEngine {
-    InferenceEngine::new(PolicyDb::new(), QosContract::default())
-}
 
 fn full_policy() -> PolicyDb {
     let mut db = PolicyDb::paper_page_fault_policy();
@@ -143,41 +106,21 @@ fn digest_traps(h: &mut Digest, sink: &TrapSink) {
 /// viewer, a router row, an echo node, the base station with one
 /// wireless client per SIR tier, and every kind of session traffic.
 fn flat_digest() -> u64 {
-    let mut h = Digest::new();
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed: 2401,
-        ..SessionConfig::default()
-    });
-    let publisher = s
-        .add_wired_client(
-            topic_profile("publisher", &["image", "chat"]),
-            passive(),
-            SimHost::idle("publisher"),
-        )
-        .unwrap();
-    let viewer = s
-        .add_adaptive_client(
-            topic_profile("viewer", &["image", "chat"]),
-            full_policy(),
-            QosContract::default(),
-            SimHost::idle("viewer"),
-        )
-        .unwrap();
-    let loaded = s
-        .add_adaptive_client(
-            topic_profile("loaded", &["image", "chat"]),
-            full_policy(),
-            QosContract::default(),
-            SimHost::idle("loaded"),
-        )
-        .unwrap();
-    let texter = s
-        .add_wired_client(
-            topic_profile("texter", &["text"]),
-            passive(),
-            SimHost::idle("texter"),
-        )
-        .unwrap();
+    let mut h = Digest::default();
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig {
+            seed: 2401,
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("publisher", &["image", "chat"]),
+            Client::adaptive("viewer", &["image", "chat"], full_policy()),
+            Client::adaptive("loaded", &["image", "chat"], full_policy()),
+            Client::passive("texter", &["text"]),
+        ],
+    }
+    .build();
+    let [publisher, viewer, loaded, texter] = ids.try_into().unwrap();
     s.client_mut(loaded).host.force(HostState {
         cpu_load: 35.0,
         page_faults: 75.0,
@@ -289,12 +232,8 @@ fn flat_digest() -> u64 {
     h.num(sink.service(&mut s.net) as u64);
     assert!(!sink.traps.is_empty(), "the saturated leaf alerted");
 
-    let late = s
-        .add_wired_client(
-            topic_profile("late", &["image", "chat"]),
-            passive(),
-            SimHost::idle("late"),
-        )
+    let late = Client::passive("late", &["image", "chat"])
+        .join(&mut s)
         .unwrap();
     s.catch_up(viewer, late);
     s.wireless_leave("mid").unwrap();
@@ -340,52 +279,29 @@ fn digest_broker_rows(h: &mut Digest, s: &mut CollaborationSession, plane_link: 
 /// brokers 0 and 1, a cut and heal between brokers 1 and 2, store
 /// alerts into a trap sink, and the gateway homed on broker 0.
 fn brokered_digest() -> u64 {
-    let mut h = Digest::new();
-    let mut s = CollaborationSession::new(SessionConfig {
-        seed: 2402,
-        domains: Some(3),
-        custody: Some(StoreConfig {
-            max_bytes: 64 * 1024,
-            high_watermark_pct: 1,
-            ..StoreConfig::default()
-        }),
-        ..SessionConfig::default()
-    });
-    let publisher = s
-        .add_wired_client_in_domain(
-            topic_profile("publisher", &["image", "chat", "text"]),
-            passive(),
-            SimHost::idle("publisher"),
-            0,
-        )
-        .unwrap();
-    let texter = s
-        .add_wired_client_in_domain(
-            topic_profile("texter", &["text"]),
-            passive(),
-            SimHost::idle("texter"),
-            1,
-        )
-        .unwrap();
-    let viewer = s
-        .add_adaptive_client(
-            topic_profile("viewer", &["image", "chat"]),
-            full_policy(),
-            QosContract::default(),
-            SimHost::idle("viewer"),
-        )
-        .unwrap();
-    let second = s
-        .add_wired_client(
-            topic_profile("second", &["image"]),
-            passive(),
-            SimHost::idle("second"),
-        )
-        .unwrap();
+    let mut h = Digest::default();
+    let (mut s, ids) = Scenario {
+        cfg: SessionConfig {
+            seed: 2402,
+            domains: Some(3),
+            custody: Some(StoreConfig {
+                max_bytes: 64 * 1024,
+                high_watermark_pct: 1,
+                ..StoreConfig::default()
+            }),
+            ..SessionConfig::default()
+        },
+        clients: vec![
+            Client::passive("publisher", &["image", "chat", "text"]).in_domain(0),
+            Client::passive("texter", &["text"]).in_domain(1),
+            Client::adaptive("viewer", &["image", "chat"], full_policy()),
+            Client::passive("second", &["image"]),
+        ],
+    }
+    .build();
+    let [publisher, texter, viewer, second] = ids.try_into().unwrap();
     h.debug(&[publisher, texter, viewer, second].map(|id| s.client(id).domain));
-    assert!(s
-        .add_wired_client_in_domain(topic_profile("x", &[]), passive(), SimHost::idle("x"), 3)
-        .is_err());
+    assert!(Client::passive("x", &[]).in_domain(3).join(&mut s).is_err());
 
     let b0 = s.overlay().unwrap().node(0);
     let station = s.net.add_node("station");
